@@ -5,10 +5,9 @@ use criterion::{
     criterion_group, criterion_main, BatchSize, Criterion, Throughput,
 };
 use seplsm_dist::LogNormal;
-use seplsm_lsm::{EngineConfig, LsmEngine, MemStore, TieredEngine};
+use seplsm_lsm::{EngineConfig, OpenOptions, TieredOpenOptions};
 use seplsm_types::{DataPoint, Policy};
 use seplsm_workload::SyntheticWorkload;
-use std::sync::Arc;
 
 fn dataset(points: usize) -> Vec<DataPoint> {
     SyntheticWorkload::new(50, LogNormal::new(4.0, 1.5), points, 1).generate()
@@ -23,10 +22,9 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("lsm/pi_c", |b| {
         b.iter_batched(
             || {
-                LsmEngine::in_memory(EngineConfig::new(Policy::conventional(
-                    512,
-                )))
-                .expect("engine")
+                OpenOptions::new(EngineConfig::new(Policy::conventional(512)))
+                    .open()
+                    .expect("engine")
             },
             |mut engine| {
                 for p in &points {
@@ -41,9 +39,10 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("lsm/pi_s_half", |b| {
         b.iter_batched(
             || {
-                LsmEngine::in_memory(EngineConfig::new(
+                OpenOptions::new(EngineConfig::new(
                     Policy::separation_even(512).expect("policy"),
                 ))
+                .open()
                 .expect("engine")
             },
             |mut engine| {
@@ -59,10 +58,10 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("tiered/pi_c", |b| {
         b.iter_batched(
             || {
-                TieredEngine::new(
-                    EngineConfig::new(Policy::conventional(512)),
-                    Arc::new(MemStore::new()),
-                )
+                TieredOpenOptions::new(EngineConfig::new(Policy::conventional(
+                    512,
+                )))
+                .open()
                 .expect("engine")
             },
             |mut engine| {

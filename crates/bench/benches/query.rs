@@ -3,13 +3,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seplsm_dist::LogNormal;
-use seplsm_lsm::{EngineConfig, LsmEngine};
+use seplsm_lsm::{EngineConfig, LsmEngine, OpenOptions};
 use seplsm_types::{Policy, TimeRange};
 use seplsm_workload::SyntheticWorkload;
 
 fn populated(policy: Policy) -> LsmEngine {
-    let mut engine =
-        LsmEngine::in_memory(EngineConfig::new(policy)).expect("engine");
+    let mut engine = OpenOptions::new(EngineConfig::new(policy))
+        .open()
+        .expect("engine");
     let points =
         SyntheticWorkload::new(50, LogNormal::new(5.0, 2.0), 50_000, 2)
             .generate();

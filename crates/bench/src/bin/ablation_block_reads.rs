@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use seplsm_bench::{args, report};
 use seplsm_lsm::sstable::format::{encode, encode_with, EncodeOptions};
-use seplsm_lsm::{EngineConfig, LsmEngine, MemStore};
+use seplsm_lsm::{EngineConfig, MemStore, OpenOptions};
 use seplsm_types::{Policy, TimeRange};
 use seplsm_workload::{paper_dataset, VehicleWorkload};
 
@@ -72,7 +72,7 @@ fn main() -> seplsm_types::Result<()> {
         }
         let store =
             Arc::new(MemStore::with_options(EncodeOptions::compressed()));
-        let mut engine = LsmEngine::new(config, store)?;
+        let mut engine = OpenOptions::new(config).store(store).open()?;
         for p in &dataset {
             engine.append(*p)?;
         }

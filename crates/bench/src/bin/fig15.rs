@@ -12,10 +12,8 @@
 //! cargo run --release -p seplsm-bench --bin fig15 -- [--points N] [--seed S] [--window MS]
 //! ```
 
-use std::sync::Arc;
-
 use seplsm_bench::{args, report};
-use seplsm_lsm::{EngineConfig, MemStore, TieredEngine};
+use seplsm_lsm::{EngineConfig, TieredEngine, TieredOpenOptions};
 use seplsm_types::{Policy, TimeRange};
 use seplsm_workload::paper_dataset;
 
@@ -89,11 +87,11 @@ fn main() -> seplsm_types::Result<()> {
         ("pi_c", Policy::conventional(512)),
         ("pi_s (n_seq=256)", Policy::separation(512, 256)?),
     ] {
-        let mut engine = TieredEngine::new(
+        let mut engine = TieredOpenOptions::new(
             EngineConfig::new(policy).with_sstable_points(512),
-            Arc::new(MemStore::new()),
-        )?
-        .with_sync_flush();
+        )
+        .sync_flush()
+        .open()?;
         for p in &dataset {
             engine.append(*p)?;
         }

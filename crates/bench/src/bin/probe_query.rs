@@ -2,10 +2,8 @@
 //! recent-data workload on the tiered engine, for calibrating the
 //! query-experiment defaults.
 
-use std::sync::Arc;
-
 use seplsm_bench::args;
-use seplsm_lsm::{EngineConfig, MemStore, TieredEngine};
+use seplsm_lsm::{EngineConfig, TieredOpenOptions};
 use seplsm_types::Policy;
 use seplsm_workload::{paper_dataset, RecentQueries};
 
@@ -23,10 +21,10 @@ fn main() -> seplsm_types::Result<()> {
     } else {
         Policy::separation(512, n_seq)?
     };
-    let mut engine = TieredEngine::new(
+    let mut engine = TieredOpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(512),
-        Arc::new(MemStore::new()),
-    )?;
+    )
+    .open()?;
     let q = RecentQueries::new(window, every);
     let mut hits = 0u32;
     let mut total = 0u32;

@@ -7,8 +7,7 @@ use std::time::Instant;
 use seplsm_core::{AdaptiveConfig, AdaptiveOpen, TuneRecord};
 use seplsm_lsm::{
     AggregateReport, AggregateSink, DiskModel, EngineConfig, FanoutSink,
-    JsonlSink, LsmEngine, MemStore, Metrics, Observer, OpenOptions, QueryStats,
-    TieredEngine,
+    JsonlSink, Metrics, Observer, OpenOptions, QueryStats, TieredOpenOptions,
 };
 use seplsm_types::{DataPoint, Policy, Result};
 use seplsm_workload::{HistoricalQueries, RecentQueries};
@@ -20,9 +19,10 @@ pub fn measure_wa(
     policy: Policy,
     sstable_points: usize,
 ) -> Result<Metrics> {
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable_points),
-    )?;
+    )
+    .open()?;
     for p in points {
         engine.append(*p)?;
     }
@@ -72,11 +72,12 @@ pub fn measure_wa_with_probe(
     policy: Policy,
     sstable_points: usize,
 ) -> Result<Metrics> {
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(policy)
             .with_sstable_points(sstable_points)
             .with_subsequent_probe(),
-    )?;
+    )
+    .open()?;
     for p in points {
         engine.append(*p)?;
     }
@@ -91,11 +92,12 @@ pub fn measure_wa_windowed(
     sstable_points: usize,
     snapshot_every: u64,
 ) -> Result<Metrics> {
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(policy)
             .with_sstable_points(sstable_points)
             .with_wa_snapshots(snapshot_every),
-    )?;
+    )
+    .open()?;
     for p in points {
         engine.append(*p)?;
     }
@@ -179,11 +181,11 @@ pub fn run_recent_queries(
     workload: RecentQueries,
     disk: &DiskModel,
 ) -> Result<QueryReport> {
-    let mut engine = TieredEngine::new(
+    let mut engine = TieredOpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable_points),
-        std::sync::Arc::new(MemStore::new()),
-    )?
-    .with_sync_flush();
+    )
+    .sync_flush()
+    .open()?;
     let mut per_query = Vec::new();
     for (i, p) in points.iter().enumerate() {
         engine.append(*p)?;
@@ -208,11 +210,11 @@ pub fn run_historical_queries(
     workload: HistoricalQueries,
     disk: &DiskModel,
 ) -> Result<QueryReport> {
-    let mut engine = TieredEngine::new(
+    let mut engine = TieredOpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable_points),
-        std::sync::Arc::new(MemStore::new()),
-    )?
-    .with_sync_flush();
+    )
+    .sync_flush()
+    .open()?;
     let mut min_gen = i64::MAX;
     for p in points {
         engine.append(*p)?;
@@ -322,10 +324,10 @@ pub fn measure_throughput(
     policy: Policy,
     sstable_points: usize,
 ) -> Result<(f64, f64)> {
-    let mut engine = TieredEngine::new(
+    let mut engine = TieredOpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable_points),
-        std::sync::Arc::new(MemStore::new()),
-    )?;
+    )
+    .open()?;
     let start = Instant::now();
     for p in points {
         engine.append(*p)?;

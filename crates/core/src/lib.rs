@@ -37,8 +37,10 @@
 //! # Ok::<(), seplsm_types::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod adaptive;
 pub mod analyzer;

@@ -18,6 +18,9 @@
 //!   smoothly instead of in bursts.
 //! * [`RetryBackoff`] — a bounded exponential backoff schedule for store
 //!   retries, replacing fixed immediate-retry loops.
+//! * `witness` — the accounting both engines' `admit` share: every
+//!   admission edge moves its `Metrics` counter and emits its typed event
+//!   in one place.
 //!
 //! Everything here is a pure state machine on *logical* ticks: no wall
 //! clock, no threads, no I/O (seplint rule R3). The engines own the
@@ -27,6 +30,9 @@
 //! machine.
 
 use seplsm_types::{Error, Result};
+
+use crate::metrics::Metrics;
+use crate::obs::{Event, ObserverHandle};
 
 /// Default slowdown watermark: combined depth at which appends start
 /// being delayed.
@@ -298,6 +304,37 @@ impl AdmissionController {
         let ticks = self.current_stall_ticks;
         self.current_stall_ticks = 0;
         Some(ticks)
+    }
+}
+
+/// The one translation of admission edges into [`Metrics`] counters and
+/// typed events, shared by every engine's `admit`: a stall beginning or
+/// ending (`transition` — an [`AdmissionController::interrupt_stall`] is an
+/// `Ended` edge too) and a delayed `outcome`. Each counter moves next to
+/// the event that witnesses it.
+pub(crate) fn witness(
+    transition: Option<StallTransition>,
+    outcome: AdmissionOutcome,
+    depth: AdmissionDepth,
+    metrics: &mut Metrics,
+    obs: &ObserverHandle,
+) {
+    match transition {
+        Some(StallTransition::Began) => {
+            metrics.write_stalls += 1;
+            let depth = depth.combined() as u64;
+            obs.emit(|| Event::WriteStallBegin { depth });
+        }
+        Some(StallTransition::Ended { ticks }) => {
+            metrics.stall_ticks += ticks;
+            obs.emit(|| Event::WriteStallEnd { ticks });
+        }
+        None => {}
+    }
+    if let AdmissionOutcome::Delayed { ticks } = outcome {
+        metrics.delayed_appends += 1;
+        metrics.stall_ticks += ticks;
+        obs.emit(|| Event::AdmissionDelayed { ticks });
     }
 }
 

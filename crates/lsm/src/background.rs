@@ -24,12 +24,13 @@
 //!
 //! # Durability
 //!
-//! With [`OpenOptions::wal`] every appended point is logged before it is
-//! buffered, and the log is compacted to the still-volatile suffix on every
-//! flush hand-off; with [`OpenOptions::manifest`] the worker records every
-//! L0 addition and run replacement. A crashed engine (dropped without
-//! [`TieredEngine::finish`]) is rebuilt by
-//! [`OpenOptions::open_or_recover`]: the manifest restores the run and L0,
+//! With [`TieredOpenOptions::wal`] every appended point is logged before it
+//! is buffered, and the log is compacted to the still-volatile suffix on
+//! every flush hand-off; with [`TieredOpenOptions::manifest`] the worker
+//! records every L0 addition and run replacement. A crashed engine (dropped
+//! without [`TieredEngine::finish`]) is rebuilt by
+//! [`TieredOpenOptions::open_or_recover`]: the manifest restores the run and
+//! L0,
 //! the WAL replays the buffered tail. The WAL is deliberately conservative
 //! — a batch leaves it only after the *next* hand-off, so recovery may
 //! re-buffer points that already reached L0; the merge pipeline
@@ -37,7 +38,6 @@
 //! lost or double-counted in query results.
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,9 +48,9 @@ use parking_lot::{Condvar, Mutex};
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange, Timestamp};
 
 use crate::admission::{
-    AdmissionController, AdmissionDepth, AdmissionOutcome, AdmissionStats,
-    IoPacer, PaceDecision, PacerStats, RetryBackoff, StallTransition,
-    Watermarks,
+    self, AdmissionController, AdmissionDepth, AdmissionOutcome,
+    AdmissionStats, IoPacer, PaceDecision, PacerStats, RetryBackoff,
+    StallTransition, Watermarks,
 };
 use crate::buffer::{FlushTrigger, PolicyBuffers};
 use crate::compaction::{self, plan_merge, RunInput};
@@ -58,17 +58,16 @@ use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
 use crate::invariants::{self, InvariantChecker};
 use crate::iterator::merge_sorted;
-use crate::level::Run;
 use crate::manifest::Manifest;
 use crate::metrics::Metrics;
 use crate::obs::{
-    DegradedOp, DegradedReason, DegradedState, Event, Observer, ObserverHandle,
-    RecoveryStepKind,
+    DegradedOp, DegradedReason, DegradedState, Event, ObserverHandle,
 };
-use crate::query::QueryStats;
-use crate::recovery::{self, RecoveryMode, RecoveryOptions, RecoveryReport};
+use crate::open::{self, Background, Kind, TieredOpenOptions};
+use crate::query::{Agg, Bucket, QueryStats, ReadView};
+use crate::recovery::{self, RecoveryReport};
 use crate::sstable::{SsTableId, SsTableMeta};
-use crate::store::{MemStore, TableStore};
+use crate::store::TableStore;
 use crate::version::{Version, VersionEdit};
 use crate::wal::Wal;
 
@@ -207,18 +206,22 @@ impl TierState {
         self.invariants
             .observe_metrics(&self.version, &self.metrics)
     }
-}
 
-/// One query's view of the version, captured under a single lock
-/// acquisition so the table reads can run without it (see
-/// [`TieredEngine::query`]).
-struct QuerySnapshot {
-    /// Flushing MemTable batches (oldest first, as the version stores them).
-    flushing: Vec<Arc<Vec<DataPoint>>>,
-    /// Overlapping L0 tables, newest first.
-    l0: Vec<SsTableMeta>,
-    /// Overlapping run tables, in key order.
-    run: Vec<SsTableMeta>,
+    /// Closes the active stall episode without admitting anything: nothing
+    /// will drain the backlog the stalled writer is waiting on.
+    fn interrupt_stall(&mut self, depth: AdmissionDepth) {
+        let ended = self
+            .admission
+            .interrupt_stall()
+            .map(|ticks| StallTransition::Ended { ticks });
+        admission::witness(
+            ended,
+            AdmissionOutcome::Stalled,
+            depth,
+            &mut self.metrics,
+            &self.obs,
+        );
+    }
 }
 
 /// Merges every L0 table plus the overlapping part of the run through the
@@ -348,213 +351,6 @@ fn compact_l0_once(
     Ok(())
 }
 
-/// The one way to open a [`TieredEngine`]: the tiered twin of
-/// [`crate::engine::OpenOptions`], replacing the old
-/// `new`/`with_wal`/`with_manifest`/`recover*`/`attach_faults` constructor
-/// family.
-///
-/// [`OpenOptions::open`] starts a fresh engine and its compaction worker;
-/// [`OpenOptions::open_or_recover`] rebuilds one after a crash (a manifest
-/// is required — tiered recovery is manifest-driven) and returns the
-/// [`RecoveryReport`]. A configured [`OpenOptions::faults`] plan attaches
-/// to the WAL and manifest only after opening completes, so crash-schedule
-/// op numbering starts at the first workload-driven disk touch.
-#[must_use = "OpenOptions does nothing until .open()/.open_or_recover()"]
-pub struct OpenOptions {
-    config: EngineConfig,
-    store: Option<Arc<dyn TableStore>>,
-    wal: Option<PathBuf>,
-    manifest: Option<PathBuf>,
-    recovery: RecoveryOptions,
-    faults: Option<Arc<FaultPlan>>,
-    observer: ObserverHandle,
-    sync_flush: bool,
-    cache: Option<Arc<crate::cache::BlockCache>>,
-    watermarks: Watermarks,
-    pacer: IoPacer,
-}
-
-impl std::fmt::Debug for OpenOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpenOptions")
-            .field("policy", &self.config.policy)
-            .field("wal", &self.wal)
-            .field("manifest", &self.manifest)
-            .field("recovery", &self.recovery)
-            .field("faults", &self.faults.is_some())
-            .field("observer", &self.observer.is_attached())
-            .field("sync_flush", &self.sync_flush)
-            .field("cache", &self.cache.is_some())
-            .field("watermarks", &self.watermarks)
-            .finish()
-    }
-}
-
-impl OpenOptions {
-    /// Starts a builder for the given configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        Self {
-            config,
-            store: None,
-            wal: None,
-            manifest: None,
-            recovery: RecoveryOptions::strict(),
-            faults: None,
-            observer: ObserverHandle::detached(),
-            sync_flush: false,
-            cache: None,
-            watermarks: Watermarks::default(),
-            pacer: IoPacer::default(),
-        }
-    }
-
-    /// Sets the slowdown/stop admission watermarks the writer consults
-    /// before every buffer insert (default
-    /// [`Watermarks::default`]: 8/16). Tight watermarks turn ingest
-    /// bursts into typed [`AdmissionOutcome::Delayed`] /
-    /// [`AdmissionOutcome::Stalled`] outcomes instead of unbounded L0
-    /// growth.
-    pub fn admission(mut self, watermarks: Watermarks) -> Self {
-        self.watermarks = watermarks;
-        self
-    }
-
-    /// Sets the logical token bucket that paces compaction output writes
-    /// (default [`IoPacer::default`]).
-    pub fn pacer(mut self, pacer: IoPacer) -> Self {
-        self.pacer = pacer;
-        self
-    }
-
-    /// Backs the engine with `store`. Defaults to a fresh in-memory store.
-    pub fn store(mut self, store: Arc<dyn TableStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Attaches a write-ahead log at `path`.
-    pub fn wal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.wal = Some(path.into());
-        self
-    }
-
-    /// Attaches a manifest at `path` (required for
-    /// [`OpenOptions::open_or_recover`]).
-    pub fn manifest(mut self, path: impl Into<PathBuf>) -> Self {
-        self.manifest = Some(path.into());
-        self
-    }
-
-    /// Sets the [`RecoveryOptions`] used by
-    /// [`OpenOptions::open_or_recover`] (default: strict).
-    pub fn recovery(mut self, options: RecoveryOptions) -> Self {
-        self.recovery = options;
-        self
-    }
-
-    /// Attaches a fault plan to the WAL and manifest once opening
-    /// completes; wrap the table store separately with the same plan.
-    pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Delivers every storage-kernel [`Event`] — from the writer and the
-    /// background worker alike — to `sink`.
-    pub fn observer(mut self, sink: Arc<dyn Observer>) -> Self {
-        self.observer = ObserverHandle::attached(sink);
-        self
-    }
-
-    /// Makes every flush synchronous (see
-    /// [`TieredEngine::with_sync_flush`]).
-    pub fn sync_flush(mut self) -> Self {
-        self.sync_flush = true;
-        self
-    }
-
-    /// Routes table reads — the query path *and* the background worker's
-    /// compaction reads — through `cache`, a shared decoded-block cache.
-    /// The worker's `L0` compactions delete their input tables through the
-    /// same wrapped store, so eviction is strict.
-    pub fn cache(mut self, cache: Arc<crate::cache::BlockCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    fn store_or_default(
-        store: Option<Arc<dyn TableStore>>,
-    ) -> Arc<dyn TableStore> {
-        store.unwrap_or_else(|| Arc::new(MemStore::new()))
-    }
-
-    /// Starts a fresh engine and its compaction worker.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for degenerate configurations; I/O errors
-    /// opening the WAL or manifest.
-    pub fn open(self) -> Result<TieredEngine> {
-        self.config.validate()?;
-        let store = crate::engine::OpenOptions::wrap_cache(
-            Self::store_or_default(self.store),
-            self.cache,
-            &self.observer,
-        );
-        let mut engine = TieredEngine::build(
-            self.config,
-            store,
-            Version::new(),
-            None,
-            self.observer,
-            self.watermarks,
-            self.pacer,
-        )?;
-        if let Some(path) = self.wal {
-            engine = engine.with_wal(path)?;
-        }
-        if let Some(path) = self.manifest {
-            engine = engine.with_manifest(path)?;
-        }
-        engine.finish_open(self.faults);
-        engine.sync_flush = self.sync_flush;
-        Ok(engine)
-    }
-
-    /// Rebuilds an engine after a crash from its manifest (and WAL, when
-    /// configured), returning the [`RecoveryReport`] alongside it.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] when no manifest is configured; in strict
-    /// mode any damage, in salvage mode only unrecoverable failures.
-    pub fn open_or_recover(self) -> Result<(TieredEngine, RecoveryReport)> {
-        let Some(manifest_path) = self.manifest else {
-            return Err(Error::InvalidConfig(
-                "tiered recovery is manifest-driven: configure \
-                 OpenOptions::manifest"
-                    .into(),
-            ));
-        };
-        let store = crate::engine::OpenOptions::wrap_cache(
-            Self::store_or_default(self.store),
-            self.cache,
-            &self.observer,
-        );
-        let (mut engine, report) = TieredEngine::recover_with(
-            self.config,
-            store,
-            manifest_path,
-            self.wal,
-            self.recovery,
-            self.observer,
-            self.watermarks,
-            self.pacer,
-        )?;
-        engine.finish_open(self.faults);
-        engine.sync_flush = self.sync_flush;
-        Ok((engine, report))
-    }
-}
-
 /// A leveled engine whose flush and compaction run on a background thread.
 pub struct TieredEngine {
     config: EngineConfig,
@@ -584,33 +380,107 @@ pub struct TieredEngine {
     obs: ObserverHandle,
 }
 
-impl TieredEngine {
-    /// Starts the engine and its compaction worker.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] on degenerate configurations.
-    pub fn new(
-        config: EngineConfig,
+impl Kind for Background {
+    type Engine = TieredEngine;
+
+    /// Fresh: an empty version, a truncated WAL, then the manifest.
+    /// Recovering (manifest required — tiered recovery is manifest-driven):
+    /// the manifest restores the run and L0 and is re-attached *before*
+    /// the WAL replays through the normal append path, so flushes the
+    /// replay triggers are journalled by the worker like any other.
+    /// Replayed points re-enter the user-point counters; points that had
+    /// already been flushed but were still in the conservative WAL are
+    /// deduplicated by the merge pipeline.
+    fn assemble(
+        options: TieredOpenOptions,
         store: Arc<dyn TableStore>,
-    ) -> Result<Self> {
-        config.validate()?;
-        Self::build(
-            config,
+        recover: bool,
+    ) -> Result<(TieredEngine, RecoveryReport)> {
+        if recover && options.manifest.is_none() {
+            return Err(Error::InvalidConfig(
+                "tiered recovery is manifest-driven: configure \
+                 OpenOptions::manifest"
+                    .into(),
+            ));
+        }
+        options.config.validate()?;
+        let mut report = RecoveryReport::default();
+        let obs = options.observer;
+        let mode = options.recovery.mode;
+        let version = if recover {
+            recovery::rebuild_version(
+                store.as_ref(),
+                options.manifest.as_deref(),
+                mode,
+                true,
+                &mut report,
+                &obs,
+            )?
+        } else {
+            Version::new()
+        };
+        let mut engine = TieredEngine::build(
+            options.config,
             store,
-            Version::new(),
-            None,
-            ObserverHandle::detached(),
-            Watermarks::default(),
-            IoPacer::default(),
-        )
+            version,
+            obs.clone(),
+            options.watermarks,
+            options.kind.pacer,
+        )?;
+        if let (Some(path), false) = (&options.wal, recover) {
+            let mut wal = open::open_wal(path, &obs)?;
+            // Initialization, not truncation: nothing is buffered yet, so
+            // the survivor set of a fresh engine is empty.
+            wal.rewrite(&[])?;
+            engine.wal = Some(wal);
+        }
+        if let Some(path) = &options.manifest {
+            let mut state = engine.state.lock();
+            state.manifest =
+                Some(open::open_manifest(path, &obs, &state.version)?);
+        }
+        if let (Some(path), true) = (&options.wal, recover) {
+            engine.wal = Some(recovery::replay_wal(
+                &mut engine,
+                path,
+                mode,
+                &mut report,
+                &obs,
+                |e, p| e.append_internal(p, false).map(drop),
+                TieredEngine::wal_survivors,
+            )?);
+        }
+        if recover && options.recovery.gc_orphans {
+            // Let replay-triggered flushes land first so the live set is
+            // complete; the worker is then idle, so the sweep cannot race a
+            // concurrent compaction.
+            engine.drain();
+            recovery::gc_orphans(
+                engine.store.as_ref(),
+                &engine.live_table_ids(),
+                &mut report,
+                &obs,
+            )?;
+        }
+        engine.sync_flush = options.kind.sync_flush;
+        Ok((engine, report))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    fn attach_faults(engine: &mut TieredEngine, plan: &Arc<FaultPlan>) {
+        open::attach_faults(
+            plan,
+            engine.wal.as_mut(),
+            engine.state.lock().manifest.as_mut(),
+        );
+    }
+}
+
+impl TieredEngine {
+    /// Starts the engine and its compaction worker over `version`.
     fn build(
         config: EngineConfig,
         store: Arc<dyn TableStore>,
         version: Version,
-        manifest: Option<Manifest>,
         obs: ObserverHandle,
         watermarks: Watermarks,
         pacer: IoPacer,
@@ -621,7 +491,7 @@ impl TieredEngine {
         let state = Arc::new(Mutex::new(TierState {
             version,
             metrics: Metrics::default(),
-            manifest,
+            manifest: None,
             invariants,
             degraded: None,
             compacting: false,
@@ -649,6 +519,31 @@ impl TieredEngine {
                     }
                 }
                 let _exit_guard = NotifyOnExit(Arc::clone(&worker_flush_done));
+                // compact_l0_once only commits its version edit after every
+                // output table is stored, so a failed attempt leaves state
+                // consistent (plus orphan tables) and a retry restarts from
+                // scratch; with the retries exhausted the engine degrades.
+                let compact_or_degrade = || {
+                    let merged =
+                        retry_store(&worker_state, &worker_obs, || {
+                            compact_l0_once(
+                                &worker_state,
+                                &worker_flush_done,
+                                &worker_store,
+                                sstable_points,
+                                &worker_obs,
+                            )
+                        });
+                    if let Err(e) = &merged {
+                        enter_degraded(
+                            &worker_state,
+                            &worker_degraded,
+                            DegradedOp::Compaction,
+                            e,
+                        );
+                    }
+                    merged.is_ok()
+                };
                 for batch in rx {
                     // Encode and store outside the lock; only the version
                     // edit and the (infrequent) compaction hold it.
@@ -724,48 +619,11 @@ impl TieredEngine {
                     state.check_invariants()?;
                     drop(state);
                     worker_flush_done.notify_all();
-                    if backlog {
-                        if let Err(e) =
-                            retry_store(&worker_state, &worker_obs, || {
-                                compact_l0_once(
-                                    &worker_state,
-                                    &worker_flush_done,
-                                    &worker_store,
-                                    sstable_points,
-                                    &worker_obs,
-                                )
-                            })
-                        {
-                            // compact_l0_once only commits its version edit
-                            // after every output table is stored, so a
-                            // failed attempt leaves state consistent (plus
-                            // orphan tables) and a retry restarts from
-                            // scratch.
-                            enter_degraded(
-                                &worker_state,
-                                &worker_degraded,
-                                DegradedOp::Compaction,
-                                &e,
-                            );
-                            return Ok(());
-                        }
+                    if backlog && !compact_or_degrade() {
+                        return Ok(());
                     }
                 }
-                if let Err(e) = retry_store(&worker_state, &worker_obs, || {
-                    compact_l0_once(
-                        &worker_state,
-                        &worker_flush_done,
-                        &worker_store,
-                        sstable_points,
-                        &worker_obs,
-                    )
-                }) {
-                    enter_degraded(
-                        &worker_state,
-                        &worker_degraded,
-                        DegradedOp::Compaction,
-                        &e,
-                    );
+                if !compact_or_degrade() {
                     return Ok(());
                 }
                 worker_state.lock().check_invariants()
@@ -789,183 +647,9 @@ impl TieredEngine {
         })
     }
 
-    /// Makes every flush synchronous: `append` returns only after the
-    /// flushed MemTable is stored as an L0 table. Queries then observe a
-    /// deterministic on-disk state (used by the query experiments); the
-    /// throughput experiment keeps the default asynchronous pipeline.
-    pub fn with_sync_flush(mut self) -> Self {
-        self.sync_flush = true;
-        self
-    }
-
-    /// Attaches a write-ahead log at `path`: points are logged before they
-    /// are buffered, and the log is compacted to the not-yet-durable suffix
-    /// on every flush hand-off.
-    fn with_wal(mut self, path: impl AsRef<Path>) -> Result<Self> {
-        let mut wal = Wal::open(path)?;
-        wal.attach_observer(self.obs.clone());
-        // Initialization, not truncation: this function opened the log
-        // itself, and the survivor set is the full volatile snapshot.
-        wal.rewrite(&self.buffers.snapshot_sorted())?;
-        self.wal = Some(wal);
-        Ok(self)
-    }
-
-    /// Attaches a manifest at `path`: the worker records every L0 addition
-    /// and run replacement, enabling O(metadata) crash recovery through
-    /// [`OpenOptions::open_or_recover`].
-    fn with_manifest(self, path: impl AsRef<Path>) -> Result<Self> {
-        let mut manifest = Manifest::open(path)?;
-        manifest.attach_observer(self.obs.clone());
-        {
-            let mut state = self.state.lock();
-            manifest.rewrite_levels(
-                state.version.run().tables(),
-                state.version.l0(),
-            )?;
-            state.manifest = Some(manifest);
-        }
-        Ok(self)
-    }
-
-    /// Post-open fixup shared by [`OpenOptions::open`] and
-    /// [`OpenOptions::open_or_recover`]: faults attach only after opening
-    /// completes so the op schedule starts at the first workload-driven
-    /// disk touch.
-    fn finish_open(&mut self, faults: Option<Arc<FaultPlan>>) {
-        if let Some(plan) = faults {
-            plan.set_observer(self.obs.clone());
-            self.attach_faults(&plan);
-        }
-    }
-
-    /// Rebuilds an engine after a crash: the manifest restores the run and
-    /// L0 tables, the WAL (if any) replays the buffered tail through the
-    /// normal append path. Replayed points re-enter the user-point
-    /// counters. Points that were already flushed but still in the
-    /// conservative WAL are deduplicated by the merge pipeline.
-    ///
-    /// Under [`RecoveryMode::Salvage`] the longest valid prefix of a
-    /// damaged manifest or WAL is used, unreadable tables are quarantined
-    /// (run tables additionally lose overlap clashes to their newer
-    /// rewrites; L0 tables may overlap by design and are only probed), and
-    /// the returned [`RecoveryReport`] names every loss.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn recover_with(
-        config: EngineConfig,
-        store: Arc<dyn TableStore>,
-        manifest_path: PathBuf,
-        wal_path: Option<PathBuf>,
-        options: RecoveryOptions,
-        obs: ObserverHandle,
-        watermarks: Watermarks,
-        pacer: IoPacer,
-    ) -> Result<(Self, RecoveryReport)> {
-        config.validate()?;
-        let mut report = RecoveryReport::default();
-        let (run_metas, l0_metas) = match options.mode {
-            RecoveryMode::Strict => Manifest::replay_levels(&manifest_path)?,
-            RecoveryMode::Salvage => {
-                let (run_metas, l0_metas, dropped) =
-                    Manifest::replay_levels_salvage(&manifest_path)?;
-                report.manifest_records_dropped = dropped;
-                let run_metas = recovery::salvage_tables(
-                    store.as_ref(),
-                    run_metas,
-                    &mut report,
-                    &obs,
-                )?;
-                let l0_metas = recovery::probe_tables(
-                    store.as_ref(),
-                    l0_metas,
-                    &mut report,
-                    &obs,
-                )?;
-                (run_metas, l0_metas)
-            }
-        };
-        let replayed_tables = (run_metas.len() + l0_metas.len()) as u64;
-        obs.emit(|| Event::RecoveryStep {
-            step: RecoveryStepKind::ManifestReplayed,
-            items: replayed_tables,
-        });
-        let run = Run::from_tables(run_metas)?;
-        let version = Version::from_levels(run, l0_metas);
-        let mut engine =
-            Self::build(config, store, version, None, obs, watermarks, pacer)?;
-        // Re-attach the manifest first so replay-triggered flushes are
-        // recorded; re-seeding makes it authoritative for the rebuilt state.
-        let mut manifest = Manifest::open(&manifest_path)?;
-        manifest.attach_observer(engine.obs.clone());
-        {
-            let mut state = engine.state.lock();
-            manifest.rewrite_levels(
-                state.version.run().tables(),
-                state.version.l0(),
-            )?;
-            state.manifest = Some(manifest);
-        }
-        if let Some(path) = wal_path {
-            let replayed = match options.mode {
-                RecoveryMode::Strict => Wal::replay(&path)?,
-                RecoveryMode::Salvage => {
-                    let (points, dropped) = Wal::replay_salvage(&path)?;
-                    report.wal_records_dropped += dropped;
-                    points
-                }
-            };
-            engine.obs.emit(|| Event::RecoveryStep {
-                step: RecoveryStepKind::WalReplayed,
-                items: replayed.len() as u64,
-            });
-            for p in &replayed {
-                engine.append_internal(*p, false)?;
-            }
-            let mut wal = Wal::open(&path)?;
-            wal.attach_observer(engine.obs.clone());
-            engine.wal = Some(wal);
-            engine.compact_wal()?;
-        }
-        if options.gc_orphans {
-            // Let replay-triggered flushes land first so the live set is
-            // complete; the worker is then idle, so the sweep cannot race a
-            // concurrent compaction.
-            engine.drain();
-            let live = engine.live_table_ids();
-            recovery::gc_orphans(
-                engine.store.as_ref(),
-                &live,
-                &mut report,
-                &engine.obs,
-            )?;
-        }
-        Ok((engine, report))
-    }
-
     /// Ids of every table the current version references (run + L0).
     fn live_table_ids(&self) -> HashSet<SsTableId> {
-        let state = self.state.lock();
-        state
-            .version
-            .run()
-            .tables()
-            .iter()
-            .map(|m| m.id)
-            .chain(state.version.l0().iter().map(|m| m.id))
-            .collect()
-    }
-
-    /// Routes every subsequent WAL and manifest write through `plan`'s
-    /// fault schedule. The table store is wrapped separately (see
-    /// [`FaultStore`](crate::fault::FaultStore)) — share one plan across
-    /// both so crash schedules get a single global op numbering.
-    pub(crate) fn attach_faults(&mut self, plan: &Arc<FaultPlan>) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.attach_faults(Arc::clone(plan));
-        }
-        if let Some(manifest) = self.state.lock().manifest.as_mut() {
-            manifest.attach_faults(Arc::clone(plan));
-        }
+        self.state.lock().version.live_table_ids()
     }
 
     /// Audits the full version (structural invariants plus a decode probe of
@@ -1061,12 +745,9 @@ impl TieredEngine {
         })
     }
 
-    /// Rewrites the WAL to the points that may not be durable yet: every
-    /// batch still in the flush pipeline plus the buffered points.
-    fn compact_wal(&mut self) -> Result<()> {
-        let Some(wal) = self.wal.as_mut() else {
-            return Ok(());
-        };
+    /// The points that may not be durable yet: every batch still in the
+    /// flush pipeline plus the buffered points.
+    fn wal_survivors(&self) -> Vec<DataPoint> {
         let mut survivors: Vec<DataPoint> = Vec::new();
         {
             let state = self.state.lock();
@@ -1075,7 +756,18 @@ impl TieredEngine {
             }
         }
         survivors.extend(self.buffers.snapshot_sorted());
-        wal.rewrite(&survivors)
+        survivors
+    }
+
+    /// Rewrites the WAL to [`wal_survivors`](Self::wal_survivors).
+    fn compact_wal(&mut self) -> Result<()> {
+        if self.wal.is_none() {
+            return Ok(());
+        }
+        let survivors = self.wal_survivors();
+        self.wal
+            .as_mut()
+            .map_or(Ok(()), |wal| wal.rewrite(&survivors))
     }
 
     /// Flushes and fsyncs the write-ahead log (no-op without a WAL).
@@ -1118,18 +810,14 @@ impl TieredEngine {
                 pending_flushes: state.version.flushing().len(),
             };
             let decision = state.admission.admit(depth);
-            match decision.transition {
-                Some(StallTransition::Began) => {
-                    state.metrics.write_stalls += 1;
-                    let d = depth.combined() as u64;
-                    state.obs.emit(|| Event::WriteStallBegin { depth: d });
-                }
-                Some(StallTransition::Ended { ticks }) => {
-                    state.metrics.stall_ticks += ticks;
-                    state.obs.emit(|| Event::WriteStallEnd { ticks });
-                }
-                None => {}
-            }
+            let TierState { metrics, obs, .. } = &mut *state;
+            admission::witness(
+                decision.transition,
+                decision.outcome,
+                depth,
+                metrics,
+                obs,
+            );
             match decision.outcome {
                 AdmissionOutcome::Admitted => {
                     // An append that waited out a stall reports it.
@@ -1139,25 +827,14 @@ impl TieredEngine {
                         AdmissionOutcome::Admitted
                     });
                 }
-                AdmissionOutcome::Delayed { ticks } => {
-                    state.metrics.delayed_appends += 1;
-                    state.metrics.stall_ticks += ticks;
-                    state.obs.emit(|| Event::AdmissionDelayed { ticks });
-                    return Ok(AdmissionOutcome::Delayed { ticks });
-                }
+                AdmissionOutcome::Delayed { .. } => return Ok(decision.outcome),
                 AdmissionOutcome::Stalled => {
                     stalled_here = true;
-                    if state.degraded.is_some() {
+                    if let Some(degraded) = &state.degraded {
                         // A degraded worker will never drain the backlog:
                         // close the episode and surface the typed error.
-                        if let Some(ticks) = state.admission.interrupt_stall() {
-                            state.metrics.stall_ticks += ticks;
-                            state.obs.emit(|| Event::WriteStallEnd { ticks });
-                        }
-                        let reason = match state.degraded.clone() {
-                            Some(s) => s.to_string(),
-                            None => "background storage failure".to_string(),
-                        };
+                        let reason = degraded.to_string();
+                        state.interrupt_stall(depth);
                         return Err(Error::Degraded(reason));
                     }
                     if state.version.flushing().is_empty() && !state.compacting
@@ -1180,10 +857,7 @@ impl TieredEngine {
                         // Worker gone without degrading (shutdown race):
                         // nothing will retire the backlog, so don't wait
                         // for it.
-                        if let Some(ticks) = state.admission.interrupt_stall() {
-                            state.metrics.stall_ticks += ticks;
-                            state.obs.emit(|| Event::WriteStallEnd { ticks });
-                        }
+                        state.interrupt_stall(depth);
                         return Ok(AdmissionOutcome::Stalled);
                     }
                     let (guard, _timed_out) = self
@@ -1291,11 +965,57 @@ impl TieredEngine {
         self.state.lock().pacer.stats()
     }
 
-    /// Range query over generation time, merging MemTables, every
-    /// overlapping L0 file and the run.
+    /// Runs `read` over a [`ReadView`] of `range`. The view is captured
+    /// under the state lock but read without it, so a concurrent compaction
+    /// can retire one of its tables mid-read. A read error against a stale
+    /// view is not a failure — retry against a fresh one; a bounded number
+    /// of retries keeps a pathological compaction storm from starving the
+    /// reader.
+    fn read<T>(
+        &self,
+        range: TimeRange,
+        read: impl Fn(&mut ReadView<'_>) -> Result<T>,
+    ) -> Result<T> {
+        const SNAPSHOT_ATTEMPTS: usize = 8;
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            let mut view = ReadView::capture(
+                self.store.as_ref(),
+                &self.obs,
+                self.config.block_reads,
+                range,
+                &self.buffers,
+                &self.state.lock().version,
+            );
+            match read(&mut view) {
+                Ok(out) => return Ok(out),
+                Err(e) => {
+                    if attempt >= SNAPSHOT_ATTEMPTS || !self.is_stale(&view) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `true` when any table of `view` has left the current version — i.e.
+    /// a compaction committed since the view was captured, which is the
+    /// benign explanation for a read error.
+    fn is_stale(&self, view: &ReadView<'_>) -> bool {
+        let live = self.live_table_ids();
+        view.l0
+            .iter()
+            .chain(&view.run)
+            .any(|meta| !live.contains(&meta.id))
+    }
+
+    /// Range query over generation time, merging MemTables, flushing
+    /// batches, every overlapping L0 file and the run.
     ///
     /// Like IoTDB's chunk-granularity reads, overlapping files are read in
-    /// full; `QueryStats` counts the cost. Results reflect whatever the
+    /// full (or block by block with [`EngineConfig::block_reads`]);
+    /// `QueryStats` counts the cost. Results reflect whatever the
     /// background worker has flushed/compacted at call time.
     ///
     /// # Errors
@@ -1304,109 +1024,52 @@ impl TieredEngine {
         &self,
         range: TimeRange,
     ) -> Result<(Vec<DataPoint>, QueryStats)> {
-        // The version is snapshotted under the lock but the table reads run
-        // without it, so a concurrent compaction can retire a snapshotted
-        // table mid-read. A read error against a stale snapshot is not a
-        // failure — retry against a fresh one; a bounded number of retries
-        // keeps a pathological compaction storm from starving the reader.
-        const SNAPSHOT_ATTEMPTS: usize = 8;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let snapshot = self.query_snapshot(range);
-            match self.read_query_snapshot(range, &snapshot) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    if attempt >= SNAPSHOT_ATTEMPTS
-                        || !self.snapshot_is_stale(&snapshot)
-                    {
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        self.read(range, |view| view.query())
     }
 
-    /// Captures, under one lock acquisition, every source a query needs:
-    /// the flushing batches plus the overlapping L0 (newest first) and run
-    /// table metadata.
-    fn query_snapshot(&self, range: TimeRange) -> QuerySnapshot {
-        let state = self.state.lock();
-        let flushing = state.version.flushing().to_vec();
-        let l0: Vec<SsTableMeta> = state
-            .version
-            .l0()
-            .iter()
-            .rev()
-            .filter(|meta| meta.range.overlaps(&range))
-            .copied()
-            .collect();
-        let run = state.version.run().overlapping(range);
-        QuerySnapshot { flushing, l0, run }
+    /// Aggregates `range` over exactly the points [`query`](Self::query)
+    /// would return; see [`LsmEngine::aggregate`](crate::LsmEngine::aggregate).
+    /// Flushing batches and L0 tables are fresher than the run, so a run
+    /// block folds from its pre-aggregates only when none of them has a
+    /// point inside its span.
+    ///
+    /// # Errors
+    /// Storage failures.
+    pub fn aggregate(&self, range: TimeRange) -> Result<(Agg, QueryStats)> {
+        self.read(range, |view| view.aggregate())
     }
 
-    /// `true` when any table of `snapshot` has left the current version —
-    /// i.e. a compaction committed since the snapshot was taken, which is
-    /// the benign explanation for a read error.
-    fn snapshot_is_stale(&self, snapshot: &QuerySnapshot) -> bool {
-        let state = self.state.lock();
-        let live: HashSet<SsTableId> = state
-            .version
-            .l0()
-            .iter()
-            .chain(state.version.run().tables())
-            .map(|meta| meta.id)
-            .collect();
-        drop(state);
-        snapshot
-            .l0
-            .iter()
-            .chain(snapshot.run.iter())
-            .any(|meta| !live.contains(&meta.id))
-    }
-
-    /// Reads and merges every source of one [`QuerySnapshot`]; no lock is
-    /// held, so a table retired by a concurrent compaction surfaces as a
-    /// store error (classified by [`TieredEngine::snapshot_is_stale`]).
-    fn read_query_snapshot(
+    /// Downsamples `range` into `bucket_width`-sized buckets; see
+    /// [`LsmEngine::downsample`](crate::LsmEngine::downsample).
+    ///
+    /// # Errors
+    /// [`Error::InvalidConfig`] for a non-positive `bucket_width`; storage
+    /// failures.
+    pub fn downsample(
         &self,
         range: TimeRange,
-        snapshot: &QuerySnapshot,
-    ) -> Result<(Vec<DataPoint>, QueryStats)> {
-        let mut stats = QueryStats::default();
-        let mut sources = self.buffers.scan_sources(range);
-        stats.mem_points_scanned +=
-            sources.iter().map(|s| s.len() as u64).sum::<u64>();
-        for batch in snapshot.flushing.iter().rev() {
-            let hits: Vec<DataPoint> = batch
-                .iter()
-                .copied()
-                .filter(|p| range.contains(p.gen_time))
-                .collect();
-            stats.mem_points_scanned += hits.len() as u64;
-            sources.push(hits);
-        }
-        for meta in snapshot.l0.iter().chain(snapshot.run.iter()) {
-            // Pruning metadata (v3 filter block) can clear a table without
-            // reading its data blocks; `Some(false)` is definitive.
-            if self.store.may_contain(meta.id, range)? == Some(false) {
-                stats.tables_pruned += 1;
-                self.obs.emit(|| Event::TablePruned { table: meta.id.0 });
-                continue;
-            }
-            let table_points = self.store.get(meta.id)?;
-            stats.tables_read += 1;
-            stats.disk_points_scanned += table_points.len() as u64;
-            sources.push(
-                table_points
-                    .into_iter()
-                    .filter(|p| range.contains(p.gen_time))
-                    .collect(),
-            );
-        }
-        let merged = merge_sorted(sources);
-        stats.points_returned = merged.len() as u64;
-        Ok((merged, stats))
+        bucket_width: i64,
+    ) -> Result<(Vec<Bucket>, QueryStats)> {
+        self.read(range, |view| view.downsample(bucket_width))
+    }
+
+    /// Point lookup by generation time; the freshest source holding it
+    /// (MemTable, flushing batch, L0 newest first, run) answers.
+    ///
+    /// # Errors
+    /// Storage failures.
+    pub fn get(&self, gen_time: Timestamp) -> Result<Option<DataPoint>> {
+        self.read(TimeRange::new(gen_time, gen_time), |view| view.get())
+    }
+
+    /// Every stored point (buffered, flushing and on disk), sorted by
+    /// generation time.
+    ///
+    /// # Errors
+    /// Storage failures.
+    pub fn scan_all(&self) -> Result<Vec<DataPoint>> {
+        let range = TimeRange::new(Timestamp::MIN, Timestamp::MAX);
+        Ok(self.query(range)?.0)
     }
 
     /// Snapshot of the on-disk table layout: `(level, range, points)` per
@@ -1527,8 +1190,11 @@ mod tests {
     use super::*;
     use crate::store::MemStore;
 
+    use crate::obs::Observer;
+    use crate::open::TieredOpenOptions as OpenOptions;
+
     fn engine(config: EngineConfig) -> TieredEngine {
-        TieredEngine::new(config, Arc::new(MemStore::new())).expect("engine")
+        OpenOptions::new(config).open().expect("engine")
     }
 
     #[test]
@@ -1725,12 +1391,13 @@ mod tests {
         let plan = FaultPlan::new(7, Fault::FailOnce { at: 2 });
         let store =
             Arc::new(FaultStore::new(MemStore::new(), Arc::clone(&plan)));
-        let mut e = TieredEngine::new(
+        let mut e = OpenOptions::new(
             EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-            store,
         )
-        .expect("engine")
-        .with_sync_flush();
+        .store(store)
+        .sync_flush()
+        .open()
+        .expect("engine");
         for i in 0..32i64 {
             e.append(DataPoint::new(i, i, i as f64)).expect("append");
         }
@@ -1745,10 +1412,11 @@ mod tests {
         use crate::fault::{Fault, FaultStore};
         let plan = FaultPlan::new(7, Fault::FailPersistent { from: 0 });
         let store = Arc::new(FaultStore::new(MemStore::new(), plan));
-        let mut e = TieredEngine::new(
+        let mut e = OpenOptions::new(
             EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-            store,
         )
+        .store(store)
+        .open()
         .expect("engine");
         let mut appended = 0i64;
         let degraded = loop {

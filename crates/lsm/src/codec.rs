@@ -4,7 +4,8 @@
 //! Every decoder validates record lengths before reading fields, but the
 //! conversions still go through these helpers so that a length-arithmetic
 //! bug surfaces as [`Error::Corrupt`] instead of a panic: the library
-//! crates are panic-free by lint (`seplint` rule R1).
+//! crates are panic-free by lint (clippy `unwrap_used`/`expect_used`/`panic`,
+//! denied workspace-wide).
 
 use seplsm_types::{Error, Result};
 

@@ -25,30 +25,26 @@
 //! subsequent-point counts (Fig. 5), windowed WA snapshots (Fig. 10), and
 //! per-query read statistics (Figs. 12–14).
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange, Timestamp};
 
 use crate::admission::{
-    AdmissionController, AdmissionDepth, AdmissionOutcome, AdmissionStats,
-    StallTransition, Watermarks,
+    self, AdmissionController, AdmissionDepth, AdmissionOutcome,
+    AdmissionStats, StallTransition,
 };
 use crate::buffer::{FlushTrigger, PolicyBuffers};
-use crate::cache::BlockCache;
 use crate::compaction::{self, RunInput};
 use crate::fault::FaultPlan;
 use crate::invariants::{self, InvariantChecker};
-use crate::iterator::merge_sorted;
 use crate::level::Run;
 use crate::manifest::Manifest;
 use crate::metrics::{Metrics, WaSnapshot};
-use crate::obs::{Event, Observer, ObserverHandle, RecoveryStepKind};
-use crate::query::QueryStats;
-use crate::recovery::{
-    self, QuarantinedTable, RecoveryMode, RecoveryOptions, RecoveryReport,
-};
-use crate::store::{CachedStore, MemStore, TableStore};
+use crate::obs::{Event, ObserverHandle};
+use crate::open::{self, Inline, Kind, OpenOptions};
+use crate::query::{Agg, Bucket, QueryStats, ReadView};
+use crate::recovery::{self, RecoveryReport};
+use crate::store::TableStore;
 use crate::version::Version;
 use crate::wal::Wal;
 
@@ -132,231 +128,6 @@ impl EngineConfig {
     }
 }
 
-/// The one way to open an [`LsmEngine`]: a builder covering every
-/// combination the old constructor family
-/// (`new`/`in_memory`/`with_wal`/`with_manifest`/`recover*`/
-/// `attach_faults`) used to spell out.
-///
-/// ```
-/// use seplsm_lsm::{EngineConfig, OpenOptions};
-/// use seplsm_types::Policy;
-/// # fn main() -> seplsm_types::Result<()> {
-/// let engine =
-///     OpenOptions::new(EngineConfig::new(Policy::conventional(512)))
-///         .open()?;
-/// # drop(engine); Ok(())
-/// # }
-/// ```
-///
-/// * [`OpenOptions::open`] starts a fresh engine (an omitted
-///   [`OpenOptions::store`] defaults to an in-memory store);
-/// * [`OpenOptions::open_or_recover`] rebuilds from existing state — from
-///   the manifest when one is configured, otherwise by scanning the store —
-///   and returns the [`RecoveryReport`] alongside the engine.
-///
-/// A configured [`OpenOptions::faults`] plan is attached to the WAL and
-/// manifest only after open/recovery completes, so a crash schedule's op
-/// numbering starts at the first workload-driven disk touch (matching the
-/// old `attach_faults`-after-construction idiom). The
-/// [`OpenOptions::observer`] sink is threaded through the engine, WAL,
-/// manifest, and fault plan, so one sink sees the whole storage kernel.
-#[must_use = "OpenOptions does nothing until .open()/.open_or_recover()"]
-pub struct OpenOptions {
-    config: EngineConfig,
-    store: Option<Arc<dyn TableStore>>,
-    wal: Option<PathBuf>,
-    manifest: Option<PathBuf>,
-    recovery: RecoveryOptions,
-    faults: Option<Arc<FaultPlan>>,
-    observer: ObserverHandle,
-    cache: Option<Arc<BlockCache>>,
-    watermarks: Watermarks,
-}
-
-impl std::fmt::Debug for OpenOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpenOptions")
-            .field("policy", &self.config.policy)
-            .field("wal", &self.wal)
-            .field("manifest", &self.manifest)
-            .field("recovery", &self.recovery)
-            .field("faults", &self.faults.is_some())
-            .field("observer", &self.observer.is_attached())
-            .field("cache", &self.cache.is_some())
-            .field("watermarks", &self.watermarks)
-            .finish()
-    }
-}
-
-impl OpenOptions {
-    /// Starts a builder for the given configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        Self {
-            config,
-            store: None,
-            wal: None,
-            manifest: None,
-            recovery: RecoveryOptions::strict(),
-            faults: None,
-            observer: ObserverHandle::detached(),
-            cache: None,
-            watermarks: Watermarks::default(),
-        }
-    }
-
-    /// Sets the slowdown/stop admission watermarks consulted before every
-    /// buffer insert (default [`Watermarks::default`]: 8/16). The
-    /// synchronous engine flushes inline, so its depth only leaves zero
-    /// transiently; the knob exists so all three engines share one
-    /// admission contract.
-    pub fn admission(mut self, watermarks: Watermarks) -> Self {
-        self.watermarks = watermarks;
-        self
-    }
-
-    /// Backs the engine with `store`. Defaults to a fresh in-memory store.
-    pub fn store(mut self, store: Arc<dyn TableStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Attaches a write-ahead log at `path`: appended points are logged
-    /// before being buffered, and [`OpenOptions::open_or_recover`] replays
-    /// the log into the buffers.
-    pub fn wal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.wal = Some(path.into());
-        self
-    }
-
-    /// Attaches a manifest at `path`: run-membership changes are logged,
-    /// and [`OpenOptions::open_or_recover`] rebuilds from the manifest in
-    /// O(metadata) instead of reading every table.
-    pub fn manifest(mut self, path: impl Into<PathBuf>) -> Self {
-        self.manifest = Some(path.into());
-        self
-    }
-
-    /// Sets the [`RecoveryOptions`] used by
-    /// [`OpenOptions::open_or_recover`] (default: strict).
-    pub fn recovery(mut self, options: RecoveryOptions) -> Self {
-        self.recovery = options;
-        self
-    }
-
-    /// Attaches a fault plan to the engine's WAL and manifest once opening
-    /// completes. The table store is attached separately at construction
-    /// ([`FileStore::with_faults`](crate::FileStore::with_faults) or a
-    /// [`FaultStore`](crate::fault::FaultStore) wrapper) — share one plan
-    /// across all three for a single global op numbering.
-    pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Delivers every storage-kernel [`Event`] to `sink`.
-    pub fn observer(mut self, sink: Arc<dyn Observer>) -> Self {
-        self.observer = ObserverHandle::attached(sink);
-        self
-    }
-
-    /// Serves table reads through `cache` (a shared [`BlockCache`]): the
-    /// store is wrapped in a [`CachedStore`] before the engine opens, so
-    /// queries, merge-compaction input loading and recovery reads all hit
-    /// the cache, and tables deleted by compactions are strictly
-    /// invalidated. Off by default (reads go straight to the store).
-    pub fn cache(mut self, cache: Arc<BlockCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    fn store_or_default(
-        store: Option<Arc<dyn TableStore>>,
-    ) -> Arc<dyn TableStore> {
-        store.unwrap_or_else(|| Arc::new(MemStore::new()))
-    }
-
-    /// Wraps `store` in a [`CachedStore`] when a cache is configured.
-    pub(crate) fn wrap_cache(
-        store: Arc<dyn TableStore>,
-        cache: Option<Arc<BlockCache>>,
-        obs: &ObserverHandle,
-    ) -> Arc<dyn TableStore> {
-        match cache {
-            Some(cache) => {
-                Arc::new(CachedStore::with_observer(store, cache, obs.clone()))
-            }
-            None => store,
-        }
-    }
-
-    /// Opens a fresh engine (ignoring any recoverable state on disk).
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for degenerate configurations; I/O errors
-    /// opening the WAL or manifest.
-    pub fn open(self) -> Result<LsmEngine> {
-        let store = Self::wrap_cache(
-            Self::store_or_default(self.store),
-            self.cache,
-            &self.observer,
-        );
-        let mut engine = LsmEngine::new(self.config, store)?;
-        engine.obs = self.observer;
-        engine.admission = AdmissionController::new(self.watermarks);
-        if let Some(path) = self.wal {
-            engine = engine.with_wal(path)?;
-        }
-        if let Some(path) = self.manifest {
-            engine = engine.with_manifest(path)?;
-        }
-        engine.finish_open(self.faults);
-        Ok(engine)
-    }
-
-    /// Rebuilds an engine from existing state: from the manifest when one
-    /// is configured (O(metadata)), otherwise by scanning the store; a
-    /// configured WAL is replayed into the buffers either way.
-    ///
-    /// # Errors
-    /// In strict mode, any damage; in salvage mode only unrecoverable
-    /// failures (see [`RecoveryOptions`]).
-    pub fn open_or_recover(self) -> Result<(LsmEngine, RecoveryReport)> {
-        let store = Self::wrap_cache(
-            Self::store_or_default(self.store),
-            self.cache,
-            &self.observer,
-        );
-        let (mut engine, report) = match self.manifest {
-            Some(manifest_path) => LsmEngine::recover_from_manifest_with(
-                self.config,
-                store,
-                manifest_path,
-                self.wal,
-                self.recovery,
-                self.observer,
-            )?,
-            None => LsmEngine::recover_with(
-                self.config,
-                store,
-                self.wal,
-                self.recovery,
-                self.observer,
-            )?,
-        };
-        // A fresh controller: recovery never resumes into a stalled state.
-        engine.admission = AdmissionController::new(self.watermarks);
-        engine.finish_open(self.faults);
-        Ok((engine, report))
-    }
-}
-
-/// One fold input produced by the aggregation-pushdown planner: a whole
-/// block answered from its index pre-aggregates, or one decoded point.
-enum AggItem {
-    Block(crate::sstable::BlockAggregates),
-    Point(f64),
-}
-
 /// A single-series leveled LSM engine.
 pub struct LsmEngine {
     config: EngineConfig,
@@ -392,311 +163,100 @@ impl std::fmt::Debug for LsmEngine {
     }
 }
 
-impl LsmEngine {
-    /// Creates an engine over the given table store. Shorthand for
-    /// [`OpenOptions::new`]`(config).store(store).open()` — use the builder
-    /// for anything beyond a bare engine.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for degenerate configurations.
-    pub fn new(
-        config: EngineConfig,
+impl Kind for Inline {
+    type Engine = LsmEngine;
+
+    /// Fresh: an empty version, then the WAL and manifest attach.
+    /// Recovering: the version is rebuilt first (manifest, else store
+    /// scan), the WAL is replayed into the buffers — flushes it triggers
+    /// are not journalled one by one — and only then is the manifest
+    /// re-seeded from the resulting run. Replayed points re-enter the
+    /// user-point counters, so metrics restart from the recovered memory
+    /// state rather than the historical total.
+    fn assemble(
+        options: OpenOptions,
         store: Arc<dyn TableStore>,
-    ) -> Result<Self> {
-        config.validate()?;
-        Ok(Self {
-            buffers: PolicyBuffers::for_policy(config.policy),
-            config,
-            store,
-            version: Version::new(),
-            metrics: Metrics::default(),
-            wal: None,
-            manifest: None,
-            max_gen_seen: None,
-            invariants: InvariantChecker::new(),
-            admission: AdmissionController::new(Watermarks::default()),
-            obs: ObserverHandle::detached(),
-        })
-    }
-
-    /// Creates an engine backed by an in-memory store — the configuration
-    /// used by the model-validation experiments. Shorthand for
-    /// [`OpenOptions::new`]`(config).open()`.
-    pub fn in_memory(config: EngineConfig) -> Result<Self> {
-        Self::new(config, Arc::new(MemStore::new()))
-    }
-
-    /// Attaches a write-ahead log at `path`; appended points are logged
-    /// before being buffered.
-    pub(crate) fn with_wal(mut self, path: impl AsRef<Path>) -> Result<Self> {
-        let mut wal = Wal::open(path)?;
-        wal.attach_observer(self.obs.clone());
-        self.wal = Some(wal);
-        Ok(self)
-    }
-
-    /// Attaches a manifest at `path`: run-membership changes are logged so
-    /// recovery no longer needs to read every table.
-    pub(crate) fn with_manifest(
-        mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<Self> {
-        let mut manifest = Manifest::open(path)?;
-        manifest.attach_observer(self.obs.clone());
-        // Snapshot current membership so a manifest attached mid-life is
-        // immediately authoritative.
-        manifest.rewrite(self.version.run().tables())?;
-        self.manifest = Some(manifest);
-        Ok(self)
-    }
-
-    /// Replaces the engine's event sink; used by the multi-series engine
-    /// when lazily creating per-series engines. Must run before a WAL or
-    /// manifest attaches (they clone the handle).
-    pub(crate) fn set_observer(&mut self, obs: ObserverHandle) {
-        self.obs = obs;
-    }
-
-    /// Post-open fixup shared by [`OpenOptions::open`] and
-    /// [`OpenOptions::open_or_recover`]: faults attach only after opening
-    /// completes so the op schedule starts at the first workload-driven
-    /// disk touch, and the plan reports injections to the same sink.
-    fn finish_open(&mut self, faults: Option<Arc<FaultPlan>>) {
-        if let Some(plan) = faults {
-            plan.set_observer(self.obs.clone());
-            self.attach_faults(&plan);
-        }
-    }
-
-    /// Scan-the-store recovery: the run is reconstructed from the stored
-    /// tables and buffered points are replayed from the log. Salvage mode
-    /// quarantines unreadable tables and reports the losses instead of
-    /// aborting; `gc_orphans` sweeps stored tables the recovered run does
-    /// not reference.
-    ///
-    /// Replayed points re-enter the user-point counters, so metrics restart
-    /// from the recovered memory state rather than the historical total.
-    pub(crate) fn recover_with(
-        config: EngineConfig,
-        store: Arc<dyn TableStore>,
-        wal_path: Option<PathBuf>,
-        options: RecoveryOptions,
-        obs: ObserverHandle,
-    ) -> Result<(Self, RecoveryReport)> {
-        config.validate()?;
+        recover: bool,
+    ) -> Result<(LsmEngine, RecoveryReport)> {
+        options.config.validate()?;
         let mut report = RecoveryReport::default();
-        let mut metas = Vec::new();
-        let mut scanned = 0u64;
-        for id in store.list()? {
-            scanned += 1;
-            match store.get(id) {
-                Ok(points) if !points.is_empty() => metas
-                    .push(crate::sstable::SsTableMeta::describe(id, &points)),
-                Ok(_) => {
-                    let err = Error::Corrupt(format!("table {id} is empty"));
-                    if options.mode == RecoveryMode::Strict {
-                        return Err(err);
-                    }
-                    store.quarantine(id)?;
-                    obs.emit(|| Event::Quarantine { table: id.0 });
-                    report.quarantined.push(QuarantinedTable {
-                        id,
-                        range: None,
-                        reason: err.to_string(),
-                    });
-                }
-                Err(err) => {
-                    if options.mode == RecoveryMode::Strict {
-                        return Err(err);
-                    }
-                    store.quarantine(id)?;
-                    obs.emit(|| Event::Quarantine { table: id.0 });
-                    report.quarantined.push(QuarantinedTable {
-                        id,
-                        range: None,
-                        reason: err.to_string(),
-                    });
-                }
-            }
-        }
-        obs.emit(|| Event::RecoveryStep {
-            step: RecoveryStepKind::StoreScanned,
-            items: scanned,
-        });
-        if options.mode == RecoveryMode::Salvage {
-            // A crashed merge can leave both an old table and the newer
-            // table that re-wrote it; keep the newer superset.
-            metas = recovery::salvage_tables(
+        let obs = options.observer;
+        let mode = options.recovery.mode;
+        let version = if recover {
+            recovery::rebuild_version(
                 store.as_ref(),
-                metas,
+                options.manifest.as_deref(),
+                mode,
+                false,
                 &mut report,
                 &obs,
-            )?;
-        }
-        let run = Run::from_tables(metas)?;
-        let version = Version::from_levels(run, Vec::new());
-        let max_gen_seen = version.run().last_gen_time();
-        let invariants = InvariantChecker::seeded(&version);
-        let mut engine = Self {
-            buffers: PolicyBuffers::for_policy(config.policy),
-            config,
+            )?
+        } else {
+            Version::new()
+        };
+        let mut engine = LsmEngine {
+            buffers: PolicyBuffers::for_policy(options.config.policy),
+            config: options.config,
             store,
+            max_gen_seen: version.run().last_gen_time(),
+            invariants: InvariantChecker::seeded(&version),
             version,
             metrics: Metrics::default(),
             wal: None,
             manifest: None,
-            max_gen_seen,
-            invariants,
-            admission: AdmissionController::new(Watermarks::default()),
+            admission: AdmissionController::new(options.watermarks),
             obs,
         };
-        if let Some(path) = wal_path {
-            engine.replay_wal(path, options.mode, &mut report)?;
-        }
-        if options.gc_orphans {
-            let live = engine.live_table_ids();
-            recovery::gc_orphans(
-                engine.store.as_ref(),
-                &live,
-                &mut report,
-                &engine.obs,
-            )?;
-        }
-        Ok((engine, report))
-    }
-
-    /// Replays (strict or salvage) the WAL at `path` into the buffers, then
-    /// attaches a compacted log containing only the surviving points.
-    fn replay_wal(
-        &mut self,
-        path: PathBuf,
-        mode: RecoveryMode,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        let replayed = match mode {
-            RecoveryMode::Strict => Wal::replay(&path)?,
-            RecoveryMode::Salvage => {
-                let (points, dropped) = Wal::replay_salvage(&path)?;
-                report.wal_records_dropped += dropped;
-                points
-            }
-        };
-        self.obs.emit(|| Event::RecoveryStep {
-            step: RecoveryStepKind::WalReplayed,
-            items: replayed.len() as u64,
-        });
-        for p in &replayed {
-            self.append_internal(*p, false)?;
-        }
-        let mut wal = Wal::open(&path)?;
-        wal.attach_observer(self.obs.clone());
-        wal.rewrite(&self.buffered_snapshot())?;
-        self.wal = Some(wal);
-        Ok(())
-    }
-
-    pub(crate) fn live_table_ids(
-        &self,
-    ) -> std::collections::HashSet<crate::sstable::SsTableId> {
-        self.version
-            .run()
-            .tables()
-            .iter()
-            .chain(self.version.l0())
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Rebuilds an engine from the manifest instead of reading every table:
-    /// O(metadata) recovery. The WAL (if any) is replayed into the buffers
-    /// as in [`LsmEngine::recover_with`]. Salvage mode uses the longest
-    /// valid manifest prefix, quarantines tables that are unreadable or
-    /// disagree with their metadata, and reports every loss; `gc_orphans`
-    /// sweeps stored tables the recovered run does not reference (debris
-    /// from a crash between a compaction's output writes and its manifest
-    /// record).
-    pub(crate) fn recover_from_manifest_with(
-        config: EngineConfig,
-        store: Arc<dyn TableStore>,
-        manifest_path: PathBuf,
-        wal_path: Option<PathBuf>,
-        options: RecoveryOptions,
-        obs: ObserverHandle,
-    ) -> Result<(Self, RecoveryReport)> {
-        config.validate()?;
-        let mut report = RecoveryReport::default();
-        let metas = match options.mode {
-            RecoveryMode::Strict => Manifest::replay(&manifest_path)?,
-            RecoveryMode::Salvage => {
-                let (run, l0, dropped) =
-                    Manifest::replay_levels_salvage(&manifest_path)?;
-                if !l0.is_empty() {
-                    // A tiered engine's manifest — wrong engine, not
-                    // damage; salvage must not silently drop a level.
-                    return Err(Error::Corrupt(
-                        "manifest contains L0 records; recover with \
-                         TieredEngine"
-                            .into(),
-                    ));
-                }
-                report.manifest_records_dropped += dropped;
-                recovery::salvage_tables(
-                    store.as_ref(),
-                    run,
+        if let Some(path) = &options.wal {
+            let obs = engine.obs.clone();
+            engine.wal = Some(if recover {
+                recovery::replay_wal(
+                    &mut engine,
+                    path,
+                    mode,
                     &mut report,
                     &obs,
+                    |e, p| e.append_internal(p, false).map(drop),
+                    LsmEngine::buffered_snapshot,
                 )?
-            }
-        };
-        obs.emit(|| Event::RecoveryStep {
-            step: RecoveryStepKind::ManifestReplayed,
-            items: metas.len() as u64,
-        });
-        let run = Run::from_tables(metas)?;
-        let version = Version::from_levels(run, Vec::new());
-        let max_gen_seen = version.run().last_gen_time();
-        let invariants = InvariantChecker::seeded(&version);
-        let mut engine = Self {
-            buffers: PolicyBuffers::for_policy(config.policy),
-            config,
-            store,
-            version,
-            metrics: Metrics::default(),
-            wal: None,
-            manifest: None,
-            max_gen_seen,
-            invariants,
-            admission: AdmissionController::new(Watermarks::default()),
-            obs,
-        };
-        if let Some(path) = wal_path {
-            engine.replay_wal(path, options.mode, &mut report)?;
+            } else {
+                open::open_wal(path, &obs)?
+            });
         }
-        let mut manifest = Manifest::open(&manifest_path)?;
-        manifest.attach_observer(engine.obs.clone());
-        manifest.rewrite(engine.version.run().tables())?;
-        engine.manifest = Some(manifest);
-        if options.gc_orphans {
-            let live = engine.live_table_ids();
-            recovery::gc_orphans(
-                engine.store.as_ref(),
-                &live,
-                &mut report,
-                &engine.obs,
-            )?;
+        if let Some(path) = &options.manifest {
+            engine.manifest =
+                Some(open::open_manifest(path, &engine.obs, &engine.version)?);
+        }
+        if recover {
+            if options.recovery.gc_orphans {
+                recovery::gc_orphans(
+                    engine.store.as_ref(),
+                    &engine.version.live_table_ids(),
+                    &mut report,
+                    &engine.obs,
+                )?;
+            }
+            // A fresh controller: recovery never resumes into a stalled
+            // state.
+            engine.admission = AdmissionController::new(options.watermarks);
         }
         Ok((engine, report))
     }
 
-    /// Attaches a fault plan to the engine's WAL and manifest (if present)
-    /// so their disk touches join the plan's op schedule.
-    pub(crate) fn attach_faults(&mut self, plan: &Arc<FaultPlan>) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.attach_faults(Arc::clone(plan));
-        }
-        if let Some(manifest) = self.manifest.as_mut() {
-            manifest.attach_faults(Arc::clone(plan));
-        }
+    fn attach_faults(engine: &mut LsmEngine, plan: &Arc<FaultPlan>) {
+        open::attach_faults(
+            plan,
+            engine.wal.as_mut(),
+            engine.manifest.as_mut(),
+        );
+    }
+}
+
+impl LsmEngine {
+    /// Replaces the engine's event sink while a fleet flush worker owns the
+    /// engine. The WAL and manifest keep the handle they were opened with.
+    pub(crate) fn set_observer(&mut self, obs: ObserverHandle) {
+        self.obs = obs;
     }
 
     /// Full integrity audit: structural version invariants plus a complete
@@ -780,35 +340,26 @@ impl LsmEngine {
             pending_flushes: self.version.flushing().len(),
         };
         let decision = self.admission.admit(depth);
-        match decision.transition {
-            Some(StallTransition::Began) => {
-                self.metrics.write_stalls += 1;
-                let d = depth.combined() as u64;
-                self.obs.emit(|| Event::WriteStallBegin { depth: d });
-            }
-            Some(StallTransition::Ended { ticks }) => {
-                self.metrics.stall_ticks += ticks;
-                self.obs.emit(|| Event::WriteStallEnd { ticks });
-            }
-            None => {}
+        admission::witness(
+            decision.transition,
+            decision.outcome,
+            depth,
+            &mut self.metrics,
+            &self.obs,
+        );
+        if decision.outcome == AdmissionOutcome::Stalled {
+            self.flush_all()?;
+            admission::witness(
+                self.admission
+                    .interrupt_stall()
+                    .map(|ticks| StallTransition::Ended { ticks }),
+                decision.outcome,
+                depth,
+                &mut self.metrics,
+                &self.obs,
+            );
         }
-        match decision.outcome {
-            AdmissionOutcome::Delayed { ticks } => {
-                self.metrics.delayed_appends += 1;
-                self.metrics.stall_ticks += ticks;
-                self.obs.emit(|| Event::AdmissionDelayed { ticks });
-                Ok(AdmissionOutcome::Delayed { ticks })
-            }
-            AdmissionOutcome::Stalled => {
-                self.flush_all()?;
-                if let Some(ticks) = self.admission.interrupt_stall() {
-                    self.metrics.stall_ticks += ticks;
-                    self.obs.emit(|| Event::WriteStallEnd { ticks });
-                }
-                Ok(AdmissionOutcome::Stalled)
-            }
-            AdmissionOutcome::Admitted => Ok(AdmissionOutcome::Admitted),
-        }
+        Ok(decision.outcome)
     }
 
     /// Snapshot of the admission controller's counters.
@@ -1008,10 +559,25 @@ impl LsmEngine {
         Ok(())
     }
 
+    /// The engine's read view of `range`: MemTables and the run (this
+    /// engine has no flushing batches and no L0).
+    fn view(&self, range: TimeRange) -> ReadView<'_> {
+        ReadView::capture(
+            self.store.as_ref(),
+            &self.obs,
+            self.config.block_reads,
+            range,
+            &self.buffers,
+            &self.version,
+        )
+    }
+
     /// Range query over generation time, merging MemTables and the run.
     ///
     /// Overlapping SSTables are read in full (chunk-granularity reads, as in
-    /// IoTDB), which is what the read-amplification experiments measure.
+    /// IoTDB), which is what the read-amplification experiments measure —
+    /// or block by block with [`EngineConfig::block_reads`]. v3 tables whose
+    /// pruning filter rules the range out are skipped without a seek.
     ///
     /// # Errors
     /// Storage failures.
@@ -1019,89 +585,28 @@ impl LsmEngine {
         &self,
         range: TimeRange,
     ) -> Result<(Vec<DataPoint>, QueryStats)> {
-        let mut stats = QueryStats::default();
-        let mut sources = self.buffers.scan_sources(range);
-        stats.mem_points_scanned +=
-            sources.iter().map(|s| s.len() as u64).sum::<u64>();
-        for meta in self.version.run().overlapping(range) {
-            // v3 tables carry a pruning filter the store can consult from
-            // metadata alone; `Some(false)` is definitive, so the table is
-            // skipped without paying a seek or touching a data block.
-            if self.store.may_contain(meta.id, range)? == Some(false) {
-                stats.tables_pruned += 1;
-                self.obs.emit(|| Event::TablePruned { table: meta.id.0 });
-                continue;
-            }
-            stats.tables_read += 1;
-            if self.config.block_reads {
-                let read = self.store.get_range(meta.id, range)?;
-                stats.disk_points_scanned += read.points_scanned;
-                stats.blocks_read += read.blocks_read;
-                sources.push(read.points);
-            } else {
-                let table_points = self.store.get(meta.id)?;
-                stats.disk_points_scanned += table_points.len() as u64;
-                sources.push(
-                    table_points
-                        .into_iter()
-                        .filter(|p| range.contains(p.gen_time))
-                        .collect(),
-                );
-            }
-        }
-        let merged = merge_sorted(sources);
-        stats.points_returned = merged.len() as u64;
-        Ok((merged, stats))
+        self.view(range).query()
     }
 
     /// Aggregates `range`: min/max/sum/count over exactly the points
     /// [`query`](Self::query) would return, answered where possible from v3
-    /// index pre-aggregates without decoding data blocks.
-    ///
-    /// The planning rule, per table via the cached [`TableIndex`]: a block
-    /// is **folded** from its index entry when it lies fully inside `range`,
-    /// carries pre-aggregates (v3 tables written with the aggregate count),
-    /// and no buffered MemTable point falls inside its generation-time span
-    /// (in this engine the run holds non-overlapping tables, so MemTable
-    /// data is the only possible newer writer). Every other overlapping
-    /// block — range-straddling, shadowed, or aggregate-less (v1/v2/legacy
-    /// v3) — is decoded span-granularly and deduped last-writer-wins, the
-    /// same freshest-first rule as `query`.
-    ///
-    /// `min`/`max`/`count` are bit-identical to folding over `query`
-    /// results regardless of plan; `sum` additionally matches whenever the
-    /// fold is associative on the data (e.g. integer-valued samples — the
-    /// equivalence proptest's domain).
+    /// index pre-aggregates without decoding data blocks — see the
+    /// [fold rule](crate::query#the-fold-rule) for when a block folds and
+    /// how exact the result is. In this engine the run holds
+    /// non-overlapping tables, so buffered MemTable points are the only
+    /// fresher source that can shadow a block.
     ///
     /// # Errors
     /// Storage failures.
-    pub fn aggregate(
-        &self,
-        range: TimeRange,
-    ) -> Result<(crate::query::Agg, QueryStats)> {
-        let mut stats = QueryStats::default();
-        let items = self.agg_items(range, &|_| true, &mut stats)?;
-        let mut agg = crate::query::Agg::default();
-        for (_, item) in items {
-            match item {
-                AggItem::Block(b) => agg.merge_block(&b),
-                AggItem::Point(v) => agg.merge_point(v),
-            }
-        }
-        stats.points_returned = agg.count;
-        self.emit_agg_events(&stats);
-        Ok((agg, stats))
+    pub fn aggregate(&self, range: TimeRange) -> Result<(Agg, QueryStats)> {
+        self.view(range).aggregate()
     }
 
     /// Downsamples `range` into fixed-width buckets: one [`Agg`] per
     /// `bucket_width`-sized window (bucket key = `tg.div_euclid(width) *
-    /// width`), in ascending bucket order; empty buckets are omitted.
-    ///
-    /// Same pushdown planning as [`aggregate`](Self::aggregate), with one
-    /// extra fold condition: a block's pre-aggregates are only usable when
-    /// the whole block falls inside a single bucket.
-    ///
-    /// [`Agg`]: crate::query::Agg
+    /// width`), in ascending bucket order; empty buckets are omitted. Same
+    /// pushdown as [`aggregate`](Self::aggregate); a block's pre-aggregates
+    /// are only usable when the whole block falls inside a single bucket.
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for a non-positive `bucket_width`; storage
@@ -1110,170 +615,17 @@ impl LsmEngine {
         &self,
         range: TimeRange,
         bucket_width: i64,
-    ) -> Result<(Vec<crate::query::Bucket>, QueryStats)> {
-        if bucket_width <= 0 {
-            return Err(Error::InvalidConfig(format!(
-                "bucket_width must be >= 1, got {bucket_width}"
-            )));
-        }
-        let bucket_of =
-            |tg: i64| tg.div_euclid(bucket_width).wrapping_mul(bucket_width);
-        let mut stats = QueryStats::default();
-        let items = self.agg_items(
-            range,
-            &|span| bucket_of(span.first) == bucket_of(span.last),
-            &mut stats,
-        )?;
-        let mut buckets =
-            std::collections::BTreeMap::<Timestamp, crate::query::Agg>::new();
-        // Items are globally sorted by start tg, so each bucket's fold runs
-        // in stream order.
-        for (tg, item) in items {
-            let agg = buckets.entry(bucket_of(tg)).or_default();
-            match item {
-                AggItem::Block(b) => agg.merge_block(&b),
-                AggItem::Point(v) => agg.merge_point(v),
-            }
-        }
-        stats.points_returned = buckets.values().map(|a| a.count).sum();
-        self.emit_agg_events(&stats);
-        Ok((buckets.into_iter().collect(), stats))
-    }
-
-    fn emit_agg_events(&self, stats: &QueryStats) {
-        if stats.blocks_folded > 0 {
-            let folded = stats.blocks_folded;
-            self.obs.emit(|| Event::AggPushdown {
-                blocks_folded: folded,
-            });
-        }
-        if stats.agg_fallback_blocks > 0 {
-            let blocks = stats.agg_fallback_blocks;
-            self.obs.emit(|| Event::AggFallback { blocks });
-        }
-    }
-
-    /// The pushdown planner shared by [`aggregate`](Self::aggregate) and
-    /// [`downsample`](Self::downsample): walks the run via index metadata
-    /// only ([`TableStore::table_index`] — served from the block cache's
-    /// index cache when one is attached) and returns the fold inputs sorted
-    /// by start generation time. Foldable blocks arrive as their index
-    /// pre-aggregates (no data-block read); everything else is decoded and
-    /// deduped against buffered MemTable data (mem wins).
-    fn agg_items(
-        &self,
-        range: TimeRange,
-        extra_foldable: &dyn Fn(&crate::sstable::BlockSpan) -> bool,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<(Timestamp, AggItem)>> {
-        let sources = self.buffers.scan_sources(range);
-        stats.mem_points_scanned +=
-            sources.iter().map(|s| s.len() as u64).sum::<u64>();
-        // Freshest-first dedup across MemTables, sorted by gen time — the
-        // in-memory partial aggregate the disk fold merges with.
-        let mem = merge_sorted(sources);
-        let mem_tgs: Vec<Timestamp> = mem.iter().map(|p| p.gen_time).collect();
-        // Any buffered point inside [first, last] shadows (or interleaves
-        // with) the block, so its pre-aggregates can't stand for the merged
-        // result.
-        let overlapped = |first: Timestamp, last: Timestamp| {
-            let i = mem_tgs.partition_point(|&t| t < first);
-            i < mem_tgs.len() && mem_tgs[i] <= last
-        };
-        let shadowed_point = |tg: Timestamp| mem_tgs.binary_search(&tg).is_ok();
-
-        let mut items: Vec<(Timestamp, AggItem)> = Vec::new();
-        let fallback =
-            |read: crate::sstable::RangeRead,
-             blocks: u64,
-             stats: &mut QueryStats,
-             items: &mut Vec<(Timestamp, AggItem)>| {
-                stats.disk_points_scanned += read.points_scanned;
-                stats.blocks_read += read.blocks_read;
-                stats.agg_fallback_blocks += blocks;
-                items.extend(
-                    read.points
-                        .into_iter()
-                        .filter(|p| !shadowed_point(p.gen_time))
-                        .map(|p| (p.gen_time, AggItem::Point(p.value))),
-                );
-            };
-        for meta in self.version.run().overlapping(range) {
-            if self.store.may_contain(meta.id, range)? == Some(false) {
-                stats.tables_pruned += 1;
-                self.obs.emit(|| Event::TablePruned { table: meta.id.0 });
-                continue;
-            }
-            stats.tables_read += 1;
-            let Some(index) = self.store.table_index(meta.id)? else {
-                // No index metadata at all (store without raw reads):
-                // whole-range decode through the ordinary read path.
-                let read = self.store.get_range(meta.id, range)?;
-                let blocks = read.blocks_read.max(1);
-                fallback(read, blocks, stats, &mut items);
-                continue;
-            };
-            for span in &index.blocks {
-                if span.last < range.start || span.first > range.end {
-                    continue;
-                }
-                match span.agg {
-                    Some(agg)
-                        if range.start <= span.first
-                            && span.last <= range.end
-                            && !overlapped(span.first, span.last)
-                            && extra_foldable(span) =>
-                    {
-                        stats.blocks_folded += 1;
-                        items.push((span.first, AggItem::Block(agg)));
-                    }
-                    _ => {
-                        // Block spans are disjoint in generation time, so
-                        // clamping the query to this span decodes exactly
-                        // this block.
-                        let sub = TimeRange::new(
-                            range.start.max(span.first),
-                            range.end.min(span.last),
-                        );
-                        let read = self.store.get_range(meta.id, sub)?;
-                        fallback(read, 1, stats, &mut items);
-                    }
-                }
-            }
-        }
-        items.extend(mem.iter().map(|p| (p.gen_time, AggItem::Point(p.value))));
-        // Start tgs are unique across items: run tables don't overlap,
-        // folded blocks exclude every decoded/buffered tg, and dedup has
-        // already run within mem and against it.
-        items.sort_unstable_by_key(|(tg, _)| *tg);
-        Ok(items)
+    ) -> Result<(Vec<Bucket>, QueryStats)> {
+        self.view(range).downsample(bucket_width)
     }
 
     /// Point lookup by generation time: MemTables first (freshest wins),
-    /// then a binary search of the run.
+    /// then the one run table whose range contains it.
     ///
     /// # Errors
     /// Storage failures.
     pub fn get(&self, gen_time: Timestamp) -> Result<Option<DataPoint>> {
-        let point_range = TimeRange::new(gen_time, gen_time);
-        let mem_hit = self
-            .buffers
-            .scan_sources(point_range)
-            .into_iter()
-            .flatten()
-            .next();
-        if mem_hit.is_some() {
-            return Ok(mem_hit);
-        }
-        let Some(meta) = self.version.run().table_containing(gen_time) else {
-            return Ok(None);
-        };
-        if self.store.may_contain(meta.id, point_range)? == Some(false) {
-            self.obs.emit(|| Event::TablePruned { table: meta.id.0 });
-            return Ok(None);
-        }
-        let read = self.store.get_range(meta.id, point_range)?;
-        Ok(read.points.into_iter().next())
+        self.view(TimeRange::new(gen_time, gen_time)).get()
     }
 
     /// Every stored point (buffered + on disk), sorted by generation time.
@@ -1290,6 +642,17 @@ impl LsmEngine {
 mod tests {
     use super::*;
 
+    fn in_memory(config: EngineConfig) -> Result<LsmEngine> {
+        OpenOptions::new(config).open()
+    }
+
+    fn on_store(
+        config: EngineConfig,
+        store: Arc<dyn TableStore>,
+    ) -> Result<LsmEngine> {
+        OpenOptions::new(config).store(store).open()
+    }
+
     fn in_order_points(n: i64) -> Vec<DataPoint> {
         (0..n)
             .map(|i| DataPoint::new(i * 10, i * 10, i as f64))
@@ -1298,7 +661,7 @@ mod tests {
 
     #[test]
     fn in_order_ingest_under_pi_c_has_wa_one() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
         )
         .expect("engine");
@@ -1314,7 +677,7 @@ mod tests {
 
     #[test]
     fn out_of_order_ingest_under_pi_c_rewrites() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
         )
         .expect("engine");
@@ -1338,7 +701,7 @@ mod tests {
 
     #[test]
     fn no_points_are_lost_or_duplicated() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(7)).with_sstable_points(5),
         )
         .expect("engine");
@@ -1359,7 +722,7 @@ mod tests {
 
     #[test]
     fn separation_routes_by_last_disk_gen_time() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::separation(8, 4).expect("policy"))
                 .with_sstable_points(4),
         )
@@ -1393,7 +756,7 @@ mod tests {
 
     #[test]
     fn seq_flush_never_rewrites() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::separation(64, 32).expect("policy"))
                 .with_sstable_points(8),
         )
@@ -1408,7 +771,7 @@ mod tests {
 
     #[test]
     fn duplicate_gen_time_upserts_latest_value() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
         )
         .expect("engine");
@@ -1432,7 +795,7 @@ mod tests {
 
     #[test]
     fn query_stats_count_tables_and_points() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(8)).with_sstable_points(8),
         )
         .expect("engine");
@@ -1450,9 +813,8 @@ mod tests {
 
     #[test]
     fn query_sees_buffered_points() {
-        let mut e =
-            LsmEngine::in_memory(EngineConfig::new(Policy::conventional(100)))
-                .expect("engine");
+        let mut e = in_memory(EngineConfig::new(Policy::conventional(100)))
+            .expect("engine");
         e.append(DataPoint::new(5, 5, 1.0)).expect("append");
         let (hits, stats) = e.query(TimeRange::new(0, 10)).expect("query");
         assert_eq!(hits.len(), 1);
@@ -1462,7 +824,7 @@ mod tests {
 
     #[test]
     fn flush_all_persists_everything() {
-        let mut e = LsmEngine::in_memory(EngineConfig::new(
+        let mut e = in_memory(EngineConfig::new(
             Policy::separation(100, 50).expect("policy"),
         ))
         .expect("engine");
@@ -1479,9 +841,8 @@ mod tests {
 
     #[test]
     fn set_policy_reroutes_buffered_points() {
-        let mut e =
-            LsmEngine::in_memory(EngineConfig::new(Policy::conventional(100)))
-                .expect("engine");
+        let mut e = in_memory(EngineConfig::new(Policy::conventional(100)))
+            .expect("engine");
         for p in in_order_points(10) {
             e.append(p).expect("append");
         }
@@ -1499,7 +860,7 @@ mod tests {
 
     #[test]
     fn wa_snapshots_are_recorded() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(4))
                 .with_sstable_points(4)
                 .with_wa_snapshots(10),
@@ -1515,7 +876,7 @@ mod tests {
 
     #[test]
     fn subsequent_probe_counts_points_above_buffer_min() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(4))
                 .with_sstable_points(4)
                 .with_subsequent_probe(),
@@ -1536,7 +897,7 @@ mod tests {
 
     #[test]
     fn point_get_finds_buffered_and_flushed_points() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::separation(8, 4).expect("policy"))
                 .with_sstable_points(4),
         )
@@ -1569,7 +930,7 @@ mod tests {
                 compression: crate::sstable::Compression::TimeSeries,
                 block_points: 16,
             }));
-            let mut e = LsmEngine::new(config, store).expect("engine");
+            let mut e = on_store(config, store).expect("engine");
             for p in in_order_points(256) {
                 e.append(p).expect("append");
             }
@@ -1694,7 +1055,7 @@ mod tests {
 
         let store =
             Arc::new(MemStore::with_options(EncodeOptions::compressed()));
-        let mut e = LsmEngine::new(
+        let mut e = on_store(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
             store,
         )
@@ -1712,7 +1073,7 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs() {
-        assert!(LsmEngine::in_memory(
+        assert!(in_memory(
             EngineConfig::new(Policy::conventional(8)).with_sstable_points(0)
         )
         .is_err());
@@ -1725,7 +1086,7 @@ mod tests {
         // 64 in-order points flush into 8 single-block v3 tables; a query
         // covering the whole run is answered purely from index
         // pre-aggregates: no data block is decoded.
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
         )
         .expect("engine");
@@ -1763,7 +1124,7 @@ mod tests {
 
     #[test]
     fn buffered_overlap_forces_agg_fallback() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
         )
         .expect("engine");
@@ -1794,7 +1155,7 @@ mod tests {
 
     #[test]
     fn downsample_folds_only_blocks_within_one_bucket() {
-        let mut e = LsmEngine::in_memory(
+        let mut e = in_memory(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
         )
         .expect("engine");
@@ -1901,7 +1262,7 @@ mod tests {
                     EncodeOptions::compressed()
                 };
                 let store = Arc::new(MemStore::with_options(options));
-                let mut e = LsmEngine::new(
+                let mut e = on_store(
                     EngineConfig::new(Policy::conventional(7))
                         .with_sstable_points(5),
                     store,

@@ -16,7 +16,8 @@
 //! builds (the benchmarked configuration) pay nothing while every test and
 //! proptest run doubles as a model-checking pass. Violations surface as
 //! [`Error::Corrupt`] rather than panics — the library crates are
-//! panic-free by lint (`seplint` R1/R4).
+//! panic-free by lint (clippy `unwrap_used`/`expect_used`/`panic`, `seplint`
+//! R4).
 
 use seplsm_types::{Error, Result, Timestamp};
 

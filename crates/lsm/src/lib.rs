@@ -46,36 +46,49 @@
 //! * [`Manifest`] — checksummed run/L0 membership log for O(metadata)
 //!   recovery.
 //!
-//! **Engines** (compositions of the kernel, all durable):
+//! **Engines.** An engine has a *front half* that is the same for all of
+//! them and a *back half* that is where they differ:
 //!
-//! * [`LsmEngine`] — the synchronous engine used by every WA experiment;
-//!   instrumented for write amplification, subsequent-point counts, and
-//!   query statistics. Optional WAL + manifest.
-//! * [`TieredEngine`] — the background-compaction variant matching the
-//!   production write path of §V-C (Table III throughput), with the same
-//!   WAL + manifest durability and crash recovery.
-//! * [`MultiSeriesEngine`](multi::MultiSeriesEngine) — one engine per
-//!   series under a shared memory budget, durable via namespaced per-series
-//!   WALs and manifests.
+//! * [`open`] — assembly: one builder ([`OpenOptions`] /
+//!   [`TieredOpenOptions`] / [`MultiOpenOptions`] are its three names) that
+//!   declares and applies every shared setting once.
+//! * [`recovery`] — one routine rebuilds a [`Version`] from the manifest or
+//!   a store scan under strict/salvage rules, one replays the WAL into the
+//!   buffers and re-seeds it.
+//! * [`query`] — one read path (`query` / `get` / `aggregate` /
+//!   `downsample`) over a view of every source, freshest first.
+//! * [`LsmEngine`] — back half: flush and merge-compaction run inline in
+//!   `append`. Used by every WA experiment; instrumented for write
+//!   amplification, subsequent-point counts, and query statistics.
+//! * [`TieredEngine`] — back half: full MemTables go to an L0 through a
+//!   background worker that merges them into the run, the production write
+//!   path of §V-C (Table III throughput).
+//! * [`MultiSeriesEngine`](multi::MultiSeriesEngine) — one [`LsmEngine`]
+//!   per series over a shared store, with a flush pool and a memory
+//!   arbiter; durable via namespaced per-series WALs and manifests.
 //!
 //! # Quick start
 //!
 //! ```
-//! use seplsm_lsm::{EngineConfig, LsmEngine};
+//! use seplsm_lsm::{EngineConfig, OpenOptions};
 //! use seplsm_types::{DataPoint, Policy, TimeRange};
 //!
-//! let mut engine = LsmEngine::in_memory(EngineConfig::new(Policy::conventional(512)))?;
+//! let mut engine =
+//!     OpenOptions::new(EngineConfig::new(Policy::conventional(512))).open()?;
 //! for i in 0..1000i64 {
 //!     engine.append(DataPoint::new(i * 50, i * 50 + 7, i as f64))?;
 //! }
 //! let (points, stats) = engine.query(TimeRange::new(0, 5_000))?;
 //! assert_eq!(points.len(), 101);
 //! println!("WA so far: {:.3}", engine.metrics().write_amplification());
+//! # let _ = stats;
 //! # Ok::<(), seplsm_types::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod admission;
 pub mod arbiter;
@@ -94,6 +107,7 @@ pub mod memtable;
 pub mod metrics;
 pub mod multi;
 pub mod obs;
+pub mod open;
 pub mod query;
 pub mod recovery;
 pub mod sstable;
@@ -109,15 +123,13 @@ pub use admission::{
 pub use arbiter::{
     Arbiter, ArbiterConfig, ArbiterStats, Rebalance, SeriesAssignment,
 };
-pub use background::{
-    OpenOptions as TieredOpenOptions, TieredEngine, TieredReport,
-};
+pub use background::{TieredEngine, TieredReport};
 pub use buffer::{FlushTrigger, PolicyBuffers};
 pub use cache::{
     BlockCache, BlockKey, CacheConfig, CachePriority, CacheStats, EvictedBlock,
 };
 pub use compaction::{plan_merge, CompactionPlan, RunInput};
-pub use engine::{EngineConfig, LsmEngine, OpenOptions};
+pub use engine::{EngineConfig, LsmEngine};
 pub use fault::{Fault, FaultPlan, FaultStore, IoOp};
 pub use invariants::InvariantChecker;
 pub use iterator::{merge_sorted, MergeIter};
@@ -125,12 +137,15 @@ pub use level::Run;
 pub use manifest::Manifest;
 pub use memtable::MemTable;
 pub use metrics::{Metrics, WaSnapshot};
-pub use multi::{MultiSeriesEngine, OpenOptions as MultiOpenOptions, SeriesId};
+pub use multi::{MultiSeriesEngine, SeriesId};
 pub use obs::{
     AggregateReport, AggregateSink, Clock, DegradedOp, DegradedReason,
     DegradedState, Event, FanoutSink, Histogram, JsonlSink, LogicalClock,
     ManifestRecordKind, NullSink, Observer, ObserverHandle, RecoveryStepKind,
     RingBufferSink,
+};
+pub use open::{
+    EngineBuilder, MultiOpenOptions, OpenOptions, TieredOpenOptions,
 };
 pub use query::{Agg, Bucket, DiskModel, QueryStats};
 pub use recovery::{

@@ -1,7 +1,7 @@
 //! The manifest: a durable log of run membership.
 //!
-//! Plain recovery ([`LsmEngine::recover`](crate::LsmEngine::recover)) rebuilds
-//! the level-1 run by reading and describing every stored table — O(data).
+//! Recovery without a manifest rebuilds the level-1 run by reading and
+//! describing every stored table — O(data).
 //! The manifest makes recovery O(metadata): every table added to or removed
 //! from the run is logged as a fixed-size checksummed record, and the log is
 //! rewritten (compacted) after each merge so it stays proportional to the

@@ -6,32 +6,32 @@
 //! [`SeriesId`] gets its own MemTables, level-1 run and metrics (so policies
 //! can differ per series), while all series share one [`TableStore`].
 //!
-//! With [`OpenOptions::durable_dir`] every series additionally gets a WAL
-//! and a manifest namespaced by its id (`series-<n>.wal` /
+//! With [`MultiOpenOptions::durable_dir`] every series additionally gets a
+//! WAL and a manifest namespaced by its id (`series-<n>.wal` /
 //! `series-<n>.manifest`) inside one metadata directory;
-//! [`OpenOptions::open_or_recover`] scans that directory and rebuilds every
-//! series through the single-series recovery path.
+//! [`MultiOpenOptions::open_or_recover`] scans that directory and rebuilds
+//! every series through the single-series recovery path. New and recovered
+//! series alike are opened through the single-series [`OpenOptions`].
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crossbeam::channel;
 use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
-use crate::admission::{AdmissionOutcome, DEFAULT_FLUSH_QUEUE_DEPTH};
-use crate::arbiter::{Arbiter, ArbiterConfig, ArbiterStats, Rebalance};
-use crate::cache::BlockCache;
+use crate::admission::AdmissionOutcome;
+use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
 use crate::engine::{EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::metrics::Metrics;
 use crate::obs::{Event, Observer, ObserverHandle};
-use crate::query::QueryStats;
+use crate::open::{Fleet, Inline, Kind, MultiOpenOptions, OpenOptions};
+use crate::query::{Agg, Bucket, QueryStats};
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 use crate::sstable::SsTableId;
-use crate::store::{MemStore, TableStore};
+use crate::store::TableStore;
 
 /// Identifier of one time series (e.g. one sensor channel of one vehicle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,217 +79,6 @@ impl MultiMetrics {
     }
 }
 
-/// The one way to open a [`MultiSeriesEngine`]: the fleet twin of
-/// [`crate::engine::OpenOptions`], replacing the old
-/// `new`/`in_memory`/`durable`/`recover*`/`attach_faults` constructor
-/// family.
-///
-/// [`OpenOptions::open`] starts a fresh collection;
-/// [`OpenOptions::open_or_recover`] scans the
-/// [`OpenOptions::durable_dir`] for `series-<n>.manifest` files and
-/// rebuilds every series through the single-series recovery path, folding
-/// the per-series [`RecoveryReport`]s into one fleet-wide report.
-#[must_use = "OpenOptions does nothing until .open()/.open_or_recover()"]
-pub struct OpenOptions {
-    template: EngineConfig,
-    store: Option<Arc<dyn TableStore>>,
-    durable_dir: Option<PathBuf>,
-    recovery: RecoveryOptions,
-    faults: Option<Arc<FaultPlan>>,
-    observer: ObserverHandle,
-    cache: Option<Arc<BlockCache>>,
-    workers: usize,
-    flush_queue_depth: usize,
-    arbiter: Option<ArbiterConfig>,
-}
-
-impl std::fmt::Debug for OpenOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpenOptions")
-            .field("policy", &self.template.policy)
-            .field("durable_dir", &self.durable_dir)
-            .field("recovery", &self.recovery)
-            .field("faults", &self.faults.is_some())
-            .field("observer", &self.observer.is_attached())
-            .field("cache", &self.cache.is_some())
-            .field("workers", &self.workers)
-            .field("flush_queue_depth", &self.flush_queue_depth)
-            .field("arbiter", &self.arbiter.is_some())
-            .finish()
-    }
-}
-
-impl OpenOptions {
-    /// Starts a builder; new series start from `template`.
-    pub fn new(template: EngineConfig) -> Self {
-        Self {
-            template,
-            store: None,
-            durable_dir: None,
-            recovery: RecoveryOptions::strict(),
-            faults: None,
-            observer: ObserverHandle::detached(),
-            cache: None,
-            workers: 1,
-            flush_queue_depth: DEFAULT_FLUSH_QUEUE_DEPTH,
-            arbiter: None,
-        }
-    }
-
-    /// Backs every series with `store`. Defaults to a fresh in-memory
-    /// store.
-    pub fn store(mut self, store: Arc<dyn TableStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Makes the collection durable: each series logs to
-    /// `dir/series-<n>.wal` and records run membership in
-    /// `dir/series-<n>.manifest`, so the whole collection survives a crash.
-    pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.durable_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the [`RecoveryOptions`] used by
-    /// [`OpenOptions::open_or_recover`] (default: strict).
-    pub fn recovery(mut self, options: RecoveryOptions) -> Self {
-        self.recovery = options;
-        self
-    }
-
-    /// Routes every series' WAL and manifest writes (current series and
-    /// any created later) through `plan`'s fault schedule; wrap the shared
-    /// table store separately with the *same* plan.
-    pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Delivers every series' storage-kernel [`Event`](crate::obs::Event)s
-    /// to `sink`.
-    pub fn observer(mut self, sink: Arc<dyn Observer>) -> Self {
-        self.observer = ObserverHandle::attached(sink);
-        self
-    }
-
-    /// Routes every series' table reads through one shared decoded-block
-    /// cache: the backing store is wrapped in a
-    /// [`CachedStore`](crate::store::CachedStore) once, so the whole fleet
-    /// competes for (and benefits from) the same capacity budget, and any
-    /// series' compaction strictly invalidates the blocks of the tables it
-    /// deletes.
-    pub fn cache(mut self, cache: Arc<BlockCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Fans [`MultiSeriesEngine::flush_all`] across up to `n` worker
-    /// threads, one series at a time per worker (default 1 = fully
-    /// sequential, never spawning). Each series' kernel stays
-    /// single-threaded, so per-series results and summed metrics are
-    /// identical for every worker count; only wall-clock changes.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
-    /// Bounds the flush queue: [`MultiSeriesEngine::flush_all`] admits at
-    /// most `n` series into the pool per wave; further series wait for the
-    /// next wave, each extra wave surfacing as one
-    /// [`AdmissionOutcome::Delayed`] tick (default
-    /// [`DEFAULT_FLUSH_QUEUE_DEPTH`]). The wave schedule depends only on
-    /// the series set and `n` — never on the worker count — so traces stay
-    /// identical across worker counts.
-    pub fn flush_queue_depth(mut self, n: usize) -> Self {
-        self.flush_queue_depth = n.max(1);
-        self
-    }
-
-    /// Arbitrates memory across the fleet: an [`Arbiter`] splits
-    /// `config`'s global point budget between every series' MemTables and
-    /// the block-cache share, growing hot series and shrinking cold ones
-    /// toward the floor. Series are admitted at the floor on first append
-    /// (the template policy's shape is preserved, rescaled via
-    /// [`Policy::resized`]); every rebalance emits
-    /// [`Event::HeatSample`]s and one [`Event::ArbiterRebalance`] from
-    /// the deterministic append path.
-    pub fn arbiter(mut self, config: ArbiterConfig) -> Self {
-        self.arbiter = Some(config);
-        self
-    }
-
-    fn store_or_default(
-        store: Option<Arc<dyn TableStore>>,
-    ) -> Arc<dyn TableStore> {
-        store.unwrap_or_else(|| Arc::new(MemStore::new()))
-    }
-
-    /// Opens a fresh collection (creating the durable directory if one is
-    /// configured).
-    ///
-    /// # Errors
-    /// I/O errors creating the durable directory.
-    pub fn open(self) -> Result<MultiSeriesEngine> {
-        let store = crate::engine::OpenOptions::wrap_cache(
-            Self::store_or_default(self.store),
-            self.cache,
-            &self.observer,
-        );
-        let mut engine = MultiSeriesEngine::new(self.template, store);
-        if let Some(dir) = self.durable_dir {
-            std::fs::create_dir_all(&dir)?;
-            engine.durable_dir = Some(dir);
-        }
-        engine.obs = self.observer;
-        engine.workers = self.workers;
-        engine.flush_queue_depth = self.flush_queue_depth;
-        engine.install_arbiter(self.arbiter)?;
-        engine.install_faults(self.faults);
-        Ok(engine)
-    }
-
-    /// Rebuilds a durable collection after a crash: every
-    /// `series-<n>.manifest` under the [`OpenOptions::durable_dir`] is
-    /// recovered through the single-series path (manifest → run, WAL →
-    /// buffers). Orphan GC (when requested) runs once, *after* every series
-    /// has recovered, against the union of all series' live tables — the
-    /// shared store makes any per-series sweep unsound.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] when no durable directory is configured;
-    /// strict mode: any corruption in any series; salvage mode: only
-    /// unrecoverable store/log failures.
-    pub fn open_or_recover(
-        self,
-    ) -> Result<(MultiSeriesEngine, RecoveryReport)> {
-        let Some(dir) = self.durable_dir else {
-            return Err(Error::InvalidConfig(
-                "multi-series recovery scans the durable directory: \
-                 configure OpenOptions::durable_dir"
-                    .into(),
-            ));
-        };
-        let store = crate::engine::OpenOptions::wrap_cache(
-            Self::store_or_default(self.store),
-            self.cache,
-            &self.observer,
-        );
-        let (mut engine, report) = MultiSeriesEngine::recover_with(
-            self.template,
-            store,
-            dir,
-            self.recovery,
-            self.observer,
-        )?;
-        engine.workers = self.workers;
-        engine.flush_queue_depth = self.flush_queue_depth;
-        engine.install_arbiter(self.arbiter)?;
-        engine.install_faults(self.faults);
-        Ok((engine, report))
-    }
-}
-
 /// A collection of independently-buffered series over one shared store.
 pub struct MultiSeriesEngine {
     store: Arc<dyn TableStore>,
@@ -311,7 +100,7 @@ pub struct MultiSeriesEngine {
     /// the depth-bounded queue — the fleet-level `Delayed` count.
     fleet_delayed_waves: u64,
     /// The fleet memory arbiter, when opened with
-    /// [`OpenOptions::arbiter`]. Behind a `Mutex` only because the
+    /// [`MultiOpenOptions::arbiter`]. Behind a `Mutex` only because the
     /// (read-only) query path records heat; the lock is always dropped
     /// before any engine I/O, and rebalances run exclusively on the
     /// `&mut self` append path.
@@ -321,120 +110,134 @@ pub struct MultiSeriesEngine {
     fleet_retunes: u64,
 }
 
-impl MultiSeriesEngine {
-    /// Creates a multi-series engine; new series start from `template`.
-    /// Shorthand for [`OpenOptions::new`]`(template).store(store).open()`.
-    pub fn new(template: EngineConfig, store: Arc<dyn TableStore>) -> Self {
-        Self {
+impl Kind for Fleet {
+    type Engine = MultiSeriesEngine;
+
+    /// Fresh: an empty collection (the durable directory is created if one
+    /// is configured). Recovering: every `series-<n>.manifest` under the
+    /// durable directory is recovered through the single-series path
+    /// (manifest → run, WAL → buffers) and the per-series
+    /// [`RecoveryReport`]s are folded into one. Orphan GC (when requested)
+    /// runs once, *after* every series has recovered, against the union of
+    /// all series' live tables — the shared store makes any per-series
+    /// sweep unsound.
+    fn assemble(
+        options: MultiOpenOptions,
+        store: Arc<dyn TableStore>,
+        recover: bool,
+    ) -> Result<(MultiSeriesEngine, RecoveryReport)> {
+        let fleet = options.kind;
+        if recover && fleet.durable_dir.is_none() {
+            return Err(Error::InvalidConfig(
+                "multi-series recovery scans the durable directory: \
+                 configure OpenOptions::durable_dir"
+                    .into(),
+            ));
+        }
+        if let Some(dir) = &fleet.durable_dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut engine = MultiSeriesEngine {
             store,
-            template,
+            template: options.config,
             series: HashMap::new(),
-            durable_dir: None,
+            durable_dir: fleet.durable_dir,
             faults: None,
-            obs: ObserverHandle::detached(),
-            workers: 1,
-            flush_queue_depth: DEFAULT_FLUSH_QUEUE_DEPTH,
+            obs: options.observer,
+            workers: fleet.workers,
+            flush_queue_depth: fleet.flush_queue_depth,
             fleet_delayed_waves: 0,
             arbiter: None,
             fleet_retunes: 0,
+        };
+        let mut report = RecoveryReport::default();
+        if recover {
+            engine.recover_series(options.recovery, &mut report)?;
+        }
+        // Series already hosted (the recovery path) stay at their recovered
+        // capacity until their first post-open append admits them into
+        // arbitration.
+        if let Some(config) = fleet.arbiter {
+            engine.arbiter = Some(Mutex::new(Arbiter::new(config)?));
+        }
+        Ok((engine, report))
+    }
+
+    /// Covers the series recovered so far and, through
+    /// [`MultiSeriesEngine::series_options`], every series created later.
+    fn attach_faults(engine: &mut MultiSeriesEngine, plan: &Arc<FaultPlan>) {
+        for series in engine.series.values_mut() {
+            Inline::attach_faults(series, plan);
+        }
+        engine.faults = Some(Arc::clone(plan));
+    }
+}
+
+impl MultiSeriesEngine {
+    /// The builder one series of this collection opens through: the
+    /// template configuration over the shared store, reporting to the
+    /// collection's observer, with a WAL and manifest namespaced by the
+    /// series id when the collection is durable.
+    fn series_options(&self, series: SeriesId) -> OpenOptions {
+        let mut options = OpenOptions::new(self.template.clone())
+            .store(Arc::clone(&self.store));
+        options.observer = self.obs.clone();
+        if let Some(dir) = &self.durable_dir {
+            options = options
+                .wal(dir.join(format!("series-{}.wal", series.0)))
+                .manifest(dir.join(format!("series-{}.manifest", series.0)));
+        }
+        match &self.faults {
+            Some(plan) => options.faults(Arc::clone(plan)),
+            None => options,
         }
     }
 
-    /// In-memory-store convenience constructor.
-    pub fn in_memory(template: EngineConfig) -> Self {
-        Self::new(template, Arc::new(MemStore::new()))
-    }
-
-    /// [`MultiSeriesEngine::recover_with`]: each series recovers through
-    /// the single-series manifest path and their [`RecoveryReport`]s are
-    /// folded into one fleet-wide report.
-    pub(crate) fn recover_with(
-        template: EngineConfig,
-        store: Arc<dyn TableStore>,
-        dir: impl AsRef<Path>,
+    /// Recovers every series that left a manifest in the durable directory.
+    fn recover_series(
+        &mut self,
         options: RecoveryOptions,
-        obs: ObserverHandle,
-    ) -> Result<(Self, RecoveryReport)> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
+        let Some(dir) = self.durable_dir.clone() else {
+            return Ok(());
+        };
         // GC is deferred to the fleet-wide sweep below; a per-series sweep
         // would delete the other series' tables.
         let per_series = RecoveryOptions {
             gc_orphans: false,
             ..options
         };
-        let mut report = RecoveryReport::default();
-        let mut series = HashMap::new();
         for entry in std::fs::read_dir(&dir)? {
             let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
             let Some(id) = name
-                .strip_prefix("series-")
+                .to_str()
+                .and_then(|name| name.strip_prefix("series-"))
                 .and_then(|rest| rest.strip_suffix(".manifest"))
                 .and_then(|n| n.parse::<u32>().ok())
             else {
                 continue;
             };
-            let (engine, series_report) =
-                LsmEngine::recover_from_manifest_with(
-                    template.clone(),
-                    Arc::clone(&store),
-                    dir.join(format!("series-{id}.manifest")),
-                    Some(dir.join(format!("series-{id}.wal"))),
-                    per_series,
-                    obs.clone(),
-                )?;
+            let (engine, series_report) = self
+                .series_options(SeriesId(id))
+                .recovery(per_series)
+                .open_or_recover()?;
             report.merge(series_report);
-            series.insert(SeriesId(id), engine);
+            self.series.insert(SeriesId(id), engine);
         }
-        let engine = Self {
-            store,
-            template,
-            series,
-            durable_dir: Some(dir),
-            faults: None,
-            obs,
-            workers: 1,
-            flush_queue_depth: DEFAULT_FLUSH_QUEUE_DEPTH,
-            fleet_delayed_waves: 0,
-            arbiter: None,
-            fleet_retunes: 0,
-        };
         if options.gc_orphans {
             let mut live: HashSet<SsTableId> = HashSet::new();
-            for e in engine.series.values() {
-                live.extend(e.live_table_ids());
+            for e in self.series.values() {
+                live.extend(e.version().live_table_ids());
             }
             recovery::gc_orphans(
-                engine.store.as_ref(),
+                self.store.as_ref(),
                 &live,
-                &mut report,
-                &engine.obs,
+                report,
+                &self.obs,
             )?;
         }
-        Ok((engine, report))
-    }
-
-    /// Installs the fleet memory arbiter. Series already hosted (the
-    /// recovery path) stay at their recovered capacity until their first
-    /// post-open append admits them into arbitration.
-    fn install_arbiter(&mut self, config: Option<ArbiterConfig>) -> Result<()> {
-        if let Some(config) = config {
-            self.arbiter = Some(Mutex::new(Arbiter::new(config)?));
-        }
         Ok(())
-    }
-
-    /// Routes every series' WAL and manifest writes (current series and any
-    /// created later) through `plan`'s fault schedule, reporting injections
-    /// to the collection's observer.
-    fn install_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
-        let Some(plan) = plan else { return };
-        plan.set_observer(self.obs.clone());
-        for engine in self.series.values_mut() {
-            engine.attach_faults(&plan);
-        }
-        self.faults = Some(plan);
     }
 
     /// Audits every series' version and tables against the shared store.
@@ -471,34 +274,10 @@ impl MultiSeriesEngine {
         self.series.get(&series)
     }
 
-    fn engine_entry(&mut self, series: SeriesId) -> Result<&mut LsmEngine> {
-        match self.series.entry(series) {
-            Entry::Occupied(slot) => Ok(slot.into_mut()),
-            Entry::Vacant(slot) => {
-                let mut engine = LsmEngine::new(
-                    self.template.clone(),
-                    Arc::clone(&self.store),
-                )?;
-                engine.set_observer(self.obs.clone());
-                if let Some(dir) = &self.durable_dir {
-                    engine = engine
-                        .with_wal(dir.join(format!("series-{}.wal", series.0)))?
-                        .with_manifest(
-                            dir.join(format!("series-{}.manifest", series.0)),
-                        )?;
-                }
-                if let Some(plan) = &self.faults {
-                    engine.attach_faults(plan);
-                }
-                Ok(slot.insert(engine))
-            }
-        }
-    }
-
     /// Writes one point into `series` (creating the series on first write)
     /// and reports the admission outcome observed by that series' engine.
     ///
-    /// With an [`OpenOptions::arbiter`] configured the append first ticks
+    /// With an [`MultiOpenOptions::arbiter`] configured the append first ticks
     /// the arbiter (admitting a new series at the floor, or erroring when
     /// the budget cannot host it), and any due [`Rebalance`] plan is
     /// applied — and its events emitted — right after the point lands,
@@ -512,17 +291,24 @@ impl MultiSeriesEngine {
         series: SeriesId,
         p: DataPoint,
     ) -> Result<AdmissionOutcome> {
+        let fresh = !self.series.contains_key(&series);
         let mut plan = None;
         let mut admitted = None;
         if let Some(arb) = self.arbiter.as_mut() {
-            let fresh = !self.series.contains_key(&series);
             let arb = arb.get_mut();
             plan = arb.record_append(series.0)?;
             if fresh {
                 admitted = arb.capacity_of(series.0);
             }
         }
-        let engine = self.engine_entry(series)?;
+        if fresh {
+            let engine = self.series_options(series).open()?;
+            self.series.insert(series, engine);
+        }
+        let engine = self
+            .series
+            .get_mut(&series)
+            .ok_or(Error::UnknownSeries(series.0))?;
         if let Some(capacity) = admitted {
             // A freshly admitted series starts at its arbiter-assigned
             // capacity, keeping the template policy's shape.
@@ -566,9 +352,22 @@ impl MultiSeriesEngine {
         Ok(())
     }
 
+    /// The engine a read of `series` goes to, heating the series when an
+    /// arbiter is configured (its lock is released before any engine I/O).
+    fn reader(&self, series: SeriesId) -> Result<&LsmEngine> {
+        let engine = self
+            .series
+            .get(&series)
+            .ok_or(Error::UnknownSeries(series.0))?;
+        if let Some(arb) = &self.arbiter {
+            arb.lock().record_query(series.0);
+        }
+        Ok(engine)
+    }
+
     /// Range query against one series. With an arbiter configured the
-    /// query also heats the series (the lock is released before any
-    /// engine I/O); rebalances still fire only from the append path.
+    /// query also heats the series; rebalances still fire only from the
+    /// append path.
     ///
     /// # Errors
     /// [`Error::UnknownSeries`] for an unknown series; storage failures.
@@ -577,14 +376,7 @@ impl MultiSeriesEngine {
         series: SeriesId,
         range: TimeRange,
     ) -> Result<(Vec<DataPoint>, QueryStats)> {
-        let engine = self
-            .series
-            .get(&series)
-            .ok_or(Error::UnknownSeries(series.0))?;
-        if let Some(arb) = &self.arbiter {
-            arb.lock().record_query(series.0);
-        }
-        engine.query(range)
+        self.reader(series)?.query(range)
     }
 
     /// Aggregation pushdown against one series: delegates to
@@ -599,15 +391,8 @@ impl MultiSeriesEngine {
         &self,
         series: SeriesId,
         range: TimeRange,
-    ) -> Result<(crate::query::Agg, QueryStats)> {
-        let engine = self
-            .series
-            .get(&series)
-            .ok_or(Error::UnknownSeries(series.0))?;
-        if let Some(arb) = &self.arbiter {
-            arb.lock().record_query(series.0);
-        }
-        engine.aggregate(range)
+    ) -> Result<(Agg, QueryStats)> {
+        self.reader(series)?.aggregate(range)
     }
 
     /// Downsampling pushdown against one series: delegates to
@@ -622,15 +407,8 @@ impl MultiSeriesEngine {
         series: SeriesId,
         range: TimeRange,
         bucket_width: i64,
-    ) -> Result<(Vec<crate::query::Bucket>, QueryStats)> {
-        let engine = self
-            .series
-            .get(&series)
-            .ok_or(Error::UnknownSeries(series.0))?;
-        if let Some(arb) = &self.arbiter {
-            arb.lock().record_query(series.0);
-        }
-        engine.downsample(range, bucket_width)
+    ) -> Result<(Vec<Bucket>, QueryStats)> {
+        self.reader(series)?.downsample(range, bucket_width)
     }
 
     /// Switches the buffering policy of one series (e.g. after a per-series
@@ -661,10 +439,7 @@ impl MultiSeriesEngine {
     /// # Errors
     /// [`Error::UnknownSeries`], degenerate policies, or storage failures.
     pub fn retune(&mut self, series: SeriesId, policy: Policy) -> Result<()> {
-        self.series
-            .get_mut(&series)
-            .ok_or(Error::UnknownSeries(series.0))?
-            .set_policy(policy)?;
+        self.set_policy(series, policy)?;
         self.fleet_retunes += 1;
         self.obs.emit(|| Event::PolicyRetuned {
             series: u64::from(series.0),
@@ -713,14 +488,14 @@ impl MultiSeriesEngine {
     }
 
     /// Flushes every series in ascending [`SeriesId`] order, admitting at
-    /// most [`OpenOptions::flush_queue_depth`] series into the flush queue
+    /// most [`MultiOpenOptions::flush_queue_depth`] series into the flush queue
     /// per *wave*. Each wave drains completely before the next is admitted;
     /// every wave after the first counts one logical tick of backpressure,
     /// emits [`Event::AdmissionDelayed`], and turns the returned outcome
     /// into [`AdmissionOutcome::Delayed`] — callers observe queue pressure
     /// as typed admission feedback, never as silent inline degradation.
     ///
-    /// With [`OpenOptions::workers`] above 1 (and more than one series to
+    /// With [`MultiOpenOptions::workers`] above 1 (and more than one series to
     /// flush) the series of a wave fan out across a bounded pool of
     /// short-lived worker threads. Each series is still flushed by exactly
     /// one thread, and each worker emits into a private per-series capture
@@ -982,14 +757,20 @@ impl Observer for CaptureSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::ArbiterConfig;
+    use crate::open::MultiOpenOptions as OpenOptions;
 
     fn config() -> EngineConfig {
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(8)
     }
 
+    fn in_memory() -> MultiSeriesEngine {
+        OpenOptions::new(config()).open().expect("open")
+    }
+
     #[test]
     fn series_are_created_lazily_and_isolated() {
-        let mut m = MultiSeriesEngine::in_memory(config());
+        let mut m = in_memory();
         assert!(m.is_empty());
         for i in 0..20i64 {
             m.append(SeriesId(1), DataPoint::new(i * 10, i * 10, 1.0))
@@ -1010,13 +791,13 @@ mod tests {
 
     #[test]
     fn unknown_series_is_an_error() {
-        let m = MultiSeriesEngine::in_memory(config());
+        let m = in_memory();
         assert!(m.query(SeriesId(9), TimeRange::new(0, 10)).is_err());
     }
 
     #[test]
     fn per_series_policies_can_differ() {
-        let mut m = MultiSeriesEngine::in_memory(config());
+        let mut m = in_memory();
         m.append(SeriesId(1), DataPoint::new(0, 0, 0.0))
             .expect("append");
         m.append(SeriesId(2), DataPoint::new(0, 0, 0.0))
@@ -1030,7 +811,7 @@ mod tests {
 
     #[test]
     fn fleet_aggregate_and_downsample_push_down_per_series() {
-        let mut m = MultiSeriesEngine::in_memory(config());
+        let mut m = in_memory();
         for i in 0..32i64 {
             m.append(SeriesId(1), DataPoint::new(i * 10, i * 10, i as f64))
                 .expect("append");
@@ -1062,7 +843,7 @@ mod tests {
 
     #[test]
     fn unknown_series_errors_are_typed() {
-        let mut m = MultiSeriesEngine::in_memory(config());
+        let mut m = in_memory();
         m.append(SeriesId(1), DataPoint::new(0, 0, 0.0))
             .expect("append");
         let q = m.query(SeriesId(9), TimeRange::new(0, 10));
@@ -1181,7 +962,7 @@ mod tests {
 
     #[test]
     fn aggregate_metrics_sum_across_series() {
-        let mut m = MultiSeriesEngine::in_memory(config());
+        let mut m = in_memory();
         for s in 0..4u32 {
             for i in 0..50i64 {
                 m.append(SeriesId(s), DataPoint::new(i * 10, i * 10, 0.0))
@@ -1497,7 +1278,7 @@ mod tests {
 
     #[test]
     fn flush_all_drains_every_series() {
-        let mut m = MultiSeriesEngine::in_memory(config());
+        let mut m = in_memory();
         for s in 0..3u32 {
             m.append(SeriesId(s), DataPoint::new(5, 5, 0.0))
                 .expect("append");

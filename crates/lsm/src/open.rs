@@ -1,0 +1,413 @@
+//! Engine assembly: the one builder behind [`OpenOptions`],
+//! [`TieredOpenOptions`] and [`MultiOpenOptions`].
+//!
+//! How an engine is put together does not depend on where its compaction
+//! runs, so it is written once. [`EngineBuilder`] declares the settings
+//! every engine shares — configuration, table store, block cache, WAL and
+//! manifest paths, recovery options, fault plan, observer, admission
+//! watermarks — and applies each of them in exactly one place:
+//!
+//! * the store defaults to a fresh [`MemStore`] and is wrapped in a
+//!   [`CachedStore`] when a cache is configured;
+//! * the WAL and manifest are opened with the observer already attached
+//!   (`open_wal`, `open_manifest`), so one sink sees the whole storage
+//!   kernel;
+//! * the fault plan reaches the WAL and manifest only after opening or
+//!   recovery completes (`attach_faults`), so a crash schedule's op
+//!   numbering starts at the first workload-driven disk touch.
+//!
+//! What differs per engine is its [`Kind`]: the settings only that engine
+//! has ([`Background`]: pacer, synchronous flushes; [`Fleet`]: durable
+//! directory, flush pool, arbiter) and the engine type it assembles.
+//!
+//! ```
+//! use seplsm_lsm::{EngineConfig, OpenOptions};
+//! use seplsm_types::Policy;
+//! # fn main() -> seplsm_types::Result<()> {
+//! let engine =
+//!     OpenOptions::new(EngineConfig::new(Policy::conventional(512)))
+//!         .open()?;
+//! # drop(engine); Ok(())
+//! # }
+//! ```
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use seplsm_types::Result;
+
+use crate::admission::{IoPacer, Watermarks, DEFAULT_FLUSH_QUEUE_DEPTH};
+use crate::arbiter::ArbiterConfig;
+use crate::cache::BlockCache;
+use crate::engine::EngineConfig;
+use crate::fault::FaultPlan;
+use crate::manifest::Manifest;
+use crate::obs::{Observer, ObserverHandle};
+use crate::recovery::{RecoveryOptions, RecoveryReport};
+use crate::store::{CachedStore, MemStore, TableStore};
+use crate::version::Version;
+use crate::wal::Wal;
+
+/// Opens an [`LsmEngine`](crate::LsmEngine): flush and compaction run inline in `append`.
+pub type OpenOptions = EngineBuilder<Inline>;
+/// Opens a [`TieredEngine`](crate::TieredEngine): a background worker flushes and compacts.
+pub type TieredOpenOptions = EngineBuilder<Background>;
+/// Opens a [`MultiSeriesEngine`](crate::MultiSeriesEngine): one inline engine per series over a
+/// shared store.
+pub type MultiOpenOptions = EngineBuilder<Fleet>;
+
+/// Which engine a builder opens, carrying the settings only that engine
+/// has. Implemented by [`Inline`], [`Background`] and [`Fleet`].
+pub trait Kind: Default {
+    /// The engine this kind assembles.
+    type Engine;
+
+    /// Builds the engine over the resolved `store`, fresh or — with
+    /// `recover` — from the state a previous engine left behind.
+    #[doc(hidden)]
+    fn assemble(
+        options: EngineBuilder<Self>,
+        store: Arc<dyn TableStore>,
+        recover: bool,
+    ) -> Result<(Self::Engine, RecoveryReport)>;
+
+    /// Routes the assembled engine's WAL and manifest writes through
+    /// `plan`.
+    #[doc(hidden)]
+    fn attach_faults(engine: &mut Self::Engine, plan: &Arc<FaultPlan>);
+}
+
+/// Kinds that open exactly one series and therefore take one WAL path, one
+/// manifest path and one admission controller.
+pub trait SingleSeries: Kind {}
+
+/// The [`LsmEngine`](crate::LsmEngine) kind; it has no settings of its own.
+#[derive(Debug, Default)]
+pub struct Inline;
+
+/// The [`TieredEngine`](crate::TieredEngine) kind.
+#[derive(Debug, Default)]
+pub struct Background {
+    pub(crate) pacer: IoPacer,
+    pub(crate) sync_flush: bool,
+}
+
+/// The [`MultiSeriesEngine`](crate::MultiSeriesEngine) kind.
+#[derive(Debug)]
+pub struct Fleet {
+    pub(crate) durable_dir: Option<PathBuf>,
+    pub(crate) workers: usize,
+    pub(crate) flush_queue_depth: usize,
+    pub(crate) arbiter: Option<ArbiterConfig>,
+}
+
+impl Default for Fleet {
+    fn default() -> Self {
+        Self {
+            durable_dir: None,
+            workers: 1,
+            flush_queue_depth: DEFAULT_FLUSH_QUEUE_DEPTH,
+            arbiter: None,
+        }
+    }
+}
+
+/// The one way to open an engine. Use it through [`OpenOptions`],
+/// [`TieredOpenOptions`] or [`MultiOpenOptions`].
+///
+/// * [`open`](Self::open) starts a fresh engine;
+/// * [`open_or_recover`](Self::open_or_recover) rebuilds one from the
+///   state a stopped or crashed engine left behind and returns the
+///   [`RecoveryReport`] alongside it.
+#[must_use = "a builder does nothing until .open()/.open_or_recover()"]
+pub struct EngineBuilder<K> {
+    pub(crate) config: EngineConfig,
+    store: Option<Arc<dyn TableStore>>,
+    cache: Option<Arc<BlockCache>>,
+    pub(crate) wal: Option<PathBuf>,
+    pub(crate) manifest: Option<PathBuf>,
+    pub(crate) recovery: RecoveryOptions,
+    faults: Option<Arc<FaultPlan>>,
+    pub(crate) observer: ObserverHandle,
+    pub(crate) watermarks: Watermarks,
+    pub(crate) kind: K,
+}
+
+impl<K: std::fmt::Debug> std::fmt::Debug for EngineBuilder<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EngineBuilder")
+            .field("policy", &self.config.policy)
+            .field("cache", &self.cache.is_some())
+            .field("wal", &self.wal)
+            .field("manifest", &self.manifest)
+            .field("recovery", &self.recovery)
+            .field("faults", &self.faults.is_some())
+            .field("observer", &self.observer.is_attached())
+            .field("watermarks", &self.watermarks)
+            .field("kind", &self.kind)
+            .finish()
+    }
+}
+
+impl<K: Kind> EngineBuilder<K> {
+    /// Starts a builder for the given configuration (for a fleet: the
+    /// template every new series starts from).
+    pub fn new(config: EngineConfig) -> Self {
+        Self {
+            config,
+            store: None,
+            cache: None,
+            wal: None,
+            manifest: None,
+            recovery: RecoveryOptions::strict(),
+            faults: None,
+            observer: ObserverHandle::detached(),
+            watermarks: Watermarks::default(),
+            kind: K::default(),
+        }
+    }
+
+    /// Backs the engine with `store` (a fleet: every series shares it).
+    /// Defaults to a fresh in-memory store.
+    pub fn store(mut self, store: Arc<dyn TableStore>) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Serves table reads through `cache`, a shared decoded-block cache:
+    /// the store is wrapped in a [`CachedStore`] before the engine opens,
+    /// so queries, compaction input loading (inline or on the background
+    /// worker) and recovery reads all hit the cache, a fleet competes for
+    /// one capacity budget, and tables deleted by compactions are strictly
+    /// invalidated. Off by default (reads go straight to the store).
+    pub fn cache(mut self, cache: Arc<BlockCache>) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// Sets the [`RecoveryOptions`] used by
+    /// [`open_or_recover`](Self::open_or_recover) (default: strict).
+    pub fn recovery(mut self, options: RecoveryOptions) -> Self {
+        self.recovery = options;
+        self
+    }
+
+    /// Routes the engine's WAL and manifest writes (a fleet: every series',
+    /// current and future) through `plan`'s fault schedule once opening
+    /// completes. The table store is attached separately at construction
+    /// ([`FileStore::with_faults`](crate::FileStore::with_faults) or a
+    /// [`FaultStore`](crate::fault::FaultStore) wrapper) — share one plan
+    /// across all three for a single global op numbering.
+    pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Delivers every storage-kernel [`Event`](crate::obs::Event) — from
+    /// the engine, its WAL and manifest, the cache wrapper, the fault plan
+    /// and any background worker — to `sink`.
+    pub fn observer(mut self, sink: Arc<dyn Observer>) -> Self {
+        self.observer = ObserverHandle::attached(sink);
+        self
+    }
+
+    /// Opens a fresh engine, ignoring any recoverable state on disk.
+    ///
+    /// # Errors
+    /// [`Error::InvalidConfig`](seplsm_types::Error::InvalidConfig) for
+    /// degenerate configurations; I/O errors opening the WAL, manifest or
+    /// durable directory.
+    pub fn open(self) -> Result<K::Engine> {
+        Ok(self.assemble(false)?.0)
+    }
+
+    /// Rebuilds an engine from existing state: the table levels from the
+    /// manifest in O(metadata) — or, for an [`LsmEngine`](crate::LsmEngine) opened without
+    /// one, by scanning the store — then the buffered tail from the WAL.
+    /// A [`TieredEngine`](crate::TieredEngine) requires a manifest and a
+    /// [`MultiSeriesEngine`](crate::MultiSeriesEngine) a
+    /// durable directory, whose every `series-<n>.manifest` is recovered;
+    /// orphan GC, when requested, runs once the whole live set is known.
+    ///
+    /// # Errors
+    /// [`Error::InvalidConfig`](seplsm_types::Error::InvalidConfig) when
+    /// the state to recover from is not configured; in strict mode any
+    /// damage, in salvage mode only unrecoverable failures (see
+    /// [`RecoveryOptions`]).
+    pub fn open_or_recover(self) -> Result<(K::Engine, RecoveryReport)> {
+        self.assemble(true)
+    }
+
+    fn assemble(
+        mut self,
+        recover: bool,
+    ) -> Result<(K::Engine, RecoveryReport)> {
+        let store = wrap_cache(
+            store_or_default(self.store.take()),
+            self.cache.take(),
+            &self.observer,
+        );
+        let faults = self.faults.take();
+        let obs = self.observer.clone();
+        let (mut engine, report) = K::assemble(self, store, recover)?;
+        if let Some(plan) = faults {
+            plan.set_observer(obs);
+            K::attach_faults(&mut engine, &plan);
+        }
+        Ok((engine, report))
+    }
+}
+
+impl<K: SingleSeries> EngineBuilder<K> {
+    /// Attaches a write-ahead log at `path`: appended points are logged
+    /// before being buffered, and
+    /// [`open_or_recover`](Self::open_or_recover) replays the log into the
+    /// buffers.
+    pub fn wal(mut self, path: impl Into<PathBuf>) -> Self {
+        self.wal = Some(path.into());
+        self
+    }
+
+    /// Attaches a manifest at `path`: level-membership changes are logged,
+    /// and [`open_or_recover`](Self::open_or_recover) rebuilds from the
+    /// manifest instead of reading every table.
+    pub fn manifest(mut self, path: impl Into<PathBuf>) -> Self {
+        self.manifest = Some(path.into());
+        self
+    }
+
+    /// Sets the slowdown/stop admission watermarks consulted before every
+    /// buffer insert against the L0 + pending-flush depth (default
+    /// [`Watermarks::default`]: 8/16). Tight watermarks turn ingest bursts
+    /// into typed `Delayed` / `Stalled` outcomes instead of unbounded L0
+    /// growth; the inline engine drains in `append`, so its depth only
+    /// leaves zero transiently.
+    pub fn admission(mut self, watermarks: Watermarks) -> Self {
+        self.watermarks = watermarks;
+        self
+    }
+}
+
+impl SingleSeries for Inline {}
+
+impl TieredOpenOptions {
+    /// Sets the logical token bucket that paces compaction output writes
+    /// (default [`IoPacer::default`]).
+    pub fn pacer(mut self, pacer: IoPacer) -> Self {
+        self.kind.pacer = pacer;
+        self
+    }
+
+    /// Makes every flush synchronous: `append` returns only after the
+    /// flushed MemTable is stored as an L0 table. Queries then observe a
+    /// deterministic on-disk state (used by the query experiments); the
+    /// throughput experiment keeps the default asynchronous pipeline.
+    pub fn sync_flush(mut self) -> Self {
+        self.kind.sync_flush = true;
+        self
+    }
+}
+
+impl SingleSeries for Background {}
+
+impl MultiOpenOptions {
+    /// Makes the collection durable: each series logs to
+    /// `dir/series-<n>.wal` and records run membership in
+    /// `dir/series-<n>.manifest`, so the whole collection survives a crash.
+    pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.kind.durable_dir = Some(dir.into());
+        self
+    }
+
+    /// Fans [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all) across up to `n` worker
+    /// threads, one series at a time per worker (default 1 = fully
+    /// sequential, never spawning). Each series' kernel stays
+    /// single-threaded, so per-series results and summed metrics are
+    /// identical for every worker count; only wall-clock changes.
+    pub fn workers(mut self, n: usize) -> Self {
+        self.kind.workers = n.max(1);
+        self
+    }
+
+    /// Bounds the flush queue: [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all) admits at
+    /// most `n` series into the pool per wave; further series wait for the
+    /// next wave, each extra wave surfacing as one
+    /// [`AdmissionOutcome::Delayed`](crate::AdmissionOutcome::Delayed) tick
+    /// (default [`DEFAULT_FLUSH_QUEUE_DEPTH`]). The wave schedule depends
+    /// only on the series set and `n` — never on the worker count — so
+    /// traces stay identical across worker counts.
+    pub fn flush_queue_depth(mut self, n: usize) -> Self {
+        self.kind.flush_queue_depth = n.max(1);
+        self
+    }
+
+    /// Arbitrates memory across the fleet: an
+    /// [`Arbiter`](crate::Arbiter) splits `config`'s global point budget
+    /// between every series' MemTables and the block-cache share, growing
+    /// hot series and shrinking cold ones toward the floor. Series are
+    /// admitted at the floor on first append (the template policy's shape
+    /// is preserved, rescaled via
+    /// [`Policy::resized`](seplsm_types::Policy::resized)); every rebalance
+    /// emits [`Event::HeatSample`](crate::obs::Event::HeatSample)s and one
+    /// [`Event::ArbiterRebalance`](crate::obs::Event::ArbiterRebalance)
+    /// from the deterministic append path.
+    pub fn arbiter(mut self, config: ArbiterConfig) -> Self {
+        self.kind.arbiter = Some(config);
+        self
+    }
+}
+
+/// The configured store, or a fresh in-memory one.
+fn store_or_default(store: Option<Arc<dyn TableStore>>) -> Arc<dyn TableStore> {
+    store.unwrap_or_else(|| Arc::new(MemStore::new()))
+}
+
+/// Puts `store` behind a [`CachedStore`] when a cache is configured.
+fn wrap_cache(
+    store: Arc<dyn TableStore>,
+    cache: Option<Arc<BlockCache>>,
+    obs: &ObserverHandle,
+) -> Arc<dyn TableStore> {
+    match cache {
+        Some(cache) => {
+            Arc::new(CachedStore::with_observer(store, cache, obs.clone()))
+        }
+        None => store,
+    }
+}
+
+/// Opens the write-ahead log at `path`, reporting to `obs`.
+pub(crate) fn open_wal(path: &Path, obs: &ObserverHandle) -> Result<Wal> {
+    let mut wal = Wal::open(path)?;
+    wal.attach_observer(obs.clone());
+    Ok(wal)
+}
+
+/// Opens the manifest at `path`, reporting to `obs`, and re-seeds it with
+/// `version`'s levels so it is authoritative for the state it is attached
+/// to from its first record on.
+pub(crate) fn open_manifest(
+    path: &Path,
+    obs: &ObserverHandle,
+    version: &Version,
+) -> Result<Manifest> {
+    let mut manifest = Manifest::open(path)?;
+    manifest.attach_observer(obs.clone());
+    manifest.rewrite_levels(version.run().tables(), version.l0())?;
+    Ok(manifest)
+}
+
+/// Joins an engine's WAL and manifest (those it has) to `plan`'s op
+/// schedule.
+pub(crate) fn attach_faults(
+    plan: &Arc<FaultPlan>,
+    wal: Option<&mut Wal>,
+    manifest: Option<&mut Manifest>,
+) {
+    if let Some(wal) = wal {
+        wal.attach_faults(Arc::clone(plan));
+    }
+    if let Some(manifest) = manifest {
+        manifest.attach_faults(Arc::clone(plan));
+    }
+}

@@ -11,12 +11,18 @@
 //! garbage-collect orphan `.sst` files leaked by a crash mid-compaction
 //! (opt-in: see [`RecoveryOptions::gc_orphans`]).
 
-use seplsm_types::{Result, TimeRange};
+use std::path::Path;
+
+use seplsm_types::{DataPoint, Error, Result, TimeRange};
 
 use crate::invariants::probe_table;
+use crate::level::Run;
+use crate::manifest::Manifest;
 use crate::obs::{Event, ObserverHandle, RecoveryStepKind};
 use crate::sstable::{SsTableId, SsTableMeta};
 use crate::store::TableStore;
+use crate::version::Version;
+use crate::wal::Wal;
 
 /// How recovery reacts to damage it finds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,7 +36,7 @@ pub enum RecoveryMode {
     Salvage,
 }
 
-/// Options for the `recover_with` constructors.
+/// Options for `open_or_recover` on any of the three builders.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryOptions {
     /// Strict or salvage handling of damage.
@@ -126,6 +132,143 @@ impl RecoveryReport {
         });
         self.lost_ranges.push(meta.range);
     }
+}
+
+/// Rebuilds the table-level state a stopped engine left behind — the one
+/// routine every engine recovers its [`Version`] through.
+///
+/// With a `manifest` the levels are replayed from it in O(metadata);
+/// without one the run is reconstructed by reading every stored table.
+/// Strict mode aborts on the first damage. Salvage mode uses the longest
+/// valid manifest prefix, quarantines tables that are unreadable, empty or
+/// disagree with their metadata, resolves run overlaps in favour of the
+/// newer table (a crashed merge can leave both an old table and the table
+/// that re-wrote it), and names every loss in `report`.
+///
+/// `allow_l0` is the caller's layout: an engine with an L0 keeps the
+/// manifest's L0 tables (probed only — L0 tables overlap by design); an
+/// engine without one rejects a manifest that has any, in either mode,
+/// because that is a different engine's manifest, not damage.
+///
+/// # Errors
+/// Strict mode: any damage. Salvage mode: store failures while
+/// quarantining, or a run that still overlaps after resolution.
+pub(crate) fn rebuild_version(
+    store: &dyn TableStore,
+    manifest: Option<&Path>,
+    mode: RecoveryMode,
+    allow_l0: bool,
+    report: &mut RecoveryReport,
+    obs: &ObserverHandle,
+) -> Result<Version> {
+    let salvage = mode == RecoveryMode::Salvage;
+    let (mut run, mut l0) = match manifest {
+        Some(path) if salvage => {
+            let (run, l0, dropped) = Manifest::replay_levels_salvage(path)?;
+            report.manifest_records_dropped += dropped;
+            (run, l0)
+        }
+        Some(path) => Manifest::replay_levels(path)?,
+        None => (scan_store(store, salvage, report, obs)?, Vec::new()),
+    };
+    if !allow_l0 && !l0.is_empty() {
+        return Err(Error::Corrupt(
+            "manifest contains L0 records; recover with TieredEngine".into(),
+        ));
+    }
+    if salvage {
+        run = salvage_tables(store, run, report, obs)?;
+        if allow_l0 {
+            l0 = probe_tables(store, l0, report, obs)?;
+        }
+    }
+    if manifest.is_some() {
+        let replayed = (run.len() + l0.len()) as u64;
+        obs.emit(|| Event::RecoveryStep {
+            step: RecoveryStepKind::ManifestReplayed,
+            items: replayed,
+        });
+    }
+    Ok(Version::from_levels(Run::from_tables(run)?, l0))
+}
+
+/// The manifest-less fallback of [`rebuild_version`]: describes every
+/// stored table by decoding it. An unreadable or empty table is an error
+/// in strict mode and is quarantined (range unknown) in salvage mode.
+fn scan_store(
+    store: &dyn TableStore,
+    salvage: bool,
+    report: &mut RecoveryReport,
+    obs: &ObserverHandle,
+) -> Result<Vec<SsTableMeta>> {
+    let mut metas = Vec::new();
+    let mut scanned = 0u64;
+    for id in store.list()? {
+        scanned += 1;
+        let err = match store.get(id) {
+            Ok(points) if !points.is_empty() => {
+                metas.push(SsTableMeta::describe(id, &points));
+                continue;
+            }
+            Ok(_) => Error::Corrupt(format!("table {id} is empty")),
+            Err(err) => err,
+        };
+        if !salvage {
+            return Err(err);
+        }
+        store.quarantine(id)?;
+        obs.emit(|| Event::Quarantine { table: id.0 });
+        report.quarantined.push(QuarantinedTable {
+            id,
+            range: None,
+            reason: err.to_string(),
+        });
+    }
+    obs.emit(|| Event::RecoveryStep {
+        step: RecoveryStepKind::StoreScanned,
+        items: scanned,
+    });
+    Ok(metas)
+}
+
+/// Replays the write-ahead log at `path` into `engine`'s buffers, then
+/// re-seeds it: every surviving record (strict: all of them or an error;
+/// salvage: the longest valid prefix, the rest counted in `report`) goes
+/// through `reinsert` — the engine's own append path minus the logging, so
+/// a replay can trigger flushes — and the log is then rewritten to
+/// `survivors(engine)`, the points still volatile after that. Returns the
+/// reopened log for the engine to keep appending to.
+///
+/// # Errors
+/// A damaged log in strict mode; whatever `reinsert` fails with; I/O
+/// failures reopening or rewriting the log.
+pub(crate) fn replay_wal<E>(
+    engine: &mut E,
+    path: &Path,
+    mode: RecoveryMode,
+    report: &mut RecoveryReport,
+    obs: &ObserverHandle,
+    reinsert: impl Fn(&mut E, DataPoint) -> Result<()>,
+    survivors: impl Fn(&E) -> Vec<DataPoint>,
+) -> Result<Wal> {
+    let replayed = match mode {
+        RecoveryMode::Strict => Wal::replay(path)?,
+        RecoveryMode::Salvage => {
+            let (points, dropped) = Wal::replay_salvage(path)?;
+            report.wal_records_dropped += dropped;
+            points
+        }
+    };
+    obs.emit(|| Event::RecoveryStep {
+        step: RecoveryStepKind::WalReplayed,
+        items: replayed.len() as u64,
+    });
+    for p in replayed {
+        reinsert(engine, p)?;
+    }
+    let mut wal = crate::open::open_wal(path, obs)?;
+    wal.rewrite(&survivors(engine))?;
+    Ok(wal)
 }
 
 /// Probes every candidate table against the store and quarantines the ones

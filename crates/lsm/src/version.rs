@@ -12,6 +12,7 @@
 //! same edits drive manifest recording ([`Version::record`]), so the
 //! durable log can never disagree with the in-memory state it mirrors.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use seplsm_types::{DataPoint, Result, Timestamp};
@@ -98,6 +99,17 @@ impl Version {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         }
+    }
+
+    /// Ids of every table the version references (run + L0) — the set an
+    /// orphan sweep must keep and a stale read view is checked against.
+    pub fn live_table_ids(&self) -> HashSet<SsTableId> {
+        self.run
+            .tables()
+            .iter()
+            .chain(&self.l0)
+            .map(|m| m.id)
+            .collect()
     }
 
     /// Applies `edits` in order, atomically: on any failure the version is

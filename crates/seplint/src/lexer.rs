@@ -172,7 +172,7 @@ pub fn lex(src: &str) -> LexOutput {
     out
 }
 
-/// Records `seplint: allow(R1, R2): why` directives found in a comment.
+/// Records `seplint: allow(R3, R4): why` directives found in a comment.
 fn collect_allows(
     comment: &str,
     line: usize,
@@ -367,13 +367,13 @@ mod tests {
 
     #[test]
     fn allow_directives_are_collected() {
-        let src = "x(); // seplint: allow(R1): test harness only\ny();";
+        let src = "x(); // seplint: allow(R3): test harness only\ny();";
         let out = lex(src);
-        assert_eq!(out.allows, vec![(1, "R1".to_string())]);
-        assert!(out.is_allowed(1, "R1"));
-        assert!(out.is_allowed(2, "R1"), "next line is covered too");
-        assert!(!out.is_allowed(1, "R2"));
-        assert!(!out.is_allowed(3, "R1"));
+        assert_eq!(out.allows, vec![(1, "R3".to_string())]);
+        assert!(out.is_allowed(1, "R3"));
+        assert!(out.is_allowed(2, "R3"), "next line is covered too");
+        assert!(!out.is_allowed(1, "R4"));
+        assert!(!out.is_allowed(3, "R3"));
     }
 
     #[test]

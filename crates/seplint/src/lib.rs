@@ -1,11 +1,10 @@
 //! `seplint` — the workspace's own static-analysis pass.
 //!
 //! An offline, dependency-free lint binary that mechanically enforces the
-//! storage-kernel contracts the test suite can only probabilistically
-//! witness:
+//! storage-kernel contracts of the `lsm` crate that the test suite can only
+//! probabilistically witness and that neither rustc nor clippy knows about
+//! (panic-freedom and `unsafe`-freedom are theirs: see `[workspace.lints]`):
 //!
-//! * **R1** — library crates never `unwrap`/`expect`/`panic!` outside tests.
-//! * **R2** — every library crate root carries `#![forbid(unsafe_code)]`.
 //! * **R3** — deterministic kernel modules never read wall clocks or touch
 //!   threads.
 //! * **R4** — public kernel functions that can panic must return `Result`.
@@ -41,9 +40,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use callgraph::{module_matches, CallGraph};
-
-/// Library crates subject to R1 (no panics) and R2 (forbid unsafe).
-pub const LIB_CRATES: &[&str] = &["types", "dist", "core", "lsm", "workload"];
 
 /// Deterministic kernel modules subject to R3 and R4 — the pure state
 /// machines that replay, crash-schedule exploration and proptest shrinking
@@ -100,7 +96,7 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line.
     pub line: usize,
-    /// Rule id (`"R1"` .. `"R9"`).
+    /// Rule id (`"R3"` .. `"R9"`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -119,49 +115,38 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Lints every library crate under `root/crates`, returning all findings
-/// sorted by file then line. Runs in two passes: first every `.rs` file of
-/// the `lsm` crate is read and indexed into a [`CallGraph`], then each file
-/// is linted with cross-file call edges available to R5 and R8.
+/// Lints the `lsm` crate under `root/crates`, returning all findings sorted
+/// by file then line. Runs in two passes: first every `.rs` file of the
+/// crate is read and indexed into a [`CallGraph`], then each file is linted
+/// with cross-file call edges available to R5 and R8.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
+    let src_dir = root.join("crates").join("lsm").join("src");
+    if !src_dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("the `lsm` crate not found at {}", src_dir.display()),
+        ));
+    }
+    let mut sources = Vec::new();
+    for file in rust_files(&src_dir)? {
+        let src = fs::read_to_string(&file)?;
+        sources.push((file, src));
+    }
+    let graph = CallGraph::build(&sources);
     let mut out = Vec::new();
-    for name in LIB_CRATES {
-        let src_dir = root.join("crates").join(name).join("src");
-        if !src_dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!(
-                    "library crate `{name}` not found at {}",
-                    src_dir.display()
-                ),
-            ));
-        }
-        let mut sources = Vec::new();
-        for file in rust_files(&src_dir)? {
-            let src = fs::read_to_string(&file)?;
-            sources.push((file, src));
-        }
-        // The cross-file graph only matters for `lsm` (the sole crate with
-        // R5/R8 scope); other crates lint with an empty graph.
-        let graph = if *name == "lsm" {
-            CallGraph::build(&sources)
-        } else {
-            CallGraph::empty()
-        };
-        for (file, src) in &sources {
-            out.extend(lint_file_with(file, src, name, &graph));
-        }
+    for (file, src) in &sources {
+        out.extend(lint_file_with(file, src, &graph));
     }
     out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     Ok(out)
 }
 
-/// Applies every rule whose scope matches `file` (which lives in library
-/// crate `crate_name`), resolving helper calls within this file only.
-/// Prefer [`lint_workspace`], which supplies the crate-wide graph.
-pub fn lint_file(file: &Path, src: &str, crate_name: &str) -> Vec<Violation> {
+/// Applies every rule whose scope matches `file` (a file of the `lsm`
+/// crate), resolving helper calls within this file only. Prefer
+/// [`lint_workspace`], which supplies the crate-wide graph.
+pub fn lint_file(file: &Path, src: &str) -> Vec<Violation> {
     let graph = CallGraph::build(&[(file.to_path_buf(), src.to_string())]);
-    lint_file_with(file, src, crate_name, &graph)
+    lint_file_with(file, src, &graph)
 }
 
 /// Applies every rule whose scope matches `file`, resolving calls through
@@ -169,34 +154,28 @@ pub fn lint_file(file: &Path, src: &str, crate_name: &str) -> Vec<Violation> {
 pub fn lint_file_with(
     file: &Path,
     src: &str,
-    crate_name: &str,
     graph: &CallGraph,
 ) -> Vec<Violation> {
-    let mut out = rules::no_panics(file, src);
+    let mut out = Vec::new();
     let base = file
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or_default();
-    if base == "lib.rs" {
-        out.extend(rules::forbids_unsafe(file, src));
-    }
-    if crate_name == "lsm" && KERNEL_MODULES.contains(&base) {
+    if KERNEL_MODULES.contains(&base) {
         out.extend(rules::deterministic_kernel(file, src));
         out.extend(rules::kernel_returns_results(file, src));
     }
-    if crate_name == "lsm" && ORDERING_MODULES.contains(&base) {
+    if ORDERING_MODULES.contains(&base) {
         out.extend(rules::durability_order_with(file, src, graph));
         out.extend(rules::event_coverage(file, src));
     }
-    if crate_name == "lsm" && DURABILITY_MODULES.contains(&base) {
+    if DURABILITY_MODULES.contains(&base) {
         out.extend(rules::rename_syncs_dir(file, src));
     }
-    if crate_name == "lsm"
-        && DECODER_MODULES.iter().any(|m| module_matches(file, m))
-    {
+    if DECODER_MODULES.iter().any(|m| module_matches(file, m)) {
         out.extend(rules::untrusted_len(file, src));
     }
-    if crate_name == "lsm" && LOCK_MODULES.contains(&base) {
+    if LOCK_MODULES.contains(&base) {
         out.extend(rules::lock_discipline_with(file, src, graph));
     }
     out

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
             if json {
                 println!("{}", to_json(&violations));
             } else if violations.is_empty() {
-                println!("seplint: ok (R1-R9 clean)");
+                println!("seplint: ok (R3-R9 clean)");
             } else {
                 for v in &violations {
                     eprintln!("{v}");

@@ -1,9 +1,7 @@
-//! The nine storage-kernel rules, R1–R9, over lexed token streams.
+//! The seven storage-kernel rules, R3–R9, over lexed token streams.
 //!
 //! | rule | scope | contract |
 //! |------|-------|----------|
-//! | R1 | library crates | no `unwrap` / `expect` / `panic!` outside tests |
-//! | R2 | library crate roots | `#![forbid(unsafe_code)]` present |
 //! | R3 | kernel modules | no wall-clock or thread calls (determinism) |
 //! | R4 | kernel modules | panicking `pub fn`s must return `Result` |
 //! | R5 | engine modules | WAL-before-buffer, cover-before-truncate |
@@ -15,6 +13,10 @@
 //! R5 and R8 judge helper calls through the crate-wide
 //! [`CallGraph`](crate::callgraph::CallGraph), so a contract split across
 //! files is checked at the call site instead of being invisible.
+//!
+//! Rule numbering starts at R3: R1 (no panics in library code) and R2
+//! (`forbid(unsafe_code)`) are the workspace's clippy/rustc lints now
+//! (`[workspace.lints]` in the root `Cargo.toml`).
 //!
 //! Every rule honours `// seplint: allow(Rn): reason` on the offending
 //! line or the line above, and none of them look inside `#[cfg(test)]`
@@ -59,51 +61,6 @@ fn violation(
         line,
         rule,
         message: message.into(),
-    }
-}
-
-/// R1: no `.unwrap()`, `.expect(...)` or `panic!` in library code.
-/// (`unwrap_or`, `unwrap_or_default`, `debug_assert!` etc. are distinct
-/// identifiers and naturally unaffected.)
-pub fn no_panics(path: &Path, src: &str) -> Vec<Violation> {
-    let lexed = lex(src);
-    let tokens = strip_test_items(&lexed.tokens);
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        let offense = match id {
-            "unwrap" | "expect" if i > 0 && tokens[i - 1].is_punct('.') => {
-                format!("`.{id}()` in library code; return the error instead")
-            }
-            "panic" if tokens.get(i + 1).is_some_and(|n| n.is_punct('!')) => {
-                "`panic!` in library code; return `Error` instead".into()
-            }
-            _ => continue,
-        };
-        if !lexed.is_allowed(t.line, "R1") {
-            out.push(violation(path, t.line, "R1", offense));
-        }
-    }
-    out
-}
-
-/// R2: the crate root must carry `#![forbid(unsafe_code)]`.
-pub fn forbids_unsafe(path: &Path, src: &str) -> Vec<Violation> {
-    let lexed = lex(src);
-    let found = lexed.tokens.windows(3).any(|w| {
-        w[0].is_ident("forbid")
-            && w[1].is_punct('(')
-            && w[2].is_ident("unsafe_code")
-    });
-    if found || lexed.is_allowed(1, "R2") {
-        Vec::new()
-    } else {
-        vec![violation(
-            path,
-            1,
-            "R2",
-            "library crate root is missing `#![forbid(unsafe_code)]`",
-        )]
     }
 }
 

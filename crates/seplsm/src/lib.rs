@@ -14,10 +14,10 @@
 //! The most common items are additionally re-exported at the crate root.
 //!
 //! ```
-//! use seplsm::{DataPoint, EngineConfig, LsmEngine, Policy};
+//! use seplsm::{DataPoint, EngineConfig, OpenOptions, Policy};
 //!
 //! let mut engine =
-//!     LsmEngine::in_memory(EngineConfig::new(Policy::conventional(512)))?;
+//!     OpenOptions::new(EngineConfig::new(Policy::conventional(512))).open()?;
 //! engine.append(DataPoint::new(0, 3, 21.5))?;
 //! assert_eq!(engine.scan_all()?.len(), 1);
 //! # Ok::<(), seplsm::Error>(())
@@ -88,3 +88,9 @@ pub mod prelude {
         DataPoint, Error, Policy, Result, TimeRange, Timestamp,
     };
 }
+
+/// The README's snippets, compiled (and, unless `no_run`, run) as doc-tests
+/// so they cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

@@ -12,13 +12,13 @@
 use std::sync::Arc;
 
 use seplsm::{
-    tune, DelayDistribution, Empirical, EngineConfig, LsmEngine, Policy,
+    tune, DelayDistribution, Empirical, EngineConfig, OpenOptions, Policy,
     Result, SyntheticWorkload, TunerOptions, WaModel,
 };
 use seplsm_dist::{LogNormal, Mixture, Shifted};
 
 fn measure(points: &[seplsm::DataPoint], policy: Policy) -> Result<f64> {
-    let mut engine = LsmEngine::in_memory(EngineConfig::new(policy))?;
+    let mut engine = OpenOptions::new(EngineConfig::new(policy)).open()?;
     for p in points {
         engine.append(*p)?;
     }

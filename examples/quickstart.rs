@@ -5,13 +5,14 @@
 //! cargo run --release -p seplsm --example quickstart
 //! ```
 
-use seplsm::{DataPoint, EngineConfig, LsmEngine, Policy, Result, TimeRange};
+use seplsm::{DataPoint, EngineConfig, OpenOptions, Policy, Result, TimeRange};
 
 fn main() -> Result<()> {
     // A leveled LSM engine with the conventional policy: one 512-point
     // MemTable, 512-point SSTables (the paper's defaults).
     let mut engine =
-        LsmEngine::in_memory(EngineConfig::new(Policy::conventional(512)))?;
+        OpenOptions::new(EngineConfig::new(Policy::conventional(512)))
+            .open()?;
 
     // Sensor readings once per 50 ms. Every tenth reading is delayed long
     // enough to arrive out of order.

@@ -11,12 +11,12 @@
 //! ```
 
 use seplsm::{
-    AdaptiveConfig, AdaptiveOpen, DataPoint, EngineConfig, LsmEngine,
-    OpenOptions, Policy, Result, VehicleWorkload,
+    AdaptiveConfig, AdaptiveOpen, DataPoint, EngineConfig, OpenOptions, Policy,
+    Result, VehicleWorkload,
 };
 
 fn static_wa(points: &[DataPoint], policy: Policy) -> Result<f64> {
-    let mut engine = LsmEngine::in_memory(EngineConfig::new(policy))?;
+    let mut engine = OpenOptions::new(EngineConfig::new(policy)).open()?;
     for p in points {
         engine.append(*p)?;
     }

@@ -22,7 +22,7 @@ fi
 
 # seplint emits machine-readable findings so a CI failure names the exact
 # file/line/rule instead of burying it in the build log.
-echo "== seplint (R1-R9 storage-kernel contracts) =="
+echo "== seplint (R3-R9 storage-kernel contracts) =="
 SEPLINT_JSON="$(mktemp)"
 if cargo run -q -p seplint --offline -- --format json . >"$SEPLINT_JSON"; then
   rm -f "$SEPLINT_JSON"
@@ -139,9 +139,18 @@ print(f"perf smoke OK: burst p99 {ingest['p99']:.1f}us with "
 PYEOF
 rm -rf "$PERF_DIR"
 
+# Frozen-benchmark lane: `benchmark/` (a cargo workspace of its own) is the
+# instrument every later PR is judged with and may not change with the code
+# it measures, so an engine-API change that breaks `benchmark/src/adapter.rs`
+# has to fail here. The smoke run builds it against this checkout and drives
+# all five workloads at 1/50 size; it exits non-zero on a build error, a
+# failed operation or an answer that differs from the oracle.
+echo "== benchmark smoke (frozen adapter contract) =="
+bash benchmark/run.sh --smoke --seconds 10 >/dev/null
+
 # Opt-in undefined-behaviour lane: MIRI=1 scripts/ci.sh runs the kernel's
 # memtable/buffer unit tests under miri when the component is installed.
-# The workspace forbids unsafe code (seplint R2), so this mainly guards the
+# The workspace forbids unsafe code (`[workspace.lints.rust]`), so this mainly guards the
 # vendored shims.
 if [[ "${MIRI:-0}" == "1" ]]; then
   if cargo miri --version >/dev/null 2>&1; then

@@ -4,16 +4,17 @@
 
 use seplsm::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveOpen, AnalyzerConfig,
-    ArbiterConfig, EngineConfig, Event, LsmEngine, MultiOpenOptions,
-    OpenOptions, Policy, RingBufferSink, SeriesId,
+    ArbiterConfig, EngineConfig, Event, MultiOpenOptions, OpenOptions, Policy,
+    RingBufferSink, SeriesId,
 };
 use seplsm_types::DataPoint;
 use seplsm_workload::DynamicWorkload;
 
 fn static_wa(points: &[DataPoint], policy: Policy, sstable: usize) -> f64 {
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable),
     )
+    .open()
     .expect("engine");
     for p in points {
         engine.append(*p).expect("append");

@@ -9,13 +9,14 @@ use seplsm::{
     VehicleWorkload, WaModel,
 };
 use seplsm_dist::Empirical;
-use seplsm_lsm::{DiskModel, MemStore, TieredEngine};
+use seplsm_lsm::{DiskModel, OpenOptions, TieredOpenOptions};
 use seplsm_workload::{paper_dataset, HistoricalQueries, RecentQueries};
 
 fn ingest(points: &[DataPoint], policy: Policy, sstable: usize) -> LsmEngine {
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable),
     )
+    .open()
     .expect("engine");
     for p in points {
         engine.append(*p).expect("append");
@@ -89,10 +90,10 @@ fn recent_stats_tiered(
     queries: RecentQueries,
 ) -> (f64, f64, f64) {
     let disk = DiskModel::hdd();
-    let mut engine = TieredEngine::new(
+    let mut engine = TieredOpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(512),
-        Arc::new(MemStore::new()),
     )
+    .open()
     .expect("engine");
     let (mut ra, mut lat, mut tbl) = (0.0, 0.0, 0.0);
     let (mut ra_n, mut n) = (0u32, 0u32);
@@ -140,12 +141,12 @@ fn fig14_pipeline_separation_wins_historical_queries_under_disorder() {
     let mut tables = Vec::new();
     let mut latencies = Vec::new();
     for policy in [Policy::conventional(512), recommended] {
-        let mut engine = TieredEngine::new(
+        let mut engine = TieredOpenOptions::new(
             EngineConfig::new(policy).with_sstable_points(512),
-            Arc::new(MemStore::new()),
         )
-        .expect("engine")
-        .with_sync_flush();
+        .sync_flush()
+        .open()
+        .expect("engine");
         let mut min_gen = i64::MAX;
         for p in &dataset {
             engine.append(*p).expect("append");
@@ -263,10 +264,10 @@ fn table3_pipeline_background_compaction_keeps_throughput_comparable() {
         Policy::conventional(512),
         Policy::separation_even(512).expect("policy"),
     ] {
-        let mut engine = TieredEngine::new(
+        let mut engine = TieredOpenOptions::new(
             EngineConfig::new(policy).with_sstable_points(512),
-            Arc::new(MemStore::new()),
         )
+        .open()
         .expect("engine");
         let start = std::time::Instant::now();
         for p in &dataset {

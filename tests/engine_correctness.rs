@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use seplsm::{
-    DataPoint, EngineConfig, Event, LsmEngine, OpenOptions, Policy,
-    RingBufferSink, TimeRange,
+    DataPoint, EngineConfig, Event, OpenOptions, Policy, RingBufferSink,
+    TimeRange,
 };
 
 /// A deterministic scramble of `0..n` (affine permutation).
@@ -37,9 +37,7 @@ proptest! {
         delay_scale in 0i64..2000,
     ) {
         let order = scramble(count, offset);
-        let mut engine = LsmEngine::in_memory(
-            EngineConfig::new(policy).with_sstable_points(sstable),
-        ).expect("engine");
+        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(sstable)).open().expect("engine");
         for &i in &order {
             let tg = i as i64 * 10;
             // Delay pattern derived from the index: deterministic, mixed.
@@ -65,9 +63,7 @@ proptest! {
         q_len in 0i64..3000,
     ) {
         let order = scramble(count, offset);
-        let mut engine = LsmEngine::in_memory(
-            EngineConfig::new(policy).with_sstable_points(8),
-        ).expect("engine");
+        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(8)).open().expect("engine");
         let mut reference = Vec::new();
         for &i in &order {
             let tg = i as i64 * 10;
@@ -95,9 +91,7 @@ proptest! {
         policy in arb_policy(16),
         rewrite_every in 2usize..10,
     ) {
-        let mut engine = LsmEngine::in_memory(
-            EngineConfig::new(policy).with_sstable_points(8),
-        ).expect("engine");
+        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(8)).open().expect("engine");
         for i in 0..count {
             let tg = i as i64 * 10;
             engine.append(DataPoint::new(tg, tg, i as f64)).expect("append");
@@ -122,9 +116,7 @@ proptest! {
         count in 1usize..200,
         policy in arb_policy(16),
     ) {
-        let mut engine = LsmEngine::in_memory(
-            EngineConfig::new(policy).with_sstable_points(8),
-        ).expect("engine");
+        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(8)).open().expect("engine");
         for &i in &scramble(count, 3) {
             let tg = i as i64 * 10;
             engine
@@ -145,9 +137,7 @@ proptest! {
         first in arb_policy(16),
         second in arb_policy(16),
     ) {
-        let mut engine = LsmEngine::in_memory(
-            EngineConfig::new(first).with_sstable_points(8),
-        ).expect("engine");
+        let mut engine = OpenOptions::new(EngineConfig::new(first).with_sstable_points(8)).open().expect("engine");
         let half = count / 2;
         for &i in &scramble(count, 1) {
             if i < half {
@@ -175,9 +165,10 @@ proptest! {
 #[test]
 fn write_amplification_is_at_least_one_after_flush() {
     // Once everything is flushed, every user point was written at least once.
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
     )
+    .open()
     .expect("engine");
     for &i in &scramble(500, 11) {
         let tg = i as i64 * 10;

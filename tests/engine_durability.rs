@@ -162,7 +162,10 @@ fn corrupted_table_is_reported_not_returned() {
     {
         let store =
             Arc::new(FileStore::open(dir.path("tables")).expect("store"));
-        let mut engine = LsmEngine::new(config.clone(), store).expect("engine");
+        let mut engine = OpenOptions::new(config.clone())
+            .store(store)
+            .open()
+            .expect("engine");
         write_points(&mut engine, 64);
         engine.flush_all().expect("flush");
     }
@@ -259,7 +262,10 @@ fn store_without_wal_recovers_flushed_state() {
     {
         let store =
             Arc::new(FileStore::open(dir.path("tables")).expect("store"));
-        let mut engine = LsmEngine::new(config.clone(), store).expect("engine");
+        let mut engine = OpenOptions::new(config.clone())
+            .store(store)
+            .open()
+            .expect("engine");
         write_points(&mut engine, 160);
         engine.flush_all().expect("flush");
     }

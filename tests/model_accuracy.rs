@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use seplsm::{
-    tune, EngineConfig, LogNormal, LsmEngine, Policy, SyntheticWorkload,
+    tune, EngineConfig, LogNormal, OpenOptions, Policy, SyntheticWorkload,
     TunerOptions, WaModel, ZetaModel,
 };
 use seplsm_types::DataPoint;
@@ -25,7 +25,7 @@ fn measure_metrics(
     if probe {
         config = config.with_subsequent_probe();
     }
-    let mut engine = LsmEngine::in_memory(config).expect("engine");
+    let mut engine = OpenOptions::new(config).open().expect("engine");
     for p in points {
         engine.append(*p).expect("append");
     }

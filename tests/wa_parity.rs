@@ -9,15 +9,16 @@
 
 use seplsm::lsm::Metrics;
 use seplsm::{
-    paper_dataset, DataPoint, EngineConfig, LogNormal, LsmEngine, Policy,
+    paper_dataset, DataPoint, EngineConfig, LogNormal, OpenOptions, Policy,
     SyntheticWorkload,
 };
 
 /// The fig07/fig09 driver loop: ingest in arrival order, return metrics.
 fn measure_wa(points: &[DataPoint], policy: Policy, sstable: usize) -> Metrics {
-    let mut engine = LsmEngine::in_memory(
+    let mut engine = OpenOptions::new(
         EngineConfig::new(policy).with_sstable_points(sstable),
     )
+    .open()
     .expect("engine");
     for p in points {
         engine.append(*p).expect("append");
