@@ -550,42 +550,38 @@ impl TieredEngine {
                     let handed_off = batch.len() as u64;
                     worker_obs
                         .emit(|| Event::FlushStarted { points: handed_off });
-                    let mut tables = Vec::new();
-                    let mut written = 0u64;
-                    let mut bytes = 0u64;
-                    let mut flush_failure = None;
-                    for chunk in batch.chunks(sstable_points) {
+                    let chunks: Vec<&[DataPoint]> =
+                        batch.chunks(sstable_points).collect();
+                    let stored =
                         match retry_store(&worker_state, &worker_obs, || {
-                            worker_store.put(chunk)
+                            worker_store.put_batch(&chunks)
                         }) {
-                            Ok((meta, size)) => {
-                                written += chunk.len() as u64;
-                                bytes += size as u64;
-                                // A fresh L0 table is consumed by the next
-                                // merge-compaction: cache its blocks with
-                                // the weaker short-lived priority.
-                                worker_store.note_short_lived(meta.id);
-                                tables.push(meta);
-                            }
+                            Ok(stored) => stored,
                             Err(e) => {
-                                flush_failure = Some(e);
-                                break;
+                                // Retries exhausted: enter the degraded
+                                // read-only state instead of panicking. The
+                                // batch stays a registered flushing MemTable
+                                // (still queryable, still WAL-covered); any
+                                // tables a failed attempt did publish are
+                                // orphans for recovery-time GC.
+                                enter_degraded(
+                                    &worker_state,
+                                    &worker_degraded,
+                                    DegradedOp::FlushWrite,
+                                    &e,
+                                );
+                                return Ok(());
                             }
-                        }
-                    }
-                    if let Some(e) = flush_failure {
-                        // Retries exhausted: enter the degraded read-only
-                        // state instead of panicking. The partially stored
-                        // batch stays a registered flushing MemTable (still
-                        // queryable, still WAL-covered); any chunks that did
-                        // land are orphans for recovery-time GC.
-                        enter_degraded(
-                            &worker_state,
-                            &worker_degraded,
-                            DegradedOp::FlushWrite,
-                            &e,
-                        );
-                        return Ok(());
+                        };
+                    let bytes: u64 =
+                        stored.iter().map(|(_, size)| *size as u64).sum();
+                    let tables: Vec<SsTableMeta> =
+                        stored.into_iter().map(|(meta, _)| meta).collect();
+                    for meta in &tables {
+                        // A fresh L0 table is consumed by the next
+                        // merge-compaction: cache its blocks with the weaker
+                        // short-lived priority.
+                        worker_store.note_short_lived(meta.id);
                     }
                     let tables_created = tables.len() as u64;
                     let mut state = worker_state.lock();
@@ -606,13 +602,13 @@ impl TieredEngine {
                     if let Some(manifest) = manifest.as_mut() {
                         version.record(manifest, &edits)?;
                     }
-                    metrics.disk_points_written += written;
+                    metrics.disk_points_written += handed_off;
                     metrics.disk_bytes_written += bytes;
                     metrics.tables_created += tables_created;
                     metrics.flushes += 1;
                     worker_obs.emit(|| Event::FlushFinished {
                         tables: tables_created,
-                        points: written,
+                        points: handed_off,
                     });
                     let backlog =
                         state.version.l0().len() >= L0_COMPACT_THRESHOLD;
@@ -1160,6 +1156,14 @@ impl TieredEngine {
         // the discipline is uniform: no guard across store I/O).
         let (metrics, run_metas) = {
             let mut state = self.state.lock();
+            // The engine comes to rest here: shed the manifest's dead
+            // records.
+            let TierState {
+                version, manifest, ..
+            } = &mut *state;
+            if let Some(manifest) = manifest.as_mut() {
+                version.compact_manifest(manifest)?;
+            }
             state.metrics.user_points = self.user_points;
             (state.metrics.clone(), state.version.run().tables().to_vec())
         };

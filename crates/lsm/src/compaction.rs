@@ -133,7 +133,8 @@ pub struct PreparedCompaction {
 }
 
 /// Phase 1 of plan execution: announces the plan (`FlushStarted` /
-/// `CompactionPlanned`) and writes every output table to the store. Touches
+/// `CompactionPlanned`) and publishes every output table as one
+/// [`TableStore::put_batch`]. Touches
 /// no version, manifest or metrics state, so callers may run it without
 /// holding any engine lock.
 ///
@@ -156,13 +157,11 @@ pub fn write_outputs(
             rewritten: plan.rewritten_points,
         });
     }
-    let mut added = Vec::with_capacity(plan.outputs.len());
-    let mut bytes_written = 0u64;
-    for chunk in &plan.outputs {
-        let (meta, size) = store.put(chunk)?;
-        bytes_written += size as u64;
-        added.push(meta);
-    }
+    let chunks: Vec<&[DataPoint]> =
+        plan.outputs.iter().map(Vec::as_slice).collect();
+    let stored = store.put_batch(&chunks)?;
+    let bytes_written = stored.iter().map(|(_, size)| *size as u64).sum();
+    let added = stored.into_iter().map(|(meta, _)| meta).collect();
     Ok(PreparedCompaction {
         plan,
         added,
@@ -302,9 +301,9 @@ pub fn execute_append(
     }
     let written = points.len() as u64;
     obs.emit(|| Event::FlushStarted { points: written });
-    let mut edits = Vec::new();
-    for chunk in points.chunks(sstable_points) {
-        let (meta, size) = store.put(chunk)?;
+    let chunks: Vec<&[DataPoint]> = points.chunks(sstable_points).collect();
+    let mut edits = Vec::with_capacity(chunks.len());
+    for (meta, size) in store.put_batch(&chunks)? {
         metrics.disk_bytes_written += size as u64;
         metrics.tables_created += 1;
         edits.push(VersionEdit::AppendRun(meta));

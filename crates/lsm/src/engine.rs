@@ -524,6 +524,10 @@ impl LsmEngine {
         if let Some(wal) = self.wal.as_mut() {
             wal.sync()?;
         }
+        // The engine comes to rest here: shed the manifest's dead records.
+        if let Some(manifest) = self.manifest.as_mut() {
+            self.version.compact_manifest(manifest)?;
+        }
         self.invariants
             .observe_metrics(&self.version, &self.metrics)
     }

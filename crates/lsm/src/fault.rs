@@ -34,11 +34,12 @@ use crate::store::TableStore;
 /// crash point lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
-    /// `FileStore::put` writing the encoded table to its tmp file.
+    /// `FileStore::put`/`put_batch` writing one encoded table to its tmp
+    /// file.
     StoreWrite,
-    /// `FileStore::put` fsyncing the tmp file.
+    /// `FileStore::put`/`put_batch` fsyncing one tmp file.
     StoreSync,
-    /// `FileStore::put` renaming tmp → final.
+    /// `FileStore::put`/`put_batch` renaming one tmp → final.
     StoreRename,
     /// `FileStore::get`/`get_range` reading a table.
     StoreRead,
@@ -50,11 +51,13 @@ pub enum IoOp {
     WalAppend,
     /// `Wal::sync` flush + fsync.
     WalSync,
-    /// `Wal::rewrite` writing + fsyncing the tmp log.
+    /// `Wal::rewrite` writing + fsyncing the tmp log — or, when nothing
+    /// survives, truncating + fsyncing the live log in place.
     WalRewrite,
     /// `Wal::rewrite` renaming tmp → live.
     WalRename,
-    /// `Manifest::log_add`/`log_add_l0`/`log_remove` writing one record.
+    /// `Manifest::commit` writing one edit group
+    /// (`log_add`/`log_add_l0`/`log_remove`: one record).
     ManifestAppend,
     /// `Manifest::sync` flush + fsync.
     ManifestSync,
@@ -323,6 +326,19 @@ impl<S: TableStore> TableStore for FaultStore<S> {
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
         self.plan.begin(IoOp::StoreWrite)?;
         self.inner.put(points)
+    }
+
+    /// One op per table, all counted before the batch is forwarded, so a
+    /// schedule numbers a batch exactly like the per-chunk puts it replaces
+    /// while the inner store still sees one batch.
+    fn put_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        for _ in chunks {
+            self.plan.begin(IoOp::StoreWrite)?;
+        }
+        self.inner.put_batch(chunks)
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {

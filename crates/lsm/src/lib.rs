@@ -134,7 +134,7 @@ pub use fault::{Fault, FaultPlan, FaultStore, IoOp};
 pub use invariants::InvariantChecker;
 pub use iterator::{merge_sorted, MergeIter};
 pub use level::Run;
-pub use manifest::Manifest;
+pub use manifest::{Manifest, ManifestEdit};
 pub use memtable::MemTable;
 pub use metrics::{Metrics, WaSnapshot};
 pub use multi::{MultiSeriesEngine, SeriesId};

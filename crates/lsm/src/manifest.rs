@@ -1,11 +1,30 @@
-//! The manifest: a durable log of run membership.
+//! The manifest: a durable log of table membership.
 //!
 //! Recovery without a manifest rebuilds the level-1 run by reading and
-//! describing every stored table — O(data).
-//! The manifest makes recovery O(metadata): every table added to or removed
-//! from the run is logged as a fixed-size checksummed record, and the log is
-//! rewritten (compacted) after each merge so it stays proportional to the
-//! live table count.
+//! describing every stored table — O(data). The manifest makes recovery
+//! O(metadata): every table added to or removed from the run or L0 is
+//! logged as a fixed-size checksummed record.
+//!
+//! **Edit groups.** A flush or merge changes several tables at once, and a
+//! half-applied change (outputs added, inputs not yet removed) is not a
+//! state the engine was ever in. [`Manifest::commit`] therefore appends the
+//! whole change as one *edit group* — a header record carrying the body's
+//! record count and CRC-32, then the body records — in a single write,
+//! followed by one fsync: no tmp file, no rename, no directory fsync.
+//! Replay applies a group all or nothing: a group whose body is incomplete
+//! or fails its CRC at the tail of the log is dropped whole (a torn
+//! commit), and [`Manifest::open`] truncates it away before anything is
+//! appended behind it. A single-record change needs no header — one record
+//! is already atomic — so logs written before groups existed are the
+//! degenerate case of this format and replay unchanged.
+//!
+//! **Compaction.** Removed tables leave dead records behind (their add,
+//! the remove, group headers). [`Manifest::compaction_due`] reports when
+//! they would outnumber the live ones; the caller then rewrites the log
+//! from the live tables ([`Manifest::rewrite_levels`]: tmp file, fsync,
+//! rename, directory fsync) instead of appending. Engines also rewrite at
+//! open and at `flush_all`/`finish`, so a log at rest holds exactly one
+//! record per live table and stays proportional to the live table count.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -26,20 +45,65 @@ const TAG_REMOVE: u8 = 2;
 /// A table joining L0 (tiered engines); run-level recovery must use
 /// [`Manifest::replay_levels`] to see these.
 const TAG_ADD_L0: u8 = 3;
+/// Header of an edit group: the id field holds the number of body records
+/// that follow, the first four bytes after it the CRC-32 of the body.
+const TAG_GROUP: u8 = 4;
+/// Every L0 table leaves at once (a merge drained L0).
+const TAG_DRAIN_L0: u8 = 5;
 /// Record payload: tag(1) + id(8) + start(8) + end(8) + count(4).
 const PAYLOAD: usize = 29;
 /// Record: payload + crc32.
 const RECORD: usize = PAYLOAD + 4;
+/// Dead records a log may always carry before [`Manifest::compaction_due`]
+/// fires, so a log of a handful of tables is not rewritten on every merge.
+const COMPACT_MIN_DEAD: u64 = 32;
+
+/// One table-membership change; [`Manifest::commit`] logs a slice of them
+/// as one atomic edit group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ManifestEdit {
+    /// A table joins the run.
+    Add(SsTableMeta),
+    /// A table joins L0.
+    AddL0(SsTableMeta),
+    /// A table leaves whichever level holds it.
+    Remove(SsTableId),
+    /// Every L0 table leaves.
+    DrainL0,
+}
+
+impl ManifestEdit {
+    fn encode(&self) -> [u8; RECORD] {
+        let gone = TimeRange::new(0, 0);
+        match self {
+            Self::Add(m) => encode_record(TAG_ADD, m.id.0, m.range, m.count),
+            Self::AddL0(m) => {
+                encode_record(TAG_ADD_L0, m.id.0, m.range, m.count)
+            }
+            Self::Remove(id) => encode_record(TAG_REMOVE, id.0, gone, 0),
+            Self::DrainL0 => encode_record(TAG_DRAIN_L0, 0, gone, 0),
+        }
+    }
+
+    fn kind(&self) -> ManifestRecordKind {
+        match self {
+            Self::Add(_) => ManifestRecordKind::Add,
+            Self::AddL0(_) => ManifestRecordKind::AddL0,
+            Self::Remove(_) => ManifestRecordKind::Remove,
+            Self::DrainL0 => ManifestRecordKind::DrainL0,
+        }
+    }
+}
 
 fn encode_record(
     tag: u8,
-    id: SsTableId,
+    id: u64,
     range: TimeRange,
     count: u32,
 ) -> [u8; RECORD] {
     let mut rec = [0u8; RECORD];
     rec[0] = tag;
-    rec[1..9].copy_from_slice(&id.0.to_le_bytes());
+    rec[1..9].copy_from_slice(&id.to_le_bytes());
     rec[9..17].copy_from_slice(&range.start.to_le_bytes());
     rec[17..25].copy_from_slice(&range.end.to_le_bytes());
     rec[25..29].copy_from_slice(&count.to_le_bytes());
@@ -48,30 +112,86 @@ fn encode_record(
     rec
 }
 
-/// Walks `data` as a sequence of fixed-size manifest records. Returns
-/// `(good_len, tail_is_garbage)`: `good_len` is the byte length of the
-/// contiguous CRC-valid prefix, and `tail_is_garbage` is true when no
-/// CRC-valid record exists at any record-aligned offset past `good_len`.
-fn scan(data: &[u8]) -> (usize, bool) {
-    let record_ok = |rec: &[u8]| -> bool {
-        let stored = u32::from_le_bytes([
-            rec[PAYLOAD],
-            rec[PAYLOAD + 1],
-            rec[PAYLOAD + 2],
-            rec[PAYLOAD + 3],
-        ]);
-        stored == crc32(&rec[..PAYLOAD])
-    };
-    let mut good_len = 0;
-    while good_len + RECORD <= data.len() {
-        if !record_ok(&data[good_len..good_len + RECORD]) {
-            break;
-        }
-        good_len += RECORD;
+/// The header record of a group whose body is `body`.
+fn encode_group_header(body: &[u8]) -> [u8; RECORD] {
+    let records = (body.len() / RECORD) as u64;
+    let start = i64::from(crc32(body));
+    encode_record(TAG_GROUP, records, TimeRange::new(start, start), 0)
+}
+
+fn record_ok(rec: &[u8]) -> bool {
+    let stored = u32::from_le_bytes([
+        rec[PAYLOAD],
+        rec[PAYLOAD + 1],
+        rec[PAYLOAD + 2],
+        rec[PAYLOAD + 3],
+    ]);
+    stored == crc32(&rec[..PAYLOAD])
+}
+
+/// The CRC-valid record starting at `offset`, if `data` holds one.
+fn record_at(data: &[u8], offset: usize) -> Option<&[u8]> {
+    let rec = data.get(offset..offset.checked_add(RECORD)?)?;
+    record_ok(rec).then_some(rec)
+}
+
+/// Byte length of the body the group header `rec` announces, or `None` for
+/// any other record (or a length no file could hold).
+fn group_body_len(rec: &[u8]) -> Option<usize> {
+    if rec[0] != TAG_GROUP {
+        return None;
     }
-    let mut offset = good_len + RECORD;
-    while offset + RECORD <= data.len() {
-        if record_ok(&data[offset..offset + RECORD]) {
+    let records = usize::try_from(codec::read_u64_le(rec, 1).ok()?).ok()?;
+    records.checked_mul(RECORD)
+}
+
+/// `true` when the group announced by `header` is wholly present at
+/// `body_start`: every body record CRC-valid, and the body CRC matching.
+fn group_complete(
+    data: &[u8],
+    header: &[u8],
+    body_start: usize,
+    body_len: usize,
+) -> bool {
+    let Some(body) = body_start
+        .checked_add(body_len)
+        .and_then(|end| data.get(body_start..end))
+    else {
+        return false;
+    };
+    let stored = codec::read_i64_le(header, 9).ok();
+    body.chunks(RECORD).all(record_ok) && stored == Some(i64::from(crc32(body)))
+}
+
+/// Walks `data` as a sequence of *units* — a single record, or a group
+/// header plus its body. Returns `(good_len, tail_is_garbage)`: `good_len`
+/// is the byte length of the contiguous prefix of complete, CRC-valid
+/// units, and `tail_is_garbage` is true when no CRC-valid record exists at
+/// any record-aligned offset past the one damaged unit that follows it —
+/// i.e. the damage is a torn tail, not corruption in front of valid data.
+fn scan(data: &[u8]) -> (usize, bool) {
+    let mut good_len = 0;
+    // Extent of the damaged unit at `good_len`: one record, or a whole
+    // group when its (valid) header says how far the torn commit reached.
+    let mut damaged = RECORD;
+    while let Some(rec) = record_at(data, good_len) {
+        let body_start = good_len + RECORD;
+        match group_body_len(rec) {
+            None => good_len = body_start,
+            Some(body_len)
+                if group_complete(data, rec, body_start, body_len) =>
+            {
+                good_len = body_start + body_len;
+            }
+            Some(body_len) => {
+                damaged = RECORD.saturating_add(body_len);
+                break;
+            }
+        }
+    }
+    let mut offset = good_len.saturating_add(damaged);
+    while offset < data.len() {
+        if record_at(data, offset).is_some() {
             return (good_len, false);
         }
         offset += RECORD;
@@ -79,10 +199,12 @@ fn scan(data: &[u8]) -> (usize, bool) {
     (good_len, true)
 }
 
-/// An append-only, checksummed log of run-membership changes.
+/// An append-only, checksummed log of table-membership changes.
 pub struct Manifest {
     writer: BufWriter<File>,
     path: PathBuf,
+    /// Records in the log file — live, dead and group headers alike.
+    records: u64,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
 }
@@ -99,9 +221,10 @@ impl Manifest {
     /// Opens (creating if needed) the manifest at `path` for appending.
     ///
     /// Stale `manifest.tmp` debris from a crashed rewrite is swept, and a
-    /// torn tail (garbage final stretch with nothing valid after it) is
-    /// truncated back to the last good record boundary so appends never
-    /// land after garbage. Mid-log corruption is left for replay to report.
+    /// torn tail (a garbage final stretch or an incomplete edit group with
+    /// nothing valid after it) is truncated back to the last complete unit
+    /// so appends never land after garbage or inside a dead group's body.
+    /// Mid-log corruption is left for replay to report.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
@@ -113,34 +236,35 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        Self::repair_tail(&path)?;
+        let len = Self::repair_tail(&path)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             writer: BufWriter::new(file),
             path,
+            records: (len / RECORD) as u64,
             faults: None,
             obs: ObserverHandle::detached(),
         })
     }
 
-    /// Truncates `path` to its last good record boundary when the tail is
+    /// Truncates `path` to its last complete unit when the tail is
     /// garbage-only; no-op for a missing, clean, or mid-log-corrupt file.
-    fn repair_tail(path: &Path) -> Result<()> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
-        }
+    /// Returns the file's resulting length.
+    fn repair_tail(path: &Path) -> Result<usize> {
+        let Some(data) = Self::read_log(path)? else {
+            return Ok(0);
+        };
         let (good_len, tail_is_garbage) = scan(&data);
         if tail_is_garbage && good_len < data.len() {
             let f = OpenOptions::new().write(true).open(path)?;
             f.set_len(good_len as u64)?;
+            // Open-time repair: no fault plan (the I/O-op counter) can be
+            // attached to a manifest that does not exist yet.
+            // seplint: allow(R6): un-hookable, runs before attach_faults
             f.sync_all()?;
+            return Ok(good_len);
         }
-        Ok(())
+        Ok(data.len())
     }
 
     /// Attaches a fault plan: every subsequent append/sync/rewrite consults
@@ -160,62 +284,78 @@ impl Manifest {
         &self.path
     }
 
-    fn append_record(&mut self, rec: &[u8]) -> Result<()> {
+    /// Records currently in the log file: one per live table plus the dead
+    /// ones (superseded adds, removes, group headers) since the last
+    /// rewrite.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// `true` when committing `edits` more edit records to a log that will
+    /// then mirror `live` tables would leave the dead records outnumbering
+    /// the live ones (past a small fixed allowance): rewriting the log from
+    /// the live tables is then the cheaper way to record the change.
+    pub fn compaction_due(&self, edits: usize, live: usize) -> bool {
+        let header = u64::from(edits > 1);
+        let records = self.records + edits as u64 + header;
+        let live = live as u64;
+        records.saturating_sub(live) > live.max(COMPACT_MIN_DEAD)
+    }
+
+    /// Appends `edits` as one unit in one write: a lone record as itself, a
+    /// longer change behind a group header. Buffered, like every append;
+    /// [`Manifest::sync`] makes it durable.
+    fn append(&mut self, edits: &[ManifestEdit]) -> Result<()> {
+        let grouped = edits.len() > 1;
+        let mut buf = Vec::with_capacity((edits.len() + 1) * RECORD);
+        if grouped {
+            // The header's slot: it goes first but is computed from the body.
+            buf.extend_from_slice(&[0u8; RECORD]);
+        }
+        for edit in edits {
+            buf.extend_from_slice(&edit.encode());
+        }
+        if grouped {
+            let header = encode_group_header(&buf[RECORD..]);
+            buf[..RECORD].copy_from_slice(&header);
+        }
         match fault::hook_write(
             self.faults.as_ref(),
             IoOp::ManifestAppend,
-            rec.len(),
+            buf.len(),
         )? {
-            WriteCheck::Proceed => {
-                self.writer.write_all(rec)?;
-                Ok(())
-            }
+            WriteCheck::Proceed => self.writer.write_all(&buf)?,
             WriteCheck::Torn { keep } => {
-                self.writer.write_all(&rec[..keep.min(rec.len())])?;
+                self.writer.write_all(&buf[..keep.min(buf.len())])?;
                 self.writer.flush()?;
                 let index = self
                     .faults
                     .as_ref()
                     .map_or(0, |p| p.ops().saturating_sub(1));
-                Err(fault::injected_crash(IoOp::ManifestAppend, index))
+                return Err(fault::injected_crash(IoOp::ManifestAppend, index));
             }
         }
+        self.records += (buf.len() / RECORD) as u64;
+        for edit in edits {
+            self.obs
+                .emit(|| Event::ManifestRecord { kind: edit.kind() });
+        }
+        Ok(())
     }
 
     /// Logs a table joining the run.
     pub fn log_add(&mut self, meta: &SsTableMeta) -> Result<()> {
-        self.append_record(&encode_record(
-            TAG_ADD, meta.id, meta.range, meta.count,
-        ))?;
-        self.obs.emit(|| Event::ManifestRecord {
-            kind: ManifestRecordKind::Add,
-        });
-        Ok(())
+        self.append(&[ManifestEdit::Add(*meta)])
     }
 
     /// Logs a table joining L0 (the tiered engine's overlapping level).
     pub fn log_add_l0(&mut self, meta: &SsTableMeta) -> Result<()> {
-        self.append_record(&encode_record(
-            TAG_ADD_L0, meta.id, meta.range, meta.count,
-        ))?;
-        self.obs.emit(|| Event::ManifestRecord {
-            kind: ManifestRecordKind::AddL0,
-        });
-        Ok(())
+        self.append(&[ManifestEdit::AddL0(*meta)])
     }
 
     /// Logs a table leaving the run.
     pub fn log_remove(&mut self, id: SsTableId) -> Result<()> {
-        self.append_record(&encode_record(
-            TAG_REMOVE,
-            id,
-            TimeRange::new(0, 0),
-            0,
-        ))?;
-        self.obs.emit(|| Event::ManifestRecord {
-            kind: ManifestRecordKind::Remove,
-        });
-        Ok(())
+        self.append(&[ManifestEdit::Remove(id)])
     }
 
     /// Flushes and fsyncs the log.
@@ -224,6 +364,17 @@ impl Manifest {
         self.writer.flush()?;
         self.writer.get_ref().sync_all()?;
         Ok(())
+    }
+
+    /// Durably logs `edits` as one atomic edit group: one append, one
+    /// fsync. After a crash, replay sees all of the edits or none of them.
+    /// Empty input is a no-op.
+    pub fn commit(&mut self, edits: &[ManifestEdit]) -> Result<()> {
+        if edits.is_empty() {
+            return Ok(());
+        }
+        self.append(edits)?;
+        self.sync()
     }
 
     /// Atomically rewrites the log as a flat list of the live run tables.
@@ -241,14 +392,10 @@ impl Manifest {
         let tmp = self.path.with_extension("manifest.tmp");
         let mut buf = Vec::with_capacity((run.len() + l0.len()) * RECORD);
         for meta in run {
-            buf.extend_from_slice(&encode_record(
-                TAG_ADD, meta.id, meta.range, meta.count,
-            ));
+            buf.extend_from_slice(&ManifestEdit::Add(*meta).encode());
         }
         for meta in l0 {
-            buf.extend_from_slice(&encode_record(
-                TAG_ADD_L0, meta.id, meta.range, meta.count,
-            ));
+            buf.extend_from_slice(&ManifestEdit::AddL0(*meta).encode());
         }
         {
             let mut f = File::create(&tmp)?;
@@ -284,6 +431,7 @@ impl Manifest {
         }
         let file = OpenOptions::new().append(true).open(&self.path)?;
         self.writer = BufWriter::new(file);
+        self.records = (run.len() + l0.len()) as u64;
         self.obs.emit(|| Event::ManifestRecord {
             kind: ManifestRecordKind::Rewrite,
         });
@@ -310,9 +458,10 @@ impl Manifest {
     /// Replays the manifest at `path`, returning the live `(run, l0)` table
     /// metadata, each in log order.
     ///
-    /// A torn tail — a truncated or garbage final stretch with no valid
-    /// record after it — is dropped; corruption in front of still-valid
-    /// records is reported. A missing file yields empty sets.
+    /// A torn tail — a truncated or garbage final stretch, or an incomplete
+    /// edit group, with no valid record after it — is dropped whole;
+    /// corruption in front of still-valid records is reported. A missing
+    /// file yields empty sets.
     pub fn replay_levels(
         path: impl AsRef<Path>,
     ) -> Result<(Vec<SsTableMeta>, Vec<SsTableMeta>)> {
@@ -331,10 +480,10 @@ impl Manifest {
         Self::decode_prefix(&data, good_len)
     }
 
-    /// Salvage replay: decodes the longest valid prefix plus the number of
-    /// whole records dropped after it, never failing on CRC corruption
-    /// (records with valid CRCs but malformed contents are still errors).
-    /// Used by salvage-mode recovery, which reports the loss.
+    /// Salvage replay: decodes the longest prefix of complete units plus
+    /// the number of whole records dropped after it, never failing on CRC
+    /// corruption (records with valid CRCs but malformed contents are still
+    /// errors). Used by salvage-mode recovery, which reports the loss.
     pub fn replay_levels_salvage(
         path: impl AsRef<Path>,
     ) -> Result<(Vec<SsTableMeta>, Vec<SsTableMeta>, u64)> {
@@ -361,6 +510,9 @@ impl Manifest {
         }
     }
 
+    /// Applies the records of `data[..good_len]` — a prefix of complete
+    /// units, per [`scan`] — in log order. Group headers carry no state of
+    /// their own: `scan` has already vouched for every body in the prefix.
     fn decode_prefix(
         data: &[u8],
         good_len: usize,
@@ -396,6 +548,8 @@ impl Manifest {
                     run.retain(|m| m.id != id);
                     l0.retain(|m| m.id != id);
                 }
+                TAG_DRAIN_L0 => l0.clear(),
+                TAG_GROUP => {}
                 tag => {
                     return Err(Error::Corrupt(format!(
                         "manifest record at offset {offset} \
@@ -585,5 +739,246 @@ mod tests {
         std::fs::write(&path, &bad).expect("corrupt");
         assert!(Manifest::replay(&path).is_err());
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    fn ids(metas: &[SsTableMeta]) -> Vec<u64> {
+        metas.iter().map(|m| m.id.0).collect()
+    }
+
+    /// A two-table run, then a merge replacing table 1 by tables 3 and 4
+    /// while draining an L0 table — committed as one group.
+    fn write_seed_and_group(path: &Path) -> Manifest {
+        let mut m = Manifest::open(path).expect("open");
+        m.commit(&[
+            ManifestEdit::Add(meta(1, 0, 99, 10)),
+            ManifestEdit::Add(meta(2, 100, 199, 10)),
+        ])
+        .expect("seed");
+        m.commit(&[ManifestEdit::AddL0(meta(9, 50, 150, 4))])
+            .expect("l0");
+        m.commit(&[
+            ManifestEdit::DrainL0,
+            ManifestEdit::Remove(SsTableId(1)),
+            ManifestEdit::Add(meta(3, 0, 49, 7)),
+            ManifestEdit::Add(meta(4, 50, 99, 7)),
+        ])
+        .expect("merge");
+        m
+    }
+
+    #[test]
+    fn commit_is_one_append_and_one_fsync() {
+        let path = temp_path("group-ops");
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::trace_only(0);
+        let mut m = Manifest::open(&path).expect("open");
+        m.attach_faults(Arc::clone(&plan));
+        m.commit(&[
+            ManifestEdit::Remove(SsTableId(1)),
+            ManifestEdit::Add(meta(2, 0, 9, 1)),
+            ManifestEdit::Add(meta(3, 10, 19, 1)),
+        ])
+        .expect("commit");
+        assert_eq!(
+            plan.trace(),
+            vec![IoOp::ManifestAppend, IoOp::ManifestSync]
+        );
+        assert_eq!(m.records(), 4, "header + three edits");
+        m.commit(&[]).expect("empty commit");
+        assert_eq!(plan.ops(), 2, "an empty commit touches nothing");
+        // A lone edit needs no header: it is the pre-group record format.
+        m.commit(&[ManifestEdit::Add(meta(4, 20, 29, 1))])
+            .expect("single");
+        assert_eq!(m.records(), 5);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn groups_replay_in_log_order() {
+        let path = temp_path("group-replay");
+        let _ = std::fs::remove_file(&path);
+        drop(write_seed_and_group(&path));
+        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
+        assert_eq!(ids(&run), vec![2, 3, 4]);
+        assert!(l0.is_empty(), "the group drained L0");
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn torn_group_is_dropped_whole_at_every_cut() {
+        let path = temp_path("group-torn");
+        let _ = std::fs::remove_file(&path);
+        drop(write_seed_and_group(&path));
+        let data = std::fs::read(&path).expect("read");
+        // Seed group (1 + 2 records) and the lone L0 add precede the merge
+        // group (1 + 4 records).
+        let group_start = 4 * RECORD;
+        assert_eq!(data.len(), group_start + 5 * RECORD);
+        for cut in group_start..data.len() {
+            std::fs::write(&path, &data[..cut]).expect("truncate");
+            let (run, l0) = Manifest::replay_levels(&path)
+                .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(ids(&run), vec![1, 2], "cut at {cut}: half a merge");
+            assert_eq!(ids(&l0), vec![9], "cut at {cut}: half a drain");
+            let (run, l0, dropped) =
+                Manifest::replay_levels_salvage(&path).expect("salvage replay");
+            assert_eq!((ids(&run), ids(&l0)), (vec![1, 2], vec![9]));
+            assert_eq!(dropped as usize, (cut - group_start) / RECORD);
+        }
+        // Re-opening cuts the dead group away, so the next commit does not
+        // land inside its body.
+        std::fs::write(&path, &data[..data.len() - 40]).expect("truncate");
+        {
+            let mut m = Manifest::open(&path).expect("re-open repairs");
+            assert_eq!(m.records(), 4);
+            m.commit(&[ManifestEdit::Add(meta(5, 200, 299, 3))])
+                .expect("commit");
+        }
+        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
+        assert_eq!(ids(&run), vec![1, 2, 5]);
+        assert_eq!(ids(&l0), vec![9]);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn damaged_group_in_front_of_valid_records_is_corruption() {
+        let path = temp_path("group-corrupt");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut m = write_seed_and_group(&path);
+            m.commit(&[ManifestEdit::Add(meta(5, 200, 299, 3))])
+                .expect("later commit");
+        }
+        let mut data = std::fs::read(&path).expect("read");
+        data[6 * RECORD + 3] ^= 0xff; // inside the merge group's body
+        std::fs::write(&path, &data).expect("corrupt");
+        assert!(Manifest::replay_levels(&path).is_err(), "strict refuses");
+        let (run, l0, dropped) =
+            Manifest::replay_levels_salvage(&path).expect("salvage");
+        assert_eq!((ids(&run), ids(&l0)), (vec![1, 2], vec![9]));
+        assert_eq!(dropped, 6, "the whole group and what follows it");
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn compaction_is_due_once_dead_records_outnumber_live_ones() {
+        let path = temp_path("due");
+        let _ = std::fs::remove_file(&path);
+        let mut m = Manifest::open(&path).expect("open");
+        let live: Vec<SsTableMeta> = (0..100)
+            .map(|i| meta(i, i as i64 * 10, i as i64 * 10 + 9, 1))
+            .collect();
+        m.rewrite(&live).expect("seed");
+        assert_eq!(m.records(), 100);
+        assert!(!m.compaction_due(0, 100));
+        // 100 live; a group of 100 edits + header makes 101 dead.
+        assert!(!m.compaction_due(99, 100), "100 dead: not yet");
+        assert!(m.compaction_due(100, 100), "101 dead > 100 live");
+        // A small log gets a fixed allowance instead of the ratio.
+        m.rewrite(&live[..2]).expect("shrink");
+        assert!(!m.compaction_due(COMPACT_MIN_DEAD as usize - 1, 2));
+        assert!(m.compaction_due(COMPACT_MIN_DEAD as usize, 2));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(
+            proptest::prelude::ProptestConfig::with_cases(64)
+        )]
+
+        /// For any sequence of version edits — in-order appends, flushes to
+        /// L0, merges with and without an L0 drain — recorded through
+        /// `Version::record` (which interleaves its own compactions) with
+        /// forced compactions in between, replaying the log yields exactly
+        /// the version it was recorded from, after every step.
+        #[test]
+        fn replaying_the_delta_log_equals_the_recorded_version(
+            ops in proptest::collection::vec(
+                (0u8..5u8, 0usize..64usize, 1usize..4usize),
+                1..60,
+            ),
+            case in 0u64..u64::MAX,
+        ) {
+            use crate::version::{Version, VersionEdit};
+
+            let path = std::env::temp_dir().join(format!(
+                "seplsm-manifest-prop-{}-{case:016x}.manifest",
+                std::process::id(),
+            ));
+            let _ = std::fs::remove_file(&path);
+            let mut manifest = Manifest::open(&path).expect("open");
+            let mut version = Version::new();
+            let mut next_id = 0u64;
+            let mut fresh = |start: i64, end: i64| {
+                next_id += 1;
+                meta(next_id, start, end, 1)
+            };
+            for (kind, pick, n) in ops {
+                let tail = version.run().last_gen_time().unwrap_or(-1);
+                let edits = match kind {
+                    // In-order flush of `n` tables past the run tail.
+                    0 => (0..n as i64)
+                        .map(|i| {
+                            let start = tail + 1 + i * 10;
+                            VersionEdit::AppendRun(fresh(start, start + 9))
+                        })
+                        .collect(),
+                    // Background flush: `n` overlapping L0 tables.
+                    1 => vec![VersionEdit::FlushToL0 {
+                        batch: Arc::new(Vec::new()),
+                        tables: (0..n as i64)
+                            .map(|i| fresh(i, tail.max(0) + 5))
+                            .collect(),
+                    }],
+                    // Merge: up to `n` adjacent run tables are rewritten
+                    // into two tables over the same span (or, on an empty
+                    // run, a first table appears); odd picks drain L0.
+                    2 | 3 => {
+                        let tables = version.run().tables();
+                        let lo = pick % tables.len().max(1);
+                        let hi = (lo + n).min(tables.len());
+                        let removed: Vec<SsTableId> =
+                            tables[lo..hi].iter().map(|m| m.id).collect();
+                        let (start, end) = match (tables.get(lo), hi) {
+                            (Some(first), hi) if hi > lo => {
+                                (first.range.start, tables[hi - 1].range.end)
+                            }
+                            _ => (tail + 1, tail + 10),
+                        };
+                        let mid = start + (end - start) / 2;
+                        let mut added = vec![fresh(start, mid)];
+                        if mid < end {
+                            added.push(fresh(mid + 1, end));
+                        }
+                        vec![VersionEdit::Replace {
+                            removed,
+                            added,
+                            drain_l0: kind == 3,
+                        }]
+                    }
+                    // The engine comes to rest: forced compaction.
+                    _ => {
+                        version
+                            .compact_manifest(&mut manifest)
+                            .expect("compact");
+                        Vec::new()
+                    }
+                };
+                version.apply(&edits).expect("apply");
+                version.record(&mut manifest, &edits).expect("record");
+                let (run, l0) =
+                    Manifest::replay_levels(&path).expect("replay");
+                proptest::prop_assert_eq!(
+                    crate::level::Run::from_tables(run).expect("run").tables(),
+                    version.run().tables()
+                );
+                proptest::prop_assert_eq!(l0.as_slice(), version.l0());
+                proptest::prop_assert!(
+                    manifest.records()
+                        >= (version.run().len() + version.l0().len()) as u64
+                );
+            }
+            std::fs::remove_file(&path).expect("cleanup");
+        }
     }
 }

@@ -71,6 +71,8 @@ pub enum ManifestRecordKind {
     AddL0,
     /// A table removal (`TAG_REMOVE`).
     Remove,
+    /// Every L0 table removed at once (`TAG_DRAIN_L0`).
+    DrainL0,
     /// A full rewrite to the live set (`rewrite_levels`).
     Rewrite,
 }
@@ -82,6 +84,7 @@ impl ManifestRecordKind {
             Self::Add => "add",
             Self::AddL0 => "add_l0",
             Self::Remove => "remove",
+            Self::DrainL0 => "drain_l0",
             Self::Rewrite => "rewrite",
         }
     }

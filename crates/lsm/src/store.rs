@@ -69,6 +69,20 @@ pub trait TableStore: Send + Sync {
     /// and the encoded size in bytes.
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)>;
 
+    /// Stores every chunk as its own new SSTable — the outputs of one
+    /// flush or merge — returning one `(metadata, encoded size)` per chunk,
+    /// in order. When this returns, every table is as durable as a
+    /// [`put`](TableStore::put) would have made it; a failure may leave any
+    /// subset of the tables behind (unreferenced, for orphan GC). The
+    /// default stores chunk by chunk; stores that pay per publication (the
+    /// [`FileStore`]'s directory fsync) override it to pay once per batch.
+    fn put_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        chunks.iter().map(|chunk| self.put(chunk)).collect()
+    }
+
     /// Reads, validates and decodes the table.
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>>;
 
@@ -454,12 +468,12 @@ impl FileStore {
         }
         path.file_stem()?.to_str()?.parse().ok()
     }
-}
 
-impl TableStore for FileStore {
-    fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+    /// Encodes `points` under a fresh id and makes the bytes durable in the
+    /// table's tmp file; publishing it (rename + directory fsync) is the
+    /// caller's half of the protocol.
+    fn stage(&self, points: &[DataPoint]) -> Result<StagedTable> {
         let encoded = format::encode_with(points, &self.options)?;
-        let size = encoded.len();
         let id = {
             let mut next = self.next_id.lock();
             let id = SsTableId(*next);
@@ -468,34 +482,82 @@ impl TableStore for FileStore {
         };
         let final_path = self.path_for(id);
         let tmp_path = final_path.with_extension("sst.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp_path)?;
-            match fault::hook_write(
-                self.faults.as_ref(),
-                IoOp::StoreWrite,
-                encoded.len(),
-            )? {
-                WriteCheck::Proceed => f.write_all(&encoded)?,
-                WriteCheck::Torn { keep } => {
-                    // A torn table write: persist only the prefix, leave
-                    // the tmp file behind (swept on the next open).
-                    f.write_all(&encoded[..keep.min(encoded.len())])?;
-                    f.sync_all()?;
-                    let index = self
-                        .faults
-                        .as_ref()
-                        .map_or(0, |p| p.ops().saturating_sub(1));
-                    return Err(fault::injected_crash(IoOp::StoreWrite, index));
-                }
+        let mut f = std::fs::File::create(&tmp_path)?;
+        match fault::hook_write(
+            self.faults.as_ref(),
+            IoOp::StoreWrite,
+            encoded.len(),
+        )? {
+            WriteCheck::Proceed => f.write_all(&encoded)?,
+            WriteCheck::Torn { keep } => {
+                // A torn table write: persist only the prefix, leave
+                // the tmp file behind (swept on the next open).
+                f.write_all(&encoded[..keep.min(encoded.len())])?;
+                f.sync_all()?;
+                let index = self
+                    .faults
+                    .as_ref()
+                    .map_or(0, |p| p.ops().saturating_sub(1));
+                return Err(fault::injected_crash(IoOp::StoreWrite, index));
             }
-            fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
-            f.sync_all()?;
         }
-        fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
-        std::fs::rename(&tmp_path, &final_path)?;
+        fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
+        f.sync_all()?;
+        Ok(StagedTable {
+            meta: SsTableMeta::describe(id, points),
+            size: encoded.len(),
+            tmp_path,
+            final_path,
+        })
+    }
+
+    /// Renames every staged table to its live name, then makes all the
+    /// renames durable with one directory fsync. Nothing references a
+    /// table until its caller's manifest commit, which comes after this
+    /// returns, so the renames need no durability of their own before the
+    /// shared fsync.
+    fn publish(&self, staged: &[StagedTable]) -> Result<()> {
+        if staged.is_empty() {
+            return Ok(());
+        }
+        for table in staged {
+            fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
+            std::fs::rename(&table.tmp_path, &table.final_path)?;
+        }
         fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
-        sync_dir(&self.dir)?;
-        Ok((SsTableMeta::describe(id, points), size))
+        sync_dir(&self.dir)
+    }
+}
+
+/// A table whose bytes are durable in its tmp file but not yet published
+/// under its live name.
+struct StagedTable {
+    meta: SsTableMeta,
+    size: usize,
+    tmp_path: PathBuf,
+    final_path: PathBuf,
+}
+
+impl TableStore for FileStore {
+    fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+        let staged = self.stage(points)?;
+        self.publish(std::slice::from_ref(&staged))?;
+        Ok((staged.meta, staged.size))
+    }
+
+    /// Group publication: every tmp file is written and fsynced, then all
+    /// are renamed, then the directory is fsynced *once* — k + 1 fsyncs for
+    /// k tables instead of 2k.
+    fn put_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        let staged = chunks
+            .iter()
+            .map(|chunk| self.stage(chunk))
+            .collect::<Result<Vec<_>>>()?;
+        self.publish(&staged)?;
+        Ok(staged.into_iter().map(|t| (t.meta, t.size)).collect())
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
@@ -591,7 +653,9 @@ impl TableStore for FileStore {
         std::fs::create_dir_all(&qdir)?;
         let dst = qdir.join(format!("{:08}.sst", id.0));
         std::fs::rename(&src, &dst)?;
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
         sync_dir(&qdir)?;
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
         sync_dir(&self.dir)?;
         Ok(())
     }
@@ -752,6 +816,13 @@ impl CachedStore {
 impl TableStore for CachedStore {
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
         self.inner.put(points)
+    }
+
+    fn put_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        self.inner.put_batch(chunks)
     }
 
     fn note_short_lived(&self, id: SsTableId) {
@@ -986,6 +1057,56 @@ mod tests {
                 IoOp::DirSync
             ]
         );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn file_store_put_batch_syncs_directory_once() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-batch-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = crate::fault::FaultPlan::trace_only(0);
+        let store = FileStore::open(&dir)
+            .expect("open")
+            .with_faults(Arc::clone(&plan));
+        let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
+        let stored = store.put_batch(&[&a, &b, &c]).expect("put_batch");
+        // Group publication: all tmp files durable, then all renames, then
+        // the one directory fsync that makes every rename durable.
+        use IoOp::{DirSync, StoreRename, StoreSync, StoreWrite};
+        assert_eq!(
+            plan.trace(),
+            vec![
+                StoreWrite,
+                StoreSync,
+                StoreWrite,
+                StoreSync,
+                StoreWrite,
+                StoreSync,
+                StoreRename,
+                StoreRename,
+                StoreRename,
+                DirSync
+            ]
+        );
+        assert_eq!(stored.len(), 3);
+        assert!(stored.windows(2).all(|w| w[0].0.id < w[1].0.id));
+        assert_eq!(stored[1].0.count, 15);
+        assert_eq!(store.get(stored[2].0.id).expect("get"), c);
+        assert_eq!(
+            stored[0].1 as u64,
+            store.table_len(stored[0].0.id).expect("len").expect("some")
+        );
+        let ops = plan.ops();
+        store.put_batch(&[]).expect("empty batch");
+        assert_eq!(plan.ops(), ops, "an empty batch touches nothing");
+        // The default implementation stores chunk by chunk.
+        let mem = MemStore::new();
+        let stored = mem.put_batch(&[&a, &b]).expect("default put_batch");
+        assert_eq!(mem.get(stored[1].0.id).expect("get"), b);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use seplsm_types::{DataPoint, Result, Timestamp};
 
 use crate::level::Run;
-use crate::manifest::Manifest;
+use crate::manifest::{Manifest, ManifestEdit};
 use crate::sstable::{SsTableId, SsTableMeta};
 
 /// One table-level state change, applied through [`Version::apply`].
@@ -155,10 +155,18 @@ impl Version {
         }
     }
 
-    /// Records already-applied `edits` in `manifest`: table additions are
-    /// logged incrementally (and fsynced); a [`VersionEdit::Replace`]
-    /// rewrites the manifest from this version's live tables, keeping the
-    /// log proportional to the live table count.
+    /// Tables the version references (run + L0): the number of records a
+    /// fully compacted manifest of it holds.
+    fn live_tables(&self) -> usize {
+        self.run.len() + self.l0.len()
+    }
+
+    /// Durably records already-applied `edits` in `manifest` as one atomic
+    /// edit group — one append, one fsync — so a crash can never leave the
+    /// log holding half a [`VersionEdit::Replace`]. When the group would
+    /// leave the log more dead than live
+    /// ([`Manifest::compaction_due`]), the log is instead rewritten from
+    /// this version's live tables, which records the same state.
     ///
     /// # Errors
     /// Manifest I/O failures.
@@ -167,25 +175,53 @@ impl Version {
         manifest: &mut Manifest,
         edits: &[VersionEdit],
     ) -> Result<()> {
-        let replaces = edits
-            .iter()
-            .any(|e| matches!(e, VersionEdit::Replace { .. }));
-        if replaces {
-            return manifest.rewrite_levels(self.run.tables(), &self.l0);
-        }
+        let mut group = Vec::new();
         for edit in edits {
             match edit {
-                VersionEdit::AppendRun(meta) => manifest.log_add(meta)?,
+                VersionEdit::AppendRun(meta) => {
+                    group.push(ManifestEdit::Add(*meta));
+                }
                 VersionEdit::FlushToL0 { tables, .. } => {
-                    for meta in tables {
-                        manifest.log_add_l0(meta)?;
-                    }
+                    group.extend(
+                        tables.iter().copied().map(ManifestEdit::AddL0),
+                    );
                 }
                 VersionEdit::RegisterFlushing(_) => {}
-                VersionEdit::Replace { .. } => unreachable!("handled above"),
+                VersionEdit::Replace {
+                    removed,
+                    added,
+                    drain_l0,
+                } => {
+                    if *drain_l0 {
+                        group.push(ManifestEdit::DrainL0);
+                    }
+                    group.extend(
+                        removed.iter().copied().map(ManifestEdit::Remove),
+                    );
+                    group.extend(added.iter().copied().map(ManifestEdit::Add));
+                }
             }
         }
-        manifest.sync()
+        if group.is_empty() {
+            return Ok(());
+        }
+        if manifest.compaction_due(group.len(), self.live_tables()) {
+            return manifest.rewrite_levels(self.run.tables(), &self.l0);
+        }
+        manifest.commit(&group)
+    }
+
+    /// Rewrites `manifest` down to one record per live table, unless it
+    /// already is. Engines call this where they come to rest (`flush_all`,
+    /// `finish`), so dead records never outlive the burst that made them.
+    ///
+    /// # Errors
+    /// Manifest I/O failures.
+    pub fn compact_manifest(&self, manifest: &mut Manifest) -> Result<()> {
+        if manifest.records() == self.live_tables() as u64 {
+            return Ok(());
+        }
+        manifest.rewrite_levels(self.run.tables(), &self.l0)
     }
 }
 

@@ -1,13 +1,15 @@
 //! Write-ahead log: makes buffered MemTable contents durable.
 //!
 //! Each appended point becomes one fixed-size record protected by a CRC-32.
-//! After a flush empties a MemTable the engine rewrites the log with the
-//! surviving buffered points, keeping the log proportional to memory state.
-//! Replay tolerates a truncated tail record (torn write at crash) but
-//! reports mid-log corruption.
+//! After a flush empties a MemTable the engine checkpoints the log down to
+//! the surviving buffered points ([`Wal::rewrite`]), keeping the log
+//! proportional to memory state: with no survivors the file is truncated in
+//! place (one fsync); with survivors it is replaced through a tmp file +
+//! rename. Replay tolerates a truncated tail record (torn write at crash)
+//! but reports mid-log corruption.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -24,10 +26,20 @@ const PAYLOAD: usize = 24;
 /// Record layout: crc u32 LE + payload.
 const RECORD: usize = 4 + PAYLOAD;
 
+/// Appended bytes are handed to the file once this many are pending.
+const BUFFER: usize = 8 * 1024;
+
 /// An append-only, checksummed log of data points.
 pub struct Wal {
-    writer: BufWriter<File>,
+    file: File,
+    /// Appended records not yet written to `file`. Held here rather than in
+    /// a `BufWriter` so a checkpoint can drop them unwritten: a record that
+    /// is about to be cut from the log need never reach it.
+    pending: Vec<u8>,
     path: PathBuf,
+    /// Records appended since the last fsync of the live file: what
+    /// [`Wal::sync`] exists to make durable.
+    unsynced: bool,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
 }
@@ -98,8 +110,10 @@ impl Wal {
         Self::repair_tail(&path)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
-            writer: BufWriter::new(file),
+            file,
+            pending: Vec::with_capacity(BUFFER),
             path,
+            unsynced: false,
             faults: None,
             obs: ObserverHandle::detached(),
         })
@@ -120,6 +134,9 @@ impl Wal {
         if tail_is_garbage && good_len < data.len() {
             let f = OpenOptions::new().write(true).open(path)?;
             f.set_len(good_len as u64)?;
+            // Open-time repair: no fault plan (the I/O-op counter) can be
+            // attached to a log that does not exist yet.
+            // seplint: allow(R6): un-hookable, runs before attach_faults
             f.sync_all()?;
         }
         Ok(())
@@ -151,7 +168,11 @@ impl Wal {
             rec.len(),
         )? {
             WriteCheck::Proceed => {
-                self.writer.write_all(&rec)?;
+                self.pending.extend_from_slice(&rec);
+                if self.pending.len() >= BUFFER {
+                    self.write_pending()?;
+                }
+                self.unsynced = true;
                 self.obs.emit(|| Event::WalAppend {
                     bytes: rec.len() as u64,
                 });
@@ -160,11 +181,18 @@ impl Wal {
             WriteCheck::Torn { keep } => {
                 // A torn append: the record's prefix reaches the file (the
                 // modelled power cut happened mid-write), then the op fails.
-                self.writer.write_all(&rec[..keep.min(rec.len())])?;
-                self.writer.flush()?;
+                self.pending.extend_from_slice(&rec[..keep.min(rec.len())]);
+                self.write_pending()?;
                 Err(fault::injected_crash(IoOp::WalAppend, self.op_index()))
             }
         }
+    }
+
+    /// Hands the pending records to the file (no fsync).
+    fn write_pending(&mut self) -> Result<()> {
+        self.file.write_all(&self.pending)?;
+        self.pending.clear();
+        Ok(())
     }
 
     fn op_index(&self) -> u64 {
@@ -173,18 +201,27 @@ impl Wal {
             .map_or(0, |p| p.ops().saturating_sub(1))
     }
 
-    /// Flushes buffered records and fsyncs the file.
+    /// Flushes buffered records and fsyncs the file. A log with nothing
+    /// appended since its last sync or rewrite is already durable: no I/O.
     pub fn sync(&mut self) -> Result<()> {
+        if !self.unsynced {
+            return Ok(());
+        }
         fault::hook(self.faults.as_ref(), IoOp::WalSync)?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
+        self.write_pending()?;
+        self.file.sync_all()?;
+        self.unsynced = false;
         self.obs.emit(|| Event::WalSync);
         Ok(())
     }
 
-    /// Atomically replaces the log contents with `survivors` (the points
-    /// still buffered in memory after a flush).
+    /// Checkpoints the log down to `survivors` (the points still buffered
+    /// in memory after a flush), atomically: a crash leaves either the old
+    /// contents or the new ones.
     pub fn rewrite(&mut self, survivors: &[DataPoint]) -> Result<()> {
+        if survivors.is_empty() {
+            return self.truncate();
+        }
         let tmp = self.path.with_extension("wal.tmp");
         let mut buf = Vec::with_capacity(survivors.len() * RECORD);
         for p in survivors {
@@ -218,11 +255,33 @@ impl Wal {
             fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
             sync_dir(parent)?;
         }
-        let file = OpenOptions::new().append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        // Pending records are either among the survivors just written or
+        // already flushed to tables: they belong to the log this replaced.
+        self.pending.clear();
+        self.unsynced = false;
         self.obs.emit(|| Event::WalTruncate {
             survivors: survivors.len() as u64,
         });
+        Ok(())
+    }
+
+    /// The empty checkpoint: nothing survives, so there is nothing to carry
+    /// over and the live file is cut to zero length where it stands — one
+    /// fsync, no tmp file, no rename, no directory fsync. A crash before
+    /// the truncation is durable leaves the old log, whose points the
+    /// manifest commit that preceded this call already covers; replaying
+    /// them is the same already-tolerated state as a crash between that
+    /// commit and a tmp-file rewrite.
+    fn truncate(&mut self) -> Result<()> {
+        fault::hook(self.faults.as_ref(), IoOp::WalRewrite)?;
+        // Pending records are part of what is being cut. The file is in
+        // append mode, so later records land at the new end.
+        self.pending.clear();
+        self.file.set_len(0)?;
+        self.file.sync_all()?;
+        self.unsynced = false;
+        self.obs.emit(|| Event::WalTruncate { survivors: 0 });
         Ok(())
     }
 
@@ -288,6 +347,16 @@ impl Wal {
             offset += RECORD;
         }
         Ok(points)
+    }
+}
+
+impl Drop for Wal {
+    /// Best effort, like the `BufWriter` this buffer replaces: a log that
+    /// is dropped without a final [`Wal::sync`] still hands its pending
+    /// records to the OS. Errors cannot be reported from here; durability
+    /// was never promised without the sync.
+    fn drop(&mut self) {
+        let _ = self.write_pending();
     }
 }
 
@@ -443,6 +512,78 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].gen_time, 100);
         assert_eq!(points[1].gen_time, 200);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn sync_of_a_clean_log_does_no_io() {
+        let path = temp_path("clean-sync");
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::trace_only(0);
+        let mut wal = Wal::open(&path).expect("open");
+        wal.attach_faults(Arc::clone(&plan));
+        wal.sync().expect("nothing appended yet");
+        assert_eq!(plan.ops(), 0, "a fresh log is clean");
+        wal.append(&DataPoint::new(1, 1, 1.0)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(plan.trace(), vec![IoOp::WalAppend, IoOp::WalSync]);
+        wal.sync().expect("second sync");
+        assert_eq!(plan.ops(), 2, "back-to-back sync: zero ops");
+        wal.append(&DataPoint::new(2, 2, 2.0)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(
+            plan.trace()[2..],
+            [IoOp::WalAppend, IoOp::WalSync],
+            "one fsync after an append"
+        );
+        // A checkpoint leaves the log clean as well.
+        wal.rewrite(&[]).expect("checkpoint");
+        let ops = plan.ops();
+        wal.sync().expect("sync after checkpoint");
+        assert_eq!(plan.ops(), ops);
+        assert_eq!(Wal::replay(&path).expect("replay"), vec![]);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn empty_checkpoint_truncates_in_place_with_one_fsync() {
+        let path = temp_path("in-place");
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::trace_only(0);
+        let mut wal = Wal::open(&path).expect("open");
+        wal.attach_faults(Arc::clone(&plan));
+        for i in 0..10 {
+            wal.append(&DataPoint::new(i, i, 0.0)).expect("append");
+        }
+        wal.sync().expect("sync");
+        // Unsynced records pending at the checkpoint are cut with the rest.
+        wal.append(&DataPoint::new(10, 10, 0.0)).expect("append");
+        let before = plan.ops();
+        wal.rewrite(&[]).expect("checkpoint");
+        assert_eq!(
+            plan.trace()[before as usize..],
+            [IoOp::WalRewrite],
+            "no rename, no directory fsync"
+        );
+        assert!(!path.with_extension("wal.tmp").exists());
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), 0);
+        // Appends continue at the new end of the same file.
+        wal.append(&DataPoint::new(20, 21, 2.0)).expect("append");
+        wal.sync().expect("sync");
+        let gens: Vec<i64> = Wal::replay(&path)
+            .expect("replay")
+            .iter()
+            .map(|p| p.gen_time)
+            .collect();
+        assert_eq!(gens, vec![20]);
+        // Survivors still take the tmp + rename + directory-fsync protocol.
+        let before = plan.ops();
+        wal.rewrite(&[DataPoint::new(20, 21, 2.0)])
+            .expect("rewrite");
+        assert_eq!(
+            plan.trace()[before as usize..],
+            [IoOp::WalRewrite, IoOp::WalRename, IoOp::DirSync]
+        );
         std::fs::remove_file(&path).expect("cleanup");
     }
 }

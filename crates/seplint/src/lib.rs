@@ -11,7 +11,9 @@
 //! * **R5** — engine modules keep the durability order: WAL append before
 //!   buffer insert, manifest/flushing cover before WAL truncation.
 //! * **R6** — durability modules fsync the parent directory (`sync_dir`)
-//!   after every `rename`, or the new name itself can vanish in a crash.
+//!   after every `rename`, or the new name itself can vanish in a crash;
+//!   and every fsync there sits behind a fault-plan hook, so it is counted
+//!   by the I/O trace and reachable by crash schedules.
 //! * **R7** — decoder modules bounds-check every length decoded from
 //!   untrusted bytes before it sizes an allocation.
 //! * **R8** — lock modules acquire locks in the documented order and never
@@ -63,7 +65,8 @@ pub const KERNEL_MODULES: &[&str] = &[
 pub const ORDERING_MODULES: &[&str] =
     &["engine.rs", "background.rs", "multi.rs"];
 
-/// Physical-durability modules subject to the R6 rename-then-sync-dir lint.
+/// Physical-durability modules subject to the R6 rename-then-sync-dir and
+/// hooked-fsync lint.
 pub const DURABILITY_MODULES: &[&str] = &["store.rs", "wal.rs", "manifest.rs"];
 
 /// Modules that decode attacker-grade bytes (corrupt SSTables, WALs,

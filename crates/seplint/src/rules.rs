@@ -5,7 +5,7 @@
 //! | R3 | kernel modules | no wall-clock or thread calls (determinism) |
 //! | R4 | kernel modules | panicking `pub fn`s must return `Result` |
 //! | R5 | engine modules | WAL-before-buffer, cover-before-truncate |
-//! | R6 | durability modules | every `rename` followed by a `sync_dir` |
+//! | R6 | durability modules | `rename` then `sync_dir`; every fsync behind a fault hook |
 //! | R7 | decoder modules | decoded lengths bounds-checked before allocation |
 //! | R8 | lock modules | fixed lock order; no guard held across I/O or sends |
 //! | R9 | engine modules | metric mutations emit a typed obs event |
@@ -341,14 +341,27 @@ pub fn durability_order_with(
 }
 
 // ---------------------------------------------------------------------------
-// R6: rename-then-sync-dir lint.
+// R6: physical-durability lint (rename-then-sync-dir, hooked fsyncs).
 // ---------------------------------------------------------------------------
 
-/// R6: a tmp-write + fsync + `rename` makes the *file contents* durable,
-/// but the new directory entry itself only survives a crash once the parent
-/// directory is fsynced. In the durability modules every function that
-/// calls `rename(...)` must therefore call `sync_dir` later in the same
-/// body. The `sync_dir` helper itself is the primitive and is exempt.
+/// Calls that end in a physical fsync.
+const FSYNC_CALLS: &[&str] = &["sync_all", "sync_data", "sync_dir"];
+
+/// The fault-plan hooks that count an I/O op (`fault::hook`, `hook_write`).
+const FAULT_HOOKS: &[&str] = &["hook", "hook_write"];
+
+/// R6, in the durability modules, per function body:
+///
+/// * a tmp-write + fsync + `rename` makes the *file contents* durable, but
+///   the new directory entry itself only survives a crash once the parent
+///   directory is fsynced — every `rename(...)` must be followed by a
+///   `sync_dir`;
+/// * every fsync (`sync_all` / `sync_data` / `sync_dir`) must be preceded
+///   by a fault-plan hook, so the op is counted by the I/O trace (the
+///   benchmark's `fsyncs_per_kpoint`) and reachable by crash schedules — an
+///   un-hooked fsync is a cost nobody can see or crash-test.
+///
+/// The `sync_dir` helper itself is the primitive and is exempt.
 pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
     let lexed = lex(src);
     let tokens = strip_test_items(&lexed.tokens);
@@ -358,25 +371,43 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
             continue;
         }
         let body = &tokens[func.body.clone()];
+        let calls = |i: usize, names: &[&str]| {
+            body[i].ident().is_some_and(|id| names.contains(&id))
+                && body.get(i + 1).is_some_and(|n| n.is_punct('('))
+        };
         for (i, t) in body.iter().enumerate() {
-            let is_rename = t.is_ident("rename")
-                && body.get(i + 1).is_some_and(|n| n.is_punct('('));
-            if !is_rename {
-                continue;
+            if calls(i, &["rename"]) {
+                let synced_later =
+                    body[i + 1..].iter().any(|n| n.is_ident("sync_dir"));
+                if !synced_later && !lexed.is_allowed(t.line, "R6") {
+                    out.push(violation(
+                        path,
+                        t.line,
+                        "R6",
+                        format!(
+                            "`{}` renames without a later `sync_dir` — the \
+                             new directory entry may not survive a crash",
+                            func.name
+                        ),
+                    ));
+                }
             }
-            let synced_later =
-                body[i + 1..].iter().any(|n| n.is_ident("sync_dir"));
-            if !synced_later && !lexed.is_allowed(t.line, "R6") {
-                out.push(violation(
-                    path,
-                    t.line,
-                    "R6",
-                    format!(
-                        "`{}` renames without a later `sync_dir` — the new \
-                         directory entry may not survive a crash",
-                        func.name
-                    ),
-                ));
+            if calls(i, FSYNC_CALLS) {
+                let hooked = (0..i).any(|j| calls(j, FAULT_HOOKS));
+                if !hooked && !lexed.is_allowed(t.line, "R6") {
+                    out.push(violation(
+                        path,
+                        t.line,
+                        "R6",
+                        format!(
+                            "`{}` fsyncs (`{}`) with no fault-plan hook \
+                             before it — the op is invisible to the I/O \
+                             trace and to crash schedules",
+                            func.name,
+                            t.ident().unwrap_or_default()
+                        ),
+                    ));
+                }
             }
         }
     }

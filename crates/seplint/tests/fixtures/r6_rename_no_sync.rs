@@ -1,5 +1,6 @@
 //! R6 fixture: tmp-write-then-rename publication patterns, with and without
-//! the parent-directory fsync that makes the new name itself durable.
+//! the parent-directory fsync that makes the new name itself durable, and
+//! fsyncs with and without the fault-plan hook that counts them.
 
 pub struct Store {
     dir: PathBuf,
@@ -20,7 +21,31 @@ impl Store {
         let tmp = self.dir.join(format!("{id}.tmp"));
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, self.dir.join(format!("{id}.sst")))?;
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
         sync_dir(&self.dir)?;
+        Ok(())
+    }
+
+    // VIOLATION: the tmp file's fsync has no fault-plan hook in front of
+    // it, so no I/O trace counts it and no crash schedule can land on it.
+    // (The directory fsync further down is behind the rename's hook.)
+    pub fn put_uncounted(&self, id: u64, bytes: &[u8]) -> Result<(), Error> {
+        let tmp = self.dir.join(format!("{id}.tmp"));
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
+        std::fs::rename(&tmp, self.dir.join(format!("{id}.sst")))?;
+        sync_dir(&self.dir)?;
+        Ok(())
+    }
+
+    // Suppressed: an open-time repair runs before any plan can be attached.
+    pub fn repair(&self, len: u64) -> Result<(), Error> {
+        let f = File::open(&self.dir.join("log"))?;
+        f.set_len(len)?;
+        // seplint: allow(R6): fixture exercising the suppression path
+        f.sync_all()?;
         Ok(())
     }
 

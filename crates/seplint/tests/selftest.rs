@@ -183,9 +183,15 @@ fn r5_passes_the_compliant_orderings() {
 fn r6_fires_on_rename_without_dir_sync() {
     let src = fixture("r6_rename_no_sync.rs");
     let v = rules::rename_syncs_dir(Path::new("store.rs"), &src);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, "R6");
+    assert_eq!(v.len(), 2, "{v:?}");
+    assert!(v.iter().all(|f| f.rule == "R6"), "{v:?}");
     assert!(v[0].message.contains("put_unsynced"), "{v:?}");
+    assert!(v[0].message.contains("renames without"), "{v:?}");
+    // The hooked-fsync half: the compliant and suppressed fsyncs pass, the
+    // one with no hook in front of it is named.
+    assert!(v[1].message.contains("put_uncounted"), "{v:?}");
+    assert!(v[1].message.contains("`sync_all`"), "{v:?}");
+    assert!(v[1].message.contains("no fault-plan hook"), "{v:?}");
 }
 
 /// Builds a [`CallGraph`] over `(file-name, source)` pairs for the

@@ -42,12 +42,13 @@ pub use seplsm_lsm::{
     CachePriority, Clock, Compression, DegradedOp, DegradedReason,
     DegradedState, DiskModel, EncodeOptions, EngineConfig, Event, FanoutSink,
     Fault, FaultPlan, FaultStore, FileStore, Histogram, IoOp, IoPacer,
-    JsonlSink, LogicalClock, LsmEngine, Manifest, ManifestRecordKind, MemStore,
-    MultiOpenOptions, MultiSeriesEngine, NullSink, Observer, ObserverHandle,
-    OpenOptions, PaceDecision, PacerStats, QuarantinedTable, QueryStats,
-    Rebalance, RecoveryMode, RecoveryOptions, RecoveryReport, RecoveryStepKind,
-    RetryBackoff, RingBufferSink, SeriesAssignment, SeriesId, TableStore,
-    TieredEngine, TieredOpenOptions, TieredReport, Wal, Watermarks,
+    JsonlSink, LogicalClock, LsmEngine, Manifest, ManifestEdit,
+    ManifestRecordKind, MemStore, MultiOpenOptions, MultiSeriesEngine,
+    NullSink, Observer, ObserverHandle, OpenOptions, PaceDecision, PacerStats,
+    QuarantinedTable, QueryStats, Rebalance, RecoveryMode, RecoveryOptions,
+    RecoveryReport, RecoveryStepKind, RetryBackoff, RingBufferSink,
+    SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,
+    TieredReport, Wal, Watermarks,
 };
 pub use seplsm_types::{
     DataPoint, Error, Policy, Result, TimeRange, Timestamp,

@@ -49,6 +49,11 @@ cargo test -q --workspace --offline
 # no RNG at runtime) and checks the durability contract after each recovery.
 echo "== fault injection (crash schedules) =="
 cargo test -q -p seplsm --test crash_schedules --offline
+# Same lane, by name: the traced fsync budget of one flush/merge commit
+# (k table fsyncs + 1 directory + 1 manifest + <= 1 WAL, in that order). A
+# regression fails on the assertion that prints the op that crept back in.
+echo "== fault injection (fsync budget) =="
+cargo test -q -p seplsm --test fsync_budget --offline
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the

@@ -14,6 +14,12 @@
 //! truncated, a proptest drives `MultiSeriesEngine` through random
 //! workload/crash combinations, and a salvage test corrupts a stored table
 //! on purpose to check the degraded recovery path end to end.
+//!
+//! The grouped-commit section crashes at every op of a multi-output merge
+//! and of an in-order flush (group publication, manifest edit group,
+//! in-place WAL checkpoint) in strict and salvage mode, tears the manifest
+//! edit group at every record boundary and in between, and recovers a
+//! checked-in PR 12-format directory.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -23,7 +29,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use seplsm::{
     AdmissionOutcome, DataPoint, EngineConfig, Fault, FaultPlan, FileStore,
-    LsmEngine, MultiOpenOptions, OpenOptions, Policy, RecoveryOptions,
+    IoOp, LsmEngine, MultiOpenOptions, OpenOptions, Policy, RecoveryOptions,
     SeriesId, TableStore, TieredEngine, TieredOpenOptions, TimeRange,
     Watermarks,
 };
@@ -441,6 +447,333 @@ fn tiered_engine_absorbs_one_transient_fault_per_op() {
         absorbed > 0,
         "at least some store-path transients must be absorbed by retry"
     );
+}
+
+// ------------------------------------------------------------ Grouped commit
+
+/// Table shape of the grouped-commit scenarios: a full MemTable becomes
+/// several tables, so every flush and merge publishes a multi-table batch.
+const GROUP_SSTABLE_POINTS: usize = 4;
+
+/// Sixteen in-order points, sixteen stragglers interleaved with all of
+/// them, then eight more in order. Under `π_c(16)` that is a four-table
+/// flush followed by a 4 → 8-table merge; under `π_s(8 + 8)` the in-order
+/// points leave through the append path and the stragglers through a
+/// multi-output merge; the tiered engine flushes each to L0 and drains L0
+/// into the run in between.
+fn group_workload() -> Vec<DataPoint> {
+    let in_order = (0..16i64).map(|i| i * 10);
+    let stragglers = (0..16i64).map(|i| i * 10 + 5);
+    let tail = (16..24i64).map(|i| i * 10);
+    in_order
+        .chain(stragglers)
+        .chain(tail)
+        .enumerate()
+        .map(|(i, tg)| DataPoint::new(tg, i as i64 * 10 + 3, i as f64))
+        .collect()
+}
+
+#[derive(Clone, Copy)]
+enum GroupEngine {
+    /// Inline engine, `π_c(16)`: merges only.
+    Conventional,
+    /// Inline engine, `π_s(8 + 8)`: in-order flushes and merges.
+    Separation,
+    /// Background engine, `π_c(8)`, synchronous flushes.
+    Tiered,
+}
+
+impl GroupEngine {
+    fn config(self) -> EngineConfig {
+        let policy = match self {
+            Self::Conventional => Policy::conventional(16),
+            Self::Separation => Policy::separation(16, 8).expect("policy"),
+            Self::Tiered => Policy::conventional(8),
+        };
+        EngineConfig::new(policy).with_sstable_points(GROUP_SSTABLE_POINTS)
+    }
+
+    fn pass(
+        self,
+        tag: &str,
+        plan: &Arc<FaultPlan>,
+        pts: &[DataPoint],
+    ) -> (TempDir, Outcome) {
+        let dir = TempDir::new(tag);
+        let store = Arc::new(
+            FileStore::open(dir.path("tables"))
+                .expect("store")
+                .with_faults(Arc::clone(plan)),
+        );
+        let out = match self {
+            Self::Conventional | Self::Separation => {
+                let mut engine = OpenOptions::new(self.config())
+                    .store(store)
+                    .wal(dir.path("wal"))
+                    .manifest(dir.path("manifest"))
+                    .faults(Arc::clone(plan))
+                    .open()
+                    .expect("open");
+                drive(&mut engine, pts, LsmEngine::append, |e| e.sync_wal())
+            }
+            Self::Tiered => {
+                let mut engine = TieredOpenOptions::new(self.config())
+                    .store(store)
+                    .sync_flush()
+                    .wal(dir.path("wal"))
+                    .manifest(dir.path("manifest"))
+                    .faults(Arc::clone(plan))
+                    .open()
+                    .expect("open");
+                drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal())
+            }
+        };
+        (dir, out)
+    }
+
+    /// Recovers the directory in `mode` and checks the contract, the
+    /// integrity audit, and that every table file the recovered version
+    /// does not reference — outputs renamed into place by a commit that
+    /// never reached the manifest, inputs a committed merge had not yet
+    /// deleted — was swept as an orphan.
+    fn recover_check(
+        self,
+        dir: &TempDir,
+        pts: &[DataPoint],
+        out: &Outcome,
+        recovery: RecoveryOptions,
+        ctx: &str,
+    ) {
+        let store: Arc<dyn TableStore> = Arc::new(
+            FileStore::open(dir.path("tables")).expect("reopen store"),
+        );
+        let (recovered, live_tables, table_files, report) = match self {
+            Self::Conventional | Self::Separation => {
+                let (engine, report) = OpenOptions::new(self.config())
+                    .store(Arc::clone(&store))
+                    .wal(dir.path("wal"))
+                    .manifest(dir.path("manifest"))
+                    .recovery(recovery)
+                    .open_or_recover()
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                engine
+                    .check_integrity()
+                    .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+                let live = engine.version().live_table_ids().len();
+                let files = store.list().expect("list").len();
+                (engine.scan_all().expect("scan"), live, files, report)
+            }
+            Self::Tiered => {
+                let (engine, report) = TieredOpenOptions::new(self.config())
+                    .store(Arc::clone(&store))
+                    .wal(dir.path("wal"))
+                    .manifest(dir.path("manifest"))
+                    .recovery(recovery)
+                    .open_or_recover()
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                engine
+                    .check_integrity()
+                    .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+                let recovered = engine.scan_all().expect("scan");
+                // Stop the worker first, so the file count is not racing
+                // a merge still retiring its inputs.
+                let live = engine.finish().expect("finish").run_tables;
+                let files = store.list().expect("list").len();
+                (recovered, live, files, report)
+            }
+        };
+        assert!(
+            report.quarantined.is_empty(),
+            "{ctx}: a crash only truncates, nothing is quarantined"
+        );
+        check_contract(&recovered, pts, out, ctx);
+        assert_eq!(
+            table_files,
+            live_tables,
+            "{ctx}: uncommitted outputs / unretired inputs must be GC'd \
+             ({} removed)",
+            report.orphans_removed.len()
+        );
+    }
+}
+
+fn recovery_modes() -> [(&'static str, RecoveryOptions); 2] {
+    [
+        ("strict", RecoveryOptions::strict().with_gc_orphans()),
+        ("salvage", RecoveryOptions::salvage().with_gc_orphans()),
+    ]
+}
+
+/// Crashes at every I/O op of the scenario — every table write, fsync and
+/// rename of each group publication, the directory fsync, the manifest
+/// edit-group append and fsync, the in-place and carried-over WAL
+/// checkpoints — and recovers in strict and salvage mode.
+fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
+    let pts = group_workload();
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, out) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
+    assert_eq!(out.synced, pts.len(), "trace pass must complete");
+    let trace = plan.trace();
+    // The scenario must actually contain what it claims to sweep: a
+    // multi-table group publication and edit-group commits.
+    assert!(
+        trace.windows(3).any(|w| w
+            == [IoOp::StoreRename, IoOp::StoreRename, IoOp::DirSync]),
+        "no multi-table publication in {trace:?}"
+    );
+    assert!(trace.contains(&IoOp::ManifestAppend));
+    assert!(trace.contains(&IoOp::WalRewrite));
+    for (mode, recovery) in recovery_modes() {
+        engine.recover_check(&dir, &pts, &out, recovery, mode);
+        // Recovery is idempotent: the second mode reopens what the first
+        // one left behind.
+    }
+    drop(dir);
+    for k in 0..plan.ops() {
+        for (mode, recovery) in recovery_modes() {
+            let plan = FaultPlan::crash_at(SEED, k);
+            let (dir, out) = engine.pass(&format!("{tag}-crash"), &plan, &pts);
+            assert!(plan.is_crashed(), "crash at op {k} never fired");
+            let ctx =
+                format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
+            engine.recover_check(&dir, &pts, &out, recovery, &ctx);
+        }
+    }
+}
+
+#[test]
+fn lsm_multi_output_merge_survives_a_crash_at_every_io_op() {
+    grouped_commit_survives_every_crash(GroupEngine::Conventional, "grp-pc");
+}
+
+#[test]
+fn lsm_in_order_flush_survives_a_crash_at_every_io_op() {
+    grouped_commit_survives_every_crash(GroupEngine::Separation, "grp-ps");
+}
+
+#[test]
+fn tiered_flush_and_l0_merge_survive_a_crash_at_every_io_op() {
+    grouped_commit_survives_every_crash(GroupEngine::Tiered, "grp-bg");
+}
+
+/// Tears every manifest edit-group append of the scenario at every record
+/// boundary and at points inside records. Whatever prefix of the group
+/// reached the disk, recovery must see none of it: a half-applied `Replace`
+/// would either overlap the run (strict recovery refuses it) or drop
+/// tables whose points nothing else holds (the contract check misses
+/// them).
+#[test]
+fn torn_manifest_edit_groups_are_never_half_applied() {
+    /// Bytes of one manifest record.
+    const RECORD: usize = 33;
+    for (engine, tag) in [
+        (GroupEngine::Conventional, "torn-grp-pc"),
+        (GroupEngine::Tiered, "torn-grp-bg"),
+    ] {
+        let pts = group_workload();
+        let plan = FaultPlan::trace_only(SEED);
+        let (dir, _) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
+        drop(dir);
+        let appends: Vec<u64> = plan
+            .trace()
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| **op == IoOp::ManifestAppend)
+            .map(|(i, _)| i as u64)
+            .collect();
+        assert!(appends.len() >= 2, "scenario commits several groups");
+        for at in appends {
+            // The largest group here is header + 4 removes + 8 adds; cuts
+            // past a smaller group's length persist nothing of it.
+            for records in 0..14 {
+                for extra in [0, 1, RECORD / 2, RECORD - 1] {
+                    let truncate = records * RECORD + extra;
+                    let plan =
+                        FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
+                    let (dir, out) =
+                        engine.pass(&format!("{tag}-tear"), &plan, &pts);
+                    assert!(plan.is_crashed(), "tear at op {at} never fired");
+                    let ctx = format!(
+                        "manifest group at op {at} torn by {truncate} bytes"
+                    );
+                    engine.recover_check(
+                        &dir,
+                        &pts,
+                        &out,
+                        RecoveryOptions::strict().with_gc_orphans(),
+                        &ctx,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Durable state written by the PR 12 build (`tests/fixtures/pr12/`, made
+/// by running this file's `workload(43)` through both engines and dropping
+/// them without a closing flush): header-less manifests — flat `ADD` /
+/// `ADD_L0` records from a whole-log rewrite plus per-flush appends — and
+/// WALs still holding the buffered survivors. The grouped format must read
+/// them as the degenerate case they are.
+#[test]
+fn pr12_format_manifest_and_wal_still_recover() {
+    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+        std::fs::create_dir_all(to).expect("mkdir");
+        for entry in std::fs::read_dir(from).expect("read fixture dir") {
+            let entry = entry.expect("entry");
+            let dest = to.join(entry.file_name());
+            if entry.path().is_dir() {
+                copy_dir(&entry.path(), &dest);
+            } else {
+                std::fs::copy(entry.path(), dest).expect("copy fixture file");
+            }
+        }
+    }
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/pr12");
+    let mut expected = workload(43);
+    expected.sort_by_key(|p| p.gen_time);
+    let dir = TempDir::new("pr12-fixture");
+    copy_dir(&fixture, &dir.0);
+
+    let store: Arc<dyn TableStore> = Arc::new(
+        FileStore::open(dir.path("lsm/tables")).expect("fixture store"),
+    );
+    let config = EngineConfig::new(Policy::separation(8, 4).expect("policy"))
+        .with_sstable_points(4);
+    let (mut engine, report) = OpenOptions::new(config)
+        .store(store)
+        .wal(dir.path("lsm/wal"))
+        .manifest(dir.path("lsm/manifest"))
+        .recovery(RecoveryOptions::strict().with_gc_orphans())
+        .open_or_recover()
+        .expect("recover the PR 12 inline-engine directory");
+    assert!(report.is_clean(), "{report:?}");
+    assert!(report.orphans_removed.is_empty(), "{report:?}");
+    assert_eq!(engine.scan_all().expect("scan"), expected);
+    engine.check_integrity().expect("integrity");
+    // And it keeps going in the new format on top of the old log.
+    engine.flush_all().expect("flush");
+    assert_eq!(engine.scan_all().expect("scan"), expected);
+
+    let store: Arc<dyn TableStore> = Arc::new(
+        FileStore::open(dir.path("tiered/tables")).expect("fixture store"),
+    );
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let (engine, report) = TieredOpenOptions::new(config)
+        .store(store)
+        .sync_flush()
+        .wal(dir.path("tiered/wal"))
+        .manifest(dir.path("tiered/manifest"))
+        .recovery(RecoveryOptions::strict().with_gc_orphans())
+        .open_or_recover()
+        .expect("recover the PR 12 background-engine directory");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(engine.scan_all().expect("scan"), expected);
+    engine.check_integrity().expect("integrity");
+    let finished = engine.finish().expect("finish");
+    assert_eq!(finished.points, expected);
 }
 
 // -------------------------------------------------------- MultiSeriesEngine

@@ -1,0 +1,303 @@
+//! The fsync budget of one flush/merge commit, proved op by op.
+//!
+//! Every engine here runs on the real durable stack — `FileStore` + WAL +
+//! manifest — with a `FaultPlan::trace_only` attached, so the trace names
+//! every physical I/O op in execution order. A merge that writes *k* tables
+//! must cost exactly k table fsyncs + 1 tables-directory fsync + 1 manifest
+//! fsync + at most 1 WAL fsync, in exactly that order: tables durable →
+//! manifest durable → WAL truncated. A regression names the op that crept
+//! back in.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use seplsm::{
+    DataPoint, EngineConfig, FaultPlan, FileStore, IoOp, MultiOpenOptions,
+    OpenOptions, Policy, SeriesId, TieredOpenOptions,
+};
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let path = std::env::temp_dir().join(format!(
+            "seplsm-fsync-budget-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("create temp dir");
+        Self(path)
+    }
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn store(dir: &TempDir, plan: &Arc<FaultPlan>) -> Arc<FileStore> {
+    Arc::new(
+        FileStore::open(dir.path("tables"))
+            .expect("store")
+            .with_faults(Arc::clone(plan)),
+    )
+}
+
+fn point(gen_time: i64) -> DataPoint {
+    DataPoint::new(gen_time, gen_time + 1, gen_time as f64)
+}
+
+fn count(ops: &[IoOp], op: IoOp) -> usize {
+    ops.iter().filter(|o| **o == op).count()
+}
+
+/// The ops that end in an fsync — the benchmark's `fsyncs_per_kpoint` set.
+fn fsyncs(ops: &[IoOp]) -> usize {
+    [
+        IoOp::StoreSync,
+        IoOp::DirSync,
+        IoOp::WalSync,
+        IoOp::WalRewrite,
+        IoOp::ManifestSync,
+        IoOp::ManifestRewrite,
+    ]
+    .iter()
+    .map(|op| count(ops, *op))
+    .sum()
+}
+
+fn first(ops: &[IoOp], op: IoOp) -> usize {
+    ops.iter()
+        .position(|o| *o == op)
+        .unwrap_or_else(|| panic!("no {op:?} in {ops:?}"))
+}
+
+fn last(ops: &[IoOp], op: IoOp) -> usize {
+    ops.iter()
+        .rposition(|o| *o == op)
+        .unwrap_or_else(|| panic!("no {op:?} in {ops:?}"))
+}
+
+/// The grouped commit of `k` tables, up to and including the manifest
+/// fsync: k table fsyncs, *then* k renames, *then* one directory fsync,
+/// *then* one manifest append + fsync — and no manifest rewrite.
+fn assert_grouped_commit(ops: &[IoOp], k: usize) {
+    assert_eq!(count(ops, IoOp::StoreWrite), k, "{ops:?}");
+    assert_eq!(count(ops, IoOp::StoreSync), k, "{ops:?}");
+    assert_eq!(count(ops, IoOp::StoreRename), k, "{ops:?}");
+    assert_eq!(count(ops, IoOp::ManifestAppend), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::ManifestSync), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::ManifestRewrite), 0, "{ops:?}");
+    assert_eq!(count(ops, IoOp::ManifestRename), 0, "{ops:?}");
+    assert!(
+        last(ops, IoOp::StoreSync) < first(ops, IoOp::StoreRename),
+        "every table fsync precedes every rename: {ops:?}"
+    );
+    let tables_dir_sync = first(ops, IoOp::DirSync);
+    assert!(
+        last(ops, IoOp::StoreRename) < tables_dir_sync,
+        "every rename precedes the directory fsync: {ops:?}"
+    );
+    assert!(
+        tables_dir_sync < first(ops, IoOp::ManifestAppend)
+            && first(ops, IoOp::ManifestAppend)
+                < first(ops, IoOp::ManifestSync),
+        "tables durable before the manifest commit: {ops:?}"
+    );
+}
+
+#[test]
+fn a_merge_writing_k_tables_costs_k_plus_three_fsyncs() {
+    let dir = TempDir::new("merge");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    let mut engine = OpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // Sixteen in-order points fill C0: the first flush lays down 4 tables.
+    for i in 0..16 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    assert_eq!(engine.run().len(), 4);
+    // Sixteen stragglers interleave with all of them; the append that fills
+    // C0 again triggers a merge of 32 points into k = 8 tables.
+    for i in 0..15 {
+        engine.append(point(i * 10 + 5)).expect("append");
+    }
+    engine.sync_wal().expect("sync");
+    let before = plan.ops() as usize;
+    engine
+        .append(point(155))
+        .expect("append triggers the merge");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    let k = 8;
+    assert_eq!(engine.run().len(), k);
+    assert_eq!(engine.metrics().compactions, 1);
+
+    assert_grouped_commit(ops, k);
+    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    // The WAL checkpoint: nothing survives a π_c flush, so the log is cut
+    // in place — one fsync, no rename, no second directory fsync.
+    assert_eq!(count(ops, IoOp::WalRewrite), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::WalRename), 0, "{ops:?}");
+    assert_eq!(count(ops, IoOp::WalSync), 0, "{ops:?}");
+    assert!(
+        first(ops, IoOp::ManifestSync) < first(ops, IoOp::WalRewrite),
+        "manifest durable before the WAL is truncated: {ops:?}"
+    );
+    assert_eq!(fsyncs(ops), k + 3, "{ops:?}");
+    // The log is clean after its checkpoint: the batch's closing sync, and
+    // the one `flush_all` issues, cost nothing.
+    let before = plan.ops();
+    engine.sync_wal().expect("sync");
+    assert_eq!(plan.ops(), before);
+}
+
+#[test]
+fn an_in_order_flush_of_one_table_costs_at_most_five_fsyncs() {
+    let dir = TempDir::new("in-order");
+    let plan = FaultPlan::trace_only(0);
+    let policy = Policy::separation(8, 4).expect("policy");
+    let config = EngineConfig::new(policy).with_sstable_points(4);
+    let mut engine = OpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+
+    // C_seq fills with nothing in C_nonseq: no buffered point survives.
+    for i in 0..3 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.append(point(30)).expect("append triggers the flush");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_eq!(engine.run().len(), 1);
+    assert_grouped_commit(ops, 1);
+    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::WalRename), 0, "{ops:?}");
+    assert!(first(ops, IoOp::ManifestSync) < first(ops, IoOp::WalRewrite));
+    assert_eq!(fsyncs(ops), 1 + 1 + 1 + 1, "{ops:?}");
+
+    // Now with a straggler parked in C_nonseq: it survives the flush, so
+    // the checkpoint must carry it over — tmp + rename + directory fsync.
+    engine.append(point(15)).expect("straggler");
+    for i in 4..7 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.append(point(70)).expect("append triggers the flush");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_eq!(engine.run().len(), 2);
+    assert_eq!(engine.buffered_points(), 1);
+    assert_grouped_commit(ops, 1);
+    assert_eq!(count(ops, IoOp::WalRewrite), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::WalRename), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::DirSync), 2, "{ops:?}");
+    assert!(
+        first(ops, IoOp::ManifestSync) < first(ops, IoOp::WalRewrite)
+            && first(ops, IoOp::WalRename) < last(ops, IoOp::DirSync),
+        "{ops:?}"
+    );
+    assert_eq!(fsyncs(ops), 1 + 1 + 1 + 2, "{ops:?}");
+}
+
+#[test]
+fn the_background_engine_pays_the_same_grouped_commit() {
+    let dir = TempDir::new("tiered");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let mut engine = TieredOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        // Each append returns only once the worker has retired its
+        // hand-off, so the op order is the same on every run.
+        .sync_flush()
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    for i in 0..7 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.append(point(70)).expect("append hands off a flush");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    // The writer checkpoints its WAL around the hand-off (the batch is
+    // still volatile, so it is a survivor: tmp + rename + directory fsync);
+    // the flush worker's own commit is the grouped one — 2 tables, one
+    // directory fsync, one manifest fsync.
+    let flush = &ops[first(ops, IoOp::StoreWrite)..];
+    assert_grouped_commit(flush, 2);
+    assert_eq!(count(flush, IoOp::DirSync), 1, "{flush:?}");
+    assert_eq!(fsyncs(flush), 2 + 1 + 1, "{flush:?}");
+
+    // A second batch overlapping the first, then the L0 → run merge on the
+    // caller's thread: 16 points into k = 4 tables, no WAL involved.
+    for i in 0..8 {
+        engine.append(point(i * 10 + 5)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.quiesce().expect("merge L0 into the run");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_grouped_commit(ops, 4);
+    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    assert_eq!(fsyncs(ops), 4 + 1 + 1, "{ops:?}");
+    engine.finish().expect("finish");
+}
+
+#[test]
+fn a_fleet_series_pays_the_same_grouped_commit() {
+    let dir = TempDir::new("fleet");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    let (hot, cold) = (SeriesId(1), SeriesId(2));
+    fleet.append(cold, point(0)).expect("append");
+    fleet.sync_wal_all().expect("sync");
+    for i in 0..7 {
+        fleet.append(hot, point(i * 10)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    fleet
+        .append(hot, point(70))
+        .expect("append triggers the flush");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_grouped_commit(ops, 2);
+    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    assert_eq!(fsyncs(ops), 2 + 3, "{ops:?}");
+    // The batch sync touches only the series that appended since its last
+    // sync: `hot` was just checkpointed and `cold` has been idle.
+    let before = plan.ops();
+    fleet.sync_wal_all().expect("sync");
+    assert_eq!(plan.ops(), before, "clean logs are not fsynced");
+    fleet.append(cold, point(10)).expect("append");
+    let before = plan.ops() as usize;
+    fleet.sync_wal_all().expect("sync");
+    assert_eq!(plan.trace()[before..], [IoOp::WalSync]);
+}
