@@ -56,10 +56,9 @@ pub enum IoOp {
     WalRewrite,
     /// `Wal::rewrite` renaming tmp → live.
     WalRename,
-    /// `Manifest::commit` writing one edit group
-    /// (`log_add`/`log_add_l0`/`log_remove`: one record).
+    /// `Manifest::commit` writing one edit group (or one bare record).
     ManifestAppend,
-    /// `Manifest::sync` flush + fsync.
+    /// `Manifest::commit` flush + fsync.
     ManifestSync,
     /// `Manifest::rewrite_levels` writing + fsyncing the tmp log.
     ManifestRewrite,

@@ -19,12 +19,13 @@
 //! degenerate case of this format and replay unchanged.
 //!
 //! **Compaction.** Removed tables leave dead records behind (their add,
-//! the remove, group headers). [`Manifest::compaction_due`] reports when
-//! they would outnumber the live ones; the caller then rewrites the log
-//! from the live tables ([`Manifest::rewrite_levels`]: tmp file, fsync,
-//! rename, directory fsync) instead of appending. Engines also rewrite at
-//! open and at `flush_all`/`finish`, so a log at rest holds exactly one
-//! record per live table and stays proportional to the live table count.
+//! the remove, group headers). When a change would leave them outnumbering
+//! the live ones, [`Manifest::commit_or_rewrite`] rewrites the log from the
+//! live tables ([`Manifest::rewrite_levels`]: tmp file, fsync, rename,
+//! directory fsync) instead of appending. Engines also rewrite at open and
+//! at `flush_all`/`finish` ([`Manifest::compact`]), so a log at rest holds
+//! exactly one record per live table and stays proportional to the live
+//! table count.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -54,8 +55,8 @@ const TAG_DRAIN_L0: u8 = 5;
 const PAYLOAD: usize = 29;
 /// Record: payload + crc32.
 const RECORD: usize = PAYLOAD + 4;
-/// Dead records a log may always carry before [`Manifest::compaction_due`]
-/// fires, so a log of a handful of tables is not rewritten on every merge.
+/// Dead records a log may always carry before a commit turns into a
+/// rewrite, so a log of a handful of tables is not rewritten on every merge.
 const COMPACT_MIN_DEAD: u64 = 32;
 
 /// One table-membership change; [`Manifest::commit`] logs a slice of them
@@ -284,18 +285,11 @@ impl Manifest {
         &self.path
     }
 
-    /// Records currently in the log file: one per live table plus the dead
-    /// ones (superseded adds, removes, group headers) since the last
-    /// rewrite.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// `true` when committing `edits` more edit records to a log that will
     /// then mirror `live` tables would leave the dead records outnumbering
     /// the live ones (past a small fixed allowance): rewriting the log from
     /// the live tables is then the cheaper way to record the change.
-    pub fn compaction_due(&self, edits: usize, live: usize) -> bool {
+    fn compaction_due(&self, edits: usize, live: usize) -> bool {
         let header = u64::from(edits > 1);
         let records = self.records + edits as u64 + header;
         let live = live as u64;
@@ -303,8 +297,8 @@ impl Manifest {
     }
 
     /// Appends `edits` as one unit in one write: a lone record as itself, a
-    /// longer change behind a group header. Buffered, like every append;
-    /// [`Manifest::sync`] makes it durable.
+    /// longer change behind a group header. Buffered:
+    /// [`Manifest::commit`] makes it durable.
     fn append(&mut self, edits: &[ManifestEdit]) -> Result<()> {
         let grouped = edits.len() > 1;
         let mut buf = Vec::with_capacity((edits.len() + 1) * RECORD);
@@ -343,29 +337,6 @@ impl Manifest {
         Ok(())
     }
 
-    /// Logs a table joining the run.
-    pub fn log_add(&mut self, meta: &SsTableMeta) -> Result<()> {
-        self.append(&[ManifestEdit::Add(*meta)])
-    }
-
-    /// Logs a table joining L0 (the tiered engine's overlapping level).
-    pub fn log_add_l0(&mut self, meta: &SsTableMeta) -> Result<()> {
-        self.append(&[ManifestEdit::AddL0(*meta)])
-    }
-
-    /// Logs a table leaving the run.
-    pub fn log_remove(&mut self, id: SsTableId) -> Result<()> {
-        self.append(&[ManifestEdit::Remove(id)])
-    }
-
-    /// Flushes and fsyncs the log.
-    pub fn sync(&mut self) -> Result<()> {
-        fault::hook(self.faults.as_ref(), IoOp::ManifestSync)?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
-        Ok(())
-    }
-
     /// Durably logs `edits` as one atomic edit group: one append, one
     /// fsync. After a crash, replay sees all of the edits or none of them.
     /// Empty input is a no-op.
@@ -374,7 +345,41 @@ impl Manifest {
             return Ok(());
         }
         self.append(edits)?;
-        self.sync()
+        fault::hook(self.faults.as_ref(), IoOp::ManifestSync)?;
+        self.writer.flush()?;
+        self.writer.get_ref().sync_all()?;
+        Ok(())
+    }
+
+    /// Durably records `edits`, a change that leaves `run` + `l0` as the
+    /// live tables: [`Manifest::commit`], or — when the group would leave
+    /// the log more dead than live — a rewrite from the live tables, which
+    /// records the same state.
+    pub fn commit_or_rewrite(
+        &mut self,
+        edits: &[ManifestEdit],
+        run: &[SsTableMeta],
+        l0: &[SsTableMeta],
+    ) -> Result<()> {
+        if !edits.is_empty()
+            && self.compaction_due(edits.len(), run.len() + l0.len())
+        {
+            return self.rewrite_levels(run, l0);
+        }
+        self.commit(edits)
+    }
+
+    /// Rewrites the log down to one record per live table, unless it
+    /// already is.
+    pub fn compact(
+        &mut self,
+        run: &[SsTableMeta],
+        l0: &[SsTableMeta],
+    ) -> Result<()> {
+        if self.records == (run.len() + l0.len()) as u64 {
+            return Ok(());
+        }
+        self.rewrite_levels(run, l0)
     }
 
     /// Atomically rewrites the log as a flat list of the live run tables.
@@ -589,11 +594,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.log_add(&meta(1, 0, 99, 10)).expect("add");
-            m.log_add(&meta(2, 100, 199, 10)).expect("add");
-            m.log_remove(SsTableId(1)).expect("remove");
-            m.log_add(&meta(3, 0, 99, 12)).expect("add");
-            m.sync().expect("sync");
+            m.commit(&[ManifestEdit::Add(meta(1, 0, 99, 10))])
+                .expect("add");
+            m.commit(&[ManifestEdit::Add(meta(2, 100, 199, 10))])
+                .expect("add");
+            m.commit(&[ManifestEdit::Remove(SsTableId(1))])
+                .expect("remove");
+            m.commit(&[ManifestEdit::Add(meta(3, 0, 99, 12))])
+                .expect("add");
         }
         let live = Manifest::replay(&path).expect("replay");
         let ids: Vec<u64> = live.iter().map(|m| m.id.0).collect();
@@ -608,13 +616,18 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut m = Manifest::open(&path).expect("open");
         for i in 0..100 {
-            m.log_add(&meta(i, i as i64 * 10, i as i64 * 10 + 9, 1))
-                .expect("add");
+            m.commit(&[ManifestEdit::Add(meta(
+                i,
+                i as i64 * 10,
+                i as i64 * 10 + 9,
+                1,
+            ))])
+            .expect("add");
             if i > 0 {
-                m.log_remove(SsTableId(i - 1)).expect("remove");
+                m.commit(&[ManifestEdit::Remove(SsTableId(i - 1))])
+                    .expect("remove");
             }
         }
-        m.sync().expect("sync");
         let size_before = std::fs::metadata(&path).expect("stat").len();
         m.rewrite(&[meta(99, 990, 999, 1)]).expect("rewrite");
         let size_after = std::fs::metadata(&path).expect("stat").len();
@@ -631,11 +644,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.log_add(&meta(1, 0, 99, 10)).expect("add run");
-            m.log_add_l0(&meta(2, 50, 150, 8)).expect("add l0");
-            m.log_add_l0(&meta(3, 60, 160, 8)).expect("add l0");
-            m.log_remove(SsTableId(2)).expect("remove spans levels");
-            m.sync().expect("sync");
+            m.commit(&[ManifestEdit::Add(meta(1, 0, 99, 10))])
+                .expect("add run");
+            m.commit(&[ManifestEdit::AddL0(meta(2, 50, 150, 8))])
+                .expect("add l0");
+            m.commit(&[ManifestEdit::AddL0(meta(3, 60, 160, 8))])
+                .expect("add l0");
+            m.commit(&[ManifestEdit::Remove(SsTableId(2))])
+                .expect("remove spans levels");
         }
         let (run, l0) = Manifest::replay_levels(&path).expect("replay");
         assert_eq!(run.iter().map(|m| m.id.0).collect::<Vec<_>>(), vec![1]);
@@ -664,9 +680,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.log_add(&meta(1, 0, 9, 1)).expect("add");
-            m.log_add(&meta(2, 10, 19, 1)).expect("add");
-            m.sync().expect("sync");
+            m.commit(&[ManifestEdit::Add(meta(1, 0, 9, 1))])
+                .expect("add");
+            m.commit(&[ManifestEdit::Add(meta(2, 10, 19, 1))])
+                .expect("add");
         }
         let data = std::fs::read(&path).expect("read");
         std::fs::write(&path, &data[..data.len() - 7]).expect("truncate");
@@ -674,8 +691,8 @@ mod tests {
         // landed after the garbage, shifting every later record's framing.
         {
             let mut m = Manifest::open(&path).expect("re-open repairs tail");
-            m.log_add(&meta(3, 20, 29, 1)).expect("add");
-            m.sync().expect("sync");
+            m.commit(&[ManifestEdit::Add(meta(3, 20, 29, 1))])
+                .expect("add");
         }
         let live = Manifest::replay(&path).expect("must stay readable");
         let ids: Vec<u64> = live.iter().map(|m| m.id.0).collect();
@@ -701,10 +718,14 @@ mod tests {
         {
             let mut m = Manifest::open(&path).expect("open");
             for i in 0..4 {
-                m.log_add(&meta(i, i as i64 * 10, i as i64 * 10 + 9, 1))
-                    .expect("add");
+                m.commit(&[ManifestEdit::Add(meta(
+                    i,
+                    i as i64 * 10,
+                    i as i64 * 10 + 9,
+                    1,
+                ))])
+                .expect("add");
             }
-            m.sync().expect("sync");
         }
         let mut data = std::fs::read(&path).expect("read");
         data[RECORD + 3] ^= 0xff; // corrupt the second record
@@ -724,9 +745,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.log_add(&meta(1, 0, 9, 1)).expect("add");
-            m.log_add(&meta(2, 10, 19, 1)).expect("add");
-            m.sync().expect("sync");
+            m.commit(&[ManifestEdit::Add(meta(1, 0, 9, 1))])
+                .expect("add");
+            m.commit(&[ManifestEdit::Add(meta(2, 10, 19, 1))])
+                .expect("add");
         }
         let data = std::fs::read(&path).expect("read");
         // Torn tail: drop 5 bytes.
@@ -783,13 +805,13 @@ mod tests {
             plan.trace(),
             vec![IoOp::ManifestAppend, IoOp::ManifestSync]
         );
-        assert_eq!(m.records(), 4, "header + three edits");
+        assert_eq!(m.records, 4, "header + three edits");
         m.commit(&[]).expect("empty commit");
         assert_eq!(plan.ops(), 2, "an empty commit touches nothing");
         // A lone edit needs no header: it is the pre-group record format.
         m.commit(&[ManifestEdit::Add(meta(4, 20, 29, 1))])
             .expect("single");
-        assert_eq!(m.records(), 5);
+        assert_eq!(m.records, 5);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -830,7 +852,7 @@ mod tests {
         std::fs::write(&path, &data[..data.len() - 40]).expect("truncate");
         {
             let mut m = Manifest::open(&path).expect("re-open repairs");
-            assert_eq!(m.records(), 4);
+            assert_eq!(m.records, 4);
             m.commit(&[ManifestEdit::Add(meta(5, 200, 299, 3))])
                 .expect("commit");
         }
@@ -869,7 +891,7 @@ mod tests {
             .map(|i| meta(i, i as i64 * 10, i as i64 * 10 + 9, 1))
             .collect();
         m.rewrite(&live).expect("seed");
-        assert_eq!(m.records(), 100);
+        assert_eq!(m.records, 100);
         assert!(!m.compaction_due(0, 100));
         // 100 live; a group of 100 edits + header makes 101 dead.
         assert!(!m.compaction_due(99, 100), "100 dead: not yet");
@@ -974,7 +996,7 @@ mod tests {
                 );
                 proptest::prop_assert_eq!(l0.as_slice(), version.l0());
                 proptest::prop_assert!(
-                    manifest.records()
+                    manifest.records
                         >= (version.run().len() + version.l0().len()) as u64
                 );
             }

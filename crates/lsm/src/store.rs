@@ -527,6 +527,19 @@ impl FileStore {
         fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
         sync_dir(&self.dir)
     }
+
+    /// Best-effort removal of the tmp files a failed batch staged but did
+    /// not rename, so a transient failure its caller retries leaves no
+    /// debris behind until the next open. After an injected crash nothing
+    /// more touches the disk: the debris is part of the crash state.
+    fn discard(&self, staged: &[StagedTable]) {
+        if self.faults.as_ref().is_some_and(|p| p.is_crashed()) {
+            return;
+        }
+        for table in staged {
+            let _ = std::fs::remove_file(&table.tmp_path);
+        }
+    }
 }
 
 /// A table whose bytes are durable in its tmp file but not yet published
@@ -547,16 +560,26 @@ impl TableStore for FileStore {
 
     /// Group publication: every tmp file is written and fsynced, then all
     /// are renamed, then the directory is fsynced *once* — k + 1 fsyncs for
-    /// k tables instead of 2k.
+    /// k tables instead of 2k. A failed batch removes the tmp files it had
+    /// staged; tables it had already renamed are unreferenced orphans.
     fn put_batch(
         &self,
         chunks: &[&[DataPoint]],
     ) -> Result<Vec<(SsTableMeta, usize)>> {
-        let staged = chunks
-            .iter()
-            .map(|chunk| self.stage(chunk))
-            .collect::<Result<Vec<_>>>()?;
-        self.publish(&staged)?;
+        let mut staged = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            match self.stage(chunk) {
+                Ok(table) => staged.push(table),
+                Err(e) => {
+                    self.discard(&staged);
+                    return Err(e);
+                }
+            }
+        }
+        if let Err(e) = self.publish(&staged) {
+            self.discard(&staged);
+            return Err(e);
+        }
         Ok(staged.into_iter().map(|t| (t.meta, t.size)).collect())
     }
 
@@ -1107,6 +1130,43 @@ mod tests {
         let mem = MemStore::new();
         let stored = mem.put_batch(&[&a, &b]).expect("default put_batch");
         assert_eq!(mem.get(stored[1].0.id).expect("get"), b);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn file_store_failed_batch_removes_its_staged_tmp_files() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-batch-fail-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tmp_files = |dir: &Path| {
+            std::fs::read_dir(dir)
+                .expect("read_dir")
+                .filter_map(|e| e.ok())
+                .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+                .count()
+        };
+        let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
+        // Op 4 is the third table's write: two tables are staged by then.
+        let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at: 4 });
+        let store = FileStore::open(&dir)
+            .expect("open")
+            .with_faults(Arc::clone(&plan));
+        assert!(store.put_batch(&[&a, &b, &c]).is_err());
+        assert_eq!(tmp_files(&dir), 1, "only the failed table's own tmp");
+        assert!(store.list().expect("list").is_empty());
+        // The retry its caller makes goes through from scratch.
+        let stored = store.put_batch(&[&a, &b, &c]).expect("retry");
+        assert_eq!(store.get(stored[2].0.id).expect("get"), c);
+        drop(store);
+        // A crash, unlike a transient failure, leaves its debris in place.
+        let plan = FaultPlan::crash_at(0, 4);
+        let store = FileStore::open(&dir).expect("open").with_faults(plan);
+        assert_eq!(tmp_files(&dir), 0, "open sweeps tmp files");
+        assert!(store.put_batch(&[&a, &b, &c]).is_err());
+        assert_eq!(tmp_files(&dir), 3);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

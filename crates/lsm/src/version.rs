@@ -155,18 +155,12 @@ impl Version {
         }
     }
 
-    /// Tables the version references (run + L0): the number of records a
-    /// fully compacted manifest of it holds.
-    fn live_tables(&self) -> usize {
-        self.run.len() + self.l0.len()
-    }
-
     /// Durably records already-applied `edits` in `manifest` as one atomic
     /// edit group — one append, one fsync — so a crash can never leave the
     /// log holding half a [`VersionEdit::Replace`]. When the group would
-    /// leave the log more dead than live
-    /// ([`Manifest::compaction_due`]), the log is instead rewritten from
-    /// this version's live tables, which records the same state.
+    /// leave the log more dead than live, the log is instead rewritten from
+    /// this version's live tables, which records the same state
+    /// ([`Manifest::commit_or_rewrite`]).
     ///
     /// # Errors
     /// Manifest I/O failures.
@@ -202,13 +196,7 @@ impl Version {
                 }
             }
         }
-        if group.is_empty() {
-            return Ok(());
-        }
-        if manifest.compaction_due(group.len(), self.live_tables()) {
-            return manifest.rewrite_levels(self.run.tables(), &self.l0);
-        }
-        manifest.commit(&group)
+        manifest.commit_or_rewrite(&group, self.run.tables(), &self.l0)
     }
 
     /// Rewrites `manifest` down to one record per live table, unless it
@@ -218,10 +206,7 @@ impl Version {
     /// # Errors
     /// Manifest I/O failures.
     pub fn compact_manifest(&self, manifest: &mut Manifest) -> Result<()> {
-        if manifest.records() == self.live_tables() as u64 {
-            return Ok(());
-        }
-        manifest.rewrite_levels(self.run.tables(), &self.l0)
+        manifest.compact(self.run.tables(), &self.l0)
     }
 }
 

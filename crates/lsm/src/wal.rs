@@ -9,7 +9,7 @@
 //! but reports mid-log corruption.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -26,16 +26,9 @@ const PAYLOAD: usize = 24;
 /// Record layout: crc u32 LE + payload.
 const RECORD: usize = 4 + PAYLOAD;
 
-/// Appended bytes are handed to the file once this many are pending.
-const BUFFER: usize = 8 * 1024;
-
 /// An append-only, checksummed log of data points.
 pub struct Wal {
-    file: File,
-    /// Appended records not yet written to `file`. Held here rather than in
-    /// a `BufWriter` so a checkpoint can drop them unwritten: a record that
-    /// is about to be cut from the log need never reach it.
-    pending: Vec<u8>,
+    writer: BufWriter<File>,
     path: PathBuf,
     /// Records appended since the last fsync of the live file: what
     /// [`Wal::sync`] exists to make durable.
@@ -110,8 +103,7 @@ impl Wal {
         Self::repair_tail(&path)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
-            file,
-            pending: Vec::with_capacity(BUFFER),
+            writer: BufWriter::new(file),
             path,
             unsynced: false,
             faults: None,
@@ -168,10 +160,7 @@ impl Wal {
             rec.len(),
         )? {
             WriteCheck::Proceed => {
-                self.pending.extend_from_slice(&rec);
-                if self.pending.len() >= BUFFER {
-                    self.write_pending()?;
-                }
+                self.writer.write_all(&rec)?;
                 self.unsynced = true;
                 self.obs.emit(|| Event::WalAppend {
                     bytes: rec.len() as u64,
@@ -181,18 +170,11 @@ impl Wal {
             WriteCheck::Torn { keep } => {
                 // A torn append: the record's prefix reaches the file (the
                 // modelled power cut happened mid-write), then the op fails.
-                self.pending.extend_from_slice(&rec[..keep.min(rec.len())]);
-                self.write_pending()?;
+                self.writer.write_all(&rec[..keep.min(rec.len())])?;
+                self.writer.flush()?;
                 Err(fault::injected_crash(IoOp::WalAppend, self.op_index()))
             }
         }
-    }
-
-    /// Hands the pending records to the file (no fsync).
-    fn write_pending(&mut self) -> Result<()> {
-        self.file.write_all(&self.pending)?;
-        self.pending.clear();
-        Ok(())
     }
 
     fn op_index(&self) -> u64 {
@@ -208,8 +190,8 @@ impl Wal {
             return Ok(());
         }
         fault::hook(self.faults.as_ref(), IoOp::WalSync)?;
-        self.write_pending()?;
-        self.file.sync_all()?;
+        self.writer.flush()?;
+        self.writer.get_ref().sync_all()?;
         self.unsynced = false;
         self.obs.emit(|| Event::WalSync);
         Ok(())
@@ -255,10 +237,8 @@ impl Wal {
             fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
             sync_dir(parent)?;
         }
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        // Pending records are either among the survivors just written or
-        // already flushed to tables: they belong to the log this replaced.
-        self.pending.clear();
+        let file = OpenOptions::new().append(true).open(&self.path)?;
+        self.writer = BufWriter::new(file);
         self.unsynced = false;
         self.obs.emit(|| Event::WalTruncate {
             survivors: survivors.len() as u64,
@@ -275,11 +255,12 @@ impl Wal {
     /// commit and a tmp-file rewrite.
     fn truncate(&mut self) -> Result<()> {
         fault::hook(self.faults.as_ref(), IoOp::WalRewrite)?;
-        // Pending records are part of what is being cut. The file is in
-        // append mode, so later records land at the new end.
-        self.pending.clear();
-        self.file.set_len(0)?;
-        self.file.sync_all()?;
+        // Buffered records are part of what is being cut; they are flushed
+        // first so none lands after the cut. The file is in append mode, so
+        // later records land at the new end.
+        self.writer.flush()?;
+        self.writer.get_ref().set_len(0)?;
+        self.writer.get_ref().sync_all()?;
         self.unsynced = false;
         self.obs.emit(|| Event::WalTruncate { survivors: 0 });
         Ok(())
@@ -347,16 +328,6 @@ impl Wal {
             offset += RECORD;
         }
         Ok(points)
-    }
-}
-
-impl Drop for Wal {
-    /// Best effort, like the `BufWriter` this buffer replaces: a log that
-    /// is dropped without a final [`Wal::sync`] still hands its pending
-    /// records to the OS. Errors cannot be reported from here; durability
-    /// was never promised without the sync.
-    fn drop(&mut self) {
-        let _ = self.write_pending();
     }
 }
 
@@ -556,7 +527,7 @@ mod tests {
             wal.append(&DataPoint::new(i, i, 0.0)).expect("append");
         }
         wal.sync().expect("sync");
-        // Unsynced records pending at the checkpoint are cut with the rest.
+        // Unsynced records buffered at the checkpoint are cut with the rest.
         wal.append(&DataPoint::new(10, 10, 0.0)).expect("append");
         let before = plan.ops();
         wal.rewrite(&[]).expect("checkpoint");

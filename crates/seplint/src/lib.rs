@@ -12,8 +12,8 @@
 //!   buffer insert, manifest/flushing cover before WAL truncation.
 //! * **R6** — durability modules fsync the parent directory (`sync_dir`)
 //!   after every `rename`, or the new name itself can vanish in a crash;
-//!   and every fsync there sits behind a fault-plan hook, so it is counted
-//!   by the I/O trace and reachable by crash schedules.
+//!   and every fsync there sits behind a fault-plan hook of its own, so it
+//!   is counted by the I/O trace and reachable by crash schedules.
 //! * **R7** — decoder modules bounds-check every length decoded from
 //!   untrusted bytes before it sizes an allocation.
 //! * **R8** — lock modules acquire locks in the documented order and never

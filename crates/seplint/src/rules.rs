@@ -140,7 +140,7 @@ enum EvKind {
     /// `wal.rewrite(...)` — the WAL was truncated to a survivor set.
     WalTruncate,
     /// Evidence the truncated data is covered elsewhere: a manifest record
-    /// (`manifest`, `record`, `rewrite_levels`, `log_add*`) or a
+    /// (`manifest`, `record`, `rewrite_levels`, `commit_or_rewrite`) or a
     /// still-queryable flushing registration (`RegisterFlushing`).
     Cover,
     /// A recovery / migration source (`replay`, `migrate`): points flowing
@@ -166,8 +166,7 @@ const COVER_IDENTS: &[&str] = &[
     "manifest",
     "record",
     "rewrite_levels",
-    "log_add",
-    "log_add_l0",
+    "commit_or_rewrite",
     "RegisterFlushing",
 ];
 
@@ -356,12 +355,15 @@ const FAULT_HOOKS: &[&str] = &["hook", "hook_write"];
 ///   the new directory entry itself only survives a crash once the parent
 ///   directory is fsynced — every `rename(...)` must be followed by a
 ///   `sync_dir`;
-/// * every fsync (`sync_all` / `sync_data` / `sync_dir`) must be preceded
-///   by a fault-plan hook, so the op is counted by the I/O trace (the
-///   benchmark's `fsyncs_per_kpoint`) and reachable by crash schedules — an
-///   un-hooked fsync is a cost nobody can see or crash-test.
+/// * every fsync (`sync_all` / `sync_data` / `sync_dir`) must have a
+///   fault-plan hook of its own — one between it and the previous fsync or
+///   rename — so the op is counted by the I/O trace (the benchmark's
+///   `fsyncs_per_kpoint`) and reachable by crash schedules — an un-hooked
+///   fsync is a cost nobody can see or crash-test.
 ///
-/// The `sync_dir` helper itself is the primitive and is exempt.
+/// The `sync_dir` helper itself is the primitive and is exempt, and so is
+/// the body of a `Torn { .. } => { .. }` arm: it *is* the injected crash,
+/// persisting the prefix a power cut would have left.
 pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
     let lexed = lex(src);
     let tokens = strip_test_items(&lexed.tokens);
@@ -375,6 +377,7 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
             body[i].ident().is_some_and(|id| names.contains(&id))
                 && body.get(i + 1).is_some_and(|n| n.is_punct('('))
         };
+        let torn = torn_arms(body);
         for (i, t) in body.iter().enumerate() {
             if calls(i, &["rename"]) {
                 let synced_later =
@@ -392,8 +395,18 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
                     ));
                 }
             }
-            if calls(i, FSYNC_CALLS) {
-                let hooked = (0..i).any(|j| calls(j, FAULT_HOOKS));
+            if calls(i, FSYNC_CALLS) && !torn[i] {
+                // The nearest earlier hook, fsync or rename must be a hook:
+                // a hook further back already paid for another op.
+                let hooked = (0..i)
+                    .rev()
+                    .filter(|j| !torn[*j])
+                    .find(|j| {
+                        calls(*j, FAULT_HOOKS)
+                            || calls(*j, FSYNC_CALLS)
+                            || calls(*j, &["rename"])
+                    })
+                    .is_some_and(|j| calls(j, FAULT_HOOKS));
                 if !hooked && !lexed.is_allowed(t.line, "R6") {
                     out.push(violation(
                         path,
@@ -401,8 +414,8 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
                         "R6",
                         format!(
                             "`{}` fsyncs (`{}`) with no fault-plan hook \
-                             before it — the op is invisible to the I/O \
-                             trace and to crash schedules",
+                             of its own before it — the op is invisible to \
+                             the I/O trace and to crash schedules",
                             func.name,
                             t.ident().unwrap_or_default()
                         ),
@@ -412,6 +425,41 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Marks the tokens of `body` that sit inside the block of a
+/// `Torn { .. } => { .. }` match arm.
+fn torn_arms(body: &[Token]) -> Vec<bool> {
+    let mut inside = vec![false; body.len()];
+    for (i, t) in body.iter().enumerate() {
+        if !t.is_ident("Torn") {
+            continue;
+        }
+        // The arm's `=>` sits a short pattern (`{ keep }`) past the name.
+        let Some(arrow) = (i + 1..body.len().min(i + 8)).find(|j| {
+            body[*j].is_punct('=')
+                && body.get(j + 1).is_some_and(|n| n.is_punct('>'))
+        }) else {
+            continue;
+        };
+        let open = arrow + 2;
+        if !body.get(open).is_some_and(|n| n.is_punct('{')) {
+            continue;
+        }
+        let mut depth = 0usize;
+        for (j, n) in body.iter().enumerate().skip(open) {
+            inside[j] = true;
+            if n.is_punct('{') {
+                depth += 1;
+            } else if n.is_punct('}') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    inside
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ impl Store {
 
     // VIOLATION: the tmp file's fsync has no fault-plan hook in front of
     // it, so no I/O trace counts it and no crash schedule can land on it.
-    // (The directory fsync further down is behind the rename's hook.)
     pub fn put_uncounted(&self, id: u64, bytes: &[u8]) -> Result<(), Error> {
         let tmp = self.dir.join(format!("{id}.tmp"));
         let mut f = File::create(&tmp)?;
@@ -36,6 +35,43 @@ impl Store {
         f.sync_all()?;
         fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
         std::fs::rename(&tmp, self.dir.join(format!("{id}.sst")))?;
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
+        sync_dir(&self.dir)?;
+        Ok(())
+    }
+
+    // VIOLATION: the tmp file's fsync is counted, but the directory fsync
+    // rides on the rename's hook — every fsync needs a hook of its own,
+    // between it and the previous fsync or rename.
+    pub fn put_half_hooked(&self, id: u64, bytes: &[u8]) -> Result<(), Error> {
+        let tmp = self.dir.join(format!("{id}.tmp"));
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
+        f.sync_all()?;
+        fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
+        std::fs::rename(&tmp, self.dir.join(format!("{id}.sst")))?;
+        sync_dir(&self.dir)?;
+        Ok(())
+    }
+
+    // Compliant: the fsync inside the `Torn` arm is the injected crash
+    // itself, and does not stand between the write's hook and its fsync.
+    pub fn rewrite(&self, bytes: &[u8]) -> Result<(), Error> {
+        let tmp = self.dir.join("log.tmp");
+        let mut f = File::create(&tmp)?;
+        match fault::hook_write(self.faults.as_ref(), IoOp::WalRewrite, 8)? {
+            WriteCheck::Proceed => f.write_all(bytes)?,
+            WriteCheck::Torn { keep } => {
+                f.write_all(&bytes[..keep])?;
+                f.sync_all()?;
+                return Err(crash());
+            }
+        }
+        f.sync_all()?;
+        fault::hook(self.faults.as_ref(), IoOp::WalRename)?;
+        std::fs::rename(&tmp, self.dir.join("log"))?;
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
         sync_dir(&self.dir)?;
         Ok(())
     }

@@ -183,7 +183,7 @@ fn r5_passes_the_compliant_orderings() {
 fn r6_fires_on_rename_without_dir_sync() {
     let src = fixture("r6_rename_no_sync.rs");
     let v = rules::rename_syncs_dir(Path::new("store.rs"), &src);
-    assert_eq!(v.len(), 2, "{v:?}");
+    assert_eq!(v.len(), 3, "{v:?}");
     assert!(v.iter().all(|f| f.rule == "R6"), "{v:?}");
     assert!(v[0].message.contains("put_unsynced"), "{v:?}");
     assert!(v[0].message.contains("renames without"), "{v:?}");
@@ -192,6 +192,11 @@ fn r6_fires_on_rename_without_dir_sync() {
     assert!(v[1].message.contains("put_uncounted"), "{v:?}");
     assert!(v[1].message.contains("`sync_all`"), "{v:?}");
     assert!(v[1].message.contains("no fault-plan hook"), "{v:?}");
+    // An earlier hook pays for one op only: the un-hooked directory fsync
+    // after a hooked file fsync and a hooked rename is named too, while the
+    // fsync inside a `Torn` arm neither needs a hook nor hides one.
+    assert!(v[2].message.contains("put_half_hooked"), "{v:?}");
+    assert!(v[2].message.contains("`sync_dir`"), "{v:?}");
 }
 
 /// Builds a [`CallGraph`] over `(file-name, source)` pairs for the

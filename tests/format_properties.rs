@@ -8,7 +8,7 @@ use seplsm_lsm::sstable::format::{
     decode, decode_range, encode, encode_with, Compression, EncodeOptions,
 };
 use seplsm_lsm::sstable::{SsTableId, SsTableMeta};
-use seplsm_lsm::{Manifest, Wal};
+use seplsm_lsm::{Manifest, ManifestEdit, Wal};
 
 /// Strategy: a sorted, unique-gen-time point vector.
 fn arb_points(max_len: usize) -> impl Strategy<Value = Vec<DataPoint>> {
@@ -132,6 +132,7 @@ proptest! {
     #[test]
     fn manifest_replay_tracks_arbitrary_add_remove_sequences(
         ops in proptest::collection::vec((any::<bool>(), 0u64..32), 1..120),
+        group in 1usize..8,
     ) {
         let path = std::env::temp_dir().join(format!(
             "seplsm-prop-manifest-{}-{:?}.manifest",
@@ -140,23 +141,28 @@ proptest! {
         ));
         let _ = std::fs::remove_file(&path);
         let mut reference: Vec<SsTableMeta> = Vec::new();
-        {
-            let mut manifest = Manifest::open(&path).expect("open");
-            for (add, id) in &ops {
-                if *add {
-                    let meta = SsTableMeta {
-                        id: SsTableId(*id),
-                        range: TimeRange::new(*id as i64 * 100, *id as i64 * 100 + 99),
-                        count: 10,
-                    };
-                    manifest.log_add(&meta).expect("add");
-                    reference.push(meta);
-                } else {
-                    manifest.log_remove(SsTableId(*id)).expect("remove");
-                    reference.retain(|m| m.id != SsTableId(*id));
-                }
+        let mut edits = Vec::new();
+        for (add, id) in &ops {
+            if *add {
+                let meta = SsTableMeta {
+                    id: SsTableId(*id),
+                    range: TimeRange::new(*id as i64 * 100, *id as i64 * 100 + 99),
+                    count: 10,
+                };
+                edits.push(ManifestEdit::Add(meta));
+                reference.push(meta);
+            } else {
+                edits.push(ManifestEdit::Remove(SsTableId(*id)));
+                reference.retain(|m| m.id != SsTableId(*id));
             }
-            manifest.sync().expect("sync");
+        }
+        {
+            // `group` = 1 writes the bare pre-group record format; larger
+            // values frame the same history as edit groups.
+            let mut manifest = Manifest::open(&path).expect("open");
+            for chunk in edits.chunks(group) {
+                manifest.commit(chunk).expect("commit");
+            }
         }
         let live = Manifest::replay(&path).expect("replay");
         prop_assert_eq!(live, reference);

@@ -249,8 +249,13 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     assert_eq!(count(flush, IoOp::DirSync), 1, "{flush:?}");
     assert_eq!(fsyncs(flush), 2 + 1 + 1, "{flush:?}");
 
-    // A second batch overlapping the first, then the L0 → run merge on the
-    // caller's thread: 16 points into k = 4 tables, no WAL involved.
+    // The worker merges L0 by itself once it holds four tables, racing any
+    // snapshot taken here; `quiesce` after every flush keeps L0 at two, so
+    // each L0 → run merge below runs on this thread and nowhere else.
+    engine.quiesce().expect("merge L0 into the empty run");
+    assert_eq!(engine.table_layout().len(), 2);
+    // A second batch overlapping the first, then the L0 → run merge:
+    // 16 points into k = 4 tables, no WAL involved.
     for i in 0..8 {
         engine.append(point(i * 10 + 5)).expect("append");
     }
@@ -258,6 +263,7 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     engine.quiesce().expect("merge L0 into the run");
     let trace = plan.trace();
     let ops = &trace[before..];
+    assert_eq!(engine.table_layout().len(), 4);
     assert_grouped_commit(ops, 4);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
     assert_eq!(fsyncs(ops), 4 + 1 + 1, "{ops:?}");
