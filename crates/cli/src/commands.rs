@@ -29,7 +29,7 @@ USAGE:
                   [--agg min|max|sum|count|mean [--bucket N]]
   seplsm stats    --input FILE [--policy conventional|separation:<n_seq>]
                   [--budget N] [--sstable N] [--trace FILE.jsonl]
-                  [--cache POINTS]
+                  [--cache POINTS] [--dir DIR]
   seplsm help
 ";
 
@@ -388,10 +388,20 @@ pub fn stats(opts: &Opts) -> Result<()> {
     if let Some(cache) = &cache {
         options = options.cache(Arc::clone(cache));
     }
+    // `--dir DIR` runs the durable stack (tables, WAL and manifest under
+    // DIR) instead of the in-memory one.
+    if let Some(dir) = opts.get("dir") {
+        options = options
+            .store(open_store(opts)?)
+            .wal(PathBuf::from(dir).join("wal"))
+            .manifest(PathBuf::from(dir).join("manifest"));
+    }
     let mut engine = options.open()?;
     for p in &points {
         engine.append(*p)?;
     }
+    // Before the closing flush cuts the log to its header.
+    let wal = engine.wal_stats();
     engine.flush_all()?;
     if cache.is_some() {
         // A verification scan after ingest: blocks cached by compaction
@@ -405,6 +415,13 @@ pub fn stats(opts: &Opts) -> Result<()> {
     println!("write amplification: {:.3}", m.write_amplification());
     println!();
     print!("{}", aggregate.report().render_table());
+    if let Some(wal) = wal {
+        println!(
+            "wal before the closing flush: {} live B, {} dead B, \
+             {} frames, {} cuts",
+            wal.live_bytes, wal.dead_bytes, wal.frames, wal.cuts
+        );
+    }
     if let Some(cache) = &cache {
         let cs = cache.stats();
         println!(

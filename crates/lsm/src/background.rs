@@ -25,9 +25,11 @@
 //! # Durability
 //!
 //! With [`TieredOpenOptions::wal`] every appended point is logged before it
-//! is buffered, and the log is compacted to the still-volatile suffix on
-//! every flush hand-off; with [`TieredOpenOptions::manifest`] the worker
-//! records every L0 addition and run replacement. A crashed engine (dropped
+//! is buffered, and the log is checkpointed to the still-volatile suffix on
+//! every flush hand-off (a frame queued in the log; the file itself is cut
+//! only when its dead bytes outweigh the live ones, and at `finish`); with
+//! [`TieredOpenOptions::manifest`] the worker records every L0 addition
+//! and run replacement. A crashed engine (dropped
 //! without [`TieredEngine::finish`]) is rebuilt by
 //! [`TieredOpenOptions::open_or_recover`]: the manifest restores the run and
 //! L0,
@@ -446,8 +448,8 @@ impl Kind for Background {
                 mode,
                 &mut report,
                 &obs,
-                |e, p| e.append_internal(p, false).map(drop),
-                TieredEngine::wal_survivors,
+                |e, _, p| e.append_internal(p, false).map(drop),
+                |e| vec![(0, e.wal_survivors())],
             )?);
         }
         if recover && options.recovery.gc_orphans {
@@ -755,15 +757,21 @@ impl TieredEngine {
         survivors
     }
 
-    /// Rewrites the WAL to [`wal_survivors`](Self::wal_survivors).
+    /// Checkpoints the WAL down to [`wal_survivors`](Self::wal_survivors)
+    /// — a frame queued in the log, no I/O — and cuts the file when its
+    /// dead bytes have come to outweigh the live ones.
     fn compact_wal(&mut self) -> Result<()> {
         if self.wal.is_none() {
             return Ok(());
         }
         let survivors = self.wal_survivors();
-        self.wal
-            .as_mut()
-            .map_or(Ok(()), |wal| wal.rewrite(&survivors))
+        let Some(wal) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        if wal.checkpoint(0, &survivors)? {
+            wal.rewrite(&[(0, survivors)])?;
+        }
+        Ok(())
     }
 
     /// Flushes and fsyncs the write-ahead log (no-op without a WAL).

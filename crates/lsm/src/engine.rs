@@ -46,7 +46,7 @@ use crate::query::{Agg, Bucket, QueryStats, ReadView};
 use crate::recovery::{self, RecoveryReport};
 use crate::store::TableStore;
 use crate::version::Version;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalStats};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -137,6 +137,9 @@ pub struct LsmEngine {
     metrics: Metrics,
     wal: Option<Wal>,
     manifest: Option<Manifest>,
+    /// A flush has committed since [`LsmEngine::take_committed_flush`] was
+    /// last asked: whoever logs for this engine owes its log a checkpoint.
+    committed_flush: bool,
     /// Largest generation time ever appended (memory or disk), used by
     /// recent-data query workloads.
     max_gen_seen: Option<Timestamp>,
@@ -204,6 +207,7 @@ impl Kind for Inline {
             metrics: Metrics::default(),
             wal: None,
             manifest: None,
+            committed_flush: false,
             admission: AdmissionController::new(options.watermarks),
             obs,
         };
@@ -216,8 +220,8 @@ impl Kind for Inline {
                     mode,
                     &mut report,
                     &obs,
-                    |e, p| e.append_internal(p, false).map(drop),
-                    LsmEngine::buffered_snapshot,
+                    |e, _, p| e.append_internal(p, false).map(drop),
+                    |e| vec![(0, e.buffered_snapshot())],
                 )?
             } else {
                 open::open_wal(path, &obs)?
@@ -486,16 +490,35 @@ impl LsmEngine {
         )
     }
 
-    /// Rewrites the WAL to contain only the still-buffered points.
+    /// Checkpoints the WAL down to the still-buffered points after a flush
+    /// committed — a frame queued in the log, no I/O — and cuts the file
+    /// when its dead bytes have come to outweigh the live ones. An engine
+    /// without a log of its own (a fleet series) leaves the note for its
+    /// owner instead.
     fn compact_wal(&mut self) -> Result<()> {
-        if self.wal.is_none() {
+        let Some(wal) = self.wal.as_mut() else {
+            self.committed_flush = true;
             return Ok(());
+        };
+        let survivors = self.buffers.snapshot_sorted();
+        if wal.checkpoint(0, &survivors)? {
+            wal.rewrite(&[(0, survivors)])?;
         }
-        let survivors = self.buffered_snapshot();
-        match self.wal.as_mut() {
-            Some(wal) => wal.rewrite(&survivors),
-            None => Ok(()),
-        }
+        Ok(())
+    }
+
+    /// True once per committed flush (or closing [`flush_all`]) of an
+    /// engine that keeps no log of its own: the fleet that logs for it
+    /// checkpoints the series when it reads `true`.
+    ///
+    /// [`flush_all`]: LsmEngine::flush_all
+    pub(crate) fn take_committed_flush(&mut self) -> bool {
+        std::mem::take(&mut self.committed_flush)
+    }
+
+    /// Size and history of the write-ahead log, when one is attached.
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        self.wal.as_ref().map(Wal::stats)
     }
 
     /// Flushes and fsyncs the write-ahead log (no-op without a WAL). Call
@@ -521,10 +544,11 @@ impl LsmEngine {
         self.flush_in_order(drained.in_order)?;
         self.merge_into_run(drained.merging)?;
         self.compact_wal()?;
+        // The engine comes to rest here: nothing is buffered, so the log is
+        // cut to its header, and the manifest sheds its dead records.
         if let Some(wal) = self.wal.as_mut() {
-            wal.sync()?;
+            wal.rewrite(&[])?;
         }
-        // The engine comes to rest here: shed the manifest's dead records.
         if let Some(manifest) = self.manifest.as_mut() {
             self.version.compact_manifest(manifest)?;
         }

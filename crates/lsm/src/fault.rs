@@ -47,12 +47,14 @@ pub enum IoOp {
     StoreDelete,
     /// `FileStore::list` scanning the directory.
     StoreList,
-    /// `Wal::append` writing one record.
+    /// The WAL writing its pending frames with one `write` — at
+    /// `Wal::sync`, or when the pending buffer is full.
     WalAppend,
-    /// `Wal::sync` flush + fsync.
+    /// `Wal::sync` fsyncing the log.
     WalSync,
-    /// `Wal::rewrite` writing + fsyncing the tmp log — or, when nothing
-    /// survives, truncating + fsyncing the live log in place.
+    /// `Wal::rewrite` (the cut) writing + fsyncing the tmp log — or, when
+    /// nothing is live, truncating the live log to its header + fsyncing
+    /// it in place.
     WalRewrite,
     /// `Wal::rewrite` renaming tmp → live.
     WalRename,

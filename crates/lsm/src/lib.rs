@@ -157,4 +157,4 @@ pub use sstable::{
 };
 pub use store::{sync_dir, CachedStore, FileStore, MemStore, TableStore};
 pub use version::{Version, VersionEdit};
-pub use wal::Wal;
+pub use wal::{Replay, Wal, WalStats};

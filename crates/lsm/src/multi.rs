@@ -6,15 +6,20 @@
 //! [`SeriesId`] gets its own MemTables, level-1 run and metrics (so policies
 //! can differ per series), while all series share one [`TableStore`].
 //!
-//! With [`MultiOpenOptions::durable_dir`] every series additionally gets a
-//! WAL and a manifest namespaced by its id (`series-<n>.wal` /
-//! `series-<n>.manifest`) inside one metadata directory;
-//! [`MultiOpenOptions::open_or_recover`] scans that directory and rebuilds
-//! every series through the single-series recovery path. New and recovered
-//! series alike are opened through the single-series [`OpenOptions`].
+//! With [`MultiOpenOptions::durable_dir`] the collection is durable: one
+//! write-ahead log for the whole fleet (`fleet.wal`, every frame tagged with
+//! its series) and one manifest per series (`series-<n>.manifest`) inside
+//! one metadata directory. The fleet logs a point before handing it to the
+//! series' engine and checkpoints the series in the log when that append
+//! flushed it; all of it happens on the caller's thread, so a batch
+//! touching many series is one write and one fsync, and the flush pool
+//! never sees the log. [`MultiOpenOptions::open_or_recover`] rebuilds every
+//! series' version from its manifest and then replays the log, handing
+//! each frame's points to the series it names. New and recovered series
+//! alike are opened through the single-series [`OpenOptions`].
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crossbeam::channel;
@@ -27,11 +32,12 @@ use crate::engine::{EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::metrics::Metrics;
 use crate::obs::{Event, Observer, ObserverHandle};
-use crate::open::{Fleet, Inline, Kind, MultiOpenOptions, OpenOptions};
+use crate::open::{self, Fleet, Inline, Kind, MultiOpenOptions, OpenOptions};
 use crate::query::{Agg, Bucket, QueryStats};
-use crate::recovery::{self, RecoveryOptions, RecoveryReport};
+use crate::recovery::{self, RecoveryMode, RecoveryOptions, RecoveryReport};
 use crate::sstable::SsTableId;
-use crate::store::TableStore;
+use crate::store::{sync_dir, TableStore};
+use crate::wal::Wal;
 
 /// Identifier of one time series (e.g. one sensor channel of one vehicle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -84,11 +90,15 @@ pub struct MultiSeriesEngine {
     store: Arc<dyn TableStore>,
     template: EngineConfig,
     series: HashMap<SeriesId, LsmEngine>,
-    /// When set, every series gets a WAL and manifest under this directory,
-    /// namespaced by its id.
+    /// When set, the fleet log and every series' manifest (namespaced by
+    /// its id) live under this directory.
     durable_dir: Option<PathBuf>,
-    /// When set, every series' WAL and manifest writes route through this
-    /// fault schedule (the shared store is wrapped separately).
+    /// The fleet's one write-ahead log (`durable_dir/fleet.wal`). Only the
+    /// thread that owns the engine ever touches it.
+    wal: Option<Wal>,
+    /// When set, the log's and every series manifest's writes route
+    /// through this fault schedule (the shared store is wrapped
+    /// separately).
     faults: Option<Arc<FaultPlan>>,
     /// Event sink cloned into every series engine (current and future).
     obs: ObserverHandle,
@@ -113,14 +123,14 @@ pub struct MultiSeriesEngine {
 impl Kind for Fleet {
     type Engine = MultiSeriesEngine;
 
-    /// Fresh: an empty collection (the durable directory is created if one
-    /// is configured). Recovering: every `series-<n>.manifest` under the
-    /// durable directory is recovered through the single-series path
-    /// (manifest → run, WAL → buffers) and the per-series
-    /// [`RecoveryReport`]s are folded into one. Orphan GC (when requested)
-    /// runs once, *after* every series has recovered, against the union of
-    /// all series' live tables — the shared store makes any per-series
-    /// sweep unsound.
+    /// Fresh: an empty collection (the durable directory and the fleet log
+    /// are created if a directory is configured). Recovering: every
+    /// `series-<n>.manifest` under the durable directory rebuilds its
+    /// series' version through the single-series path, then the fleet log
+    /// is replayed into the series its frames name, and the reports are
+    /// folded into one. Orphan GC (when requested) runs once, *after* every
+    /// series has recovered, against the union of all series' live tables
+    /// — the shared store makes any per-series sweep unsound.
     fn assemble(
         options: MultiOpenOptions,
         store: Arc<dyn TableStore>,
@@ -142,6 +152,7 @@ impl Kind for Fleet {
             template: options.config,
             series: HashMap::new(),
             durable_dir: fleet.durable_dir,
+            wal: None,
             faults: None,
             obs: options.observer,
             workers: fleet.workers,
@@ -153,6 +164,9 @@ impl Kind for Fleet {
         let mut report = RecoveryReport::default();
         if recover {
             engine.recover_series(options.recovery, &mut report)?;
+        } else if let Some(dir) = &engine.durable_dir {
+            engine.wal =
+                Some(open::open_wal(&dir.join(FLEET_WAL), &engine.obs)?);
         }
         // Series already hosted (the recovery path) stay at their recovered
         // capacity until their first post-open append admits them into
@@ -163,9 +177,10 @@ impl Kind for Fleet {
         Ok((engine, report))
     }
 
-    /// Covers the series recovered so far and, through
+    /// Covers the fleet log, the series recovered so far and, through
     /// [`MultiSeriesEngine::series_options`], every series created later.
     fn attach_faults(engine: &mut MultiSeriesEngine, plan: &Arc<FaultPlan>) {
+        open::attach_faults(plan, engine.wal.as_mut(), None);
         for series in engine.series.values_mut() {
             Inline::attach_faults(series, plan);
         }
@@ -173,18 +188,76 @@ impl Kind for Fleet {
     }
 }
 
+/// The fleet log's file name inside the durable directory.
+const FLEET_WAL: &str = "fleet.wal";
+
+/// The series id of a `series-<n><suffix>` file name.
+fn series_file(name: &std::ffi::OsStr, suffix: &str) -> Option<SeriesId> {
+    name.to_str()?
+        .strip_prefix("series-")?
+        .strip_suffix(suffix)?
+        .parse()
+        .ok()
+        .map(SeriesId)
+}
+
+/// Folds the per-series logs of the older layout (`series-<n>.wal`, one
+/// fixed-record log per series) into the fleet log at `fleet_wal`, then
+/// removes them. Safe to repeat: a crash before the removal is durable
+/// folds the same points in again, behind their first copies.
+fn fold_series_logs(
+    dir: &Path,
+    fleet_wal: &Path,
+    options: RecoveryOptions,
+    report: &mut RecoveryReport,
+) -> Result<()> {
+    let mut old = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(series) = series_file(&entry.file_name(), ".wal") {
+            old.push((series, entry.path()));
+        }
+    }
+    if old.is_empty() {
+        return Ok(());
+    }
+    old.sort();
+    let salvage = options.mode == RecoveryMode::Salvage;
+    let (mut wal, _) = Wal::recover(fleet_wal, !salvage)?;
+    for (series, path) in &old {
+        let replay = if salvage {
+            Wal::replay_salvage(path)?
+        } else {
+            Wal::replay(path)?
+        };
+        if salvage {
+            report.wal_records_dropped += replay.dropped;
+        }
+        // A one-series log knows its points only as series 0.
+        for p in replay.series.values().flatten() {
+            wal.append_for(series.0, p)?;
+        }
+    }
+    wal.sync()?;
+    for (_, path) in &old {
+        std::fs::remove_file(path)?;
+    }
+    // A removed log that came back after a crash would be folded in again
+    // later, over newer points the fleet log has since let go of.
+    sync_dir(dir)
+}
+
 impl MultiSeriesEngine {
     /// The builder one series of this collection opens through: the
     /// template configuration over the shared store, reporting to the
-    /// collection's observer, with a WAL and manifest namespaced by the
-    /// series id when the collection is durable.
+    /// collection's observer, with a manifest namespaced by the series id
+    /// when the collection is durable — and no log: the fleet logs for it.
     fn series_options(&self, series: SeriesId) -> OpenOptions {
         let mut options = OpenOptions::new(self.template.clone())
             .store(Arc::clone(&self.store));
         options.observer = self.obs.clone();
         if let Some(dir) = &self.durable_dir {
             options = options
-                .wal(dir.join(format!("series-{}.wal", series.0)))
                 .manifest(dir.join(format!("series-{}.manifest", series.0)));
         }
         match &self.faults {
@@ -193,7 +266,52 @@ impl MultiSeriesEngine {
         }
     }
 
-    /// Recovers every series that left a manifest in the durable directory.
+    /// The engine of `series`, opened fresh on first use.
+    fn series_mut(&mut self, series: SeriesId) -> Result<&mut LsmEngine> {
+        if !self.series.contains_key(&series) {
+            let engine = self.series_options(series).open()?;
+            self.series.insert(series, engine);
+        }
+        self.series
+            .get_mut(&series)
+            .ok_or(Error::UnknownSeries(series.0))
+    }
+
+    /// Every series' still-buffered points, in ascending series order: what
+    /// a cut of the fleet log must carry over.
+    fn wal_survivors(&self) -> Vec<(u32, Vec<DataPoint>)> {
+        let mut survivors: Vec<(u32, Vec<DataPoint>)> = self
+            .series
+            .iter()
+            .map(|(id, engine)| (id.0, engine.buffered_snapshot()))
+            .collect();
+        survivors.sort_by_key(|(series, _)| *series);
+        survivors
+    }
+
+    /// Checkpoints `series` in the fleet log if its engine committed a
+    /// flush since the last call, and cuts the log when that pays.
+    fn checkpoint(&mut self, series: SeriesId) -> Result<()> {
+        let (Some(wal), Some(engine)) =
+            (self.wal.as_mut(), self.series.get_mut(&series))
+        else {
+            return Ok(());
+        };
+        if !engine.take_committed_flush() {
+            return Ok(());
+        }
+        if wal.checkpoint(series.0, &engine.buffered_snapshot())? {
+            let survivors = self.wal_survivors();
+            if let Some(wal) = self.wal.as_mut() {
+                wal.rewrite(&survivors)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Recovers every series that left a manifest in the durable directory,
+    /// then replays the fleet log over them (a series known only to the log
+    /// is created).
     fn recover_series(
         &mut self,
         options: RecoveryOptions,
@@ -209,21 +327,34 @@ impl MultiSeriesEngine {
             ..options
         };
         for entry in std::fs::read_dir(&dir)? {
-            let name = entry?.file_name();
-            let Some(id) = name
-                .to_str()
-                .and_then(|name| name.strip_prefix("series-"))
-                .and_then(|rest| rest.strip_suffix(".manifest"))
-                .and_then(|n| n.parse::<u32>().ok())
-            else {
+            let Some(id) = series_file(&entry?.file_name(), ".manifest") else {
                 continue;
             };
             let (engine, series_report) = self
-                .series_options(SeriesId(id))
+                .series_options(id)
                 .recovery(per_series)
                 .open_or_recover()?;
             report.merge(series_report);
-            self.series.insert(SeriesId(id), engine);
+            self.series.insert(id, engine);
+        }
+        let fleet_wal = dir.join(FLEET_WAL);
+        fold_series_logs(&dir, &fleet_wal, options, report)?;
+        let obs = self.obs.clone();
+        let wal = recovery::replay_wal(
+            self,
+            &fleet_wal,
+            options.mode,
+            report,
+            &obs,
+            |fleet, series, p| {
+                fleet.series_mut(SeriesId(series))?.append(p).map(drop)
+            },
+            MultiSeriesEngine::wal_survivors,
+        )?;
+        self.wal = Some(wal);
+        // The re-seeded log already holds exactly the buffered points.
+        for engine in self.series.values_mut() {
+            engine.take_committed_flush();
         }
         if options.gc_orphans {
             let mut live: HashSet<SsTableId> = HashSet::new();
@@ -301,21 +432,18 @@ impl MultiSeriesEngine {
                 admitted = arb.capacity_of(series.0);
             }
         }
-        if fresh {
-            let engine = self.series_options(series).open()?;
-            self.series.insert(series, engine);
-        }
-        let engine = self
-            .series
-            .get_mut(&series)
-            .ok_or(Error::UnknownSeries(series.0))?;
+        let engine = self.series_mut(series)?;
         if let Some(capacity) = admitted {
             // A freshly admitted series starts at its arbiter-assigned
             // capacity, keeping the template policy's shape.
             let policy = engine.policy().resized(capacity as usize)?;
             engine.set_policy(policy)?;
         }
-        let outcome = engine.append(p)?;
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append_for(series.0, &p)?;
+        }
+        let outcome = self.series_mut(series)?.append(p)?;
+        self.checkpoint(series)?;
         if let Some(plan) = plan {
             self.apply_rebalance(&plan)?;
         }
@@ -341,6 +469,7 @@ impl MultiSeriesEngine {
                 let policy =
                     engine.policy().resized(assignment.capacity as usize)?;
                 engine.set_policy(policy)?;
+                self.checkpoint(id)?;
                 resized += 1;
             }
         }
@@ -427,7 +556,8 @@ impl MultiSeriesEngine {
         self.series
             .get_mut(&series)
             .ok_or(Error::UnknownSeries(series.0))?
-            .set_policy(policy)
+            .set_policy(policy)?;
+        self.checkpoint(series)
     }
 
     /// An *online* policy switch decided by a per-series tuner: exactly
@@ -502,9 +632,13 @@ impl MultiSeriesEngine {
     /// that the wave barrier replays in ascending id order, so the wave
     /// schedule, per-series contents, summed metrics *and the emitted
     /// event trace* are identical for every worker count; only wall-clock
-    /// changes. (Durable fleets are the one caveat: WAL and manifest
-    /// handles clone the sink at attach time, so their events bypass the
-    /// capture.) With the default of 1 worker no thread is ever spawned.
+    /// changes. (Durable fleets are the one caveat: manifest handles clone
+    /// the sink at attach time, so their events bypass the capture.) With
+    /// the default of 1 worker no thread is ever spawned.
+    ///
+    /// The fleet log never enters the pool: once every wave has drained,
+    /// each series is checkpointed empty and the log is cut to its header
+    /// on this thread.
     ///
     /// # Errors
     /// Storage failures. The sequential path stops at the first failing
@@ -542,6 +676,13 @@ impl MultiSeriesEngine {
         }
         if let Some(err) = first_error {
             return Err(err);
+        }
+        // The fleet comes to rest here: nothing is buffered any more.
+        for id in ids {
+            self.checkpoint(id)?;
+        }
+        if let Some(wal) = self.wal.as_mut() {
+            wal.rewrite(&[])?;
         }
         if delayed > 0 {
             Ok(AdmissionOutcome::Delayed { ticks: delayed })
@@ -681,19 +822,18 @@ impl MultiSeriesEngine {
         Ok(())
     }
 
-    /// Fsyncs every series' WAL (no-op for non-durable engines), in
-    /// ascending [`SeriesId`] order: after this, every acknowledged point
-    /// survives a crash.
+    /// Writes and fsyncs the fleet log (no-op for a non-durable fleet):
+    /// after this, every acknowledged point of every series survives a
+    /// crash. One write and one fsync, however many series the batch
+    /// touched.
     ///
     /// # Errors
     /// I/O failures.
     pub fn sync_wal_all(&mut self) -> Result<()> {
-        for id in self.series_ids() {
-            if let Some(engine) = self.series.get_mut(&id) {
-                engine.sync_wal()?;
-            }
+        match self.wal.as_mut() {
+            Some(wal) => wal.sync(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Aggregated counters across all series — a [`MultiMetrics`] view over

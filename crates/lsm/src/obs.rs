@@ -231,16 +231,17 @@ pub enum Event {
         /// Subsequent-point probe result (Definition 4), when requested.
         subsequent: Option<u64>,
     },
-    /// One record was appended to the WAL.
+    /// Frames were appended to the WAL with one physical write.
     WalAppend {
-        /// Record payload bytes.
+        /// Bytes written.
         bytes: u64,
     },
     /// The WAL was flushed and fsynced.
     WalSync,
-    /// The WAL was rewritten down to a survivor set.
+    /// The WAL was checkpointed down to a survivor set (one series of it,
+    /// when the log serves several).
     WalTruncate {
-        /// Points surviving the truncation.
+        /// Points surviving the checkpoint.
         survivors: u64,
     },
     /// A manifest mutation was logged.

@@ -192,9 +192,10 @@ impl<K: Kind> EngineBuilder<K> {
         self
     }
 
-    /// Routes the engine's WAL and manifest writes (a fleet: every series',
-    /// current and future) through `plan`'s fault schedule once opening
-    /// completes. The table store is attached separately at construction
+    /// Routes the engine's WAL and manifest writes (a fleet: its log and
+    /// every series' manifest, current and future) through `plan`'s fault
+    /// schedule once opening completes. The table store is attached
+    /// separately at construction
     /// ([`FileStore::with_faults`](crate::FileStore::with_faults) or a
     /// [`FaultStore`](crate::fault::FaultStore) wrapper) — share one plan
     /// across all three for a single global op numbering.
@@ -226,7 +227,8 @@ impl<K: Kind> EngineBuilder<K> {
     /// one, by scanning the store — then the buffered tail from the WAL.
     /// A [`TieredEngine`](crate::TieredEngine) requires a manifest and a
     /// [`MultiSeriesEngine`](crate::MultiSeriesEngine) a
-    /// durable directory, whose every `series-<n>.manifest` is recovered;
+    /// durable directory, whose every `series-<n>.manifest` is recovered
+    /// before its `fleet.wal` is replayed over them;
     /// orphan GC, when requested, runs once the whole live set is known.
     ///
     /// # Errors
@@ -311,9 +313,12 @@ impl TieredOpenOptions {
 impl SingleSeries for Background {}
 
 impl MultiOpenOptions {
-    /// Makes the collection durable: each series logs to
-    /// `dir/series-<n>.wal` and records run membership in
-    /// `dir/series-<n>.manifest`, so the whole collection survives a crash.
+    /// Makes the collection durable: the fleet logs every series' points
+    /// to the one `dir/fleet.wal` and each series records run membership
+    /// in `dir/series-<n>.manifest`, so the whole collection survives a
+    /// crash. (A directory written by an older build, with one
+    /// `series-<n>.wal` per series, is folded into that layout by
+    /// [`open_or_recover`](Self::open_or_recover).)
     pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.kind.durable_dir = Some(dir.into());
         self

@@ -232,41 +232,41 @@ fn scan_store(
 }
 
 /// Replays the write-ahead log at `path` into `engine`'s buffers, then
-/// re-seeds it: every surviving record (strict: all of them or an error;
+/// re-seeds it: every surviving point (strict: all of them or an error;
 /// salvage: the longest valid prefix, the rest counted in `report`) goes
-/// through `reinsert` — the engine's own append path minus the logging, so
-/// a replay can trigger flushes — and the log is then rewritten to
-/// `survivors(engine)`, the points still volatile after that. Returns the
-/// reopened log for the engine to keep appending to.
+/// through `reinsert` with the series it was logged for — the engine's own
+/// append path minus the logging, so a replay can trigger flushes — and
+/// the log is then cut down to `survivors(engine)`, per series the points
+/// still volatile after that. Returns the opened log for the engine to
+/// keep appending to.
 ///
 /// # Errors
 /// A damaged log in strict mode; whatever `reinsert` fails with; I/O
-/// failures reopening or rewriting the log.
+/// failures opening or cutting the log.
 pub(crate) fn replay_wal<E>(
     engine: &mut E,
     path: &Path,
     mode: RecoveryMode,
     report: &mut RecoveryReport,
     obs: &ObserverHandle,
-    reinsert: impl Fn(&mut E, DataPoint) -> Result<()>,
-    survivors: impl Fn(&E) -> Vec<DataPoint>,
+    reinsert: impl Fn(&mut E, u32, DataPoint) -> Result<()>,
+    survivors: impl Fn(&E) -> Vec<(u32, Vec<DataPoint>)>,
 ) -> Result<Wal> {
-    let replayed = match mode {
-        RecoveryMode::Strict => Wal::replay(path)?,
-        RecoveryMode::Salvage => {
-            let (points, dropped) = Wal::replay_salvage(path)?;
-            report.wal_records_dropped += dropped;
-            points
-        }
-    };
+    let salvage = mode == RecoveryMode::Salvage;
+    let (mut wal, replay) = Wal::recover(path, !salvage)?;
+    wal.attach_observer(obs.clone());
+    if salvage {
+        report.wal_records_dropped += replay.dropped;
+    }
     obs.emit(|| Event::RecoveryStep {
         step: RecoveryStepKind::WalReplayed,
-        items: replayed.len() as u64,
+        items: replay.points() as u64,
     });
-    for p in replayed {
-        reinsert(engine, p)?;
+    for (series, points) in replay.series {
+        for p in points {
+            reinsert(engine, series, p)?;
+        }
     }
-    let mut wal = crate::open::open_wal(path, obs)?;
     wal.rewrite(&survivors(engine))?;
     Ok(wal)
 }

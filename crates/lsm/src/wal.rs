@@ -1,15 +1,59 @@
 //! Write-ahead log: makes buffered MemTable contents durable.
 //!
-//! Each appended point becomes one fixed-size record protected by a CRC-32.
-//! After a flush empties a MemTable the engine checkpoints the log down to
-//! the surviving buffered points ([`Wal::rewrite`]), keeping the log
-//! proportional to memory state: with no survivors the file is truncated in
-//! place (one fsync); with survivors it is replaced through a tmp file +
-//! rename. Replay tolerates a truncated tail record (torn write at crash)
-//! but reports mid-log corruption.
+//! One append-only file of CRC-framed records, shared by every series its
+//! owner hosts (a single-series engine logs as series 0; a fleet keeps one
+//! log for all of its series).
+//!
+//! # Format
+//!
+//! An 8-byte magic, then frames:
+//!
+//! ```text
+//! len u32 | crc u32 | kind u8 | series u32 | n × (gen_time i64, arrival_time i64, value bits u64)
+//! ```
+//!
+//! all little-endian; `len` is the byte length of everything after `crc`,
+//! which the CRC-32 covers. `kind` is `Points` (the points were appended to
+//! `series`) or `Checkpoint` (the points are *all* that is still volatile in
+//! `series`: every earlier frame of that series is superseded). Replay walks
+//! the frames in file order and returns, per series, the points of every
+//! frame since that series' last checkpoint, in append order.
+//!
+//! A file without the magic is the older fixed-record format (28-byte
+//! `crc | point` records, one series per file): it is read as series 0 and
+//! rewritten in this format when opened.
+//!
+//! # Writing
+//!
+//! [`Wal::append_for`] only pushes into the log's own pending buffer. Pending
+//! points are grouped per series into one `Points` frame each and leave in
+//! one physical write when the buffer passes 8 KiB or at [`Wal::sync`], which
+//! also fsyncs. [`Wal::checkpoint`] queues a `Checkpoint` frame and drops the
+//! series' pending points (its owner just made them durable elsewhere or
+//! lists them among the survivors); it does no I/O of its own and rides on
+//! the next write. The file is only ever *cut* — rewritten from the owner's
+//! in-memory survivors by [`Wal::rewrite`] — when a checkpoint reports that
+//! the dead bytes outweigh the live ones, and when the owner comes to rest.
+//! The file is never read after it is opened.
+//!
+//! # Damage
+//!
+//! A frame that fails its length or CRC check ends the valid prefix. If no
+//! valid frame follows it the damage is a torn tail — a write cut short by a
+//! crash — which is dropped silently and truncated away at open: a torn
+//! `Checkpoint` is ignored whole, so the frames it would have superseded
+//! still apply. A checkpoint that never reached the disk leaves the same
+//! state. Either way replay returns *more* than the owner still needed,
+//! never less, and the merge pipeline deduplicates by generation time.
+//! Damage in front of still-valid frames is corruption: an error in strict
+//! mode, a counted drop in salvage mode. So is a file at least one record
+//! long that starts with neither the magic nor a valid fixed record — a
+//! framed log with a damaged header reads like that, and is never mistaken
+//! for an empty one.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -21,126 +65,401 @@ use crate::obs::{Event, ObserverHandle};
 use crate::sstable::crc32::crc32;
 use crate::store::sync_dir;
 
-/// Payload layout: gen_time i64 LE + arrival_time i64 LE + value bits u64 LE.
-const PAYLOAD: usize = 24;
-/// Record layout: crc u32 LE + payload.
-const RECORD: usize = 4 + PAYLOAD;
+/// First bytes of a framed log.
+const MAGIC: [u8; 8] = *b"SEPWAL2\n";
+/// One point: gen_time i64 LE + arrival_time i64 LE + value bits u64 LE.
+const POINT: usize = 24;
+/// Frame prefix outside the CRC: len u32 LE + crc u32 LE.
+const FRAME_HEAD: usize = 8;
+/// Frame body before the points: kind u8 + series u32 LE.
+const BODY_HEAD: usize = 5;
+const KIND_POINTS: u8 = 0;
+const KIND_CHECKPOINT: u8 = 1;
+/// Record of the older format: crc u32 LE + one point.
+const LEGACY_RECORD: usize = 4 + POINT;
+/// Pending points are written out once they amount to this many bytes.
+const SPILL_BYTES: usize = 8 * 1024;
+/// The log is worth cutting when its dead bytes exceed
+/// `max(CUT_FACTOR × live bytes, CUT_FLOOR)`: a cut copies the live bytes,
+/// so the copy traffic stays below 1/`CUT_FACTOR` of what was logged.
+const CUT_FACTOR: u64 = 8;
+const CUT_FLOOR: u64 = 64 * 1024;
 
-/// An append-only, checksummed log of data points.
-pub struct Wal {
-    writer: BufWriter<File>,
-    path: PathBuf,
-    /// Records appended since the last fsync of the live file: what
-    /// [`Wal::sync`] exists to make durable.
+/// Size and history of a log, for `seplsm stats`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Bytes of the frames replay would still apply.
+    pub live_bytes: u64,
+    /// Bytes of superseded frames, reclaimed by the next cut.
+    pub dead_bytes: u64,
+    /// Frames encoded since the log was opened.
+    pub frames: u64,
+    /// Times the file was cut since the log was opened.
+    pub cuts: u64,
+}
+
+/// What a log holds, demultiplexed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Replay {
+    /// Per series, the points of every frame since the series' last intact
+    /// checkpoint, in append order. Series with nothing to replay are
+    /// absent.
+    pub series: BTreeMap<u32, Vec<DataPoint>>,
+    /// Whole point records that fit in the bytes dropped past the valid
+    /// prefix (only ever non-zero for a salvage replay or a torn tail).
+    pub dropped: u64,
+}
+
+impl Replay {
+    /// Number of points across all series.
+    pub fn points(&self) -> usize {
+        self.series.values().map(Vec::len).sum()
+    }
+}
+
+/// What the log tracks per series.
+#[derive(Debug, Default)]
+struct SeriesLog {
+    /// The `Points` frame under construction: a frame prefix still to be
+    /// sealed, then the points appended since the last physical write.
+    /// Empty when nothing is pending.
+    pending: Vec<u8>,
+    /// Points of this series were appended since the last fsync and are
+    /// not known to be durable elsewhere: what [`Wal::sync`] exists for.
     unsynced: bool,
+    /// Bytes of the frames (written or queued) replay would apply.
+    live: u64,
+}
+
+/// An append-only, checksummed, series-tagged log of data points.
+pub struct Wal {
+    file: File,
+    path: PathBuf,
+    series: BTreeMap<u32, SeriesLog>,
+    /// Bytes of points pending across all series.
+    pending_bytes: usize,
+    /// Sealed frames waiting for the next physical write.
+    queued: Vec<u8>,
+    /// Physical length of the file.
+    file_len: u64,
+    /// Bytes of the logical log (file plus queued frames) that replay would
+    /// apply, and bytes superseded by a checkpoint.
+    live_bytes: u64,
+    dead_bytes: u64,
+    frames: u64,
+    cuts: u64,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal").field("path", &self.path).finish()
+        f.debug_struct("Wal")
+            .field("path", &self.path)
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
-fn encode_record(p: &DataPoint) -> [u8; RECORD] {
-    let mut rec = [0u8; RECORD];
-    rec[4..12].copy_from_slice(&p.gen_time.to_le_bytes());
-    rec[12..20].copy_from_slice(&p.arrival_time.to_le_bytes());
-    rec[20..28].copy_from_slice(&p.value.to_bits().to_le_bytes());
-    let crc = crc32(&rec[4..]);
-    rec[..4].copy_from_slice(&crc.to_le_bytes());
-    rec
+/// Starts a frame in `out`: room for its prefix, sealed by [`seal_frame`]
+/// once the points are in.
+fn begin_frame(out: &mut Vec<u8>) {
+    out.extend_from_slice(&[0; FRAME_HEAD + BODY_HEAD]);
 }
 
-/// Walks `data` as a sequence of fixed-size records. Returns
-/// `(good_len, tail_is_garbage)`: `good_len` is the byte length of the
-/// contiguous CRC-valid prefix, and `tail_is_garbage` is true when no
-/// CRC-valid record exists at any record-aligned offset past `good_len` —
-/// i.e. the damage is a torn tail, not mid-log corruption in front of
-/// still-valid records.
-fn scan(data: &[u8]) -> (usize, bool) {
-    let mut good_len = 0;
-    while good_len + RECORD <= data.len() {
-        let rec = &data[good_len..good_len + RECORD];
-        let stored = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-        if stored != crc32(&rec[4..]) {
+fn push_point(out: &mut Vec<u8>, p: &DataPoint) {
+    out.extend_from_slice(&p.gen_time.to_le_bytes());
+    out.extend_from_slice(&p.arrival_time.to_le_bytes());
+    out.extend_from_slice(&p.value.to_bits().to_le_bytes());
+}
+
+/// Fills in the prefix of `frame` — a [`begin_frame`] followed by whole
+/// points — and returns the frame's size.
+fn seal_frame(frame: &mut [u8], kind: u8, series: u32) -> Result<u64> {
+    let body_len = frame.len().saturating_sub(FRAME_HEAD);
+    let len = u32::try_from(body_len)
+        .ok()
+        .filter(|_| body_len >= BODY_HEAD)
+        .ok_or_else(|| {
+            Error::InvalidConfig(format!(
+                "{body_len} bytes do not fit one WAL frame"
+            ))
+        })?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[FRAME_HEAD] = kind;
+    frame[FRAME_HEAD + 1..FRAME_HEAD + BODY_HEAD]
+        .copy_from_slice(&series.to_le_bytes());
+    let crc = crc32(&frame[FRAME_HEAD..]);
+    frame[4..FRAME_HEAD].copy_from_slice(&crc.to_le_bytes());
+    Ok(frame.len() as u64)
+}
+
+/// Appends one sealed frame to `out`, returning its size.
+fn push_frame(
+    out: &mut Vec<u8>,
+    kind: u8,
+    series: u32,
+    points: &[DataPoint],
+) -> Result<u64> {
+    let start = out.len();
+    out.reserve(FRAME_HEAD + BODY_HEAD + points.len() * POINT);
+    begin_frame(out);
+    for p in points {
+        push_point(out, p);
+    }
+    seal_frame(&mut out[start..], kind, series)
+}
+
+fn decode_point(rec: &[u8]) -> Result<DataPoint> {
+    Ok(DataPoint::new(
+        codec::read_i64_le(rec, 0)?,
+        codec::read_i64_le(rec, 8)?,
+        f64::from_bits(codec::read_u64_le(rec, 16)?),
+    ))
+}
+
+/// One valid frame of `data`.
+struct Frame {
+    kind: u8,
+    series: u32,
+    points: Vec<DataPoint>,
+    /// Bytes the frame occupies, prefix included.
+    size: usize,
+}
+
+/// The frame starting at `off`, or `None` when the bytes there are not a
+/// whole frame with a matching CRC.
+fn frame_at(data: &[u8], off: usize) -> Option<Frame> {
+    let body_len = codec::read_u32_le(data, off).ok()? as usize;
+    let stored = codec::read_u32_le(data, off + 4).ok()?;
+    let start = off + FRAME_HEAD;
+    if body_len < BODY_HEAD
+        || (body_len - BODY_HEAD) % POINT != 0
+        || body_len > data.len().saturating_sub(start)
+    {
+        return None;
+    }
+    let body = &data[start..start + body_len];
+    let kind = body[0];
+    if stored != crc32(body) || kind > KIND_CHECKPOINT {
+        return None;
+    }
+    let series = codec::read_u32_le(body, 1).ok()?;
+    let mut points = Vec::with_capacity((body_len - BODY_HEAD) / POINT);
+    for rec in body[BODY_HEAD..].chunks_exact(POINT) {
+        points.push(decode_point(rec).ok()?);
+    }
+    Some(Frame {
+        kind,
+        series,
+        points,
+        size: FRAME_HEAD + body_len,
+    })
+}
+
+/// What the bytes of a log file amount to.
+#[derive(Default)]
+struct Parsed {
+    /// The file predates the framed format (see the module docs).
+    legacy: bool,
+    series: BTreeMap<u32, Vec<DataPoint>>,
+    /// Per series, the bytes of the frames `series` was built from.
+    live: BTreeMap<u32, u64>,
+    /// Byte length of the valid prefix.
+    good_len: usize,
+    /// Damage past `good_len` sits in front of still-valid frames.
+    corrupt: bool,
+    /// Whole point records that fit in the bytes past `good_len`.
+    dropped: u64,
+}
+
+impl Parsed {
+    fn replay(self, strict: bool) -> Result<Replay> {
+        if strict && self.corrupt {
+            return Err(Error::Corrupt(format!(
+                "WAL damaged at offset {} with valid records after it",
+                self.good_len
+            )));
+        }
+        let mut series = self.series;
+        series.retain(|_, points| !points.is_empty());
+        Ok(Replay {
+            series,
+            dropped: self.dropped,
+        })
+    }
+}
+
+/// Parses a whole log file. A file that is empty or holds only part of the
+/// magic is a log whose creation was cut short: empty.
+fn parse(data: &[u8]) -> Parsed {
+    if data.len() < MAGIC.len() && MAGIC.starts_with(data) {
+        return Parsed::default();
+    }
+    if !data.starts_with(&MAGIC) {
+        let mut parsed = parse_legacy(data);
+        // Not one valid record in at least a record's worth of bytes: this
+        // is no torn first write but a file whose front is damaged — a
+        // framed log with a flipped header bit looks exactly like this, and
+        // its frames must not be taken for a tail to truncate.
+        parsed.corrupt |= parsed.good_len == 0 && parsed.dropped > 0;
+        return parsed;
+    }
+    let mut parsed = Parsed::default();
+    let mut off = MAGIC.len();
+    while let Some(frame) = frame_at(data, off) {
+        let points = parsed.series.entry(frame.series).or_default();
+        let live = parsed.live.entry(frame.series).or_default();
+        if frame.kind == KIND_CHECKPOINT {
+            points.clear();
+            *live = 0;
+        }
+        points.extend(frame.points);
+        *live += frame.size as u64;
+        off += frame.size;
+    }
+    parsed.good_len = off;
+    parsed.dropped = ((data.len() - off) / POINT) as u64;
+    // A torn tail has nothing valid after it; frames are not aligned, so
+    // every later offset is a candidate.
+    parsed.corrupt = (off + 1..data.len()).any(|o| frame_at(data, o).is_some());
+    parsed
+}
+
+/// The older format: fixed-size `crc | point` records of one series.
+fn parse_legacy(data: &[u8]) -> Parsed {
+    let valid = |rec: &[u8]| {
+        codec::read_u32_le(rec, 0).is_ok_and(|crc| crc == crc32(&rec[4..]))
+    };
+    let mut records = data.chunks_exact(LEGACY_RECORD);
+    let mut points = Vec::new();
+    for rec in records.by_ref() {
+        if !valid(rec) {
             break;
         }
-        good_len += RECORD;
-    }
-    let mut offset = good_len + RECORD;
-    while offset + RECORD <= data.len() {
-        let rec = &data[offset..offset + RECORD];
-        let stored = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-        if stored == crc32(&rec[4..]) {
-            return (good_len, false);
+        match decode_point(&rec[4..]) {
+            Ok(p) => points.push(p),
+            Err(_) => break,
         }
-        offset += RECORD;
     }
-    (good_len, true)
+    let good_len = points.len() * LEGACY_RECORD;
+    Parsed {
+        legacy: true,
+        series: BTreeMap::from([(0, points)]),
+        live: BTreeMap::new(),
+        good_len,
+        // `records` resumes after the first invalid record.
+        corrupt: records.any(valid),
+        dropped: ((data.len() - good_len) / LEGACY_RECORD) as u64,
+    }
+}
+
+fn read_file(path: &Path) -> Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(data) => Ok(Some(data)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
 }
 
 impl Wal {
     /// Opens (creating if needed) the log at `path` for appending.
     ///
-    /// Stale `wal.tmp` debris from a crashed [`Wal::rewrite`] is swept, and
-    /// a torn tail (a truncated or garbage final record with nothing valid
-    /// after it) is truncated back to the last good record boundary —
-    /// appending after a garbage tail would corrupt the next record's
-    /// framing. Mid-log corruption is left in place for replay to report.
+    /// Stale `wal.tmp` debris from a crashed cut is swept. Everything past
+    /// the valid prefix — a torn tail, or damage this caller chose not to
+    /// hear about (see [`Wal::recover`]) — is truncated away, because
+    /// appending behind it would hide the new frames from replay. A log in
+    /// the older fixed-record format is rewritten in this one.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
+        Ok(Self::recover(path.as_ref(), false)?.0)
+    }
+
+    /// [`Wal::open`], also returning what the log held — the one time the
+    /// file is read. With `strict`, damage in front of still-valid frames is
+    /// [`Error::Corrupt`] and the file is left untouched; without, the
+    /// longest valid prefix is used and the loss is counted in
+    /// [`Replay::dropped`].
+    ///
+    /// The two fsyncs this may cost (a created file's directory entry, a
+    /// truncated tail) run before any fault plan can be attached.
+    pub(crate) fn recover(path: &Path, strict: bool) -> Result<(Self, Replay)> {
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        if let Some(parent) = parent {
             std::fs::create_dir_all(parent)?;
         }
-        let tmp = path.with_extension("wal.tmp");
-        match std::fs::remove_file(&tmp) {
+        match std::fs::remove_file(path.with_extension("wal.tmp")) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        Self::repair_tail(&path)?;
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Self {
-            writer: BufWriter::new(file),
-            path,
-            unsynced: false,
+        let data = read_file(path)?;
+        let created = data.is_none();
+        let data = data.unwrap_or_default();
+        let parsed = parse(&data);
+        if strict && parsed.corrupt {
+            return Err(Error::Corrupt(format!(
+                "WAL {} damaged at offset {} with valid records after it",
+                path.display(),
+                parsed.good_len
+            )));
+        }
+        let mut file =
+            OpenOptions::new().create(true).append(true).open(path)?;
+        if created {
+            // The new directory entry must survive a crash by itself: the
+            // first acknowledged batch may be the only thing ever written
+            // into this directory.
+            if let Some(parent) = parent {
+                // seplint: allow(R6): un-hookable, runs before attach_faults
+                sync_dir(parent)?;
+            }
+        }
+        let mut file_len = data.len() as u64;
+        if parsed.good_len < MAGIC.len() && !parsed.legacy {
+            // New, or cut short while being created. The magic needs no
+            // fsync of its own: it reaches the disk with the first synced
+            // frame, and until then a short file still reads as empty.
+            file.set_len(0)?;
+            file.write_all(&MAGIC)?;
+            file_len = MAGIC.len() as u64;
+        } else if (parsed.good_len as u64) < file_len && !parsed.legacy {
+            file.set_len(parsed.good_len as u64)?;
+            // seplint: allow(R6): un-hookable, runs before attach_faults
+            file.sync_all()?;
+            file_len = parsed.good_len as u64;
+        }
+        let mut wal = Self {
+            file,
+            path: path.to_path_buf(),
+            series: BTreeMap::new(),
+            pending_bytes: 0,
+            queued: Vec::new(),
+            file_len,
+            live_bytes: 0,
+            dead_bytes: 0,
+            frames: 0,
+            cuts: 0,
             faults: None,
             obs: ObserverHandle::detached(),
-        })
+        };
+        wal.reset(&parsed.live);
+        wal.dead_bytes = file_len
+            .saturating_sub(MAGIC.len() as u64)
+            .saturating_sub(wal.live_bytes);
+        if parsed.legacy {
+            let points = parsed.series.get(&0).cloned().unwrap_or_default();
+            wal.replace(&[(0, points)])?;
+        }
+        Ok((wal, parsed.replay(strict)?))
     }
 
-    /// Truncates `path` to its last good record boundary when the tail is
-    /// garbage-only; no-op for a missing, clean, or mid-log-corrupt file.
-    fn repair_tail(path: &Path) -> Result<()> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
-        }
-        let (good_len, tail_is_garbage) = scan(&data);
-        if tail_is_garbage && good_len < data.len() {
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(good_len as u64)?;
-            // Open-time repair: no fault plan (the I/O-op counter) can be
-            // attached to a log that does not exist yet.
-            // seplint: allow(R6): un-hookable, runs before attach_faults
-            f.sync_all()?;
-        }
-        Ok(())
-    }
-
-    /// Attaches a fault plan: every subsequent append/sync/rewrite consults
+    /// Attaches a fault plan: every subsequent write, fsync and cut consults
     /// the plan first. Used by the crash-schedule harness.
     pub fn attach_faults(&mut self, plan: Arc<FaultPlan>) {
         self.faults = Some(plan);
     }
 
-    /// Attaches an observer: appends, syncs and rewrites emit
+    /// Attaches an observer: physical writes, syncs and checkpoints emit
     /// [`Event::WalAppend`] / [`Event::WalSync`] / [`Event::WalTruncate`].
     pub fn attach_observer(&mut self, obs: ObserverHandle) {
         self.obs = obs;
@@ -151,30 +470,37 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one point (buffered; call [`Wal::sync`] for durability).
-    pub fn append(&mut self, p: &DataPoint) -> Result<()> {
-        let rec = encode_record(p);
-        match fault::hook_write(
-            self.faults.as_ref(),
-            IoOp::WalAppend,
-            rec.len(),
-        )? {
-            WriteCheck::Proceed => {
-                self.writer.write_all(&rec)?;
-                self.unsynced = true;
-                self.obs.emit(|| Event::WalAppend {
-                    bytes: rec.len() as u64,
-                });
-                Ok(())
-            }
-            WriteCheck::Torn { keep } => {
-                // A torn append: the record's prefix reaches the file (the
-                // modelled power cut happened mid-write), then the op fails.
-                self.writer.write_all(&rec[..keep.min(rec.len())])?;
-                self.writer.flush()?;
-                Err(fault::injected_crash(IoOp::WalAppend, self.op_index()))
-            }
+    /// Live and dead bytes of the logical log (queued frames included),
+    /// frames encoded and cuts made since open.
+    pub fn stats(&self) -> WalStats {
+        WalStats {
+            live_bytes: self.live_bytes,
+            dead_bytes: self.dead_bytes,
+            frames: self.frames,
+            cuts: self.cuts,
         }
+    }
+
+    /// Appends one point of series 0 (buffered; call [`Wal::sync`] for
+    /// durability).
+    pub fn append(&mut self, p: &DataPoint) -> Result<()> {
+        self.append_for(0, p)
+    }
+
+    /// Appends one point of `series` (buffered; call [`Wal::sync`] for
+    /// durability). Touches the disk only when the pending buffer is full.
+    pub fn append_for(&mut self, series: u32, p: &DataPoint) -> Result<()> {
+        let log = self.series.entry(series).or_default();
+        if log.pending.is_empty() {
+            begin_frame(&mut log.pending);
+        }
+        push_point(&mut log.pending, p);
+        log.unsynced = true;
+        self.pending_bytes += POINT;
+        if self.pending_bytes >= SPILL_BYTES {
+            self.write_out()?;
+        }
+        Ok(())
     }
 
     fn op_index(&self) -> u64 {
@@ -183,32 +509,163 @@ impl Wal {
             .map_or(0, |p| p.ops().saturating_sub(1))
     }
 
-    /// Flushes buffered records and fsyncs the file. A log with nothing
-    /// appended since its last sync or rewrite is already durable: no I/O.
-    pub fn sync(&mut self) -> Result<()> {
-        if !self.unsynced {
+    /// Seals the pending points — one `Points` frame per series — and
+    /// writes every queued frame with one `write`.
+    fn write_out(&mut self) -> Result<()> {
+        for (series, log) in &mut self.series {
+            if log.pending.is_empty() {
+                continue;
+            }
+            let size = seal_frame(&mut log.pending, KIND_POINTS, *series)?;
+            self.queued.extend_from_slice(&log.pending);
+            log.pending.clear();
+            log.live += size;
+            self.live_bytes += size;
+            self.frames += 1;
+        }
+        self.pending_bytes = 0;
+        if self.queued.is_empty() {
             return Ok(());
         }
+        let len = self.queued.len();
+        match fault::hook_write(self.faults.as_ref(), IoOp::WalAppend, len)? {
+            WriteCheck::Proceed => self.file.write_all(&self.queued)?,
+            WriteCheck::Torn { keep } => {
+                // The modelled power cut happened mid-write: a prefix of
+                // the frames reaches the file, then the op fails.
+                self.file.write_all(&self.queued[..keep.min(len)])?;
+                return Err(fault::injected_crash(
+                    IoOp::WalAppend,
+                    self.op_index(),
+                ));
+            }
+        }
+        self.queued.clear();
+        self.file_len += len as u64;
+        self.obs.emit(|| Event::WalAppend { bytes: len as u64 });
+        Ok(())
+    }
+
+    /// Writes everything pending and fsyncs the file. A log with nothing
+    /// appended since its last sync or cut — or whose every such point a
+    /// checkpoint has since found in a committed table — is already
+    /// durable: no I/O (a queued checkpoint waits for the next append).
+    pub fn sync(&mut self) -> Result<()> {
+        if !self.series.values().any(|log| log.unsynced) {
+            return Ok(());
+        }
+        self.write_out()?;
         fault::hook(self.faults.as_ref(), IoOp::WalSync)?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
-        self.unsynced = false;
+        self.file.sync_all()?;
+        self.series
+            .values_mut()
+            .for_each(|log| log.unsynced = false);
         self.obs.emit(|| Event::WalSync);
         Ok(())
     }
 
-    /// Checkpoints the log down to `survivors` (the points still buffered
-    /// in memory after a flush), atomically: a crash leaves either the old
-    /// contents or the new ones.
-    pub fn rewrite(&mut self, survivors: &[DataPoint]) -> Result<()> {
-        if survivors.is_empty() {
-            return self.truncate();
+    /// Records that `survivors` are all that is still volatile in `series`.
+    ///
+    /// Call it after a flush of the series is durable (tables, then
+    /// manifest). The series' pending points are dropped — each is in the
+    /// tables just committed or among `survivors` — and a `Checkpoint` frame
+    /// carrying the survivors is queued behind the frames it supersedes. No
+    /// I/O, no fsync, and a clean log stays clean: the frame rides on the
+    /// next write. With no survivors the series owes the next sync nothing
+    /// any more. Until the frame is durable a crash replays the superseded
+    /// frames too, which recovery tolerates (see the module docs).
+    ///
+    /// Returns whether the superseded frames now outweigh the live ones
+    /// enough for a cut to pay for itself: the owner then hands
+    /// [`Wal::rewrite`] the survivors of *all* its series.
+    ///
+    /// # Errors
+    /// More survivors than one frame can carry.
+    pub fn checkpoint(
+        &mut self,
+        series: u32,
+        survivors: &[DataPoint],
+    ) -> Result<bool> {
+        let log = self.series.entry(series).or_default();
+        self.pending_bytes -=
+            log.pending.len().saturating_sub(FRAME_HEAD + BODY_HEAD);
+        log.pending.clear();
+        log.unsynced &= !survivors.is_empty();
+        let size =
+            push_frame(&mut self.queued, KIND_CHECKPOINT, series, survivors)?;
+        // The series' earlier frames are dead from here on.
+        self.dead_bytes += log.live;
+        self.live_bytes = self.live_bytes - log.live + size;
+        log.live = size;
+        self.frames += 1;
+        self.obs.emit(|| Event::WalTruncate {
+            survivors: survivors.len() as u64,
+        });
+        Ok(self.cut_due())
+    }
+
+    fn cut_due(&self) -> bool {
+        self.dead_bytes > (CUT_FACTOR * self.live_bytes).max(CUT_FLOOR)
+    }
+
+    /// Cuts the log down to `live`: per series, every point of its owner
+    /// that is not yet in a committed table — whether or not this log has
+    /// seen it. Pending points and queued frames are covered by `live` and
+    /// discarded; the result is durable and clean when this returns, and a
+    /// crash leaves either the old contents or the new ones.
+    ///
+    /// With nothing live the file is truncated to its header where it
+    /// stands (one fsync; no I/O at all if it already is that short);
+    /// otherwise it is replaced through a tmp file, a rename and a
+    /// directory fsync.
+    pub fn rewrite(&mut self, live: &[(u32, Vec<DataPoint>)]) -> Result<()> {
+        if live.iter().any(|(_, points)| !points.is_empty()) {
+            return self.replace(live);
+        }
+        let header = MAGIC.len() as u64;
+        if self.file_len > header {
+            fault::hook(self.faults.as_ref(), IoOp::WalRewrite)?;
+            // The file is in append mode: later frames land at the new end.
+            self.file.set_len(header)?;
+            self.file.sync_all()?;
+            self.file_len = header;
+            self.cuts += 1;
+        }
+        self.reset(&BTreeMap::new());
+        Ok(())
+    }
+
+    /// Forgets everything not yet written: the file now holds exactly the
+    /// frames accounted in `live` (bytes per series), durably.
+    fn reset(&mut self, live: &BTreeMap<u32, u64>) {
+        for log in self.series.values_mut() {
+            log.pending.clear();
+            log.unsynced = false;
+            log.live = 0;
+        }
+        for (series, bytes) in live {
+            self.series.entry(*series).or_default().live = *bytes;
+        }
+        self.pending_bytes = 0;
+        self.queued.clear();
+        self.live_bytes = live.values().sum();
+        self.dead_bytes = 0;
+    }
+
+    /// Replaces the file with a fresh one holding one `Checkpoint` frame
+    /// per non-empty series of `live`.
+    fn replace(&mut self, live: &[(u32, Vec<DataPoint>)]) -> Result<()> {
+        let mut buf = MAGIC.to_vec();
+        let mut sizes = BTreeMap::new();
+        for (series, points) in live {
+            if !points.is_empty() {
+                let size =
+                    push_frame(&mut buf, KIND_CHECKPOINT, *series, points)?;
+                sizes.insert(*series, size);
+                self.frames += 1;
+            }
         }
         let tmp = self.path.with_extension("wal.tmp");
-        let mut buf = Vec::with_capacity(survivors.len() * RECORD);
-        for p in survivors {
-            buf.extend_from_slice(&encode_record(p));
-        }
         {
             let mut f = File::create(&tmp)?;
             match fault::hook_write(
@@ -237,102 +694,32 @@ impl Wal {
             fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
             sync_dir(parent)?;
         }
-        let file = OpenOptions::new().append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
-        self.unsynced = false;
-        self.obs.emit(|| Event::WalTruncate {
-            survivors: survivors.len() as u64,
-        });
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.file_len = buf.len() as u64;
+        self.cuts += 1;
+        self.reset(&sizes);
         Ok(())
     }
 
-    /// The empty checkpoint: nothing survives, so there is nothing to carry
-    /// over and the live file is cut to zero length where it stands — one
-    /// fsync, no tmp file, no rename, no directory fsync. A crash before
-    /// the truncation is durable leaves the old log, whose points the
-    /// manifest commit that preceded this call already covers; replaying
-    /// them is the same already-tolerated state as a crash between that
-    /// commit and a tmp-file rewrite.
-    fn truncate(&mut self) -> Result<()> {
-        fault::hook(self.faults.as_ref(), IoOp::WalRewrite)?;
-        // Buffered records are part of what is being cut; they are flushed
-        // first so none lands after the cut. The file is in append mode, so
-        // later records land at the new end.
-        self.writer.flush()?;
-        self.writer.get_ref().set_len(0)?;
-        self.writer.get_ref().sync_all()?;
-        self.unsynced = false;
-        self.obs.emit(|| Event::WalTruncate { survivors: 0 });
-        Ok(())
+    /// Reads the log at `path` without touching it. A torn tail is dropped
+    /// silently (indistinguishable from a power cut mid-write); damage in
+    /// front of still-valid frames is [`Error::Corrupt`]. A missing file is
+    /// an empty log.
+    pub fn replay(path: impl AsRef<Path>) -> Result<Replay> {
+        parse(&read_file(path.as_ref())?.unwrap_or_default()).replay(true)
     }
 
-    /// Replays the log at `path`, returning the points in append order.
-    ///
-    /// A torn tail — a truncated or garbage final stretch with no valid
-    /// record after it — is dropped silently (indistinguishable from a
-    /// power cut mid-append); corruption sitting in front of still-valid
-    /// records is reported as [`Error::Corrupt`].
-    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<DataPoint>> {
-        let path = path.as_ref();
-        let data = match Self::read_log(path)? {
-            Some(data) => data,
-            None => return Ok(Vec::new()),
-        };
-        let (good_len, tail_is_garbage) = scan(&data);
-        if !tail_is_garbage {
-            return Err(Error::Corrupt(format!(
-                "WAL record at offset {good_len} fails CRC \
-                 with valid records after it"
-            )));
-        }
-        Self::decode_prefix(&data, good_len)
-    }
-
-    /// Salvage replay: returns the longest decodable prefix plus the number
-    /// of whole records dropped after it, never failing on corruption. Used
-    /// by salvage-mode recovery, which reports (rather than hides) the loss.
-    pub fn replay_salvage(
-        path: impl AsRef<Path>,
-    ) -> Result<(Vec<DataPoint>, u64)> {
-        let path = path.as_ref();
-        let data = match Self::read_log(path)? {
-            Some(data) => data,
-            None => return Ok((Vec::new(), 0)),
-        };
-        let (good_len, _) = scan(&data);
-        let dropped = ((data.len() - good_len) / RECORD) as u64;
-        Ok((Self::decode_prefix(&data, good_len)?, dropped))
-    }
-
-    fn read_log(path: &Path) -> Result<Option<Vec<u8>>> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-                Ok(Some(data))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn decode_prefix(data: &[u8], good_len: usize) -> Result<Vec<DataPoint>> {
-        let mut points = Vec::with_capacity(good_len / RECORD);
-        let mut offset = 0;
-        while offset + RECORD <= good_len {
-            let rec = &data[offset..offset + RECORD];
-            let gen_time = codec::read_i64_le(rec, 4)?;
-            let arrival_time = codec::read_i64_le(rec, 12)?;
-            let value = f64::from_bits(codec::read_u64_le(rec, 20)?);
-            points.push(DataPoint::new(gen_time, arrival_time, value));
-            offset += RECORD;
-        }
-        Ok(points)
+    /// Salvage replay: the longest valid prefix, never failing on damage;
+    /// [`Replay::dropped`] reports (rather than hides) the loss.
+    pub fn replay_salvage(path: impl AsRef<Path>) -> Result<Replay> {
+        parse(&read_file(path.as_ref())?.unwrap_or_default()).replay(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -343,13 +730,44 @@ mod tests {
         ))
     }
 
+    /// A fresh log at a fresh path, tracing its I/O.
+    fn traced(tag: &str) -> (PathBuf, Arc<FaultPlan>, Wal) {
+        let path = temp_path(tag);
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::trace_only(0);
+        let mut wal = Wal::open(&path).expect("open");
+        wal.attach_faults(Arc::clone(&plan));
+        (path, plan, wal)
+    }
+
+    fn pt(i: i64) -> DataPoint {
+        DataPoint::new(i, i + 7, i as f64 * 0.5)
+    }
+
+    fn series0(path: &Path) -> Vec<DataPoint> {
+        let mut replay = Wal::replay(path).expect("replay");
+        replay.series.remove(&0).unwrap_or_default()
+    }
+
+    fn gens(points: &[DataPoint]) -> Vec<i64> {
+        points.iter().map(|p| p.gen_time).collect()
+    }
+
+    fn legacy_record(p: &DataPoint) -> Vec<u8> {
+        let mut rec = vec![0u8; 4];
+        rec.extend_from_slice(&p.gen_time.to_le_bytes());
+        rec.extend_from_slice(&p.arrival_time.to_le_bytes());
+        rec.extend_from_slice(&p.value.to_bits().to_le_bytes());
+        let crc = crc32(&rec[4..]);
+        rec[..4].copy_from_slice(&crc.to_le_bytes());
+        rec
+    }
+
     #[test]
     fn append_sync_replay_round_trips() {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let pts: Vec<DataPoint> = (0..100)
-            .map(|i| DataPoint::new(i, i + 7, i as f64 * 0.5))
-            .collect();
+        let pts: Vec<DataPoint> = (0..100).map(pt).collect();
         {
             let mut wal = Wal::open(&path).expect("open");
             for p in &pts {
@@ -357,7 +775,13 @@ mod tests {
             }
             wal.sync().expect("sync");
         }
-        assert_eq!(Wal::replay(&path).expect("replay"), pts);
+        assert_eq!(series0(&path), pts);
+        // One frame for the whole batch: 24 B a point plus 13 B, after the
+        // 8-byte magic.
+        assert_eq!(
+            std::fs::metadata(&path).expect("stat").len(),
+            8 + 13 + 24 * 100
+        );
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -365,52 +789,69 @@ mod tests {
     fn replay_of_missing_file_is_empty() {
         let path = temp_path("missing");
         let _ = std::fs::remove_file(&path);
-        assert!(Wal::replay(&path).expect("replay").is_empty());
+        assert_eq!(Wal::replay(&path).expect("replay"), Replay::default());
     }
 
     #[test]
-    fn torn_tail_record_is_dropped() {
-        let path = temp_path("torn");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut wal = Wal::open(&path).expect("open");
-            wal.append(&DataPoint::new(1, 1, 1.0)).expect("append");
-            wal.append(&DataPoint::new(2, 2, 2.0)).expect("append");
-            wal.sync().expect("sync");
+    fn a_batch_is_one_frame_per_series_in_one_write() {
+        let (path, plan, mut wal) = traced("batch");
+        for i in 0..30 {
+            wal.append_for((i % 3) as u32, &pt(i)).expect("append");
         }
-        // Chop half of the last record off.
-        let data = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &data[..data.len() - 10]).expect("truncate");
-        let points = Wal::replay(&path).expect("replay tolerates torn tail");
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].gen_time, 1);
+        assert_eq!(plan.ops(), 0, "appends only fill the pending buffer");
+        wal.sync().expect("sync");
+        assert_eq!(plan.trace(), vec![IoOp::WalAppend, IoOp::WalSync]);
+        assert_eq!(wal.stats().frames, 3);
+        let replay = Wal::replay(&path).expect("replay");
+        for s in 0..3u32 {
+            let want: Vec<i64> =
+                (0..30).filter(|i| i % 3 == i64::from(s)).collect();
+            assert_eq!(gens(&replay.series[&s]), want, "append order kept");
+        }
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
-    fn append_after_torn_tail_truncates_then_stays_readable() {
-        let path = temp_path("torn-append");
+    fn a_full_pending_buffer_is_written_without_an_fsync() {
+        let (path, plan, mut wal) = traced("spill");
+        let per_spill = SPILL_BYTES.div_ceil(POINT) as i64;
+        for i in 0..per_spill {
+            wal.append(&pt(i)).expect("append");
+        }
+        assert_eq!(plan.trace(), vec![IoOp::WalAppend]);
+        wal.append(&pt(per_spill)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(
+            plan.trace(),
+            vec![IoOp::WalAppend, IoOp::WalAppend, IoOp::WalSync]
+        );
+        assert_eq!(series0(&path).len() as i64, per_spill + 1);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn torn_tail_frame_is_dropped() {
+        let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::open(&path).expect("open");
-            wal.append(&DataPoint::new(1, 1, 1.0)).expect("append");
-            wal.append(&DataPoint::new(2, 2, 2.0)).expect("append");
+            wal.append(&pt(1)).expect("append");
+            wal.sync().expect("sync");
+            wal.append(&pt(2)).expect("append");
             wal.sync().expect("sync");
         }
-        // Tear the last record mid-write.
+        // Chop half of the last frame off.
         let data = std::fs::read(&path).expect("read");
         std::fs::write(&path, &data[..data.len() - 10]).expect("truncate");
-        // Re-open for appending (the crash-recovery path) and keep writing.
-        // Before the torn-tail fix the new record landed after the garbage
-        // tail, shifting the record framing and corrupting the whole log.
+        assert_eq!(gens(&series0(&path)), vec![1]);
+        // Re-open for appending (the crash-recovery path) and keep writing:
+        // the new frame must not land behind the garbage.
         {
             let mut wal = Wal::open(&path).expect("re-open repairs tail");
-            wal.append(&DataPoint::new(3, 3, 3.0)).expect("append");
+            wal.append(&pt(3)).expect("append");
             wal.sync().expect("sync");
         }
-        let points = Wal::replay(&path).expect("log must stay readable");
-        let gens: Vec<i64> = points.iter().map(|p| p.gen_time).collect();
-        assert_eq!(gens, vec![1, 3], "torn record dropped, new one kept");
+        assert_eq!(gens(&series0(&path)), vec![1, 3]);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -426,135 +867,480 @@ mod tests {
     }
 
     #[test]
-    fn salvage_replay_recovers_prefix_past_mid_log_corruption() {
-        let path = temp_path("salvage");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut wal = Wal::open(&path).expect("open");
-            for i in 0..5 {
-                wal.append(&DataPoint::new(i, i, 0.0)).expect("append");
-            }
-            wal.sync().expect("sync");
-        }
-        let mut data = std::fs::read(&path).expect("read");
-        data[2 * RECORD + 8] ^= 0xff; // corrupt the third record
-        std::fs::write(&path, &data).expect("rewrite");
-        assert!(Wal::replay(&path).is_err(), "strict replay refuses");
-        let (points, dropped) =
-            Wal::replay_salvage(&path).expect("salvage replay");
-        assert_eq!(points.len(), 2, "valid prefix recovered");
-        assert_eq!(dropped, 3, "loss is reported, not hidden");
-        std::fs::remove_file(&path).expect("cleanup");
+    fn only_a_missing_or_cut_short_log_is_touched_at_open() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-wal-create-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("nested").join("log.wal");
+        // Created with its directory; the open-time fsyncs precede any
+        // fault plan, so a plan attached afterwards has counted nothing.
+        let plan = FaultPlan::trace_only(0);
+        let mut wal = Wal::open(&path).expect("create");
+        wal.attach_faults(Arc::clone(&plan));
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        wal.append(&pt(1)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(plan.trace(), vec![IoOp::WalAppend, IoOp::WalSync]);
+        drop(wal);
+        // A log that already exists is opened as it stands.
+        let whole = std::fs::read(&path).expect("read");
+        let (_, replay) = Wal::recover(&path, true).expect("reopen");
+        assert_eq!(replay.points(), 1);
+        assert_eq!(std::fs::read(&path).expect("read"), whole);
+        // One cut short while it was being created reads as empty and gets
+        // its header back.
+        std::fs::write(&path, &MAGIC[..3]).expect("cut short");
+        let (_, replay) = Wal::recover(&path, true).expect("reopen");
+        assert_eq!(replay, Replay::default());
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
-    fn mid_log_corruption_is_detected() {
-        let path = temp_path("corrupt");
+    fn a_damaged_header_is_corruption_not_an_empty_log() {
+        let path = temp_path("header");
         let _ = std::fs::remove_file(&path);
         {
             let mut wal = Wal::open(&path).expect("open");
-            for i in 0..5 {
-                wal.append(&DataPoint::new(i, i, 0.0)).expect("append");
+            for i in 0..3 {
+                wal.append_for(i as u32, &pt(i)).expect("append");
             }
             wal.sync().expect("sync");
         }
-        let mut data = std::fs::read(&path).expect("read");
-        data[RECORD + 8] ^= 0xff; // inside the second record's payload
-        std::fs::write(&path, &data).expect("rewrite");
-        assert!(Wal::replay(&path).is_err());
+        let whole = std::fs::read(&path).expect("read");
+        for byte in 0..MAGIC.len() {
+            let mut data = whole.clone();
+            data[byte] ^= 0x01;
+            std::fs::write(&path, &data).expect("flip");
+            assert!(matches!(Wal::replay(&path), Err(Error::Corrupt(_))));
+            // Strict recovery refuses and leaves the frames in place.
+            assert!(matches!(
+                Wal::recover(&path, true),
+                Err(Error::Corrupt(_))
+            ));
+            assert_eq!(std::fs::read(&path).expect("read"), data);
+        }
+        // Salvage counts the loss and starts a fresh log.
+        let (_, replay) = Wal::recover(&path, false).expect("salvage");
+        assert_eq!(replay.points(), 0);
+        assert!(replay.dropped >= 3, "loss is reported, not hidden");
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        // A headerless file too short to hold one record of either format
+        // is still just a first write cut short.
+        std::fs::write(&path, [0xabu8; LEGACY_RECORD - 1]).expect("stub");
+        let (_, replay) = Wal::recover(&path, true).expect("torn first write");
+        assert_eq!(replay, Replay::default());
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
-    #[test]
-    fn rewrite_replaces_contents() {
-        let path = temp_path("rewrite");
+    /// Five single-point frames with the third one's payload flipped.
+    fn corrupted_mid_log(tag: &str) -> PathBuf {
+        let path = temp_path(tag);
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path).expect("open");
-        for i in 0..10 {
-            wal.append(&DataPoint::new(i, i, 0.0)).expect("append");
+        for i in 0..5 {
+            wal.append(&pt(i)).expect("append");
+            wal.sync().expect("sync");
         }
+        let frame = FRAME_HEAD + BODY_HEAD + POINT;
+        let mut data = std::fs::read(&path).expect("read");
+        data[MAGIC.len() + 2 * frame + FRAME_HEAD + 8] ^= 0xff;
+        std::fs::write(&path, &data).expect("rewrite");
+        path
+    }
+
+    #[test]
+    fn mid_log_corruption_is_an_error_in_strict_and_counted_in_salvage() {
+        let path = corrupted_mid_log("corrupt");
+        assert!(matches!(Wal::replay(&path), Err(Error::Corrupt(_))));
+        let replay = Wal::replay_salvage(&path).expect("salvage replay");
+        assert_eq!(gens(&replay.series[&0]), vec![0, 1]);
+        assert!(replay.dropped >= 3, "loss is reported, not hidden");
+        // Strict recovery refuses and leaves the evidence in place.
+        let before = std::fs::read(&path).expect("read");
+        assert!(Wal::recover(&path, true).is_err());
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+        // Salvage recovery keeps the prefix and appends behind it.
+        let (mut wal, replay) = Wal::recover(&path, false).expect("salvage");
+        assert_eq!(replay.points(), 2);
+        wal.append(&pt(9)).expect("append");
         wal.sync().expect("sync");
-        let survivors = vec![DataPoint::new(100, 101, 9.0)];
-        wal.rewrite(&survivors).expect("rewrite");
-        // New appends continue after the rewritten contents.
-        wal.append(&DataPoint::new(200, 202, 1.0)).expect("append");
-        wal.sync().expect("sync");
-        let points = Wal::replay(&path).expect("replay");
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].gen_time, 100);
-        assert_eq!(points[1].gen_time, 200);
+        assert_eq!(gens(&series0(&path)), vec![0, 1, 9]);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
     fn sync_of_a_clean_log_does_no_io() {
-        let path = temp_path("clean-sync");
-        let _ = std::fs::remove_file(&path);
-        let plan = FaultPlan::trace_only(0);
-        let mut wal = Wal::open(&path).expect("open");
-        wal.attach_faults(Arc::clone(&plan));
+        let (path, plan, mut wal) = traced("clean-sync");
         wal.sync().expect("nothing appended yet");
         assert_eq!(plan.ops(), 0, "a fresh log is clean");
-        wal.append(&DataPoint::new(1, 1, 1.0)).expect("append");
+        wal.append(&pt(1)).expect("append");
         wal.sync().expect("sync");
         assert_eq!(plan.trace(), vec![IoOp::WalAppend, IoOp::WalSync]);
         wal.sync().expect("second sync");
         assert_eq!(plan.ops(), 2, "back-to-back sync: zero ops");
-        wal.append(&DataPoint::new(2, 2, 2.0)).expect("append");
-        wal.sync().expect("sync");
-        assert_eq!(
-            plan.trace()[2..],
-            [IoOp::WalAppend, IoOp::WalSync],
-            "one fsync after an append"
-        );
-        // A checkpoint leaves the log clean as well.
-        wal.rewrite(&[]).expect("checkpoint");
-        let ops = plan.ops();
+        // A checkpoint does not make a clean log dirty; it rides on the
+        // next batch.
+        wal.checkpoint(0, &[pt(1)]).expect("checkpoint");
         wal.sync().expect("sync after checkpoint");
-        assert_eq!(plan.ops(), ops);
-        assert_eq!(Wal::replay(&path).expect("replay"), vec![]);
+        assert_eq!(plan.ops(), 2);
+        wal.append(&pt(2)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(plan.trace()[2..], [IoOp::WalAppend, IoOp::WalSync]);
+        assert_eq!(gens(&series0(&path)), vec![1, 2]);
+        // A flush that leaves nothing buffered took the unsynced points
+        // into its tables: the series has nothing left to sync — but
+        // another series still does.
+        wal.append(&pt(3)).expect("append");
+        wal.checkpoint(0, &[]).expect("checkpoint");
+        wal.sync().expect("sync");
+        assert_eq!(plan.ops(), 4);
+        wal.append_for(1, &pt(4)).expect("append");
+        wal.append(&pt(5)).expect("append");
+        wal.checkpoint(0, &[]).expect("checkpoint");
+        wal.sync().expect("sync");
+        assert_eq!(plan.trace()[4..], [IoOp::WalAppend, IoOp::WalSync]);
+        let replay = Wal::replay(&path).expect("replay");
+        assert_eq!(replay.series, BTreeMap::from([(1, vec![pt(4)])]));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
-    fn empty_checkpoint_truncates_in_place_with_one_fsync() {
-        let path = temp_path("in-place");
-        let _ = std::fs::remove_file(&path);
-        let plan = FaultPlan::trace_only(0);
-        let mut wal = Wal::open(&path).expect("open");
-        wal.attach_faults(Arc::clone(&plan));
-        for i in 0..10 {
-            wal.append(&DataPoint::new(i, i, 0.0)).expect("append");
+    fn a_checkpoint_supersedes_its_series_only() {
+        let (path, _plan, mut wal) = traced("checkpoint");
+        for i in 0..4 {
+            wal.append_for(1, &pt(i)).expect("append");
+            wal.append_for(2, &pt(10 + i)).expect("append");
         }
         wal.sync().expect("sync");
-        // Unsynced records buffered at the checkpoint are cut with the rest.
-        wal.append(&DataPoint::new(10, 10, 0.0)).expect("append");
-        let before = plan.ops();
-        wal.rewrite(&[]).expect("checkpoint");
+        wal.append_for(1, &pt(4)).expect("append");
+        // Series 1 flushed everything but point 3; the pending point 4 went
+        // into the tables, so it must not come back.
+        wal.checkpoint(1, &[pt(3)]).expect("checkpoint");
+        wal.append_for(1, &pt(5)).expect("append");
+        wal.sync().expect("sync");
+        let replay = Wal::replay(&path).expect("replay");
+        assert_eq!(gens(&replay.series[&1]), vec![3, 5]);
+        assert_eq!(gens(&replay.series[&2]), vec![10, 11, 12, 13]);
+        let stats = wal.stats();
+        assert_eq!(stats.dead_bytes, 13 + 4 * 24);
+        assert_eq!(stats.live_bytes, 2 * (13 + 24) + 13 + 4 * 24);
+        assert_eq!((stats.frames, stats.cuts), (4, 0));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn the_empty_cut_truncates_in_place_with_one_fsync() {
+        let (path, plan, mut wal) = traced("in-place");
+        for i in 0..10 {
+            wal.append(&pt(i)).expect("append");
+        }
+        wal.sync().expect("sync");
+        // Pending points and queued frames are cut with the rest.
+        wal.append(&pt(10)).expect("append");
+        wal.checkpoint(0, &[]).expect("checkpoint");
+        let before = plan.ops() as usize;
+        wal.rewrite(&[]).expect("cut");
         assert_eq!(
-            plan.trace()[before as usize..],
+            plan.trace()[before..],
             [IoOp::WalRewrite],
             "no rename, no directory fsync"
         );
         assert!(!path.with_extension("wal.tmp").exists());
-        assert_eq!(std::fs::metadata(&path).expect("stat").len(), 0);
-        // Appends continue at the new end of the same file.
-        wal.append(&DataPoint::new(20, 21, 2.0)).expect("append");
+        assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        assert_eq!(wal.stats().cuts, 1);
+        // The log is clean and at rest: neither a sync nor a second cut
+        // costs anything.
         wal.sync().expect("sync");
-        let gens: Vec<i64> = Wal::replay(&path)
-            .expect("replay")
-            .iter()
-            .map(|p| p.gen_time)
-            .collect();
-        assert_eq!(gens, vec![20]);
-        // Survivors still take the tmp + rename + directory-fsync protocol.
-        let before = plan.ops();
-        wal.rewrite(&[DataPoint::new(20, 21, 2.0)])
-            .expect("rewrite");
+        wal.rewrite(&[(0, vec![])]).expect("cut");
+        assert_eq!(plan.ops() as usize, before + 1);
+        // Appends continue at the new end of the same file.
+        wal.append(&pt(20)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(gens(&series0(&path)), vec![20]);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_cut_with_survivors_replaces_the_file() {
+        let (path, plan, mut wal) = traced("replace");
+        for i in 0..10 {
+            wal.append_for(1, &pt(i)).expect("append");
+            wal.append_for(2, &pt(i)).expect("append");
+        }
+        wal.sync().expect("sync");
+        let before = plan.ops() as usize;
+        wal.rewrite(&[
+            (1, vec![pt(100)]),
+            (2, vec![]),
+            (3, vec![pt(300), pt(301)]),
+        ])
+        .expect("cut");
         assert_eq!(
-            plan.trace()[before as usize..],
+            plan.trace()[before..],
             [IoOp::WalRewrite, IoOp::WalRename, IoOp::DirSync]
         );
+        wal.append_for(1, &pt(200)).expect("append");
+        wal.sync().expect("sync");
+        let replay = Wal::replay(&path).expect("replay");
+        assert_eq!(gens(&replay.series[&1]), vec![100, 200]);
+        assert!(!replay.series.contains_key(&2));
+        assert_eq!(gens(&replay.series[&3]), vec![300, 301]);
+        assert_eq!(wal.stats().dead_bytes, 0);
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_cut_is_due_only_past_the_dead_bytes_threshold() {
+        let (path, _plan, mut wal) = traced("cut-due");
+        let batch: Vec<DataPoint> = (0..100).map(pt).collect();
+        let mut due = false;
+        while !due {
+            for p in &batch {
+                wal.append(p).expect("append");
+            }
+            wal.sync().expect("sync");
+            due = wal.checkpoint(0, &[]).expect("checkpoint");
+            let dead = wal.stats().dead_bytes;
+            assert_eq!(due, dead > CUT_FLOOR, "{dead} dead bytes");
+        }
+        // With many live bytes the bar is 8 × live, not the floor.
+        let live: Vec<DataPoint> = (0..1000).map(pt).collect();
+        assert!(!wal.checkpoint(0, &live).expect("checkpoint"));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_fixed_record_log_is_read_and_rewritten_framed() {
+        let path = temp_path("legacy");
+        let mut data = Vec::new();
+        for i in 0..5 {
+            data.extend(legacy_record(&pt(i)));
+        }
+        // A torn sixth record.
+        data.extend_from_slice(&legacy_record(&pt(5))[..10]);
+        std::fs::write(&path, &data).expect("legacy log");
+        assert_eq!(gens(&series0(&path)), vec![0, 1, 2, 3, 4]);
+        let (mut wal, replay) = Wal::recover(&path, true).expect("recover");
+        assert_eq!(gens(&replay.series[&0]), vec![0, 1, 2, 3, 4]);
+        assert!(std::fs::read(&path).expect("read").starts_with(&MAGIC));
+        wal.append(&pt(9)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(gens(&series0(&path)), vec![0, 1, 2, 3, 4, 9]);
+        // Damage in front of valid records is still corruption.
+        data[LEGACY_RECORD + 8] ^= 0xff;
+        std::fs::write(&path, &data).expect("corrupt legacy log");
+        assert!(Wal::replay(&path).is_err());
+        assert!(Wal::recover(&path, true).is_err());
+        let replay = Wal::replay_salvage(&path).expect("salvage");
+        assert_eq!((replay.points(), replay.dropped), (1, 4));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    // ------------------------------------------------------------------
+    // Model-based property: whatever a crash leaves of the file, replay
+    // returns exactly the frames that are wholly there.
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append {
+            series: u32,
+            gen_time: i64,
+        },
+        /// Flush `series`, keeping every `keep`-th buffered point (none
+        /// for 0).
+        Checkpoint {
+            series: u32,
+            keep: usize,
+        },
+        Sync,
+        Cut,
+        Reopen,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Half the ops append; few generation times, so a series logs the
+        // same one twice.
+        (0u8..12, 0u32..3, 0i64..6, 0usize..4).prop_map(
+            |(kind, series, gen_time, keep)| match kind {
+                0..=5 => Op::Append { series, gen_time },
+                6..=7 => Op::Checkpoint { series, keep },
+                8..=9 => Op::Sync,
+                10 => Op::Cut,
+                _ => Op::Reopen,
+            },
+        )
+    }
+
+    type Contents = BTreeMap<u32, Vec<DataPoint>>;
+
+    /// One frame of the model, with the file offset it ends at.
+    #[derive(Debug, Clone)]
+    struct ModelFrame {
+        checkpoint: bool,
+        series: u32,
+        points: Vec<DataPoint>,
+    }
+
+    impl ModelFrame {
+        fn size(&self) -> usize {
+            FRAME_HEAD + BODY_HEAD + POINT * self.points.len()
+        }
+    }
+
+    /// What replay must return when the file holds exactly `frames`.
+    fn fold(frames: &[ModelFrame]) -> Contents {
+        let mut out = Contents::new();
+        for f in frames {
+            let points = out.entry(f.series).or_default();
+            if f.checkpoint {
+                points.clear();
+            }
+            points.extend(f.points.iter().copied());
+        }
+        out.retain(|_, points| !points.is_empty());
+        out
+    }
+
+    /// The log's owner and the file, as the format documents them.
+    #[derive(Default)]
+    struct Model {
+        /// What the owner still holds in memory, per series.
+        buffers: Contents,
+        pending: Contents,
+        queued: Vec<ModelFrame>,
+        file: Vec<ModelFrame>,
+        /// Frames of `file` a crash cannot take away.
+        synced: usize,
+        /// Series with points appended since the last sync that no
+        /// checkpoint has since found flushed.
+        unsynced: std::collections::BTreeSet<u32>,
+    }
+
+    impl Model {
+        fn write_out(&mut self) {
+            for (series, points) in std::mem::take(&mut self.pending) {
+                if !points.is_empty() {
+                    self.queued.push(ModelFrame {
+                        checkpoint: false,
+                        series,
+                        points,
+                    });
+                }
+            }
+            self.file.append(&mut self.queued);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn replay_is_the_frames_since_each_last_intact_checkpoint(
+            ops in proptest::collection::vec(op(), 1..40),
+            case in 0u32..u32::MAX,
+        ) {
+            let path = temp_path(&format!("model-{case}"));
+            let cut_copy = temp_path(&format!("model-{case}-cut"));
+            let _ = std::fs::remove_file(&path);
+            let mut wal = Wal::open(&path).expect("open");
+            let mut model = Model::default();
+            let mut clock = 0i64;
+            for op in ops {
+                match op {
+                    Op::Append { series, gen_time } => {
+                        clock += 1;
+                        let p = DataPoint::new(gen_time, clock, clock as f64);
+                        wal.append_for(series, &p).expect("append");
+                        model.pending.entry(series).or_default().push(p);
+                        model.buffers.entry(series).or_default().push(p);
+                        model.unsynced.insert(series);
+                    }
+                    Op::Checkpoint { series, keep } => {
+                        let buffer = model.buffers.entry(series).or_default();
+                        let survivors: Vec<DataPoint> = match keep {
+                            0 => Vec::new(),
+                            _ => buffer.iter().copied().step_by(keep).collect(),
+                        };
+                        wal.checkpoint(series, &survivors)
+                            .expect("checkpoint");
+                        *buffer = survivors.clone();
+                        model.pending.remove(&series);
+                        if survivors.is_empty() {
+                            model.unsynced.remove(&series);
+                        }
+                        model.queued.push(ModelFrame {
+                            checkpoint: true,
+                            series,
+                            points: survivors,
+                        });
+                    }
+                    Op::Sync => {
+                        wal.sync().expect("sync");
+                        if !model.unsynced.is_empty() {
+                            model.write_out();
+                            model.synced = model.file.len();
+                            model.unsynced.clear();
+                        }
+                    }
+                    Op::Cut => {
+                        let live: Vec<(u32, Vec<DataPoint>)> =
+                            model.buffers.clone().into_iter().collect();
+                        wal.rewrite(&live).expect("cut");
+                        model.file = live
+                            .into_iter()
+                            .filter(|(_, points)| !points.is_empty())
+                            .map(|(series, points)| ModelFrame {
+                                checkpoint: true,
+                                series,
+                                points,
+                            })
+                            .collect();
+                        model.synced = model.file.len();
+                        model.pending.clear();
+                        model.queued.clear();
+                        model.unsynced.clear();
+                    }
+                    Op::Reopen => {
+                        // Dropped without a sync: only what was written
+                        // is there, and the owner restarts from it.
+                        drop(wal);
+                        let (reopened, replay) =
+                            Wal::recover(&path, true).expect("recover");
+                        wal = reopened;
+                        model.pending.clear();
+                        model.queued.clear();
+                        model.unsynced.clear();
+                        model.buffers = fold(&model.file);
+                        prop_assert_eq!(&replay.series, &model.buffers);
+                    }
+                }
+            }
+            drop(wal);
+            // Everything ever written is in the file; a crash keeps at
+            // least the synced frames and any prefix of the rest.
+            let data = std::fs::read(&path).expect("read");
+            let mut ends = vec![MAGIC.len()];
+            for f in &model.file {
+                ends.push(ends[ends.len() - 1] + f.size());
+            }
+            prop_assert_eq!(data.len(), ends[ends.len() - 1]);
+            for cut in ends[model.synced]..=data.len() {
+                std::fs::write(&cut_copy, &data[..cut]).expect("cut copy");
+                let whole = ends.iter().filter(|end| **end <= cut).count() - 1;
+                let replay = Wal::replay(&cut_copy).expect("strict replay");
+                prop_assert_eq!(
+                    &replay.series,
+                    &fold(&model.file[..whole]),
+                    "file cut at byte {} of {}", cut, data.len()
+                );
+            }
+            let _ = std::fs::remove_file(&cut_copy);
+            std::fs::remove_file(&path).expect("cleanup");
+        }
     }
 }

@@ -38,9 +38,18 @@ pub const STORE_OPS: &[&str] = &[
     "list",
 ];
 
-/// WAL methods that constitute log I/O (`wal.append(...)`, ...).
-pub const WAL_OPS: &[&str] =
-    &["append", "rewrite", "sync", "replay", "replay_salvage"];
+/// WAL methods that constitute log I/O (`wal.append(...)`, ...). An append
+/// writes when the log's pending buffer is full; `checkpoint` only queues a
+/// frame and is absent on purpose.
+pub const WAL_OPS: &[&str] = &[
+    "append",
+    "append_for",
+    "rewrite",
+    "sync",
+    "recover",
+    "replay",
+    "replay_salvage",
+];
 
 /// A function parsed out of a token stream: name, visibility, whether the
 /// signature mentions `Result`, and the token range of the body

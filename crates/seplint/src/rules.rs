@@ -133,15 +133,20 @@ pub fn kernel_returns_results(path: &Path, src: &str) -> Vec<Violation> {
 /// What a durability-relevant event *is*; see [`Ev`] for where it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum EvKind {
-    /// `wal.append(...)` — the point became durable before buffering.
+    /// `wal.append(...)` / `wal.append_for(...)` — the point entered the
+    /// log before buffering.
     WalAppend,
     /// `buffers.insert(...)` — a point entered a MemTable.
     BufferInsert,
-    /// `wal.rewrite(...)` — the WAL was truncated to a survivor set.
+    /// `wal.checkpoint(...)` or the cut `wal.rewrite(...)` — the WAL let go
+    /// of everything but a survivor set.
     WalTruncate,
     /// Evidence the truncated data is covered elsewhere: a manifest record
-    /// (`manifest`, `record`, `rewrite_levels`, `commit_or_rewrite`) or a
-    /// still-queryable flushing registration (`RegisterFlushing`).
+    /// (`manifest`, `record`, `rewrite_levels`, `commit_or_rewrite`), a
+    /// still-queryable flushing registration (`RegisterFlushing`), or a
+    /// series engine's report that its flush reached the manifest commit
+    /// (`take_committed_flush` — the fleet logs for engines that keep no
+    /// log of their own).
     Cover,
     /// A recovery / migration source (`replay`, `migrate`): points flowing
     /// from here were already durable, so they need no fresh WAL append,
@@ -168,15 +173,17 @@ const COVER_IDENTS: &[&str] = &[
     "rewrite_levels",
     "commit_or_rewrite",
     "RegisterFlushing",
+    "take_committed_flush",
 ];
 
 /// Identifiers that count as [`EvKind::Source`].
 const SOURCE_IDENTS: &[&str] = &["replay", "migrate"];
 
-/// Extracts the event sequence of one function body. A `wal.rewrite`
-/// preceded by `Wal::open` in the same body is *initialization* — the
-/// function opened the log itself and is rewriting it to the full current
-/// snapshot before attaching it — and produces no truncate event.
+/// Extracts the event sequence of one function body. A `wal.rewrite` or
+/// `wal.checkpoint` preceded by `Wal::open` in the same body is
+/// *initialization* — the function opened the log itself and is cutting
+/// it to the full current snapshot before attaching it — and produces no
+/// truncate event.
 fn extract_events(body: &[Token], graph: &CallGraph) -> Vec<Ev> {
     let mut events = Vec::new();
     let mut opened_wal = false;
@@ -197,9 +204,13 @@ fn extract_events(body: &[Token], graph: &CallGraph) -> Vec<Ev> {
             && body.get(i + 3).is_some_and(|n| n.is_ident("open"))
         {
             opened_wal = true;
-        } else if id == "wal" && next_dot_method("append") {
+        } else if id == "wal"
+            && (next_dot_method("append") || next_dot_method("append_for"))
+        {
             events.push(ev(EvKind::WalAppend));
-        } else if id == "wal" && next_dot_method("rewrite") {
+        } else if id == "wal"
+            && (next_dot_method("rewrite") || next_dot_method("checkpoint"))
+        {
             if !opened_wal {
                 events.push(ev(EvKind::WalTruncate));
             }
@@ -251,9 +262,9 @@ pub fn durability_order(path: &Path, src: &str) -> Vec<Violation> {
 }
 
 /// R5: in the engine modules, every `buffers.insert` must be dominated by a
-/// `wal.append` (or a replay/migrate source), and every `wal.rewrite`
-/// (truncate) must be dominated by a manifest record / flushing
-/// registration (or a source). Helpers whose only events are truncates are
+/// `wal.append` / `wal.append_for` (or a replay/migrate source), and every
+/// `wal.checkpoint` and every cut (`wal.rewrite`) must be dominated by a
+/// manifest record / flushing registration (or a source). Helpers whose only events are truncates are
 /// judged at their call sites instead (`compact_wal` is deliberately a
 /// leaf), and calls are resolved through the crate-wide graph, so a helper
 /// defined in another file is judged with its caller's context.

@@ -1,5 +1,5 @@
-//! R5 fixture: an engine that buffers before logging and truncates the WAL
-//! without covering the dropped data.
+//! R5 fixture: an engine that buffers before logging, and checkpoints and
+//! cuts the WAL without covering the dropped data.
 
 pub struct Engine {
     wal: Wal,
@@ -7,19 +7,25 @@ pub struct Engine {
 }
 
 impl Engine {
-    // VIOLATION: the point is buffered before it hits the WAL; a crash
-    // between the two lines loses it.
-    pub fn put(&mut self, p: Point) -> Result<(), Error> {
+    // VIOLATION: the point is buffered before it enters the log; a crash
+    // after the batch is acknowledged loses it.
+    pub fn put(&mut self, series: u32, p: Point) -> Result<(), Error> {
         self.buffers.insert(p);
-        self.wal.append(&p)?;
+        self.wal.append_for(series, &p)?;
         Ok(())
     }
 
-    // VIOLATION: the WAL is truncated with no manifest record or flushing
-    // registration covering the dropped tail.
+    // VIOLATION: the checkpoint supersedes the series' frames with no
+    // manifest record or flushing registration covering the dropped tail.
     pub fn flush(&mut self) -> Result<(), Error> {
         let survivors = self.buffers.drain();
-        self.wal.rewrite(&survivors)?;
+        self.wal.checkpoint(0, &survivors)?;
+        Ok(())
+    }
+
+    // VIOLATION: so does the cut.
+    pub fn rest(&mut self) -> Result<(), Error> {
+        self.wal.rewrite(&[])?;
         Ok(())
     }
 }

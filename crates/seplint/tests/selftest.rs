@@ -130,26 +130,32 @@ fn r4_fires_only_on_pub_non_result_panicking_fns() {
 fn r5_fires_on_buffer_before_append_and_uncovered_truncate() {
     let src = fixture("r5_insert_before_append.rs");
     let v = rules::durability_order(Path::new("r5.rs"), &src);
-    assert_eq!(v.len(), 2, "{v:?}");
+    assert_eq!(v.len(), 3, "{v:?}");
     assert!(v[0].message.contains("WAL-before-buffer"), "{v:?}");
-    assert!(v[1].message.contains("truncates the WAL"), "{v:?}");
+    assert!(v[1].message.contains("`flush` truncates the WAL"), "{v:?}");
+    assert!(v[2].message.contains("`rest` truncates the WAL"), "{v:?}");
 }
 
 #[test]
 fn r5_passes_the_compliant_orderings() {
-    // Append-then-insert is the durable order.
-    let ok_put = "
-        impl Engine {
-            pub fn put(&mut self, p: Point) -> Result<()> {
-                self.wal.append(&p)?;
-                self.buffers.insert(p);
-                Ok(())
-            }
-        }";
-    assert!(rules::durability_order(Path::new("ok.rs"), ok_put).is_empty());
+    // Append-then-insert is the durable order, for a one-series log and
+    // for a series-tagged one.
+    for append in ["append(&p)", "append_for(series, &p)"] {
+        let ok_put = format!(
+            "impl Engine {{
+                pub fn put(&mut self, series: u32, p: Point) -> Result<()> {{
+                    self.wal.{append}?;
+                    self.buffers.insert(p);
+                    Ok(())
+                }}
+            }}"
+        );
+        let v = rules::durability_order(Path::new("ok.rs"), &ok_put);
+        assert!(v.is_empty(), "{append}: {v:?}");
+    }
 
-    // A manifest record covers the truncation, even through a same-file
-    // helper call.
+    // A manifest record covers the checkpoint and the cut, even through a
+    // same-file helper call.
     let ok_flush = "
         impl Engine {
             pub fn flush(&mut self) -> Result<()> {
@@ -158,13 +164,30 @@ fn r5_passes_the_compliant_orderings() {
                 Ok(())
             }
             fn compact_wal(&mut self) -> Result<()> {
-                self.wal.rewrite(&self.survivors())
+                if self.wal.checkpoint(0, &self.survivors())? {
+                    self.wal.rewrite(&[(0, self.survivors())])?;
+                }
+                Ok(())
             }
         }";
     assert!(
         rules::durability_order(Path::new("ok.rs"), ok_flush).is_empty(),
         "truncate-only helper must be judged at its call site"
     );
+
+    // A fleet logs for series engines that keep no log of their own: the
+    // engine's report that its flush committed covers the checkpoint.
+    let ok_fleet = "
+        impl Fleet {
+            fn checkpoint(&mut self, series: SeriesId) -> Result<()> {
+                if !engine.take_committed_flush() {
+                    return Ok(());
+                }
+                wal.checkpoint(series.0, &engine.buffered_snapshot())?;
+                Ok(())
+            }
+        }";
+    assert!(rules::durability_order(Path::new("ok.rs"), ok_fleet).is_empty());
 
     // Replay (recovery) legitimately buffers without a fresh append.
     let ok_recover = "

@@ -48,7 +48,7 @@ pub use seplsm_lsm::{
     QuarantinedTable, QueryStats, Rebalance, RecoveryMode, RecoveryOptions,
     RecoveryReport, RecoveryStepKind, RetryBackoff, RingBufferSink,
     SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,
-    TieredReport, Wal, Watermarks,
+    TieredReport, Wal, WalStats, Watermarks,
 };
 pub use seplsm_types::{
     DataPoint, Error, Policy, Result, TimeRange, Timestamp,

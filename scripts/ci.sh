@@ -49,8 +49,15 @@ cargo test -q --workspace --offline
 # no RNG at runtime) and checks the durability contract after each recovery.
 echo "== fault injection (crash schedules) =="
 cargo test -q -p seplsm --test crash_schedules --offline
+# Same lane, by name: directories written by the PR 12 and PR 13 builds
+# (headerless fixed-record WALs, one per fleet series; flat manifests) must
+# still recover, strict and salvage, and leave only framed logs behind.
+echo "== fault injection (old-format fixtures) =="
+cargo test -q -p seplsm --test crash_schedules --offline \
+  pr12_and_pr13_format_directories_still_recover
 # Same lane, by name: the traced fsync budget of one flush/merge commit
-# (k table fsyncs + 1 directory + 1 manifest + <= 1 WAL, in that order). A
+# (k table fsyncs + 1 directory + 1 manifest, in that order, and nothing on
+# the WAL; one WAL write + fsync per batch, however many series). A
 # regression fails on the assertion that prints the op that crept back in.
 echo "== fault injection (fsync budget) =="
 cargo test -q -p seplsm --test fsync_budget --offline

@@ -16,10 +16,13 @@
 //! on purpose to check the degraded recovery path end to end.
 //!
 //! The grouped-commit section crashes at every op of a multi-output merge
-//! and of an in-order flush (group publication, manifest edit group,
-//! in-place WAL checkpoint) in strict and salvage mode, tears the manifest
-//! edit group at every record boundary and in between, and recovers a
-//! checked-in PR 12-format directory.
+//! and of an in-order flush (group publication, manifest edit group, the
+//! WAL write that carries the checkpoint frame, the closing cut) in strict
+//! and salvage mode, tears the manifest edit group at every record boundary
+//! and in between, tears every WAL write, and recovers checked-in PR 12-
+//! and PR 13-format directories. The fleet-log section sweeps crashes and
+//! torn writes over a fleet batch → flush → checkpoint → sync → cut
+//! sequence and tears one checkpoint frame at every byte.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -28,8 +31,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use seplsm::{
-    AdmissionOutcome, DataPoint, EngineConfig, Fault, FaultPlan, FileStore,
-    IoOp, LsmEngine, MultiOpenOptions, OpenOptions, Policy, RecoveryOptions,
+    AdmissionOutcome, DataPoint, EngineConfig, Event, Fault, FaultPlan,
+    FileStore, IoOp, LsmEngine, MultiOpenOptions, MultiSeriesEngine,
+    OpenOptions, Policy, RecoveryOptions, RecoveryStepKind, RingBufferSink,
     SeriesId, TableStore, TieredEngine, TieredOpenOptions, TimeRange,
     Watermarks,
 };
@@ -43,6 +47,11 @@ const WORKLOAD_POINTS: usize = 48;
 /// `sync` every this many appends (odd on purpose, to land syncs in
 /// different phases of the flush cycle).
 const SYNC_EVERY: usize = 7;
+
+/// Bytes of a framed WAL's magic: the whole file when the log is at rest.
+const WAL_HEADER: u64 = 8;
+/// The magic itself (DESIGN.md §8); a PR ≤ 13 log has no header.
+const WAL_MAGIC: &[u8] = b"SEPWAL2\n";
 
 struct TempDir(PathBuf);
 
@@ -242,8 +251,9 @@ fn lsm_engine_survives_torn_writes() {
     drop(dir);
     let total = plan.ops();
     for k in (0..total).step_by(5) {
-        // Tear a little and a lot: 3 bytes clips a record mid-CRC, 64 can
-        // wipe whole records (and more than some payloads' length).
+        // Tear a little and a lot: 3 bytes clips a frame's last point, 64
+        // takes several points off it (or more than some payloads hold);
+        // either way the whole frame fails its CRC.
         for truncate in [3usize, 64] {
             let plan =
                 FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
@@ -292,7 +302,7 @@ fn tiered_recover_check(
 ) {
     let store: Arc<dyn TableStore> =
         Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, report) = TieredOpenOptions::new(config())
+    let (mut engine, report) = TieredOpenOptions::new(config())
         .store(store)
         .wal(dir.path("wal"))
         .manifest(dir.path("manifest"))
@@ -307,6 +317,12 @@ fn tiered_recover_check(
         .query(TimeRange::new(-1_000, 1_000_000))
         .expect("query recovered engine");
     check_contract(&recovered, pts, out, ctx);
+    // A lost checkpoint replays a longer log, whose flushes can leave the
+    // worker merging L0 — and retiring the tables an audit of the
+    // pre-merge version would still look for. Audit at rest.
+    engine
+        .quiesce()
+        .unwrap_or_else(|e| panic!("{ctx}: quiesce failed: {e}"));
     engine
         .check_integrity()
         .unwrap_or_else(|e| panic!("{ctx}: integrity audit failed: {e}"));
@@ -360,9 +376,7 @@ fn tiered_engine_clears_write_stalls_after_any_crash() {
         let stalls = engine.admission_stats().stalls;
         (dir, out, stalls)
     };
-    // Two-thirds of the usual workload: the tight watermarks raise the op
-    // count per point, and the sweep is quadratic in ops.
-    let pts = workload(WORKLOAD_POINTS * 2 / 3);
+    let pts = workload(WORKLOAD_POINTS);
     let plan = FaultPlan::trace_only(SEED);
     let (dir, out, stalls) = stall_pass("tiered-stall-trace", &plan, &pts);
     assert_eq!(out.appended, pts.len(), "trace pass must complete");
@@ -514,7 +528,12 @@ impl GroupEngine {
                     .faults(Arc::clone(plan))
                     .open()
                     .expect("open");
-                drive(&mut engine, pts, LsmEngine::append, |e| e.sync_wal())
+                let out = drive(&mut engine, pts, LsmEngine::append, |e| {
+                    e.sync_wal()
+                });
+                // The engine comes to rest: the WAL is cut to its header.
+                let _ = engine.flush_all();
+                out
             }
             Self::Tiered => {
                 let mut engine = TieredOpenOptions::new(self.config())
@@ -525,7 +544,11 @@ impl GroupEngine {
                     .faults(Arc::clone(plan))
                     .open()
                     .expect("open");
-                drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal())
+                let out = drive(&mut engine, pts, TieredEngine::append, |e| {
+                    e.sync_wal()
+                });
+                let _ = engine.finish();
+                out
             }
         };
         (dir, out)
@@ -564,13 +587,20 @@ impl GroupEngine {
                 (engine.scan_all().expect("scan"), live, files, report)
             }
             Self::Tiered => {
-                let (engine, report) = TieredOpenOptions::new(self.config())
-                    .store(Arc::clone(&store))
-                    .wal(dir.path("wal"))
-                    .manifest(dir.path("manifest"))
-                    .recovery(recovery)
-                    .open_or_recover()
-                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                let (mut engine, report) =
+                    TieredOpenOptions::new(self.config())
+                        .store(Arc::clone(&store))
+                        .wal(dir.path("wal"))
+                        .manifest(dir.path("manifest"))
+                        .recovery(recovery)
+                        .open_or_recover()
+                        .unwrap_or_else(|e| {
+                            panic!("{ctx}: recovery failed: {e}")
+                        });
+                // Audit at rest (see `tiered_recover_check`).
+                engine
+                    .quiesce()
+                    .unwrap_or_else(|e| panic!("{ctx}: quiesce: {e}"));
                 engine
                     .check_integrity()
                     .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
@@ -606,8 +636,9 @@ fn recovery_modes() -> [(&'static str, RecoveryOptions); 2] {
 
 /// Crashes at every I/O op of the scenario — every table write, fsync and
 /// rename of each group publication, the directory fsync, the manifest
-/// edit-group append and fsync, the in-place and carried-over WAL
-/// checkpoints — and recovers in strict and salvage mode.
+/// edit-group append and fsync, the WAL writes that carry the checkpoint
+/// frames, the closing flush and its cut — and recovers in strict and
+/// salvage mode.
 fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
     let pts = group_workload();
     let plan = FaultPlan::trace_only(SEED);
@@ -622,7 +653,20 @@ fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
         "no multi-table publication in {trace:?}"
     );
     assert!(trace.contains(&IoOp::ManifestAppend));
-    assert!(trace.contains(&IoOp::WalRewrite));
+    // No flush touches the log: its checkpoint rides on the next batch's
+    // write, and the file is cut once, when the engine comes to rest.
+    assert!(trace.contains(&IoOp::WalAppend));
+    assert_eq!(
+        trace.iter().filter(|op| **op == IoOp::WalRewrite).count(),
+        1,
+        "{trace:?}"
+    );
+    assert!(!trace.contains(&IoOp::WalRename), "{trace:?}");
+    assert_eq!(
+        std::fs::metadata(dir.path("wal")).expect("stat").len(),
+        WAL_HEADER,
+        "a log at rest is its header"
+    );
     for (mode, recovery) in recovery_modes() {
         engine.recover_check(&dir, &pts, &out, recovery, mode);
         // Recovery is idempotent: the second mode reopens what the first
@@ -654,6 +698,50 @@ fn lsm_in_order_flush_survives_a_crash_at_every_io_op() {
 #[test]
 fn tiered_flush_and_l0_merge_survive_a_crash_at_every_io_op() {
     grouped_commit_survives_every_crash(GroupEngine::Tiered, "grp-bg");
+}
+
+/// Tears every WAL write of the scenario — `Points` frames, the
+/// `Checkpoint` frames riding with them, under the tiered engine the
+/// checkpoint carrying a whole hand-off — at a spread of lengths. A frame
+/// that is not wholly there must not exist for replay: the acknowledged
+/// prefix survives and nothing is invented, in strict and salvage mode.
+#[test]
+fn torn_wal_writes_never_lose_an_acknowledged_point() {
+    for (engine, tag) in [
+        (GroupEngine::Conventional, "torn-wal-pc"),
+        (GroupEngine::Separation, "torn-wal-ps"),
+        (GroupEngine::Tiered, "torn-wal-bg"),
+    ] {
+        let pts = group_workload();
+        let plan = FaultPlan::trace_only(SEED);
+        let (dir, _) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
+        drop(dir);
+        let writes: Vec<u64> = plan
+            .trace()
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| **op == IoOp::WalAppend)
+            .map(|(i, _)| i as u64)
+            .collect();
+        assert!(writes.len() >= 4, "scenario syncs several batches");
+        for at in writes {
+            // The largest write here is a 16-point hand-off checkpoint plus
+            // a batch: cuts past a smaller write's length persist nothing.
+            for truncate in (1..640).step_by(11) {
+                for (mode, recovery) in recovery_modes() {
+                    let plan =
+                        FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
+                    let (dir, out) =
+                        engine.pass(&format!("{tag}-tear"), &plan, &pts);
+                    assert!(plan.is_crashed(), "tear at op {at} never fired");
+                    let ctx = format!(
+                        "{mode}: WAL write at op {at} torn by {truncate} bytes"
+                    );
+                    engine.recover_check(&dir, &pts, &out, recovery, &ctx);
+                }
+            }
+        }
+    }
 }
 
 /// Tears every manifest edit-group append of the scenario at every record
@@ -709,14 +797,40 @@ fn torn_manifest_edit_groups_are_never_half_applied() {
     }
 }
 
-/// Durable state written by the PR 12 build (`tests/fixtures/pr12/`, made
-/// by running this file's `workload(43)` through both engines and dropping
-/// them without a closing flush): header-less manifests — flat `ADD` /
-/// `ADD_L0` records from a whole-log rewrite plus per-flush appends — and
-/// WALs still holding the buffered survivors. The grouped format must read
-/// them as the degenerate case they are.
+/// The fleet of `tests/fixtures/pr13/fleet`: series 1–3 hold `workload(46)`
+/// shifted by `1000 × id` in time and by `id` in value, series 7 two points
+/// that were never flushed.
+fn pr13_fleet_contents(series: u32) -> Vec<DataPoint> {
+    if series == 7 {
+        return vec![DataPoint::new(5, 6, 7.0), DataPoint::new(15, 16, 7.5)];
+    }
+    let shift = i64::from(series) * 1000;
+    let mut points: Vec<DataPoint> = workload(46)
+        .into_iter()
+        .map(|p| {
+            DataPoint::new(
+                p.gen_time + shift,
+                p.arrival_time + shift,
+                p.value + f64::from(series),
+            )
+        })
+        .collect();
+    points.sort_by_key(|p| p.gen_time);
+    points
+}
+
+/// Durable state written by older builds (`tests/fixtures/pr12/` and
+/// `tests/fixtures/pr13/`, see their READMEs: this file's `workload(43)` /
+/// `workload(46)` appended, synced, and the engine dropped without a closing
+/// flush). PR 12 left header-less manifests of flat `ADD` / `ADD_L0`
+/// records; both left header-less WALs of fixed 28-byte records still
+/// holding the buffered survivors — PR 13's fleet one `series-<n>.wal` per
+/// series. Every directory must recover, strict and salvage, to the
+/// contents the build that wrote it recovers, and leave only framed logs
+/// behind: the inline and background engines' converted in place, the
+/// fleet's folded into one `fleet.wal`.
 #[test]
-fn pr12_format_manifest_and_wal_still_recover() {
+fn pr12_and_pr13_format_directories_still_recover() {
     fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
         std::fs::create_dir_all(to).expect("mkdir");
         for entry in std::fs::read_dir(from).expect("read fixture dir") {
@@ -729,56 +843,234 @@ fn pr12_format_manifest_and_wal_still_recover() {
             }
         }
     }
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures/pr12");
-    let mut expected = workload(43);
-    expected.sort_by_key(|p| p.gen_time);
-    let dir = TempDir::new("pr12-fixture");
-    copy_dir(&fixture, &dir.0);
+    fn assert_framed(wal: &std::path::Path) {
+        let bytes = std::fs::read(wal).expect("read recovered log");
+        assert!(bytes.starts_with(WAL_MAGIC), "{} not framed", wal.display());
+    }
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures");
+    let pi_s = || {
+        EngineConfig::new(Policy::separation(8, 4).expect("policy"))
+            .with_sstable_points(4)
+    };
+    let pi_c =
+        || EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    for (build, points, tiered_config) in
+        [("pr12", 43, pi_c()), ("pr13", 46, pi_s())]
+    {
+        let mut expected = workload(points);
+        expected.sort_by_key(|p| p.gen_time);
+        for (mode, recovery) in recovery_modes() {
+            let ctx = format!("{build}, {mode}");
+            let dir = TempDir::new(&format!("{build}-fixture-{mode}"));
+            copy_dir(&fixtures.join(build), &dir.0);
 
-    let store: Arc<dyn TableStore> = Arc::new(
-        FileStore::open(dir.path("lsm/tables")).expect("fixture store"),
-    );
-    let config = EngineConfig::new(Policy::separation(8, 4).expect("policy"))
-        .with_sstable_points(4);
-    let (mut engine, report) = OpenOptions::new(config)
-        .store(store)
-        .wal(dir.path("lsm/wal"))
-        .manifest(dir.path("lsm/manifest"))
-        .recovery(RecoveryOptions::strict().with_gc_orphans())
-        .open_or_recover()
-        .expect("recover the PR 12 inline-engine directory");
-    assert!(report.is_clean(), "{report:?}");
-    assert!(report.orphans_removed.is_empty(), "{report:?}");
-    assert_eq!(engine.scan_all().expect("scan"), expected);
-    engine.check_integrity().expect("integrity");
-    // And it keeps going in the new format on top of the old log.
-    engine.flush_all().expect("flush");
-    assert_eq!(engine.scan_all().expect("scan"), expected);
+            let store: Arc<dyn TableStore> = Arc::new(
+                FileStore::open(dir.path("lsm/tables")).expect("fixture store"),
+            );
+            let (mut engine, report) = OpenOptions::new(pi_s())
+                .store(store)
+                .wal(dir.path("lsm/wal"))
+                .manifest(dir.path("lsm/manifest"))
+                .recovery(recovery)
+                .open_or_recover()
+                .unwrap_or_else(|e| panic!("{ctx}: inline engine: {e}"));
+            assert!(report.is_clean(), "{ctx}: {report:?}");
+            assert!(report.orphans_removed.is_empty(), "{ctx}: {report:?}");
+            assert_eq!(engine.scan_all().expect("scan"), expected, "{ctx}");
+            engine.check_integrity().expect("integrity");
+            assert_framed(&dir.path("lsm/wal"));
+            // And it keeps going in the new formats on top of the old ones.
+            engine.flush_all().expect("flush");
+            assert_eq!(engine.scan_all().expect("scan"), expected, "{ctx}");
 
-    let store: Arc<dyn TableStore> = Arc::new(
-        FileStore::open(dir.path("tiered/tables")).expect("fixture store"),
-    );
-    let config =
-        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
-    let (engine, report) = TieredOpenOptions::new(config)
-        .store(store)
-        .sync_flush()
-        .wal(dir.path("tiered/wal"))
-        .manifest(dir.path("tiered/manifest"))
-        .recovery(RecoveryOptions::strict().with_gc_orphans())
-        .open_or_recover()
-        .expect("recover the PR 12 background-engine directory");
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(engine.scan_all().expect("scan"), expected);
-    engine.check_integrity().expect("integrity");
-    let finished = engine.finish().expect("finish");
-    assert_eq!(finished.points, expected);
+            let store: Arc<dyn TableStore> = Arc::new(
+                FileStore::open(dir.path("tiered/tables"))
+                    .expect("fixture store"),
+            );
+            let (engine, report) =
+                TieredOpenOptions::new(tiered_config.clone())
+                    .store(store)
+                    .sync_flush()
+                    .wal(dir.path("tiered/wal"))
+                    .manifest(dir.path("tiered/manifest"))
+                    .recovery(recovery)
+                    .open_or_recover()
+                    .unwrap_or_else(|e| {
+                        panic!("{ctx}: background engine: {e}")
+                    });
+            assert!(report.is_clean(), "{ctx}: {report:?}");
+            assert_eq!(engine.scan_all().expect("scan"), expected, "{ctx}");
+            engine.check_integrity().expect("integrity");
+            assert_framed(&dir.path("tiered/wal"));
+            let finished = engine.finish().expect("finish");
+            assert_eq!(finished.points, expected, "{ctx}");
+
+            if build == "pr12" {
+                continue; // PR 12 has no fleet fixture.
+            }
+            let store: Arc<dyn TableStore> = Arc::new(
+                FileStore::open(dir.path("fleet/tables"))
+                    .expect("fixture store"),
+            );
+            let (mut fleet, report) = MultiOpenOptions::new(pi_s())
+                .store(store)
+                .durable_dir(dir.path("fleet/meta"))
+                .recovery(recovery)
+                .open_or_recover()
+                .unwrap_or_else(|e| panic!("{ctx}: fleet: {e}"));
+            assert!(report.is_clean(), "{ctx}: {report:?}");
+            let ids = [1, 2, 3, 7].map(SeriesId);
+            assert_eq!(fleet.series_ids(), ids, "{ctx}");
+            let scan = |fleet: &MultiSeriesEngine, id: SeriesId| {
+                fleet.engine(id).expect("series").scan_all().expect("scan")
+            };
+            for id in ids {
+                assert_eq!(
+                    scan(&fleet, id),
+                    pr13_fleet_contents(id.0),
+                    "{ctx}: {id}"
+                );
+            }
+            fleet.check_integrity().expect("integrity");
+            // The four per-series logs are gone, folded into the one log.
+            let mut left: Vec<String> =
+                std::fs::read_dir(dir.path("fleet/meta"))
+                    .expect("ls")
+                    .map(|e| {
+                        let name = e.expect("entry").file_name();
+                        name.to_string_lossy().into_owned()
+                    })
+                    .filter(|name| name.ends_with(".wal"))
+                    .collect();
+            left.sort();
+            assert_eq!(left, ["fleet.wal"], "{ctx}");
+            assert_framed(&dir.path("fleet/meta/fleet.wal"));
+            // A second crash right here recovers the same fleet from it.
+            fleet
+                .append(ids[3], DataPoint::new(25, 26, 8.0))
+                .expect("append");
+            fleet.sync_wal_all().expect("sync");
+            drop(fleet);
+            let store: Arc<dyn TableStore> = Arc::new(
+                FileStore::open(dir.path("fleet/tables")).expect("store"),
+            );
+            let (fleet, report) = MultiOpenOptions::new(pi_s())
+                .store(store)
+                .durable_dir(dir.path("fleet/meta"))
+                .recovery(recovery)
+                .open_or_recover()
+                .unwrap_or_else(|e| panic!("{ctx}: fleet again: {e}"));
+            assert!(report.is_clean(), "{ctx}: {report:?}");
+            assert_eq!(scan(&fleet, ids[0]), pr13_fleet_contents(1), "{ctx}");
+            assert_eq!(scan(&fleet, ids[3]).len(), 3, "{ctx}");
+        }
+    }
 }
 
 // -------------------------------------------------------- MultiSeriesEngine
 
 static MULTI_CASE: AtomicUsize = AtomicUsize::new(0);
+
+type PerSeries<T> = std::collections::HashMap<u32, T>;
+
+/// What a fleet workload managed before the injected failure (if any).
+#[derive(Default)]
+struct FleetOutcome {
+    /// Per series, the generation times whose append returned `Ok`.
+    appended: PerSeries<Vec<i64>>,
+    /// Per series, the length of `appended` at the last successful
+    /// `sync_wal_all` — the durability contract covers exactly this prefix.
+    synced: PerSeries<usize>,
+}
+
+impl FleetOutcome {
+    fn acknowledge(&mut self) {
+        for (s, appended) in &self.appended {
+            self.synced.insert(*s, appended.len());
+        }
+    }
+}
+
+/// Appends `pts` in order, syncing the fleet log every `sync_every`
+/// appends and once at the end; stops at the first failure.
+fn drive_fleet(
+    engine: &mut MultiSeriesEngine,
+    pts: &[(u32, DataPoint)],
+    sync_every: usize,
+) -> FleetOutcome {
+    let mut out = FleetOutcome::default();
+    for (i, (s, p)) in pts.iter().enumerate() {
+        if engine.append(SeriesId(*s), *p).is_err() {
+            return out;
+        }
+        out.appended.entry(*s).or_default().push(p.gen_time);
+        if (i + 1) % sync_every == 0 {
+            if engine.sync_wal_all().is_err() {
+                return out;
+            }
+            out.acknowledge();
+        }
+    }
+    if engine.sync_wal_all().is_ok() {
+        out.acknowledge();
+    }
+    out
+}
+
+fn fleet_recover(
+    dir: &TempDir,
+    recovery: RecoveryOptions,
+) -> MultiSeriesEngine {
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (engine, _report) = MultiOpenOptions::new(config())
+        .store(store)
+        .durable_dir(dir.path("meta"))
+        .recovery(recovery)
+        .open_or_recover()
+        .expect("recovery after crash");
+    engine.check_integrity().expect("integrity audit");
+    engine
+}
+
+/// The recovery contract per series: no duplicate generation times, every
+/// synced point present, nothing but this series' attempted appends.
+fn check_fleet_contract(
+    engine: &MultiSeriesEngine,
+    pts: &[(u32, DataPoint)],
+    out: &FleetOutcome,
+    ctx: &str,
+) {
+    for (s, appended) in &out.appended {
+        let synced = out.synced.get(s).copied().unwrap_or(0);
+        let Ok((recovered, _)) =
+            engine.query(SeriesId(*s), TimeRange::new(-1_000, 1_000_000))
+        else {
+            // The series may not have reached its first durable write.
+            assert_eq!(synced, 0, "{ctx}: synced series {s} missing");
+            continue;
+        };
+        let got: HashSet<i64> = recovered.iter().map(|p| p.gen_time).collect();
+        assert_eq!(got.len(), recovered.len(), "{ctx}: duplicates");
+        for tg in &appended[..synced] {
+            assert!(got.contains(tg), "{ctx}: synced point {s}/{tg} lost");
+        }
+        // `attempted` includes at most one point past `appended` (the one
+        // whose append failed mid-flight).
+        let attempted: HashSet<i64> = pts
+            .iter()
+            .filter(|(series, _)| series == s)
+            .map(|(_, p)| p.gen_time)
+            .collect();
+        for tg in &got {
+            assert!(
+                attempted.contains(tg),
+                "{ctx}: recovery invented point {s}/{tg}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -798,11 +1090,7 @@ proptest! {
         let case = MULTI_CASE.fetch_add(1, Ordering::Relaxed);
         let dir = TempDir::new(&format!("multi-{case}"));
         let plan = FaultPlan::crash_at(SEED, crash_at);
-        let mut per_series: std::collections::HashMap<u32, Vec<i64>> =
-            std::collections::HashMap::new();
-        let mut synced: std::collections::HashMap<u32, usize> =
-            std::collections::HashMap::new();
-        {
+        let out = {
             let store = FileStore::open(dir.path("tables"))
                 .expect("store")
                 .with_faults(Arc::clone(&plan));
@@ -812,91 +1100,32 @@ proptest! {
                 .faults(Arc::clone(&plan))
                 .open()
                 .expect("durable engine");
-            let mut since_sync = 0usize;
-            for (s, p) in &pts {
-                if engine.append(SeriesId(*s), *p).is_err() {
-                    break;
-                }
-                per_series.entry(*s).or_default().push(p.gen_time);
-                since_sync += 1;
-                if since_sync >= 9 {
-                    since_sync = 0;
-                    if engine.sync_wal_all().is_err() {
-                        break;
-                    }
-                    for (s, appended) in &per_series {
-                        synced.insert(*s, appended.len());
-                    }
-                }
-            }
-            if engine.sync_wal_all().is_ok() {
-                for (s, appended) in &per_series {
-                    synced.insert(*s, appended.len());
-                }
-            }
-        }
-        let store: Arc<dyn TableStore> = Arc::new(
-            FileStore::open(dir.path("tables")).expect("reopen store"),
+            drive_fleet(&mut engine, &pts, 9)
+        };
+        let engine = fleet_recover(
+            &dir,
+            RecoveryOptions::strict().with_gc_orphans(),
         );
-        let (engine, _report) = MultiOpenOptions::new(config())
-            .store(store)
-            .durable_dir(dir.path("meta"))
-            .recovery(RecoveryOptions::strict().with_gc_orphans())
-            .open_or_recover()
-            .expect("strict recovery after crash");
-        engine.check_integrity().expect("integrity audit");
-        for (s, appended) in &per_series {
-            let Ok((recovered, _)) =
-                engine.query(SeriesId(*s), TimeRange::new(-10, 2_000))
-            else {
-                // The series may not have reached its first durable write.
-                prop_assert_eq!(synced.get(s).copied().unwrap_or(0), 0);
-                continue;
-            };
-            let got: HashSet<i64> =
-                recovered.iter().map(|p| p.gen_time).collect();
-            prop_assert_eq!(got.len(), recovered.len(), "duplicates");
-            // Synced prefix survives; nothing beyond the appends appears.
-            let synced_len = synced.get(s).copied().unwrap_or(0);
-            for tg in &appended[..synced_len] {
-                prop_assert!(got.contains(tg), "synced point {} lost", tg);
-            }
-            // `attempted` includes at most one point past `appended`
-            // (the one whose append failed mid-flight); anything recovered
-            // must come from this series' appends.
-            let attempted: HashSet<i64> = pts
-                .iter()
-                .filter(|(series, _)| series == s)
-                .map(|(_, p)| p.gen_time)
-                .collect();
-            for tg in &got {
-                prop_assert!(
-                    attempted.contains(tg),
-                    "recovery invented point {}",
-                    tg
-                );
-            }
-        }
+        check_fleet_contract(&engine, &pts, &out, "random crash");
     }
 }
 
 /// The pooled-flush variant of the fleet crash schedule: with several flush
 /// workers live, a crash during `flush_all` lands on whichever worker's
-/// store/WAL op hits the schedule first — every engine must still be handed
-/// back to the fleet, and recovery must uphold the same contract (synced
-/// prefix survives, nothing is invented) at every crash point.
+/// store/manifest op hits the schedule first — every engine must still be
+/// handed back to the fleet, and recovery must uphold the same contract
+/// (synced prefix survives, nothing is invented) at every crash point.
 #[test]
 fn pooled_flush_crash_schedule_preserves_the_durability_contract() {
+    let pts: Vec<(u32, DataPoint)> = workload(WORKLOAD_POINTS)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| ((i % 4) as u32, p))
+        .collect();
     for crash_at in [6u64, 25, 60, 110, 200] {
         let dir = TempDir::new(&format!("multi-pool-{crash_at}"));
         let plan = FaultPlan::crash_at(SEED, crash_at);
-        let pts = workload(WORKLOAD_POINTS);
-        let series_of = |i: usize| (i % 4) as u32;
-        let mut appended: std::collections::HashMap<u32, Vec<i64>> =
-            std::collections::HashMap::new();
-        let mut synced: std::collections::HashMap<u32, usize> =
-            std::collections::HashMap::new();
-        {
+        let out = {
             let store = FileStore::open(dir.path("tables"))
                 .expect("store")
                 .with_faults(Arc::clone(&plan));
@@ -907,73 +1136,295 @@ fn pooled_flush_crash_schedule_preserves_the_durability_contract() {
                 .faults(Arc::clone(&plan))
                 .open()
                 .expect("durable engine");
-            for (i, p) in pts.iter().enumerate() {
-                if engine.append(SeriesId(series_of(i)), *p).is_err() {
-                    break;
-                }
-                appended.entry(series_of(i)).or_default().push(p.gen_time);
-            }
-            if engine.sync_wal_all().is_ok() {
-                for (s, v) in &appended {
-                    synced.insert(*s, v.len());
-                }
-            }
+            let out = drive_fleet(&mut engine, &pts, usize::MAX);
             // May crash mid-pool; every series engine is retained either
             // way, and the fleet keeps answering for the survivors.
             if engine.flush_all().is_err() {
                 assert_eq!(
                     engine.len(),
-                    appended.len(),
+                    out.appended.len(),
                     "crash_at {crash_at}: a failed pooled flush lost series"
                 );
             }
+            out
             // Crash: dropped here.
-        }
-        let store: Arc<dyn TableStore> = Arc::new(
-            FileStore::open(dir.path("tables")).expect("reopen store"),
+        };
+        let engine =
+            fleet_recover(&dir, RecoveryOptions::strict().with_gc_orphans());
+        check_fleet_contract(
+            &engine,
+            &pts,
+            &out,
+            &format!("pooled flush, crash at op {crash_at}"),
         );
-        let (engine, _report) = MultiOpenOptions::new(config())
-            .store(store)
-            .durable_dir(dir.path("meta"))
-            .recovery(RecoveryOptions::strict().with_gc_orphans())
-            .open_or_recover()
-            .expect("strict recovery after pooled-flush crash");
-        engine.check_integrity().expect("integrity audit");
-        for (s, appended) in &appended {
-            let Ok((recovered, _)) =
-                engine.query(SeriesId(*s), TimeRange::new(-100, 2_000))
-            else {
-                assert_eq!(
-                    synced.get(s).copied().unwrap_or(0),
-                    0,
-                    "crash_at {crash_at}: synced series {s} missing"
-                );
-                continue;
-            };
-            let got: HashSet<i64> =
-                recovered.iter().map(|p| p.gen_time).collect();
-            assert_eq!(got.len(), recovered.len(), "duplicates");
-            let synced_len = synced.get(s).copied().unwrap_or(0);
-            for tg in &appended[..synced_len] {
-                assert!(
-                    got.contains(tg),
-                    "crash_at {crash_at}: synced point {tg} lost"
-                );
-            }
-            let attempted: HashSet<i64> = pts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| series_of(*i) == *s)
-                .map(|(_, p)| p.gen_time)
-                .collect();
-            for tg in &got {
-                assert!(
-                    attempted.contains(tg),
-                    "crash_at {crash_at}: recovery invented point {tg}"
-                );
+    }
+}
+
+// ---------------------------------------------------------------- Fleet log
+
+/// The fleet-log scenario's table shape and policy: `π_s(8 + 8)`, so the
+/// hot series' in-order flushes leave its stragglers behind as checkpoint
+/// survivors.
+fn fleet_log_config() -> EngineConfig {
+    GroupEngine::Separation.config()
+}
+
+/// Batches of the fleet-log scenario, and appends per batch.
+const FLEET_LOG_ROUNDS: i64 = 4;
+const FLEET_LOG_BATCH: usize = 8;
+
+/// Four batches over four series. In each, series 1–3 take one point and
+/// the hot series 0 four in-order ones, so `C_seq` fills — and the batch's
+/// last append flushes it and queues its checkpoint — every second batch.
+/// From the third batch on series 0 also takes a straggler, which stays
+/// buffered and survives the flush (before that, series 1 takes a second
+/// point instead).
+fn fleet_log_workload() -> Vec<(u32, DataPoint)> {
+    let mut pts = Vec::new();
+    for round in 0..FLEET_LOG_ROUNDS {
+        for s in 1..4u32 {
+            let tg = round * 10 + i64::from(s);
+            pts.push((s, DataPoint::new(tg, tg + 1, f64::from(s))));
+        }
+        if round < 2 {
+            let tg = round * 10 + 5;
+            pts.push((1, DataPoint::new(tg, tg + 1, 1.0)));
+        } else {
+            let tg = (round - 2) * 40 + 5;
+            pts.push((0, DataPoint::new(tg, tg + 500, -1.0)));
+        }
+        for i in 0..4 {
+            let tg = (round * 4 + i) * 10;
+            pts.push((0, DataPoint::new(tg, tg + 1, 0.0)));
+        }
+    }
+    pts
+}
+
+/// Batch → sync, batch → flush → checkpoint → sync, twice, then the
+/// closing `flush_all` that cuts the log.
+fn fleet_log_pass(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pts: &[(u32, DataPoint)],
+) -> (TempDir, FleetOutcome) {
+    let dir = TempDir::new(tag);
+    let store = FileStore::open(dir.path("tables"))
+        .expect("store")
+        .with_faults(Arc::clone(plan));
+    let mut engine = MultiOpenOptions::new(fleet_log_config())
+        .store(Arc::new(store))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(plan))
+        .open()
+        .expect("durable fleet");
+    let out = drive_fleet(&mut engine, pts, FLEET_LOG_BATCH);
+    let _ = engine.flush_all();
+    (dir, out)
+}
+
+fn fleet_log_recover_check(
+    dir: &TempDir,
+    pts: &[(u32, DataPoint)],
+    out: &FleetOutcome,
+    recovery: RecoveryOptions,
+    ctx: &str,
+) {
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (engine, report) = MultiOpenOptions::new(fleet_log_config())
+        .store(store)
+        .durable_dir(dir.path("meta"))
+        .recovery(recovery)
+        .open_or_recover()
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
+    engine
+        .check_integrity()
+        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+    check_fleet_contract(&engine, pts, out, ctx);
+}
+
+#[test]
+fn fleet_log_survives_a_crash_or_a_torn_write_at_every_io_op() {
+    let pts = fleet_log_workload();
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, out) = fleet_log_pass("fleet-log-trace", &plan, &pts);
+    let trace = plan.trace();
+    assert_eq!(out.synced.len(), 4, "trace pass must complete");
+    // Four batches: four WAL writes and fsyncs for four series, two
+    // flushes of the hot series in between, and one cut at the end.
+    let count = |op| trace.iter().filter(|o| **o == op).count();
+    assert_eq!(count(IoOp::WalAppend), 4, "{trace:?}");
+    assert_eq!(count(IoOp::WalSync), 4, "{trace:?}");
+    assert_eq!(count(IoOp::WalRewrite), 1, "{trace:?}");
+    assert_eq!(count(IoOp::WalRename), 0, "{trace:?}");
+    assert!(count(IoOp::ManifestSync) >= 2, "{trace:?}");
+    assert_eq!(
+        std::fs::metadata(dir.path("meta/fleet.wal"))
+            .expect("stat")
+            .len(),
+        WAL_HEADER
+    );
+    for (mode, recovery) in recovery_modes() {
+        fleet_log_recover_check(&dir, &pts, &out, recovery, mode);
+    }
+    drop(dir);
+    for k in 0..plan.ops() {
+        for (mode, recovery) in recovery_modes() {
+            let op = trace[k as usize];
+            let plan = FaultPlan::crash_at(SEED, k);
+            let (dir, out) = fleet_log_pass("fleet-log-crash", &plan, &pts);
+            assert!(plan.is_crashed(), "crash at op {k} never fired");
+            let ctx = format!("{mode}: crash at op {k} ({op:?})");
+            fleet_log_recover_check(&dir, &pts, &out, recovery, &ctx);
+            // A few bytes, a point and a half, most of a frame.
+            for truncate in [3usize, 37, 200] {
+                let plan =
+                    FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
+                let (dir, out) = fleet_log_pass("fleet-log-tear", &plan, &pts);
+                assert!(plan.is_crashed(), "tear at op {k} never fired");
+                let ctx =
+                    format!("{mode}: op {k} ({op:?}) torn by {truncate} bytes");
+                fleet_log_recover_check(&dir, &pts, &out, recovery, &ctx);
             }
         }
     }
+}
+
+/// Points the recovery of `dir` replayed from the fleet log, and the fleet.
+fn fleet_log_replayed(dir: &TempDir) -> (u64, MultiSeriesEngine) {
+    let sink = RingBufferSink::new(4096);
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (engine, _) = MultiOpenOptions::new(fleet_log_config())
+        .store(store)
+        .durable_dir(dir.path("meta"))
+        .observer(sink.clone())
+        .open_or_recover()
+        .expect("strict recovery");
+    let replayed = sink
+        .events()
+        .iter()
+        .map(|e| match e {
+            Event::RecoveryStep {
+                step: RecoveryStepKind::WalReplayed,
+                items,
+            } => *items,
+            _ => 0,
+        })
+        .sum();
+    (replayed, engine)
+}
+
+/// One `Checkpoint` frame, torn at every byte. The fourth batch's flush of
+/// series 0 queues a checkpoint carrying its two buffered stragglers, and
+/// the batch's write starts with that frame. Wholly there, it supersedes
+/// the five points series 0 logged — acknowledged — in the third batch;
+/// torn anywhere, it must not exist at all: those five apply again and
+/// replay returns *more*, never a mixture.
+#[test]
+fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
+    /// Frame overhead and point size of the documented format.
+    const FRAME: usize = 13;
+    const POINT: usize = 24;
+    let pts = fleet_log_workload();
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, _) = fleet_log_pass("ckpt-trace", &plan, &pts);
+    drop(dir);
+    let last_write = plan
+        .trace()
+        .iter()
+        .rposition(|op| *op == IoOp::WalAppend)
+        .expect("four WAL writes") as u64;
+    // The torn write: series 0's checkpoint (two stragglers), then one
+    // one-point `Points` frame for each of series 1–3.
+    let checkpoint = FRAME + 2 * POINT;
+    let cold = FRAME + POINT;
+    let write = checkpoint + 3 * cold;
+    for truncate in 1..=write {
+        let plan = FaultPlan::new(
+            SEED,
+            Fault::TornWrite {
+                at: last_write,
+                truncate,
+            },
+        );
+        let (dir, out) = fleet_log_pass("ckpt-tear", &plan, &pts);
+        assert!(plan.is_crashed(), "tear never fired");
+        let (replayed, engine) = fleet_log_replayed(&dir);
+        let ctx = format!("checkpoint write torn by {truncate} of {write}");
+        check_fleet_contract(&engine, &pts, &out, &ctx);
+        assert_eq!(
+            out.synced.values().sum::<usize>(),
+            3 * FLEET_LOG_BATCH,
+            "{ctx}: three batches were acknowledged"
+        );
+        // Series 1–3 replay the eleven points they were acknowledged, plus
+        // whichever of their frames in the torn write are whole. Series 0
+        // replays its checkpoint's two survivors — or, without it, what it
+        // logged since its previous (empty) checkpoint: the third batch's
+        // straggler and four in-order points.
+        let kept = write - truncate;
+        let expected = if kept >= checkpoint {
+            2 + 11 + (kept - checkpoint) / cold
+        } else {
+            5 + 11
+        };
+        assert_eq!(replayed as usize, expected, "{ctx}");
+    }
+}
+
+/// `flush_all` / `finish`, then reopen: the log is its header, recovery
+/// replays nothing from it, and leaves it that way.
+#[test]
+fn a_flushed_engine_leaves_an_empty_log_behind() {
+    let dir = TempDir::new("at-rest");
+    let pts = workload(WORKLOAD_POINTS);
+    let at_rest = |wal: PathBuf| {
+        assert_eq!(std::fs::metadata(wal).expect("stat").len(), WAL_HEADER);
+    };
+    let store = |name: &str| -> Arc<dyn TableStore> {
+        Arc::new(FileStore::open(dir.path(name)).expect("store"))
+    };
+    {
+        let mut engine = OpenOptions::new(config())
+            .store(store("lsm-tables"))
+            .wal(dir.path("lsm-wal"))
+            .manifest(dir.path("lsm-manifest"))
+            .open()
+            .expect("open");
+        drive(&mut engine, &pts, LsmEngine::append, |e| e.sync_wal());
+        engine.flush_all().expect("flush");
+    }
+    at_rest(dir.path("lsm-wal"));
+    let (engine, _) = OpenOptions::new(config())
+        .store(store("lsm-tables"))
+        .wal(dir.path("lsm-wal"))
+        .manifest(dir.path("lsm-manifest"))
+        .open_or_recover()
+        .expect("recover");
+    assert_eq!(engine.buffered_points(), 0);
+    assert_eq!(engine.scan_all().expect("scan").len(), pts.len());
+    at_rest(dir.path("lsm-wal"));
+
+    let mut engine = TieredOpenOptions::new(config())
+        .store(store("bg-tables"))
+        .wal(dir.path("bg-wal"))
+        .manifest(dir.path("bg-manifest"))
+        .open()
+        .expect("open");
+    drive(&mut engine, &pts, TieredEngine::append, |e| e.sync_wal());
+    engine.finish().expect("finish");
+    at_rest(dir.path("bg-wal"));
+
+    let fleet_pts = fleet_log_workload();
+    let plan = FaultPlan::trace_only(SEED);
+    let (fleet_dir, _) = fleet_log_pass("at-rest-fleet", &plan, &fleet_pts);
+    let (replayed, engine) = fleet_log_replayed(&fleet_dir);
+    assert_eq!(replayed, 0);
+    assert_eq!(engine.len(), 4);
+    at_rest(fleet_dir.path("meta/fleet.wal"));
 }
 
 // ------------------------------------------------------------------ Salvage

@@ -4,9 +4,11 @@
 //! manifest — with a `FaultPlan::trace_only` attached, so the trace names
 //! every physical I/O op in execution order. A merge that writes *k* tables
 //! must cost exactly k table fsyncs + 1 tables-directory fsync + 1 manifest
-//! fsync + at most 1 WAL fsync, in exactly that order: tables durable →
-//! manifest durable → WAL truncated. A regression names the op that crept
-//! back in.
+//! fsync, in exactly that order, and nothing on the WAL: the checkpoint is a
+//! frame queued in the log that rides on the batch's one write + fsync
+//! (k + 3 with it), however many series the batch touched. The log file is
+//! cut only past its dead-bytes threshold and when the engine comes to
+//! rest. A regression names the op that crept back in.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -111,8 +113,21 @@ fn assert_grouped_commit(ops: &[IoOp], k: usize) {
     );
 }
 
+/// The ops of the WAL: nothing of a flush or merge may touch it.
+fn wal_ops(ops: &[IoOp]) -> usize {
+    [
+        IoOp::WalAppend,
+        IoOp::WalSync,
+        IoOp::WalRewrite,
+        IoOp::WalRename,
+    ]
+    .iter()
+    .map(|op| count(ops, *op))
+    .sum()
+}
+
 #[test]
-fn a_merge_writing_k_tables_costs_k_plus_three_fsyncs() {
+fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
     let dir = TempDir::new("merge");
     let plan = FaultPlan::trace_only(0);
     let config =
@@ -147,25 +162,32 @@ fn a_merge_writing_k_tables_costs_k_plus_three_fsyncs() {
 
     assert_grouped_commit(ops, k);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    // The WAL checkpoint: nothing survives a π_c flush, so the log is cut
-    // in place — one fsync, no rename, no second directory fsync.
-    assert_eq!(count(ops, IoOp::WalRewrite), 1, "{ops:?}");
-    assert_eq!(count(ops, IoOp::WalRename), 0, "{ops:?}");
-    assert_eq!(count(ops, IoOp::WalSync), 0, "{ops:?}");
-    assert!(
-        first(ops, IoOp::ManifestSync) < first(ops, IoOp::WalRewrite),
-        "manifest durable before the WAL is truncated: {ops:?}"
-    );
-    assert_eq!(fsyncs(ops), k + 3, "{ops:?}");
-    // The log is clean after its checkpoint: the batch's closing sync, and
-    // the one `flush_all` issues, cost nothing.
-    let before = plan.ops();
+    // The WAL checkpoint is a frame queued in the log: no I/O here.
+    assert_eq!(wal_ops(ops), 0, "{ops:?}");
+    assert_eq!(fsyncs(ops), k + 2, "{ops:?}");
+    // Nothing survived the merge, so the point appended since the last
+    // sync is in its tables: the batch's closing sync has nothing to do.
+    // (With points appended after the merge it is the batch's one write and
+    // one fsync, checkpoint frame included: k + 3 for the whole batch.)
+    let before = plan.ops() as usize;
     engine.sync_wal().expect("sync");
-    assert_eq!(plan.ops(), before);
+    assert_eq!(plan.ops() as usize, before);
+    engine.append(point(300)).expect("append");
+    engine.sync_wal().expect("sync");
+    assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
+    // At rest the log is cut to its header, in place.
+    engine.flush_all().expect("flush");
+    let rest = &plan.trace()[before + 2..];
+    assert_eq!(wal_ops(rest), 1, "{rest:?}");
+    assert!(
+        first(rest, IoOp::ManifestSync) < first(rest, IoOp::WalRewrite),
+        "{rest:?}"
+    );
+    assert_eq!(engine.wal_stats().map(|s| s.cuts), Some(1));
 }
 
 #[test]
-fn an_in_order_flush_of_one_table_costs_at_most_five_fsyncs() {
+fn an_in_order_flush_of_one_table_costs_three_fsyncs_survivors_or_not() {
     let dir = TempDir::new("in-order");
     let plan = FaultPlan::trace_only(0);
     let policy = Policy::separation(8, 4).expect("policy");
@@ -189,12 +211,12 @@ fn an_in_order_flush_of_one_table_costs_at_most_five_fsyncs() {
     assert_eq!(engine.run().len(), 1);
     assert_grouped_commit(ops, 1);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(count(ops, IoOp::WalRename), 0, "{ops:?}");
-    assert!(first(ops, IoOp::ManifestSync) < first(ops, IoOp::WalRewrite));
-    assert_eq!(fsyncs(ops), 1 + 1 + 1 + 1, "{ops:?}");
+    assert_eq!(wal_ops(ops), 0, "{ops:?}");
+    assert_eq!(fsyncs(ops), 1 + 1 + 1, "{ops:?}");
 
-    // Now with a straggler parked in C_nonseq: it survives the flush, so
-    // the checkpoint must carry it over — tmp + rename + directory fsync.
+    // Now with a straggler parked in C_nonseq: it survives the flush, and
+    // the checkpoint frame carries it — still no WAL rewrite, no rename, no
+    // second directory fsync.
     engine.append(point(15)).expect("straggler");
     for i in 4..7 {
         engine.append(point(i * 10)).expect("append");
@@ -206,15 +228,56 @@ fn an_in_order_flush_of_one_table_costs_at_most_five_fsyncs() {
     assert_eq!(engine.run().len(), 2);
     assert_eq!(engine.buffered_points(), 1);
     assert_grouped_commit(ops, 1);
-    assert_eq!(count(ops, IoOp::WalRewrite), 1, "{ops:?}");
-    assert_eq!(count(ops, IoOp::WalRename), 1, "{ops:?}");
-    assert_eq!(count(ops, IoOp::DirSync), 2, "{ops:?}");
-    assert!(
-        first(ops, IoOp::ManifestSync) < first(ops, IoOp::WalRewrite)
-            && first(ops, IoOp::WalRename) < last(ops, IoOp::DirSync),
-        "{ops:?}"
-    );
-    assert_eq!(fsyncs(ops), 1 + 1 + 1 + 2, "{ops:?}");
+    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    assert_eq!(wal_ops(ops), 0, "{ops:?}");
+    assert_eq!(fsyncs(ops), 1 + 1 + 1, "{ops:?}");
+    let before = plan.ops() as usize;
+    engine.sync_wal().expect("sync");
+    assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
+}
+
+#[test]
+fn the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest() {
+    let dir = TempDir::new("cut");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(256)).with_sstable_points(256);
+    let mut engine = OpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // Sixteen flushes of 256 in-order points, a sync every 64 appends. The
+    // flush falls on the cycle's last append, so its last 64 points never
+    // reach the log at all; each checkpoint leaves the cycle's three
+    // `Points` frames (3 × (13 + 64 × 24) B) and the previous empty
+    // checkpoint (13 B) dead: 4 647 B after the first, 4 660 B more after
+    // each later one — past 64 KiB at the fifteenth, where nothing is live
+    // and the file is truncated in place.
+    for i in 0..16 * 256 {
+        engine.append(point(i)).expect("append");
+        if (i + 1) % 64 == 0 {
+            engine.sync_wal().expect("sync");
+        }
+    }
+    let trace = plan.trace();
+    assert_eq!(count(&trace, IoOp::ManifestSync), 16, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::WalRewrite), 1, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::WalRename), 0, "{trace:?}");
+    let cut = first(&trace, IoOp::WalRewrite);
+    assert_eq!(count(&trace[..cut], IoOp::ManifestSync), 15, "{trace:?}");
+    let commit = last(&trace[..cut], IoOp::ManifestSync);
+    assert_eq!(wal_ops(&trace[commit..cut]), 0, "cut follows its commit");
+    // The engine comes to rest: one more cut, then nothing left to cut.
+    let before = plan.ops() as usize;
+    engine.flush_all().expect("flush");
+    engine.flush_all().expect("flush");
+    let rest = &plan.trace()[before..];
+    assert_eq!((rest[0], wal_ops(rest)), (IoOp::WalRewrite, 1), "{rest:?}");
+    let stats = engine.wal_stats().expect("wal");
+    assert_eq!((stats.cuts, stats.live_bytes, stats.dead_bytes), (2, 0, 0));
 }
 
 #[test]
@@ -241,13 +304,13 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     let trace = plan.trace();
     let ops = &trace[before..];
     // The writer checkpoints its WAL around the hand-off (the batch is
-    // still volatile, so it is a survivor: tmp + rename + directory fsync);
-    // the flush worker's own commit is the grouped one — 2 tables, one
+    // still volatile, so it is a survivor) with a queued frame: no I/O.
+    // The flush worker's own commit is the grouped one — 2 tables, one
     // directory fsync, one manifest fsync.
-    let flush = &ops[first(ops, IoOp::StoreWrite)..];
-    assert_grouped_commit(flush, 2);
-    assert_eq!(count(flush, IoOp::DirSync), 1, "{flush:?}");
-    assert_eq!(fsyncs(flush), 2 + 1 + 1, "{flush:?}");
+    assert_eq!(wal_ops(ops), 0, "{ops:?}");
+    assert_grouped_commit(ops, 2);
+    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    assert_eq!(fsyncs(ops), 2 + 1 + 1, "{ops:?}");
 
     // The worker merges L0 by itself once it holds four tables, racing any
     // snapshot taken here; `quiesce` after every flush keeps L0 at two, so
@@ -296,14 +359,58 @@ fn a_fleet_series_pays_the_same_grouped_commit() {
     let ops = &trace[before..];
     assert_grouped_commit(ops, 2);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(fsyncs(ops), 2 + 3, "{ops:?}");
-    // The batch sync touches only the series that appended since its last
-    // sync: `hot` was just checkpointed and `cold` has been idle.
-    let before = plan.ops();
-    fleet.sync_wal_all().expect("sync");
-    assert_eq!(plan.ops(), before, "clean logs are not fsynced");
-    fleet.append(cold, point(10)).expect("append");
+    assert_eq!(wal_ops(ops), 0, "the flush leaves the fleet log alone");
+    assert_eq!(fsyncs(ops), 2 + 2, "{ops:?}");
+    // `hot` flushed everything it had appended and `cold` has been idle
+    // since its sync: a clean log is not fsynced.
     let before = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
-    assert_eq!(plan.trace()[before..], [IoOp::WalSync]);
+    assert_eq!(plan.ops() as usize, before);
+    fleet.append(cold, point(10)).expect("append");
+    fleet.sync_wal_all().expect("sync");
+    assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
+}
+
+#[test]
+fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
+    let dir = TempDir::new("fleet-batch");
+    let plan = FaultPlan::trace_only(0);
+    let config = EngineConfig::new(Policy::separation(16, 8).expect("policy"))
+        .with_sstable_points(4);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // Open every series first: a new series seeds its manifest.
+    for s in 0..12 {
+        fleet.append(SeriesId(s), point(0)).expect("append");
+    }
+    fleet.sync_wal_all().expect("sync");
+    // One batch touching twelve series, series 0 hard enough to flush.
+    let before = plan.ops() as usize;
+    for i in 1..8 {
+        fleet.append(SeriesId(0), point(i * 10)).expect("append");
+        for s in 1..12 {
+            if i < 4 {
+                fleet.append(SeriesId(s), point(i * 10)).expect("append");
+            }
+        }
+    }
+    assert_eq!(fleet.engine(SeriesId(0)).expect("series").run().len(), 2);
+    assert_eq!(fleet.metrics().flushes, 1);
+    let flush = plan.ops() as usize;
+    fleet.sync_wal_all().expect("sync");
+    let trace = plan.trace();
+    assert_eq!(wal_ops(&trace[before..flush]), 0, "{trace:?}");
+    assert_eq!(trace[flush..], [IoOp::WalAppend, IoOp::WalSync]);
+    // At rest: every series flushes its own tables and manifest, the log
+    // is cut once.
+    let before = plan.ops() as usize;
+    fleet.flush_all().expect("flush");
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_eq!(wal_ops(ops), 1, "{ops:?}");
+    assert_eq!(ops[ops.len() - 1], IoOp::WalRewrite, "{ops:?}");
 }
