@@ -97,19 +97,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Pins the tuning-scan options instead of deriving them from the
-    /// budget.
-    pub fn with_tuner(mut self, tuner: TunerOptions) -> Self {
-        self.tuner = Some(tuner);
-        self
-    }
-
-    /// Overrides the ζ evaluation parameters.
-    pub fn with_zeta(mut self, zeta: ZetaConfig) -> Self {
-        self.zeta = zeta;
-        self
-    }
-
     /// Overrides the retune hysteresis.
     pub fn with_hysteresis(mut self, points: u64) -> Self {
         self.min_points_between_tunes = points;

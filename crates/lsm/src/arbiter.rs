@@ -116,12 +116,6 @@ impl ArbiterConfig {
         self
     }
 
-    /// Sets the query heat weight.
-    pub fn with_query_weight(mut self, weight: u64) -> Self {
-        self.query_weight = weight;
-        self
-    }
-
     fn validate(&self) -> Result<()> {
         if self.floor_points < 2 {
             return Err(Error::InvalidConfig(

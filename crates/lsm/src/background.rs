@@ -16,9 +16,10 @@
 //! [`PolicyBuffers`](crate::buffer::PolicyBuffers) and hands full MemTables
 //! to a compaction worker over a bounded channel; the worker stores them as
 //! L0 tables (committed as [`VersionEdit::FlushToL0`]) and periodically
-//! merges L0 into the run through the same
-//! [`plan_merge`](crate::compaction::plan_merge) /
-//! [`execute`](crate::compaction::execute) pipeline as the foreground
+//! merges L0 into the run — both through the same
+//! [`plan_merge`](crate::compaction::plan_merge) →
+//! [`write_outputs`](crate::compaction::write_outputs) →
+//! [`commit`](crate::compaction::commit) pipeline as the foreground
 //! engine. The bounded channel back-pressures the writer if the worker
 //! cannot keep up (realistic write-stall behaviour).
 //!
@@ -314,12 +315,17 @@ fn compact_l0_once(
             obs,
             ..
         } = &mut *state;
+        let drain_l0_into_run = |removed, added| VersionEdit::Replace {
+            removed,
+            added,
+            drain_l0: true,
+        };
         compaction::commit(
             &prepared,
+            drain_l0_into_run,
             version,
             manifest.as_mut(),
             metrics,
-            true,
             obs,
         )?;
         Ok(prepared)
@@ -547,18 +553,24 @@ impl TieredEngine {
                     merged.is_ok()
                 };
                 for batch in rx {
-                    // Encode and store outside the lock; only the version
-                    // edit and the (infrequent) compaction hold it.
-                    let handed_off = batch.len() as u64;
-                    worker_obs
-                        .emit(|| Event::FlushStarted { points: handed_off });
-                    let chunks: Vec<&[DataPoint]> =
-                        batch.chunks(sstable_points).collect();
-                    let stored =
+                    // A flush is the merge plan with no inputs. Plan,
+                    // encode and store outside the lock; only the commit
+                    // and the (infrequent) compaction hold it.
+                    let prepared =
                         match retry_store(&worker_state, &worker_obs, || {
-                            worker_store.put_batch(&chunks)
+                            let plan = plan_merge(
+                                vec![batch.to_vec()],
+                                Vec::new(),
+                                sstable_points,
+                                None,
+                            );
+                            compaction::write_outputs(
+                                plan,
+                                worker_store.as_ref(),
+                                &worker_obs,
+                            )
                         }) {
-                            Ok(stored) => stored,
+                            Ok(prepared) => prepared,
                             Err(e) => {
                                 // Retries exhausted: enter the degraded
                                 // read-only state instead of panicking. The
@@ -575,43 +587,33 @@ impl TieredEngine {
                                 return Ok(());
                             }
                         };
-                    let bytes: u64 =
-                        stored.iter().map(|(_, size)| *size as u64).sum();
-                    let tables: Vec<SsTableMeta> =
-                        stored.into_iter().map(|(meta, _)| meta).collect();
-                    for meta in &tables {
+                    for meta in &prepared.added {
                         // A fresh L0 table is consumed by the next
                         // merge-compaction: cache its blocks with the weaker
                         // short-lived priority.
                         worker_store.note_short_lived(meta.id);
                     }
-                    let tables_created = tables.len() as u64;
                     let mut state = worker_state.lock();
-                    // The batch lands in L0 and stops being a flushing
-                    // MemTable in one atomic edit, so queries see the data
-                    // in exactly one place.
-                    let edits = [VersionEdit::FlushToL0 {
-                        batch: Arc::clone(&batch),
-                        tables,
-                    }];
-                    state.version.apply(&edits)?;
                     let TierState {
                         version,
                         metrics,
                         manifest,
                         ..
                     } = &mut *state;
-                    if let Some(manifest) = manifest.as_mut() {
-                        version.record(manifest, &edits)?;
-                    }
-                    metrics.disk_points_written += handed_off;
-                    metrics.disk_bytes_written += bytes;
-                    metrics.tables_created += tables_created;
-                    metrics.flushes += 1;
-                    worker_obs.emit(|| Event::FlushFinished {
-                        tables: tables_created,
-                        points: handed_off,
-                    });
+                    // The batch lands in L0 and stops being a flushing
+                    // MemTable in one atomic edit, so queries see the data
+                    // in exactly one place.
+                    compaction::commit(
+                        &prepared,
+                        |_, tables| VersionEdit::FlushToL0 {
+                            batch: Arc::clone(&batch),
+                            tables,
+                        },
+                        version,
+                        manifest.as_mut(),
+                        metrics,
+                        &worker_obs,
+                    )?;
                     let backlog =
                         state.version.l0().len() >= L0_COMPACT_THRESHOLD;
                     state.check_invariants()?;
@@ -675,12 +677,6 @@ impl TieredEngine {
         self.state.lock().degraded.clone()
     }
 
-    /// [`TieredEngine::degraded_state`] rendered as the legacy reason
-    /// string.
-    pub fn degraded_reason(&self) -> Option<String> {
-        self.degraded_state().map(|s| s.to_string())
-    }
-
     fn degraded_error(&self) -> Option<Error> {
         if !self.degraded.load(Ordering::Acquire) {
             return None;
@@ -696,9 +692,10 @@ impl TieredEngine {
         if points.is_empty() {
             return Ok(());
         }
-        if let Some(e) = self.degraded_error() {
-            return Err(e);
-        }
+        // No degraded check here: `points` already left the buffers, so
+        // they must reach the flushing list (queryable, WAL-covered) even
+        // if the worker died since `append` last looked; the failed
+        // channel send below then reports the degraded state.
         let sealed = points.len() as u64;
         self.obs.emit(|| Event::MemtableSealed { points: sealed });
         self.flushed_max = Some(
@@ -1331,28 +1328,32 @@ mod tests {
     fn straggler_widens_pi_c_files_but_not_pi_s() {
         // The Fig. 15 mechanism: one straggler inside a pi_c flush gives the
         // whole file a huge range, so recent-window queries must read it.
-        let run = |policy: Policy| -> (usize, u64) {
-            let mut e =
-                engine(EngineConfig::new(policy).with_sstable_points(64));
-            // 64 in-order points, then a straggler, then more in-order.
-            for i in 1..=640i64 {
+        // Synchronous flushes and fewer L0 files than the worker's merge
+        // threshold pin the layout: pi_c holds one 64-point file [5, 630],
+        // pi_s three narrow 32-point ones, and no merge ever starts.
+        let run = |policy: Policy| -> u64 {
+            let mut e = OpenOptions::new(
+                EngineConfig::new(policy).with_sstable_points(64),
+            )
+            .sync_flush()
+            .open()
+            .expect("engine");
+            for i in 1..=100i64 {
                 e.append(DataPoint::new(i * 10, i * 10, 0.0))
                     .expect("append");
-                if i == 320 {
+                if i == 50 {
                     e.append(DataPoint::new(5, i * 10, -1.0))
                         .expect("straggler");
                 }
             }
-            // Query a recent window before any compaction touches it.
-            let (_, stats) =
-                e.query(TimeRange::new(6_000, 6_400)).expect("query");
-            (stats.tables_read as usize, stats.disk_points_scanned)
+            let (_, stats) = e.query(TimeRange::new(500, 640)).expect("query");
+            stats.disk_points_scanned
         };
-        let (_, scanned_c) = run(Policy::conventional(64));
-        let (_, scanned_s) = run(Policy::separation(64, 32).expect("policy"));
+        let scanned_c = run(Policy::conventional(64));
+        let scanned_s = run(Policy::separation(64, 32).expect("policy"));
         assert!(
-            scanned_c >= scanned_s,
-            "pi_c should scan at least as much: c={scanned_c}, s={scanned_s}"
+            scanned_c > scanned_s,
+            "pi_c should scan more: c={scanned_c}, s={scanned_s}"
         );
     }
 
@@ -1413,7 +1414,7 @@ mod tests {
         for i in 0..32i64 {
             e.append(DataPoint::new(i, i, i as f64)).expect("append");
         }
-        assert!(e.degraded_reason().is_none());
+        assert!(e.degraded_state().is_none());
         let report = e.finish().expect("one transient failure is retried");
         assert_eq!(report.points.len(), 32);
         assert!(plan.injected_failures() >= 1, "fault must have fired");
@@ -1445,7 +1446,7 @@ mod tests {
             }
         };
         assert!(degraded, "persistent faults must degrade the engine");
-        assert!(e.degraded_reason().is_some());
+        assert!(e.degraded_state().is_some());
         // Reads still serve the surviving (buffered + flushing) data. The
         // point whose append *failed* may legally survive too: if it
         // triggered the hand-off, the batch was registered as a flushing
@@ -1461,6 +1462,24 @@ mod tests {
             pts.len()
         );
         assert!(matches!(e.finish(), Err(Error::Degraded(_))));
+    }
+
+    #[test]
+    fn a_hand_off_racing_degradation_keeps_its_points_queryable() {
+        let mut e = engine(
+            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
+        );
+        for i in 0..3i64 {
+            e.append(DataPoint::new(i, i, 0.0)).expect("append");
+        }
+        // The worker degrades after `append` checked and before the sealed
+        // MemTable is handed off: the points are out of the buffers by then.
+        let sealed = e.buffers.drain_all().merging;
+        e.degraded.store(true, Ordering::Release);
+        let _ = e.send(sealed);
+        e.degraded.store(false, Ordering::Release);
+        let (pts, _) = e.query(TimeRange::new(0, 10)).expect("query");
+        assert_eq!(pts.len(), 3, "sealed points dropped on the floor");
     }
 
     #[test]
@@ -1518,6 +1537,11 @@ mod tests {
         }
         assert!(delayed >= 1, "slowdown watermark never crossed");
         assert_eq!(e.admission_stats().delayed, delayed);
+        assert_eq!(
+            e.admission_stats().stalls,
+            0,
+            "depth stays under the stop watermark: nothing may stall"
+        );
         assert_eq!(e.metrics().delayed_appends, delayed);
         let report = e.finish().expect("finish");
         assert_eq!(report.points.len(), 32);
@@ -1527,13 +1551,12 @@ mod tests {
     fn starved_pacer_charges_ticks_to_compactions() {
         // A 1-token bucket makes every compaction after the first wait for
         // a refill, so the paced-ticks counter must move.
-        let mut e = OpenOptions::new(
+        let mut options = OpenOptions::new(
             EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
         )
-        .pacer(IoPacer::new(1, 1).expect("pacer"))
-        .sync_flush()
-        .open()
-        .expect("open");
+        .sync_flush();
+        options.kind.pacer = IoPacer::new(1, 1).expect("pacer");
+        let mut e = options.open().expect("open");
         for i in 0..64i64 {
             e.append(DataPoint::new(i, i, 0.0)).expect("append");
         }

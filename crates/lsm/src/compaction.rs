@@ -5,8 +5,9 @@
 //! over an in-memory snapshot (no I/O, no engine state), and *how to apply
 //! it* by [`execute`], which writes the planned tables, commits the
 //! [`VersionEdit`], records the manifest, and does all metric accounting.
-//! Both the foreground engine (`C0`/`C_nonseq` merges) and the tiered
-//! engine's background L0→run compaction go through this module, so the
+//! Every flush is a merge plan — an in-order flush is the plan with no
+//! inputs — and every engine turns points into committed tables through
+//! [`write_outputs`] → [`commit`] → [`retire_inputs`], so the
 //! write-amplification arithmetic the paper measures exists exactly once.
 
 use seplsm_types::{DataPoint, Result};
@@ -169,29 +170,28 @@ pub fn write_outputs(
     })
 }
 
-/// Phase 2 of plan execution: atomically applies the
-/// [`VersionEdit::Replace`] (draining L0 when `drain_l0` is set), records
-/// the manifest, and does all metric accounting and completion events. Does
-/// no table-store I/O — this is the only phase that needs the engine's
-/// state lock.
+/// Phase 2 of plan execution — the only writer of version + manifest +
+/// metrics: atomically applies the one [`VersionEdit`] that `place` makes
+/// of the plan's consumed inputs and stored outputs
+/// ([`VersionEdit::Replace`] for a merge into the run,
+/// [`VersionEdit::FlushToL0`] for a background flush), records the
+/// manifest, and does all metric accounting and completion events. Does no
+/// table-store I/O — this is the only phase that needs the engine's state
+/// lock.
 ///
 /// # Errors
 /// Version or manifest failures; the version is only mutated if the edit
-/// batch applies cleanly.
+/// applies cleanly.
 pub fn commit(
     prepared: &PreparedCompaction,
+    place: impl FnOnce(Vec<SsTableId>, Vec<SsTableMeta>) -> VersionEdit,
     version: &mut Version,
     manifest: Option<&mut Manifest>,
     metrics: &mut Metrics,
-    drain_l0: bool,
     obs: &ObserverHandle,
 ) -> Result<()> {
     let plan = &prepared.plan;
-    let edits = [VersionEdit::Replace {
-        removed: plan.inputs.clone(),
-        added: prepared.added.clone(),
-        drain_l0,
-    }];
+    let edits = [place(plan.inputs.clone(), prepared.added.clone())];
     version.apply(&edits)?;
     if let Some(manifest) = manifest {
         version.record(manifest, &edits)?;
@@ -245,10 +245,11 @@ pub fn retire_inputs(
     Ok(())
 }
 
-/// Executes a merge plan in one call: [`write_outputs`], [`commit`],
-/// [`retire_inputs`]. The single-threaded engines use this composition; the
-/// background engine calls the phases directly so the store I/O runs
-/// outside its state lock.
+/// Executes a plan against the run in one call: [`write_outputs`],
+/// [`commit`], [`retire_inputs`]. The inline engine uses this composition
+/// for every flush (an in-order buffer plans with no inputs and commits as
+/// a flush); the background engine calls the phases directly so the store
+/// I/O runs outside its state lock.
 ///
 /// Merged tables carry correct v3 per-block pre-aggregates by
 /// construction: the encoder re-derives min/max/sum/count from the merged
@@ -268,56 +269,18 @@ pub fn execute(
     version: &mut Version,
     manifest: Option<&mut Manifest>,
     metrics: &mut Metrics,
-    drain_l0: bool,
     obs: &ObserverHandle,
 ) -> Result<()> {
     let prepared = write_outputs(plan, store, obs)?;
-    commit(&prepared, version, manifest, metrics, drain_l0, obs)?;
+    let into_run = |removed, added| VersionEdit::Replace {
+        removed,
+        added,
+        drain_l0: false,
+    };
+    commit(&prepared, into_run, version, manifest, metrics, obs)?;
     retire_inputs(&prepared, store)?;
     // Debug builds cross-check the committed version against what the
     // store actually holds after every executed plan.
-    crate::invariants::check_version_against_store(version, store)?;
-    Ok(())
-}
-
-/// Executes an in-order append flush (`C_seq`): stores `points` as fresh
-/// tables strictly after the run tail, commits the [`VersionEdit`]s, logs
-/// the manifest, and updates `metrics`. Empty input is a no-op.
-///
-/// # Errors
-/// Storage/manifest failures, or a table overlapping the run tail (the
-/// caller guarantees the points are in order).
-pub fn execute_append(
-    points: Vec<DataPoint>,
-    sstable_points: usize,
-    store: &dyn TableStore,
-    version: &mut Version,
-    manifest: Option<&mut Manifest>,
-    metrics: &mut Metrics,
-    obs: &ObserverHandle,
-) -> Result<()> {
-    if points.is_empty() {
-        return Ok(());
-    }
-    let written = points.len() as u64;
-    obs.emit(|| Event::FlushStarted { points: written });
-    let chunks: Vec<&[DataPoint]> = points.chunks(sstable_points).collect();
-    let mut edits = Vec::with_capacity(chunks.len());
-    for (meta, size) in store.put_batch(&chunks)? {
-        metrics.disk_bytes_written += size as u64;
-        metrics.tables_created += 1;
-        edits.push(VersionEdit::AppendRun(meta));
-    }
-    version.apply(&edits)?;
-    if let Some(manifest) = manifest {
-        version.record(manifest, &edits)?;
-    }
-    metrics.disk_points_written += written;
-    metrics.flushes += 1;
-    obs.emit(|| Event::FlushFinished {
-        tables: edits.len() as u64,
-        points: written,
-    });
     crate::invariants::check_version_against_store(version, store)?;
     Ok(())
 }
@@ -424,9 +387,8 @@ mod tests {
         let mut metrics = Metrics::default();
 
         // Seed the run with one table, then merge a buffer into it.
-        execute_append(
-            pts(&[10, 20]),
-            2,
+        execute(
+            plan_merge(vec![pts(&[10, 20])], Vec::new(), 2, None),
             &store,
             &mut version,
             None,
@@ -454,7 +416,6 @@ mod tests {
             &mut version,
             None,
             &mut metrics,
-            false,
             &ObserverHandle::detached(),
         )
         .expect("execute");
@@ -469,6 +430,76 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_with_no_inputs_commits_as_a_flush() {
+        // The in-order (`C_seq`) flush: nothing overlaps, so the plan has
+        // no inputs and must be accounted, journalled and announced as a
+        // flush — never as a compaction.
+        use crate::obs::{ManifestRecordKind, Observer, RingBufferSink};
+        use crate::store::MemStore;
+        use std::sync::Arc;
+
+        let path = std::env::temp_dir().join(format!(
+            "seplsm-compaction-flush-{}-{:?}.manifest",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let ring = RingBufferSink::new(64);
+        let obs = ObserverHandle::attached(ring.clone() as Arc<dyn Observer>);
+        let mut manifest = Manifest::open(&path).expect("open");
+        manifest.attach_observer(obs.clone());
+        let store = MemStore::new();
+        let mut version = Version::new();
+        let mut metrics = Metrics::default();
+        for tgs in [[10, 20, 30], [40, 50, 60]] {
+            let plan = plan_merge(vec![pts(&tgs)], Vec::new(), 2, None);
+            assert!(plan.is_flush);
+            execute(
+                plan,
+                &store,
+                &mut version,
+                Some(&mut manifest),
+                &mut metrics,
+                &obs,
+            )
+            .expect("execute");
+        }
+        assert_eq!(metrics.flushes, 2);
+        assert_eq!(metrics.compactions, 0);
+        assert_eq!(metrics.rewritten_points, 0);
+        assert_eq!(metrics.tables_deleted, 0);
+        assert_eq!(metrics.tables_created, 4);
+        assert_eq!(metrics.disk_points_written, 6);
+        assert!(metrics.subsequent_counts.is_empty());
+        assert_eq!(version.run().len(), 4);
+        let kinds: Vec<&str> = ring.events().iter().map(Event::name).collect();
+        assert_eq!(
+            kinds,
+            [
+                "flush_started",
+                "manifest_record",
+                "manifest_record",
+                "flush_finished",
+                "flush_started",
+                "manifest_record",
+                "manifest_record",
+                "flush_finished",
+            ]
+        );
+        assert_eq!(
+            ring.count(|e| matches!(
+                e,
+                Event::ManifestRecord {
+                    kind: ManifestRecordKind::Add
+                }
+            )),
+            4,
+            "an in-order flush journals only run additions"
+        );
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
     fn merged_tables_carry_correct_pre_aggregates() {
         // The aggregation-pushdown invariant: after a merge, every block's
         // index pre-aggregates equal an in-order fold of the block's
@@ -480,9 +511,13 @@ mod tests {
         let store = MemStore::new(); // default options: v3
         let mut version = Version::new();
         let mut metrics = Metrics::default();
-        execute_append(
-            pts(&[10, 20, 30, 40, 50, 60]),
-            3,
+        execute(
+            plan_merge(
+                vec![pts(&[10, 20, 30, 40, 50, 60])],
+                Vec::new(),
+                3,
+                None,
+            ),
             &store,
             &mut version,
             None,
@@ -511,7 +546,6 @@ mod tests {
             &mut version,
             None,
             &mut metrics,
-            false,
             &ObserverHandle::detached(),
         )
         .expect("execute");

@@ -10,10 +10,10 @@
 //!   result is re-split into fresh SSTables (a *compaction*; the rewritten
 //!   points are what write amplification counts).
 //! * **`π_s`** — points are classified against `LAST(R).t_g` (Definition 3):
-//!   in-order points go to `C_seq`, which flushes by *appending* tables after
-//!   the run tail (no rewrite); out-of-order points go to `C_nonseq`, whose
-//!   filling triggers the same merge-compaction as `π_c` (one per *phase*,
-//!   §IV).
+//!   in-order points go to `C_seq`, whose flush is the same merge with an
+//!   empty overlap set — its tables land after the run tail and nothing is
+//!   rewritten; out-of-order points go to `C_nonseq`, whose filling
+//!   triggers the merge-compaction of `π_c` (one per *phase*, §IV).
 //!
 //! All of that behaviour now lives in the storage kernel and this engine
 //! only composes it: classification and buffering in
@@ -257,9 +257,13 @@ impl Kind for Inline {
 }
 
 impl LsmEngine {
-    /// Replaces the engine's event sink while a fleet flush worker owns the
-    /// engine. The WAL and manifest keep the handle they were opened with.
+    /// Replaces the event sink of the engine and its manifest while a fleet
+    /// flush worker drives the engine (a fleet series has no log of its
+    /// own).
     pub(crate) fn set_observer(&mut self, obs: ObserverHandle) {
+        if let Some(manifest) = self.manifest.as_mut() {
+            manifest.attach_observer(obs.clone());
+        }
         self.obs = obs;
     }
 
@@ -413,11 +417,7 @@ impl LsmEngine {
         self.obs.emit(|| Event::MemtableSealed {
             points: points.len() as u64,
         });
-        if trigger.is_merge() {
-            self.merge_into_run(points)?;
-        } else {
-            self.flush_in_order(points)?;
-        }
+        self.flush_into_run(points, trigger.is_merge())?;
         self.compact_wal()?;
         // Temporal invariants after every flush/compaction; the store
         // cross-check already ran inside the plan executor.
@@ -425,47 +425,25 @@ impl LsmEngine {
             .observe_metrics(&self.version, &self.metrics)
     }
 
-    /// `C_seq` flush path: the points are strictly in order w.r.t. the run
-    /// tail, so new SSTables are appended without rewriting anything.
-    fn flush_in_order(&mut self, points: Vec<DataPoint>) -> Result<()> {
-        if points.is_empty() {
+    /// The one flush: plan the merge of `points` with every run table
+    /// overlapping their range (pure), then execute the plan against
+    /// store/version/metrics. A `C_seq` buffer lies strictly past the run
+    /// tail, so it finds no overlap and its plan commits as a flush that
+    /// rewrites nothing; `merging` marks the buffers (`C0`, `C_nonseq`) whose
+    /// flushes the Fig. 5 probe counts.
+    fn flush_into_run(
+        &mut self,
+        points: Vec<DataPoint>,
+        merging: bool,
+    ) -> Result<()> {
+        let (Some(first), Some(last)) = (points.first(), points.last()) else {
             return Ok(());
-        }
-        if let Some(tail) = self.version.run().last_gen_time() {
-            if points[0].gen_time <= tail {
-                // Should be unreachable given the routing invariant; fall
-                // back to a merge to preserve correctness over speed.
-                return self.merge_into_run(points);
-            }
-        }
-        compaction::execute_append(
-            points,
-            self.config.sstable_points,
-            self.store.as_ref(),
-            &mut self.version,
-            self.manifest.as_mut(),
-            &mut self.metrics,
-            &self.obs,
-        )
-    }
-
-    /// Merge-compaction: plan the merge of `points` with every overlapping
-    /// SSTable (pure), then execute the plan against store/version/metrics.
-    fn merge_into_run(&mut self, points: Vec<DataPoint>) -> Result<()> {
-        if points.is_empty() {
-            return Ok(());
-        }
-        let buf_min = points[0].gen_time;
-        let buf_max = points[points.len() - 1].gen_time;
-        let overlapping = self
-            .version
-            .run()
-            .overlapping(TimeRange::new(buf_min, buf_max));
-        let subsequent_base = if self.config.record_subsequent {
-            Some(self.version.run().points_in_tables_above(buf_min))
-        } else {
-            None
         };
+        let run = self.version.run();
+        let overlapping =
+            run.overlapping(TimeRange::new(first.gen_time, last.gen_time));
+        let subsequent_base = (merging && self.config.record_subsequent)
+            .then(|| run.points_in_tables_above(first.gen_time));
         let mut inputs = Vec::with_capacity(overlapping.len());
         for meta in overlapping {
             inputs.push(RunInput {
@@ -485,7 +463,6 @@ impl LsmEngine {
             &mut self.version,
             self.manifest.as_mut(),
             &mut self.metrics,
-            false,
             &self.obs,
         )
     }
@@ -534,15 +511,15 @@ impl LsmEngine {
         Ok(())
     }
 
-    /// Forces all buffered points to disk (`C_seq` first so the in-order
-    /// append path is preserved, then the merging buffer).
+    /// Forces all buffered points to disk (`C_seq` first, while it still
+    /// lies past the run tail, then the merging buffer).
     ///
     /// # Errors
     /// Storage failures.
     pub fn flush_all(&mut self) -> Result<()> {
         let drained = self.buffers.drain_all();
-        self.flush_in_order(drained.in_order)?;
-        self.merge_into_run(drained.merging)?;
+        self.flush_into_run(drained.in_order, false)?;
+        self.flush_into_run(drained.merging, true)?;
         self.compact_wal()?;
         // The engine comes to rest here: nothing is buffered, so the log is
         // cut to its header, and the manifest sheds its dead records.
@@ -837,6 +814,11 @@ mod tests {
         assert_eq!(stats.disk_points_scanned, 16);
         assert_eq!(stats.points_returned, 4);
         assert_eq!(stats.read_amplification(), Some(4.0));
+        // A probe between two generation times overlaps one table's range,
+        // but its v3 filter rules the probe out: pruned, nothing read.
+        let (hits, stats) = e.query(TimeRange::new(35, 35)).expect("query");
+        assert!(hits.is_empty());
+        assert_eq!((stats.tables_pruned, stats.tables_read), (1, 0));
     }
 
     #[test]
@@ -921,6 +903,38 @@ mod tests {
         let counts = &e.metrics().subsequent_counts;
         assert_eq!(counts.len(), 3);
         assert_eq!(counts[2], 4, "counts: {counts:?}");
+    }
+
+    #[test]
+    fn subsequent_probe_skips_in_order_flushes_under_separation() {
+        // Fig. 5 counts subsequent points per *merging-buffer* flush: a
+        // `C_seq` flush plans with no inputs and records nothing.
+        let mut e = in_memory(
+            EngineConfig::new(Policy::separation(8, 4).expect("policy"))
+                .with_sstable_points(4)
+                .with_subsequent_probe(),
+        )
+        .expect("engine");
+        for p in in_order_points(8) {
+            e.append(p).expect("append");
+        }
+        assert_eq!(e.metrics().flushes, 2);
+        assert!(e.metrics().subsequent_counts.is_empty());
+        // C_nonseq (capacity 4) fills with stragglers around 30: its merge
+        // rewrites [0..30] and sees 30 and the 4 points of [40..70] above
+        // its minimum.
+        for tg in [25i64, 32, 33, 34] {
+            e.append(DataPoint::new(tg, 500, 0.0)).expect("append");
+        }
+        assert_eq!(e.metrics().compactions, 1);
+        assert_eq!(e.metrics().subsequent_counts, vec![5]);
+        // The closing flush_all flushes both buffers (35 falls in a gap of
+        // the run: a flush, not a merge) and probes the merging one only.
+        e.append(DataPoint::new(80, 80, 0.0)).expect("append");
+        e.append(DataPoint::new(35, 600, 0.0)).expect("append");
+        e.flush_all().expect("flush");
+        assert_eq!(e.metrics().flushes, 4);
+        assert_eq!(e.metrics().subsequent_counts, vec![5, 5]);
     }
 
     #[test]

@@ -590,7 +590,11 @@ mod tests {
             next_start += 8;
             let (table, _) = store.put(&points).expect("put");
             version
-                .apply(&[crate::version::VersionEdit::AppendRun(table)])
+                .apply(&[crate::version::VersionEdit::Replace {
+                    removed: Vec::new(),
+                    added: vec![table],
+                    drain_l0: false,
+                }])
                 .expect("apply");
             m.user_points += 8;
             m.disk_points_written += 8;

@@ -100,28 +100,9 @@ impl Run {
         self.tables.get(idx).filter(|m| m.range.contains(tg))
     }
 
-    /// Appends a table that must lie strictly after the current run tail.
-    ///
-    /// This is the `C_seq` flush path of `π_s`: in-order flushes extend the
-    /// run without disturbing existing tables.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] if the table would overlap the tail.
-    pub fn append(&mut self, meta: SsTableMeta) -> Result<()> {
-        if let Some(last) = self.tables.last() {
-            if meta.range.start <= last.range.end {
-                return Err(Error::InvalidConfig(format!(
-                    "append would overlap run tail: tail ends {}, new starts {}",
-                    last.range.end, meta.range.start
-                )));
-            }
-        }
-        self.tables.push(meta);
-        Ok(())
-    }
-
-    /// Replaces the tables with ids in `removed` by `added` (a compaction
-    /// result), re-establishing the sorted non-overlapping invariant.
+    /// Replaces the tables with ids in `removed` by `added` (a committed
+    /// merge plan; an in-order flush removes nothing and lands past the
+    /// tail), re-establishing the sorted non-overlapping invariant.
     ///
     /// # Errors
     /// [`Error::Corrupt`] if the result violates the run invariant.
@@ -237,15 +218,6 @@ mod tests {
         assert!(run.table_containing(150).is_none()); // gap
         assert!(run.table_containing(-5).is_none());
         assert!(run.table_containing(300).is_none());
-    }
-
-    #[test]
-    fn append_extends_tail_only() {
-        let mut run = Run::new();
-        run.append(meta(1, 0, 99, 10)).expect("first");
-        run.append(meta(2, 100, 199, 10)).expect("second");
-        assert!(run.append(meta(3, 150, 250, 10)).is_err());
-        assert_eq!(run.len(), 2);
     }
 
     #[test]

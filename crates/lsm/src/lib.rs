@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!            append(p)                      π_c: C0 ──(full)──▶ merge-compact
-//!   user ───────────────▶ PolicyBuffers     π_s: C_seq ─(full)─▶ append-flush
+//!   user ───────────────▶ PolicyBuffers     π_s: C_seq ─(full)─▶ merge, no inputs
 //!                              │                 C_nonseq (full)▶ merge-compact
 //!                              ▼
 //!     plan_merge ─▶ CompactionPlan ─▶ execute ─▶ VersionEdit ─▶ Version
@@ -26,8 +26,10 @@
 //!   MemTable set: Definition 3 classification against the pivot, flush
 //!   triggering, and mid-stream policy migration.
 //! * [`compaction`] — [`plan_merge`](compaction::plan_merge), the *pure*
-//!   merge planner, and [`execute`](compaction::execute) /
-//!   [`execute_append`](compaction::execute_append), which apply plans to
+//!   merge planner (an in-order flush is the plan with no inputs), and
+//!   [`write_outputs`](compaction::write_outputs) →
+//!   [`commit`](compaction::commit) →
+//!   [`retire_inputs`](compaction::retire_inputs), which apply plans to
 //!   store + version + metrics. The WA arithmetic exists exactly once, here.
 //! * [`version`] — [`Version`](version::Version), the table-level state
 //!   (run, L0, flushing batches), mutated only through atomic
@@ -141,7 +143,7 @@ pub use multi::{MultiSeriesEngine, SeriesId};
 pub use obs::{
     AggregateReport, AggregateSink, Clock, DegradedOp, DegradedReason,
     DegradedState, Event, FanoutSink, Histogram, JsonlSink, LogicalClock,
-    ManifestRecordKind, NullSink, Observer, ObserverHandle, RecoveryStepKind,
+    ManifestRecordKind, Observer, ObserverHandle, RecoveryStepKind,
     RingBufferSink,
 };
 pub use open::{

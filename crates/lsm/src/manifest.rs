@@ -939,12 +939,16 @@ mod tests {
                 let tail = version.run().last_gen_time().unwrap_or(-1);
                 let edits = match kind {
                     // In-order flush of `n` tables past the run tail.
-                    0 => (0..n as i64)
-                        .map(|i| {
-                            let start = tail + 1 + i * 10;
-                            VersionEdit::AppendRun(fresh(start, start + 9))
-                        })
-                        .collect(),
+                    0 => vec![VersionEdit::Replace {
+                        removed: Vec::new(),
+                        added: (0..n as i64)
+                            .map(|i| {
+                                let start = tail + 1 + i * 10;
+                                fresh(start, start + 9)
+                            })
+                            .collect(),
+                        drain_l0: false,
+                    }],
                     // Background flush: `n` overlapping L0 tables.
                     1 => vec![VersionEdit::FlushToL0 {
                         batch: Arc::new(Vec::new()),

@@ -22,7 +22,6 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
@@ -606,11 +605,6 @@ impl MultiSeriesEngine {
         self.workers
     }
 
-    /// The configured flush queue depth bound (series per wave).
-    pub fn flush_queue_depth(&self) -> usize {
-        self.flush_queue_depth
-    }
-
     /// Cumulative flush waves (and inline fallbacks) that waited on the
     /// depth-bounded queue since open — the fleet-level `Delayed` count.
     pub fn fleet_delayed_waves(&self) -> u64 {
@@ -618,7 +612,8 @@ impl MultiSeriesEngine {
     }
 
     /// Flushes every series in ascending [`SeriesId`] order, admitting at
-    /// most [`MultiOpenOptions::flush_queue_depth`] series into the flush queue
+    /// most [`DEFAULT_FLUSH_QUEUE_DEPTH`](crate::admission::DEFAULT_FLUSH_QUEUE_DEPTH)
+    /// series into the flush queue
     /// per *wave*. Each wave drains completely before the next is admitted;
     /// every wave after the first counts one logical tick of backpressure,
     /// emits [`Event::AdmissionDelayed`], and turns the returned outcome
@@ -631,10 +626,9 @@ impl MultiSeriesEngine {
     /// one thread, and each worker emits into a private per-series capture
     /// that the wave barrier replays in ascending id order, so the wave
     /// schedule, per-series contents, summed metrics *and the emitted
-    /// event trace* are identical for every worker count; only wall-clock
-    /// changes. (Durable fleets are the one caveat: manifest handles clone
-    /// the sink at attach time, so their events bypass the capture.) With
-    /// the default of 1 worker no thread is ever spawned.
+    /// event trace* are identical for every worker count, durable fleet or
+    /// not; only wall-clock changes. With the default of 1 worker no thread
+    /// is ever spawned.
     ///
     /// The fleet log never enters the pool: once every wave has drained,
     /// each series is checkpointed empty and the log is cut to its header
@@ -643,8 +637,7 @@ impl MultiSeriesEngine {
     /// # Errors
     /// Storage failures. The sequential path stops at the first failing
     /// series; the pooled path gives every series its flush attempt and
-    /// returns the error of the lowest failing [`SeriesId`] (all engines
-    /// are retained either way).
+    /// returns the error of the lowest failing [`SeriesId`].
     pub fn flush_all(&mut self) -> Result<AdmissionOutcome> {
         let ids = self.series_ids();
         let pooled = self.workers > 1 && ids.len() > 1;
@@ -692,134 +685,75 @@ impl MultiSeriesEngine {
     }
 
     /// The multi-worker arm of one [`MultiSeriesEngine::flush_all`] wave:
-    /// engines are handed out by value to `min(workers, wave)` named
-    /// threads (`seplsm-fleet-<w>`) round-robin in ascending id order,
-    /// flushed, and handed back over a shared result channel — the wave
-    /// barrier. Vendored-crossbeam bounded channels are sized so no send
-    /// ever blocks; a send or spawn failure surfaces as one `Delayed` tick
-    /// (with an [`Event::AdmissionDelayed`]) before the series flushes
-    /// inline on the caller thread, so no engine is ever lost and no
-    /// backpressure goes unreported.
+    /// the wave's engines are borrowed from the map and dealt round-robin,
+    /// in ascending id order, to `min(workers, wave)` scoped threads
+    /// (`seplsm-fleet-<w>`); leaving the scope is the wave barrier. A
+    /// worker that could not be spawned leaves its series unflushed: each
+    /// surfaces as one `Delayed` tick (with an [`Event::AdmissionDelayed`])
+    /// and is flushed on the caller thread, so no backpressure goes
+    /// unreported.
     fn flush_wave_pooled(
         &mut self,
         wave: &[SeriesId],
         delayed: &mut u64,
     ) -> Result<()> {
-        let total = wave.len();
-        let worker_count = self.workers.min(total);
         let capturing = self.obs.is_attached();
-        let (done_tx, done_rx) =
-            channel::bounded::<(SeriesId, LsmEngine, Result<()>)>(total);
-        let mut workers = Vec::new();
-        let mut handles = Vec::new();
-        for w in 0..worker_count {
-            let (work_tx, work_rx) =
-                channel::bounded::<(SeriesId, LsmEngine)>(total);
-            let done = done_tx.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("seplsm-fleet-{w}"))
-                .spawn(move || {
-                    for (id, mut engine) in work_rx {
-                        let outcome = engine.flush_all();
-                        if done.send((id, engine, outcome)).is_err() {
-                            // Caller is gone; nothing left to hand back to.
-                            break;
+        // Per series: id, engine, the private capture its worker emits into
+        // (replayed in ascending id order below, so the observed trace
+        // never depends on thread scheduling) and the flush outcome.
+        let mut slots: Vec<_> =
+            self.series
+                .iter_mut()
+                .filter(|(id, _)| wave.contains(id))
+                .map(|(id, engine)| {
+                    let capture = capturing.then(|| {
+                        let capture = Arc::new(CaptureSink::default());
+                        engine.set_observer(ObserverHandle::attached(
+                            Arc::clone(&capture) as Arc<dyn Observer>,
+                        ));
+                        capture
+                    });
+                    (*id, engine, capture, None::<Result<()>>)
+                })
+                .collect();
+        slots.sort_by_key(|slot| slot.0);
+        let worker_count = self.workers.min(slots.len());
+        std::thread::scope(|scope| {
+            let mut shares: Vec<Vec<_>> =
+                (0..worker_count).map(|_| Vec::new()).collect();
+            for (i, slot) in slots.iter_mut().enumerate() {
+                shares[i % worker_count].push(slot);
+            }
+            for (w, share) in shares.into_iter().enumerate() {
+                // A failed spawn drops its share with no outcome recorded.
+                let _ = std::thread::Builder::new()
+                    .name(format!("seplsm-fleet-{w}"))
+                    .spawn_scoped(scope, move || {
+                        for (_, engine, _, outcome) in share {
+                            *outcome = Some(engine.flush_all());
                         }
-                    }
-                });
-            match spawned {
-                // The channel is still empty on spawn failure, so dropping
-                // the pair loses nothing; the remaining workers (or the
-                // inline fallback below) absorb the load.
-                Ok(handle) => {
-                    workers.push(work_tx);
-                    handles.push(handle);
-                }
-                Err(_) => drop(work_tx),
+                    });
+            }
+        });
+        for (_, engine, _, outcome) in &mut slots {
+            if outcome.is_none() {
+                *delayed += 1;
+                self.fleet_delayed_waves += 1;
+                self.obs.emit(|| Event::AdmissionDelayed { ticks: 1 });
+                *outcome = Some(engine.flush_all());
             }
         }
-        let mut captures: Vec<(SeriesId, Arc<CaptureSink>)> = Vec::new();
-        let mut finished: Vec<(SeriesId, LsmEngine, Result<()>)> =
-            Vec::with_capacity(total);
-        let mut dispatched = 0usize;
-        for (i, id) in wave.iter().copied().enumerate() {
-            let Some(mut engine) = self.series.remove(&id) else {
-                continue;
-            };
-            if capturing {
-                // Worker threads emit into a private per-series capture;
-                // the barrier replays them in ascending id order below, so
-                // the observed trace never depends on thread scheduling.
-                let capture = Arc::new(CaptureSink::default());
-                engine
-                    .set_observer(ObserverHandle::attached(
-                        Arc::clone(&capture) as Arc<dyn Observer>,
-                    ));
-                captures.push((id, capture));
-            }
-            let mut item = (id, engine);
-            if !workers.is_empty() {
-                let slot = i % workers.len();
-                match workers[slot].try_send(item) {
-                    Ok(()) => {
-                        dispatched += 1;
-                        continue;
-                    }
-                    Err(err) => {
-                        // Full (cannot happen: capacity = wave size) or the
-                        // worker died; recover the engine and run inline.
-                        item = match err {
-                            channel::TrySendError::Full(it)
-                            | channel::TrySendError::Disconnected(it) => it,
-                        };
-                    }
-                }
-            }
-            // The queue would not take the series: surface the
-            // backpressure as one `Delayed` tick — never a silent inline
-            // degrade — then flush on this thread.
-            *delayed += 1;
-            self.fleet_delayed_waves += 1;
-            self.obs.emit(|| Event::AdmissionDelayed { ticks: 1 });
-            let (id, mut engine) = item;
-            let outcome = engine.flush_all();
-            finished.push((id, engine, outcome));
-        }
-        drop(workers);
-        drop(done_tx);
-        // The wave barrier: every dispatched series hands its engine back
-        // before this wave completes and the next may enter the queue.
-        finished.extend(done_rx.into_iter().take(dispatched));
-        for handle in handles {
-            // Workers hold no engines once their channels drain; a panicked
-            // worker (impossible for a panic-free kernel) only loses its
-            // in-flight series, which the length check below surfaces.
-            let _ = handle.join();
-        }
-        finished.sort_by_key(|(id, _, _)| *id);
         let mut first_error = None;
-        let returned = finished.len();
-        for (id, mut engine, outcome) in finished {
-            if capturing {
+        for (_, engine, capture, outcome) in slots {
+            if let Some(capture) = capture {
                 engine.set_observer(self.obs.clone());
+                capture.replay_into(&self.obs);
             }
-            self.series.insert(id, engine);
-            if let (None, Err(err)) = (&first_error, outcome) {
+            if let (None, Some(Err(err))) = (&first_error, outcome) {
                 first_error = Some(err);
             }
         }
-        for (_, capture) in captures {
-            capture.replay_into(&self.obs);
-        }
-        if let Some(err) = first_error {
-            return Err(err);
-        }
-        if returned != total {
-            return Err(Error::Corrupt(format!(
-                "flush pool returned {returned} of {total} series"
-            )));
-        }
-        Ok(())
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Writes and fsyncs the fleet log (no-op for a non-durable fleet):
@@ -1184,19 +1118,23 @@ mod tests {
     }
 
     /// Like [`flushed_fleet`] but with an explicit queue depth and a ring
-    /// observer: returns the fleet plus the full emitted event trace.
+    /// observer — durable under `dir` when one is given: returns the fleet
+    /// plus the full emitted event trace.
     fn traced_fleet(
+        dir: Option<&Path>,
         workers: usize,
         depth: usize,
         points: &[(u32, i64)],
     ) -> (MultiSeriesEngine, Vec<Event>) {
         let ring = crate::obs::RingBufferSink::new(1 << 16);
-        let mut m = OpenOptions::new(config())
+        let mut options = OpenOptions::new(config())
             .workers(workers)
-            .flush_queue_depth(depth)
-            .observer(ring.clone())
-            .open()
-            .expect("open");
+            .observer(ring.clone());
+        if let Some(dir) = dir {
+            options = options.durable_dir(dir);
+        }
+        options.kind.flush_queue_depth = depth;
+        let mut m = options.open().expect("open");
         for &(series, tg) in points {
             m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
                 .expect("append");
@@ -1214,17 +1152,16 @@ mod tests {
         points: &[(u32, i64)],
     ) -> (MultiSeriesEngine, Vec<Event>) {
         let ring = crate::obs::RingBufferSink::new(1 << 16);
-        let mut m = OpenOptions::new(config())
+        let mut options = OpenOptions::new(config())
             .workers(workers)
-            .flush_queue_depth(depth)
             .observer(ring.clone())
             .arbiter(
                 ArbiterConfig::new(512)
                     .with_floor(8)
                     .with_rebalance_every(16),
-            )
-            .open()
-            .expect("open");
+            );
+        options.kind.flush_queue_depth = depth;
+        let mut m = options.open().expect("open");
         for &(series, tg) in points {
             m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
                 .expect("append");
@@ -1291,11 +1228,9 @@ mod tests {
         // 10 series against a queue depth of 4: three waves, two of which
         // wait on the queue and surface as typed `Delayed` backpressure.
         let points = pool_workload(10, 12);
-        let mut m = OpenOptions::new(config())
-            .workers(3)
-            .flush_queue_depth(4)
-            .open()
-            .expect("open");
+        let mut options = OpenOptions::new(config()).workers(3);
+        options.kind.flush_queue_depth = 4;
+        let mut m = options.open().expect("open");
         for &(series, tg) in &points {
             m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
                 .expect("append");
@@ -1315,11 +1250,9 @@ mod tests {
         }
         // The wave schedule depends only on the series set and the depth
         // bound: a sequential fleet reports identical backpressure.
-        let mut seq = OpenOptions::new(config())
-            .workers(1)
-            .flush_queue_depth(4)
-            .open()
-            .expect("open");
+        let mut options = OpenOptions::new(config()).workers(1);
+        options.kind.flush_queue_depth = 4;
+        let mut seq = options.open().expect("open");
         for &(series, tg) in &points {
             seq.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
                 .expect("append");
@@ -1335,16 +1268,43 @@ mod tests {
     fn pooled_flush_traces_match_sequential_traces() {
         // Capture-replay at the wave barrier makes the emitted event trace
         // a pure function of the workload — thread scheduling and worker
-        // count must be invisible in it.
-        let points = pool_workload(10, 24);
-        let (seq, seq_trace) = traced_fleet(1, 4, &points);
-        let (pooled, pooled_trace) = traced_fleet(4, 4, &points);
+        // count must be invisible in it. 29 points leave every series a
+        // partial buffer, so the pooled `flush_all` has flushes to trace.
+        let points = pool_workload(10, 29);
+        let (seq, seq_trace) = traced_fleet(None, 1, 4, &points);
+        let (pooled, pooled_trace) = traced_fleet(None, 4, 4, &points);
         assert!(!seq_trace.is_empty(), "workload emitted no events");
         assert_eq!(
             pooled_trace, seq_trace,
             "pooled flush trace diverged from the sequential trace"
         );
         assert_eq!(fleet_scans(&pooled), fleet_scans(&seq));
+
+        // A durable fleet journals every flush; the manifests' events must
+        // go through the per-series captures too.
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-multi-durable-trace-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let traced = |workers: usize| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (_, trace) = traced_fleet(Some(&dir), workers, 4, &points);
+            trace
+        };
+        let seq_trace = traced(1);
+        assert!(
+            seq_trace
+                .iter()
+                .any(|e| matches!(e, Event::ManifestRecord { .. })),
+            "durable fleet journalled nothing"
+        );
+        assert_eq!(
+            traced(4),
+            seq_trace,
+            "pooled durable flush trace diverged from the sequential trace"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -1382,8 +1342,8 @@ mod tests {
                 .filter(|p| seen.insert(*p))
                 .collect();
             // Depth 3 against up to 5 series exercises multi-wave flushes.
-            let (sequential, seq_trace) = traced_fleet(1, 3, &points);
-            let (pooled, pooled_trace) = traced_fleet(workers, 3, &points);
+            let (sequential, seq_trace) = traced_fleet(None, 1, 3, &points);
+            let (pooled, pooled_trace) = traced_fleet(None, workers, 3, &points);
             proptest::prop_assert_eq!(
                 pooled.combined_metrics(),
                 sequential.combined_metrics()

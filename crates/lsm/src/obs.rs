@@ -690,15 +690,6 @@ impl fmt::Debug for ObserverHandle {
     }
 }
 
-/// The explicit no-op sink (a detached [`ObserverHandle`] is equivalent and
-/// cheaper; this exists for composition sites that need a real sink).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Observer for NullSink {
-    fn observe(&self, _event: &Event) {}
-}
-
 /// A bounded in-memory sink for tests: keeps the most recent `cap` events.
 #[derive(Debug)]
 pub struct RingBufferSink {

@@ -17,7 +17,7 @@
 //!   numbering starts at the first workload-driven disk touch.
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
-//! has ([`Background`]: pacer, synchronous flushes; [`Fleet`]: durable
+//! has ([`Background`]: synchronous flushes; [`Fleet`]: durable
 //! directory, flush pool, arbiter) and the engine type it assembles.
 //!
 //! ```
@@ -88,6 +88,8 @@ pub struct Inline;
 /// The [`TieredEngine`](crate::TieredEngine) kind.
 #[derive(Debug, Default)]
 pub struct Background {
+    /// The logical token bucket pacing compaction output writes; always
+    /// [`IoPacer::default`] outside the crate's own tests.
     pub(crate) pacer: IoPacer,
     pub(crate) sync_flush: bool,
 }
@@ -97,6 +99,8 @@ pub struct Background {
 pub struct Fleet {
     pub(crate) durable_dir: Option<PathBuf>,
     pub(crate) workers: usize,
+    /// Series admitted into the flush pool per wave; always
+    /// [`DEFAULT_FLUSH_QUEUE_DEPTH`] outside the crate's own tests.
     pub(crate) flush_queue_depth: usize,
     pub(crate) arbiter: Option<ArbiterConfig>,
 }
@@ -293,13 +297,6 @@ impl<K: SingleSeries> EngineBuilder<K> {
 impl SingleSeries for Inline {}
 
 impl TieredOpenOptions {
-    /// Sets the logical token bucket that paces compaction output writes
-    /// (default [`IoPacer::default`]).
-    pub fn pacer(mut self, pacer: IoPacer) -> Self {
-        self.kind.pacer = pacer;
-        self
-    }
-
     /// Makes every flush synchronous: `append` returns only after the
     /// flushed MemTable is stored as an L0 table. Queries then observe a
     /// deterministic on-disk state (used by the query experiments); the
@@ -331,18 +328,6 @@ impl MultiOpenOptions {
     /// identical for every worker count; only wall-clock changes.
     pub fn workers(mut self, n: usize) -> Self {
         self.kind.workers = n.max(1);
-        self
-    }
-
-    /// Bounds the flush queue: [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all) admits at
-    /// most `n` series into the pool per wave; further series wait for the
-    /// next wave, each extra wave surfacing as one
-    /// [`AdmissionOutcome::Delayed`](crate::AdmissionOutcome::Delayed) tick
-    /// (default [`DEFAULT_FLUSH_QUEUE_DEPTH`]). The wave schedule depends
-    /// only on the series set and `n` — never on the worker count — so
-    /// traces stay identical across worker counts.
-    pub fn flush_queue_depth(mut self, n: usize) -> Self {
-        self.kind.flush_queue_depth = n.max(1);
         self
     }
 

@@ -24,9 +24,6 @@ use crate::sstable::{SsTableId, SsTableMeta};
 /// One table-level state change, applied through [`Version::apply`].
 #[derive(Debug, Clone)]
 pub enum VersionEdit {
-    /// In-order flush: the table extends the run strictly past its tail
-    /// (the `C_seq` append path of `π_s`).
-    AppendRun(SsTableMeta),
     /// A batch was handed to the flush pipeline and must stay queryable
     /// until [`VersionEdit::FlushToL0`] retires it.
     RegisterFlushing(Arc<Vec<DataPoint>>),
@@ -39,8 +36,9 @@ pub enum VersionEdit {
         /// The stored tables that now hold its points.
         tables: Vec<SsTableMeta>,
     },
-    /// Merge-compaction result: `removed` run tables (and, when `drain_l0`
-    /// is set, every L0 table) are replaced by `added`.
+    /// A committed merge plan: `removed` run tables (and, when `drain_l0`
+    /// is set, every L0 table) are replaced by `added`. An in-order flush
+    /// is the plan that removes nothing.
     Replace {
         /// Run tables consumed by the merge.
         removed: Vec<SsTableId>,
@@ -132,7 +130,6 @@ impl Version {
 
     fn apply_one(&mut self, edit: &VersionEdit) -> Result<()> {
         match edit {
-            VersionEdit::AppendRun(meta) => self.run.append(*meta),
             VersionEdit::RegisterFlushing(batch) => {
                 self.flushing.push(Arc::clone(batch));
                 Ok(())
@@ -172,9 +169,6 @@ impl Version {
         let mut group = Vec::new();
         for edit in edits {
             match edit {
-                VersionEdit::AppendRun(meta) => {
-                    group.push(ManifestEdit::Add(*meta));
-                }
                 VersionEdit::FlushToL0 { tables, .. } => {
                     group.extend(
                         tables.iter().copied().map(ManifestEdit::AddL0),
@@ -223,14 +217,20 @@ mod tests {
         }
     }
 
+    /// The edit an in-order flush commits: tables added, none removed.
+    fn append(added: Vec<SsTableMeta>) -> VersionEdit {
+        VersionEdit::Replace {
+            removed: Vec::new(),
+            added,
+            drain_l0: false,
+        }
+    }
+
     #[test]
     fn append_and_replace_edit_the_run() {
         let mut v = Version::new();
-        v.apply(&[
-            VersionEdit::AppendRun(meta(1, 0, 99, 10)),
-            VersionEdit::AppendRun(meta(2, 100, 199, 10)),
-        ])
-        .expect("append");
+        v.apply(&[append(vec![meta(1, 0, 99, 10), meta(2, 100, 199, 10)])])
+            .expect("append");
         assert_eq!(v.run().len(), 2);
         v.apply(&[VersionEdit::Replace {
             removed: vec![SsTableId(2)],
@@ -245,12 +245,11 @@ mod tests {
     #[test]
     fn failed_edit_batch_leaves_version_untouched() {
         let mut v = Version::new();
-        v.apply(&[VersionEdit::AppendRun(meta(1, 0, 99, 10))])
-            .expect("seed");
+        v.apply(&[append(vec![meta(1, 0, 99, 10)])]).expect("seed");
         // Second edit overlaps the tail: the whole batch must be rejected.
         let err = v.apply(&[
-            VersionEdit::AppendRun(meta(2, 100, 199, 10)),
-            VersionEdit::AppendRun(meta(3, 150, 250, 10)),
+            append(vec![meta(2, 100, 199, 10)]),
+            append(vec![meta(3, 150, 250, 10)]),
         ]);
         assert!(err.is_err());
         assert_eq!(v.run().len(), 1, "atomicity: no partial application");
@@ -302,10 +301,7 @@ mod tests {
         let mut manifest = Manifest::open(&path).expect("open");
         let mut v = Version::new();
 
-        let appends = [
-            VersionEdit::AppendRun(meta(1, 0, 99, 10)),
-            VersionEdit::AppendRun(meta(2, 100, 199, 10)),
-        ];
+        let appends = [append(vec![meta(1, 0, 99, 10), meta(2, 100, 199, 10)])];
         v.apply(&appends).expect("apply");
         v.record(&mut manifest, &appends).expect("record");
 

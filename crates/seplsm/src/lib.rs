@@ -44,7 +44,7 @@ pub use seplsm_lsm::{
     Fault, FaultPlan, FaultStore, FileStore, Histogram, IoOp, IoPacer,
     JsonlSink, LogicalClock, LsmEngine, Manifest, ManifestEdit,
     ManifestRecordKind, MemStore, MultiOpenOptions, MultiSeriesEngine,
-    NullSink, Observer, ObserverHandle, OpenOptions, PaceDecision, PacerStats,
+    Observer, ObserverHandle, OpenOptions, PaceDecision, PacerStats,
     QuarantinedTable, QueryStats, Rebalance, RecoveryMode, RecoveryOptions,
     RecoveryReport, RecoveryStepKind, RetryBackoff, RingBufferSink,
     SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,

@@ -498,8 +498,13 @@ fn degraded_transition_is_typed_and_observed() {
         engine.degraded_state().expect("typed degraded state");
     assert_eq!(state.op, DegradedOp::FlushWrite);
     assert!(state.attempts > 0);
-    // The legacy string surface renders from the same typed state.
-    assert_eq!(engine.degraded_reason(), Some(state.to_string()));
+    // The error a degraded append returns renders the same typed state.
+    match engine.append(DataPoint::new(20_000, 20_000, 0.0)) {
+        Err(seplsm::Error::Degraded(reason)) => {
+            assert_eq!(reason, state.to_string())
+        }
+        other => panic!("expected Error::Degraded, got {other:?}"),
+    }
     let observed: Vec<DegradedState> = sink
         .events()
         .iter()
