@@ -170,8 +170,9 @@ fn summarize(per_query: &[QueryStats], disk: &DiskModel) -> QueryReport {
 }
 
 /// Runs the recent-data query workload of §V-D1 on the production-style
-/// [`TieredEngine`] (overlapping level-1 files, background compaction — the
-/// configuration the paper's query experiments ran on): while ingesting
+/// [`TieredEngine`](seplsm_lsm::TieredEngine) (overlapping level-1 files,
+/// background compaction — the configuration the paper's query
+/// experiments ran on): while ingesting
 /// `points`, every `workload.every_points` appended points issue
 /// `time ∈ (max_written − window, max_written]`.
 pub fn run_recent_queries(
@@ -200,8 +201,8 @@ pub fn run_recent_queries(
 }
 
 /// Runs the historical query workload of §V-D2 after ingesting `points`
-/// into a [`TieredEngine`]. The level-1 backlog left by ingestion is *not*
-/// force-compacted first — the paper attributes the historical-query gap to
+/// into a [`TieredEngine`](seplsm_lsm::TieredEngine). The level-1
+/// backlog left by ingestion is *not* force-compacted first — the paper attributes the historical-query gap to
 /// exactly those not-yet-compacted overlapping files (Fig. 15).
 pub fn run_historical_queries(
     points: &[DataPoint],

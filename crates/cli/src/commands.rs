@@ -24,7 +24,7 @@ USAGE:
   seplsm generate --dataset <M1..M12|s9|vehicle> [--points N] [--seed S] --out FILE
   seplsm analyze  --input FILE [--budget N]
   seplsm ingest   --input FILE [--policy conventional|separation:<n_seq>|adaptive]
-                  [--budget N] [--sstable N] [--dir DIR] [--compressed]
+                  [--budget N] [--sstable N] [--dir DIR]
   seplsm query    --dir DIR --start T --end T [--budget N]
                   [--agg min|max|sum|count|mean [--bucket N]]
   seplsm stats    --input FILE [--policy conventional|separation:<n_seq>]
@@ -143,17 +143,11 @@ fn parse_policy(spec: &str, budget: usize) -> Result<Option<Policy>> {
 }
 
 fn open_store(opts: &Opts) -> Result<Arc<dyn TableStore>> {
-    let options = if opts.switch("compressed") {
-        seplsm_lsm::EncodeOptions::compressed()
-    } else {
-        seplsm_lsm::EncodeOptions::default()
-    };
     Ok(match opts.get("dir") {
-        Some(dir) => Arc::new(FileStore::open_with(
-            PathBuf::from(dir).join("tables"),
-            options,
-        )?),
-        None => Arc::new(MemStore::with_options(options)),
+        Some(dir) => {
+            Arc::new(FileStore::open(PathBuf::from(dir).join("tables"))?)
+        }
+        None => Arc::new(MemStore::new()),
     })
 }
 

@@ -1,4 +1,5 @@
-//! Flag parsing for the CLI (`--name value` pairs and bare switches).
+//! Flag parsing for the CLI (`--name value` pairs; no command takes a
+//! bare switch, so a flag without a value is skipped).
 
 use std::collections::HashMap;
 
@@ -6,7 +7,6 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct Opts {
     values: HashMap<String, String>,
-    switches: Vec<String>,
 }
 
 impl Opts {
@@ -18,13 +18,12 @@ impl Opts {
             let arg = &args[i];
             if let Some(name) = arg.strip_prefix("--") {
                 // A flag followed by a non-flag token is a key/value pair;
-                // otherwise it is a bare switch.
+                // a bare one never takes the next flag as its value.
                 if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                     opts.values.insert(name.to_string(), args[i + 1].clone());
                     i += 2;
                     continue;
                 }
-                opts.switches.push(name.to_string());
             }
             i += 1;
         }
@@ -48,11 +47,6 @@ impl Opts {
         self.get(name)
             .ok_or_else(|| format!("missing required flag --{name}"))
     }
-
-    /// `true` if the bare switch `--name` was passed.
-    pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
 }
 
 #[cfg(test)]
@@ -65,17 +59,17 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_switches() {
-        let o = parse(&["--points", "100", "--compressed", "--seed", "7"]);
+        let o = parse(&["--points", "100", "--verbose", "--seed", "7"]);
         assert_eq!(o.get("points"), Some("100"));
         assert_eq!(o.get_or("seed", 0u64), 7);
-        assert!(o.switch("compressed"));
-        assert!(!o.switch("missing"));
+        assert_eq!(o.get("verbose"), None);
+        assert_eq!(o.get("missing"), None);
     }
 
     #[test]
     fn adjacent_flags_are_switches() {
         let o = parse(&["--a", "--b", "value"]);
-        assert!(o.switch("a"));
+        assert_eq!(o.get("a"), None);
         assert_eq!(o.get("b"), Some("value"));
     }
 

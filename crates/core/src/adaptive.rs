@@ -49,7 +49,7 @@ use seplsm_lsm::{LsmEngine, OpenOptions};
 use seplsm_types::{DataPoint, Policy, Result};
 
 use crate::analyzer::{AnalyzerConfig, AnalyzerEvent, DelayAnalyzer};
-use crate::tuner::{tune, TunerOptions};
+use crate::tuner::{tune, TunerOptions, TuningOutcome};
 use crate::wa::WaModel;
 use crate::zeta::ZetaConfig;
 
@@ -135,6 +135,82 @@ impl AdaptiveOpen for OpenOptions {
     }
 }
 
+/// The controller of one series: its delay analyzer plus the hysteresis
+/// state, and the decision "should this series re-tune now, and to what".
+/// [`AdaptiveEngine`] holds one, the fleet a map of them; they differ only
+/// in how a decision lands on the storage engine.
+pub(crate) struct SeriesController {
+    analyzer: DelayAnalyzer,
+    last_tune_at: u64,
+    /// Decisions applied so far.
+    pub(crate) tunes: u32,
+}
+
+impl SeriesController {
+    pub(crate) fn new(config: &AdaptiveConfig) -> Self {
+        Self {
+            analyzer: DelayAnalyzer::new(config.analyzer),
+            last_tune_at: 0,
+            tunes: 0,
+        }
+    }
+
+    /// Feeds one written point to the analyzer and, when it asks for a
+    /// first decision or reports drift past the hysteresis, evaluates
+    /// Algorithm 1. `user_points` and `budget` are the series' written
+    /// points and current memory budget.
+    pub(crate) fn decide(
+        &mut self,
+        p: &DataPoint,
+        user_points: u64,
+        budget: usize,
+        config: &AdaptiveConfig,
+    ) -> Option<(TuningOutcome, f64)> {
+        let due = match self.analyzer.observe(p) {
+            AnalyzerEvent::None => false,
+            AnalyzerEvent::NeedsInitialTune => true,
+            AnalyzerEvent::DriftDetected => {
+                user_points
+                    >= self.last_tune_at + config.min_points_between_tunes
+            }
+        };
+        if due {
+            self.evaluate(budget, config)
+        } else {
+            None
+        }
+    }
+
+    /// Runs Algorithm 1 on the analyzer's current window against `budget`,
+    /// returning the outcome and the estimated generation interval. `None`
+    /// when there are too few samples or the model evaluation fails — a
+    /// tuner failure must never take down the write path, the current
+    /// policy simply stays in force.
+    pub(crate) fn evaluate(
+        &self,
+        budget: usize,
+        config: &AdaptiveConfig,
+    ) -> Option<(TuningOutcome, f64)> {
+        let dist = self.analyzer.build_distribution()?;
+        let delta_t = self.analyzer.estimated_delta_t()?;
+        let model = WaModel::with_zeta_config(
+            Arc::new(dist) as Arc<dyn DelayDistribution>,
+            delta_t,
+            budget,
+            config.zeta,
+        );
+        let outcome = tune(&model, config.tuner_for(budget)).ok()?;
+        Some((outcome, delta_t))
+    }
+
+    /// Records that a decision was applied at `user_points`.
+    pub(crate) fn mark_applied(&mut self, user_points: u64) {
+        self.analyzer.mark_tuned();
+        self.last_tune_at = user_points;
+        self.tunes += 1;
+    }
+}
+
 /// One recorded tuning decision.
 #[derive(Debug, Clone)]
 pub struct TuneRecord {
@@ -157,10 +233,9 @@ pub struct TuneRecord {
 /// initialises with `π_c`).
 pub struct AdaptiveEngine {
     engine: LsmEngine,
-    analyzer: DelayAnalyzer,
+    controller: SeriesController,
     config: AdaptiveConfig,
     tunes: Vec<TuneRecord>,
-    last_tune_at: u64,
 }
 
 impl AdaptiveEngine {
@@ -171,10 +246,9 @@ impl AdaptiveEngine {
     ) -> Self {
         Self {
             engine,
-            analyzer: DelayAnalyzer::new(config.analyzer),
+            controller: SeriesController::new(&config),
             config,
             tunes: Vec::new(),
-            last_tune_at: 0,
         }
     }
 
@@ -206,19 +280,13 @@ impl AdaptiveEngine {
     /// write path.
     pub fn append(&mut self, p: DataPoint) -> Result<()> {
         self.engine.append(p)?;
-        let event = self.analyzer.observe(&p);
-        let due = match event {
-            AnalyzerEvent::None => false,
-            AnalyzerEvent::NeedsInitialTune => true,
-            AnalyzerEvent::DriftDetected => {
-                self.engine.metrics().user_points
-                    >= self.last_tune_at + self.config.min_points_between_tunes
-            }
-        };
-        if due {
-            self.retune()?;
-        }
-        Ok(())
+        let decision = self.controller.decide(
+            &p,
+            self.engine.metrics().user_points,
+            self.engine.policy().total_capacity(),
+            &self.config,
+        );
+        self.apply(decision)
     }
 
     /// Runs Algorithm 1 on the analyzer's current window against the
@@ -228,29 +296,20 @@ impl AdaptiveEngine {
     /// # Errors
     /// Storage failures while switching policies.
     pub fn retune(&mut self) -> Result<()> {
-        let Some(dist) = self.analyzer.build_distribution() else {
-            return Ok(());
-        };
-        let Some(delta_t) = self.analyzer.estimated_delta_t() else {
-            return Ok(());
-        };
         let budget = self.engine.policy().total_capacity();
-        let model = WaModel::with_zeta_config(
-            Arc::new(dist) as Arc<dyn DelayDistribution>,
-            delta_t,
-            budget,
-            self.config.zeta,
-        );
-        let outcome = match tune(&model, self.config.tuner_for(budget)) {
-            Ok(o) => o,
-            // A failed model evaluation must not break ingestion.
-            Err(_) => return Ok(()),
+        self.apply(self.controller.evaluate(budget, &self.config))
+    }
+
+    /// Lands a decision: switches the policy and records it.
+    fn apply(&mut self, decision: Option<(TuningOutcome, f64)>) -> Result<()> {
+        let Some((outcome, delta_t)) = decision else {
+            return Ok(());
         };
         self.engine.set_policy(outcome.decision)?;
-        self.analyzer.mark_tuned();
-        self.last_tune_at = self.engine.metrics().user_points;
+        let at_user_points = self.engine.metrics().user_points;
+        self.controller.mark_applied(at_user_points);
         self.tunes.push(TuneRecord {
-            at_user_points: self.last_tune_at,
+            at_user_points,
             r_c: outcome.r_c,
             r_s_star: outcome.r_s_star,
             decision: outcome.decision,

@@ -3,7 +3,8 @@
 //! The industrial deployment stores thousands of series per IoTDB instance,
 //! and their delay behaviours differ: a vehicle in good coverage produces
 //! clean in-order telemetry while another is stuck behind batched re-sends.
-//! [`FleetAdaptiveEngine`] runs one [`DelayAnalyzer`] per series over a
+//! [`FleetAdaptiveEngine`] runs one
+//! [`DelayAnalyzer`](crate::analyzer::DelayAnalyzer) per series over a
 //! shared [`MultiSeriesEngine`], so every series converges to its own
 //! policy — `π_c` for the clean ones, a tuned `π_s(n̂*_seq)` for the
 //! disordered ones.
@@ -19,16 +20,10 @@
 
 use std::collections::HashMap;
 
-use std::sync::Arc;
-
-use seplsm_dist::DelayDistribution;
 use seplsm_lsm::{MultiOpenOptions, MultiSeriesEngine, SeriesId};
 use seplsm_types::{DataPoint, Policy, Result};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveOpen};
-use crate::analyzer::{AnalyzerEvent, DelayAnalyzer};
-use crate::tuner::tune;
-use crate::wa::WaModel;
+use crate::adaptive::{AdaptiveConfig, AdaptiveOpen, SeriesController};
 
 impl AdaptiveOpen for MultiOpenOptions {
     type Engine = FleetAdaptiveEngine;
@@ -38,20 +33,13 @@ impl AdaptiveOpen for MultiOpenOptions {
     }
 }
 
-/// Per-series tuning state.
-struct SeriesState {
-    analyzer: DelayAnalyzer,
-    last_tune_at: u64,
-    tunes: u32,
-}
-
 /// A fleet of independently-tuned series. Construct with
 /// [`AdaptiveOpen::adaptive`]; every series starts from the builder's
 /// template policy and is tuned independently against its current budget.
 pub struct FleetAdaptiveEngine {
     engine: MultiSeriesEngine,
     config: AdaptiveConfig,
-    state: HashMap<SeriesId, SeriesState>,
+    state: HashMap<SeriesId, SeriesController>,
 }
 
 impl FleetAdaptiveEngine {
@@ -97,48 +85,22 @@ impl FleetAdaptiveEngine {
     /// Storage failures; tuning failures leave the current policy in force.
     pub fn append(&mut self, series: SeriesId, p: DataPoint) -> Result<()> {
         self.engine.append(series, p)?;
-        let analyzer_config = self.config.analyzer;
-        let state = self.state.entry(series).or_insert_with(|| SeriesState {
-            analyzer: DelayAnalyzer::new(analyzer_config),
-            last_tune_at: 0,
-            tunes: 0,
-        });
-        let event = state.analyzer.observe(&p);
+        let config = &self.config;
+        let state = self
+            .state
+            .entry(series)
+            .or_insert_with(|| SeriesController::new(config));
         let Some(engine) = self.engine.engine(series) else {
             return Ok(());
         };
         let user_points = engine.metrics().user_points;
         let budget = engine.policy().total_capacity();
-        let due = match event {
-            AnalyzerEvent::None => false,
-            AnalyzerEvent::NeedsInitialTune => true,
-            AnalyzerEvent::DriftDetected => {
-                user_points
-                    >= state.last_tune_at + self.config.min_points_between_tunes
-            }
-        };
-        if !due {
-            return Ok(());
-        }
-        let Some(dist) = state.analyzer.build_distribution() else {
-            return Ok(());
-        };
-        let Some(delta_t) = state.analyzer.estimated_delta_t() else {
-            return Ok(());
-        };
-        let model = WaModel::with_zeta_config(
-            Arc::new(dist) as Arc<dyn DelayDistribution>,
-            delta_t,
-            budget,
-            self.config.zeta,
-        );
-        let Ok(outcome) = tune(&model, self.config.tuner_for(budget)) else {
+        let Some((outcome, _)) = state.decide(&p, user_points, budget, config)
+        else {
             return Ok(());
         };
         self.engine.retune(series, outcome.decision)?;
-        state.analyzer.mark_tuned();
-        state.last_tune_at = user_points;
-        state.tunes += 1;
+        state.mark_applied(user_points);
         Ok(())
     }
 }
@@ -149,7 +111,7 @@ mod tests {
     use crate::analyzer::AnalyzerConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use seplsm_dist::{Constant, LogNormal};
+    use seplsm_dist::{Constant, DelayDistribution, LogNormal};
     use seplsm_lsm::{ArbiterConfig, EngineConfig};
     use seplsm_types::TimeRange;
 

@@ -61,9 +61,10 @@ pub struct EngineConfig {
     /// every merge (the Fig. 5 probe). Costs extra reads; off by default.
     pub record_subsequent: bool,
     /// If `true`, range queries read SSTables block-by-block through
-    /// [`TableStore::get_range`] instead of decoding whole tables — only
-    /// effective with a v2 (compressed-block) store. Off by default, which
-    /// matches IoTDB's chunk-granularity reads that the paper measures.
+    /// [`TableStore::get_range`] instead of decoding whole tables (a v1
+    /// table is a single block, so it gains nothing). Off by default,
+    /// which matches IoTDB's chunk-granularity reads that the paper
+    /// measures.
     pub block_reads: bool,
 }
 

@@ -153,46 +153,40 @@ fn probe_v3_layout(
     meta: &crate::sstable::SsTableMeta,
 ) -> Result<()> {
     use crate::sstable::format::{
-        parse_v3_footer, sniff_version, ByteSpan, V3_FOOTER, VERSION_PRUNED,
+        sniff_version, v3_footer, ByteSpan, V3_FOOTER, VERSION_PRUNED,
     };
     let Some(len) = store.table_len(meta.id)? else {
         return Ok(());
     };
-    let head_len = len.min(6);
-    let Some(head) = store.read_span(
-        meta.id,
-        ByteSpan {
-            offset: 0,
-            len: head_len,
-        },
-    )?
-    else {
+    let head = ByteSpan {
+        offset: 0,
+        len: len.min(6),
+    };
+    let Some(head) = store.read_span(meta.id, head)? else {
         return Ok(());
     };
     if sniff_version(&head) != Some(VERSION_PRUNED) {
         return Ok(());
     }
-    let footer_len = V3_FOOTER as u64;
-    if len < footer_len {
+    if len < V3_FOOTER as u64 {
         return Err(corrupt(format!(
             "table {} is a torn v3 write: {len} bytes is too short \
              for a footer",
             meta.id
         )));
     }
-    let tail = store
-        .read_span(
-            meta.id,
-            ByteSpan {
-                offset: len - footer_len,
-                len: footer_len,
-            },
-        )?
-        .ok_or_else(|| corrupt("store lost span support mid-probe"))?;
-    parse_v3_footer(&tail).map_err(|e| {
-        corrupt(format!("table {} is a torn v3 write: {e}", meta.id))
-    })?;
-    Ok(())
+    let fetch = |span| {
+        store
+            .read_span(meta.id, span)?
+            .ok_or_else(|| corrupt("store lost span support mid-probe"))
+    };
+    match v3_footer(len, fetch) {
+        Err(e @ Error::Corrupt(_)) => Err(corrupt(format!(
+            "table {} is a torn v3 write: {e}",
+            meta.id
+        ))),
+        other => other.map(|_| ()),
+    }
 }
 
 /// Recovery-time audit: the structural checks plus a complete decode of

@@ -374,44 +374,48 @@ pub enum Event {
     },
 }
 
+/// Stable snake-case name of every [`Event`] kind, at its
+/// [`kind`](Event::kind) index — the one place a kind's name is spelled.
+const EVENT_NAMES: &[&str] = &[
+    "point_classified",
+    "memtable_sealed",
+    "flush_started",
+    "flush_finished",
+    "compaction_planned",
+    "compaction_executed",
+    "wal_append",
+    "wal_sync",
+    "wal_truncate",
+    "manifest_record",
+    "backpressure_stall",
+    "recovery_step",
+    "quarantine",
+    "degraded_transition",
+    "fault_injected",
+    "cache_hit",
+    "cache_miss",
+    "cache_evict",
+    "table_pruned",
+    "admission_delayed",
+    "write_stall_begin",
+    "write_stall_end",
+    "compaction_paced",
+    "retry_backoff",
+    "arbiter_rebalance",
+    "policy_retuned",
+    "heat_sample",
+    "agg_pushdown",
+    "agg_fallback",
+];
+
 /// Number of distinct [`Event`] kinds (for fixed-size counter registries).
-pub const EVENT_KINDS: usize = 29;
+pub const EVENT_KINDS: usize = EVENT_NAMES.len();
 
 impl Event {
     /// Stable event-kind name, used as the JSONL `event` field and the
     /// aggregate-table row label.
     pub fn name(&self) -> &'static str {
-        match self {
-            Self::PointClassified { .. } => "point_classified",
-            Self::MemtableSealed { .. } => "memtable_sealed",
-            Self::FlushStarted { .. } => "flush_started",
-            Self::FlushFinished { .. } => "flush_finished",
-            Self::CompactionPlanned { .. } => "compaction_planned",
-            Self::CompactionExecuted { .. } => "compaction_executed",
-            Self::WalAppend { .. } => "wal_append",
-            Self::WalSync => "wal_sync",
-            Self::WalTruncate { .. } => "wal_truncate",
-            Self::ManifestRecord { .. } => "manifest_record",
-            Self::BackpressureStall => "backpressure_stall",
-            Self::RecoveryStep { .. } => "recovery_step",
-            Self::Quarantine { .. } => "quarantine",
-            Self::DegradedTransition { .. } => "degraded_transition",
-            Self::FaultInjected { .. } => "fault_injected",
-            Self::CacheHit { .. } => "cache_hit",
-            Self::CacheMiss { .. } => "cache_miss",
-            Self::CacheEvict { .. } => "cache_evict",
-            Self::TablePruned { .. } => "table_pruned",
-            Self::AdmissionDelayed { .. } => "admission_delayed",
-            Self::WriteStallBegin { .. } => "write_stall_begin",
-            Self::WriteStallEnd { .. } => "write_stall_end",
-            Self::CompactionPaced { .. } => "compaction_paced",
-            Self::RetryBackoff { .. } => "retry_backoff",
-            Self::ArbiterRebalance { .. } => "arbiter_rebalance",
-            Self::PolicyRetuned { .. } => "policy_retuned",
-            Self::HeatSample { .. } => "heat_sample",
-            Self::AggPushdown { .. } => "agg_pushdown",
-            Self::AggFallback { .. } => "agg_fallback",
-        }
+        Self::kind_name(self.kind())
     }
 
     /// Dense index of the event kind, `0..EVENT_KINDS`.
@@ -451,38 +455,7 @@ impl Event {
 
     /// Name of kind index `k` (the inverse of [`Event::kind`] for labels).
     pub fn kind_name(k: usize) -> &'static str {
-        const NAMES: [&str; EVENT_KINDS] = [
-            "point_classified",
-            "memtable_sealed",
-            "flush_started",
-            "flush_finished",
-            "compaction_planned",
-            "compaction_executed",
-            "wal_append",
-            "wal_sync",
-            "wal_truncate",
-            "manifest_record",
-            "backpressure_stall",
-            "recovery_step",
-            "quarantine",
-            "degraded_transition",
-            "fault_injected",
-            "cache_hit",
-            "cache_miss",
-            "cache_evict",
-            "table_pruned",
-            "admission_delayed",
-            "write_stall_begin",
-            "write_stall_end",
-            "compaction_paced",
-            "retry_backoff",
-            "arbiter_rebalance",
-            "policy_retuned",
-            "heat_sample",
-            "agg_pushdown",
-            "agg_fallback",
-        ];
-        NAMES.get(k).copied().unwrap_or("unknown")
+        EVENT_NAMES.get(k).copied().unwrap_or("unknown")
     }
 
     /// Appends this event's payload fields to a JSONL line under
@@ -1246,6 +1219,19 @@ mod tests {
         for (i, e) in samples.iter().enumerate() {
             assert_eq!(e.kind(), i);
             assert_eq!(Event::kind_name(i), e.name());
+            // The table row at a variant's index is that variant's
+            // identifier in snake case.
+            let mut snake = String::new();
+            for c in format!("{e:?}").chars() {
+                if !c.is_ascii_alphanumeric() {
+                    break;
+                }
+                if c.is_ascii_uppercase() && !snake.is_empty() {
+                    snake.push('_');
+                }
+                snake.push(c.to_ascii_lowercase());
+            }
+            assert_eq!(e.name(), snake);
         }
     }
 

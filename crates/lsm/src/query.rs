@@ -481,10 +481,7 @@ impl<'a> ReadView<'a> {
                 fallback(read, blocks, stats, &mut items);
                 continue;
             };
-            for span in &index.blocks {
-                if span.last < range.start || span.first > range.end {
-                    continue;
-                }
+            for (_, span) in index.overlapping(range) {
                 match span.agg {
                     Some(agg)
                         if range.start <= span.first

@@ -16,8 +16,7 @@
 //! delays are small, arrival timestamps are not — followed by the `f64` value
 //! bits. The trailing CRC-32 covers all preceding bytes.
 //!
-//! **Version 2** — compressed blocks with an index (pick via
-//! [`EncodeOptions`]):
+//! **Version 2** — compressed blocks with an index:
 //!
 //! ```text
 //! +-----------------+------------+---------------------+----------+
@@ -64,6 +63,33 @@
 //! [`parse_v3_index`]). Every region carries its own CRC (there is no
 //! whole-file CRC — that would force whole-file reads), so a torn write
 //! that loses the tail is detected by the missing footer magic.
+//!
+//! # Where versions fork
+//!
+//! Exactly once, when bytes become a [`TableIndex`]. There are two
+//! constructors: [`read_table_index`] over a whole in-memory table (it
+//! sniffs the header's version) and `store::load_index` over a store that
+//! serves byte spans (it probes for a v3 footer and otherwise falls back to
+//! the first). Both run the same v3 tail walk, parameterised by how a
+//! [`ByteSpan`] is fetched. Everything downstream — [`decode`],
+//! [`decode_range`], [`decode_index_block`], [`decode_index_block_bytes`],
+//! the stores' reads, query planning — is written once against the index:
+//!
+//! | dialect | index carries | blocks |
+//! |---------|---------------|--------|
+//! | v1 | header count/min/max as one block spanning the file | flat records; the block's CRC *is* the whole-file CRC |
+//! | v2 | per-block first/last/count/span; a 4-byte whole-file CRC trails the data | compressed, own CRC |
+//! | v3 | the same plus per-block pre-aggregates (absent in 52-byte legacy entries) and the pruning filter | compressed, own CRC |
+//!
+//! What stays per-dialect is what each dialect's bytes can vouch for. v1
+//! has no region CRCs, so its constructor verifies the whole-file CRC
+//! before trusting the header and its block decode verifies it again on
+//! whatever bytes it is handed. v2's whole-file CRC is only affordable on
+//! a full [`decode`]; range reads rely on the header and block CRCs. v3's
+//! fixed header is cross-checked against the index only by the in-memory
+//! constructor — the ranged walk never fetches it, the index block repeats
+//! its contents under its own CRC. The pre-aggregate and filter audits of
+//! a full decode run wherever the index carries them.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use seplsm_types::{DataPoint, Error, Result, TimeRange};
@@ -79,6 +105,9 @@ use super::varint::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 const MAGIC: &[u8; 4] = b"SLSM";
 const VERSION: u16 = 1;
 const VERSION_BLOCKS: u16 = 2;
+/// v1 fixed header: magic(4) + version(2) + flags(2) + count(4) + min(8) +
+/// max(8).
+const V1_FIXED: usize = 28;
 /// Smallest possible v1 record: a 1-byte gen-time varint, a 1-byte delay
 /// varint, and an 8-byte value — the divisor that bounds a decoded record
 /// count against the remaining payload.
@@ -105,7 +134,7 @@ pub enum Compression {
 pub struct EncodeOptions {
     /// Record encoding.
     pub compression: Compression,
-    /// Points per block in the v2 format (ignored for v1).
+    /// Points per block in the v2 and v3 formats (ignored for v1).
     pub block_points: usize,
 }
 
@@ -146,7 +175,7 @@ impl EncodeOptions {
 }
 
 /// Result of a block-granular range read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RangeRead {
     /// Points whose generation time falls inside the requested range.
     pub points: Vec<DataPoint>,
@@ -174,8 +203,8 @@ fn validate_input(points: &[DataPoint]) -> Result<()> {
     Ok(())
 }
 
-/// Encodes `points` with the given options (v1 flat records or v2
-/// compressed blocks).
+/// Encodes `points` in the dialect `options` names (v3 by default; v1 and
+/// v2 stay writable for compatibility tests and ablations).
 ///
 /// # Errors
 /// [`Error::InvalidConfig`] if the input is empty or not strictly sorted.
@@ -236,101 +265,6 @@ pub fn encode(points: &[DataPoint]) -> Result<Bytes> {
     let crc = crc32(&buf);
     buf.put_u32_le(crc);
     Ok(buf.freeze())
-}
-
-/// Decodes and validates an SSTable, returning its points.
-///
-/// # Errors
-/// [`Error::Corrupt`] on bad magic, unsupported version, CRC mismatch,
-/// truncation, or header/record inconsistencies.
-pub fn decode(data: &[u8]) -> Result<Vec<DataPoint>> {
-    const HEADER: usize = 4 + 2 + 2 + 4 + 8 + 8;
-    const FOOTER: usize = 4;
-    // v3 carries per-region CRCs and a trailing footer instead of a
-    // whole-file CRC, so it must be sniffed before the v1/v2 CRC check.
-    if sniff_version(data) == Some(VERSION_PRUNED) {
-        return decode_v3_full(data);
-    }
-    if data.len() < HEADER + FOOTER {
-        return Err(Error::Corrupt(format!(
-            "SSTable too short: {} bytes",
-            data.len()
-        )));
-    }
-    let (body, footer) = data.split_at(data.len() - FOOTER);
-    let stored_crc = codec::read_u32_le(footer, 0)?;
-    let actual_crc = crc32(body);
-    if stored_crc != actual_crc {
-        return Err(Error::Corrupt(format!(
-            "SSTable CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
-
-    let mut buf = body;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(Error::Corrupt(format!("bad SSTable magic {magic:02x?}")));
-    }
-    let version = buf.get_u16_le();
-    if version == VERSION_BLOCKS {
-        return decode_v2_full(data);
-    }
-    if version != VERSION {
-        return Err(Error::Corrupt(format!(
-            "unsupported SSTable version {version}"
-        )));
-    }
-    let _flags = buf.get_u16_le();
-    let count = buf.get_u32_le() as usize;
-    let min_tg = buf.get_i64_le();
-    let max_tg = buf.get_i64_le();
-
-    // A v1 record occupies at least two 1-byte varints plus an 8-byte
-    // value, so a count claiming more records than the remaining payload
-    // can hold is corruption — reject it before it sizes the allocation.
-    if count > buf.remaining() / MIN_V1_RECORD {
-        return Err(Error::Corrupt(format!(
-            "v1 record count {count} exceeds the {} remaining payload bytes",
-            buf.remaining()
-        )));
-    }
-    let mut points = Vec::with_capacity(count);
-    let mut prev_tg = None::<i64>;
-    for _ in 0..count {
-        let gen_time = match prev_tg {
-            None => get_ivarint(&mut buf)?,
-            Some(prev) => {
-                let delta = get_uvarint(&mut buf)?;
-                prev.checked_add(delta as i64).ok_or_else(|| {
-                    Error::Corrupt("gen_time delta overflow".into())
-                })?
-            }
-        };
-        prev_tg = Some(gen_time);
-        let delay = get_ivarint(&mut buf)?;
-        if buf.remaining() < 8 {
-            return Err(Error::Corrupt("truncated record value".into()));
-        }
-        let value = f64::from_bits(buf.get_u64_le());
-        points.push(DataPoint::with_delay(gen_time, delay, value));
-    }
-    if buf.has_remaining() {
-        return Err(Error::Corrupt(format!(
-            "{} trailing bytes after {count} records",
-            buf.remaining()
-        )));
-    }
-    match (points.first(), points.last()) {
-        (Some(first), Some(last))
-            if first.gen_time == min_tg && last.gen_time == max_tg => {}
-        _ => {
-            return Err(Error::Corrupt(
-                "header min/max do not match records".into(),
-            ))
-        }
-    }
-    Ok(points)
 }
 
 /// v2 fixed header size: magic(4) + version(2) + flags(2) + count(4) +
@@ -413,179 +347,6 @@ fn encode_v2(points: &[DataPoint], block_points: usize) -> Result<Bytes> {
     let file_crc = crc32(&buf);
     buf.put_u32_le(file_crc);
     Ok(buf.freeze())
-}
-
-/// Parsed v2 header + index.
-struct V2Header {
-    count: usize,
-    min_tg: i64,
-    max_tg: i64,
-    index: Vec<V2Entry>,
-    /// Byte offset where block data starts.
-    data_start: usize,
-}
-
-#[derive(Clone, Copy)]
-struct V2Entry {
-    first: i64,
-    last: i64,
-    count: u32,
-    offset: u32,
-    len: u32,
-}
-
-/// Parses and CRC-validates the v2 header + index region.
-fn parse_v2_header(data: &[u8]) -> Result<V2Header> {
-    if data.len() < V2_FIXED + 4 {
-        return Err(Error::Corrupt("v2 SSTable too short for header".into()));
-    }
-    let mut buf = data;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(Error::Corrupt(format!("bad SSTable magic {magic:02x?}")));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION_BLOCKS {
-        return Err(Error::Corrupt(format!(
-            "expected v2 SSTable, found version {version}"
-        )));
-    }
-    let _flags = buf.get_u16_le();
-    let count = buf.get_u32_le() as usize;
-    let min_tg = buf.get_i64_le();
-    let max_tg = buf.get_i64_le();
-    let _block_points = buf.get_u32_le();
-    let block_count = buf.get_u32_le() as usize;
-    let header_len = V2_FIXED + block_count * V2_INDEX_ENTRY;
-    if data.len() < header_len + 4 {
-        return Err(Error::Corrupt("v2 SSTable truncated in index".into()));
-    }
-    let stored = codec::read_u32_le(data, header_len)?;
-    let actual = crc32(&data[..header_len]);
-    if stored != actual {
-        return Err(Error::Corrupt(format!(
-            "v2 header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let mut index = Vec::with_capacity(block_count);
-    let mut total: u64 = 0;
-    for _ in 0..block_count {
-        let entry = V2Entry {
-            first: buf.get_i64_le(),
-            last: buf.get_i64_le(),
-            count: buf.get_u32_le(),
-            offset: buf.get_u32_le(),
-            len: buf.get_u32_le(),
-        };
-        total += u64::from(entry.count);
-        index.push(entry);
-    }
-    if total != count as u64 {
-        return Err(Error::Corrupt(format!(
-            "v2 block counts sum to {total}, header says {count}"
-        )));
-    }
-    Ok(V2Header {
-        count,
-        min_tg,
-        max_tg,
-        index,
-        data_start: header_len + 4,
-    })
-}
-
-/// Decodes one compressed block given exactly its bytes
-/// (`payload ++ crc32`), shared by the v2 and v3 formats.
-fn decode_block_common(
-    block: &[u8],
-    first: i64,
-    last: i64,
-    count: u32,
-) -> Result<Vec<DataPoint>> {
-    if block.len() < 4 {
-        return Err(Error::Corrupt("block too short".into()));
-    }
-    let (payload, crc_bytes) = block.split_at(block.len() - 4);
-    let stored = codec::read_u32_le(crc_bytes, 0)?;
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(Error::Corrupt(format!(
-            "block CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let count = count as usize;
-    // Each of the three bit streams spends at least one bit per record, so
-    // a count beyond the payload's bit budget is corrupt; rejecting it here
-    // also caps the slice allocations inside the stream decoders.
-    if count > payload.len() * 8 {
-        return Err(Error::Corrupt(format!(
-            "block count {count} exceeds the {}-byte payload's capacity",
-            payload.len()
-        )));
-    }
-    let mut reader = BitReader::new(payload);
-    let tgs = decode_i64s(&mut reader, count)?;
-    let delays = decode_i64s(&mut reader, count)?;
-    let values = decode_f64s(&mut reader, count)?;
-    let mut points = Vec::with_capacity(count);
-    for i in 0..count {
-        points.push(DataPoint::with_delay(tgs[i], delays[i], values[i]));
-    }
-    if points.first().map(|p| p.gen_time) != Some(first)
-        || points.last().map(|p| p.gen_time) != Some(last)
-    {
-        return Err(Error::Corrupt(
-            "block contents disagree with index entry".into(),
-        ));
-    }
-    Ok(points)
-}
-
-/// Decodes one v2 block (verifying its CRC).
-fn decode_v2_block(
-    data: &[u8],
-    header: &V2Header,
-    entry: &V2Entry,
-) -> Result<Vec<DataPoint>> {
-    let start = header.data_start + entry.offset as usize;
-    let end = start + entry.len as usize;
-    // Block data must not run into the trailing 4-byte file CRC.
-    if end > data.len().saturating_sub(4) {
-        return Err(Error::Corrupt("v2 block extends past file".into()));
-    }
-    decode_block_common(&data[start..end], entry.first, entry.last, entry.count)
-}
-
-/// Full decode of a v2 SSTable (called from [`decode`] after the file CRC
-/// has been verified).
-fn decode_v2_full(data: &[u8]) -> Result<Vec<DataPoint>> {
-    let header = parse_v2_header(data)?;
-    let mut points = Vec::with_capacity(header.count);
-    for entry in &header.index {
-        points.extend(decode_v2_block(data, &header, entry)?);
-    }
-    if points.len() != header.count {
-        return Err(Error::Corrupt("v2 point count mismatch".into()));
-    }
-    for w in points.windows(2) {
-        if w[1].gen_time <= w[0].gen_time {
-            return Err(Error::Corrupt(
-                "v2 blocks are not sorted across boundaries".into(),
-            ));
-        }
-    }
-    match (points.first(), points.last()) {
-        (Some(first), Some(last))
-            if first.gen_time == header.min_tg
-                && last.gen_time == header.max_tg => {}
-        _ => {
-            return Err(Error::Corrupt(
-                "v2 header min/max do not match records".into(),
-            ))
-        }
-    }
-    Ok(points)
 }
 
 /// v3 fixed header: magic(4) + version(2) + flags(2) + count(4) + min(8) +
@@ -799,13 +560,7 @@ pub fn parse_v3_footer(tail: &[u8]) -> Result<ByteSpan> {
     if &f[V3_FOOTER - 4..] != FOOTER_MAGIC {
         return Err(Error::Corrupt("missing v3 footer magic".into()));
     }
-    let stored = codec::read_u32_le(f, 12)?;
-    let actual = crc32(&f[..12]);
-    if stored != actual {
-        return Err(Error::Corrupt(format!(
-            "v3 footer CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
+    verify_crc(&f[..V3_FOOTER - 4], "v3 footer")?;
     Ok(ByteSpan {
         offset: codec::read_u64_le(f, 0)?,
         len: u64::from(codec::read_u32_le(f, 8)?),
@@ -824,13 +579,7 @@ pub fn parse_v3_metaindex(bytes: &[u8]) -> Result<(ByteSpan, ByteSpan)> {
             bytes.len()
         )));
     }
-    let stored = codec::read_u32_le(bytes, V3_METAINDEX - 4)?;
-    let actual = crc32(&bytes[..V3_METAINDEX - 4]);
-    if stored != actual {
-        return Err(Error::Corrupt(format!(
-            "v3 metaindex CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
+    verify_crc(bytes, "v3 metaindex")?;
     let index = ByteSpan {
         offset: codec::read_u64_le(bytes, 0)?,
         len: u64::from(codec::read_u32_le(bytes, 8)?),
@@ -852,14 +601,7 @@ pub fn parse_v3_index(bytes: &[u8]) -> Result<TableIndex> {
     if bytes.len() < V3_INDEX_FIXED + 4 {
         return Err(Error::Corrupt("v3 index block too short".into()));
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = codec::read_u32_le(crc_bytes, 0)?;
-    let actual = crc32(body);
-    if stored != actual {
-        return Err(Error::Corrupt(format!(
-            "v3 index CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
+    let body = verify_crc(bytes, "v3 index")?;
     let count = codec::read_u32_le(body, 0)? as usize;
     let min_tg = codec::read_i64_le(body, 4)?;
     let max_tg = codec::read_i64_le(body, 12)?;
@@ -930,126 +672,9 @@ pub fn parse_v3_index(bytes: &[u8]) -> Result<TableIndex> {
         blocks,
         version: VERSION_PRUNED,
         data_start: V3_FIXED,
+        file_crc_len: 0,
         filter: None,
     })
-}
-
-/// Parses a whole in-memory v3 table into a [`TableIndex`] (header CRC,
-/// footer, metaindex, index and filter all validated; data blocks are not
-/// touched).
-fn parse_v3(data: &[u8]) -> Result<TableIndex> {
-    if data.len() < V3_FIXED + V3_FOOTER {
-        return Err(Error::Corrupt(format!(
-            "v3 SSTable too short: {} bytes",
-            data.len()
-        )));
-    }
-    let stored = codec::read_u32_le(data, V3_FIXED - 4)?;
-    let actual = crc32(&data[..V3_FIXED - 4]);
-    if stored != actual {
-        return Err(Error::Corrupt(format!(
-            "v3 header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let meta_span = parse_v3_footer(data)?;
-    let len = data.len() as u64;
-    let tail_start = len - V3_FOOTER as u64;
-    if meta_span.offset < V3_FIXED as u64 || meta_span.end() > tail_start {
-        return Err(Error::Corrupt("v3 metaindex span out of bounds".into()));
-    }
-    let (index_span, filter_span) = parse_v3_metaindex(
-        &data[meta_span.offset as usize..meta_span.end() as usize],
-    )?;
-    for span in [index_span, filter_span] {
-        if span.offset < V3_FIXED as u64 || span.end() > meta_span.offset {
-            return Err(Error::Corrupt("v3 block span out of bounds".into()));
-        }
-    }
-    let mut index = parse_v3_index(
-        &data[index_span.offset as usize..index_span.end() as usize],
-    )?;
-    let filter = TableFilter::decode(
-        &data[filter_span.offset as usize..filter_span.end() as usize],
-    )?;
-    // Cross-check the redundant copies: header vs index vs filter.
-    let hdr_count = codec::read_u32_le(data, 8)? as usize;
-    let hdr_min = codec::read_i64_le(data, 12)?;
-    let hdr_max = codec::read_i64_le(data, 20)?;
-    if hdr_count != index.count
-        || hdr_min != index.min_tg
-        || hdr_max != index.max_tg
-        || filter.min_tg() != index.min_tg
-        || filter.max_tg() != index.max_tg
-        || filter.count() as usize != index.count
-    {
-        return Err(Error::Corrupt(
-            "v3 header/index/filter metadata disagree".into(),
-        ));
-    }
-    // Blocks must stay inside the data region [V3_FIXED, index_off).
-    for span in &index.blocks {
-        let end =
-            V3_FIXED as u64 + u64::from(span.offset) + u64::from(span.len);
-        if end > index_span.offset {
-            return Err(Error::Corrupt(
-                "v3 data block span out of bounds".into(),
-            ));
-        }
-    }
-    index.filter = Some(filter);
-    Ok(index)
-}
-
-/// Full decode of a v3 SSTable: validates every region (header, all data
-/// blocks, index, filter, metaindex, footer), the stored pre-aggregates,
-/// and that the filter admits every stored point.
-fn decode_v3_full(data: &[u8]) -> Result<Vec<DataPoint>> {
-    let index = parse_v3(data)?;
-    let mut points = Vec::with_capacity(index.count);
-    for (b, span) in index.blocks.iter().enumerate() {
-        let block = decode_index_block(data, &index, b)?;
-        // Legacy (pre-agg_count) entries carry no pre-aggregates to audit;
-        // everything else must match the recomputed fold bitwise.
-        if let Some(stored) = span.agg {
-            match block_aggregates(&block) {
-                Some(actual) if actual.bits_eq(&stored) => {}
-                _ => {
-                    return Err(Error::Corrupt(
-                        "v3 block aggregates disagree with index".into(),
-                    ))
-                }
-            }
-        }
-        points.extend(block);
-    }
-    if points.len() != index.count {
-        return Err(Error::Corrupt("v3 point count mismatch".into()));
-    }
-    for w in points.windows(2) {
-        if w[1].gen_time <= w[0].gen_time {
-            return Err(Error::Corrupt(
-                "v3 blocks are not sorted across boundaries".into(),
-            ));
-        }
-    }
-    match (points.first(), points.last()) {
-        (Some(first), Some(last))
-            if first.gen_time == index.min_tg
-                && last.gen_time == index.max_tg => {}
-        _ => {
-            return Err(Error::Corrupt(
-                "v3 index min/max do not match records".into(),
-            ))
-        }
-    }
-    if let Some(filter) = &index.filter {
-        if points.iter().any(|p| !filter.may_contain_point(p.gen_time)) {
-            return Err(Error::Corrupt(
-                "v3 filter reports a stored point absent".into(),
-            ));
-        }
-    }
-    Ok(points)
 }
 
 /// One block's descriptor in a [`TableIndex`]: generation-time bounds, point
@@ -1074,9 +699,11 @@ pub struct BlockSpan {
 /// range and decode individual blocks via [`decode_index_block`] without
 /// re-parsing the header per read.
 ///
-/// For v2/v3 tables this is the real per-block index; a v1 table is
-/// modelled as a single block spanning the whole file, so callers can
-/// treat all formats uniformly.
+/// This is the seam between the wire dialects and everything that reads
+/// points: which dialect a table is in is decided once, by the constructor
+/// ([`read_table_index`] or `store::load_index`), and recorded here as
+/// data. For v2/v3 tables `blocks` is the real per-block index; a v1 table
+/// is modelled as a single block spanning the whole file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableIndex {
     /// Total points in the table.
@@ -1089,6 +716,11 @@ pub struct TableIndex {
     pub blocks: Vec<BlockSpan>,
     version: u16,
     data_start: usize,
+    /// Length of the whole-file CRC trailing the data region, which no
+    /// block may run into and a full decode verifies: 4 for v2; 0 for v3
+    /// (per-region CRCs only) and for v1, whose one block is the whole
+    /// file and carries the CRC as its own.
+    file_crc_len: usize,
     /// The table's pruning filter (v3 tables only).
     pub filter: Option<TableFilter>,
 }
@@ -1136,69 +768,70 @@ impl TableIndex {
         }
         // Range falls inside the table's [min, max] but may still miss
         // every block (a gap between block spans).
+        self.overlapping(range).next().is_some()
+    }
+
+    /// The blocks whose generation-time span overlaps `range`, each with
+    /// its position in [`blocks`](Self::blocks) — what every range read
+    /// iterates.
+    pub fn overlapping(
+        &self,
+        range: TimeRange,
+    ) -> impl Iterator<Item = (usize, &BlockSpan)> {
         self.blocks
             .iter()
-            .any(|b| b.last >= range.start && b.first <= range.end)
+            .enumerate()
+            .filter(move |(_, b)| b.last >= range.start && b.first <= range.end)
     }
 }
 
-/// Parses the index of an SSTable in either format.
+/// First constructor of a [`TableIndex`]: parses the index of a whole
+/// in-memory table in any dialect. This and `store::load_index` (the ranged
+/// twin, for stores that serve byte spans) are the only places a version
+/// number is looked at; everything that reads points goes through the
+/// index they return.
 ///
-/// For v2 the header + index region is CRC-validated here; for v1 only the
-/// fixed header is read (the full-file CRC is validated when the single
-/// block is decoded).
+/// No data block is decoded: v2 validates its header + index CRC, v3 its
+/// header and every tail region, v1 its whole-file CRC (nothing else
+/// protects its header) and its record count against the payload.
 ///
 /// # Errors
-/// [`Error::Corrupt`] on bad magic, unsupported version, truncation, or a
-/// v2 header CRC mismatch.
+/// [`Error::Corrupt`] on bad magic, unsupported version, truncation, a CRC
+/// mismatch in the parsed regions, or metadata that disagrees with itself.
 pub fn read_table_index(data: &[u8]) -> Result<TableIndex> {
-    const V1_HEADER: usize = 4 + 2 + 2 + 4 + 8 + 8;
-    if data.len() < 6 || &data[..4] != MAGIC {
-        return Err(Error::Corrupt("bad SSTable magic".into()));
-    }
-    let version = codec::read_u16_le(data, 4)?;
-    if version == VERSION_PRUNED {
-        return parse_v3(data);
-    }
-    if version == VERSION_BLOCKS {
-        let header = parse_v2_header(data)?;
-        let blocks = header
-            .index
-            .iter()
-            .map(|e| BlockSpan {
-                first: e.first,
-                last: e.last,
-                count: e.count,
-                offset: e.offset,
-                len: e.len,
-                agg: None,
-            })
-            .collect();
-        return Ok(TableIndex {
-            count: header.count,
-            min_tg: header.min_tg,
-            max_tg: header.max_tg,
-            blocks,
-            version: VERSION_BLOCKS,
-            data_start: header.data_start,
-            filter: None,
-        });
-    }
-    if version != VERSION {
-        return Err(Error::Corrupt(format!(
+    match sniff_version(data) {
+        Some(VERSION) => parse_v1_header(data),
+        Some(VERSION_BLOCKS) => parse_v2_header(data),
+        Some(VERSION_PRUNED) => parse_v3(data),
+        Some(version) => Err(Error::Corrupt(format!(
             "unsupported SSTable version {version}"
-        )));
+        ))),
+        None => Err(Error::Corrupt("bad SSTable magic".into())),
     }
-    if data.len() < V1_HEADER + 4 {
+}
+
+/// Models a v1 table as one block spanning the whole file. The whole-file
+/// CRC is all that protects a v1 header, so it is verified here, before
+/// the header's min/max are trusted to rule a range out.
+fn parse_v1_header(data: &[u8]) -> Result<TableIndex> {
+    let body = verify_crc(data, "SSTable")?;
+    let Some(payload) = body.len().checked_sub(V1_FIXED) else {
         return Err(Error::Corrupt(format!(
             "SSTable too short: {} bytes",
             data.len()
         )));
+    };
+    let count = codec::read_u32_le(data, 8)? as usize;
+    let min_tg = codec::read_i64_le(data, 12)?;
+    let max_tg = codec::read_i64_le(data, 20)?;
+    // A v1 record occupies at least two 1-byte varints plus an 8-byte
+    // value, so a count claiming more records than the payload can hold is
+    // corruption — reject it before it sizes an allocation.
+    if count > payload / MIN_V1_RECORD {
+        return Err(Error::Corrupt(format!(
+            "v1 record count {count} exceeds the {payload} payload bytes"
+        )));
     }
-    let mut buf = &data[8..];
-    let count = buf.get_u32_le() as usize;
-    let min_tg = buf.get_i64_le();
-    let max_tg = buf.get_i64_le();
     Ok(TableIndex {
         count,
         min_tg,
@@ -1213,70 +846,250 @@ pub fn read_table_index(data: &[u8]) -> Result<TableIndex> {
         }],
         version: VERSION,
         data_start: 0,
+        file_crc_len: 0,
         filter: None,
     })
 }
 
-/// Decodes (and CRC-validates) one block named by `index.blocks[block]`.
-///
-/// For a v1 table, block 0 is the whole table and this is a full validated
-/// decode.
+/// Parses and CRC-validates the v2 header + index region.
+fn parse_v2_header(data: &[u8]) -> Result<TableIndex> {
+    if data.len() < V2_FIXED + 4 {
+        return Err(Error::Corrupt("v2 SSTable too short for header".into()));
+    }
+    let count = codec::read_u32_le(data, 8)? as usize;
+    let block_count = codec::read_u32_le(data, 32)? as usize;
+    let header_len = V2_FIXED + block_count * V2_INDEX_ENTRY;
+    if data.len() < header_len + 4 {
+        return Err(Error::Corrupt("v2 SSTable truncated in index".into()));
+    }
+    let header = verify_crc(&data[..header_len + 4], "v2 header")?;
+    let mut blocks = Vec::with_capacity(block_count);
+    let mut total: u64 = 0;
+    for i in 0..block_count {
+        let at = V2_FIXED + i * V2_INDEX_ENTRY;
+        let span = BlockSpan {
+            first: codec::read_i64_le(header, at)?,
+            last: codec::read_i64_le(header, at + 8)?,
+            count: codec::read_u32_le(header, at + 16)?,
+            offset: codec::read_u32_le(header, at + 20)?,
+            len: codec::read_u32_le(header, at + 24)?,
+            agg: None,
+        };
+        total += u64::from(span.count);
+        blocks.push(span);
+    }
+    if total != count as u64 {
+        return Err(Error::Corrupt(format!(
+            "v2 block counts sum to {total}, header says {count}"
+        )));
+    }
+    Ok(TableIndex {
+        count,
+        min_tg: codec::read_i64_le(header, 12)?,
+        max_tg: codec::read_i64_le(header, 20)?,
+        blocks,
+        version: VERSION_BLOCKS,
+        data_start: header_len + 4,
+        file_crc_len: 4,
+        filter: None,
+    })
+}
+
+/// Parses a whole in-memory v3 table: the tail walk over slices of `data`,
+/// plus the one check only a reader holding the whole file can make — the
+/// fixed header's CRC and its agreement with the index block that repeats
+/// it (the ranged walk never reads the header).
+fn parse_v3(data: &[u8]) -> Result<TableIndex> {
+    if data.len() < V3_FIXED + V3_FOOTER {
+        return Err(Error::Corrupt(format!(
+            "v3 SSTable too short: {} bytes",
+            data.len()
+        )));
+    }
+    let header = verify_crc(&data[..V3_FIXED], "v3 header")?;
+    let fetch = |span: ByteSpan| {
+        data.get(span.offset as usize..span.end() as usize)
+            .ok_or_else(|| Error::Corrupt("v3 span outside table".into()))
+    };
+    let index = v3_index(v3_footer(data.len() as u64, fetch)?, fetch)?;
+    if codec::read_u32_le(header, 8)? as usize != index.count
+        || codec::read_i64_le(header, 12)? != index.min_tg
+        || codec::read_i64_le(header, 20)? != index.max_tg
+    {
+        return Err(Error::Corrupt(
+            "v3 header/index/filter metadata disagree".into(),
+        ));
+    }
+    Ok(index)
+}
+
+/// Footer step of the v3 tail walk: fetches the last [`V3_FOOTER`] bytes
+/// of a `len`-byte table and returns the metaindex span they name. `fetch`
+/// is how a [`ByteSpan`] becomes bytes — a slice of the in-memory table, or
+/// `TableStore::read_span`. A table that fails here is not a complete v3
+/// table: a v1/v2 one, or a torn v3 write.
+pub(crate) fn v3_footer<B: AsRef<[u8]>>(
+    len: u64,
+    fetch: impl Fn(ByteSpan) -> Result<B>,
+) -> Result<ByteSpan> {
+    let Some(tail_start) = len.checked_sub(V3_FOOTER as u64) else {
+        return Err(Error::Corrupt(format!(
+            "v3 footer needs {V3_FOOTER} bytes, have {len}"
+        )));
+    };
+    let tail = fetch(ByteSpan {
+        offset: tail_start,
+        len: V3_FOOTER as u64,
+    })?;
+    let meta = parse_v3_footer(tail.as_ref())?;
+    if meta.offset < V3_FIXED as u64 || meta.end() > tail_start {
+        return Err(Error::Corrupt("v3 metaindex span out of bounds".into()));
+    }
+    Ok(meta)
+}
+
+/// The rest of the v3 tail walk: metaindex → index + filter, every span
+/// bounds-checked before it is fetched, the redundant copies (index vs
+/// filter) cross-checked, and every data block confined to the data region
+/// `[V3_FIXED, index_off)`. Data blocks are not touched.
+pub(crate) fn v3_index<B: AsRef<[u8]>>(
+    meta: ByteSpan,
+    fetch: impl Fn(ByteSpan) -> Result<B>,
+) -> Result<TableIndex> {
+    let (index_span, filter_span) = parse_v3_metaindex(fetch(meta)?.as_ref())?;
+    for span in [index_span, filter_span] {
+        if span.offset < V3_FIXED as u64 || span.end() > meta.offset {
+            return Err(Error::Corrupt("v3 block span out of bounds".into()));
+        }
+    }
+    let mut index = parse_v3_index(fetch(index_span)?.as_ref())?;
+    let filter = TableFilter::decode(fetch(filter_span)?.as_ref())?;
+    if filter.min_tg() != index.min_tg
+        || filter.max_tg() != index.max_tg
+        || filter.count() as usize != index.count
+    {
+        return Err(Error::Corrupt(
+            "v3 header/index/filter metadata disagree".into(),
+        ));
+    }
+    for b in 0..index.blocks.len() {
+        if index.block_span(b)?.end() > index_span.offset {
+            return Err(Error::Corrupt(
+                "v3 data block span out of bounds".into(),
+            ));
+        }
+    }
+    index.filter = Some(filter);
+    Ok(index)
+}
+
+/// Decodes and validates an SSTable in any dialect, returning its points:
+/// every block is decoded, and the points must match the index's count,
+/// be strictly increasing across block boundaries and start/end at the
+/// index's min/max. What else is audited depends on what the index
+/// carries: the whole-file CRC of a v2 table (a v1 table's is part of its
+/// one block), each block's stored pre-aggregates (bit-exact), and that the
+/// pruning filter admits every stored point.
 ///
 /// # Errors
-/// [`Error::Corrupt`] if `block` is out of range or the block fails
-/// validation.
+/// [`Error::Corrupt`] on bad magic, unsupported version, CRC mismatch,
+/// truncation, or header/index/record inconsistencies.
+pub fn decode(data: &[u8]) -> Result<Vec<DataPoint>> {
+    let index = read_table_index(data)?;
+    if index.file_crc_len > 0 {
+        verify_crc(data, "SSTable")?;
+    }
+    let mut points = Vec::with_capacity(index.count);
+    for (b, span) in index.blocks.iter().enumerate() {
+        let block = decode_index_block(data, &index, b)?;
+        if let Some(stored) = span.agg {
+            match block_aggregates(&block) {
+                Some(actual) if actual.bits_eq(&stored) => {}
+                _ => {
+                    return Err(Error::Corrupt(
+                        "block aggregates disagree with index".into(),
+                    ))
+                }
+            }
+        }
+        points.extend(block);
+    }
+    if points.len() != index.count {
+        return Err(Error::Corrupt("point count mismatch".into()));
+    }
+    if points.windows(2).any(|w| w[1].gen_time <= w[0].gen_time) {
+        return Err(Error::Corrupt(
+            "blocks are not sorted across boundaries".into(),
+        ));
+    }
+    match (points.first(), points.last()) {
+        (Some(first), Some(last))
+            if first.gen_time == index.min_tg
+                && last.gen_time == index.max_tg => {}
+        _ => {
+            return Err(Error::Corrupt(
+                "index min/max do not match records".into(),
+            ))
+        }
+    }
+    if let Some(filter) = &index.filter {
+        if points.iter().any(|p| !filter.may_contain_point(p.gen_time)) {
+            return Err(Error::Corrupt(
+                "filter reports a stored point absent".into(),
+            ));
+        }
+    }
+    Ok(points)
+}
+
+/// Block-granular range read: decodes only the blocks whose generation-time
+/// range overlaps `range` — none at all when the index (or its filter)
+/// rules the range out — and reports exactly how much was scanned. The
+/// returned points are filtered to `range`. A v1 table is one block.
+///
+/// # Errors
+/// [`Error::Corrupt`] on any validation failure in the touched region.
+pub fn decode_range(data: &[u8], range: TimeRange) -> Result<RangeRead> {
+    let index = read_table_index(data)?;
+    let mut read = RangeRead::default();
+    if !index.may_contain(range) {
+        return Ok(read);
+    }
+    for (b, _) in index.overlapping(range) {
+        let block = decode_index_block(data, &index, b)?;
+        read.blocks_read += 1;
+        read.points_scanned += block.len() as u64;
+        read.points
+            .extend(block.into_iter().filter(|p| range.contains(p.gen_time)));
+    }
+    Ok(read)
+}
+
+/// Decodes (and CRC-validates) one block named by `index.blocks[block]`
+/// out of the whole table `data`.
+///
+/// # Errors
+/// [`Error::Corrupt`] if `block` is out of range, its span leaves the
+/// file, or the block fails validation.
 pub fn decode_index_block(
     data: &[u8],
     index: &TableIndex,
     block: usize,
 ) -> Result<Vec<DataPoint>> {
-    let span = index.blocks.get(block).ok_or_else(|| {
-        Error::Corrupt(format!(
-            "block {block} out of range ({} blocks)",
-            index.blocks.len()
-        ))
-    })?;
-    match index.version {
-        VERSION_BLOCKS => {
-            let header = V2Header {
-                count: index.count,
-                min_tg: index.min_tg,
-                max_tg: index.max_tg,
-                index: Vec::new(),
-                data_start: index.data_start,
-            };
-            let entry = V2Entry {
-                first: span.first,
-                last: span.last,
-                count: span.count,
-                offset: span.offset,
-                len: span.len,
-            };
-            decode_v2_block(data, &header, &entry)
-        }
-        VERSION_PRUNED => {
-            let start = index.data_start + span.offset as usize;
-            let end = start + span.len as usize;
-            if end > data.len() {
-                return Err(Error::Corrupt(
-                    "v3 block extends past file".into(),
-                ));
-            }
-            decode_block_common(
-                &data[start..end],
-                span.first,
-                span.last,
-                span.count,
-            )
-        }
-        _ => decode(data),
-    }
+    let span = index.block_span(block)?;
+    // A block may not run into the whole-file CRC trailing a v2 table.
+    let limit = data.len().saturating_sub(index.file_crc_len);
+    let bytes = usize::try_from(span.end())
+        .ok()
+        .filter(|&end| end <= limit)
+        .and_then(|end| data.get(span.offset as usize..end))
+        .ok_or_else(|| Error::Corrupt("block extends past file".into()))?;
+    decode_index_block_bytes(index, block, bytes)
 }
 
 /// Decodes one block from exactly its own bytes (as named by
-/// [`TableIndex::block_span`]) — the ranged-read twin of
-/// [`decode_index_block`]: the caller fetched only `span.len` bytes from
-/// the store instead of holding the whole table.
+/// [`TableIndex::block_span`]) — what [`decode_index_block`] slices out of
+/// a whole table and what a ranged reader fetched from the store instead.
 ///
 /// # Errors
 /// [`Error::Corrupt`] if `block` is out of range, `bytes` has the wrong
@@ -1300,82 +1113,109 @@ pub fn decode_index_block_bytes(
         )));
     }
     if index.version == VERSION {
-        // A v1 "block" is the whole file: full validated decode.
-        return decode(bytes);
+        decode_v1_records(bytes, span)
+    } else {
+        decode_block_common(bytes, span)
     }
-    decode_block_common(bytes, span.first, span.last, span.count)
 }
 
-/// Block-granular range read: decodes only the blocks whose generation-time
-/// range overlaps `range` and reports exactly how much was scanned.
-///
-/// For v1 tables the whole table is one block (full decode); v2 tables use
-/// the block index. Either way the returned points are filtered to `range`.
-///
-/// # Errors
-/// [`Error::Corrupt`] on any validation failure in the touched region.
-pub fn decode_range(data: &[u8], range: TimeRange) -> Result<RangeRead> {
-    if data.len() >= 6 && &data[..4] == MAGIC {
-        let version = codec::read_u16_le(data, 4)?;
-        if version == VERSION_PRUNED {
-            let index = parse_v3(data)?;
-            let mut read = RangeRead {
-                points: Vec::new(),
-                points_scanned: 0,
-                blocks_read: 0,
-            };
-            // Filter-first: a pruned table decodes nothing at all.
-            if !index.may_contain(range) {
-                return Ok(read);
-            }
-            for (b, span) in index.blocks.iter().enumerate() {
-                if span.last < range.start || span.first > range.end {
-                    continue;
-                }
-                let block = decode_index_block(data, &index, b)?;
-                read.blocks_read += 1;
-                read.points_scanned += block.len() as u64;
-                read.points.extend(
-                    block.into_iter().filter(|p| range.contains(p.gen_time)),
-                );
-            }
-            return Ok(read);
-        }
-        if version == VERSION_BLOCKS {
-            let header = parse_v2_header(data)?;
-            let mut read = RangeRead {
-                points: Vec::new(),
-                points_scanned: 0,
-                blocks_read: 0,
-            };
-            if header.max_tg < range.start || header.min_tg > range.end {
-                return Ok(read);
-            }
-            for entry in &header.index {
-                if entry.last < range.start || entry.first > range.end {
-                    continue;
-                }
-                let block = decode_v2_block(data, &header, entry)?;
-                read.blocks_read += 1;
-                read.points_scanned += block.len() as u64;
-                read.points.extend(
-                    block.into_iter().filter(|p| range.contains(p.gen_time)),
-                );
-            }
-            return Ok(read);
-        }
+/// Splits `region` into its body and the little-endian CRC-32 that trails
+/// it, verifying the CRC over the body.
+fn verify_crc<'a>(region: &'a [u8], what: &str) -> Result<&'a [u8]> {
+    let Some(body_len) = region.len().checked_sub(4) else {
+        return Err(Error::Corrupt(format!("{what} too short for a CRC")));
+    };
+    let (body, crc_bytes) = region.split_at(body_len);
+    let stored = codec::read_u32_le(crc_bytes, 0)?;
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(Error::Corrupt(format!(
+            "{what} CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
+        )));
     }
-    // v1 (or anything else): full validated decode counts as one block.
-    let points = decode(data)?;
-    let points_scanned = points.len() as u64;
-    Ok(RangeRead {
-        points: points
-            .into_iter()
-            .filter(|p| range.contains(p.gen_time))
-            .collect(),
-        points_scanned,
-        blocks_read: 1,
-    })
+    Ok(body)
+}
+
+/// Decodes a v1 table's single "block" — the whole file, so this is where
+/// the v1 whole-file CRC, trailing-bytes and header min/max checks live.
+fn decode_v1_records(file: &[u8], span: &BlockSpan) -> Result<Vec<DataPoint>> {
+    let body = verify_crc(file, "SSTable")?;
+    let mut buf = body.get(V1_FIXED..).ok_or_else(|| {
+        Error::Corrupt(format!("SSTable too short: {} bytes", file.len()))
+    })?;
+    let count = span.count as usize;
+    // Bounded against the payload when the index was built
+    // ([`parse_v1_header`]), so a corrupt count cannot size this.
+    let mut points = Vec::with_capacity(count);
+    let mut prev_tg = None::<i64>;
+    for _ in 0..count {
+        let gen_time = match prev_tg {
+            None => get_ivarint(&mut buf)?,
+            Some(prev) => {
+                let delta = get_uvarint(&mut buf)?;
+                prev.checked_add(delta as i64).ok_or_else(|| {
+                    Error::Corrupt("gen_time delta overflow".into())
+                })?
+            }
+        };
+        prev_tg = Some(gen_time);
+        let delay = get_ivarint(&mut buf)?;
+        if buf.remaining() < 8 {
+            return Err(Error::Corrupt("truncated record value".into()));
+        }
+        let value = f64::from_bits(buf.get_u64_le());
+        points.push(DataPoint::with_delay(gen_time, delay, value));
+    }
+    if buf.has_remaining() {
+        return Err(Error::Corrupt(format!(
+            "{} trailing bytes after {count} records",
+            buf.remaining()
+        )));
+    }
+    check_block_ends(&points, span)?;
+    Ok(points)
+}
+
+/// Decodes one compressed block given exactly its bytes
+/// (`payload ++ crc32`), shared by the v2 and v3 formats.
+fn decode_block_common(
+    block: &[u8],
+    span: &BlockSpan,
+) -> Result<Vec<DataPoint>> {
+    let payload = verify_crc(block, "block")?;
+    let count = span.count as usize;
+    // Each of the three bit streams spends at least one bit per record, so
+    // a count beyond the payload's bit budget is corrupt; rejecting it here
+    // also caps the slice allocations inside the stream decoders.
+    if count > payload.len() * 8 {
+        return Err(Error::Corrupt(format!(
+            "block count {count} exceeds the {}-byte payload's capacity",
+            payload.len()
+        )));
+    }
+    let mut reader = BitReader::new(payload);
+    let tgs = decode_i64s(&mut reader, count)?;
+    let delays = decode_i64s(&mut reader, count)?;
+    let values = decode_f64s(&mut reader, count)?;
+    let mut points = Vec::with_capacity(count);
+    for i in 0..count {
+        points.push(DataPoint::with_delay(tgs[i], delays[i], values[i]));
+    }
+    check_block_ends(&points, span)?;
+    Ok(points)
+}
+
+/// A decoded block must start and end at the generation times its index
+/// entry (for v1: the file header) names.
+fn check_block_ends(points: &[DataPoint], span: &BlockSpan) -> Result<()> {
+    if points.first().map(|p| p.gen_time) != Some(span.first)
+        || points.last().map(|p| p.gen_time) != Some(span.last)
+    {
+        return Err(Error::Corrupt(
+            "block contents disagree with index entry".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1775,6 +1615,59 @@ mod tests {
         assert_eq!(all, pts);
     }
 
+    /// Reads `range` through every in-crate entry point: `decode_range`,
+    /// both block decoders under the slice constructor's index, and the
+    /// ranged walk (the v3 tail fetched span by span, never the header).
+    fn read_every_way(
+        bytes: &[u8],
+        range: TimeRange,
+    ) -> Vec<(&'static str, Result<RangeRead>)> {
+        let via_index = |index: &TableIndex, whole: bool| {
+            let mut read = RangeRead::default();
+            if !index.may_contain(range) {
+                return Ok(read);
+            }
+            for (b, _) in index.overlapping(range) {
+                let points = if whole {
+                    decode_index_block(bytes, index, b)?
+                } else {
+                    let span = index.block_span(b)?;
+                    let block =
+                        &bytes[span.offset as usize..span.end() as usize];
+                    decode_index_block_bytes(index, b, block)?
+                };
+                read.blocks_read += 1;
+                read.points_scanned += points.len() as u64;
+                read.points.extend(
+                    points.into_iter().filter(|p| range.contains(p.gen_time)),
+                );
+            }
+            Ok(read)
+        };
+        let fetch = |span: ByteSpan| {
+            bytes
+                .get(span.offset as usize..span.end() as usize)
+                .ok_or_else(|| Error::Corrupt("span outside table".into()))
+        };
+        vec![
+            ("decode_range", decode_range(bytes, range)),
+            (
+                "decode_index_block",
+                read_table_index(bytes).and_then(|i| via_index(&i, true)),
+            ),
+            (
+                "decode_index_block_bytes",
+                read_table_index(bytes).and_then(|i| via_index(&i, false)),
+            ),
+            (
+                "ranged walk",
+                v3_footer(bytes.len() as u64, fetch)
+                    .and_then(|meta| v3_index(meta, fetch))
+                    .and_then(|i| via_index(&i, false)),
+            ),
+        ]
+    }
+
     #[test]
     fn v3_legacy_entries_parse_without_aggregates_and_still_decode() {
         let pts = sample_points(300); // 3 blocks: 128 + 128 + 44
@@ -1785,14 +1678,27 @@ mod tests {
         assert!(index.blocks.iter().all(|b| b.agg.is_none()));
         // Full decode (the audit path) must not demand aggregates …
         assert_eq!(decode(&bytes).expect("decode"), pts);
-        // … and ranged reads still work block-granularly.
-        let range = seplsm_types::TimeRange::new(
-            1_000_000 + 130 * 50,
-            1_000_000 + 140 * 50,
-        );
-        let read = decode_range(&bytes, range).expect("range read");
-        assert_eq!(read.blocks_read, 1);
-        assert_eq!(read.points.len(), 11);
+        // … and ranged reads still work block-granularly, identically
+        // through every entry point.
+        let range = TimeRange::new(1_000_000 + 130 * 50, 1_000_000 + 140 * 50);
+        for (entry, read) in read_every_way(&bytes, range) {
+            let read = read.expect(entry);
+            assert_eq!(read.blocks_read, 1, "{entry}");
+            assert_eq!(read.points_scanned, 128, "{entry}");
+            assert_eq!(read.points, pts[130..=140], "{entry}");
+        }
+        // A flipped byte anywhere is rejected by the full decode, and by
+        // every ranged entry point it is within reach of.
+        for pos in 0..bytes.len() {
+            let mut bad = bytes.to_vec();
+            bad[pos] ^= 0x10;
+            assert!(decode(&bad).is_err(), "flip at byte {pos}");
+            for (entry, read) in read_every_way(&bad, range) {
+                let Ok(read) = read else { continue };
+                assert_eq!(read.points, pts[130..=140], "{entry} byte {pos}");
+                assert_eq!((read.blocks_read, read.points_scanned), (1, 128));
+            }
+        }
     }
 
     #[test]

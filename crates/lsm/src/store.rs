@@ -93,9 +93,15 @@ pub trait TableStore: Send + Sync {
     fn list(&self) -> Result<Vec<SsTableId>>;
 
     /// Block-granular range read: decodes only the blocks overlapping
-    /// `range` (v2 tables) and reports what was scanned. The default reads
-    /// the whole table (v1 behaviour).
+    /// `range` — none when the table's index or filter rules the range out
+    /// — and reports what was scanned. The default is one
+    /// [`read_raw`](TableStore::read_raw) through
+    /// [`format::decode_range`]; a store that exposes no raw bytes decodes
+    /// the whole table and counts it as one block.
     fn get_range(&self, id: SsTableId, range: TimeRange) -> Result<RangeRead> {
+        if let Some(bytes) = self.read_raw(id)? {
+            return format::decode_range(&bytes, range);
+        }
         let points = self.get(id)?;
         let points_scanned = points.len() as u64;
         Ok(RangeRead {
@@ -155,14 +161,14 @@ pub trait TableStore: Send + Sync {
     /// hold any point in `range`. `Ok(Some(false))` is a **definitive**
     /// miss (the caller can skip the table without touching data blocks);
     /// `Ok(Some(true))` may be a false positive; `Ok(None)` means the
-    /// store cannot judge (no pruning metadata available).
+    /// store cannot judge (no pruning metadata available). The default
+    /// judges from a freshly loaded index ([`load_index`]).
     fn may_contain(
         &self,
         id: SsTableId,
         range: TimeRange,
     ) -> Result<Option<bool>> {
-        let _ = (id, range);
-        Ok(None)
+        Ok(load_index(self, id)?.map(|(index, _)| index.may_contain(range)))
     }
 
     /// Hints that the table is expected to be deleted soon (a freshly
@@ -201,32 +207,36 @@ fn slice_span(bytes: &Bytes, span: ByteSpan) -> Result<Bytes> {
     Ok(bytes.slice(start..end))
 }
 
-/// Loads a [`TableIndex`] through byte-granular reads when the table turns
-/// out to be v3 (footer → metaindex → index + filter — ~a few hundred
-/// bytes), falling back to one whole-file [`read_raw`] for v1/v2 tables or
-/// stores without ranged reads. Returns the index plus the raw bytes *if*
-/// a whole-file read happened anyway (so callers can decode blocks from it
-/// without a second read).
+/// Second constructor of a [`TableIndex`], the ranged twin of
+/// [`format::read_table_index`]: a table whose last bytes are a v3 footer
+/// is walked through byte-granular reads (footer → metaindex → index +
+/// filter — ~a few hundred bytes); anything else (a v1/v2 table, a torn v3
+/// write, a store without ranged reads) takes one whole-file
+/// [`read_raw`]. Returns the index plus the raw bytes *if* a whole-file
+/// read happened anyway (so callers can decode blocks from it without a
+/// second read).
 ///
 /// [`read_raw`]: TableStore::read_raw
 pub fn load_index<S: TableStore + ?Sized>(
     store: &S,
     id: SsTableId,
 ) -> Result<Option<(TableIndex, Option<Bytes>)>> {
+    let fetch = |span: ByteSpan| -> Result<Bytes> {
+        store.read_span(id, span)?.ok_or_else(|| {
+            Error::Corrupt(format!("ranged read of table {id} unavailable"))
+        })
+    };
     if let Some(len) = store.table_len(id)? {
         if len >= (format::V3_FOOTER + format::V3_METAINDEX) as u64 {
-            let tail = store.read_span(
-                id,
-                ByteSpan {
-                    offset: len - format::V3_FOOTER as u64,
-                    len: format::V3_FOOTER as u64,
-                },
-            )?;
-            if let Some(tail) = tail {
-                if let Ok(meta_span) = format::parse_v3_footer(&tail) {
-                    return load_index_v3(store, id, len, meta_span)
-                        .map(|index| Some((index, None)));
+            match format::v3_footer(len, fetch) {
+                Ok(meta) => {
+                    let index = format::v3_index(meta, fetch)?;
+                    return Ok(Some((index, None)));
                 }
+                // No v3 footer, or no ranged reads: the whole-file
+                // constructor below decides what the table is.
+                Err(Error::Corrupt(_)) => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -235,36 +245,6 @@ pub fn load_index<S: TableStore + ?Sized>(
     };
     let index = format::read_table_index(&bytes)?;
     Ok(Some((index, Some(bytes))))
-}
-
-/// The v3 arm of [`load_index`]: the footer named a metaindex span; fetch
-/// metaindex, index and filter blocks by range and assemble the index.
-fn load_index_v3<S: TableStore + ?Sized>(
-    store: &S,
-    id: SsTableId,
-    len: u64,
-    meta_span: ByteSpan,
-) -> Result<TableIndex> {
-    let tail_start = len - format::V3_FOOTER as u64;
-    if meta_span.end() > tail_start {
-        return Err(Error::Corrupt("v3 metaindex span out of bounds".into()));
-    }
-    let fetch = |span: ByteSpan| -> Result<Bytes> {
-        store.read_span(id, span)?.ok_or_else(|| {
-            Error::Corrupt(format!("ranged read of table {id} unavailable"))
-        })
-    };
-    let (index_span, filter_span) =
-        format::parse_v3_metaindex(&fetch(meta_span)?)?;
-    for span in [index_span, filter_span] {
-        if span.end() > meta_span.offset {
-            return Err(Error::Corrupt("v3 block span out of bounds".into()));
-        }
-    }
-    let mut index = format::parse_v3_index(&fetch(index_span)?)?;
-    index.filter =
-        Some(crate::sstable::TableFilter::decode(&fetch(filter_span)?)?);
-    Ok(index)
 }
 
 /// An in-memory [`TableStore`] holding encoded SSTable bytes.
@@ -281,13 +261,13 @@ struct MemStoreInner {
 }
 
 impl MemStore {
-    /// Creates an empty in-memory store using the v1 record format.
+    /// Creates an empty in-memory store writing the default (v3) format.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty store encoding tables with `options` (e.g. the v2
-    /// compressed-block format).
+    /// Creates an empty store encoding tables with `options` (an older
+    /// dialect, or another block size).
     pub fn with_options(options: EncodeOptions) -> Self {
         Self {
             inner: Mutex::default(),
@@ -298,6 +278,16 @@ impl MemStore {
     /// Total encoded bytes currently held.
     pub fn encoded_bytes(&self) -> usize {
         self.inner.lock().tables.values().map(Bytes::len).sum()
+    }
+
+    /// The encoded bytes of table `id`.
+    fn bytes(&self, id: SsTableId) -> Result<Bytes> {
+        self.inner
+            .lock()
+            .tables
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| Error::Corrupt(format!("missing table {id}")))
     }
 }
 
@@ -313,14 +303,7 @@ impl TableStore for MemStore {
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
-        let bytes = self
-            .inner
-            .lock()
-            .tables
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| Error::Corrupt(format!("missing table {id}")))?;
-        format::decode(&bytes)
+        format::decode(&self.bytes(id)?)
     }
 
     fn delete(&self, id: SsTableId) -> Result<()> {
@@ -335,37 +318,12 @@ impl TableStore for MemStore {
         Ok(ids)
     }
 
-    fn get_range(&self, id: SsTableId, range: TimeRange) -> Result<RangeRead> {
-        let bytes = self
-            .inner
-            .lock()
-            .tables
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| Error::Corrupt(format!("missing table {id}")))?;
-        format::decode_range(&bytes, range)
-    }
-
     fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
-        let bytes = self
-            .inner
-            .lock()
-            .tables
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| Error::Corrupt(format!("missing table {id}")))?;
-        Ok(Some(bytes))
+        self.bytes(id).map(Some)
     }
 
     fn table_len(&self, id: SsTableId) -> Result<Option<u64>> {
-        let len = self
-            .inner
-            .lock()
-            .tables
-            .get(&id)
-            .map(Bytes::len)
-            .ok_or_else(|| Error::Corrupt(format!("missing table {id}")))?;
-        Ok(Some(len as u64))
+        Ok(Some(self.bytes(id)?.len() as u64))
     }
 
     fn read_span(
@@ -373,25 +331,7 @@ impl TableStore for MemStore {
         id: SsTableId,
         span: ByteSpan,
     ) -> Result<Option<Bytes>> {
-        let bytes = self
-            .inner
-            .lock()
-            .tables
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| Error::Corrupt(format!("missing table {id}")))?;
-        Ok(Some(slice_span(&bytes, span)?))
-    }
-
-    fn may_contain(
-        &self,
-        id: SsTableId,
-        range: TimeRange,
-    ) -> Result<Option<bool>> {
-        match load_index(self, id)? {
-            Some((index, _)) => Ok(Some(index.may_contain(range))),
-            None => Ok(None),
-        }
+        slice_span(&self.bytes(id)?, span).map(Some)
     }
 }
 
@@ -430,7 +370,7 @@ impl FileStore {
     }
 
     /// Opens a store that encodes new tables with `options`; existing
-    /// tables of either version remain readable.
+    /// tables of every dialect remain readable.
     pub fn open_with(
         dir: impl AsRef<Path>,
         options: EncodeOptions,
@@ -611,12 +551,6 @@ impl TableStore for FileStore {
         Ok(ids)
     }
 
-    fn get_range(&self, id: SsTableId, range: TimeRange) -> Result<RangeRead> {
-        fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        let bytes = std::fs::read(self.path_for(id))?;
-        format::decode_range(&bytes, range)
-    }
-
     fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
         let bytes = std::fs::read(self.path_for(id))?;
@@ -653,17 +587,6 @@ impl TableStore for FileStore {
         let mut buf = vec![0u8; len];
         f.read_exact(&mut buf)?;
         Ok(Some(buf.into()))
-    }
-
-    fn may_contain(
-        &self,
-        id: SsTableId,
-        range: TimeRange,
-    ) -> Result<Option<bool>> {
-        match load_index(self, id)? {
-            Some((index, _)) => Ok(Some(index.may_contain(range))),
-            None => Ok(None),
-        }
     }
 
     fn quarantine(&self, id: SsTableId) -> Result<()> {
@@ -878,22 +801,12 @@ impl TableStore for CachedStore {
         let Some(index) = self.index_for(id, &mut raw)? else {
             return self.inner.get_range(id, range);
         };
-        let mut read = RangeRead {
-            points: Vec::new(),
-            points_scanned: 0,
-            blocks_read: 0,
-        };
+        let mut read = RangeRead::default();
         // Index + filter pruning: a definitive miss examines no blocks.
         if !index.may_contain(range) {
             return Ok(read);
         }
-        for block in 0..index.blocks.len() {
-            let Some(span) = index.blocks.get(block).copied() else {
-                break;
-            };
-            if span.last < range.start || span.first > range.end {
-                continue;
-            }
+        for (block, _) in index.overlapping(range) {
             let points = self.block_via_cache(
                 id,
                 &index,
@@ -1446,6 +1359,67 @@ mod tests {
                     }
                 )
                 .is_err());
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// `/proc` read bytes and read syscalls are end-to-end benchmark
+    /// metrics, so what each read method costs a `FileStore` is pinned op
+    /// for op: every one is `IoOp::StoreRead`, and the count per call is
+    /// the number of file opens/stats it may issue.
+    #[test]
+    fn file_store_read_methods_issue_a_pinned_io_sequence() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-iotrace-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // (dialect, reads of `may_contain` / `table_index`): a v3 index
+        // loads through table_len + footer + metaindex + index + filter
+        // spans; a v2 one through table_len + footer probe + whole file.
+        for (options, index_reads) in [
+            (EncodeOptions::pruned(), 5),
+            (EncodeOptions::compressed(), 3),
+        ] {
+            let plan = FaultPlan::trace_only(0);
+            let store = FileStore::open_with(&dir, options)
+                .expect("open")
+                .with_faults(Arc::clone(&plan));
+            let (meta, size) = store.put(&pts(0..300)).expect("put");
+            let id = meta.id;
+            let range = TimeRange::new(0, 500);
+            let span = ByteSpan { offset: 0, len: 6 };
+            let traced = |what: &str, reads: usize, call: &dyn Fn()| {
+                let before = plan.trace().len();
+                call();
+                assert_eq!(
+                    plan.trace()[before..],
+                    vec![IoOp::StoreRead; reads],
+                    "{what} on a {size}-byte table"
+                );
+            };
+            traced("get", 1, &|| {
+                store.get(id).expect("get");
+            });
+            traced("get_range", 1, &|| {
+                store.get_range(id, range).expect("get_range");
+            });
+            traced("read_raw", 1, &|| {
+                store.read_raw(id).expect("read_raw");
+            });
+            traced("table_len", 1, &|| {
+                store.table_len(id).expect("table_len");
+            });
+            traced("read_span", 1, &|| {
+                store.read_span(id, span).expect("read_span");
+            });
+            traced("may_contain", index_reads, &|| {
+                store.may_contain(id, range).expect("may_contain");
+            });
+            traced("table_index", index_reads, &|| {
+                store.table_index(id).expect("table_index");
+            });
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

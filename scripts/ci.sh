@@ -20,6 +20,20 @@ else
   echo "== cargo clippy not installed; skipping lint =="
 fi
 
+# Rustdoc lane: an intra-doc link to a function a PR deleted or renamed is
+# an error, over the workspace's own crates only (not the vendored shims).
+if rustdoc --version >/dev/null 2>&1; then
+  echo "== cargo doc (broken intra-doc links) =="
+  DOC_PKGS=()
+  for manifest in crates/*/Cargo.toml; do
+    DOC_PKGS+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -1)")
+  done
+  RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --no-deps --offline -q "${DOC_PKGS[@]}"
+else
+  echo "== rustdoc not installed; skipping doc-link check =="
+fi
+
 # seplint emits machine-readable findings so a CI failure names the exact
 # file/line/rule instead of burying it in the build log.
 echo "== seplint (R3-R9 storage-kernel contracts) =="

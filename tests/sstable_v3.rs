@@ -13,8 +13,7 @@ use seplsm_lsm::sstable::format::{
     decode, decode_range, encode_with, read_table_index, sniff_version,
     ByteSpan, EncodeOptions, VERSION_PRUNED,
 };
-use seplsm_lsm::sstable::{RangeRead, SsTableId, SsTableMeta, TableFilter};
-use seplsm_lsm::store::load_index;
+use seplsm_lsm::sstable::{SsTableId, SsTableMeta, TableFilter};
 use seplsm_lsm::{
     BlockCache, EngineConfig, OpenOptions, QueryStats, TableStore,
 };
@@ -91,10 +90,6 @@ impl TableStore for RotatingStore {
         decode(&self.bytes_for(id)?)
     }
 
-    fn get_range(&self, id: SsTableId, range: TimeRange) -> Result<RangeRead> {
-        decode_range(&self.bytes_for(id)?, range)
-    }
-
     fn delete(&self, id: SsTableId) -> Result<()> {
         self.inner.lock().expect("store mutex").tables.remove(&id);
         Ok(())
@@ -144,17 +139,6 @@ impl TableStore for RotatingStore {
             )));
         }
         Ok(Some(bytes.slice(start..end)))
-    }
-
-    fn may_contain(
-        &self,
-        id: SsTableId,
-        range: TimeRange,
-    ) -> Result<Option<bool>> {
-        match load_index(self, id)? {
-            Some((index, _)) => Ok(Some(index.may_contain(range))),
-            None => Ok(None),
-        }
     }
 }
 
