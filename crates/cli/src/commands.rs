@@ -416,6 +416,16 @@ pub fn stats(opts: &Opts) -> Result<()> {
             wal.live_bytes, wal.dead_bytes, wal.frames, wal.cuts
         );
     }
+    if let Some(manifest) = engine.manifest_stats() {
+        println!(
+            "manifest at rest: {} records, {} live, {} commits, \
+             {} rewrites",
+            manifest.records,
+            manifest.live,
+            manifest.commits,
+            manifest.rewrites
+        );
+    }
     if let Some(cache) = &cache {
         let cs = cache.stats();
         println!(

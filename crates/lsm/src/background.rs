@@ -19,6 +19,7 @@
 //! merges L0 into the run — both through the same
 //! [`plan_merge`](crate::compaction::plan_merge) →
 //! [`write_outputs`](crate::compaction::write_outputs) →
+//! [`sync_outputs`](crate::compaction::sync_outputs) →
 //! [`commit`](crate::compaction::commit) pipeline as the foreground
 //! engine. The bounded channel back-pressures the writer if the worker
 //! cannot keep up (realistic write-stall behaviour).
@@ -235,7 +236,7 @@ impl TierState {
 ///    [`TierState::compacting`], then capture the L0 and overlapping-run
 ///    metadata and raise the flag.
 /// 2. **Write** (unlocked): read the inputs, plan, and store the merged
-///    outputs ([`compaction::write_outputs`]).
+///    outputs ([`compaction::write_outputs`], [`compaction::sync_outputs`]).
 /// 3. **Commit** (locked): apply the version edit, record the manifest, do
 ///    the metric accounting ([`compaction::commit`]), clear the flag, and
 ///    signal `flush_done`.
@@ -301,7 +302,9 @@ fn compact_l0_once(
         if let Some(ticks) = paced {
             obs.emit(|| Event::CompactionPaced { ticks });
         }
-        compaction::write_outputs(plan, store.as_ref(), obs)
+        let prepared = compaction::write_outputs(plan, store.as_ref(), obs)?;
+        compaction::sync_outputs(&prepared, store.as_ref())?;
+        Ok(prepared)
     })();
 
     // Phase 3: commit under the lock; the flag clears on every path out.
@@ -455,7 +458,7 @@ impl Kind for Background {
                 &mut report,
                 &obs,
                 |e, _, p| e.append_internal(p, false).map(drop),
-                |e| vec![(0, e.wal_survivors())],
+                |e| Ok(vec![(0, e.wal_survivors())]),
             )?);
         }
         if recover && options.recovery.gc_orphans {
@@ -564,11 +567,16 @@ impl TieredEngine {
                                 sstable_points,
                                 None,
                             );
-                            compaction::write_outputs(
+                            let prepared = compaction::write_outputs(
                                 plan,
                                 worker_store.as_ref(),
                                 &worker_obs,
-                            )
+                            )?;
+                            compaction::sync_outputs(
+                                &prepared,
+                                worker_store.as_ref(),
+                            )?;
+                            Ok(prepared)
                         }) {
                             Ok(prepared) => prepared,
                             Err(e) => {

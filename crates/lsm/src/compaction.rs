@@ -7,13 +7,18 @@
 //! [`VersionEdit`], records the manifest, and does all metric accounting.
 //! Every flush is a merge plan — an in-order flush is the plan with no
 //! inputs — and every engine turns points into committed tables through
-//! [`write_outputs`] → [`commit`] → [`retire_inputs`], so the
-//! write-amplification arithmetic the paper measures exists exactly once.
+//! [`write_outputs`] → [`sync_outputs`] → [`commit`] → [`retire_inputs`],
+//! so the write-amplification arithmetic the paper measures exists exactly
+//! once. An engine whose owner keeps the manifest (a durable fleet's
+//! series) runs the same sequence on the owner's schedule: it commits in
+//! memory at once and leaves the directory fsync, the manifest records and
+//! the input deletions in its [`Outbox`] for the owner's next commit
+//! point.
 
 use seplsm_types::{DataPoint, Result};
 
 use crate::iterator::merge_sorted;
-use crate::manifest::Manifest;
+use crate::manifest::{Manifest, ManifestEdit};
 use crate::metrics::Metrics;
 use crate::obs::{Event, ObserverHandle};
 use crate::sstable::{SsTableId, SsTableMeta};
@@ -135,9 +140,9 @@ pub struct PreparedCompaction {
 
 /// Phase 1 of plan execution: announces the plan (`FlushStarted` /
 /// `CompactionPlanned`) and publishes every output table as one
-/// [`TableStore::put_batch`]. Touches
-/// no version, manifest or metrics state, so callers may run it without
-/// holding any engine lock.
+/// [`TableStore::publish_batch`] — bytes durable, names not yet: see
+/// [`sync_outputs`]. Touches no version, manifest or metrics state, so
+/// callers may run it without holding any engine lock.
 ///
 /// # Errors
 /// Storage failures; no version state has been touched, but already-written
@@ -160,7 +165,7 @@ pub fn write_outputs(
     }
     let chunks: Vec<&[DataPoint]> =
         plan.outputs.iter().map(Vec::as_slice).collect();
-    let stored = store.put_batch(&chunks)?;
+    let stored = store.publish_batch(&chunks)?;
     let bytes_written = stored.iter().map(|(_, size)| *size as u64).sum();
     let added = stored.into_iter().map(|(meta, _)| meta).collect();
     Ok(PreparedCompaction {
@@ -170,14 +175,31 @@ pub fn write_outputs(
     })
 }
 
-/// Phase 2 of plan execution — the only writer of version + manifest +
+/// Phase 2 of plan execution: makes the published outputs durable under
+/// their names ([`TableStore::sync_published`] — the store's one
+/// directory fsync), which [`commit`]'s manifest record relies on. Like
+/// phase 1 it needs no engine lock.
+///
+/// # Errors
+/// Storage failures; the outputs stay behind, unreferenced.
+pub fn sync_outputs(
+    prepared: &PreparedCompaction,
+    store: &dyn TableStore,
+) -> Result<()> {
+    if prepared.added.is_empty() {
+        return Ok(());
+    }
+    store.sync_published()
+}
+
+/// Phase 3 of plan execution — the only writer of version + manifest +
 /// metrics: atomically applies the one [`VersionEdit`] that `place` makes
 /// of the plan's consumed inputs and stored outputs
 /// ([`VersionEdit::Replace`] for a merge into the run,
 /// [`VersionEdit::FlushToL0`] for a background flush), records the
 /// manifest, and does all metric accounting and completion events. Does no
 /// table-store I/O — this is the only phase that needs the engine's state
-/// lock.
+/// lock. Returns the edit it applied.
 ///
 /// # Errors
 /// Version or manifest failures; the version is only mutated if the edit
@@ -189,7 +211,7 @@ pub fn commit(
     manifest: Option<&mut Manifest>,
     metrics: &mut Metrics,
     obs: &ObserverHandle,
-) -> Result<()> {
+) -> Result<VersionEdit> {
     let plan = &prepared.plan;
     let edits = [place(plan.inputs.clone(), prepared.added.clone())];
     version.apply(&edits)?;
@@ -219,10 +241,11 @@ pub fn commit(
     if let Some(subseq) = plan.subsequent {
         metrics.subsequent_counts.push(subseq);
     }
-    Ok(())
+    let [edit] = edits;
+    Ok(edit)
 }
 
-/// Phase 3 of plan execution: deletes the consumed input tables from the
+/// Phase 4 of plan execution: deletes the consumed input tables from the
 /// store. Runs strictly after [`commit`], so readers resolving the *new*
 /// version never look these tables up.
 ///
@@ -245,11 +268,45 @@ pub fn retire_inputs(
     Ok(())
 }
 
+/// What an engine that commits on its owner's schedule owes that owner:
+/// everything its executed plans left undone since the owner last took it.
+#[derive(Debug, Default)]
+pub struct Outbox {
+    /// The manifest records of every plan, in commit order — one edit
+    /// group of the owner's manifest.
+    pub(crate) edits: Vec<ManifestEdit>,
+    /// Consumed input tables, still in the store: to be deleted once
+    /// `edits` are durable.
+    pub(crate) retired: Vec<SsTableId>,
+    /// Output tables published but not yet durable under their names.
+    pub(crate) tables: usize,
+}
+
+impl Outbox {
+    /// `true` when the owner has nothing to commit for this engine.
+    pub fn is_empty(&self) -> bool {
+        self.edits.is_empty()
+    }
+}
+
+/// Who makes an executed plan durable, and when.
+pub enum Journal<'a> {
+    /// The engine itself, before [`execute`] returns: directory fsync,
+    /// then its own manifest (when it keeps one), then the input deletions.
+    Own(Option<&'a mut Manifest>),
+    /// The engine's owner, at its next commit point: the same three steps,
+    /// shared with every other plan waiting there.
+    Owner(&'a mut Outbox),
+}
+
 /// Executes a plan against the run in one call: [`write_outputs`],
-/// [`commit`], [`retire_inputs`]. The inline engine uses this composition
-/// for every flush (an in-order buffer plans with no inputs and commits as
-/// a flush); the background engine calls the phases directly so the store
-/// I/O runs outside its state lock.
+/// [`sync_outputs`], [`commit`], [`retire_inputs`] — or, when `journal`
+/// says the owner commits, `write_outputs` and an in-memory `commit`, with
+/// the other steps left in the outbox (readers see the new tables at once;
+/// the consumed inputs simply stay on disk). The inline engine uses this
+/// composition for every flush (an in-order buffer plans with no inputs
+/// and commits as a flush); the background engine calls the phases
+/// directly so the store I/O runs outside its state lock.
 ///
 /// Merged tables carry correct v3 per-block pre-aggregates by
 /// construction: the encoder re-derives min/max/sum/count from the merged
@@ -267,7 +324,7 @@ pub fn execute(
     plan: CompactionPlan,
     store: &dyn TableStore,
     version: &mut Version,
-    manifest: Option<&mut Manifest>,
+    journal: Journal<'_>,
     metrics: &mut Metrics,
     obs: &ObserverHandle,
 ) -> Result<()> {
@@ -277,8 +334,19 @@ pub fn execute(
         added,
         drain_l0: false,
     };
-    commit(&prepared, into_run, version, manifest, metrics, obs)?;
-    retire_inputs(&prepared, store)?;
+    match journal {
+        Journal::Own(manifest) => {
+            sync_outputs(&prepared, store)?;
+            commit(&prepared, into_run, version, manifest, metrics, obs)?;
+            retire_inputs(&prepared, store)?;
+        }
+        Journal::Owner(outbox) => {
+            commit(&prepared, into_run, version, None, metrics, obs)?
+                .journal(&mut outbox.edits);
+            outbox.retired.extend(&prepared.plan.inputs);
+            outbox.tables += prepared.added.len();
+        }
+    }
     // Debug builds cross-check the committed version against what the
     // store actually holds after every executed plan.
     crate::invariants::check_version_against_store(version, store)?;
@@ -391,7 +459,7 @@ mod tests {
             plan_merge(vec![pts(&[10, 20])], Vec::new(), 2, None),
             &store,
             &mut version,
-            None,
+            Journal::Own(None),
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -414,7 +482,7 @@ mod tests {
             plan,
             &store,
             &mut version,
-            None,
+            Journal::Own(None),
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -458,7 +526,7 @@ mod tests {
                 plan,
                 &store,
                 &mut version,
-                Some(&mut manifest),
+                Journal::Own(Some(&mut manifest)),
                 &mut metrics,
                 &obs,
             )
@@ -520,7 +588,7 @@ mod tests {
             ),
             &store,
             &mut version,
-            None,
+            Journal::Own(None),
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -544,7 +612,7 @@ mod tests {
             plan,
             &store,
             &mut version,
-            None,
+            Journal::Own(None),
             &mut metrics,
             &ObserverHandle::detached(),
         )

@@ -34,11 +34,11 @@ use crate::admission::{
     AdmissionStats, StallTransition,
 };
 use crate::buffer::{FlushTrigger, PolicyBuffers};
-use crate::compaction::{self, RunInput};
+use crate::compaction::{self, Journal, Outbox, RunInput};
 use crate::fault::FaultPlan;
 use crate::invariants::{self, InvariantChecker};
 use crate::level::Run;
-use crate::manifest::Manifest;
+use crate::manifest::{Manifest, ManifestStats};
 use crate::metrics::{Metrics, WaSnapshot};
 use crate::obs::{Event, ObserverHandle};
 use crate::open::{self, Inline, Kind, OpenOptions};
@@ -138,9 +138,10 @@ pub struct LsmEngine {
     metrics: Metrics,
     wal: Option<Wal>,
     manifest: Option<Manifest>,
-    /// A flush has committed since [`LsmEngine::take_committed_flush`] was
-    /// last asked: whoever logs for this engine owes its log a checkpoint.
-    committed_flush: bool,
+    /// Set when the engine's owner keeps the log and the manifest for it (a
+    /// durable fleet's series): flushes commit in memory and leave what
+    /// makes them durable here, for the owner's next commit point.
+    outbox: Option<Outbox>,
     /// Largest generation time ever appended (memory or disk), used by
     /// recent-data query workloads.
     max_gen_seen: Option<Timestamp>,
@@ -186,17 +187,25 @@ impl Kind for Inline {
         let mut report = RecoveryReport::default();
         let obs = options.observer;
         let mode = options.recovery.mode;
-        let version = if recover {
-            recovery::rebuild_version(
+        let version = match (recover, options.kind.levels) {
+            (false, _) => Version::new(),
+            (true, Some(levels)) => recovery::version_from_levels(
+                store.as_ref(),
+                levels,
+                true,
+                mode,
+                false,
+                &mut report,
+                &obs,
+            )?,
+            (true, None) => recovery::rebuild_version(
                 store.as_ref(),
                 options.manifest.as_deref(),
                 mode,
                 false,
                 &mut report,
                 &obs,
-            )?
-        } else {
-            Version::new()
+            )?,
         };
         let mut engine = LsmEngine {
             buffers: PolicyBuffers::for_policy(options.config.policy),
@@ -208,7 +217,7 @@ impl Kind for Inline {
             metrics: Metrics::default(),
             wal: None,
             manifest: None,
-            committed_flush: false,
+            outbox: options.kind.owner_commits.then(Outbox::default),
             admission: AdmissionController::new(options.watermarks),
             obs,
         };
@@ -222,7 +231,7 @@ impl Kind for Inline {
                     &mut report,
                     &obs,
                     |e, _, p| e.append_internal(p, false).map(drop),
-                    |e| vec![(0, e.buffered_snapshot())],
+                    |e| Ok(vec![(0, e.buffered_snapshot())]),
                 )?
             } else {
                 open::open_wal(path, &obs)?
@@ -258,14 +267,21 @@ impl Kind for Inline {
 }
 
 impl LsmEngine {
-    /// Replaces the event sink of the engine and its manifest while a fleet
-    /// flush worker drives the engine (a fleet series has no log of its
-    /// own).
+    /// Replaces the event sink of the engine while a fleet flush worker
+    /// drives it (a fleet series has no log or manifest of its own).
     pub(crate) fn set_observer(&mut self, obs: ObserverHandle) {
-        if let Some(manifest) = self.manifest.as_mut() {
-            manifest.attach_observer(obs.clone());
-        }
         self.obs = obs;
+    }
+
+    /// What the engine's owner has yet to make durable for it; `None` for
+    /// an engine that commits its own flushes.
+    pub(crate) fn outbox(&self) -> Option<&Outbox> {
+        self.outbox.as_ref()
+    }
+
+    /// Hands the outbox's contents to the owner, leaving it empty.
+    pub(crate) fn take_outbox(&mut self) -> Outbox {
+        self.outbox.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Full integrity audit: structural version invariants plus a complete
@@ -458,11 +474,15 @@ impl LsmEngine {
             self.config.sstable_points,
             subsequent_base,
         );
+        let journal = match self.outbox.as_mut() {
+            Some(outbox) => Journal::Owner(outbox),
+            None => Journal::Own(self.manifest.as_mut()),
+        };
         compaction::execute(
             plan,
             self.store.as_ref(),
             &mut self.version,
-            self.manifest.as_mut(),
+            journal,
             &mut self.metrics,
             &self.obs,
         )
@@ -471,11 +491,10 @@ impl LsmEngine {
     /// Checkpoints the WAL down to the still-buffered points after a flush
     /// committed — a frame queued in the log, no I/O — and cuts the file
     /// when its dead bytes have come to outweigh the live ones. An engine
-    /// without a log of its own (a fleet series) leaves the note for its
-    /// owner instead.
+    /// without a log of its own (a fleet series) has nothing to do: its
+    /// owner checkpoints it once the outbox is durable.
     fn compact_wal(&mut self) -> Result<()> {
         let Some(wal) = self.wal.as_mut() else {
-            self.committed_flush = true;
             return Ok(());
         };
         let survivors = self.buffers.snapshot_sorted();
@@ -485,18 +504,14 @@ impl LsmEngine {
         Ok(())
     }
 
-    /// True once per committed flush (or closing [`flush_all`]) of an
-    /// engine that keeps no log of its own: the fleet that logs for it
-    /// checkpoints the series when it reads `true`.
-    ///
-    /// [`flush_all`]: LsmEngine::flush_all
-    pub(crate) fn take_committed_flush(&mut self) -> bool {
-        std::mem::take(&mut self.committed_flush)
-    }
-
     /// Size and history of the write-ahead log, when one is attached.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.wal.as_ref().map(Wal::stats)
+    }
+
+    /// Size and history of the manifest, when one is attached.
+    pub fn manifest_stats(&self) -> Option<ManifestStats> {
+        self.manifest.as_ref().map(Manifest::stats)
     }
 
     /// Flushes and fsyncs the write-ahead log (no-op without a WAL). Call

@@ -342,6 +342,24 @@ impl<S: TableStore> TableStore for FaultStore<S> {
         self.inner.put_batch(chunks)
     }
 
+    /// Numbered like [`put_batch`](TableStore::put_batch): one op per
+    /// table.
+    fn publish_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        for _ in chunks {
+            self.plan.begin(IoOp::StoreWrite)?;
+        }
+        self.inner.publish_batch(chunks)
+    }
+
+    /// Not an op of its own at this granularity: a `put_batch` is counted
+    /// per table, its directory fsync included.
+    fn sync_published(&self) -> Result<()> {
+        self.inner.sync_published()
+    }
+
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
         self.plan.begin(IoOp::StoreRead)?;
         self.inner.get(id)

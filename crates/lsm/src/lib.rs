@@ -28,6 +28,7 @@
 //! * [`compaction`] — [`plan_merge`](compaction::plan_merge), the *pure*
 //!   merge planner (an in-order flush is the plan with no inputs), and
 //!   [`write_outputs`](compaction::write_outputs) →
+//!   [`sync_outputs`](compaction::sync_outputs) →
 //!   [`commit`](compaction::commit) →
 //!   [`retire_inputs`](compaction::retire_inputs), which apply plans to
 //!   store + version + metrics. The WA arithmetic exists exactly once, here.
@@ -136,7 +137,7 @@ pub use fault::{Fault, FaultPlan, FaultStore, IoOp};
 pub use invariants::InvariantChecker;
 pub use iterator::{merge_sorted, MergeIter};
 pub use level::Run;
-pub use manifest::{Manifest, ManifestEdit};
+pub use manifest::{Manifest, ManifestEdit, ManifestStats};
 pub use memtable::MemTable;
 pub use metrics::{Metrics, WaSnapshot};
 pub use multi::{MultiSeriesEngine, SeriesId};

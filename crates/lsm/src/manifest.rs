@@ -18,15 +18,30 @@
 //! is already atomic — so logs written before groups existed are the
 //! degenerate case of this format and replay unchanged.
 //!
+//! **Shared logs.** A fleet keeps one manifest for all of its series. A
+//! group header's `count` field — zero in every log written before fleets
+//! shared one — names the series the group belongs to (`series + 1`; zero
+//! is the one unnamed series of a single-engine log, whose bytes are
+//! therefore what they always were). A tagged change always carries its
+//! header, a tagged header with no body announces a series that holds no
+//! table yet, and [`Manifest::commit_fleet`] appends the groups of many
+//! series in one write behind one fsync. [`Manifest::replay_fleet`] returns
+//! the levels per series under the same all-or-nothing and torn-tail
+//! rules; a header is covered by its own record CRC, so damage to the
+//! series field is damage to the log, never another series' tables.
+//!
 //! **Compaction.** Removed tables leave dead records behind (their add,
 //! the remove, group headers). When a change would leave them outnumbering
 //! the live ones, [`Manifest::commit_or_rewrite`] rewrites the log from the
 //! live tables ([`Manifest::rewrite_levels`]: tmp file, fsync, rename,
-//! directory fsync) instead of appending. Engines also rewrite at open and
+//! directory fsync) instead of appending; a shared log, whose rewrite
+//! copies every series' tables, waits until the dead records outnumber the
+//! live ones several times over. Engines also rewrite at open and
 //! at `flush_all`/`finish` ([`Manifest::compact`]), so a log at rest holds
-//! exactly one record per live table and stays proportional to the live
-//! table count.
+//! exactly one record per live table (a shared log: plus one header per
+//! series) and stays proportional to the live table count.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -47,7 +62,8 @@ const TAG_REMOVE: u8 = 2;
 /// [`Manifest::replay_levels`] to see these.
 const TAG_ADD_L0: u8 = 3;
 /// Header of an edit group: the id field holds the number of body records
-/// that follow, the first four bytes after it the CRC-32 of the body.
+/// that follow, the first four bytes after it the CRC-32 of the body, the
+/// count field the group's series + 1 (zero: the log's one unnamed series).
 const TAG_GROUP: u8 = 4;
 /// Every L0 table leaves at once (a merge drained L0).
 const TAG_DRAIN_L0: u8 = 5;
@@ -58,6 +74,39 @@ const RECORD: usize = PAYLOAD + 4;
 /// Dead records a log may always carry before a commit turns into a
 /// rewrite, so a log of a handful of tables is not rewritten on every merge.
 const COMPACT_MIN_DEAD: u64 = 32;
+/// A shared log is rewritten once its dead records outnumber the live ones
+/// this many times: its rewrite copies every series' tables, so the copy
+/// traffic stays below 1/`FLEET_DEAD_FACTOR` of what the commits appended.
+const FLEET_DEAD_FACTOR: u64 = 4;
+
+/// The live tables of one series: `(run, l0)`, each in log order.
+pub type Levels = (Vec<SsTableMeta>, Vec<SsTableMeta>);
+
+/// One series' live tables, as the rewrite of a shared log takes them.
+#[derive(Debug, Clone, Copy)]
+pub struct SeriesTables<'a> {
+    /// The series the tables belong to.
+    pub series: u32,
+    /// Its run, in range order.
+    pub run: &'a [SsTableMeta],
+    /// Its L0, in flush order.
+    pub l0: &'a [SsTableMeta],
+}
+
+/// Size and history of a manifest, for `seplsm stats`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ManifestStats {
+    /// Records in the file — live, dead and group headers alike.
+    pub records: u64,
+    /// Records a rewrite would keep, as of the last change recorded with
+    /// its levels: one per live table, plus one header per series of a
+    /// shared log.
+    pub live: u64,
+    /// Edit groups (or bare records) made durable since the log was opened.
+    pub commits: u64,
+    /// Times the log was rewritten from the live tables since it was opened.
+    pub rewrites: u64,
+}
 
 /// One table-membership change; [`Manifest::commit`] logs a slice of them
 /// as one atomic edit group.
@@ -113,11 +162,39 @@ fn encode_record(
     rec
 }
 
-/// The header record of a group whose body is `body`.
-fn encode_group_header(body: &[u8]) -> [u8; RECORD] {
+/// The header record of a group of series `tag - 1` (zero: the unnamed
+/// series) whose body is `body`.
+fn encode_group_header(body: &[u8], tag: u32) -> [u8; RECORD] {
     let records = (body.len() / RECORD) as u64;
     let start = i64::from(crc32(body));
-    encode_record(TAG_GROUP, records, TimeRange::new(start, start), 0)
+    encode_record(TAG_GROUP, records, TimeRange::new(start, start), tag)
+}
+
+/// The header tag naming `series` in a shared log.
+fn series_tag(series: u32) -> Result<u32> {
+    series.checked_add(1).ok_or_else(|| {
+        Error::InvalidConfig(format!(
+            "series {series} cannot be named in a shared manifest"
+        ))
+    })
+}
+
+/// Appends `edits` to `buf` as one unit: a lone untagged record as itself,
+/// anything else — a longer change, or any change of a named series —
+/// behind a group header.
+fn encode_unit(buf: &mut Vec<u8>, tag: u32, edits: &[ManifestEdit]) {
+    if tag == 0 && edits.len() == 1 {
+        buf.extend_from_slice(&edits[0].encode());
+        return;
+    }
+    // The header's slot: it goes first but is computed from the body.
+    let header_at = buf.len();
+    buf.extend_from_slice(&[0u8; RECORD]);
+    for edit in edits {
+        buf.extend_from_slice(&edit.encode());
+    }
+    let header = encode_group_header(&buf[header_at + RECORD..], tag);
+    buf[header_at..header_at + RECORD].copy_from_slice(&header);
 }
 
 fn record_ok(rec: &[u8]) -> bool {
@@ -200,12 +277,38 @@ fn scan(data: &[u8]) -> (usize, bool) {
     (good_len, true)
 }
 
+/// The records a rewrite keeps for one series: its run, then its L0.
+fn snapshot_edits<'a>(
+    run: &'a [SsTableMeta],
+    l0: &'a [SsTableMeta],
+) -> impl Iterator<Item = ManifestEdit> + 'a {
+    let run = run.iter().copied().map(ManifestEdit::Add);
+    run.chain(l0.iter().copied().map(ManifestEdit::AddL0))
+}
+
+/// Records of a shared log at rest: one header per series, one record per
+/// live table.
+fn fleet_live(live: &[SeriesTables<'_>]) -> u64 {
+    live.iter()
+        .map(|s| 1 + (s.run.len() + s.l0.len()) as u64)
+        .sum()
+}
+
 /// An append-only, checksummed log of table-membership changes.
 pub struct Manifest {
     writer: BufWriter<File>,
     path: PathBuf,
     /// Records in the log file — live, dead and group headers alike.
     records: u64,
+    /// Records a rewrite would keep, as of the last change recorded with
+    /// its levels.
+    live: u64,
+    commits: u64,
+    rewrites: u64,
+    /// A shared commit failed part-way: the same groups will be offered
+    /// again, and the tail of the file may already hold them. The next
+    /// shared commit rewrites the log instead of appending behind that.
+    tail_in_doubt: bool,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
 }
@@ -243,6 +346,10 @@ impl Manifest {
             writer: BufWriter::new(file),
             path,
             records: (len / RECORD) as u64,
+            live: 0,
+            commits: 0,
+            rewrites: 0,
+            tail_in_doubt: false,
             faults: None,
             obs: ObserverHandle::detached(),
         })
@@ -285,40 +392,39 @@ impl Manifest {
         &self.path
     }
 
-    /// `true` when committing `edits` more edit records to a log that will
-    /// then mirror `live` tables would leave the dead records outnumbering
-    /// the live ones (past a small fixed allowance): rewriting the log from
-    /// the live tables is then the cheaper way to record the change.
-    fn compaction_due(&self, edits: usize, live: usize) -> bool {
-        let header = u64::from(edits > 1);
-        let records = self.records + edits as u64 + header;
-        let live = live as u64;
-        records.saturating_sub(live) > live.max(COMPACT_MIN_DEAD)
+    /// Records, live records, commits and rewrites of this log.
+    pub fn stats(&self) -> ManifestStats {
+        ManifestStats {
+            records: self.records,
+            live: self.live,
+            commits: self.commits,
+            rewrites: self.rewrites,
+        }
     }
 
-    /// Appends `edits` as one unit in one write: a lone record as itself, a
-    /// longer change behind a group header. Buffered:
-    /// [`Manifest::commit`] makes it durable.
-    fn append(&mut self, edits: &[ManifestEdit]) -> Result<()> {
-        let grouped = edits.len() > 1;
-        let mut buf = Vec::with_capacity((edits.len() + 1) * RECORD);
-        if grouped {
-            // The header's slot: it goes first but is computed from the body.
-            buf.extend_from_slice(&[0u8; RECORD]);
-        }
-        for edit in edits {
-            buf.extend_from_slice(&edit.encode());
-        }
-        if grouped {
-            let header = encode_group_header(&buf[RECORD..]);
-            buf[..RECORD].copy_from_slice(&header);
-        }
+    /// `true` when appending `added` more records to a log that will then
+    /// mirror `live` live ones would leave the dead records outnumbering
+    /// the live ones `factor` times over (past a small fixed allowance):
+    /// rewriting the log from the live tables is then the cheaper way to
+    /// record the change.
+    fn compaction_due(&self, added: usize, live: u64, factor: u64) -> bool {
+        let records = self.records + added as u64;
+        records.saturating_sub(live) > (factor * live).max(COMPACT_MIN_DEAD)
+    }
+
+    /// Appends `buf` — whole units carrying `edits` — in one write.
+    /// Buffered: [`Manifest::sync`] makes it durable.
+    fn append<'a>(
+        &mut self,
+        buf: &[u8],
+        edits: impl Iterator<Item = &'a ManifestEdit>,
+    ) -> Result<()> {
         match fault::hook_write(
             self.faults.as_ref(),
             IoOp::ManifestAppend,
             buf.len(),
         )? {
-            WriteCheck::Proceed => self.writer.write_all(&buf)?,
+            WriteCheck::Proceed => self.writer.write_all(buf)?,
             WriteCheck::Torn { keep } => {
                 self.writer.write_all(&buf[..keep.min(buf.len())])?;
                 self.writer.flush()?;
@@ -337,6 +443,15 @@ impl Manifest {
         Ok(())
     }
 
+    /// Makes everything appended durable: one fsync.
+    fn sync(&mut self) -> Result<()> {
+        fault::hook(self.faults.as_ref(), IoOp::ManifestSync)?;
+        self.writer.flush()?;
+        self.writer.get_ref().sync_all()?;
+        self.commits += 1;
+        Ok(())
+    }
+
     /// Durably logs `edits` as one atomic edit group: one append, one
     /// fsync. After a crash, replay sees all of the edits or none of them.
     /// Empty input is a no-op.
@@ -344,11 +459,10 @@ impl Manifest {
         if edits.is_empty() {
             return Ok(());
         }
-        self.append(edits)?;
-        fault::hook(self.faults.as_ref(), IoOp::ManifestSync)?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
-        Ok(())
+        let mut buf = Vec::with_capacity((edits.len() + 1) * RECORD);
+        encode_unit(&mut buf, 0, edits);
+        self.append(&buf, edits.iter())?;
+        self.sync()
     }
 
     /// Durably records `edits`, a change that leaves `run` + `l0` as the
@@ -361,12 +475,49 @@ impl Manifest {
         run: &[SsTableMeta],
         l0: &[SsTableMeta],
     ) -> Result<()> {
-        if !edits.is_empty()
-            && self.compaction_due(edits.len(), run.len() + l0.len())
-        {
+        let live = (run.len() + l0.len()) as u64;
+        let added = edits.len() + usize::from(edits.len() > 1);
+        if !edits.is_empty() && self.compaction_due(added, live, 1) {
             return self.rewrite_levels(run, l0);
         }
-        self.commit(edits)
+        self.commit(edits)?;
+        self.live = live;
+        Ok(())
+    }
+
+    /// Durably records one edit group per `(series, edits)` of `groups` in
+    /// a shared log — one append and one fsync for all of them — a change
+    /// that leaves `live` as the tables of every series the log knows. When
+    /// the groups would leave the log several times more dead than live, or
+    /// an earlier attempt at them failed part-way, the log is rewritten
+    /// from `live` instead, which records the same state. Each group is
+    /// applied whole or not at all by replay; no groups is a no-op.
+    pub fn commit_fleet(
+        &mut self,
+        groups: &[(u32, &[ManifestEdit])],
+        live: &[SeriesTables<'_>],
+    ) -> Result<()> {
+        if groups.is_empty() {
+            return Ok(());
+        }
+        let edits = || groups.iter().flat_map(|(_, edits)| edits.iter());
+        let added = edits().count() + groups.len();
+        let live_records = fleet_live(live);
+        if self.tail_in_doubt
+            || self.compaction_due(added, live_records, FLEET_DEAD_FACTOR)
+        {
+            return self.rewrite_fleet(live);
+        }
+        let mut buf = Vec::with_capacity(added * RECORD);
+        for (series, edits) in groups {
+            encode_unit(&mut buf, series_tag(*series)?, edits);
+        }
+        self.tail_in_doubt = true;
+        self.append(&buf, edits())?;
+        self.sync()?;
+        self.tail_in_doubt = false;
+        self.live = live_records;
+        Ok(())
     }
 
     /// Rewrites the log down to one record per live table, unless it
@@ -382,6 +533,15 @@ impl Manifest {
         self.rewrite_levels(run, l0)
     }
 
+    /// Rewrites a shared log down to one header per series and one record
+    /// per live table, unless it already is.
+    pub fn compact_fleet(&mut self, live: &[SeriesTables<'_>]) -> Result<()> {
+        if self.records == fleet_live(live) && !self.tail_in_doubt {
+            return Ok(());
+        }
+        self.rewrite_fleet(live)
+    }
+
     /// Atomically rewrites the log as a flat list of the live run tables.
     pub fn rewrite(&mut self, live: &[SsTableMeta]) -> Result<()> {
         self.rewrite_levels(live, &[])
@@ -394,14 +554,29 @@ impl Manifest {
         run: &[SsTableMeta],
         l0: &[SsTableMeta],
     ) -> Result<()> {
-        let tmp = self.path.with_extension("manifest.tmp");
         let mut buf = Vec::with_capacity((run.len() + l0.len()) * RECORD);
-        for meta in run {
-            buf.extend_from_slice(&ManifestEdit::Add(*meta).encode());
+        for edit in snapshot_edits(run, l0) {
+            buf.extend_from_slice(&edit.encode());
         }
-        for meta in l0 {
-            buf.extend_from_slice(&ManifestEdit::AddL0(*meta).encode());
+        self.replace(&buf)
+    }
+
+    /// Atomically rewrites a shared log from every series' live tables: per
+    /// series of `live`, one group holding its run, then its L0.
+    pub fn rewrite_fleet(&mut self, live: &[SeriesTables<'_>]) -> Result<()> {
+        let mut buf = Vec::with_capacity(fleet_live(live) as usize * RECORD);
+        for series in live {
+            let edits: Vec<ManifestEdit> =
+                snapshot_edits(series.run, series.l0).collect();
+            encode_unit(&mut buf, series_tag(series.series)?, &edits);
         }
+        self.replace(&buf)
+    }
+
+    /// Replaces the log with `buf` — whole units, all of them live: tmp
+    /// file, fsync, rename, directory fsync.
+    fn replace(&mut self, buf: &[u8]) -> Result<()> {
+        let tmp = self.path.with_extension("manifest.tmp");
         {
             let mut f = File::create(&tmp)?;
             match fault::hook_write(
@@ -409,7 +584,7 @@ impl Manifest {
                 IoOp::ManifestRewrite,
                 buf.len(),
             )? {
-                WriteCheck::Proceed => f.write_all(&buf)?,
+                WriteCheck::Proceed => f.write_all(buf)?,
                 WriteCheck::Torn { keep } => {
                     f.write_all(&buf[..keep.min(buf.len())])?;
                     f.sync_all()?;
@@ -436,7 +611,10 @@ impl Manifest {
         }
         let file = OpenOptions::new().append(true).open(&self.path)?;
         self.writer = BufWriter::new(file);
-        self.records = (run.len() + l0.len()) as u64;
+        self.records = (buf.len() / RECORD) as u64;
+        self.live = self.records;
+        self.rewrites += 1;
+        self.tail_in_doubt = false;
         self.obs.emit(|| Event::ManifestRecord {
             kind: ManifestRecordKind::Rewrite,
         });
@@ -466,23 +644,10 @@ impl Manifest {
     /// A torn tail — a truncated or garbage final stretch, or an incomplete
     /// edit group, with no valid record after it — is dropped whole;
     /// corruption in front of still-valid records is reported. A missing
-    /// file yields empty sets.
-    pub fn replay_levels(
-        path: impl AsRef<Path>,
-    ) -> Result<(Vec<SsTableMeta>, Vec<SsTableMeta>)> {
-        let path = path.as_ref();
-        let data = match Self::read_log(path)? {
-            Some(data) => data,
-            None => return Ok((Vec::new(), Vec::new())),
-        };
-        let (good_len, tail_is_garbage) = scan(&data);
-        if !tail_is_garbage {
-            return Err(Error::Corrupt(format!(
-                "manifest record at offset {good_len} fails CRC \
-                 with valid records after it"
-            )));
-        }
-        Self::decode_prefix(&data, good_len)
+    /// file yields empty sets. A log holding series-tagged groups (a
+    /// fleet's) is rejected — use [`Manifest::replay_fleet`].
+    pub fn replay_levels(path: impl AsRef<Path>) -> Result<Levels> {
+        Self::unnamed_series(Self::load(path.as_ref(), true)?.0)
     }
 
     /// Salvage replay: decodes the longest prefix of complete units plus
@@ -492,15 +657,66 @@ impl Manifest {
     pub fn replay_levels_salvage(
         path: impl AsRef<Path>,
     ) -> Result<(Vec<SsTableMeta>, Vec<SsTableMeta>, u64)> {
-        let path = path.as_ref();
-        let data = match Self::read_log(path)? {
-            Some(data) => data,
-            None => return Ok((Vec::new(), Vec::new(), 0)),
-        };
-        let (good_len, _) = scan(&data);
-        let dropped = ((data.len() - good_len) / RECORD) as u64;
-        let (run, l0) = Self::decode_prefix(&data, good_len)?;
+        let (series, dropped) = Self::load(path.as_ref(), false)?;
+        let (run, l0) = Self::unnamed_series(series)?;
         Ok((run, l0, dropped))
+    }
+
+    /// Replays the shared manifest at `path`: per series it names, the live
+    /// `(run, l0)` tables, plus the number of whole records dropped past
+    /// the last complete unit. `strict` treats the tail like
+    /// [`Manifest::replay_levels`] does (a torn one is dropped, damage in
+    /// front of valid records is an error); otherwise the longest valid
+    /// prefix is used whatever follows it. A record outside any tagged
+    /// group is not a fleet's and is rejected in either mode.
+    pub fn replay_fleet(
+        path: impl AsRef<Path>,
+        strict: bool,
+    ) -> Result<(BTreeMap<u32, Levels>, u64)> {
+        let (tagged, dropped) = Self::load(path.as_ref(), strict)?;
+        let mut series = BTreeMap::new();
+        for (tag, levels) in tagged {
+            let Some(id) = tag.checked_sub(1) else {
+                return Err(Error::Corrupt(
+                    "shared manifest holds records of an unnamed series; \
+                     replay with replay_levels"
+                        .into(),
+                ));
+            };
+            series.insert(id, levels);
+        }
+        Ok((series, dropped))
+    }
+
+    /// The levels of a single-engine log: everything must be untagged.
+    fn unnamed_series(mut tagged: BTreeMap<u32, Levels>) -> Result<Levels> {
+        let levels = tagged.remove(&0).unwrap_or_default();
+        if !tagged.is_empty() {
+            return Err(Error::Corrupt(
+                "manifest holds series-tagged groups; replay with \
+                 replay_fleet"
+                    .into(),
+            ));
+        }
+        Ok(levels)
+    }
+
+    /// Reads and decodes the log at `path`: the levels per group tag (zero:
+    /// untagged records) and the whole records dropped past the last
+    /// complete unit. A missing file is an empty log.
+    fn load(path: &Path, strict: bool) -> Result<(BTreeMap<u32, Levels>, u64)> {
+        let Some(data) = Self::read_log(path)? else {
+            return Ok((BTreeMap::new(), 0));
+        };
+        let (good_len, tail_is_garbage) = scan(&data);
+        if strict && !tail_is_garbage {
+            return Err(Error::Corrupt(format!(
+                "manifest record at offset {good_len} fails CRC \
+                 with valid records after it"
+            )));
+        }
+        let dropped = ((data.len() - good_len) / RECORD) as u64;
+        Ok((Self::decode_prefix(&data, good_len)?, dropped))
     }
 
     fn read_log(path: &Path) -> Result<Option<Vec<u8>>> {
@@ -516,20 +732,36 @@ impl Manifest {
     }
 
     /// Applies the records of `data[..good_len]` — a prefix of complete
-    /// units, per [`scan`] — in log order. Group headers carry no state of
-    /// their own: `scan` has already vouched for every body in the prefix.
+    /// units, per [`scan`] — in log order, each to the series its group
+    /// header names (a record outside any group: tag zero). `scan` has
+    /// already vouched for every body in the prefix, so a header only says
+    /// whose the next records are — and, tagged, that its series exists.
     fn decode_prefix(
         data: &[u8],
         good_len: usize,
-    ) -> Result<(Vec<SsTableMeta>, Vec<SsTableMeta>)> {
-        let mut run: Vec<SsTableMeta> = Vec::new();
-        let mut l0: Vec<SsTableMeta> = Vec::new();
+    ) -> Result<BTreeMap<u32, Levels>> {
+        let mut series: BTreeMap<u32, Levels> = BTreeMap::new();
+        // The tag of the group being read and its records still to come.
+        let (mut group_tag, mut group_left) = (0u32, 0u64);
         let mut offset = 0;
         while offset + RECORD <= good_len {
             let rec = &data[offset..offset + RECORD];
-            let id = SsTableId(codec::read_u64_le(rec, 1)?);
+            offset += RECORD;
+            let id = codec::read_u64_le(rec, 1)?;
+            if rec[0] == TAG_GROUP {
+                group_tag = codec::read_u32_le(rec, 25)?;
+                group_left = id;
+                if group_tag != 0 {
+                    series.entry(group_tag).or_default();
+                }
+                continue;
+            }
+            let tag = if group_left > 0 { group_tag } else { 0 };
+            group_left = group_left.saturating_sub(1);
+            let (run, l0) = series.entry(tag).or_default();
+            let id = SsTableId(id);
             match rec[0] {
-                tag @ (TAG_ADD | TAG_ADD_L0) => {
+                level @ (TAG_ADD | TAG_ADD_L0) => {
                     let start = codec::read_i64_le(rec, 9)?;
                     let end = codec::read_i64_le(rec, 17)?;
                     let count = codec::read_u32_le(rec, 25)?;
@@ -543,7 +775,7 @@ impl Manifest {
                         range: TimeRange::new(start, end),
                         count,
                     };
-                    if tag == TAG_ADD {
+                    if level == TAG_ADD {
                         run.push(meta);
                     } else {
                         l0.push(meta);
@@ -554,17 +786,15 @@ impl Manifest {
                     l0.retain(|m| m.id != id);
                 }
                 TAG_DRAIN_L0 => l0.clear(),
-                TAG_GROUP => {}
                 tag => {
                     return Err(Error::Corrupt(format!(
-                        "manifest record at offset {offset} \
-                         has unknown tag {tag}"
+                        "manifest record at offset {} has unknown tag {tag}",
+                        offset - RECORD
                     )))
                 }
             }
-            offset += RECORD;
         }
-        Ok((run, l0))
+        Ok(series)
     }
 }
 
@@ -892,15 +1122,275 @@ mod tests {
             .collect();
         m.rewrite(&live).expect("seed");
         assert_eq!(m.records, 100);
-        assert!(!m.compaction_due(0, 100));
+        assert!(!m.compaction_due(0, 100, 1));
         // 100 live; a group of 100 edits + header makes 101 dead.
-        assert!(!m.compaction_due(99, 100), "100 dead: not yet");
-        assert!(m.compaction_due(100, 100), "101 dead > 100 live");
+        assert!(!m.compaction_due(99 + 1, 100, 1), "100 dead: not yet");
+        assert!(m.compaction_due(100 + 1, 100, 1), "101 dead > 100 live");
+        // A shared log waits for several times as many.
+        let factor = FLEET_DEAD_FACTOR;
+        assert!(!m.compaction_due(100 * factor as usize, 100, factor));
+        assert!(m.compaction_due(100 * factor as usize + 1, 100, factor));
         // A small log gets a fixed allowance instead of the ratio.
         m.rewrite(&live[..2]).expect("shrink");
-        assert!(!m.compaction_due(COMPACT_MIN_DEAD as usize - 1, 2));
-        assert!(m.compaction_due(COMPACT_MIN_DEAD as usize, 2));
+        assert!(!m.compaction_due(COMPACT_MIN_DEAD as usize, 2, 1));
+        assert!(m.compaction_due(COMPACT_MIN_DEAD as usize + 1, 2, 1));
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    /// The live tables of a fleet whose series hold `runs` and no L0.
+    fn live_of(runs: &[(u32, Vec<SsTableMeta>)]) -> Vec<SeriesTables<'_>> {
+        runs.iter()
+            .map(|(series, run)| SeriesTables {
+                series: *series,
+                run,
+                l0: &[],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_fleet_commit_is_one_append_and_one_fsync_for_every_series() {
+        let path = temp_path("fleet-ops");
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::trace_only(0);
+        let mut m = Manifest::open(&path).expect("open");
+        m.attach_faults(Arc::clone(&plan));
+        let (a, b, c) =
+            (meta(1, 0, 9, 4), meta(2, 10, 19, 4), meta(3, 0, 9, 4));
+        let s3 = [ManifestEdit::Add(a), ManifestEdit::Add(b)];
+        let s7 = [ManifestEdit::Add(c)];
+        let runs = [(3, vec![a, b]), (7, vec![c])];
+        let live = live_of(&runs);
+        m.commit_fleet(&[(3, &s3), (7, &s7)], &live)
+            .expect("commit");
+        assert_eq!(
+            plan.trace(),
+            vec![IoOp::ManifestAppend, IoOp::ManifestSync]
+        );
+        // A named series' change carries its header even when it is one
+        // record long: two headers, three edits.
+        let stats = m.stats();
+        assert_eq!((stats.records, stats.live, stats.commits), (5, 5, 1));
+        m.commit_fleet(&[], &live).expect("nothing to commit");
+        assert_eq!(plan.ops(), 2, "an empty commit touches nothing");
+        // Series 3 merges its tables away; series 7 is untouched.
+        let d = meta(4, 0, 19, 8);
+        let merge = [
+            ManifestEdit::Remove(a.id),
+            ManifestEdit::Remove(b.id),
+            ManifestEdit::Add(d),
+        ];
+        let runs = [(3, vec![d]), (7, vec![c])];
+        let live = live_of(&runs);
+        m.commit_fleet(&[(3, &merge)], &live).expect("commit");
+        drop(m);
+        let (series, dropped) =
+            Manifest::replay_fleet(&path, true).expect("replay");
+        assert_eq!(dropped, 0);
+        assert_eq!(series.keys().copied().collect::<Vec<_>>(), vec![3, 7]);
+        assert_eq!(ids(&series[&3].0), vec![4]);
+        assert_eq!(ids(&series[&7].0), vec![3]);
+        // It is not a single engine's log, and says so.
+        assert!(matches!(
+            Manifest::replay_levels(&path),
+            Err(Error::Corrupt(_))
+        ));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_fleet_rewrite_keeps_a_header_for_a_series_without_tables() {
+        let path = temp_path("fleet-rest");
+        let _ = std::fs::remove_file(&path);
+        let mut m = Manifest::open(&path).expect("open");
+        let a = meta(1, 0, 9, 4);
+        let runs = [(0, vec![a]), (5, Vec::new())];
+        let live = live_of(&runs);
+        m.rewrite_fleet(&live).expect("rewrite");
+        assert_eq!(m.stats().records, 3, "two headers, one table");
+        m.compact_fleet(&live).expect("compact");
+        assert_eq!(m.stats().rewrites, 1, "already at rest");
+        let (series, _) = Manifest::replay_fleet(&path, true).expect("replay");
+        assert_eq!(series.len(), 2, "the empty series is still named");
+        assert_eq!(series[&5], (Vec::new(), Vec::new()));
+        // A single engine's log, on the other hand, names no series: its
+        // group headers keep the zero they always had in that field.
+        let single = temp_path("fleet-rest-single");
+        let _ = std::fs::remove_file(&single);
+        let mut m = Manifest::open(&single).expect("open");
+        m.commit(&[ManifestEdit::Add(a), ManifestEdit::Remove(a.id)])
+            .expect("group");
+        let data = std::fs::read(&single).expect("read");
+        assert_eq!(data[..RECORD][0], TAG_GROUP);
+        assert_eq!(data[25..PAYLOAD], [0u8; 4]);
+        assert!(matches!(
+            Manifest::replay_fleet(&single, true),
+            Err(Error::Corrupt(_))
+        ));
+        std::fs::remove_file(&path).expect("cleanup");
+        std::fs::remove_file(&single).expect("cleanup");
+    }
+
+    #[test]
+    fn a_failed_fleet_commit_is_retried_as_a_rewrite() {
+        use crate::fault::Fault;
+
+        let path = temp_path("fleet-retry");
+        let _ = std::fs::remove_file(&path);
+        // Op 0 the append, op 1 the fsync that fails: the group may or may
+        // not be in the file when the caller offers it again.
+        let plan = FaultPlan::new(0, Fault::FailOnce { at: 1 });
+        let mut m = Manifest::open(&path).expect("open");
+        m.attach_faults(Arc::clone(&plan));
+        let a = meta(1, 0, 9, 4);
+        let edits = [ManifestEdit::Add(a)];
+        let runs = [(2, vec![a])];
+        let live = live_of(&runs);
+        assert!(m.commit_fleet(&[(2, &edits)], &live).is_err());
+        m.commit_fleet(&[(2, &edits)], &live).expect("retry");
+        assert_eq!(
+            plan.trace()[2..],
+            [IoOp::ManifestRewrite, IoOp::ManifestRename, IoOp::DirSync]
+        );
+        drop(m);
+        let (series, _) = Manifest::replay_fleet(&path, true).expect("replay");
+        assert_eq!(ids(&series[&2].0), vec![1], "recorded once, not twice");
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    /// One unit of the model log: a group of `tag` (zero: the unnamed
+    /// series) adding `adds` fresh tables and removing the `removes`
+    /// oldest ones of that series.
+    type ModelUnit = (u32, usize, usize);
+
+    proptest::proptest! {
+        #![proptest_config(
+            proptest::prelude::ProptestConfig::with_cases(48)
+        )]
+
+        /// Tagged and untagged units interleaved in one log, against a
+        /// model of the levels per tag: truncated at every byte, replay
+        /// holds exactly the units that are wholly there — each group all
+        /// or nothing, each in its own series; and a flipped byte in any
+        /// header's series field is corruption (or, in the last unit of
+        /// the file, a torn tail), never another series' tables.
+        #[test]
+        fn tagged_groups_replay_per_series_at_every_truncation(
+            units in proptest::collection::vec(
+                (0u32..4u32, 0usize..4usize, 0usize..3usize),
+                1..10,
+            ),
+            case in 0u64..u64::MAX,
+        ) {
+            let path = std::env::temp_dir().join(format!(
+                "seplsm-manifest-tagged-{}-{case:016x}.manifest",
+                std::process::id(),
+            ));
+            let _ = std::fs::remove_file(&path);
+            let mut manifest = Manifest::open(&path).expect("open");
+            let mut model: BTreeMap<u32, Levels> = BTreeMap::new();
+            // The model and the file length after each unit; and where the
+            // units that start with a header start.
+            let mut states = vec![(0usize, model.clone())];
+            let mut headers = Vec::new();
+            let mut next_id = 0u64;
+            let units: Vec<ModelUnit> = units;
+            for (tag, adds, removes) in units {
+                let (run, _) = model.entry(tag).or_default();
+                let removes = removes.min(run.len());
+                let mut edits: Vec<ManifestEdit> = run
+                    .drain(..removes)
+                    .map(|m| ManifestEdit::Remove(m.id))
+                    .collect();
+                for _ in 0..adds {
+                    next_id += 1;
+                    let start = next_id as i64 * 10;
+                    let table = meta(next_id, start, start + 9, 1);
+                    run.push(table);
+                    edits.push(ManifestEdit::Add(table));
+                }
+                if tag == 0 && edits.is_empty() {
+                    continue; // the unnamed series has no header to write
+                }
+                let mut buf = Vec::new();
+                encode_unit(&mut buf, tag, &edits);
+                let start = states.last().expect("seeded").0;
+                if buf[0] == TAG_GROUP {
+                    headers.push((start, states.len() - 1));
+                }
+                manifest.append(&buf, edits.iter()).expect("append");
+                manifest.sync().expect("sync");
+                states.push((start + buf.len(), model.clone()));
+            }
+            drop(manifest);
+            let data = std::fs::read(&path).expect("read");
+            proptest::prop_assert_eq!(
+                data.len(),
+                states.last().expect("seeded").0
+            );
+            let expect_at = |len: usize| {
+                let (_, model) = states
+                    .iter()
+                    .rev()
+                    .find(|(end, _)| *end <= len)
+                    .expect("the empty log");
+                let mut model = model.clone();
+                // A series the log never gave a table or a header is not
+                // one replay can know about.
+                model.retain(|tag, (run, l0)| {
+                    *tag != 0 || !(run.is_empty() && l0.is_empty())
+                });
+                model
+            };
+            let normal = |mut got: BTreeMap<u32, Levels>| {
+                got.retain(|tag, (run, l0)| {
+                    *tag != 0 || !(run.is_empty() && l0.is_empty())
+                });
+                got
+            };
+            for cut in 0..=data.len() {
+                std::fs::write(&path, &data[..cut]).expect("truncate");
+                let (got, _) = Manifest::load(&path, true)
+                    .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+                proptest::prop_assert_eq!(
+                    normal(got),
+                    expect_at(cut),
+                    "cut at {}", cut
+                );
+            }
+            for (at, before) in headers {
+                for byte in 25..PAYLOAD {
+                    let mut bad = data.clone();
+                    bad[at + byte] ^= 0x41;
+                    std::fs::write(&path, &bad).expect("corrupt");
+                    let (prefix, _) =
+                        Manifest::load(&path, false).expect("salvage");
+                    proptest::prop_assert_eq!(
+                        normal(prefix),
+                        expect_at(states[before].0),
+                        "salvage past a damaged header at {}", at
+                    );
+                    match Manifest::load(&path, true) {
+                        Err(Error::Corrupt(_)) => {}
+                        Ok((got, _)) => {
+                            // Only a damaged unit with nothing valid behind
+                            // it reads as a torn tail.
+                            proptest::prop_assert_eq!(
+                                normal(got),
+                                expect_at(states[before].0)
+                            );
+                            proptest::prop_assert_eq!(
+                                at + RECORD,
+                                data.len(),
+                                "header at {} read as a torn tail", at
+                            );
+                        }
+                        Err(e) => panic!("header at {at}: {e}"),
+                    }
+                }
+            }
+            std::fs::remove_file(&path).expect("cleanup");
+        }
     }
 
     proptest::proptest! {

@@ -7,16 +7,45 @@
 //! can differ per series), while all series share one [`TableStore`].
 //!
 //! With [`MultiOpenOptions::durable_dir`] the collection is durable: one
-//! write-ahead log for the whole fleet (`fleet.wal`, every frame tagged with
-//! its series) and one manifest per series (`series-<n>.manifest`) inside
-//! one metadata directory. The fleet logs a point before handing it to the
-//! series' engine and checkpoints the series in the log when that append
-//! flushed it; all of it happens on the caller's thread, so a batch
-//! touching many series is one write and one fsync, and the flush pool
-//! never sees the log. [`MultiOpenOptions::open_or_recover`] rebuilds every
-//! series' version from its manifest and then replays the log, handing
-//! each frame's points to the series it names. New and recovered series
-//! alike are opened through the single-series [`OpenOptions`].
+//! write-ahead log (`fleet.wal`, every frame tagged with its series) and one
+//! manifest (`fleet.manifest`, every edit group tagged with its series) for
+//! the whole fleet, inside one metadata directory. The series' engines keep
+//! neither: the fleet logs a point before handing it to its series' engine,
+//! and a flush there only publishes its tables, switches the series'
+//! in-memory version over (reads see the new tables at once; consumed
+//! inputs stay on disk) and notes what is left to do in the engine's
+//! outbox.
+//!
+//! # The commit point
+//!
+//! What the outboxes hold becomes durable together, on the caller's thread,
+//! in ascending series order — at [`MultiSeriesEngine::sync_wal_all`], at
+//! each wave barrier of [`MultiSeriesEngine::flush_all`], and by itself
+//! once more than a fixed number of tables is waiting:
+//!
+//! 1. one fsync of the tables directory covers every published table;
+//! 2. one append and one fsync of `fleet.manifest` carry one edit group per
+//!    series;
+//! 3. only then is each of those series checkpointed in the log (a queued
+//!    frame; a log cut, if it has become due, comes after all of them) and
+//!    are its consumed inputs deleted;
+//! 4. the log's one write and one fsync follow, if the caller asked for
+//!    them: Σk + 3 fsyncs for a batch in which the series flushed Σk
+//!    tables, however many series that was.
+//!
+//! A crash before step 2 completes recovers the old versions — their
+//! inputs were never deleted, the new tables are orphans — and replays
+//! everything those flushes had taken out of memory, because no checkpoint
+//! covering it was ever queued. A crash after it finds the new versions
+//! and a log that may still hold superseded frames: replay returns more,
+//! never less. Nothing is acknowledged before step 4.
+//!
+//! [`MultiOpenOptions::open_or_recover`] replays `fleet.manifest` once,
+//! rebuilds every series' version from its share, folds in what an older
+//! layout left behind (`series-<n>.manifest`, `series-<n>.wal`) and removes
+//! those files, and then replays the log, handing each frame's points to
+//! the series it names. New and recovered series alike are opened through
+//! the single-series [`OpenOptions`].
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -29,9 +58,12 @@ use crate::admission::AdmissionOutcome;
 use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
 use crate::engine::{EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
+use crate::manifest::{
+    Levels, Manifest, ManifestEdit, ManifestStats, SeriesTables,
+};
 use crate::metrics::Metrics;
 use crate::obs::{Event, Observer, ObserverHandle};
-use crate::open::{self, Fleet, Inline, Kind, MultiOpenOptions, OpenOptions};
+use crate::open::{self, Fleet, Kind, MultiOpenOptions, OpenOptions};
 use crate::query::{Agg, Bucket, QueryStats};
 use crate::recovery::{self, RecoveryMode, RecoveryOptions, RecoveryReport};
 use crate::sstable::SsTableId;
@@ -89,16 +121,17 @@ pub struct MultiSeriesEngine {
     store: Arc<dyn TableStore>,
     template: EngineConfig,
     series: HashMap<SeriesId, LsmEngine>,
-    /// When set, the fleet log and every series' manifest (namespaced by
-    /// its id) live under this directory.
+    /// When set, the fleet log and the fleet manifest live under this
+    /// directory.
     durable_dir: Option<PathBuf>,
     /// The fleet's one write-ahead log (`durable_dir/fleet.wal`). Only the
     /// thread that owns the engine ever touches it.
     wal: Option<Wal>,
-    /// When set, the log's and every series manifest's writes route
-    /// through this fault schedule (the shared store is wrapped
-    /// separately).
-    faults: Option<Arc<FaultPlan>>,
+    /// The fleet's one manifest (`durable_dir/fleet.manifest`), written
+    /// only at commit points, by the thread that owns the engine.
+    fleet_manifest: Option<Manifest>,
+    /// Tables the series have published since the last commit point.
+    uncommitted_tables: usize,
     /// Event sink cloned into every series engine (current and future).
     obs: ObserverHandle,
     /// Upper bound on flush worker threads (1 = sequential, no spawning).
@@ -122,11 +155,11 @@ pub struct MultiSeriesEngine {
 impl Kind for Fleet {
     type Engine = MultiSeriesEngine;
 
-    /// Fresh: an empty collection (the durable directory and the fleet log
-    /// are created if a directory is configured). Recovering: every
-    /// `series-<n>.manifest` under the durable directory rebuilds its
-    /// series' version through the single-series path, then the fleet log
-    /// is replayed into the series its frames name, and the reports are
+    /// Fresh: an empty collection (the durable directory, the fleet log
+    /// and an empty fleet manifest are created if a directory is
+    /// configured). Recovering: `fleet.manifest` rebuilds every series'
+    /// version through the single-series path, then the fleet log is
+    /// replayed into the series its frames name, and the reports are
     /// folded into one. Orphan GC (when requested) runs once, *after* every
     /// series has recovered, against the union of all series' live tables
     /// — the shared store makes any per-series sweep unsound.
@@ -152,7 +185,8 @@ impl Kind for Fleet {
             series: HashMap::new(),
             durable_dir: fleet.durable_dir,
             wal: None,
-            faults: None,
+            fleet_manifest: None,
+            uncommitted_tables: 0,
             obs: options.observer,
             workers: fleet.workers,
             flush_queue_depth: fleet.flush_queue_depth,
@@ -163,9 +197,10 @@ impl Kind for Fleet {
         let mut report = RecoveryReport::default();
         if recover {
             engine.recover_series(options.recovery, &mut report)?;
-        } else if let Some(dir) = &engine.durable_dir {
+        } else if let Some(dir) = engine.durable_dir.clone() {
             engine.wal =
                 Some(open::open_wal(&dir.join(FLEET_WAL), &engine.obs)?);
+            engine.fleet_manifest = Some(engine.open_manifest(&dir)?);
         }
         // Series already hosted (the recovery path) stay at their recovered
         // capacity until their first post-open append admits them into
@@ -176,54 +211,84 @@ impl Kind for Fleet {
         Ok((engine, report))
     }
 
-    /// Covers the fleet log, the series recovered so far and, through
-    /// [`MultiSeriesEngine::series_options`], every series created later.
+    /// The fleet log and the fleet manifest: the series' engines write
+    /// neither.
     fn attach_faults(engine: &mut MultiSeriesEngine, plan: &Arc<FaultPlan>) {
-        open::attach_faults(plan, engine.wal.as_mut(), None);
-        for series in engine.series.values_mut() {
-            Inline::attach_faults(series, plan);
-        }
-        engine.faults = Some(Arc::clone(plan));
+        open::attach_faults(
+            plan,
+            engine.wal.as_mut(),
+            engine.fleet_manifest.as_mut(),
+        );
     }
 }
 
 /// The fleet log's file name inside the durable directory.
 const FLEET_WAL: &str = "fleet.wal";
+/// The fleet manifest's file name inside the durable directory.
+const FLEET_MANIFEST: &str = "fleet.manifest";
+/// Published tables that may wait for a commit point. A caller that never
+/// syncs would otherwise grow the outboxes, the orphans a crash leaves and
+/// the log it replays without bound: past this many an append commits by
+/// itself.
+const MAX_UNCOMMITTED_TABLES: usize = 256;
 
-/// The series id of a `series-<n><suffix>` file name.
-fn series_file(name: &std::ffi::OsStr, suffix: &str) -> Option<SeriesId> {
-    name.to_str()?
-        .strip_prefix("series-")?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
-        .map(SeriesId)
+/// The `series-<n><suffix>` files an older layout left in `dir`, in
+/// ascending series order. Only the spelling that layout wrote counts —
+/// `series-007.wal` or `series-+7.wal` would otherwise name series 7 a
+/// second time and silently replace what `series-7.wal` held: such a file
+/// is [`Error::Corrupt`] in strict mode and skipped, and reported, in
+/// salvage mode.
+fn legacy_files(
+    dir: &Path,
+    suffix: &str,
+    options: RecoveryOptions,
+    report: &mut RecoveryReport,
+) -> Result<Vec<(SeriesId, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(stem) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("series-")?.strip_suffix(suffix))
+        else {
+            continue;
+        };
+        match stem.parse::<u32>() {
+            Ok(n) if n.to_string() == stem => {
+                files.push((SeriesId(n), entry.path()));
+            }
+            _ if options.mode == RecoveryMode::Salvage => {
+                report.files_skipped.push(entry.path());
+            }
+            _ => {
+                return Err(Error::Corrupt(format!(
+                    "{} is not a series file name this layout ever wrote",
+                    entry.path().display()
+                )))
+            }
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
-/// Folds the per-series logs of the older layout (`series-<n>.wal`, one
-/// fixed-record log per series) into the fleet log at `fleet_wal`, then
-/// removes them. Safe to repeat: a crash before the removal is durable
-/// folds the same points in again, behind their first copies.
+/// Folds the per-series logs of the older layout (`old`: one fixed-record
+/// `series-<n>.wal` per series) into the fleet log at `fleet_wal`; the
+/// caller removes them. Safe to repeat: a crash before the removal is
+/// durable folds the same points in again, behind their first copies.
 fn fold_series_logs(
-    dir: &Path,
     fleet_wal: &Path,
+    old: &[(SeriesId, PathBuf)],
     options: RecoveryOptions,
     report: &mut RecoveryReport,
 ) -> Result<()> {
-    let mut old = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(series) = series_file(&entry.file_name(), ".wal") {
-            old.push((series, entry.path()));
-        }
-    }
     if old.is_empty() {
         return Ok(());
     }
-    old.sort();
     let salvage = options.mode == RecoveryMode::Salvage;
     let (mut wal, _) = Wal::recover(fleet_wal, !salvage)?;
-    for (series, path) in &old {
+    for (series, path) in old {
         let replay = if salvage {
             Wal::replay_salvage(path)?
         } else {
@@ -237,43 +302,80 @@ fn fold_series_logs(
             wal.append_for(series.0, p)?;
         }
     }
-    wal.sync()?;
-    for (_, path) in &old {
-        std::fs::remove_file(path)?;
-    }
-    // A removed log that came back after a crash would be folded in again
-    // later, over newer points the fleet log has since let go of.
-    sync_dir(dir)
+    wal.sync()
+}
+
+/// Every series' live tables, in ascending series order: what a rewrite of
+/// the fleet manifest records.
+fn live_tables(series: &HashMap<SeriesId, LsmEngine>) -> Vec<SeriesTables<'_>> {
+    let mut live: Vec<SeriesTables<'_>> = series
+        .iter()
+        .map(|(id, engine)| SeriesTables {
+            series: id.0,
+            run: engine.version().run().tables(),
+            l0: engine.version().l0(),
+        })
+        .collect();
+    live.sort_by_key(|tables| tables.series);
+    live
+}
+
+/// Tables `engine` has published for the next commit point.
+fn pending_tables(engine: &LsmEngine) -> usize {
+    engine.outbox().map_or(0, |outbox| outbox.tables)
 }
 
 impl MultiSeriesEngine {
     /// The builder one series of this collection opens through: the
     /// template configuration over the shared store, reporting to the
-    /// collection's observer, with a manifest namespaced by the series id
-    /// when the collection is durable — and no log: the fleet logs for it.
-    fn series_options(&self, series: SeriesId) -> OpenOptions {
+    /// collection's observer, with neither log nor manifest — a durable
+    /// collection keeps both for it and commits its flushes, and hands a
+    /// recovering series the `levels` its manifest holds for it.
+    fn series_options(&self, levels: Option<Levels>) -> OpenOptions {
         let mut options = OpenOptions::new(self.template.clone())
             .store(Arc::clone(&self.store));
         options.observer = self.obs.clone();
-        if let Some(dir) = &self.durable_dir {
-            options = options
-                .manifest(dir.join(format!("series-{}.manifest", series.0)));
-        }
-        match &self.faults {
-            Some(plan) => options.faults(Arc::clone(plan)),
-            None => options,
-        }
+        options.kind.owner_commits = self.durable_dir.is_some();
+        options.kind.levels = levels;
+        options
+    }
+
+    /// Opens `dir/fleet.manifest`, reporting to the fleet's observer, and
+    /// re-seeds it with the levels of every series hosted so far, so it is
+    /// authoritative for them from its first record on.
+    fn open_manifest(&self, dir: &Path) -> Result<Manifest> {
+        let mut manifest = Manifest::open(dir.join(FLEET_MANIFEST))?;
+        manifest.attach_observer(self.obs.clone());
+        manifest.rewrite_fleet(&live_tables(&self.series))?;
+        Ok(manifest)
     }
 
     /// The engine of `series`, opened fresh on first use.
     fn series_mut(&mut self, series: SeriesId) -> Result<&mut LsmEngine> {
         if !self.series.contains_key(&series) {
-            let engine = self.series_options(series).open()?;
+            let engine = self.series_options(None).open()?;
             self.series.insert(series, engine);
         }
         self.series
             .get_mut(&series)
             .ok_or(Error::UnknownSeries(series.0))
+    }
+
+    /// Runs `f` on the engine of `series`, counting the tables it publishes
+    /// towards the next commit point.
+    fn drive<T>(
+        &mut self,
+        series: SeriesId,
+        f: impl FnOnce(&mut LsmEngine) -> Result<T>,
+    ) -> Result<T> {
+        let engine = self
+            .series
+            .get_mut(&series)
+            .ok_or(Error::UnknownSeries(series.0))?;
+        let before = pending_tables(engine);
+        let out = f(engine);
+        self.uncommitted_tables += pending_tables(engine) - before;
+        out
     }
 
     /// Every series' still-buffered points, in ascending series order: what
@@ -288,18 +390,62 @@ impl MultiSeriesEngine {
         survivors
     }
 
-    /// Checkpoints `series` in the fleet log if its engine committed a
-    /// flush since the last call, and cuts the log when that pays.
-    fn checkpoint(&mut self, series: SeriesId) -> Result<()> {
-        let (Some(wal), Some(engine)) =
-            (self.wal.as_mut(), self.series.get_mut(&series))
-        else {
+    /// The commit point (see the module docs): makes everything the
+    /// series' flushes left in their outboxes durable — one directory
+    /// fsync, one manifest append + fsync — and only then checkpoints those
+    /// series in the log, deletes their consumed inputs and, when a
+    /// checkpoint says it pays, cuts the log. A no-op for a fleet that is
+    /// not durable or has nothing waiting.
+    ///
+    /// # Errors
+    /// A failure before the manifest fsync leaves every outbox as it was,
+    /// for the next commit point to retry; one after it leaves at worst
+    /// undeleted inputs (orphans) and unqueued checkpoints (a crash replays
+    /// more).
+    fn commit_pending(&mut self) -> Result<()> {
+        // seplint R5 takes `commit_fleet` below as what covers the
+        // checkpoints and the cut that follow it.
+        let Some(fleet_manifest) = self.fleet_manifest.as_mut() else {
             return Ok(());
         };
-        if !engine.take_committed_flush() {
+        let mut groups: Vec<(u32, &[ManifestEdit])> = self
+            .series
+            .iter()
+            .filter_map(|(id, engine)| {
+                let outbox = engine.outbox().filter(|o| !o.is_empty())?;
+                Some((id.0, outbox.edits.as_slice()))
+            })
+            .collect();
+        if groups.is_empty() {
             return Ok(());
         }
-        if wal.checkpoint(series.0, &engine.buffered_snapshot())? {
+        groups.sort_by_key(|(series, _)| *series);
+        self.store.sync_published()?;
+        fleet_manifest.commit_fleet(&groups, &live_tables(&self.series))?;
+        // Durable. Empty every outbox before anything below can fail, or
+        // the next commit point would record these groups a second time.
+        let committed: Vec<SeriesId> =
+            groups.iter().map(|(series, _)| SeriesId(*series)).collect();
+        let retired: Vec<(SeriesId, Vec<SsTableId>)> = committed
+            .into_iter()
+            .filter_map(|id| {
+                let engine = self.series.get_mut(&id)?;
+                Some((id, engine.take_outbox().retired))
+            })
+            .collect();
+        self.uncommitted_tables = 0;
+        let mut cut_due = false;
+        for (id, inputs) in retired {
+            if let (Some(wal), Some(engine)) =
+                (self.wal.as_mut(), self.series.get(&id))
+            {
+                cut_due |= wal.checkpoint(id.0, &engine.buffered_snapshot())?;
+            }
+            for input in inputs {
+                self.store.delete(input)?;
+            }
+        }
+        if cut_due {
             let survivors = self.wal_survivors();
             if let Some(wal) = self.wal.as_mut() {
                 wal.rewrite(&survivors)?;
@@ -308,9 +454,12 @@ impl MultiSeriesEngine {
         Ok(())
     }
 
-    /// Recovers every series that left a manifest in the durable directory,
-    /// then replays the fleet log over them (a series known only to the log
-    /// is created).
+    /// Restores every series `fleet.manifest` names (and every series an
+    /// older layout left a `series-<n>.manifest` for, which replaces what
+    /// the fleet manifest says about it), makes the fleet manifest
+    /// authoritative for all of them, removes the older layout's files,
+    /// then replays the fleet log over the series (one known only to the
+    /// log is created).
     fn recover_series(
         &mut self,
         options: RecoveryOptions,
@@ -319,25 +468,47 @@ impl MultiSeriesEngine {
         let Some(dir) = self.durable_dir.clone() else {
             return Ok(());
         };
+        let salvage = options.mode == RecoveryMode::Salvage;
         // GC is deferred to the fleet-wide sweep below; a per-series sweep
         // would delete the other series' tables.
         let per_series = RecoveryOptions {
             gc_orphans: false,
             ..options
         };
-        for entry in std::fs::read_dir(&dir)? {
-            let Some(id) = series_file(&entry?.file_name(), ".manifest") else {
-                continue;
-            };
+        let (mut levels, dropped) =
+            Manifest::replay_fleet(dir.join(FLEET_MANIFEST), !salvage)?;
+        if salvage {
+            report.manifest_records_dropped += dropped;
+        }
+        let old_manifests = legacy_files(&dir, ".manifest", options, report)?;
+        for (id, path) in &old_manifests {
+            let folded = recovery::replay_manifest(path, options.mode, report)?;
+            levels.insert(id.0, folded);
+        }
+        for (id, levels) in levels {
             let (engine, series_report) = self
-                .series_options(id)
+                .series_options(Some(levels))
                 .recovery(per_series)
                 .open_or_recover()?;
             report.merge(series_report);
-            self.series.insert(id, engine);
+            self.series.insert(SeriesId(id), engine);
         }
+        // The fold: rewritten from the recovered versions, the fleet
+        // manifest now holds what the per-series manifests held. Repeating
+        // it after a crash short of the removal below changes nothing.
+        self.fleet_manifest = Some(self.open_manifest(&dir)?);
         let fleet_wal = dir.join(FLEET_WAL);
-        fold_series_logs(&dir, &fleet_wal, options, report)?;
+        let old_logs = legacy_files(&dir, ".wal", options, report)?;
+        fold_series_logs(&fleet_wal, &old_logs, options, report)?;
+        if !(old_manifests.is_empty() && old_logs.is_empty()) {
+            for (_, path) in old_manifests.iter().chain(&old_logs) {
+                std::fs::remove_file(path)?;
+            }
+            // A removed file that came back after a crash would be folded
+            // in again later, over newer state the fleet's own files have
+            // since let go of.
+            sync_dir(&dir)?;
+        }
         let obs = self.obs.clone();
         let wal = recovery::replay_wal(
             self,
@@ -348,13 +519,15 @@ impl MultiSeriesEngine {
             |fleet, series, p| {
                 fleet.series_mut(SeriesId(series))?.append(p).map(drop)
             },
-            MultiSeriesEngine::wal_survivors,
+            // Flushes the replay triggered are committed before the cut
+            // lets go of their points (no log is attached yet: the cut
+            // itself stands in for their checkpoints).
+            |fleet| {
+                fleet.commit_pending()?;
+                Ok(fleet.wal_survivors())
+            },
         )?;
         self.wal = Some(wal);
-        // The re-seeded log already holds exactly the buffered points.
-        for engine in self.series.values_mut() {
-            engine.take_committed_flush();
-        }
         if options.gc_orphans {
             let mut live: HashSet<SsTableId> = HashSet::new();
             for e in self.series.values() {
@@ -441,10 +614,12 @@ impl MultiSeriesEngine {
         if let Some(wal) = self.wal.as_mut() {
             wal.append_for(series.0, &p)?;
         }
-        let outcome = self.series_mut(series)?.append(p)?;
-        self.checkpoint(series)?;
+        let outcome = self.drive(series, |engine| engine.append(p))?;
         if let Some(plan) = plan {
             self.apply_rebalance(&plan)?;
+        }
+        if self.uncommitted_tables > MAX_UNCOMMITTED_TABLES {
+            self.commit_pending()?;
         }
         Ok(outcome)
     }
@@ -453,7 +628,8 @@ impl MultiSeriesEngine {
     /// an [`Event::HeatSample`] (ascending series id), each resized series
     /// migrates to its rescaled policy through the normal
     /// [`LsmEngine::set_policy`] path, and one [`Event::ArbiterRebalance`]
-    /// closes the round.
+    /// closes the round. However many series a shrink flushes, their
+    /// tables wait for the next commit point together.
     fn apply_rebalance(&mut self, plan: &Rebalance) -> Result<()> {
         for &(series, heat) in &plan.heats {
             self.obs.emit(|| Event::HeatSample {
@@ -464,11 +640,13 @@ impl MultiSeriesEngine {
         let mut resized = 0u64;
         for assignment in &plan.assignments {
             let id = SeriesId(assignment.series);
-            if let Some(engine) = self.series.get_mut(&id) {
-                let policy =
-                    engine.policy().resized(assignment.capacity as usize)?;
-                engine.set_policy(policy)?;
-                self.checkpoint(id)?;
+            if self.series.contains_key(&id) {
+                self.drive(id, |engine| {
+                    let policy = engine
+                        .policy()
+                        .resized(assignment.capacity as usize)?;
+                    engine.set_policy(policy)
+                })?;
                 resized += 1;
             }
         }
@@ -552,11 +730,7 @@ impl MultiSeriesEngine {
         series: SeriesId,
         policy: Policy,
     ) -> Result<()> {
-        self.series
-            .get_mut(&series)
-            .ok_or(Error::UnknownSeries(series.0))?
-            .set_policy(policy)?;
-        self.checkpoint(series)
+        self.drive(series, |engine| engine.set_policy(policy))
     }
 
     /// An *online* policy switch decided by a per-series tuner: exactly
@@ -630,14 +804,16 @@ impl MultiSeriesEngine {
     /// not; only wall-clock changes. With the default of 1 worker no thread
     /// is ever spawned.
     ///
-    /// The fleet log never enters the pool: once every wave has drained,
-    /// each series is checkpointed empty and the log is cut to its header
-    /// on this thread.
+    /// The fleet log and the fleet manifest never enter the pool: each wave
+    /// barrier is a commit point on this thread, and once every wave has
+    /// drained the log is cut to its header and the manifest sheds its
+    /// dead records.
     ///
     /// # Errors
-    /// Storage failures. The sequential path stops at the first failing
-    /// series; the pooled path gives every series its flush attempt and
-    /// returns the error of the lowest failing [`SeriesId`].
+    /// Storage failures. Every series of every wave gets its flush attempt
+    /// and what succeeded is committed, whatever the worker count; the
+    /// error returned is the first one met — within a wave that of the
+    /// lowest failing [`SeriesId`] — and the log is then left uncut.
     pub fn flush_all(&mut self) -> Result<AdmissionOutcome> {
         let ids = self.series_ids();
         let pooled = self.workers > 1 && ids.len() > 1;
@@ -653,26 +829,26 @@ impl MultiSeriesEngine {
                 self.fleet_delayed_waves += 1;
                 self.obs.emit(|| Event::AdmissionDelayed { ticks: 1 });
             }
-            if pooled {
-                if let (None, Err(err)) =
-                    (&first_error, self.flush_wave_pooled(wave, &mut delayed))
-                {
-                    first_error = Some(err);
-                }
+            let flushed = if pooled {
+                self.flush_wave_pooled(wave, &mut delayed)
             } else {
-                for id in wave {
-                    if let Some(engine) = self.series.get_mut(id) {
-                        engine.flush_all()?;
-                    }
+                self.flush_wave(wave)
+            };
+            let committed = self.commit_pending();
+            for outcome in [flushed, committed] {
+                if let (None, Err(err)) = (&first_error, outcome) {
+                    first_error = Some(err);
                 }
             }
         }
         if let Some(err) = first_error {
             return Err(err);
         }
-        // The fleet comes to rest here: nothing is buffered any more.
-        for id in ids {
-            self.checkpoint(id)?;
+        // The fleet comes to rest here: the manifest sheds its dead
+        // records and, nothing being buffered any more, the log is cut to
+        // its header.
+        if let Some(fleet_manifest) = self.fleet_manifest.as_mut() {
+            fleet_manifest.compact_fleet(&live_tables(&self.series))?;
         }
         if let Some(wal) = self.wal.as_mut() {
             wal.rewrite(&[])?;
@@ -682,6 +858,21 @@ impl MultiSeriesEngine {
         } else {
             Ok(AdmissionOutcome::Admitted)
         }
+    }
+
+    /// The single-worker arm of one [`MultiSeriesEngine::flush_all`] wave:
+    /// every series of the wave is flushed on this thread, in ascending id
+    /// order, whether or not an earlier one failed.
+    fn flush_wave(&mut self, wave: &[SeriesId]) -> Result<()> {
+        let mut first_error = None;
+        for id in wave {
+            if let Some(Err(err)) =
+                self.series.get_mut(id).map(LsmEngine::flush_all)
+            {
+                first_error.get_or_insert(err);
+            }
+        }
+        first_error.map_or(Ok(()), Err)
     }
 
     /// The multi-worker arm of one [`MultiSeriesEngine::flush_all`] wave:
@@ -756,18 +947,25 @@ impl MultiSeriesEngine {
         first_error.map_or(Ok(()), Err)
     }
 
-    /// Writes and fsyncs the fleet log (no-op for a non-durable fleet):
-    /// after this, every acknowledged point of every series survives a
-    /// crash. One write and one fsync, however many series the batch
-    /// touched.
+    /// Commits what the batch flushed and then writes and fsyncs the fleet
+    /// log (no-op for a non-durable fleet): after this, every acknowledged
+    /// point of every series survives a crash. One directory fsync, one
+    /// manifest fsync and one log write + fsync, however many series the
+    /// batch touched or flushed (the first two only if any did flush).
     ///
     /// # Errors
     /// I/O failures.
     pub fn sync_wal_all(&mut self) -> Result<()> {
+        self.commit_pending()?;
         match self.wal.as_mut() {
             Some(wal) => wal.sync(),
             None => Ok(()),
         }
+    }
+
+    /// Size and history of the fleet manifest, for a durable fleet.
+    pub fn manifest_stats(&self) -> Option<ManifestStats> {
+        self.fleet_manifest.as_ref().map(Manifest::stats)
     }
 
     /// Aggregated counters across all series — a [`MultiMetrics`] view over
@@ -1170,6 +1368,84 @@ mod tests {
         (m, ring.events())
     }
 
+    /// A store whose first table write holding points of `victim` — points
+    /// here carry their series as their value — fails, once, after
+    /// [`FailOnce::arm`]: which series' flush fails does not depend on
+    /// which thread gets to the store first.
+    struct FailOnce {
+        inner: crate::store::MemStore,
+        victim: f64,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl FailOnce {
+        fn arm(&self) {
+            self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl TableStore for FailOnce {
+        fn put(
+            &self,
+            points: &[DataPoint],
+        ) -> Result<(crate::sstable::SsTableMeta, usize)> {
+            let hit = points.first().is_some_and(|p| p.value == self.victim);
+            if hit
+                && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                return Err(Error::Io(std::io::Error::other(
+                    "injected StoreWrite failure",
+                )));
+            }
+            self.inner.put(points)
+        }
+        fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+            self.inner.get(id)
+        }
+        fn delete(&self, id: SsTableId) -> Result<()> {
+            self.inner.delete(id)
+        }
+        fn list(&self) -> Result<Vec<SsTableId>> {
+            self.inner.list()
+        }
+        fn read_raw(&self, id: SsTableId) -> Result<Option<bytes::Bytes>> {
+            self.inner.read_raw(id)
+        }
+    }
+
+    /// Like [`traced_fleet`], over a [`FailOnce`] store armed just before
+    /// the closing `flush_all`: returns what that call returned, as text,
+    /// next to what the fleet then holds and the trace.
+    fn traced_failing_fleet(
+        workers: usize,
+        depth: usize,
+        points: &[(u32, i64)],
+        victim: u32,
+    ) -> (String, MultiSeriesEngine, Vec<Event>) {
+        let ring = crate::obs::RingBufferSink::new(1 << 16);
+        let store = Arc::new(FailOnce {
+            inner: crate::store::MemStore::new(),
+            victim: f64::from(victim),
+            armed: std::sync::atomic::AtomicBool::new(false),
+        });
+        let mut options = OpenOptions::new(config())
+            .store(Arc::clone(&store) as Arc<dyn TableStore>)
+            .workers(workers)
+            .observer(ring.clone());
+        options.kind.flush_queue_depth = depth;
+        let mut m = options.open().expect("open");
+        for &(series, tg) in points {
+            let p = DataPoint::new(tg, tg + 3, f64::from(series));
+            m.append(SeriesId(series), p).expect("append");
+        }
+        store.arm();
+        let outcome = match m.flush_all() {
+            Ok(outcome) => format!("{outcome:?}"),
+            Err(err) => err.to_string(),
+        };
+        (outcome, m, ring.events())
+    }
+
     /// A mixed-order workload across `series_count` series: mostly
     /// ascending with every 7th point a straggler, unique per series.
     fn pool_workload(series_count: u32, per_series: i64) -> Vec<(u32, i64)> {
@@ -1373,7 +1649,109 @@ mod tests {
                 arb_pooled.arbiter_stats(),
                 arb_seq.arbiter_stats()
             );
+            // Nor on the failure path: when one series' table write fails
+            // inside `flush_all`, every other series of every wave is still
+            // flushed, and the error, the contents, the counters and the
+            // trace are those of the sequential fleet.
+            let victim = points[0].0;
+            let (seq_outcome, failed_seq, failed_seq_trace) =
+                traced_failing_fleet(1, 3, &points, victim);
+            let (pooled_outcome, failed_pooled, failed_pooled_trace) =
+                traced_failing_fleet(workers, 3, &points, victim);
+            proptest::prop_assert_eq!(pooled_outcome, seq_outcome);
+            proptest::prop_assert_eq!(
+                failed_pooled.combined_metrics(),
+                failed_seq.combined_metrics()
+            );
+            proptest::prop_assert_eq!(
+                fleet_scans(&failed_pooled),
+                fleet_scans(&failed_seq)
+            );
+            proptest::prop_assert_eq!(failed_pooled_trace, failed_seq_trace);
+            for id in failed_seq.series_ids() {
+                let engine = failed_seq.engine(id).expect("series");
+                proptest::prop_assert_eq!(engine.buffered_points(), 0);
+            }
         }
+    }
+
+    #[test]
+    fn a_failing_series_does_not_keep_the_others_from_flushing() {
+        // Series 1 of 0..5 fails in the first wave of two: series 2–4 are
+        // flushed all the same, by one worker or three.
+        let points = pool_workload(5, 12);
+        for workers in [1, 3] {
+            let (outcome, m, _) = traced_failing_fleet(workers, 3, &points, 1);
+            assert!(outcome.contains("injected"), "{workers}: {outcome}");
+            for id in m.series_ids() {
+                let engine = m.engine(id).expect("series");
+                assert_eq!(engine.buffered_points(), 0, "{workers}: {id}");
+                let flushed = if id == SeriesId(1) { 8 } else { 12 };
+                assert_eq!(
+                    engine.run().total_points(),
+                    flushed,
+                    "{workers}: {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_series_files_count_only_in_the_spelling_they_were_written_in() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-multi-legacy-names-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for name in ["series-7.wal", "series-12.wal", "series-3.manifest"] {
+            std::fs::write(dir.join(name), b"").expect("touch");
+        }
+        // Not this layout's: ignored.
+        for name in ["fleet.wal", "series-7.wal.tmp", "series-.txt"] {
+            std::fs::write(dir.join(name), b"").expect("touch");
+        }
+        let mut report = RecoveryReport::default();
+        let strict = RecoveryOptions::strict();
+        let logs = legacy_files(&dir, ".wal", strict, &mut report).expect("ls");
+        let ids: Vec<u32> = logs.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, vec![7, 12], "ascending by id, not by name");
+        // A second spelling of series 7 would replace the first's contents.
+        for alias in ["series-007.wal", "series-+7.wal", "series-.wal"] {
+            std::fs::write(dir.join(alias), b"").expect("touch");
+            let err = legacy_files(&dir, ".wal", strict, &mut report)
+                .expect_err("strict refuses an alias");
+            assert!(matches!(err, Error::Corrupt(_)), "{alias}: {err}");
+            let mut report = RecoveryReport::default();
+            let salvaged = legacy_files(
+                &dir,
+                ".wal",
+                RecoveryOptions::salvage(),
+                &mut report,
+            )
+            .expect("salvage skips it");
+            assert_eq!(salvaged, logs, "{alias}");
+            assert_eq!(report.files_skipped, vec![dir.join(alias)]);
+            assert!(!report.is_clean(), "a skipped file is reported");
+            std::fs::remove_file(dir.join(alias)).expect("rm");
+        }
+        // The same rule holds on the way in through recovery.
+        std::fs::remove_dir_all(&dir).expect("reset");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join("series-007.manifest"), b"").expect("touch");
+        let recover = |options: RecoveryOptions| {
+            OpenOptions::new(config())
+                .durable_dir(&dir)
+                .recovery(options)
+                .open_or_recover()
+        };
+        assert!(matches!(recover(strict), Err(Error::Corrupt(_))));
+        let (m, report) = recover(RecoveryOptions::salvage()).expect("salvage");
+        assert!(m.is_empty());
+        assert_eq!(report.files_skipped, vec![dir.join("series-007.manifest")]);
+        assert!(dir.join("series-007.manifest").exists(), "left untouched");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

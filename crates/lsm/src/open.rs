@@ -18,7 +18,10 @@
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
 //! has ([`Background`]: synchronous flushes; [`Fleet`]: durable
-//! directory, flush pool, arbiter) and the engine type it assembles.
+//! directory, flush pool, arbiter) and the engine type it assembles. A
+//! durable fleet assembles its series through the [`Inline`] kind with
+//! neither log nor manifest: both are the fleet's (`fleet.wal`,
+//! `fleet.manifest`), and so is the moment a series' flush is committed.
 //!
 //! ```
 //! use seplsm_lsm::{EngineConfig, OpenOptions};
@@ -41,7 +44,7 @@ use crate::arbiter::ArbiterConfig;
 use crate::cache::BlockCache;
 use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
-use crate::manifest::Manifest;
+use crate::manifest::{Levels, Manifest};
 use crate::obs::{Observer, ObserverHandle};
 use crate::recovery::{RecoveryOptions, RecoveryReport};
 use crate::store::{CachedStore, MemStore, TableStore};
@@ -81,9 +84,18 @@ pub trait Kind: Default {
 /// manifest path and one admission controller.
 pub trait SingleSeries: Kind {}
 
-/// The [`LsmEngine`](crate::LsmEngine) kind; it has no settings of its own.
+/// The [`LsmEngine`](crate::LsmEngine) kind; it has no settings of its own
+/// outside the crate.
 #[derive(Debug, Default)]
-pub struct Inline;
+pub struct Inline {
+    /// The engine is one series of a durable fleet, which keeps the log
+    /// and the manifest for it and commits its flushes at the fleet's
+    /// commit points.
+    pub(crate) owner_commits: bool,
+    /// Recovering: the levels the owner replayed for this series from its
+    /// shared manifest, in place of a manifest of the engine's own.
+    pub(crate) levels: Option<Levels>,
+}
 
 /// The [`TieredEngine`](crate::TieredEngine) kind.
 #[derive(Debug, Default)]
@@ -196,8 +208,8 @@ impl<K: Kind> EngineBuilder<K> {
         self
     }
 
-    /// Routes the engine's WAL and manifest writes (a fleet: its log and
-    /// every series' manifest, current and future) through `plan`'s fault
+    /// Routes the engine's WAL and manifest writes (a fleet: its one log
+    /// and its one manifest) through `plan`'s fault
     /// schedule once opening completes. The table store is attached
     /// separately at construction
     /// ([`FileStore::with_faults`](crate::FileStore::with_faults) or a
@@ -231,7 +243,7 @@ impl<K: Kind> EngineBuilder<K> {
     /// one, by scanning the store — then the buffered tail from the WAL.
     /// A [`TieredEngine`](crate::TieredEngine) requires a manifest and a
     /// [`MultiSeriesEngine`](crate::MultiSeriesEngine) a
-    /// durable directory, whose every `series-<n>.manifest` is recovered
+    /// durable directory, whose `fleet.manifest` restores every series
     /// before its `fleet.wal` is replayed over them;
     /// orphan GC, when requested, runs once the whole live set is known.
     ///
@@ -311,11 +323,11 @@ impl SingleSeries for Background {}
 
 impl MultiOpenOptions {
     /// Makes the collection durable: the fleet logs every series' points
-    /// to the one `dir/fleet.wal` and each series records run membership
-    /// in `dir/series-<n>.manifest`, so the whole collection survives a
+    /// to the one `dir/fleet.wal` and records every series' run membership
+    /// in the one `dir/fleet.manifest`, so the whole collection survives a
     /// crash. (A directory written by an older build, with one
-    /// `series-<n>.wal` per series, is folded into that layout by
-    /// [`open_or_recover`](Self::open_or_recover).)
+    /// `series-<n>.wal` or `series-<n>.manifest` per series, is folded
+    /// into that layout by [`open_or_recover`](Self::open_or_recover).)
     pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.kind.durable_dir = Some(dir.into());
         self

@@ -11,13 +11,13 @@
 //! garbage-collect orphan `.sst` files leaked by a crash mid-compaction
 //! (opt-in: see [`RecoveryOptions::gc_orphans`]).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use seplsm_types::{DataPoint, Error, Result, TimeRange};
 
 use crate::invariants::probe_table;
 use crate::level::Run;
-use crate::manifest::Manifest;
+use crate::manifest::{Levels, Manifest};
 use crate::obs::{Event, ObserverHandle, RecoveryStepKind};
 use crate::sstable::{SsTableId, SsTableMeta};
 use crate::store::TableStore;
@@ -98,6 +98,11 @@ pub struct RecoveryReport {
     pub manifest_records_dropped: u64,
     /// Orphan tables deleted by [`RecoveryOptions::gc_orphans`].
     pub orphans_removed: Vec<SsTableId>,
+    /// Per-series files of an older fleet layout whose names are not the
+    /// spelling that layout wrote (`series-007.wal`): left where they are,
+    /// their contents not recovered (salvage only — strict mode refuses
+    /// the directory).
+    pub files_skipped: Vec<PathBuf>,
 }
 
 impl RecoveryReport {
@@ -108,6 +113,7 @@ impl RecoveryReport {
             && self.lost_ranges.is_empty()
             && self.wal_records_dropped == 0
             && self.manifest_records_dropped == 0
+            && self.files_skipped.is_empty()
     }
 
     /// Folds another report (e.g. one series of a multi-series recovery)
@@ -118,6 +124,7 @@ impl RecoveryReport {
         self.wal_records_dropped += other.wal_records_dropped;
         self.manifest_records_dropped += other.manifest_records_dropped;
         self.orphans_removed.extend(other.orphans_removed);
+        self.files_skipped.extend(other.files_skipped);
     }
 
     fn note_quarantine(
@@ -139,20 +146,11 @@ impl RecoveryReport {
 ///
 /// With a `manifest` the levels are replayed from it in O(metadata);
 /// without one the run is reconstructed by reading every stored table.
-/// Strict mode aborts on the first damage. Salvage mode uses the longest
-/// valid manifest prefix, quarantines tables that are unreadable, empty or
-/// disagree with their metadata, resolves run overlaps in favour of the
-/// newer table (a crashed merge can leave both an old table and the table
-/// that re-wrote it), and names every loss in `report`.
-///
-/// `allow_l0` is the caller's layout: an engine with an L0 keeps the
-/// manifest's L0 tables (probed only — L0 tables overlap by design); an
-/// engine without one rejects a manifest that has any, in either mode,
-/// because that is a different engine's manifest, not damage.
+/// Strict mode aborts on the first damage; salvage mode uses the longest
+/// valid manifest prefix and hands the levels to [`version_from_levels`].
 ///
 /// # Errors
-/// Strict mode: any damage. Salvage mode: store failures while
-/// quarantining, or a run that still overlaps after resolution.
+/// Strict mode: any damage. Salvage mode: see [`version_from_levels`].
 pub(crate) fn rebuild_version(
     store: &dyn TableStore,
     manifest: Option<&Path>,
@@ -162,31 +160,70 @@ pub(crate) fn rebuild_version(
     obs: &ObserverHandle,
 ) -> Result<Version> {
     let salvage = mode == RecoveryMode::Salvage;
-    let (mut run, mut l0) = match manifest {
-        Some(path) if salvage => {
-            let (run, l0, dropped) = Manifest::replay_levels_salvage(path)?;
-            report.manifest_records_dropped += dropped;
-            (run, l0)
-        }
-        Some(path) => Manifest::replay_levels(path)?,
+    let levels = match manifest {
+        Some(path) => replay_manifest(path, mode, report)?,
         None => (scan_store(store, salvage, report, obs)?, Vec::new()),
     };
+    let replayed = manifest.is_some();
+    version_from_levels(store, levels, replayed, mode, allow_l0, report, obs)
+}
+
+/// Replays the single-engine manifest at `path`: strict mode refuses
+/// damage in front of valid records, salvage mode uses the longest valid
+/// prefix and counts what it dropped in `report`.
+pub(crate) fn replay_manifest(
+    path: &Path,
+    mode: RecoveryMode,
+    report: &mut RecoveryReport,
+) -> Result<Levels> {
+    if mode == RecoveryMode::Strict {
+        return Manifest::replay_levels(path);
+    }
+    let (run, l0, dropped) = Manifest::replay_levels_salvage(path)?;
+    report.manifest_records_dropped += dropped;
+    Ok((run, l0))
+}
+
+/// Turns `(run, l0)` levels — `replayed` from an engine's own manifest or
+/// from one series' share of a fleet's, else found by a store scan — into
+/// a [`Version`]. Salvage mode quarantines tables that are unreadable, empty or disagree
+/// with their metadata, resolves run overlaps in favour of the newer table
+/// (a crashed merge can leave both an old table and the table that re-wrote
+/// it), and names every loss in `report`.
+///
+/// `allow_l0` is the caller's layout: an engine with an L0 keeps the
+/// manifest's L0 tables (probed only — L0 tables overlap by design); an
+/// engine without one rejects a manifest that has any, in either mode,
+/// because that is a different engine's manifest, not damage.
+///
+/// # Errors
+/// Strict mode: a run that overlaps. Salvage mode: store failures while
+/// quarantining, or a run that still overlaps after resolution.
+pub(crate) fn version_from_levels(
+    store: &dyn TableStore,
+    (mut run, mut l0): Levels,
+    replayed: bool,
+    mode: RecoveryMode,
+    allow_l0: bool,
+    report: &mut RecoveryReport,
+    obs: &ObserverHandle,
+) -> Result<Version> {
     if !allow_l0 && !l0.is_empty() {
         return Err(Error::Corrupt(
             "manifest contains L0 records; recover with TieredEngine".into(),
         ));
     }
-    if salvage {
+    if mode == RecoveryMode::Salvage {
         run = salvage_tables(store, run, report, obs)?;
         if allow_l0 {
             l0 = probe_tables(store, l0, report, obs)?;
         }
     }
-    if manifest.is_some() {
-        let replayed = (run.len() + l0.len()) as u64;
+    if replayed {
+        let items = (run.len() + l0.len()) as u64;
         obs.emit(|| Event::RecoveryStep {
             step: RecoveryStepKind::ManifestReplayed,
-            items: replayed,
+            items,
         });
     }
     Ok(Version::from_levels(Run::from_tables(run)?, l0))
@@ -236,13 +273,14 @@ fn scan_store(
 /// salvage: the longest valid prefix, the rest counted in `report`) goes
 /// through `reinsert` with the series it was logged for — the engine's own
 /// append path minus the logging, so a replay can trigger flushes — and
-/// the log is then cut down to `survivors(engine)`, per series the points
-/// still volatile after that. Returns the opened log for the engine to
-/// keep appending to.
+/// the log is then cut down to `settle(engine)`, per series the points
+/// still volatile after that; an engine whose flushes wait on a commit of
+/// its own makes it there, before the cut lets go of their points.
+/// Returns the opened log for the engine to keep appending to.
 ///
 /// # Errors
-/// A damaged log in strict mode; whatever `reinsert` fails with; I/O
-/// failures opening or cutting the log.
+/// A damaged log in strict mode; whatever `reinsert` or `settle` fails
+/// with; I/O failures opening or cutting the log.
 pub(crate) fn replay_wal<E>(
     engine: &mut E,
     path: &Path,
@@ -250,7 +288,7 @@ pub(crate) fn replay_wal<E>(
     report: &mut RecoveryReport,
     obs: &ObserverHandle,
     reinsert: impl Fn(&mut E, u32, DataPoint) -> Result<()>,
-    survivors: impl Fn(&E) -> Vec<(u32, Vec<DataPoint>)>,
+    settle: impl FnOnce(&mut E) -> Result<Vec<(u32, Vec<DataPoint>)>>,
 ) -> Result<Wal> {
     let salvage = mode == RecoveryMode::Salvage;
     let (mut wal, replay) = Wal::recover(path, !salvage)?;
@@ -267,7 +305,7 @@ pub(crate) fn replay_wal<E>(
             reinsert(engine, series, p)?;
         }
     }
-    wal.rewrite(&survivors(engine))?;
+    wal.rewrite(&settle(engine)?)?;
     Ok(wal)
 }
 

@@ -83,6 +83,29 @@ pub trait TableStore: Send + Sync {
         chunks.iter().map(|chunk| self.put(chunk)).collect()
     }
 
+    /// [`put_batch`](TableStore::put_batch) minus whatever makes the new
+    /// tables' *names* durable: when this returns every table is readable
+    /// and its bytes are durable, but only
+    /// [`sync_published`](TableStore::sync_published) guarantees a crash
+    /// cannot un-publish it. For an owner that commits many batches at
+    /// once and pays for their names once. The default is `put_batch`
+    /// itself — already durable, so the default `sync_published` owes
+    /// nothing.
+    fn publish_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        self.put_batch(chunks)
+    }
+
+    /// Makes every table published so far durable under its name (the
+    /// [`FileStore`]: one directory fsync). Nothing may reference a table
+    /// of a [`publish_batch`](TableStore::publish_batch) durably — no
+    /// manifest record — before this has returned.
+    fn sync_published(&self) -> Result<()> {
+        Ok(())
+    }
+
     /// Reads, validates and decodes the table.
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>>;
 
@@ -451,21 +474,18 @@ impl FileStore {
         })
     }
 
-    /// Renames every staged table to its live name, then makes all the
-    /// renames durable with one directory fsync. Nothing references a
-    /// table until its caller's manifest commit, which comes after this
-    /// returns, so the renames need no durability of their own before the
-    /// shared fsync.
+    /// Renames every staged table to its live name. The renames are not
+    /// durable until the directory is fsynced —
+    /// [`sync_published`](TableStore::sync_published) — and nothing
+    /// references a table until its owner's manifest commit, which comes
+    /// after that.
     fn publish(&self, staged: &[StagedTable]) -> Result<()> {
-        if staged.is_empty() {
-            return Ok(());
-        }
         for table in staged {
             fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
+            // seplint: allow(R6): sync_published is the directory fsync
             std::fs::rename(&table.tmp_path, &table.final_path)?;
         }
-        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
-        sync_dir(&self.dir)
+        Ok(())
     }
 
     /// Best-effort removal of the tmp files a failed batch staged but did
@@ -495,6 +515,7 @@ impl TableStore for FileStore {
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
         let staged = self.stage(points)?;
         self.publish(std::slice::from_ref(&staged))?;
+        self.sync_published()?;
         Ok((staged.meta, staged.size))
     }
 
@@ -503,6 +524,19 @@ impl TableStore for FileStore {
     /// k tables instead of 2k. A failed batch removes the tmp files it had
     /// staged; tables it had already renamed are unreferenced orphans.
     fn put_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        let stored = self.publish_batch(chunks)?;
+        if !stored.is_empty() {
+            self.sync_published()?;
+        }
+        Ok(stored)
+    }
+
+    /// Every tmp file written and fsynced, then all renamed: k fsyncs, the
+    /// directory's left to [`sync_published`](TableStore::sync_published).
+    fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
     ) -> Result<Vec<(SsTableMeta, usize)>> {
@@ -521,6 +555,11 @@ impl TableStore for FileStore {
             return Err(e);
         }
         Ok(staged.into_iter().map(|t| (t.meta, t.size)).collect())
+    }
+
+    fn sync_published(&self) -> Result<()> {
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
+        sync_dir(&self.dir)
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
@@ -769,6 +808,17 @@ impl TableStore for CachedStore {
         chunks: &[&[DataPoint]],
     ) -> Result<Vec<(SsTableMeta, usize)>> {
         self.inner.put_batch(chunks)
+    }
+
+    fn publish_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> Result<Vec<(SsTableMeta, usize)>> {
+        self.inner.publish_batch(chunks)
+    }
+
+    fn sync_published(&self) -> Result<()> {
+        self.inner.sync_published()
     }
 
     fn note_short_lived(&self, id: SsTableId) {

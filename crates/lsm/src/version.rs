@@ -49,6 +49,30 @@ pub enum VersionEdit {
     },
 }
 
+impl VersionEdit {
+    /// Appends the manifest records of this edit to `group`: whoever logs
+    /// for the version commits them as (part of) one atomic edit group.
+    pub(crate) fn journal(&self, group: &mut Vec<ManifestEdit>) {
+        match self {
+            VersionEdit::FlushToL0 { tables, .. } => {
+                group.extend(tables.iter().copied().map(ManifestEdit::AddL0));
+            }
+            VersionEdit::RegisterFlushing(_) => {}
+            VersionEdit::Replace {
+                removed,
+                added,
+                drain_l0,
+            } => {
+                if *drain_l0 {
+                    group.push(ManifestEdit::DrainL0);
+                }
+                group.extend(removed.iter().copied().map(ManifestEdit::Remove));
+                group.extend(added.iter().copied().map(ManifestEdit::Add));
+            }
+        }
+    }
+}
+
 /// The table-level state of one series; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct Version {
@@ -168,27 +192,7 @@ impl Version {
     ) -> Result<()> {
         let mut group = Vec::new();
         for edit in edits {
-            match edit {
-                VersionEdit::FlushToL0 { tables, .. } => {
-                    group.extend(
-                        tables.iter().copied().map(ManifestEdit::AddL0),
-                    );
-                }
-                VersionEdit::RegisterFlushing(_) => {}
-                VersionEdit::Replace {
-                    removed,
-                    added,
-                    drain_l0,
-                } => {
-                    if *drain_l0 {
-                        group.push(ManifestEdit::DrainL0);
-                    }
-                    group.extend(
-                        removed.iter().copied().map(ManifestEdit::Remove),
-                    );
-                    group.extend(added.iter().copied().map(ManifestEdit::Add));
-                }
-            }
+            edit.journal(&mut group);
         }
         manifest.commit_or_rewrite(&group, self.run.tables(), &self.l0)
     }

@@ -142,11 +142,10 @@ enum EvKind {
     /// of everything but a survivor set.
     WalTruncate,
     /// Evidence the truncated data is covered elsewhere: a manifest record
-    /// (`manifest`, `record`, `rewrite_levels`, `commit_or_rewrite`), a
-    /// still-queryable flushing registration (`RegisterFlushing`), or a
-    /// series engine's report that its flush reached the manifest commit
-    /// (`take_committed_flush` — the fleet logs for engines that keep no
-    /// log of their own).
+    /// (`manifest`, `record`, `rewrite_levels`, `commit_or_rewrite`, or a
+    /// fleet's `commit_fleet` — its series keep neither log nor manifest,
+    /// so only the fleet's own commit covers what it checkpoints), or a
+    /// still-queryable flushing registration (`RegisterFlushing`).
     Cover,
     /// A recovery / migration source (`replay`, `migrate`): points flowing
     /// from here were already durable, so they need no fresh WAL append,
@@ -173,7 +172,7 @@ const COVER_IDENTS: &[&str] = &[
     "rewrite_levels",
     "commit_or_rewrite",
     "RegisterFlushing",
-    "take_committed_flush",
+    "commit_fleet",
 ];
 
 /// Identifiers that count as [`EvKind::Source`].

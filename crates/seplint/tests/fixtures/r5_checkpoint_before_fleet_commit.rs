@@ -1,0 +1,36 @@
+//! R5 fixture: a fleet whose commit point lets the log go first. Its series
+//! keep neither log nor manifest, so nothing they report covers a
+//! checkpoint: only the fleet manifest's own `commit_fleet` does.
+
+pub struct Fleet {
+    wal: Wal,
+    fleet_manifest: Manifest,
+    series: Series,
+}
+
+impl Fleet {
+    // VIOLATION: the series is checkpointed — and the log cut — before the
+    // group that records its flush is in the fleet manifest; a crash in
+    // between recovers the old version and a log that no longer holds what
+    // the uncommitted tables took out of memory.
+    fn commit_pending(&mut self) -> Result<(), Error> {
+        let groups = self.series.pending_groups();
+        for (series, survivors) in self.series.flushed() {
+            if self.wal.checkpoint(series, &survivors)? {
+                self.wal.rewrite(&self.series.survivors())?;
+            }
+        }
+        self.fleet_manifest.commit_fleet(&groups, &self.series.live())?;
+        Ok(())
+    }
+
+    // Compliant: the group is durable first.
+    fn commit_in_order(&mut self) -> Result<(), Error> {
+        let groups = self.series.pending_groups();
+        self.fleet_manifest.commit_fleet(&groups, &self.series.live())?;
+        for (series, survivors) in self.series.flushed() {
+            self.wal.checkpoint(series, &survivors)?;
+        }
+        Ok(())
+    }
+}

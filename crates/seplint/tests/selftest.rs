@@ -137,6 +137,34 @@ fn r5_fires_on_buffer_before_append_and_uncovered_truncate() {
 }
 
 #[test]
+fn r5_fires_on_a_fleet_checkpoint_before_the_fleet_commit() {
+    let src = fixture("r5_checkpoint_before_fleet_commit.rs");
+    let v = rules::durability_order(Path::new("multi.rs"), &src);
+    // The checkpoint and the cut of `commit_pending`; `commit_in_order`
+    // passes.
+    assert_eq!(v.len(), 2, "{v:?}");
+    assert!(v.iter().all(|f| f.rule == "R5"), "{v:?}");
+    assert!(
+        v.iter()
+            .all(|f| f.message.contains("`commit_pending` truncates the WAL")),
+        "{v:?}"
+    );
+    // What a series engine reports about itself covers nothing any more.
+    let stale_fleet = "
+        impl Fleet {
+            fn note_flush(&mut self, series: SeriesId) -> Result<()> {
+                if !engine.take_committed_flush() {
+                    return Ok(());
+                }
+                wal.checkpoint(series.0, &engine.buffered_snapshot())?;
+                Ok(())
+            }
+        }";
+    let v = rules::durability_order(Path::new("stale.rs"), stale_fleet);
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
 fn r5_passes_the_compliant_orderings() {
     // Append-then-insert is the durable order, for a one-series log and
     // for a series-tagged one.
@@ -175,20 +203,17 @@ fn r5_passes_the_compliant_orderings() {
         "truncate-only helper must be judged at its call site"
     );
 
-    // A fleet logs for series engines that keep no log of their own: the
-    // engine's report that its flush committed covers the checkpoint.
+    // A fleet logs and journals for series engines that keep neither a
+    // log nor a manifest: its own manifest commit covers the checkpoints.
     let ok_fleet = "
         impl Fleet {
-            fn checkpoint(&mut self, series: SeriesId) -> Result<()> {
-                if !engine.take_committed_flush() {
-                    return Ok(());
-                }
+            fn commit_pending(&mut self) -> Result<()> {
+                fleet_manifest.commit_fleet(&groups, &live)?;
                 wal.checkpoint(series.0, &engine.buffered_snapshot())?;
                 Ok(())
             }
         }";
     assert!(rules::durability_order(Path::new("ok.rs"), ok_fleet).is_empty());
-
     // Replay (recovery) legitimately buffers without a fresh append.
     let ok_recover = "
         impl Engine {

@@ -43,12 +43,12 @@ pub use seplsm_lsm::{
     DegradedState, DiskModel, EncodeOptions, EngineConfig, Event, FanoutSink,
     Fault, FaultPlan, FaultStore, FileStore, Histogram, IoOp, IoPacer,
     JsonlSink, LogicalClock, LsmEngine, Manifest, ManifestEdit,
-    ManifestRecordKind, MemStore, MultiOpenOptions, MultiSeriesEngine,
-    Observer, ObserverHandle, OpenOptions, PaceDecision, PacerStats,
-    QuarantinedTable, QueryStats, Rebalance, RecoveryMode, RecoveryOptions,
-    RecoveryReport, RecoveryStepKind, RetryBackoff, RingBufferSink,
-    SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,
-    TieredReport, Wal, WalStats, Watermarks,
+    ManifestRecordKind, ManifestStats, MemStore, MultiOpenOptions,
+    MultiSeriesEngine, Observer, ObserverHandle, OpenOptions, PaceDecision,
+    PacerStats, QuarantinedTable, QueryStats, Rebalance, RecoveryMode,
+    RecoveryOptions, RecoveryReport, RecoveryStepKind, RetryBackoff,
+    RingBufferSink, SeriesAssignment, SeriesId, TableStore, TieredEngine,
+    TieredOpenOptions, TieredReport, Wal, WalStats, Watermarks,
 };
 pub use seplsm_types::{
     DataPoint, Error, Policy, Result, TimeRange, Timestamp,

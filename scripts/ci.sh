@@ -81,10 +81,18 @@ cargo test -q -p seplsm --test crash_schedules --offline
 echo "== fault injection (old-format fixtures) =="
 cargo test -q -p seplsm --test crash_schedules --offline \
   pr12_and_pr13_format_directories_still_recover
+# And the fleet directories of the PR 13 and PR 18 builds (one manifest per
+# series): folded into `fleet.manifest` + `fleet.wal`, nothing else left,
+# also when a crash lands between the fold and the removal.
+cargo test -q -p seplsm --test crash_schedules --offline \
+  pr18_fleet_directory_still_recovers
 # Same lane, by name: the traced fsync budget of one flush/merge commit
 # (k table fsyncs + 1 directory + 1 manifest, in that order, and nothing on
-# the WAL; one WAL write + fsync per batch, however many series). A
-# regression fails on the assertion that prints the op that crept back in.
+# the WAL; one WAL write + fsync per batch, however many series) and of one
+# fleet batch (Σk + 1 directory + 1 manifest + 1 WAL, however many series
+# flushed; at rest one manifest record per live table + one header per
+# series). A regression fails on the assertion that prints the op that
+# crept back in.
 echo "== fault injection (fsync budget) =="
 cargo test -q -p seplsm --test fsync_budget --offline
 
@@ -131,6 +139,13 @@ PYEOF
 # failed operation or an answer that differs from the oracle.
 echo "== benchmark smoke (frozen adapter contract) =="
 bash benchmark/run.sh --smoke --seconds 10 >/dev/null
+# The traced run wraps the store in the benchmark's frozen `TimedStore`,
+# which forwards neither `publish_batch` nor `sync_published`: the fleet's
+# commit point then runs over the trait's *defaults* (every batch already
+# durable, nothing left to sync), a path no other lane takes.
+echo "== benchmark smoke (traced fleet, default publish/sync pair) =="
+bash benchmark/run.sh --smoke --seconds 10 --workload fleet-skew --trace 1 \
+  >/dev/null
 
 # Opt-in undefined-behaviour lane: MIRI=1 scripts/ci.sh runs the kernel's
 # memtable/buffer unit tests under miri when the component is installed.

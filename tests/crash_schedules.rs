@@ -819,6 +819,30 @@ fn pr13_fleet_contents(series: u32) -> Vec<DataPoint> {
     points
 }
 
+/// Copies a checked-in fixture directory to where a test may write.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read fixture dir") {
+        let entry = entry.expect("entry");
+        let dest = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_dir(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).expect("copy fixture file");
+        }
+    }
+}
+
+/// The files of `dir`, by name, sorted.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("ls")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 /// Durable state written by older builds (`tests/fixtures/pr12/` and
 /// `tests/fixtures/pr13/`, see their READMEs: this file's `workload(43)` /
 /// `workload(46)` appended, synced, and the engine dropped without a closing
@@ -831,18 +855,6 @@ fn pr13_fleet_contents(series: u32) -> Vec<DataPoint> {
 /// fleet's folded into one `fleet.wal`.
 #[test]
 fn pr12_and_pr13_format_directories_still_recover() {
-    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
-        std::fs::create_dir_all(to).expect("mkdir");
-        for entry in std::fs::read_dir(from).expect("read fixture dir") {
-            let entry = entry.expect("entry");
-            let dest = to.join(entry.file_name());
-            if entry.path().is_dir() {
-                copy_dir(&entry.path(), &dest);
-            } else {
-                std::fs::copy(entry.path(), dest).expect("copy fixture file");
-            }
-        }
-    }
     fn assert_framed(wal: &std::path::Path) {
         let bytes = std::fs::read(wal).expect("read recovered log");
         assert!(bytes.starts_with(WAL_MAGIC), "{} not framed", wal.display());
@@ -965,6 +977,101 @@ fn pr12_and_pr13_format_directories_still_recover() {
             assert_eq!(scan(&fleet, ids[0]), pr13_fleet_contents(1), "{ctx}");
             assert_eq!(scan(&fleet, ids[3]).len(), 3, "{ctx}");
         }
+    }
+}
+
+/// The fleet of `tests/fixtures/pr18/fleet` (see its README): the last
+/// layout with one `series-<n>.manifest` per series, dropped mid-run with
+/// merges done and stragglers in the framed `fleet.wal`. Its contents are
+/// PR 13's fleet's. It must recover, strict and salvage, to what the build
+/// that wrote it recovers, leaving `fleet.manifest` + `fleet.wal` and
+/// nothing else — also when a crash between the fold and the removal
+/// leaves the per-series manifests behind for a second recovery to fold
+/// again — and keep going on top of it.
+#[test]
+fn pr18_fleet_directory_still_recovers() {
+    let pi_s = || {
+        EngineConfig::new(Policy::separation(8, 4).expect("policy"))
+            .with_sstable_points(4)
+    };
+    let ids = [1, 2, 3, 7].map(SeriesId);
+    // PR 13's fleet left per-series manifests too (and per-series logs).
+    let cases = ["pr13", "pr18"]
+        .into_iter()
+        .flat_map(|build| recovery_modes().map(|mode| (build, mode)));
+    for (build, (mode, recovery)) in cases {
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(build)
+            .join("fleet");
+        let dir = TempDir::new(&format!("{build}-fleet-fixture-{mode}"));
+        let mode = format!("{build}, {mode}");
+        copy_dir(&fixture, &dir.0);
+        let recover = |ctx: &str| {
+            let store: Arc<dyn TableStore> = Arc::new(
+                FileStore::open(dir.path("tables")).expect("fixture store"),
+            );
+            let (fleet, report) = MultiOpenOptions::new(pi_s())
+                .store(store)
+                .durable_dir(dir.path("meta"))
+                .recovery(recovery)
+                .open_or_recover()
+                .unwrap_or_else(|e| panic!("{mode}, {ctx}: {e}"));
+            assert!(report.is_clean(), "{mode}, {ctx}: {report:?}");
+            assert!(report.orphans_removed.is_empty(), "{mode}, {ctx}");
+            assert_eq!(fleet.series_ids(), ids, "{mode}, {ctx}");
+            fleet.check_integrity().expect("integrity");
+            assert_eq!(
+                file_names(&dir.path("meta")),
+                ["fleet.manifest", "fleet.wal"],
+                "{mode}, {ctx}"
+            );
+            fleet
+        };
+        let scan = |fleet: &MultiSeriesEngine, id: SeriesId| {
+            fleet.engine(id).expect("series").scan_all().expect("scan")
+        };
+
+        let fleet = recover("first recovery");
+        for id in ids {
+            assert_eq!(scan(&fleet, id), pr13_fleet_contents(id.0), "{mode}");
+        }
+        let stats = fleet.manifest_stats().expect("durable fleet");
+        assert_eq!(stats.records, 4 + 3 * 11, "one header per series: {mode}");
+        drop(fleet);
+
+        // A crash after the fold, before the removal was durable: the
+        // per-series manifests are back, and say what the fold recorded.
+        for id in ids {
+            let name = format!("meta/series-{}.manifest", id.0);
+            std::fs::copy(fixture.join(&name), dir.path(&name))
+                .expect("the removed manifest comes back");
+        }
+        let mut fleet = recover("recovery after a crash mid-fold");
+        for id in ids {
+            assert_eq!(scan(&fleet, id), pr13_fleet_contents(id.0), "{mode}");
+        }
+
+        // And it keeps going in the new layout: merges, a commit point, a
+        // closing flush, one more crash.
+        for i in 0..8 {
+            let tg = 1_005 + i * 10;
+            fleet
+                .append(ids[0], DataPoint::new(tg, tg + 1, 0.5))
+                .expect("append");
+        }
+        fleet.sync_wal_all().expect("sync");
+        fleet
+            .append(ids[3], DataPoint::new(25, 26, 8.0))
+            .expect("append");
+        fleet.sync_wal_all().expect("sync");
+        drop(fleet);
+        let mut fleet = recover("recovery of the new layout");
+        assert_eq!(scan(&fleet, ids[0]).len(), 46 + 8, "{mode}");
+        assert_eq!(scan(&fleet, ids[1]), pr13_fleet_contents(2), "{mode}");
+        assert_eq!(scan(&fleet, ids[3]).len(), 3, "{mode}");
+        fleet.flush_all().expect("flush");
+        assert_eq!(scan(&fleet, ids[0]).len(), 46 + 8, "{mode}");
     }
 }
 
@@ -1201,9 +1308,11 @@ fn fleet_log_workload() -> Vec<(u32, DataPoint)> {
     pts
 }
 
-/// Batch → sync, batch → flush → checkpoint → sync, twice, then the
-/// closing `flush_all` that cuts the log.
-fn fleet_log_pass(
+/// A durable fleet under `plan`: `pts` in batches of `batch` appends, each
+/// closed by a sync, then the closing `flush_all` that cuts the log.
+fn fleet_pass(
+    config: EngineConfig,
+    batch: usize,
     tag: &str,
     plan: &Arc<FaultPlan>,
     pts: &[(u32, DataPoint)],
@@ -1212,27 +1321,30 @@ fn fleet_log_pass(
     let store = FileStore::open(dir.path("tables"))
         .expect("store")
         .with_faults(Arc::clone(plan));
-    let mut engine = MultiOpenOptions::new(fleet_log_config())
+    let mut engine = MultiOpenOptions::new(config)
         .store(Arc::new(store))
         .durable_dir(dir.path("meta"))
         .faults(Arc::clone(plan))
         .open()
         .expect("durable fleet");
-    let out = drive_fleet(&mut engine, pts, FLEET_LOG_BATCH);
+    let out = drive_fleet(&mut engine, pts, batch);
     let _ = engine.flush_all();
     (dir, out)
 }
 
-fn fleet_log_recover_check(
+/// Recovers the fleet `fleet_pass` left in `dir` and checks the contract
+/// and the integrity audit; returns it with its report.
+fn fleet_recover_check(
+    config: EngineConfig,
     dir: &TempDir,
     pts: &[(u32, DataPoint)],
     out: &FleetOutcome,
     recovery: RecoveryOptions,
     ctx: &str,
-) {
+) -> (MultiSeriesEngine, seplsm::RecoveryReport) {
     let store: Arc<dyn TableStore> =
         Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, report) = MultiOpenOptions::new(fleet_log_config())
+    let (engine, report) = MultiOpenOptions::new(config)
         .store(store)
         .durable_dir(dir.path("meta"))
         .recovery(recovery)
@@ -1243,6 +1355,27 @@ fn fleet_log_recover_check(
         .check_integrity()
         .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
     check_fleet_contract(&engine, pts, out, ctx);
+    (engine, report)
+}
+
+/// Batch → sync, batch → flush → checkpoint → sync, twice, then the
+/// closing `flush_all` that cuts the log.
+fn fleet_log_pass(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pts: &[(u32, DataPoint)],
+) -> (TempDir, FleetOutcome) {
+    fleet_pass(fleet_log_config(), FLEET_LOG_BATCH, tag, plan, pts)
+}
+
+fn fleet_log_recover_check(
+    dir: &TempDir,
+    pts: &[(u32, DataPoint)],
+    out: &FleetOutcome,
+    recovery: RecoveryOptions,
+    ctx: &str,
+) {
+    fleet_recover_check(fleet_log_config(), dir, pts, out, recovery, ctx);
 }
 
 #[test]
@@ -1425,6 +1558,144 @@ fn a_flushed_engine_leaves_an_empty_log_behind() {
     assert_eq!(replayed, 0);
     assert_eq!(engine.len(), 4);
     at_rest(fleet_dir.path("meta/fleet.wal"));
+}
+
+// ------------------------------------------------------------- Fleet commit
+
+/// Appends per batch of the fleet-commit scenario: eight to each series.
+const FLEET_COMMIT_BATCH: usize = 24;
+
+/// Three series, each fed [`group_workload`] (the series id as value),
+/// interleaved point by point: under `π_c(16)` all three flush four tables
+/// inside the second batch and merge them into eight inside the fourth, so
+/// each of those batches' syncs is a commit point carrying three edit
+/// groups — the fourth with twelve consumed inputs to delete — and the
+/// closing `flush_all` commits the tails.
+fn fleet_commit_workload() -> Vec<(u32, DataPoint)> {
+    let mut pts = Vec::new();
+    for p in group_workload() {
+        for s in 0..3u32 {
+            let p = DataPoint::new(p.gen_time, p.arrival_time, f64::from(s));
+            pts.push((s, p));
+        }
+    }
+    pts
+}
+
+fn fleet_commit_pass(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pts: &[(u32, DataPoint)],
+) -> (TempDir, FleetOutcome) {
+    let config = GroupEngine::Conventional.config();
+    fleet_pass(config, FLEET_COMMIT_BATCH, tag, plan, pts)
+}
+
+/// The fleet contract, plus: every table file the recovered versions do
+/// not reference — outputs published by flushes whose commit point never
+/// came, inputs a commit point had not yet deleted — was swept.
+fn fleet_commit_recover_check(
+    dir: &TempDir,
+    pts: &[(u32, DataPoint)],
+    out: &FleetOutcome,
+    recovery: RecoveryOptions,
+    ctx: &str,
+) {
+    let config = GroupEngine::Conventional.config();
+    let (engine, report) =
+        fleet_recover_check(config, dir, pts, out, recovery, ctx);
+    let live: usize = engine
+        .series_ids()
+        .into_iter()
+        .map(|id| engine.engine(id).expect("series").run().len())
+        .sum();
+    let files = std::fs::read_dir(dir.path("tables"))
+        .expect("ls")
+        .filter(|e| {
+            let path = e.as_ref().expect("entry").path();
+            path.extension().is_some_and(|ext| ext == "sst")
+        })
+        .count();
+    assert_eq!(
+        files,
+        live,
+        "{ctx}: uncommitted outputs / undeleted inputs must be GC'd \
+         ({} removed)",
+        report.orphans_removed.len()
+    );
+}
+
+/// The fleet's commit point, crashed at every op and torn at every byte.
+/// Its order is the contract: the directory fsync before the manifest
+/// group that names the tables, that group's fsync before any checkpoint
+/// is queued or input deleted, all of it before the log's write. Whatever
+/// prefix of it a crash leaves, the acknowledged points survive and
+/// nothing is invented, in strict and salvage mode; a manifest append torn
+/// anywhere applies only the series groups that are wholly there.
+#[test]
+fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
+    /// Bytes of one manifest record.
+    const RECORD: usize = 33;
+    let pts = fleet_commit_workload();
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, out) = fleet_commit_pass("fleet-commit-trace", &plan, &pts);
+    let trace = plan.trace();
+    assert_eq!(out.synced.len(), 3, "trace pass must complete");
+    // The scenario must contain what it claims to sweep: commit points
+    // that cover several series' publications and delete merge inputs.
+    let count = |op| trace.iter().filter(|o| **o == op).count();
+    assert_eq!(count(IoOp::StoreSync), 3 * (4 + 8 + 2), "{trace:?}");
+    assert_eq!(count(IoOp::StoreDelete), 3 * 4, "{trace:?}");
+    assert_eq!(count(IoOp::ManifestAppend), 3, "{trace:?}");
+    assert_eq!(count(IoOp::ManifestSync), 3, "{trace:?}");
+    assert!(
+        trace
+            .windows(3)
+            .any(|w| w
+                == [IoOp::ManifestSync, IoOp::StoreDelete, IoOp::StoreDelete]),
+        "{trace:?}"
+    );
+    for (mode, recovery) in recovery_modes() {
+        fleet_commit_recover_check(&dir, &pts, &out, recovery, mode);
+    }
+    drop(dir);
+    for k in 0..plan.ops() {
+        let op = trace[k as usize];
+        for (mode, recovery) in recovery_modes() {
+            let plan = FaultPlan::crash_at(SEED, k);
+            let (dir, out) =
+                fleet_commit_pass("fleet-commit-crash", &plan, &pts);
+            assert!(plan.is_crashed(), "crash at op {k} never fired");
+            let ctx = format!("{mode}: crash at op {k} ({op:?})");
+            fleet_commit_recover_check(&dir, &pts, &out, recovery, &ctx);
+        }
+        if op != IoOp::ManifestAppend {
+            continue;
+        }
+        // The flushes' commit (three groups of a header and four adds) is
+        // torn at every byte; the merges' (three of a header, four removes
+        // and eight adds) and the tails' at and around every record
+        // boundary. Tearing more than an append holds leaves nothing of it.
+        let first = trace.iter().position(|o| *o == op).expect("append");
+        let lengths: Vec<usize> = if k as usize == first {
+            (1..=3 * 5 * RECORD).collect()
+        } else {
+            (0..3 * 13)
+                .flat_map(|r| [1, RECORD / 2, RECORD].map(|x| r * RECORD + x))
+                .collect()
+        };
+        for truncate in lengths {
+            let (mode, recovery) = recovery_modes()[truncate % 2];
+            let plan =
+                FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
+            let (dir, out) =
+                fleet_commit_pass("fleet-commit-tear", &plan, &pts);
+            assert!(plan.is_crashed(), "tear at op {k} never fired");
+            let ctx =
+                format!("{mode}: manifest append at op {k} torn by {truncate}");
+            fleet_commit_recover_check(&dir, &pts, &out, recovery, &ctx);
+        }
+    }
 }
 
 // ------------------------------------------------------------------ Salvage

@@ -6,16 +6,18 @@
 //! must cost exactly k table fsyncs + 1 tables-directory fsync + 1 manifest
 //! fsync, in exactly that order, and nothing on the WAL: the checkpoint is a
 //! frame queued in the log that rides on the batch's one write + fsync
-//! (k + 3 with it), however many series the batch touched. The log file is
-//! cut only past its dead-bytes threshold and when the engine comes to
-//! rest. A regression names the op that crept back in.
+//! (k + 3 with it). A fleet pays the directory and the manifest once per
+//! *batch*: the series' flushes only fsync their tables, and the batch's
+//! sync commits them all — Σk + 3, however many series flushed. The log
+//! file is cut only past its dead-bytes threshold and when the engine comes
+//! to rest. A regression names the op that crept back in.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use seplsm::{
-    DataPoint, EngineConfig, FaultPlan, FileStore, IoOp, MultiOpenOptions,
-    OpenOptions, Policy, SeriesId, TieredOpenOptions,
+    ArbiterConfig, DataPoint, EngineConfig, FaultPlan, FileStore, IoOp,
+    MultiOpenOptions, OpenOptions, Policy, SeriesId, TieredOpenOptions,
 };
 
 struct TempDir(PathBuf);
@@ -333,8 +335,24 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     engine.finish().expect("finish");
 }
 
+/// The ops of a commit: the tables directory, the manifest, the deletion
+/// of consumed inputs. A fleet series' flush may issue none of them.
+fn commit_ops(ops: &[IoOp]) -> usize {
+    [
+        IoOp::DirSync,
+        IoOp::ManifestAppend,
+        IoOp::ManifestSync,
+        IoOp::ManifestRewrite,
+        IoOp::ManifestRename,
+        IoOp::StoreDelete,
+    ]
+    .iter()
+    .map(|op| count(ops, *op))
+    .sum()
+}
+
 #[test]
-fn a_fleet_series_pays_the_same_grouped_commit() {
+fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
     let dir = TempDir::new("fleet");
     let plan = FaultPlan::trace_only(0);
     let config =
@@ -345,30 +363,194 @@ fn a_fleet_series_pays_the_same_grouped_commit() {
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    let (hot, cold) = (SeriesId(1), SeriesId(2));
-    fleet.append(cold, point(0)).expect("append");
-    fleet.sync_wal_all().expect("sync");
-    for i in 0..7 {
-        fleet.append(hot, point(i * 10)).expect("append");
+    // Series 1–3 each lay down two tables; series 4 only buffers.
+    for s in 1..4 {
+        for i in 0..8 {
+            fleet.append(SeriesId(s), point(i * 10)).expect("append");
+        }
     }
+    fleet.append(SeriesId(4), point(0)).expect("append");
+    fleet.sync_wal_all().expect("sync");
+    // One batch in which m = 3 series flush k = 4 + 2 + 4 tables: series 1
+    // merges eight stragglers into its two tables (which it consumes),
+    // series 2 flushes once, series 3 twice.
     let before = plan.ops() as usize;
-    fleet
-        .append(hot, point(70))
-        .expect("append triggers the flush");
+    for i in 0..8 {
+        fleet
+            .append(SeriesId(1), point(i * 10 + 5))
+            .expect("append");
+        fleet
+            .append(SeriesId(2), point(i * 10 + 80))
+            .expect("append");
+        fleet
+            .append(SeriesId(3), point(i * 10 + 80))
+            .expect("append");
+    }
+    for i in 0..8 {
+        fleet
+            .append(SeriesId(3), point(i * 10 + 160))
+            .expect("append");
+    }
+    fleet.append(SeriesId(4), point(10)).expect("append");
+    assert_eq!(fleet.metrics().compactions, 1);
+    assert_eq!(fleet.metrics().flushes, 3 + 3);
+    let k = 4 + 2 + 4;
+    let synced = plan.ops() as usize;
+    fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
-    let ops = &trace[before..];
-    assert_grouped_commit(ops, 2);
-    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(wal_ops(ops), 0, "the flush leaves the fleet log alone");
-    assert_eq!(fsyncs(ops), 2 + 2, "{ops:?}");
-    // `hot` flushed everything it had appended and `cold` has been idle
-    // since its sync: a clean log is not fsynced.
+    // The flushes fsync and rename their tables and nothing else.
+    let flushes = &trace[before..synced];
+    assert_eq!(count(flushes, IoOp::StoreSync), k, "{flushes:?}");
+    assert_eq!(count(flushes, IoOp::StoreRename), k, "{flushes:?}");
+    assert_eq!(commit_ops(flushes), 0, "{flushes:?}");
+    assert_eq!(wal_ops(flushes), 0, "{flushes:?}");
+    // The sync is the commit point: the directory, then every series'
+    // group in one manifest append + fsync, then series 1's two consumed
+    // inputs, then — its checkpoints queued behind all of that — the log.
+    assert_eq!(
+        trace[synced..],
+        [
+            IoOp::DirSync,
+            IoOp::ManifestAppend,
+            IoOp::ManifestSync,
+            IoOp::StoreDelete,
+            IoOp::StoreDelete,
+            IoOp::WalAppend,
+            IoOp::WalSync,
+        ]
+    );
+    assert_eq!(fsyncs(&trace[before..]), k + 3, "{trace:?}");
+    // Nothing is pending any more: a second sync finds a clean fleet.
     let before = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     assert_eq!(plan.ops() as usize, before);
-    fleet.append(cold, point(10)).expect("append");
+}
+
+#[test]
+fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
+    let dir = TempDir::new("fleet-rebalance");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    // 21 series at 16 points each while they are equally hot; the floor is
+    // what a series is admitted with, before the first split.
+    let series = 21u32;
+    let arbiter = ArbiterConfig::new(u64::from(series) * 16)
+        .with_floor(4)
+        .with_cache_percent(0)
+        .with_rebalance_every(u64::from(series));
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .arbiter(arbiter)
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // Fifteen round-robin rounds: every split finds the series equally hot
+    // and leaves each with fifteen points in a buffer of sixteen.
+    for i in 0..15 {
+        for s in 0..series {
+            fleet.append(SeriesId(s), point(i * 10)).expect("append");
+        }
+    }
+    assert_eq!(fleet.metrics().flushes, 0);
+    // Twenty appends to series 0 alone (it flushes twice), acknowledged.
+    for i in 15..35 {
+        fleet.append(SeriesId(0), point(i * 10)).expect("append");
+    }
     fleet.sync_wal_all().expect("sync");
-    assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
+    let flushes = fleet.metrics().flushes;
+    // The twenty-first is the split: series 0 has all the recent heat, and
+    // every other series shrinks below what it holds and flushes.
+    let before = plan.ops() as usize;
+    fleet.append(SeriesId(0), point(350)).expect("append");
+    assert_eq!(fleet.metrics().flushes, flushes + 20);
+    let synced = plan.ops() as usize;
+    fleet.sync_wal_all().expect("sync");
+    let trace = plan.trace();
+    let rebalance = &trace[before..synced];
+    assert!(count(rebalance, IoOp::StoreSync) >= 20, "{rebalance:?}");
+    assert_eq!(commit_ops(rebalance), 0, "{rebalance:?}");
+    assert_eq!(wal_ops(rebalance), 0, "{rebalance:?}");
+    assert_eq!(
+        trace[synced..],
+        [
+            IoOp::DirSync,
+            IoOp::ManifestAppend,
+            IoOp::ManifestSync,
+            IoOp::WalAppend,
+            IoOp::WalSync,
+        ]
+    );
+}
+
+#[test]
+fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
+    // The bound: a caller that never syncs. One table per four points;
+    // the fleet lets 256 of them wait and commits by itself at the next —
+    // directory, manifest, and no fsync of the log nobody asked for.
+    let dir = TempDir::new("fleet-bound");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(4)).with_sstable_points(4);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    for i in 0..256 * 4 {
+        fleet.append(SeriesId(9), point(i)).expect("append");
+    }
+    let trace = plan.trace();
+    assert_eq!(count(&trace, IoOp::StoreSync), 256, "{trace:?}");
+    assert_eq!(commit_ops(&trace), 0, "{trace:?}");
+    let before = plan.ops() as usize;
+    for i in 256 * 4..257 * 4 {
+        fleet.append(SeriesId(9), point(i)).expect("append");
+    }
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_eq!(count(ops, IoOp::StoreSync), 1, "{ops:?}");
+    assert_eq!(
+        ops[ops.len() - 3..],
+        [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync],
+        "{ops:?}"
+    );
+    assert_eq!(count(&trace, IoOp::WalSync), 0, "{trace:?}");
+    drop(fleet);
+
+    // The cut: the single-series schedule of
+    // `the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest`, on a
+    // fleet. The fifteenth flush's checkpoint makes the cut due; it is
+    // taken inside that batch's commit point, behind the manifest fsync
+    // that covers the flush.
+    let dir = TempDir::new("fleet-cut");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(256)).with_sstable_points(256);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    for i in 0..16 * 256 {
+        fleet.append(SeriesId(9), point(i)).expect("append");
+        if (i + 1) % 64 == 0 {
+            fleet.sync_wal_all().expect("sync");
+        }
+    }
+    let trace = plan.trace();
+    assert_eq!(count(&trace, IoOp::ManifestSync), 16, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::WalRewrite), 1, "{trace:?}");
+    let cut = first(&trace, IoOp::WalRewrite);
+    assert_eq!(count(&trace[..cut], IoOp::ManifestSync), 15, "{trace:?}");
+    assert_eq!(
+        trace[cut - 3..cut],
+        [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync],
+        "the cut follows the commit that covers it: {trace:?}"
+    );
 }
 
 #[test]
@@ -383,7 +565,7 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    // Open every series first: a new series seeds its manifest.
+    // Open every series first, so the batch below only appends.
     for s in 0..12 {
         fleet.append(SeriesId(s), point(0)).expect("append");
     }
@@ -404,13 +586,31 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
     assert_eq!(wal_ops(&trace[before..flush]), 0, "{trace:?}");
-    assert_eq!(trace[flush..], [IoOp::WalAppend, IoOp::WalSync]);
-    // At rest: every series flushes its own tables and manifest, the log
-    // is cut once.
+    assert_eq!(
+        trace[flush..],
+        [
+            IoOp::DirSync,
+            IoOp::ManifestAppend,
+            IoOp::ManifestSync,
+            IoOp::WalAppend,
+            IoOp::WalSync
+        ]
+    );
+    // At rest: every series flushes its own tables, each wave commits once
+    // to the one manifest, and the log is cut once.
     let before = plan.ops() as usize;
     fleet.flush_all().expect("flush");
     let trace = plan.trace();
     let ops = &trace[before..];
     assert_eq!(wal_ops(ops), 1, "{ops:?}");
     assert_eq!(ops[ops.len() - 1], IoOp::WalRewrite, "{ops:?}");
+    // Twelve series in waves of eight: two commit points.
+    assert_eq!(count(ops, IoOp::ManifestSync), 2, "{ops:?}");
+    // The manifest at rest: one header per series, one record per table.
+    let tables: usize = (0..12)
+        .map(|s| fleet.engine(SeriesId(s)).expect("series").run().len())
+        .sum();
+    let stats = fleet.manifest_stats().expect("durable fleet");
+    assert_eq!(stats.records, (12 + tables) as u64);
+    assert_eq!(stats.live, stats.records);
 }
