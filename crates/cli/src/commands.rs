@@ -412,8 +412,12 @@ pub fn stats(opts: &Opts) -> Result<()> {
     if let Some(wal) = wal {
         println!(
             "wal before the closing flush: {} live B, {} dead B, \
-             {} frames, {} cuts",
-            wal.live_bytes, wal.dead_bytes, wal.frames, wal.cuts
+             {} frames, {} cuts, {} relogged B",
+            wal.live_bytes,
+            wal.dead_bytes,
+            wal.frames,
+            wal.cuts,
+            wal.relogged_bytes
         );
     }
     if let Some(manifest) = engine.manifest_stats() {

@@ -27,9 +27,10 @@
 //! # Durability
 //!
 //! With [`TieredOpenOptions::wal`] every appended point is logged before it
-//! is buffered, and the log is checkpointed to the still-volatile suffix on
-//! every flush hand-off (a frame queued in the log; the file itself is cut
-//! only when its dead bytes outweigh the live ones, and at `finish`); with
+//! is buffered, and at every flush hand-off the log is told the generation
+//! time ranges of the batches that have retired since the last one (a frame
+//! queued in the log; the file itself is cut only when its dead bytes
+//! outweigh the live ones, and at `finish`); with
 //! [`TieredOpenOptions::manifest`] the worker records every L0 addition
 //! and run replacement. A crashed engine (dropped
 //! without [`TieredEngine::finish`]) is rebuilt by
@@ -194,6 +195,10 @@ struct TierState {
     /// snapshot in that window. Cleared on every exit path and signalled on
     /// the engine's `flush_done` condvar.
     compacting: bool,
+    /// Set by the worker together with the commit of a flush that leaves L0
+    /// at its merge threshold, until the merge it then starts by itself has
+    /// finished: nothing is flushing, yet the worker is not idle.
+    merge_due: bool,
     /// Watermark-gated admission: consulted by the writer before every
     /// buffer insert against the combined L0 + pending-flush depth.
     admission: AdmissionController,
@@ -374,6 +379,10 @@ pub struct TieredEngine {
     /// worker exit); [`TieredEngine::drain`] waits on it.
     flush_done: Arc<Condvar>,
     wal: Option<Wal>,
+    /// The batches handed to the flush pipeline that the log has not been
+    /// told have retired, oldest first (see
+    /// [`compact_wal`](Self::compact_wal)).
+    in_log: Vec<Arc<Vec<DataPoint>>>,
     /// Largest generation time handed to the flush pipeline — the in-order
     /// classification pivot (it is "on disk" from the writer's perspective).
     flushed_max: Option<Timestamp>,
@@ -463,9 +472,12 @@ impl Kind for Background {
         }
         if recover && options.recovery.gc_orphans {
             // Let replay-triggered flushes land first so the live set is
-            // complete; the worker is then idle, so the sweep cannot race a
-            // concurrent compaction.
-            engine.drain();
+            // complete, and the merge the last of them may have made due:
+            // its outputs are published before they are committed, and a
+            // sweep in between would take them for orphans.
+            engine.wait_while(|state| {
+                !state.version.flushing().is_empty() || state.merge_due
+            });
             recovery::gc_orphans(
                 engine.store.as_ref(),
                 &engine.live_table_ids(),
@@ -506,6 +518,7 @@ impl TieredEngine {
             invariants,
             degraded: None,
             compacting: false,
+            merge_due: false,
             admission: AdmissionController::new(watermarks),
             pacer,
             obs: obs.clone(),
@@ -624,11 +637,17 @@ impl TieredEngine {
                     )?;
                     let backlog =
                         state.version.l0().len() >= L0_COMPACT_THRESHOLD;
+                    state.merge_due = backlog;
                     state.check_invariants()?;
                     drop(state);
                     worker_flush_done.notify_all();
-                    if backlog && !compact_or_degrade() {
-                        return Ok(());
+                    if backlog {
+                        let merged = compact_or_degrade();
+                        worker_state.lock().merge_due = false;
+                        worker_flush_done.notify_all();
+                        if !merged {
+                            return Ok(());
+                        }
                     }
                 }
                 if !compact_or_degrade() {
@@ -646,6 +665,7 @@ impl TieredEngine {
             state,
             flush_done,
             wal: None,
+            in_log: Vec::new(),
             flushed_max: pivot,
             max_gen_seen: pivot,
             user_points: 0,
@@ -696,21 +716,36 @@ impl TieredEngine {
         Some(Error::Degraded(reason))
     }
 
+    /// Hands one sealed MemTable to the worker: registered as a flushing
+    /// batch (still queryable, still covered by the log), then the log is
+    /// told what has retired since the last hand-off, then the batch is
+    /// queued — which blocks while the queue is full.
     fn send(&mut self, points: Vec<DataPoint>) -> Result<()> {
-        if points.is_empty() {
+        let Some(batch) = self.register(points)? else {
             return Ok(());
-        }
+        };
+        self.compact_wal()?;
+        self.enqueue(batch)
+    }
+
+    /// First half of a hand-off: `points` leave the buffers for a flushing
+    /// batch of the version. `None` for an empty MemTable.
+    fn register(
+        &mut self,
+        points: Vec<DataPoint>,
+    ) -> Result<Option<Arc<Vec<DataPoint>>>> {
+        let Some(last) = points.last() else {
+            return Ok(None);
+        };
         // No degraded check here: `points` already left the buffers, so
         // they must reach the flushing list (queryable, WAL-covered) even
         // if the worker died since `append` last looked; the failed
-        // channel send below then reports the degraded state.
+        // channel send in `enqueue` then reports the degraded state.
         let sealed = points.len() as u64;
         self.obs.emit(|| Event::MemtableSealed { points: sealed });
         self.flushed_max = Some(
             self.flushed_max
-                .map_or(points[points.len() - 1].gen_time, |m| {
-                    m.max(points[points.len() - 1].gen_time)
-                }),
+                .map_or(last.gen_time, |m| m.max(last.gen_time)),
         );
         let batch = Arc::new(points);
         // Register as a flushing MemTable *before* handing it to the worker
@@ -720,7 +755,12 @@ impl TieredEngine {
             .lock()
             .version
             .apply(&[VersionEdit::RegisterFlushing(Arc::clone(&batch))])?;
-        self.compact_wal()?;
+        self.in_log.push(Arc::clone(&batch));
+        Ok(Some(batch))
+    }
+
+    /// Second half of a hand-off: queues a registered batch for the worker.
+    fn enqueue(&mut self, batch: Arc<Vec<DataPoint>>) -> Result<()> {
         let Some(tx) = self.tx.as_ref() else {
             return Err(Error::Io(std::io::Error::other(
                 "flush after engine finished",
@@ -749,7 +789,8 @@ impl TieredEngine {
     }
 
     /// The points that may not be durable yet: every batch still in the
-    /// flush pipeline plus the buffered points.
+    /// flush pipeline plus the buffered points — what a cut of the log must
+    /// carry over.
     fn wal_survivors(&self) -> Vec<DataPoint> {
         let mut survivors: Vec<DataPoint> = Vec::new();
         {
@@ -762,19 +803,55 @@ impl TieredEngine {
         survivors
     }
 
-    /// Checkpoints the WAL down to [`wal_survivors`](Self::wal_survivors)
-    /// — a frame queued in the log, no I/O — and cuts the file when its
-    /// dead bytes have come to outweigh the live ones.
+    /// Tells the WAL which batches have retired — left the flush pipeline
+    /// for L0, under a durable manifest record — since it was last told: one
+    /// checkpoint frame per disjoint generation-time range they covered,
+    /// carrying the points of the batches still in flight and of the buffers
+    /// inside that range (a frame queued in the log, no I/O; nothing at all
+    /// when no batch retired), and a cut of the file when its dead bytes
+    /// have come to outweigh the live ones. Only call it while every
+    /// volatile point is in a registered batch or in the buffers
+    /// ([`Wal::checkpoint`]).
     fn compact_wal(&mut self) -> Result<()> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
-        let survivors = self.wal_survivors();
+        let (in_flight, retired): (Vec<_>, Vec<_>) =
+            {
+                let state = self.state.lock();
+                let flushing = state.version.flushing();
+                std::mem::take(&mut self.in_log).into_iter().partition(
+                    |batch| flushing.iter().any(|f| Arc::ptr_eq(f, batch)),
+                )
+            };
+        self.in_log = in_flight;
         let Some(wal) = self.wal.as_mut() else {
             return Ok(());
         };
-        if wal.checkpoint(0, &survivors)? {
-            wal.rewrite(&[(0, survivors)])?;
+        let ranges = compaction::coalesce(
+            retired
+                .iter()
+                .filter_map(|batch| {
+                    let (first, last) = (batch.first()?, batch.last()?);
+                    Some(TimeRange::new(first.gen_time, last.gen_time))
+                })
+                .collect(),
+        );
+        let mut cut_due = false;
+        for range in ranges {
+            // Oldest first, the buffers last: the order they were written.
+            let mut survivors: Vec<DataPoint> = self
+                .in_log
+                .iter()
+                .flat_map(|batch| batch.iter())
+                .filter(|p| range.contains(p.gen_time))
+                .copied()
+                .collect();
+            survivors.extend(self.buffers.merged_scan(range));
+            cut_due |= wal.checkpoint(0, range, &survivors)?;
+        }
+        if cut_due {
+            let survivors = self.wal_survivors();
+            if let Some(wal) = self.wal.as_mut() {
+                wal.rewrite(&[(0, survivors)])?;
+            }
         }
         Ok(())
     }
@@ -929,14 +1006,20 @@ impl TieredEngine {
         }
         let buffered = self.buffers.migrate(policy);
         self.config.policy = policy;
+        // Register every MemTable the re-routing fills, tell the log once,
+        // then queue them: until the last point is back in a buffer the
+        // tail of `buffered` is volatile and in no place a checkpoint
+        // queued from inside the loop would look.
+        let mut sealed = Vec::new();
         for p in buffered {
             let trigger = self.buffers.insert(p, self.flushed_max);
             if trigger != FlushTrigger::None {
                 let points = self.buffers.take(trigger);
-                self.send(points)?;
+                sealed.extend(self.register(points)?);
             }
         }
-        self.compact_wal()
+        self.compact_wal()?;
+        sealed.into_iter().try_for_each(|batch| self.enqueue(batch))
     }
 
     /// The active buffering policy.
@@ -1102,8 +1185,13 @@ impl TieredEngine {
     /// queue, leaving whatever L0 backlog naturally remains — the state the
     /// paper's historical-query experiment measures.
     pub fn drain(&mut self) {
+        self.wait_while(|state| !state.version.flushing().is_empty());
+    }
+
+    /// Parks on `flush_done` while `busy` holds and the worker lives.
+    fn wait_while(&mut self, busy: impl Fn(&TierState) -> bool) {
         let mut state = self.state.lock();
-        while !state.version.flushing().is_empty() {
+        while busy(&state) {
             if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
                 // Worker gone (finished or crashed): nothing will ever
                 // retire the remaining batches, so don't wait for them.
@@ -1111,7 +1199,8 @@ impl TieredEngine {
             }
             // The timeout only covers the unlucky interleaving where the
             // worker exits between the liveness check and the wait; the
-            // worker signals after every batch and on exit.
+            // worker signals after every batch, after every merge of its
+            // own and on exit.
             let (guard, _timed_out) = self
                 .flush_done
                 .wait_timeout(state, Duration::from_millis(100));

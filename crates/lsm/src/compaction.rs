@@ -15,7 +15,7 @@
 //! the input deletions in its [`Outbox`] for the owner's next commit
 //! point.
 
-use seplsm_types::{DataPoint, Result};
+use seplsm_types::{DataPoint, Result, TimeRange};
 
 use crate::iterator::merge_sorted;
 use crate::manifest::{Manifest, ManifestEdit};
@@ -280,6 +280,10 @@ pub struct Outbox {
     pub(crate) retired: Vec<SsTableId>,
     /// Output tables published but not yet durable under their names.
     pub(crate) tables: usize,
+    /// The generation-time range each flush took out of memory, in flush
+    /// order: what the owner's log may let go of once `edits` are durable
+    /// (the engine adds these itself; a plan does not know what was fresh).
+    pub(crate) flushed: Vec<TimeRange>,
 }
 
 impl Outbox {
@@ -287,6 +291,22 @@ impl Outbox {
     pub fn is_empty(&self) -> bool {
         self.edits.is_empty()
     }
+}
+
+/// Merges overlapping ranges: the fewest disjoint ranges covering the same
+/// generation times, ascending. Owners that checkpoint several flushes of
+/// one series at once coalesce them first, so that a still-volatile point
+/// inside two of them is carried by one frame, not two.
+pub(crate) fn coalesce(mut ranges: Vec<TimeRange>) -> Vec<TimeRange> {
+    ranges.sort_by_key(|r| r.start);
+    let mut out: Vec<TimeRange> = Vec::with_capacity(ranges.len());
+    for range in ranges {
+        match out.last_mut() {
+            Some(last) if last.overlaps(&range) => *last = last.union(&range),
+            _ => out.push(range),
+        }
+    }
+    out
 }
 
 /// Who makes an executed plan durable, and when.

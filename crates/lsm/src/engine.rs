@@ -343,6 +343,12 @@ impl LsmEngine {
         self.buffers.snapshot_sorted()
     }
 
+    /// The buffered points with a generation time in `range`, sorted: what
+    /// a log checkpoint of that range has to carry.
+    pub(crate) fn buffered_in(&self, range: TimeRange) -> Vec<DataPoint> {
+        self.buffers.merged_scan(range)
+    }
+
     /// Writes one point, reporting how admission treated it. The
     /// synchronous engine flushes inline, so its backlog depth rarely
     /// leaves zero and appends are almost always `Admitted`; the typed
@@ -413,7 +419,8 @@ impl LsmEngine {
             in_order: pivot.is_none_or(|pv| p.gen_time > pv),
         });
         let trigger = self.buffers.insert(p, pivot);
-        self.flush(trigger)?;
+        let flushed = self.flush(trigger)?;
+        self.compact_wal(flushed)?;
 
         if let Some(every) = self.config.wa_snapshot_every {
             if self.metrics.user_points % every == 0 {
@@ -426,20 +433,24 @@ impl LsmEngine {
         Ok(outcome)
     }
 
-    fn flush(&mut self, trigger: FlushTrigger) -> Result<()> {
+    /// Seals the MemTable `trigger` names into the run and returns the
+    /// generation-time range it took out of memory (`None`: nothing to
+    /// flush). The log is not told here — see
+    /// [`compact_wal`](Self::compact_wal).
+    fn flush(&mut self, trigger: FlushTrigger) -> Result<Option<TimeRange>> {
         if trigger == FlushTrigger::None {
-            return Ok(());
+            return Ok(None);
         }
         let points = self.buffers.take(trigger);
         self.obs.emit(|| Event::MemtableSealed {
             points: points.len() as u64,
         });
-        self.flush_into_run(points, trigger.is_merge())?;
-        self.compact_wal()?;
+        let flushed = self.flush_into_run(points, trigger.is_merge())?;
         // Temporal invariants after every flush/compaction; the store
         // cross-check already ran inside the plan executor.
         self.invariants
-            .observe_metrics(&self.version, &self.metrics)
+            .observe_metrics(&self.version, &self.metrics)?;
+        Ok(flushed)
     }
 
     /// The one flush: plan the merge of `points` with every run table
@@ -447,18 +458,20 @@ impl LsmEngine {
     /// store/version/metrics. A `C_seq` buffer lies strictly past the run
     /// tail, so it finds no overlap and its plan commits as a flush that
     /// rewrites nothing; `merging` marks the buffers (`C0`, `C_nonseq`) whose
-    /// flushes the Fig. 5 probe counts.
+    /// flushes the Fig. 5 probe counts. Returns the range of `points` — what
+    /// a log checkpoint of this flush supersedes — which an engine whose
+    /// owner commits also leaves in its outbox.
     fn flush_into_run(
         &mut self,
         points: Vec<DataPoint>,
         merging: bool,
-    ) -> Result<()> {
+    ) -> Result<Option<TimeRange>> {
         let (Some(first), Some(last)) = (points.first(), points.last()) else {
-            return Ok(());
+            return Ok(None);
         };
+        let flushed = TimeRange::new(first.gen_time, last.gen_time);
         let run = self.version.run();
-        let overlapping =
-            run.overlapping(TimeRange::new(first.gen_time, last.gen_time));
+        let overlapping = run.overlapping(flushed);
         let subsequent_base = (merging && self.config.record_subsequent)
             .then(|| run.points_in_tables_above(first.gen_time));
         let mut inputs = Vec::with_capacity(overlapping.len());
@@ -485,21 +498,27 @@ impl LsmEngine {
             journal,
             &mut self.metrics,
             &self.obs,
-        )
+        )?;
+        if let Some(outbox) = self.outbox.as_mut() {
+            outbox.flushed.push(flushed);
+        }
+        Ok(Some(flushed))
     }
 
-    /// Checkpoints the WAL down to the still-buffered points after a flush
-    /// committed — a frame queued in the log, no I/O — and cuts the file
-    /// when its dead bytes have come to outweigh the live ones. An engine
-    /// without a log of its own (a fleet series) has nothing to do: its
-    /// owner checkpoints it once the outbox is durable.
-    fn compact_wal(&mut self) -> Result<()> {
-        let Some(wal) = self.wal.as_mut() else {
+    /// Checkpoints the WAL after flushes that took `flushed` committed — a
+    /// frame queued in the log, no I/O, carrying whatever is still buffered
+    /// inside that range (in steady state nothing: `C_nonseq` lies below
+    /// every `C_seq` flush and the other way round) — and cuts the file when
+    /// its dead bytes have come to outweigh the live ones. Only call it
+    /// while every volatile point is in the buffers ([`Wal::checkpoint`]).
+    /// An engine without a log of its own (a fleet series) has nothing to
+    /// do: its owner checkpoints it once the outbox is durable.
+    fn compact_wal(&mut self, flushed: Option<TimeRange>) -> Result<()> {
+        let (Some(wal), Some(flushed)) = (self.wal.as_mut(), flushed) else {
             return Ok(());
         };
-        let survivors = self.buffers.snapshot_sorted();
-        if wal.checkpoint(0, &survivors)? {
-            wal.rewrite(&[(0, survivors)])?;
+        if wal.checkpoint(0, flushed, &self.buffers.merged_scan(flushed))? {
+            wal.rewrite(&[(0, self.buffers.snapshot_sorted())])?;
         }
         Ok(())
     }
@@ -536,9 +555,9 @@ impl LsmEngine {
         let drained = self.buffers.drain_all();
         self.flush_into_run(drained.in_order, false)?;
         self.flush_into_run(drained.merging, true)?;
-        self.compact_wal()?;
         // The engine comes to rest here: nothing is buffered, so the log is
-        // cut to its header, and the manifest sheds its dead records.
+        // cut to its header (which stands in for the two checkpoints), and
+        // the manifest sheds its dead records.
         if let Some(wal) = self.wal.as_mut() {
             wal.rewrite(&[])?;
         }
@@ -567,17 +586,25 @@ impl LsmEngine {
         if policy == self.config.policy {
             return Ok(());
         }
-        let old_user_points = self.metrics.user_points;
         let buffered = self.buffers.migrate(policy);
         self.config.policy = policy;
+        let mut flushed: Option<TimeRange> = None;
         for p in buffered {
-            self.append_internal(p, false)?;
+            // Re-routed, not appended: classified and buffered like any
+            // point, but neither admitted, logged nor counted again.
+            let pivot = self.version.run().last_gen_time();
+            self.obs.emit(|| Event::PointClassified {
+                in_order: pivot.is_none_or(|pv| p.gen_time > pv),
+            });
+            let trigger = self.buffers.insert(p, pivot);
+            if let Some(range) = self.flush(trigger)? {
+                flushed = Some(flushed.map_or(range, |f| f.union(&range)));
+            }
         }
-        // Re-routing is not new user traffic.
-        self.metrics.user_points = old_user_points;
-        // The roll-back above would read as a counter regression.
-        self.invariants.rebaseline(&self.metrics);
-        Ok(())
+        // One checkpoint, and only now: until the last point is back in a
+        // buffer the tail of `buffered` is volatile and in neither MemTable,
+        // so a checkpoint queued from inside the loop would not carry it.
+        self.compact_wal(flushed)
     }
 
     /// The engine's read view of `range`: MemTables and the run (this

@@ -279,18 +279,6 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Re-baselines the counter history after a deliberate accounting
-    /// correction (policy migration re-routes buffered points through the
-    /// append path and then restores `user_points`; that roll-back is not
-    /// a regression).
-    pub fn rebaseline(&mut self, metrics: &Metrics) {
-        self.last_user_points = metrics.user_points;
-        self.last_disk_points_written = metrics.disk_points_written;
-        self.last_flushes = metrics.flushes;
-        self.last_compactions = metrics.compactions;
-        self.last_rewritten_points = metrics.rewritten_points;
-    }
-
     fn check_counters(&mut self, m: &Metrics) -> Result<()> {
         let monotone = [
             ("user_points", self.last_user_points, m.user_points),

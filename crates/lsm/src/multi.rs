@@ -26,9 +26,11 @@
 //! 1. one fsync of the tables directory covers every published table;
 //! 2. one append and one fsync of `fleet.manifest` carry one edit group per
 //!    series;
-//! 3. only then is each of those series checkpointed in the log (a queued
-//!    frame; a log cut, if it has become due, comes after all of them) and
-//!    are its consumed inputs deleted;
+//! 3. only then is each of those series checkpointed in the log — one queued
+//!    frame per disjoint generation-time range its flushes took, carrying
+//!    what the series has buffered inside that range since; a log cut, if
+//!    it has become due, comes after all of them — and are its consumed
+//!    inputs deleted;
 //! 4. the log's one write and one fsync follow, if the caller asked for
 //!    them: Σk + 3 fsyncs for a batch in which the series flushed Σk
 //!    tables, however many series that was.
@@ -56,6 +58,7 @@ use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
 use crate::admission::AdmissionOutcome;
 use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
+use crate::compaction::{self, Outbox};
 use crate::engine::{EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{
@@ -68,7 +71,7 @@ use crate::query::{Agg, Bucket, QueryStats};
 use crate::recovery::{self, RecoveryMode, RecoveryOptions, RecoveryReport};
 use crate::sstable::SsTableId;
 use crate::store::{sync_dir, TableStore};
-use crate::wal::Wal;
+use crate::wal::{Wal, WalStats};
 
 /// Identifier of one time series (e.g. one sensor channel of one vehicle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -426,22 +429,30 @@ impl MultiSeriesEngine {
         // the next commit point would record these groups a second time.
         let committed: Vec<SeriesId> =
             groups.iter().map(|(series, _)| SeriesId(*series)).collect();
-        let retired: Vec<(SeriesId, Vec<SsTableId>)> = committed
+        let taken: Vec<(SeriesId, Outbox)> = committed
             .into_iter()
             .filter_map(|id| {
                 let engine = self.series.get_mut(&id)?;
-                Some((id, engine.take_outbox().retired))
+                Some((id, engine.take_outbox()))
             })
             .collect();
         self.uncommitted_tables = 0;
         let mut cut_due = false;
-        for (id, inputs) in retired {
+        for (id, outbox) in taken {
             if let (Some(wal), Some(engine)) =
                 (self.wal.as_mut(), self.series.get(&id))
             {
-                cut_due |= wal.checkpoint(id.0, &engine.buffered_snapshot())?;
+                // What the series buffers inside a flushed range arrived
+                // after the flush: everything volatile is in its MemTables.
+                for range in compaction::coalesce(outbox.flushed) {
+                    cut_due |= wal.checkpoint(
+                        id.0,
+                        range,
+                        &engine.buffered_in(range),
+                    )?;
+                }
             }
-            for input in inputs {
+            for input in outbox.retired {
                 self.store.delete(input)?;
             }
         }
@@ -961,6 +972,11 @@ impl MultiSeriesEngine {
             Some(wal) => wal.sync(),
             None => Ok(()),
         }
+    }
+
+    /// Size and history of the fleet log, for a durable fleet.
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        self.wal.as_ref().map(Wal::stats)
     }
 
     /// Size and history of the fleet manifest, for a durable fleet.

@@ -238,10 +238,11 @@ pub enum Event {
     },
     /// The WAL was flushed and fsynced.
     WalSync,
-    /// The WAL was checkpointed down to a survivor set (one series of it,
-    /// when the log serves several).
+    /// A checkpoint was queued in the WAL: one generation-time range of one
+    /// series became durable elsewhere and is superseded in the log.
     WalTruncate {
-        /// Points surviving the checkpoint.
+        /// Points the checkpoint frame carries: still volatile inside the
+        /// range, so logged a second time.
         survivors: u64,
     },
     /// A manifest mutation was logged.

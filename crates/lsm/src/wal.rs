@@ -9,46 +9,79 @@
 //! An 8-byte magic, then frames:
 //!
 //! ```text
-//! len u32 | crc u32 | kind u8 | series u32 | n × (gen_time i64, arrival_time i64, value bits u64)
+//! len u32 | crc u32 | kind u8 | series u32 | [lo i64 | hi i64] | n × (gen_time i64, arrival_time i64, value bits u64)
 //! ```
 //!
 //! all little-endian; `len` is the byte length of everything after `crc`,
-//! which the CRC-32 covers. `kind` is `Points` (the points were appended to
-//! `series`) or `Checkpoint` (the points are *all* that is still volatile in
-//! `series`: every earlier frame of that series is superseded). Replay walks
-//! the frames in file order and returns, per series, the points of every
-//! frame since that series' last checkpoint, in append order.
+//! which the CRC-32 covers. Three kinds:
 //!
-//! A file without the magic is the older fixed-record format (28-byte
-//! `crc | point` records, one series per file): it is read as series 0 and
-//! rewritten in this format when opened.
+//! * `0`, *points*: the n points were appended to `series`. No `lo`/`hi`.
+//! * `2`, *checkpoint*: every earlier point of `series` with
+//!   `lo ≤ gen_time ≤ hi` is superseded — its owner made it durable in a
+//!   committed table — except the n points carried here, which are the
+//!   points of that range still volatile when the frame was queued.
+//! * `1`, the checkpoint of older builds: no `lo`/`hi`, read as a checkpoint
+//!   of `[i64::MIN, i64::MAX]`. Never written any more.
+//!
+//! Replay walks the frames in file order and keeps, per series, a list of
+//! points: a points frame extends it, a checkpoint removes the points inside
+//! its range and then extends it with the ones it carries. Two points of one
+//! generation time are always both inside or both outside a range, so the
+//! list keeps them in the order they were written: last writer last.
+//!
+//! A checkpoint says what *became durable*, not what is left, and says it by
+//! generation time, not by position in the file. That is what lets its owner
+//! queue it late: a fleet checkpoints a flush only after the fleet-wide
+//! manifest commit, the background engine only once a later hand-off finds
+//! the batch retired, and points logged in between may fall inside the
+//! flushed range. The rule for every caller is the same — see
+//! [`Wal::checkpoint`] — and a flush never re-logs the buffers it did not
+//! take: under the separation policy `C_nonseq` sits below every `C_seq`
+//! flush's range, so the frame is 29 bytes and carries nothing.
+//!
+//! A file without the magic is the oldest format (28-byte `crc | point`
+//! records, one series per file): it is read as series 0 and rewritten in
+//! this format when opened.
 //!
 //! # Writing
 //!
 //! [`Wal::append_for`] only pushes into the log's own pending buffer. Pending
-//! points are grouped per series into one `Points` frame each and leave in
+//! points are grouped per series into one points frame each and leave in
 //! one physical write when the buffer passes 8 KiB or at [`Wal::sync`], which
-//! also fsyncs. [`Wal::checkpoint`] queues a `Checkpoint` frame and drops the
-//! series' pending points (its owner just made them durable elsewhere or
-//! lists them among the survivors); it does no I/O of its own and rides on
-//! the next write. The file is only ever *cut* — rewritten from the owner's
-//! in-memory survivors by [`Wal::rewrite`] — when a checkpoint reports that
-//! the dead bytes outweigh the live ones, and when the owner comes to rest.
-//! The file is never read after it is opened.
+//! also fsyncs. [`Wal::checkpoint`] queues a checkpoint frame and drops the
+//! series' pending points inside its range (its owner just made them durable
+//! elsewhere or lists them among the carried ones: a point flushed before it
+//! was ever written never reaches the file); it does no I/O of its own and
+//! rides on the next write. The file is only ever *cut* — rewritten from the
+//! owner's in-memory survivors by [`Wal::rewrite`] — when a checkpoint
+//! reports that the dead bytes outweigh the live ones, and when the owner
+//! comes to rest. The file is never read after it is opened.
+//!
+//! # Accounting
+//!
+//! The log is accounted point by point: its *live* bytes are 24 for every
+//! logged point replay would still return, its *dead* bytes everything else
+//! past the magic — superseded points, frame prefixes, checkpoint ranges. To
+//! know how many points a range supersedes the log keeps, per series, the
+//! generation times of its live points (8 bytes each, and never more of them
+//! than the owner has volatile points plus what it has flushed but not yet
+//! checkpointed). [`Wal::stats`] therefore always equals what parsing the
+//! logical log — the file plus the frames queued behind it — would
+//! recompute, which is what it is seeded from at open.
 //!
 //! # Damage
 //!
 //! A frame that fails its length or CRC check ends the valid prefix. If no
 //! valid frame follows it the damage is a torn tail — a write cut short by a
 //! crash — which is dropped silently and truncated away at open: a torn
-//! `Checkpoint` is ignored whole, so the frames it would have superseded
-//! still apply. A checkpoint that never reached the disk leaves the same
-//! state. Either way replay returns *more* than the owner still needed,
-//! never less, and the merge pipeline deduplicates by generation time.
-//! Damage in front of still-valid frames is corruption: an error in strict
-//! mode, a counted drop in salvage mode. So is a file at least one record
-//! long that starts with neither the magic nor a valid fixed record — a
-//! framed log with a damaged header reads like that, and is never mistaken
+//! checkpoint is ignored whole, range included, so the points it would have
+//! superseded still apply. A checkpoint that never reached the disk leaves
+//! the same state. Either way replay returns *more* than the owner still
+//! needed, never less, and the merge pipeline deduplicates by generation
+//! time. Damage in front of still-valid frames is corruption: an error in
+//! strict mode, a counted drop in salvage mode. So is a file at least one
+//! record long that starts with neither the magic nor a valid fixed record —
+//! a framed log with a damaged header reads like that, and is never mistaken
 //! for an empty one.
 
 use std::collections::BTreeMap;
@@ -57,7 +90,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use seplsm_types::{DataPoint, Error, Result};
+use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
 use crate::codec;
 use crate::fault::{self, FaultPlan, IoOp, WriteCheck};
@@ -71,11 +104,21 @@ const MAGIC: [u8; 8] = *b"SEPWAL2\n";
 const POINT: usize = 24;
 /// Frame prefix outside the CRC: len u32 LE + crc u32 LE.
 const FRAME_HEAD: usize = 8;
-/// Frame body before the points: kind u8 + series u32 LE.
+/// Frame body before the range or the points: kind u8 + series u32 LE.
 const BODY_HEAD: usize = 5;
+/// A checkpoint's range: lo i64 LE + hi i64 LE.
+const RANGE: usize = 16;
 const KIND_POINTS: u8 = 0;
-const KIND_CHECKPOINT: u8 = 1;
-/// Record of the older format: crc u32 LE + one point.
+/// The checkpoint of older builds: no range on the wire, all of time meant.
+const KIND_CHECKPOINT_ALL: u8 = 1;
+const KIND_CHECKPOINT: u8 = 2;
+/// Every generation time: what a cut's frames and a `KIND_CHECKPOINT_ALL`
+/// supersede.
+const ALL_TIME: TimeRange = TimeRange {
+    start: Timestamp::MIN,
+    end: Timestamp::MAX,
+};
+/// Record of the oldest format: crc u32 LE + one point.
 const LEGACY_RECORD: usize = 4 + POINT;
 /// Pending points are written out once they amount to this many bytes.
 const SPILL_BYTES: usize = 8 * 1024;
@@ -88,21 +131,27 @@ const CUT_FLOOR: u64 = 64 * 1024;
 /// Size and history of a log, for `seplsm stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Bytes of the frames replay would still apply.
+    /// 24 bytes for every logged point replay would still return.
     pub live_bytes: u64,
-    /// Bytes of superseded frames, reclaimed by the next cut.
+    /// Everything else past the magic — superseded points, frame prefixes,
+    /// checkpoint ranges — reclaimed by the next cut.
     pub dead_bytes: u64,
     /// Frames encoded since the log was opened.
     pub frames: u64,
     /// Times the file was cut since the log was opened.
     pub cuts: u64,
+    /// Bytes of the points checkpoint frames carried since the log was
+    /// opened: points logged a second time because they sat inside a
+    /// flushed range without having been flushed. (What a cut copies is not
+    /// in here; the cut rule bounds that by itself.)
+    pub relogged_bytes: u64,
 }
 
 /// What a log holds, demultiplexed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Replay {
-    /// Per series, the points of every frame since the series' last intact
-    /// checkpoint, in append order. Series with nothing to replay are
+    /// Per series, the logged points no intact checkpoint supersedes, in
+    /// the order they were written. Series with nothing to replay are
     /// absent.
     pub series: BTreeMap<u32, Vec<DataPoint>>,
     /// Whole point records that fit in the bytes dropped past the valid
@@ -120,15 +169,16 @@ impl Replay {
 /// What the log tracks per series.
 #[derive(Debug, Default)]
 struct SeriesLog {
-    /// The `Points` frame under construction: a frame prefix still to be
+    /// The points frame under construction: a frame prefix still to be
     /// sealed, then the points appended since the last physical write.
     /// Empty when nothing is pending.
     pending: Vec<u8>,
     /// Points of this series were appended since the last fsync and are
     /// not known to be durable elsewhere: what [`Wal::sync`] exists for.
     unsynced: bool,
-    /// Bytes of the frames (written or queued) replay would apply.
-    live: u64,
+    /// Generation times of the points in sealed frames (written or queued)
+    /// that replay would return, in no particular order.
+    live: Vec<Timestamp>,
 }
 
 /// An append-only, checksummed, series-tagged log of data points.
@@ -142,12 +192,11 @@ pub struct Wal {
     queued: Vec<u8>,
     /// Physical length of the file.
     file_len: u64,
-    /// Bytes of the logical log (file plus queued frames) that replay would
-    /// apply, and bytes superseded by a checkpoint.
-    live_bytes: u64,
-    dead_bytes: u64,
+    /// Points across every series' `live`.
+    live_points: u64,
     frames: u64,
     cuts: u64,
+    relogged_bytes: u64,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
 }
@@ -161,8 +210,8 @@ impl std::fmt::Debug for Wal {
     }
 }
 
-/// Starts a frame in `out`: room for its prefix, sealed by [`seal_frame`]
-/// once the points are in.
+/// Starts a points frame in `out`: room for its prefix, sealed by
+/// [`seal_frame`] once the points are in.
 fn begin_frame(out: &mut Vec<u8>) {
     out.extend_from_slice(&[0; FRAME_HEAD + BODY_HEAD]);
 }
@@ -173,9 +222,9 @@ fn push_point(out: &mut Vec<u8>, p: &DataPoint) {
     out.extend_from_slice(&p.value.to_bits().to_le_bytes());
 }
 
-/// Fills in the prefix of `frame` — a [`begin_frame`] followed by whole
-/// points — and returns the frame's size.
-fn seal_frame(frame: &mut [u8], kind: u8, series: u32) -> Result<u64> {
+/// Fills in the prefix of `frame`: a [`begin_frame`] followed by the rest
+/// of the body.
+fn seal_frame(frame: &mut [u8], kind: u8, series: u32) -> Result<()> {
     let body_len = frame.len().saturating_sub(FRAME_HEAD);
     let len = u32::try_from(body_len)
         .ok()
@@ -191,23 +240,26 @@ fn seal_frame(frame: &mut [u8], kind: u8, series: u32) -> Result<u64> {
         .copy_from_slice(&series.to_le_bytes());
     let crc = crc32(&frame[FRAME_HEAD..]);
     frame[4..FRAME_HEAD].copy_from_slice(&crc.to_le_bytes());
-    Ok(frame.len() as u64)
+    Ok(())
 }
 
-/// Appends one sealed frame to `out`, returning its size.
-fn push_frame(
+/// Appends one sealed checkpoint frame to `out`: `carried` are the points of
+/// `series` inside `range` that are still volatile.
+fn push_checkpoint(
     out: &mut Vec<u8>,
-    kind: u8,
     series: u32,
-    points: &[DataPoint],
-) -> Result<u64> {
+    range: TimeRange,
+    carried: &[DataPoint],
+) -> Result<()> {
     let start = out.len();
-    out.reserve(FRAME_HEAD + BODY_HEAD + points.len() * POINT);
+    out.reserve(FRAME_HEAD + BODY_HEAD + RANGE + carried.len() * POINT);
     begin_frame(out);
-    for p in points {
+    out.extend_from_slice(&range.start.to_le_bytes());
+    out.extend_from_slice(&range.end.to_le_bytes());
+    for p in carried {
         push_point(out, p);
     }
-    seal_frame(&mut out[start..], kind, series)
+    seal_frame(&mut out[start..], KIND_CHECKPOINT, series)
 }
 
 fn decode_point(rec: &[u8]) -> Result<DataPoint> {
@@ -220,8 +272,9 @@ fn decode_point(rec: &[u8]) -> Result<DataPoint> {
 
 /// One valid frame of `data`.
 struct Frame {
-    kind: u8,
     series: u32,
+    /// The range a checkpoint supersedes; `None` for a points frame.
+    superseded: Option<TimeRange>,
     points: Vec<DataPoint>,
     /// Bytes the frame occupies, prefix included.
     size: usize,
@@ -233,25 +286,40 @@ fn frame_at(data: &[u8], off: usize) -> Option<Frame> {
     let body_len = codec::read_u32_le(data, off).ok()? as usize;
     let stored = codec::read_u32_le(data, off + 4).ok()?;
     let start = off + FRAME_HEAD;
-    if body_len < BODY_HEAD
-        || (body_len - BODY_HEAD) % POINT != 0
-        || body_len > data.len().saturating_sub(start)
-    {
+    if body_len < BODY_HEAD || body_len > data.len().saturating_sub(start) {
         return None;
     }
     let body = &data[start..start + body_len];
-    let kind = body[0];
-    if stored != crc32(body) || kind > KIND_CHECKPOINT {
+    if stored != crc32(body) {
         return None;
     }
     let series = codec::read_u32_le(body, 1).ok()?;
-    let mut points = Vec::with_capacity((body_len - BODY_HEAD) / POINT);
-    for rec in body[BODY_HEAD..].chunks_exact(POINT) {
+    let (superseded, points_at) = match body[0] {
+        KIND_POINTS => (None, BODY_HEAD),
+        KIND_CHECKPOINT_ALL => (Some(ALL_TIME), BODY_HEAD),
+        KIND_CHECKPOINT => {
+            let range = TimeRange {
+                start: codec::read_i64_le(body, BODY_HEAD).ok()?,
+                end: codec::read_i64_le(body, BODY_HEAD + 8).ok()?,
+            };
+            if range.start > range.end {
+                return None;
+            }
+            (Some(range), BODY_HEAD + RANGE)
+        }
+        _ => return None,
+    };
+    let records = body.get(points_at..)?;
+    if records.len() % POINT != 0 {
+        return None;
+    }
+    let mut points = Vec::with_capacity(records.len() / POINT);
+    for rec in records.chunks_exact(POINT) {
         points.push(decode_point(rec).ok()?);
     }
     Some(Frame {
-        kind,
         series,
+        superseded,
         points,
         size: FRAME_HEAD + body_len,
     })
@@ -262,9 +330,9 @@ fn frame_at(data: &[u8], off: usize) -> Option<Frame> {
 struct Parsed {
     /// The file predates the framed format (see the module docs).
     legacy: bool,
+    /// Per series, the points no later checkpoint supersedes, in the order
+    /// they were written.
     series: BTreeMap<u32, Vec<DataPoint>>,
-    /// Per series, the bytes of the frames `series` was built from.
-    live: BTreeMap<u32, u64>,
     /// Byte length of the valid prefix.
     good_len: usize,
     /// Damage past `good_len` sits in front of still-valid frames.
@@ -309,13 +377,10 @@ fn parse(data: &[u8]) -> Parsed {
     let mut off = MAGIC.len();
     while let Some(frame) = frame_at(data, off) {
         let points = parsed.series.entry(frame.series).or_default();
-        let live = parsed.live.entry(frame.series).or_default();
-        if frame.kind == KIND_CHECKPOINT {
-            points.clear();
-            *live = 0;
+        if let Some(range) = frame.superseded {
+            points.retain(|p| !range.contains(p.gen_time));
         }
         points.extend(frame.points);
-        *live += frame.size as u64;
         off += frame.size;
     }
     parsed.good_len = off;
@@ -326,7 +391,7 @@ fn parse(data: &[u8]) -> Parsed {
     parsed
 }
 
-/// The older format: fixed-size `crc | point` records of one series.
+/// The oldest format: fixed-size `crc | point` records of one series.
 fn parse_legacy(data: &[u8]) -> Parsed {
     let valid = |rec: &[u8]| {
         codec::read_u32_le(rec, 0).is_ok_and(|crc| crc == crc32(&rec[4..]))
@@ -346,7 +411,6 @@ fn parse_legacy(data: &[u8]) -> Parsed {
     Parsed {
         legacy: true,
         series: BTreeMap::from([(0, points)]),
-        live: BTreeMap::new(),
         good_len,
         // `records` resumes after the first invalid record.
         corrupt: records.any(valid),
@@ -362,6 +426,24 @@ fn read_file(path: &Path) -> Result<Option<Vec<u8>>> {
     }
 }
 
+/// Drops the points of the pending frame `pending` whose generation time
+/// lies in `range`, returning how many went.
+fn drop_pending_in(pending: &mut Vec<u8>, range: TimeRange) -> usize {
+    let head = FRAME_HEAD + BODY_HEAD;
+    let mut kept = head.min(pending.len());
+    for at in (kept..pending.len()).step_by(POINT) {
+        let in_range = codec::read_i64_le(pending, at)
+            .is_ok_and(|gen_time| range.contains(gen_time));
+        if !in_range {
+            pending.copy_within(at..at + POINT, kept);
+            kept += POINT;
+        }
+    }
+    let dropped = (pending.len() - kept) / POINT;
+    pending.truncate(if kept > head { kept } else { 0 });
+    dropped
+}
+
 impl Wal {
     /// Opens (creating if needed) the log at `path` for appending.
     ///
@@ -369,7 +451,7 @@ impl Wal {
     /// the valid prefix — a torn tail, or damage this caller chose not to
     /// hear about (see [`Wal::recover`]) — is truncated away, because
     /// appending behind it would hide the new frames from replay. A log in
-    /// the older fixed-record format is rewritten in this one.
+    /// the oldest, fixed-record format is rewritten in this one.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Ok(Self::recover(path.as_ref(), false)?.0)
     }
@@ -435,20 +517,18 @@ impl Wal {
             pending_bytes: 0,
             queued: Vec::new(),
             file_len,
-            live_bytes: 0,
-            dead_bytes: 0,
+            live_points: 0,
             frames: 0,
             cuts: 0,
+            relogged_bytes: 0,
             faults: None,
             obs: ObserverHandle::detached(),
         };
-        wal.reset(&parsed.live);
-        wal.dead_bytes = file_len
-            .saturating_sub(MAGIC.len() as u64)
-            .saturating_sub(wal.live_bytes);
         if parsed.legacy {
             let points = parsed.series.get(&0).cloned().unwrap_or_default();
             wal.replace(&[(0, points)])?;
+        } else {
+            wal.reset(parsed.series.iter().map(|(s, p)| (*s, p.as_slice())));
         }
         Ok((wal, parsed.replay(strict)?))
     }
@@ -470,14 +550,20 @@ impl Wal {
         &self.path
     }
 
-    /// Live and dead bytes of the logical log (queued frames included),
-    /// frames encoded and cuts made since open.
+    /// Live and dead bytes of the logical log (queued frames included; see
+    /// the module docs for what counts as which), frames encoded, cuts made
+    /// and bytes re-logged since open.
     pub fn stats(&self) -> WalStats {
+        let live_bytes = self.live_points * POINT as u64;
+        let logical_len = self.file_len + self.queued.len() as u64;
         WalStats {
-            live_bytes: self.live_bytes,
-            dead_bytes: self.dead_bytes,
+            live_bytes,
+            dead_bytes: logical_len
+                .saturating_sub(MAGIC.len() as u64)
+                .saturating_sub(live_bytes),
             frames: self.frames,
             cuts: self.cuts,
+            relogged_bytes: self.relogged_bytes,
         }
     }
 
@@ -509,18 +595,23 @@ impl Wal {
             .map_or(0, |p| p.ops().saturating_sub(1))
     }
 
-    /// Seals the pending points — one `Points` frame per series — and
+    /// Seals the pending points — one points frame per series — and
     /// writes every queued frame with one `write`.
     fn write_out(&mut self) -> Result<()> {
         for (series, log) in &mut self.series {
             if log.pending.is_empty() {
                 continue;
             }
-            let size = seal_frame(&mut log.pending, KIND_POINTS, *series)?;
+            seal_frame(&mut log.pending, KIND_POINTS, *series)?;
+            let before = log.live.len();
+            log.live.extend(
+                log.pending[FRAME_HEAD + BODY_HEAD..]
+                    .chunks_exact(POINT)
+                    .filter_map(|rec| codec::read_i64_le(rec, 0).ok()),
+            );
+            self.live_points += (log.live.len() - before) as u64;
             self.queued.extend_from_slice(&log.pending);
             log.pending.clear();
-            log.live += size;
-            self.live_bytes += size;
             self.frames += 1;
         }
         self.pending_bytes = 0;
@@ -564,48 +655,71 @@ impl Wal {
         Ok(())
     }
 
-    /// Records that `survivors` are all that is still volatile in `series`.
+    /// Records that every point of `series` logged so far with a generation
+    /// time in `flushed` is durable in a committed table, except
+    /// `survivors_in_range`.
     ///
-    /// Call it after a flush of the series is durable (tables, then
-    /// manifest). The series' pending points are dropped — each is in the
-    /// tables just committed or among `survivors` — and a `Checkpoint` frame
-    /// carrying the survivors is queued behind the frames it supersedes. No
-    /// I/O, no fsync, and a clean log stays clean: the frame rides on the
-    /// next write. With no survivors the series owes the next sync nothing
-    /// any more. Until the frame is durable a crash replays the superseded
-    /// frames too, which recovery tolerates (see the module docs).
+    /// The contract, the same for every owner: call it only after the
+    /// tables holding the flushed points are durable under a durable
+    /// manifest record, and list in `survivors_in_range` **every volatile
+    /// point of the series inside the range, wherever it sits** — MemTables,
+    /// the tail of a policy migration, batches still in a flush pipeline —
+    /// in the order they were written. Any range is correct under that
+    /// rule; the range of the points a flush took is the one that carries
+    /// least. Because the frame names generation times rather than a
+    /// position in the file, it may be queued long after the flush (points
+    /// logged in between that fall inside the range are simply volatile
+    /// points inside the range).
     ///
-    /// Returns whether the superseded frames now outweigh the live ones
-    /// enough for a cut to pay for itself: the owner then hands
-    /// [`Wal::rewrite`] the survivors of *all* its series.
+    /// The series' pending points inside the range are dropped — each is in
+    /// the tables just committed or among the survivors — and a checkpoint
+    /// frame carrying the survivors is queued behind the frames it
+    /// supersedes. No I/O, no fsync, and a clean log stays clean: the frame
+    /// rides on the next write. A series left with nothing in the log owes
+    /// the next sync nothing any more. Until the frame is durable a crash
+    /// replays the superseded points too, which recovery tolerates (see the
+    /// module docs).
+    ///
+    /// Returns whether the dead bytes now outweigh the live ones enough for
+    /// a cut to pay for itself: the owner then hands [`Wal::rewrite`] the
+    /// survivors of *all* its series.
     ///
     /// # Errors
     /// More survivors than one frame can carry.
     pub fn checkpoint(
         &mut self,
         series: u32,
-        survivors: &[DataPoint],
+        flushed: TimeRange,
+        survivors_in_range: &[DataPoint],
     ) -> Result<bool> {
+        debug_assert!(
+            survivors_in_range
+                .iter()
+                .all(|p| flushed.contains(p.gen_time)),
+            "a checkpoint carries only points inside its range"
+        );
+        push_checkpoint(&mut self.queued, series, flushed, survivors_in_range)?;
         let log = self.series.entry(series).or_default();
         self.pending_bytes -=
-            log.pending.len().saturating_sub(FRAME_HEAD + BODY_HEAD);
-        log.pending.clear();
-        log.unsynced &= !survivors.is_empty();
-        let size =
-            push_frame(&mut self.queued, KIND_CHECKPOINT, series, survivors)?;
-        // The series' earlier frames are dead from here on.
-        self.dead_bytes += log.live;
-        self.live_bytes = self.live_bytes - log.live + size;
-        log.live = size;
+            POINT * drop_pending_in(&mut log.pending, flushed);
+        let before = log.live.len();
+        log.live.retain(|gen_time| !flushed.contains(*gen_time));
+        self.live_points -= (before - log.live.len()) as u64;
+        log.live
+            .extend(survivors_in_range.iter().map(|p| p.gen_time));
+        self.live_points += survivors_in_range.len() as u64;
+        log.unsynced &= !(log.live.is_empty() && log.pending.is_empty());
         self.frames += 1;
+        self.relogged_bytes += (survivors_in_range.len() * POINT) as u64;
         self.obs.emit(|| Event::WalTruncate {
-            survivors: survivors.len() as u64,
+            survivors: survivors_in_range.len() as u64,
         });
         Ok(self.cut_due())
     }
 
     fn cut_due(&self) -> bool {
-        self.dead_bytes > (CUT_FACTOR * self.live_bytes).max(CUT_FLOOR)
+        let stats = self.stats();
+        stats.dead_bytes > (CUT_FACTOR * stats.live_bytes).max(CUT_FLOOR)
     }
 
     /// Cuts the log down to `live`: per series, every point of its owner
@@ -631,37 +745,41 @@ impl Wal {
             self.file_len = header;
             self.cuts += 1;
         }
-        self.reset(&BTreeMap::new());
+        self.reset([]);
         Ok(())
     }
 
     /// Forgets everything not yet written: the file now holds exactly the
-    /// frames accounted in `live` (bytes per series), durably.
-    fn reset(&mut self, live: &BTreeMap<u32, u64>) {
+    /// points of `live`, durably.
+    fn reset<'a>(
+        &mut self,
+        live: impl IntoIterator<Item = (u32, &'a [DataPoint])>,
+    ) {
         for log in self.series.values_mut() {
             log.pending.clear();
             log.unsynced = false;
-            log.live = 0;
+            log.live.clear();
         }
-        for (series, bytes) in live {
-            self.series.entry(*series).or_default().live = *bytes;
+        self.live_points = 0;
+        for (series, points) in live {
+            self.series
+                .entry(series)
+                .or_default()
+                .live
+                .extend(points.iter().map(|p| p.gen_time));
+            self.live_points += points.len() as u64;
         }
         self.pending_bytes = 0;
         self.queued.clear();
-        self.live_bytes = live.values().sum();
-        self.dead_bytes = 0;
     }
 
-    /// Replaces the file with a fresh one holding one `Checkpoint` frame
-    /// per non-empty series of `live`.
+    /// Replaces the file with a fresh one holding one checkpoint frame — of
+    /// all time — per non-empty series of `live`.
     fn replace(&mut self, live: &[(u32, Vec<DataPoint>)]) -> Result<()> {
         let mut buf = MAGIC.to_vec();
-        let mut sizes = BTreeMap::new();
         for (series, points) in live {
             if !points.is_empty() {
-                let size =
-                    push_frame(&mut buf, KIND_CHECKPOINT, *series, points)?;
-                sizes.insert(*series, size);
+                push_checkpoint(&mut buf, *series, ALL_TIME, points)?;
                 self.frames += 1;
             }
         }
@@ -697,7 +815,7 @@ impl Wal {
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.file_len = buf.len() as u64;
         self.cuts += 1;
-        self.reset(&sizes);
+        self.reset(live.iter().map(|(s, p)| (*s, p.as_slice())));
         Ok(())
     }
 
@@ -751,6 +869,10 @@ mod tests {
 
     fn gens(points: &[DataPoint]) -> Vec<i64> {
         points.iter().map(|p| p.gen_time).collect()
+    }
+
+    fn range(start: i64, end: i64) -> TimeRange {
+        TimeRange::new(start, end)
     }
 
     fn legacy_record(p: &DataPoint) -> Vec<u8> {
@@ -985,23 +1107,23 @@ mod tests {
         assert_eq!(plan.ops(), 2, "back-to-back sync: zero ops");
         // A checkpoint does not make a clean log dirty; it rides on the
         // next batch.
-        wal.checkpoint(0, &[pt(1)]).expect("checkpoint");
+        wal.checkpoint(0, ALL_TIME, &[pt(1)]).expect("checkpoint");
         wal.sync().expect("sync after checkpoint");
         assert_eq!(plan.ops(), 2);
         wal.append(&pt(2)).expect("append");
         wal.sync().expect("sync");
         assert_eq!(plan.trace()[2..], [IoOp::WalAppend, IoOp::WalSync]);
         assert_eq!(gens(&series0(&path)), vec![1, 2]);
-        // A flush that leaves nothing buffered took the unsynced points
-        // into its tables: the series has nothing left to sync — but
-        // another series still does.
+        // A flush that leaves nothing of the series in the log took the
+        // unsynced points into its tables: the series has nothing left to
+        // sync — but another series still does.
         wal.append(&pt(3)).expect("append");
-        wal.checkpoint(0, &[]).expect("checkpoint");
+        wal.checkpoint(0, range(1, 3), &[]).expect("checkpoint");
         wal.sync().expect("sync");
         assert_eq!(plan.ops(), 4);
         wal.append_for(1, &pt(4)).expect("append");
         wal.append(&pt(5)).expect("append");
-        wal.checkpoint(0, &[]).expect("checkpoint");
+        wal.checkpoint(0, range(5, 5), &[]).expect("checkpoint");
         wal.sync().expect("sync");
         assert_eq!(plan.trace()[4..], [IoOp::WalAppend, IoOp::WalSync]);
         let replay = Wal::replay(&path).expect("replay");
@@ -1018,18 +1140,114 @@ mod tests {
         }
         wal.sync().expect("sync");
         wal.append_for(1, &pt(4)).expect("append");
-        // Series 1 flushed everything but point 3; the pending point 4 went
-        // into the tables, so it must not come back.
-        wal.checkpoint(1, &[pt(3)]).expect("checkpoint");
+        wal.append_for(1, &pt(9)).expect("append");
+        // Series 1 flushed [1, 4] except point 3: the pending point 4 went
+        // into the tables, so it must not come back; point 0 below the range
+        // and the pending point 9 above it are none of the flush's business.
+        wal.checkpoint(1, range(1, 4), &[pt(3)])
+            .expect("checkpoint");
         wal.append_for(1, &pt(5)).expect("append");
         wal.sync().expect("sync");
         let replay = Wal::replay(&path).expect("replay");
-        assert_eq!(gens(&replay.series[&1]), vec![3, 5]);
+        assert_eq!(gens(&replay.series[&1]), vec![0, 3, 9, 5]);
         assert_eq!(gens(&replay.series[&2]), vec![10, 11, 12, 13]);
+        // Two 4-point frames, the checkpoint carrying one point, one
+        // 2-point frame; 4 + 4 points are live.
         let stats = wal.stats();
-        assert_eq!(stats.dead_bytes, 13 + 4 * 24);
-        assert_eq!(stats.live_bytes, 2 * (13 + 24) + 13 + 4 * 24);
+        assert_eq!(stats.live_bytes, 8 * 24);
+        assert_eq!(
+            stats.live_bytes + stats.dead_bytes,
+            2 * (13 + 4 * 24) + (29 + 24) + (13 + 2 * 24)
+        );
         assert_eq!((stats.frames, stats.cuts), (4, 0));
+        assert_eq!(stats.relogged_bytes, 24);
+        assert_eq!(
+            std::fs::metadata(&path).expect("stat").len(),
+            8 + stats.live_bytes + stats.dead_bytes
+        );
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn out_of_range_pending_points_stay_owed_to_the_next_sync() {
+        let (path, plan, mut wal) = traced("owed");
+        wal.append(&pt(1)).expect("append");
+        wal.append(&pt(50)).expect("append");
+        // The flush took point 1 before it was ever written: it never
+        // reaches the file. Point 50 is still only in memory.
+        wal.checkpoint(0, range(0, 10), &[]).expect("checkpoint");
+        assert_eq!(plan.ops(), 0);
+        wal.sync().expect("sync");
+        assert_eq!(plan.trace(), vec![IoOp::WalAppend, IoOp::WalSync]);
+        assert_eq!(gens(&series0(&path)), vec![50]);
+        assert_eq!(
+            std::fs::metadata(&path).expect("stat").len(),
+            8 + 29 + 13 + 24
+        );
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn overwrites_of_one_generation_time_replay_last_writer_last() {
+        let (path, _plan, mut wal) = traced("overwrite");
+        let v = |gen_time, value| DataPoint::new(gen_time, 0, value);
+        wal.append(&v(5, 1.0)).expect("append");
+        wal.append(&v(7, 1.0)).expect("append");
+        wal.sync().expect("sync");
+        wal.append(&v(5, 2.0)).expect("append");
+        wal.sync().expect("sync");
+        // A flush of [6, 8] leaves both writes of 5 where they are; one of
+        // [5, 5] that finds a third write buffered carries only that one.
+        wal.checkpoint(0, range(6, 8), &[]).expect("checkpoint");
+        wal.append(&v(5, 3.0)).expect("append");
+        wal.sync().expect("sync");
+        let values = |points: &[DataPoint]| -> Vec<f64> {
+            points.iter().map(|p| p.value).collect()
+        };
+        assert_eq!(values(&series0(&path)), vec![1.0, 2.0, 3.0]);
+        wal.checkpoint(0, range(5, 5), &[v(5, 3.0)])
+            .expect("checkpoint");
+        wal.append(&v(5, 4.0)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(values(&series0(&path)), vec![3.0, 4.0]);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn an_older_build_s_checkpoint_reads_as_one_of_all_time() {
+        let path = temp_path("kind1");
+        let mut data = MAGIC.to_vec();
+        let mut frame = |kind: u8, series: u32, points: &[DataPoint]| {
+            let start = data.len();
+            begin_frame(&mut data);
+            for p in points {
+                push_point(&mut data, p);
+            }
+            seal_frame(&mut data[start..], kind, series).expect("seal");
+        };
+        frame(KIND_POINTS, 0, &[pt(1), pt(2), pt(3)]);
+        frame(KIND_POINTS, 1, &[pt(4)]);
+        frame(KIND_CHECKPOINT_ALL, 0, &[pt(2)]);
+        frame(KIND_POINTS, 0, &[pt(5)]);
+        std::fs::write(&path, &data).expect("old log");
+        let replay = Wal::replay(&path).expect("replay");
+        assert_eq!(gens(&replay.series[&0]), vec![2, 5]);
+        assert_eq!(gens(&replay.series[&1]), vec![4]);
+        // Opened as it stands, accounted point by point, and continued with
+        // checkpoints of this build's kind.
+        let (mut wal, replay) = Wal::recover(&path, true).expect("recover");
+        assert_eq!(replay.points(), 3);
+        assert_eq!(std::fs::read(&path).expect("read"), data);
+        let stats = wal.stats();
+        assert_eq!(stats.live_bytes, 3 * 24);
+        assert_eq!(stats.dead_bytes, data.len() as u64 - 8 - 3 * 24);
+        wal.append(&pt(6)).expect("append");
+        wal.checkpoint(0, range(5, 6), &[]).expect("checkpoint");
+        wal.append(&pt(7)).expect("append");
+        wal.sync().expect("sync");
+        assert_eq!(gens(&series0(&path)), vec![2, 7]);
+        let written = std::fs::read(&path).expect("read");
+        assert_eq!(written[data.len() + FRAME_HEAD], KIND_CHECKPOINT);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1042,7 +1260,7 @@ mod tests {
         wal.sync().expect("sync");
         // Pending points and queued frames are cut with the rest.
         wal.append(&pt(10)).expect("append");
-        wal.checkpoint(0, &[]).expect("checkpoint");
+        wal.checkpoint(0, ALL_TIME, &[]).expect("checkpoint");
         let before = plan.ops() as usize;
         wal.rewrite(&[]).expect("cut");
         assert_eq!(
@@ -1090,7 +1308,11 @@ mod tests {
         assert_eq!(gens(&replay.series[&1]), vec![100, 200]);
         assert!(!replay.series.contains_key(&2));
         assert_eq!(gens(&replay.series[&3]), vec![300, 301]);
-        assert_eq!(wal.stats().dead_bytes, 0);
+        // Two checkpoint frames and one points frame hold four live points.
+        let stats = wal.stats();
+        assert_eq!(stats.live_bytes, 4 * 24);
+        assert_eq!(stats.dead_bytes, 2 * 29 + 13);
+        assert_eq!(stats.relogged_bytes, 0, "a cut's copy is not a re-log");
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1104,13 +1326,13 @@ mod tests {
                 wal.append(p).expect("append");
             }
             wal.sync().expect("sync");
-            due = wal.checkpoint(0, &[]).expect("checkpoint");
+            due = wal.checkpoint(0, range(0, 99), &[]).expect("checkpoint");
             let dead = wal.stats().dead_bytes;
             assert_eq!(due, dead > CUT_FLOOR, "{dead} dead bytes");
         }
         // With many live bytes the bar is 8 × live, not the floor.
         let live: Vec<DataPoint> = (0..1000).map(pt).collect();
-        assert!(!wal.checkpoint(0, &live).expect("checkpoint"));
+        assert!(!wal.checkpoint(0, ALL_TIME, &live).expect("checkpoint"));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1143,7 +1365,8 @@ mod tests {
 
     // ------------------------------------------------------------------
     // Model-based property: whatever a crash leaves of the file, replay
-    // returns exactly the frames that are wholly there.
+    // returns exactly what the frames that are wholly there amount to, and
+    // that is never less than what the owner still needed.
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1151,10 +1374,12 @@ mod tests {
             series: u32,
             gen_time: i64,
         },
-        /// Flush `series`, keeping every `keep`-th buffered point (none
-        /// for 0).
+        /// Flush the points of `series` inside `[lo, hi]`, except every
+        /// `keep`-th of them (none kept for 0), which stay buffered.
         Checkpoint {
             series: u32,
+            lo: i64,
+            hi: i64,
             keep: usize,
         },
         Sync,
@@ -1165,10 +1390,18 @@ mod tests {
     fn op() -> impl Strategy<Value = Op> {
         // Half the ops append; few generation times, so a series logs the
         // same one twice.
-        (0u8..12, 0u32..3, 0i64..6, 0usize..4).prop_map(
-            |(kind, series, gen_time, keep)| match kind {
-                0..=5 => Op::Append { series, gen_time },
-                6..=7 => Op::Checkpoint { series, keep },
+        (0u8..12, 0u32..3, 0i64..6, 0i64..6, 0usize..4).prop_map(
+            |(kind, series, a, b, keep)| match kind {
+                0..=5 => Op::Append {
+                    series,
+                    gen_time: a,
+                },
+                6..=7 => Op::Checkpoint {
+                    series,
+                    lo: a.min(b),
+                    hi: a.max(b),
+                    keep,
+                },
                 8..=9 => Op::Sync,
                 10 => Op::Cut,
                 _ => Op::Reopen,
@@ -1178,27 +1411,28 @@ mod tests {
 
     type Contents = BTreeMap<u32, Vec<DataPoint>>;
 
-    /// One frame of the model, with the file offset it ends at.
+    /// One frame of the model.
     #[derive(Debug, Clone)]
     struct ModelFrame {
-        checkpoint: bool,
         series: u32,
+        superseded: Option<TimeRange>,
         points: Vec<DataPoint>,
     }
 
     impl ModelFrame {
         fn size(&self) -> usize {
-            FRAME_HEAD + BODY_HEAD + POINT * self.points.len()
+            let range = self.superseded.map_or(0, |_| RANGE);
+            FRAME_HEAD + BODY_HEAD + range + POINT * self.points.len()
         }
     }
 
     /// What replay must return when the file holds exactly `frames`.
-    fn fold(frames: &[ModelFrame]) -> Contents {
+    fn fold<'a>(frames: impl IntoIterator<Item = &'a ModelFrame>) -> Contents {
         let mut out = Contents::new();
         for f in frames {
             let points = out.entry(f.series).or_default();
-            if f.checkpoint {
-                points.clear();
+            if let Some(range) = f.superseded {
+                points.retain(|p| !range.contains(p.gen_time));
             }
             points.extend(f.points.iter().copied());
         }
@@ -1209,8 +1443,14 @@ mod tests {
     /// The log's owner and the file, as the format documents them.
     #[derive(Default)]
     struct Model {
-        /// What the owner still holds in memory, per series.
+        /// What the owner still holds in memory, per series, in the order
+        /// replay would return it.
         buffers: Contents,
+        /// What the owner flushed into (imagined) committed tables.
+        flushed: Vec<(u32, DataPoint)>,
+        /// `buffers` as of the last sync that reached the disk: what a
+        /// crash may not lose unless it is in `flushed`.
+        acknowledged: Vec<(u32, DataPoint)>,
         pending: Contents,
         queued: Vec<ModelFrame>,
         file: Vec<ModelFrame>,
@@ -1226,14 +1466,28 @@ mod tests {
             for (series, points) in std::mem::take(&mut self.pending) {
                 if !points.is_empty() {
                     self.queued.push(ModelFrame {
-                        checkpoint: false,
                         series,
+                        superseded: None,
                         points,
                     });
                 }
             }
             self.file.append(&mut self.queued);
         }
+
+        fn volatile(&self) -> Vec<(u32, DataPoint)> {
+            self.buffers
+                .iter()
+                .flat_map(|(s, points)| points.iter().map(|p| (*s, *p)))
+                .collect()
+        }
+    }
+
+    /// The model's points are told apart by their arrival time.
+    fn holds(contents: &Contents, series: u32, p: &DataPoint) -> bool {
+        contents
+            .get(&series)
+            .is_some_and(|points| points.contains(p))
     }
 
     proptest! {
@@ -1260,24 +1514,40 @@ mod tests {
                         model.buffers.entry(series).or_default().push(p);
                         model.unsynced.insert(series);
                     }
-                    Op::Checkpoint { series, keep } => {
+                    Op::Checkpoint { series, lo, hi, keep } => {
+                        let flushed = range(lo, hi);
                         let buffer = model.buffers.entry(series).or_default();
-                        let survivors: Vec<DataPoint> = match keep {
-                            0 => Vec::new(),
-                            _ => buffer.iter().copied().step_by(keep).collect(),
-                        };
-                        wal.checkpoint(series, &survivors)
+                        let (inside, outside): (Vec<DataPoint>, Vec<_>) =
+                            buffer
+                                .iter()
+                                .copied()
+                                .partition(|p| flushed.contains(p.gen_time));
+                        // Whole generation times stay or go: an owner keeps
+                        // one value per generation time.
+                        let (survivors, gone): (Vec<DataPoint>, Vec<_>) =
+                            inside.into_iter().partition(|p| {
+                                keep > 0 && p.gen_time % keep as i64 == 0
+                            });
+                        wal.checkpoint(series, flushed, &survivors)
                             .expect("checkpoint");
-                        *buffer = survivors.clone();
-                        model.pending.remove(&series);
-                        if survivors.is_empty() {
-                            model.unsynced.remove(&series);
+                        *buffer = outside;
+                        buffer.extend(&survivors);
+                        model.flushed.extend(gone.iter().map(|p| (series, *p)));
+                        if let Some(pending) = model.pending.get_mut(&series) {
+                            pending.retain(|p| !flushed.contains(p.gen_time));
                         }
                         model.queued.push(ModelFrame {
-                            checkpoint: true,
                             series,
+                            superseded: Some(flushed),
                             points: survivors,
                         });
+                        let logged = fold(model.file.iter().chain(&model.queued));
+                        let pending = model.pending.get(&series);
+                        if !logged.contains_key(&series)
+                            && pending.is_none_or(Vec::is_empty)
+                        {
+                            model.unsynced.remove(&series);
+                        }
                     }
                     Op::Sync => {
                         wal.sync().expect("sync");
@@ -1285,7 +1555,26 @@ mod tests {
                             model.write_out();
                             model.synced = model.file.len();
                             model.unsynced.clear();
+                            model.acknowledged = model.volatile();
                         }
+                        // The accounting is what a parse of the logical
+                        // log — the file and the frames queued behind it —
+                        // recomputes.
+                        let mut logical = std::fs::read(&path).expect("read");
+                        logical.extend_from_slice(&wal.queued);
+                        let parsed = parse(&logical);
+                        prop_assert_eq!(parsed.good_len, logical.len());
+                        let live = parsed
+                            .series
+                            .values()
+                            .map(|points| (points.len() * POINT) as u64)
+                            .sum::<u64>();
+                        let stats = wal.stats();
+                        prop_assert_eq!(stats.live_bytes, live);
+                        prop_assert_eq!(
+                            stats.dead_bytes,
+                            (logical.len() - MAGIC.len()) as u64 - live
+                        );
                     }
                     Op::Cut => {
                         let live: Vec<(u32, Vec<DataPoint>)> =
@@ -1295,8 +1584,8 @@ mod tests {
                             .into_iter()
                             .filter(|(_, points)| !points.is_empty())
                             .map(|(series, points)| ModelFrame {
-                                checkpoint: true,
                                 series,
+                                superseded: Some(ALL_TIME),
                                 points,
                             })
                             .collect();
@@ -1304,6 +1593,7 @@ mod tests {
                         model.pending.clear();
                         model.queued.clear();
                         model.unsynced.clear();
+                        model.acknowledged = model.volatile();
                     }
                     Op::Reopen => {
                         // Dropped without a sync: only what was written
@@ -1316,10 +1606,30 @@ mod tests {
                         model.queued.clear();
                         model.unsynced.clear();
                         model.buffers = fold(&model.file);
+                        model.acknowledged = model.volatile();
                         prop_assert_eq!(&replay.series, &model.buffers);
                     }
                 }
             }
+            // Everything the owner holds and the log has sealed is what the
+            // logical log replays to, point for point.
+            let mut sealed = model.buffers.clone();
+            for (series, pending) in &model.pending {
+                if let Some(points) = sealed.get_mut(series) {
+                    points.retain(|p| !pending.contains(p));
+                }
+            }
+            let sorted = |mut contents: Contents| {
+                contents.retain(|_, points| !points.is_empty());
+                for points in contents.values_mut() {
+                    points.sort_by_key(|p| p.arrival_time);
+                }
+                contents
+            };
+            prop_assert_eq!(
+                sorted(fold(model.file.iter().chain(&model.queued))),
+                sorted(sealed)
+            );
             drop(wal);
             // Everything ever written is in the file; a crash keeps at
             // least the synced frames and any prefix of the rest.
@@ -1338,6 +1648,40 @@ mod tests {
                     &fold(&model.file[..whole]),
                     "file cut at byte {} of {}", cut, data.len()
                 );
+                // A torn checkpoint is ignored whole: never less than what
+                // was acknowledged and is not in a table.
+                for (series, p) in &model.acknowledged {
+                    prop_assert!(
+                        holds(&replay.series, *series, p)
+                            || model.flushed.contains(&(*series, *p)),
+                        "file cut at byte {} of {} lost {:?}",
+                        cut, data.len(), p
+                    );
+                }
+            }
+            // A damaged range never widens what a checkpoint supersedes:
+            // the frame stops being one, which is corruption in front of
+            // valid frames and a torn tail at the end.
+            for (i, f) in model.file.iter().enumerate() {
+                if f.superseded.is_none() {
+                    continue;
+                }
+                let before = fold(&model.file[..i]);
+                for byte in 0..RANGE {
+                    let mut damaged = data.clone();
+                    damaged[ends[i] + FRAME_HEAD + BODY_HEAD + byte] ^= 0x40;
+                    std::fs::write(&cut_copy, &damaged).expect("damaged copy");
+                    match Wal::replay(&cut_copy) {
+                        Ok(replay) => {
+                            prop_assert_eq!(i + 1, model.file.len());
+                            prop_assert_eq!(&replay.series, &before);
+                        }
+                        Err(e) => prop_assert!(matches!(e, Error::Corrupt(_))),
+                    }
+                    let salvaged =
+                        Wal::replay_salvage(&cut_copy).expect("salvage");
+                    prop_assert_eq!(&salvaged.series, &before);
+                }
             }
             let _ = std::fs::remove_file(&cut_copy);
             std::fs::remove_file(&path).expect("cleanup");

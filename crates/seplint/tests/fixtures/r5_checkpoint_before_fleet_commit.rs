@@ -15,8 +15,8 @@ impl Fleet {
     // the uncommitted tables took out of memory.
     fn commit_pending(&mut self) -> Result<(), Error> {
         let groups = self.series.pending_groups();
-        for (series, survivors) in self.series.flushed() {
-            if self.wal.checkpoint(series, &survivors)? {
+        for (series, range, in_range) in self.series.flushed() {
+            if self.wal.checkpoint(series, range, &in_range)? {
                 self.wal.rewrite(&self.series.survivors())?;
             }
         }
@@ -28,8 +28,8 @@ impl Fleet {
     fn commit_in_order(&mut self) -> Result<(), Error> {
         let groups = self.series.pending_groups();
         self.fleet_manifest.commit_fleet(&groups, &self.series.live())?;
-        for (series, survivors) in self.series.flushed() {
-            self.wal.checkpoint(series, &survivors)?;
+        for (series, range, in_range) in self.series.flushed() {
+            self.wal.checkpoint(series, range, &in_range)?;
         }
         Ok(())
     }

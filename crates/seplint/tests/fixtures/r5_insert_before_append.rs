@@ -15,11 +15,13 @@ impl Engine {
         Ok(())
     }
 
-    // VIOLATION: the checkpoint supersedes the series' frames with no
-    // manifest record or flushing registration covering the dropped tail.
+    // VIOLATION: the checkpoint supersedes the flushed range of the series
+    // with no manifest record or flushing registration covering what was in
+    // it.
     pub fn flush(&mut self) -> Result<(), Error> {
-        let survivors = self.buffers.drain();
-        self.wal.checkpoint(0, &survivors)?;
+        let flushed = self.buffers.take_full();
+        self.wal
+            .checkpoint(0, flushed, &self.buffers.scan(flushed))?;
         Ok(())
     }
 

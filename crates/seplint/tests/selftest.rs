@@ -156,7 +156,7 @@ fn r5_fires_on_a_fleet_checkpoint_before_the_fleet_commit() {
                 if !engine.take_committed_flush() {
                     return Ok(());
                 }
-                wal.checkpoint(series.0, &engine.buffered_snapshot())?;
+                wal.checkpoint(series.0, range, &engine.buffered_in(range))?;
                 Ok(())
             }
         }";
@@ -188,11 +188,11 @@ fn r5_passes_the_compliant_orderings() {
         impl Engine {
             pub fn flush(&mut self) -> Result<()> {
                 self.manifest.record(&edit)?;
-                self.compact_wal()?;
+                self.compact_wal(flushed)?;
                 Ok(())
             }
-            fn compact_wal(&mut self) -> Result<()> {
-                if self.wal.checkpoint(0, &self.survivors())? {
+            fn compact_wal(&mut self, flushed: TimeRange) -> Result<()> {
+                if self.wal.checkpoint(0, flushed, &self.scan(flushed))? {
                     self.wal.rewrite(&[(0, self.survivors())])?;
                 }
                 Ok(())
@@ -209,7 +209,7 @@ fn r5_passes_the_compliant_orderings() {
         impl Fleet {
             fn commit_pending(&mut self) -> Result<()> {
                 fleet_manifest.commit_fleet(&groups, &live)?;
-                wal.checkpoint(series.0, &engine.buffered_snapshot())?;
+                wal.checkpoint(series.0, range, &engine.buffered_in(range))?;
                 Ok(())
             }
         }";

@@ -86,6 +86,10 @@ cargo test -q -p seplsm --test crash_schedules --offline \
 # also when a crash lands between the fold and the removal.
 cargo test -q -p seplsm --test crash_schedules --offline \
   pr18_fleet_directory_still_recovers
+# And the logs of the PR 19 build, whose checkpoint frames (`kind 1`) carry no
+# range and re-log every buffered point: read as checkpoints of all time.
+cargo test -q -p seplsm --test crash_schedules --offline \
+  pr19_logs_still_recover
 # Same lane, by name: the traced fsync budget of one flush/merge commit
 # (k table fsyncs + 1 directory + 1 manifest, in that order, and nothing on
 # the WAL; one WAL write + fsync per batch, however many series) and of one
@@ -95,6 +99,23 @@ cargo test -q -p seplsm --test crash_schedules --offline \
 # crept back in.
 echo "== fault injection (fsync budget) =="
 cargo test -q -p seplsm --test fsync_budget --offline
+
+# CLI lane: under the separation policy a flush takes one buffer and leaves
+# the other, and its checkpoint names only the range it took — the `wal`
+# line of a durable `seplsm stats` run must report that checkpoints re-logged
+# less than 1 % of the bytes the run logged (24 per point).
+echo "== seplsm stats (checkpoints re-log < 1 % under the separation policy) =="
+STATS_DIR="$(mktemp -d)"
+STATS_POINTS=20000
+target/release/seplsm generate --dataset M12 --points "$STATS_POINTS" \
+  --seed 7 --out "$STATS_DIR/m12.csv" >/dev/null
+WAL_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
+  --policy separation:256 --budget 512 --dir "$STATS_DIR/store" \
+  | grep '^wal before the closing flush')"
+rm -rf "$STATS_DIR"
+RELOGGED="$(sed -nE 's/.* ([0-9]+) relogged B$/\1/p' <<<"$WAL_LINE")"
+[[ -n "$RELOGGED" && $((RELOGGED * 100)) -lt $((STATS_POINTS * 24)) ]] \
+  || { echo "checkpoints re-logged too much: $WAL_LINE"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the

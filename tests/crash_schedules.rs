@@ -269,6 +269,98 @@ fn lsm_engine_survives_torn_writes() {
     }
 }
 
+/// `lsm_pass` with a policy shrink in the middle: the first 30 points go
+/// into buffers of `wide`, which `set_policy(narrow)` then re-routes through
+/// buffers a quarter the size — several flushes inside one call, each with
+/// the not yet re-routed points in no buffer at all, and a few points left
+/// buffered at the end — and the rest of the workload follows under
+/// `narrow`.
+fn lsm_shrink_pass(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pts: &[DataPoint],
+    (wide, narrow): (Policy, Policy),
+) -> (TempDir, Outcome) {
+    let dir = TempDir::new(tag);
+    let store = FileStore::open(dir.path("tables"))
+        .expect("store")
+        .with_faults(Arc::clone(plan));
+    let mut engine =
+        OpenOptions::new(EngineConfig::new(wide).with_sstable_points(8))
+            .store(Arc::new(store))
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+            .faults(Arc::clone(plan))
+            .open()
+            .expect("open");
+    let mut out = Outcome {
+        attempted: 0,
+        appended: 0,
+        synced: 0,
+    };
+    // The second segment is one point and a sync: it puts the checkpoints
+    // of the shrink on the disk while what the shrink left buffered is
+    // still buffered.
+    for (i, segment) in [&pts[..30], &pts[30..31], &pts[31..]]
+        .into_iter()
+        .enumerate()
+    {
+        if i == 1 && engine.set_policy(narrow).is_err() {
+            break;
+        }
+        let done = out.appended;
+        let part =
+            drive(&mut engine, segment, LsmEngine::append, |e| e.sync_wal());
+        out.attempted += part.attempted;
+        out.appended += part.appended;
+        if part.synced > 0 {
+            out.synced = done + part.synced;
+        }
+        if part.synced < segment.len() {
+            break;
+        }
+    }
+    (dir, out)
+}
+
+/// The recovery contract across a policy shrink: a crash at any op of it —
+/// the flushes of the re-routing, the one checkpoint behind them, the WAL
+/// write that carries it — loses nothing that was acknowledged.
+#[test]
+fn a_policy_shrink_survives_a_crash_at_every_io_op() {
+    let pts = workload(WORKLOAD_POINTS);
+    let shrinks = [
+        ("pi_c", (Policy::conventional(32), Policy::conventional(8))),
+        (
+            "pi_s",
+            (
+                Policy::separation(32, 16).expect("policy"),
+                Policy::separation(8, 4).expect("policy"),
+            ),
+        ),
+    ];
+    for (name, shrink) in shrinks {
+        let plan = FaultPlan::trace_only(SEED);
+        let (dir, out) = lsm_shrink_pass("shrink-trace", &plan, &pts, shrink);
+        assert_eq!(out.synced, pts.len(), "{name}: trace pass must complete");
+        lsm_recover_check(&dir, &pts, &out, &format!("{name}: trace pass"));
+        drop(dir);
+        let total = plan.ops();
+        assert!(
+            total >= 60,
+            "{name}: too few ops to be interesting: {total}"
+        );
+        for k in 0..total {
+            let plan = FaultPlan::crash_at(SEED, k);
+            let (dir, out) =
+                lsm_shrink_pass("shrink-crash", &plan, &pts, shrink);
+            assert!(plan.is_crashed(), "{name}: crash at op {k} never fired");
+            let ctx = format!("{name}: shrink, crash at op {k}/{total}");
+            lsm_recover_check(&dir, &pts, &out, &ctx);
+        }
+    }
+}
+
 // -------------------------------------------------------------- TieredEngine
 
 fn tiered_pass(
@@ -1075,6 +1167,140 @@ fn pr18_fleet_directory_still_recovers() {
     }
 }
 
+/// The checkpoint frames of a framed log, as `(kind, points carried)`.
+fn checkpoint_frames(wal: &std::path::Path) -> Vec<(u8, usize)> {
+    let bytes = std::fs::read(wal).expect("read log");
+    assert!(bytes.starts_with(WAL_MAGIC), "{} not framed", wal.display());
+    let mut frames = Vec::new();
+    let mut off = WAL_MAGIC.len();
+    while off + 9 <= bytes.len() {
+        let len = u32::from_le_bytes(
+            bytes[off..off + 4].try_into().expect("four bytes"),
+        ) as usize;
+        match bytes[off + 8] {
+            0 => {}
+            1 => frames.push((1, (len - 5) / 24)),
+            kind => frames.push((kind, (len - 5 - 16) / 24)),
+        }
+        off += 8 + len;
+    }
+    frames
+}
+
+/// Durable state written by the PR 19 build (`tests/fixtures/pr19/`, see its
+/// README), the last one whose checkpoint frames had no range and re-logged
+/// every buffered point: all three engines dropped mid-run under `π_s` with
+/// stragglers buffered and survivor-carrying `kind 1` frames in their logs.
+/// Every directory must recover, strict and salvage, to the contents the
+/// build that wrote it recovers, and keep going with range checkpoints in
+/// the log recovery cut from the old frames.
+#[test]
+fn pr19_logs_still_recover() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/pr19");
+    let pi_s = || {
+        EngineConfig::new(Policy::separation(8, 4).expect("policy"))
+            .with_sstable_points(4)
+    };
+    for log in ["lsm/wal", "tiered/wal", "fleet/meta/fleet.wal"] {
+        let frames = checkpoint_frames(&fixture.join(log));
+        assert!(frames.iter().all(|(kind, _)| *kind == 1), "{log}");
+        assert!(frames.iter().any(|(_, carried)| *carried > 0), "{log}");
+    }
+    let mut expected = workload(46);
+    expected.sort_by_key(|p| p.gen_time);
+    for (mode, recovery) in recovery_modes() {
+        let dir = TempDir::new(&format!("pr19-fixture-{mode}"));
+        copy_dir(&fixture, &dir.0);
+        let store = |tables: &str| -> Arc<dyn TableStore> {
+            Arc::new(FileStore::open(dir.path(tables)).expect("fixture store"))
+        };
+
+        let open_lsm = || {
+            OpenOptions::new(pi_s())
+                .store(store("lsm/tables"))
+                .wal(dir.path("lsm/wal"))
+                .manifest(dir.path("lsm/manifest"))
+                .recovery(recovery)
+                .open_or_recover()
+                .unwrap_or_else(|e| panic!("{mode}: inline engine: {e}"))
+        };
+        let (mut engine, report) = open_lsm();
+        assert!(report.is_clean(), "{mode}: {report:?}");
+        assert!(report.orphans_removed.is_empty(), "{mode}: {report:?}");
+        assert_eq!(engine.scan_all().expect("scan"), expected, "{mode}");
+        assert_eq!(engine.buffered_points(), 2, "{mode}: 413 and 450");
+        engine.check_integrity().expect("integrity");
+        // Four in-order points flush `C_seq` past the straggler: the range
+        // checkpoint queued behind recovery's cut carries nothing, and a
+        // second crash recovers the straggler from the cut's frame.
+        for i in 0..4 {
+            let tg = 460 + i * 10;
+            engine
+                .append(DataPoint::new(tg, tg + 3, 0.5))
+                .expect("append");
+        }
+        engine.sync_wal().expect("sync");
+        assert_eq!(engine.buffered_points(), 2, "{mode}: 413 and 490");
+        drop(engine);
+        let frames = checkpoint_frames(&dir.path("lsm/wal"));
+        assert_eq!(frames.last(), Some(&(2, 0)), "{mode}: {frames:?}");
+        let (mut engine, report) = open_lsm();
+        assert!(report.is_clean(), "{mode}: {report:?}");
+        assert_eq!(engine.scan_all().expect("scan").len(), 50, "{mode}");
+        assert_eq!(engine.get(413).expect("get"), Some(expected[42]));
+        engine.flush_all().expect("flush");
+        assert_eq!(engine.scan_all().expect("scan").len(), 50, "{mode}");
+
+        let (engine, report) = TieredOpenOptions::new(pi_s())
+            .store(store("tiered/tables"))
+            .sync_flush()
+            .wal(dir.path("tiered/wal"))
+            .manifest(dir.path("tiered/manifest"))
+            .recovery(recovery)
+            .open_or_recover()
+            .unwrap_or_else(|e| panic!("{mode}: background engine: {e}"));
+        assert!(report.is_clean(), "{mode}: {report:?}");
+        assert_eq!(engine.scan_all().expect("scan"), expected, "{mode}");
+        engine.check_integrity().expect("integrity");
+        let finished = engine.finish().expect("finish");
+        assert_eq!(finished.points, expected, "{mode}");
+
+        let (mut fleet, report) = MultiOpenOptions::new(pi_s())
+            .store(store("fleet/tables"))
+            .durable_dir(dir.path("fleet/meta"))
+            .recovery(recovery)
+            .open_or_recover()
+            .unwrap_or_else(|e| panic!("{mode}: fleet: {e}"));
+        assert!(report.is_clean(), "{mode}: {report:?}");
+        let ids = [1, 2, 3, 7].map(SeriesId);
+        assert_eq!(fleet.series_ids(), ids, "{mode}");
+        for id in ids {
+            let series = fleet.engine(id).expect("series");
+            assert_eq!(
+                series.scan_all().expect("scan"),
+                pr13_fleet_contents(id.0),
+                "{mode}: {id}"
+            );
+            assert_eq!(series.buffered_points(), 2, "{mode}: {id}");
+        }
+        fleet.check_integrity().expect("integrity");
+        assert_eq!(
+            file_names(&dir.path("fleet/meta")),
+            ["fleet.manifest", "fleet.wal"],
+            "{mode}"
+        );
+        fleet.flush_all().expect("flush");
+        for id in ids {
+            assert_eq!(
+                fleet.engine(id).expect("series").scan_all().expect("scan"),
+                pr13_fleet_contents(id.0),
+                "{mode}: {id}"
+            );
+        }
+    }
+}
+
 // -------------------------------------------------------- MultiSeriesEngine
 
 static MULTI_CASE: AtomicUsize = AtomicUsize::new(0);
@@ -1450,16 +1676,19 @@ fn fleet_log_replayed(dir: &TempDir) -> (u64, MultiSeriesEngine) {
     (replayed, engine)
 }
 
-/// One `Checkpoint` frame, torn at every byte. The fourth batch's flush of
-/// series 0 queues a checkpoint carrying its two buffered stragglers, and
-/// the batch's write starts with that frame. Wholly there, it supersedes
-/// the five points series 0 logged — acknowledged — in the third batch;
-/// torn anywhere, it must not exist at all: those five apply again and
-/// replay returns *more*, never a mixture.
+/// One checkpoint frame, torn at every byte. The fourth batch's flush of
+/// series 0 takes the eight in-order points of `C_seq` and queues a
+/// checkpoint of their range, which carries nothing — the two stragglers
+/// lie below it — and the batch's write starts with that frame. Wholly
+/// there, it supersedes the four in-order points series 0 logged —
+/// acknowledged — in the third batch and leaves that batch's straggler
+/// alone; torn anywhere, range included, it must not exist at all: those
+/// four apply again and replay returns *more*, never a mixture.
 #[test]
 fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
-    /// Frame overhead and point size of the documented format.
+    /// Frame overhead, range and point size of the documented format.
     const FRAME: usize = 13;
+    const RANGE: usize = 16;
     const POINT: usize = 24;
     let pts = fleet_log_workload();
     let plan = FaultPlan::trace_only(SEED);
@@ -1470,11 +1699,12 @@ fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
         .iter()
         .rposition(|op| *op == IoOp::WalAppend)
         .expect("four WAL writes") as u64;
-    // The torn write: series 0's checkpoint (two stragglers), then one
-    // one-point `Points` frame for each of series 1–3.
-    let checkpoint = FRAME + 2 * POINT;
-    let cold = FRAME + POINT;
-    let write = checkpoint + 3 * cold;
+    // The torn write: series 0's checkpoint, then one one-point points
+    // frame for series 0 (the batch's straggler; its in-order points were
+    // flushed before they were ever written) and each of series 1–3.
+    let checkpoint = FRAME + RANGE;
+    let one_point = FRAME + POINT;
+    let write = checkpoint + 4 * one_point;
     for truncate in 1..=write {
         let plan = FaultPlan::new(
             SEED,
@@ -1493,14 +1723,13 @@ fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
             3 * FLEET_LOG_BATCH,
             "{ctx}: three batches were acknowledged"
         );
-        // Series 1–3 replay the eleven points they were acknowledged, plus
-        // whichever of their frames in the torn write are whole. Series 0
-        // replays its checkpoint's two survivors — or, without it, what it
-        // logged since its previous (empty) checkpoint: the third batch's
-        // straggler and four in-order points.
+        // Series 1–3 replay the eleven points they were acknowledged, and
+        // whichever frames of the torn write are whole replay too. Of the
+        // third batch series 0 replays only the straggler — or, without
+        // the checkpoint, the four in-order points as well.
         let kept = write - truncate;
         let expected = if kept >= checkpoint {
-            2 + 11 + (kept - checkpoint) / cold
+            1 + 11 + (kept - checkpoint) / one_point
         } else {
             5 + 11
         };

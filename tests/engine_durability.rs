@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use seplsm::{
     DataPoint, EngineConfig, FileStore, LsmEngine, OpenOptions, Policy,
+    TieredOpenOptions, TimeRange,
 };
 
 struct TempDir(PathBuf);
@@ -276,4 +277,98 @@ fn store_without_wal_recovers_flushed_state() {
         .expect("recover");
     assert_eq!(engine.scan_all().expect("scan").len(), 160);
     assert_eq!(engine.policy(), Policy::conventional(16));
+}
+
+/// The shrinks of the two tests below: a buffer set of 64 points cut to 16
+/// while it holds more than that, under either policy.
+fn shrinks() -> [(&'static str, Policy, Policy); 2] {
+    [
+        ("pi_c", Policy::conventional(64), Policy::conventional(16)),
+        (
+            "pi_s",
+            Policy::separation(64, 32).expect("policy"),
+            Policy::separation(16, 8).expect("policy"),
+        ),
+    ]
+}
+
+/// Sixty acknowledged points, a third of them stragglers (generation times
+/// ending in 3, below every in-order one that follows).
+fn shrink_workload() -> Vec<DataPoint> {
+    (0..60i64)
+        .map(|i| {
+            let tg = if i % 3 == 2 { i * 10 - 47 } else { i * 10 };
+            DataPoint::new(tg, i * 10, i as f64)
+        })
+        .collect()
+}
+
+/// A policy shrink re-routes the buffered points through the smaller
+/// buffers, flushing as they fill. A flush in the middle of that must not
+/// let the log go of the points still waiting to be re-routed: they are in
+/// no buffer then, but every bit as volatile.
+#[test]
+fn a_policy_shrink_keeps_every_acknowledged_point_in_the_log() {
+    for (name, wide, narrow) in shrinks() {
+        let dir = TempDir::new(&format!("shrink-{name}"));
+        {
+            let store =
+                Arc::new(FileStore::open(dir.path("tables")).expect("store"));
+            let mut engine = OpenOptions::new(
+                EngineConfig::new(wide).with_sstable_points(8),
+            )
+            .store(store)
+            .wal(dir.path("wal"))
+            .open()
+            .expect("open");
+            for p in shrink_workload() {
+                engine.append(p).expect("append");
+            }
+            engine.sync_wal().expect("sync");
+            assert!(engine.buffered_points() > 16, "{name}: must shrink");
+            engine.set_policy(narrow).expect("shrink");
+            assert!(engine.buffered_points() < 16, "{name}: it flushed");
+            engine
+                .append(DataPoint::new(1_000, 1_000, 0.5))
+                .expect("append");
+            engine.sync_wal().expect("sync");
+        }
+        let config = EngineConfig::new(narrow).with_sstable_points(8);
+        let engine = recover(&dir, config).expect("recover");
+        assert_eq!(engine.scan_all().expect("scan").len(), 61, "{name}");
+    }
+}
+
+#[test]
+fn a_policy_shrink_on_the_background_engine_keeps_every_acknowledged_point() {
+    for (name, wide, narrow) in shrinks() {
+        let dir = TempDir::new(&format!("shrink-tiered-{name}"));
+        let open = |policy: Policy| {
+            let store =
+                Arc::new(FileStore::open(dir.path("tables")).expect("store"));
+            TieredOpenOptions::new(
+                EngineConfig::new(policy).with_sstable_points(8),
+            )
+            .store(store)
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+        };
+        {
+            let mut engine = open(wide).open().expect("open");
+            for p in shrink_workload() {
+                engine.append(p).expect("append");
+            }
+            engine.sync_wal().expect("sync");
+            engine.set_policy(narrow).expect("shrink");
+            engine
+                .append(DataPoint::new(1_000, 1_000, 0.5))
+                .expect("append");
+            engine.sync_wal().expect("sync");
+        }
+        let (engine, _) = open(narrow).open_or_recover().expect("recover");
+        let (recovered, _) = engine
+            .query(TimeRange::new(i64::MIN, i64::MAX))
+            .expect("query");
+        assert_eq!(recovered.len(), 61, "{name}");
+    }
 }

@@ -10,14 +10,18 @@
 //! *batch*: the series' flushes only fsync their tables, and the batch's
 //! sync commits them all — Σk + 3, however many series flushed. The log
 //! file is cut only past its dead-bytes threshold and when the engine comes
-//! to rest. A regression names the op that crept back in.
+//! to rest. A regression names the op that crept back in. The last section
+//! pins what a checkpoint frame costs in bytes: its range, and the points
+//! still volatile inside it — not the buffers the flush did not take.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
+use seplsm::lsm::{SsTableId, SsTableMeta};
 use seplsm::{
-    ArbiterConfig, DataPoint, EngineConfig, FaultPlan, FileStore, IoOp,
-    MultiOpenOptions, OpenOptions, Policy, SeriesId, TieredOpenOptions,
+    ArbiterConfig, DataPoint, EngineConfig, Event, FaultPlan, FileStore, IoOp,
+    MultiOpenOptions, OpenOptions, Policy, RingBufferSink, SeriesId,
+    TableStore, TieredOpenOptions, TimeRange,
 };
 
 struct TempDir(PathBuf);
@@ -216,9 +220,9 @@ fn an_in_order_flush_of_one_table_costs_three_fsyncs_survivors_or_not() {
     assert_eq!(wal_ops(ops), 0, "{ops:?}");
     assert_eq!(fsyncs(ops), 1 + 1 + 1, "{ops:?}");
 
-    // Now with a straggler parked in C_nonseq: it survives the flush, and
-    // the checkpoint frame carries it — still no WAL rewrite, no rename, no
-    // second directory fsync.
+    // Now with a straggler parked in C_nonseq: it survives the flush, below
+    // the range the checkpoint frame names — still no WAL rewrite, no
+    // rename, no second directory fsync.
     engine.append(point(15)).expect("straggler");
     for i in 4..7 {
         engine.append(point(i * 10)).expect("append");
@@ -253,11 +257,10 @@ fn the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest() {
         .expect("open");
     // Sixteen flushes of 256 in-order points, a sync every 64 appends. The
     // flush falls on the cycle's last append, so its last 64 points never
-    // reach the log at all; each checkpoint leaves the cycle's three
-    // `Points` frames (3 × (13 + 64 × 24) B) and the previous empty
-    // checkpoint (13 B) dead: 4 647 B after the first, 4 660 B more after
-    // each later one — past 64 KiB at the fifteenth, where nothing is live
-    // and the file is truncated in place.
+    // reach the log at all; each checkpoint leaves the cycle's three points
+    // frames (3 × (13 + 64 × 24) B) and itself (29 B) dead: 4 676 B a
+    // cycle — past 64 KiB at the fifteenth, where nothing is live and the
+    // file is truncated in place.
     for i in 0..16 * 256 {
         engine.append(point(i)).expect("append");
         if (i + 1) % 64 == 0 {
@@ -305,8 +308,8 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     engine.append(point(70)).expect("append hands off a flush");
     let trace = plan.trace();
     let ops = &trace[before..];
-    // The writer checkpoints its WAL around the hand-off (the batch is
-    // still volatile, so it is a survivor) with a queued frame: no I/O.
+    // The writer tells its WAL at the hand-off which batches have retired
+    // (here none: this one is still volatile) with queued frames: no I/O.
     // The flush worker's own commit is the grouped one — 2 tables, one
     // directory fsync, one manifest fsync.
     assert_eq!(wal_ops(ops), 0, "{ops:?}");
@@ -613,4 +616,289 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
     let stats = fleet.manifest_stats().expect("durable fleet");
     assert_eq!(stats.records, (12 + tables) as u64);
     assert_eq!(stats.live, stats.records);
+}
+
+// ------------------------------------------------------- checkpoint bytes
+
+/// Bytes of the documented WAL format: a points frame's prefix, a
+/// checkpoint frame's (prefix + range), one point.
+const POINTS_FRAME: u64 = 13;
+const CHECKPOINT_FRAME: u64 = 29;
+const POINT: u64 = 24;
+
+fn file_len(path: PathBuf) -> u64 {
+    std::fs::metadata(path).expect("stat").len()
+}
+
+#[test]
+fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
+    let dir = TempDir::new("range-lsm");
+    let plan = FaultPlan::trace_only(0);
+    // C_seq holds 8 points, C_nonseq 256.
+    let policy = Policy::separation(264, 8).expect("policy");
+    let config = EngineConfig::new(policy).with_sstable_points(8);
+    let open = |plan: Option<&Arc<FaultPlan>>| {
+        let store: Arc<dyn TableStore> = match plan {
+            Some(plan) => store(&dir, plan),
+            None => Arc::new(
+                FileStore::open(dir.path("tables")).expect("reopen store"),
+            ),
+        };
+        let options = OpenOptions::new(config.clone())
+            .store(store)
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"));
+        match plan {
+            Some(plan) => options.faults(Arc::clone(plan)).open(),
+            None => options.open_or_recover().map(|(engine, _)| engine),
+        }
+        .expect("open")
+    };
+    let mut engine = open(Some(&plan));
+    for i in 0..8 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    assert_eq!(engine.run().len(), 1, "the pivot is 70 from here on");
+    for i in 1..=200 {
+        engine.append(point(-i)).expect("straggler");
+    }
+    engine.sync_wal().expect("sync");
+    assert_eq!(engine.buffered_points(), 200);
+    let before = engine.wal_stats().expect("wal");
+    let len = file_len(dir.path("wal"));
+    // The flush: eight in-order points that never reach the file, because
+    // nothing synced them before their tables were committed.
+    for i in 8..16 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    assert_eq!(engine.run().len(), 2);
+    assert_eq!(engine.buffered_points(), 200);
+    let after = engine.wal_stats().expect("wal");
+    assert_eq!(after.frames, before.frames + 1, "one checkpoint frame");
+    assert_eq!(after.relogged_bytes, 0, "which carries no point");
+    assert_eq!(after.live_bytes, 200 * POINT);
+    assert_eq!(after.dead_bytes, before.dead_bytes + CHECKPOINT_FRAME);
+    // Its next write: the frame, and the one point appended since.
+    engine.append(point(160)).expect("append");
+    let ops = plan.ops() as usize;
+    engine.sync_wal().expect("sync");
+    assert_eq!(plan.trace()[ops..], [IoOp::WalAppend, IoOp::WalSync]);
+    assert_eq!(
+        file_len(dir.path("wal")),
+        len + CHECKPOINT_FRAME + POINTS_FRAME + POINT
+    );
+    // And the stragglers the frame did not carry are still in the log.
+    drop(engine);
+    let engine = open(None);
+    assert_eq!(engine.buffered_points(), 201);
+    assert_eq!(engine.scan_all().expect("scan").len(), 217);
+}
+
+#[test]
+fn a_late_point_inside_a_flushed_range_rides_the_fleet_s_deferred_checkpoint() {
+    let dir = TempDir::new("range-fleet");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(8);
+    let mut fleet = MultiOpenOptions::new(config.clone())
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    let id = SeriesId(3);
+    for i in 0..7 {
+        fleet.append(id, point(i * 10)).expect("append");
+    }
+    fleet.sync_wal_all().expect("sync");
+    let len = file_len(dir.path("meta/fleet.wal"));
+    // The eighth point flushes [0, 70]; the flush waits for the next commit
+    // point, and before that comes a point inside its range and one past it.
+    fleet.append(id, point(70)).expect("append flushes");
+    assert_eq!(fleet.metrics().flushes, 1);
+    fleet.append(id, point(35)).expect("late, in range");
+    fleet.append(id, point(90)).expect("past the range");
+    let ops = plan.ops() as usize;
+    fleet.sync_wal_all().expect("sync");
+    assert_eq!(
+        plan.trace()[ops..],
+        [
+            IoOp::DirSync,
+            IoOp::ManifestAppend,
+            IoOp::ManifestSync,
+            IoOp::WalAppend,
+            IoOp::WalSync,
+        ],
+        "the checkpoint is queued after the fleet's commit"
+    );
+    // The checkpoint of [0, 70] carries the late point (its pending copy
+    // went with the flushed ones); point 90 is an ordinary frame behind it.
+    let stats = fleet.wal_stats().expect("durable fleet");
+    assert_eq!(stats.relogged_bytes, POINT);
+    assert_eq!(stats.live_bytes, 2 * POINT);
+    assert_eq!(
+        file_len(dir.path("meta/fleet.wal")),
+        len + (CHECKPOINT_FRAME + POINT) + (POINTS_FRAME + POINT)
+    );
+    drop(fleet);
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (fleet, report) = MultiOpenOptions::new(config)
+        .store(store)
+        .durable_dir(dir.path("meta"))
+        .open_or_recover()
+        .expect("recover");
+    assert!(report.is_clean(), "{report:?}");
+    let series = fleet.engine(id).expect("series");
+    assert_eq!(series.buffered_points(), 2, "35 and 90 came from the log");
+    let recovered: Vec<i64> = series
+        .scan_all()
+        .expect("scan")
+        .iter()
+        .map(|p| p.gen_time)
+        .collect();
+    assert_eq!(recovered, [0, 10, 20, 30, 35, 40, 50, 60, 70, 90]);
+}
+
+/// A store whose publications wait while the gate is shut: holds the
+/// background engine's flush worker still, so hand-offs pile up behind it.
+struct GatedStore {
+    inner: FileStore,
+    shut: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl GatedStore {
+    fn set_shut(&self, shut: bool) {
+        *self.shut.lock().expect("gate") = shut;
+        self.opened.notify_all();
+    }
+}
+
+impl TableStore for GatedStore {
+    fn put(
+        &self,
+        points: &[DataPoint],
+    ) -> seplsm::Result<(SsTableMeta, usize)> {
+        self.inner.put(points)
+    }
+    fn publish_batch(
+        &self,
+        chunks: &[&[DataPoint]],
+    ) -> seplsm::Result<Vec<(SsTableMeta, usize)>> {
+        let shut = self.shut.lock().expect("gate");
+        drop(self.opened.wait_while(shut, |shut| *shut).expect("gate"));
+        self.inner.publish_batch(chunks)
+    }
+    fn sync_published(&self) -> seplsm::Result<()> {
+        self.inner.sync_published()
+    }
+    fn get(&self, id: SsTableId) -> seplsm::Result<Vec<DataPoint>> {
+        self.inner.get(id)
+    }
+    fn delete(&self, id: SsTableId) -> seplsm::Result<()> {
+        self.inner.delete(id)
+    }
+    fn list(&self) -> seplsm::Result<Vec<SsTableId>> {
+        self.inner.list()
+    }
+}
+
+#[test]
+fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
+    let dir = TempDir::new("range-tiered");
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(8);
+    let gated = Arc::new(GatedStore {
+        inner: FileStore::open(dir.path("tables")).expect("store"),
+        shut: Mutex::new(true),
+        opened: Condvar::new(),
+    });
+    let sink = RingBufferSink::new(4096);
+    let mut engine = TieredOpenOptions::new(config.clone())
+        .store(Arc::clone(&gated) as Arc<dyn TableStore>)
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .observer(sink.clone())
+        .open()
+        .expect("open");
+    let checkpoints = || -> Vec<u64> {
+        sink.events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::WalTruncate { survivors } => Some(*survivors),
+                _ => None,
+            })
+            .collect()
+    };
+    // Three hand-offs while the worker is held: batches [0, 70], [5, 75]
+    // (overlapping it) and [200, 270] are in flight, none has retired, and
+    // the log is told nothing — it still covers all 24 points.
+    for base in [0, 5, 200] {
+        for i in 0..8 {
+            engine.append(point(base + i * 10)).expect("append");
+        }
+    }
+    engine.sync_wal().expect("sync");
+    assert_eq!(checkpoints(), [0u64; 0], "nothing retired, nothing queued");
+    assert_eq!(
+        file_len(dir.path("wal")),
+        8 + POINTS_FRAME + 24 * POINT,
+        "one batch, one frame, no checkpoint"
+    );
+    // Let them retire, then buffer points inside and outside their ranges.
+    gated.set_shut(false);
+    engine.drain();
+    for gen_time in [42, 142, 242] {
+        engine.append(point(gen_time)).expect("append");
+    }
+    assert_eq!(checkpoints(), [0u64; 0], "told only at a hand-off");
+    // The fourth hand-off (held again) finds three batches retired: their
+    // two disjoint ranges [0, 75] and [200, 270] become one frame each,
+    // carrying the buffered point inside it. Point 142 is in neither, and
+    // the batch being handed off — it holds all three — is in flight.
+    gated.set_shut(true);
+    for i in 0..5 {
+        engine.append(point(300 + i * 10)).expect("append");
+    }
+    assert_eq!(checkpoints(), [1, 1]);
+    engine.sync_wal().expect("sync");
+    assert_eq!(
+        file_len(dir.path("wal")),
+        8 + (POINTS_FRAME + 24 * POINT)
+            + 2 * (CHECKPOINT_FRAME + POINT)
+            + (POINTS_FRAME + 6 * POINT),
+        "points 42 and 242 are in the checkpoints, not in the batch's frame"
+    );
+    // A crash right here, with that batch in flight and the worker stuck:
+    // what the disk holds now recovers everything.
+    let crashed = TempDir::new("range-tiered-crashed");
+    for file in ["wal", "manifest"] {
+        std::fs::copy(dir.path(file), crashed.path(file)).expect("copy");
+    }
+    std::fs::create_dir_all(crashed.path("tables")).expect("mkdir");
+    for table in std::fs::read_dir(dir.path("tables")).expect("ls") {
+        let table = table.expect("entry");
+        std::fs::copy(
+            table.path(),
+            crashed.path("tables").join(table.file_name()),
+        )
+        .expect("copy");
+    }
+    gated.set_shut(false);
+    drop(engine);
+    let store: Arc<dyn TableStore> = Arc::new(
+        FileStore::open(crashed.path("tables")).expect("reopen store"),
+    );
+    let (engine, report) = TieredOpenOptions::new(config)
+        .store(store)
+        .wal(crashed.path("wal"))
+        .manifest(crashed.path("manifest"))
+        .open_or_recover()
+        .expect("recover");
+    assert!(report.is_clean(), "{report:?}");
+    let (recovered, _) = engine
+        .query(TimeRange::new(i64::MIN, i64::MAX))
+        .expect("query");
+    assert_eq!(recovered.len(), 24 + 3 + 5);
 }
