@@ -412,11 +412,13 @@ pub fn stats(opts: &Opts) -> Result<()> {
     if let Some(wal) = wal {
         println!(
             "wal before the closing flush: {} live B, {} dead B, \
-             {} frames, {} cuts, {} relogged B",
+             {} frames, {} cuts, {} logged B, {:.2} B/point, {} relogged B",
             wal.live_bytes,
             wal.dead_bytes,
             wal.frames,
             wal.cuts,
+            wal.logged_bytes,
+            wal.logged_bytes as f64 / wal.logged_points.max(1) as f64,
             wal.relogged_bytes
         );
     }

@@ -92,7 +92,11 @@ pub struct RecoveryReport {
     /// quarantined table with known metadata; overlapping entries are not
     /// merged).
     pub lost_ranges: Vec<TimeRange>,
-    /// Whole WAL records dropped past the last valid prefix (salvage only).
+    /// Logged points lost past the log's last valid prefix, as far as they
+    /// can be counted (salvage only): one for the damaged frame — its own
+    /// count can no longer be trusted — plus the points of every frame
+    /// behind it whose length and CRC still hold; for a log of the oldest,
+    /// fixed-record format, the whole records that fit. A lower bound.
     pub wal_records_dropped: u64,
     /// Whole manifest records dropped past the last valid prefix.
     pub manifest_records_dropped: u64,

@@ -358,6 +358,19 @@ impl TableStore for MemStore {
     }
 }
 
+/// The whole table file at `path` in one `read`: its length comes from the
+/// file's metadata, where `std::fs::read` finds the end with a second read.
+fn read_whole(path: &Path) -> Result<Vec<u8>> {
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
+        Error::Corrupt(format!("{} does not fit in memory", path.display()))
+    })?;
+    let mut bytes = vec![0; len];
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
+}
+
 /// A directory-backed [`TableStore`]: one `NNNNNNNN.sst` file per table.
 ///
 /// Writes go through a temporary file + rename so a crash never leaves a
@@ -564,8 +577,7 @@ impl TableStore for FileStore {
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        let bytes = std::fs::read(self.path_for(id))?;
-        format::decode(&bytes)
+        format::decode(&read_whole(&self.path_for(id))?)
     }
 
     fn delete(&self, id: SsTableId) -> Result<()> {
@@ -592,8 +604,7 @@ impl TableStore for FileStore {
 
     fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        let bytes = std::fs::read(self.path_for(id))?;
-        Ok(Some(bytes.into()))
+        Ok(Some(read_whole(&self.path_for(id))?.into()))
     }
 
     fn table_len(&self, id: SsTableId) -> Result<Option<u64>> {
@@ -1471,6 +1482,51 @@ mod tests {
                 store.table_index(id).expect("table_index");
             });
         }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// This thread's `read` syscalls so far, where the kernel keeps count
+    /// (per thread: the test harness runs other tests beside this one).
+    fn read_syscalls() -> Option<u64> {
+        let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+        let line = io.lines().find_map(|l| l.strip_prefix("syscr:"))?;
+        line.trim().parse().ok()
+    }
+
+    /// The hooked op count above is what crash schedules see; the kernel's
+    /// count is what the benchmark's `read_syscalls_per_op` sees. A whole
+    /// table is one `read`: no second one to find the end of the file.
+    #[test]
+    fn a_whole_table_read_is_one_read_syscall() {
+        if read_syscalls().is_none() {
+            return; // No /proc here: nothing to count with.
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-syscr-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store =
+            FileStore::open_with(&dir, EncodeOptions::pruned()).expect("open");
+        let (meta, size) = store.put(&pts(0..20_000)).expect("put");
+        assert!(size > 16 * 1024, "larger than a buffer's worth: {size}");
+        let counted = |call: &dyn Fn()| {
+            let count = || read_syscalls().expect("counted a moment ago");
+            // Reading the counter is itself counted: measure that first.
+            let (a, b) = (count(), count());
+            call();
+            (count() - b) - (b - a)
+        };
+        let get = counted(&|| {
+            assert_eq!(store.get(meta.id).expect("get").len(), 20_000);
+        });
+        assert_eq!(get, 1, "get");
+        let read_raw = counted(&|| {
+            let raw = store.read_raw(meta.id).expect("read_raw");
+            assert_eq!(raw.map(|bytes| bytes.len()), Some(size));
+        });
+        assert_eq!(read_raw, 1, "read_raw");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -9,25 +9,53 @@
 //! An 8-byte magic, then frames:
 //!
 //! ```text
-//! len u32 | crc u32 | kind u8 | series u32 | [lo i64 | hi i64] | n × (gen_time i64, arrival_time i64, value bits u64)
+//! len u32 | crc u32 | kind u8 | series u32 | [lo i64 | hi i64] | points
 //! ```
 //!
 //! all little-endian; `len` is the byte length of everything after `crc`,
-//! which the CRC-32 covers. Three kinds:
+//! which the CRC-32 covers. Five kinds, two of them written:
 //!
-//! * `0`, *points*: the n points were appended to `series`. No `lo`/`hi`.
-//! * `2`, *checkpoint*: every earlier point of `series` with
+//! | kind | frame                 | range       | points | written |
+//! |------|-----------------------|-------------|--------|---------|
+//! | `0`  | points                | —           | raw    | never (PR ≤ 21) |
+//! | `1`  | checkpoint            | all of time | raw    | never (PR 15–19) |
+//! | `2`  | checkpoint            | `lo`, `hi`  | raw    | never (PR 21) |
+//! | `3`  | points                | —           | packed | by every physical write |
+//! | `4`  | checkpoint            | `lo`, `hi`  | packed | by [`Wal::checkpoint`] and by a cut |
+//!
+//! * A *points* frame says its points were appended to `series`.
+//! * A *checkpoint* says every earlier point of `series` with
 //!   `lo ≤ gen_time ≤ hi` is superseded — its owner made it durable in a
-//!   committed table — except the n points carried here, which are the
+//!   committed table — except the points carried in the frame, which are the
 //!   points of that range still volatile when the frame was queued.
-//! * `1`, the checkpoint of older builds: no `lo`/`hi`, read as a checkpoint
-//!   of `[i64::MIN, i64::MAX]`. Never written any more.
+//! * *Raw* points are `n × (gen_time i64, arrival_time i64, value bits u64)`,
+//!   24 bytes each, `n` given by the frame's length.
+//! * *Packed* points are nothing at all when there are none (an empty
+//!   checkpoint is 29 bytes), and otherwise
+//!
+//!   ```text
+//!   n uvarint | n × ( ivarint(arrival − previous arrival)
+//!                   · ivarint(arrival − gen_time)
+//!                   · uvarint(reverse_bits(value bits ^ previous value bits)) )
+//!   ```
+//!
+//!   LEB128 varints, zigzag for the signed ones, "previous" being 0 at the
+//!   start of every frame and every difference wrapping, so any timestamp and
+//!   any bit pattern round-trips. The points stay in the order they were
+//!   written. Arrivals are near-monotone (one byte), a delay is the paper's
+//!   small non-negative quantity (one or two), and a slowly changing or
+//!   integer-valued double differs from its neighbour in its top bits only,
+//!   which `reverse_bits` turns into a short varint: 6 B a point on the
+//!   paper's datasets. A payload of random bits costs 10, so the worst case
+//!   is 30 B a point against the raw 24.
 //!
 //! Replay walks the frames in file order and keeps, per series, a list of
 //! points: a points frame extends it, a checkpoint removes the points inside
 //! its range and then extends it with the ones it carries. Two points of one
 //! generation time are always both inside or both outside a range, so the
-//! list keeps them in the order they were written: last writer last.
+//! list keeps them in the order they were written: last writer last. A log
+//! an older build left is continued, not converted: its frames are read as
+//! they stand and new ones follow them.
 //!
 //! A checkpoint says what *became durable*, not what is left, and says it by
 //! generation time, not by position in the file. That is what lets its owner
@@ -46,10 +74,11 @@
 //! # Writing
 //!
 //! [`Wal::append_for`] only pushes into the log's own pending buffer. Pending
-//! points are grouped per series into one points frame each and leave in
-//! one physical write when the buffer passes 8 KiB or at [`Wal::sync`], which
-//! also fsyncs. [`Wal::checkpoint`] queues a checkpoint frame and drops the
-//! series' pending points inside its range (its owner just made them durable
+//! points are grouped per series into one points frame each, packed when the
+//! frame is sealed, and leave in one physical write when 342 points are
+//! pending (8 KiB of raw ones) or at [`Wal::sync`], which also fsyncs.
+//! [`Wal::checkpoint`] queues a checkpoint frame and drops the series'
+//! pending points inside its range (its owner just made them durable
 //! elsewhere or lists them among the carried ones: a point flushed before it
 //! was ever written never reaches the file); it does no I/O of its own and
 //! rides on the next write. The file is only ever *cut* — rewritten from the
@@ -59,30 +88,31 @@
 //!
 //! # Accounting
 //!
-//! The log is accounted point by point: its *live* bytes are 24 for every
-//! logged point replay would still return, its *dead* bytes everything else
-//! past the magic — superseded points, frame prefixes, checkpoint ranges. To
-//! know how many points a range supersedes the log keeps, per series, the
-//! generation times of its live points (8 bytes each, and never more of them
-//! than the owner has volatile points plus what it has flushed but not yet
-//! checkpointed). [`Wal::stats`] therefore always equals what parsing the
-//! logical log — the file plus the frames queued behind it — would
+//! The log is accounted point by point: its *live* bytes are, for every
+//! logged point replay would still return, the bytes that point took in the
+//! frame that holds it; its *dead* bytes are everything else past the magic —
+//! superseded points, frame prefixes, point counts, checkpoint ranges. To
+//! know what a range supersedes the log keeps, per series, the generation
+//! time and the encoded size of its live points (9 bytes each, and never more
+//! of them than the owner has volatile points plus what it has flushed but
+//! not yet checkpointed). [`Wal::stats`] therefore always equals what parsing
+//! the logical log — the file plus the frames queued behind it — would
 //! recompute, which is what it is seeded from at open.
 //!
 //! # Damage
 //!
-//! A frame that fails its length or CRC check ends the valid prefix. If no
-//! valid frame follows it the damage is a torn tail — a write cut short by a
-//! crash — which is dropped silently and truncated away at open: a torn
-//! checkpoint is ignored whole, range included, so the points it would have
-//! superseded still apply. A checkpoint that never reached the disk leaves
-//! the same state. Either way replay returns *more* than the owner still
-//! needed, never less, and the merge pipeline deduplicates by generation
-//! time. Damage in front of still-valid frames is corruption: an error in
-//! strict mode, a counted drop in salvage mode. So is a file at least one
-//! record long that starts with neither the magic nor a valid fixed record —
-//! a framed log with a damaged header reads like that, and is never mistaken
-//! for an empty one.
+//! A frame that fails its length or CRC check, or whose packed points do not
+//! fill its body exactly, ends the valid prefix. If no valid frame follows it
+//! the damage is a torn tail — a write cut short by a crash — which is
+//! dropped silently and truncated away at open: a torn checkpoint is ignored
+//! whole, range included, so the points it would have superseded still
+//! apply. A checkpoint that never reached the disk leaves the same state.
+//! Either way replay returns *more* than the owner still needed, never less,
+//! and the merge pipeline deduplicates by generation time. Damage in front of
+//! still-valid frames is corruption: an error in strict mode, a counted drop
+//! in salvage mode. So is a file at least one record long that starts with
+//! neither the magic nor a valid fixed record — a framed log with a damaged
+//! header reads like that, and is never mistaken for an empty one.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -96,32 +126,46 @@ use crate::codec;
 use crate::fault::{self, FaultPlan, IoOp, WriteCheck};
 use crate::obs::{Event, ObserverHandle};
 use crate::sstable::crc32::crc32;
+use crate::sstable::varint::{
+    get_ivarint, get_uvarint, put_ivarint, put_uvarint,
+};
 use crate::store::sync_dir;
 
 /// First bytes of a framed log.
 const MAGIC: [u8; 8] = *b"SEPWAL2\n";
-/// One point: gen_time i64 LE + arrival_time i64 LE + value bits u64 LE.
-const POINT: usize = 24;
+/// One raw point: gen_time i64 LE + arrival_time i64 LE + value bits u64 LE.
+const RAW_POINT: usize = 24;
+/// The most one packed point takes: three ten-byte varints.
+const PACKED_POINT_MAX: usize = 30;
 /// Frame prefix outside the CRC: len u32 LE + crc u32 LE.
 const FRAME_HEAD: usize = 8;
 /// Frame body before the range or the points: kind u8 + series u32 LE.
 const BODY_HEAD: usize = 5;
 /// A checkpoint's range: lo i64 LE + hi i64 LE.
 const RANGE: usize = 16;
-const KIND_POINTS: u8 = 0;
-/// The checkpoint of older builds: no range on the wire, all of time meant.
-const KIND_CHECKPOINT_ALL: u8 = 1;
-const KIND_CHECKPOINT: u8 = 2;
-/// Every generation time: what a cut's frames and a `KIND_CHECKPOINT_ALL`
-/// supersede.
+/// The most points whose frame body — kind, series, range, count and the
+/// points at their largest — is certain to fit the prefix's `len`.
+const FRAME_POINTS_MAX: usize =
+    (u32::MAX as usize - BODY_HEAD - RANGE - 10) / PACKED_POINT_MAX;
+/// The kinds older builds wrote, with raw points: points, a checkpoint of
+/// all time (no range on the wire), a range checkpoint.
+const KIND_RAW_POINTS: u8 = 0;
+const KIND_RAW_CHECKPOINT_ALL: u8 = 1;
+const KIND_RAW_CHECKPOINT: u8 = 2;
+/// The kinds this build writes, with packed points.
+const KIND_POINTS: u8 = 3;
+const KIND_CHECKPOINT: u8 = 4;
+/// Every generation time: what a cut's frames and a
+/// `KIND_RAW_CHECKPOINT_ALL` supersede.
 const ALL_TIME: TimeRange = TimeRange {
     start: Timestamp::MIN,
     end: Timestamp::MAX,
 };
-/// Record of the oldest format: crc u32 LE + one point.
-const LEGACY_RECORD: usize = 4 + POINT;
-/// Pending points are written out once they amount to this many bytes.
-const SPILL_BYTES: usize = 8 * 1024;
+/// Record of the oldest format: crc u32 LE + one raw point.
+const LEGACY_RECORD: usize = 4 + RAW_POINT;
+/// Pending points are written out once there are this many: 8 KiB of raw
+/// points, whatever they pack down to.
+const SPILL_POINTS: usize = (8usize * 1024).div_ceil(RAW_POINT);
 /// The log is worth cutting when its dead bytes exceed
 /// `max(CUT_FACTOR × live bytes, CUT_FLOOR)`: a cut copies the live bytes,
 /// so the copy traffic stays below 1/`CUT_FACTOR` of what was logged.
@@ -131,10 +175,11 @@ const CUT_FLOOR: u64 = 64 * 1024;
 /// Size and history of a log, for `seplsm stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// 24 bytes for every logged point replay would still return.
+    /// The bytes every logged point replay would still return takes in its
+    /// frame.
     pub live_bytes: u64,
     /// Everything else past the magic — superseded points, frame prefixes,
-    /// checkpoint ranges — reclaimed by the next cut.
+    /// point counts, checkpoint ranges — reclaimed by the next cut.
     pub dead_bytes: u64,
     /// Frames encoded since the log was opened.
     pub frames: u64,
@@ -145,6 +190,13 @@ pub struct WalStats {
     /// flushed range without having been flushed. (What a cut copies is not
     /// in here; the cut rule bounds that by itself.)
     pub relogged_bytes: u64,
+    /// Appended points sealed into points frames since the log was opened.
+    /// (A point flushed while it was still pending never is.)
+    pub logged_points: u64,
+    /// Bytes of every frame sealed since the log was opened — prefixes,
+    /// ranges, checkpoints and a cut's frames included: what the log cost,
+    /// to be held against `logged_points`.
+    pub logged_bytes: u64,
 }
 
 /// What a log holds, demultiplexed.
@@ -154,8 +206,11 @@ pub struct Replay {
     /// the order they were written. Series with nothing to replay are
     /// absent.
     pub series: BTreeMap<u32, Vec<DataPoint>>,
-    /// Whole point records that fit in the bytes dropped past the valid
-    /// prefix (only ever non-zero for a salvage replay or a torn tail).
+    /// Points lost past the valid prefix, as far as they can be counted: one
+    /// for the damaged frame, plus the points of every frame behind it whose
+    /// length and CRC still hold (a file of the oldest format: the whole
+    /// records that fit). Only ever non-zero for a salvage replay or a torn
+    /// tail.
     pub dropped: u64,
 }
 
@@ -166,19 +221,22 @@ impl Replay {
     }
 }
 
+/// A logged point replay would return, as the accounting knows it: its
+/// generation time and the bytes it takes in its frame.
+type LivePoint = (Timestamp, u8);
+
 /// What the log tracks per series.
 #[derive(Debug, Default)]
 struct SeriesLog {
-    /// The points frame under construction: a frame prefix still to be
-    /// sealed, then the points appended since the last physical write.
-    /// Empty when nothing is pending.
-    pending: Vec<u8>,
+    /// The points appended since the last physical write, in that order:
+    /// the next points frame.
+    pending: Vec<DataPoint>,
     /// Points of this series were appended since the last fsync and are
     /// not known to be durable elsewhere: what [`Wal::sync`] exists for.
     unsynced: bool,
-    /// Generation times of the points in sealed frames (written or queued)
-    /// that replay would return, in no particular order.
-    live: Vec<Timestamp>,
+    /// The points in sealed frames (written or queued) that replay would
+    /// return, in no particular order.
+    live: Vec<LivePoint>,
 }
 
 /// An append-only, checksummed, series-tagged log of data points.
@@ -186,17 +244,19 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     series: BTreeMap<u32, SeriesLog>,
-    /// Bytes of points pending across all series.
-    pending_bytes: usize,
+    /// Points pending across all series.
+    pending_points: usize,
     /// Sealed frames waiting for the next physical write.
     queued: Vec<u8>,
     /// Physical length of the file.
     file_len: u64,
-    /// Points across every series' `live`.
-    live_points: u64,
+    /// Encoded bytes across every series' `live`.
+    live_bytes: u64,
     frames: u64,
     cuts: u64,
     relogged_bytes: u64,
+    logged_points: u64,
+    logged_bytes: u64,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
 }
@@ -210,59 +270,73 @@ impl std::fmt::Debug for Wal {
     }
 }
 
-/// Starts a points frame in `out`: room for its prefix, sealed by
-/// [`seal_frame`] once the points are in.
-fn begin_frame(out: &mut Vec<u8>) {
-    out.extend_from_slice(&[0; FRAME_HEAD + BODY_HEAD]);
-}
-
-fn push_point(out: &mut Vec<u8>, p: &DataPoint) {
-    out.extend_from_slice(&p.gen_time.to_le_bytes());
-    out.extend_from_slice(&p.arrival_time.to_le_bytes());
-    out.extend_from_slice(&p.value.to_bits().to_le_bytes());
-}
-
-/// Fills in the prefix of `frame`: a [`begin_frame`] followed by the rest
-/// of the body.
-fn seal_frame(frame: &mut [u8], kind: u8, series: u32) -> Result<()> {
-    let body_len = frame.len().saturating_sub(FRAME_HEAD);
-    let len = u32::try_from(body_len)
-        .ok()
-        .filter(|_| body_len >= BODY_HEAD)
-        .ok_or_else(|| {
-            Error::InvalidConfig(format!(
-                "{body_len} bytes do not fit one WAL frame"
-            ))
-        })?;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[FRAME_HEAD] = kind;
-    frame[FRAME_HEAD + 1..FRAME_HEAD + BODY_HEAD]
-        .copy_from_slice(&series.to_le_bytes());
-    let crc = crc32(&frame[FRAME_HEAD..]);
-    frame[4..FRAME_HEAD].copy_from_slice(&crc.to_le_bytes());
-    Ok(())
-}
-
-/// Appends one sealed checkpoint frame to `out`: `carried` are the points of
-/// `series` inside `range` that are still volatile.
-fn push_checkpoint(
+/// Appends `points` packed (see the module docs), pushes onto `live`, for
+/// each, its generation time and the bytes it took, and returns the bytes
+/// they took together (their count not included).
+fn encode_points(
     out: &mut Vec<u8>,
-    series: u32,
-    range: TimeRange,
-    carried: &[DataPoint],
-) -> Result<()> {
-    let start = out.len();
-    out.reserve(FRAME_HEAD + BODY_HEAD + RANGE + carried.len() * POINT);
-    begin_frame(out);
-    out.extend_from_slice(&range.start.to_le_bytes());
-    out.extend_from_slice(&range.end.to_le_bytes());
-    for p in carried {
-        push_point(out, p);
+    points: &[DataPoint],
+    live: &mut Vec<LivePoint>,
+) -> u64 {
+    if points.is_empty() {
+        return 0;
     }
-    seal_frame(&mut out[start..], KIND_CHECKPOINT, series)
+    put_uvarint(out, points.len() as u64);
+    let first = out.len();
+    let (mut prev_arrival, mut prev_bits) = (0i64, 0u64);
+    for p in points {
+        let at = out.len();
+        let bits = p.value.to_bits();
+        put_ivarint(out, p.arrival_time.wrapping_sub(prev_arrival));
+        put_ivarint(out, p.arrival_time.wrapping_sub(p.gen_time));
+        put_uvarint(out, (bits ^ prev_bits).reverse_bits());
+        (prev_arrival, prev_bits) = (p.arrival_time, bits);
+        // At most `PACKED_POINT_MAX` bytes.
+        live.push((p.gen_time, (out.len() - at) as u8));
+    }
+    (out.len() - first) as u64
 }
 
-fn decode_point(rec: &[u8]) -> Result<DataPoint> {
+/// The points packed in `body`, each with the bytes it took, or `None` when
+/// `body` is not exactly one packed run.
+fn decode_points(mut body: &[u8]) -> Option<Vec<(DataPoint, u8)>> {
+    if body.is_empty() {
+        return Some(Vec::new());
+    }
+    let n = get_uvarint(&mut body).ok()?;
+    // A point is three varints: a count the body cannot hold is refused
+    // before anything is allocated for it. No points are written as no bytes.
+    if n == 0 || n > (body.len() / 3) as u64 {
+        return None;
+    }
+    let mut points = Vec::with_capacity(n as usize);
+    let (mut prev_arrival, mut prev_bits) = (0i64, 0u64);
+    for _ in 0..n {
+        let before = body.len();
+        let arrival = prev_arrival.wrapping_add(get_ivarint(&mut body).ok()?);
+        let gen_time = arrival.wrapping_sub(get_ivarint(&mut body).ok()?);
+        let bits = prev_bits ^ get_uvarint(&mut body).ok()?.reverse_bits();
+        (prev_arrival, prev_bits) = (arrival, bits);
+        points.push((
+            DataPoint::new(gen_time, arrival, f64::from_bits(bits)),
+            (before - body.len()) as u8,
+        ));
+    }
+    body.is_empty().then_some(points)
+}
+
+/// The raw points filling `body`, or `None` when it is not a whole number
+/// of them.
+fn decode_raw_points(body: &[u8]) -> Option<Vec<(DataPoint, u8)>> {
+    if body.len() % RAW_POINT != 0 {
+        return None;
+    }
+    body.chunks_exact(RAW_POINT)
+        .map(|rec| Some((decode_raw_point(rec).ok()?, RAW_POINT as u8)))
+        .collect()
+}
+
+fn decode_raw_point(rec: &[u8]) -> Result<DataPoint> {
     Ok(DataPoint::new(
         codec::read_i64_le(rec, 0)?,
         codec::read_i64_le(rec, 8)?,
@@ -270,12 +344,62 @@ fn decode_point(rec: &[u8]) -> Result<DataPoint> {
     ))
 }
 
+/// What sealing one frame added to the log.
+struct Sealed {
+    /// Bytes of the frame, prefix included.
+    frame_bytes: u64,
+    /// Bytes of its points alone.
+    point_bytes: u64,
+}
+
+/// Appends one sealed frame to `out` — a checkpoint of `range` carrying
+/// `points`, or without a range a points frame — and pushes what the points
+/// took onto `live`. Nothing is touched when it fails.
+fn push_frame(
+    out: &mut Vec<u8>,
+    series: u32,
+    range: Option<TimeRange>,
+    points: &[DataPoint],
+    live: &mut Vec<LivePoint>,
+) -> Result<Sealed> {
+    if points.len() > FRAME_POINTS_MAX {
+        return Err(Error::InvalidConfig(format!(
+            "{} points do not fit one WAL frame",
+            points.len()
+        )));
+    }
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEAD]);
+    out.push(if range.is_some() {
+        KIND_CHECKPOINT
+    } else {
+        KIND_POINTS
+    });
+    out.extend_from_slice(&series.to_le_bytes());
+    if let Some(range) = range {
+        out.extend_from_slice(&range.start.to_le_bytes());
+        out.extend_from_slice(&range.end.to_le_bytes());
+    }
+    let point_bytes = encode_points(out, points, live);
+    let frame = &mut out[start..];
+    // `FRAME_POINTS_MAX` keeps the body inside a u32.
+    let len = (frame.len() - FRAME_HEAD) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&frame[FRAME_HEAD..]);
+    frame[4..FRAME_HEAD].copy_from_slice(&crc.to_le_bytes());
+    Ok(Sealed {
+        frame_bytes: frame.len() as u64,
+        point_bytes,
+    })
+}
+
 /// One valid frame of `data`.
 struct Frame {
     series: u32,
     /// The range a checkpoint supersedes; `None` for a points frame.
     superseded: Option<TimeRange>,
-    points: Vec<DataPoint>,
+    /// The points, each with the bytes it takes in the frame.
+    points: Vec<(DataPoint, u8)>,
     /// Bytes the frame occupies, prefix included.
     size: usize,
 }
@@ -293,11 +417,12 @@ fn frame_at(data: &[u8], off: usize) -> Option<Frame> {
     if stored != crc32(body) {
         return None;
     }
+    let kind = body[0];
     let series = codec::read_u32_le(body, 1).ok()?;
-    let (superseded, points_at) = match body[0] {
-        KIND_POINTS => (None, BODY_HEAD),
-        KIND_CHECKPOINT_ALL => (Some(ALL_TIME), BODY_HEAD),
-        KIND_CHECKPOINT => {
+    let (superseded, points_at) = match kind {
+        KIND_RAW_POINTS | KIND_POINTS => (None, BODY_HEAD),
+        KIND_RAW_CHECKPOINT_ALL => (Some(ALL_TIME), BODY_HEAD),
+        KIND_RAW_CHECKPOINT | KIND_CHECKPOINT => {
             let range = TimeRange {
                 start: codec::read_i64_le(body, BODY_HEAD).ok()?,
                 end: codec::read_i64_le(body, BODY_HEAD + 8).ok()?,
@@ -309,14 +434,11 @@ fn frame_at(data: &[u8], off: usize) -> Option<Frame> {
         }
         _ => return None,
     };
-    let records = body.get(points_at..)?;
-    if records.len() % POINT != 0 {
-        return None;
-    }
-    let mut points = Vec::with_capacity(records.len() / POINT);
-    for rec in records.chunks_exact(POINT) {
-        points.push(decode_point(rec).ok()?);
-    }
+    let points = body.get(points_at..)?;
+    let points = match kind {
+        KIND_POINTS | KIND_CHECKPOINT => decode_points(points)?,
+        _ => decode_raw_points(points)?,
+    };
     Some(Frame {
         series,
         superseded,
@@ -331,13 +453,13 @@ struct Parsed {
     /// The file predates the framed format (see the module docs).
     legacy: bool,
     /// Per series, the points no later checkpoint supersedes, in the order
-    /// they were written.
-    series: BTreeMap<u32, Vec<DataPoint>>,
+    /// they were written, each with the bytes it takes in its frame.
+    series: BTreeMap<u32, Vec<(DataPoint, u8)>>,
     /// Byte length of the valid prefix.
     good_len: usize,
     /// Damage past `good_len` sits in front of still-valid frames.
     corrupt: bool,
-    /// Whole point records that fit in the bytes past `good_len`.
+    /// Points lost past `good_len` (see [`Replay::dropped`]).
     dropped: u64,
 }
 
@@ -349,13 +471,49 @@ impl Parsed {
                 self.good_len
             )));
         }
-        let mut series = self.series;
-        series.retain(|_, points| !points.is_empty());
+        let series = self
+            .series
+            .into_iter()
+            .filter(|(_, points)| !points.is_empty())
+            .map(|(series, points)| {
+                (series, points.into_iter().map(|(p, _)| p).collect())
+            })
+            .collect();
         Ok(Replay {
             series,
             dropped: self.dropped,
         })
     }
+
+    /// What the accounting is seeded from: [`Wal::reset`]'s argument.
+    fn live(&self) -> impl Iterator<Item = (u32, Vec<LivePoint>)> + '_ {
+        self.series.iter().map(|(series, points)| {
+            let live = points.iter().map(|(p, size)| (p.gen_time, *size));
+            (*series, live.collect())
+        })
+    }
+}
+
+/// Looks at the damage that starts at `from`: whether a frame still holds
+/// anywhere behind it — frames are not aligned, so every later offset is a
+/// candidate — and the points lost, as [`Replay::dropped`] counts them.
+fn damage_at(data: &[u8], from: usize) -> (bool, u64) {
+    if from >= data.len() {
+        return (false, 0);
+    }
+    let (mut frames_follow, mut dropped) = (false, 1);
+    let mut off = from + 1;
+    while off < data.len() {
+        match frame_at(data, off) {
+            Some(frame) => {
+                frames_follow = true;
+                dropped += frame.points.len() as u64;
+                off += frame.size;
+            }
+            None => off += 1,
+        }
+    }
+    (frames_follow, dropped)
 }
 
 /// Parses a whole log file. A file that is empty or holds only part of the
@@ -366,11 +524,18 @@ fn parse(data: &[u8]) -> Parsed {
     }
     if !data.starts_with(&MAGIC) {
         let mut parsed = parse_legacy(data);
-        // Not one valid record in at least a record's worth of bytes: this
-        // is no torn first write but a file whose front is damaged — a
-        // framed log with a flipped header bit looks exactly like this, and
-        // its frames must not be taken for a tail to truncate.
-        parsed.corrupt |= parsed.good_len == 0 && parsed.dropped > 0;
+        // Not one valid record in at least a record's worth of bytes, or a
+        // frame somewhere in fewer: this is no torn first write but a file
+        // whose front is damaged — a framed log with a flipped header bit
+        // looks exactly like this, and its frames must not be taken for a
+        // tail to truncate.
+        if parsed.good_len == 0 {
+            let (frames_follow, dropped) = damage_at(data, 0);
+            if frames_follow || parsed.dropped > 0 {
+                parsed.corrupt = true;
+                parsed.dropped = dropped;
+            }
+        }
         return parsed;
     }
     let mut parsed = Parsed::default();
@@ -378,16 +543,14 @@ fn parse(data: &[u8]) -> Parsed {
     while let Some(frame) = frame_at(data, off) {
         let points = parsed.series.entry(frame.series).or_default();
         if let Some(range) = frame.superseded {
-            points.retain(|p| !range.contains(p.gen_time));
+            points.retain(|(p, _)| !range.contains(p.gen_time));
         }
         points.extend(frame.points);
         off += frame.size;
     }
     parsed.good_len = off;
-    parsed.dropped = ((data.len() - off) / POINT) as u64;
-    // A torn tail has nothing valid after it; frames are not aligned, so
-    // every later offset is a candidate.
-    parsed.corrupt = (off + 1..data.len()).any(|o| frame_at(data, o).is_some());
+    // A torn tail has nothing valid after it.
+    (parsed.corrupt, parsed.dropped) = damage_at(data, off);
     parsed
 }
 
@@ -402,8 +565,8 @@ fn parse_legacy(data: &[u8]) -> Parsed {
         if !valid(rec) {
             break;
         }
-        match decode_point(&rec[4..]) {
-            Ok(p) => points.push(p),
+        match decode_raw_point(&rec[4..]) {
+            Ok(p) => points.push((p, RAW_POINT as u8)),
             Err(_) => break,
         }
     }
@@ -426,24 +589,6 @@ fn read_file(path: &Path) -> Result<Option<Vec<u8>>> {
     }
 }
 
-/// Drops the points of the pending frame `pending` whose generation time
-/// lies in `range`, returning how many went.
-fn drop_pending_in(pending: &mut Vec<u8>, range: TimeRange) -> usize {
-    let head = FRAME_HEAD + BODY_HEAD;
-    let mut kept = head.min(pending.len());
-    for at in (kept..pending.len()).step_by(POINT) {
-        let in_range = codec::read_i64_le(pending, at)
-            .is_ok_and(|gen_time| range.contains(gen_time));
-        if !in_range {
-            pending.copy_within(at..at + POINT, kept);
-            kept += POINT;
-        }
-    }
-    let dropped = (pending.len() - kept) / POINT;
-    pending.truncate(if kept > head { kept } else { 0 });
-    dropped
-}
-
 impl Wal {
     /// Opens (creating if needed) the log at `path` for appending.
     ///
@@ -451,7 +596,8 @@ impl Wal {
     /// the valid prefix — a torn tail, or damage this caller chose not to
     /// hear about (see [`Wal::recover`]) — is truncated away, because
     /// appending behind it would hide the new frames from replay. A log in
-    /// the oldest, fixed-record format is rewritten in this one.
+    /// the oldest, fixed-record format is rewritten in this one; a framed
+    /// log of an older build is continued as it stands.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Ok(Self::recover(path.as_ref(), false)?.0)
     }
@@ -514,23 +660,28 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             series: BTreeMap::new(),
-            pending_bytes: 0,
+            pending_points: 0,
             queued: Vec::new(),
             file_len,
-            live_points: 0,
+            live_bytes: 0,
             frames: 0,
             cuts: 0,
             relogged_bytes: 0,
+            logged_points: 0,
+            logged_bytes: 0,
             faults: None,
             obs: ObserverHandle::detached(),
         };
-        if parsed.legacy {
-            let points = parsed.series.get(&0).cloned().unwrap_or_default();
+        let replay = if parsed.legacy {
+            let replay = parsed.replay(strict)?;
+            let points = replay.series.get(&0).cloned().unwrap_or_default();
             wal.replace(&[(0, points)])?;
+            replay
         } else {
-            wal.reset(parsed.series.iter().map(|(s, p)| (*s, p.as_slice())));
-        }
-        Ok((wal, parsed.replay(strict)?))
+            wal.reset(parsed.live());
+            parsed.replay(strict)?
+        };
+        Ok((wal, replay))
     }
 
     /// Attaches a fault plan: every subsequent write, fsync and cut consults
@@ -551,19 +702,20 @@ impl Wal {
     }
 
     /// Live and dead bytes of the logical log (queued frames included; see
-    /// the module docs for what counts as which), frames encoded, cuts made
-    /// and bytes re-logged since open.
+    /// the module docs for what counts as which), and what was encoded, cut
+    /// and re-logged since open.
     pub fn stats(&self) -> WalStats {
-        let live_bytes = self.live_points * POINT as u64;
         let logical_len = self.file_len + self.queued.len() as u64;
         WalStats {
-            live_bytes,
+            live_bytes: self.live_bytes,
             dead_bytes: logical_len
                 .saturating_sub(MAGIC.len() as u64)
-                .saturating_sub(live_bytes),
+                .saturating_sub(self.live_bytes),
             frames: self.frames,
             cuts: self.cuts,
             relogged_bytes: self.relogged_bytes,
+            logged_points: self.logged_points,
+            logged_bytes: self.logged_bytes,
         }
     }
 
@@ -577,13 +729,10 @@ impl Wal {
     /// durability). Touches the disk only when the pending buffer is full.
     pub fn append_for(&mut self, series: u32, p: &DataPoint) -> Result<()> {
         let log = self.series.entry(series).or_default();
-        if log.pending.is_empty() {
-            begin_frame(&mut log.pending);
-        }
-        push_point(&mut log.pending, p);
+        log.pending.push(*p);
         log.unsynced = true;
-        self.pending_bytes += POINT;
-        if self.pending_bytes >= SPILL_BYTES {
+        self.pending_points += 1;
+        if self.pending_points >= SPILL_POINTS {
             self.write_out()?;
         }
         Ok(())
@@ -602,19 +751,20 @@ impl Wal {
             if log.pending.is_empty() {
                 continue;
             }
-            seal_frame(&mut log.pending, KIND_POINTS, *series)?;
-            let before = log.live.len();
-            log.live.extend(
-                log.pending[FRAME_HEAD + BODY_HEAD..]
-                    .chunks_exact(POINT)
-                    .filter_map(|rec| codec::read_i64_le(rec, 0).ok()),
-            );
-            self.live_points += (log.live.len() - before) as u64;
-            self.queued.extend_from_slice(&log.pending);
+            let sealed = push_frame(
+                &mut self.queued,
+                *series,
+                None,
+                &log.pending,
+                &mut log.live,
+            )?;
+            self.pending_points -= log.pending.len();
+            self.logged_points += log.pending.len() as u64;
             log.pending.clear();
+            self.live_bytes += sealed.point_bytes;
             self.frames += 1;
+            self.logged_bytes += sealed.frame_bytes;
         }
-        self.pending_bytes = 0;
         if self.queued.is_empty() {
             return Ok(());
         }
@@ -698,19 +848,31 @@ impl Wal {
                 .all(|p| flushed.contains(p.gen_time)),
             "a checkpoint carries only points inside its range"
         );
-        push_checkpoint(&mut self.queued, series, flushed, survivors_in_range)?;
+        let mut carried = Vec::with_capacity(survivors_in_range.len());
+        let sealed = push_frame(
+            &mut self.queued,
+            series,
+            Some(flushed),
+            survivors_in_range,
+            &mut carried,
+        )?;
         let log = self.series.entry(series).or_default();
-        self.pending_bytes -=
-            POINT * drop_pending_in(&mut log.pending, flushed);
-        let before = log.live.len();
-        log.live.retain(|gen_time| !flushed.contains(*gen_time));
-        self.live_points -= (before - log.live.len()) as u64;
-        log.live
-            .extend(survivors_in_range.iter().map(|p| p.gen_time));
-        self.live_points += survivors_in_range.len() as u64;
+        let pending = log.pending.len();
+        log.pending.retain(|p| !flushed.contains(p.gen_time));
+        self.pending_points -= pending - log.pending.len();
+        log.live.retain(|(gen_time, size)| {
+            let superseded = flushed.contains(*gen_time);
+            if superseded {
+                self.live_bytes -= u64::from(*size);
+            }
+            !superseded
+        });
+        log.live.append(&mut carried);
         log.unsynced &= !(log.live.is_empty() && log.pending.is_empty());
+        self.live_bytes += sealed.point_bytes;
         self.frames += 1;
-        self.relogged_bytes += (survivors_in_range.len() * POINT) as u64;
+        self.logged_bytes += sealed.frame_bytes;
+        self.relogged_bytes += sealed.point_bytes;
         self.obs.emit(|| Event::WalTruncate {
             survivors: survivors_in_range.len() as u64,
         });
@@ -751,25 +913,19 @@ impl Wal {
 
     /// Forgets everything not yet written: the file now holds exactly the
     /// points of `live`, durably.
-    fn reset<'a>(
-        &mut self,
-        live: impl IntoIterator<Item = (u32, &'a [DataPoint])>,
-    ) {
+    fn reset(&mut self, live: impl IntoIterator<Item = (u32, Vec<LivePoint>)>) {
         for log in self.series.values_mut() {
             log.pending.clear();
             log.unsynced = false;
             log.live.clear();
         }
-        self.live_points = 0;
+        self.live_bytes = 0;
         for (series, points) in live {
-            self.series
-                .entry(series)
-                .or_default()
-                .live
-                .extend(points.iter().map(|p| p.gen_time));
-            self.live_points += points.len() as u64;
+            self.live_bytes +=
+                points.iter().map(|(_, size)| u64::from(*size)).sum::<u64>();
+            self.series.entry(series).or_default().live = points;
         }
-        self.pending_bytes = 0;
+        self.pending_points = 0;
         self.queued.clear();
     }
 
@@ -777,10 +933,20 @@ impl Wal {
     /// all time — per non-empty series of `live`.
     fn replace(&mut self, live: &[(u32, Vec<DataPoint>)]) -> Result<()> {
         let mut buf = MAGIC.to_vec();
+        let mut kept = Vec::with_capacity(live.len());
         for (series, points) in live {
             if !points.is_empty() {
-                push_checkpoint(&mut buf, *series, ALL_TIME, points)?;
+                let mut sizes = Vec::with_capacity(points.len());
+                let sealed = push_frame(
+                    &mut buf,
+                    *series,
+                    Some(ALL_TIME),
+                    points,
+                    &mut sizes,
+                )?;
+                kept.push((*series, sizes));
                 self.frames += 1;
+                self.logged_bytes += sealed.frame_bytes;
             }
         }
         let tmp = self.path.with_extension("wal.tmp");
@@ -815,7 +981,7 @@ impl Wal {
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.file_len = buf.len() as u64;
         self.cuts += 1;
-        self.reset(live.iter().map(|(s, p)| (*s, p.as_slice())));
+        self.reset(kept);
         Ok(())
     }
 
@@ -875,35 +1041,355 @@ mod tests {
         TimeRange::new(start, end)
     }
 
-    fn legacy_record(p: &DataPoint) -> Vec<u8> {
-        let mut rec = vec![0u8; 4];
-        rec.extend_from_slice(&p.gen_time.to_le_bytes());
+    /// Bytes `points` take packed into one frame: their count, and the
+    /// points alone.
+    fn packed(points: &[DataPoint]) -> (u64, u64) {
+        let mut out = Vec::new();
+        let point_bytes = encode_points(&mut out, points, &mut Vec::new());
+        (out.len() as u64 - point_bytes, point_bytes)
+    }
+
+    /// Size of a points frame (`flushed` absent) or a checkpoint holding
+    /// `points`.
+    fn frame_size(flushed: Option<TimeRange>, points: &[DataPoint]) -> u64 {
+        let (count, point_bytes) = packed(points);
+        let head = FRAME_HEAD + BODY_HEAD + flushed.map_or(0, |_| RANGE);
+        head as u64 + count + point_bytes
+    }
+
+    /// A frame as an older build wrote it: fixture bytes for the kinds this
+    /// build only reads.
+    fn raw_frame(
+        kind: u8,
+        series: u32,
+        flushed: Option<TimeRange>,
+        points: &[DataPoint],
+    ) -> Vec<u8> {
+        let mut body = vec![kind];
+        body.extend_from_slice(&series.to_le_bytes());
+        if let Some(flushed) = flushed {
+            body.extend_from_slice(&flushed.start.to_le_bytes());
+            body.extend_from_slice(&flushed.end.to_le_bytes());
+        }
+        for p in points {
+            body.extend_from_slice(&raw_point(p));
+        }
+        framed(&body)
+    }
+
+    fn raw_point(p: &DataPoint) -> Vec<u8> {
+        let mut rec = p.gen_time.to_le_bytes().to_vec();
         rec.extend_from_slice(&p.arrival_time.to_le_bytes());
         rec.extend_from_slice(&p.value.to_bits().to_le_bytes());
-        let crc = crc32(&rec[4..]);
-        rec[..4].copy_from_slice(&crc.to_le_bytes());
         rec
     }
+
+    /// `body` behind a prefix that vouches for it.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(body).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    fn legacy_record(p: &DataPoint) -> Vec<u8> {
+        let point = raw_point(p);
+        let mut rec = crc32(&point).to_le_bytes().to_vec();
+        rec.extend_from_slice(&point);
+        rec
+    }
+
+    /// Where each frame of a log file starts.
+    fn frame_starts(data: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut off = MAGIC.len();
+        while let Some(frame) = frame_at(data, off) {
+            starts.push(off);
+            off += frame.size;
+        }
+        assert_eq!(off, data.len(), "every byte belongs to a frame");
+        starts
+    }
+
+    /// The accounting rule: `stats()` is what a parse of the logical log —
+    /// the file and the frames queued behind it — recomputes.
+    fn assert_accounting(wal: &Wal) {
+        let mut logical = std::fs::read(&wal.path).expect("read");
+        assert_eq!(logical.len() as u64, wal.file_len);
+        logical.extend_from_slice(&wal.queued);
+        let parsed = parse(&logical);
+        assert_eq!(parsed.good_len, logical.len());
+        let live: u64 = parsed
+            .series
+            .values()
+            .flatten()
+            .map(|(_, size)| u64::from(*size))
+            .sum();
+        let stats = wal.stats();
+        assert_eq!(stats.live_bytes, live);
+        assert_eq!(
+            stats.dead_bytes,
+            (logical.len() - MAGIC.len()) as u64 - live
+        );
+        // And point for point, not only in total.
+        for (series, points) in &parsed.series {
+            let mut want: Vec<LivePoint> =
+                points.iter().map(|(p, size)| (p.gen_time, *size)).collect();
+            let mut have = wal
+                .series
+                .get(series)
+                .map_or(Vec::new(), |l| l.live.clone());
+            want.sort_unstable();
+            have.sort_unstable();
+            assert_eq!(have, want, "series {series}");
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The codec.
+
+    fn bit_exact(p: &DataPoint) -> (i64, i64, u64) {
+        (p.gen_time, p.arrival_time, p.value.to_bits())
+    }
+
+    fn round_trip(points: &[DataPoint]) -> Vec<u8> {
+        let (mut out, mut sizes) = (Vec::new(), Vec::new());
+        let point_bytes = encode_points(&mut out, points, &mut sizes);
+        assert_eq!(
+            point_bytes,
+            sizes.iter().map(|(_, size)| u64::from(*size)).sum::<u64>()
+        );
+        let decoded = decode_points(&out).expect("decodes");
+        assert_eq!(
+            decoded
+                .iter()
+                .map(|(p, _)| bit_exact(p))
+                .collect::<Vec<_>>(),
+            points.iter().map(bit_exact).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            decoded
+                .iter()
+                .map(|(p, size)| (p.gen_time, *size))
+                .collect::<Vec<_>>(),
+            sizes,
+            "both sides agree on what each point took"
+        );
+        assert!(sizes.iter().all(|(_, s)| (3..=30).contains(s)));
+        out
+    }
+
+    /// The documented layout, byte for byte (cross-checked against an
+    /// independent encoder): a format change has to show up here.
+    #[test]
+    fn packed_frames_have_the_documented_bytes() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let (mut out, mut live) = (Vec::new(), Vec::new());
+        let points = [
+            DataPoint::new(100, 107, 50.0),
+            DataPoint::new(110, 118, 55.5),
+        ];
+        let sealed =
+            push_frame(&mut out, 0, None, &points, &mut live).expect("frame");
+        assert_eq!(
+            hex(&out),
+            "11000000e8b82842\
+             03 00000000 02 d6010e82a402 161080800d"
+                .replace(' ', "")
+        );
+        assert_eq!(live, [(100, 6), (110, 5)]);
+        assert_eq!((sealed.frame_bytes, sealed.point_bytes), (25, 11));
+        out.clear();
+        let flushed = Some(range(-10, 10));
+        let carried = [DataPoint::new(-5, 3, -0.0)];
+        push_frame(&mut out, 7, flushed, &carried, &mut live).expect("frame");
+        assert_eq!(
+            hex(&out),
+            "190000005e9f7b53\
+             04 07000000 f6ffffffffffffff 0a00000000000000 01 061001"
+                .replace(' ', "")
+        );
+        // No points, no bytes: the empty checkpoint is prefix + range.
+        out.clear();
+        push_frame(&mut out, 7, flushed, &[], &mut live).expect("frame");
+        assert_eq!(out.len(), 29);
+        assert!(frame_at(&out, 0).is_some_and(|f| f.points.is_empty()));
+    }
+
+    #[test]
+    fn adversarial_points_round_trip_bit_exact() {
+        let times = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_dead_beef_0001), // a signalling NaN payload
+            f64::from_bits(u64::MAX),
+            std::f64::consts::PI,
+        ];
+        // Every pairing of extreme times, in both orders of delay, with
+        // every value next to every other (equal neighbours included).
+        let mut points = Vec::new();
+        for (i, gen_time) in times.iter().enumerate() {
+            for (j, arrival) in times.iter().enumerate() {
+                let value = values[(i * times.len() + j) % values.len()];
+                points.push(DataPoint::new(*gen_time, *arrival, value));
+            }
+        }
+        for a in values {
+            for b in values {
+                points.push(DataPoint::new(5, 5, a));
+                points.push(DataPoint::new(5, 5, b));
+            }
+        }
+        round_trip(&points);
+        for p in &points {
+            round_trip(std::slice::from_ref(p));
+        }
+        // The documented worst case: random payload bits, wild times.
+        let worst = [DataPoint::new(
+            0,
+            i64::MAX,
+            f64::from_bits(0x8000_0000_0000_0001),
+        )];
+        assert_eq!(round_trip(&worst).len(), 1 + PACKED_POINT_MAX);
+        // And the common case: one byte each for arrival and delay.
+        let calm: Vec<DataPoint> = (0..50)
+            .map(|i| DataPoint::new(1_000 + i * 10, 1_003 + i * 10, 20.0))
+            .collect();
+        assert_eq!(round_trip(&calm).len(), 1 + (2 + 1 + 2) + 49 * 3);
+    }
+
+    #[test]
+    fn a_body_that_is_not_exactly_one_packed_run_is_not_a_frame() {
+        let points: Vec<DataPoint> = (0..5).map(pt).collect();
+        let whole = round_trip(&points);
+        let body = |points: &[u8]| {
+            let mut body = vec![KIND_POINTS, 0, 0, 0, 0];
+            body.extend_from_slice(points);
+            framed(&body)
+        };
+        assert!(frame_at(&body(&whole), 0).is_some());
+        // Short by any number of bytes, or with anything behind it.
+        for cut in 1..whole.len() {
+            assert!(frame_at(&body(&whole[..cut]), 0).is_none(), "{cut}");
+        }
+        let mut trailing = whole.clone();
+        trailing.push(0);
+        assert!(frame_at(&body(&trailing), 0).is_none());
+        // A count the body cannot hold is refused before it sizes anything.
+        for n in [6u64, 1 << 32, u64::MAX] {
+            let mut lying = Vec::new();
+            put_uvarint(&mut lying, n);
+            lying.extend_from_slice(&whole[1..]);
+            assert!(decode_points(&lying).is_none(), "{n}");
+        }
+        // Zero points are written as no bytes, never as a count of zero.
+        assert!(decode_points(&[0]).is_none());
+        assert_eq!(decode_points(&[]), Some(Vec::new()));
+        // A checkpoint's points are held to the same rule.
+        let mut checkpoint = vec![KIND_CHECKPOINT, 0, 0, 0, 0];
+        checkpoint.extend_from_slice(&0i64.to_le_bytes());
+        checkpoint.extend_from_slice(&9i64.to_le_bytes());
+        checkpoint.extend_from_slice(&whole);
+        assert!(frame_at(&framed(&checkpoint), 0).is_some());
+        checkpoint.pop();
+        assert!(frame_at(&framed(&checkpoint), 0).is_none());
+    }
+
+    fn any_point() -> impl Strategy<Value = DataPoint> {
+        // Half the points look like a series — near-monotone arrivals,
+        // small delays, slowly changing values — half like nothing at all.
+        prop_oneof![
+            (0i64..1_000_000, -50i64..5_000, 0u64..64).prop_map(
+                |(arrival, delay, step)| DataPoint::new(
+                    arrival - delay,
+                    arrival,
+                    20.0 + step as f64 * 0.25
+                )
+            ),
+            (any::<i64>(), any::<i64>(), any::<u64>()).prop_map(
+                |(gen_time, arrival, bits)| DataPoint::new(
+                    gen_time,
+                    arrival,
+                    f64::from_bits(bits)
+                )
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_points_round_trip_bit_exact(
+            points in proptest::collection::vec(any_point(), 0..40),
+        ) {
+            round_trip(&points);
+        }
+
+        /// A CRC vouches for the bytes, not for their meaning: whatever
+        /// sits under a valid one is a frame or is not, and never a panic.
+        #[test]
+        fn arbitrary_bytes_under_a_valid_crc_never_panic(
+            kind in 0u8..6,
+            tail in proptest::collection::vec(any::<u8>(), 0..80),
+            points in proptest::collection::vec(any_point(), 1..6),
+            flip in any::<usize>(),
+        ) {
+            let mut body = vec![kind];
+            body.extend_from_slice(&tail);
+            let _ = frame_at(&framed(&body), 0);
+            // Near misses: a good frame with one byte of its body changed,
+            // the prefix recomputed over the damage.
+            let mut good = Vec::new();
+            push_frame(&mut good, 1, Some(ALL_TIME), &points, &mut Vec::new())
+                .expect("frame");
+            let mut body = good[FRAME_HEAD..].to_vec();
+            let at = flip % body.len();
+            body[at] = body[at].wrapping_add(1 + (flip >> 32) as u8 % 255);
+            if let Some(frame) = frame_at(&framed(&body), 0) {
+                let taken: usize =
+                    frame.points.iter().map(|(_, size)| *size as usize).sum();
+                prop_assert!(taken < body.len());
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The log.
 
     #[test]
     fn append_sync_replay_round_trips() {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
         let pts: Vec<DataPoint> = (0..100).map(pt).collect();
-        {
+        let stats = {
             let mut wal = Wal::open(&path).expect("open");
             for p in &pts {
                 wal.append(p).expect("append");
             }
             wal.sync().expect("sync");
-        }
+            wal.stats()
+        };
         assert_eq!(series0(&path), pts);
-        // One frame for the whole batch: 24 B a point plus 13 B, after the
-        // 8-byte magic.
+        // One frame for the whole batch: after the 8-byte magic a 13-byte
+        // prefix, the count, and 4.9 B a point where raw ones took 24.
         assert_eq!(
             std::fs::metadata(&path).expect("stat").len(),
-            8 + 13 + 24 * 100
+            8 + 13 + 1 + 490
         );
+        assert_eq!((stats.live_bytes, stats.dead_bytes), (490, 14));
+        assert_eq!((stats.logged_points, stats.logged_bytes), (100, 504));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -936,10 +1422,15 @@ mod tests {
     #[test]
     fn a_full_pending_buffer_is_written_without_an_fsync() {
         let (path, plan, mut wal) = traced("spill");
-        let per_spill = SPILL_BYTES.div_ceil(POINT) as i64;
-        for i in 0..per_spill {
-            wal.append(&pt(i)).expect("append");
+        // As many points as filled 8 KiB when they were logged raw: the
+        // physical writes fall where they always fell.
+        assert_eq!(SPILL_POINTS, 342);
+        let per_spill = SPILL_POINTS as i64;
+        for i in 0..per_spill - 1 {
+            wal.append_for((i % 2) as u32, &pt(i)).expect("append");
         }
+        assert_eq!(plan.ops(), 0);
+        wal.append(&pt(per_spill - 1)).expect("append");
         assert_eq!(plan.trace(), vec![IoOp::WalAppend]);
         wal.append(&pt(per_spill)).expect("append");
         wal.sync().expect("sync");
@@ -947,7 +1438,7 @@ mod tests {
             plan.trace(),
             vec![IoOp::WalAppend, IoOp::WalAppend, IoOp::WalSync]
         );
-        assert_eq!(series0(&path).len() as i64, per_spill + 1);
+        assert_eq!(Wal::replay(&path).expect("replay").points(), 343);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -966,6 +1457,8 @@ mod tests {
         let data = std::fs::read(&path).expect("read");
         std::fs::write(&path, &data[..data.len() - 10]).expect("truncate");
         assert_eq!(gens(&series0(&path)), vec![1]);
+        // The torn frame is the one thing lost.
+        assert_eq!(Wal::replay(&path).expect("replay").dropped, 1);
         // Re-open for appending (the crash-recovery path) and keep writing:
         // the new frame must not land behind the garbage.
         {
@@ -974,6 +1467,7 @@ mod tests {
             wal.sync().expect("sync");
         }
         assert_eq!(gens(&series0(&path)), vec![1, 3]);
+        assert_eq!(Wal::replay(&path).expect("replay").dropped, 0);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1029,6 +1523,7 @@ mod tests {
             let mut wal = Wal::open(&path).expect("open");
             for i in 0..3 {
                 wal.append_for(i as u32, &pt(i)).expect("append");
+                wal.append_for(i as u32, &pt(i + 10)).expect("append");
             }
             wal.sync().expect("sync");
         }
@@ -1045,11 +1540,23 @@ mod tests {
             ));
             assert_eq!(std::fs::read(&path).expect("read"), data);
         }
-        // Salvage counts the loss and starts a fresh log.
+        // Salvage counts the loss — the header, and the two points of each
+        // of the three frames still standing behind it — and starts a fresh
+        // log.
         let (_, replay) = Wal::recover(&path, false).expect("salvage");
-        assert_eq!(replay.points(), 0);
-        assert!(replay.dropped >= 3, "loss is reported, not hidden");
+        assert_eq!((replay.points(), replay.dropped), (0, 1 + 3 * 2));
         assert_eq!(std::fs::read(&path).expect("read"), MAGIC);
+        // So does a log too short for a record of the oldest format: the
+        // frame behind the damaged header gives it away.
+        let mut tiny = MAGIC.to_vec();
+        push_frame(&mut tiny, 0, None, &[pt(1)], &mut Vec::new())
+            .expect("frame");
+        assert!(tiny.len() < LEGACY_RECORD);
+        tiny[3] ^= 0x10;
+        std::fs::write(&path, &tiny).expect("tiny log");
+        assert!(matches!(Wal::replay(&path), Err(Error::Corrupt(_))));
+        let replay = Wal::replay_salvage(&path).expect("salvage");
+        assert_eq!((replay.points(), replay.dropped), (0, 1 + 1));
         // A headerless file too short to hold one record of either format
         // is still just a first write cut short.
         std::fs::write(&path, [0xabu8; LEGACY_RECORD - 1]).expect("stub");
@@ -1059,18 +1566,21 @@ mod tests {
         std::fs::remove_file(&path).expect("cleanup");
     }
 
-    /// Five single-point frames with the third one's payload flipped.
+    /// Five frames of one, two, … five points, with a byte of the third
+    /// one's points flipped.
     fn corrupted_mid_log(tag: &str) -> PathBuf {
         let path = temp_path(tag);
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path).expect("open");
-        for i in 0..5 {
-            wal.append(&pt(i)).expect("append");
+        for frame in 0..5 {
+            for i in 0..=frame {
+                wal.append(&pt(frame * 10 + i)).expect("append");
+            }
             wal.sync().expect("sync");
         }
-        let frame = FRAME_HEAD + BODY_HEAD + POINT;
         let mut data = std::fs::read(&path).expect("read");
-        data[MAGIC.len() + 2 * frame + FRAME_HEAD + 8] ^= 0xff;
+        let third = frame_starts(&data)[2];
+        data[third + FRAME_HEAD + BODY_HEAD + 2] ^= 0xff;
         std::fs::write(&path, &data).expect("rewrite");
         path
     }
@@ -1080,18 +1590,20 @@ mod tests {
         let path = corrupted_mid_log("corrupt");
         assert!(matches!(Wal::replay(&path), Err(Error::Corrupt(_))));
         let replay = Wal::replay_salvage(&path).expect("salvage replay");
-        assert_eq!(gens(&replay.series[&0]), vec![0, 1]);
-        assert!(replay.dropped >= 3, "loss is reported, not hidden");
+        assert_eq!(gens(&replay.series[&0]), vec![0, 10, 11]);
+        // One for the damaged frame, whose count can no longer be trusted,
+        // and the four and five points of the frames still whole behind it.
+        assert_eq!(replay.dropped, 1 + 4 + 5);
         // Strict recovery refuses and leaves the evidence in place.
         let before = std::fs::read(&path).expect("read");
         assert!(Wal::recover(&path, true).is_err());
         assert_eq!(std::fs::read(&path).expect("read"), before);
         // Salvage recovery keeps the prefix and appends behind it.
         let (mut wal, replay) = Wal::recover(&path, false).expect("salvage");
-        assert_eq!(replay.points(), 2);
+        assert_eq!((replay.points(), replay.dropped), (3, 10));
         wal.append(&pt(9)).expect("append");
         wal.sync().expect("sync");
-        assert_eq!(gens(&series0(&path)), vec![0, 1, 9]);
+        assert_eq!(gens(&series0(&path)), vec![0, 10, 11, 9]);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1134,9 +1646,12 @@ mod tests {
     #[test]
     fn a_checkpoint_supersedes_its_series_only() {
         let (path, _plan, mut wal) = traced("checkpoint");
+        let (mut ones, mut twos) = (Vec::new(), Vec::new());
         for i in 0..4 {
             wal.append_for(1, &pt(i)).expect("append");
             wal.append_for(2, &pt(10 + i)).expect("append");
+            ones.push(pt(i));
+            twos.push(pt(10 + i));
         }
         wal.sync().expect("sync");
         wal.append_for(1, &pt(4)).expect("append");
@@ -1152,19 +1667,32 @@ mod tests {
         assert_eq!(gens(&replay.series[&1]), vec![0, 3, 9, 5]);
         assert_eq!(gens(&replay.series[&2]), vec![10, 11, 12, 13]);
         // Two 4-point frames, the checkpoint carrying one point, one
-        // 2-point frame; 4 + 4 points are live.
+        // 2-point frame. Live: point 0 as the first of its frame, 3 as the
+        // checkpoint's only one, 9 and 5 in theirs, and all of series 2.
         let stats = wal.stats();
-        assert_eq!(stats.live_bytes, 8 * 24);
+        assert_eq!(
+            stats.live_bytes,
+            packed(&[pt(0)]).1
+                + packed(&[pt(3)]).1
+                + packed(&[pt(9), pt(5)]).1
+                + packed(&twos).1
+        );
         assert_eq!(
             stats.live_bytes + stats.dead_bytes,
-            2 * (13 + 4 * 24) + (29 + 24) + (13 + 2 * 24)
+            frame_size(None, &ones)
+                + frame_size(None, &twos)
+                + frame_size(Some(range(1, 4)), &[pt(3)])
+                + frame_size(None, &[pt(9), pt(5)])
         );
         assert_eq!((stats.frames, stats.cuts), (4, 0));
-        assert_eq!(stats.relogged_bytes, 24);
+        assert_eq!(stats.relogged_bytes, packed(&[pt(3)]).1);
+        assert_eq!(stats.logged_points, 4 + 4 + 2, "point 4 never was");
+        assert_eq!(stats.logged_bytes, stats.live_bytes + stats.dead_bytes);
         assert_eq!(
             std::fs::metadata(&path).expect("stat").len(),
             8 + stats.live_bytes + stats.dead_bytes
         );
+        assert_accounting(&wal);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1180,9 +1708,10 @@ mod tests {
         wal.sync().expect("sync");
         assert_eq!(plan.trace(), vec![IoOp::WalAppend, IoOp::WalSync]);
         assert_eq!(gens(&series0(&path)), vec![50]);
+        // The empty checkpoint, then a frame of one five-byte point.
         assert_eq!(
             std::fs::metadata(&path).expect("stat").len(),
-            8 + 29 + 13 + 24
+            8 + 29 + (13 + 1 + 5)
         );
         std::fs::remove_file(&path).expect("cleanup");
     }
@@ -1213,41 +1742,58 @@ mod tests {
         std::fs::remove_file(&path).expect("cleanup");
     }
 
+    /// A log whose first half an older build wrote — raw points frames, a
+    /// checkpoint of all time, a range checkpoint — and whose second half
+    /// this build appends replays as one log.
     #[test]
     fn an_older_build_s_checkpoint_reads_as_one_of_all_time() {
-        let path = temp_path("kind1");
+        let path = temp_path("old-kinds");
         let mut data = MAGIC.to_vec();
-        let mut frame = |kind: u8, series: u32, points: &[DataPoint]| {
-            let start = data.len();
-            begin_frame(&mut data);
-            for p in points {
-                push_point(&mut data, p);
-            }
-            seal_frame(&mut data[start..], kind, series).expect("seal");
+        let mut old = |kind, series, flushed, points: &[DataPoint]| {
+            data.extend(raw_frame(kind, series, flushed, points));
         };
-        frame(KIND_POINTS, 0, &[pt(1), pt(2), pt(3)]);
-        frame(KIND_POINTS, 1, &[pt(4)]);
-        frame(KIND_CHECKPOINT_ALL, 0, &[pt(2)]);
-        frame(KIND_POINTS, 0, &[pt(5)]);
+        old(KIND_RAW_POINTS, 0, None, &[pt(1), pt(2), pt(3)]);
+        old(KIND_RAW_POINTS, 1, None, &[pt(4)]);
+        old(KIND_RAW_CHECKPOINT_ALL, 0, None, &[pt(2)]);
+        old(KIND_RAW_POINTS, 0, None, &[pt(5), pt(8)]);
+        old(KIND_RAW_CHECKPOINT, 0, Some(range(6, 9)), &[pt(9)]);
         std::fs::write(&path, &data).expect("old log");
         let replay = Wal::replay(&path).expect("replay");
-        assert_eq!(gens(&replay.series[&0]), vec![2, 5]);
+        assert_eq!(gens(&replay.series[&0]), vec![2, 5, 9]);
         assert_eq!(gens(&replay.series[&1]), vec![4]);
-        // Opened as it stands, accounted point by point, and continued with
-        // checkpoints of this build's kind.
+        // Opened as it stands, accounted point by point — a raw point is
+        // 24 bytes — and continued with this build's kinds.
         let (mut wal, replay) = Wal::recover(&path, true).expect("recover");
-        assert_eq!(replay.points(), 3);
+        assert_eq!(replay.points(), 4);
         assert_eq!(std::fs::read(&path).expect("read"), data);
         let stats = wal.stats();
-        assert_eq!(stats.live_bytes, 3 * 24);
-        assert_eq!(stats.dead_bytes, data.len() as u64 - 8 - 3 * 24);
+        assert_eq!(stats.live_bytes, 4 * 24);
+        assert_eq!(stats.dead_bytes, data.len() as u64 - 8 - 4 * 24);
+        assert_accounting(&wal);
         wal.append(&pt(6)).expect("append");
         wal.checkpoint(0, range(5, 6), &[]).expect("checkpoint");
         wal.append(&pt(7)).expect("append");
+        wal.append_for(1, &pt(3)).expect("append");
         wal.sync().expect("sync");
-        assert_eq!(gens(&series0(&path)), vec![2, 7]);
+        assert_accounting(&wal);
+        // The new checkpoint superseded a raw point; raw and packed points
+        // of one series replay in the order they were written.
+        let replay = Wal::replay(&path).expect("replay");
+        assert_eq!(gens(&replay.series[&0]), vec![2, 9, 7]);
+        assert_eq!(gens(&replay.series[&1]), vec![4, 3]);
         let written = std::fs::read(&path).expect("read");
-        assert_eq!(written[data.len() + FRAME_HEAD], KIND_CHECKPOINT);
+        assert_eq!(written[..data.len()], data, "the old half is untouched");
+        let kinds: Vec<u8> = frame_starts(&written)
+            .iter()
+            .map(|start| written[start + FRAME_HEAD])
+            .collect();
+        assert_eq!(kinds, [0, 0, 1, 0, 2, 4, 3, 3]);
+        // A cut leaves nothing of the old kinds behind.
+        wal.rewrite(&[(0, vec![pt(9), pt(7)])]).expect("cut");
+        let written = std::fs::read(&path).expect("read");
+        assert_eq!(frame_starts(&written).len(), 1);
+        assert_eq!(written[MAGIC.len() + FRAME_HEAD], KIND_CHECKPOINT);
+        assert_eq!(gens(&series0(&path)), vec![9, 7]);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1302,17 +1848,25 @@ mod tests {
             plan.trace()[before..],
             [IoOp::WalRewrite, IoOp::WalRename, IoOp::DirSync]
         );
+        assert_accounting(&wal);
         wal.append_for(1, &pt(200)).expect("append");
         wal.sync().expect("sync");
         let replay = Wal::replay(&path).expect("replay");
         assert_eq!(gens(&replay.series[&1]), vec![100, 200]);
         assert!(!replay.series.contains_key(&2));
         assert_eq!(gens(&replay.series[&3]), vec![300, 301]);
-        // Two checkpoint frames and one points frame hold four live points.
+        // Two checkpoint frames and one points frame, each with its count,
+        // hold four live points.
         let stats = wal.stats();
-        assert_eq!(stats.live_bytes, 4 * 24);
-        assert_eq!(stats.dead_bytes, 2 * 29 + 13);
+        assert_eq!(
+            stats.live_bytes,
+            packed(&[pt(100)]).1
+                + packed(&[pt(300), pt(301)]).1
+                + packed(&[pt(200)]).1
+        );
+        assert_eq!(stats.dead_bytes, 2 * (29 + 1) + (13 + 1));
         assert_eq!(stats.relogged_bytes, 0, "a cut's copy is not a re-log");
+        assert_accounting(&wal);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1331,7 +1885,8 @@ mod tests {
             assert_eq!(due, dead > CUT_FLOOR, "{dead} dead bytes");
         }
         // With many live bytes the bar is 8 × live, not the floor.
-        let live: Vec<DataPoint> = (0..1000).map(pt).collect();
+        let live: Vec<DataPoint> = (0..4000).map(pt).collect();
+        assert!(packed(&live).1 * CUT_FACTOR > 2 * CUT_FLOOR);
         assert!(!wal.checkpoint(0, ALL_TIME, &live).expect("checkpoint"));
         std::fs::remove_file(&path).expect("cleanup");
     }
@@ -1350,6 +1905,7 @@ mod tests {
         let (mut wal, replay) = Wal::recover(&path, true).expect("recover");
         assert_eq!(gens(&replay.series[&0]), vec![0, 1, 2, 3, 4]);
         assert!(std::fs::read(&path).expect("read").starts_with(&MAGIC));
+        assert_accounting(&wal);
         wal.append(&pt(9)).expect("append");
         wal.sync().expect("sync");
         assert_eq!(gens(&series0(&path)), vec![0, 1, 2, 3, 4, 9]);
@@ -1421,8 +1977,7 @@ mod tests {
 
     impl ModelFrame {
         fn size(&self) -> usize {
-            let range = self.superseded.map_or(0, |_| RANGE);
-            FRAME_HEAD + BODY_HEAD + range + POINT * self.points.len()
+            frame_size(self.superseded, &self.points) as usize
         }
     }
 
@@ -1508,7 +2063,19 @@ mod tests {
                 match op {
                     Op::Append { series, gen_time } => {
                         clock += 1;
-                        let p = DataPoint::new(gen_time, clock, clock as f64);
+                        // Arrivals that jump, delays of either sign, values
+                        // that repeat and values that share no bit.
+                        let arrival = clock * (1 + i64::from(series) * 1000);
+                        let value = match clock % 4 {
+                            0 => f64::from_bits(
+                                0x9e37_79b9_7f4a_7c15u64
+                                    .wrapping_mul(clock as u64),
+                            ),
+                            _ => (clock / 4) as f64,
+                        };
+                        // (The model compares points with `==`.)
+                        let value = if value.is_nan() { 0.5 } else { value };
+                        let p = DataPoint::new(gen_time, arrival, value);
                         wal.append_for(series, &p).expect("append");
                         model.pending.entry(series).or_default().push(p);
                         model.buffers.entry(series).or_default().push(p);
@@ -1557,24 +2124,6 @@ mod tests {
                             model.unsynced.clear();
                             model.acknowledged = model.volatile();
                         }
-                        // The accounting is what a parse of the logical
-                        // log — the file and the frames queued behind it —
-                        // recomputes.
-                        let mut logical = std::fs::read(&path).expect("read");
-                        logical.extend_from_slice(&wal.queued);
-                        let parsed = parse(&logical);
-                        prop_assert_eq!(parsed.good_len, logical.len());
-                        let live = parsed
-                            .series
-                            .values()
-                            .map(|points| (points.len() * POINT) as u64)
-                            .sum::<u64>();
-                        let stats = wal.stats();
-                        prop_assert_eq!(stats.live_bytes, live);
-                        prop_assert_eq!(
-                            stats.dead_bytes,
-                            (logical.len() - MAGIC.len()) as u64 - live
-                        );
                     }
                     Op::Cut => {
                         let live: Vec<(u32, Vec<DataPoint>)> =
@@ -1610,6 +2159,9 @@ mod tests {
                         prop_assert_eq!(&replay.series, &model.buffers);
                     }
                 }
+                // After every step the accounting is what a fresh parse of
+                // the logical log recomputes.
+                assert_accounting(&wal);
             }
             // Everything the owner holds and the log has sealed is what the
             // logical log replays to, point for point.

@@ -90,6 +90,10 @@ cargo test -q -p seplsm --test crash_schedules --offline \
 # range and re-log every buffered point: read as checkpoints of all time.
 cargo test -q -p seplsm --test crash_schedules --offline \
   pr19_logs_still_recover
+# And the logs of the PR 21 build, the last to log raw 24-byte points
+# (`kind 0` / `kind 2`): read as they stand, continued with packed frames.
+cargo test -q -p seplsm --test crash_schedules --offline \
+  pr21_logs_still_recover
 # Same lane, by name: the traced fsync budget of one flush/merge commit
 # (k table fsyncs + 1 directory + 1 manifest, in that order, and nothing on
 # the WAL; one WAL write + fsync per batch, however many series) and of one
@@ -103,19 +107,27 @@ cargo test -q -p seplsm --test fsync_budget --offline
 # CLI lane: under the separation policy a flush takes one buffer and leaves
 # the other, and its checkpoint names only the range it took — the `wal`
 # line of a durable `seplsm stats` run must report that checkpoints re-logged
-# less than 1 % of the bytes the run logged (24 per point).
-echo "== seplsm stats (checkpoints re-log < 1 % under the separation policy) =="
+# less than 1 % of the bytes the run logged, and that the log, frames
+# included, cost at most 10 B a point (packed frames; raw points took 24).
+# The payloads are made integer-valued the way the benchmark makes them
+# (`generate` writes tenths, whose mantissas pack to ~12 B a point).
+echo "== seplsm stats (packed log; checkpoints re-log < 1 % under the separation policy) =="
 STATS_DIR="$(mktemp -d)"
-STATS_POINTS=20000
-target/release/seplsm generate --dataset M12 --points "$STATS_POINTS" \
-  --seed 7 --out "$STATS_DIR/m12.csv" >/dev/null
+target/release/seplsm generate --dataset M12 --points 20000 \
+  --seed 7 --out "$STATS_DIR/tenths.csv" >/dev/null
+awk -F, 'NR == 1 { print; next } { printf "%s,%s,%d\n", $1, $2, $3 * 10 + 0.5 }' \
+  "$STATS_DIR/tenths.csv" >"$STATS_DIR/m12.csv"
 WAL_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
   --policy separation:256 --budget 512 --dir "$STATS_DIR/store" \
   | grep '^wal before the closing flush')"
 rm -rf "$STATS_DIR"
+LOGGED="$(sed -nE 's/.* ([0-9]+) logged B, .*/\1/p' <<<"$WAL_LINE")"
 RELOGGED="$(sed -nE 's/.* ([0-9]+) relogged B$/\1/p' <<<"$WAL_LINE")"
-[[ -n "$RELOGGED" && $((RELOGGED * 100)) -lt $((STATS_POINTS * 24)) ]] \
+[[ -n "$LOGGED" && -n "$RELOGGED" && $((RELOGGED * 100)) -lt "$LOGGED" ]] \
   || { echo "checkpoints re-logged too much: $WAL_LINE"; exit 1; }
+B_PER_POINT="$(sed -nE 's/.* ([0-9.]+) B\/point, .*/\1/p' <<<"$WAL_LINE")"
+awk -v b="$B_PER_POINT" 'BEGIN { exit !(b != "" && b > 0 && b <= 10) }' \
+  || { echo "the log costs more than 10 B a point: $WAL_LINE"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the

@@ -24,6 +24,10 @@
 //! torn writes over a fleet batch → flush → checkpoint → sync → cut
 //! sequence and tears one checkpoint frame at every byte.
 
+#[allow(dead_code)] // each test file uses part of it
+#[path = "support/wal_layout.rs"]
+mod wal_layout;
+
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -794,7 +798,7 @@ fn tiered_flush_and_l0_merge_survive_a_crash_at_every_io_op() {
 
 /// Tears every WAL write of the scenario — `Points` frames, the
 /// `Checkpoint` frames riding with them, under the tiered engine the
-/// checkpoint carrying a whole hand-off — at a spread of lengths. A frame
+/// checkpoint carrying a whole hand-off — at every byte. A frame
 /// that is not wholly there must not exist for replay: the acknowledged
 /// prefix survives and nothing is invented, in strict and salvage mode.
 #[test]
@@ -818,8 +822,9 @@ fn torn_wal_writes_never_lose_an_acknowledged_point() {
         assert!(writes.len() >= 4, "scenario syncs several batches");
         for at in writes {
             // The largest write here is a 16-point hand-off checkpoint plus
-            // a batch: cuts past a smaller write's length persist nothing.
-            for truncate in (1..640).step_by(11) {
+            // a batch, 86 bytes packed: every byte of it is a place to
+            // tear, and cuts past a smaller write's length persist nothing.
+            for truncate in 1..=88 {
                 for (mode, recovery) in recovery_modes() {
                     let plan =
                         FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
@@ -1167,7 +1172,9 @@ fn pr18_fleet_directory_still_recovers() {
     }
 }
 
-/// The checkpoint frames of a framed log, as `(kind, points carried)`.
+/// The checkpoint frames of a framed log, as `(kind, points carried)`: the
+/// raw kinds `1` and `2` of older builds, whose length gives the count, and
+/// the packed kind `4`, which states it (as a varint, left out when zero).
 fn checkpoint_frames(wal: &std::path::Path) -> Vec<(u8, usize)> {
     let bytes = std::fs::read(wal).expect("read log");
     assert!(bytes.starts_with(WAL_MAGIC), "{} not framed", wal.display());
@@ -1177,10 +1184,21 @@ fn checkpoint_frames(wal: &std::path::Path) -> Vec<(u8, usize)> {
         let len = u32::from_le_bytes(
             bytes[off..off + 4].try_into().expect("four bytes"),
         ) as usize;
-        match bytes[off + 8] {
-            0 => {}
+        let body = &bytes[off + 8..off + 8 + len];
+        match body[0] {
+            0 | 3 => {}
             1 => frames.push((1, (len - 5) / 24)),
-            kind => frames.push((kind, (len - 5 - 16) / 24)),
+            2 => frames.push((2, (len - 5 - 16) / 24)),
+            kind => {
+                let mut count = 0;
+                for (i, byte) in body[5 + 16..].iter().enumerate() {
+                    count |= usize::from(byte & 0x7f) << (7 * i);
+                    if byte & 0x80 == 0 {
+                        break;
+                    }
+                }
+                frames.push((kind, count));
+            }
         }
         off += 8 + len;
     }
@@ -1196,21 +1214,47 @@ fn checkpoint_frames(wal: &std::path::Path) -> Vec<(u8, usize)> {
 /// the log recovery cut from the old frames.
 #[test]
 fn pr19_logs_still_recover() {
+    let logs = ["lsm/wal", "tiered/wal", "fleet/meta/fleet.wal"];
+    old_logs_still_recover("pr19", 1, &logs);
+}
+
+/// Durable state written by the PR 21 build (`tests/fixtures/pr21/`, see its
+/// README), the last one that logged raw 24-byte points: the same three
+/// engines on the same schedule, their logs all `kind 0` points frames and
+/// `kind 2` range checkpoints — the background engine's and the fleet's
+/// carrying points, the inline engine's under `π_s` none. Same contract.
+#[test]
+fn pr21_logs_still_recover() {
+    let carrying = ["tiered/wal", "fleet/meta/fleet.wal"];
+    old_logs_still_recover("pr21", 2, &carrying);
+}
+
+/// The body of the two tests above: `tests/fixtures/<build>` holds logs
+/// whose checkpoint frames are all of `kind`, those of `carrying` with
+/// points in some of them.
+fn old_logs_still_recover(build: &str, kind: u8, carrying: &[&str]) {
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures/pr19");
+        .join("../../tests/fixtures")
+        .join(build);
     let pi_s = || {
         EngineConfig::new(Policy::separation(8, 4).expect("policy"))
             .with_sstable_points(4)
     };
     for log in ["lsm/wal", "tiered/wal", "fleet/meta/fleet.wal"] {
         let frames = checkpoint_frames(&fixture.join(log));
-        assert!(frames.iter().all(|(kind, _)| *kind == 1), "{log}");
-        assert!(frames.iter().any(|(_, carried)| *carried > 0), "{log}");
+        assert!(!frames.is_empty(), "{build}/{log}");
+        assert!(frames.iter().all(|(k, _)| *k == kind), "{build}/{log}");
+        assert_eq!(
+            frames.iter().any(|(_, carried)| *carried > 0),
+            carrying.contains(&log),
+            "{build}/{log}"
+        );
     }
     let mut expected = workload(46);
     expected.sort_by_key(|p| p.gen_time);
     for (mode, recovery) in recovery_modes() {
-        let dir = TempDir::new(&format!("pr19-fixture-{mode}"));
+        let dir = TempDir::new(&format!("{build}-fixture-{mode}"));
+        let mode = format!("{build}, {mode}");
         copy_dir(&fixture, &dir.0);
         let store = |tables: &str| -> Arc<dyn TableStore> {
             Arc::new(FileStore::open(dir.path(tables)).expect("fixture store"))
@@ -1244,7 +1288,7 @@ fn pr19_logs_still_recover() {
         assert_eq!(engine.buffered_points(), 2, "{mode}: 413 and 490");
         drop(engine);
         let frames = checkpoint_frames(&dir.path("lsm/wal"));
-        assert_eq!(frames.last(), Some(&(2, 0)), "{mode}: {frames:?}");
+        assert_eq!(frames.last(), Some(&(4, 0)), "{mode}: {frames:?}");
         let (mut engine, report) = open_lsm();
         assert!(report.is_clean(), "{mode}: {report:?}");
         assert_eq!(engine.scan_all().expect("scan").len(), 50, "{mode}");
@@ -1638,7 +1682,7 @@ fn fleet_log_survives_a_crash_or_a_torn_write_at_every_io_op() {
             let ctx = format!("{mode}: crash at op {k} ({op:?})");
             fleet_log_recover_check(&dir, &pts, &out, recovery, &ctx);
             // A few bytes, a point and a half, most of a frame.
-            for truncate in [3usize, 37, 200] {
+            for truncate in [3usize, 8, 30] {
                 let plan =
                     FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
                 let (dir, out) = fleet_log_pass("fleet-log-tear", &plan, &pts);
@@ -1686,10 +1730,6 @@ fn fleet_log_replayed(dir: &TempDir) -> (u64, MultiSeriesEngine) {
 /// four apply again and replay returns *more*, never a mixture.
 #[test]
 fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
-    /// Frame overhead, range and point size of the documented format.
-    const FRAME: usize = 13;
-    const RANGE: usize = 16;
-    const POINT: usize = 24;
     let pts = fleet_log_workload();
     let plan = FaultPlan::trace_only(SEED);
     let (dir, _) = fleet_log_pass("ckpt-trace", &plan, &pts);
@@ -1699,12 +1739,23 @@ fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
         .iter()
         .rposition(|op| *op == IoOp::WalAppend)
         .expect("four WAL writes") as u64;
-    // The torn write: series 0's checkpoint, then one one-point points
-    // frame for series 0 (the batch's straggler; its in-order points were
-    // flushed before they were ever written) and each of series 1–3.
-    let checkpoint = FRAME + RANGE;
-    let one_point = FRAME + POINT;
-    let write = checkpoint + 4 * one_point;
+    // The torn write: series 0's checkpoint, which carries nothing, then
+    // one one-point points frame for series 0 (the batch's straggler; its
+    // in-order points were flushed before they were ever written) and each
+    // of series 1–3. The batch appends series 1–3 first, the straggler
+    // fourth.
+    let last_batch = &pts[3 * FLEET_LOG_BATCH..];
+    let one_point =
+        |i: usize| wal_layout::points_frame(&[last_batch[i].1]) as usize;
+    let frames = [
+        wal_layout::CHECKPOINT_FRAME as usize,
+        one_point(3),
+        one_point(0),
+        one_point(1),
+        one_point(2),
+    ];
+    assert_eq!(frames, [29, 13 + 1 + 6, 13 + 1 + 4, 13 + 1 + 3, 13 + 1 + 4]);
+    let write: usize = frames.iter().sum();
     for truncate in 1..=write {
         let plan = FaultPlan::new(
             SEED,
@@ -1728,8 +1779,16 @@ fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
         // third batch series 0 replays only the straggler — or, without
         // the checkpoint, the four in-order points as well.
         let kept = write - truncate;
-        let expected = if kept >= checkpoint {
-            1 + 11 + (kept - checkpoint) / one_point
+        let whole = frames
+            .iter()
+            .scan(0, |end, frame| {
+                *end += frame;
+                Some(*end)
+            })
+            .take_while(|end| *end <= kept)
+            .count();
+        let expected = if whole >= 1 {
+            1 + 11 + (whole - 1)
         } else {
             5 + 11
         };

@@ -14,10 +14,18 @@
 //! pins what a checkpoint frame costs in bytes: its range, and the points
 //! still volatile inside it — not the buffers the flush did not take.
 
+#[allow(dead_code)] // each test file uses part of it
+#[path = "support/wal_layout.rs"]
+mod wal_layout;
+
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
 use seplsm::lsm::{SsTableId, SsTableMeta};
+use wal_layout::{
+    checkpoint_frame, point_bytes, points_frame, CHECKPOINT_FRAME,
+};
+
 use seplsm::{
     ArbiterConfig, DataPoint, EngineConfig, Event, FaultPlan, FileStore, IoOp,
     MultiOpenOptions, OpenOptions, Policy, RingBufferSink, SeriesId,
@@ -242,6 +250,29 @@ fn an_in_order_flush_of_one_table_costs_three_fsyncs_survivors_or_not() {
     assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
 }
 
+/// The cut schedule: flushes of 256 in-order points with a sync every 64
+/// appends. The flush falls on the cycle's last append, so its last 64
+/// points never reach the log at all; each checkpoint leaves the cycle's
+/// three points frames and itself (29 B) dead — 3 × (13 + 1 + ~6 B × 64) + 29,
+/// about 1.2 KB a cycle where raw points made it 4 676 B. Returns the flush
+/// whose checkpoint takes the dead bytes past 64 KiB: with nothing live,
+/// that is where the file is truncated in place.
+fn flush_that_makes_the_cut_due() -> usize {
+    let mut dead = 0;
+    for cycle in 0.. {
+        for sync in 0..3 {
+            let at = cycle * 256 + sync * 64;
+            let frame: Vec<DataPoint> = (at..at + 64).map(point).collect();
+            dead += points_frame(&frame);
+        }
+        dead += CHECKPOINT_FRAME;
+        if dead > 64 * 1024 {
+            return cycle as usize + 1;
+        }
+    }
+    unreachable!("every cycle adds dead bytes")
+}
+
 #[test]
 fn the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest() {
     let dir = TempDir::new("cut");
@@ -255,24 +286,21 @@ fn the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest() {
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    // Sixteen flushes of 256 in-order points, a sync every 64 appends. The
-    // flush falls on the cycle's last append, so its last 64 points never
-    // reach the log at all; each checkpoint leaves the cycle's three points
-    // frames (3 × (13 + 64 × 24) B) and itself (29 B) dead: 4 676 B a
-    // cycle — past 64 KiB at the fifteenth, where nothing is live and the
-    // file is truncated in place.
-    for i in 0..16 * 256 {
+    // One flush more than it takes to make the cut due.
+    let due = flush_that_makes_the_cut_due();
+    assert_eq!(due, 55);
+    for i in 0..(due as i64 + 1) * 256 {
         engine.append(point(i)).expect("append");
         if (i + 1) % 64 == 0 {
             engine.sync_wal().expect("sync");
         }
     }
     let trace = plan.trace();
-    assert_eq!(count(&trace, IoOp::ManifestSync), 16, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::ManifestSync), due + 1, "{trace:?}");
     assert_eq!(count(&trace, IoOp::WalRewrite), 1, "{trace:?}");
     assert_eq!(count(&trace, IoOp::WalRename), 0, "{trace:?}");
     let cut = first(&trace, IoOp::WalRewrite);
-    assert_eq!(count(&trace[..cut], IoOp::ManifestSync), 15, "{trace:?}");
+    assert_eq!(count(&trace[..cut], IoOp::ManifestSync), due, "{trace:?}");
     let commit = last(&trace[..cut], IoOp::ManifestSync);
     assert_eq!(wal_ops(&trace[commit..cut]), 0, "cut follows its commit");
     // The engine comes to rest: one more cut, then nothing left to cut.
@@ -525,7 +553,7 @@ fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
 
     // The cut: the single-series schedule of
     // `the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest`, on a
-    // fleet. The fifteenth flush's checkpoint makes the cut due; it is
+    // fleet. The checkpoint of the same flush makes the cut due; it is
     // taken inside that batch's commit point, behind the manifest fsync
     // that covers the flush.
     let dir = TempDir::new("fleet-cut");
@@ -538,17 +566,18 @@ fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    for i in 0..16 * 256 {
+    let due = flush_that_makes_the_cut_due();
+    for i in 0..(due as i64 + 1) * 256 {
         fleet.append(SeriesId(9), point(i)).expect("append");
         if (i + 1) % 64 == 0 {
             fleet.sync_wal_all().expect("sync");
         }
     }
     let trace = plan.trace();
-    assert_eq!(count(&trace, IoOp::ManifestSync), 16, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::ManifestSync), due + 1, "{trace:?}");
     assert_eq!(count(&trace, IoOp::WalRewrite), 1, "{trace:?}");
     let cut = first(&trace, IoOp::WalRewrite);
-    assert_eq!(count(&trace[..cut], IoOp::ManifestSync), 15, "{trace:?}");
+    assert_eq!(count(&trace[..cut], IoOp::ManifestSync), due, "{trace:?}");
     assert_eq!(
         trace[cut - 3..cut],
         [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync],
@@ -620,12 +649,6 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
 
 // ------------------------------------------------------- checkpoint bytes
 
-/// Bytes of the documented WAL format: a points frame's prefix, a
-/// checkpoint frame's (prefix + range), one point.
-const POINTS_FRAME: u64 = 13;
-const CHECKPOINT_FRAME: u64 = 29;
-const POINT: u64 = 24;
-
 fn file_len(path: PathBuf) -> u64 {
     std::fs::metadata(path).expect("stat").len()
 }
@@ -659,8 +682,9 @@ fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
         engine.append(point(i * 10)).expect("append");
     }
     assert_eq!(engine.run().len(), 1, "the pivot is 70 from here on");
-    for i in 1..=200 {
-        engine.append(point(-i)).expect("straggler");
+    let stragglers: Vec<DataPoint> = (1..=200).map(|i| point(-i)).collect();
+    for p in &stragglers {
+        engine.append(*p).expect("straggler");
     }
     engine.sync_wal().expect("sync");
     assert_eq!(engine.buffered_points(), 200);
@@ -676,7 +700,7 @@ fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
     let after = engine.wal_stats().expect("wal");
     assert_eq!(after.frames, before.frames + 1, "one checkpoint frame");
     assert_eq!(after.relogged_bytes, 0, "which carries no point");
-    assert_eq!(after.live_bytes, 200 * POINT);
+    assert_eq!(after.live_bytes, point_bytes(&stragglers));
     assert_eq!(after.dead_bytes, before.dead_bytes + CHECKPOINT_FRAME);
     // Its next write: the frame, and the one point appended since.
     engine.append(point(160)).expect("append");
@@ -685,7 +709,7 @@ fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
     assert_eq!(plan.trace()[ops..], [IoOp::WalAppend, IoOp::WalSync]);
     assert_eq!(
         file_len(dir.path("wal")),
-        len + CHECKPOINT_FRAME + POINTS_FRAME + POINT
+        len + CHECKPOINT_FRAME + points_frame(&[point(160)])
     );
     // And the stragglers the frame did not carry are still in the log.
     drop(engine);
@@ -734,11 +758,12 @@ fn a_late_point_inside_a_flushed_range_rides_the_fleet_s_deferred_checkpoint() {
     // The checkpoint of [0, 70] carries the late point (its pending copy
     // went with the flushed ones); point 90 is an ordinary frame behind it.
     let stats = fleet.wal_stats().expect("durable fleet");
-    assert_eq!(stats.relogged_bytes, POINT);
-    assert_eq!(stats.live_bytes, 2 * POINT);
+    let (late, past) = (point_bytes(&[point(35)]), point_bytes(&[point(90)]));
+    assert_eq!(stats.relogged_bytes, late);
+    assert_eq!(stats.live_bytes, late + past);
     assert_eq!(
         file_len(dir.path("meta/fleet.wal")),
-        len + (CHECKPOINT_FRAME + POINT) + (POINTS_FRAME + POINT)
+        len + checkpoint_frame(&[point(35)]) + points_frame(&[point(90)])
     );
     drop(fleet);
     let store: Arc<dyn TableStore> =
@@ -834,16 +859,19 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
     // Three hand-offs while the worker is held: batches [0, 70], [5, 75]
     // (overlapping it) and [200, 270] are in flight, none has retired, and
     // the log is told nothing — it still covers all 24 points.
+    let mut batch = Vec::new();
     for base in [0, 5, 200] {
         for i in 0..8 {
-            engine.append(point(base + i * 10)).expect("append");
+            let p = point(base + i * 10);
+            batch.push(p);
+            engine.append(p).expect("append");
         }
     }
     engine.sync_wal().expect("sync");
     assert_eq!(checkpoints(), [0u64; 0], "nothing retired, nothing queued");
     assert_eq!(
         file_len(dir.path("wal")),
-        8 + POINTS_FRAME + 24 * POINT,
+        8 + points_frame(&batch),
         "one batch, one frame, no checkpoint"
     );
     // Let them retire, then buffer points inside and outside their ranges.
@@ -865,9 +893,10 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
     engine.sync_wal().expect("sync");
     assert_eq!(
         file_len(dir.path("wal")),
-        8 + (POINTS_FRAME + 24 * POINT)
-            + 2 * (CHECKPOINT_FRAME + POINT)
-            + (POINTS_FRAME + 6 * POINT),
+        8 + points_frame(&batch)
+            + checkpoint_frame(&[point(42)])
+            + checkpoint_frame(&[point(242)])
+            + points_frame(&[142, 300, 310, 320, 330, 340].map(point)),
         "points 42 and 242 are in the checkpoints, not in the batch's frame"
     );
     // A crash right here, with that batch in flight and the worker stuck:
