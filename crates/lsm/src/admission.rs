@@ -33,6 +33,7 @@ use seplsm_types::{Error, Result};
 
 use crate::metrics::Metrics;
 use crate::obs::{Event, ObserverHandle};
+use crate::version::Version;
 
 /// Default slowdown watermark: combined depth at which appends start
 /// being delayed.
@@ -308,7 +309,7 @@ impl AdmissionController {
 }
 
 /// The one translation of admission edges into [`Metrics`] counters and
-/// typed events, shared by every engine's `admit`: a stall beginning or
+/// typed events, for every consult ([`consult`]) and forced stall end: a stall beginning or
 /// ending (`transition` — an [`AdmissionController::interrupt_stall`] is an
 /// `Ended` edge too) and a delayed `outcome`. Each counter moves next to
 /// the event that witnesses it.
@@ -336,6 +337,25 @@ pub(crate) fn witness(
         metrics.stall_ticks += ticks;
         obs.emit(|| Event::AdmissionDelayed { ticks });
     }
+}
+
+/// One consult of `controller` at `version`'s backlog — its L0 tables plus
+/// its flushing batches — witnessed into `metrics` and `obs`: the step
+/// every executor's `admit` starts from, and a stalled one repeats per
+/// wakeup. Returns the decision and the depth it was taken at.
+pub(crate) fn consult(
+    controller: &mut AdmissionController,
+    version: &Version,
+    metrics: &mut Metrics,
+    obs: &ObserverHandle,
+) -> (AdmissionDecision, AdmissionDepth) {
+    let depth = AdmissionDepth {
+        l0_tables: version.l0().len(),
+        pending_flushes: version.flushing().len(),
+    };
+    let decision = controller.admit(depth);
+    witness(decision.transition, decision.outcome, depth, metrics, obs);
+    (decision, depth)
 }
 
 /// What the pacer decided about one write.

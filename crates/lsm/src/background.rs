@@ -11,38 +11,32 @@
 //! that every recent-window query then has to scan (the paper's Fig. 15),
 //! while `π_s` keeps in-order flushes narrow.
 //!
-//! [`TieredEngine`] reproduces that on the shared storage kernel: the writer
-//! thread classifies and buffers points in a
-//! [`PolicyBuffers`](crate::buffer::PolicyBuffers) and hands full MemTables
-//! to a compaction worker over a bounded channel; the worker stores them as
-//! L0 tables (committed as [`VersionEdit::FlushToL0`]) and periodically
-//! merges L0 into the run — both through the same
-//! [`plan_merge`](crate::compaction::plan_merge) →
+//! [`TieredEngine`] — [`Engine`] over the [`Background`] executor —
+//! reproduces that on the shared storage kernel: the engine's front half
+//! logs, classifies and buffers points exactly as it does for the inline
+//! executor, and hands full MemTables to this one, which registers them as
+//! flushing batches and queues them for a compaction worker over a bounded
+//! channel; the worker stores them as L0 tables (committed as
+//! [`VersionEdit::FlushToL0`]) and periodically merges L0 into the run —
+//! both through the same [`plan_merge`] →
 //! [`write_outputs`](crate::compaction::write_outputs) →
 //! [`sync_outputs`](crate::compaction::sync_outputs) →
-//! [`commit`](crate::compaction::commit) pipeline as the foreground
-//! engine. The bounded channel back-pressures the writer if the worker
-//! cannot keep up (realistic write-stall behaviour).
+//! [`commit`](crate::compaction::commit) pipeline as the inline executor.
+//! The bounded channel back-pressures the writer if the worker cannot keep
+//! up (realistic write-stall behaviour).
 //!
 //! # Durability
 //!
-//! With [`TieredOpenOptions::wal`] every appended point is logged before it
-//! is buffered, and at every flush hand-off the log is told the generation
-//! time ranges of the batches that have retired since the last one (a frame
-//! queued in the log; the file itself is cut only when its dead bytes
-//! outweigh the live ones, and at `finish`); with
-//! [`TieredOpenOptions::manifest`] the worker records every L0 addition
-//! and run replacement. A crashed engine (dropped
-//! without [`TieredEngine::finish`]) is rebuilt by
-//! [`TieredOpenOptions::open_or_recover`]: the manifest restores the run and
-//! L0,
-//! the WAL replays the buffered tail. The WAL is deliberately conservative
-//! — a batch leaves it only after the *next* hand-off, so recovery may
-//! re-buffer points that already reached L0; the merge pipeline
-//! deduplicates them by generation time (freshest wins), so no point is
-//! lost or double-counted in query results.
+//! At every hand-off the log is told the generation-time ranges of the
+//! batches that have retired since the last one; with a manifest the worker
+//! records every L0 addition and run replacement. A crashed engine (dropped
+//! without [`TieredEngine::finish`]) is rebuilt from both: the manifest
+//! restores the run and L0, the WAL replays the buffered tail. The WAL is
+//! deliberately conservative — a batch leaves it only after the *next*
+//! hand-off, so recovery may re-buffer points that already reached L0; the
+//! merge pipeline deduplicates them by generation time (freshest wins), so
+//! no point is lost or double-counted in query results.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -50,17 +44,15 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
-use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange, Timestamp};
+use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
 use crate::admission::{
     self, AdmissionController, AdmissionDepth, AdmissionOutcome,
     AdmissionStats, IoPacer, PaceDecision, PacerStats, RetryBackoff,
     StallTransition, Watermarks,
 };
-use crate::buffer::{FlushTrigger, PolicyBuffers};
 use crate::compaction::{self, plan_merge, RunInput};
-use crate::engine::EngineConfig;
-use crate::fault::FaultPlan;
+use crate::engine::{Batch, Engine, Executor, Front};
 use crate::invariants::{self, InvariantChecker};
 use crate::iterator::merge_sorted;
 use crate::manifest::Manifest;
@@ -68,13 +60,10 @@ use crate::metrics::Metrics;
 use crate::obs::{
     DegradedOp, DegradedReason, DegradedState, Event, ObserverHandle,
 };
-use crate::open::{self, Background, Kind, TieredOpenOptions};
-use crate::query::{Agg, Bucket, QueryStats, ReadView};
-use crate::recovery::{self, RecoveryReport};
-use crate::sstable::{SsTableId, SsTableMeta};
+use crate::open;
+use crate::sstable::SsTableMeta;
 use crate::store::TableStore;
 use crate::version::{Version, VersionEdit};
-use crate::wal::Wal;
 
 /// How many L0 tables accumulate before the worker merges them into the run.
 const L0_COMPACT_THRESHOLD: usize = 4;
@@ -153,20 +142,6 @@ pub struct TieredReport {
 }
 
 impl TieredReport {
-    fn from_metrics(
-        metrics: &Metrics,
-        run_tables: usize,
-        points: Vec<DataPoint>,
-    ) -> Self {
-        Self {
-            user_points: metrics.user_points,
-            disk_points_written: metrics.disk_points_written,
-            compactions: metrics.compactions,
-            run_tables,
-            points,
-        }
-    }
-
     /// Overall write amplification (the shared §I-B definition).
     pub fn write_amplification(&self) -> f64 {
         crate::metrics::write_amplification(
@@ -367,28 +342,22 @@ fn compact_l0_once(
     Ok(())
 }
 
-/// A leveled engine whose flush and compaction run on a background thread.
-pub struct TieredEngine {
-    config: EngineConfig,
-    buffers: PolicyBuffers,
-    tx: Option<Sender<Arc<Vec<DataPoint>>>>,
+/// The executor whose flushes and compactions run on a background thread.
+pub struct Background {
+    tx: Option<Sender<Batch>>,
     handle: Option<JoinHandle<Result<()>>>,
-    store: Arc<dyn TableStore>,
     state: Arc<Mutex<TierState>>,
     /// Signalled by the worker after each flush batch lands in L0 (and on
     /// worker exit); [`TieredEngine::drain`] waits on it.
     flush_done: Arc<Condvar>,
-    wal: Option<Wal>,
     /// The batches handed to the flush pipeline that the log has not been
-    /// told have retired, oldest first (see
-    /// [`compact_wal`](Self::compact_wal)).
-    in_log: Vec<Arc<Vec<DataPoint>>>,
+    /// told have retired, oldest first (see [`Executor::progress`]).
+    in_log: Vec<Batch>,
+    /// Registered batches not yet queued for the worker.
+    registered: Vec<Batch>,
     /// Largest generation time handed to the flush pipeline — the in-order
     /// classification pivot (it is "on disk" from the writer's perspective).
     flushed_max: Option<Timestamp>,
-    /// Largest generation time appended at all.
-    max_gen_seen: Option<Timestamp>,
-    user_points: u64,
     /// When set, `append` waits for each flush to reach L0 before returning
     /// (deterministic on-disk state for query experiments).
     sync_flush: bool,
@@ -396,119 +365,22 @@ pub struct TieredEngine {
     /// reason lives in [`TierState::degraded`]. Checked lock-free on the
     /// append fast path.
     degraded: Arc<AtomicBool>,
-    /// Writer-side event sink; the worker carries its own clone.
-    obs: ObserverHandle,
 }
 
-impl Kind for Background {
-    type Engine = TieredEngine;
+/// The engine whose flushes and compactions run on a background thread.
+pub type TieredEngine = Engine<Background>;
 
-    /// Fresh: an empty version, a truncated WAL, then the manifest.
-    /// Recovering (manifest required — tiered recovery is manifest-driven):
-    /// the manifest restores the run and L0 and is re-attached *before*
-    /// the WAL replays through the normal append path, so flushes the
-    /// replay triggers are journalled by the worker like any other.
-    /// Replayed points re-enter the user-point counters; points that had
-    /// already been flushed but were still in the conservative WAL are
-    /// deduplicated by the merge pipeline.
-    fn assemble(
-        options: TieredOpenOptions,
-        store: Arc<dyn TableStore>,
-        recover: bool,
-    ) -> Result<(TieredEngine, RecoveryReport)> {
-        if recover && options.manifest.is_none() {
-            return Err(Error::InvalidConfig(
-                "tiered recovery is manifest-driven: configure \
-                 OpenOptions::manifest"
-                    .into(),
-            ));
-        }
-        options.config.validate()?;
-        let mut report = RecoveryReport::default();
-        let obs = options.observer;
-        let mode = options.recovery.mode;
-        let version = if recover {
-            recovery::rebuild_version(
-                store.as_ref(),
-                options.manifest.as_deref(),
-                mode,
-                true,
-                &mut report,
-                &obs,
-            )?
-        } else {
-            Version::new()
-        };
-        let mut engine = TieredEngine::build(
-            options.config,
-            store,
-            version,
-            obs.clone(),
-            options.watermarks,
-            options.kind.pacer,
-        )?;
-        if let (Some(path), false) = (&options.wal, recover) {
-            let mut wal = open::open_wal(path, &obs)?;
-            // Initialization, not truncation: nothing is buffered yet, so
-            // the survivor set of a fresh engine is empty.
-            wal.rewrite(&[])?;
-            engine.wal = Some(wal);
-        }
-        if let Some(path) = &options.manifest {
-            let mut state = engine.state.lock();
-            state.manifest =
-                Some(open::open_manifest(path, &obs, &state.version)?);
-        }
-        if let (Some(path), true) = (&options.wal, recover) {
-            engine.wal = Some(recovery::replay_wal(
-                &mut engine,
-                path,
-                mode,
-                &mut report,
-                &obs,
-                |e, _, p| e.append_internal(p, false).map(drop),
-                |e| Ok(vec![(0, e.wal_survivors())]),
-            )?);
-        }
-        if recover && options.recovery.gc_orphans {
-            // Let replay-triggered flushes land first so the live set is
-            // complete, and the merge the last of them may have made due:
-            // its outputs are published before they are committed, and a
-            // sweep in between would take them for orphans.
-            engine.wait_while(|state| {
-                !state.version.flushing().is_empty() || state.merge_due
-            });
-            recovery::gc_orphans(
-                engine.store.as_ref(),
-                &engine.live_table_ids(),
-                &mut report,
-                &obs,
-            )?;
-        }
-        engine.sync_flush = options.kind.sync_flush;
-        Ok((engine, report))
-    }
-
-    fn attach_faults(engine: &mut TieredEngine, plan: &Arc<FaultPlan>) {
-        open::attach_faults(
-            plan,
-            engine.wal.as_mut(),
-            engine.state.lock().manifest.as_mut(),
-        );
-    }
-}
-
-impl TieredEngine {
-    /// Starts the engine and its compaction worker over `version`.
-    fn build(
-        config: EngineConfig,
-        store: Arc<dyn TableStore>,
+impl Background {
+    /// Starts the compaction worker over `version`.
+    pub(crate) fn start(
+        kind: open::Background,
+        sstable_points: usize,
+        store: &Arc<dyn TableStore>,
         version: Version,
-        obs: ObserverHandle,
         watermarks: Watermarks,
-        pacer: IoPacer,
+        obs: &ObserverHandle,
     ) -> Result<Self> {
-        let pivot = version.last_stored_gen_time();
+        let flushed_max = version.last_stored_gen_time();
         let invariants = InvariantChecker::seeded(&version);
         let worker_obs = obs.clone();
         let state = Arc::new(Mutex::new(TierState {
@@ -520,17 +392,16 @@ impl TieredEngine {
             compacting: false,
             merge_due: false,
             admission: AdmissionController::new(watermarks),
-            pacer,
+            pacer: kind.pacer,
             obs: obs.clone(),
         }));
         let degraded = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = bounded::<Arc<Vec<DataPoint>>>(CHANNEL_DEPTH);
+        let (tx, rx) = bounded::<Batch>(CHANNEL_DEPTH);
         let flush_done = Arc::new(Condvar::new());
-        let worker_store = Arc::clone(&store);
+        let worker_store = Arc::clone(store);
         let worker_state = Arc::clone(&state);
         let worker_flush_done = Arc::clone(&flush_done);
         let worker_degraded = Arc::clone(&degraded);
-        let sstable_points = config.sstable_points;
         let handle = std::thread::Builder::new()
             .name("seplsm-compaction".into())
             .spawn(move || -> Result<()> {
@@ -657,110 +528,31 @@ impl TieredEngine {
             })
             .map_err(|e| Error::Io(std::io::Error::other(e)))?;
         Ok(Self {
-            buffers: PolicyBuffers::for_policy(config.policy),
-            config,
             tx: Some(tx),
             handle: Some(handle),
-            store,
             state,
             flush_done,
-            wal: None,
             in_log: Vec::new(),
-            flushed_max: pivot,
-            max_gen_seen: pivot,
-            user_points: 0,
-            sync_flush: false,
+            registered: Vec::new(),
+            flushed_max,
+            sync_flush: kind.sync_flush,
             degraded,
-            obs,
         })
     }
 
-    /// Ids of every table the current version references (run + L0).
-    fn live_table_ids(&self) -> HashSet<SsTableId> {
-        self.state.lock().version.live_table_ids()
-    }
-
-    /// Audits the full version (structural invariants plus a decode probe of
-    /// every referenced table) against the store. Runs in release builds;
-    /// used as the post-recovery acceptance check.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] describing the first violation.
-    pub fn check_integrity(&self) -> Result<()> {
-        // Audit a cloned snapshot so the state lock is not held across the
-        // store probes; the audit sees one consistent version either way.
-        let version = self.state.lock().version.clone();
-        invariants::audit_version_against_store(&version, self.store.as_ref())
-    }
-
-    /// The typed degraded (read-only) state, if the engine is in it. Set by
-    /// the background worker once its backed-off retries
-    /// ([`crate::admission::DEFAULT_RETRY_ATTEMPTS`]) at a store operation
-    /// are exhausted; once set, writes fail with [`Error::Degraded`] while
-    /// queries keep serving the surviving state.
-    pub fn degraded_state(&self) -> Option<DegradedState> {
+    /// The typed degraded (read-only) state, if the worker has entered it:
+    /// its backed-off retries ([`crate::admission::DEFAULT_RETRY_ATTEMPTS`])
+    /// at a store operation are exhausted. Writes then fail with
+    /// [`Error::Degraded`] while queries keep serving the surviving state.
+    fn degraded_state(&self) -> Option<DegradedState> {
         if !self.degraded.load(Ordering::Acquire) {
             return None;
         }
         self.state.lock().degraded.clone()
     }
 
-    fn degraded_error(&self) -> Option<Error> {
-        if !self.degraded.load(Ordering::Acquire) {
-            return None;
-        }
-        let reason = match self.state.lock().degraded.clone() {
-            Some(state) => state.to_string(),
-            None => "background storage failure".to_string(),
-        };
-        Some(Error::Degraded(reason))
-    }
-
-    /// Hands one sealed MemTable to the worker: registered as a flushing
-    /// batch (still queryable, still covered by the log), then the log is
-    /// told what has retired since the last hand-off, then the batch is
-    /// queued — which blocks while the queue is full.
-    fn send(&mut self, points: Vec<DataPoint>) -> Result<()> {
-        let Some(batch) = self.register(points)? else {
-            return Ok(());
-        };
-        self.compact_wal()?;
-        self.enqueue(batch)
-    }
-
-    /// First half of a hand-off: `points` leave the buffers for a flushing
-    /// batch of the version. `None` for an empty MemTable.
-    fn register(
-        &mut self,
-        points: Vec<DataPoint>,
-    ) -> Result<Option<Arc<Vec<DataPoint>>>> {
-        let Some(last) = points.last() else {
-            return Ok(None);
-        };
-        // No degraded check here: `points` already left the buffers, so
-        // they must reach the flushing list (queryable, WAL-covered) even
-        // if the worker died since `append` last looked; the failed
-        // channel send in `enqueue` then reports the degraded state.
-        let sealed = points.len() as u64;
-        self.obs.emit(|| Event::MemtableSealed { points: sealed });
-        self.flushed_max = Some(
-            self.flushed_max
-                .map_or(last.gen_time, |m| m.max(last.gen_time)),
-        );
-        let batch = Arc::new(points);
-        // Register as a flushing MemTable *before* handing it to the worker
-        // so it never becomes invisible to queries; the WAL keeps covering it
-        // until a later hand-off finds it durably retired.
-        self.state
-            .lock()
-            .version
-            .apply(&[VersionEdit::RegisterFlushing(Arc::clone(&batch))])?;
-        self.in_log.push(Arc::clone(&batch));
-        Ok(Some(batch))
-    }
-
-    /// Second half of a hand-off: queues a registered batch for the worker.
-    fn enqueue(&mut self, batch: Arc<Vec<DataPoint>>) -> Result<()> {
+    /// Queues a registered batch for the worker.
+    fn enqueue(&mut self, batch: Batch, obs: &ObserverHandle) -> Result<()> {
         let Some(tx) = self.tx.as_ref() else {
             return Err(Error::Io(std::io::Error::other(
                 "flush after engine finished",
@@ -771,7 +563,7 @@ impl TieredEngine {
         let batch = match tx.try_send(batch) {
             Ok(()) => return Ok(()),
             Err(TrySendError::Full(batch)) => {
-                self.obs.emit(|| Event::BackpressureStall);
+                obs.emit(|| Event::BackpressureStall);
                 batch
             }
             Err(TrySendError::Disconnected(batch)) => batch,
@@ -779,105 +571,68 @@ impl TieredEngine {
         tx.send(batch).map_err(|_| {
             // A dead worker almost always died into the degraded state;
             // surface that reason rather than a generic channel error.
-            match self.degraded_error() {
-                Some(e) => e,
-                None => Error::Io(std::io::Error::other(
-                    "compaction worker terminated",
-                )),
-            }
+            self.writable().err().unwrap_or_else(|| {
+                Error::Io(std::io::Error::other("compaction worker terminated"))
+            })
         })
     }
 
-    /// The points that may not be durable yet: every batch still in the
-    /// flush pipeline plus the buffered points — what a cut of the log must
-    /// carry over.
-    fn wal_survivors(&self) -> Vec<DataPoint> {
-        let mut survivors: Vec<DataPoint> = Vec::new();
-        {
-            let state = self.state.lock();
-            for batch in state.version.flushing() {
-                survivors.extend(batch.iter().copied());
+    /// Waits (best effort) for the worker to drain the flush queue.
+    fn drain(&mut self) {
+        self.wait_while(|state| !state.version.flushing().is_empty());
+    }
+
+    /// Parks on `flush_done` while `busy` holds and the worker lives.
+    fn wait_while(&mut self, busy: impl Fn(&TierState) -> bool) {
+        let mut state = self.state.lock();
+        while busy(&state) {
+            if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
+                // Worker gone (finished or crashed): nothing will ever
+                // retire the remaining batches, so don't wait for them.
+                return;
             }
+            // The timeout only covers the unlucky interleaving where the
+            // worker exits between the liveness check and the wait; the
+            // worker signals after every batch, after every merge of its
+            // own and on exit.
+            let (guard, _timed_out) = self
+                .flush_done
+                .wait_timeout(state, Duration::from_millis(100));
+            state = guard;
         }
-        survivors.extend(self.buffers.snapshot_sorted());
-        survivors
+    }
+}
+
+impl Executor for Background {
+    type Kind = open::Background;
+
+    /// Flushes the replay triggers are journalled by the worker like any
+    /// other; points already flushed but still in the conservative WAL are
+    /// deduplicated by the merge pipeline.
+    const JOURNALS_REPLAY: bool = true;
+
+    fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T {
+        f(&self.state.lock().version)
     }
 
-    /// Tells the WAL which batches have retired — left the flush pipeline
-    /// for L0, under a durable manifest record — since it was last told: one
-    /// checkpoint frame per disjoint generation-time range they covered,
-    /// carrying the points of the batches still in flight and of the buffers
-    /// inside that range (a frame queued in the log, no I/O; nothing at all
-    /// when no batch retired), and a cut of the file when its dead bytes
-    /// have come to outweigh the live ones. Only call it while every
-    /// volatile point is in a registered batch or in the buffers
-    /// ([`Wal::checkpoint`]).
-    fn compact_wal(&mut self) -> Result<()> {
-        let (in_flight, retired): (Vec<_>, Vec<_>) =
-            {
-                let state = self.state.lock();
-                let flushing = state.version.flushing();
-                std::mem::take(&mut self.in_log).into_iter().partition(
-                    |batch| flushing.iter().any(|f| Arc::ptr_eq(f, batch)),
-                )
-            };
-        self.in_log = in_flight;
-        let Some(wal) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        let ranges = compaction::coalesce(
-            retired
-                .iter()
-                .filter_map(|batch| {
-                    let (first, last) = (batch.first()?, batch.last()?);
-                    Some(TimeRange::new(first.gen_time, last.gen_time))
-                })
-                .collect(),
-        );
-        let mut cut_due = false;
-        for range in ranges {
-            // Oldest first, the buffers last: the order they were written.
-            let mut survivors: Vec<DataPoint> = self
-                .in_log
-                .iter()
-                .flat_map(|batch| batch.iter())
-                .filter(|p| range.contains(p.gen_time))
-                .copied()
-                .collect();
-            survivors.extend(self.buffers.merged_scan(range));
-            cut_due |= wal.checkpoint(0, range, &survivors)?;
-        }
-        if cut_due {
-            let survivors = self.wal_survivors();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.rewrite(&[(0, survivors)])?;
-            }
-        }
-        Ok(())
+    fn with_manifest<T>(
+        &mut self,
+        f: impl FnOnce(&mut Option<Manifest>, &Version) -> T,
+    ) -> T {
+        let mut state = self.state.lock();
+        let TierState {
+            version, manifest, ..
+        } = &mut *state;
+        f(manifest, version)
     }
 
-    /// Flushes and fsyncs the write-ahead log (no-op without a WAL).
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn sync_wal(&mut self) -> Result<()> {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.sync()?;
-        }
-        Ok(())
+    fn writable(&self) -> Result<()> {
+        self.degraded_state()
+            .map_or(Ok(()), |state| Err(Error::Degraded(state.to_string())))
     }
 
-    /// Writes one point, reporting how admission treated it: `Admitted`
-    /// below the slowdown watermark, `Delayed { ticks }` between slowdown
-    /// and stop, `Stalled` when the append had to wait out a write stall
-    /// (the point is still accepted once the backlog drains — durability
-    /// is unchanged, only the outcome is typed). Also blocks if the flush
-    /// queue is full.
-    ///
-    /// # Errors
-    /// Worker-side failures surface here once the queue is gone.
-    pub fn append(&mut self, p: DataPoint) -> Result<AdmissionOutcome> {
-        self.append_internal(p, true)
+    fn pivot(&self) -> Option<Timestamp> {
+        self.flushed_max
     }
 
     /// Consults the admission controller against the combined L0 +
@@ -887,23 +642,19 @@ impl TieredEngine {
     /// resume (slowdown) watermark. When the worker has nothing queued but
     /// L0 is still over the watermark, the writer merges L0 itself, so
     /// stalls always end even with an idle worker.
-    fn admit(&mut self) -> Result<AdmissionOutcome> {
+    fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
         let mut stalled_here = false;
         let mut state = self.state.lock();
         loop {
-            let depth = AdmissionDepth {
-                l0_tables: state.version.l0().len(),
-                pending_flushes: state.version.flushing().len(),
-            };
-            let decision = state.admission.admit(depth);
-            let TierState { metrics, obs, .. } = &mut *state;
-            admission::witness(
-                decision.transition,
-                decision.outcome,
-                depth,
+            let TierState {
+                admission,
+                version,
                 metrics,
                 obs,
-            );
+                ..
+            } = &mut *state;
+            let (decision, depth) =
+                admission::consult(admission, version, metrics, obs);
             match decision.outcome {
                 AdmissionOutcome::Admitted => {
                     // An append that waited out a stall reports it.
@@ -931,9 +682,9 @@ impl TieredEngine {
                         compact_l0_once(
                             &self.state,
                             &self.flush_done,
-                            &self.store,
-                            self.config.sstable_points,
-                            &self.obs,
+                            &front.store,
+                            front.config.sstable_points,
+                            &front.obs,
                         )?;
                         state = self.state.lock();
                         continue;
@@ -955,284 +706,90 @@ impl TieredEngine {
         }
     }
 
-    fn append_internal(
-        &mut self,
-        p: DataPoint,
-        log_wal: bool,
-    ) -> Result<AdmissionOutcome> {
-        if let Some(e) = self.degraded_error() {
-            return Err(e);
-        }
-        let outcome = self.admit()?;
-        if log_wal {
-            if let Some(wal) = self.wal.as_mut() {
-                wal.append(&p)?;
-            }
-        }
-        self.user_points += 1;
-        self.max_gen_seen =
-            Some(self.max_gen_seen.map_or(p.gen_time, |m| m.max(p.gen_time)));
-        let pivot = self.flushed_max;
-        self.obs.emit(|| Event::PointClassified {
-            in_order: pivot.is_none_or(|pv| p.gen_time > pv),
-        });
-        let trigger = self.buffers.insert(p, self.flushed_max);
-        if trigger != FlushTrigger::None {
-            let points = self.buffers.take(trigger);
-            self.send(points)?;
-            if self.sync_flush {
-                self.drain();
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Switches the buffering policy mid-stream through the shared
-    /// [`PolicyBuffers::migrate`] path: buffered points are re-classified
-    /// against the current pivot and re-buffered, flushing any set that
-    /// fills. Does not count as new user traffic.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for degenerate policies; flush hand-off
-    /// failures.
-    pub fn set_policy(&mut self, policy: Policy) -> Result<()> {
-        if policy.total_capacity() == 0 {
-            return Err(Error::InvalidConfig(
-                "memory budget must be >= 1 point".into(),
-            ));
-        }
-        if policy == self.config.policy {
-            return Ok(());
-        }
-        let buffered = self.buffers.migrate(policy);
-        self.config.policy = policy;
-        // Register every MemTable the re-routing fills, tell the log once,
-        // then queue them: until the last point is back in a buffer the
-        // tail of `buffered` is volatile and in no place a checkpoint
-        // queued from inside the loop would look.
-        let mut sealed = Vec::new();
-        for p in buffered {
-            let trigger = self.buffers.insert(p, self.flushed_max);
-            if trigger != FlushTrigger::None {
-                let points = self.buffers.take(trigger);
-                sealed.extend(self.register(points)?);
-            }
-        }
-        self.compact_wal()?;
-        sealed.into_iter().try_for_each(|batch| self.enqueue(batch))
-    }
-
-    /// The active buffering policy.
-    pub fn policy(&self) -> Policy {
-        self.config.policy
-    }
-
-    /// Number of points the user has written.
-    pub fn user_points(&self) -> u64 {
-        self.user_points
-    }
-
-    /// Largest generation time appended so far.
-    pub fn max_gen_time(&self) -> Option<Timestamp> {
-        self.max_gen_seen
-    }
-
-    /// Snapshot of the unified kernel metrics (worker-side counters; the
-    /// writer's `user_points` is folded in).
-    pub fn metrics(&self) -> Metrics {
-        let mut metrics = self.state.lock().metrics.clone();
-        metrics.user_points = self.user_points;
-        metrics
-    }
-
-    /// Snapshot of the admission controller's counters: admitted/delayed
-    /// appends, stall episodes and ticks, and the peak combined
-    /// L0 + pending-flush depth seen at admission time.
-    pub fn admission_stats(&self) -> AdmissionStats {
+    fn admission_stats(&self) -> AdmissionStats {
         self.state.lock().admission.stats()
     }
 
-    /// Snapshot of the compaction I/O pacer's counters.
-    pub fn pacer_stats(&self) -> PacerStats {
-        self.state.lock().pacer.stats()
+    /// First half of a hand-off: `points` leave the buffers for a flushing
+    /// batch of the version (still queryable, still covered by the log).
+    /// The second half — [`dispatch`](Self::dispatch), queueing it for the
+    /// worker — waits until the log has been told what has retired.
+    fn hand_off(
+        &mut self,
+        _front: &mut Front,
+        points: Vec<DataPoint>,
+        _merging: bool,
+    ) -> Result<()> {
+        let Some(last) = points.last() else {
+            return Ok(());
+        };
+        // No degraded check here: `points` already left the buffers, so
+        // they must reach the flushing list (queryable, WAL-covered) even
+        // if the worker died since `append` last looked; the failed
+        // channel send in `enqueue` then reports the degraded state.
+        self.flushed_max = self.flushed_max.max(Some(last.gen_time));
+        let batch = Arc::new(points);
+        // Register as a flushing MemTable *before* handing it to the worker
+        // so it never becomes invisible to queries; the WAL keeps covering it
+        // until a later hand-off finds it durably retired.
+        self.state
+            .lock()
+            .version
+            .apply(&[VersionEdit::RegisterFlushing(Arc::clone(&batch))])?;
+        self.in_log.push(Arc::clone(&batch));
+        self.registered.push(batch);
+        Ok(())
     }
 
-    /// Runs `read` over a [`ReadView`] of `range`. The view is captured
-    /// under the state lock but read without it, so a concurrent compaction
-    /// can retire one of its tables mid-read. A read error against a stale
-    /// view is not a failure — retry against a fresh one; a bounded number
-    /// of retries keeps a pathological compaction storm from starving the
-    /// reader.
-    fn read<T>(
-        &self,
-        range: TimeRange,
-        read: impl Fn(&mut ReadView<'_>) -> Result<T>,
-    ) -> Result<T> {
-        const SNAPSHOT_ATTEMPTS: usize = 8;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let mut view = ReadView::capture(
-                self.store.as_ref(),
-                &self.obs,
-                self.config.block_reads,
-                range,
-                &self.buffers,
-                &self.state.lock().version,
-            );
-            match read(&mut view) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    if attempt >= SNAPSHOT_ATTEMPTS || !self.is_stale(&view) {
-                        return Err(e);
-                    }
-                }
-            }
+    /// Second half of a hand-off: queues every registered batch for the
+    /// worker — which blocks while the queue is full — and, on a
+    /// `sync_flush` engine, waits for them to reach L0.
+    fn dispatch(&mut self, front: &mut Front) -> Result<()> {
+        for batch in std::mem::take(&mut self.registered) {
+            self.enqueue(batch, &front.obs)?;
         }
+        if self.sync_flush {
+            self.drain();
+        }
+        Ok(())
     }
 
-    /// `true` when any table of `view` has left the current version — i.e.
-    /// a compaction committed since the view was captured, which is the
-    /// benign explanation for a read error.
-    fn is_stale(&self, view: &ReadView<'_>) -> bool {
-        let live = self.live_table_ids();
-        view.l0
-            .iter()
-            .chain(&view.run)
-            .any(|meta| !live.contains(&meta.id))
-    }
-
-    /// Range query over generation time, merging MemTables, flushing
-    /// batches, every overlapping L0 file and the run.
-    ///
-    /// Like IoTDB's chunk-granularity reads, overlapping files are read in
-    /// full (or block by block with [`EngineConfig::block_reads`]);
-    /// `QueryStats` counts the cost. Results reflect whatever the
-    /// background worker has flushed/compacted at call time.
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn query(
-        &self,
-        range: TimeRange,
-    ) -> Result<(Vec<DataPoint>, QueryStats)> {
-        self.read(range, |view| view.query())
-    }
-
-    /// Aggregates `range` over exactly the points [`query`](Self::query)
-    /// would return; see [`LsmEngine::aggregate`](crate::LsmEngine::aggregate).
-    /// Flushing batches and L0 tables are fresher than the run, so a run
-    /// block folds from its pre-aggregates only when none of them has a
-    /// point inside its span.
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn aggregate(&self, range: TimeRange) -> Result<(Agg, QueryStats)> {
-        self.read(range, |view| view.aggregate())
-    }
-
-    /// Downsamples `range` into `bucket_width`-sized buckets; see
-    /// [`LsmEngine::downsample`](crate::LsmEngine::downsample).
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for a non-positive `bucket_width`; storage
-    /// failures.
-    pub fn downsample(
-        &self,
-        range: TimeRange,
-        bucket_width: i64,
-    ) -> Result<(Vec<Bucket>, QueryStats)> {
-        self.read(range, |view| view.downsample(bucket_width))
-    }
-
-    /// Point lookup by generation time; the freshest source holding it
-    /// (MemTable, flushing batch, L0 newest first, run) answers.
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn get(&self, gen_time: Timestamp) -> Result<Option<DataPoint>> {
-        self.read(TimeRange::new(gen_time, gen_time), |view| view.get())
-    }
-
-    /// Every stored point (buffered, flushing and on disk), sorted by
-    /// generation time.
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn scan_all(&self) -> Result<Vec<DataPoint>> {
-        let range = TimeRange::new(Timestamp::MIN, Timestamp::MAX);
-        Ok(self.query(range)?.0)
-    }
-
-    /// Snapshot of the on-disk table layout: `(level, range, points)` per
-    /// table, L0 first (flush order), then the run. Used by the Fig. 15
-    /// visualisation of SSTable spans.
-    pub fn table_layout(&self) -> Vec<(&'static str, TimeRange, u32)> {
+    /// A batch has retired once it has left the flush pipeline for L0,
+    /// under a durable manifest record; the ones still registered as
+    /// flushing are in flight.
+    fn progress(&mut self) -> (Vec<TimeRange>, &[Batch]) {
+        let mut retired = Vec::new();
         let state = self.state.lock();
-        let mut out = Vec::with_capacity(
-            state.version.l0().len() + state.version.run().len(),
-        );
-        for meta in state.version.l0() {
-            out.push(("L0", meta.range, meta.count));
-        }
-        for meta in state.version.run().tables() {
-            out.push(("run", meta.range, meta.count));
-        }
-        out
-    }
-
-    /// Waits (best effort) for the background worker to drain the flush
-    /// queue, leaving whatever L0 backlog naturally remains — the state the
-    /// paper's historical-query experiment measures.
-    pub fn drain(&mut self) {
-        self.wait_while(|state| !state.version.flushing().is_empty());
-    }
-
-    /// Parks on `flush_done` while `busy` holds and the worker lives.
-    fn wait_while(&mut self, busy: impl Fn(&TierState) -> bool) {
-        let mut state = self.state.lock();
-        while busy(&state) {
-            if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
-                // Worker gone (finished or crashed): nothing will ever
-                // retire the remaining batches, so don't wait for them.
-                return;
+        let flushing = state.version.flushing();
+        self.in_log.retain(|batch| {
+            let in_flight = flushing.iter().any(|f| Arc::ptr_eq(f, batch));
+            if let (false, Some(first), Some(last)) =
+                (in_flight, batch.first(), batch.last())
+            {
+                retired.push(TimeRange::new(first.gen_time, last.gen_time));
             }
-            // The timeout only covers the unlucky interleaving where the
-            // worker exits between the liveness check and the wait; the
-            // worker signals after every batch, after every merge of its
-            // own and on exit.
-            let (guard, _timed_out) = self
-                .flush_done
-                .wait_timeout(state, Duration::from_millis(100));
-            state = guard;
-        }
+            in_flight
+        });
+        drop(state);
+        (retired, &self.in_log)
     }
 
-    /// Blocks until the flush queue is drained *and* L0 is merged into the
-    /// run (for deterministic post-ingest queries).
-    ///
-    /// # Errors
-    /// Storage failures from the forced compaction.
-    pub fn quiesce(&mut self) -> Result<()> {
-        self.drain();
-        compact_l0_once(
-            &self.state,
-            &self.flush_done,
-            &self.store,
-            self.config.sstable_points,
-            &self.obs,
-        )?;
-        self.state.lock().check_invariants()
+    fn disk_points_written(&self, _writer: &Metrics) -> u64 {
+        self.state.lock().metrics.disk_points_written
     }
 
-    /// Flushes buffers, stops the worker, and returns the final report.
-    ///
-    /// # Errors
-    /// Worker-side storage failures.
-    pub fn finish(mut self) -> Result<TieredReport> {
-        let drained = self.buffers.drain_all();
-        self.send(drained.in_order)?;
-        self.send(drained.merging)?;
+    /// Lets the flushes in the pipeline land, and the merge the last of
+    /// them may have made due: its outputs are published before they are
+    /// committed, and a sweep in between would take them for orphans.
+    fn settle(&mut self) {
+        self.wait_while(|state| {
+            !state.version.flushing().is_empty() || state.merge_due
+        });
+    }
+
+    /// Closes the queue and joins the worker, which merges what is left of
+    /// L0 into the run on its way out.
+    fn rest(&mut self) -> Result<()> {
         drop(self.tx.take());
         let Some(handle) = self.handle.take() else {
             return Err(Error::Io(std::io::Error::other(
@@ -1244,45 +801,11 @@ impl TieredEngine {
         })??;
         // The worker reports retry exhaustion through the degraded state
         // rather than its join result: surface it as the typed error.
-        if let Some(e) = self.degraded_error() {
-            return Err(e);
-        }
-
-        // Everything is durably in the run now; the WAL has nothing to cover.
-        if let Some(wal) = self.wal.as_mut() {
-            wal.rewrite(&[])?;
-        }
-
-        // Snapshot the report inputs under a short lock, then read the run
-        // tables with the lock released (the worker is already joined, but
-        // the discipline is uniform: no guard across store I/O).
-        let (metrics, run_metas) = {
-            let mut state = self.state.lock();
-            // The engine comes to rest here: shed the manifest's dead
-            // records.
-            let TierState {
-                version, manifest, ..
-            } = &mut *state;
-            if let Some(manifest) = manifest.as_mut() {
-                version.compact_manifest(manifest)?;
-            }
-            state.metrics.user_points = self.user_points;
-            (state.metrics.clone(), state.version.run().tables().to_vec())
-        };
-        let mut sources = Vec::with_capacity(run_metas.len());
-        for meta in &run_metas {
-            sources.push(self.store.get(meta.id)?);
-        }
-        let points = merge_sorted(sources);
-        Ok(TieredReport::from_metrics(
-            &metrics,
-            run_metas.len(),
-            points,
-        ))
+        self.writable()
     }
 }
 
-impl Drop for TieredEngine {
+impl Drop for Background {
     fn drop(&mut self) {
         drop(self.tx.take());
         if let Some(handle) = self.handle.take() {
@@ -1291,134 +814,131 @@ impl Drop for TieredEngine {
     }
 }
 
+impl Engine<Background> {
+    /// The typed degraded (read-only) state, if the engine is in it.
+    pub fn degraded_state(&self) -> Option<DegradedState> {
+        self.exec.degraded_state()
+    }
+
+    /// Number of points the user has written.
+    pub fn user_points(&self) -> u64 {
+        self.front.metrics.user_points
+    }
+
+    /// Snapshot of the unified kernel metrics: the worker's counters plus
+    /// the writer's (user points, WA snapshots).
+    pub fn metrics(&self) -> Metrics {
+        let mut metrics = self.exec.state.lock().metrics.clone();
+        metrics.absorb(&self.front.metrics);
+        metrics
+    }
+
+    /// Snapshot of the compaction I/O pacer's counters.
+    pub fn pacer_stats(&self) -> PacerStats {
+        self.exec.state.lock().pacer.stats()
+    }
+
+    /// Snapshot of the on-disk table layout: `(level, range, points)` per
+    /// table, L0 first (flush order), then the run. Used by the Fig. 15
+    /// visualisation of SSTable spans.
+    pub fn table_layout(&self) -> Vec<(&'static str, TimeRange, u32)> {
+        self.exec.with_version(|version| {
+            let l0 = version.l0().iter();
+            let run = version.run().tables().iter();
+            l0.map(|m| ("L0", m.range, m.count))
+                .chain(run.map(|m| ("run", m.range, m.count)))
+                .collect()
+        })
+    }
+
+    /// Waits (best effort) for the background worker to drain the flush
+    /// queue, leaving whatever L0 backlog naturally remains — the state the
+    /// paper's historical-query experiment measures.
+    pub fn drain(&mut self) {
+        self.exec.drain();
+    }
+
+    /// Blocks until the flush queue is drained *and* L0 is merged into the
+    /// run (for deterministic post-ingest queries).
+    ///
+    /// # Errors
+    /// Storage failures from the forced compaction.
+    pub fn quiesce(&mut self) -> Result<()> {
+        self.exec.drain();
+        compact_l0_once(
+            &self.exec.state,
+            &self.exec.flush_done,
+            &self.front.store,
+            self.front.config.sstable_points,
+            &self.front.obs,
+        )?;
+        self.exec.state.lock().check_invariants()
+    }
+
+    /// Flushes buffers, stops the worker, and returns the final report.
+    ///
+    /// # Errors
+    /// Worker-side storage failures.
+    pub fn finish(mut self) -> Result<TieredReport> {
+        self.rest()?;
+        // The worker is joined, but the discipline is uniform: no guard
+        // across store I/O.
+        let run_metas = self
+            .exec
+            .with_version(|version| version.run().tables().to_vec());
+        let mut sources = Vec::with_capacity(run_metas.len());
+        for meta in &run_metas {
+            sources.push(self.front.store.get(meta.id)?);
+        }
+        let metrics = self.metrics();
+        Ok(TieredReport {
+            user_points: metrics.user_points,
+            disk_points_written: metrics.disk_points_written,
+            compactions: metrics.compactions,
+            run_tables: run_metas.len(),
+            points: merge_sorted(sources),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
-
-    use crate::obs::Observer;
+    use crate::engine::tests as shared;
+    use crate::engine::EngineConfig;
+    use crate::fault::{Fault, FaultPlan, FaultStore};
+    use crate::obs::{AggregateSink, Observer};
     use crate::open::TieredOpenOptions as OpenOptions;
+    use crate::store::MemStore;
+    use seplsm_types::Policy;
 
-    fn engine(config: EngineConfig) -> TieredEngine {
-        OpenOptions::new(config).open().expect("engine")
+    fn tiny() -> EngineConfig {
+        EngineConfig::new(Policy::conventional(4)).with_sstable_points(4)
     }
 
     #[test]
     fn preserves_all_points_conventional() {
-        let mut e = engine(
-            EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
-        );
-        let mut tgs: Vec<i64> = (0..500).map(|i| (i * 37) % 500).collect();
-        tgs.sort_unstable();
-        tgs.dedup();
-        let n = tgs.len();
-        for &tg in &tgs {
-            e.append(DataPoint::new(tg, tg + 3, tg as f64))
-                .expect("append");
-        }
-        let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), n);
-        assert!(report
-            .points
-            .windows(2)
-            .all(|w| w[0].gen_time < w[1].gen_time));
-        assert_eq!(report.user_points, n as u64);
-        assert!(report.write_amplification() >= 1.0 - 1e-9);
+        shared::check_no_loss_conventional::<Background>();
     }
 
     #[test]
     fn preserves_all_points_separation_with_stragglers() {
-        let mut e = engine(
-            EngineConfig::new(Policy::separation(16, 8).expect("policy"))
-                .with_sstable_points(8),
-        );
-        let mut expected = 0usize;
-        for i in 0..400i64 {
-            e.append(DataPoint::new(i * 10, i * 10, 0.0))
-                .expect("append");
-            expected += 1;
-            if i % 5 == 4 {
-                e.append(DataPoint::new(i * 10 - 35, i * 10, 1.0))
-                    .expect("append straggler");
-                expected += 1;
-            }
-        }
-        let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), expected);
-        assert!(report
-            .points
-            .windows(2)
-            .all(|w| w[0].gen_time < w[1].gen_time));
-        assert!(report.compactions > 0);
+        shared::check_no_loss_separation_with_stragglers::<Background>();
     }
 
     #[test]
     fn duplicate_timestamps_keep_latest_write() {
-        let mut e = engine(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        );
-        for i in 0..8i64 {
-            e.append(DataPoint::new(i, i, 0.0)).expect("append");
-        }
-        e.append(DataPoint::new(3, 100, 42.0)).expect("overwrite");
-        for i in 8..11i64 {
-            e.append(DataPoint::new(i, i, 0.0)).expect("append");
-        }
-        let report = e.finish().expect("finish");
-        let p3 = report
-            .points
-            .iter()
-            .find(|p| p.gen_time == 3)
-            .expect("present");
-        assert_eq!(p3.value, 42.0);
-        assert_eq!(report.points.len(), 11);
+        shared::check_duplicate_gen_time_keeps_latest_write::<Background>();
     }
 
     #[test]
     fn queries_see_buffered_flushed_and_compacted_data() {
-        let mut e = engine(
-            EngineConfig::new(Policy::conventional(8)).with_sstable_points(8),
-        );
-        for i in 0..100i64 {
-            e.append(DataPoint::new(i * 10, i * 10, i as f64))
-                .expect("append");
-        }
-        e.quiesce().expect("quiesce");
-        // 96 points flushed (12 tables → compacted), 4 still in memory.
-        let (pts, stats) = e.query(TimeRange::new(0, 2_000)).expect("query");
-        assert_eq!(pts.len(), 100); // gen times 0..990: all 100
-        assert!(stats.tables_read > 0);
-        let (tail, _) = e.query(TimeRange::new(950, 990)).expect("tail query");
-        assert_eq!(tail.len(), 5);
+        shared::check_queries_see_every_source::<Background>();
     }
 
     #[test]
     fn cached_tiered_engine_invalidates_and_serves_warm_queries() {
-        let cache = crate::cache::BlockCache::with_capacity(64 * 1024);
-        let mut e = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(8)).with_sstable_points(8),
-        )
-        .cache(Arc::clone(&cache))
-        .open()
-        .expect("open");
-        for i in 0..100i64 {
-            e.append(DataPoint::new(i * 10, i * 10, i as f64))
-                .expect("append");
-        }
-        e.quiesce().expect("quiesce");
-        let (cold, _) = e.query(TimeRange::new(0, 2_000)).expect("cold");
-        let (warm, _) = e.query(TimeRange::new(0, 2_000)).expect("warm");
-        assert_eq!(cold, warm);
-        assert_eq!(warm.len(), 100);
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "warm query must hit the cache: {stats:?}");
-        assert!(
-            stats.invalidated_blocks > 0,
-            "background L0 compactions must invalidate consumed tables: \
-             {stats:?}"
-        );
-        let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), 100);
+        shared::check_cached_reads_match_uncached::<Background>();
     }
 
     #[test]
@@ -1458,7 +978,7 @@ mod tests {
     fn in_flight_flushes_stay_queryable() {
         // A batch sitting in the flush queue must still be visible: the
         // writer registers it as a flushing MemTable before sending.
-        let mut e = engine(
+        let mut e = shared::open::<Background>(
             EngineConfig::new(Policy::conventional(8)).with_sstable_points(8),
         );
         for i in 0..64i64 {
@@ -1475,7 +995,9 @@ mod tests {
 
     #[test]
     fn empty_engine_finishes_cleanly() {
-        let e = engine(EngineConfig::new(Policy::conventional(8)));
+        let e = shared::open::<Background>(EngineConfig::new(
+            Policy::conventional(8),
+        ));
         let report = e.finish().expect("finish");
         assert_eq!(report.user_points, 0);
         assert!(report.points.is_empty());
@@ -1484,9 +1006,7 @@ mod tests {
 
     #[test]
     fn drop_without_finish_does_not_hang() {
-        let mut e = engine(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        );
+        let mut e = shared::open::<Background>(tiny());
         for i in 0..100i64 {
             e.append(DataPoint::new(i, i, 0.0)).expect("append");
         }
@@ -1495,19 +1015,16 @@ mod tests {
 
     #[test]
     fn transient_store_failure_is_absorbed_by_retry() {
-        use crate::fault::{Fault, FaultStore};
         // Op 2 is a flush-path store write; FailOnce injects a single
         // failure there and the worker's bounded retry must absorb it.
         let plan = FaultPlan::new(7, Fault::FailOnce { at: 2 });
         let store =
             Arc::new(FaultStore::new(MemStore::new(), Arc::clone(&plan)));
-        let mut e = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .store(store)
-        .sync_flush()
-        .open()
-        .expect("engine");
+        let mut e = OpenOptions::new(tiny())
+            .store(store)
+            .sync_flush()
+            .open()
+            .expect("engine");
         for i in 0..32i64 {
             e.append(DataPoint::new(i, i, i as f64)).expect("append");
         }
@@ -1519,15 +1036,12 @@ mod tests {
 
     #[test]
     fn persistent_store_failure_degrades_to_read_only() {
-        use crate::fault::{Fault, FaultStore};
         let plan = FaultPlan::new(7, Fault::FailPersistent { from: 0 });
         let store = Arc::new(FaultStore::new(MemStore::new(), plan));
-        let mut e = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .store(store)
-        .open()
-        .expect("engine");
+        let mut e = OpenOptions::new(tiny())
+            .store(store)
+            .open()
+            .expect("engine");
         let mut appended = 0i64;
         let degraded = loop {
             if appended >= 10_000 {
@@ -1544,6 +1058,13 @@ mod tests {
         };
         assert!(degraded, "persistent faults must degrade the engine");
         assert!(e.degraded_state().is_some());
+        // A policy switch is refused before it touches anything.
+        let before = (e.policy(), e.buffered_points());
+        assert!(matches!(
+            e.set_policy(Policy::conventional(1)),
+            Err(Error::Degraded(_))
+        ));
+        assert_eq!((e.policy(), e.buffered_points()), before);
         // Reads still serve the surviving (buffered + flushing) data. The
         // point whose append *failed* may legally survive too: if it
         // triggered the hand-off, the batch was registered as a flushing
@@ -1563,18 +1084,16 @@ mod tests {
 
     #[test]
     fn a_hand_off_racing_degradation_keeps_its_points_queryable() {
-        let mut e = engine(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        );
+        let mut e = shared::open::<Background>(tiny());
         for i in 0..3i64 {
             e.append(DataPoint::new(i, i, 0.0)).expect("append");
         }
         // The worker degrades after `append` checked and before the sealed
         // MemTable is handed off: the points are out of the buffers by then.
-        let sealed = e.buffers.drain_all().merging;
-        e.degraded.store(true, Ordering::Release);
-        let _ = e.send(sealed);
-        e.degraded.store(false, Ordering::Release);
+        e.exec.degraded.store(true, Ordering::Release);
+        let _ = e.rest();
+        e.exec.degraded.store(false, Ordering::Release);
+        assert_eq!(e.buffered_points(), 0);
         let (pts, _) = e.query(TimeRange::new(0, 10)).expect("query");
         assert_eq!(pts.len(), 3, "sealed points dropped on the floor");
     }
@@ -1585,13 +1104,11 @@ mod tests {
         // alone and fully deterministic: each 4-point seal adds one L0
         // table, so with stop=2 the third seal's successor append must
         // stall, self-compact L0 into the run, and resume.
-        let mut e = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .admission(Watermarks::new(1, 2).expect("watermarks"))
-        .sync_flush()
-        .open()
-        .expect("open");
+        let mut e = OpenOptions::new(tiny())
+            .admission(Watermarks::new(1, 2).expect("watermarks"))
+            .sync_flush()
+            .open()
+            .expect("open");
         let mut outcomes = Vec::new();
         for i in 0..64i64 {
             outcomes.push(e.append(DataPoint::new(i, i, 0.0)).expect("append"));
@@ -1616,13 +1133,11 @@ mod tests {
 
     #[test]
     fn delayed_outcomes_between_watermarks() {
-        let mut e = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .admission(Watermarks::new(1, 8).expect("watermarks"))
-        .sync_flush()
-        .open()
-        .expect("open");
+        let mut e = OpenOptions::new(tiny())
+            .admission(Watermarks::new(1, 8).expect("watermarks"))
+            .sync_flush()
+            .open()
+            .expect("open");
         let mut delayed = 0u64;
         for i in 0..32i64 {
             if let AdmissionOutcome::Delayed { ticks } =
@@ -1648,10 +1163,7 @@ mod tests {
     fn starved_pacer_charges_ticks_to_compactions() {
         // A 1-token bucket makes every compaction after the first wait for
         // a refill, so the paced-ticks counter must move.
-        let mut options = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .sync_flush();
+        let mut options = OpenOptions::new(tiny()).sync_flush();
         options.kind.pacer = IoPacer::new(1, 1).expect("pacer");
         let mut e = options.open().expect("open");
         for i in 0..64i64 {
@@ -1674,20 +1186,16 @@ mod tests {
 
     #[test]
     fn transient_failures_back_off_before_retrying() {
-        use crate::fault::{Fault, FaultStore};
-        use crate::obs::AggregateSink;
         let plan = FaultPlan::new(7, Fault::FailOnce { at: 2 });
         let store =
             Arc::new(FaultStore::new(MemStore::new(), Arc::clone(&plan)));
         let sink = AggregateSink::with_logical_clock();
-        let mut e = OpenOptions::new(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .store(store)
-        .observer(Arc::clone(&sink) as Arc<dyn Observer>)
-        .sync_flush()
-        .open()
-        .expect("open");
+        let mut e = OpenOptions::new(tiny())
+            .store(store)
+            .observer(Arc::clone(&sink) as Arc<dyn Observer>)
+            .sync_flush()
+            .open()
+            .expect("open");
         for i in 0..32i64 {
             e.append(DataPoint::new(i, i, i as f64)).expect("append");
         }
@@ -1710,25 +1218,29 @@ mod tests {
 
     #[test]
     fn set_policy_reroutes_buffered_points() {
-        let mut e = engine(
+        shared::check_set_policy_reroutes_buffered_points::<Background>();
+    }
+
+    #[test]
+    fn a_shrinking_set_policy_on_a_sync_flush_engine_returns_drained() {
+        let mut e = OpenOptions::new(
             EngineConfig::new(Policy::conventional(64)).with_sstable_points(8),
-        );
-        for i in 0..10i64 {
+        )
+        .sync_flush()
+        .open()
+        .expect("engine");
+        for i in 0..40i64 {
             e.append(DataPoint::new(i * 10, i * 10, 0.0))
                 .expect("append");
         }
-        e.set_policy(Policy::separation(64, 32).expect("policy"))
-            .expect("switch");
-        assert_eq!(e.user_points(), 10, "migration is not user traffic");
-        for i in 10..20i64 {
-            e.append(DataPoint::new(i * 10, i * 10, 0.0))
-                .expect("append");
-        }
-        let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), 20);
-        assert!(report
-            .points
-            .windows(2)
-            .all(|w| w[0].gen_time < w[1].gen_time));
+        e.set_policy(Policy::conventional(8)).expect("shrink");
+        assert_eq!(e.buffered_points(), 0, "five MemTables sealed");
+        assert!(e.exec.with_version(|v| v.flushing().is_empty()));
+    }
+
+    #[test]
+    fn wa_snapshots_are_recorded() {
+        let e = shared::check_wa_snapshots_are_recorded::<Background>();
+        assert_eq!(e.metrics().wa_snapshots, e.front.metrics.wa_snapshots);
     }
 }

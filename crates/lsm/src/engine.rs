@@ -1,4 +1,5 @@
-//! The foreground leveled LSM engine — a thin composition of the kernel.
+//! The single-series engine: one front half, [`Engine`], over one of two
+//! back halves, its [`Executor`].
 //!
 //! This is the storage substrate the paper's experiments run on: a
 //! single-series leveled LSM-tree whose level-1 run holds non-overlapping
@@ -9,29 +10,33 @@
 //!   every SSTable overlapping the buffered generation-time range and the
 //!   result is re-split into fresh SSTables (a *compaction*; the rewritten
 //!   points are what write amplification counts).
-//! * **`π_s`** — points are classified against `LAST(R).t_g` (Definition 3):
+//! * **`π_s`** — points are classified against the pivot (Definition 3):
 //!   in-order points go to `C_seq`, whose flush is the same merge with an
 //!   empty overlap set — its tables land after the run tail and nothing is
 //!   rewritten; out-of-order points go to `C_nonseq`, whose filling
 //!   triggers the merge-compaction of `π_c` (one per *phase*, §IV).
 //!
-//! All of that behaviour now lives in the storage kernel and this engine
-//! only composes it: classification and buffering in
-//! [`PolicyBuffers`](crate::buffer::PolicyBuffers), merge planning in
-//! [`compaction::plan_merge`], plan execution and metric accounting in
-//! [`compaction::execute`], and table-level state in
-//! [`Version`](crate::version::Version). The engine is instrumented for
-//! every quantity the paper measures: write amplification, per-compaction
-//! subsequent-point counts (Fig. 5), windowed WA snapshots (Fig. 10), and
-//! per-query read statistics (Figs. 12–14).
+//! Which MemTable a point enters and when one is sealed is the front half,
+//! written once here: admission, the log, classification and buffering
+//! ([`PolicyBuffers`]), the policy switch, the log checkpoint and the read
+//! path ([`query`](crate::query)). *Where a sealed MemTable goes and who
+//! waits for it* is the executor: [`Inline`] merges it into the run before
+//! `append` returns ([`LsmEngine`], every write-amplification figure);
+//! [`Background`](crate::background::Background) queues it for a worker
+//! thread that keeps an L0 in front of the run
+//! ([`TieredEngine`](crate::TieredEngine), §V-C: Table III and the query
+//! figures). The engine is instrumented for every quantity the paper
+//! measures: write amplification, per-compaction subsequent-point counts
+//! (Fig. 5), windowed WA snapshots (Fig. 10), and per-query read statistics
+//! (Figs. 12–14).
 
+use std::path::Path;
 use std::sync::Arc;
 
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange, Timestamp};
 
 use crate::admission::{
-    self, AdmissionController, AdmissionDepth, AdmissionOutcome,
-    AdmissionStats, StallTransition,
+    self, AdmissionController, AdmissionOutcome, AdmissionStats, Watermarks,
 };
 use crate::buffer::{FlushTrigger, PolicyBuffers};
 use crate::compaction::{self, Journal, Outbox, RunInput};
@@ -41,7 +46,7 @@ use crate::level::Run;
 use crate::manifest::{Manifest, ManifestStats};
 use crate::metrics::{Metrics, WaSnapshot};
 use crate::obs::{Event, ObserverHandle};
-use crate::open::{self, Inline, Kind, OpenOptions};
+use crate::open::{self, EngineBuilder, SingleSeries};
 use crate::query::{Agg, Bucket, QueryStats, ReadView};
 use crate::recovery::{self, RecoveryReport};
 use crate::store::TableStore;
@@ -59,6 +64,8 @@ pub struct EngineConfig {
     pub wa_snapshot_every: Option<u64>,
     /// If `true`, count the subsequent data points on disk at the start of
     /// every merge (the Fig. 5 probe). Costs extra reads; off by default.
+    /// Only the inline merge can answer it — it runs against the run its
+    /// points were classified against — so `TieredOpenOptions` rejects it.
     pub record_subsequent: bool,
     /// If `true`, range queries read SSTables block-by-block through
     /// [`TableStore::get_range`] instead of decoding whole tables (a v1
@@ -120,168 +127,272 @@ impl EngineConfig {
                 "sstable_points must be >= 1".into(),
             ));
         }
-        if self.policy.total_capacity() == 0 {
-            return Err(Error::InvalidConfig(
-                "memory budget must be >= 1 point".into(),
-            ));
-        }
+        check_budget(self.policy)
+    }
+}
+
+/// A policy has to buffer at least one point.
+fn check_budget(policy: Policy) -> Result<()> {
+    if policy.total_capacity() == 0 {
+        return Err(Error::InvalidConfig(
+            "memory budget must be >= 1 point".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// A sealed MemTable, as an executor keeps it readable while in flight.
+pub type Batch = Arc<Vec<DataPoint>>;
+
+/// The back half of an [`Engine`]: where a sealed MemTable goes and who
+/// waits for it. Implemented by [`Inline`] and
+/// [`Background`](crate::background::Background) and by nothing else; the
+/// engine calls these in the order its own methods document.
+pub trait Executor: Sized {
+    /// The builder kind whose settings start this executor.
+    type Kind: SingleSeries<Engine = Engine<Self>>;
+
+    /// Whether flushes triggered while the log replays are journalled one
+    /// by one — the manifest is attached before the replay — or the
+    /// manifest is re-seeded from the version the replay left.
+    const JOURNALS_REPLAY: bool;
+
+    /// Runs `f` over the current version (a snapshot: whatever lock guards
+    /// it is released when this returns).
+    fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T;
+
+    /// Runs `f` over the manifest slot and the version it mirrors.
+    fn with_manifest<T>(
+        &mut self,
+        f: impl FnOnce(&mut Option<Manifest>, &Version) -> T,
+    ) -> T;
+
+    /// Whether the executor still takes MemTables; the error says why not.
+    fn writable(&self) -> Result<()> {
+        Ok(())
+    }
+
+    /// The Definition 3 pivot: the largest generation time that is "on
+    /// disk" from the writer's point of view.
+    fn pivot(&self) -> Option<Timestamp>;
+
+    /// Consults admission against the executor's backlog, returning once
+    /// the append may proceed — however a stall has to end for that.
+    fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome>;
+
+    /// Snapshot of the admission controller's counters.
+    fn admission_stats(&self) -> AdmissionStats;
+
+    /// Takes a sealed MemTable (`merging`: from `C0` / `C_nonseq`, the
+    /// buffers whose flushes the Fig. 5 probe counts). When this returns
+    /// the points are readable through [`with_version`](Self::with_version)
+    /// and no longer in the buffers; an empty MemTable is a no-op.
+    fn hand_off(
+        &mut self,
+        front: &mut Front,
+        points: Vec<DataPoint>,
+        merging: bool,
+    ) -> Result<()>;
+
+    /// Called once the log has been told of the hand-offs so far: starts
+    /// on whatever `hand_off` only took note of.
+    fn dispatch(&mut self, _front: &mut Front) -> Result<()> {
+        Ok(())
+    }
+
+    /// The generation-time ranges of the handed-off MemTables that have
+    /// become durable under a durable manifest record since this was last
+    /// asked, and the MemTables handed off that have not: the volatile
+    /// points outside the buffers, oldest first.
+    fn progress(&mut self) -> (Vec<TimeRange>, &[Batch]);
+
+    /// Points written into SSTables so far, `writer` being the counters
+    /// of the appending thread.
+    fn disk_points_written(&self, writer: &Metrics) -> u64;
+
+    /// Waits until every table the executor will publish for what it has
+    /// been handed is in its version (what an orphan sweep must see).
+    fn settle(&mut self) {}
+
+    /// Comes to rest: when this returns everything handed off is in the
+    /// run, durably, and the executor does nothing by itself any more.
+    fn rest(&mut self) -> Result<()> {
         Ok(())
     }
 }
 
-/// A single-series leveled LSM engine.
-pub struct LsmEngine {
-    config: EngineConfig,
-    store: Arc<dyn TableStore>,
-    version: Version,
+/// What an executor sees of the front half that drives it.
+pub struct Front {
+    pub(crate) config: EngineConfig,
+    pub(crate) store: Arc<dyn TableStore>,
+    /// Typed event sink; detached unless set through
+    /// [`EngineBuilder::observer`].
+    pub(crate) obs: ObserverHandle,
+    /// The appending thread's counters: all of them under [`Inline`], the
+    /// user points and WA snapshots under a background executor.
+    pub(crate) metrics: Metrics,
+}
+
+/// A single-series leveled LSM engine over the executor `X`; use it as
+/// [`LsmEngine`] or [`TieredEngine`](crate::TieredEngine).
+pub struct Engine<X: Executor> {
+    pub(crate) front: Front,
     buffers: PolicyBuffers,
-    metrics: Metrics,
     wal: Option<Wal>,
-    manifest: Option<Manifest>,
-    /// Set when the engine's owner keeps the log and the manifest for it (a
-    /// durable fleet's series): flushes commit in memory and leave what
-    /// makes them durable here, for the owner's next commit point.
-    outbox: Option<Outbox>,
     /// Largest generation time ever appended (memory or disk), used by
     /// recent-data query workloads.
     max_gen_seen: Option<Timestamp>,
-    /// Debug-build temporal invariants (counter monotonicity, pivot
-    /// no-regression); no-op in release builds.
-    invariants: InvariantChecker,
-    /// Watermark-gated admission, consulted before every buffer insert.
-    /// The synchronous engine drains inline, so depth rarely leaves zero —
-    /// but the outcome contract and counters are shared with the tiered
-    /// engines.
-    admission: AdmissionController,
-    /// Typed event sink; detached unless set through
-    /// [`OpenOptions::observer`].
-    obs: ObserverHandle,
+    pub(crate) exec: X,
 }
 
-impl std::fmt::Debug for LsmEngine {
+/// The engine whose flushes and merge-compactions run inline in `append`.
+pub type LsmEngine = Engine<Inline>;
+
+impl<X: Executor> std::fmt::Debug for Engine<X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LsmEngine")
-            .field("policy", &self.config.policy)
-            .field("run_tables", &self.version.run().len())
+        f.debug_struct("Engine")
+            .field("policy", &self.front.config.policy)
+            .field("run_tables", &self.exec.with_version(|v| v.run().len()))
             .field("buffered", &self.buffers.buffered_points())
             .finish()
     }
 }
 
-impl Kind for Inline {
-    type Engine = LsmEngine;
+/// Every volatile point: the in-flight batches oldest first, the buffers
+/// last — the order they were written.
+fn volatile(in_flight: &[Batch], buffers: &PolicyBuffers) -> Vec<DataPoint> {
+    let mut points: Vec<DataPoint> =
+        in_flight.iter().flat_map(|b| b.iter().copied()).collect();
+    points.extend(buffers.snapshot_sorted());
+    points
+}
 
-    /// Fresh: an empty version, then the WAL and manifest attach.
-    /// Recovering: the version is rebuilt first (manifest, else store
-    /// scan), the WAL is replayed into the buffers — flushes it triggers
-    /// are not journalled one by one — and only then is the manifest
-    /// re-seeded from the resulting run. Replayed points re-enter the
-    /// user-point counters, so metrics restart from the recovered memory
-    /// state rather than the historical total.
-    fn assemble(
-        options: OpenOptions,
+/// The checkpoint rule, the same for every owner of a log: per disjoint
+/// range of `retired` (the generation-time ranges flushes took out of
+/// memory and made durable), one [`Wal::checkpoint`] of `series` carrying
+/// whatever is still volatile inside it — the points of `in_flight` and of
+/// `buffers` (in steady state nothing: `C_nonseq` lies below every `C_seq`
+/// flush and the other way round). Frames queued in the log, no I/O.
+/// Returns whether any of them said a cut of the file now pays; the owner
+/// then hands [`Wal::rewrite`] every volatile point of every series.
+pub(crate) fn checkpoint_retired(
+    wal: &mut Wal,
+    series: u32,
+    retired: Vec<TimeRange>,
+    in_flight: &[Batch],
+    buffers: &PolicyBuffers,
+) -> Result<bool> {
+    let mut cut_due = false;
+    for range in compaction::coalesce(retired) {
+        let mut survivors: Vec<DataPoint> = in_flight
+            .iter()
+            .flat_map(|batch| batch.iter())
+            .filter(|p| range.contains(p.gen_time))
+            .copied()
+            .collect();
+        survivors.extend(buffers.merged_scan(range));
+        cut_due |= wal.checkpoint(series, range, &survivors)?;
+    }
+    Ok(cut_due)
+}
+
+impl<X: Executor> Engine<X> {
+    /// The assembly steps every kind agrees on, over the executor its
+    /// [`Kind`](open::Kind) started on a fresh or recovered version. Fresh:
+    /// the log is cut to its header, the manifest seeded empty. Recovering:
+    /// the log is replayed through the append path before it is attached —
+    /// nothing is logged twice, flushes can trigger — with the manifest
+    /// attached before ([`Executor::JOURNALS_REPLAY`]) or re-seeded after,
+    /// and the orphan sweep last. Replayed points re-enter the user-point
+    /// counters: metrics restart from the recovered memory state.
+    pub(crate) fn assemble(
+        options: EngineBuilder<X::Kind>,
         store: Arc<dyn TableStore>,
-        recover: bool,
-    ) -> Result<(LsmEngine, RecoveryReport)> {
-        options.config.validate()?;
-        let mut report = RecoveryReport::default();
-        let obs = options.observer;
-        let mode = options.recovery.mode;
-        let version = match (recover, options.kind.levels) {
-            (false, _) => Version::new(),
-            (true, Some(levels)) => recovery::version_from_levels(
-                store.as_ref(),
-                levels,
-                true,
-                mode,
-                false,
-                &mut report,
-                &obs,
-            )?,
-            (true, None) => recovery::rebuild_version(
-                store.as_ref(),
-                options.manifest.as_deref(),
-                mode,
-                false,
-                &mut report,
-                &obs,
-            )?,
-        };
-        let mut engine = LsmEngine {
-            buffers: PolicyBuffers::for_policy(options.config.policy),
-            config: options.config,
-            store,
-            max_gen_seen: version.run().last_gen_time(),
-            invariants: InvariantChecker::seeded(&version),
-            version,
-            metrics: Metrics::default(),
+        exec: X,
+        recovering: Option<RecoveryReport>,
+    ) -> Result<(Self, RecoveryReport)> {
+        let EngineBuilder {
+            config,
+            wal,
+            manifest,
+            recovery,
+            observer: obs,
+            ..
+        } = options;
+        let mut engine = Engine {
+            buffers: PolicyBuffers::for_policy(config.policy),
             wal: None,
-            manifest: None,
-            outbox: options.kind.owner_commits.then(Outbox::default),
-            admission: AdmissionController::new(options.watermarks),
-            obs,
+            max_gen_seen: exec.with_version(Version::last_stored_gen_time),
+            front: Front {
+                config,
+                store,
+                obs,
+                metrics: Metrics::default(),
+            },
+            exec,
         };
-        if let Some(path) = &options.wal {
-            let obs = engine.obs.clone();
+        let recover = recovering.is_some();
+        let mut report = recovering.unwrap_or_default();
+        if X::JOURNALS_REPLAY {
+            engine.attach_manifest(manifest.as_deref())?;
+        }
+        if let Some(path) = &wal {
+            let obs = engine.front.obs.clone();
             engine.wal = Some(if recover {
                 recovery::replay_wal(
                     &mut engine,
                     path,
-                    mode,
+                    recovery.mode,
                     &mut report,
                     &obs,
-                    |e, _, p| e.append_internal(p, false).map(drop),
-                    |e| Ok(vec![(0, e.buffered_snapshot())]),
+                    |e, _, p| e.append_internal(p).map(drop),
+                    |e| {
+                        let (_, in_flight) = e.exec.progress();
+                        Ok(vec![(0, volatile(in_flight, &e.buffers))])
+                    },
                 )?
             } else {
-                open::open_wal(path, &obs)?
+                let mut wal = open::open_wal(path, &obs)?;
+                // Initialization, not truncation: a fresh engine buffers
+                // nothing, so whatever the file held belongs to no one.
+                wal.rewrite(&[])?;
+                wal
             });
         }
-        if let Some(path) = &options.manifest {
-            engine.manifest =
-                Some(open::open_manifest(path, &engine.obs, &engine.version)?);
+        if !X::JOURNALS_REPLAY {
+            engine.attach_manifest(manifest.as_deref())?;
         }
-        if recover {
-            if options.recovery.gc_orphans {
-                recovery::gc_orphans(
-                    engine.store.as_ref(),
-                    &engine.version.live_table_ids(),
-                    &mut report,
-                    &engine.obs,
-                )?;
-            }
-            // A fresh controller: recovery never resumes into a stalled
-            // state.
-            engine.admission = AdmissionController::new(options.watermarks);
+        if recover && recovery.gc_orphans {
+            engine.exec.settle();
+            recovery::gc_orphans(
+                engine.front.store.as_ref(),
+                &engine.exec.with_version(Version::live_table_ids),
+                &mut report,
+                &engine.front.obs,
+            )?;
         }
         Ok((engine, report))
     }
 
-    fn attach_faults(engine: &mut LsmEngine, plan: &Arc<FaultPlan>) {
-        open::attach_faults(
-            plan,
-            engine.wal.as_mut(),
-            engine.manifest.as_mut(),
-        );
-    }
-}
-
-impl LsmEngine {
-    /// Replaces the event sink of the engine while a fleet flush worker
-    /// drives it (a fleet series has no log or manifest of its own).
-    pub(crate) fn set_observer(&mut self, obs: ObserverHandle) {
-        self.obs = obs;
+    /// Opens the manifest at `path` (when one is configured), re-seeded
+    /// with the executor's current version.
+    fn attach_manifest(&mut self, path: Option<&Path>) -> Result<()> {
+        let Some(path) = path else {
+            return Ok(());
+        };
+        let obs = &self.front.obs;
+        self.exec.with_manifest(|manifest, version| {
+            *manifest = Some(open::open_manifest(path, obs, version)?);
+            Ok(())
+        })
     }
 
-    /// What the engine's owner has yet to make durable for it; `None` for
-    /// an engine that commits its own flushes.
-    pub(crate) fn outbox(&self) -> Option<&Outbox> {
-        self.outbox.as_ref()
-    }
-
-    /// Hands the outbox's contents to the owner, leaving it empty.
-    pub(crate) fn take_outbox(&mut self) -> Outbox {
-        self.outbox.as_mut().map(std::mem::take).unwrap_or_default()
+    /// Routes the log's and the manifest's writes through `plan`.
+    pub(crate) fn attach_faults(&mut self, plan: &Arc<FaultPlan>) {
+        let wal = self.wal.as_mut();
+        self.exec.with_manifest(|manifest, _| {
+            open::attach_faults(plan, wal, manifest.as_mut());
+        });
     }
 
     /// Full integrity audit: structural version invariants plus a complete
@@ -292,40 +403,21 @@ impl LsmEngine {
     /// # Errors
     /// [`Error::Corrupt`] (or a store read error) on the first violation.
     pub fn check_integrity(&self) -> Result<()> {
-        invariants::audit_version_against_store(
-            &self.version,
-            self.store.as_ref(),
-        )
+        // A cloned snapshot: no executor lock is held across the store
+        // probes, and the audit sees one consistent version either way.
+        let version = self.exec.with_version(Version::clone);
+        let store = self.front.store.as_ref();
+        invariants::audit_version_against_store(&version, store)
     }
 
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.front.config
     }
 
     /// The active buffering policy.
     pub fn policy(&self) -> Policy {
-        self.config.policy
-    }
-
-    /// Cumulative metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The level-1 run.
-    pub fn run(&self) -> &Run {
-        self.version.run()
-    }
-
-    /// The table-level state (run + edit history head).
-    pub fn version(&self) -> &Version {
-        &self.version
-    }
-
-    /// `LAST(R).t_g`: the latest generation time on disk.
-    pub fn last_disk_gen_time(&self) -> Option<Timestamp> {
-        self.version.run().last_gen_time()
+        self.front.config.policy
     }
 
     /// Largest generation time ever appended (buffered or on disk).
@@ -338,189 +430,9 @@ impl LsmEngine {
         self.buffers.buffered_points()
     }
 
-    /// All currently buffered points, sorted by generation time.
-    pub fn buffered_snapshot(&self) -> Vec<DataPoint> {
-        self.buffers.snapshot_sorted()
-    }
-
-    /// The buffered points with a generation time in `range`, sorted: what
-    /// a log checkpoint of that range has to carry.
-    pub(crate) fn buffered_in(&self, range: TimeRange) -> Vec<DataPoint> {
-        self.buffers.merged_scan(range)
-    }
-
-    /// Writes one point, reporting how admission treated it. The
-    /// synchronous engine flushes inline, so its backlog depth rarely
-    /// leaves zero and appends are almost always `Admitted`; the typed
-    /// outcome exists so all three engines share one admission contract.
-    ///
-    /// # Errors
-    /// Storage or WAL failures; the engine state stays consistent (the point
-    /// may be buffered even if a triggered flush failed).
-    pub fn append(&mut self, p: DataPoint) -> Result<AdmissionOutcome> {
-        self.append_internal(p, true)
-    }
-
-    /// Consults the admission controller against the version's L0 +
-    /// flushing depth. A `Stalled` verdict drains inline via
-    /// [`LsmEngine::flush_all`] and closes the episode immediately — the
-    /// synchronous engine has no background worker to wait on.
-    fn admit(&mut self) -> Result<AdmissionOutcome> {
-        let depth = AdmissionDepth {
-            l0_tables: self.version.l0().len(),
-            pending_flushes: self.version.flushing().len(),
-        };
-        let decision = self.admission.admit(depth);
-        admission::witness(
-            decision.transition,
-            decision.outcome,
-            depth,
-            &mut self.metrics,
-            &self.obs,
-        );
-        if decision.outcome == AdmissionOutcome::Stalled {
-            self.flush_all()?;
-            admission::witness(
-                self.admission
-                    .interrupt_stall()
-                    .map(|ticks| StallTransition::Ended { ticks }),
-                decision.outcome,
-                depth,
-                &mut self.metrics,
-                &self.obs,
-            );
-        }
-        Ok(decision.outcome)
-    }
-
     /// Snapshot of the admission controller's counters.
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.admission.stats()
-    }
-
-    fn append_internal(
-        &mut self,
-        p: DataPoint,
-        log_wal: bool,
-    ) -> Result<AdmissionOutcome> {
-        let outcome = self.admit()?;
-        if log_wal {
-            if let Some(wal) = self.wal.as_mut() {
-                wal.append(&p)?;
-            }
-        }
-        self.metrics.user_points += 1;
-        self.max_gen_seen =
-            Some(self.max_gen_seen.map_or(p.gen_time, |m| m.max(p.gen_time)));
-
-        // Definition 3 pivot: `LAST(R).t_g`.
-        let pivot = self.version.run().last_gen_time();
-        self.obs.emit(|| Event::PointClassified {
-            in_order: pivot.is_none_or(|pv| p.gen_time > pv),
-        });
-        let trigger = self.buffers.insert(p, pivot);
-        let flushed = self.flush(trigger)?;
-        self.compact_wal(flushed)?;
-
-        if let Some(every) = self.config.wa_snapshot_every {
-            if self.metrics.user_points % every == 0 {
-                self.metrics.wa_snapshots.push(WaSnapshot {
-                    user_points: self.metrics.user_points,
-                    disk_points_written: self.metrics.disk_points_written,
-                });
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Seals the MemTable `trigger` names into the run and returns the
-    /// generation-time range it took out of memory (`None`: nothing to
-    /// flush). The log is not told here — see
-    /// [`compact_wal`](Self::compact_wal).
-    fn flush(&mut self, trigger: FlushTrigger) -> Result<Option<TimeRange>> {
-        if trigger == FlushTrigger::None {
-            return Ok(None);
-        }
-        let points = self.buffers.take(trigger);
-        self.obs.emit(|| Event::MemtableSealed {
-            points: points.len() as u64,
-        });
-        let flushed = self.flush_into_run(points, trigger.is_merge())?;
-        // Temporal invariants after every flush/compaction; the store
-        // cross-check already ran inside the plan executor.
-        self.invariants
-            .observe_metrics(&self.version, &self.metrics)?;
-        Ok(flushed)
-    }
-
-    /// The one flush: plan the merge of `points` with every run table
-    /// overlapping their range (pure), then execute the plan against
-    /// store/version/metrics. A `C_seq` buffer lies strictly past the run
-    /// tail, so it finds no overlap and its plan commits as a flush that
-    /// rewrites nothing; `merging` marks the buffers (`C0`, `C_nonseq`) whose
-    /// flushes the Fig. 5 probe counts. Returns the range of `points` — what
-    /// a log checkpoint of this flush supersedes — which an engine whose
-    /// owner commits also leaves in its outbox.
-    fn flush_into_run(
-        &mut self,
-        points: Vec<DataPoint>,
-        merging: bool,
-    ) -> Result<Option<TimeRange>> {
-        let (Some(first), Some(last)) = (points.first(), points.last()) else {
-            return Ok(None);
-        };
-        let flushed = TimeRange::new(first.gen_time, last.gen_time);
-        let run = self.version.run();
-        let overlapping = run.overlapping(flushed);
-        let subsequent_base = (merging && self.config.record_subsequent)
-            .then(|| run.points_in_tables_above(first.gen_time));
-        let mut inputs = Vec::with_capacity(overlapping.len());
-        for meta in overlapping {
-            inputs.push(RunInput {
-                meta,
-                points: self.store.get(meta.id)?,
-            });
-        }
-        let plan = compaction::plan_merge(
-            vec![points],
-            inputs,
-            self.config.sstable_points,
-            subsequent_base,
-        );
-        let journal = match self.outbox.as_mut() {
-            Some(outbox) => Journal::Owner(outbox),
-            None => Journal::Own(self.manifest.as_mut()),
-        };
-        compaction::execute(
-            plan,
-            self.store.as_ref(),
-            &mut self.version,
-            journal,
-            &mut self.metrics,
-            &self.obs,
-        )?;
-        if let Some(outbox) = self.outbox.as_mut() {
-            outbox.flushed.push(flushed);
-        }
-        Ok(Some(flushed))
-    }
-
-    /// Checkpoints the WAL after flushes that took `flushed` committed — a
-    /// frame queued in the log, no I/O, carrying whatever is still buffered
-    /// inside that range (in steady state nothing: `C_nonseq` lies below
-    /// every `C_seq` flush and the other way round) — and cuts the file when
-    /// its dead bytes have come to outweigh the live ones. Only call it
-    /// while every volatile point is in the buffers ([`Wal::checkpoint`]).
-    /// An engine without a log of its own (a fleet series) has nothing to
-    /// do: its owner checkpoints it once the outbox is durable.
-    fn compact_wal(&mut self, flushed: Option<TimeRange>) -> Result<()> {
-        let (Some(wal), Some(flushed)) = (self.wal.as_mut(), flushed) else {
-            return Ok(());
-        };
-        if wal.checkpoint(0, flushed, &self.buffers.merged_scan(flushed))? {
-            wal.rewrite(&[(0, self.buffers.snapshot_sorted())])?;
-        }
-        Ok(())
+        self.exec.admission_stats()
     }
 
     /// Size and history of the write-ahead log, when one is attached.
@@ -528,9 +440,90 @@ impl LsmEngine {
         self.wal.as_ref().map(Wal::stats)
     }
 
-    /// Size and history of the manifest, when one is attached.
-    pub fn manifest_stats(&self) -> Option<ManifestStats> {
-        self.manifest.as_ref().map(Manifest::stats)
+    /// Writes one point, reporting how admission treated it: `Admitted`
+    /// below the slowdown watermark, `Delayed { ticks }` between slowdown
+    /// and stop, `Stalled` when the append had to wait out a write stall
+    /// (the point is still accepted once the backlog drains — only the
+    /// outcome is typed). The inline executor has no backlog and always
+    /// admits; the background one also blocks while its queue is full.
+    ///
+    /// # Errors
+    /// Storage or WAL failures — the engine state stays consistent (the
+    /// point may be buffered even if a triggered flush failed) — and
+    /// [`Error::Degraded`] once a background worker has given up.
+    pub fn append(&mut self, p: DataPoint) -> Result<AdmissionOutcome> {
+        self.append_internal(p)
+    }
+
+    /// The one append path: admit → log → count → classify → insert →
+    /// seal and hand off → checkpoint → WA snapshot.
+    fn append_internal(&mut self, p: DataPoint) -> Result<AdmissionOutcome> {
+        self.exec.writable()?;
+        let outcome = self.exec.admit(&mut self.front)?;
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append(&p)?;
+        }
+        self.front.metrics.user_points += 1;
+        self.max_gen_seen = self.max_gen_seen.max(Some(p.gen_time));
+        let pivot = self.emit_classified(&p);
+        let trigger = self.buffers.insert(p, pivot);
+        if self.seal(trigger)? {
+            self.release()?;
+        }
+        let cadence = self.front.config.wa_snapshot_every;
+        if cadence
+            .is_some_and(|every| self.front.metrics.user_points % every == 0)
+        {
+            // Only now does a background executor take its state lock.
+            let disk_points_written =
+                self.exec.disk_points_written(&self.front.metrics);
+            self.front.metrics.wa_snapshots.push(WaSnapshot {
+                user_points: self.front.metrics.user_points,
+                disk_points_written,
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// Classifies `p` against the executor's pivot, witnessed by one
+    /// [`Event::PointClassified`], and returns the pivot.
+    fn emit_classified(&self, p: &DataPoint) -> Option<Timestamp> {
+        let pivot = self.exec.pivot();
+        self.front.obs.emit(|| Event::PointClassified {
+            in_order: pivot.is_none_or(|pv| p.gen_time > pv),
+        });
+        pivot
+    }
+
+    /// Seals the MemTable `trigger` names and hands it to the executor;
+    /// `false` when there was nothing to seal. The log is not told here —
+    /// see [`release`](Self::release).
+    fn seal(&mut self, trigger: FlushTrigger) -> Result<bool> {
+        if trigger == FlushTrigger::None {
+            return Ok(false);
+        }
+        let points = self.buffers.take(trigger);
+        self.front.obs.emit(|| Event::MemtableSealed {
+            points: points.len() as u64,
+        });
+        self.exec
+            .hand_off(&mut self.front, points, trigger.is_merge())?;
+        Ok(true)
+    }
+
+    /// Follows the hand-offs of one call: tells the log what has retired
+    /// ([`checkpoint_retired`]), cuts the file when that said it pays, and
+    /// only then lets the executor start on what it was handed. Only call
+    /// it while every volatile point is in the buffers or with the executor
+    /// ([`Wal::checkpoint`]); a fleet series has no log: its owner does this.
+    fn release(&mut self) -> Result<()> {
+        let (retired, in_flight) = self.exec.progress();
+        if let Some(wal) = self.wal.as_mut() {
+            if checkpoint_retired(wal, 0, retired, in_flight, &self.buffers)? {
+                wal.rewrite(&[(0, volatile(in_flight, &self.buffers))])?;
+            }
+        }
+        self.exec.dispatch(&mut self.front)
     }
 
     /// Flushes and fsyncs the write-ahead log (no-op without a WAL). Call
@@ -540,87 +533,112 @@ impl LsmEngine {
     /// # Errors
     /// I/O failures.
     pub fn sync_wal(&mut self) -> Result<()> {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.sync()?;
-        }
-        Ok(())
+        self.wal.as_mut().map_or(Ok(()), Wal::sync)
     }
 
     /// Forces all buffered points to disk (`C_seq` first, while it still
-    /// lies past the run tail, then the merging buffer).
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn flush_all(&mut self) -> Result<()> {
+    /// lies past the pivot, then the merging buffer) and brings the
+    /// executor to rest. Nothing is volatile then: the log is cut to its
+    /// header, which stands in for every checkpoint still owed, and the
+    /// manifest sheds its dead records.
+    pub(crate) fn rest(&mut self) -> Result<()> {
         let drained = self.buffers.drain_all();
-        self.flush_into_run(drained.in_order, false)?;
-        self.flush_into_run(drained.merging, true)?;
-        // The engine comes to rest here: nothing is buffered, so the log is
-        // cut to its header (which stands in for the two checkpoints), and
-        // the manifest sheds its dead records.
+        let (exec, front) = (&mut self.exec, &mut self.front);
+        exec.hand_off(front, drained.in_order, false)?;
+        exec.hand_off(front, drained.merging, true)?;
+        exec.dispatch(front)?;
+        exec.rest()?;
+        exec.progress();
         if let Some(wal) = self.wal.as_mut() {
             wal.rewrite(&[])?;
         }
-        if let Some(manifest) = self.manifest.as_mut() {
-            self.version.compact_manifest(manifest)?;
-        }
-        self.invariants
-            .observe_metrics(&self.version, &self.metrics)
+        self.exec.with_manifest(|manifest, version| {
+            manifest
+                .as_mut()
+                .map_or(Ok(()), |m| version.compact_manifest(m))
+        })
     }
 
     /// Switches the buffering policy without touching the disk: buffered
     /// points are re-routed through [`PolicyBuffers::migrate`] into the new
-    /// MemTable set (which may trigger flushes if the new buffers are
-    /// smaller). Used by the adaptive tuner; `MultiSeriesEngine` and
-    /// `TieredEngine` go through the same migration path.
+    /// MemTable set, sealing and handing off any that fills on the way (the
+    /// new buffers may be smaller). Does not count as new user traffic.
+    /// Used by the adaptive tuner and, per series, by `MultiSeriesEngine`.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] for degenerate policies; storage failures
-    /// from triggered flushes.
+    /// [`Error::InvalidConfig`] for degenerate policies;
+    /// [`Error::Degraded`], before anything is touched, once a background
+    /// worker has given up; storage failures from triggered flushes.
     pub fn set_policy(&mut self, policy: Policy) -> Result<()> {
-        if policy.total_capacity() == 0 {
-            return Err(Error::InvalidConfig(
-                "memory budget must be >= 1 point".into(),
-            ));
-        }
-        if policy == self.config.policy {
+        check_budget(policy)?;
+        if policy == self.front.config.policy {
             return Ok(());
         }
+        self.exec.writable()?;
         let buffered = self.buffers.migrate(policy);
-        self.config.policy = policy;
-        let mut flushed: Option<TimeRange> = None;
+        self.front.config.policy = policy;
+        let mut sealed = false;
         for p in buffered {
             // Re-routed, not appended: classified and buffered like any
             // point, but neither admitted, logged nor counted again.
-            let pivot = self.version.run().last_gen_time();
-            self.obs.emit(|| Event::PointClassified {
-                in_order: pivot.is_none_or(|pv| p.gen_time > pv),
-            });
+            let pivot = self.emit_classified(&p);
             let trigger = self.buffers.insert(p, pivot);
-            if let Some(range) = self.flush(trigger)? {
-                flushed = Some(flushed.map_or(range, |f| f.union(&range)));
-            }
+            sealed |= self.seal(trigger)?;
         }
         // One checkpoint, and only now: until the last point is back in a
-        // buffer the tail of `buffered` is volatile and in neither MemTable,
-        // so a checkpoint queued from inside the loop would not carry it.
-        self.compact_wal(flushed)
+        // buffer the tail of `buffered` is volatile and in no place a
+        // checkpoint queued from inside the loop would look.
+        if sealed {
+            self.release()?;
+        }
+        Ok(())
     }
 
-    /// The engine's read view of `range`: MemTables and the run (this
-    /// engine has no flushing batches and no L0).
-    fn view(&self, range: TimeRange) -> ReadView<'_> {
-        ReadView::capture(
-            self.store.as_ref(),
-            &self.obs,
-            self.config.block_reads,
-            range,
-            &self.buffers,
-            &self.version,
-        )
+    /// Runs `read` over a [`ReadView`] of `range`. The view is captured
+    /// from the executor's version but read without it, so a concurrent
+    /// compaction can retire one of its tables mid-read: a read error
+    /// against a view with a table that has since left the version is
+    /// retried against a fresh one, a bounded number of times. The inline
+    /// version cannot move under `&self`: its views are never stale.
+    fn read<T>(
+        &self,
+        range: TimeRange,
+        read: impl Fn(&mut ReadView<'_>) -> Result<T>,
+    ) -> Result<T> {
+        const SNAPSHOT_ATTEMPTS: usize = 8;
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            let mut view = self.exec.with_version(|version| {
+                ReadView::capture(
+                    self.front.store.as_ref(),
+                    &self.front.obs,
+                    self.front.config.block_reads,
+                    range,
+                    &self.buffers,
+                    version,
+                )
+            });
+            match read(&mut view) {
+                Ok(out) => return Ok(out),
+                Err(e) => {
+                    let live = self.exec.with_version(Version::live_table_ids);
+                    let stale = view
+                        .l0
+                        .iter()
+                        .chain(&view.run)
+                        .any(|meta| !live.contains(&meta.id));
+                    if attempt >= SNAPSHOT_ATTEMPTS || !stale {
+                        return Err(e);
+                    }
+                }
+            }
+        }
     }
 
-    /// Range query over generation time, merging MemTables and the run.
+    /// Range query over generation time, merging MemTables and the run
+    /// and, under a background executor, flushing batches and every
+    /// overlapping L0 file, as far as its worker has come at call time.
     ///
     /// Overlapping SSTables are read in full (chunk-granularity reads, as in
     /// IoTDB), which is what the read-amplification experiments measure —
@@ -633,21 +651,20 @@ impl LsmEngine {
         &self,
         range: TimeRange,
     ) -> Result<(Vec<DataPoint>, QueryStats)> {
-        self.view(range).query()
+        self.read(range, |view| view.query())
     }
 
     /// Aggregates `range`: min/max/sum/count over exactly the points
     /// [`query`](Self::query) would return, answered where possible from v3
     /// index pre-aggregates without decoding data blocks — see the
     /// [fold rule](crate::query#the-fold-rule) for when a block folds and
-    /// how exact the result is. In this engine the run holds
-    /// non-overlapping tables, so buffered MemTable points are the only
-    /// fresher source that can shadow a block.
+    /// how exact the result is. Every fresher source shadows a run block:
+    /// MemTable points, flushing batches, L0 tables.
     ///
     /// # Errors
     /// Storage failures.
     pub fn aggregate(&self, range: TimeRange) -> Result<(Agg, QueryStats)> {
-        self.view(range).aggregate()
+        self.read(range, |view| view.aggregate())
     }
 
     /// Downsamples `range` into fixed-width buckets: one [`Agg`] per
@@ -664,19 +681,20 @@ impl LsmEngine {
         range: TimeRange,
         bucket_width: i64,
     ) -> Result<(Vec<Bucket>, QueryStats)> {
-        self.view(range).downsample(bucket_width)
+        self.read(range, |view| view.downsample(bucket_width))
     }
 
-    /// Point lookup by generation time: MemTables first (freshest wins),
-    /// then the one run table whose range contains it.
+    /// Point lookup by generation time; the freshest source holding it
+    /// (MemTable, flushing batch, L0 newest first, run) answers.
     ///
     /// # Errors
     /// Storage failures.
     pub fn get(&self, gen_time: Timestamp) -> Result<Option<DataPoint>> {
-        self.view(TimeRange::new(gen_time, gen_time)).get()
+        self.read(TimeRange::new(gen_time, gen_time), |view| view.get())
     }
 
-    /// Every stored point (buffered + on disk), sorted by generation time.
+    /// Every stored point (buffered, flushing and on disk), sorted by
+    /// generation time.
     ///
     /// # Errors
     /// Storage failures.
@@ -686,19 +704,447 @@ impl LsmEngine {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The executor that merges a sealed MemTable into the run on the
+/// appending thread: when `append` returns, the flush is committed.
+pub struct Inline {
+    version: Version,
+    manifest: Option<Manifest>,
+    /// Set when the engine's owner keeps the log and the manifest for it (a
+    /// durable fleet's series): flushes commit in memory and leave what
+    /// makes them durable here, for the owner's next commit point.
+    outbox: Option<Outbox>,
+    /// The ranges flushed since the engine's own log was last told.
+    retired: Vec<TimeRange>,
+    /// Debug-build temporal invariants (counter monotonicity, pivot
+    /// no-regression); no-op in release builds.
+    invariants: InvariantChecker,
+    /// Consulted at depth zero — nothing ever waits behind this executor —
+    /// for the outcome contract and counters both executors report.
+    admission: AdmissionController,
+}
 
-    fn in_memory(config: EngineConfig) -> Result<LsmEngine> {
-        OpenOptions::new(config).open()
+impl Inline {
+    /// With `owner_commits`, flushes wait in an outbox for the owner.
+    pub(crate) fn new(
+        version: Version,
+        owner_commits: bool,
+        watermarks: Watermarks,
+    ) -> Self {
+        Self {
+            invariants: InvariantChecker::seeded(&version),
+            version,
+            manifest: None,
+            outbox: owner_commits.then(Outbox::default),
+            retired: Vec::new(),
+            admission: AdmissionController::new(watermarks),
+        }
+    }
+}
+
+impl Executor for Inline {
+    type Kind = open::Inline;
+
+    const JOURNALS_REPLAY: bool = false;
+
+    fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T {
+        f(&self.version)
     }
 
-    fn on_store(
+    fn with_manifest<T>(
+        &mut self,
+        f: impl FnOnce(&mut Option<Manifest>, &Version) -> T,
+    ) -> T {
+        f(&mut self.manifest, &self.version)
+    }
+
+    /// `LAST(R).t_g`: the latest generation time in the run.
+    fn pivot(&self) -> Option<Timestamp> {
+        self.version.run().last_gen_time()
+    }
+
+    /// Neither L0 nor flushing batches: the depth is zero, every append
+    /// is admitted, and no stall ever has to end.
+    fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
+        let (decision, _) = admission::consult(
+            &mut self.admission,
+            &self.version,
+            &mut front.metrics,
+            &front.obs,
+        );
+        debug_assert!(decision.outcome.proceeds());
+        Ok(decision.outcome)
+    }
+
+    fn admission_stats(&self) -> AdmissionStats {
+        self.admission.stats()
+    }
+
+    /// The one flush: plan the merge of `points` with every run table
+    /// overlapping their range (pure), then execute the plan against
+    /// store/version/metrics. A `C_seq` buffer lies strictly past the run
+    /// tail, so it finds no overlap and its plan commits as a flush that
+    /// rewrites nothing. The range of `points` is what a checkpoint of the
+    /// engine's log, or of its owner's (the outbox), then supersedes.
+    fn hand_off(
+        &mut self,
+        front: &mut Front,
+        points: Vec<DataPoint>,
+        merging: bool,
+    ) -> Result<()> {
+        let (Some(first), Some(last)) = (points.first(), points.last()) else {
+            return Ok(());
+        };
+        let flushed = TimeRange::new(first.gen_time, last.gen_time);
+        let run = self.version.run();
+        let overlapping = run.overlapping(flushed);
+        let subsequent_base = (merging && front.config.record_subsequent)
+            .then(|| run.points_in_tables_above(first.gen_time));
+        let mut inputs = Vec::with_capacity(overlapping.len());
+        for meta in overlapping {
+            inputs.push(RunInput {
+                meta,
+                points: front.store.get(meta.id)?,
+            });
+        }
+        let plan = compaction::plan_merge(
+            vec![points],
+            inputs,
+            front.config.sstable_points,
+            subsequent_base,
+        );
+        let journal = match self.outbox.as_mut() {
+            Some(outbox) => Journal::Owner(outbox),
+            None => Journal::Own(self.manifest.as_mut()),
+        };
+        compaction::execute(
+            plan,
+            front.store.as_ref(),
+            &mut self.version,
+            journal,
+            &mut front.metrics,
+            &front.obs,
+        )?;
+        match self.outbox.as_mut() {
+            Some(outbox) => outbox.flushed.push(flushed),
+            None => self.retired.push(flushed),
+        }
+        // Temporal invariants after every flush/compaction; the store
+        // cross-check already ran inside the plan executor.
+        self.invariants
+            .observe_metrics(&self.version, &front.metrics)
+    }
+
+    /// A flush is committed before its hand-off returns: none is in flight.
+    fn progress(&mut self) -> (Vec<TimeRange>, &[Batch]) {
+        (std::mem::take(&mut self.retired), &[])
+    }
+
+    fn disk_points_written(&self, writer: &Metrics) -> u64 {
+        writer.disk_points_written
+    }
+}
+
+impl Engine<Inline> {
+    /// What the engine's owner has yet to make durable for it; `None` for
+    /// an engine that commits its own flushes.
+    pub(crate) fn outbox(&self) -> Option<&Outbox> {
+        self.exec.outbox.as_ref()
+    }
+
+    /// Hands the outbox's contents to the owner, leaving it empty.
+    pub(crate) fn take_outbox(&mut self) -> Outbox {
+        self.exec
+            .outbox
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// The MemTables: what the owner's checkpoint of this series looks
+    /// into ([`checkpoint_retired`]).
+    pub(crate) fn buffers(&self) -> &PolicyBuffers {
+        &self.buffers
+    }
+
+    /// Cumulative metrics.
+    pub fn metrics(&self) -> &Metrics {
+        &self.front.metrics
+    }
+
+    /// The level-1 run.
+    pub fn run(&self) -> &Run {
+        self.exec.version.run()
+    }
+
+    /// The table-level state (run + edit history head).
+    pub fn version(&self) -> &Version {
+        &self.exec.version
+    }
+
+    /// `LAST(R).t_g`: the latest generation time on disk.
+    pub fn last_disk_gen_time(&self) -> Option<Timestamp> {
+        self.exec.pivot()
+    }
+
+    /// All currently buffered points, sorted by generation time.
+    pub fn buffered_snapshot(&self) -> Vec<DataPoint> {
+        self.buffers.snapshot_sorted()
+    }
+
+    /// Size and history of the manifest, when one is attached.
+    pub fn manifest_stats(&self) -> Option<ManifestStats> {
+        self.exec.manifest.as_ref().map(Manifest::stats)
+    }
+
+    /// Forces all buffered points to disk, cuts the log to its header and
+    /// sheds the manifest's dead records.
+    ///
+    /// # Errors
+    /// Storage failures.
+    pub fn flush_all(&mut self) -> Result<()> {
+        self.rest()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::cache::BlockCache;
+    use crate::metrics::write_amplification;
+    use crate::obs::{Observer, RingBufferSink};
+    use crate::open::OpenOptions;
+    use crate::sstable::EncodeOptions;
+    use crate::store::MemStore;
+
+    /// A fresh in-memory engine over either executor.
+    pub(crate) fn open<X: Executor>(config: EngineConfig) -> Engine<X> {
+        EngineBuilder::<X::Kind>::new(config)
+            .open()
+            .expect("engine")
+    }
+
+    /// [`open`] with a sink attached, and a count of its events matching
+    /// `kind`.
+    fn observed<X: Executor>(
         config: EngineConfig,
-        store: Arc<dyn TableStore>,
-    ) -> Result<LsmEngine> {
-        OpenOptions::new(config).store(store).open()
+    ) -> (Engine<X>, Arc<RingBufferSink>) {
+        let sink = RingBufferSink::new(1 << 16);
+        let options = EngineBuilder::<X::Kind>::new(config)
+            .observer(sink.clone() as Arc<dyn Observer>);
+        (options.open().expect("engine"), sink)
+    }
+
+    fn count(sink: &RingBufferSink, kind: fn(&Event) -> bool) -> usize {
+        sink.events().iter().filter(|e| kind(e)).count()
+    }
+
+    /// No loss, no duplication under `π_c`, whatever the arrival order:
+    /// read wherever the executor has the points, and again at rest.
+    pub(crate) fn check_no_loss_conventional<X: Executor>() {
+        let mut e = open::<X>(
+            EngineConfig::new(Policy::conventional(7)).with_sstable_points(5),
+        );
+        // A deterministic permutation of 0..200.
+        for tg in (0..200i64).map(|i| (i * 73) % 200) {
+            e.append(DataPoint::new(tg, 10_000 + tg, tg as f64))
+                .expect("append");
+        }
+        let all = e.scan_all().expect("scan");
+        assert_eq!(all.len(), 200);
+        for (i, p) in all.iter().enumerate() {
+            assert_eq!(p.gen_time, i as i64);
+        }
+        e.rest().expect("rest");
+        assert_eq!(e.scan_all().expect("scan"), all);
+        assert_eq!(e.buffered_points(), 0);
+        assert_eq!(e.front.metrics.user_points, 200);
+        let written = e.exec.disk_points_written(&e.front.metrics);
+        assert!(write_amplification(written, 200) >= 1.0 - 1e-9);
+    }
+
+    /// No loss under `π_s` with a straggler every fifth point, and the
+    /// stragglers do force merge-compactions.
+    pub(crate) fn check_no_loss_separation_with_stragglers<X: Executor>() {
+        let (mut e, sink) = observed::<X>(
+            EngineConfig::new(Policy::separation(16, 8).expect("policy"))
+                .with_sstable_points(8),
+        );
+        let mut expected = 0usize;
+        for i in 0..400i64 {
+            e.append(DataPoint::new(i * 10, i * 10, 0.0))
+                .expect("append");
+            expected += 1;
+            if i % 5 == 4 {
+                e.append(DataPoint::new(i * 10 - 35, i * 10, 1.0))
+                    .expect("append straggler");
+                expected += 1;
+            }
+        }
+        e.rest().expect("rest");
+        let all = e.scan_all().expect("scan");
+        assert_eq!(all.len(), expected);
+        assert!(all.windows(2).all(|w| w[0].gen_time < w[1].gen_time));
+        let merged = |e: &Event| matches!(e, Event::CompactionExecuted { .. });
+        assert!(count(&sink, merged) > 0);
+    }
+
+    /// Last writer wins per generation time: in the MemTable, once the
+    /// overwrite has been flushed, and at rest.
+    pub(crate) fn check_duplicate_gen_time_keeps_latest_write<X: Executor>() {
+        let mut e = open::<X>(
+            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
+        );
+        for p in in_order_points(8) {
+            e.append(p).expect("append");
+        }
+        // Overwrite tg=30 (already handed off) with a new value.
+        e.append(DataPoint::new(30, 999, 123.0)).expect("append");
+        let (hits, _) = e.query(TimeRange::new(30, 30)).expect("query");
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].value, 123.0, "memtable version must win");
+        // Force it out of the MemTable and re-check.
+        for tg in [200i64, 210, 220] {
+            e.append(DataPoint::new(tg, tg, 0.0)).expect("append");
+        }
+        let (hits, _) = e.query(TimeRange::new(30, 30)).expect("query");
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].value, 123.0, "flushed version must win");
+        assert_eq!(e.scan_all().expect("scan").len(), 11);
+        e.rest().expect("rest");
+        let all = e.scan_all().expect("scan");
+        assert_eq!(all.len(), 11);
+        let p30 = all.iter().find(|p| p.gen_time == 30).expect("present");
+        assert_eq!(p30.value, 123.0, "compacted version must win");
+    }
+
+    /// A policy switch re-routes what is buffered — one `PointClassified`
+    /// per point, like an append — without counting it as user traffic or
+    /// losing any of it, to a wider split, back and to a narrower budget,
+    /// and ingest carries on under the new policy.
+    pub(crate) fn check_set_policy_reroutes_buffered_points<X: Executor>() {
+        let (mut e, sink) = observed::<X>(
+            EngineConfig::new(Policy::conventional(100)).with_sstable_points(8),
+        );
+        for p in in_order_points(10) {
+            e.append(p).expect("append");
+        }
+        e.set_policy(Policy::separation(100, 50).expect("policy"))
+            .expect("switch");
+        assert_eq!(e.front.metrics.user_points, 10, "not user traffic");
+        assert_eq!(e.buffered_points(), 10);
+        assert_eq!(e.scan_all().expect("scan").len(), 10);
+        // Switch back while data is buffered, then shrink: two MemTables
+        // fill and are handed off from inside the call.
+        e.set_policy(Policy::conventional(100))
+            .expect("switch back");
+        e.set_policy(Policy::conventional(4)).expect("shrink");
+        assert_eq!(e.buffered_points(), 2);
+        assert_eq!(e.scan_all().expect("scan").len(), 10);
+        let classified = |e: &Event| matches!(e, Event::PointClassified { .. });
+        assert_eq!(
+            count(&sink, classified),
+            10 + 3 * 10,
+            "appended + re-routed"
+        );
+        for i in 10..20i64 {
+            e.append(DataPoint::new(i * 10, i * 10, 0.0))
+                .expect("append");
+        }
+        e.rest().expect("rest");
+        let all = e.scan_all().expect("scan");
+        assert_eq!(all.len(), 20);
+        assert!(all.windows(2).all(|w| w[0].gen_time < w[1].gen_time));
+    }
+
+    /// One query sees buffered points and points the executor has flushed
+    /// and compacted: 96 of 100 in-order points in tables, 4 in memory.
+    pub(crate) fn check_queries_see_every_source<X: Executor>() {
+        let mut e = open::<X>(
+            EngineConfig::new(Policy::conventional(8)).with_sstable_points(8),
+        );
+        for i in 0..100i64 {
+            e.append(DataPoint::new(i * 10, i * 10, i as f64))
+                .expect("append");
+        }
+        e.exec.settle();
+        assert_eq!(e.buffered_points(), 4);
+        let (pts, stats) = e.query(TimeRange::new(0, 2_000)).expect("query");
+        assert_eq!(pts.len(), 100); // gen times 0..990: all 100
+        assert!(stats.tables_read > 0);
+        assert_eq!(stats.mem_points_scanned, 4);
+        let (tail, _) = e.query(TimeRange::new(950, 990)).expect("tail query");
+        assert_eq!(tail.len(), 5);
+    }
+
+    /// `EngineConfig::with_wa_snapshots` on either executor: one snapshot
+    /// per cadence, taken on the appending thread.
+    pub(crate) fn check_wa_snapshots_are_recorded<X: Executor>() -> Engine<X> {
+        let mut e = open::<X>(
+            EngineConfig::new(Policy::conventional(4))
+                .with_sstable_points(4)
+                .with_wa_snapshots(10),
+        );
+        for p in in_order_points(35) {
+            e.append(p).expect("append");
+        }
+        let snapshots = &e.front.metrics.wa_snapshots;
+        assert_eq!(snapshots.len(), 3);
+        assert_eq!(snapshots[0].user_points, 10);
+        assert_eq!(snapshots[2].user_points, 30);
+        assert!(snapshots[2].disk_points_written <= 28, "sealed by then");
+        e
+    }
+
+    /// A block cache changes neither what reads return nor what is written;
+    /// a repeated read hits it, and compactions invalidate what they consume.
+    pub(crate) fn check_cached_reads_match_uncached<X: Executor>() {
+        let run = |cache: Option<Arc<BlockCache>>| {
+            let store =
+                Arc::new(MemStore::with_options(EncodeOptions::compressed()));
+            let mut opts = EngineBuilder::<X::Kind>::new(
+                EngineConfig::new(Policy::separation(16, 8).expect("config"))
+                    .with_sstable_points(16),
+            )
+            .store(store);
+            if let Some(cache) = cache {
+                opts = opts.cache(cache);
+            }
+            let mut e = opts.open().expect("engine");
+            for i in 0..200i64 {
+                let tg = if i % 5 == 0 { i * 10 - 45 } else { i * 10 };
+                e.append(DataPoint::new(tg, i * 10 + 3, i as f64))
+                    .expect("append");
+            }
+            e.exec.settle();
+            let cold = e.scan_all().expect("cold");
+            let warm = e.scan_all().expect("warm");
+            assert_eq!(cold, warm);
+            e.rest().expect("rest");
+            assert_eq!(e.scan_all().expect("scan"), cold);
+            (cold, e.exec.disk_points_written(&e.front.metrics))
+        };
+        let cache = BlockCache::with_capacity(8 * 1024);
+        let (cached_points, cached_written) = run(Some(Arc::clone(&cache)));
+        let (plain_points, plain_written) = run(None);
+        assert_eq!(cached_points.len(), 200);
+        assert_eq!(cached_points, plain_points);
+        assert_eq!(
+            cached_written, plain_written,
+            "the cache must not change write behaviour"
+        );
+        let stats = cache.stats();
+        assert!(stats.hits > 0, "warm query must hit the cache: {stats:?}");
+        assert!(
+            stats.invalidated_blocks > 0,
+            "compactions must invalidate consumed tables: {stats:?}"
+        );
+    }
+
+    fn on_store(config: EngineConfig, store: Arc<dyn TableStore>) -> LsmEngine {
+        OpenOptions::new(config)
+            .store(store)
+            .open()
+            .expect("engine")
     }
 
     fn in_order_points(n: i64) -> Vec<DataPoint> {
@@ -709,10 +1155,9 @@ mod tests {
 
     #[test]
     fn in_order_ingest_under_pi_c_has_wa_one() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(160) {
             e.append(p).expect("append");
         }
@@ -725,10 +1170,9 @@ mod tests {
 
     #[test]
     fn out_of_order_ingest_under_pi_c_rewrites() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .expect("engine");
+        );
         // Fill the run with [0..40), then insert stragglers below it.
         for p in in_order_points(8) {
             e.append(p).expect("append");
@@ -749,32 +1193,20 @@ mod tests {
 
     #[test]
     fn no_points_are_lost_or_duplicated() {
-        let mut e = in_memory(
-            EngineConfig::new(Policy::conventional(7)).with_sstable_points(5),
-        )
-        .expect("engine");
-        // Deterministic shuffled-ish order.
-        let mut tgs: Vec<i64> = (0..200).map(|i| (i * 73) % 200).collect();
-        tgs.dedup();
-        for &tg in &tgs {
-            e.append(DataPoint::new(tg, 10_000 + tg, tg as f64))
-                .expect("append");
-        }
-        let all = e.scan_all().expect("scan");
-        assert_eq!(all.len(), 200);
-        assert!(all.windows(2).all(|w| w[0].gen_time < w[1].gen_time));
-        for (i, p) in all.iter().enumerate() {
-            assert_eq!(p.gen_time, i as i64);
-        }
+        check_no_loss_conventional::<Inline>();
+    }
+
+    #[test]
+    fn preserves_all_points_separation_with_stragglers() {
+        check_no_loss_separation_with_stragglers::<Inline>();
     }
 
     #[test]
     fn separation_routes_by_last_disk_gen_time() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::separation(8, 4).expect("policy"))
                 .with_sstable_points(4),
-        )
-        .expect("engine");
+        );
         // First 4 in-order points fill C_seq and flush: disk max = 30.
         for p in in_order_points(4) {
             e.append(p).expect("append");
@@ -804,11 +1236,10 @@ mod tests {
 
     #[test]
     fn seq_flush_never_rewrites() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::separation(64, 32).expect("policy"))
                 .with_sstable_points(8),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(320) {
             e.append(p).expect("append");
         }
@@ -819,34 +1250,14 @@ mod tests {
 
     #[test]
     fn duplicate_gen_time_upserts_latest_value() {
-        let mut e = in_memory(
-            EngineConfig::new(Policy::conventional(4)).with_sstable_points(4),
-        )
-        .expect("engine");
-        for p in in_order_points(8) {
-            e.append(p).expect("append");
-        }
-        // Overwrite tg=30 (already on disk) with a new value.
-        e.append(DataPoint::new(30, 999, 123.0)).expect("append");
-        let (hits, _) = e.query(TimeRange::new(30, 30)).expect("query");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].value, 123.0, "memtable version must win");
-        // Force it to disk and re-check.
-        for tg in [200i64, 210, 220] {
-            e.append(DataPoint::new(tg, tg, 0.0)).expect("append");
-        }
-        let (hits, _) = e.query(TimeRange::new(30, 30)).expect("query");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].value, 123.0, "compacted version must win");
-        assert_eq!(e.scan_all().expect("scan").len(), 11);
+        check_duplicate_gen_time_keeps_latest_write::<Inline>();
     }
 
     #[test]
     fn query_stats_count_tables_and_points() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(8)).with_sstable_points(8),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(32) {
             e.append(p).expect("append");
         }
@@ -866,8 +1277,8 @@ mod tests {
 
     #[test]
     fn query_sees_buffered_points() {
-        let mut e = in_memory(EngineConfig::new(Policy::conventional(100)))
-            .expect("engine");
+        let mut e =
+            open::<Inline>(EngineConfig::new(Policy::conventional(100)));
         e.append(DataPoint::new(5, 5, 1.0)).expect("append");
         let (hits, stats) = e.query(TimeRange::new(0, 10)).expect("query");
         assert_eq!(hits.len(), 1);
@@ -877,10 +1288,9 @@ mod tests {
 
     #[test]
     fn flush_all_persists_everything() {
-        let mut e = in_memory(EngineConfig::new(
+        let mut e = open::<Inline>(EngineConfig::new(
             Policy::separation(100, 50).expect("policy"),
-        ))
-        .expect("engine");
+        ));
         for p in in_order_points(10) {
             e.append(p).expect("append");
         }
@@ -894,47 +1304,26 @@ mod tests {
 
     #[test]
     fn set_policy_reroutes_buffered_points() {
-        let mut e = in_memory(EngineConfig::new(Policy::conventional(100)))
-            .expect("engine");
-        for p in in_order_points(10) {
-            e.append(p).expect("append");
-        }
-        let user_before = e.metrics().user_points;
-        e.set_policy(Policy::separation(100, 50).expect("policy"))
-            .expect("switch");
-        assert_eq!(e.metrics().user_points, user_before);
-        assert_eq!(e.buffered_points(), 10);
-        assert_eq!(e.scan_all().expect("scan").len(), 10);
-        // Switch back while data is buffered.
-        e.set_policy(Policy::conventional(100))
-            .expect("switch back");
-        assert_eq!(e.scan_all().expect("scan").len(), 10);
+        check_set_policy_reroutes_buffered_points::<Inline>();
+    }
+
+    #[test]
+    fn queries_see_buffered_flushed_and_compacted_data() {
+        check_queries_see_every_source::<Inline>();
     }
 
     #[test]
     fn wa_snapshots_are_recorded() {
-        let mut e = in_memory(
-            EngineConfig::new(Policy::conventional(4))
-                .with_sstable_points(4)
-                .with_wa_snapshots(10),
-        )
-        .expect("engine");
-        for p in in_order_points(35) {
-            e.append(p).expect("append");
-        }
-        assert_eq!(e.metrics().wa_snapshots.len(), 3);
-        assert_eq!(e.metrics().wa_snapshots[0].user_points, 10);
-        assert_eq!(e.metrics().wa_snapshots[2].user_points, 30);
+        check_wa_snapshots_are_recorded::<Inline>();
     }
 
     #[test]
     fn subsequent_probe_counts_points_above_buffer_min() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(4))
                 .with_sstable_points(4)
                 .with_subsequent_probe(),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(8) {
             e.append(p).expect("append");
         }
@@ -952,12 +1341,11 @@ mod tests {
     fn subsequent_probe_skips_in_order_flushes_under_separation() {
         // Fig. 5 counts subsequent points per *merging-buffer* flush: a
         // `C_seq` flush plans with no inputs and records nothing.
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::separation(8, 4).expect("policy"))
                 .with_sstable_points(4)
                 .with_subsequent_probe(),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(8) {
             e.append(p).expect("append");
         }
@@ -982,11 +1370,10 @@ mod tests {
 
     #[test]
     fn point_get_finds_buffered_and_flushed_points() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::separation(8, 4).expect("policy"))
                 .with_sstable_points(4),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(10) {
             e.append(p).expect("append");
         }
@@ -1001,10 +1388,6 @@ mod tests {
 
     #[test]
     fn block_reads_scan_fewer_points_on_compressed_stores() {
-        use crate::sstable::EncodeOptions;
-        use crate::store::MemStore;
-        use std::sync::Arc;
-
         let run = |block_reads: bool| {
             let mut config = EngineConfig::new(Policy::conventional(128))
                 .with_sstable_points(128);
@@ -1015,7 +1398,7 @@ mod tests {
                 compression: crate::sstable::Compression::TimeSeries,
                 block_points: 16,
             }));
-            let mut e = on_store(config, store).expect("engine");
+            let mut e = on_store(config, store);
             for p in in_order_points(256) {
                 e.append(p).expect("append");
             }
@@ -1044,10 +1427,6 @@ mod tests {
         // fill the run in order, warm the cache with queries, then force
         // merge-compactions that delete the warmed tables and check that
         // queries see the merged truth, not stale cached blocks.
-        use crate::cache::BlockCache;
-        use crate::sstable::EncodeOptions;
-        use crate::store::MemStore;
-        use std::sync::Arc;
 
         let cache = BlockCache::with_capacity(64 * 1024);
         let store = Arc::new(MemStore::with_options(EncodeOptions {
@@ -1095,56 +1474,17 @@ mod tests {
 
     #[test]
     fn cached_engine_matches_uncached_results() {
-        use crate::cache::BlockCache;
-        use crate::sstable::EncodeOptions;
-        use crate::store::MemStore;
-        use std::sync::Arc;
-
-        let run = |cache: Option<Arc<BlockCache>>| {
-            let store =
-                Arc::new(MemStore::with_options(EncodeOptions::compressed()));
-            let mut opts = OpenOptions::new(
-                EngineConfig::new(Policy::separation(16, 8).expect("config"))
-                    .with_sstable_points(16),
-            )
-            .store(store);
-            if let Some(cache) = cache {
-                opts = opts.cache(cache);
-            }
-            let mut e = opts.open().expect("engine");
-            for i in 0..200i64 {
-                let tg = if i % 5 == 0 { i * 10 - 45 } else { i * 10 };
-                e.append(DataPoint::new(tg, i * 10 + 3, i as f64))
-                    .expect("append");
-            }
-            let points = e.scan_all().expect("scan");
-            (points, e.metrics().clone())
-        };
-        let cache = BlockCache::with_capacity(8 * 1024);
-        let (cached_points, cached_metrics) = run(Some(Arc::clone(&cache)));
-        let (plain_points, plain_metrics) = run(None);
-        assert_eq!(cached_points, plain_points);
-        assert_eq!(
-            cached_metrics.disk_points_written,
-            plain_metrics.disk_points_written,
-            "the cache must not change write behaviour"
-        );
-        assert!(cache.stats().hits + cache.stats().misses > 0);
+        check_cached_reads_match_uncached::<Inline>();
     }
 
     #[test]
     fn engine_round_trips_on_compressed_store() {
-        use crate::sstable::EncodeOptions;
-        use crate::store::MemStore;
-        use std::sync::Arc;
-
         let store =
             Arc::new(MemStore::with_options(EncodeOptions::compressed()));
         let mut e = on_store(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
             store,
-        )
-        .expect("engine");
+        );
         let mut tgs: Vec<i64> = (0..300).map(|i| (i * 91) % 300).collect();
         tgs.dedup();
         for &tg in &tgs {
@@ -1158,10 +1498,16 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs() {
-        assert!(in_memory(
-            EngineConfig::new(Policy::conventional(8)).with_sstable_points(0)
-        )
-        .is_err());
+        let tableless =
+            EngineConfig::new(Policy::conventional(8)).with_sstable_points(0);
+        assert!(OpenOptions::new(tableless).open().is_err());
+        // Only the inline merge can answer the Fig. 5 probe.
+        let probing =
+            EngineConfig::new(Policy::conventional(8)).with_subsequent_probe();
+        assert!(matches!(
+            crate::TieredOpenOptions::new(probing).open(),
+            Err(Error::InvalidConfig(_))
+        ));
         assert!(Policy::separation(8, 0).is_err());
         assert!(Policy::separation(8, 8).is_err());
     }
@@ -1171,10 +1517,9 @@ mod tests {
         // 64 in-order points flush into 8 single-block v3 tables; a query
         // covering the whole run is answered purely from index
         // pre-aggregates: no data block is decoded.
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(64) {
             e.append(p).expect("append");
         }
@@ -1209,10 +1554,9 @@ mod tests {
 
     #[test]
     fn buffered_overlap_forces_agg_fallback() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(64) {
             e.append(p).expect("append");
         }
@@ -1240,10 +1584,9 @@ mod tests {
 
     #[test]
     fn downsample_folds_only_blocks_within_one_bucket() {
-        let mut e = in_memory(
+        let mut e = open::<Inline>(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
-        )
-        .expect("engine");
+        );
         for p in in_order_points(64) {
             e.append(p).expect("append");
         }
@@ -1276,9 +1619,6 @@ mod tests {
 
     #[test]
     fn folded_aggregate_faults_no_data_blocks_into_cache() {
-        use crate::cache::BlockCache;
-        use std::sync::Arc;
-
         // A fully folded aggregate plans from the cached index alone: the
         // block cache sees no data-block traffic at all (no hits, no
         // misses, no new residents), while a point query over the same
@@ -1332,9 +1672,6 @@ mod tests {
             bounds in (-100i64..500, -100i64..500),
             width in 1i64..64,
         ) {
-            use crate::sstable::EncodeOptions;
-            use crate::store::MemStore;
-            use std::sync::Arc;
 
             let range = TimeRange::new(
                 bounds.0.min(bounds.1),
@@ -1351,8 +1688,7 @@ mod tests {
                     EngineConfig::new(Policy::conventional(7))
                         .with_sstable_points(5),
                     store,
-                )
-                .expect("engine");
+                );
                 for &(tg, v) in &raw {
                     e.append(DataPoint::new(tg, tg, f64::from(v)))
                         .expect("append");

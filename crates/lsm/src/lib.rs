@@ -20,7 +20,7 @@
 //!                 (non-overlapping, 512 pts each)
 //! ```
 //!
-//! **Kernel layers** (shared by all three engines):
+//! **Kernel layers** (shared by every engine):
 //!
 //! * [`buffer`] — [`PolicyBuffers`](buffer::PolicyBuffers), the policy-aware
 //!   MemTable set: Definition 3 classification against the pivot, flush
@@ -49,26 +49,25 @@
 //! * [`Manifest`] — checksummed run/L0 membership log for O(metadata)
 //!   recovery.
 //!
-//! **Engines.** An engine has a *front half* that is the same for all of
-//! them and a *back half* that is where they differ:
+//! **Engines.** One single-series engine, [`Engine`]: its *front half* —
+//! admission, the log, classification and buffering, the policy switch, the
+//! log checkpoint, reads — is written once, over an [`Executor`], its *back
+//! half*: where a sealed MemTable goes and who waits for it.
+//! Assembly ([`open`]: one builder, whose three names are [`OpenOptions`] /
+//! [`TieredOpenOptions`] / [`MultiOpenOptions`]), recovery ([`recovery`]:
+//! the [`Version`] from the manifest or a store scan under strict/salvage
+//! rules, then the WAL replay) and reads ([`query`]: one path over a view of
+//! every source, freshest first) are each written once as well.
 //!
-//! * [`open`] — assembly: one builder ([`OpenOptions`] /
-//!   [`TieredOpenOptions`] / [`MultiOpenOptions`] are its three names) that
-//!   declares and applies every shared setting once.
-//! * [`recovery`] — one routine rebuilds a [`Version`] from the manifest or
-//!   a store scan under strict/salvage rules, one replays the WAL into the
-//!   buffers and re-seeds it.
-//! * [`query`] — one read path (`query` / `get` / `aggregate` /
-//!   `downsample`) over a view of every source, freshest first.
-//! * [`LsmEngine`] — back half: flush and merge-compaction run inline in
-//!   `append`. Used by every WA experiment; instrumented for write
-//!   amplification, subsequent-point counts, and query statistics.
-//! * [`TieredEngine`] — back half: full MemTables go to an L0 through a
-//!   background worker that merges them into the run, the production write
+//! * [`LsmEngine`] = `Engine<Inline>`: flush and merge-compaction run
+//!   inline in `append`. Every WA experiment.
+//! * [`TieredEngine`] = `Engine<Background>`: full MemTables go to an L0
+//!   through a worker that merges them into the run, the production write
 //!   path of §V-C (Table III throughput).
 //! * [`MultiSeriesEngine`](multi::MultiSeriesEngine) — one [`LsmEngine`]
 //!   per series over a shared store, with a flush pool and a memory
-//!   arbiter; durable via namespaced per-series WALs and manifests.
+//!   arbiter; durable through one `fleet.wal` and one `fleet.manifest`,
+//!   committed once per batch.
 //!
 //! # Quick start
 //!
@@ -126,13 +125,13 @@ pub use admission::{
 pub use arbiter::{
     Arbiter, ArbiterConfig, ArbiterStats, Rebalance, SeriesAssignment,
 };
-pub use background::{TieredEngine, TieredReport};
+pub use background::{Background, TieredEngine, TieredReport};
 pub use buffer::{FlushTrigger, PolicyBuffers};
 pub use cache::{
     BlockCache, BlockKey, CacheConfig, CachePriority, CacheStats, EvictedBlock,
 };
 pub use compaction::{plan_merge, CompactionPlan, RunInput};
-pub use engine::{EngineConfig, LsmEngine};
+pub use engine::{Engine, EngineConfig, Executor, Inline, LsmEngine};
 pub use fault::{Fault, FaultPlan, FaultStore, IoOp};
 pub use invariants::InvariantChecker;
 pub use iterator::{merge_sorted, MergeIter};

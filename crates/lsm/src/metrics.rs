@@ -87,6 +87,45 @@ impl Metrics {
         write_amplification(self.disk_points_written, self.user_points)
     }
 
+    /// Adds `other`'s counters to these — the total of a fleet's series, or
+    /// of one engine's appending thread and its worker — and appends its
+    /// `subsequent_counts` and `wa_snapshots`. Destructures exhaustively: a
+    /// counter added to [`Metrics`] does not compile until it is summed here.
+    pub fn absorb(&mut self, other: &Metrics) {
+        let Metrics {
+            user_points,
+            disk_points_written,
+            disk_bytes_written,
+            flushes,
+            compactions,
+            rewritten_points,
+            tables_created,
+            tables_deleted,
+            delayed_appends,
+            write_stalls,
+            stall_ticks,
+            paced_ticks,
+            retry_backoffs,
+            subsequent_counts,
+            wa_snapshots,
+        } = other;
+        self.user_points += user_points;
+        self.disk_points_written += disk_points_written;
+        self.disk_bytes_written += disk_bytes_written;
+        self.flushes += flushes;
+        self.compactions += compactions;
+        self.rewritten_points += rewritten_points;
+        self.tables_created += tables_created;
+        self.tables_deleted += tables_deleted;
+        self.delayed_appends += delayed_appends;
+        self.write_stalls += write_stalls;
+        self.stall_ticks += stall_ticks;
+        self.paced_ticks += paced_ticks;
+        self.retry_backoffs += retry_backoffs;
+        self.subsequent_counts.extend(subsequent_counts);
+        self.wa_snapshots.extend(wa_snapshots);
+    }
+
     /// Mean number of subsequent points per compaction (Fig. 5's y-axis).
     pub fn mean_subsequent(&self) -> Option<f64> {
         if self.subsequent_counts.is_empty() {

@@ -58,8 +58,8 @@ use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
 use crate::admission::AdmissionOutcome;
 use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
-use crate::compaction::{self, Outbox};
-use crate::engine::{EngineConfig, LsmEngine};
+use crate::compaction::Outbox;
+use crate::engine::{checkpoint_retired, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{
     Levels, Manifest, ManifestEdit, ManifestStats, SeriesTables,
@@ -444,13 +444,13 @@ impl MultiSeriesEngine {
             {
                 // What the series buffers inside a flushed range arrived
                 // after the flush: everything volatile is in its MemTables.
-                for range in compaction::coalesce(outbox.flushed) {
-                    cut_due |= wal.checkpoint(
-                        id.0,
-                        range,
-                        &engine.buffered_in(range),
-                    )?;
-                }
+                cut_due |= checkpoint_retired(
+                    wal,
+                    id.0,
+                    outbox.flushed,
+                    &[],
+                    engine.buffers(),
+                )?;
             }
             for input in outbox.retired {
                 self.store.delete(input)?;
@@ -729,10 +729,7 @@ impl MultiSeriesEngine {
     }
 
     /// Switches the buffering policy of one series (e.g. after a per-series
-    /// tuning decision). Delegates to [`LsmEngine::set_policy`], so the
-    /// buffered points migrate through the same
-    /// [`PolicyBuffers::migrate`](crate::buffer::PolicyBuffers::migrate)
-    /// path as every other engine.
+    /// tuning decision): [`LsmEngine::set_policy`] on its engine.
     ///
     /// # Errors
     /// [`Error::UnknownSeries`], degenerate policies, or storage failures.
@@ -910,9 +907,9 @@ impl MultiSeriesEngine {
                 .map(|(id, engine)| {
                     let capture = capturing.then(|| {
                         let capture = Arc::new(CaptureSink::default());
-                        engine.set_observer(ObserverHandle::attached(
+                        engine.front.obs = ObserverHandle::attached(
                             Arc::clone(&capture) as Arc<dyn Observer>,
-                        ));
+                        );
                         capture
                     });
                     (*id, engine, capture, None::<Result<()>>)
@@ -948,7 +945,7 @@ impl MultiSeriesEngine {
         let mut first_error = None;
         for (_, engine, capture, outcome) in slots {
             if let Some(capture) = capture {
-                engine.set_observer(self.obs.clone());
+                engine.front.obs = self.obs.clone();
                 capture.replay_into(&self.obs);
             }
             if let (None, Some(Err(err))) = (&first_error, outcome) {
@@ -990,26 +987,17 @@ impl MultiSeriesEngine {
         MultiMetrics::from_metrics(self.series.len(), &self.combined_metrics())
     }
 
-    /// The full kernel [`Metrics`] summed across every series, plus the
-    /// fleet-level flush-queue delays (which belong to no single series)
-    /// folded into `delayed_appends`/`stall_ticks`.
+    /// The full kernel [`Metrics`] summed across every series
+    /// ([`Metrics::absorb`], in ascending series order: the per-engine
+    /// series follow one another, so `windowed_wa` of the sum means
+    /// nothing), plus the fleet-level flush-queue delays (which belong to
+    /// no single series) folded into `delayed_appends`/`stall_ticks`.
     pub fn combined_metrics(&self) -> Metrics {
         let mut sum = Metrics::default();
-        for engine in self.series.values() {
-            let em = engine.metrics();
-            sum.user_points += em.user_points;
-            sum.disk_points_written += em.disk_points_written;
-            sum.disk_bytes_written += em.disk_bytes_written;
-            sum.flushes += em.flushes;
-            sum.compactions += em.compactions;
-            sum.rewritten_points += em.rewritten_points;
-            sum.tables_created += em.tables_created;
-            sum.tables_deleted += em.tables_deleted;
-            sum.delayed_appends += em.delayed_appends;
-            sum.write_stalls += em.write_stalls;
-            sum.stall_ticks += em.stall_ticks;
-            sum.paced_ticks += em.paced_ticks;
-            sum.retry_backoffs += em.retry_backoffs;
+        for id in self.series_ids() {
+            if let Some(engine) = self.series.get(&id) {
+                sum.absorb(engine.metrics());
+            }
         }
         sum.delayed_appends += self.fleet_delayed_waves;
         sum.stall_ticks += self.fleet_delayed_waves;

@@ -18,10 +18,12 @@
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
 //! has ([`Background`]: synchronous flushes; [`Fleet`]: durable
-//! directory, flush pool, arbiter) and the engine type it assembles. A
-//! durable fleet assembles its series through the [`Inline`] kind with
-//! neither log nor manifest: both are the fleet's (`fleet.wal`,
-//! `fleet.manifest`), and so is the moment a series' flush is committed.
+//! directory, flush pool, arbiter) and the engine type it assembles — the
+//! two single-series kinds the same [`Engine`], over the executor their
+//! settings start. A durable fleet assembles its series through the
+//! [`Inline`] kind with neither log nor manifest: both are the fleet's
+//! (`fleet.wal`, `fleet.manifest`), and so is the moment a series' flush
+//! is committed.
 //!
 //! ```
 //! use seplsm_lsm::{EngineConfig, OpenOptions};
@@ -37,23 +39,24 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use seplsm_types::Result;
+use seplsm_types::{Error, Result};
 
 use crate::admission::{IoPacer, Watermarks, DEFAULT_FLUSH_QUEUE_DEPTH};
 use crate::arbiter::ArbiterConfig;
+use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
-use crate::engine::EngineConfig;
+use crate::engine::{self, Engine, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{Levels, Manifest};
 use crate::obs::{Observer, ObserverHandle};
-use crate::recovery::{RecoveryOptions, RecoveryReport};
+use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 use crate::store::{CachedStore, MemStore, TableStore};
 use crate::version::Version;
 use crate::wal::Wal;
 
-/// Opens an [`LsmEngine`](crate::LsmEngine): flush and compaction run inline in `append`.
+/// Opens an [`LsmEngine`]: flush and compaction run inline in `append`.
 pub type OpenOptions = EngineBuilder<Inline>;
-/// Opens a [`TieredEngine`](crate::TieredEngine): a background worker flushes and compacts.
+/// Opens a [`TieredEngine`]: a background worker flushes and compacts.
 pub type TieredOpenOptions = EngineBuilder<Background>;
 /// Opens a [`MultiSeriesEngine`](crate::MultiSeriesEngine): one inline engine per series over a
 /// shared store.
@@ -84,7 +87,7 @@ pub trait Kind: Default {
 /// manifest path and one admission controller.
 pub trait SingleSeries: Kind {}
 
-/// The [`LsmEngine`](crate::LsmEngine) kind; it has no settings of its own
+/// The [`LsmEngine`] kind; it has no settings of its own
 /// outside the crate.
 #[derive(Debug, Default)]
 pub struct Inline {
@@ -97,7 +100,7 @@ pub struct Inline {
     pub(crate) levels: Option<Levels>,
 }
 
-/// The [`TieredEngine`](crate::TieredEngine) kind.
+/// The [`TieredEngine`] kind.
 #[derive(Debug, Default)]
 pub struct Background {
     /// The logical token bucket pacing compaction output writes; always
@@ -231,7 +234,7 @@ impl<K: Kind> EngineBuilder<K> {
     /// Opens a fresh engine, ignoring any recoverable state on disk.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`](seplsm_types::Error::InvalidConfig) for
+    /// [`Error::InvalidConfig`] for
     /// degenerate configurations; I/O errors opening the WAL, manifest or
     /// durable directory.
     pub fn open(self) -> Result<K::Engine> {
@@ -239,16 +242,16 @@ impl<K: Kind> EngineBuilder<K> {
     }
 
     /// Rebuilds an engine from existing state: the table levels from the
-    /// manifest in O(metadata) — or, for an [`LsmEngine`](crate::LsmEngine) opened without
+    /// manifest in O(metadata) — or, for an [`LsmEngine`] opened without
     /// one, by scanning the store — then the buffered tail from the WAL.
-    /// A [`TieredEngine`](crate::TieredEngine) requires a manifest and a
+    /// A [`TieredEngine`] requires a manifest and a
     /// [`MultiSeriesEngine`](crate::MultiSeriesEngine) a
     /// durable directory, whose `fleet.manifest` restores every series
     /// before its `fleet.wal` is replayed over them;
     /// orphan GC, when requested, runs once the whole live set is known.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`](seplsm_types::Error::InvalidConfig) when
+    /// [`Error::InvalidConfig`] when
     /// the state to recover from is not configured; in strict mode any
     /// damage, in salvage mode only unrecoverable failures (see
     /// [`RecoveryOptions`]).
@@ -306,6 +309,53 @@ impl<K: SingleSeries> EngineBuilder<K> {
     }
 }
 
+impl Kind for Inline {
+    type Engine = LsmEngine;
+
+    /// Recovering, the version comes from the levels the owner replayed
+    /// for this series, else from the engine's own manifest, else from a
+    /// store scan. A manifest with L0 records is another executor's.
+    fn assemble(
+        mut options: OpenOptions,
+        store: Arc<dyn TableStore>,
+        recover: bool,
+    ) -> Result<(LsmEngine, RecoveryReport)> {
+        options.config.validate()?;
+        let mut report = recover.then(RecoveryReport::default);
+        let mode = options.recovery.mode;
+        let version = match (&mut report, options.kind.levels.take()) {
+            (None, _) => Version::new(),
+            (Some(report), Some(levels)) => recovery::version_from_levels(
+                store.as_ref(),
+                levels,
+                true,
+                mode,
+                false,
+                report,
+                &options.observer,
+            )?,
+            (Some(report), None) => recovery::rebuild_version(
+                store.as_ref(),
+                options.manifest.as_deref(),
+                mode,
+                false,
+                report,
+                &options.observer,
+            )?,
+        };
+        let exec = engine::Inline::new(
+            version,
+            options.kind.owner_commits,
+            options.watermarks,
+        );
+        Engine::assemble(options, store, exec, report)
+    }
+
+    fn attach_faults(engine: &mut LsmEngine, plan: &Arc<FaultPlan>) {
+        engine.attach_faults(plan);
+    }
+}
+
 impl SingleSeries for Inline {}
 
 impl TieredOpenOptions {
@@ -316,6 +366,59 @@ impl TieredOpenOptions {
     pub fn sync_flush(mut self) -> Self {
         self.kind.sync_flush = true;
         self
+    }
+}
+
+impl Kind for Background {
+    type Engine = TieredEngine;
+
+    /// Recovery is manifest-driven: the manifest restores the run and L0.
+    /// The Fig. 5 probe is refused: only the inline merge can answer it.
+    fn assemble(
+        mut options: TieredOpenOptions,
+        store: Arc<dyn TableStore>,
+        recover: bool,
+    ) -> Result<(TieredEngine, RecoveryReport)> {
+        if recover && options.manifest.is_none() {
+            return Err(Error::InvalidConfig(
+                "tiered recovery is manifest-driven: configure \
+                 OpenOptions::manifest"
+                    .into(),
+            ));
+        }
+        if options.config.record_subsequent {
+            return Err(Error::InvalidConfig(
+                "record_subsequent needs the inline merge: it is an \
+                 LsmEngine setting"
+                    .into(),
+            ));
+        }
+        options.config.validate()?;
+        let mut report = recover.then(RecoveryReport::default);
+        let version = match &mut report {
+            None => Version::new(),
+            Some(report) => recovery::rebuild_version(
+                store.as_ref(),
+                options.manifest.as_deref(),
+                options.recovery.mode,
+                true,
+                report,
+                &options.observer,
+            )?,
+        };
+        let exec = background::Background::start(
+            std::mem::take(&mut options.kind),
+            options.config.sstable_points,
+            &store,
+            version,
+            options.watermarks,
+            &options.observer,
+        )?;
+        Engine::assemble(options, store, exec, report)
+    }
+
+    fn attach_faults(engine: &mut TieredEngine, plan: &Arc<FaultPlan>) {
+        engine.attach_faults(plan);
     }
 }
 

@@ -264,8 +264,8 @@ pub fn durability_order(path: &Path, src: &str) -> Vec<Violation> {
 /// `wal.append` / `wal.append_for` (or a replay/migrate source), and every
 /// `wal.checkpoint` and every cut (`wal.rewrite`) must be dominated by a
 /// manifest record / flushing registration (or a source). Helpers whose only events are truncates are
-/// judged at their call sites instead (`compact_wal` is deliberately a
-/// leaf), and calls are resolved through the crate-wide graph, so a helper
+/// judged at their call sites instead (`checkpoint_retired` is deliberately
+/// a leaf), and calls are resolved through the crate-wide graph, so a helper
 /// defined in another file is judged with its caller's context.
 pub fn durability_order_with(
     path: &Path,

@@ -64,6 +64,19 @@ for bin in $(grep -ohE -- '--bin[ =][A-Za-z0-9_-]+|target/release/[A-Za-z0-9_-]+
     || { echo "documented bin '$bin' does not exist"; exit 1; }
 done
 
+# Same for tests: every `file.rs::test_name` the docs cite as evidence must
+# still be a `fn test_name` in that file (`tests/…` from the repo root, a bare
+# file name anywhere under crates/*/src), so a test that moved or was folded
+# into another cannot leave a citation pointing at nothing.
+echo "== documented tests exist =="
+for cite in $(grep -ohE '`[A-Za-z0-9_/.-]+\.rs::[A-Za-z0-9_]+`' \
+    README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+  file="${cite%%::*}"; name="${cite##*::}"
+  [[ "$file" == */* ]] || file="$(find crates/*/src -name "$file" | head -1)"
+  grep -qsE "fn $name\b" "$file" \
+    || { echo "documented test '$cite' does not exist"; exit 1; }
+done
+
 echo "== cargo build --release =="
 cargo build --release --workspace --offline
 

@@ -4,9 +4,11 @@
 //! range queries exactly.
 
 use proptest::prelude::*;
+use seplsm::lsm::open::EngineBuilder;
+use seplsm::lsm::{Background, Engine, Executor, Inline};
 use seplsm::{
-    DataPoint, EngineConfig, Event, OpenOptions, Policy, RingBufferSink,
-    TimeRange,
+    DataPoint, EngineConfig, Event, LsmEngine, OpenOptions, Policy,
+    RingBufferSink, TieredEngine, TimeRange,
 };
 
 /// A deterministic scramble of `0..n` (affine permutation).
@@ -25,6 +27,164 @@ fn arb_policy(n_max: usize) -> impl Strategy<Value = Policy> {
     })
 }
 
+/// A fresh in-memory engine over either executor.
+fn open<X: Executor>(policy: Policy, sstable: usize) -> Engine<X> {
+    let config = EngineConfig::new(policy).with_sstable_points(sstable);
+    EngineBuilder::<X::Kind>::new(config)
+        .open()
+        .expect("engine")
+}
+
+/// The one thing the properties need that the two aliases spell
+/// differently: force everything into the run and report what it holds and
+/// how many points the user wrote.
+trait Ending {
+    fn end(self) -> (Vec<DataPoint>, u64);
+}
+
+impl Ending for LsmEngine {
+    fn end(mut self) -> (Vec<DataPoint>, u64) {
+        self.flush_all().expect("flush");
+        assert_eq!(self.buffered_points(), 0);
+        self.run().check_invariants().expect("run invariant");
+        (self.scan_all().expect("scan"), self.metrics().user_points)
+    }
+}
+
+impl Ending for TieredEngine {
+    fn end(self) -> (Vec<DataPoint>, u64) {
+        let report = self.finish().expect("finish");
+        (report.points, report.user_points)
+    }
+}
+
+fn no_loss_no_duplication<X: Executor>(
+    order: &[usize],
+    policy: Policy,
+    sstable: usize,
+    delay_scale: i64,
+) where
+    Engine<X>: Ending,
+{
+    let mut engine = open::<X>(policy, sstable);
+    for &i in order {
+        let tg = i as i64 * 10;
+        // Delay pattern derived from the index: deterministic, mixed.
+        let delay = (i as i64 * 131) % (delay_scale + 1);
+        engine
+            .append(DataPoint::new(tg, tg + delay, i as f64))
+            .expect("append");
+    }
+    let all = engine.scan_all().expect("scan");
+    assert_eq!(all.len(), order.len());
+    for (i, p) in all.iter().enumerate() {
+        assert_eq!(p.gen_time, i as i64 * 10);
+        assert_eq!(p.value, i as f64);
+    }
+    let (rested, user_points) = engine.end();
+    assert_eq!(rested, all);
+    assert_eq!(user_points, order.len() as u64);
+}
+
+fn queries_match<X: Executor>(
+    order: &[usize],
+    policy: Policy,
+    range: TimeRange,
+) {
+    let mut engine = open::<X>(policy, 8);
+    let mut reference = Vec::new();
+    for &i in order {
+        let tg = i as i64 * 10;
+        let p = DataPoint::new(tg, tg + (i as i64 % 700), i as f64);
+        engine.append(p).expect("append");
+        reference.push(p);
+    }
+    let (got, stats) = engine.query(range).expect("query");
+    let mut want: Vec<DataPoint> = reference
+        .into_iter()
+        .filter(|p| range.contains(p.gen_time))
+        .collect();
+    want.sort();
+    assert_eq!(&got, &want);
+    assert_eq!(stats.points_returned as usize, want.len());
+    // Whole-table reads can only scan more than they return.
+    assert!(
+        stats.disk_points_scanned + stats.mem_points_scanned
+            >= stats.points_returned
+    );
+}
+
+fn upserts_keep_latest<X: Executor>(
+    count: usize,
+    policy: Policy,
+    rewrite_every: usize,
+) {
+    let mut engine = open::<X>(policy, 8);
+    for i in 0..count {
+        let tg = i as i64 * 10;
+        engine
+            .append(DataPoint::new(tg, tg, i as f64))
+            .expect("append");
+    }
+    // Overwrite a subset with new values (arriving late).
+    for i in (0..count).step_by(rewrite_every) {
+        let tg = i as i64 * 10;
+        engine
+            .append(DataPoint::new(tg, tg + 100_000, -1.0))
+            .expect("upsert");
+    }
+    let all = engine.scan_all().expect("scan");
+    assert_eq!(all.len(), count);
+    for (i, p) in all.iter().enumerate() {
+        let expected = if i % rewrite_every == 0 {
+            -1.0
+        } else {
+            i as f64
+        };
+        assert_eq!(p.value, expected, "at index {i}");
+    }
+}
+
+fn ending_preserves_scan<X: Executor>(count: usize, policy: Policy)
+where
+    Engine<X>: Ending,
+{
+    let mut engine = open::<X>(policy, 8);
+    for &i in &scramble(count, 3) {
+        let tg = i as i64 * 10;
+        engine
+            .append(DataPoint::new(tg, tg + (i as i64 % 300), 0.0))
+            .expect("append");
+    }
+    let before = engine.scan_all().expect("scan");
+    assert_eq!(engine.end().0, before);
+}
+
+fn policy_switch_preserves_data<X: Executor>(
+    count: usize,
+    first: Policy,
+    second: Policy,
+) {
+    let mut engine = open::<X>(first, 8);
+    let order = scramble(count, 1);
+    let (early, late): (Vec<usize>, Vec<usize>) =
+        order.iter().partition(|&&i| i < count / 2);
+    for (i, half) in [early, late].into_iter().enumerate() {
+        if i == 1 {
+            engine.set_policy(second).expect("switch");
+        }
+        for i in half {
+            let tg = i as i64 * 10;
+            engine
+                .append(DataPoint::new(tg, tg + (i as i64 % 250), 0.0))
+                .expect("append");
+        }
+    }
+    let all = engine.scan_all().expect("scan");
+    assert_eq!(all.len(), count);
+    assert!(all.windows(2).all(|w| w[0].gen_time < w[1].gen_time));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -37,21 +197,8 @@ proptest! {
         delay_scale in 0i64..2000,
     ) {
         let order = scramble(count, offset);
-        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(sstable)).open().expect("engine");
-        for &i in &order {
-            let tg = i as i64 * 10;
-            // Delay pattern derived from the index: deterministic, mixed.
-            let delay = (i as i64 * 131) % (delay_scale + 1);
-            engine.append(DataPoint::new(tg, tg + delay, i as f64)).expect("append");
-        }
-        let all = engine.scan_all().expect("scan");
-        prop_assert_eq!(all.len(), count);
-        for (i, p) in all.iter().enumerate() {
-            prop_assert_eq!(p.gen_time, i as i64 * 10);
-            prop_assert_eq!(p.value, i as f64);
-        }
-        engine.run().check_invariants().expect("run invariant");
-        prop_assert_eq!(engine.metrics().user_points, count as u64);
+        no_loss_no_duplication::<Inline>(&order, policy, sstable, delay_scale);
+        no_loss_no_duplication::<Background>(&order, policy, sstable, delay_scale);
     }
 
     #[test]
@@ -63,26 +210,9 @@ proptest! {
         q_len in 0i64..3000,
     ) {
         let order = scramble(count, offset);
-        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(8)).open().expect("engine");
-        let mut reference = Vec::new();
-        for &i in &order {
-            let tg = i as i64 * 10;
-            let p = DataPoint::new(tg, tg + (i as i64 % 700), i as f64);
-            engine.append(p).expect("append");
-            reference.push(p);
-        }
         let range = TimeRange::new(q_start, q_start + q_len);
-        let (got, stats) = engine.query(range).expect("query");
-        let mut want: Vec<DataPoint> = reference
-            .into_iter()
-            .filter(|p| range.contains(p.gen_time))
-            .collect();
-        want.sort();
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(stats.points_returned as usize, want.len());
-        // Whole-table reads can only scan more than they return.
-        prop_assert!(stats.disk_points_scanned + stats.mem_points_scanned
-            >= stats.points_returned);
+        queries_match::<Inline>(&order, policy, range);
+        queries_match::<Background>(&order, policy, range);
     }
 
     #[test]
@@ -91,24 +221,8 @@ proptest! {
         policy in arb_policy(16),
         rewrite_every in 2usize..10,
     ) {
-        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(8)).open().expect("engine");
-        for i in 0..count {
-            let tg = i as i64 * 10;
-            engine.append(DataPoint::new(tg, tg, i as f64)).expect("append");
-        }
-        // Overwrite a subset with new values (arriving late).
-        for i in (0..count).step_by(rewrite_every) {
-            let tg = i as i64 * 10;
-            engine
-                .append(DataPoint::new(tg, tg + 100_000, -1.0))
-                .expect("upsert");
-        }
-        let all = engine.scan_all().expect("scan");
-        prop_assert_eq!(all.len(), count);
-        for (i, p) in all.iter().enumerate() {
-            let expected = if i % rewrite_every == 0 { -1.0 } else { i as f64 };
-            prop_assert_eq!(p.value, expected, "at index {}", i);
-        }
+        upserts_keep_latest::<Inline>(count, policy, rewrite_every);
+        upserts_keep_latest::<Background>(count, policy, rewrite_every);
     }
 
     #[test]
@@ -116,19 +230,8 @@ proptest! {
         count in 1usize..200,
         policy in arb_policy(16),
     ) {
-        let mut engine = OpenOptions::new(EngineConfig::new(policy).with_sstable_points(8)).open().expect("engine");
-        for &i in &scramble(count, 3) {
-            let tg = i as i64 * 10;
-            engine
-                .append(DataPoint::new(tg, tg + (i as i64 % 300), 0.0))
-                .expect("append");
-        }
-        let before = engine.scan_all().expect("scan");
-        engine.flush_all().expect("flush");
-        prop_assert_eq!(engine.buffered_points(), 0);
-        let after = engine.scan_all().expect("scan");
-        prop_assert_eq!(before, after);
-        engine.run().check_invariants().expect("run invariant");
+        ending_preserves_scan::<Inline>(count, policy);
+        ending_preserves_scan::<Background>(count, policy);
     }
 
     #[test]
@@ -137,28 +240,8 @@ proptest! {
         first in arb_policy(16),
         second in arb_policy(16),
     ) {
-        let mut engine = OpenOptions::new(EngineConfig::new(first).with_sstable_points(8)).open().expect("engine");
-        let half = count / 2;
-        for &i in &scramble(count, 1) {
-            if i < half {
-                let tg = i as i64 * 10;
-                engine
-                    .append(DataPoint::new(tg, tg + (i as i64 % 250), 0.0))
-                    .expect("append");
-            }
-        }
-        engine.set_policy(second).expect("switch");
-        for &i in &scramble(count, 1) {
-            if i >= half {
-                let tg = i as i64 * 10;
-                engine
-                    .append(DataPoint::new(tg, tg + (i as i64 % 250), 0.0))
-                    .expect("append");
-            }
-        }
-        let all = engine.scan_all().expect("scan");
-        prop_assert_eq!(all.len(), count);
-        prop_assert!(all.windows(2).all(|w| w[0].gen_time < w[1].gen_time));
+        policy_switch_preserves_data::<Inline>(count, first, second);
+        policy_switch_preserves_data::<Background>(count, first, second);
     }
 }
 
