@@ -1,5 +1,7 @@
-//! Micro-benchmarks of the SSTable wire format: encode / decode throughput
-//! for the paper-default 512-point table.
+//! Micro-benchmarks of the SSTable wire format: encode / decode / range
+//! read of the dialect the engine writes (v3) at the paper-default 512
+//! points and at 4096, and decode of the two dialects it only reads, over
+//! table files an older build wrote (`tests/fixtures/tables/`).
 
 use criterion::{
     black_box, criterion_group, criterion_main, Criterion, Throughput,
@@ -21,40 +23,44 @@ fn table_points(n: usize) -> Vec<DataPoint> {
 
 fn bench_format(c: &mut Criterion) {
     let mut group = c.benchmark_group("sstable");
+    let options = format::EncodeOptions::default();
     for n in [512usize, 4096] {
         let points = table_points(n);
-        let encoded = format::encode(&points).expect("encode");
-        let compressed =
-            format::encode_with(&points, &format::EncodeOptions::compressed())
-                .expect("encode v2");
+        let encoded = format::encode_with(&points, &options).expect("encode");
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_function(format!("encode_v1/{n}"), |b| {
-            b.iter(|| format::encode(black_box(&points)).expect("encode"))
+        group.bench_function(format!("encode_v3/{n}"), |b| {
+            b.iter(|| {
+                format::encode_with(black_box(&points), &options)
+                    .expect("encode")
+            })
         });
-        group.bench_function(format!("decode_v1/{n}"), |b| {
+        group.bench_function(format!("decode_v3/{n}"), |b| {
             b.iter(|| format::decode(black_box(&encoded)).expect("decode"))
         });
-        group.bench_function(format!("encode_v2/{n}"), |b| {
-            b.iter(|| {
-                format::encode_with(
-                    black_box(&points),
-                    &format::EncodeOptions::compressed(),
-                )
-                .expect("encode v2")
-            })
-        });
-        group.bench_function(format!("decode_v2/{n}"), |b| {
-            b.iter(|| {
-                format::decode(black_box(&compressed)).expect("decode v2")
-            })
-        });
-        // Block-granular read of a narrow range out of a v2 table.
+        // Block-granular read of a narrow range: one block of the table.
         let range = seplsm_types::TimeRange::new(50 * 64, 50 * 96);
-        group.bench_function(format!("decode_range_v2/{n}"), |b| {
+        group.bench_function(format!("decode_range_v3/{n}"), |b| {
             b.iter(|| {
-                format::decode_range(black_box(&compressed), range)
+                format::decode_range(black_box(&encoded), range)
                     .expect("range read")
             })
+        });
+    }
+    group.throughput(Throughput::Elements(512));
+    for (name, table) in [
+        (
+            "decode_v1/512",
+            include_bytes!("../../../tests/fixtures/tables/v1-512.sst")
+                .as_slice(),
+        ),
+        (
+            "decode_v2/512",
+            include_bytes!("../../../tests/fixtures/tables/v2-bp128-512.sst")
+                .as_slice(),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| format::decode(black_box(table)).expect("decode"))
         });
     }
     group.finish();

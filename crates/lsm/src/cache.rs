@@ -587,7 +587,7 @@ mod tests {
         let pts: Vec<DataPoint> =
             (0..64).map(|i| DataPoint::new(i, i, 0.0)).collect();
         let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
+            encode_with(&pts, &EncodeOptions::default()).expect("encode");
         let index = Arc::new(read_table_index(&bytes).expect("index"));
         let cache = BlockCache::with_capacity(1024);
         assert!(cache.lookup_index(SsTableId(9)).is_none());

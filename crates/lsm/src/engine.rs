@@ -1099,8 +1099,7 @@ pub(crate) mod tests {
     /// a repeated read hits it, and compactions invalidate what they consume.
     pub(crate) fn check_cached_reads_match_uncached<X: Executor>() {
         let run = |cache: Option<Arc<BlockCache>>| {
-            let store =
-                Arc::new(MemStore::with_options(EncodeOptions::compressed()));
+            let store = Arc::new(MemStore::new());
             let mut opts = EngineBuilder::<X::Kind>::new(
                 EngineConfig::new(Policy::separation(16, 8).expect("config"))
                     .with_sstable_points(16),
@@ -1395,7 +1394,6 @@ pub(crate) mod tests {
                 config = config.with_block_reads();
             }
             let store = Arc::new(MemStore::with_options(EncodeOptions {
-                compression: crate::sstable::Compression::TimeSeries,
                 block_points: 16,
             }));
             let mut e = on_store(config, store);
@@ -1430,7 +1428,6 @@ pub(crate) mod tests {
 
         let cache = BlockCache::with_capacity(64 * 1024);
         let store = Arc::new(MemStore::with_options(EncodeOptions {
-            compression: crate::sstable::Compression::TimeSeries,
             block_points: 16,
         }));
         let mut e = OpenOptions::new(
@@ -1479,8 +1476,7 @@ pub(crate) mod tests {
 
     #[test]
     fn engine_round_trips_on_compressed_store() {
-        let store =
-            Arc::new(MemStore::with_options(EncodeOptions::compressed()));
+        let store = Arc::new(MemStore::new());
         let mut e = on_store(
             EngineConfig::new(Policy::conventional(16)).with_sstable_points(8),
             store,
@@ -1659,10 +1655,11 @@ pub(crate) mod tests {
 
         /// The pushdown correctness anchor: `aggregate` and `downsample`
         /// are bit-identical to folding over `query` results on arbitrary
-        /// out-of-order histories, on v3 stores (mixed fold/decode plans)
-        /// and on v2 stores, where tables carry no pre-aggregates and
-        /// always take the decode path. Integer-valued samples keep the
-        /// f64 sum associative, so even `sum` is exact.
+        /// out-of-order histories (mixed fold/decode plans).
+        /// Integer-valued samples keep the f64 sum associative, so even
+        /// `sum` is exact. Tables of older dialects, which carry no
+        /// pre-aggregates and always take the decode path, get the same
+        /// property in `tests/sstable_v3.rs`.
         #[test]
         fn pushdown_matches_query_fold(
             raw in proptest::collection::vec(
@@ -1672,69 +1669,55 @@ pub(crate) mod tests {
             bounds in (-100i64..500, -100i64..500),
             width in 1i64..64,
         ) {
-
             let range = TimeRange::new(
                 bounds.0.min(bounds.1),
                 bounds.0.max(bounds.1),
             );
-            for v3 in [true, false] {
-                let options = if v3 {
-                    EncodeOptions::pruned()
-                } else {
-                    EncodeOptions::compressed()
-                };
-                let store = Arc::new(MemStore::with_options(options));
-                let mut e = on_store(
-                    EngineConfig::new(Policy::conventional(7))
-                        .with_sstable_points(5),
-                    store,
-                );
-                for &(tg, v) in &raw {
-                    e.append(DataPoint::new(tg, tg, f64::from(v)))
-                        .expect("append");
-                }
-                let (pts, _) = e.query(range).expect("query");
-                let mut want = crate::query::Agg::default();
-                for p in &pts {
-                    want.merge_point(p.value);
-                }
-                let (got, stats) = e.aggregate(range).expect("aggregate");
+            let mut e = on_store(
+                EngineConfig::new(Policy::conventional(7))
+                    .with_sstable_points(5),
+                Arc::new(MemStore::new()),
+            );
+            for &(tg, v) in &raw {
+                e.append(DataPoint::new(tg, tg, f64::from(v)))
+                    .expect("append");
+            }
+            let (pts, _) = e.query(range).expect("query");
+            let mut want = crate::query::Agg::default();
+            for p in &pts {
+                want.merge_point(p.value);
+            }
+            let (got, _) = e.aggregate(range).expect("aggregate");
+            proptest::prop_assert!(
+                got.bits_eq(&want),
+                "aggregate mismatch: {:?} vs {:?}",
+                got,
+                want
+            );
+            let mut reference = std::collections::BTreeMap::<
+                Timestamp,
+                crate::query::Agg,
+            >::new();
+            for p in &pts {
+                reference
+                    .entry(p.gen_time.div_euclid(width) * width)
+                    .or_default()
+                    .merge_point(p.value);
+            }
+            let (buckets, _) =
+                e.downsample(range, width).expect("downsample");
+            proptest::prop_assert_eq!(buckets.len(), reference.len());
+            for ((got_tg, got_agg), (want_tg, want_agg)) in
+                buckets.iter().zip(reference.iter())
+            {
+                proptest::prop_assert_eq!(got_tg, want_tg);
                 proptest::prop_assert!(
-                    got.bits_eq(&want),
-                    "aggregate mismatch (v3={}): {:?} vs {:?}",
-                    v3,
-                    got,
-                    want
+                    got_agg.bits_eq(want_agg),
+                    "bucket {} mismatch: {:?} vs {:?}",
+                    got_tg,
+                    got_agg,
+                    want_agg
                 );
-                if !v3 {
-                    proptest::prop_assert_eq!(stats.blocks_folded, 0);
-                }
-                let mut reference = std::collections::BTreeMap::<
-                    Timestamp,
-                    crate::query::Agg,
-                >::new();
-                for p in &pts {
-                    reference
-                        .entry(p.gen_time.div_euclid(width) * width)
-                        .or_default()
-                        .merge_point(p.value);
-                }
-                let (buckets, _) =
-                    e.downsample(range, width).expect("downsample");
-                proptest::prop_assert_eq!(buckets.len(), reference.len());
-                for ((got_tg, got_agg), (want_tg, want_agg)) in
-                    buckets.iter().zip(reference.iter())
-                {
-                    proptest::prop_assert_eq!(got_tg, want_tg);
-                    proptest::prop_assert!(
-                        got_agg.bits_eq(want_agg),
-                        "bucket {} mismatch (v3={}): {:?} vs {:?}",
-                        got_tg,
-                        v3,
-                        got_agg,
-                        want_agg
-                    );
-                }
             }
         }
     }

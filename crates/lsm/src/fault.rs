@@ -17,6 +17,7 @@
 //!
 //! [`FileStore`]: crate::FileStore
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -280,15 +281,31 @@ pub(crate) fn hook(plan: Option<&Arc<FaultPlan>>, op: IoOp) -> Result<()> {
     }
 }
 
-/// Counts one write op of `len` payload bytes against an optional plan.
-pub(crate) fn hook_write(
+/// Writes `buf` to `w` as one write op counted against an optional plan.
+/// `Ok(None)`: all of it was written. `Ok(Some(crash))`: the plan tore this
+/// write — only the prefix a power cut would have left reached `w`; the
+/// caller gets that prefix as far towards the disk as it would have got the
+/// whole (a flush, an fsync) and fails with `crash`.
+pub(crate) fn write_hooked(
     plan: Option<&Arc<FaultPlan>>,
     op: IoOp,
-    len: usize,
-) -> Result<WriteCheck> {
-    match plan {
-        Some(p) => p.begin_write(op, len),
-        None => Ok(WriteCheck::Proceed),
+    w: &mut impl Write,
+    buf: &[u8],
+) -> Result<Option<Error>> {
+    let check = match plan {
+        Some(p) => p.begin_write(op, buf.len())?,
+        None => WriteCheck::Proceed,
+    };
+    match check {
+        WriteCheck::Proceed => {
+            w.write_all(buf)?;
+            Ok(None)
+        }
+        WriteCheck::Torn { keep } => {
+            w.write_all(&buf[..keep.min(buf.len())])?;
+            let index = plan.map_or(0, |p| p.ops().saturating_sub(1));
+            Ok(Some(injected_crash(op, index)))
+        }
     }
 }
 

@@ -154,8 +154,8 @@ pub use recovery::{
     QuarantinedTable, RecoveryMode, RecoveryOptions, RecoveryReport,
 };
 pub use sstable::{
-    BlockAggregates, BlockSpan, Compression, EncodeOptions, SsTableId,
-    SsTableMeta, TableIndex,
+    BlockAggregates, BlockSpan, EncodeOptions, SsTableId, SsTableMeta,
+    TableIndex,
 };
 pub use store::{sync_dir, CachedStore, FileStore, MemStore, TableStore};
 pub use version::{Version, VersionEdit};

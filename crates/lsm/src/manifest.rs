@@ -50,7 +50,7 @@ use std::sync::Arc;
 use seplsm_types::{Error, Result, TimeRange};
 
 use crate::codec;
-use crate::fault::{self, FaultPlan, IoOp, WriteCheck};
+use crate::fault::{self, FaultPlan, IoOp};
 use crate::obs::{Event, ManifestRecordKind, ObserverHandle};
 use crate::sstable::crc32::crc32;
 use crate::sstable::{SsTableId, SsTableMeta};
@@ -419,21 +419,14 @@ impl Manifest {
         buf: &[u8],
         edits: impl Iterator<Item = &'a ManifestEdit>,
     ) -> Result<()> {
-        match fault::hook_write(
+        if let Some(crash) = fault::write_hooked(
             self.faults.as_ref(),
             IoOp::ManifestAppend,
-            buf.len(),
+            &mut self.writer,
+            buf,
         )? {
-            WriteCheck::Proceed => self.writer.write_all(buf)?,
-            WriteCheck::Torn { keep } => {
-                self.writer.write_all(&buf[..keep.min(buf.len())])?;
-                self.writer.flush()?;
-                let index = self
-                    .faults
-                    .as_ref()
-                    .map_or(0, |p| p.ops().saturating_sub(1));
-                return Err(fault::injected_crash(IoOp::ManifestAppend, index));
-            }
+            self.writer.flush()?;
+            return Err(crash);
         }
         self.records += (buf.len() / RECORD) as u64;
         for edit in edits {
@@ -579,25 +572,15 @@ impl Manifest {
         let tmp = self.path.with_extension("manifest.tmp");
         {
             let mut f = File::create(&tmp)?;
-            match fault::hook_write(
+            if let Some(crash) = fault::write_hooked(
                 self.faults.as_ref(),
                 IoOp::ManifestRewrite,
-                buf.len(),
+                &mut f,
+                buf,
             )? {
-                WriteCheck::Proceed => f.write_all(buf)?,
-                WriteCheck::Torn { keep } => {
-                    f.write_all(&buf[..keep.min(buf.len())])?;
-                    f.sync_all()?;
-                    // Tmp debris stays behind; swept on the next open.
-                    let index = self
-                        .faults
-                        .as_ref()
-                        .map_or(0, |p| p.ops().saturating_sub(1));
-                    return Err(fault::injected_crash(
-                        IoOp::ManifestRewrite,
-                        index,
-                    ));
-                }
+                // Tmp debris stays behind; swept on the next open.
+                f.sync_all()?;
+                return Err(crash);
             }
             f.sync_all()?;
         }

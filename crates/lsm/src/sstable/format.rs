@@ -1,6 +1,14 @@
 //! The SSTable binary formats.
 //!
-//! **Version 1** — flat varint records:
+//! Three dialects exist on disk. **Version 3 is the only one this code
+//! writes** ([`encode_with`]); versions 1 and 2, and v3 tables with 52-byte
+//! index entries, were written by earlier builds and are only ever *read* —
+//! their parsers take outside input, so they stay, and `tests/old_tables.rs`
+//! holds them to table files an old build wrote
+//! (`tests/fixtures/tables/`). An old table is upgraded by compaction: the
+//! merge that consumes it writes v3.
+//!
+//! **Version 1** (read-only) — flat varint records:
 //!
 //! ```text
 //! +--------+---------+-------+-------+--------+--------+-----------+-------+
@@ -16,23 +24,28 @@
 //! delays are small, arrival timestamps are not — followed by the `f64` value
 //! bits. The trailing CRC-32 covers all preceding bytes.
 //!
-//! **Version 2** — compressed blocks with an index:
+//! **Version 2** (read-only) — compressed blocks with a leading index:
 //!
 //! ```text
 //! +-----------------+------------+---------------------+----------+
 //! | header + index  | header_crc | blocks…             | file_crc |
 //! +-----------------+------------+---------------------+----------+
+//! header = magic "SLSM" | version=2 u16 | flags=1 u16 | count u32
+//!          | min_tg i64 | max_tg i64 | block_points u32 | block_count u32
+//! index  = per block: first_tg i64, last_tg i64, count u32,
+//!          offset u32 (from the first block), len u32
 //! block  = delta-of-delta timestamps ++ delta-of-delta delays
-//!          ++ Gorilla XOR values ++ block_crc
-//! index  = per block: first_tg, last_tg, count, offset, len
+//!          ++ Gorilla XOR values ++ block_crc u32
 //! ```
+//!
+//! `header_crc` covers header + index, `file_crc` every byte before it.
 //!
 //! The per-block index and CRCs make *block-granular* reads possible
 //! ([`decode_range`]): a range query only decodes (and accounts for) the
 //! blocks its range overlaps — IoTDB's chunk-read behaviour at a finer
 //! granularity (see the `ablation_block_reads` bench).
 //!
-//! **Version 3** — the default: compressed blocks with a *trailing* index,
+//! **Version 3** — what is written: compressed blocks with a *trailing* index,
 //! per-block `min/max/sum` pre-aggregates, a per-table pruning filter
 //! ([`super::filter::TableFilter`]) and a fixed footer, so a reader that
 //! can serve byte ranges never has to touch the data region to plan a
@@ -79,7 +92,7 @@
 //! |---------|---------------|--------|
 //! | v1 | header count/min/max as one block spanning the file | flat records; the block's CRC *is* the whole-file CRC |
 //! | v2 | per-block first/last/count/span; a 4-byte whole-file CRC trails the data | compressed, own CRC |
-//! | v3 | the same plus per-block pre-aggregates (absent in 52-byte legacy entries) and the pruning filter | compressed, own CRC |
+//! | v3 | the same plus per-block pre-aggregates (absent in the 52-byte entries of early v3 tables: an entry without its trailing `agg_count`) and the pruning filter | compressed, own CRC |
 //!
 //! What stays per-dialect is what each dialect's bytes can vouch for. v1
 //! has no region CRCs, so its constructor verifies the whole-file CRC
@@ -100,7 +113,7 @@ use super::bits::{BitReader, BitWriter};
 use super::compress::{decode_f64s, decode_i64s, encode_f64s, encode_i64s};
 use super::crc32::crc32;
 use super::filter::TableFilter;
-use super::varint::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
+use super::varint::{get_ivarint, get_uvarint};
 
 const MAGIC: &[u8; 4] = b"SLSM";
 const VERSION: u16 = 1;
@@ -112,65 +125,33 @@ const V1_FIXED: usize = 28;
 /// varint, and an 8-byte value — the divisor that bounds a decoded record
 /// count against the remaining payload.
 const MIN_V1_RECORD: usize = 10;
+/// v2 fixed header size: magic(4) + version(2) + flags(2) + count(4) +
+/// min(8) + max(8) + block_points(4) + block_count(4).
+const V2_FIXED: usize = 36;
+/// v2 index entry: first(8) + last(8) + count(4) + offset(4) + len(4).
+const V2_INDEX_ENTRY: usize = 28;
 /// On-disk version tag of the pruned (v3) layout; what
 /// [`sniff_version`] returns for tables carrying a filter block.
 pub const VERSION_PRUNED: u16 = 3;
 
-/// Record encoding used when building an SSTable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Version-1 flat varint records.
-    None,
-    /// Version-2 compressed blocks (delta-of-delta + Gorilla XOR).
-    TimeSeries,
-    /// Version-3 (the default): compressed blocks plus a trailing
-    /// pre-aggregate index, pruning filter and footer.
-    #[default]
-    Pruned,
-}
-
 /// SSTable build options.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeOptions {
-    /// Record encoding.
-    pub compression: Compression,
-    /// Points per block in the v2 and v3 formats (ignored for v1).
+    /// Points per compressed block.
     pub block_points: usize,
 }
 
 impl Default for EncodeOptions {
     fn default() -> Self {
-        Self {
-            compression: Compression::Pruned,
-            block_points: 128,
-        }
+        Self { block_points: 128 }
     }
 }
 
 impl EncodeOptions {
-    /// The v1 flat record format (kept reachable for compat tests).
-    pub fn flat() -> Self {
-        Self {
-            compression: Compression::None,
-            block_points: 128,
-        }
-    }
-
-    /// The v2 compressed-block format with the default 128-point blocks.
-    pub fn compressed() -> Self {
-        Self {
-            compression: Compression::TimeSeries,
-            block_points: 128,
-        }
-    }
-
-    /// The v3 pruned format (index aggregates + filter + footer) — the
-    /// default, spelled out for tests that contrast versions.
+    /// The defaults, by the layout's name ("pruned": v3 is the dialect
+    /// with a pruning filter).
     pub fn pruned() -> Self {
-        Self {
-            compression: Compression::Pruned,
-            block_points: 128,
-        }
+        Self::default()
     }
 }
 
@@ -203,78 +184,7 @@ fn validate_input(points: &[DataPoint]) -> Result<()> {
     Ok(())
 }
 
-/// Encodes `points` in the dialect `options` names (v3 by default; v1 and
-/// v2 stay writable for compatibility tests and ablations).
-///
-/// # Errors
-/// [`Error::InvalidConfig`] if the input is empty or not strictly sorted.
-pub fn encode_with(
-    points: &[DataPoint],
-    options: &EncodeOptions,
-) -> Result<Bytes> {
-    match options.compression {
-        Compression::None => encode(points),
-        Compression::TimeSeries => {
-            encode_v2(points, options.block_points.max(1))
-        }
-        Compression::Pruned => encode_v3(points, options.block_points.max(1)),
-    }
-}
-
-/// Encodes `points` (non-empty, sorted by strictly increasing generation
-/// time) into the version-1 SSTable wire format.
-///
-/// # Errors
-/// [`Error::InvalidConfig`] if the input is empty or not strictly sorted.
-pub fn encode(points: &[DataPoint]) -> Result<Bytes> {
-    if points.is_empty() {
-        return Err(Error::InvalidConfig(
-            "cannot encode an empty SSTable".into(),
-        ));
-    }
-    // Rough capacity guess: ~14 bytes per point after delta compression.
-    let mut buf = BytesMut::with_capacity(32 + points.len() * 14);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(0); // flags, reserved
-    buf.put_u32_le(points.len() as u32);
-    buf.put_i64_le(points[0].gen_time);
-    buf.put_i64_le(points[points.len() - 1].gen_time);
-
-    let mut prev_tg = None::<i64>;
-    for p in points {
-        match prev_tg {
-            None => put_ivarint(&mut buf, p.gen_time),
-            Some(prev) => {
-                let delta = p.gen_time - prev;
-                if delta <= 0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "SSTable points must have strictly increasing gen_time \
-                         (prev={prev}, next={})",
-                        p.gen_time
-                    )));
-                }
-                put_uvarint(&mut buf, delta as u64);
-            }
-        }
-        prev_tg = Some(p.gen_time);
-        put_ivarint(&mut buf, p.delay());
-        buf.put_u64_le(p.value.to_bits());
-    }
-
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    Ok(buf.freeze())
-}
-
-/// v2 fixed header size: magic(4) + version(2) + flags(2) + count(4) +
-/// min(8) + max(8) + block_points(4) + block_count(4).
-const V2_FIXED: usize = 36;
-/// v2 index entry: first(8) + last(8) + count(4) + offset(4) + len(4).
-const V2_INDEX_ENTRY: usize = 28;
-
-/// One compressed block under construction, shared by the v2 and v3
-/// encoders (v2 drops the aggregates on the floor).
+/// One compressed block under construction.
 struct BlockBuild {
     first: i64,
     last: i64,
@@ -312,41 +222,6 @@ fn build_blocks(points: &[DataPoint], block_points: usize) -> Vec<BlockBuild> {
         });
     }
     blocks
-}
-
-fn encode_v2(points: &[DataPoint], block_points: usize) -> Result<Bytes> {
-    validate_input(points)?;
-    let blocks = build_blocks(points, block_points);
-
-    let index_len = blocks.len() * V2_INDEX_ENTRY;
-    let data_len: usize = blocks.iter().map(|b| b.payload.len()).sum();
-    let mut buf =
-        BytesMut::with_capacity(V2_FIXED + index_len + 4 + data_len + 4);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION_BLOCKS);
-    buf.put_u16_le(1); // flags: compressed
-    buf.put_u32_le(points.len() as u32);
-    buf.put_i64_le(points[0].gen_time);
-    buf.put_i64_le(points[points.len() - 1].gen_time);
-    buf.put_u32_le(block_points as u32);
-    buf.put_u32_le(blocks.len() as u32);
-    let mut offset = 0u32;
-    for b in &blocks {
-        buf.put_i64_le(b.first);
-        buf.put_i64_le(b.last);
-        buf.put_u32_le(b.count);
-        buf.put_u32_le(offset);
-        buf.put_u32_le(b.payload.len() as u32);
-        offset += b.payload.len() as u32;
-    }
-    let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
-    for b in &blocks {
-        buf.put_slice(&b.payload);
-    }
-    let file_crc = crc32(&buf);
-    buf.put_u32_le(file_crc);
-    Ok(buf.freeze())
 }
 
 /// v3 fixed header: magic(4) + version(2) + flags(2) + count(4) + min(8) +
@@ -441,32 +316,23 @@ pub fn sniff_version(data: &[u8]) -> Option<u16> {
     codec::read_u16_le(data, 4).ok()
 }
 
-fn encode_v3(points: &[DataPoint], block_points: usize) -> Result<Bytes> {
-    encode_v3_impl(points, block_points, V3_INDEX_ENTRY)
-}
-
-/// Encodes the pre-`agg_count` v3 layout (52-byte index entries) — kept
-/// only so tests can prove the legacy decode fallback keeps working.
-#[cfg(test)]
-fn encode_v3_legacy(
+/// Encodes `points` (non-empty, strictly increasing generation times) as
+/// a version-3 table of `options.block_points`-point blocks.
+///
+/// # Errors
+/// [`Error::InvalidConfig`] if the input is empty or not strictly sorted.
+pub fn encode_with(
     points: &[DataPoint],
-    block_points: usize,
+    options: &EncodeOptions,
 ) -> Result<Bytes> {
-    encode_v3_impl(points, block_points, V3_INDEX_ENTRY_LEGACY)
-}
-
-fn encode_v3_impl(
-    points: &[DataPoint],
-    block_points: usize,
-    entry_width: usize,
-) -> Result<Bytes> {
+    let block_points = options.block_points.max(1);
     validate_input(points)?;
     let blocks = build_blocks(points, block_points);
     let gen_times: Vec<i64> = points.iter().map(|p| p.gen_time).collect();
     let filter = TableFilter::build(&gen_times)?;
 
     let data_len: usize = blocks.iter().map(|b| b.payload.len()).sum();
-    let index_len = V3_INDEX_FIXED + blocks.len() * entry_width + 4;
+    let index_len = V3_INDEX_FIXED + blocks.len() * V3_INDEX_ENTRY + 4;
     let mut buf = BytesMut::with_capacity(
         V3_FIXED
             + data_len
@@ -510,9 +376,7 @@ fn encode_v3_impl(
         buf.put_u64_le(b.agg.min.to_bits());
         buf.put_u64_le(b.agg.max.to_bits());
         buf.put_u64_le(b.agg.sum.to_bits());
-        if entry_width == V3_INDEX_ENTRY {
-            buf.put_u32_le(b.agg.count);
-        }
+        buf.put_u32_le(b.agg.count);
         offset += b.payload.len() as u32;
     }
     let index_crc = crc32(&buf[index_off..]);
@@ -1223,7 +1087,13 @@ mod tests {
     use super::*;
 
     fn sample_points(n: usize) -> Vec<DataPoint> {
-        (0..n)
+        points_from(0, n)
+    }
+
+    /// Points `first .. first + n` of the series the table fixtures were
+    /// cut from.
+    fn points_from(first: usize, n: usize) -> Vec<DataPoint> {
+        (first..first + n)
             .map(|i| {
                 DataPoint::with_delay(
                     (i as i64) * 50 + 1_000_000,
@@ -1234,40 +1104,51 @@ mod tests {
             .collect()
     }
 
+    /// A table file an older build wrote (`tests/fixtures/tables/`; which
+    /// points each holds is in the README there).
+    macro_rules! old_table {
+        ($name:literal) => {
+            include_bytes!(concat!(
+                "../../../../tests/fixtures/tables/",
+                $name,
+                ".sst"
+            ))
+            .as_slice()
+        };
+    }
+
     #[test]
     fn round_trips_typical_table() {
-        let pts = sample_points(512);
-        let bytes = encode(&pts).expect("encode");
-        let back = decode(&bytes).expect("decode");
-        assert_eq!(back, pts);
+        let back = decode(old_table!("v1-512")).expect("decode");
+        assert_eq!(back, sample_points(512));
     }
 
     #[test]
     fn round_trips_single_point_and_negative_delay() {
-        let pts = vec![DataPoint::new(-5, -10, f64::MIN)];
-        let back = decode(&encode(&pts).expect("encode")).expect("decode");
-        assert_eq!(back, pts);
-        assert_eq!(back[0].delay(), -5);
+        let back = decode(old_table!("v1-1")).expect("decode");
+        assert_eq!(back, sample_points(1));
+        let back = decode(old_table!("v1-extremes")).expect("decode");
+        assert_eq!((back[2].gen_time, back[2].delay()), (-5, -5));
+        assert_eq!(back[6].gen_time, i64::MAX - 1);
+        assert_eq!(back[6].delay(), -3);
     }
 
     #[test]
     fn preserves_value_bit_patterns() {
-        let pts = vec![
-            DataPoint::new(1, 1, f64::NAN),
-            DataPoint::new(2, 2, f64::INFINITY),
-            DataPoint::new(3, 3, -0.0),
-        ];
-        let back = decode(&encode(&pts).expect("encode")).expect("decode");
+        let back = decode(old_table!("v1-extremes")).expect("decode");
         assert!(back[0].value.is_nan());
-        assert_eq!(back[1].value, f64::INFINITY);
+        assert_eq!(back[1].value, f64::NEG_INFINITY);
         assert_eq!(back[2].value.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back[4].value, f64::INFINITY);
     }
 
     #[test]
     fn delta_compression_beats_fixed_width() {
         let pts = sample_points(1000);
-        let bytes = encode(&pts).expect("encode");
-        // Fixed-width would be 24 bytes per point; deltas should roughly halve it.
+        let bytes =
+            encode_with(&pts, &EncodeOptions::default()).expect("encode");
+        // Fixed-width would be 24 bytes per point; index, filter and footer
+        // included, the table must still come in under half of that.
         assert!(
             bytes.len() < 1000 * 24 / 2 + 64,
             "encoded size {} too large",
@@ -1277,21 +1158,22 @@ mod tests {
 
     #[test]
     fn rejects_empty_input() {
-        assert!(encode(&[]).is_err());
+        assert!(encode_with(&[], &EncodeOptions::default()).is_err());
     }
 
     #[test]
     fn rejects_unsorted_input() {
+        let options = EncodeOptions::default();
         let pts = vec![DataPoint::new(10, 10, 0.0), DataPoint::new(5, 5, 0.0)];
-        assert!(encode(&pts).is_err());
+        assert!(encode_with(&pts, &options).is_err());
         let dup =
             vec![DataPoint::new(10, 10, 0.0), DataPoint::new(10, 11, 0.0)];
-        assert!(encode(&dup).is_err());
+        assert!(encode_with(&dup, &options).is_err());
     }
 
     #[test]
     fn detects_corruption_anywhere() {
-        let bytes = encode(&sample_points(64)).expect("encode");
+        let bytes = old_table!("v1-64");
         for i in (0..bytes.len()).step_by(7) {
             let mut bad = bytes.to_vec();
             bad[i] ^= 0x40;
@@ -1301,7 +1183,7 @@ mod tests {
 
     #[test]
     fn detects_truncation() {
-        let bytes = encode(&sample_points(64)).expect("encode");
+        let bytes = old_table!("v1-64");
         for cut in [0, 1, 10, bytes.len() - 1] {
             assert!(
                 decode(&bytes[..cut]).is_err(),
@@ -1312,34 +1194,30 @@ mod tests {
 
     #[test]
     fn v2_round_trips_typical_table() {
-        let pts = sample_points(512);
-        let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
-        let back = decode(&bytes).expect("decode");
-        assert_eq!(back, pts);
+        let back = decode(old_table!("v2-bp128-512")).expect("decode");
+        assert_eq!(back, points_from(512, 512));
     }
 
     #[test]
     fn v2_round_trips_odd_sizes_and_single_point() {
-        for n in [1usize, 2, 127, 128, 129, 300] {
-            let pts = sample_points(n);
-            let bytes = encode_with(&pts, &EncodeOptions::compressed())
-                .expect("encode");
-            assert_eq!(decode(&bytes).expect("decode"), pts, "n={n}");
+        // Single-point blocks, and block sizes that leave a ragged last
+        // block of 1 (64 = 9 × 7 + 1) and of 5 (512 = 39 × 13 + 5) points.
+        for (bytes, n, blocks) in [
+            (old_table!("v2-bp1-64"), 64, 64),
+            (old_table!("v2-bp7-64"), 64, 10),
+            (old_table!("v2-bp13-512"), 512, 40),
+        ] {
+            assert_eq!(decode(bytes).expect("decode"), sample_points(n));
+            let index = read_table_index(bytes).expect("index");
+            assert_eq!(index.blocks.len(), blocks, "n={n}");
         }
     }
 
     #[test]
     fn v2_compresses_grid_data_substantially() {
-        // Regular grid + small delays + smooth values: the v2 format should
-        // be several times smaller than v1.
-        let pts: Vec<DataPoint> = (0..4096)
-            .map(|i| {
-                DataPoint::with_delay(i as i64 * 50, 20 + (i as i64 % 3), 25.0)
-            })
-            .collect();
-        let v1 = encode(&pts).expect("v1");
-        let v2 = encode_with(&pts, &EncodeOptions::compressed()).expect("v2");
+        // 512 points each of one regular grid: the block dialect is
+        // several times smaller than the flat one.
+        let (v1, v2) = (old_table!("v1-512"), old_table!("v2-bp128-512"));
         assert!(
             v2.len() * 3 < v1.len(),
             "v2 {} bytes vs v1 {} bytes",
@@ -1350,25 +1228,19 @@ mod tests {
 
     #[test]
     fn v2_preserves_special_values_and_negative_delays() {
-        let pts = vec![
-            DataPoint::new(-100, -150, f64::NAN),
-            DataPoint::new(0, 0, f64::INFINITY),
-            DataPoint::new(7, 1_000_000, -0.0),
-        ];
-        let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
-        let back = decode(&bytes).expect("decode");
+        let back = decode(old_table!("v2-bp3-extremes")).expect("decode");
+        assert_eq!(back.len(), 7);
         assert!(back[0].value.is_nan());
-        assert_eq!(back[0].delay(), -50);
-        assert_eq!(back[1].value, f64::INFINITY);
+        assert_eq!(back[0].gen_time, i64::MIN + 2);
+        assert_eq!(back[2].delay(), -5);
         assert_eq!(back[2].value.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back[4].value, f64::INFINITY);
+        assert_eq!(back[5].delay(), -1_000_000);
     }
 
     #[test]
     fn v2_detects_corruption_anywhere() {
-        let pts = sample_points(300);
-        let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
+        let bytes = old_table!("v2-bp128-512");
         for i in (0..bytes.len()).step_by(11) {
             let mut bad = bytes.to_vec();
             bad[i] ^= 0x10;
@@ -1376,24 +1248,24 @@ mod tests {
         }
     }
 
+    /// Generation time of the first point of `v2-bp128-512`.
+    const FIRST: i64 = 1_000_000 + 512 * 50;
+
     #[test]
     fn decode_range_reads_only_overlapping_blocks() {
-        let pts = sample_points(512); // gen times 1_000_000 + i*50, 4 blocks of 128
-        let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
-        // Range covering points 130..=140 (inside block 1).
-        let range = seplsm_types::TimeRange::new(
-            1_000_000 + 130 * 50,
-            1_000_000 + 140 * 50,
-        );
-        let read = decode_range(&bytes, range).expect("range read");
+        // Points 512..1024, 4 blocks of 128, from gen time FIRST on.
+        let bytes = old_table!("v2-bp128-512");
+        // Range covering the table's points 130..=140 (inside block 1).
+        let range =
+            seplsm_types::TimeRange::new(FIRST + 130 * 50, FIRST + 140 * 50);
+        let read = decode_range(bytes, range).expect("range read");
         assert_eq!(read.blocks_read, 1);
         assert_eq!(read.points_scanned, 128);
         assert_eq!(read.points.len(), 11);
         assert!(read.points.iter().all(|p| range.contains(p.gen_time)));
         // Disjoint range: nothing decoded.
         let miss =
-            decode_range(&bytes, seplsm_types::TimeRange::new(0, 999_999))
+            decode_range(bytes, seplsm_types::TimeRange::new(0, FIRST - 1))
                 .expect("miss");
         assert_eq!(miss.blocks_read, 0);
         assert_eq!(miss.points_scanned, 0);
@@ -1402,14 +1274,10 @@ mod tests {
 
     #[test]
     fn decode_range_spanning_blocks() {
-        let pts = sample_points(512);
-        let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
-        let range = seplsm_types::TimeRange::new(
-            1_000_000 + 120 * 50,
-            1_000_000 + 260 * 50,
-        );
-        let read = decode_range(&bytes, range).expect("range read");
+        let bytes = old_table!("v2-bp128-512");
+        let range =
+            seplsm_types::TimeRange::new(FIRST + 120 * 50, FIRST + 260 * 50);
+        let read = decode_range(bytes, range).expect("range read");
         assert_eq!(read.blocks_read, 3); // blocks 0,1,2
         assert_eq!(read.points_scanned, 384);
         assert_eq!(read.points.len(), 141);
@@ -1417,10 +1285,9 @@ mod tests {
 
     #[test]
     fn decode_range_on_v1_scans_whole_table() {
-        let pts = sample_points(64);
-        let bytes = encode(&pts).expect("encode v1");
+        let bytes = old_table!("v1-64");
         let range = seplsm_types::TimeRange::new(1_000_000, 1_000_000 + 5 * 50);
-        let read = decode_range(&bytes, range).expect("range read");
+        let read = decode_range(bytes, range).expect("range read");
         assert_eq!(read.blocks_read, 1);
         assert_eq!(read.points_scanned, 64);
         assert_eq!(read.points.len(), 6);
@@ -1429,39 +1296,31 @@ mod tests {
     #[test]
     fn v2_block_granular_read_survives_corruption_elsewhere() {
         // Corrupting block 3 must not break a read confined to block 0.
-        let pts = sample_points(512);
-        let bytes = encode_with(&pts, &EncodeOptions::compressed())
-            .expect("encode")
-            .to_vec();
-        let mut bad = bytes.clone();
+        let mut bad = old_table!("v2-bp128-512").to_vec();
         let n = bad.len();
         bad[n - 10] ^= 0xff; // inside the last block
-        let range =
-            seplsm_types::TimeRange::new(1_000_000, 1_000_000 + 10 * 50);
+        let range = seplsm_types::TimeRange::new(FIRST, FIRST + 10 * 50);
         let ok = decode_range(&bad, range).expect("block 0 still readable");
         assert_eq!(ok.points.len(), 11);
         // But reading the damaged block fails loudly.
-        let tail_range = seplsm_types::TimeRange::new(
-            1_000_000 + 500 * 50,
-            1_000_000 + 511 * 50,
-        );
+        let tail_range =
+            seplsm_types::TimeRange::new(FIRST + 500 * 50, FIRST + 511 * 50);
         assert!(decode_range(&bad, tail_range).is_err());
     }
 
     #[test]
     fn table_index_names_every_v2_block() {
-        let pts = sample_points(300); // 3 blocks: 128 + 128 + 44
-        let bytes =
-            encode_with(&pts, &EncodeOptions::compressed()).expect("encode");
-        let index = read_table_index(&bytes).expect("index");
-        assert_eq!(index.count, 300);
+        let pts = sample_points(512); // 40 blocks: 39 × 13 + 5
+        let bytes = old_table!("v2-bp13-512");
+        let index = read_table_index(bytes).expect("index");
+        assert_eq!(index.count, 512);
         assert_eq!(index.min_tg, pts[0].gen_time);
-        assert_eq!(index.max_tg, pts[299].gen_time);
-        assert_eq!(index.blocks.len(), 3);
+        assert_eq!(index.max_tg, pts[511].gen_time);
+        assert_eq!(index.blocks.len(), 40);
         let mut all = Vec::new();
         for b in 0..index.blocks.len() {
             let block =
-                decode_index_block(&bytes, &index, b).expect("decode block");
+                decode_index_block(bytes, &index, b).expect("decode block");
             assert_eq!(block.len(), index.blocks[b].count as usize);
             assert_eq!(block[0].gen_time, index.blocks[b].first);
             assert_eq!(block[block.len() - 1].gen_time, index.blocks[b].last);
@@ -1473,22 +1332,19 @@ mod tests {
     #[test]
     fn table_index_models_v1_as_one_block() {
         let pts = sample_points(64);
-        let bytes = encode(&pts).expect("encode v1");
-        let index = read_table_index(&bytes).expect("index");
+        let bytes = old_table!("v1-64");
+        let index = read_table_index(bytes).expect("index");
         assert_eq!(index.count, 64);
         assert_eq!(index.blocks.len(), 1);
         assert_eq!(index.blocks[0].first, pts[0].gen_time);
         assert_eq!(index.blocks[0].last, pts[63].gen_time);
-        assert_eq!(decode_index_block(&bytes, &index, 0).expect("decode"), pts);
-        assert!(decode_index_block(&bytes, &index, 1).is_err());
+        assert_eq!(decode_index_block(bytes, &index, 0).expect("decode"), pts);
+        assert!(decode_index_block(bytes, &index, 1).is_err());
     }
 
     #[test]
     fn table_index_rejects_corrupt_v2_header() {
-        let pts = sample_points(256);
-        let mut bytes = encode_with(&pts, &EncodeOptions::compressed())
-            .expect("encode")
-            .to_vec();
+        let mut bytes = old_table!("v2-bp128-512").to_vec();
         bytes[10] ^= 0x04; // inside the fixed header
         assert!(read_table_index(&bytes).is_err());
     }
@@ -1578,9 +1434,7 @@ mod tests {
         .expect("filter");
         assert_eq!(filter.count(), 64);
         // A v2 table has no v3 footer.
-        let v2 = encode_with(&sample_points(64), &EncodeOptions::compressed())
-            .expect("encode");
-        assert!(parse_v3_footer(&v2).is_err());
+        assert!(parse_v3_footer(old_table!("v2-bp7-64")).is_err());
     }
 
     #[test]
@@ -1670,18 +1524,19 @@ mod tests {
 
     #[test]
     fn v3_legacy_entries_parse_without_aggregates_and_still_decode() {
-        let pts = sample_points(300); // 3 blocks: 128 + 128 + 44
-        let bytes = encode_v3_legacy(&pts, 128).expect("encode legacy");
-        assert_eq!(sniff_version(&bytes), Some(VERSION_PRUNED));
-        let index = read_table_index(&bytes).expect("index");
-        assert_eq!(index.blocks.len(), 3);
+        let pts = points_from(1024, 512); // 4 blocks of 128
+        let bytes = old_table!("v3e52-bp128-512");
+        assert_eq!(sniff_version(bytes), Some(VERSION_PRUNED));
+        let index = read_table_index(bytes).expect("index");
+        assert_eq!(index.blocks.len(), 4);
         assert!(index.blocks.iter().all(|b| b.agg.is_none()));
         // Full decode (the audit path) must not demand aggregates …
-        assert_eq!(decode(&bytes).expect("decode"), pts);
+        assert_eq!(decode(bytes).expect("decode"), pts);
         // … and ranged reads still work block-granularly, identically
         // through every entry point.
-        let range = TimeRange::new(1_000_000 + 130 * 50, 1_000_000 + 140 * 50);
-        for (entry, read) in read_every_way(&bytes, range) {
+        let range =
+            TimeRange::new(pts[130].gen_time, pts[130].gen_time + 10 * 50);
+        for (entry, read) in read_every_way(bytes, range) {
             let read = read.expect(entry);
             assert_eq!(read.blocks_read, 1, "{entry}");
             assert_eq!(read.points_scanned, 128, "{entry}");
@@ -1773,7 +1628,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_magic_and_version() {
-        let bytes = encode(&sample_points(4)).expect("encode").to_vec();
+        let bytes = old_table!("v1-1").to_vec();
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         // Fix up CRC so the magic check itself is exercised.

@@ -14,8 +14,7 @@ pub mod varint;
 
 pub use filter::TableFilter;
 pub use format::{
-    BlockAggregates, BlockSpan, ByteSpan, Compression, EncodeOptions,
-    RangeRead, TableIndex,
+    BlockAggregates, BlockSpan, ByteSpan, EncodeOptions, RangeRead, TableIndex,
 };
 
 use seplsm_types::{DataPoint, TimeRange};

@@ -7,7 +7,6 @@
 //! store is a storage substitution, not a code-path shortcut.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Error, Result, TimeRange};
 
 use crate::cache::{BlockCache, BlockKey};
-use crate::fault::{self, FaultPlan, IoOp, WriteCheck};
+use crate::fault::{self, FaultPlan, IoOp};
 use crate::obs::{Event, ObserverHandle};
 use crate::sstable::format::{
     self, ByteSpan, EncodeOptions, RangeRead, TableIndex,
@@ -289,8 +288,8 @@ impl MemStore {
         Self::default()
     }
 
-    /// Creates an empty store encoding tables with `options` (an older
-    /// dialect, or another block size).
+    /// Creates an empty store encoding tables with `options` (another
+    /// block size).
     pub fn with_options(options: EncodeOptions) -> Self {
         Self {
             inner: Mutex::default(),
@@ -459,23 +458,16 @@ impl FileStore {
         let final_path = self.path_for(id);
         let tmp_path = final_path.with_extension("sst.tmp");
         let mut f = std::fs::File::create(&tmp_path)?;
-        match fault::hook_write(
+        if let Some(crash) = fault::write_hooked(
             self.faults.as_ref(),
             IoOp::StoreWrite,
-            encoded.len(),
+            &mut f,
+            &encoded,
         )? {
-            WriteCheck::Proceed => f.write_all(&encoded)?,
-            WriteCheck::Torn { keep } => {
-                // A torn table write: persist only the prefix, leave
-                // the tmp file behind (swept on the next open).
-                f.write_all(&encoded[..keep.min(encoded.len())])?;
-                f.sync_all()?;
-                let index = self
-                    .faults
-                    .as_ref()
-                    .map_or(0, |p| p.ops().saturating_sub(1));
-                return Err(fault::injected_crash(IoOp::StoreWrite, index));
-            }
+            // A torn table write: persist only the prefix, leave the tmp
+            // file behind (swept on the next open).
+            f.sync_all()?;
+            return Err(crash);
         }
         fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
         f.sync_all()?;
@@ -1176,9 +1168,9 @@ mod tests {
     }
 
     impl CountingStore {
-        fn new(options: EncodeOptions) -> Self {
+        fn new() -> Self {
             Self {
-                inner: MemStore::with_options(options),
+                inner: MemStore::new(),
                 raw_reads: std::sync::atomic::AtomicU64::new(0),
                 raw_bytes: std::sync::atomic::AtomicU64::new(0),
             }
@@ -1246,8 +1238,7 @@ mod tests {
     }
 
     fn cached_fixture() -> (Arc<CountingStore>, CachedStore, SsTableMeta) {
-        let counting =
-            Arc::new(CountingStore::new(EncodeOptions::compressed()));
+        let counting = Arc::new(CountingStore::new());
         let cache = crate::cache::BlockCache::with_capacity(64 * 1024);
         let cached = CachedStore::new(
             Arc::clone(&counting) as Arc<dyn TableStore>,
@@ -1262,12 +1253,9 @@ mod tests {
         let (counting, cached, meta) = cached_fixture();
         assert_eq!(cached.get(meta.id).expect("cold get"), pts(0..300));
         let cold_reads = counting.raw_reads();
-        // A v2 table costs the 20-byte v3 footer probe plus one whole-file
-        // raw read on the cold visit.
-        assert_eq!(
-            cold_reads, 2,
-            "footer probe + one raw read serve the cold visit"
-        );
+        // The cold visit walks the tail (footer, metaindex, index, filter)
+        // and then fetches each of the three blocks by its span.
+        assert_eq!(cold_reads, 4 + 3, "tail walk + one span per block");
         for _ in 0..5 {
             assert_eq!(cached.get(meta.id).expect("warm get"), pts(0..300));
         }
@@ -1294,7 +1282,7 @@ mod tests {
         assert_eq!(warm.points, cold.points);
         assert_eq!(warm.blocks_read, 0, "warm read decodes nothing");
         assert_eq!(warm.points_scanned, 128, "scanned counts hits too");
-        assert_eq!(counting.raw_reads(), 2, "footer probe + one raw read");
+        assert_eq!(counting.raw_reads(), 4 + 1, "tail walk + one block span");
         // Disjoint range: nothing examined at all.
         let miss = cached
             .get_range(meta.id, TimeRange::new(100_000, 200_000))
@@ -1358,8 +1346,7 @@ mod tests {
 
     #[test]
     fn cached_store_emits_typed_cache_events() {
-        let counting =
-            Arc::new(CountingStore::new(EncodeOptions::compressed()));
+        let counting = Arc::new(CountingStore::new());
         let cache = crate::cache::BlockCache::with_capacity(64 * 1024);
         let ring = crate::obs::RingBufferSink::new(64);
         let cached = CachedStore::with_observer(
@@ -1435,20 +1422,29 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        // (dialect, reads of `may_contain` / `table_index`): a v3 index
-        // loads through table_len + footer + metaindex + index + filter
-        // spans; a v2 one through table_len + footer probe + whole file.
-        for (options, index_reads) in [
-            (EncodeOptions::pruned(), 5),
-            (EncodeOptions::compressed(), 3),
-        ] {
+        // (table, reads of `may_contain` / `table_index`): a v3 index loads
+        // through table_len + footer + metaindex + index + filter spans; a
+        // v2 one — a file an older build left in the directory — through
+        // table_len + footer probe + whole file.
+        let v2_table: &[u8] =
+            include_bytes!("../../../tests/fixtures/tables/v2-bp128-512.sst");
+        for (old_table, index_reads) in [(None, 5), (Some(v2_table), 3)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            if let Some(bytes) = old_table {
+                std::fs::create_dir_all(&dir).expect("dir");
+                std::fs::write(dir.join("00000000.sst"), bytes).expect("seed");
+            }
             let plan = FaultPlan::trace_only(0);
-            let store = FileStore::open_with(&dir, options)
+            let store = FileStore::open(&dir)
                 .expect("open")
                 .with_faults(Arc::clone(&plan));
-            let (meta, size) = store.put(&pts(0..300)).expect("put");
-            let id = meta.id;
+            let (id, size) = match old_table {
+                Some(bytes) => (SsTableId(0), bytes.len()),
+                None => {
+                    let (meta, size) = store.put(&pts(0..300)).expect("put");
+                    (meta.id, size)
+                }
+            };
             let range = TimeRange::new(0, 500);
             let span = ByteSpan { offset: 0, len: 6 };
             let traced = |what: &str, reads: usize, call: &dyn Fn()| {
@@ -1559,7 +1555,7 @@ mod tests {
 
     #[test]
     fn cached_store_v3_cold_reads_fetch_fewer_bytes_than_whole_file() {
-        let counting = Arc::new(CountingStore::new(EncodeOptions::pruned()));
+        let counting = Arc::new(CountingStore::new());
         let cache = crate::cache::BlockCache::with_capacity(64 * 1024);
         let cached = CachedStore::new(
             Arc::clone(&counting) as Arc<dyn TableStore>,
@@ -1589,7 +1585,7 @@ mod tests {
 
     #[test]
     fn cached_store_delete_drops_index_and_filter() {
-        let counting = Arc::new(CountingStore::new(EncodeOptions::pruned()));
+        let counting = Arc::new(CountingStore::new());
         let cache = crate::cache::BlockCache::with_capacity(64 * 1024);
         let cached = CachedStore::new(
             Arc::clone(&counting) as Arc<dyn TableStore>,

@@ -123,7 +123,7 @@ use std::sync::Arc;
 use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
 use crate::codec;
-use crate::fault::{self, FaultPlan, IoOp, WriteCheck};
+use crate::fault::{self, FaultPlan, IoOp};
 use crate::obs::{Event, ObserverHandle};
 use crate::sstable::crc32::crc32;
 use crate::sstable::varint::{
@@ -738,12 +738,6 @@ impl Wal {
         Ok(())
     }
 
-    fn op_index(&self) -> u64 {
-        self.faults
-            .as_ref()
-            .map_or(0, |p| p.ops().saturating_sub(1))
-    }
-
     /// Seals the pending points — one points frame per series — and
     /// writes every queued frame with one `write`.
     fn write_out(&mut self) -> Result<()> {
@@ -769,17 +763,15 @@ impl Wal {
             return Ok(());
         }
         let len = self.queued.len();
-        match fault::hook_write(self.faults.as_ref(), IoOp::WalAppend, len)? {
-            WriteCheck::Proceed => self.file.write_all(&self.queued)?,
-            WriteCheck::Torn { keep } => {
-                // The modelled power cut happened mid-write: a prefix of
-                // the frames reaches the file, then the op fails.
-                self.file.write_all(&self.queued[..keep.min(len)])?;
-                return Err(fault::injected_crash(
-                    IoOp::WalAppend,
-                    self.op_index(),
-                ));
-            }
+        if let Some(crash) = fault::write_hooked(
+            self.faults.as_ref(),
+            IoOp::WalAppend,
+            &mut self.file,
+            &self.queued,
+        )? {
+            // The modelled power cut happened mid-write: a prefix of the
+            // frames reached the file, then the op fails.
+            return Err(crash);
         }
         self.queued.clear();
         self.file_len += len as u64;
@@ -952,21 +944,15 @@ impl Wal {
         let tmp = self.path.with_extension("wal.tmp");
         {
             let mut f = File::create(&tmp)?;
-            match fault::hook_write(
+            if let Some(crash) = fault::write_hooked(
                 self.faults.as_ref(),
                 IoOp::WalRewrite,
-                buf.len(),
+                &mut f,
+                &buf,
             )? {
-                WriteCheck::Proceed => f.write_all(&buf)?,
-                WriteCheck::Torn { keep } => {
-                    f.write_all(&buf[..keep.min(buf.len())])?;
-                    f.sync_all()?;
-                    // Tmp debris stays behind; swept on the next open.
-                    return Err(fault::injected_crash(
-                        IoOp::WalRewrite,
-                        self.op_index(),
-                    ));
-                }
+                // Tmp debris stays behind; swept on the next open.
+                f.sync_all()?;
+                return Err(crash);
             }
             f.sync_all()?;
         }

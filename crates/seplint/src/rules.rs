@@ -356,8 +356,9 @@ pub fn durability_order_with(
 /// Calls that end in a physical fsync.
 const FSYNC_CALLS: &[&str] = &["sync_all", "sync_data", "sync_dir"];
 
-/// The fault-plan hooks that count an I/O op (`fault::hook`, `hook_write`).
-const FAULT_HOOKS: &[&str] = &["hook", "hook_write"];
+/// The fault-plan hooks that count an I/O op (`fault::hook`,
+/// `write_hooked`).
+const FAULT_HOOKS: &[&str] = &["hook", "write_hooked"];
 
 /// R6, in the durability modules, per function body:
 ///
@@ -372,8 +373,8 @@ const FAULT_HOOKS: &[&str] = &["hook", "hook_write"];
 ///   fsync is a cost nobody can see or crash-test.
 ///
 /// The `sync_dir` helper itself is the primitive and is exempt, and so is
-/// the body of a `Torn { .. } => { .. }` arm: it *is* the injected crash,
-/// persisting the prefix a power cut would have left.
+/// the block of an `if let Some(..) = ..write_hooked(..)? { .. }`: it *is*
+/// the injected crash, persisting the prefix a power cut would have left.
 pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
     let lexed = lex(src);
     let tokens = strip_test_items(&lexed.tokens);
@@ -387,7 +388,7 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
             body[i].ident().is_some_and(|id| names.contains(&id))
                 && body.get(i + 1).is_some_and(|n| n.is_punct('('))
         };
-        let torn = torn_arms(body);
+        let torn = torn_blocks(body);
         for (i, t) in body.iter().enumerate() {
             if calls(i, &["rename"]) {
                 let synced_later =
@@ -437,23 +438,31 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
     out
 }
 
-/// Marks the tokens of `body` that sit inside the block of a
-/// `Torn { .. } => { .. }` match arm.
-fn torn_arms(body: &[Token]) -> Vec<bool> {
+/// Marks the tokens of `body` that sit inside the block a torn write runs:
+/// the `{ .. }` of an `if let Some(..) = ..write_hooked(..)? { .. }`.
+fn torn_blocks(body: &[Token]) -> Vec<bool> {
     let mut inside = vec![false; body.len()];
     for (i, t) in body.iter().enumerate() {
-        if !t.is_ident("Torn") {
+        let called = body.get(i + 1).is_some_and(|n| n.is_punct('('));
+        if !t.is_ident("write_hooked") || !called {
             continue;
         }
-        // The arm's `=>` sits a short pattern (`{ keep }`) past the name.
-        let Some(arrow) = (i + 1..body.len().min(i + 8)).find(|j| {
-            body[*j].is_punct('=')
-                && body.get(j + 1).is_some_and(|n| n.is_punct('>'))
+        // Past the call's balanced argument list and its `?`.
+        let mut depth = 0usize;
+        let Some(close) = (i + 1..body.len()).find(|j| {
+            if body[*j].is_punct('(') {
+                depth += 1;
+            } else if body[*j].is_punct(')') {
+                depth -= 1;
+            }
+            depth == 0
         }) else {
             continue;
         };
-        let open = arrow + 2;
-        if !body.get(open).is_some_and(|n| n.is_punct('{')) {
+        let open = close + 2;
+        if !body.get(close + 1).is_some_and(|n| n.is_punct('?'))
+            || !body.get(open).is_some_and(|n| n.is_punct('{'))
+        {
             continue;
         }
         let mut depth = 0usize;

@@ -55,18 +55,20 @@ impl Store {
         Ok(())
     }
 
-    // Compliant: the fsync inside the `Torn` arm is the injected crash
-    // itself, and does not stand between the write's hook and its fsync.
+    // Compliant: the fsync inside the torn-write block is the injected
+    // crash itself, and does not stand between the write's hook and its
+    // fsync.
     pub fn rewrite(&self, bytes: &[u8]) -> Result<(), Error> {
         let tmp = self.dir.join("log.tmp");
         let mut f = File::create(&tmp)?;
-        match fault::hook_write(self.faults.as_ref(), IoOp::WalRewrite, 8)? {
-            WriteCheck::Proceed => f.write_all(bytes)?,
-            WriteCheck::Torn { keep } => {
-                f.write_all(&bytes[..keep])?;
-                f.sync_all()?;
-                return Err(crash());
-            }
+        if let Some(crash) = fault::write_hooked(
+            self.faults.as_ref(),
+            IoOp::WalRewrite,
+            &mut f,
+            bytes,
+        )? {
+            f.sync_all()?;
+            return Err(crash);
         }
         f.sync_all()?;
         fault::hook(self.faults.as_ref(), IoOp::WalRename)?;

@@ -242,7 +242,7 @@ fn r6_fires_on_rename_without_dir_sync() {
     assert!(v[1].message.contains("no fault-plan hook"), "{v:?}");
     // An earlier hook pays for one op only: the un-hooked directory fsync
     // after a hooked file fsync and a hooked rename is named too, while the
-    // fsync inside a `Torn` arm neither needs a hook nor hides one.
+    // fsync inside a torn-write block neither needs a hook nor hides one.
     assert!(v[2].message.contains("put_half_hooked"), "{v:?}");
     assert!(v[2].message.contains("`sync_dir`"), "{v:?}");
 }

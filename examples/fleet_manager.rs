@@ -1,11 +1,11 @@
-//! Fleet-scale storage: many series, per-series adaptive policies, and the
-//! compressed block format.
+//! Fleet-scale storage: many series and per-series adaptive policies over
+//! one shared table store.
 //!
 //! A monitoring backend hosts several sensor channels per vehicle. Channels
 //! behave differently — GPS pushes clean 1 Hz fixes, the CAN-bus gateway
 //! batches under patchy coverage — so one global policy cannot fit. The
 //! fleet engine tunes each series independently and stores everything in
-//! compressed SSTables.
+//! the engine's compressed, block-structured SSTables.
 //!
 //! ```text
 //! cargo run --release -p seplsm --example fleet_manager
@@ -14,14 +14,13 @@
 use std::sync::Arc;
 
 use seplsm::{
-    AdaptiveConfig, AdaptiveOpen, ArbiterConfig, DataPoint, EncodeOptions,
-    EngineConfig, LogNormal, MemStore, MultiOpenOptions, Policy, SeriesId,
-    TimeRange,
+    AdaptiveConfig, AdaptiveOpen, ArbiterConfig, DataPoint, EngineConfig,
+    LogNormal, MemStore, MultiOpenOptions, Policy, SeriesId, TimeRange,
 };
 use seplsm_dist::DelayDistribution;
 
 fn main() -> seplsm::Result<()> {
-    let store = Arc::new(MemStore::with_options(EncodeOptions::compressed()));
+    let store = Arc::new(MemStore::new());
     // One fleet-wide budget of 1024 points: the arbiter hands each channel
     // a slice (hot channels grow, cold ones shrink toward the floor) and
     // the adaptive controller retunes each channel against its current

@@ -88,34 +88,48 @@ cargo test -q --workspace --offline
 # no RNG at runtime) and checks the durability contract after each recovery.
 echo "== fault injection (crash schedules) =="
 cargo test -q -p seplsm --test crash_schedules --offline
-# Same lane, by name: directories written by the PR 12 and PR 13 builds
-# (headerless fixed-record WALs, one per fleet series; flat manifests) must
-# still recover, strict and salvage, and leave only framed logs behind.
-echo "== fault injection (old-format fixtures) =="
-cargo test -q -p seplsm --test crash_schedules --offline \
-  pr12_and_pr13_format_directories_still_recover
-# And the fleet directories of the PR 13 and PR 18 builds (one manifest per
-# series): folded into `fleet.manifest` + `fleet.wal`, nothing else left,
-# also when a crash lands between the fold and the removal.
-cargo test -q -p seplsm --test crash_schedules --offline \
-  pr18_fleet_directory_still_recovers
-# And the logs of the PR 19 build, whose checkpoint frames (`kind 1`) carry no
-# range and re-log every buffered point: read as checkpoints of all time.
-cargo test -q -p seplsm --test crash_schedules --offline \
-  pr19_logs_still_recover
-# And the logs of the PR 21 build, the last to log raw 24-byte points
-# (`kind 0` / `kind 2`): read as they stand, continued with packed frames.
-cargo test -q -p seplsm --test crash_schedules --offline \
-  pr21_logs_still_recover
-# Same lane, by name: the traced fsync budget of one flush/merge commit
-# (k table fsyncs + 1 directory + 1 manifest, in that order, and nothing on
-# the WAL; one WAL write + fsync per batch, however many series) and of one
-# fleet batch (Σk + 1 directory + 1 manifest + 1 WAL, however many series
-# flushed; at rest one manifest record per live table + one header per
-# series). A regression fails on the assertion that prints the op that
-# crept back in.
+# The traced fsync budget of one flush/merge commit (k table fsyncs + 1
+# directory + 1 manifest, in that order, and nothing on the WAL; one WAL
+# write + fsync per batch, however many series) and of one fleet batch
+# (Σk + 1 directory + 1 manifest + 1 WAL, however many series flushed; at
+# rest one manifest record per live table + one header per series). A
+# regression fails on the assertion that prints the op that crept back in.
 echo "== fault injection (fsync budget) =="
 cargo test -q -p seplsm --test fsync_budget --offline
+# The tests that read bytes an *older build* wrote ran with their files
+# above; what is checked here is that they are still there under their
+# names, so that a rename or a deletion cannot pass silently:
+#   - directories of the PR 12 and PR 13 builds (headerless fixed-record
+#     WALs, one per fleet series; flat manifests) recover, strict and
+#     salvage, and leave only framed logs behind;
+#   - fleet directories of the PR 13 and PR 18 builds (one manifest per
+#     series) fold into `fleet.manifest` + `fleet.wal`, also when a crash
+#     lands between the fold and the removal;
+#   - logs of the PR 19 build (`kind 1` checkpoints: no range, every
+#     buffered point re-logged) read as checkpoints of all time;
+#   - logs of the PR 21 build, the last to log raw 24-byte points
+#     (`kind 0` / `kind 2`), read as they stand and continue packed;
+#   - SSTables of the PR 23 build, the last that could write v1, v2 and
+#     52-byte-entry v3 tables (`tests/fixtures/tables/`).
+echo "== old-format fixture tests exist =="
+listed() {
+  cargo test -q -p seplsm --test "$1" --offline -- --list 2>/dev/null
+}
+CRASH_TESTS="$(listed crash_schedules)"
+for name in pr12_and_pr13_format_directories_still_recover \
+    pr18_fleet_directory_still_recovers pr19_logs_still_recover \
+    pr21_logs_still_recover; do
+  grep -qx "$name: test" <<<"$CRASH_TESTS" \
+    || { echo "crash_schedules lost its fixture test '$name'"; exit 1; }
+done
+TABLE_TESTS="$(listed old_tables)"
+for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
+    every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \
+    the_test_only_writer_reproduces_what_the_old_build_wrote \
+    a_directory_of_old_tables_opens_answers_and_upgrades_by_compaction; do
+  grep -qx "$name: test" <<<"$TABLE_TESTS" \
+    || { echo "old_tables lost its test '$name'"; exit 1; }
+done
 
 # CLI lane: under the separation policy a flush takes one buffer and leaves
 # the other, and its checkpoint names only the range it took — the `wal`

@@ -1,9 +1,10 @@
 #!/bin/bash
 # Non-test lines of every source file under crates/*/src — the lines up to
-# the file's first `#[cfg(test)]` (all of them when it has none) — next to
-# its total, with one subtotal per crate: the number a simplicity PR
-# reports. `scripts/loc.sh <rev>` counts the files of a git revision
-# instead of the working tree.
+# the file's test module, i.e. its first `#[cfg(test)]` that a `mod` follows
+# (all of them when it has none; a `#[cfg(test)]` on a lone function or
+# import does not end the count) — next to its total, with one subtotal per
+# crate: the number a simplicity PR reports. `scripts/loc.sh <rev>` counts
+# the files of a git revision instead of the working tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +19,8 @@ fi
 
 list | while read -r file; do
   show "$file" | awk -v file="$file" '
-    /^[[:space:]]*#\[cfg\(test\)\]/ && !cut { cut = NR - 1 }
+    gated && !cut && /^[[:space:]]*(pub(\([a-z]+\))? +)?mod[[:space:]]/ { cut = gated - 1 }
+    { gated = /^[[:space:]]*#\[cfg\(test\)\]/ ? NR : (gated && /^[[:space:]]*#\[/ ? gated : 0) }
     END { print file, (cut ? cut : NR), NR }'
 done | awk '
   {

@@ -3,130 +3,15 @@
 //! every entry point, and WAL/manifest replay under arbitrary operation
 //! sequences.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use seplsm::{DataPoint, TimeRange};
-use seplsm_lsm::sstable::format::{
-    decode, decode_index_block, decode_index_block_bytes, decode_range, encode,
-    encode_with, read_table_index, ByteSpan, Compression, EncodeOptions,
-    RangeRead, TableIndex,
-};
+use seplsm_lsm::sstable::format::decode;
 use seplsm_lsm::sstable::{SsTableId, SsTableMeta};
-use seplsm_lsm::store::load_index;
-use seplsm_lsm::{Manifest, ManifestEdit, MemStore, TableStore, Wal};
-use seplsm_types::{Error, Result};
+use seplsm_lsm::{Manifest, ManifestEdit, TableStore, Wal};
 
-/// Every dialect a reader may meet, plus a v2 block size that does not
-/// divide the table.
-fn dialects() -> [EncodeOptions; 4] {
-    [
-        EncodeOptions::flat(),
-        EncodeOptions::compressed(),
-        EncodeOptions {
-            compression: Compression::TimeSeries,
-            block_points: 13,
-        },
-        EncodeOptions::pruned(),
-    ]
-}
-
-/// A read-only one-table store over arbitrary (possibly damaged) bytes,
-/// serving whole-file and ranged reads — enough for `load_index` to take
-/// the ranged walk and for the trait's default `get_range`.
-struct RawTable(Bytes);
-
-const RAW_ID: SsTableId = SsTableId(0);
-
-impl TableStore for RawTable {
-    fn put(&self, _: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
-        Err(Error::InvalidConfig("RawTable is read-only".into()))
-    }
-    fn get(&self, _: SsTableId) -> Result<Vec<DataPoint>> {
-        decode(&self.0)
-    }
-    fn delete(&self, _: SsTableId) -> Result<()> {
-        Ok(())
-    }
-    fn list(&self) -> Result<Vec<SsTableId>> {
-        Ok(vec![RAW_ID])
-    }
-    fn read_raw(&self, _: SsTableId) -> Result<Option<Bytes>> {
-        Ok(Some(self.0.clone()))
-    }
-    fn table_len(&self, _: SsTableId) -> Result<Option<u64>> {
-        Ok(Some(self.0.len() as u64))
-    }
-    fn read_span(&self, _: SsTableId, span: ByteSpan) -> Result<Option<Bytes>> {
-        let (start, end) = (span.offset as usize, span.end() as usize);
-        if start > end || end > self.0.len() {
-            return Err(Error::Corrupt("span outside table".into()));
-        }
-        Ok(Some(self.0.slice(start..end)))
-    }
-}
-
-/// Reads `range` out of table `id` through every entry point that turns
-/// table bytes into points, each with its own accounting: the two format
-/// functions over whole bytes, the two block decoders under an index from
-/// either constructor, and the store's default `get_range`.
-fn read_every_way(
-    store: &dyn TableStore,
-    id: SsTableId,
-    range: TimeRange,
-) -> Vec<(&'static str, Result<RangeRead>)> {
-    let raw = store.read_raw(id).expect("read_raw").expect("raw bytes");
-    let via_index = |index: &TableIndex,
-                     block: &dyn Fn(usize) -> Result<Vec<DataPoint>>|
-     -> Result<RangeRead> {
-        let mut read = RangeRead::default();
-        if !index.may_contain(range) {
-            return Ok(read);
-        }
-        for (b, _) in index.overlapping(range) {
-            let points = block(b)?;
-            read.blocks_read += 1;
-            read.points_scanned += points.len() as u64;
-            read.points.extend(
-                points.into_iter().filter(|p| range.contains(p.gen_time)),
-            );
-        }
-        Ok(read)
-    };
-    let span_bytes = |index: &TableIndex, b: usize| {
-        store
-            .read_span(id, index.block_span(b)?)?
-            .ok_or_else(|| Error::Corrupt("store serves no byte spans".into()))
-    };
-    vec![
-        ("decode_range", decode_range(&raw, range)),
-        ("TableStore::get_range", store.get_range(id, range)),
-        (
-            "read_table_index + decode_index_block",
-            read_table_index(&raw).and_then(|index| {
-                via_index(&index, &|b| decode_index_block(&raw, &index, b))
-            }),
-        ),
-        (
-            "read_table_index + decode_index_block_bytes",
-            read_table_index(&raw).and_then(|index| {
-                via_index(&index, &|b| {
-                    let bytes = span_bytes(&index, b)?;
-                    decode_index_block_bytes(&index, b, &bytes)
-                })
-            }),
-        ),
-        (
-            "load_index + decode_index_block_bytes",
-            load_index(store, id).and_then(|loaded| {
-                let (index, _) = loaded.expect("store serves raw bytes");
-                via_index(&index, &|b| {
-                    let bytes = span_bytes(&index, b)?;
-                    decode_index_block_bytes(&index, b, &bytes)
-                })
-            }),
-        ),
-    ]
-}
+#[path = "support/old_tables.rs"]
+mod old_tables;
+use old_tables::{every_dialect, read_every_way, RawTable, RAW_ID};
 
 /// Strategy: a sorted, unique-gen-time point vector.
 fn arb_points(max_len: usize) -> impl Strategy<Value = Vec<DataPoint>> {
@@ -160,24 +45,9 @@ proptest! {
 
     #[test]
     fn v1_and_v2_round_trip_arbitrary_points(points in arb_points(300)) {
-        let v1 = encode(&points).expect("v1 encode");
-        prop_assert_eq!(&decode(&v1).expect("v1 decode"), &points);
-        for block_points in [1usize, 7, 128] {
-            let v2 = encode_with(
-                &points,
-                &EncodeOptions {
-                    compression: Compression::TimeSeries,
-                    block_points,
-                },
-            )
-            .expect("v2 encode");
-            let back = decode(&v2).expect("v2 decode");
-            prop_assert_eq!(back.len(), points.len());
-            for (a, b) in back.iter().zip(points.iter()) {
-                prop_assert_eq!(a.gen_time, b.gen_time);
-                prop_assert_eq!(a.arrival_time, b.arrival_time);
-                prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
-            }
+        for table in every_dialect(&points) {
+            let back = decode(&table).expect("decode");
+            prop_assert!(old_tables::same_points(&back, &points));
         }
     }
 
@@ -193,11 +63,10 @@ proptest! {
             .copied()
             .filter(|p| range.contains(p.gen_time))
             .collect();
-        for options in dialects() {
-            let store = MemStore::with_options(options);
-            let (meta, _) = store.put(&points).expect("put");
-            prop_assert_eq!(&store.get(meta.id).expect("get"), &points);
-            let reads = read_every_way(&store, meta.id, range);
+        for table in every_dialect(&points) {
+            let store = RawTable(table);
+            prop_assert_eq!(&store.get(RAW_ID).expect("get"), &points);
+            let reads = read_every_way(&store, RAW_ID, range);
             let (_, first) = &reads[0];
             let first = first.as_ref().expect("decode_range");
             prop_assert!(first.points_scanned >= expected.len() as u64);
@@ -230,8 +99,7 @@ proptest! {
             .copied()
             .filter(|p| range.contains(p.gen_time))
             .collect();
-        for options in dialects() {
-            let clean = encode_with(&points, &options).expect("encode");
+        for clean in every_dialect(&points) {
             for pos in 0..clean.len() {
                 let mut bad = clean.to_vec();
                 bad[pos] ^= mask;

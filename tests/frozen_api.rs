@@ -1,5 +1,7 @@
 //! Compile-time pins of the engine API the frozen benchmark is built
-//! against: one line per call `benchmark/src/adapter.rs` makes. `benchmark/`
+//! against: one line per call `benchmark/src/adapter.rs` makes, and per call
+//! `benchmark/src/drills.rs` makes into the table format, the store's index
+//! loader and the log. `benchmark/`
 //! is a workspace of its own that `cargo test` never builds, so without
 //! this file an engine change that breaks it is only noticed by the smoke
 //! lanes of `scripts/ci.sh`. A signature that moves fails to compile here;
@@ -8,13 +10,16 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use seplsm::lsm::obs::Observer;
+use seplsm::lsm::sstable::format::{self, RangeRead};
+use seplsm::lsm::store::load_index;
 use seplsm::lsm::{
     AdmissionOutcome, AdmissionStats, Agg, ArbiterConfig, ArbiterStats,
     BlockCache, Bucket, CacheStats, EncodeOptions, EngineConfig, FaultPlan,
     FileStore, LsmEngine, Metrics, MultiOpenOptions, MultiSeriesEngine,
-    OpenOptions, PacerStats, QueryStats, RecoveryReport, SeriesId, TableStore,
-    TieredEngine, TieredOpenOptions, TieredReport,
+    OpenOptions, PacerStats, QueryStats, RecoveryReport, SeriesId, SsTableId,
+    TableIndex, TableStore, TieredEngine, TieredOpenOptions, TieredReport, Wal,
 };
 use seplsm::{DataPoint, Policy, Result, TimeRange, Timestamp};
 
@@ -122,4 +127,21 @@ fn the_three_builder_chains_keep_their_signatures() {
     let _: fn(Multi, Plan) -> Multi = Multi::faults;
     let _: fn(Multi) -> Result<MultiSeriesEngine> = Multi::open;
     let _: fn(Multi) -> Recovered<MultiSeriesEngine> = Multi::open_or_recover;
+}
+
+#[test]
+fn the_drills_keep_their_format_index_and_log_calls() {
+    let _: fn(&[DataPoint], &EncodeOptions) -> Result<Bytes> =
+        format::encode_with;
+    let _: fn(&[u8]) -> Result<Vec<DataPoint>> = format::decode;
+    let _: fn(&[u8], TimeRange) -> Result<RangeRead> = format::decode_range;
+    let _: fn(&RangeRead) -> u64 = |read| read.points_scanned;
+    let _: fn(&[u8]) -> Result<TableIndex> = format::read_table_index;
+    let _: fn(&TableIndex, TimeRange) -> bool = TableIndex::may_contain;
+    type Loaded = Option<(TableIndex, Option<Bytes>)>;
+    let _: fn(&FileStore, SsTableId) -> Result<Loaded> = load_index;
+
+    let _: fn(&'static PathBuf) -> Result<Wal> = Wal::open;
+    let _: fn(&mut Wal, &DataPoint) -> Result<()> = Wal::append;
+    let _: fn(&mut Wal) -> Result<()> = Wal::sync;
 }

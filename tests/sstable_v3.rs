@@ -1,9 +1,11 @@
 //! Integration tests of the v3 pruned SSTable layout: cross-version
 //! round-trips, pruning-filter no-false-negatives under arbitrary delay
-//! distributions, queries over levels holding a mix of format versions
-//! (the live-upgrade shape), and filter-cache coherence across compaction.
+//! distributions, queries and pushed-down aggregates over levels holding a
+//! mix of format versions (the live-upgrade shape), and filter-cache
+//! coherence across compaction. Tables of the versions this code only
+//! reads come from the test-only writer in `support/old_tables.rs`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -15,9 +17,13 @@ use seplsm_lsm::sstable::format::{
 };
 use seplsm_lsm::sstable::{SsTableId, SsTableMeta, TableFilter};
 use seplsm_lsm::{
-    BlockCache, EngineConfig, OpenOptions, QueryStats, TableStore,
+    Agg, BlockCache, EngineConfig, OpenOptions, QueryStats, TableStore,
 };
 use seplsm_types::{Error, Policy, Result};
+
+#[path = "support/old_tables.rs"]
+mod old_tables;
+use old_tables::Dialect;
 
 /// Deterministic but varied points: unique ascending gen times with
 /// hash-derived delays and values.
@@ -43,13 +49,22 @@ fn arb_gen_times(max_len: usize) -> impl Strategy<Value = Vec<i64>> {
         .prop_map(|s| s.into_iter().collect())
 }
 
-/// A [`TableStore`] that encodes successive tables with rotating format
-/// versions (v1 flat, v2 compressed, v3 pruned), so one engine's levels
-/// hold a mix — the live-upgrade shape: old tables stay readable while
-/// new writes carry pruning metadata.
-#[derive(Default)]
+/// A [`TableStore`] that encodes successive tables in rotating dialects
+/// (`None`: v3, as the product writes it) — by default v1, v2 at four
+/// block sizes and v3, so one engine's levels hold a mix: the live-upgrade
+/// shape, where old tables stay readable while new writes carry pruning
+/// metadata.
 struct RotatingStore {
+    dialects: Vec<Option<Dialect>>,
     inner: Mutex<RotatingInner>,
+}
+
+impl Default for RotatingStore {
+    fn default() -> Self {
+        use Dialect::{V1, V2};
+        let old = [V1, V2(1), V2(7), V2(13), V2(128)];
+        Self::writing(old.into_iter().map(Some).chain([None]).collect())
+    }
 }
 
 #[derive(Default)]
@@ -59,6 +74,13 @@ struct RotatingInner {
 }
 
 impl RotatingStore {
+    fn writing(dialects: Vec<Option<Dialect>>) -> Self {
+        Self {
+            dialects,
+            inner: Mutex::default(),
+        }
+    }
+
     fn bytes_for(&self, id: SsTableId) -> Result<Bytes> {
         self.inner
             .lock()
@@ -74,13 +96,12 @@ impl TableStore for RotatingStore {
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
         let mut inner = self.inner.lock().expect("store mutex");
         let id = SsTableId(inner.next_id);
-        let options = match inner.next_id % 3 {
-            0 => EncodeOptions::flat(),
-            1 => EncodeOptions::compressed(),
-            _ => EncodeOptions::pruned(),
-        };
+        let turn = inner.next_id as usize % self.dialects.len();
         inner.next_id += 1;
-        let bytes = encode_with(points, &options)?;
+        let bytes = match self.dialects[turn] {
+            Some(dialect) => old_tables::encode(points, dialect),
+            None => encode_with(points, &EncodeOptions::default())?,
+        };
         let size = bytes.len();
         inner.tables.insert(id, bytes);
         Ok((SsTableMeta::describe(id, points), size))
@@ -203,18 +224,73 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let points = points_from(&tgs, seed);
-        for options in [
-            EncodeOptions::flat(),
-            EncodeOptions::compressed(),
-            EncodeOptions::pruned(),
-        ] {
-            let bytes = encode_with(&points, &options).expect("encode");
+        for bytes in old_tables::every_dialect(&points) {
             let back = decode(&bytes).expect("decode");
-            prop_assert_eq!(back.len(), points.len());
-            for (a, b) in back.iter().zip(points.iter()) {
-                prop_assert_eq!(a.gen_time, b.gen_time);
-                prop_assert_eq!(a.arrival_time, b.arrival_time);
-                prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
+            prop_assert!(old_tables::same_points(&back, &points));
+        }
+    }
+
+    /// `aggregate` and `downsample` are bit-identical to folding over
+    /// `query` results when the levels hold tables without pre-aggregates
+    /// (v1, v2: always the decode path) — alone, and mixed with v3 tables
+    /// that fold. Integer-valued samples keep the f64 sum associative.
+    #[test]
+    fn pushdown_matches_query_fold_over_old_tables(
+        raw in proptest::collection::vec(
+            (-50i64..400, -1_000i32..1_000),
+            1..150,
+        ),
+        bounds in (-100i64..500, -100i64..500),
+        width in 1i64..64,
+    ) {
+        let range = TimeRange::new(
+            bounds.0.min(bounds.1),
+            bounds.0.max(bounds.1),
+        );
+        for (dialects, folds) in [
+            (vec![Some(Dialect::V2(128))], false),
+            (vec![Some(Dialect::V1), Some(Dialect::V2(3)), None], true),
+        ] {
+            let store = Arc::new(RotatingStore::writing(dialects));
+            let mut e = OpenOptions::new(
+                EngineConfig::new(Policy::conventional(7))
+                    .with_sstable_points(5),
+            )
+            .store(store)
+            .open()
+            .expect("open");
+            for &(tg, v) in &raw {
+                e.append(DataPoint::new(tg, tg, f64::from(v)))
+                    .expect("append");
+            }
+            let (pts, _) = e.query(range).expect("query");
+            let mut want = Agg::default();
+            for p in &pts {
+                want.merge_point(p.value);
+            }
+            let (got, stats) = e.aggregate(range).expect("aggregate");
+            prop_assert!(got.bits_eq(&want), "{:?} vs {:?}", got, want);
+            if !folds {
+                prop_assert_eq!(stats.blocks_folded, 0);
+            }
+            let mut reference = BTreeMap::<i64, Agg>::new();
+            for p in &pts {
+                reference
+                    .entry(p.gen_time.div_euclid(width) * width)
+                    .or_default()
+                    .merge_point(p.value);
+            }
+            let (buckets, _) =
+                e.downsample(range, width).expect("downsample");
+            prop_assert_eq!(buckets.len(), reference.len());
+            for ((got_tg, got_agg), (want_tg, want_agg)) in
+                buckets.iter().zip(reference.iter())
+            {
+                prop_assert_eq!(got_tg, want_tg);
+                prop_assert!(
+                    got_agg.bits_eq(want_agg),
+                    "bucket {}: {:?} vs {:?}", got_tg, got_agg, want_agg
+                );
             }
         }
     }
@@ -257,7 +333,7 @@ fn mixed_version_levels_answer_queries_exactly() {
         pruned_total.accumulate(&stats);
     }
     // Point probes between stored keys: present keys must be found, and
-    // the v3 third of the tables must prune the misses via their filters.
+    // the v3 tables in the mix must prune the misses via their filters.
     for i in 0..400i64 {
         assert!(engine.get(i * 10).expect("get").is_some(), "key {}", i * 10);
         let (miss, stats) = engine
