@@ -7,8 +7,8 @@ use seplsm_core::{tune, AdaptiveConfig, AdaptiveOpen, TunerOptions, WaModel};
 use seplsm_dist::stats::percentile_sorted;
 use seplsm_dist::{DelayDistribution, Empirical};
 use seplsm_lsm::{
-    AggregateSink, BlockCache, EngineConfig, FanoutSink, FileStore, JsonlSink,
-    MemStore, Observer, OpenOptions, TableStore,
+    AggregateSink, BlockCache, EngineConfig, FanoutSink, FaultPlan, FileStore,
+    IoOp, JsonlSink, MemStore, Observer, OpenOptions, TableStore,
 };
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 use seplsm_workload::{paper_dataset, S9Workload, VehicleWorkload};
@@ -361,8 +361,9 @@ pub fn stats(opts: &Opts) -> Result<()> {
         None => None,
     };
 
-    // `--cache POINTS` routes every table read (queries and compaction
-    // inputs alike) through a shared decoded-block cache of that capacity.
+    // `--cache POINTS` routes every table read through a shared
+    // decoded-block cache of that capacity: the queries' reads, and those of
+    // the few merge inputs the pool of written tables no longer holds.
     let cache = opts
         .get("cache")
         .map(|raw| -> Result<Arc<BlockCache>> {
@@ -383,12 +384,21 @@ pub fn stats(opts: &Opts) -> Result<()> {
         options = options.cache(Arc::clone(cache));
     }
     // `--dir DIR` runs the durable stack (tables, WAL and manifest under
-    // DIR) instead of the in-memory one.
+    // DIR) instead of the in-memory one, with a trace-only fault plan on all
+    // three — one op numbering, as the benchmark wires it — to count every
+    // disk touch by class.
+    let mut plan = None;
     if let Some(dir) = opts.get("dir") {
+        let dir = PathBuf::from(dir);
+        let traced = FaultPlan::trace_only(0);
+        let store = FileStore::open(dir.join("tables"))?
+            .with_faults(Arc::clone(&traced));
         options = options
-            .store(open_store(opts)?)
-            .wal(PathBuf::from(dir).join("wal"))
-            .manifest(PathBuf::from(dir).join("manifest"));
+            .store(Arc::new(store))
+            .wal(dir.join("wal"))
+            .manifest(dir.join("manifest"))
+            .faults(Arc::clone(&traced));
+        plan = Some(traced);
     }
     let mut engine = options.open()?;
     for p in &points {
@@ -398,8 +408,9 @@ pub fn stats(opts: &Opts) -> Result<()> {
     let wal = engine.wal_stats();
     engine.flush_all()?;
     if cache.is_some() {
-        // A verification scan after ingest: blocks cached by compaction
-        // reads hit; everything else faults in, warming the cache.
+        // A verification scan after ingest: the run's blocks fault in (merge
+        // inputs mostly came out of the pool, not through the cache),
+        // warming it.
         engine.scan_all()?;
     }
 
@@ -432,6 +443,9 @@ pub fn stats(opts: &Opts) -> Result<()> {
             manifest.rewrites
         );
     }
+    if let Some(plan) = &plan {
+        println!("{}", io_line(&plan.counts(), m.user_points));
+    }
     if let Some(cache) = &cache {
         let cs = cache.stats();
         println!(
@@ -447,6 +461,38 @@ pub fn stats(opts: &Opts) -> Result<()> {
         eprintln!("trace written to {path}");
     }
     Ok(())
+}
+
+/// Every I/O class, in the order `seplsm stats` prints them.
+const IO_OPS: [IoOp; IoOp::COUNT] = [
+    IoOp::StoreWrite,
+    IoOp::StoreSync,
+    IoOp::StoreRename,
+    IoOp::StoreRead,
+    IoOp::StoreDelete,
+    IoOp::StoreList,
+    IoOp::DirSync,
+    IoOp::WalAppend,
+    IoOp::WalSync,
+    IoOp::WalRewrite,
+    IoOp::WalRename,
+    IoOp::ManifestAppend,
+    IoOp::ManifestSync,
+    IoOp::ManifestRewrite,
+    IoOp::ManifestRename,
+];
+
+/// The `io:` line: each class's count, and per 1 000 user points.
+fn io_line(counts: &[u64; IoOp::COUNT], points: u64) -> String {
+    let per_kpoint = |n: u64| n as f64 * 1000.0 / points.max(1) as f64;
+    let classes: Vec<String> = IO_OPS
+        .iter()
+        .map(|&op| {
+            let n = counts[op as usize];
+            format!("{op:?} {n} ({:.2}/kpoint)", per_kpoint(n))
+        })
+        .collect();
+    format!("io: {}", classes.join(", "))
 }
 
 #[cfg(test)]
@@ -493,6 +539,20 @@ mod tests {
         assert_eq!(AggStat::Max.render(&agg), "4");
         assert_eq!(AggStat::Sum.render(&agg), "6");
         assert_eq!(AggStat::Mean.render(&agg), "3");
+    }
+
+    #[test]
+    fn io_line_names_every_class_once() {
+        let mut counts = [0; IoOp::COUNT];
+        counts[IoOp::StoreRead as usize] = 3;
+        counts[IoOp::DirSync as usize] = 40;
+        let line = io_line(&counts, 2_000);
+        assert!(line.starts_with("io: StoreWrite 0 (0.00/kpoint), "));
+        assert!(line.contains(", StoreRead 3 (1.50/kpoint), "), "{line}");
+        assert!(line.contains(", DirSync 40 (20.00/kpoint), "), "{line}");
+        for op in IO_OPS {
+            assert_eq!(line.matches(&format!(" {op:?} ")).count(), 1);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! channel; the worker stores them as L0 tables (committed as
 //! [`VersionEdit::FlushToL0`]) and periodically merges L0 into the run —
 //! both through the same [`plan_merge`] →
-//! [`write_outputs`](crate::compaction::write_outputs) →
+//! `write_outputs` →
 //! [`sync_outputs`](crate::compaction::sync_outputs) →
 //! [`commit`](crate::compaction::commit) pipeline as the inline executor.
 //! The bounded channel back-pressures the writer if the worker cannot keep
@@ -51,7 +51,7 @@ use crate::admission::{
     AdmissionStats, IoPacer, PaceDecision, PacerStats, RetryBackoff,
     StallTransition, Watermarks,
 };
-use crate::compaction::{self, plan_merge, RunInput};
+use crate::compaction::{self, plan_merge, RunInput, Written};
 use crate::engine::{Batch, Engine, Executor, Front};
 use crate::invariants::{self, InvariantChecker};
 use crate::iterator::merge_sorted;
@@ -215,8 +215,9 @@ impl TierState {
 /// 1. **Snapshot** (locked): wait out any in-flight merge via
 ///    [`TierState::compacting`], then capture the L0 and overlapping-run
 ///    metadata and raise the flag.
-/// 2. **Write** (unlocked): read the inputs, plan, and store the merged
-///    outputs ([`compaction::write_outputs`], [`compaction::sync_outputs`]).
+/// 2. **Write** (unlocked): take the inputs from `written` (or read them),
+///    plan, and store the merged outputs (`compaction::write_outputs`,
+///    [`compaction::sync_outputs`]).
 /// 3. **Commit** (locked): apply the version edit, record the manifest, do
 ///    the metric accounting ([`compaction::commit`]), clear the flag, and
 ///    signal `flush_done`.
@@ -225,12 +226,14 @@ impl TierState {
 /// A failure in phase 2 leaves the version untouched (plus orphan output
 /// tables for recovery-time GC) and clears the flag, so a
 /// [`retry_store`]-driven re-invocation restarts cleanly from a fresh
-/// snapshot. A failure in phase 4 leaves the committed version correct and
+/// snapshot, reading from the store what the failed attempt took out of
+/// `written`. A failure in phase 4 leaves the committed version correct and
 /// the undeleted inputs as orphans.
 fn compact_l0_once(
     state_mutex: &Mutex<TierState>,
     flush_done: &Condvar,
     store: &Arc<dyn TableStore>,
+    written: &Written,
     sstable_points: usize,
     obs: &ObserverHandle,
 ) -> Result<()> {
@@ -255,13 +258,13 @@ fn compact_l0_once(
     let prepared = (|| {
         let mut fresh = Vec::with_capacity(l0.len());
         for meta in l0.iter().rev() {
-            fresh.push(store.get(meta.id)?);
+            fresh.push(written.take_or_read(store.as_ref(), meta.id)?);
         }
         let mut inputs = Vec::with_capacity(overlapping.len());
         for meta in overlapping {
             inputs.push(RunInput {
                 meta,
-                points: store.get(meta.id)?,
+                points: written.take_or_read(store.as_ref(), meta.id)?,
             });
         }
         let plan = plan_merge(fresh, inputs, sstable_points, None);
@@ -282,7 +285,8 @@ fn compact_l0_once(
         if let Some(ticks) = paced {
             obs.emit(|| Event::CompactionPaced { ticks });
         }
-        let prepared = compaction::write_outputs(plan, store.as_ref(), obs)?;
+        let prepared =
+            compaction::write_outputs(plan, store.as_ref(), written, obs)?;
         compaction::sync_outputs(&prepared, store.as_ref())?;
         Ok(prepared)
     })();
@@ -371,11 +375,13 @@ pub struct Background {
 pub type TieredEngine = Engine<Background>;
 
 impl Background {
-    /// Starts the compaction worker over `version`.
+    /// Starts the compaction worker over `version`; its flushes leave their
+    /// tables in `written` for the merges of L0 that consume them.
     pub(crate) fn start(
         kind: open::Background,
         sstable_points: usize,
         store: &Arc<dyn TableStore>,
+        written: &Arc<Written>,
         version: Version,
         watermarks: Watermarks,
         obs: &ObserverHandle,
@@ -399,6 +405,7 @@ impl Background {
         let (tx, rx) = bounded::<Batch>(CHANNEL_DEPTH);
         let flush_done = Arc::new(Condvar::new());
         let worker_store = Arc::clone(store);
+        let worker_written = Arc::clone(written);
         let worker_state = Arc::clone(&state);
         let worker_flush_done = Arc::clone(&flush_done);
         let worker_degraded = Arc::clone(&degraded);
@@ -425,6 +432,7 @@ impl Background {
                                 &worker_state,
                                 &worker_flush_done,
                                 &worker_store,
+                                &worker_written,
                                 sstable_points,
                                 &worker_obs,
                             )
@@ -454,6 +462,7 @@ impl Background {
                             let prepared = compaction::write_outputs(
                                 plan,
                                 worker_store.as_ref(),
+                                &worker_written,
                                 &worker_obs,
                             )?;
                             compaction::sync_outputs(
@@ -481,8 +490,9 @@ impl Background {
                         };
                     for meta in &prepared.added {
                         // A fresh L0 table is consumed by the next
-                        // merge-compaction: cache its blocks with the weaker
-                        // short-lived priority.
+                        // merge-compaction (out of `written`): whatever
+                        // queries cache of it gets the weaker short-lived
+                        // priority.
                         worker_store.note_short_lived(meta.id);
                     }
                     let mut state = worker_state.lock();
@@ -683,6 +693,7 @@ impl Executor for Background {
                             &self.state,
                             &self.flush_done,
                             &front.store,
+                            &front.written,
                             front.config.sstable_points,
                             &front.obs,
                         )?;
@@ -869,6 +880,7 @@ impl Engine<Background> {
             &self.exec.state,
             &self.exec.flush_done,
             &self.front.store,
+            &self.front.written,
             self.front.config.sstable_points,
             &self.front.obs,
         )?;

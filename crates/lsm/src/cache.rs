@@ -1,11 +1,13 @@
 //! The decoded-block cache: a sharded, capacity-bounded CLOCK map from
 //! `(table, block)` to decoded points.
 //!
-//! Queries and merge-compactions both re-read SSTables through the
-//! [`TableStore`](crate::TableStore) trait; without a cache every visit
-//! re-reads and re-decodes the same bytes. [`BlockCache`] keeps recently
-//! decoded blocks (and parsed [`TableIndex`]es) in memory so a repeated
-//! range query or a compaction over a hot table decodes each block once.
+//! Queries re-read SSTables through the [`TableStore`](crate::TableStore)
+//! trait; without a cache every visit re-reads and re-decodes the same
+//! bytes. [`BlockCache`] keeps recently decoded blocks (and parsed
+//! [`TableIndex`]es) in memory so a repeated range query over a hot table
+//! decodes each block once. (Merge-compactions mostly take their inputs
+//! from the engine's pool of written tables instead; only the inputs it no
+//! longer holds are read, and cached, here.)
 //! The cache itself is pure bookkeeping — the
 //! [`CachedStore`](crate::store::CachedStore) wrapper does the I/O and
 //! event emission.

@@ -3,18 +3,27 @@
 //! Following the policy/mechanism split argued by the compaction-design
 //! surveys, *what to merge* is decided by [`plan_merge`], a pure function
 //! over an in-memory snapshot (no I/O, no engine state), and *how to apply
-//! it* by [`execute`], which writes the planned tables, commits the
+//! it* by `execute`, which writes the planned tables, commits the
 //! [`VersionEdit`], records the manifest, and does all metric accounting.
 //! Every flush is a merge plan — an in-order flush is the plan with no
 //! inputs — and every engine turns points into committed tables through
-//! [`write_outputs`] → [`sync_outputs`] → [`commit`] → [`retire_inputs`],
+//! `write_outputs` → [`sync_outputs`] → [`commit`] → [`retire_inputs`],
 //! so the write-amplification arithmetic the paper measures exists exactly
 //! once. An engine whose owner keeps the manifest (a durable fleet's
 //! series) runs the same sequence on the owner's schedule: it commits in
 //! memory at once and leaves the directory fsync, the manifest records and
 //! the input deletions in its [`Outbox`] for the owner's next commit
 //! point.
+//!
+//! A merge's inputs are, under disorder, mostly the tables the last few
+//! plans wrote. `write_outputs` therefore hands each plan's decoded outputs
+//! to the store's pool of written tables, and every merge-input fetch takes
+//! its table from there before it reads the store: what the paper counts
+//! is written exactly as before, only the read-back goes.
 
+use std::collections::VecDeque;
+
+use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Result, TimeRange};
 
 use crate::iterator::merge_sorted;
@@ -39,7 +48,7 @@ pub struct RunInput {
 #[derive(Debug, Clone)]
 pub struct CompactionPlan {
     /// Run tables consumed by the merge (removed from the version and
-    /// deleted from the store by [`execute`]).
+    /// deleted from the store by `execute`).
     pub inputs: Vec<SsTableId>,
     /// The merged output, split into tables of at most `sstable_points`.
     pub outputs: Vec<Vec<DataPoint>>,
@@ -52,7 +61,7 @@ pub struct CompactionPlan {
     /// Fig. 5 probe was requested.
     pub subsequent: Option<u64>,
     /// `true` when no run table was consumed: the merge degenerates to a
-    /// flush (counted as such by [`execute`]).
+    /// flush (counted as such by `execute`).
     pub is_flush: bool,
 }
 
@@ -119,9 +128,87 @@ pub fn plan_merge(
     }
 }
 
+/// The decoded output tables of the latest plans over one store, for the
+/// merges that are about to consume them: one per engine, one per fleet
+/// (its series share it as they share the store).
+///
+/// A FIFO of `(id, points)` holding at most [`Written::TABLES`] full
+/// tables' worth of points. Ids are store-unique and tables immutable, so
+/// an entry is exact for as long as its table exists; a merge consumes the
+/// entries it takes, and entries no merge asks for age out. It is memory
+/// outside the paper's budget *n* and changes only what is read back:
+/// queries, audits and recovery still read the store.
+#[derive(Debug)]
+pub(crate) struct Written {
+    /// Points the pool may hold.
+    budget: usize,
+    fifo: Mutex<Fifo>,
+}
+
+#[derive(Debug, Default)]
+struct Fifo {
+    tables: VecDeque<(SsTableId, Vec<DataPoint>)>,
+    /// `Σ tables[i].1.len()`.
+    points: usize,
+}
+
+impl Written {
+    /// How many full tables the pool holds: 768 KiB of points at the
+    /// paper's 512-point tables.
+    pub(crate) const TABLES: usize = 64;
+
+    /// An empty pool for tables of `sstable_points`.
+    pub(crate) fn new(sstable_points: usize) -> Self {
+        Self {
+            budget: Self::TABLES.saturating_mul(sstable_points),
+            fifo: Mutex::default(),
+        }
+    }
+
+    /// Keeps `tables`, just written, then lets the oldest entries go until
+    /// the pool is back within its budget.
+    fn keep(&self, tables: impl Iterator<Item = (SsTableId, Vec<DataPoint>)>) {
+        let mut fifo = self.fifo.lock();
+        for (id, points) in tables {
+            fifo.points += points.len();
+            fifo.tables.push_back((id, points));
+        }
+        while fifo.points > self.budget {
+            let Some((_, points)) = fifo.tables.pop_front() else {
+                break;
+            };
+            fifo.points -= points.len();
+        }
+    }
+
+    /// The points of table `id`, which a merge is about to consume: the
+    /// pool's entry, which leaves the pool, or else a read of the store.
+    ///
+    /// # Errors
+    /// The store's, on a miss.
+    pub(crate) fn take_or_read(
+        &self,
+        store: &dyn TableStore,
+        id: SsTableId,
+    ) -> Result<Vec<DataPoint>> {
+        match self.take(id) {
+            Some(points) => Ok(points),
+            None => store.get(id),
+        }
+    }
+
+    fn take(&self, id: SsTableId) -> Option<Vec<DataPoint>> {
+        let mut fifo = self.fifo.lock();
+        let at = fifo.tables.iter().position(|(held, _)| *held == id)?;
+        let (_, points) = fifo.tables.remove(at)?;
+        fifo.points -= points.len();
+        Some(points)
+    }
+}
+
 /// A plan whose output tables have been written to the store but whose
 /// [`VersionEdit`] has not yet been committed — the intermediate state
-/// between [`write_outputs`] and [`commit`].
+/// between `write_outputs` and [`commit`].
 ///
 /// Splitting execution into *write* (store I/O, no version access),
 /// *commit* (version/manifest/metrics, no store I/O), and *retire* (store
@@ -130,9 +217,10 @@ pub fn plan_merge(
 /// the lock only for [`commit`], and retires the inputs unlocked again.
 #[derive(Debug)]
 pub struct PreparedCompaction {
-    /// The plan being executed.
+    /// The plan being executed; its `outputs` have moved on into the
+    /// store's pool of written tables.
     pub plan: CompactionPlan,
-    /// Metadata of the freshly written output tables.
+    /// Metadata of the freshly written output tables, one per output.
     pub added: Vec<SsTableMeta>,
     /// Encoded bytes written to the store (for `disk_bytes_written`).
     pub bytes_written: u64,
@@ -141,15 +229,18 @@ pub struct PreparedCompaction {
 /// Phase 1 of plan execution: announces the plan (`FlushStarted` /
 /// `CompactionPlanned`) and publishes every output table as one
 /// [`TableStore::publish_batch`] — bytes durable, names not yet: see
-/// [`sync_outputs`]. Touches no version, manifest or metrics state, so
-/// callers may run it without holding any engine lock.
+/// [`sync_outputs`] — then moves the decoded outputs, under the ids the
+/// store gave them, into `written` for the merges that will consume them.
+/// Touches no version, manifest or metrics state, so callers may run it
+/// without holding any engine lock.
 ///
 /// # Errors
 /// Storage failures; no version state has been touched, but already-written
 /// outputs are left behind for the caller's orphan GC.
-pub fn write_outputs(
-    plan: CompactionPlan,
+pub(crate) fn write_outputs(
+    mut plan: CompactionPlan,
     store: &dyn TableStore,
+    written: &Written,
     obs: &ObserverHandle,
 ) -> Result<PreparedCompaction> {
     if plan.is_flush {
@@ -167,7 +258,10 @@ pub fn write_outputs(
         plan.outputs.iter().map(Vec::as_slice).collect();
     let stored = store.publish_batch(&chunks)?;
     let bytes_written = stored.iter().map(|(_, size)| *size as u64).sum();
-    let added = stored.into_iter().map(|(meta, _)| meta).collect();
+    let added: Vec<SsTableMeta> =
+        stored.into_iter().map(|(meta, _)| meta).collect();
+    let outputs = std::mem::take(&mut plan.outputs);
+    written.keep(added.iter().map(|meta| meta.id).zip(outputs));
     Ok(PreparedCompaction {
         plan,
         added,
@@ -226,14 +320,14 @@ pub fn commit(
     if plan.is_flush {
         metrics.flushes += 1;
         obs.emit(|| Event::FlushFinished {
-            tables: plan.outputs.len() as u64,
+            tables: prepared.added.len() as u64,
             points: plan.merged_points,
         });
     } else {
         metrics.compactions += 1;
         obs.emit(|| Event::CompactionExecuted {
             inputs: plan.inputs.len() as u64,
-            outputs: plan.outputs.len() as u64,
+            outputs: prepared.added.len() as u64,
             rewritten: plan.rewritten_points,
             subsequent: plan.subsequent,
         });
@@ -311,7 +405,7 @@ pub(crate) fn coalesce(mut ranges: Vec<TimeRange>) -> Vec<TimeRange> {
 
 /// Who makes an executed plan durable, and when.
 pub enum Journal<'a> {
-    /// The engine itself, before [`execute`] returns: directory fsync,
+    /// The engine itself, before `execute` returns: directory fsync,
     /// then its own manifest (when it keeps one), then the input deletions.
     Own(Option<&'a mut Manifest>),
     /// The engine's owner, at its next commit point: the same three steps,
@@ -319,7 +413,7 @@ pub enum Journal<'a> {
     Owner(&'a mut Outbox),
 }
 
-/// Executes a plan against the run in one call: [`write_outputs`],
+/// Executes a plan against the run in one call: `write_outputs`,
 /// [`sync_outputs`], [`commit`], [`retire_inputs`] — or, when `journal`
 /// says the owner commits, `write_outputs` and an in-memory `commit`, with
 /// the other steps left in the outbox (readers see the new tables at once;
@@ -340,15 +434,16 @@ pub enum Journal<'a> {
 /// # Errors
 /// Storage or manifest failures; the version is only mutated if the edit
 /// batch applies cleanly.
-pub fn execute(
+pub(crate) fn execute(
     plan: CompactionPlan,
     store: &dyn TableStore,
+    written: &Written,
     version: &mut Version,
     journal: Journal<'_>,
     metrics: &mut Metrics,
     obs: &ObserverHandle,
 ) -> Result<()> {
-    let prepared = write_outputs(plan, store, obs)?;
+    let prepared = write_outputs(plan, store, written, obs)?;
     let into_run = |removed, added| VersionEdit::Replace {
         removed,
         added,
@@ -471,6 +566,7 @@ mod tests {
         use crate::store::MemStore;
 
         let store = MemStore::new();
+        let written = Written::new(2);
         let mut version = Version::new();
         let mut metrics = Metrics::default();
 
@@ -478,6 +574,7 @@ mod tests {
         execute(
             plan_merge(vec![pts(&[10, 20])], Vec::new(), 2, None),
             &store,
+            &written,
             &mut version,
             Journal::Own(None),
             &mut metrics,
@@ -501,6 +598,7 @@ mod tests {
         execute(
             plan,
             &store,
+            &written,
             &mut version,
             Journal::Own(None),
             &mut metrics,
@@ -537,6 +635,7 @@ mod tests {
         let mut manifest = Manifest::open(&path).expect("open");
         manifest.attach_observer(obs.clone());
         let store = MemStore::new();
+        let written = Written::new(2);
         let mut version = Version::new();
         let mut metrics = Metrics::default();
         for tgs in [[10, 20, 30], [40, 50, 60]] {
@@ -545,6 +644,7 @@ mod tests {
             execute(
                 plan,
                 &store,
+                &written,
                 &mut version,
                 Journal::Own(Some(&mut manifest)),
                 &mut metrics,
@@ -597,6 +697,7 @@ mod tests {
         use seplsm_types::TimeRange;
 
         let store = MemStore::new(); // default options: v3
+        let written = Written::new(3);
         let mut version = Version::new();
         let mut metrics = Metrics::default();
         execute(
@@ -607,6 +708,7 @@ mod tests {
                 None,
             ),
             &store,
+            &written,
             &mut version,
             Journal::Own(None),
             &mut metrics,
@@ -631,6 +733,7 @@ mod tests {
         execute(
             plan,
             &store,
+            &written,
             &mut version,
             Journal::Own(None),
             &mut metrics,
@@ -675,5 +778,158 @@ mod tests {
         assert_eq!(a.rewritten_points, b.rewritten_points);
         assert_eq!(a.subsequent, b.subsequent);
         assert_eq!(a.outputs.len(), b.outputs.len());
+    }
+
+    // ------------------------------------------------- the written pool
+
+    use crate::fault::{is_injected, Fault, FaultPlan, FaultStore, IoOp};
+    use crate::store::MemStore;
+    use std::sync::Arc;
+
+    /// The ids the pool holds, oldest first, and its point total.
+    fn held(written: &Written) -> (Vec<SsTableId>, usize) {
+        let fifo = written.fifo.lock();
+        (fifo.tables.iter().map(|(id, _)| *id).collect(), fifo.points)
+    }
+
+    #[test]
+    fn the_pool_keeps_to_its_budget_and_lets_the_oldest_go_first() {
+        let written = Written::new(2);
+        let budget = Written::TABLES * 2;
+        // Every table kept so far, with its size, in the order kept: plans
+        // of one to three tables of one or two points, then one plan larger
+        // than the whole pool.
+        let mut kept: Vec<(SsTableId, usize)> = Vec::new();
+        let mut plans: Vec<Vec<usize>> = (0..100)
+            .map(|i| (0..i % 3 + 1).map(|j| (i + j) % 2 + 1).collect())
+            .collect();
+        plans.push(vec![2; Written::TABLES + 6]);
+        for sizes in plans {
+            let tables: Vec<(SsTableId, Vec<DataPoint>)> = sizes
+                .iter()
+                .map(|&size| {
+                    let id = SsTableId(kept.len() as u64);
+                    kept.push((id, size));
+                    (id, pts(&[0, 1][..size]))
+                })
+                .collect();
+            written.keep(tables.into_iter());
+            let (ids, points) = held(&written);
+            assert!(points <= budget, "{points} > {budget}");
+            // FIFO: the newest tables kept, as many as fit and no fewer.
+            let from = kept.len() - ids.len();
+            let suffix: Vec<SsTableId> =
+                kept[from..].iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, suffix);
+            assert_eq!(points, kept[from..].iter().map(|(_, n)| n).sum());
+            if from > 0 {
+                assert!(points + kept[from - 1].1 > budget, "evicted too much");
+            }
+        }
+        assert_eq!(held(&written).0.len(), Written::TABLES);
+    }
+
+    #[test]
+    fn a_consumed_or_evicted_table_is_read_from_the_store() {
+        let plan = FaultPlan::trace_only(0);
+        let store = FaultStore::new(MemStore::new(), Arc::clone(&plan));
+        let written = Written::new(1);
+        // One more one-point table than the pool holds.
+        let tgs: Vec<i64> = (0..=Written::TABLES as i64).collect();
+        let flush = plan_merge(vec![pts(&tgs)], Vec::new(), 1, None);
+        let obs = ObserverHandle::detached();
+        let prepared =
+            write_outputs(flush, &store, &written, &obs).expect("write");
+        assert!(prepared.plan.outputs.is_empty(), "moved, not cloned");
+        let ids: Vec<SsTableId> =
+            prepared.added.iter().map(|meta| meta.id).collect();
+        let reads = || plan.counts()[IoOp::StoreRead as usize];
+        let take =
+            |i: usize| written.take_or_read(&store, ids[i]).expect("take");
+        assert_eq!((take(0), reads()), (pts(&[0]), 1), "evicted: read");
+        assert_eq!((take(1), reads()), (pts(&[1]), 1), "held: taken");
+        assert_eq!((take(1), reads()), (pts(&[1]), 2), "consumed: read");
+        assert_eq!(held(&written).0.len(), Written::TABLES - 1);
+    }
+
+    /// The inline executor's hand-off over the pipeline alone: the run
+    /// tables overlapping `fresh` are taken out of `written`, merged with it
+    /// and written back.
+    fn merge_in(
+        fresh: Vec<DataPoint>,
+        store: &dyn TableStore,
+        written: &Written,
+        version: &mut Version,
+    ) -> Result<()> {
+        let range =
+            TimeRange::new(fresh[0].gen_time, fresh[fresh.len() - 1].gen_time);
+        let mut inputs = Vec::new();
+        for meta in version.run().overlapping(range) {
+            let points = written.take_or_read(store, meta.id)?;
+            inputs.push(RunInput { meta, points });
+        }
+        execute(
+            plan_merge(vec![fresh], inputs, 4, None),
+            store,
+            written,
+            version,
+            Journal::Own(None),
+            &mut Metrics::default(),
+            &ObserverHandle::detached(),
+        )
+    }
+
+    #[test]
+    fn a_merge_that_fails_at_its_first_write_retries_from_the_store() {
+        let run: Vec<DataPoint> =
+            pts(&(0..16).map(|i| i * 10).collect::<Vec<_>>());
+        // Stragglers between every pair, and overwrites of every other one.
+        let fresh: Vec<DataPoint> = (0..32)
+            .map(|i| DataPoint::new(i * 5, 1_000 + i, -(i as f64)))
+            .collect();
+        let attempt = |fault: Fault| {
+            let plan = FaultPlan::new(0, fault);
+            let store = FaultStore::new(MemStore::new(), Arc::clone(&plan));
+            let written = Written::new(4);
+            let mut version = Version::new();
+            merge_in(run.clone(), &store, &written, &mut version)
+                .expect("flush");
+            let at = plan.ops();
+            let merged =
+                merge_in(fresh.clone(), &store, &written, &mut version);
+            (plan, store, written, version, at, merged)
+        };
+        // A traced pass finds where the merge's first op falls: it reads
+        // nothing, so that op is its first table write.
+        let (plan, .., at, merged) = attempt(Fault::None);
+        merged.expect("traced merge");
+        assert_eq!(plan.trace()[at as usize], IoOp::StoreWrite);
+        let (plan, store, written, mut version, failed_at, merged) =
+            attempt(Fault::FailOnce { at });
+        assert_eq!(failed_at, at);
+        let err = merged.expect_err("the first write fails");
+        assert!(is_injected(&err), "{err}");
+        assert_eq!(version.run().len(), 4, "the version is untouched");
+        // The failed attempt consumed the four run tables' entries: the
+        // retry reads exactly those four before it writes.
+        let before = plan.ops() as usize;
+        merge_in(fresh.clone(), &store, &written, &mut version).expect("retry");
+        let trace = plan.trace();
+        let ops = &trace[before..];
+        let first_write = ops
+            .iter()
+            .position(|op| *op == IoOp::StoreWrite)
+            .expect("the retry writes");
+        assert_eq!(ops[..first_write], [IoOp::StoreRead; 4]);
+        // And the run holds what a model of the two writes holds.
+        let mut model = std::collections::BTreeMap::new();
+        for p in run.into_iter().chain(fresh) {
+            model.insert(p.gen_time, p);
+        }
+        let mut stored = Vec::new();
+        for meta in version.run().tables() {
+            stored.extend(store.get(meta.id).expect("get"));
+        }
+        assert_eq!(stored, model.into_values().collect::<Vec<_>>());
     }
 }

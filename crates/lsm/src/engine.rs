@@ -39,7 +39,7 @@ use crate::admission::{
     self, AdmissionController, AdmissionOutcome, AdmissionStats, Watermarks,
 };
 use crate::buffer::{FlushTrigger, PolicyBuffers};
-use crate::compaction::{self, Journal, Outbox, RunInput};
+use crate::compaction::{self, Journal, Outbox, RunInput, Written};
 use crate::fault::FaultPlan;
 use crate::invariants::{self, InvariantChecker};
 use crate::level::Run;
@@ -63,7 +63,8 @@ pub struct EngineConfig {
     /// If set, record a WA snapshot every this many user points (Fig. 10).
     pub wa_snapshot_every: Option<u64>,
     /// If `true`, count the subsequent data points on disk at the start of
-    /// every merge (the Fig. 5 probe). Costs extra reads; off by default.
+    /// every merge (the Fig. 5 probe). Reads nothing: it counts from table
+    /// metadata and from the merge's own inputs. Off by default.
     /// Only the inline merge can answer it — it runs against the run its
     /// points were classified against — so `TieredOpenOptions` rejects it.
     pub record_subsequent: bool,
@@ -225,6 +226,9 @@ pub trait Executor: Sized {
 pub struct Front {
     pub(crate) config: EngineConfig,
     pub(crate) store: Arc<dyn TableStore>,
+    /// The store's pool of written tables, where merge inputs are taken
+    /// from first.
+    pub(crate) written: Arc<Written>,
     /// Typed event sink; detached unless set through
     /// [`EngineBuilder::observer`].
     pub(crate) obs: ObserverHandle,
@@ -317,6 +321,7 @@ impl<X: Executor> Engine<X> {
             manifest,
             recovery,
             observer: obs,
+            written,
             ..
         } = options;
         let mut engine = Engine {
@@ -326,6 +331,7 @@ impl<X: Executor> Engine<X> {
             front: Front {
                 config,
                 store,
+                written,
                 obs,
                 metrics: Metrics::default(),
             },
@@ -780,7 +786,8 @@ impl Executor for Inline {
     }
 
     /// The one flush: plan the merge of `points` with every run table
-    /// overlapping their range (pure), then execute the plan against
+    /// overlapping their range (pure; the tables mostly come out of the pool
+    /// of written tables, not the store), then execute the plan against
     /// store/version/metrics. A `C_seq` buffer lies strictly past the run
     /// tail, so it finds no overlap and its plan commits as a flush that
     /// rewrites nothing. The range of `points` is what a checkpoint of the
@@ -803,7 +810,9 @@ impl Executor for Inline {
         for meta in overlapping {
             inputs.push(RunInput {
                 meta,
-                points: front.store.get(meta.id)?,
+                points: front
+                    .written
+                    .take_or_read(front.store.as_ref(), meta.id)?,
             });
         }
         let plan = compaction::plan_merge(
@@ -819,6 +828,7 @@ impl Executor for Inline {
         compaction::execute(
             plan,
             front.store.as_ref(),
+            &front.written,
             &mut self.version,
             journal,
             &mut front.metrics,

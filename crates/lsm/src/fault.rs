@@ -68,7 +68,14 @@ pub enum IoOp {
     /// `Manifest::rewrite_levels` renaming tmp → live.
     ManifestRename,
     /// A parent-directory fsync after a rename ([`crate::store::sync_dir`]).
+    /// The last class: [`IoOp::COUNT`] counts up to it.
     DirSync,
+}
+
+impl IoOp {
+    /// How many classes there are: the length of [`FaultPlan::counts`],
+    /// which `op as usize` indexes.
+    pub const COUNT: usize = IoOp::DirSync as usize + 1;
 }
 
 /// The failure a [`FaultPlan`] injects, positioned by global op index
@@ -150,6 +157,8 @@ pub struct FaultPlan {
     seed: u64,
     fault: Fault,
     ops: AtomicU64,
+    /// `ops`, per [`IoOp`] class.
+    counts: [AtomicU64; IoOp::COUNT],
     crashed: AtomicBool,
     injected: AtomicU64,
     trace: Mutex<Vec<IoOp>>,
@@ -164,6 +173,7 @@ impl FaultPlan {
             seed,
             fault,
             ops: AtomicU64::new(0),
+            counts: Default::default(),
             crashed: AtomicBool::new(false),
             injected: AtomicU64::new(0),
             trace: Mutex::new(Vec::new()),
@@ -189,6 +199,14 @@ impl FaultPlan {
     /// Ops counted so far.
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::SeqCst)
+    }
+
+    /// Ops counted so far per class, indexed by `op as usize`: what a
+    /// tally of [`trace`](Self::trace) would give.
+    pub fn counts(&self) -> [u64; IoOp::COUNT] {
+        self.counts
+            .each_ref()
+            .map(|count| count.load(Ordering::Relaxed))
     }
 
     /// Failures injected so far (including every post-crash refusal).
@@ -233,6 +251,7 @@ impl FaultPlan {
     /// and then fails with [`injected_crash`].
     pub fn begin_write(&self, op: IoOp, len: usize) -> Result<WriteCheck> {
         let index = self.ops.fetch_add(1, Ordering::SeqCst);
+        self.counts[op as usize].fetch_add(1, Ordering::Relaxed);
         self.trace.lock().push(op);
         if self.crashed.load(Ordering::SeqCst) {
             self.note_injected(op, index);
@@ -456,6 +475,12 @@ mod tests {
             plan.trace(),
             vec![IoOp::StoreWrite, IoOp::StoreRead, IoOp::StoreList]
         );
+        let mut counts = [0; IoOp::COUNT];
+        for op in plan.trace() {
+            counts[op as usize] += 1;
+        }
+        assert_eq!(plan.counts(), counts);
+        assert_eq!(counts.iter().sum::<u64>(), 3);
         assert_eq!(plan.injected_failures(), 0);
         assert!(!plan.is_crashed());
     }

@@ -4,7 +4,9 @@
 //! per vehicle, each with its own delay behaviour — IoTDB buffers and tunes
 //! them independently. [`MultiSeriesEngine`] provides that shape: each
 //! [`SeriesId`] gets its own MemTables, level-1 run and metrics (so policies
-//! can differ per series), while all series share one [`TableStore`].
+//! can differ per series), while all series share one [`TableStore`] — and
+//! the one pool of tables lately written to it, which their merges take
+//! their inputs from before they read the store.
 //!
 //! With [`MultiOpenOptions::durable_dir`] the collection is durable: one
 //! write-ahead log (`fleet.wal`, every frame tagged with its series) and one
@@ -58,7 +60,7 @@ use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
 use crate::admission::AdmissionOutcome;
 use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
-use crate::compaction::Outbox;
+use crate::compaction::{Outbox, Written};
 use crate::engine::{checkpoint_retired, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{
@@ -122,6 +124,10 @@ impl MultiMetrics {
 /// A collection of independently-buffered series over one shared store.
 pub struct MultiSeriesEngine {
     store: Arc<dyn TableStore>,
+    /// The pool of written tables over `store`, shared like the store: a
+    /// merge of one series finds the tables that series wrote whoever
+    /// wrote last.
+    written: Arc<Written>,
     template: EngineConfig,
     series: HashMap<SeriesId, LsmEngine>,
     /// When set, the fleet log and the fleet manifest live under this
@@ -184,6 +190,7 @@ impl Kind for Fleet {
         }
         let mut engine = MultiSeriesEngine {
             store,
+            written: options.written,
             template: options.config,
             series: HashMap::new(),
             durable_dir: fleet.durable_dir,
@@ -330,13 +337,15 @@ fn pending_tables(engine: &LsmEngine) -> usize {
 
 impl MultiSeriesEngine {
     /// The builder one series of this collection opens through: the
-    /// template configuration over the shared store, reporting to the
-    /// collection's observer, with neither log nor manifest — a durable
-    /// collection keeps both for it and commits its flushes, and hands a
-    /// recovering series the `levels` its manifest holds for it.
+    /// template configuration over the shared store and the store's pool of
+    /// written tables, reporting to the collection's observer, with neither
+    /// log nor manifest — a durable collection keeps both for it and
+    /// commits its flushes, and hands a recovering series the `levels` its
+    /// manifest holds for it.
     fn series_options(&self, levels: Option<Levels>) -> OpenOptions {
         let mut options = OpenOptions::new(self.template.clone())
             .store(Arc::clone(&self.store));
+        options.written = Arc::clone(&self.written);
         options.observer = self.obs.clone();
         options.kind.owner_commits = self.durable_dir.is_some();
         options.kind.levels = levels;

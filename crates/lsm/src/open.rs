@@ -14,7 +14,10 @@
 //!   kernel;
 //! * the fault plan reaches the WAL and manifest only after opening or
 //!   recovery completes (`attach_faults`), so a crash schedule's op
-//!   numbering starts at the first workload-driven disk touch.
+//!   numbering starts at the first workload-driven disk touch;
+//! * the pool of written tables the merges take their inputs from is made
+//!   with the builder, one per engine — a fleet hands its own to every
+//!   series, as it hands out its store.
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
 //! has ([`Background`]: synchronous flushes; [`Fleet`]: durable
@@ -45,6 +48,7 @@ use crate::admission::{IoPacer, Watermarks, DEFAULT_FLUSH_QUEUE_DEPTH};
 use crate::arbiter::ArbiterConfig;
 use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
+use crate::compaction::Written;
 use crate::engine::{self, Engine, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{Levels, Manifest};
@@ -149,6 +153,8 @@ pub struct EngineBuilder<K> {
     faults: Option<Arc<FaultPlan>>,
     pub(crate) observer: ObserverHandle,
     pub(crate) watermarks: Watermarks,
+    /// The engine's pool of written tables (a fleet series: its fleet's).
+    pub(crate) written: Arc<Written>,
     pub(crate) kind: K,
 }
 
@@ -173,6 +179,7 @@ impl<K: Kind> EngineBuilder<K> {
     /// template every new series starts from).
     pub fn new(config: EngineConfig) -> Self {
         Self {
+            written: Arc::new(Written::new(config.sstable_points)),
             config,
             store: None,
             cache: None,
@@ -195,10 +202,11 @@ impl<K: Kind> EngineBuilder<K> {
 
     /// Serves table reads through `cache`, a shared decoded-block cache:
     /// the store is wrapped in a [`CachedStore`] before the engine opens,
-    /// so queries, compaction input loading (inline or on the background
-    /// worker) and recovery reads all hit the cache, a fleet competes for
-    /// one capacity budget, and tables deleted by compactions are strictly
-    /// invalidated. Off by default (reads go straight to the store).
+    /// so queries, recovery reads and the merge inputs the pool of written
+    /// tables no longer holds all go through the cache, a fleet competes
+    /// for one capacity budget, and tables deleted by compactions are
+    /// strictly invalidated. Off by default (reads go straight to the
+    /// store).
     pub fn cache(mut self, cache: Arc<BlockCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -410,6 +418,7 @@ impl Kind for Background {
             std::mem::take(&mut options.kind),
             options.config.sstable_points,
             &store,
+            &options.written,
             version,
             options.watermarks,
             &options.observer,

@@ -194,9 +194,11 @@ pub trait TableStore: Send + Sync {
     }
 
     /// Hints that the table is expected to be deleted soon (a freshly
-    /// flushed L0 table the next merge-compaction will consume). Plain
-    /// stores ignore the hint; the [`CachedStore`] lowers the table's
-    /// cache priority so its blocks never displace run-table blocks.
+    /// flushed L0 table the next merge-compaction will consume — mostly
+    /// from the engine's pool of written tables, without reading it here).
+    /// Plain stores ignore the hint; the [`CachedStore`] lowers the
+    /// table's cache priority so the blocks queries fault in of it never
+    /// displace run-table blocks.
     fn note_short_lived(&self, id: SsTableId) {
         let _ = id;
     }

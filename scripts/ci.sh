@@ -122,6 +122,16 @@ for name in pr12_and_pr13_format_directories_still_recover \
   grep -qx "$name: test" <<<"$CRASH_TESTS" \
     || { echo "crash_schedules lost its fixture test '$name'"; exit 1; }
 done
+# The merge-input section of the traced fsync budget: a merge takes the
+# tables lately written from the pool of written tables and reads none.
+FSYNC_TESTS="$(listed fsync_budget)"
+for name in a_merge_of_tables_this_engine_wrote_reads_none_of_them \
+    the_first_merge_after_recovery_reads_exactly_its_inputs \
+    an_l0_merge_of_what_the_worker_just_flushed_reads_nothing \
+    fleet_series_on_one_store_merge_without_reading_it; do
+  grep -qx "$name: test" <<<"$FSYNC_TESTS" \
+    || { echo "fsync_budget lost its merge-input test '$name'"; exit 1; }
+done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \
@@ -147,6 +157,14 @@ awk -F, 'NR == 1 { print; next } { printf "%s,%s,%d\n", $1, $2, $3 * 10 + 0.5 }'
 WAL_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
   --policy separation:256 --budget 512 --dir "$STATS_DIR/store" \
   | grep '^wal before the closing flush')"
+# The same points under the conventional policy, where every flush is a
+# merge: its `io:` line (a trace-only fault plan on store, WAL and manifest)
+# must show fewer than one table read per 1 000 points. Merge inputs are the
+# tables the last merges wrote and come out of the pool of written tables;
+# read back from the store they cost 21.5 reads per 1 000 points here.
+IO_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
+  --policy conventional --budget 512 --dir "$STATS_DIR/store-pc" \
+  | grep '^io: ')"
 rm -rf "$STATS_DIR"
 LOGGED="$(sed -nE 's/.* ([0-9]+) logged B, .*/\1/p' <<<"$WAL_LINE")"
 RELOGGED="$(sed -nE 's/.* ([0-9]+) relogged B$/\1/p' <<<"$WAL_LINE")"
@@ -155,6 +173,10 @@ RELOGGED="$(sed -nE 's/.* ([0-9]+) relogged B$/\1/p' <<<"$WAL_LINE")"
 B_PER_POINT="$(sed -nE 's/.* ([0-9.]+) B\/point, .*/\1/p' <<<"$WAL_LINE")"
 awk -v b="$B_PER_POINT" 'BEGIN { exit !(b != "" && b > 0 && b <= 10) }' \
   || { echo "the log costs more than 10 B a point: $WAL_LINE"; exit 1; }
+echo "== seplsm stats (merge inputs come from the pool: < 1 table read per 1 000 points) =="
+READS_PER_KPOINT="$(sed -nE 's/.*StoreRead [0-9]+ \(([0-9.]+)\/kpoint\).*/\1/p' <<<"$IO_LINE")"
+awk -v r="$READS_PER_KPOINT" 'BEGIN { exit !(r != "" && r < 1) }' \
+  || { echo "merges read their inputs back: $IO_LINE"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the

@@ -10,9 +10,12 @@
 //! *batch*: the series' flushes only fsync their tables, and the batch's
 //! sync commits them all — Σk + 3, however many series flushed. The log
 //! file is cut only past its dead-bytes threshold and when the engine comes
-//! to rest. A regression names the op that crept back in. The last section
-//! pins what a checkpoint frame costs in bytes: its range, and the points
-//! still volatile inside it — not the buffers the flush did not take.
+//! to rest. A regression names the op that crept back in. The "checkpoint
+//! bytes" section pins what a checkpoint frame costs in bytes: its range,
+//! and the points still volatile inside it — not the buffers the flush did
+//! not take. The last section pins what a merge reads: nothing of the
+//! tables the engine (or its fleet) wrote lately, which it takes from the
+//! pool of written tables; exactly its inputs after a reopen.
 
 #[allow(dead_code)] // each test file uses part of it
 #[path = "support/wal_layout.rs"]
@@ -930,4 +933,148 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
         .query(TimeRange::new(i64::MIN, i64::MAX))
         .expect("query");
     assert_eq!(recovered.len(), 24 + 3 + 5);
+}
+
+// ------------------------------------------------------------ merge inputs
+
+/// The table reads a merge pays for its inputs: the `StoreRead`s before its
+/// first table write. (Debug builds decode the run's tail after every plan,
+/// which reads the store again — after the writes.)
+fn input_reads(ops: &[IoOp]) -> usize {
+    count(&ops[..first(ops, IoOp::StoreWrite)], IoOp::StoreRead)
+}
+
+#[test]
+fn a_merge_of_tables_this_engine_wrote_reads_none_of_them() {
+    let dir = TempDir::new("inputs-inline");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    let mut engine = OpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    for i in 0..16 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    // Three merges in a row, each consuming what the one before it wrote.
+    for round in 1..=3 {
+        for i in 0..15 {
+            engine.append(point(i * 10 + round)).expect("append");
+        }
+        let before = plan.ops() as usize;
+        engine.append(point(150 + round)).expect("append merges");
+        assert_eq!(engine.metrics().compactions, round as u64);
+        let ops = &plan.trace()[before..];
+        assert_eq!(input_reads(ops), 0, "round {round}: {ops:?}");
+    }
+    assert_eq!(engine.scan_all().expect("scan").len(), 16 * 4);
+}
+
+#[test]
+fn the_first_merge_after_recovery_reads_exactly_its_inputs() {
+    let dir = TempDir::new("inputs-recovered");
+    let config =
+        EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    let open = |plan: &Arc<FaultPlan>| {
+        OpenOptions::new(config.clone())
+            .store(store(&dir, plan))
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+            .faults(Arc::clone(plan))
+            .open_or_recover()
+            .expect("open")
+            .0
+    };
+    let mut engine = open(&FaultPlan::trace_only(0));
+    for i in 0..16 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    assert_eq!(engine.run().len(), 4);
+    drop(engine);
+    // The tables outlive the engine, its pool does not: the merge that
+    // consumes all four reads all four — once each, and nothing else.
+    let plan = FaultPlan::trace_only(0);
+    let mut engine = open(&plan);
+    for i in 0..15 {
+        engine.append(point(i * 10 + 5)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.append(point(155)).expect("append merges");
+    let ops = &plan.trace()[before..];
+    assert_eq!(engine.metrics().compactions, 1);
+    assert_eq!(input_reads(ops), 4, "{ops:?}");
+    // What it wrote, the next merge takes from the pool.
+    for i in 0..15 {
+        engine.append(point(i * 10 + 7)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.append(point(157)).expect("append merges");
+    assert_eq!(input_reads(&plan.trace()[before..]), 0);
+}
+
+#[test]
+fn an_l0_merge_of_what_the_worker_just_flushed_reads_nothing() {
+    let dir = TempDir::new("inputs-tiered");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let mut engine = TieredOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .sync_flush()
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // L0 → empty run, then L0 → the run that merge wrote: the worker's
+    // flush outputs and the merge's outputs both come out of the pool.
+    for base in [0, 5] {
+        for i in 0..8 {
+            engine.append(point(i * 10 + base)).expect("append");
+        }
+        let before = plan.ops() as usize;
+        engine.quiesce().expect("merge L0 into the run");
+        let ops = &plan.trace()[before..];
+        assert_eq!(input_reads(ops), 0, "{ops:?}");
+    }
+    assert_eq!(engine.table_layout().len(), 4);
+    assert_eq!(engine.finish().expect("finish").points.len(), 16);
+}
+
+#[test]
+fn fleet_series_on_one_store_merge_without_reading_it() {
+    let dir = TempDir::new("inputs-fleet");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    for s in 1..=2 {
+        for i in 0..8 {
+            fleet.append(SeriesId(s), point(i * 10)).expect("append");
+        }
+    }
+    fleet.sync_wal_all().expect("sync");
+    // Each series merges eight stragglers into its two tables, which the
+    // fleet's one pool still holds whichever series wrote last.
+    for s in 1..=2 {
+        let before = plan.ops() as usize;
+        for i in 0..8 {
+            fleet
+                .append(SeriesId(s), point(i * 10 + 5))
+                .expect("append");
+        }
+        let ops = &plan.trace()[before..];
+        assert_eq!(input_reads(ops), 0, "series {s}: {ops:?}");
+    }
+    assert_eq!(fleet.metrics().compactions, 2);
+    fleet.sync_wal_all().expect("sync");
 }
