@@ -616,11 +616,6 @@ impl Background {
 impl Executor for Background {
     type Kind = open::Background;
 
-    /// Flushes the replay triggers are journalled by the worker like any
-    /// other; points already flushed but still in the conservative WAL are
-    /// deduplicated by the merge pipeline.
-    const JOURNALS_REPLAY: bool = true;
-
     fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T {
         f(&self.state.lock().version)
     }

@@ -366,9 +366,11 @@ impl BlockCache {
     }
 
     /// Removes `table`'s index and every cached block — the strict
-    /// invalidation rule: called before a table leaves the store (deleted
-    /// by a compaction or quarantined), so its blocks can never serve a
-    /// later read. Returns how many blocks were dropped.
+    /// invalidation rule: called when a table leaves its engine's version
+    /// (retired by a compaction, even while it waits on disk for the next
+    /// horizon) and again before it leaves the store (deleted or
+    /// quarantined), so its blocks can never serve a later read. Returns
+    /// how many blocks were dropped.
     pub fn invalidate_table(&self, table: SsTableId) -> u64 {
         self.indexes.lock().remove(&table);
         self.short_lived.lock().remove(&table);

@@ -3,17 +3,40 @@
 //! Following the policy/mechanism split argued by the compaction-design
 //! surveys, *what to merge* is decided by [`plan_merge`], a pure function
 //! over an in-memory snapshot (no I/O, no engine state), and *how to apply
-//! it* by `execute`, which writes the planned tables, commits the
-//! [`VersionEdit`], records the manifest, and does all metric accounting.
-//! Every flush is a merge plan — an in-order flush is the plan with no
-//! inputs — and every engine turns points into committed tables through
-//! `write_outputs` → [`sync_outputs`] → [`commit`] → [`retire_inputs`],
-//! so the write-amplification arithmetic the paper measures exists exactly
-//! once. An engine whose owner keeps the manifest (a durable fleet's
-//! series) runs the same sequence on the owner's schedule: it commits in
-//! memory at once and leaves the directory fsync, the manifest records and
-//! the input deletions in its [`Outbox`] for the owner's next commit
-//! point.
+//! it* by the phases below, which write the planned tables, commit the
+//! [`VersionEdit`], record the manifest and do all metric accounting. Every
+//! flush is a merge plan — an in-order flush is the plan with no inputs —
+//! and every plan goes through `write_outputs` and [`commit`], so the
+//! write-amplification arithmetic the paper measures exists exactly once.
+//!
+//! # The horizon
+//!
+//! Under disorder a point is rewritten r_c ≈ ζ(n)/n + 1 times (Eq. 3), and
+//! most tables a merge writes are consumed by a merge a few plans later.
+//! Their points are in the log until a checkpoint lets them go, so the
+//! durable state may lag the in-memory one: an inline engine makes its
+//! plans durable at a *horizon*, not one by one. Between horizons `execute`
+//! publishes a plan's outputs without an fsync
+//! ([`TableStore::publish_batch`]) and commits the version in memory;
+//! inputs that no horizon synced are deleted at once, durable ones stay on
+//! disk. Its [`Outbox`] keeps the score, and `horizon` then runs, for one
+//! engine or for every series of a fleet at once:
+//!
+//! 1. one fsync per table still live and unsynced;
+//! 2. one fsync of the tables directory;
+//! 3. one manifest group per engine: the net change between the durable
+//!    version and the current one;
+//! 4. the deletion of the retired durable inputs;
+//! 5. by the owner of the log: a checkpoint per coalesced range the
+//!    flushes took out of memory, and a cut of the log when one is due.
+//!
+//! A horizon is due once the flushes have taken `Written::TABLES` tables'
+//! worth of points out of memory — the log a crash replays is never longer
+//! — or more than `MAX_UNCOMMITTED_TABLES` live tables wait, and at rest.
+//! An engine without both a log and a manifest has nothing to defer to and
+//! runs one after every plan, and so does the background worker, which
+//! keeps its own sequence: `write_outputs` → [`sync_outputs`] → [`commit`]
+//! → [`retire_inputs`].
 //!
 //! A merge's inputs are, under disorder, mostly the tables the last few
 //! plans wrote. `write_outputs` therefore hands each plan's decoded outputs
@@ -27,7 +50,7 @@ use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Result, TimeRange};
 
 use crate::iterator::merge_sorted;
-use crate::manifest::{Manifest, ManifestEdit};
+use crate::manifest::{Manifest, ManifestEdit, SeriesTables};
 use crate::metrics::Metrics;
 use crate::obs::{Event, ObserverHandle};
 use crate::sstable::{SsTableId, SsTableMeta};
@@ -165,6 +188,12 @@ impl Written {
         }
     }
 
+    /// Points the pool may hold: also how many points an inline engine's
+    /// flushes may take out of memory before its next horizon is due.
+    pub(crate) fn budget(&self) -> usize {
+        self.budget
+    }
+
     /// Keeps `tables`, just written, then lets the oldest entries go until
     /// the pool is back within its budget.
     fn keep(&self, tables: impl Iterator<Item = (SsTableId, Vec<DataPoint>)>) {
@@ -228,9 +257,10 @@ pub struct PreparedCompaction {
 
 /// Phase 1 of plan execution: announces the plan (`FlushStarted` /
 /// `CompactionPlanned`) and publishes every output table as one
-/// [`TableStore::publish_batch`] — bytes durable, names not yet: see
-/// [`sync_outputs`] — then moves the decoded outputs, under the ids the
-/// store gave them, into `written` for the merges that will consume them.
+/// [`TableStore::publish_batch`] — readable, not yet durable: see
+/// [`sync_outputs`] and [`horizon`] — then moves the decoded outputs, under
+/// the ids the store gave them, into `written` for the merges that will
+/// consume them.
 /// Touches no version, manifest or metrics state, so callers may run it
 /// without holding any engine lock.
 ///
@@ -269,9 +299,9 @@ pub(crate) fn write_outputs(
     })
 }
 
-/// Phase 2 of plan execution: makes the published outputs durable under
-/// their names ([`TableStore::sync_published`] — the store's one
-/// directory fsync), which [`commit`]'s manifest record relies on. Like
+/// Phase 2 of the background worker's plans: makes the published outputs
+/// durable ([`TableStore::sync_published`]: one fsync per table and one of
+/// the directory), which [`commit`]'s manifest record relies on. Like
 /// phase 1 it needs no engine lock.
 ///
 /// # Errors
@@ -280,10 +310,9 @@ pub fn sync_outputs(
     prepared: &PreparedCompaction,
     store: &dyn TableStore,
 ) -> Result<()> {
-    if prepared.added.is_empty() {
-        return Ok(());
-    }
-    store.sync_published()
+    let ids: Vec<SsTableId> =
+        prepared.added.iter().map(|meta| meta.id).collect();
+    store.sync_published(&ids)
 }
 
 /// Phase 3 of plan execution — the only writer of version + manifest +
@@ -362,29 +391,225 @@ pub fn retire_inputs(
     Ok(())
 }
 
-/// What an engine that commits on its owner's schedule owes that owner:
-/// everything its executed plans left undone since the owner last took it.
+/// More live tables than this may wait unsynced for a horizon: past it an
+/// append runs one, whatever else is due. Bounds the tables a sync leaves to
+/// the next horizon and the outbox that lists them.
+pub(crate) const MAX_UNCOMMITTED_TABLES: usize = 256;
+
+/// Whether a horizon is due (see the module docs) for an engine, or a
+/// fleet, whose flushes have taken `points` out of memory since the last one
+/// and whose `tables` live tables wait for it, under a pool of `budget`
+/// points.
+pub(crate) fn due(points: usize, tables: usize, budget: usize) -> bool {
+    points >= budget || tables > MAX_UNCOMMITTED_TABLES
+}
+
+/// What the plans of one inline engine have left to its next horizon (see
+/// the module docs): the live tables they published and did not sync, the
+/// durable tables they consumed, and what they took out of memory.
 #[derive(Debug, Default)]
 pub struct Outbox {
-    /// The manifest records of every plan, in commit order — one edit
-    /// group of the owner's manifest.
-    pub(crate) edits: Vec<ManifestEdit>,
-    /// Consumed input tables, still in the store: to be deleted once
-    /// `edits` are durable.
-    pub(crate) retired: Vec<SsTableId>,
-    /// Output tables published but not yet durable under their names.
-    pub(crate) tables: usize,
+    /// Live tables not yet synced: net additions since the durable version,
+    /// which no manifest record names.
+    unsynced: Vec<SsTableId>,
+    /// Live tables a horizon synced and then failed to record: net
+    /// additions as well, but durable, and perhaps named by the manifest
+    /// group that failed — its bytes may have reached the file. A plan that
+    /// consumes one retires it like any durable table; only the next
+    /// horizon's record, or rewrite, settles them.
+    synced: Vec<SsTableId>,
+    /// Durable tables the plans consumed: out of the version, but still in
+    /// the store, which the durable version names, until the horizon.
+    retired: Vec<SsTableId>,
     /// The generation-time range each flush took out of memory, in flush
-    /// order: what the owner's log may let go of once `edits` are durable
-    /// (the engine adds these itself; a plan does not know what was fresh).
+    /// order: what the owner's log may let go of after the horizon (the
+    /// engine adds these itself; a plan does not know what was fresh).
     pub(crate) flushed: Vec<TimeRange>,
+    /// Points those flushes took.
+    pub(crate) points: usize,
 }
 
 impl Outbox {
-    /// `true` when the owner has nothing to commit for this engine.
+    /// `true` when nothing waits for a horizon.
     pub fn is_empty(&self) -> bool {
-        self.edits.is_empty()
+        self.unsynced.is_empty()
+            && self.synced.is_empty()
+            && self.retired.is_empty()
+            && self.flushed.is_empty()
     }
+
+    /// Live tables waiting for a horizon to record them.
+    pub(crate) fn waiting(&self) -> usize {
+        self.unsynced.len() + self.synced.len()
+    }
+
+    /// Whether this engine's horizon is due, under a pool of `budget`
+    /// points ([`due`]).
+    pub(crate) fn due(&self, budget: usize) -> bool {
+        due(self.points, self.waiting(), budget)
+    }
+
+    /// Takes an executed plan over: its outputs wait for the horizon, an
+    /// input no horizon has synced is deleted now — nothing durable names
+    /// it — and any other is retired until the horizon.
+    fn defer(
+        &mut self,
+        prepared: &PreparedCompaction,
+        store: &dyn TableStore,
+    ) -> Result<()> {
+        self.unsynced
+            .extend(prepared.added.iter().map(|meta| meta.id));
+        let mut never_synced = Vec::new();
+        for &id in &prepared.plan.inputs {
+            if let Some(at) = self.unsynced.iter().position(|held| *held == id)
+            {
+                never_synced.push(self.unsynced.swap_remove(at));
+                continue;
+            }
+            self.synced.retain(|held| *held != id);
+            store.note_retired(id);
+            self.retired.push(id);
+        }
+        for id in never_synced {
+            store.delete(id)?;
+        }
+        Ok(())
+    }
+
+    /// The live tables of `version` no durable manifest record is known to
+    /// name, in run order.
+    fn unrecorded<'v>(
+        &'v self,
+        version: &'v Version,
+    ) -> impl Iterator<Item = &'v SsTableMeta> + 'v {
+        let tables = version.run().tables().iter().chain(version.l0());
+        tables.filter(|meta| {
+            self.unsynced.contains(&meta.id) || self.synced.contains(&meta.id)
+        })
+    }
+
+    /// The net change from the durable version to `version`: the retired
+    /// tables out, the unrecorded live ones in — one manifest group.
+    fn edits(&self, version: &Version) -> Vec<ManifestEdit> {
+        let removed = self.retired.iter().copied().map(ManifestEdit::Remove);
+        let added = self.unrecorded(version).copied().map(ManifestEdit::Add);
+        removed.chain(added).collect()
+    }
+}
+
+/// One engine's part in a [`horizon`]: its outbox and the version its plans
+/// led to.
+pub(crate) struct Share<'a> {
+    /// Which series of its owner's manifest and log the engine is (0 for an
+    /// engine that keeps its own).
+    pub(crate) series: u32,
+    pub(crate) outbox: &'a mut Outbox,
+    pub(crate) version: &'a Version,
+}
+
+/// What a [`horizon`] runs over, and the manifest it records their net
+/// change in.
+pub(crate) enum Record<'r, 'a> {
+    /// One engine and its own manifest, if it keeps one: one group.
+    Own(&'r mut Share<'a>, Option<&'r mut Manifest>),
+    /// Every series of a fleet, in ascending order, and the fleet's
+    /// manifest: one group per series that changed, next to the live
+    /// tables of every series (what a rewrite of the log keeps).
+    Fleet(&'r mut [Share<'a>], &'r mut Manifest),
+}
+
+impl<'a> Record<'_, 'a> {
+    fn shares(&mut self) -> &mut [Share<'a>] {
+        match self {
+            Self::Own(share, _) => std::slice::from_mut(&mut **share),
+            Self::Fleet(shares, _) => shares,
+        }
+    }
+}
+
+/// The durability horizon over `record`'s engines, steps 1–4 of the module
+/// docs: one fsync per live table the plans did not sync and then one of
+/// the directory ([`TableStore::sync_published`]), the net change since the
+/// durable version recorded in the manifest, and only then the retired
+/// tables deleted. Returns, per engine whose flushes took anything, the
+/// ranges they took out of memory: now durable, what the owner's log may
+/// let go of (step 5, its
+/// [`checkpoint_retired`](crate::engine::checkpoint_retired)). A no-op when
+/// nothing waits.
+///
+/// # Errors
+/// A failure up to the manifest record leaves every outbox as it was, for
+/// the next horizon to retry — except that the tables synced by then are
+/// retired, not deleted, by a plan that consumes them before it: the
+/// failed record may name them. One after the record leaves retired tables
+/// behind as orphans.
+pub(crate) fn horizon(
+    store: &dyn TableStore,
+    mut record: Record<'_, '_>,
+) -> Result<Vec<(u32, Vec<TimeRange>)>> {
+    let shares = record.shares();
+    if shares.iter().all(|share| share.outbox.is_empty()) {
+        return Ok(Vec::new());
+    }
+    let ids: Vec<SsTableId> = shares
+        .iter()
+        .flat_map(|share| {
+            let outbox = &*share.outbox;
+            outbox
+                .unrecorded(share.version)
+                .filter(|meta| outbox.unsynced.contains(&meta.id))
+        })
+        .map(|meta| meta.id)
+        .collect();
+    store.sync_published(&ids)?;
+    for share in shares.iter_mut() {
+        let outbox = &mut *share.outbox;
+        outbox.synced.append(&mut outbox.unsynced);
+    }
+    match &mut record {
+        Record::Own(share, Some(manifest)) => {
+            let version = share.version;
+            let edits = share.outbox.edits(version);
+            let (run, l0) = (version.run().tables(), version.l0());
+            manifest.commit_or_rewrite(&edits, run, l0)?;
+        }
+        Record::Own(_, None) => {}
+        Record::Fleet(shares, manifest) => {
+            let edits: Vec<(u32, Vec<ManifestEdit>)> = shares
+                .iter()
+                .map(|share| (share.series, share.outbox.edits(share.version)))
+                .filter(|(_, edits)| !edits.is_empty())
+                .collect();
+            let groups: Vec<(u32, &[ManifestEdit])> = edits
+                .iter()
+                .map(|(series, edits)| (*series, edits.as_slice()))
+                .collect();
+            let live: Vec<SeriesTables<'_>> = shares
+                .iter()
+                .map(|share| SeriesTables {
+                    series: share.series,
+                    run: share.version.run().tables(),
+                    l0: share.version.l0(),
+                })
+                .collect();
+            manifest.commit_fleet(&groups, &live)?;
+        }
+    }
+    // Durable. Empty every outbox before anything below can fail, or the
+    // next horizon would record this change a second time.
+    let mut retired = Vec::new();
+    let mut flushed = Vec::new();
+    for share in record.shares() {
+        let outbox = std::mem::take(&mut *share.outbox);
+        retired.extend(outbox.retired);
+        if !outbox.flushed.is_empty() {
+            flushed.push((share.series, outbox.flushed));
+        }
+    }
+    for id in retired {
+        store.delete(id)?;
+    }
+    Ok(flushed)
 }
 
 /// Merges overlapping ranges: the fewest disjoint ranges covering the same
@@ -403,24 +628,13 @@ pub(crate) fn coalesce(mut ranges: Vec<TimeRange>) -> Vec<TimeRange> {
     out
 }
 
-/// Who makes an executed plan durable, and when.
-pub enum Journal<'a> {
-    /// The engine itself, before `execute` returns: directory fsync,
-    /// then its own manifest (when it keeps one), then the input deletions.
-    Own(Option<&'a mut Manifest>),
-    /// The engine's owner, at its next commit point: the same three steps,
-    /// shared with every other plan waiting there.
-    Owner(&'a mut Outbox),
-}
-
-/// Executes a plan against the run in one call: `write_outputs`,
-/// [`sync_outputs`], [`commit`], [`retire_inputs`] — or, when `journal`
-/// says the owner commits, `write_outputs` and an in-memory `commit`, with
-/// the other steps left in the outbox (readers see the new tables at once;
-/// the consumed inputs simply stay on disk). The inline engine uses this
-/// composition for every flush (an in-order buffer plans with no inputs
-/// and commits as a flush); the background engine calls the phases
-/// directly so the store I/O runs outside its state lock.
+/// Executes a plan against the run of an inline engine: `write_outputs`,
+/// then an in-memory [`commit`] — readers see the new tables at once —
+/// with the rest left to the next horizon in `outbox` (see
+/// [`Outbox::defer`]): the outputs unsynced, inputs no horizon synced
+/// deleted at once, durable inputs kept on disk. An in-order buffer plans
+/// with no inputs and commits as a flush; the background engine calls the
+/// phases directly so the store I/O runs outside its state lock.
 ///
 /// Merged tables carry correct v3 per-block pre-aggregates by
 /// construction: the encoder re-derives min/max/sum/count from the merged
@@ -432,14 +646,14 @@ pub enum Journal<'a> {
 /// pre-aggregates fails here, at the compaction that introduced it.
 ///
 /// # Errors
-/// Storage or manifest failures; the version is only mutated if the edit
-/// batch applies cleanly.
+/// Storage failures; the version is only mutated if the edit applies
+/// cleanly.
 pub(crate) fn execute(
     plan: CompactionPlan,
     store: &dyn TableStore,
     written: &Written,
     version: &mut Version,
-    journal: Journal<'_>,
+    outbox: &mut Outbox,
     metrics: &mut Metrics,
     obs: &ObserverHandle,
 ) -> Result<()> {
@@ -449,19 +663,8 @@ pub(crate) fn execute(
         added,
         drain_l0: false,
     };
-    match journal {
-        Journal::Own(manifest) => {
-            sync_outputs(&prepared, store)?;
-            commit(&prepared, into_run, version, manifest, metrics, obs)?;
-            retire_inputs(&prepared, store)?;
-        }
-        Journal::Owner(outbox) => {
-            commit(&prepared, into_run, version, None, metrics, obs)?
-                .journal(&mut outbox.edits);
-            outbox.retired.extend(&prepared.plan.inputs);
-            outbox.tables += prepared.added.len();
-        }
-    }
+    commit(&prepared, into_run, version, None, metrics, obs)?;
+    outbox.defer(&prepared, store)?;
     // Debug builds cross-check the committed version against what the
     // store actually holds after every executed plan.
     crate::invariants::check_version_against_store(version, store)?;
@@ -568,6 +771,7 @@ mod tests {
         let store = MemStore::new();
         let written = Written::new(2);
         let mut version = Version::new();
+        let mut outbox = Outbox::default();
         let mut metrics = Metrics::default();
 
         // Seed the run with one table, then merge a buffer into it.
@@ -576,7 +780,7 @@ mod tests {
             &store,
             &written,
             &mut version,
-            Journal::Own(None),
+            &mut outbox,
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -600,7 +804,7 @@ mod tests {
             &store,
             &written,
             &mut version,
-            Journal::Own(None),
+            &mut outbox,
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -611,8 +815,11 @@ mod tests {
         assert_eq!(metrics.tables_deleted, 1);
         version.run().check_invariants().expect("invariant");
         assert_eq!(version.run().total_points(), 3);
-        // The consumed table is gone from the store.
+        // No horizon synced the consumed table: it is gone from the store
+        // at once, and only the merge's outputs wait for one.
         assert!(store.get(meta.id).is_err());
+        assert_eq!(outbox.waiting(), 2);
+        assert_eq!(outbox.points, 0, "the engine counts what it flushed");
     }
 
     #[test]
@@ -641,16 +848,24 @@ mod tests {
         for tgs in [[10, 20, 30], [40, 50, 60]] {
             let plan = plan_merge(vec![pts(&tgs)], Vec::new(), 2, None);
             assert!(plan.is_flush);
+            let mut outbox = Outbox::default();
             execute(
                 plan,
                 &store,
                 &written,
                 &mut version,
-                Journal::Own(Some(&mut manifest)),
+                &mut outbox,
                 &mut metrics,
                 &obs,
             )
             .expect("execute");
+            let mut share = Share {
+                series: 0,
+                outbox: &mut outbox,
+                version: &version,
+            };
+            horizon(&store, Record::Own(&mut share, Some(&mut manifest)))
+                .expect("horizon");
         }
         assert_eq!(metrics.flushes, 2);
         assert_eq!(metrics.compactions, 0);
@@ -665,13 +880,13 @@ mod tests {
             kinds,
             [
                 "flush_started",
-                "manifest_record",
-                "manifest_record",
                 "flush_finished",
+                "manifest_record",
+                "manifest_record",
                 "flush_started",
-                "manifest_record",
-                "manifest_record",
                 "flush_finished",
+                "manifest_record",
+                "manifest_record",
             ]
         );
         assert_eq!(
@@ -699,6 +914,7 @@ mod tests {
         let store = MemStore::new(); // default options: v3
         let written = Written::new(3);
         let mut version = Version::new();
+        let mut outbox = Outbox::default();
         let mut metrics = Metrics::default();
         execute(
             plan_merge(
@@ -710,7 +926,7 @@ mod tests {
             &store,
             &written,
             &mut version,
-            Journal::Own(None),
+            &mut outbox,
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -735,7 +951,7 @@ mod tests {
             &store,
             &written,
             &mut version,
-            Journal::Own(None),
+            &mut outbox,
             &mut metrics,
             &ObserverHandle::detached(),
         )
@@ -854,7 +1070,7 @@ mod tests {
 
     /// The inline executor's hand-off over the pipeline alone: the run
     /// tables overlapping `fresh` are taken out of `written`, merged with it
-    /// and written back.
+    /// and written back, and the plan is its own horizon.
     fn merge_in(
         fresh: Vec<DataPoint>,
         store: &dyn TableStore,
@@ -868,15 +1084,22 @@ mod tests {
             let points = written.take_or_read(store, meta.id)?;
             inputs.push(RunInput { meta, points });
         }
+        let mut outbox = Outbox::default();
         execute(
             plan_merge(vec![fresh], inputs, 4, None),
             store,
             written,
             version,
-            Journal::Own(None),
+            &mut outbox,
             &mut Metrics::default(),
             &ObserverHandle::detached(),
-        )
+        )?;
+        let mut share = Share {
+            series: 0,
+            outbox: &mut outbox,
+            version,
+        };
+        horizon(store, Record::Own(&mut share, None)).map(drop)
     }
 
     #[test]

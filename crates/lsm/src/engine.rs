@@ -21,7 +21,9 @@
 //! ([`PolicyBuffers`]), the policy switch, the log checkpoint and the read
 //! path ([`query`](crate::query)). *Where a sealed MemTable goes and who
 //! waits for it* is the executor: [`Inline`] merges it into the run before
-//! `append` returns ([`LsmEngine`], every write-amplification figure);
+//! `append` returns and makes it durable at its next horizon
+//! (`compaction::horizon`; [`LsmEngine`], every write-amplification
+//! figure);
 //! [`Background`](crate::background::Background) queues it for a worker
 //! thread that keeps an L0 in front of the run
 //! ([`TieredEngine`](crate::TieredEngine), §V-C: Table III and the query
@@ -39,7 +41,7 @@ use crate::admission::{
     self, AdmissionController, AdmissionOutcome, AdmissionStats, Watermarks,
 };
 use crate::buffer::{FlushTrigger, PolicyBuffers};
-use crate::compaction::{self, Journal, Outbox, RunInput, Written};
+use crate::compaction::{self, Outbox, Record, RunInput, Share, Written};
 use crate::fault::FaultPlan;
 use crate::invariants::{self, InvariantChecker};
 use crate::level::Run;
@@ -153,11 +155,6 @@ pub trait Executor: Sized {
     /// The builder kind whose settings start this executor.
     type Kind: SingleSeries<Engine = Engine<Self>>;
 
-    /// Whether flushes triggered while the log replays are journalled one
-    /// by one — the manifest is attached before the replay — or the
-    /// manifest is re-seeded from the version the replay left.
-    const JOURNALS_REPLAY: bool;
-
     /// Runs `f` over the current version (a snapshot: whatever lock guards
     /// it is released when this returns).
     fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T;
@@ -201,6 +198,16 @@ pub trait Executor: Sized {
         Ok(())
     }
 
+    /// Runs the executor's durability horizon when one is due — with
+    /// `force`, whenever anything waits for one: what it published synced,
+    /// the manifest told, what it retired deleted
+    /// (`compaction::horizon`); [`progress`](Self::progress) then reports
+    /// the flushes it made durable. The background worker makes every plan
+    /// durable itself: nothing is ever due.
+    fn commit(&mut self, _front: &Front, _force: bool) -> Result<()> {
+        Ok(())
+    }
+
     /// The generation-time ranges of the handed-off MemTables that have
     /// become durable under a durable manifest record since this was last
     /// asked, and the MemTables handed off that have not: the volatile
@@ -216,7 +223,8 @@ pub trait Executor: Sized {
     fn settle(&mut self) {}
 
     /// Comes to rest: when this returns everything handed off is in the
-    /// run, durably, and the executor does nothing by itself any more.
+    /// run and the executor does nothing by itself any more; a forced
+    /// [`commit`](Self::commit) then leaves all of it durable.
     fn rest(&mut self) -> Result<()> {
         Ok(())
     }
@@ -302,13 +310,15 @@ pub(crate) fn checkpoint_retired(
 
 impl<X: Executor> Engine<X> {
     /// The assembly steps every kind agrees on, over the executor its
-    /// [`Kind`](open::Kind) started on a fresh or recovered version. Fresh:
-    /// the log is cut to its header, the manifest seeded empty. Recovering:
-    /// the log is replayed through the append path before it is attached —
-    /// nothing is logged twice, flushes can trigger — with the manifest
-    /// attached before ([`Executor::JOURNALS_REPLAY`]) or re-seeded after,
-    /// and the orphan sweep last. Replayed points re-enter the user-point
-    /// counters: metrics restart from the recovered memory state.
+    /// [`Kind`](open::Kind) started on a fresh or recovered version: the
+    /// manifest is attached and re-seeded with that version first. Fresh:
+    /// the log is cut to its header. Recovering: the log is replayed
+    /// through the append path before it is attached — nothing is logged
+    /// twice, flushes can trigger — the flushes it triggered are made
+    /// durable by a forced horizon, the log is re-seeded with what is still
+    /// volatile, and the orphan sweep comes last. Replayed points re-enter
+    /// the user-point counters: metrics restart from the recovered memory
+    /// state.
     pub(crate) fn assemble(
         options: EngineBuilder<X::Kind>,
         store: Arc<dyn TableStore>,
@@ -339,9 +349,7 @@ impl<X: Executor> Engine<X> {
         };
         let recover = recovering.is_some();
         let mut report = recovering.unwrap_or_default();
-        if X::JOURNALS_REPLAY {
-            engine.attach_manifest(manifest.as_deref())?;
-        }
+        engine.attach_manifest(manifest.as_deref())?;
         if let Some(path) = &wal {
             let obs = engine.front.obs.clone();
             engine.wal = Some(if recover {
@@ -353,6 +361,7 @@ impl<X: Executor> Engine<X> {
                     &obs,
                     |e, _, p| e.append_internal(p).map(drop),
                     |e| {
+                        e.exec.commit(&e.front, true)?;
                         let (_, in_flight) = e.exec.progress();
                         Ok(vec![(0, volatile(in_flight, &e.buffers))])
                     },
@@ -364,9 +373,6 @@ impl<X: Executor> Engine<X> {
                 wal.rewrite(&[])?;
                 wal
             });
-        }
-        if !X::JOURNALS_REPLAY {
-            engine.attach_manifest(manifest.as_deref())?;
         }
         if recover && recovery.gc_orphans {
             engine.exec.settle();
@@ -517,12 +523,14 @@ impl<X: Executor> Engine<X> {
         Ok(true)
     }
 
-    /// Follows the hand-offs of one call: tells the log what has retired
+    /// Follows the hand-offs of one call: runs the executor's horizon if
+    /// one is due, tells the log what has become durable
     /// ([`checkpoint_retired`]), cuts the file when that said it pays, and
     /// only then lets the executor start on what it was handed. Only call
     /// it while every volatile point is in the buffers or with the executor
     /// ([`Wal::checkpoint`]); a fleet series has no log: its owner does this.
     fn release(&mut self) -> Result<()> {
+        self.exec.commit(&self.front, false)?;
         let (retired, in_flight) = self.exec.progress();
         if let Some(wal) = self.wal.as_mut() {
             if checkpoint_retired(wal, 0, retired, in_flight, &self.buffers)? {
@@ -543,10 +551,10 @@ impl<X: Executor> Engine<X> {
     }
 
     /// Forces all buffered points to disk (`C_seq` first, while it still
-    /// lies past the pivot, then the merging buffer) and brings the
-    /// executor to rest. Nothing is volatile then: the log is cut to its
-    /// header, which stands in for every checkpoint still owed, and the
-    /// manifest sheds its dead records.
+    /// lies past the pivot, then the merging buffer), brings the executor
+    /// to rest and runs its horizon. Nothing is volatile then: the log is
+    /// cut to its header, which stands in for every checkpoint still owed,
+    /// and the manifest sheds its dead records.
     pub(crate) fn rest(&mut self) -> Result<()> {
         let drained = self.buffers.drain_all();
         let (exec, front) = (&mut self.exec, &mut self.front);
@@ -554,6 +562,7 @@ impl<X: Executor> Engine<X> {
         exec.hand_off(front, drained.merging, true)?;
         exec.dispatch(front)?;
         exec.rest()?;
+        exec.commit(front, true)?;
         exec.progress();
         if let Some(wal) = self.wal.as_mut() {
             wal.rewrite(&[])?;
@@ -711,15 +720,17 @@ impl<X: Executor> Engine<X> {
 }
 
 /// The executor that merges a sealed MemTable into the run on the
-/// appending thread: when `append` returns, the flush is committed.
+/// appending thread: when `append` returns, the flush is committed in
+/// memory, and it is durable once its horizon has run.
 pub struct Inline {
     version: Version,
     manifest: Option<Manifest>,
-    /// Set when the engine's owner keeps the log and the manifest for it (a
-    /// durable fleet's series): flushes commit in memory and leave what
-    /// makes them durable here, for the owner's next commit point.
-    outbox: Option<Outbox>,
-    /// The ranges flushed since the engine's own log was last told.
+    /// What the plans since the last horizon left to the next one.
+    outbox: Outbox,
+    /// When the plans become durable.
+    horizon: Horizon,
+    /// The ranges a horizon made durable since the engine's own log was
+    /// last told.
     retired: Vec<TimeRange>,
     /// Debug-build temporal invariants (counter monotonicity, pivot
     /// no-regression); no-op in release builds.
@@ -729,18 +740,33 @@ pub struct Inline {
     admission: AdmissionController,
 }
 
+/// When an inline engine's plans become durable ([`compaction::horizon`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Horizon {
+    /// After every plan: an engine without both a log and a manifest has
+    /// nothing to defer to — no log to replay what an unsynced table held,
+    /// or no manifest to keep one out of the durable version.
+    EveryPlan,
+    /// When the outbox says one is due, and at rest.
+    Deferred,
+    /// When the engine's owner — a durable fleet, which keeps the log and
+    /// the manifest for it — runs one over all of its series.
+    Owner,
+}
+
 impl Inline {
-    /// With `owner_commits`, flushes wait in an outbox for the owner.
+    /// An executor over `version` whose plans become durable at `horizon`.
     pub(crate) fn new(
         version: Version,
-        owner_commits: bool,
+        horizon: Horizon,
         watermarks: Watermarks,
     ) -> Self {
         Self {
             invariants: InvariantChecker::seeded(&version),
             version,
             manifest: None,
-            outbox: owner_commits.then(Outbox::default),
+            outbox: Outbox::default(),
+            horizon,
             retired: Vec::new(),
             admission: AdmissionController::new(watermarks),
         }
@@ -749,8 +775,6 @@ impl Inline {
 
 impl Executor for Inline {
     type Kind = open::Inline;
-
-    const JOURNALS_REPLAY: bool = false;
 
     fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T {
         f(&self.version)
@@ -788,10 +812,12 @@ impl Executor for Inline {
     /// The one flush: plan the merge of `points` with every run table
     /// overlapping their range (pure; the tables mostly come out of the pool
     /// of written tables, not the store), then execute the plan against
-    /// store/version/metrics. A `C_seq` buffer lies strictly past the run
-    /// tail, so it finds no overlap and its plan commits as a flush that
-    /// rewrites nothing. The range of `points` is what a checkpoint of the
-    /// engine's log, or of its owner's (the outbox), then supersedes.
+    /// store/version/metrics, leaving its durability to the outbox (to this
+    /// very plan when every plan is a horizon). A `C_seq` buffer lies
+    /// strictly past the run tail, so it finds no overlap and its plan
+    /// commits as a flush that rewrites nothing. The range of `points` is
+    /// what a checkpoint of the engine's log, or of its owner's, then
+    /// supersedes.
     fn hand_off(
         &mut self,
         front: &mut Front,
@@ -802,6 +828,7 @@ impl Executor for Inline {
             return Ok(());
         };
         let flushed = TimeRange::new(first.gen_time, last.gen_time);
+        let taken = points.len();
         let run = self.version.run();
         let overlapping = run.overlapping(flushed);
         let subsequent_base = (merging && front.config.record_subsequent)
@@ -821,27 +848,49 @@ impl Executor for Inline {
             front.config.sstable_points,
             subsequent_base,
         );
-        let journal = match self.outbox.as_mut() {
-            Some(outbox) => Journal::Owner(outbox),
-            None => Journal::Own(self.manifest.as_mut()),
-        };
         compaction::execute(
             plan,
             front.store.as_ref(),
             &front.written,
             &mut self.version,
-            journal,
+            &mut self.outbox,
             &mut front.metrics,
             &front.obs,
         )?;
-        match self.outbox.as_mut() {
-            Some(outbox) => outbox.flushed.push(flushed),
-            None => self.retired.push(flushed),
+        self.outbox.flushed.push(flushed);
+        self.outbox.points += taken;
+        if self.horizon == Horizon::EveryPlan {
+            self.commit(front, true)?;
         }
         // Temporal invariants after every flush/compaction; the store
         // cross-check already ran inside the plan executor.
         self.invariants
             .observe_metrics(&self.version, &front.metrics)
+    }
+
+    /// The horizon over this engine alone, series 0 of its own manifest,
+    /// when its `Horizon` says one is due.
+    fn commit(&mut self, front: &Front, force: bool) -> Result<()> {
+        let due = match self.horizon {
+            Horizon::EveryPlan => true,
+            Horizon::Deferred => {
+                force || self.outbox.due(front.written.budget())
+            }
+            Horizon::Owner => false,
+        };
+        if !due {
+            return Ok(());
+        }
+        let mut share = Share {
+            series: 0,
+            outbox: &mut self.outbox,
+            version: &self.version,
+        };
+        let record = Record::Own(&mut share, self.manifest.as_mut());
+        for (_, flushed) in compaction::horizon(front.store.as_ref(), record)? {
+            self.retired.extend(flushed);
+        }
+        Ok(())
     }
 
     /// A flush is committed before its hand-off returns: none is in flight.
@@ -855,19 +904,18 @@ impl Executor for Inline {
 }
 
 impl Engine<Inline> {
-    /// What the engine's owner has yet to make durable for it; `None` for
-    /// an engine that commits its own flushes.
-    pub(crate) fn outbox(&self) -> Option<&Outbox> {
-        self.exec.outbox.as_ref()
+    /// What the engine's plans left to its next horizon.
+    pub(crate) fn outbox(&self) -> &Outbox {
+        &self.exec.outbox
     }
 
-    /// Hands the outbox's contents to the owner, leaving it empty.
-    pub(crate) fn take_outbox(&mut self) -> Outbox {
-        self.exec
-            .outbox
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// The engine's part in a horizon its owner runs, as series `series`.
+    pub(crate) fn share(&mut self, series: u32) -> Share<'_> {
+        Share {
+            series,
+            outbox: &mut self.exec.outbox,
+            version: &self.exec.version,
+        }
     }
 
     /// The MemTables: what the owner's checkpoint of this series looks
@@ -906,8 +954,9 @@ impl Engine<Inline> {
         self.exec.manifest.as_ref().map(Manifest::stats)
     }
 
-    /// Forces all buffered points to disk, cuts the log to its header and
-    /// sheds the manifest's dead records.
+    /// Forces all buffered points to disk and makes them durable (a
+    /// horizon), cuts the log to its header and sheds the manifest's dead
+    /// records.
     ///
     /// # Errors
     /// Storage failures.

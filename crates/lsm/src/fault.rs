@@ -35,12 +35,13 @@ use crate::store::TableStore;
 /// crash point lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
-    /// `FileStore::put`/`put_batch` writing one encoded table to its tmp
-    /// file.
+    /// `FileStore::put`/`put_batch`/`publish_batch` writing one encoded
+    /// table to its tmp file.
     StoreWrite,
-    /// `FileStore::put`/`put_batch` fsyncing one tmp file.
+    /// `FileStore::sync_published` (and `put`/`put_batch`, which end in it)
+    /// fsyncing one table's tmp file.
     StoreSync,
-    /// `FileStore::put`/`put_batch` renaming one tmp → final.
+    /// `FileStore::sync_published` renaming one synced table tmp → final.
     StoreRename,
     /// `FileStore::get`/`get_range` reading a table.
     StoreRead,
@@ -391,9 +392,13 @@ impl<S: TableStore> TableStore for FaultStore<S> {
     }
 
     /// Not an op of its own at this granularity: a `put_batch` is counted
-    /// per table, its directory fsync included.
-    fn sync_published(&self) -> Result<()> {
-        self.inner.sync_published()
+    /// per table, its fsyncs included.
+    fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
+        self.inner.sync_published(ids)
+    }
+
+    fn note_retired(&self, id: SsTableId) {
+        self.inner.note_retired(id);
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {

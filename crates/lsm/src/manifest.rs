@@ -305,9 +305,10 @@ pub struct Manifest {
     live: u64,
     commits: u64,
     rewrites: u64,
-    /// A shared commit failed part-way: the same groups will be offered
-    /// again, and the tail of the file may already hold them. The next
-    /// shared commit rewrites the log instead of appending behind that.
+    /// A commit or a rewrite failed part-way: the same change will be
+    /// offered again, and the tail of the file may already hold it (or the
+    /// writer may be left on a file a rewrite replaced). The next commit
+    /// rewrites the log instead of appending behind that.
     tail_in_doubt: bool,
     faults: Option<Arc<FaultPlan>>,
     obs: ObserverHandle,
@@ -460,20 +461,26 @@ impl Manifest {
 
     /// Durably records `edits`, a change that leaves `run` + `l0` as the
     /// live tables: [`Manifest::commit`], or — when the group would leave
-    /// the log more dead than live — a rewrite from the live tables, which
-    /// records the same state.
+    /// the log more dead than live, or an earlier attempt at it failed
+    /// part-way — a rewrite from the live tables, which records the same
+    /// state. No edits is a no-op.
     pub fn commit_or_rewrite(
         &mut self,
         edits: &[ManifestEdit],
         run: &[SsTableMeta],
         l0: &[SsTableMeta],
     ) -> Result<()> {
+        if edits.is_empty() {
+            return Ok(());
+        }
         let live = (run.len() + l0.len()) as u64;
         let added = edits.len() + usize::from(edits.len() > 1);
-        if !edits.is_empty() && self.compaction_due(added, live, 1) {
+        if self.tail_in_doubt || self.compaction_due(added, live, 1) {
             return self.rewrite_levels(run, l0);
         }
+        self.tail_in_doubt = true;
         self.commit(edits)?;
+        self.tail_in_doubt = false;
         self.live = live;
         Ok(())
     }
@@ -569,6 +576,7 @@ impl Manifest {
     /// Replaces the log with `buf` — whole units, all of them live: tmp
     /// file, fsync, rename, directory fsync.
     fn replace(&mut self, buf: &[u8]) -> Result<()> {
+        self.tail_in_doubt = true;
         let tmp = self.path.with_extension("manifest.tmp");
         {
             let mut f = File::create(&tmp)?;
@@ -820,6 +828,28 @@ mod tests {
         let ids: Vec<u64> = live.iter().map(|m| m.id.0).collect();
         assert_eq!(ids, vec![2, 3]);
         assert_eq!(live[1].count, 12);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_commit_that_failed_at_its_fsync_is_retried_as_a_rewrite() {
+        use crate::fault::{Fault, FaultPlan};
+        let path = temp_path("retry");
+        let _ = std::fs::remove_file(&path);
+        let (a, b) = (meta(1, 0, 99, 10), meta(2, 100, 199, 10));
+        let mut m = Manifest::open(&path).expect("open");
+        m.commit_or_rewrite(&[ManifestEdit::Add(a)], &[a], &[])
+            .expect("first");
+        // Op 0 is the next group's append, op 1 its fsync.
+        m.attach_faults(FaultPlan::new(0, Fault::FailOnce { at: 1 }));
+        let edits = [ManifestEdit::Add(b)];
+        assert!(m.commit_or_rewrite(&edits, &[a, b], &[]).is_err());
+        // The failed group is still on its way to the file: the same
+        // change offered again must not land behind it.
+        m.commit_or_rewrite(&edits, &[a, b], &[]).expect("retry");
+        assert_eq!((m.stats().commits, m.stats().rewrites), (1, 1));
+        drop(m);
+        assert_eq!(Manifest::replay(&path).expect("replay"), [a, b]);
         std::fs::remove_file(&path).expect("cleanup");
     }
 

@@ -13,36 +13,42 @@
 //! manifest (`fleet.manifest`, every edit group tagged with its series) for
 //! the whole fleet, inside one metadata directory. The series' engines keep
 //! neither: the fleet logs a point before handing it to its series' engine,
-//! and a flush there only publishes its tables, switches the series'
-//! in-memory version over (reads see the new tables at once; consumed
-//! inputs stay on disk) and notes what is left to do in the engine's
-//! outbox.
+//! and a flush there only publishes its tables unsynced, switches the
+//! series' in-memory version over (reads see the new tables at once;
+//! consumed inputs that no horizon synced are deleted, durable ones stay on
+//! disk) and notes what is left to do in the engine's outbox.
 //!
-//! # The commit point
+//! # The horizon
 //!
 //! What the outboxes hold becomes durable together, on the caller's thread,
-//! in ascending series order — at [`MultiSeriesEngine::sync_wal_all`], at
-//! each wave barrier of [`MultiSeriesEngine::flush_all`], and by itself
-//! once more than a fixed number of tables is waiting:
+//! in ascending series order, at the fleet's *horizon*: the one of the
+//! `compaction` module docs, run over every series at once. It is due once
+//! the series' flushes have taken the fleet's pool budget of points
+//! (`Written::TABLES` tables' worth) out of memory since the last one —
+//! checked at [`MultiSeriesEngine::sync_wal_all`] — or once more than
+//! `MAX_UNCOMMITTED_TABLES` live tables wait unsynced — checked there and
+//! after every append — and it runs at each wave barrier of
+//! [`MultiSeriesEngine::flush_all`] and at the end of recovery:
 //!
-//! 1. one fsync of the tables directory covers every published table;
-//! 2. one append and one fsync of `fleet.manifest` carry one edit group per
-//!    series;
-//! 3. only then is each of those series checkpointed in the log — one queued
+//! 1. one fsync per table that is still live and unsynced, in every series;
+//! 2. one fsync of the tables directory;
+//! 3. one append and one fsync of `fleet.manifest`, carrying one edit group
+//!    per series that changed: its net change since the durable version;
+//! 4. the deletion of the durable inputs the series retired;
+//! 5. only then is each of those series checkpointed in the log — one queued
 //!    frame per disjoint generation-time range its flushes took, carrying
 //!    what the series has buffered inside that range since; a log cut, if
-//!    it has become due, comes after all of them — and are its consumed
-//!    inputs deleted;
-//! 4. the log's one write and one fsync follow, if the caller asked for
-//!    them: Σk + 3 fsyncs for a batch in which the series flushed Σk
-//!    tables, however many series that was.
+//!    it has become due, comes after all of them.
 //!
-//! A crash before step 2 completes recovers the old versions — their
-//! inputs were never deleted, the new tables are orphans — and replays
-//! everything those flushes had taken out of memory, because no checkpoint
-//! covering it was ever queued. A crash after it finds the new versions
-//! and a log that may still hold superseded frames: replay returns more,
-//! never less. Nothing is acknowledged before step 4.
+//! Between horizons a batch costs the log's one write and one fsync, however
+//! many series it touched or flushed; a batch that reaches a horizon pays
+//! Σk + 3 for the Σk tables still live. A crash before step 3 completes
+//! recovers the old versions — their durable inputs were never deleted, the
+//! unsynced tables are swept with the store's tmp files — and replays
+//! everything the flushes had taken out of memory, because no checkpoint
+//! covering it was ever queued. A crash after it finds the new versions and
+//! a log that may still hold superseded frames: replay returns more, never
+//! less.
 //!
 //! [`MultiOpenOptions::open_or_recover`] replays `fleet.manifest` once,
 //! rebuilds every series' version from its share, folds in what an older
@@ -60,12 +66,10 @@ use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
 use crate::admission::AdmissionOutcome;
 use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
-use crate::compaction::{Outbox, Written};
+use crate::compaction::{self, Record, Written, MAX_UNCOMMITTED_TABLES};
 use crate::engine::{checkpoint_retired, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
-use crate::manifest::{
-    Levels, Manifest, ManifestEdit, ManifestStats, SeriesTables,
-};
+use crate::manifest::{Levels, Manifest, ManifestStats, SeriesTables};
 use crate::metrics::Metrics;
 use crate::obs::{Event, Observer, ObserverHandle};
 use crate::open::{self, Fleet, Kind, MultiOpenOptions, OpenOptions};
@@ -137,10 +141,8 @@ pub struct MultiSeriesEngine {
     /// thread that owns the engine ever touches it.
     wal: Option<Wal>,
     /// The fleet's one manifest (`durable_dir/fleet.manifest`), written
-    /// only at commit points, by the thread that owns the engine.
+    /// only at horizons, by the thread that owns the engine.
     fleet_manifest: Option<Manifest>,
-    /// Tables the series have published since the last commit point.
-    uncommitted_tables: usize,
     /// Event sink cloned into every series engine (current and future).
     obs: ObserverHandle,
     /// Upper bound on flush worker threads (1 = sequential, no spawning).
@@ -196,7 +198,6 @@ impl Kind for Fleet {
             durable_dir: fleet.durable_dir,
             wal: None,
             fleet_manifest: None,
-            uncommitted_tables: 0,
             obs: options.observer,
             workers: fleet.workers,
             flush_queue_depth: fleet.flush_queue_depth,
@@ -236,11 +237,6 @@ impl Kind for Fleet {
 const FLEET_WAL: &str = "fleet.wal";
 /// The fleet manifest's file name inside the durable directory.
 const FLEET_MANIFEST: &str = "fleet.manifest";
-/// Published tables that may wait for a commit point. A caller that never
-/// syncs would otherwise grow the outboxes, the orphans a crash leaves and
-/// the log it replays without bound: past this many an append commits by
-/// itself.
-const MAX_UNCOMMITTED_TABLES: usize = 256;
 
 /// The `series-<n><suffix>` files an older layout left in `dir`, in
 /// ascending series order. Only the spelling that layout wrote counts —
@@ -330,11 +326,6 @@ fn live_tables(series: &HashMap<SeriesId, LsmEngine>) -> Vec<SeriesTables<'_>> {
     live
 }
 
-/// Tables `engine` has published for the next commit point.
-fn pending_tables(engine: &LsmEngine) -> usize {
-    engine.outbox().map_or(0, |outbox| outbox.tables)
-}
-
 impl MultiSeriesEngine {
     /// The builder one series of this collection opens through: the
     /// template configuration over the shared store and the store's pool of
@@ -373,21 +364,15 @@ impl MultiSeriesEngine {
             .ok_or(Error::UnknownSeries(series.0))
     }
 
-    /// Runs `f` on the engine of `series`, counting the tables it publishes
-    /// towards the next commit point.
-    fn drive<T>(
-        &mut self,
-        series: SeriesId,
-        f: impl FnOnce(&mut LsmEngine) -> Result<T>,
-    ) -> Result<T> {
-        let engine = self
-            .series
-            .get_mut(&series)
-            .ok_or(Error::UnknownSeries(series.0))?;
-        let before = pending_tables(engine);
-        let out = f(engine);
-        self.uncommitted_tables += pending_tables(engine) - before;
-        out
+    /// What every series left to the next horizon: the points their
+    /// flushes took out of memory and the live tables waiting.
+    fn waiting(&self) -> (usize, usize) {
+        self.series.values().map(LsmEngine::outbox).fold(
+            (0, 0),
+            |(points, tables), outbox| {
+                (points + outbox.points, tables + outbox.waiting())
+            },
+        )
     }
 
     /// Every series' still-buffered points, in ascending series order: what
@@ -402,67 +387,48 @@ impl MultiSeriesEngine {
         survivors
     }
 
-    /// The commit point (see the module docs): makes everything the
-    /// series' flushes left in their outboxes durable — one directory
-    /// fsync, one manifest append + fsync — and only then checkpoints those
-    /// series in the log, deletes their consumed inputs and, when a
-    /// checkpoint says it pays, cuts the log. A no-op for a fleet that is
-    /// not durable or has nothing waiting.
+    /// The horizon (see the module docs): makes everything the series'
+    /// flushes left in their outboxes durable — their live tables synced,
+    /// one directory fsync, one manifest append + fsync, their retired
+    /// inputs deleted ([`compaction::horizon`]) — and only then checkpoints
+    /// those series in the log and, when a checkpoint says it pays, cuts
+    /// the log. A no-op for a fleet that is not durable or has nothing
+    /// waiting.
     ///
     /// # Errors
-    /// A failure before the manifest fsync leaves every outbox as it was,
-    /// for the next commit point to retry; one after it leaves at worst
-    /// undeleted inputs (orphans) and unqueued checkpoints (a crash replays
-    /// more).
+    /// A failure up to the manifest fsync leaves every outbox for the next
+    /// horizon to retry (see [`compaction::horizon`]); one after it leaves
+    /// at worst undeleted inputs (orphans) and unqueued checkpoints (a
+    /// crash replays more).
     fn commit_pending(&mut self) -> Result<()> {
-        // seplint R5 takes `commit_fleet` below as what covers the
-        // checkpoints and the cut that follow it.
         let Some(fleet_manifest) = self.fleet_manifest.as_mut() else {
             return Ok(());
         };
-        let mut groups: Vec<(u32, &[ManifestEdit])> = self
-            .series
-            .iter()
-            .filter_map(|(id, engine)| {
-                let outbox = engine.outbox().filter(|o| !o.is_empty())?;
-                Some((id.0, outbox.edits.as_slice()))
-            })
-            .collect();
-        if groups.is_empty() {
-            return Ok(());
-        }
-        groups.sort_by_key(|(series, _)| *series);
-        self.store.sync_published()?;
-        fleet_manifest.commit_fleet(&groups, &live_tables(&self.series))?;
-        // Durable. Empty every outbox before anything below can fail, or
-        // the next commit point would record these groups a second time.
-        let committed: Vec<SeriesId> =
-            groups.iter().map(|(series, _)| SeriesId(*series)).collect();
-        let taken: Vec<(SeriesId, Outbox)> = committed
+        let mut engines: Vec<(&SeriesId, &mut LsmEngine)> =
+            self.series.iter_mut().collect();
+        engines.sort_by_key(|(id, _)| **id);
+        let mut shares: Vec<_> = engines
             .into_iter()
-            .filter_map(|id| {
-                let engine = self.series.get_mut(&id)?;
-                Some((id, engine.take_outbox()))
-            })
+            .map(|(id, engine)| engine.share(id.0))
             .collect();
-        self.uncommitted_tables = 0;
+        let flushed = compaction::horizon(
+            self.store.as_ref(),
+            Record::Fleet(&mut shares, fleet_manifest),
+        )?;
         let mut cut_due = false;
-        for (id, outbox) in taken {
+        for (series, ranges) in flushed {
             if let (Some(wal), Some(engine)) =
-                (self.wal.as_mut(), self.series.get(&id))
+                (self.wal.as_mut(), self.series.get(&SeriesId(series)))
             {
                 // What the series buffers inside a flushed range arrived
                 // after the flush: everything volatile is in its MemTables.
                 cut_due |= checkpoint_retired(
                     wal,
-                    id.0,
-                    outbox.flushed,
+                    series,
+                    ranges,
                     &[],
                     engine.buffers(),
                 )?;
-            }
-            for input in outbox.retired {
-                self.store.delete(input)?;
             }
         }
         if cut_due {
@@ -605,7 +571,9 @@ impl MultiSeriesEngine {
     /// the budget cannot host it), and any due [`Rebalance`] plan is
     /// applied — and its events emitted — right after the point lands,
     /// still on this single-threaded path, so seeded traces stay
-    /// byte-identical across worker counts.
+    /// byte-identical across worker counts. Past
+    /// `MAX_UNCOMMITTED_TABLES` live tables waiting unsynced the append
+    /// runs the fleet's horizon.
     ///
     /// # Errors
     /// Arbiter budget exhaustion for a brand-new series; storage failures.
@@ -634,11 +602,11 @@ impl MultiSeriesEngine {
         if let Some(wal) = self.wal.as_mut() {
             wal.append_for(series.0, &p)?;
         }
-        let outcome = self.drive(series, |engine| engine.append(p))?;
+        let outcome = self.series_mut(series)?.append(p)?;
         if let Some(plan) = plan {
             self.apply_rebalance(&plan)?;
         }
-        if self.uncommitted_tables > MAX_UNCOMMITTED_TABLES {
+        if self.waiting().1 > MAX_UNCOMMITTED_TABLES {
             self.commit_pending()?;
         }
         Ok(outcome)
@@ -649,7 +617,7 @@ impl MultiSeriesEngine {
     /// migrates to its rescaled policy through the normal
     /// [`LsmEngine::set_policy`] path, and one [`Event::ArbiterRebalance`]
     /// closes the round. However many series a shrink flushes, their
-    /// tables wait for the next commit point together.
+    /// tables wait for the next horizon together.
     fn apply_rebalance(&mut self, plan: &Rebalance) -> Result<()> {
         for &(series, heat) in &plan.heats {
             self.obs.emit(|| Event::HeatSample {
@@ -660,13 +628,10 @@ impl MultiSeriesEngine {
         let mut resized = 0u64;
         for assignment in &plan.assignments {
             let id = SeriesId(assignment.series);
-            if self.series.contains_key(&id) {
-                self.drive(id, |engine| {
-                    let policy = engine
-                        .policy()
-                        .resized(assignment.capacity as usize)?;
-                    engine.set_policy(policy)
-                })?;
+            if let Some(engine) = self.series.get_mut(&id) {
+                let policy =
+                    engine.policy().resized(assignment.capacity as usize)?;
+                engine.set_policy(policy)?;
                 resized += 1;
             }
         }
@@ -747,7 +712,10 @@ impl MultiSeriesEngine {
         series: SeriesId,
         policy: Policy,
     ) -> Result<()> {
-        self.drive(series, |engine| engine.set_policy(policy))
+        self.series
+            .get_mut(&series)
+            .ok_or(Error::UnknownSeries(series.0))?
+            .set_policy(policy)
     }
 
     /// An *online* policy switch decided by a per-series tuner: exactly
@@ -822,9 +790,9 @@ impl MultiSeriesEngine {
     /// is ever spawned.
     ///
     /// The fleet log and the fleet manifest never enter the pool: each wave
-    /// barrier is a commit point on this thread, and once every wave has
-    /// drained the log is cut to its header and the manifest sheds its
-    /// dead records.
+    /// barrier is a horizon on this thread, and once every wave has drained
+    /// the log is cut to its header and the manifest sheds its dead
+    /// records.
     ///
     /// # Errors
     /// Storage failures. Every series of every wave gets its flush attempt
@@ -964,16 +932,19 @@ impl MultiSeriesEngine {
         first_error.map_or(Ok(()), Err)
     }
 
-    /// Commits what the batch flushed and then writes and fsyncs the fleet
-    /// log (no-op for a non-durable fleet): after this, every acknowledged
-    /// point of every series survives a crash. One directory fsync, one
-    /// manifest fsync and one log write + fsync, however many series the
-    /// batch touched or flushed (the first two only if any did flush).
+    /// Writes and fsyncs the fleet log (no-op for a non-durable fleet):
+    /// after this, every acknowledged point of every series survives a
+    /// crash. One log write + fsync, however many series the batch touched
+    /// or flushed — preceded by the fleet's horizon when one is due (see the
+    /// module docs).
     ///
     /// # Errors
     /// I/O failures.
     pub fn sync_wal_all(&mut self) -> Result<()> {
-        self.commit_pending()?;
+        let (points, tables) = self.waiting();
+        if compaction::due(points, tables, self.written.budget()) {
+            self.commit_pending()?;
+        }
         match self.wal.as_mut() {
             Some(wal) => wal.sync(),
             None => Ok(()),

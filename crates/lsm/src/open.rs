@@ -25,8 +25,10 @@
 //! two single-series kinds the same [`Engine`], over the executor their
 //! settings start. A durable fleet assembles its series through the
 //! [`Inline`] kind with neither log nor manifest: both are the fleet's
-//! (`fleet.wal`, `fleet.manifest`), and so is the moment a series' flush
-//! is committed.
+//! (`fleet.wal`, `fleet.manifest`), and so are the horizons that make a
+//! series' flushes durable. Which horizon an inline engine keeps is decided
+//! here too, from what it is given: every plan is one without both a log and
+//! a manifest, and a due one with both (`compaction` module docs).
 //!
 //! ```
 //! use seplsm_lsm::{EngineConfig, OpenOptions};
@@ -49,7 +51,7 @@ use crate::arbiter::ArbiterConfig;
 use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
 use crate::compaction::Written;
-use crate::engine::{self, Engine, EngineConfig, LsmEngine};
+use crate::engine::{self, Engine, EngineConfig, Horizon, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{Levels, Manifest};
 use crate::obs::{Observer, ObserverHandle};
@@ -96,8 +98,8 @@ pub trait SingleSeries: Kind {}
 #[derive(Debug, Default)]
 pub struct Inline {
     /// The engine is one series of a durable fleet, which keeps the log
-    /// and the manifest for it and commits its flushes at the fleet's
-    /// commit points.
+    /// and the manifest for it and makes its flushes durable at the fleet's
+    /// horizons.
     pub(crate) owner_commits: bool,
     /// Recovering: the levels the owner replayed for this series from its
     /// shared manifest, in place of a manifest of the engine's own.
@@ -351,11 +353,14 @@ impl Kind for Inline {
                 &options.observer,
             )?,
         };
-        let exec = engine::Inline::new(
-            version,
-            options.kind.owner_commits,
-            options.watermarks,
-        );
+        let horizon = if options.kind.owner_commits {
+            Horizon::Owner
+        } else if options.wal.is_some() && options.manifest.is_some() {
+            Horizon::Deferred
+        } else {
+            Horizon::EveryPlan
+        };
+        let exec = engine::Inline::new(version, horizon, options.watermarks);
         Engine::assemble(options, store, exec, report)
     }
 

@@ -6,7 +6,7 @@
 //! stores move data through the real SSTable wire format — the in-memory
 //! store is a storage substitution, not a code-path shortcut.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -82,12 +82,12 @@ pub trait TableStore: Send + Sync {
         chunks.iter().map(|chunk| self.put(chunk)).collect()
     }
 
-    /// [`put_batch`](TableStore::put_batch) minus whatever makes the new
-    /// tables' *names* durable: when this returns every table is readable
-    /// and its bytes are durable, but only
-    /// [`sync_published`](TableStore::sync_published) guarantees a crash
-    /// cannot un-publish it. For an owner that commits many batches at
-    /// once and pays for their names once. The default is `put_batch`
+    /// [`put_batch`](TableStore::put_batch) minus the durability: when this
+    /// returns every table is readable under its id, but a crash may take
+    /// it back, whole or torn, until
+    /// [`sync_published`](TableStore::sync_published) has made it durable.
+    /// For an owner that syncs only the tables that live until its next
+    /// horizon and deletes the rest unsynced. The default is `put_batch`
     /// itself — already durable, so the default `sync_published` owes
     /// nothing.
     fn publish_batch(
@@ -97,11 +97,12 @@ pub trait TableStore: Send + Sync {
         self.put_batch(chunks)
     }
 
-    /// Makes every table published so far durable under its name (the
-    /// [`FileStore`]: one directory fsync). Nothing may reference a table
-    /// of a [`publish_batch`](TableStore::publish_batch) durably — no
-    /// manifest record — before this has returned.
-    fn sync_published(&self) -> Result<()> {
+    /// Makes the published tables `ids` durable (the [`FileStore`]: one
+    /// fsync per table, then one of the directory). Nothing may name a
+    /// table of a [`publish_batch`](TableStore::publish_batch) durably — no
+    /// manifest record — before this has returned for it.
+    fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
+        let _ = ids;
         Ok(())
     }
 
@@ -200,6 +201,16 @@ pub trait TableStore: Send + Sync {
     /// table's cache priority so the blocks queries fault in of it never
     /// displace run-table blocks.
     fn note_short_lived(&self, id: SsTableId) {
+        let _ = id;
+    }
+
+    /// Hints that the table has left its engine's version: no reader asks
+    /// for it any more, though it stays in the store — a durable version
+    /// still names it — until the engine's next horizon deletes it. Plain
+    /// stores ignore the hint; the [`CachedStore`] drops the table's cached
+    /// blocks and index at once, so a retired table never squats in the
+    /// cache.
+    fn note_retired(&self, id: SsTableId) {
         let _ = id;
     }
 
@@ -374,13 +385,20 @@ fn read_whole(path: &Path) -> Result<Vec<u8>> {
 
 /// A directory-backed [`TableStore`]: one `NNNNNNNN.sst` file per table.
 ///
-/// Writes go through a temporary file + rename so a crash never leaves a
-/// half-written table under a live name; `get` re-validates the CRC.
+/// A table is written to `NNNNNNNN.sst.tmp` and only takes its live name
+/// once it is durable: [`put`](TableStore::put) fsyncs and renames it at
+/// once, [`publish_batch`](TableStore::publish_batch) leaves it readable
+/// under the tmp name until [`sync_published`](TableStore::sync_published)
+/// does. So a crash never leaves a half-written or unsynced table under a
+/// live name, and the tmp debris it does leave is swept by the next
+/// [`open`](Self::open). `get` re-validates the CRC.
 pub struct FileStore {
     dir: PathBuf,
     next_id: Mutex<u64>,
     options: EncodeOptions,
     faults: Option<Arc<FaultPlan>>,
+    /// Published tables not yet synced, still under their tmp names.
+    unsynced: Mutex<HashSet<SsTableId>>,
 }
 
 impl FileStore {
@@ -403,6 +421,7 @@ impl FileStore {
             next_id: Mutex::new(max_id.map_or(0, |m| m + 1)),
             options: EncodeOptions::default(),
             faults: None,
+            unsynced: Mutex::default(),
         })
     }
 
@@ -439,6 +458,19 @@ impl FileStore {
         self.dir.join(format!("{:08}.sst", id.0))
     }
 
+    fn tmp_path_for(&self, id: SsTableId) -> PathBuf {
+        self.dir.join(format!("{:08}.sst.tmp", id.0))
+    }
+
+    /// Where table `id` is: under its tmp name until it is synced.
+    fn table_path(&self, id: SsTableId) -> PathBuf {
+        if self.unsynced.lock().contains(&id) {
+            self.tmp_path_for(id)
+        } else {
+            self.path_for(id)
+        }
+    }
+
     fn parse_name(path: &Path) -> Option<u64> {
         if path.extension()?.to_str()? != "sst" {
             return None;
@@ -446,10 +478,12 @@ impl FileStore {
         path.file_stem()?.to_str()?.parse().ok()
     }
 
-    /// Encodes `points` under a fresh id and makes the bytes durable in the
-    /// table's tmp file; publishing it (rename + directory fsync) is the
-    /// caller's half of the protocol.
-    fn stage(&self, points: &[DataPoint]) -> Result<StagedTable> {
+    /// Encodes `points` under a fresh id into the table's tmp file, where it
+    /// is readable but not durable: [`sync_published`] fsyncs it and gives
+    /// it its live name.
+    ///
+    /// [`sync_published`]: TableStore::sync_published
+    fn stage(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
         let encoded = format::encode_with(points, &self.options)?;
         let id = {
             let mut next = self.next_id.lock();
@@ -457,92 +491,60 @@ impl FileStore {
             *next += 1;
             id
         };
-        let final_path = self.path_for(id);
-        let tmp_path = final_path.with_extension("sst.tmp");
-        let mut f = std::fs::File::create(&tmp_path)?;
+        let mut f = std::fs::File::create(self.tmp_path_for(id))?;
         if let Some(crash) = fault::write_hooked(
             self.faults.as_ref(),
             IoOp::StoreWrite,
             &mut f,
             &encoded,
         )? {
-            // A torn table write: persist only the prefix, leave the tmp
-            // file behind (swept on the next open).
-            f.sync_all()?;
+            // A torn table write leaves a prefix in the tmp file behind,
+            // swept on the next open.
             return Err(crash);
         }
-        fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
-        f.sync_all()?;
-        Ok(StagedTable {
-            meta: SsTableMeta::describe(id, points),
-            size: encoded.len(),
-            tmp_path,
-            final_path,
-        })
+        self.unsynced.lock().insert(id);
+        Ok((SsTableMeta::describe(id, points), encoded.len()))
     }
 
-    /// Renames every staged table to its live name. The renames are not
-    /// durable until the directory is fsynced —
-    /// [`sync_published`](TableStore::sync_published) — and nothing
-    /// references a table until its owner's manifest commit, which comes
-    /// after that.
-    fn publish(&self, staged: &[StagedTable]) -> Result<()> {
-        for table in staged {
-            fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
-            // seplint: allow(R6): sync_published is the directory fsync
-            std::fs::rename(&table.tmp_path, &table.final_path)?;
-        }
-        Ok(())
-    }
-
-    /// Best-effort removal of the tmp files a failed batch staged but did
-    /// not rename, so a transient failure its caller retries leaves no
-    /// debris behind until the next open. After an injected crash nothing
-    /// more touches the disk: the debris is part of the crash state.
-    fn discard(&self, staged: &[StagedTable]) {
+    /// Best-effort removal of the tmp files of a failed batch, so a
+    /// transient failure its caller retries leaves no debris behind until
+    /// the next open. After an injected crash nothing more touches the
+    /// disk: the debris is part of the crash state.
+    fn discard(&self, staged: &[(SsTableMeta, usize)]) {
         if self.faults.as_ref().is_some_and(|p| p.is_crashed()) {
             return;
         }
-        for table in staged {
-            let _ = std::fs::remove_file(&table.tmp_path);
+        for (meta, _) in staged {
+            self.unsynced.lock().remove(&meta.id);
+            let _ = std::fs::remove_file(self.tmp_path_for(meta.id));
         }
     }
-}
-
-/// A table whose bytes are durable in its tmp file but not yet published
-/// under its live name.
-struct StagedTable {
-    meta: SsTableMeta,
-    size: usize,
-    tmp_path: PathBuf,
-    final_path: PathBuf,
 }
 
 impl TableStore for FileStore {
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
-        let staged = self.stage(points)?;
-        self.publish(std::slice::from_ref(&staged))?;
-        self.sync_published()?;
-        Ok((staged.meta, staged.size))
+        let (meta, size) = self.stage(points)?;
+        self.sync_published(&[meta.id])?;
+        Ok((meta, size))
     }
 
-    /// Group publication: every tmp file is written and fsynced, then all
-    /// are renamed, then the directory is fsynced *once* — k + 1 fsyncs for
-    /// k tables instead of 2k. A failed batch removes the tmp files it had
-    /// staged; tables it had already renamed are unreferenced orphans.
+    /// Group publication: every table written, then each fsynced and
+    /// renamed, then the directory fsynced *once* — k + 1 fsyncs for k
+    /// tables instead of 2k. A failed batch removes the tmp files it had
+    /// written; tables it had already renamed are unreferenced orphans.
     fn put_batch(
         &self,
         chunks: &[&[DataPoint]],
     ) -> Result<Vec<(SsTableMeta, usize)>> {
         let stored = self.publish_batch(chunks)?;
-        if !stored.is_empty() {
-            self.sync_published()?;
-        }
+        let ids: Vec<SsTableId> =
+            stored.iter().map(|(meta, _)| meta.id).collect();
+        self.sync_published(&ids)?;
         Ok(stored)
     }
 
-    /// Every tmp file written and fsynced, then all renamed: k fsyncs, the
-    /// directory's left to [`sync_published`](TableStore::sync_published).
+    /// Every table written to its tmp file and nothing else: no fsync, no
+    /// rename.
     fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
@@ -557,26 +559,47 @@ impl TableStore for FileStore {
                 }
             }
         }
-        if let Err(e) = self.publish(&staged) {
-            self.discard(&staged);
-            return Err(e);
-        }
-        Ok(staged.into_iter().map(|t| (t.meta, t.size)).collect())
+        Ok(staged)
     }
 
-    fn sync_published(&self) -> Result<()> {
+    /// Per table still under its tmp name, one fsync and the rename to its
+    /// live name; then one fsync of the directory, which makes every rename
+    /// durable. An id already synced costs nothing — a horizon retried after
+    /// a failure syncs only what the failed attempt did not — and no id,
+    /// nothing at all.
+    fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
+        if ids.is_empty() {
+            return Ok(());
+        }
+        for &id in ids {
+            if !self.unsynced.lock().contains(&id) {
+                continue;
+            }
+            let tmp = self.tmp_path_for(id);
+            fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
+            std::fs::File::open(&tmp)?.sync_all()?;
+            fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
+            std::fs::rename(&tmp, self.path_for(id))?;
+            self.unsynced.lock().remove(&id);
+        }
         fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
         sync_dir(&self.dir)
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        format::decode(&read_whole(&self.path_for(id))?)
+        format::decode(&read_whole(&self.table_path(id))?)
     }
 
+    /// Removes the table, under whichever name it has.
     fn delete(&self, id: SsTableId) -> Result<()> {
         fault::hook(self.faults.as_ref(), IoOp::StoreDelete)?;
-        match std::fs::remove_file(self.path_for(id)) {
+        let path = if self.unsynced.lock().remove(&id) {
+            self.tmp_path_for(id)
+        } else {
+            self.path_for(id)
+        };
+        match std::fs::remove_file(path) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
@@ -598,12 +621,12 @@ impl TableStore for FileStore {
 
     fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        Ok(Some(read_whole(&self.path_for(id))?.into()))
+        Ok(Some(read_whole(&self.table_path(id))?.into()))
     }
 
     fn table_len(&self, id: SsTableId) -> Result<Option<u64>> {
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        Ok(Some(std::fs::metadata(self.path_for(id))?.len()))
+        Ok(Some(std::fs::metadata(self.table_path(id))?.len()))
     }
 
     fn read_span(
@@ -613,7 +636,7 @@ impl TableStore for FileStore {
     ) -> Result<Option<Bytes>> {
         use std::io::{Read, Seek, SeekFrom};
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        let mut f = std::fs::File::open(self.path_for(id))?;
+        let mut f = std::fs::File::open(self.table_path(id))?;
         let file_len = f.metadata()?.len();
         if span.end() > file_len {
             return Err(Error::Corrupt(format!(
@@ -652,7 +675,7 @@ impl TableStore for FileStore {
 }
 
 /// A [`TableStore`] wrapper that serves reads through a shared
-/// [`BlockCache`] and strictly invalidates on table removal.
+/// [`BlockCache`] and strictly invalidates on table retirement and removal.
 ///
 /// * `get` / `get_range` consult the cached [`TableIndex`] (parsed at most
 ///   once per table) and then each needed block: a **hit** costs no store
@@ -661,9 +684,11 @@ impl TableStore for FileStore {
 ///   buffer. This also fixes the historical double-read: the uncached path
 ///   read full table bytes *and* re-parsed the header per `decode_range`
 ///   call.
-/// * `delete` / `quarantine` call [`BlockCache::invalidate_table`] *before*
-///   forwarding, so a table consumed by a compaction can never serve a
-///   later read from the cache — even if the underlying removal fails.
+/// * `note_retired`, `delete` and `quarantine` call
+///   [`BlockCache::invalidate_table`] *before* forwarding, so a table
+///   consumed by a compaction can never serve a later read from the cache —
+///   even if the underlying removal fails — and one its engine keeps on
+///   disk until its next horizon gives its cache share back at once.
 /// * Accounting: in a [`RangeRead`], `points_scanned` counts every point
 ///   of every examined block (hits and misses alike — the paper's
 ///   read-amplification quantity), while `blocks_read` counts only blocks
@@ -822,13 +847,18 @@ impl TableStore for CachedStore {
         self.inner.publish_batch(chunks)
     }
 
-    fn sync_published(&self) -> Result<()> {
-        self.inner.sync_published()
+    fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
+        self.inner.sync_published(ids)
     }
 
     fn note_short_lived(&self, id: SsTableId) {
         self.cache.mark_short_lived(id);
         self.inner.note_short_lived(id);
+    }
+
+    fn note_retired(&self, id: SsTableId) {
+        self.cache.invalidate_table(id);
+        self.inner.note_retired(id);
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
@@ -1065,20 +1095,21 @@ mod tests {
             .with_faults(Arc::clone(&plan));
         let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
         let stored = store.put_batch(&[&a, &b, &c]).expect("put_batch");
-        // Group publication: all tmp files durable, then all renames, then
-        // the one directory fsync that makes every rename durable.
+        // Group publication: every table written, then each made durable
+        // and renamed, then the one directory fsync that makes every rename
+        // durable.
         use IoOp::{DirSync, StoreRename, StoreSync, StoreWrite};
         assert_eq!(
             plan.trace(),
             vec![
                 StoreWrite,
-                StoreSync,
                 StoreWrite,
-                StoreSync,
                 StoreWrite,
                 StoreSync,
                 StoreRename,
+                StoreSync,
                 StoreRename,
+                StoreSync,
                 StoreRename,
                 DirSync
             ]
@@ -1117,8 +1148,8 @@ mod tests {
                 .count()
         };
         let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
-        // Op 4 is the third table's write: two tables are staged by then.
-        let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at: 4 });
+        // Op 2 is the third table's write: two tables are staged by then.
+        let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at: 2 });
         let store = FileStore::open(&dir)
             .expect("open")
             .with_faults(Arc::clone(&plan));
@@ -1130,11 +1161,59 @@ mod tests {
         assert_eq!(store.get(stored[2].0.id).expect("get"), c);
         drop(store);
         // A crash, unlike a transient failure, leaves its debris in place.
-        let plan = FaultPlan::crash_at(0, 4);
+        let plan = FaultPlan::crash_at(0, 2);
         let store = FileStore::open(&dir).expect("open").with_faults(plan);
         assert_eq!(tmp_files(&dir), 0, "open sweeps tmp files");
         assert!(store.put_batch(&[&a, &b, &c]).is_err());
         assert_eq!(tmp_files(&dir), 3);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn an_unsynced_table_is_readable_but_never_under_a_live_name() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-unsynced-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = FaultPlan::trace_only(0);
+        let store = FileStore::open(&dir)
+            .expect("open")
+            .with_faults(Arc::clone(&plan));
+        let (a, b) = (pts(0..10), pts(10..25));
+        let stored = store.publish_batch(&[&a, &b]).expect("publish");
+        let (ida, idb) = (stored[0].0.id, stored[1].0.id);
+        // Two writes and nothing else: no fsync, no rename.
+        assert_eq!(plan.trace(), vec![IoOp::StoreWrite, IoOp::StoreWrite]);
+        assert_eq!(store.get(idb).expect("readable"), b);
+        assert_eq!(
+            store.table_len(ida).expect("len"),
+            Some(stored[0].1 as u64)
+        );
+        assert!(store.list().expect("list").is_empty(), "no live name yet");
+        // One dies unsynced: its tmp file goes. The other is synced: one
+        // fsync and its rename, then the directory's.
+        store.delete(ida).expect("delete");
+        let before = plan.ops() as usize;
+        store.sync_published(&[idb]).expect("sync");
+        assert_eq!(
+            plan.trace()[before..],
+            [IoOp::StoreSync, IoOp::StoreRename, IoOp::DirSync]
+        );
+        assert_eq!(store.list().expect("list"), vec![idb]);
+        // Synced twice costs the directory only; none, nothing.
+        let before = plan.ops() as usize;
+        store.sync_published(&[idb]).expect("again");
+        store.sync_published(&[]).expect("none");
+        assert_eq!(plan.trace()[before..], [IoOp::DirSync]);
+        // A crash leaves an unsynced table as tmp debris, which the next
+        // open sweeps: nothing under a live name but what was synced.
+        let (meta, _) = store.publish_batch(&[&a]).expect("publish")[0];
+        drop(store);
+        let store = FileStore::open(&dir).expect("reopen");
+        assert_eq!(store.list().expect("list"), vec![idb]);
+        assert!(store.get(meta.id).is_err());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -1308,6 +1387,28 @@ mod tests {
             cached.get(meta.id).is_err(),
             "a deleted table must never be served from the cache"
         );
+    }
+
+    #[test]
+    fn cached_store_drops_a_retired_table_before_it_is_deleted() {
+        // A merge's durable input leaves the version at once but stays on
+        // disk until the next horizon: its blocks must not squat in the
+        // cache that long.
+        let (counting, cached, meta) = cached_fixture();
+        cached.get(meta.id).expect("warm the cache");
+        let resident = cached.cache().stats().resident_blocks;
+        assert!(resident > 0);
+        cached.note_retired(meta.id);
+        let stats = cached.cache().stats();
+        assert_eq!(stats.resident_blocks, 0, "dropped at retirement");
+        assert_eq!(stats.invalidated_blocks, resident);
+        assert_eq!(
+            counting.get(meta.id).expect("still in the store"),
+            pts(0..300)
+        );
+        // The deletion at the horizon finds nothing left to drop.
+        cached.delete(meta.id).expect("delete");
+        assert_eq!(cached.cache().stats().invalidated_blocks, resident);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   threads.
 //! * **R4** — public kernel functions that can panic must return `Result`.
 //! * **R5** — engine modules keep the durability order: WAL append before
-//!   buffer insert, manifest/flushing cover before WAL truncation.
+//!   buffer insert; table sync (`sync_published`) before the manifest
+//!   commit that names the tables; that commit before a WAL checkpoint, and
+//!   a manifest/flushing cover before a WAL cut.
 //! * **R6** — durability modules fsync the parent directory (`sync_dir`)
 //!   after every `rename`, or the new name itself can vanish in a crash;
 //!   and every fsync there sits behind a fault-plan hook of its own, so it

@@ -4,7 +4,7 @@
 //! |------|-------|----------|
 //! | R3 | kernel modules | no wall-clock or thread calls (determinism) |
 //! | R4 | kernel modules | panicking `pub fn`s must return `Result` |
-//! | R5 | engine modules | WAL-before-buffer, cover-before-truncate |
+//! | R5 | engine modules | WAL-before-buffer, sync-before-commit, commit-before-truncate |
 //! | R6 | durability modules | `rename` then `sync_dir`; every fsync behind a fault hook |
 //! | R7 | decoder modules | decoded lengths bounds-checked before allocation |
 //! | R8 | lock modules | fixed lock order; no guard held across I/O or sends |
@@ -138,18 +138,26 @@ enum EvKind {
     WalAppend,
     /// `buffers.insert(...)` — a point entered a MemTable.
     BufferInsert,
-    /// `wal.checkpoint(...)` or the cut `wal.rewrite(...)` — the WAL let go
-    /// of everything but a survivor set.
-    WalTruncate,
-    /// Evidence the truncated data is covered elsewhere: a manifest record
-    /// (`manifest`, `record`, `rewrite_levels`, `commit_or_rewrite`, or a
-    /// fleet's `commit_fleet` — its series keep neither log nor manifest,
-    /// so only the fleet's own commit covers what it checkpoints), or a
+    /// `wal.checkpoint(...)` — the WAL let go of a range: the points in it
+    /// must be in tables a synced manifest commit names.
+    WalCheckpoint,
+    /// The cut `wal.rewrite(...)` — the WAL let go of everything but a
+    /// survivor set.
+    WalCut,
+    /// `sync_published(...)` — the published tables are durable.
+    TableSync,
+    /// A manifest commit (`commit_or_rewrite`, or a fleet's `commit_fleet`
+    /// — its series keep neither log nor manifest): it names tables, so
+    /// they must have been synced first, and once they were it is what
+    /// covers a checkpoint.
+    ManifestCommit,
+    /// Other evidence that what a cut drops is covered elsewhere: a
+    /// manifest record (`manifest`, `record`, `rewrite_levels`) or a
     /// still-queryable flushing registration (`RegisterFlushing`).
     Cover,
     /// A recovery / migration source (`replay`, `migrate`): points flowing
     /// from here were already durable, so they need no fresh WAL append,
-    /// and rewriting the WAL around them is the *point* of the path.
+    /// and cutting the WAL around them is the *point* of the path.
     Source,
     /// Call to another function defined somewhere in the indexed crate.
     Call(String),
@@ -165,18 +173,18 @@ struct Ev {
     via: Option<String>,
 }
 
+/// Identifiers that count as [`EvKind::ManifestCommit`].
+const COMMIT_IDENTS: &[&str] = &["commit_or_rewrite", "commit_fleet"];
+
 /// Identifiers that count as [`EvKind::Cover`].
-const COVER_IDENTS: &[&str] = &[
-    "manifest",
-    "record",
-    "rewrite_levels",
-    "commit_or_rewrite",
-    "RegisterFlushing",
-    "commit_fleet",
-];
+const COVER_IDENTS: &[&str] =
+    &["manifest", "record", "rewrite_levels", "RegisterFlushing"];
 
 /// Identifiers that count as [`EvKind::Source`].
 const SOURCE_IDENTS: &[&str] = &["replay", "migrate"];
+
+/// How many helper levels R5 inlines into a function it judges.
+const EXPANSION_DEPTH: usize = 3;
 
 /// Extracts the event sequence of one function body. A `wal.rewrite` or
 /// `wal.checkpoint` preceded by `Wal::open` in the same body is
@@ -207,14 +215,20 @@ fn extract_events(body: &[Token], graph: &CallGraph) -> Vec<Ev> {
             && (next_dot_method("append") || next_dot_method("append_for"))
         {
             events.push(ev(EvKind::WalAppend));
-        } else if id == "wal"
-            && (next_dot_method("rewrite") || next_dot_method("checkpoint"))
-        {
+        } else if id == "wal" && next_dot_method("checkpoint") {
             if !opened_wal {
-                events.push(ev(EvKind::WalTruncate));
+                events.push(ev(EvKind::WalCheckpoint));
+            }
+        } else if id == "wal" && next_dot_method("rewrite") {
+            if !opened_wal {
+                events.push(ev(EvKind::WalCut));
             }
         } else if id == "buffers" && next_dot_method("insert") {
             events.push(ev(EvKind::BufferInsert));
+        } else if id == "sync_published" {
+            events.push(ev(EvKind::TableSync));
+        } else if COMMIT_IDENTS.contains(&id) {
+            events.push(ev(EvKind::ManifestCommit));
         } else if COVER_IDENTS.contains(&id) {
             events.push(ev(EvKind::Cover));
         } else if SOURCE_IDENTS.contains(&id) {
@@ -231,23 +245,86 @@ fn extract_events(body: &[Token], graph: &CallGraph) -> Vec<Ev> {
 /// Expands calls (up to `depth` levels) into the caller's event sequence
 /// through the crate-wide graph, so ordering is judged across helper *and
 /// file* boundaries. Inlined events are re-anchored at the call-site line
-/// and remember the outermost helper they came from.
+/// and remember the helper they came from.
 fn expand(events: &[Ev], graph: &CallGraph, depth: usize) -> Vec<Ev> {
     let mut out = Vec::new();
     for e in events {
         match &e.kind {
             EvKind::Call(name) if depth > 0 => {
-                for def in graph.defs_named(name) {
-                    let callee = extract_events(&def.body, graph);
-                    for mut inlined in expand(&callee, graph, depth - 1) {
-                        inlined.line = e.line;
-                        inlined.via.get_or_insert_with(|| name.clone());
-                        out.push(inlined);
-                    }
+                for mut inlined in expand_callee(name, graph, depth - 1) {
+                    inlined.line = e.line;
+                    inlined.via.get_or_insert_with(|| name.clone());
+                    out.push(inlined);
                 }
             }
             EvKind::Call(_) => {}
             _ => out.push(e.clone()),
+        }
+    }
+    out
+}
+
+/// The events of every definition of `name`, expanded `depth` levels
+/// further.
+fn expand_callee(name: &str, graph: &CallGraph, depth: usize) -> Vec<Ev> {
+    let mut out = Vec::new();
+    for def in graph.defs_named(name) {
+        let callee = extract_events(&def.body, graph);
+        out.extend(expand(&callee, graph, depth));
+    }
+    out
+}
+
+/// `true` when `events` are checkpoints and cuts and nothing else.
+fn only_truncates(events: &[&Ev]) -> bool {
+    !events.is_empty()
+        && events
+            .iter()
+            .all(|e| matches!(e.kind, EvKind::WalCheckpoint | EvKind::WalCut))
+}
+
+/// Whether every definition of `name` that has events of its own has only
+/// checkpoints and cuts: a leaf helper, judged at its call sites.
+fn truncate_only_helper(name: &str, graph: &CallGraph) -> bool {
+    let mut any = false;
+    for def in graph.defs_named(name) {
+        let events = extract_events(&def.body, graph);
+        let own: Vec<&Ev> = events
+            .iter()
+            .filter(|e| !matches!(e.kind, EvKind::Call(_)))
+            .collect();
+        if own.is_empty() {
+            continue;
+        }
+        if !only_truncates(&own) {
+            return false;
+        }
+        any = true;
+    }
+    any
+}
+
+/// The event sequence a function is judged by: its own events with every
+/// call inlined ([`EXPANSION_DEPTH`] levels). The checkpoints and cuts a
+/// helper of its own performs are left out — that helper is judged where
+/// it is defined — unless the helper is a leaf that does nothing else.
+fn expand_judged(events: &[Ev], graph: &CallGraph) -> Vec<Ev> {
+    let mut out = Vec::new();
+    for e in events {
+        let EvKind::Call(name) = &e.kind else {
+            out.push(e.clone());
+            continue;
+        };
+        let leaf = truncate_only_helper(name, graph);
+        for mut inlined in expand_callee(name, graph, EXPANSION_DEPTH - 1) {
+            let truncate =
+                matches!(inlined.kind, EvKind::WalCheckpoint | EvKind::WalCut);
+            if truncate && !leaf {
+                continue;
+            }
+            inlined.line = e.line;
+            inlined.via.get_or_insert_with(|| name.clone());
+            out.push(inlined);
         }
     }
     out
@@ -261,9 +338,11 @@ pub fn durability_order(path: &Path, src: &str) -> Vec<Violation> {
 }
 
 /// R5: in the engine modules, every `buffers.insert` must be dominated by a
-/// `wal.append` / `wal.append_for` (or a replay/migrate source), and every
-/// `wal.checkpoint` and every cut (`wal.rewrite`) must be dominated by a
-/// manifest record / flushing registration (or a source). Helpers whose only events are truncates are
+/// `wal.append` / `wal.append_for` (or a replay/migrate source); every
+/// manifest commit by a table sync (`sync_published`), because it names the
+/// tables; every `wal.checkpoint` by such a synced commit; and every cut
+/// (`wal.rewrite`) by a commit, a manifest record, a flushing registration
+/// or a source. Helpers whose only events are checkpoints and cuts are
 /// judged at their call sites instead (`checkpoint_retired` is deliberately
 /// a leaf), and calls are resolved through the crate-wide graph, so a helper
 /// defined in another file is judged with its caller's context.
@@ -287,14 +366,18 @@ pub fn durability_order_with(
             .iter()
             .filter(|e| !matches!(e.kind, EvKind::Call(_)))
             .collect();
-        let truncate_only = called.contains(f.name.as_str())
-            && !non_call.is_empty()
-            && non_call
-                .iter()
-                .all(|e| matches!(e.kind, EvKind::WalTruncate));
-        let expanded = expand(&events, graph, 3);
+        let truncate_only =
+            called.contains(f.name.as_str()) && only_truncates(&non_call);
+        let expanded = expand_judged(&events, graph);
         let mut covered_append = false;
-        let mut covered_truncate = false;
+        let mut covered_cut = false;
+        let mut synced = false;
+        let mut committed = false;
+        let mut flag = |e: &Ev, what: String| {
+            if !lexed.is_allowed(e.line, "R5") {
+                out.push(violation(path, e.line, "R5", what));
+            }
+        };
         for e in &expanded {
             let via = e
                 .via
@@ -303,44 +386,53 @@ pub fn durability_order_with(
                 .unwrap_or_default();
             match &e.kind {
                 EvKind::WalAppend => covered_append = true,
-                EvKind::Cover => covered_truncate = true,
+                EvKind::TableSync => synced = true,
+                EvKind::ManifestCommit => {
+                    covered_cut = true;
+                    committed |= synced;
+                    if !synced {
+                        flag(
+                            e,
+                            format!(
+                                "`{}` commits a manifest record{via} before \
+                                 the tables it names are synced \
+                                 (`sync_published`)",
+                                f.name
+                            ),
+                        );
+                    }
+                }
+                EvKind::Cover => covered_cut = true,
                 EvKind::Source => {
                     covered_append = true;
-                    covered_truncate = true;
+                    covered_cut = true;
                 }
-                EvKind::BufferInsert => {
-                    if !covered_append && !lexed.is_allowed(e.line, "R5") {
-                        out.push(violation(
-                            path,
-                            e.line,
-                            "R5",
-                            format!(
-                                "`{}` buffers a point before any WAL \
-                                 append{via} (WAL-before-buffer violated)",
-                                f.name
-                            ),
-                        ));
-                    }
-                }
-                EvKind::WalTruncate => {
-                    if truncate_only {
-                        continue; // leaf helper; judged at call sites
-                    }
-                    if !covered_truncate && !lexed.is_allowed(e.line, "R5") {
-                        out.push(violation(
-                            path,
-                            e.line,
-                            "R5",
-                            format!(
-                                "`{}` truncates the WAL{via} before the \
-                                 dropped data is covered by a manifest \
-                                 record or flushing registration",
-                                f.name
-                            ),
-                        ));
-                    }
-                }
-                EvKind::Call(_) => {}
+                EvKind::BufferInsert if !covered_append => flag(
+                    e,
+                    format!(
+                        "`{}` buffers a point before any WAL append{via} \
+                         (WAL-before-buffer violated)",
+                        f.name
+                    ),
+                ),
+                EvKind::WalCheckpoint if !truncate_only && !committed => flag(
+                    e,
+                    format!(
+                        "`{}` checkpoints the WAL{via} before a manifest \
+                         commit of synced tables covers the range",
+                        f.name
+                    ),
+                ),
+                EvKind::WalCut if !truncate_only && !covered_cut => flag(
+                    e,
+                    format!(
+                        "`{}` truncates the WAL{via} before the dropped data \
+                         is covered by a manifest record or flushing \
+                         registration",
+                        f.name
+                    ),
+                ),
+                _ => {}
             }
         }
     }

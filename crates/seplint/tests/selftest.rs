@@ -132,7 +132,10 @@ fn r5_fires_on_buffer_before_append_and_uncovered_truncate() {
     let v = rules::durability_order(Path::new("r5.rs"), &src);
     assert_eq!(v.len(), 3, "{v:?}");
     assert!(v[0].message.contains("WAL-before-buffer"), "{v:?}");
-    assert!(v[1].message.contains("`flush` truncates the WAL"), "{v:?}");
+    assert!(
+        v[1].message.contains("`flush` checkpoints the WAL"),
+        "{v:?}"
+    );
     assert!(v[2].message.contains("`rest` truncates the WAL"), "{v:?}");
 }
 
@@ -145,10 +148,11 @@ fn r5_fires_on_a_fleet_checkpoint_before_the_fleet_commit() {
     assert_eq!(v.len(), 2, "{v:?}");
     assert!(v.iter().all(|f| f.rule == "R5"), "{v:?}");
     assert!(
-        v.iter()
-            .all(|f| f.message.contains("`commit_pending` truncates the WAL")),
+        v[0].message
+            .contains("`commit_pending` checkpoints the WAL"),
         "{v:?}"
     );
+    assert!(v[1].message.contains("`commit_pending` truncates the WAL"));
     // What a series engine reports about itself covers nothing any more.
     let stale_fleet = "
         impl Fleet {
@@ -162,6 +166,23 @@ fn r5_fires_on_a_fleet_checkpoint_before_the_fleet_commit() {
         }";
     let v = rules::durability_order(Path::new("stale.rs"), stale_fleet);
     assert_eq!(v.len(), 1, "{v:?}");
+}
+
+#[test]
+fn r5_fires_on_a_manifest_commit_before_its_tables_are_synced() {
+    let src = fixture("r5_commit_before_table_sync.rs");
+    let v = rules::durability_order(Path::new("engine.rs"), &src);
+    // The unsynced commit of `horizon`, and the checkpoint it cannot cover;
+    // the checkpoint behind a mere record; the fleet's unsynced commit.
+    // `horizon_in_order` and the cut behind a record pass.
+    let messages: Vec<&str> = v.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(v.len(), 4, "{v:?}");
+    assert!(v.iter().all(|f| f.rule == "R5"), "{v:?}");
+    assert!(messages[0].starts_with("`horizon` commits a manifest record"));
+    assert!(messages[0].contains("before the tables it names are synced"));
+    assert!(messages[1].starts_with("`horizon` checkpoints the WAL"));
+    assert!(messages[2].starts_with("`checkpoint_after_record` checkpoints"));
+    assert!(messages[3].starts_with("`fleet_horizon` commits a manifest"));
 }
 
 #[test]
@@ -182,12 +203,13 @@ fn r5_passes_the_compliant_orderings() {
         assert!(v.is_empty(), "{append}: {v:?}");
     }
 
-    // A manifest record covers the checkpoint and the cut, even through a
-    // same-file helper call.
+    // A manifest commit of synced tables covers the checkpoint and the cut,
+    // even through a same-file helper call.
     let ok_flush = "
         impl Engine {
             pub fn flush(&mut self) -> Result<()> {
-                self.manifest.record(&edit)?;
+                self.store.sync_published(&ids)?;
+                self.manifest.commit_or_rewrite(&edits, run, l0)?;
                 self.compact_wal(flushed)?;
                 Ok(())
             }
@@ -208,6 +230,7 @@ fn r5_passes_the_compliant_orderings() {
     let ok_fleet = "
         impl Fleet {
             fn commit_pending(&mut self) -> Result<()> {
+                store.sync_published(&ids)?;
                 fleet_manifest.commit_fleet(&groups, &live)?;
                 wal.checkpoint(series.0, range, &engine.buffered_in(range))?;
                 Ok(())

@@ -88,12 +88,14 @@ cargo test -q --workspace --offline
 # no RNG at runtime) and checks the durability contract after each recovery.
 echo "== fault injection (crash schedules) =="
 cargo test -q -p seplsm --test crash_schedules --offline
-# The traced fsync budget of one flush/merge commit (k table fsyncs + 1
-# directory + 1 manifest, in that order, and nothing on the WAL; one WAL
-# write + fsync per batch, however many series) and of one fleet batch
-# (Σk + 1 directory + 1 manifest + 1 WAL, however many series flushed; at
-# rest one manifest record per live table + one header per series). A
-# regression fails on the assertion that prints the op that crept back in.
+# The traced fsync budget of the durability horizon: a plan between
+# horizons writes its tables and nothing else; a horizon costs one fsync per
+# table still live and unsynced + 1 directory + 1 manifest, in that order,
+# then deletes what the plans retired, and nothing on the WAL; one WAL write
+# + fsync per batch, however many series; a fleet batch that reaches a
+# horizon Σk + 3, however many series flushed; at rest one manifest record
+# per live table + one header per series. A regression fails on the
+# assertion that prints the op that crept back in.
 echo "== fault injection (fsync budget) =="
 cargo test -q -p seplsm --test fsync_budget --offline
 # The tests that read bytes an *older build* wrote ran with their files
@@ -132,6 +134,30 @@ for name in a_merge_of_tables_this_engine_wrote_reads_none_of_them \
   grep -qx "$name: test" <<<"$FSYNC_TESTS" \
     || { echo "fsync_budget lost its merge-input test '$name'"; exit 1; }
 done
+# The horizon's schedule, and its crash contract: a merge over tables no
+# horizon synced deletes them without an fsync; a horizon syncs, records,
+# deletes and checkpoints in that order; engines with nothing to defer to
+# still pay every plan as it goes; a crash at every op across two horizons,
+# each followed by a power cut that loses or tears every table the durable
+# manifest does not name, loses no acknowledged point; a horizon whose
+# manifest fsync fails once is retried as a rewrite, and a merge before the
+# retry keeps what that horizon synced; a horizon's checkpoint write torn
+# at every byte, in an engine's log and in the fleet's, replays more, never
+# less.
+for name in a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing \
+    a_horizon_syncs_then_commits_then_deletes_then_checkpoints \
+    engines_with_nothing_to_defer_to_pay_for_every_plan_as_it_goes; do
+  grep -qx "$name: test" <<<"$FSYNC_TESTS" \
+    || { echo "fsync_budget lost its horizon test '$name'"; exit 1; }
+done
+for name in an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons \
+    an_engine_retries_a_horizon_that_failed_at_its_manifest_sync_as_a_rewrite \
+    a_merge_after_a_failed_fleet_horizon_keeps_what_that_horizon_synced \
+    an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more \
+    a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more; do
+  grep -qx "$name: test" <<<"$CRASH_TESTS" \
+    || { echo "crash_schedules lost its horizon test '$name'"; exit 1; }
+done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \
@@ -159,9 +185,12 @@ WAL_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
   | grep '^wal before the closing flush')"
 # The same points under the conventional policy, where every flush is a
 # merge: its `io:` line (a trace-only fault plan on store, WAL and manifest)
-# must show fewer than one table read per 1 000 points. Merge inputs are the
-# tables the last merges wrote and come out of the pool of written tables;
-# read back from the store they cost 21.5 reads per 1 000 points here.
+# must show fewer than one table read per 1 000 points — merge inputs are
+# the tables the last merges wrote and come out of the pool of written
+# tables; read back from the store they cost 21.5 reads per 1 000 points
+# here — and fewer than 8 table fsyncs per 1 000 points: a table is synced
+# only if it is still live at a horizon (2 per 1 000 points here, the 40
+# tables live at rest), not by every plan that writes one (23.5).
 IO_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
   --policy conventional --budget 512 --dir "$STATS_DIR/store-pc" \
   | grep '^io: ')"
@@ -177,6 +206,10 @@ echo "== seplsm stats (merge inputs come from the pool: < 1 table read per 1 000
 READS_PER_KPOINT="$(sed -nE 's/.*StoreRead [0-9]+ \(([0-9.]+)\/kpoint\).*/\1/p' <<<"$IO_LINE")"
 awk -v r="$READS_PER_KPOINT" 'BEGIN { exit !(r != "" && r < 1) }' \
   || { echo "merges read their inputs back: $IO_LINE"; exit 1; }
+echo "== seplsm stats (tables are synced at horizons: < 8 StoreSync per 1 000 points) =="
+SYNCS_PER_KPOINT="$(sed -nE 's/.*StoreSync [0-9]+ \(([0-9.]+)\/kpoint\).*/\1/p' <<<"$IO_LINE")"
+awk -v s="$SYNCS_PER_KPOINT" 'BEGIN { exit !(s != "" && s < 8) }' \
+  || { echo "tables are fsynced plan by plan: $IO_LINE"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the
@@ -222,9 +255,9 @@ PYEOF
 echo "== benchmark smoke (frozen adapter contract) =="
 bash benchmark/run.sh --smoke --seconds 10 >/dev/null
 # The traced run wraps the store in the benchmark's frozen `TimedStore`,
-# which forwards neither `publish_batch` nor `sync_published`: the fleet's
-# commit point then runs over the trait's *defaults* (every batch already
-# durable, nothing left to sync), a path no other lane takes.
+# which forwards neither `publish_batch` nor `sync_published`: every horizon
+# then runs over the trait's *defaults* (every table durable as it is
+# written, nothing left to sync), a path no other lane takes.
 echo "== benchmark smoke (traced fleet, default publish/sync pair) =="
 bash benchmark/run.sh --smoke --seconds 10 --workload fleet-skew --trace 1 \
   >/dev/null

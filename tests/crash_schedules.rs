@@ -723,6 +723,35 @@ impl GroupEngine {
     }
 }
 
+/// The crash points of the power-cut sweep over `trace`, whose every
+/// crash also loses or tears tables and so has more to check than a plain
+/// crash: every op, except that of a run of table operations — a horizon
+/// syncing sixty tables, the reads a debug build audits every plan with —
+/// only the first, the last and every sixteenth: a crash at the i-th table
+/// of such a run leaves what a crash at the next one does.
+fn crash_points(trace: &[IoOp]) -> Vec<u64> {
+    let table = |op: &IoOp| {
+        matches!(
+            op,
+            IoOp::StoreWrite
+                | IoOp::StoreSync
+                | IoOp::StoreRename
+                | IoOp::StoreRead
+                | IoOp::StoreDelete
+        )
+    };
+    (0..trace.len())
+        .filter(|&k| {
+            !table(&trace[k])
+                || k % 16 == 0
+                || k == 0
+                || !table(&trace[k - 1])
+                || trace.get(k + 1).is_none_or(|next| !table(next))
+        })
+        .map(|k| k as u64)
+        .collect()
+}
+
 fn recovery_modes() -> [(&'static str, RecoveryOptions); 2] {
     [
         ("strict", RecoveryOptions::strict().with_gc_orphans()),
@@ -744,8 +773,14 @@ fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
     // The scenario must actually contain what it claims to sweep: a
     // multi-table group publication and edit-group commits.
     assert!(
-        trace.windows(3).any(|w| w
-            == [IoOp::StoreRename, IoOp::StoreRename, IoOp::DirSync]),
+        trace.windows(5).any(|w| w
+            == [
+                IoOp::StoreSync,
+                IoOp::StoreRename,
+                IoOp::StoreSync,
+                IoOp::StoreRename,
+                IoOp::DirSync
+            ]),
         "no multi-table publication in {trace:?}"
     );
     assert!(trace.contains(&IoOp::ManifestAppend));
@@ -866,10 +901,13 @@ fn torn_manifest_edit_groups_are_never_half_applied() {
             .filter(|(_, op)| **op == IoOp::ManifestAppend)
             .map(|(i, _)| i as u64)
             .collect();
-        assert!(appends.len() >= 2, "scenario commits several groups");
+        // The inline engine commits one group, at rest; the background
+        // worker one per plan.
+        assert!(!appends.is_empty(), "scenario commits a group");
         for at in appends {
-            // The largest group here is header + 4 removes + 8 adds; cuts
-            // past a smaller group's length persist nothing of it.
+            // The largest group here is header + 4 removes + 8 adds (the
+            // inline engine's at rest: header + 10 adds); cuts past a
+            // smaller group's length persist nothing of it.
             for records in 0..14 {
                 for extra in [0, 1, RECORD / 2, RECORD - 1] {
                     let truncate = records * RECORD + extra;
@@ -1149,7 +1187,7 @@ fn pr18_fleet_directory_still_recovers() {
             assert_eq!(scan(&fleet, id), pr13_fleet_contents(id.0), "{mode}");
         }
 
-        // And it keeps going in the new layout: merges, a commit point, a
+        // And it keeps going in the new layout: merges, a sync, a
         // closing flush, one more crash.
         for i in 0..8 {
             let tg = 1_005 + i * 10;
@@ -1275,9 +1313,11 @@ fn old_logs_still_recover(build: &str, kind: u8, carrying: &[&str]) {
         assert_eq!(engine.scan_all().expect("scan"), expected, "{mode}");
         assert_eq!(engine.buffered_points(), 2, "{mode}: 413 and 450");
         engine.check_integrity().expect("integrity");
-        // Four in-order points flush `C_seq` past the straggler: the range
-        // checkpoint queued behind recovery's cut carries nothing, and a
-        // second crash recovers the straggler from the cut's frame.
+        // Four in-order points flush `C_seq` past the straggler, whose range
+        // the log is told of only at the engine's next horizon: the last
+        // checkpoint in it is still recovery's cut, carrying the two points
+        // recovery left buffered, and a second crash recovers them — and
+        // the flushed four — from the log.
         for i in 0..4 {
             let tg = 460 + i * 10;
             engine
@@ -1288,7 +1328,7 @@ fn old_logs_still_recover(build: &str, kind: u8, carrying: &[&str]) {
         assert_eq!(engine.buffered_points(), 2, "{mode}: 413 and 490");
         drop(engine);
         let frames = checkpoint_frames(&dir.path("lsm/wal"));
-        assert_eq!(frames.last(), Some(&(4, 0)), "{mode}: {frames:?}");
+        assert_eq!(frames.last(), Some(&(4, 2)), "{mode}: {frames:?}");
         let (mut engine, report) = open_lsm();
         assert!(report.is_clean(), "{mode}: {report:?}");
         assert_eq!(engine.scan_all().expect("scan").len(), 50, "{mode}");
@@ -1656,13 +1696,14 @@ fn fleet_log_survives_a_crash_or_a_torn_write_at_every_io_op() {
     let trace = plan.trace();
     assert_eq!(out.synced.len(), 4, "trace pass must complete");
     // Four batches: four WAL writes and fsyncs for four series, two
-    // flushes of the hot series in between, and one cut at the end.
+    // flushes of the hot series in between, and at rest the horizon and
+    // one cut.
     let count = |op| trace.iter().filter(|o| **o == op).count();
     assert_eq!(count(IoOp::WalAppend), 4, "{trace:?}");
     assert_eq!(count(IoOp::WalSync), 4, "{trace:?}");
     assert_eq!(count(IoOp::WalRewrite), 1, "{trace:?}");
     assert_eq!(count(IoOp::WalRename), 0, "{trace:?}");
-    assert!(count(IoOp::ManifestSync) >= 2, "{trace:?}");
+    assert!(count(IoOp::ManifestSync) >= 1, "{trace:?}");
     assert_eq!(
         std::fs::metadata(dir.path("meta/fleet.wal"))
             .expect("stat")
@@ -1696,11 +1737,14 @@ fn fleet_log_survives_a_crash_or_a_torn_write_at_every_io_op() {
 }
 
 /// Points the recovery of `dir` replayed from the fleet log, and the fleet.
-fn fleet_log_replayed(dir: &TempDir) -> (u64, MultiSeriesEngine) {
+fn fleet_log_replayed(
+    config: EngineConfig,
+    dir: &TempDir,
+) -> (u64, MultiSeriesEngine) {
     let sink = RingBufferSink::new(4096);
     let store: Arc<dyn TableStore> =
         Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, _) = MultiOpenOptions::new(fleet_log_config())
+    let (engine, _) = MultiOpenOptions::new(config)
         .store(store)
         .durable_dir(dir.path("meta"))
         .observer(sink.clone())
@@ -1720,80 +1764,417 @@ fn fleet_log_replayed(dir: &TempDir) -> (u64, MultiSeriesEngine) {
     (replayed, engine)
 }
 
-/// One checkpoint frame, torn at every byte. The fourth batch's flush of
-/// series 0 takes the eight in-order points of `C_seq` and queues a
-/// checkpoint of their range, which carries nothing — the two stragglers
-/// lie below it — and the batch's write starts with that frame. Wholly
-/// there, it supersedes the four in-order points series 0 logged —
-/// acknowledged — in the third batch and leaves that batch's straggler
-/// alone; torn anywhere, range included, it must not exist at all: those
-/// four apply again and replay returns *more*, never a mixture.
+/// The shape of the torn-checkpoint scenarios: `π_s(16, 8)` over one-point
+/// tables, so eight in-order points flush `C_seq` and the eighth such flush
+/// — 64 points — is a horizon.
+fn torn_checkpoint_config() -> EngineConfig {
+    EngineConfig::new(Policy::separation(16, 8).expect("policy"))
+        .with_sstable_points(1)
+}
+
+/// Sixty-five in-order points: eight batches of eight, each flushed by its
+/// last point, and one more.
+fn torn_checkpoint_points() -> Vec<DataPoint> {
+    (0..8 * 8 + 1)
+        .map(|i| DataPoint::new(i * 10, i * 10 + 1, i as f64))
+        .collect()
+}
+
+/// How many of `frames` (their lengths, in write order) the first `kept`
+/// bytes of their write hold whole.
+fn whole_frames(frames: &[usize], kept: usize) -> usize {
+    frames
+        .iter()
+        .scan(0, |end, frame| {
+            *end += frame;
+            Some(*end)
+        })
+        .take_while(|end| *end <= kept)
+        .count()
+}
+
+/// One write of checkpoint frames to the fleet log, torn at every byte.
+/// Series 0 takes [`torn_checkpoint_points`] in batches of eight, series 1
+/// one point in each of the first seven batches, and series 0 its 65th
+/// point at the end of the eighth, after that batch's flush: nine appends a
+/// batch. The eighth batch's sync is the fleet's horizon, which queues one
+/// checkpoint frame of series 0 per flushed range, each carrying nothing —
+/// and letting go of the eight points the batch logged for series 0 before
+/// they were ever written — so the batch's write is those eight frames and
+/// a one-point points frame. Wholly there, a frame supersedes the eight
+/// points of series 0 an earlier write holds; torn anywhere, range
+/// included, it must not exist at all: those eight apply again and replay
+/// returns *more*, never a mixture. Series 1's seven points replay
+/// whatever survives of the write.
 #[test]
 fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
-    let pts = fleet_log_workload();
+    let series_0 = torn_checkpoint_points();
+    let mut pts = Vec::new();
+    for (batch, points) in series_0.chunks(8).take(8).enumerate() {
+        if batch < 7 {
+            let tg = batch as i64 * 10 + 5;
+            pts.push((1, DataPoint::new(tg, tg + 1, 1.0)));
+        }
+        pts.extend(points.iter().map(|p| (0, *p)));
+    }
+    pts.push((0, series_0[64]));
+    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
+        fleet_pass(torn_checkpoint_config(), 9, tag, plan, &pts)
+    };
     let plan = FaultPlan::trace_only(SEED);
-    let (dir, _) = fleet_log_pass("ckpt-trace", &plan, &pts);
+    let (dir, out) = pass("fleet-ckpt-trace", &plan);
+    assert_eq!(out.synced.values().sum::<usize>(), 72, "trace pass");
     drop(dir);
-    let last_write = plan
-        .trace()
+    let trace = plan.trace();
+    let eighth_write = trace
         .iter()
-        .rposition(|op| *op == IoOp::WalAppend)
-        .expect("four WAL writes") as u64;
-    // The torn write: series 0's checkpoint, which carries nothing, then
-    // one one-point points frame for series 0 (the batch's straggler; its
-    // in-order points were flushed before they were ever written) and each
-    // of series 1–3. The batch appends series 1–3 first, the straggler
-    // fourth.
-    let last_batch = &pts[3 * FLEET_LOG_BATCH..];
-    let one_point =
-        |i: usize| wal_layout::points_frame(&[last_batch[i].1]) as usize;
-    let frames = [
-        wal_layout::CHECKPOINT_FRAME as usize,
-        one_point(3),
-        one_point(0),
-        one_point(1),
-        one_point(2),
-    ];
-    assert_eq!(frames, [29, 13 + 1 + 6, 13 + 1 + 4, 13 + 1 + 3, 13 + 1 + 4]);
+        .enumerate()
+        .filter(|(_, op)| **op == IoOp::WalAppend)
+        .nth(7)
+        .map(|(at, _)| at)
+        .expect("eight WAL writes");
+    assert!(
+        trace[..eighth_write].contains(&IoOp::ManifestSync),
+        "the horizon precedes the write: {trace:?}"
+    );
+    let mut frames = vec![wal_layout::CHECKPOINT_FRAME as usize; 8];
+    frames.push(wal_layout::points_frame(&series_0[64..]) as usize);
     let write: usize = frames.iter().sum();
     for truncate in 1..=write {
         let plan = FaultPlan::new(
             SEED,
             Fault::TornWrite {
-                at: last_write,
+                at: eighth_write as u64,
                 truncate,
             },
         );
-        let (dir, out) = fleet_log_pass("ckpt-tear", &plan, &pts);
+        let (dir, out) = pass("fleet-ckpt-tear", &plan);
         assert!(plan.is_crashed(), "tear never fired");
-        let (replayed, engine) = fleet_log_replayed(&dir);
         let ctx = format!("checkpoint write torn by {truncate} of {write}");
-        check_fleet_contract(&engine, &pts, &out, &ctx);
         assert_eq!(
-            out.synced.values().sum::<usize>(),
-            3 * FLEET_LOG_BATCH,
-            "{ctx}: three batches were acknowledged"
+            (out.synced.get(&0), out.synced.get(&1)),
+            (Some(&56), Some(&7)),
+            "{ctx}: seven batches acknowledged"
         );
-        // Series 1–3 replay the eleven points they were acknowledged, and
-        // whichever frames of the torn write are whole replay too. Of the
-        // third batch series 0 replays only the straggler — or, without
-        // the checkpoint, the four in-order points as well.
-        let kept = write - truncate;
-        let whole = frames
-            .iter()
-            .scan(0, |end, frame| {
-                *end += frame;
-                Some(*end)
-            })
-            .take_while(|end| *end <= kept)
-            .count();
-        let expected = if whole >= 1 {
-            1 + 11 + (whole - 1)
-        } else {
-            5 + 11
-        };
-        assert_eq!(replayed as usize, expected, "{ctx}");
+        let (replayed, engine) =
+            fleet_log_replayed(torn_checkpoint_config(), &dir);
+        check_fleet_contract(&engine, &pts, &out, &ctx);
+        let whole = whole_frames(&frames, write - truncate);
+        assert_eq!(replayed as usize, 7 + 56 - 8 * whole.min(7), "{ctx}");
     }
+}
+
+/// The same torn write in an engine's own log: eight batches of eight
+/// in-order points, then one more, through an engine with a log and a
+/// manifest, whose eighth flush runs its horizon before the batch's sync.
+/// Wholly there, a frame supersedes the eight points of its batch an
+/// earlier write holds (the eighth batch's own never reached the file:
+/// flushed and checkpointed before their sync); torn anywhere, it must not
+/// exist at all.
+#[test]
+fn an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more() {
+    let config = torn_checkpoint_config();
+    let pts = torn_checkpoint_points();
+    let batches = [0, 8, 16, 24, 32, 40, 48, 56, 65];
+    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
+        let dir = TempDir::new(tag);
+        let store = FileStore::open(dir.path("tables"))
+            .expect("store")
+            .with_faults(Arc::clone(plan));
+        let mut engine = OpenOptions::new(config.clone())
+            .store(Arc::new(store))
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+            .faults(Arc::clone(plan))
+            .open()
+            .expect("open");
+        let mut out = Outcome {
+            attempted: 0,
+            appended: 0,
+            synced: 0,
+        };
+        for batch in batches.windows(2) {
+            for p in &pts[batch[0]..batch[1]] {
+                out.attempted += 1;
+                if engine.append(*p).is_err() {
+                    return (dir, out);
+                }
+                out.appended += 1;
+            }
+            if engine.sync_wal().is_err() {
+                return (dir, out);
+            }
+            out.synced = out.appended;
+        }
+        (dir, out)
+    };
+    let replayed = |dir: &TempDir| {
+        let sink = RingBufferSink::new(4096);
+        let store: Arc<dyn TableStore> = Arc::new(
+            FileStore::open(dir.path("tables")).expect("reopen store"),
+        );
+        let (engine, _) = OpenOptions::new(config.clone())
+            .store(store)
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+            .observer(sink.clone())
+            .open_or_recover()
+            .expect("strict recovery");
+        let replayed: u64 = sink
+            .events()
+            .iter()
+            .map(|e| match e {
+                Event::RecoveryStep {
+                    step: RecoveryStepKind::WalReplayed,
+                    items,
+                } => *items,
+                _ => 0,
+            })
+            .sum();
+        (replayed as usize, engine)
+    };
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, out) = pass("ckpt-trace", &plan);
+    assert_eq!(out.synced, pts.len(), "trace pass must complete");
+    drop(dir);
+    let trace = plan.trace();
+    let last_write = trace
+        .iter()
+        .rposition(|op| *op == IoOp::WalAppend)
+        .expect("eight WAL writes");
+    assert!(
+        trace[..last_write].contains(&IoOp::ManifestSync),
+        "the horizon precedes the write: {trace:?}"
+    );
+    let mut frames = vec![wal_layout::CHECKPOINT_FRAME as usize; 8];
+    frames.push(wal_layout::points_frame(&pts[64..]) as usize);
+    let write: usize = frames.iter().sum();
+    for truncate in 1..=write {
+        let plan = FaultPlan::new(
+            SEED,
+            Fault::TornWrite {
+                at: last_write as u64,
+                truncate,
+            },
+        );
+        let (dir, out) = pass("ckpt-tear", &plan);
+        assert!(plan.is_crashed(), "tear never fired");
+        let ctx = format!("checkpoint write torn by {truncate} of {write}");
+        assert_eq!(out.synced, 56, "{ctx}: seven batches acknowledged");
+        let (replayed, engine) = replayed(&dir);
+        check_contract(&engine.scan_all().expect("scan"), &pts, &out, &ctx);
+        // The seven earlier batches replay their 56 points, less the eight
+        // of every batch whose checkpoint is wholly there; the eighth
+        // frame's range holds no logged point, and the points frame is
+        // never whole.
+        let whole = whole_frames(&frames, write - truncate);
+        assert_eq!(replayed, 56 - 8 * whole.min(7), "{ctx}");
+    }
+}
+
+/// The power cut a crash may come with: every `.sst` in `dir`'s tables
+/// directory that its durable manifest does not name — published since the
+/// last horizon and synced by one the crash cut short, or retired and not
+/// yet deleted — is deleted or, every other one, torn to half its length.
+/// (A table never synced is only ever under its tmp name, which the next
+/// open sweeps.)
+fn power_cut(dir: &TempDir) {
+    let (run, l0) = seplsm::lsm::Manifest::replay_levels(dir.path("manifest"))
+        .expect("the durable manifest");
+    let named: HashSet<u64> = run.iter().chain(&l0).map(|m| m.id.0).collect();
+    for entry in std::fs::read_dir(dir.path("tables")).expect("ls") {
+        let path = entry.expect("entry").path();
+        let Some(id) = path
+            .file_name()
+            .and_then(|name| name.to_str()?.strip_suffix(".sst"))
+            .and_then(|stem| stem.parse::<u64>().ok())
+        else {
+            continue;
+        };
+        if named.contains(&id) {
+            continue;
+        }
+        if id % 2 == 0 {
+            std::fs::remove_file(&path).expect("lose a table");
+        } else {
+            let len = std::fs::metadata(&path).expect("stat").len();
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|file| file.set_len(len / 2))
+                .expect("tear a table");
+        }
+    }
+}
+
+/// The durability horizon under a crash at every op and the power cut that
+/// comes with it: an inline engine whose flushes cross two horizons mid-run
+/// (`π_c(8)` over one-point tables, a horizon per 64 points flushed), with
+/// merges retiring durable tables in between, crashed at every I/O op of
+/// the run; before recovery every table file the durable manifest does not
+/// name is lost or torn. Every acknowledged point must come back — from the
+/// tables the manifest names and from the log — in strict and salvage mode.
+#[test]
+fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(1);
+    let pts = workload(160);
+    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
+        let dir = TempDir::new(tag);
+        let store = FileStore::open(dir.path("tables"))
+            .expect("store")
+            .with_faults(Arc::clone(plan));
+        let mut engine = OpenOptions::new(config.clone())
+            .store(Arc::new(store))
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+            .faults(Arc::clone(plan))
+            .open()
+            .expect("open");
+        let out = drive(&mut engine, &pts, LsmEngine::append, |e| e.sync_wal());
+        (dir, out)
+    };
+    let recover_check =
+        |dir: &TempDir, out: &Outcome, recovery: RecoveryOptions, ctx: &str| {
+            power_cut(dir);
+            let store: Arc<dyn TableStore> = Arc::new(
+                FileStore::open(dir.path("tables")).expect("reopen store"),
+            );
+            let (engine, report) = OpenOptions::new(config.clone())
+                .store(store)
+                .wal(dir.path("wal"))
+                .manifest(dir.path("manifest"))
+                .recovery(recovery)
+                .open_or_recover()
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
+            check_contract(&engine.scan_all().expect("scan"), &pts, out, ctx);
+            engine
+                .check_integrity()
+                .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+        };
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, out) = pass("cut-trace", &plan);
+    assert_eq!(out.synced, pts.len(), "trace pass must complete");
+    let trace = plan.trace();
+    let count = |op| trace.iter().filter(|o| **o == op).count();
+    assert_eq!(count(IoOp::ManifestSync), 2, "two horizons: {trace:?}");
+    let second = trace
+        .iter()
+        .rposition(|op| *op == IoOp::ManifestSync)
+        .expect("a horizon");
+    assert!(
+        trace[second..].contains(&IoOp::StoreDelete),
+        "the second horizon deletes what merges retired: {trace:?}"
+    );
+    for (mode, recovery) in recovery_modes() {
+        recover_check(&dir, &out, recovery, mode);
+    }
+    drop(dir);
+    for k in crash_points(&trace) {
+        for (mode, recovery) in recovery_modes() {
+            let plan = FaultPlan::crash_at(SEED, k);
+            let (dir, out) = pass("cut-crash", &plan);
+            assert!(plan.is_crashed(), "crash at op {k} never fired");
+            let ctx =
+                format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
+            recover_check(&dir, &out, recovery, &ctx);
+        }
+    }
+}
+
+/// A horizon whose manifest fsync fails after its tables were synced
+/// leaves its group in the manifest's write buffer, on its way to the file.
+/// Under `π_c(8)` over one-point tables, 128 in-order points flush sixteen
+/// times; the eighth flush's horizon records 64 tables, and the sixteenth's
+/// fails at its `ManifestSync`. Eight stragglers between the 65th and the
+/// 73rd point then merge seven of the tables it synced, and the merge's
+/// release retries the horizon. The retry must rewrite the manifest —
+/// appending its group behind the failed one would name the tables that
+/// group added twice — and strict recovery must then find every table the
+/// manifest names, once, and every point.
+#[test]
+fn an_engine_retries_a_horizon_that_failed_at_its_manifest_sync_as_a_rewrite() {
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(1);
+    let in_order = (0..128i64).map(|i| i * 10);
+    let stragglers = (64..72i64).map(|i| i * 10 + 5);
+    let pts: Vec<DataPoint> = in_order
+        .chain(stragglers)
+        .enumerate()
+        .map(|(i, tg)| DataPoint::new(tg, i as i64 * 10 + 3, i as f64))
+        .collect();
+    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
+        let dir = TempDir::new(tag);
+        let store = FileStore::open(dir.path("tables"))
+            .expect("store")
+            .with_faults(Arc::clone(plan));
+        let mut engine = OpenOptions::new(config.clone())
+            .store(Arc::new(store))
+            .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
+            .faults(Arc::clone(plan))
+            .open()
+            .expect("open");
+        let failed: Vec<usize> = pts
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| engine.append(**p).is_err())
+            .map(|(i, _)| i)
+            .collect();
+        engine.sync_wal().expect("sync");
+        (dir, failed)
+    };
+    let trace_plan = FaultPlan::trace_only(SEED);
+    let (_, failed) = pass("retry-trace", &trace_plan);
+    assert!(failed.is_empty());
+    let trace = trace_plan.trace();
+    let manifest_sync = trace
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| **op == IoOp::ManifestSync)
+        .nth(1)
+        .map(|(at, _)| at)
+        .expect("two horizons");
+    let plan = FaultPlan::new(
+        SEED,
+        Fault::FailOnce {
+            at: manifest_sync as u64,
+        },
+    );
+    let (dir, failed) = pass("retry", &plan);
+    assert_eq!(failed, [127], "the 128th append's horizon fails");
+    let trace = plan.trace();
+    let after = &trace[manifest_sync + 1..];
+    let retry = after
+        .iter()
+        .position(|op| {
+            matches!(op, IoOp::ManifestAppend | IoOp::ManifestRewrite)
+        })
+        .expect("a retry");
+    assert_eq!(after[retry], IoOp::ManifestRewrite, "{trace:?}");
+    assert!(
+        after[..retry].contains(&IoOp::StoreWrite)
+            && !after[..retry].contains(&IoOp::StoreDelete),
+        "the merge retired what the failed horizon synced: {trace:?}"
+    );
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (engine, report) = OpenOptions::new(config)
+        .store(store)
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .recovery(RecoveryOptions::strict().with_gc_orphans())
+        .open_or_recover()
+        .expect("strict recovery");
+    assert!(report.quarantined.is_empty(), "{report:?}");
+    engine.check_integrity().expect("integrity");
+    let out = Outcome {
+        attempted: pts.len(),
+        appended: pts.len(),
+        synced: pts.len(),
+    };
+    check_contract(&engine.scan_all().expect("scan"), &pts, &out, "retry");
 }
 
 /// `flush_all` / `finish`, then reopen: the log is its header, recovery
@@ -1842,7 +2223,7 @@ fn a_flushed_engine_leaves_an_empty_log_behind() {
     let fleet_pts = fleet_log_workload();
     let plan = FaultPlan::trace_only(SEED);
     let (fleet_dir, _) = fleet_log_pass("at-rest-fleet", &plan, &fleet_pts);
-    let (replayed, engine) = fleet_log_replayed(&fleet_dir);
+    let (replayed, engine) = fleet_log_replayed(fleet_log_config(), &fleet_dir);
     assert_eq!(replayed, 0);
     assert_eq!(engine.len(), 4);
     at_rest(fleet_dir.path("meta/fleet.wal"));
@@ -1851,20 +2232,33 @@ fn a_flushed_engine_leaves_an_empty_log_behind() {
 // ------------------------------------------------------------- Fleet commit
 
 /// Appends per batch of the fleet-commit scenario: eight to each series.
-const FLEET_COMMIT_BATCH: usize = 24;
+const FLEET_COMMIT_BATCH: usize = 16;
 
-/// Three series, each fed [`group_workload`] (the series id as value),
-/// interleaved point by point: under `π_c(16)` all three flush four tables
-/// inside the second batch and merge them into eight inside the fourth, so
-/// each of those batches' syncs is a commit point carrying three edit
-/// groups — the fourth with twelve consumed inputs to delete — and the
-/// closing `flush_all` commits the tails.
+/// The fleet-commit scenario's shape: `π_c(8)` over one-point tables, so
+/// the fleet's horizon is due once its flushes took 64 points out of
+/// memory.
+fn fleet_commit_config() -> EngineConfig {
+    EngineConfig::new(Policy::conventional(8)).with_sstable_points(1)
+}
+
+/// Two series, interleaved point by point, one round of eight points each
+/// per batch: four rounds over the same eight generation times, then eight
+/// stragglers between them. Each series flushes eight tables in the first
+/// batch and merges them away, unsynced, in each of the next three, so the
+/// fourth batch's sync — 64 points flushed — is a horizon carrying two
+/// edit groups of eight adds. The stragglers' merges retire seven durable
+/// tables per series, which the closing `flush_all`'s horizon records and
+/// then deletes.
 fn fleet_commit_workload() -> Vec<(u32, DataPoint)> {
     let mut pts = Vec::new();
-    for p in group_workload() {
-        for s in 0..3u32 {
-            let p = DataPoint::new(p.gen_time, p.arrival_time, f64::from(s));
-            pts.push((s, p));
+    for round in 0..5i64 {
+        let offset = if round < 4 { 0 } else { 5 };
+        for i in 0..8i64 {
+            for s in 0..2u32 {
+                let arrival = pts.len() as i64 * 10 + 3;
+                let value = f64::from(s) * 100.0 + round as f64;
+                pts.push((s, DataPoint::new(i * 10 + offset, arrival, value)));
+            }
         }
     }
     pts
@@ -1875,13 +2269,12 @@ fn fleet_commit_pass(
     plan: &Arc<FaultPlan>,
     pts: &[(u32, DataPoint)],
 ) -> (TempDir, FleetOutcome) {
-    let config = GroupEngine::Conventional.config();
-    fleet_pass(config, FLEET_COMMIT_BATCH, tag, plan, pts)
+    fleet_pass(fleet_commit_config(), FLEET_COMMIT_BATCH, tag, plan, pts)
 }
 
 /// The fleet contract, plus: every table file the recovered versions do
-/// not reference — outputs published by flushes whose commit point never
-/// came, inputs a commit point had not yet deleted — was swept.
+/// not reference — tables a horizon synced but never recorded, inputs a
+/// horizon had not yet deleted — was swept.
 fn fleet_commit_recover_check(
     dir: &TempDir,
     pts: &[(u32, DataPoint)],
@@ -1889,9 +2282,14 @@ fn fleet_commit_recover_check(
     recovery: RecoveryOptions,
     ctx: &str,
 ) {
-    let config = GroupEngine::Conventional.config();
-    let (engine, report) =
-        fleet_recover_check(config, dir, pts, out, recovery, ctx);
+    let (engine, report) = fleet_recover_check(
+        fleet_commit_config(),
+        dir,
+        pts,
+        out,
+        recovery,
+        ctx,
+    );
     let live: usize = engine
         .series_ids()
         .into_iter()
@@ -1913,13 +2311,14 @@ fn fleet_commit_recover_check(
     );
 }
 
-/// The fleet's commit point, crashed at every op and torn at every byte.
-/// Its order is the contract: the directory fsync before the manifest
-/// group that names the tables, that group's fsync before any checkpoint
-/// is queued or input deleted, all of it before the log's write. Whatever
-/// prefix of it a crash leaves, the acknowledged points survive and
-/// nothing is invented, in strict and salvage mode; a manifest append torn
-/// anywhere applies only the series groups that are wholly there.
+/// The fleet's horizon, crashed at every op and torn at every byte. Its
+/// order is the contract: the tables' fsyncs and the directory fsync before
+/// the manifest group that names them, that group's fsync before any
+/// checkpoint is queued or retired input deleted, all of it before the
+/// log's write. Whatever prefix of it a crash leaves, the acknowledged
+/// points survive and nothing is invented, in strict and salvage mode; a
+/// manifest append torn anywhere applies only the series groups that are
+/// wholly there.
 #[test]
 fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
     /// Bytes of one manifest record.
@@ -1928,14 +2327,34 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
     let plan = FaultPlan::trace_only(SEED);
     let (dir, out) = fleet_commit_pass("fleet-commit-trace", &plan, &pts);
     let trace = plan.trace();
-    assert_eq!(out.synced.len(), 3, "trace pass must complete");
-    // The scenario must contain what it claims to sweep: commit points
-    // that cover several series' publications and delete merge inputs.
+    assert_eq!(out.synced.len(), 2, "trace pass must complete");
+    // The scenario must contain what it claims to sweep: a horizon at a
+    // sync that covers several series' publications, merges that delete
+    // their never-synced inputs at once, and a horizon that deletes retired
+    // durable inputs after its record.
     let count = |op| trace.iter().filter(|o| **o == op).count();
-    assert_eq!(count(IoOp::StoreSync), 3 * (4 + 8 + 2), "{trace:?}");
-    assert_eq!(count(IoOp::StoreDelete), 3 * 4, "{trace:?}");
-    assert_eq!(count(IoOp::ManifestAppend), 3, "{trace:?}");
-    assert_eq!(count(IoOp::ManifestSync), 3, "{trace:?}");
+    assert_eq!(count(IoOp::StoreSync), 2 * (8 + 15), "{trace:?}");
+    assert_eq!(count(IoOp::StoreDelete), 2 * (3 * 8 + 7), "{trace:?}");
+    assert_eq!(count(IoOp::ManifestAppend), 2, "{trace:?}");
+    assert_eq!(count(IoOp::ManifestSync), 2, "{trace:?}");
+    let first_append = trace
+        .iter()
+        .position(|op| *op == IoOp::ManifestAppend)
+        .expect("append");
+    // The fourth batch's sync is a horizon, and that is all it writes: the
+    // checkpoints the horizon queues let go of every point the batch
+    // logged, so the log owes the sync nothing and the stragglers' first
+    // table comes next.
+    assert_eq!(
+        trace[first_append - 1..first_append + 3],
+        [
+            IoOp::DirSync,
+            IoOp::ManifestAppend,
+            IoOp::ManifestSync,
+            IoOp::StoreWrite
+        ],
+        "{trace:?}"
+    );
     assert!(
         trace
             .windows(3)
@@ -1960,15 +2379,14 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
         if op != IoOp::ManifestAppend {
             continue;
         }
-        // The flushes' commit (three groups of a header and four adds) is
-        // torn at every byte; the merges' (three of a header, four removes
-        // and eight adds) and the tails' at and around every record
-        // boundary. Tearing more than an append holds leaves nothing of it.
-        let first = trace.iter().position(|o| *o == op).expect("append");
-        let lengths: Vec<usize> = if k as usize == first {
-            (1..=3 * 5 * RECORD).collect()
+        // The flushes' horizon (two groups of a header and eight adds) is
+        // torn at every byte; the merges' (two of a header, seven removes
+        // and fifteen adds) at and around every record boundary. Tearing
+        // more than an append holds leaves nothing of it.
+        let lengths: Vec<usize> = if k as usize == first_append {
+            (1..=2 * 9 * RECORD).collect()
         } else {
-            (0..3 * 13)
+            (0..2 * 23)
                 .flat_map(|r| [1, RECORD / 2, RECORD].map(|x| r * RECORD + x))
                 .collect()
         };
@@ -1983,6 +2401,69 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
                 format!("{mode}: manifest append at op {k} torn by {truncate}");
             fleet_commit_recover_check(&dir, &pts, &out, recovery, &ctx);
         }
+    }
+}
+
+/// The fleet-commit scenario with its first horizon's manifest fsync
+/// failing once, after the horizon synced its tables: the fourth batch's
+/// sync fails, and its group stays in the manifest's write buffer, on its
+/// way to the file. The stragglers' merges then consume seven of the tables
+/// that horizon synced, and the fleet crashes before the next sync would
+/// retry it. The merges must have retired those tables, not deleted them:
+/// the group that reaches the file names them. Strict recovery finds them,
+/// and every acknowledged point.
+#[test]
+fn a_merge_after_a_failed_fleet_horizon_keeps_what_that_horizon_synced() {
+    let pts = fleet_commit_workload();
+    let trace_plan = FaultPlan::trace_only(SEED);
+    drop(fleet_commit_pass("fail-sync-trace", &trace_plan, &pts));
+    let manifest_sync = trace_plan
+        .trace()
+        .iter()
+        .position(|op| *op == IoOp::ManifestSync)
+        .expect("a horizon");
+    let plan = FaultPlan::new(
+        SEED,
+        Fault::FailOnce {
+            at: manifest_sync as u64,
+        },
+    );
+    let dir = TempDir::new("fail-sync");
+    let out = {
+        let store = FileStore::open(dir.path("tables"))
+            .expect("store")
+            .with_faults(Arc::clone(&plan));
+        let mut engine = MultiOpenOptions::new(fleet_commit_config())
+            .store(Arc::new(store))
+            .durable_dir(dir.path("meta"))
+            .faults(Arc::clone(&plan))
+            .open()
+            .expect("durable fleet");
+        let mut out = FleetOutcome::default();
+        for (batch, points) in pts.chunks(FLEET_COMMIT_BATCH).enumerate() {
+            for (s, p) in points {
+                engine.append(SeriesId(*s), *p).expect("append");
+                out.appended.entry(*s).or_default().push(p.gen_time);
+            }
+            if batch == 4 {
+                // The stragglers merged; crash before their sync.
+                break;
+            }
+            match engine.sync_wal_all() {
+                Ok(()) => out.acknowledge(),
+                Err(e) => assert_eq!(batch, 3, "{e}"),
+            }
+        }
+        out
+    };
+    assert_eq!(plan.injected_failures(), 1, "the horizon failed once");
+    let trace = plan.trace();
+    assert!(
+        !trace[manifest_sync..].contains(&IoOp::StoreDelete),
+        "nothing the failed horizon synced was deleted: {trace:?}"
+    );
+    for (mode, recovery) in recovery_modes() {
+        fleet_commit_recover_check(&dir, &pts, &out, recovery, mode);
     }
 }
 

@@ -1,21 +1,28 @@
-//! The fsync budget of one flush/merge commit, proved op by op.
+//! The fsync budget of the durability horizon, proved op by op.
 //!
 //! Every engine here runs on the real durable stack — `FileStore` + WAL +
 //! manifest — with a `FaultPlan::trace_only` attached, so the trace names
-//! every physical I/O op in execution order. A merge that writes *k* tables
-//! must cost exactly k table fsyncs + 1 tables-directory fsync + 1 manifest
-//! fsync, in exactly that order, and nothing on the WAL: the checkpoint is a
-//! frame queued in the log that rides on the batch's one write + fsync
-//! (k + 3 with it). A fleet pays the directory and the manifest once per
-//! *batch*: the series' flushes only fsync their tables, and the batch's
-//! sync commits them all — Σk + 3, however many series flushed. The log
-//! file is cut only past its dead-bytes threshold and when the engine comes
-//! to rest. A regression names the op that crept back in. The "checkpoint
-//! bytes" section pins what a checkpoint frame costs in bytes: its range,
-//! and the points still volatile inside it — not the buffers the flush did
-//! not take. The last section pins what a merge reads: nothing of the
-//! tables the engine (or its fleet) wrote lately, which it takes from the
-//! pool of written tables; exactly its inputs after a reopen.
+//! every physical I/O op in execution order. Between horizons a flush or
+//! merge writes its tables and nothing else — no fsync, no rename, no
+//! manifest, nothing on the WAL — and deletes at once the inputs no horizon
+//! synced. A horizon (an engine's flushes took 64 tables' worth of points
+//! out of memory, or it comes to rest) costs exactly one fsync per table
+//! still live and unsynced, each followed by its rename, then 1
+//! tables-directory fsync and 1 manifest fsync, then the deletion of the
+//! durable inputs the plans retired; the checkpoints it queues ride on the
+//! next write of the log. A merge whose k tables are what its horizon finds
+//! live therefore costs k + 2; a batch between horizons one WAL write + one
+//! WAL fsync, however many series of a fleet it touched or flushed, and a
+//! fleet batch that reaches a horizon Σk + 3. An engine without both a log
+//! and a manifest, and the background worker, still pay for every plan at
+//! once. The log file is cut only past its dead-bytes threshold and when
+//! the engine comes to rest. A regression names the op that crept back in.
+//! The "checkpoint bytes" section pins what the checkpoints cost in bytes:
+//! their ranges, and the points still volatile inside them — not the
+//! buffers the flushes did not take. The last section pins what a merge
+//! reads: nothing of the tables the engine (or its fleet) wrote lately,
+//! which it takes from the pool of written tables; exactly its inputs after
+//! a reopen.
 
 #[allow(dead_code)] // each test file uses part of it
 #[path = "support/wal_layout.rs"]
@@ -102,9 +109,30 @@ fn last(ops: &[IoOp], op: IoOp) -> usize {
         .unwrap_or_else(|| panic!("no {op:?} in {ops:?}"))
 }
 
-/// The grouped commit of `k` tables, up to and including the manifest
-/// fsync: k table fsyncs, *then* k renames, *then* one directory fsync,
-/// *then* one manifest append + fsync — and no manifest rewrite.
+/// `n` tables made durable one by one: each fsynced, then renamed to its
+/// live name.
+fn synced(n: usize) -> Vec<IoOp> {
+    [IoOp::StoreSync, IoOp::StoreRename].repeat(n)
+}
+
+/// `ops` concatenated.
+fn seq(parts: &[&[IoOp]]) -> Vec<IoOp> {
+    parts.concat()
+}
+
+/// `ops` without the table reads: debug builds decode the run's tail after
+/// every plan (`check_version_against_store`), which reads the store again.
+fn unread(ops: &[IoOp]) -> Vec<IoOp> {
+    ops.iter()
+        .copied()
+        .filter(|op| *op != IoOp::StoreRead)
+        .collect()
+}
+
+/// The grouped commit of `k` tables written and made durable, up to and
+/// including the manifest fsync: k table writes, *then* per table one fsync
+/// and its rename, *then* one directory fsync, *then* one manifest append +
+/// fsync — and no manifest rewrite.
 fn assert_grouped_commit(ops: &[IoOp], k: usize) {
     assert_eq!(count(ops, IoOp::StoreWrite), k, "{ops:?}");
     assert_eq!(count(ops, IoOp::StoreSync), k, "{ops:?}");
@@ -113,10 +141,12 @@ fn assert_grouped_commit(ops: &[IoOp], k: usize) {
     assert_eq!(count(ops, IoOp::ManifestSync), 1, "{ops:?}");
     assert_eq!(count(ops, IoOp::ManifestRewrite), 0, "{ops:?}");
     assert_eq!(count(ops, IoOp::ManifestRename), 0, "{ops:?}");
+    let syncs = first(ops, IoOp::StoreSync);
     assert!(
-        last(ops, IoOp::StoreSync) < first(ops, IoOp::StoreRename),
-        "every table fsync precedes every rename: {ops:?}"
+        last(ops, IoOp::StoreWrite) < syncs,
+        "every table written before the first fsync: {ops:?}"
     );
+    assert_eq!(ops[syncs..syncs + 2 * k], synced(k), "{ops:?}");
     let tables_dir_sync = first(ops, IoOp::DirSync);
     assert!(
         last(ops, IoOp::StoreRename) < tables_dir_sync,
@@ -143,42 +173,77 @@ fn wal_ops(ops: &[IoOp]) -> usize {
     .sum()
 }
 
+/// An inline engine over `dir` on the durable stack, every op traced.
+fn durable(
+    dir: &TempDir,
+    plan: &Arc<FaultPlan>,
+    config: EngineConfig,
+) -> seplsm::LsmEngine {
+    OpenOptions::new(config)
+        .store(store(dir, plan))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(plan))
+        .open()
+        .expect("open")
+}
+
 #[test]
 fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
     let dir = TempDir::new("merge");
     let plan = FaultPlan::trace_only(0);
+    // Tables of 4 points: a horizon once the flushes took 256 points out
+    // of memory, 64 tables' worth — sixteen fills of C0.
     let config =
         EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
-    let mut engine = OpenOptions::new(config)
-        .store(store(&dir, &plan))
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(&plan))
-        .open()
-        .expect("open");
+    let mut engine = durable(&dir, &plan, config);
     // Sixteen in-order points fill C0: the first flush lays down 4 tables.
     for i in 0..16 {
-        engine.append(point(i * 10)).expect("append");
+        engine.append(point(i * 100)).expect("append");
     }
     assert_eq!(engine.run().len(), 4);
-    // Sixteen stragglers interleave with all of them; the append that fills
-    // C0 again triggers a merge of 32 points into k = 8 tables.
-    for i in 0..15 {
-        engine.append(point(i * 10 + 5)).expect("append");
+    // Fourteen rounds of sixteen stragglers spanning the whole run: every
+    // round's merge consumes every table the one before it wrote and deletes
+    // them unsynced. None of it is an fsync, or a manifest record.
+    let straggle = |round: i64| {
+        std::iter::once(-round).chain((1..16).map(move |i| i * 100 + round))
+    };
+    let before = plan.ops() as usize;
+    for round in 1..15 {
+        for tg in straggle(round) {
+            engine.append(point(tg)).expect("append");
+        }
+    }
+    let rounds = &plan.trace()[before..];
+    assert_eq!(engine.metrics().compactions, 14);
+    assert_eq!(fsyncs(rounds), 0, "{rounds:?}");
+    assert_eq!(count(rounds, IoOp::ManifestAppend), 0, "{rounds:?}");
+    assert_eq!(count(rounds, IoOp::StoreRename), 0, "{rounds:?}");
+    assert_eq!(wal_ops(rounds), 0, "{rounds:?}");
+    // Round r writes 4(r + 1) tables and deletes the 4r it merged.
+    assert_eq!(count(rounds, IoOp::StoreWrite), 4 * (2..16).sum::<usize>());
+    assert_eq!(count(rounds, IoOp::StoreDelete), 4 * (1..15).sum::<usize>());
+    // The fifteenth round's merge makes 256 points into k = 64 tables, and
+    // the flushes have now taken 256 points out of memory: its horizon
+    // finds exactly its k tables live.
+    let last_round: Vec<i64> = straggle(15).collect();
+    for &tg in &last_round[..15] {
+        engine.append(point(tg)).expect("append");
     }
     engine.sync_wal().expect("sync");
     let before = plan.ops() as usize;
     engine
-        .append(point(155))
+        .append(point(last_round[15]))
         .expect("append triggers the merge");
     let trace = plan.trace();
     let ops = &trace[before..];
-    let k = 8;
+    let k = 64;
     assert_eq!(engine.run().len(), k);
-    assert_eq!(engine.metrics().compactions, 1);
+    assert_eq!(engine.metrics().compactions, 15);
 
     assert_grouped_commit(ops, k);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
+    assert_eq!(count(ops, IoOp::StoreDelete), 60, "never synced: {ops:?}");
     // The WAL checkpoint is a frame queued in the log: no I/O here.
     assert_eq!(wal_ops(ops), 0, "{ops:?}");
     assert_eq!(fsyncs(ops), k + 2, "{ops:?}");
@@ -189,10 +254,10 @@ fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
     let before = plan.ops() as usize;
     engine.sync_wal().expect("sync");
     assert_eq!(plan.ops() as usize, before);
-    engine.append(point(300)).expect("append");
+    engine.append(point(3000)).expect("append");
     engine.sync_wal().expect("sync");
     assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
-    // At rest the log is cut to its header, in place.
+    // At rest the log is cut to its header, in place, behind the horizon.
     engine.flush_all().expect("flush");
     let rest = &plan.trace()[before + 2..];
     assert_eq!(wal_ops(rest), 1, "{rest:?}");
@@ -204,18 +269,12 @@ fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
 }
 
 #[test]
-fn an_in_order_flush_of_one_table_costs_three_fsyncs_survivors_or_not() {
+fn an_in_order_flush_defers_every_fsync_to_its_horizon_survivors_or_not() {
     let dir = TempDir::new("in-order");
     let plan = FaultPlan::trace_only(0);
     let policy = Policy::separation(8, 4).expect("policy");
     let config = EngineConfig::new(policy).with_sstable_points(4);
-    let mut engine = OpenOptions::new(config)
-        .store(store(&dir, &plan))
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(&plan))
-        .open()
-        .expect("open");
+    let mut engine = durable(&dir, &plan, config);
 
     // C_seq fills with nothing in C_nonseq: no buffered point survives.
     for i in 0..3 {
@@ -223,54 +282,63 @@ fn an_in_order_flush_of_one_table_costs_three_fsyncs_survivors_or_not() {
     }
     let before = plan.ops() as usize;
     engine.append(point(30)).expect("append triggers the flush");
-    let trace = plan.trace();
-    let ops = &trace[before..];
     assert_eq!(engine.run().len(), 1);
-    assert_grouped_commit(ops, 1);
-    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(wal_ops(ops), 0, "{ops:?}");
-    assert_eq!(fsyncs(ops), 1 + 1 + 1, "{ops:?}");
+    assert_eq!(unread(&plan.trace()[before..]), [IoOp::StoreWrite]);
 
-    // Now with a straggler parked in C_nonseq: it survives the flush, below
-    // the range the checkpoint frame names — still no WAL rewrite, no
-    // rename, no second directory fsync.
+    // Now with a straggler parked in C_nonseq: it survives the flush, which
+    // still writes its table and nothing else.
     engine.append(point(15)).expect("straggler");
     for i in 4..7 {
         engine.append(point(i * 10)).expect("append");
     }
     let before = plan.ops() as usize;
     engine.append(point(70)).expect("append triggers the flush");
-    let trace = plan.trace();
-    let ops = &trace[before..];
     assert_eq!(engine.run().len(), 2);
     assert_eq!(engine.buffered_points(), 1);
-    assert_grouped_commit(ops, 1);
-    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(wal_ops(ops), 0, "{ops:?}");
-    assert_eq!(fsyncs(ops), 1 + 1 + 1, "{ops:?}");
+    assert_eq!(unread(&plan.trace()[before..]), [IoOp::StoreWrite]);
+    // The batch's sync writes what was appended since the last one — the
+    // flushed points too: no durable table holds them yet.
     let before = plan.ops() as usize;
     engine.sync_wal().expect("sync");
     assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
+    // At rest, the horizon syncs every table live then — the straggler's
+    // merge deleted one of the two unsynced — once, before the manifest.
+    let before = plan.ops() as usize;
+    engine.flush_all().expect("flush");
+    let rest = &plan.trace()[before..];
+    let live = engine.run().len();
+    assert_eq!(count(rest, IoOp::StoreSync), live, "{rest:?}");
+    assert_eq!(count(&plan.trace(), IoOp::StoreSync), live);
+    assert!(
+        last(rest, IoOp::StoreRename) < first(rest, IoOp::DirSync)
+            && first(rest, IoOp::DirSync) < first(rest, IoOp::ManifestSync)
+            && first(rest, IoOp::ManifestSync) < first(rest, IoOp::WalRewrite),
+        "{rest:?}"
+    );
 }
 
-/// The cut schedule: flushes of 256 in-order points with a sync every 64
-/// appends. The flush falls on the cycle's last append, so its last 64
-/// points never reach the log at all; each checkpoint leaves the cycle's
-/// three points frames and itself (29 B) dead — 3 × (13 + 1 + ~6 B × 64) + 29,
-/// about 1.2 KB a cycle where raw points made it 4 676 B. Returns the flush
-/// whose checkpoint takes the dead bytes past 64 KiB: with nothing live,
-/// that is where the file is truncated in place.
-fn flush_that_makes_the_cut_due() -> usize {
+/// The cut schedule: flushes of 256 in-order points into four 64-point
+/// tables with a sync every 64 appends — a horizon every sixteen flushes,
+/// 64 tables' worth of points. Until a horizon every logged point is live;
+/// at one, the checkpoints — one per flush, 29 B, the ranges disjoint —
+/// leave all of them dead, and the horizon's own last 64 points never reach
+/// the file (flushed and checkpointed before their sync). Returns the
+/// horizon whose checkpoints take the dead bytes past 64 KiB: with nothing
+/// live, that is where the file is truncated in place.
+fn horizon_that_makes_the_cut_due() -> usize {
     let mut dead = 0;
-    for cycle in 0.. {
-        for sync in 0..3 {
-            let at = cycle * 256 + sync * 64;
+    for cycle in 1i64.. {
+        let horizon = cycle % 16 == 0;
+        for quarter in 0..if horizon { 3 } else { 4 } {
+            let at = (cycle - 1) * 256 + quarter * 64;
             let frame: Vec<DataPoint> = (at..at + 64).map(point).collect();
             dead += points_frame(&frame);
         }
-        dead += CHECKPOINT_FRAME;
-        if dead > 64 * 1024 {
-            return cycle as usize + 1;
+        if horizon {
+            dead += 16 * CHECKPOINT_FRAME;
+            if dead > 64 * 1024 {
+                return cycle as usize / 16;
+            }
         }
     }
     unreachable!("every cycle adds dead bytes")
@@ -281,37 +349,36 @@ fn the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest() {
     let dir = TempDir::new("cut");
     let plan = FaultPlan::trace_only(0);
     let config =
-        EngineConfig::new(Policy::conventional(256)).with_sstable_points(256);
-    let mut engine = OpenOptions::new(config)
-        .store(store(&dir, &plan))
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(&plan))
-        .open()
-        .expect("open");
+        EngineConfig::new(Policy::conventional(256)).with_sstable_points(64);
+    let mut engine = durable(&dir, &plan, config);
     // One flush more than it takes to make the cut due.
-    let due = flush_that_makes_the_cut_due();
-    assert_eq!(due, 55);
-    for i in 0..(due as i64 + 1) * 256 {
+    let due = horizon_that_makes_the_cut_due();
+    assert_eq!(due, 3);
+    for i in 0..(due as i64 * 16 + 1) * 256 {
         engine.append(point(i)).expect("append");
         if (i + 1) % 64 == 0 {
             engine.sync_wal().expect("sync");
         }
     }
     let trace = plan.trace();
-    assert_eq!(count(&trace, IoOp::ManifestSync), due + 1, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::ManifestSync), due, "one per horizon");
     assert_eq!(count(&trace, IoOp::WalRewrite), 1, "{trace:?}");
     assert_eq!(count(&trace, IoOp::WalRename), 0, "{trace:?}");
     let cut = first(&trace, IoOp::WalRewrite);
     assert_eq!(count(&trace[..cut], IoOp::ManifestSync), due, "{trace:?}");
     let commit = last(&trace[..cut], IoOp::ManifestSync);
     assert_eq!(wal_ops(&trace[commit..cut]), 0, "cut follows its commit");
-    // The engine comes to rest: one more cut, then nothing left to cut.
+    // The engine comes to rest: its horizon, one more cut, then nothing
+    // left to cut.
     let before = plan.ops() as usize;
     engine.flush_all().expect("flush");
     engine.flush_all().expect("flush");
     let rest = &plan.trace()[before..];
-    assert_eq!((rest[0], wal_ops(rest)), (IoOp::WalRewrite, 1), "{rest:?}");
+    assert_eq!(wal_ops(rest), 1, "{rest:?}");
+    assert!(
+        first(rest, IoOp::ManifestSync) < first(rest, IoOp::WalRewrite),
+        "{rest:?}"
+    );
     let stats = engine.wal_stats().expect("wal");
     assert_eq!((stats.cuts, stats.live_bytes, stats.dead_bytes), (2, 0, 0));
 }
@@ -341,8 +408,8 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     let ops = &trace[before..];
     // The writer tells its WAL at the hand-off which batches have retired
     // (here none: this one is still volatile) with queued frames: no I/O.
-    // The flush worker's own commit is the grouped one — 2 tables, one
-    // directory fsync, one manifest fsync.
+    // The worker makes every plan durable itself — the grouped commit of 2
+    // tables, one directory fsync, one manifest fsync.
     assert_eq!(wal_ops(ops), 0, "{ops:?}");
     assert_grouped_commit(ops, 2);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
@@ -369,6 +436,154 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     engine.finish().expect("finish");
 }
 
+#[test]
+fn a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing() {
+    let dir = TempDir::new("unsynced-inputs");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    let mut engine = durable(&dir, &plan, config);
+    for i in 0..16 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    for i in 0..15 {
+        engine.append(point(i * 10 + 5)).expect("append");
+    }
+    // The merge consumes the four tables the flush wrote, which no horizon
+    // synced: it writes its eight, deletes those four, and that is all.
+    let before = plan.ops() as usize;
+    engine.append(point(155)).expect("append merges");
+    assert_eq!(engine.metrics().compactions, 1);
+    let write = [IoOp::StoreWrite].repeat(8);
+    let delete = [IoOp::StoreDelete].repeat(4);
+    assert_eq!(unread(&plan.trace()[before..]), seq(&[&write, &delete]));
+    // Its outputs cost no fsync until the horizon, which syncs each of
+    // them once, retires nothing and records exactly them.
+    let before = plan.ops() as usize;
+    engine.flush_all().expect("flush");
+    let rest = &plan.trace()[before..];
+    assert_eq!(count(rest, IoOp::StoreSync), 8, "{rest:?}");
+    assert_eq!(count(rest, IoOp::StoreDelete), 0, "{rest:?}");
+    assert_eq!(engine.manifest_stats().expect("manifest").live, 8);
+}
+
+#[test]
+fn a_horizon_syncs_then_commits_then_deletes_then_checkpoints() {
+    let dir = TempDir::new("horizon");
+    let plan = FaultPlan::trace_only(0);
+    // Tables of 4 points, C0 of 16: a horizon every sixteen plans.
+    let config =
+        EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    let mut engine = durable(&dir, &plan, config);
+    // Sixteen in-order flushes: the sixteenth is the horizon over the 64
+    // tables they wrote.
+    for i in 0..255 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    engine.sync_wal().expect("sync");
+    let before = plan.ops() as usize;
+    engine.append(point(2550)).expect("the sixteenth flush");
+    let write = [IoOp::StoreWrite].repeat(4);
+    let commit = [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync];
+    assert_eq!(
+        unread(&plan.trace()[before..]),
+        seq(&[&write, &synced(64), &commit])
+    );
+    assert_eq!(engine.manifest_stats().expect("manifest").records, 65);
+
+    // A merge of sixteen stragglers into the first four tables, which the
+    // horizon made durable: they leave the version but stay on disk.
+    for i in 0..15 {
+        engine.append(point(i * 10 + 5)).expect("append");
+    }
+    let before = plan.ops() as usize;
+    engine.append(point(155)).expect("append merges");
+    assert_eq!(
+        unread(&plan.trace()[before..]),
+        [IoOp::StoreWrite].repeat(8)
+    );
+    // Fifteen flushes more make the next horizon: the 8 + 60 tables live
+    // and unsynced, the directory, one group holding the net change (the 4
+    // retired out, the 68 in), and only then the 4 retired deleted.
+    for i in 256..495 {
+        engine.append(point(i * 10)).expect("append");
+    }
+    engine.sync_wal().expect("sync");
+    let frames = engine.wal_stats().expect("wal").frames;
+    let before = plan.ops() as usize;
+    engine.append(point(4950)).expect("the last flush");
+    let delete = [IoOp::StoreDelete].repeat(4);
+    assert_eq!(
+        unread(&plan.trace()[before..]),
+        seq(&[&write, &synced(68), &commit, &delete])
+    );
+    let manifest = engine.manifest_stats().expect("manifest");
+    assert_eq!(manifest.records, 65 + 1 + 4 + 68);
+    assert_eq!(manifest.live, 128);
+    // Then its checkpoints: one frame per disjoint range the sixteen plans
+    // took — the merge's and fifteen flushes' — queued, riding on the
+    // next write.
+    let stats = engine.wal_stats().expect("wal");
+    assert_eq!(stats.frames, frames + 16);
+    assert_eq!(stats.live_bytes, 0, "everything logged is durable now");
+    let before = plan.ops() as usize;
+    engine.append(point(5000)).expect("append");
+    engine.sync_wal().expect("sync");
+    assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
+}
+
+#[test]
+fn engines_with_nothing_to_defer_to_pay_for_every_plan_as_it_goes() {
+    let config =
+        EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    for (name, wal, manifest) in
+        [("log-less", false, true), ("bare", true, false)]
+    {
+        let dir = TempDir::new(name);
+        let plan = FaultPlan::trace_only(0);
+        let mut options =
+            OpenOptions::new(config.clone()).store(store(&dir, &plan));
+        if wal {
+            options = options.wal(dir.path("wal"));
+        }
+        if manifest {
+            options = options.manifest(dir.path("manifest"));
+        }
+        let mut engine =
+            options.faults(Arc::clone(&plan)).open().expect("open");
+        let commit: &[IoOp] = if manifest {
+            &[IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync]
+        } else {
+            &[IoOp::DirSync]
+        };
+        // The flush: its 4 tables, each synced, and the commit — k + 2
+        // with a manifest, k + 1 without.
+        for i in 0..15 {
+            engine.append(point(i * 10)).expect("append");
+        }
+        let before = plan.ops() as usize;
+        engine.append(point(150)).expect("flush");
+        let write = |k| [IoOp::StoreWrite].repeat(k);
+        assert_eq!(
+            unread(&plan.trace()[before..]),
+            seq(&[&write(4), &synced(4), commit]),
+            "{name}"
+        );
+        // The merge: its 8 tables the same way, then its 4 inputs deleted.
+        for i in 0..15 {
+            engine.append(point(i * 10 + 5)).expect("append");
+        }
+        let before = plan.ops() as usize;
+        engine.append(point(155)).expect("merge");
+        let delete = [IoOp::StoreDelete].repeat(4);
+        assert_eq!(
+            unread(&plan.trace()[before..]),
+            seq(&[&write(8), &synced(8), commit, &delete]),
+            "{name}"
+        );
+    }
+}
+
 /// The ops of a commit: the tables directory, the manifest, the deletion
 /// of consumed inputs. A fleet series' flush may issue none of them.
 fn commit_ops(ops: &[IoOp]) -> usize {
@@ -389,6 +604,8 @@ fn commit_ops(ops: &[IoOp]) -> usize {
 fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
     let dir = TempDir::new("fleet");
     let plan = FaultPlan::trace_only(0);
+    // Tables of 4 points: the fleet's horizon is due at the first sync
+    // after its series' flushes took 256 points out of memory.
     let config =
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
     let mut fleet = MultiOpenOptions::new(config)
@@ -397,17 +614,22 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    // Series 1–3 each lay down two tables; series 4 only buffers.
+    // Series 1–3 each lay down two tables, series 0 fifty-eight — 256
+    // points, a horizon at the sync; series 4 only buffers.
     for s in 1..4 {
         for i in 0..8 {
             fleet.append(SeriesId(s), point(i * 10)).expect("append");
         }
     }
+    for i in 0..232 {
+        fleet.append(SeriesId(0), point(i * 10)).expect("append");
+    }
     fleet.append(SeriesId(4), point(0)).expect("append");
     fleet.sync_wal_all().expect("sync");
-    // One batch in which m = 3 series flush k = 4 + 2 + 4 tables: series 1
-    // merges eight stragglers into its two tables (which it consumes),
-    // series 2 flushes once, series 3 twice.
+    // One batch in which m = 4 series flush k = 4 + 2 + 4 + 56 tables and
+    // 256 points again: series 1 merges eight stragglers into its two
+    // tables (which the last horizon made durable), series 2 flushes once,
+    // series 3 twice, series 0 twenty-eight times.
     let before = plan.ops() as usize;
     for i in 0..8 {
         fleet
@@ -425,34 +647,36 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
             .append(SeriesId(3), point(i * 10 + 160))
             .expect("append");
     }
+    for i in 232..456 {
+        fleet.append(SeriesId(0), point(i * 10)).expect("append");
+    }
     fleet.append(SeriesId(4), point(10)).expect("append");
     assert_eq!(fleet.metrics().compactions, 1);
-    assert_eq!(fleet.metrics().flushes, 3 + 3);
-    let k = 4 + 2 + 4;
-    let synced = plan.ops() as usize;
+    assert_eq!(fleet.metrics().flushes, 32 + 31);
+    let k = 4 + 2 + 4 + 56;
+    let synced_at = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
-    // The flushes fsync and rename their tables and nothing else.
-    let flushes = &trace[before..synced];
-    assert_eq!(count(flushes, IoOp::StoreSync), k, "{flushes:?}");
-    assert_eq!(count(flushes, IoOp::StoreRename), k, "{flushes:?}");
+    // The flushes write their tables and nothing else.
+    let flushes = &trace[before..synced_at];
+    assert_eq!(count(flushes, IoOp::StoreWrite), k, "{flushes:?}");
+    assert_eq!(fsyncs(flushes), 0, "{flushes:?}");
     assert_eq!(commit_ops(flushes), 0, "{flushes:?}");
     assert_eq!(wal_ops(flushes), 0, "{flushes:?}");
-    // The sync is the commit point: the directory, then every series'
-    // group in one manifest append + fsync, then series 1's two consumed
-    // inputs, then — its checkpoints queued behind all of that — the log.
-    assert_eq!(
-        trace[synced..],
-        [
-            IoOp::DirSync,
-            IoOp::ManifestAppend,
-            IoOp::ManifestSync,
-            IoOp::StoreDelete,
-            IoOp::StoreDelete,
-            IoOp::WalAppend,
-            IoOp::WalSync,
-        ]
-    );
+    // The sync is the horizon: every table the batch left live, the
+    // directory, every series' group in one manifest append + fsync, series
+    // 1's two retired inputs, then — its checkpoints queued behind all of
+    // that — the log.
+    let tail = [
+        IoOp::DirSync,
+        IoOp::ManifestAppend,
+        IoOp::ManifestSync,
+        IoOp::StoreDelete,
+        IoOp::StoreDelete,
+        IoOp::WalAppend,
+        IoOp::WalSync,
+    ];
+    assert_eq!(trace[synced_at..], seq(&[&synced(k), &tail]));
     assert_eq!(fsyncs(&trace[before..]), k + 3, "{trace:?}");
     // Nothing is pending any more: a second sync finds a clean fleet.
     let before = plan.ops() as usize;
@@ -464,8 +688,10 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
 fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
     let dir = TempDir::new("fleet-rebalance");
     let plan = FaultPlan::trace_only(0);
+    // One-point tables: a horizon once the flushes took 64 points out of
+    // memory.
     let config =
-        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(1);
     // 21 series at 16 points each while they are equally hot; the floor is
     // what a series is admitted with, before the first split.
     let series = 21u32;
@@ -495,34 +721,42 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
     fleet.sync_wal_all().expect("sync");
     let flushes = fleet.metrics().flushes;
     // The twenty-first is the split: series 0 has all the recent heat, and
-    // every other series shrinks below what it holds and flushes.
+    // every other series shrinks below what it holds and flushes — past the
+    // 64 points that make a horizon due.
     let before = plan.ops() as usize;
     fleet.append(SeriesId(0), point(350)).expect("append");
     assert_eq!(fleet.metrics().flushes, flushes + 20);
-    let synced = plan.ops() as usize;
+    let synced_at = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
-    let rebalance = &trace[before..synced];
-    assert!(count(rebalance, IoOp::StoreSync) >= 20, "{rebalance:?}");
+    let rebalance = &trace[before..synced_at];
+    assert!(count(rebalance, IoOp::StoreWrite) >= 20, "{rebalance:?}");
+    assert_eq!(fsyncs(rebalance), 0, "{rebalance:?}");
     assert_eq!(commit_ops(rebalance), 0, "{rebalance:?}");
     assert_eq!(wal_ops(rebalance), 0, "{rebalance:?}");
-    assert_eq!(
-        trace[synced..],
-        [
-            IoOp::DirSync,
-            IoOp::ManifestAppend,
-            IoOp::ManifestSync,
-            IoOp::WalAppend,
-            IoOp::WalSync,
-        ]
-    );
+    // Every table written since the last horizon is live and is synced at
+    // this one.
+    let since = trace[..before]
+        .iter()
+        .rposition(|op| *op == IoOp::ManifestSync)
+        .map_or(0, |at| at + 1);
+    let live = count(&trace[since..synced_at], IoOp::StoreWrite);
+    let tail = [
+        IoOp::DirSync,
+        IoOp::ManifestAppend,
+        IoOp::ManifestSync,
+        IoOp::WalAppend,
+        IoOp::WalSync,
+    ];
+    assert_eq!(trace[synced_at..], seq(&[&synced(live), &tail]));
 }
 
 #[test]
 fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
     // The bound: a caller that never syncs. One table per four points;
-    // the fleet lets 256 of them wait and commits by itself at the next —
-    // directory, manifest, and no fsync of the log nobody asked for.
+    // the fleet lets 256 of them wait unsynced and runs its horizon by
+    // itself at the next — every table, the directory, the manifest, and
+    // no fsync of the log nobody asked for.
     let dir = TempDir::new("fleet-bound");
     let plan = FaultPlan::trace_only(0);
     let config =
@@ -537,47 +771,49 @@ fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
         fleet.append(SeriesId(9), point(i)).expect("append");
     }
     let trace = plan.trace();
-    assert_eq!(count(&trace, IoOp::StoreSync), 256, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::StoreWrite), 256, "{trace:?}");
+    assert_eq!(fsyncs(&trace), 0, "{trace:?}");
     assert_eq!(commit_ops(&trace), 0, "{trace:?}");
     let before = plan.ops() as usize;
     for i in 256 * 4..257 * 4 {
         fleet.append(SeriesId(9), point(i)).expect("append");
     }
     let trace = plan.trace();
-    let ops = &trace[before..];
-    assert_eq!(count(ops, IoOp::StoreSync), 1, "{ops:?}");
-    assert_eq!(
-        ops[ops.len() - 3..],
-        [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync],
-        "{ops:?}"
-    );
+    // The log's own spills aside: its pending buffer is written, never
+    // fsynced, when 342 points wait.
+    let ops: Vec<IoOp> = unread(&trace[before..])
+        .into_iter()
+        .filter(|op| *op != IoOp::WalAppend)
+        .collect();
+    let commit = [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync];
+    assert_eq!(ops, seq(&[&[IoOp::StoreWrite], &synced(257), &commit]));
     assert_eq!(count(&trace, IoOp::WalSync), 0, "{trace:?}");
     drop(fleet);
 
     // The cut: the single-series schedule of
     // `the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest`, on a
-    // fleet. The checkpoint of the same flush makes the cut due; it is
-    // taken inside that batch's commit point, behind the manifest fsync
-    // that covers the flush.
+    // fleet. The checkpoints of the horizon that makes the cut due are
+    // queued at that batch's sync, behind the manifest fsync that covers
+    // their flushes, and the cut follows them.
     let dir = TempDir::new("fleet-cut");
     let plan = FaultPlan::trace_only(0);
     let config =
-        EngineConfig::new(Policy::conventional(256)).with_sstable_points(256);
+        EngineConfig::new(Policy::conventional(256)).with_sstable_points(64);
     let mut fleet = MultiOpenOptions::new(config)
         .store(store(&dir, &plan))
         .durable_dir(dir.path("meta"))
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    let due = flush_that_makes_the_cut_due();
-    for i in 0..(due as i64 + 1) * 256 {
+    let due = horizon_that_makes_the_cut_due();
+    for i in 0..(due as i64 * 16 + 1) * 256 {
         fleet.append(SeriesId(9), point(i)).expect("append");
         if (i + 1) % 64 == 0 {
             fleet.sync_wal_all().expect("sync");
         }
     }
     let trace = plan.trace();
-    assert_eq!(count(&trace, IoOp::ManifestSync), due + 1, "{trace:?}");
+    assert_eq!(count(&trace, IoOp::ManifestSync), due, "{trace:?}");
     assert_eq!(count(&trace, IoOp::WalRewrite), 1, "{trace:?}");
     let cut = first(&trace, IoOp::WalRewrite);
     assert_eq!(count(&trace[..cut], IoOp::ManifestSync), due, "{trace:?}");
@@ -620,26 +856,18 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
     let flush = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
-    assert_eq!(wal_ops(&trace[before..flush]), 0, "{trace:?}");
-    assert_eq!(
-        trace[flush..],
-        [
-            IoOp::DirSync,
-            IoOp::ManifestAppend,
-            IoOp::ManifestSync,
-            IoOp::WalAppend,
-            IoOp::WalSync
-        ]
-    );
-    // At rest: every series flushes its own tables, each wave commits once
-    // to the one manifest, and the log is cut once.
+    assert_eq!(unread(&trace[before..flush]), [IoOp::StoreWrite; 2]);
+    assert_eq!(trace[flush..], [IoOp::WalAppend, IoOp::WalSync]);
+    // At rest: every series flushes its own tables, each wave ends in a
+    // horizon of its own, one commit to the one manifest, and the log is
+    // cut once.
     let before = plan.ops() as usize;
     fleet.flush_all().expect("flush");
     let trace = plan.trace();
     let ops = &trace[before..];
     assert_eq!(wal_ops(ops), 1, "{ops:?}");
     assert_eq!(ops[ops.len() - 1], IoOp::WalRewrite, "{ops:?}");
-    // Twelve series in waves of eight: two commit points.
+    // Twelve series in waves of eight: two horizons.
     assert_eq!(count(ops, IoOp::ManifestSync), 2, "{ops:?}");
     // The manifest at rest: one header per series, one record per table.
     let tables: usize = (0..12)
@@ -660,7 +888,8 @@ fn file_len(path: PathBuf) -> u64 {
 fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
     let dir = TempDir::new("range-lsm");
     let plan = FaultPlan::trace_only(0);
-    // C_seq holds 8 points, C_nonseq 256.
+    // C_seq holds 8 points, C_nonseq 256; sixty-four flushes of C_seq take
+    // the pool's budget of points out of memory, 512: a horizon.
     let policy = Policy::separation(264, 8).expect("policy");
     let config = EngineConfig::new(policy).with_sstable_points(8);
     let open = |plan: Option<&Arc<FaultPlan>>| {
@@ -681,10 +910,12 @@ fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
         .expect("open")
     };
     let mut engine = open(Some(&plan));
-    for i in 0..8 {
+    for i in 0..63 * 8 {
         engine.append(point(i * 10)).expect("append");
     }
-    assert_eq!(engine.run().len(), 1, "the pivot is 70 from here on");
+    assert_eq!(engine.run().len(), 63, "the pivot is 5030 from here on");
+    engine.sync_wal().expect("sync");
+    // One write, one frame.
     let stragglers: Vec<DataPoint> = (1..=200).map(|i| point(-i)).collect();
     for p in &stragglers {
         engine.append(*p).expect("straggler");
@@ -693,32 +924,33 @@ fn a_seq_flush_with_two_hundred_stragglers_buffered_queues_29_bytes() {
     assert_eq!(engine.buffered_points(), 200);
     let before = engine.wal_stats().expect("wal");
     let len = file_len(dir.path("wal"));
-    // The flush: eight in-order points that never reach the file, because
-    // nothing synced them before their tables were committed.
-    for i in 8..16 {
+    // The sixty-fourth flush is the horizon: eight in-order points that
+    // never reach the file, because nothing synced them before their
+    // tables were durable, and one checkpoint frame per flush — 29 bytes,
+    // carrying nothing: the stragglers lie below every range.
+    for i in 63 * 8..64 * 8 {
         engine.append(point(i * 10)).expect("append");
     }
-    assert_eq!(engine.run().len(), 2);
+    assert_eq!(engine.run().len(), 64);
     assert_eq!(engine.buffered_points(), 200);
     let after = engine.wal_stats().expect("wal");
-    assert_eq!(after.frames, before.frames + 1, "one checkpoint frame");
+    assert_eq!(after.frames, before.frames + 64, "a checkpoint per flush");
     assert_eq!(after.relogged_bytes, 0, "which carries no point");
     assert_eq!(after.live_bytes, point_bytes(&stragglers));
-    assert_eq!(after.dead_bytes, before.dead_bytes + CHECKPOINT_FRAME);
-    // Its next write: the frame, and the one point appended since.
-    engine.append(point(160)).expect("append");
+    // Its next write: the frames, and the one point appended since.
+    engine.append(point(5120)).expect("append");
     let ops = plan.ops() as usize;
     engine.sync_wal().expect("sync");
     assert_eq!(plan.trace()[ops..], [IoOp::WalAppend, IoOp::WalSync]);
     assert_eq!(
         file_len(dir.path("wal")),
-        len + CHECKPOINT_FRAME + points_frame(&[point(160)])
+        len + 64 * CHECKPOINT_FRAME + points_frame(&[point(5120)])
     );
-    // And the stragglers the frame did not carry are still in the log.
+    // And the stragglers the frames did not carry are still in the log.
     drop(engine);
     let engine = open(None);
     assert_eq!(engine.buffered_points(), 201);
-    assert_eq!(engine.scan_all().expect("scan").len(), 217);
+    assert_eq!(engine.scan_all().expect("scan").len(), 64 * 8 + 201);
 }
 
 #[test]
@@ -734,39 +966,47 @@ fn a_late_point_inside_a_flushed_range_rides_the_fleet_s_deferred_checkpoint() {
         .open()
         .expect("open");
     let id = SeriesId(3);
-    for i in 0..7 {
+    // Sixty-three flushes of eight points and seven points more: one flush
+    // short of the pool's budget of points, 512.
+    for i in 0..63 * 8 + 7 {
         fleet.append(id, point(i * 10)).expect("append");
     }
     fleet.sync_wal_all().expect("sync");
     let len = file_len(dir.path("meta/fleet.wal"));
-    // The eighth point flushes [0, 70]; the flush waits for the next commit
-    // point, and before that comes a point inside its range and one past it.
-    fleet.append(id, point(70)).expect("append flushes");
-    assert_eq!(fleet.metrics().flushes, 1);
-    fleet.append(id, point(35)).expect("late, in range");
-    fleet.append(id, point(90)).expect("past the range");
+    // The 512th point flushes [5040, 5110]; the horizon waits for the
+    // next sync, and before that comes a point inside its range and one
+    // past it.
+    fleet.append(id, point(5110)).expect("append flushes");
+    assert_eq!(fleet.metrics().flushes, 64);
+    fleet.append(id, point(5075)).expect("late, in range");
+    fleet.append(id, point(5130)).expect("past the range");
     let ops = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
+    let tail = [
+        IoOp::DirSync,
+        IoOp::ManifestAppend,
+        IoOp::ManifestSync,
+        IoOp::WalAppend,
+        IoOp::WalSync,
+    ];
     assert_eq!(
         plan.trace()[ops..],
-        [
-            IoOp::DirSync,
-            IoOp::ManifestAppend,
-            IoOp::ManifestSync,
-            IoOp::WalAppend,
-            IoOp::WalSync,
-        ],
-        "the checkpoint is queued after the fleet's commit"
+        seq(&[&synced(64), &tail]),
+        "the checkpoints are queued after the fleet's commit"
     );
-    // The checkpoint of [0, 70] carries the late point (its pending copy
-    // went with the flushed ones); point 90 is an ordinary frame behind it.
+    // Sixty-three of them carry nothing; the last carries the late point
+    // (its pending copy went with the flushed ones); point 5130 is an
+    // ordinary frame behind them.
     let stats = fleet.wal_stats().expect("durable fleet");
-    let (late, past) = (point_bytes(&[point(35)]), point_bytes(&[point(90)]));
+    let (late, past) =
+        (point_bytes(&[point(5075)]), point_bytes(&[point(5130)]));
     assert_eq!(stats.relogged_bytes, late);
     assert_eq!(stats.live_bytes, late + past);
     assert_eq!(
         file_len(dir.path("meta/fleet.wal")),
-        len + checkpoint_frame(&[point(35)]) + points_frame(&[point(90)])
+        len + 63 * CHECKPOINT_FRAME
+            + checkpoint_frame(&[point(5075)])
+            + points_frame(&[point(5130)])
     );
     drop(fleet);
     let store: Arc<dyn TableStore> =
@@ -778,14 +1018,17 @@ fn a_late_point_inside_a_flushed_range_rides_the_fleet_s_deferred_checkpoint() {
         .expect("recover");
     assert!(report.is_clean(), "{report:?}");
     let series = fleet.engine(id).expect("series");
-    assert_eq!(series.buffered_points(), 2, "35 and 90 came from the log");
+    assert_eq!(series.buffered_points(), 2, "both came from the log");
     let recovered: Vec<i64> = series
         .scan_all()
         .expect("scan")
         .iter()
         .map(|p| p.gen_time)
         .collect();
-    assert_eq!(recovered, [0, 10, 20, 30, 35, 40, 50, 60, 70, 90]);
+    let mut expected: Vec<i64> = (0..64 * 8).map(|i| i * 10).collect();
+    expected.extend([5075, 5130]);
+    expected.sort();
+    assert_eq!(recovered, expected);
 }
 
 /// A store whose publications wait while the gate is shut: holds the
@@ -818,8 +1061,8 @@ impl TableStore for GatedStore {
         drop(self.opened.wait_while(shut, |shut| *shut).expect("gate"));
         self.inner.publish_batch(chunks)
     }
-    fn sync_published(&self) -> seplsm::Result<()> {
-        self.inner.sync_published()
+    fn sync_published(&self, ids: &[SsTableId]) -> seplsm::Result<()> {
+        self.inner.sync_published(ids)
     }
     fn get(&self, id: SsTableId) -> seplsm::Result<Vec<DataPoint>> {
         self.inner.get(id)
@@ -994,6 +1237,8 @@ fn the_first_merge_after_recovery_reads_exactly_its_inputs() {
         engine.append(point(i * 10)).expect("append");
     }
     assert_eq!(engine.run().len(), 4);
+    // At rest: the tables are durable and in the manifest.
+    engine.flush_all().expect("flush");
     drop(engine);
     // The tables outlive the engine, its pool does not: the merge that
     // consumes all four reads all four — once each, and nothing else.
