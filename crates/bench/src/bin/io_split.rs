@@ -22,9 +22,10 @@
 //! `fsyncs_per_kpoint` at the same seed (the background worker races its
 //! writer, there as here). Next to the counts:
 //! the peaks, sampled after every batch, of what a horizon leaves for
-//! later — live tables not yet synced (tmp files), durable inputs retired
-//! but still on disk — and of the log's live bytes, and what `read-mix`'s
-//! reopening replays.
+//! later — live tables not yet synced, which the store stages in memory,
+//! and their encoded bytes (`FileStore::staged_bytes`); durable inputs
+//! retired but still on disk — and of the log's live bytes, and what
+//! `read-mix`'s reopening replays.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -309,7 +310,7 @@ impl Observer for Replayed {
 }
 
 /// What the benchmark's adapter opens for `w` over `dir`: fresh, or —
-/// `recover` — from what `dir` holds.
+/// `recover` — from what `dir` holds; and the store under it.
 fn open(
     w: &Workload,
     dir: &Path,
@@ -317,7 +318,7 @@ fn open(
     recover: bool,
     cache: Option<Arc<BlockCache>>,
     observer: Option<Arc<dyn Observer>>,
-) -> Result<Engine> {
+) -> Result<(Engine, Arc<FileStore>)> {
     let policy = if w.separation {
         Policy::separation_even(MEMORY_BUDGET)?
     } else {
@@ -329,8 +330,9 @@ fn open(
     if let Some(plan) = plan {
         store = store.with_faults(Arc::clone(plan));
     }
-    let store: Arc<dyn TableStore> = Arc::new(store);
-    Ok(match w.kind {
+    let tables = Arc::new(store);
+    let store = Arc::clone(&tables) as Arc<dyn TableStore>;
+    let engine = match w.kind {
         Kind::Inline => {
             let mut o = OpenOptions::new(config)
                 .store(store)
@@ -384,22 +386,19 @@ fn open(
             };
             Engine::Fleet(Box::new(engine))
         }
-    })
+    };
+    Ok((engine, tables))
 }
 
-/// Table files in `dir`: `(live names, tmp names)`.
-fn table_files(dir: &Path) -> Result<(usize, usize)> {
-    let (mut live, mut tmp) = (0, 0);
+/// Table files in `dir` under their live names.
+fn table_files(dir: &Path) -> Result<usize> {
+    let mut live = 0;
     for entry in std::fs::read_dir(dir.join("tables"))? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if name.ends_with(".sst") {
+        if entry?.file_name().to_string_lossy().ends_with(".sst") {
             live += 1;
-        } else if name.ends_with(".sst.tmp") {
-            tmp += 1;
         }
     }
-    Ok((live, tmp))
+    Ok(live)
 }
 
 fn main() -> Result<()> {
@@ -439,7 +438,7 @@ fn main() -> Result<()> {
 
     if preload > 0 {
         // Dropped unflushed, so that the reopening has a log to replay.
-        let mut engine = open(w, &dir, None, false, None, None)?;
+        let (mut engine, _) = open(w, &dir, None, false, None, None)?;
         for chunk in stream[..preload].chunks(batch) {
             engine.write_batch(chunk)?;
         }
@@ -452,12 +451,13 @@ fn main() -> Result<()> {
     let replayed = Arc::new(Replayed::default());
     let opened = Instant::now();
     let observer = Arc::clone(&replayed) as Arc<dyn Observer>;
-    let mut engine =
+    let (mut engine, store) =
         open(w, &dir, Some(&plan), preload > 0, cache, Some(observer))?;
     let set_up = opened.elapsed();
 
     let before = plan.counts();
-    let (mut unsynced, mut retired, mut log_live) = (0, 0, 0);
+    let (mut staged, mut staged_bytes, mut retired, mut log_live) =
+        (0, 0, 0, 0);
     let pace = (w.kind == Kind::Background).then(|| {
         Duration::from_nanos(batch as u64 * 1_000_000_000 / OPEN_LOOP_RATE)
     });
@@ -488,12 +488,13 @@ fn main() -> Result<()> {
                 engine.query_recent(series, newest[series as usize])?;
             }
         }
-        // Unsynced tables are the tmp files; the live names beyond the
+        // Unsynced tables are the staged ones; the live names beyond the
         // version's synced tables are its retired inputs.
-        let (named, tmp) = table_files(&dir)?;
-        unsynced = unsynced.max(tmp);
+        let (named, now) = (table_files(&dir)?, store.staged_tables());
+        staged = staged.max(now);
+        staged_bytes = staged_bytes.max(store.staged_bytes());
         retired =
-            retired.max((named + tmp).saturating_sub(engine.live_tables()));
+            retired.max((named + now).saturating_sub(engine.live_tables()));
         if let Some(stats) = engine.wal_stats() {
             log_live = log_live.max(stats.live_bytes);
         }
@@ -524,8 +525,8 @@ fn main() -> Result<()> {
         per_kpoint(fsyncs)
     );
     println!(
-        "peaks: {unsynced} tables unsynced, {retired} retired inputs on disk, \
-         {log_live} B live in the log"
+        "peaks: {staged} tables staged ({staged_bytes} B), {retired} retired \
+         inputs on disk, {log_live} B live in the log"
     );
     if preload > 0 {
         println!(

@@ -16,13 +16,15 @@
 //! Their points are in the log until a checkpoint lets them go, so the
 //! durable state may lag the in-memory one: an inline engine makes its
 //! plans durable at a *horizon*, not one by one. Between horizons `execute`
-//! publishes a plan's outputs without an fsync
-//! ([`TableStore::publish_batch`]) and commits the version in memory;
-//! inputs that no horizon synced are deleted at once, durable ones stay on
-//! disk. Its [`Outbox`] keeps the score, and `horizon` then runs, for one
+//! publishes a plan's outputs without making them durable
+//! ([`TableStore::publish_batch`]: the [`FileStore`](crate::FileStore)
+//! keeps them in memory) and commits the version in memory; inputs that no
+//! horizon synced are deleted at once, durable ones stay on disk. A table
+//! a merge consumes before its horizon therefore never reaches the file
+//! system. Its [`Outbox`] keeps the score, and `horizon` then runs, for one
 //! engine or for every series of a fleet at once:
 //!
-//! 1. one fsync per table still live and unsynced;
+//! 1. one write and one fsync per table still live and unsynced;
 //! 2. one fsync of the tables directory;
 //! 3. one manifest group per engine: the net change between the durable
 //!    version and the current one;
@@ -251,7 +253,10 @@ pub struct PreparedCompaction {
     pub plan: CompactionPlan,
     /// Metadata of the freshly written output tables, one per output.
     pub added: Vec<SsTableMeta>,
-    /// Encoded bytes written to the store (for `disk_bytes_written`).
+    /// Encoded bytes handed to the store (for `disk_bytes_written`),
+    /// whether or not they reach the file system: a
+    /// [`FileStore`](crate::FileStore) writes a table only at the horizon
+    /// that syncs it.
     pub bytes_written: u64,
 }
 
@@ -528,8 +533,9 @@ impl<'a> Record<'_, 'a> {
 }
 
 /// The durability horizon over `record`'s engines, steps 1–4 of the module
-/// docs: one fsync per live table the plans did not sync and then one of
-/// the directory ([`TableStore::sync_published`]), the net change since the
+/// docs: one write and one fsync per live table the plans did not sync and
+/// then one fsync of the directory ([`TableStore::sync_published`]), the
+/// net change since the
 /// durable version recorded in the manifest, and only then the retired
 /// tables deleted. Returns, per engine whose flushes took anything, the
 /// ranges they took out of memory: now durable, what the owner's log may

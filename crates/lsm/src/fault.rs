@@ -35,17 +35,20 @@ use crate::store::TableStore;
 /// crash point lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
-    /// `FileStore::put`/`put_batch`/`publish_batch` writing one encoded
-    /// table to its tmp file.
+    /// `FileStore::sync_published` (and `put`/`put_batch`, which end in it)
+    /// writing one staged table to its tmp file. `publish_batch` only
+    /// stages: it writes nothing.
     StoreWrite,
     /// `FileStore::sync_published` (and `put`/`put_batch`, which end in it)
     /// fsyncing one table's tmp file.
     StoreSync,
     /// `FileStore::sync_published` renaming one synced table tmp → final.
     StoreRename,
-    /// `FileStore::get`/`get_range` reading a table.
+    /// `FileStore::get`/`get_range` reading a table's file. A staged table
+    /// is read from memory, which is no op.
     StoreRead,
-    /// `FileStore::delete` (or `quarantine`) removing a table.
+    /// `FileStore::delete` (or `quarantine`) removing a table's file.
+    /// Dropping a staged table is no op.
     StoreDelete,
     /// `FileStore::list` scanning the directory.
     StoreList,

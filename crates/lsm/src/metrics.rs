@@ -34,7 +34,11 @@ pub struct Metrics {
     pub user_points: u64,
     /// Points physically written into SSTables (flushes + rewrites).
     pub disk_points_written: u64,
-    /// Encoded bytes written into SSTables.
+    /// Encoded bytes of the SSTables the plans made, counted as they are
+    /// handed to the store — like `disk_points_written`, the paper's
+    /// quantity (Eq. 1), not what reaches the file system: a
+    /// [`FileStore`](crate::FileStore) writes a table only at the horizon
+    /// that syncs it, and one consumed before then never.
     pub disk_bytes_written: u64,
     /// MemTable flushes that did not rewrite existing tables
     /// (`C_seq` flushes, or `C0` flushes with no overlap).

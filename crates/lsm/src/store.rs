@@ -6,7 +6,7 @@
 //! stores move data through the real SSTable wire format — the in-memory
 //! store is a storage substitution, not a code-path shortcut.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -87,9 +87,10 @@ pub trait TableStore: Send + Sync {
     /// it back, whole or torn, until
     /// [`sync_published`](TableStore::sync_published) has made it durable.
     /// For an owner that syncs only the tables that live until its next
-    /// horizon and deletes the rest unsynced. The default is `put_batch`
-    /// itself — already durable, so the default `sync_published` owes
-    /// nothing.
+    /// horizon and deletes the rest unsynced: the [`FileStore`] keeps such a
+    /// table in memory, so one deleted before it is synced never reaches
+    /// the file system. The default is `put_batch` itself — already
+    /// durable, so the default `sync_published` owes nothing.
     fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
@@ -98,9 +99,10 @@ pub trait TableStore: Send + Sync {
     }
 
     /// Makes the published tables `ids` durable (the [`FileStore`]: one
-    /// fsync per table, then one of the directory). Nothing may name a
-    /// table of a [`publish_batch`](TableStore::publish_batch) durably — no
-    /// manifest record — before this has returned for it.
+    /// write and one fsync per table, then one fsync of the directory).
+    /// Nothing may name a table of a
+    /// [`publish_batch`](TableStore::publish_batch) durably — no manifest
+    /// record — before this has returned for it.
     fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
         let _ = ids;
         Ok(())
@@ -385,20 +387,26 @@ fn read_whole(path: &Path) -> Result<Vec<u8>> {
 
 /// A directory-backed [`TableStore`]: one `NNNNNNNN.sst` file per table.
 ///
-/// A table is written to `NNNNNNNN.sst.tmp` and only takes its live name
-/// once it is durable: [`put`](TableStore::put) fsyncs and renames it at
-/// once, [`publish_batch`](TableStore::publish_batch) leaves it readable
-/// under the tmp name until [`sync_published`](TableStore::sync_published)
-/// does. So a crash never leaves a half-written or unsynced table under a
-/// live name, and the tmp debris it does leave is swept by the next
-/// [`open`](Self::open). `get` re-validates the CRC.
+/// [`publish_batch`](TableStore::publish_batch) *stages* a table: it keeps
+/// the encoded bytes in memory, touches no file, and serves every read of
+/// the table from them through the same decode and checks as a file's.
+/// [`sync_published`](TableStore::sync_published) writes a staged table to
+/// `NNNNNNNN.sst.tmp`, fsyncs it, renames it to its live name and fsyncs the
+/// directory; [`put`](TableStore::put) and
+/// [`put_batch`](TableStore::put_batch) do both at once. A staged table that
+/// is deleted before it is synced never reaches the file system. So tmp
+/// files exist only inside a sync, a crash never leaves a half-written or
+/// unsynced table under a live name, and the tmp debris a crash inside a
+/// sync leaves is swept by the next [`open`](Self::open). `get`
+/// re-validates the CRC.
 pub struct FileStore {
     dir: PathBuf,
     next_id: Mutex<u64>,
     options: EncodeOptions,
     faults: Option<Arc<FaultPlan>>,
-    /// Published tables not yet synced, still under their tmp names.
-    unsynced: Mutex<HashSet<SsTableId>>,
+    /// Published tables not yet synced: their encoded bytes, which no file
+    /// holds yet.
+    staged: Mutex<HashMap<SsTableId, Bytes>>,
 }
 
 impl FileStore {
@@ -421,7 +429,7 @@ impl FileStore {
             next_id: Mutex::new(max_id.map_or(0, |m| m + 1)),
             options: EncodeOptions::default(),
             faults: None,
-            unsynced: Mutex::default(),
+            staged: Mutex::default(),
         })
     }
 
@@ -438,7 +446,8 @@ impl FileStore {
 
     /// Attaches a fault plan: every subsequent physical operation (tmp
     /// write, fsync, rename, read, delete, list, directory sync) consults
-    /// the plan first. Used by the crash-schedule harness.
+    /// the plan first. Reading or dropping a staged table is not one. Used
+    /// by the crash-schedule harness.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self
@@ -454,21 +463,22 @@ impl FileStore {
         self.dir.join("quarantine")
     }
 
+    /// Encoded bytes of the tables staged in memory, waiting for a sync.
+    pub fn staged_bytes(&self) -> usize {
+        self.staged.lock().values().map(Bytes::len).sum()
+    }
+
+    /// How many tables are staged in memory, waiting for a sync.
+    pub fn staged_tables(&self) -> usize {
+        self.staged.lock().len()
+    }
+
     fn path_for(&self, id: SsTableId) -> PathBuf {
         self.dir.join(format!("{:08}.sst", id.0))
     }
 
     fn tmp_path_for(&self, id: SsTableId) -> PathBuf {
         self.dir.join(format!("{:08}.sst.tmp", id.0))
-    }
-
-    /// Where table `id` is: under its tmp name until it is synced.
-    fn table_path(&self, id: SsTableId) -> PathBuf {
-        if self.unsynced.lock().contains(&id) {
-            self.tmp_path_for(id)
-        } else {
-            self.path_for(id)
-        }
     }
 
     fn parse_name(path: &Path) -> Option<u64> {
@@ -478,9 +488,14 @@ impl FileStore {
         path.file_stem()?.to_str()?.parse().ok()
     }
 
-    /// Encodes `points` under a fresh id into the table's tmp file, where it
-    /// is readable but not durable: [`sync_published`] fsyncs it and gives
-    /// it its live name.
+    /// The bytes of table `id` if it is staged. The guard goes before the
+    /// caller does any I/O: the clone is a reference count.
+    fn staged(&self, id: SsTableId) -> Option<Bytes> {
+        self.staged.lock().get(&id).cloned()
+    }
+
+    /// Encodes `points` under a fresh id and stages the bytes: readable,
+    /// not durable, in no file until [`sync_published`] writes it.
     ///
     /// [`sync_published`]: TableStore::sync_published
     fn stage(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
@@ -491,33 +506,53 @@ impl FileStore {
             *next += 1;
             id
         };
-        let mut f = std::fs::File::create(self.tmp_path_for(id))?;
-        if let Some(crash) = fault::write_hooked(
-            self.faults.as_ref(),
-            IoOp::StoreWrite,
-            &mut f,
-            &encoded,
-        )? {
-            // A torn table write leaves a prefix in the tmp file behind,
-            // swept on the next open.
-            return Err(crash);
-        }
-        self.unsynced.lock().insert(id);
-        Ok((SsTableMeta::describe(id, points), encoded.len()))
+        let size = encoded.len();
+        self.staged.lock().insert(id, encoded);
+        Ok((SsTableMeta::describe(id, points), size))
     }
 
-    /// Best-effort removal of the tmp files of a failed batch, so a
-    /// transient failure its caller retries leaves no debris behind until
-    /// the next open. After an injected crash nothing more touches the
-    /// disk: the debris is part of the crash state.
-    fn discard(&self, staged: &[(SsTableMeta, usize)]) {
-        if self.faults.as_ref().is_some_and(|p| p.is_crashed()) {
-            return;
+    /// Drops the staged bytes of a failed batch, so that the retry its
+    /// caller makes does not leave them behind.
+    fn discard(&self, ids: impl IntoIterator<Item = SsTableId>) {
+        let mut staged = self.staged.lock();
+        for id in ids {
+            staged.remove(&id);
         }
-        for (meta, _) in staged {
-            self.unsynced.lock().remove(&meta.id);
-            let _ = std::fs::remove_file(self.tmp_path_for(meta.id));
+    }
+
+    /// [`sync_published`](TableStore::sync_published) over the staged ones
+    /// of `ids`: every table written to its tmp file, then each fsynced and
+    /// renamed — no longer staged — then the directory fsynced once.
+    fn write_and_sync(&self, ids: &[SsTableId]) -> Result<()> {
+        let mut written = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let Some(bytes) = self.staged(id) else {
+                continue;
+            };
+            // `create` truncates what a failed attempt left.
+            let mut f = std::fs::File::create(self.tmp_path_for(id))?;
+            if let Some(crash) = fault::write_hooked(
+                self.faults.as_ref(),
+                IoOp::StoreWrite,
+                &mut f,
+                &bytes,
+            )? {
+                // A torn table write leaves a prefix in the tmp file behind,
+                // swept on the next open.
+                return Err(crash);
+            }
+            written.push(id);
         }
+        for id in written {
+            let tmp = self.tmp_path_for(id);
+            fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
+            std::fs::File::open(&tmp)?.sync_all()?;
+            fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
+            std::fs::rename(&tmp, self.path_for(id))?;
+            self.staged.lock().remove(&id);
+        }
+        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
+        sync_dir(&self.dir)
     }
 }
 
@@ -530,8 +565,9 @@ impl TableStore for FileStore {
 
     /// Group publication: every table written, then each fsynced and
     /// renamed, then the directory fsynced *once* — k + 1 fsyncs for k
-    /// tables instead of 2k. A failed batch removes the tmp files it had
-    /// written; tables it had already renamed are unreferenced orphans.
+    /// tables instead of 2k. A failed batch stages nothing and leaves no
+    /// tmp file behind; tables it had already renamed are unreferenced
+    /// orphans.
     fn put_batch(
         &self,
         chunks: &[&[DataPoint]],
@@ -539,12 +575,15 @@ impl TableStore for FileStore {
         let stored = self.publish_batch(chunks)?;
         let ids: Vec<SsTableId> =
             stored.iter().map(|(meta, _)| meta.id).collect();
-        self.sync_published(&ids)?;
+        if let Err(e) = self.sync_published(&ids) {
+            self.discard(ids);
+            return Err(e);
+        }
         Ok(stored)
     }
 
-    /// Every table written to its tmp file and nothing else: no fsync, no
-    /// rename.
+    /// Every table staged in memory and nothing else: no file, no hooked
+    /// op.
     fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
@@ -554,7 +593,7 @@ impl TableStore for FileStore {
             match self.stage(chunk) {
                 Ok(table) => staged.push(table),
                 Err(e) => {
-                    self.discard(&staged);
+                    self.discard(staged.iter().map(|(meta, _)| meta.id));
                     return Err(e);
                 }
             }
@@ -562,44 +601,45 @@ impl TableStore for FileStore {
         Ok(staged)
     }
 
-    /// Per table still under its tmp name, one fsync and the rename to its
-    /// live name; then one fsync of the directory, which makes every rename
-    /// durable. An id already synced costs nothing — a horizon retried after
-    /// a failure syncs only what the failed attempt did not — and no id,
-    /// nothing at all.
+    /// Per staged table one write of its tmp file; then per table one fsync
+    /// and the rename to its live name; then one fsync of the directory,
+    /// which makes every rename durable. An id no longer staged costs
+    /// nothing — a horizon retried after a failure syncs only what the
+    /// failed attempt did not — and no id, nothing at all. A failure keeps
+    /// what it did not rename staged and, short of a crash, removes its tmp
+    /// files: after an injected crash nothing more touches the disk.
     fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
         if ids.is_empty() {
             return Ok(());
         }
-        for &id in ids {
-            if !self.unsynced.lock().contains(&id) {
-                continue;
+        let result = self.write_and_sync(ids);
+        if result.is_err()
+            && !self.faults.as_ref().is_some_and(|p| p.is_crashed())
+        {
+            for &id in ids {
+                if self.staged.lock().contains_key(&id) {
+                    let _ = std::fs::remove_file(self.tmp_path_for(id));
+                }
             }
-            let tmp = self.tmp_path_for(id);
-            fault::hook(self.faults.as_ref(), IoOp::StoreSync)?;
-            std::fs::File::open(&tmp)?.sync_all()?;
-            fault::hook(self.faults.as_ref(), IoOp::StoreRename)?;
-            std::fs::rename(&tmp, self.path_for(id))?;
-            self.unsynced.lock().remove(&id);
         }
-        fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
-        sync_dir(&self.dir)
+        result
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+        if let Some(bytes) = self.staged(id) {
+            return format::decode(&bytes);
+        }
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        format::decode(&read_whole(&self.table_path(id))?)
+        format::decode(&read_whole(&self.path_for(id))?)
     }
 
-    /// Removes the table, under whichever name it has.
+    /// Removes the table: a staged one by dropping its bytes, with no I/O.
     fn delete(&self, id: SsTableId) -> Result<()> {
+        if self.staged.lock().remove(&id).is_some() {
+            return Ok(());
+        }
         fault::hook(self.faults.as_ref(), IoOp::StoreDelete)?;
-        let path = if self.unsynced.lock().remove(&id) {
-            self.tmp_path_for(id)
-        } else {
-            self.path_for(id)
-        };
-        match std::fs::remove_file(path) {
+        match std::fs::remove_file(self.path_for(id)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
@@ -620,13 +660,19 @@ impl TableStore for FileStore {
     }
 
     fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
+        if let Some(bytes) = self.staged(id) {
+            return Ok(Some(bytes));
+        }
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        Ok(Some(read_whole(&self.table_path(id))?.into()))
+        Ok(Some(read_whole(&self.path_for(id))?.into()))
     }
 
     fn table_len(&self, id: SsTableId) -> Result<Option<u64>> {
+        if let Some(bytes) = self.staged(id) {
+            return Ok(Some(bytes.len() as u64));
+        }
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        Ok(Some(std::fs::metadata(self.table_path(id))?.len()))
+        Ok(Some(std::fs::metadata(self.path_for(id))?.len()))
     }
 
     fn read_span(
@@ -635,8 +681,11 @@ impl TableStore for FileStore {
         span: ByteSpan,
     ) -> Result<Option<Bytes>> {
         use std::io::{Read, Seek, SeekFrom};
+        if let Some(bytes) = self.staged(id) {
+            return slice_span(&bytes, span).map(Some);
+        }
         fault::hook(self.faults.as_ref(), IoOp::StoreRead)?;
-        let mut f = std::fs::File::open(self.table_path(id))?;
+        let mut f = std::fs::File::open(self.path_for(id))?;
         let file_len = f.metadata()?.len();
         if span.end() > file_len {
             return Err(Error::Corrupt(format!(
@@ -692,7 +741,9 @@ impl TableStore for FileStore {
 /// * Accounting: in a [`RangeRead`], `points_scanned` counts every point
 ///   of every examined block (hits and misses alike — the paper's
 ///   read-amplification quantity), while `blocks_read` counts only blocks
-///   actually decoded from raw bytes, so it reflects disk work.
+///   actually decoded from the inner store's bytes, so it reflects the
+///   inner store's work — disk work unless the table is one the
+///   [`FileStore`] still stages in memory.
 ///
 /// Stores that do not expose raw bytes (`read_raw` → `Ok(None)`) pass
 /// through uncached. Cache traffic emits typed `CacheHit` / `CacheMiss` /
@@ -1148,24 +1199,123 @@ mod tests {
                 .count()
         };
         let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
-        // Op 2 is the third table's write: two tables are staged by then.
-        let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at: 2 });
-        let store = FileStore::open(&dir)
-            .expect("open")
-            .with_faults(Arc::clone(&plan));
-        assert!(store.put_batch(&[&a, &b, &c]).is_err());
-        assert_eq!(tmp_files(&dir), 1, "only the failed table's own tmp");
-        assert!(store.list().expect("list").is_empty());
-        // The retry its caller makes goes through from scratch.
-        let stored = store.put_batch(&[&a, &b, &c]).expect("retry");
-        assert_eq!(store.get(stored[2].0.id).expect("get"), c);
-        drop(store);
+        // A batch of three is ten ops: three writes, then a fsync and a
+        // rename per table, then the directory. Fail each once: the batch
+        // stages nothing and leaves no tmp file, whichever op failed, and
+        // only the tables renamed before the failure are left, as orphans.
+        let mut orphans = 0;
+        for at in 0..10u64 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at });
+            let store = FileStore::open(&dir)
+                .expect("open")
+                .with_faults(Arc::clone(&plan));
+            assert!(store.put_batch(&[&a, &b, &c]).is_err(), "op {at}");
+            assert_eq!(store.staged_tables(), 0, "op {at}");
+            assert_eq!(tmp_files(&dir), 0, "op {at}");
+            let renamed = plan.trace()[..at as usize]
+                .iter()
+                .filter(|op| **op == IoOp::StoreRename)
+                .count();
+            assert_eq!(store.list().expect("list").len(), renamed, "op {at}");
+            orphans += renamed;
+            // The retry its caller makes goes through from scratch.
+            let stored = store.put_batch(&[&a, &b, &c]).expect("retry");
+            assert_eq!(store.get(stored[2].0.id).expect("get"), c);
+            assert_eq!(store.staged_tables(), 0);
+        }
+        // Failing at the fsync or rename of the second table, of the third
+        // or at the directory leaves one, two or three renamed.
+        assert_eq!(orphans, 1 + 1 + 2 + 2 + 3);
+        let _ = std::fs::remove_dir_all(&dir);
         // A crash, unlike a transient failure, leaves its debris in place.
         let plan = FaultPlan::crash_at(0, 2);
         let store = FileStore::open(&dir).expect("open").with_faults(plan);
-        assert_eq!(tmp_files(&dir), 0, "open sweeps tmp files");
         assert!(store.put_batch(&[&a, &b, &c]).is_err());
         assert_eq!(tmp_files(&dir), 3);
+        drop(store);
+        FileStore::open(&dir).expect("reopen");
+        assert_eq!(tmp_files(&dir), 0, "open sweeps tmp files");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Every file name in `dir`.
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("read_dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_staged_table_costs_no_io_and_no_file_yet_reads_like_a_synced_one() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-staged-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = FaultPlan::trace_only(0);
+        let store = Arc::new(
+            FileStore::open(&dir)
+                .expect("open")
+                .with_faults(Arc::clone(&plan)),
+        );
+        let points = pts(0..300); // three blocks
+        let (meta, size) = store.publish_batch(&[&points]).expect("stage")[0];
+        let id = meta.id;
+        assert_eq!(store.staged_tables(), 1);
+        assert_eq!(store.staged_bytes(), size);
+        let span = ByteSpan {
+            offset: 0,
+            len: size as u64 / 2,
+        };
+        let range = TimeRange::new(0, 500);
+        // Everything a reader can ask of a table, asked of the staged one
+        // through the store and through a cache in front of it.
+        let read = |store: &Arc<FileStore>| {
+            let cached = CachedStore::new(
+                Arc::clone(store) as Arc<dyn TableStore>,
+                crate::cache::BlockCache::with_capacity(64 * 1024),
+            );
+            (
+                store.get(id).expect("get"),
+                store.read_raw(id).expect("raw").expect("raw bytes"),
+                store
+                    .read_span(id, span)
+                    .expect("span")
+                    .expect("span bytes"),
+                load_index(store.as_ref(), id)
+                    .expect("index")
+                    .expect("v3")
+                    .0,
+                cached.get_range(id, range).expect("cached").points,
+                cached.get(id).expect("cached get"),
+            )
+        };
+        let staged = read(&store);
+        assert_eq!(plan.ops(), 0, "{:?}", plan.trace());
+        assert_eq!(file_names(&dir), Vec::<String>::new(), "no file at all");
+        assert_eq!(staged.0, points);
+        assert_eq!(staged.1.len(), size);
+        assert_eq!(staged.4.len(), 51);
+        assert_eq!(staged.5, points);
+        // Synced, the same table reads the same from its file.
+        store.sync_published(&[id]).expect("sync");
+        assert_eq!(store.staged_tables(), 0);
+        assert_eq!(file_names(&dir), vec![format!("{:08}.sst", id.0)]);
+        let ops = plan.ops();
+        assert_eq!(read(&store), staged);
+        assert!(plan.ops() > ops, "the synced table is read from disk");
+        // Corruption in the staged bytes is caught by the same checks.
+        let (meta, _) = store.publish_batch(&[&points]).expect("stage")[0];
+        let raw = store.read_raw(meta.id).expect("raw").expect("bytes");
+        let mut bytes = raw.to_vec();
+        bytes[raw.len() / 3] ^= 0xff;
+        store.staged.lock().insert(meta.id, bytes.into());
+        assert!(store.get(meta.id).is_err(), "the CRC check applies");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -1184,33 +1334,42 @@ mod tests {
         let (a, b) = (pts(0..10), pts(10..25));
         let stored = store.publish_batch(&[&a, &b]).expect("publish");
         let (ida, idb) = (stored[0].0.id, stored[1].0.id);
-        // Two writes and nothing else: no fsync, no rename.
-        assert_eq!(plan.trace(), vec![IoOp::StoreWrite, IoOp::StoreWrite]);
+        // Staged in memory: no op, no file.
+        assert_eq!(plan.ops(), 0);
+        assert!(file_names(&dir).is_empty());
         assert_eq!(store.get(idb).expect("readable"), b);
         assert_eq!(
             store.table_len(ida).expect("len"),
             Some(stored[0].1 as u64)
         );
         assert!(store.list().expect("list").is_empty(), "no live name yet");
-        // One dies unsynced: its tmp file goes. The other is synced: one
-        // fsync and its rename, then the directory's.
+        // One dies unsynced: its bytes go, at no op. The other is synced:
+        // its write, one fsync and its rename, then the directory's.
         store.delete(ida).expect("delete");
+        assert_eq!(plan.trace(), [IoOp::StoreList], "only the listing");
         let before = plan.ops() as usize;
-        store.sync_published(&[idb]).expect("sync");
+        store.sync_published(&[idb, ida]).expect("sync");
         assert_eq!(
             plan.trace()[before..],
-            [IoOp::StoreSync, IoOp::StoreRename, IoOp::DirSync]
+            [
+                IoOp::StoreWrite,
+                IoOp::StoreSync,
+                IoOp::StoreRename,
+                IoOp::DirSync
+            ]
         );
         assert_eq!(store.list().expect("list"), vec![idb]);
+        assert_eq!(store.staged_bytes(), 0);
         // Synced twice costs the directory only; none, nothing.
         let before = plan.ops() as usize;
         store.sync_published(&[idb]).expect("again");
         store.sync_published(&[]).expect("none");
         assert_eq!(plan.trace()[before..], [IoOp::DirSync]);
-        // A crash leaves an unsynced table as tmp debris, which the next
-        // open sweeps: nothing under a live name but what was synced.
+        // A crash loses an unsynced table, which left nothing on disk:
+        // nothing under a live name but what was synced.
         let (meta, _) = store.publish_batch(&[&a]).expect("publish")[0];
         drop(store);
+        assert_eq!(file_names(&dir), vec![format!("{:08}.sst", idb.0)]);
         let store = FileStore::open(&dir).expect("reopen");
         assert_eq!(store.list().expect("list"), vec![idb]);
         assert!(store.get(meta.id).is_err());

@@ -135,15 +135,17 @@ for name in a_merge_of_tables_this_engine_wrote_reads_none_of_them \
     || { echo "fsync_budget lost its merge-input test '$name'"; exit 1; }
 done
 # The horizon's schedule, and its crash contract: a merge over tables no
-# horizon synced deletes them without an fsync; a horizon syncs, records,
-# deletes and checkpoints in that order; engines with nothing to defer to
-# still pay every plan as it goes; a crash at every op across two horizons,
-# each followed by a power cut that loses or tears every table the durable
-# manifest does not name, loses no acknowledged point; a horizon whose
-# manifest fsync fails once is retried as a rewrite, and a merge before the
-# retry keeps what that horizon synced; a horizon's checkpoint write torn
-# at every byte, in an engine's log and in the fleet's, replays more, never
-# less.
+# horizon synced drops them at no I/O at all; a horizon writes, syncs,
+# records, deletes and checkpoints in that order; engines with nothing to
+# defer to still pay every plan as it goes; a crash at every op across two
+# horizons, each followed by a power cut that loses or tears every table
+# the durable manifest does not name, loses no acknowledged point; a
+# horizon's table write torn, at every one of them, loses none either; a
+# horizon whose table write fails once is retried, writing every staged
+# table again from memory; a horizon whose manifest fsync fails once is
+# retried as a rewrite, and a merge before the retry keeps what that horizon
+# synced; a horizon's checkpoint write torn at every byte, in an engine's
+# log and in the fleet's, replays more, never less.
 for name in a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing \
     a_horizon_syncs_then_commits_then_deletes_then_checkpoints \
     engines_with_nothing_to_defer_to_pay_for_every_plan_as_it_goes; do
@@ -151,12 +153,23 @@ for name in a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing \
     || { echo "fsync_budget lost its horizon test '$name'"; exit 1; }
 done
 for name in an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons \
+    a_torn_horizon_table_write_loses_no_acknowledged_point \
+    a_horizon_failing_at_any_table_write_rewrites_every_table_from_memory \
     an_engine_retries_a_horizon_that_failed_at_its_manifest_sync_as_a_rewrite \
     a_merge_after_a_failed_fleet_horizon_keeps_what_that_horizon_synced \
     an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more \
     a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more; do
   grep -qx "$name: test" <<<"$CRASH_TESTS" \
     || { echo "crash_schedules lost its horizon test '$name'"; exit 1; }
+done
+# The staged tables of `FileStore`: a table published and not yet synced
+# costs no op and leaves no file, yet reads like a synced one; a failed
+# batch leaves nothing staged and no tmp file, whichever op failed.
+STORE_TESTS="$(cargo test -q -p seplsm-lsm --lib --offline -- --list 2>/dev/null)"
+for name in a_staged_table_costs_no_io_and_no_file_yet_reads_like_a_synced_one \
+    file_store_failed_batch_removes_its_staged_tmp_files; do
+  grep -qx "store::tests::$name: test" <<<"$STORE_TESTS" \
+    || { echo "store.rs lost its staging test '$name'"; exit 1; }
 done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
@@ -183,15 +196,23 @@ awk -F, 'NR == 1 { print; next } { printf "%s,%s,%d\n", $1, $2, $3 * 10 + 0.5 }'
 WAL_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
   --policy separation:256 --budget 512 --dir "$STATS_DIR/store" \
   | grep '^wal before the closing flush')"
-# The same points under the conventional policy, where every flush is a
+# 100 000 such points under the conventional policy, where every flush is a
 # merge: its `io:` line (a trace-only fault plan on store, WAL and manifest)
 # must show fewer than one table read per 1 000 points — merge inputs are
 # the tables the last merges wrote and come out of the pool of written
-# tables; read back from the store they cost 21.5 reads per 1 000 points
-# here — and fewer than 8 table fsyncs per 1 000 points: a table is synced
-# only if it is still live at a horizon (2 per 1 000 points here, the 40
-# tables live at rest), not by every plan that writes one (23.5).
-IO_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12.csv" \
+# tables (0.57 reads per 1 000 points: the inputs that left the pool). Only
+# an input a horizon made a file costs a read when the pool misses it, so
+# the run is long enough for three horizons before the one at rest; read
+# back from the store, the inputs cost 2.00 reads per 1 000 points. It must
+# also show fewer than 8 table fsyncs and fewer than 8 table writes per
+# 1 000 points: a table is written and synced only if it is still live at a
+# horizon (3.96 per 1 000 points here), not by every plan that makes one
+# (30.16).
+target/release/seplsm generate --dataset M12 --points 100000 \
+  --seed 7 --out "$STATS_DIR/tenths-100k.csv" >/dev/null
+awk -F, 'NR == 1 { print; next } { printf "%s,%s,%d\n", $1, $2, $3 * 10 + 0.5 }' \
+  "$STATS_DIR/tenths-100k.csv" >"$STATS_DIR/m12-100k.csv"
+IO_LINE="$(target/release/seplsm stats --input "$STATS_DIR/m12-100k.csv" \
   --policy conventional --budget 512 --dir "$STATS_DIR/store-pc" \
   | grep '^io: ')"
 rm -rf "$STATS_DIR"
@@ -210,6 +231,10 @@ echo "== seplsm stats (tables are synced at horizons: < 8 StoreSync per 1 000 po
 SYNCS_PER_KPOINT="$(sed -nE 's/.*StoreSync [0-9]+ \(([0-9.]+)\/kpoint\).*/\1/p' <<<"$IO_LINE")"
 awk -v s="$SYNCS_PER_KPOINT" 'BEGIN { exit !(s != "" && s < 8) }' \
   || { echo "tables are fsynced plan by plan: $IO_LINE"; exit 1; }
+echo "== seplsm stats (tables are written at horizons: < 8 StoreWrite per 1 000 points) =="
+WRITES_PER_KPOINT="$(sed -nE 's/.*StoreWrite [0-9]+ \(([0-9.]+)\/kpoint\).*/\1/p' <<<"$IO_LINE")"
+awk -v w="$WRITES_PER_KPOINT" 'BEGIN { exit !(w != "" && w < 8) }' \
+  || { echo "tables a merge consumes reach the file system: $IO_LINE"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the

@@ -51,6 +51,11 @@ const WORKLOAD_POINTS: usize = 48;
 /// `sync` every this many appends (odd on purpose, to land syncs in
 /// different phases of the flush cycle).
 const SYNC_EVERY: usize = 7;
+/// Points of the inline engine's crash sweeps: the workload plus the 64
+/// tables' worth of points (512 at `config()`'s tables) its flushes take
+/// out of memory before a horizon is due. Between horizons a flush or merge
+/// does no I/O at all, so a sweep must cross one to crash inside it.
+const HORIZON_POINTS: usize = WORKLOAD_POINTS + 64 * 8;
 
 /// Bytes of a framed WAL's magic: the whole file when the log is at rest.
 const WAL_HEADER: u64 = 8;
@@ -226,7 +231,7 @@ fn lsm_recover_check(
 
 #[test]
 fn lsm_engine_survives_a_crash_at_every_io_op() {
-    let pts = workload(WORKLOAD_POINTS);
+    let pts = workload(HORIZON_POINTS);
     let plan = FaultPlan::trace_only(SEED);
     let (dir, out) = lsm_pass("lsm-trace", &plan, &pts);
     assert_eq!(out.appended, pts.len(), "trace pass must complete");
@@ -332,7 +337,7 @@ fn lsm_shrink_pass(
 /// write that carries it — loses nothing that was acknowledged.
 #[test]
 fn a_policy_shrink_survives_a_crash_at_every_io_op() {
-    let pts = workload(WORKLOAD_POINTS);
+    let pts = workload(HORIZON_POINTS);
     let shrinks = [
         ("pi_c", (Policy::conventional(32), Policy::conventional(8))),
         (
@@ -1976,8 +1981,8 @@ fn an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more() {
 /// directory that its durable manifest does not name — published since the
 /// last horizon and synced by one the crash cut short, or retired and not
 /// yet deleted — is deleted or, every other one, torn to half its length.
-/// (A table never synced is only ever under its tmp name, which the next
-/// open sweeps.)
+/// (A table no horizon synced is in no file at all, or, when the crash cut
+/// its sync short, under its tmp name, which the next open sweeps.)
 fn power_cut(dir: &TempDir) {
     let (run, l0) = seplsm::lsm::Manifest::replay_levels(dir.path("manifest"))
         .expect("the durable manifest");
@@ -2007,54 +2012,80 @@ fn power_cut(dir: &TempDir) {
     }
 }
 
+/// The horizon scenarios' shape: `π_c(8)` over one-point tables, a horizon
+/// per 64 points flushed.
+fn one_point_tables() -> EngineConfig {
+    EngineConfig::new(Policy::conventional(8)).with_sstable_points(1)
+}
+
+/// A fresh inline engine of [`one_point_tables`] over `dir`, every op
+/// counted by `plan`.
+fn one_point_engine(dir: &TempDir, plan: &Arc<FaultPlan>) -> LsmEngine {
+    let store = FileStore::open(dir.path("tables"))
+        .expect("store")
+        .with_faults(Arc::clone(plan));
+    OpenOptions::new(one_point_tables())
+        .store(Arc::new(store))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(plan))
+        .open()
+        .expect("open")
+}
+
+/// A [`one_point_engine`] over a fresh directory, driven through `pts` with
+/// a sync every [`SYNC_EVERY`] appends.
+fn one_point_pass(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pts: &[DataPoint],
+) -> (TempDir, Outcome) {
+    let dir = TempDir::new(tag);
+    let mut engine = one_point_engine(&dir, plan);
+    let out = drive(&mut engine, pts, LsmEngine::append, |e| e.sync_wal());
+    (dir, out)
+}
+
+/// Recovers a [`one_point_pass`] directory in `recovery`'s mode — nothing
+/// quarantined — checks the contract and the integrity audit, and returns
+/// what it recovered.
+fn one_point_recover_check(
+    dir: &TempDir,
+    pts: &[DataPoint],
+    out: &Outcome,
+    recovery: RecoveryOptions,
+    ctx: &str,
+) -> Vec<DataPoint> {
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (engine, report) = OpenOptions::new(one_point_tables())
+        .store(store)
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .recovery(recovery)
+        .open_or_recover()
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
+    let recovered = engine.scan_all().expect("scan");
+    check_contract(&recovered, pts, out, ctx);
+    engine
+        .check_integrity()
+        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+    recovered
+}
+
 /// The durability horizon under a crash at every op and the power cut that
 /// comes with it: an inline engine whose flushes cross two horizons mid-run
-/// (`π_c(8)` over one-point tables, a horizon per 64 points flushed), with
-/// merges retiring durable tables in between, crashed at every I/O op of
-/// the run; before recovery every table file the durable manifest does not
-/// name is lost or torn. Every acknowledged point must come back — from the
-/// tables the manifest names and from the log — in strict and salvage mode.
+/// ([`one_point_tables`]), with merges retiring durable tables in between,
+/// crashed at every I/O op of the run; before recovery every table file the
+/// durable manifest does not name is lost or torn. Every acknowledged point
+/// must come back — from the tables the manifest names and from the log —
+/// in strict and salvage mode.
 #[test]
 fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
-    let config =
-        EngineConfig::new(Policy::conventional(8)).with_sstable_points(1);
     let pts = workload(160);
-    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
-        let dir = TempDir::new(tag);
-        let store = FileStore::open(dir.path("tables"))
-            .expect("store")
-            .with_faults(Arc::clone(plan));
-        let mut engine = OpenOptions::new(config.clone())
-            .store(Arc::new(store))
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .faults(Arc::clone(plan))
-            .open()
-            .expect("open");
-        let out = drive(&mut engine, &pts, LsmEngine::append, |e| e.sync_wal());
-        (dir, out)
-    };
-    let recover_check =
-        |dir: &TempDir, out: &Outcome, recovery: RecoveryOptions, ctx: &str| {
-            power_cut(dir);
-            let store: Arc<dyn TableStore> = Arc::new(
-                FileStore::open(dir.path("tables")).expect("reopen store"),
-            );
-            let (engine, report) = OpenOptions::new(config.clone())
-                .store(store)
-                .wal(dir.path("wal"))
-                .manifest(dir.path("manifest"))
-                .recovery(recovery)
-                .open_or_recover()
-                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-            assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
-            check_contract(&engine.scan_all().expect("scan"), &pts, out, ctx);
-            engine
-                .check_integrity()
-                .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
-        };
     let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = pass("cut-trace", &plan);
+    let (dir, out) = one_point_pass("cut-trace", &plan, &pts);
     assert_eq!(out.synced, pts.len(), "trace pass must complete");
     let trace = plan.trace();
     let count = |op| trace.iter().filter(|o| **o == op).count();
@@ -2068,17 +2099,128 @@ fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
         "the second horizon deletes what merges retired: {trace:?}"
     );
     for (mode, recovery) in recovery_modes() {
-        recover_check(&dir, &out, recovery, mode);
+        power_cut(&dir);
+        one_point_recover_check(&dir, &pts, &out, recovery, mode);
     }
     drop(dir);
     for k in crash_points(&trace) {
         for (mode, recovery) in recovery_modes() {
             let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) = pass("cut-crash", &plan);
+            let (dir, out) = one_point_pass("cut-crash", &plan, &pts);
             assert!(plan.is_crashed(), "crash at op {k} never fired");
             let ctx =
                 format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
-            recover_check(&dir, &out, recovery, &ctx);
+            power_cut(&dir);
+            one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
+        }
+    }
+}
+
+/// A table write of a horizon torn — by one byte, by most of the table, or
+/// whole — and the crash that comes with it, at every table write of the
+/// power-cut scenario's two horizons. The torn prefix sits under its tmp
+/// name, which the next open sweeps: no acknowledged point is lost and none
+/// invented, in strict and salvage mode.
+#[test]
+fn a_torn_horizon_table_write_loses_no_acknowledged_point() {
+    let pts = workload(160);
+    let plan = FaultPlan::trace_only(SEED);
+    drop(one_point_pass("torn-table-trace", &plan, &pts));
+    let trace = plan.trace();
+    let writes: Vec<usize> = (0..trace.len())
+        .filter(|k| trace[*k] == IoOp::StoreWrite)
+        .collect();
+    assert!(writes.len() >= 2 * 64, "two horizons: {}", writes.len());
+    for k in writes {
+        // The horizon's writes so far, this one included, each left a tmp
+        // file: the crash cleans nothing up.
+        let written = trace[..=k]
+            .iter()
+            .rev()
+            .take_while(|op| **op == IoOp::StoreWrite)
+            .count();
+        for truncate in [1, 64, usize::MAX] {
+            let at = k as u64;
+            let plan = FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
+            let (dir, out) = one_point_pass("torn-table", &plan, &pts);
+            assert!(plan.is_crashed(), "tear at op {k} never fired");
+            let tmp = file_names(&dir.path("tables"))
+                .into_iter()
+                .filter(|name| name.ends_with(".sst.tmp"))
+                .count();
+            assert_eq!(tmp, written, "op {k}");
+            for (mode, recovery) in recovery_modes() {
+                let ctx = format!("{mode}: table write {k} torn by {truncate}");
+                one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
+            }
+        }
+    }
+}
+
+/// A horizon whose table write fails once, at each of its 64 writes in
+/// turn: 128 in-order points over [`one_point_tables`], so that the 64th
+/// point's flush makes the horizon due over the 64 tables eight flushes
+/// staged. The failure fails that append; the sync leaves no tmp file
+/// behind and keeps every table staged. The next flush, eight points later,
+/// retries the horizon, which writes all 72 tables then staged from memory
+/// — the ones written before the failure too — then syncs, renames and
+/// records them. Recovery then finds every point exactly once.
+#[test]
+fn a_horizon_failing_at_any_table_write_rewrites_every_table_from_memory() {
+    let pts: Vec<DataPoint> = (0..128i64)
+        .map(|i| DataPoint::new(i * 10, i * 10 + 3, i as f64))
+        .collect();
+    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
+        let dir = TempDir::new(tag);
+        let mut engine = one_point_engine(&dir, plan);
+        let mut failed = Vec::new();
+        for (i, p) in pts.iter().enumerate() {
+            if engine.append(*p).is_err() {
+                failed.push(i);
+                assert_eq!(
+                    file_names(&dir.path("tables")),
+                    Vec::<String>::new(),
+                    "a failed horizon leaves no file behind"
+                );
+            }
+        }
+        engine.sync_wal().expect("sync");
+        (dir, failed)
+    };
+    let trace_plan = FaultPlan::trace_only(SEED);
+    let (_, failed) = pass("rewrite-trace", &trace_plan);
+    assert!(failed.is_empty());
+    let trace = trace_plan.trace();
+    let writes: Vec<usize> = (0..trace.len())
+        .filter(|k| trace[*k] == IoOp::StoreWrite)
+        .collect();
+    assert_eq!(writes.len(), 2 * 64, "two horizons: {trace:?}");
+    let retry: Vec<IoOp> = [
+        [IoOp::StoreWrite].repeat(64 + 8),
+        [IoOp::StoreSync, IoOp::StoreRename].repeat(64 + 8),
+        vec![IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync],
+    ]
+    .concat();
+    let out = Outcome {
+        attempted: pts.len(),
+        appended: pts.len(),
+        synced: pts.len(),
+    };
+    for (j, &at) in writes[..64].iter().enumerate() {
+        let plan = FaultPlan::new(SEED, Fault::FailOnce { at: at as u64 });
+        let (dir, failed) = pass("rewrite", &plan);
+        assert_eq!(failed, [63], "write {j}: the 64th append's horizon fails");
+        let trace = plan.trace();
+        assert_eq!(
+            trace[at + 1..at + 1 + retry.len()],
+            retry,
+            "write {j}: the next flush's retry writes every table: {trace:?}"
+        );
+        for (mode, recovery) in recovery_modes() {
+            let ctx = format!("{mode}: table write {j} failed");
+            let recovered =
+                one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
+            assert_eq!(recovered, pts, "{ctx}");
         }
     }
 }
@@ -2329,12 +2471,14 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
     let trace = plan.trace();
     assert_eq!(out.synced.len(), 2, "trace pass must complete");
     // The scenario must contain what it claims to sweep: a horizon at a
-    // sync that covers several series' publications, merges that delete
-    // their never-synced inputs at once, and a horizon that deletes retired
-    // durable inputs after its record.
+    // sync that covers several series' publications, merges that drop their
+    // never-synced inputs at once — which never reached the disk: no op
+    // writes or deletes them — and a horizon that deletes retired durable
+    // inputs after its record.
     let count = |op| trace.iter().filter(|o| **o == op).count();
+    assert_eq!(count(IoOp::StoreWrite), 2 * (8 + 15), "{trace:?}");
     assert_eq!(count(IoOp::StoreSync), 2 * (8 + 15), "{trace:?}");
-    assert_eq!(count(IoOp::StoreDelete), 2 * (3 * 8 + 7), "{trace:?}");
+    assert_eq!(count(IoOp::StoreDelete), 2 * 7, "{trace:?}");
     assert_eq!(count(IoOp::ManifestAppend), 2, "{trace:?}");
     assert_eq!(count(IoOp::ManifestSync), 2, "{trace:?}");
     let first_append = trace
@@ -2343,15 +2487,15 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
         .expect("append");
     // The fourth batch's sync is a horizon, and that is all it writes: the
     // checkpoints the horizon queues let go of every point the batch
-    // logged, so the log owes the sync nothing and the stragglers' first
-    // table comes next.
+    // logged, so the log owes the sync nothing. The stragglers' merges
+    // write nothing either: their batch's log write comes next.
     assert_eq!(
         trace[first_append - 1..first_append + 3],
         [
             IoOp::DirSync,
             IoOp::ManifestAppend,
             IoOp::ManifestSync,
-            IoOp::StoreWrite
+            IoOp::WalAppend
         ],
         "{trace:?}"
     );

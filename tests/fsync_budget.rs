@@ -3,20 +3,22 @@
 //! Every engine here runs on the real durable stack — `FileStore` + WAL +
 //! manifest — with a `FaultPlan::trace_only` attached, so the trace names
 //! every physical I/O op in execution order. Between horizons a flush or
-//! merge writes its tables and nothing else — no fsync, no rename, no
-//! manifest, nothing on the WAL — and deletes at once the inputs no horizon
-//! synced. A horizon (an engine's flushes took 64 tables' worth of points
-//! out of memory, or it comes to rest) costs exactly one fsync per table
-//! still live and unsynced, each followed by its rename, then 1
+//! merge does no I/O at all — its tables are staged in the store's memory,
+//! and the inputs no horizon synced are dropped from there: no write, no
+//! fsync, no rename, no delete, no manifest, nothing on the WAL. A horizon
+//! (an engine's flushes took 64 tables' worth of points out of memory, or it
+//! comes to rest) costs exactly one write per table still live and
+//! unsynced, then per table one fsync followed by its rename, then 1
 //! tables-directory fsync and 1 manifest fsync, then the deletion of the
 //! durable inputs the plans retired; the checkpoints it queues ride on the
 //! next write of the log. A merge whose k tables are what its horizon finds
-//! live therefore costs k + 2; a batch between horizons one WAL write + one
-//! WAL fsync, however many series of a fleet it touched or flushed, and a
-//! fleet batch that reaches a horizon Σk + 3. An engine without both a log
-//! and a manifest, and the background worker, still pay for every plan at
-//! once. The log file is cut only past its dead-bytes threshold and when
-//! the engine comes to rest. A regression names the op that crept back in.
+//! live therefore costs k + 2 fsyncs; a batch between horizons one WAL
+//! write + one WAL fsync, however many series of a fleet it touched or
+//! flushed, and a fleet batch that reaches a horizon Σk + 3. An engine
+//! without both a log and a manifest, and the background worker, still pay
+//! for every plan at once. The log file is cut only past its dead-bytes
+//! threshold and when the engine comes to rest. A regression names the op
+//! that crept back in.
 //! The "checkpoint bytes" section pins what the checkpoints cost in bytes:
 //! their ranges, and the points still volatile inside them — not the
 //! buffers the flushes did not take. The last section pins what a merge
@@ -109,6 +111,11 @@ fn last(ops: &[IoOp], op: IoOp) -> usize {
         .unwrap_or_else(|| panic!("no {op:?} in {ops:?}"))
 }
 
+/// `n` staged tables written to their tmp files, as a sync starts.
+fn written(n: usize) -> Vec<IoOp> {
+    [IoOp::StoreWrite].repeat(n)
+}
+
 /// `n` tables made durable one by one: each fsynced, then renamed to its
 /// live name.
 fn synced(n: usize) -> Vec<IoOp> {
@@ -121,7 +128,8 @@ fn seq(parts: &[&[IoOp]]) -> Vec<IoOp> {
 }
 
 /// `ops` without the table reads: debug builds decode the run's tail after
-/// every plan (`check_version_against_store`), which reads the store again.
+/// every plan (`check_version_against_store`), which reads the store again
+/// — a hooked op for a synced table, none for a staged one.
 fn unread(ops: &[IoOp]) -> Vec<IoOp> {
     ops.iter()
         .copied()
@@ -203,12 +211,17 @@ fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
     }
     assert_eq!(engine.run().len(), 4);
     // Fourteen rounds of sixteen stragglers spanning the whole run: every
-    // round's merge consumes every table the one before it wrote and deletes
-    // them unsynced. None of it is an fsync, or a manifest record.
+    // round's merge consumes every table the one before it wrote and drops
+    // them unsynced. None of it is an fsync, or a manifest record — or any
+    // op at all: the tables live and die in the store's memory.
     let straggle = |round: i64| {
         std::iter::once(-round).chain((1..16).map(move |i| i * 100 + round))
     };
     let before = plan.ops() as usize;
+    let (created, deleted) = (
+        engine.metrics().tables_created,
+        engine.metrics().tables_deleted,
+    );
     for round in 1..15 {
         for tg in straggle(round) {
             engine.append(point(tg)).expect("append");
@@ -220,9 +233,12 @@ fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
     assert_eq!(count(rounds, IoOp::ManifestAppend), 0, "{rounds:?}");
     assert_eq!(count(rounds, IoOp::StoreRename), 0, "{rounds:?}");
     assert_eq!(wal_ops(rounds), 0, "{rounds:?}");
+    assert!(rounds.is_empty(), "{rounds:?}");
     // Round r writes 4(r + 1) tables and deletes the 4r it merged.
-    assert_eq!(count(rounds, IoOp::StoreWrite), 4 * (2..16).sum::<usize>());
-    assert_eq!(count(rounds, IoOp::StoreDelete), 4 * (1..15).sum::<usize>());
+    let metrics = engine.metrics();
+    let sum = |r: std::ops::Range<u64>| 4 * r.sum::<u64>();
+    assert_eq!(metrics.tables_created - created, sum(2..16));
+    assert_eq!(metrics.tables_deleted - deleted, sum(1..15));
     // The fifteenth round's merge makes 256 points into k = 64 tables, and
     // the flushes have now taken 256 points out of memory: its horizon
     // finds exactly its k tables live.
@@ -243,7 +259,8 @@ fn a_merge_writing_k_tables_costs_k_plus_two_fsyncs_and_the_sync_one() {
 
     assert_grouped_commit(ops, k);
     assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(count(ops, IoOp::StoreDelete), 60, "never synced: {ops:?}");
+    // The merge's 60 inputs were never synced: dropped, at no op.
+    assert_eq!(count(ops, IoOp::StoreDelete), 0, "never synced: {ops:?}");
     // The WAL checkpoint is a frame queued in the log: no I/O here.
     assert_eq!(wal_ops(ops), 0, "{ops:?}");
     assert_eq!(fsyncs(ops), k + 2, "{ops:?}");
@@ -283,10 +300,10 @@ fn an_in_order_flush_defers_every_fsync_to_its_horizon_survivors_or_not() {
     let before = plan.ops() as usize;
     engine.append(point(30)).expect("append triggers the flush");
     assert_eq!(engine.run().len(), 1);
-    assert_eq!(unread(&plan.trace()[before..]), [IoOp::StoreWrite]);
+    assert!(plan.trace()[before..].is_empty(), "{:?}", plan.trace());
 
     // Now with a straggler parked in C_nonseq: it survives the flush, which
-    // still writes its table and nothing else.
+    // still stages its table and does nothing else.
     engine.append(point(15)).expect("straggler");
     for i in 4..7 {
         engine.append(point(i * 10)).expect("append");
@@ -295,20 +312,23 @@ fn an_in_order_flush_defers_every_fsync_to_its_horizon_survivors_or_not() {
     engine.append(point(70)).expect("append triggers the flush");
     assert_eq!(engine.run().len(), 2);
     assert_eq!(engine.buffered_points(), 1);
-    assert_eq!(unread(&plan.trace()[before..]), [IoOp::StoreWrite]);
+    assert!(plan.trace()[before..].is_empty(), "{:?}", plan.trace());
     // The batch's sync writes what was appended since the last one — the
     // flushed points too: no durable table holds them yet.
     let before = plan.ops() as usize;
     engine.sync_wal().expect("sync");
     assert_eq!(plan.trace()[before..], [IoOp::WalAppend, IoOp::WalSync]);
-    // At rest, the horizon syncs every table live then — the straggler's
-    // merge deleted one of the two unsynced — once, before the manifest.
+    // At rest, the horizon writes and syncs every table live then — the
+    // straggler's merge dropped one of the two unsynced — once, before the
+    // manifest.
     let before = plan.ops() as usize;
     engine.flush_all().expect("flush");
     let rest = &plan.trace()[before..];
     let live = engine.run().len();
     assert_eq!(count(rest, IoOp::StoreSync), live, "{rest:?}");
     assert_eq!(count(&plan.trace(), IoOp::StoreSync), live);
+    assert_eq!(count(&plan.trace(), IoOp::StoreWrite), live);
+    assert_eq!(count(&plan.trace(), IoOp::StoreDelete), 0);
     assert!(
         last(rest, IoOp::StoreRename) < first(rest, IoOp::DirSync)
             && first(rest, IoOp::DirSync) < first(rest, IoOp::ManifestSync)
@@ -449,19 +469,21 @@ fn a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing() {
     for i in 0..15 {
         engine.append(point(i * 10 + 5)).expect("append");
     }
-    // The merge consumes the four tables the flush wrote, which no horizon
-    // synced: it writes its eight, deletes those four, and that is all.
+    // The merge consumes the four tables the flush staged, which no horizon
+    // synced: it stages its eight, drops those four, and touches nothing.
     let before = plan.ops() as usize;
     engine.append(point(155)).expect("append merges");
     assert_eq!(engine.metrics().compactions, 1);
-    let write = [IoOp::StoreWrite].repeat(8);
-    let delete = [IoOp::StoreDelete].repeat(4);
-    assert_eq!(unread(&plan.trace()[before..]), seq(&[&write, &delete]));
-    // Its outputs cost no fsync until the horizon, which syncs each of
-    // them once, retires nothing and records exactly them.
+    assert_eq!(engine.metrics().tables_created, 4 + 8);
+    assert_eq!(engine.metrics().tables_deleted, 4);
+    assert!(plan.trace()[before..].is_empty(), "{:?}", plan.trace());
+    // Its outputs cost no write and no fsync until the horizon, which
+    // writes and syncs each of them once, retires nothing and records
+    // exactly them.
     let before = plan.ops() as usize;
     engine.flush_all().expect("flush");
     let rest = &plan.trace()[before..];
+    assert_eq!(count(rest, IoOp::StoreWrite), 8, "{rest:?}");
     assert_eq!(count(rest, IoOp::StoreSync), 8, "{rest:?}");
     assert_eq!(count(rest, IoOp::StoreDelete), 0, "{rest:?}");
     assert_eq!(engine.manifest_stats().expect("manifest").live, 8);
@@ -476,35 +498,33 @@ fn a_horizon_syncs_then_commits_then_deletes_then_checkpoints() {
         EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
     let mut engine = durable(&dir, &plan, config);
     // Sixteen in-order flushes: the sixteenth is the horizon over the 64
-    // tables they wrote.
+    // tables they staged, which it writes only now.
     for i in 0..255 {
         engine.append(point(i * 10)).expect("append");
     }
     engine.sync_wal().expect("sync");
     let before = plan.ops() as usize;
     engine.append(point(2550)).expect("the sixteenth flush");
-    let write = [IoOp::StoreWrite].repeat(4);
     let commit = [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync];
     assert_eq!(
         unread(&plan.trace()[before..]),
-        seq(&[&write, &synced(64), &commit])
+        seq(&[&written(64), &synced(64), &commit])
     );
     assert_eq!(engine.manifest_stats().expect("manifest").records, 65);
 
     // A merge of sixteen stragglers into the first four tables, which the
-    // horizon made durable: they leave the version but stay on disk.
+    // horizon made durable: they leave the version but stay on disk, and
+    // its eight outputs are staged.
     for i in 0..15 {
         engine.append(point(i * 10 + 5)).expect("append");
     }
     let before = plan.ops() as usize;
     engine.append(point(155)).expect("append merges");
-    assert_eq!(
-        unread(&plan.trace()[before..]),
-        [IoOp::StoreWrite].repeat(8)
-    );
+    assert_eq!(unread(&plan.trace()[before..]), []);
     // Fifteen flushes more make the next horizon: the 8 + 60 tables live
-    // and unsynced, the directory, one group holding the net change (the 4
-    // retired out, the 68 in), and only then the 4 retired deleted.
+    // and unsynced written and synced, the directory, one group holding the
+    // net change (the 4 retired out, the 68 in), and only then the 4
+    // retired deleted.
     for i in 256..495 {
         engine.append(point(i * 10)).expect("append");
     }
@@ -515,7 +535,7 @@ fn a_horizon_syncs_then_commits_then_deletes_then_checkpoints() {
     let delete = [IoOp::StoreDelete].repeat(4);
     assert_eq!(
         unread(&plan.trace()[before..]),
-        seq(&[&write, &synced(68), &commit, &delete])
+        seq(&[&written(68), &synced(68), &commit, &delete])
     );
     let manifest = engine.manifest_stats().expect("manifest");
     assert_eq!(manifest.records, 65 + 1 + 4 + 68);
@@ -608,8 +628,9 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
     // after its series' flushes took 256 points out of memory.
     let config =
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let tables = store(&dir, &plan);
     let mut fleet = MultiOpenOptions::new(config)
-        .store(store(&dir, &plan))
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
         .durable_dir(dir.path("meta"))
         .faults(Arc::clone(&plan))
         .open()
@@ -654,19 +675,21 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
     assert_eq!(fleet.metrics().compactions, 1);
     assert_eq!(fleet.metrics().flushes, 32 + 31);
     let k = 4 + 2 + 4 + 56;
+    assert_eq!(tables.staged_tables(), k);
     let synced_at = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
-    // The flushes write their tables and nothing else.
+    // The flushes stage their tables and do nothing else.
     let flushes = &trace[before..synced_at];
-    assert_eq!(count(flushes, IoOp::StoreWrite), k, "{flushes:?}");
+    assert_eq!(count(flushes, IoOp::StoreWrite), 0, "{flushes:?}");
     assert_eq!(fsyncs(flushes), 0, "{flushes:?}");
     assert_eq!(commit_ops(flushes), 0, "{flushes:?}");
     assert_eq!(wal_ops(flushes), 0, "{flushes:?}");
-    // The sync is the horizon: every table the batch left live, the
-    // directory, every series' group in one manifest append + fsync, series
-    // 1's two retired inputs, then — its checkpoints queued behind all of
-    // that — the log.
+    assert_eq!(unread(flushes), [], "{flushes:?}");
+    // The sync is the horizon: every table the batch left live written and
+    // synced, the directory, every series' group in one manifest append +
+    // fsync, series 1's two retired inputs, then — its checkpoints queued
+    // behind all of that — the log.
     let tail = [
         IoOp::DirSync,
         IoOp::ManifestAppend,
@@ -676,8 +699,9 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
         IoOp::WalAppend,
         IoOp::WalSync,
     ];
-    assert_eq!(trace[synced_at..], seq(&[&synced(k), &tail]));
+    assert_eq!(trace[synced_at..], seq(&[&written(k), &synced(k), &tail]));
     assert_eq!(fsyncs(&trace[before..]), k + 3, "{trace:?}");
+    assert_eq!(tables.staged_tables(), 0);
     // Nothing is pending any more: a second sync finds a clean fleet.
     let before = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
@@ -699,8 +723,9 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
         .with_floor(4)
         .with_cache_percent(0)
         .with_rebalance_every(u64::from(series));
+    let tables = store(&dir, &plan);
     let mut fleet = MultiOpenOptions::new(config)
-        .store(store(&dir, &plan))
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
         .durable_dir(dir.path("meta"))
         .arbiter(arbiter)
         .faults(Arc::clone(&plan))
@@ -724,23 +749,21 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
     // every other series shrinks below what it holds and flushes — past the
     // 64 points that make a horizon due.
     let before = plan.ops() as usize;
+    let staged = tables.staged_tables();
     fleet.append(SeriesId(0), point(350)).expect("append");
     assert_eq!(fleet.metrics().flushes, flushes + 20);
     let synced_at = plan.ops() as usize;
+    // Every table staged since the last horizon is live — in-order
+    // flushes consume nothing — and is written and synced at this one.
+    let live = tables.staged_tables();
+    assert!(live >= staged + 20, "{staged} → {live}");
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
     let rebalance = &trace[before..synced_at];
-    assert!(count(rebalance, IoOp::StoreWrite) >= 20, "{rebalance:?}");
+    assert_eq!(count(rebalance, IoOp::StoreWrite), 0, "{rebalance:?}");
     assert_eq!(fsyncs(rebalance), 0, "{rebalance:?}");
     assert_eq!(commit_ops(rebalance), 0, "{rebalance:?}");
     assert_eq!(wal_ops(rebalance), 0, "{rebalance:?}");
-    // Every table written since the last horizon is live and is synced at
-    // this one.
-    let since = trace[..before]
-        .iter()
-        .rposition(|op| *op == IoOp::ManifestSync)
-        .map_or(0, |at| at + 1);
-    let live = count(&trace[since..synced_at], IoOp::StoreWrite);
     let tail = [
         IoOp::DirSync,
         IoOp::ManifestAppend,
@@ -748,7 +771,11 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
         IoOp::WalAppend,
         IoOp::WalSync,
     ];
-    assert_eq!(trace[synced_at..], seq(&[&synced(live), &tail]));
+    assert_eq!(
+        trace[synced_at..],
+        seq(&[&written(live), &synced(live), &tail])
+    );
+    assert_eq!(tables.staged_tables(), 0);
 }
 
 #[test]
@@ -761,8 +788,9 @@ fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
     let plan = FaultPlan::trace_only(0);
     let config =
         EngineConfig::new(Policy::conventional(4)).with_sstable_points(4);
+    let tables = store(&dir, &plan);
     let mut fleet = MultiOpenOptions::new(config)
-        .store(store(&dir, &plan))
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
         .durable_dir(dir.path("meta"))
         .faults(Arc::clone(&plan))
         .open()
@@ -771,7 +799,8 @@ fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
         fleet.append(SeriesId(9), point(i)).expect("append");
     }
     let trace = plan.trace();
-    assert_eq!(count(&trace, IoOp::StoreWrite), 256, "{trace:?}");
+    assert_eq!(tables.staged_tables(), 256);
+    assert_eq!(count(&trace, IoOp::StoreWrite), 0, "{trace:?}");
     assert_eq!(fsyncs(&trace), 0, "{trace:?}");
     assert_eq!(commit_ops(&trace), 0, "{trace:?}");
     let before = plan.ops() as usize;
@@ -786,8 +815,9 @@ fn a_pending_commit_forces_itself_before_a_log_cut_and_past_the_table_bound() {
         .filter(|op| *op != IoOp::WalAppend)
         .collect();
     let commit = [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync];
-    assert_eq!(ops, seq(&[&[IoOp::StoreWrite], &synced(257), &commit]));
+    assert_eq!(ops, seq(&[&written(257), &synced(257), &commit]));
     assert_eq!(count(&trace, IoOp::WalSync), 0, "{trace:?}");
+    assert_eq!(tables.staged_tables(), 0);
     drop(fleet);
 
     // The cut: the single-series schedule of
@@ -856,7 +886,7 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
     let flush = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
-    assert_eq!(unread(&trace[before..flush]), [IoOp::StoreWrite; 2]);
+    assert_eq!(unread(&trace[before..flush]), []);
     assert_eq!(trace[flush..], [IoOp::WalAppend, IoOp::WalSync]);
     // At rest: every series flushes its own tables, each wave ends in a
     // horizon of its own, one commit to the one manifest, and the log is
@@ -991,7 +1021,7 @@ fn a_late_point_inside_a_flushed_range_rides_the_fleet_s_deferred_checkpoint() {
     ];
     assert_eq!(
         plan.trace()[ops..],
-        seq(&[&synced(64), &tail]),
+        seq(&[&written(64), &synced(64), &tail]),
         "the checkpoints are queued after the fleet's commit"
     );
     // Sixty-three of them carry nothing; the last carries the late point
@@ -1181,10 +1211,17 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
 // ------------------------------------------------------------ merge inputs
 
 /// The table reads a merge pays for its inputs: the `StoreRead`s before its
-/// first table write. (Debug builds decode the run's tail after every plan,
-/// which reads the store again — after the writes.)
+/// first table write, if it writes one. (Debug builds decode the run's tail
+/// after every plan, which reads the store again — after the writes. A
+/// merge between horizons writes nothing, and the tail it leaves is its
+/// outputs, staged in memory: reading them is no op.)
+///
+/// Reading a staged table is no op either, so each test below first makes
+/// a merge's inputs files — a horizon, which leaves the pool as it is —
+/// and a merge that missed the pool would pay a `StoreRead` per input.
 fn input_reads(ops: &[IoOp]) -> usize {
-    count(&ops[..first(ops, IoOp::StoreWrite)], IoOp::StoreRead)
+    let writes = ops.iter().position(|op| *op == IoOp::StoreWrite);
+    count(&ops[..writes.unwrap_or(ops.len())], IoOp::StoreRead)
 }
 
 #[test]
@@ -1193,8 +1230,9 @@ fn a_merge_of_tables_this_engine_wrote_reads_none_of_them() {
     let plan = FaultPlan::trace_only(0);
     let config =
         EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
+    let tables = store(&dir, &plan);
     let mut engine = OpenOptions::new(config)
-        .store(store(&dir, &plan))
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
         .wal(dir.path("wal"))
         .manifest(dir.path("manifest"))
         .faults(Arc::clone(&plan))
@@ -1203,8 +1241,12 @@ fn a_merge_of_tables_this_engine_wrote_reads_none_of_them() {
     for i in 0..16 {
         engine.append(point(i * 10)).expect("append");
     }
-    // Three merges in a row, each consuming what the one before it wrote.
+    // Three merges in a row, each consuming what the one before it wrote,
+    // synced to files by a horizon in between.
     for round in 1..=3 {
+        engine.flush_all().expect("horizon");
+        assert_eq!(tables.staged_tables(), 0);
+        assert_eq!(engine.run().len(), 4 * round as usize);
         for i in 0..15 {
             engine.append(point(i * 10 + round)).expect("append");
         }
@@ -1252,7 +1294,13 @@ fn the_first_merge_after_recovery_reads_exactly_its_inputs() {
     let ops = &plan.trace()[before..];
     assert_eq!(engine.metrics().compactions, 1);
     assert_eq!(input_reads(ops), 4, "{ops:?}");
-    // What it wrote, the next merge takes from the pool.
+    // What it wrote, the next merge takes from the pool — though a horizon
+    // made every one of its outputs a file first.
+    let before = plan.ops() as usize;
+    engine.flush_all().expect("horizon");
+    let rest = &plan.trace()[before..];
+    assert_eq!(count(rest, IoOp::StoreSync), engine.run().len(), "{rest:?}");
+    assert_eq!(engine.run().len(), 8);
     for i in 0..15 {
         engine.append(point(i * 10 + 7)).expect("append");
     }
@@ -1296,8 +1344,9 @@ fn fleet_series_on_one_store_merge_without_reading_it() {
     let plan = FaultPlan::trace_only(0);
     let config =
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let tables = store(&dir, &plan);
     let mut fleet = MultiOpenOptions::new(config)
-        .store(store(&dir, &plan))
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
         .durable_dir(dir.path("meta"))
         .faults(Arc::clone(&plan))
         .open()
@@ -1309,8 +1358,11 @@ fn fleet_series_on_one_store_merge_without_reading_it() {
     }
     fleet.sync_wal_all().expect("sync");
     // Each series merges eight stragglers into its two tables, which the
-    // fleet's one pool still holds whichever series wrote last.
+    // fleet's one pool still holds whichever series wrote last — though a
+    // horizon made them files first.
     for s in 1..=2 {
+        fleet.flush_all().expect("horizon");
+        assert_eq!(tables.staged_tables(), 0);
         let before = plan.ops() as usize;
         for i in 0..8 {
             fleet
