@@ -5,27 +5,29 @@
 //! degrade (Luo & Carey, "On Performance Stability in LSM-based Storage
 //! Systems"). This module is the kernel half of the fix:
 //!
-//! * [`AdmissionController`] — watermark admission over the combined
-//!   L0-table + pending-flush depth. Below the *slowdown* watermark every
-//!   append is [`AdmissionOutcome::Admitted`]; between *slowdown* and
-//!   *stop* it is [`AdmissionOutcome::Delayed`] with a logical-tick
-//!   penalty that grows with depth; at *stop* the writer is
-//!   [`AdmissionOutcome::Stalled`] until compaction drains the depth back
-//!   below the resume threshold (hysteresis: a stall does not end at
-//!   `stop - 1`, it ends below *slowdown*, so admission cannot flap).
+//! * [`AdmissionController`] — watermark admission over the background
+//!   executor's combined L0-table + pending-flush depth (the inline
+//!   executor has no backlog: it admits every append and keeps no
+//!   controller). Below the *slowdown* watermark every append is
+//!   [`AdmissionOutcome::Admitted`]; between *slowdown* and *stop* it is
+//!   [`AdmissionOutcome::Delayed`] with a logical-tick penalty that grows
+//!   with depth; at *stop* the writer is [`AdmissionOutcome::Stalled`]
+//!   until compaction drains the depth back below the resume threshold
+//!   (hysteresis: a stall does not end at `stop - 1`, it ends below
+//!   *slowdown*, so admission cannot flap).
 //! * [`IoPacer`] — a token-bucket budget over background compaction
 //!   writes, denominated in points per logical tick, so merges drain
 //!   smoothly instead of in bursts.
 //! * [`RetryBackoff`] — a bounded exponential backoff schedule for store
 //!   retries, replacing fixed immediate-retry loops.
-//! * `witness` — the accounting both engines' `admit` share: every
-//!   admission edge moves its `Metrics` counter and emits its typed event
-//!   in one place.
+//! * `witness` — the accounting of every consult and forced stall end:
+//!   each admission edge moves its `Metrics` counter and emits its typed
+//!   event in one place.
 //!
 //! Everything here is a pure state machine on *logical* ticks: no wall
-//! clock, no threads, no I/O (seplint rule R3). The engines own the
-//! blocking — a stalled tiered append waits on the flush condvar and
-//! re-consults the controller per wakeup; each consult while stalled
+//! clock, no threads, no I/O (seplint rule R3). The background executor
+//! owns the blocking — a stalled tiered append waits on the flush condvar
+//! and re-consults the controller per wakeup; each consult while stalled
 //! charges one stall tick, so seeded runs account identically on every
 //! machine.
 
@@ -217,16 +219,6 @@ impl AdmissionController {
         }
     }
 
-    /// The configured watermarks.
-    pub fn watermarks(&self) -> Watermarks {
-        self.watermarks
-    }
-
-    /// `true` while a stall episode is active.
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Snapshot of the cumulative accounting.
     pub fn stats(&self) -> AdmissionStats {
         AdmissionStats {
@@ -286,12 +278,6 @@ impl AdmissionController {
         }
     }
 
-    /// Logical ticks charged to the *current* stall episode so far (for
-    /// the `WriteStallEnd` event payload). Zero when unstalled.
-    pub fn current_stall_ticks(&self) -> u64 {
-        self.current_stall_ticks
-    }
-
     /// Force-ends an active stall without admitting anything — used when
     /// the engine degrades mid-stall so waiters can fail over to the
     /// typed degraded error instead of spinning forever. Returns the
@@ -341,8 +327,8 @@ pub(crate) fn witness(
 
 /// One consult of `controller` at `version`'s backlog — its L0 tables plus
 /// its flushing batches — witnessed into `metrics` and `obs`: the step
-/// every executor's `admit` starts from, and a stalled one repeats per
-/// wakeup. Returns the decision and the depth it was taken at.
+/// the background executor's `admit` starts from, and a stalled one
+/// repeats per wakeup. Returns the decision and the depth it was taken at.
 pub(crate) fn consult(
     controller: &mut AdmissionController,
     version: &Version,
@@ -538,16 +524,6 @@ impl RetryBackoff {
         self.made += 1;
         Some((self.made + 1, ticks))
     }
-
-    /// Retries granted so far.
-    pub fn retries_made(&self) -> u32 {
-        self.made
-    }
-
-    /// The total attempt budget.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
 }
 
 #[cfg(test)]
@@ -594,7 +570,7 @@ mod tests {
         let stalled = c.admit(depth(5));
         assert_eq!(stalled.outcome, AdmissionOutcome::Stalled);
         assert_eq!(stalled.transition, Some(StallTransition::Began));
-        assert!(c.is_stalled());
+        assert!(c.stats().currently_stalled);
         let stats = c.stats();
         assert_eq!(stats.admitted, 2);
         assert_eq!(stats.delayed, 2);
@@ -619,7 +595,7 @@ mod tests {
             resumed.transition,
             Some(StallTransition::Ended { ticks: 3 })
         );
-        assert!(!c.is_stalled());
+        assert!(!c.stats().currently_stalled);
         // Three stalled consults charged one tick each.
         assert_eq!(c.stats().stall_ticks, 3);
     }
@@ -631,8 +607,10 @@ mod tests {
         c.admit(depth(9));
         c.admit(depth(9));
         assert_eq!(c.interrupt_stall(), Some(2));
-        assert!(!c.is_stalled());
-        assert_eq!(c.current_stall_ticks(), 0);
+        assert!(!c.stats().currently_stalled);
+        // The next episode starts its count afresh.
+        c.admit(depth(9));
+        assert_eq!(c.interrupt_stall(), Some(1));
     }
 
     #[test]
@@ -672,7 +650,6 @@ mod tests {
         assert_eq!(b.next_delay(), Some((4, 6))); // capped (would be 8)
         assert_eq!(b.next_delay(), Some((5, 6)));
         assert_eq!(b.next_delay(), None);
-        assert_eq!(b.retries_made(), 4);
     }
 
     #[test]
@@ -762,7 +739,7 @@ mod tests {
                     Op::Drain => d = d.saturating_sub(1),
                 }
             }
-            let was_stalled = c.is_stalled();
+            let was_stalled = c.stats().currently_stalled;
             let decision = c.admit(depth(0));
             prop_assert_eq!(decision.outcome, AdmissionOutcome::Admitted);
             if was_stalled {
@@ -771,7 +748,7 @@ mod tests {
                     Some(StallTransition::Ended { .. })
                 ));
             }
-            prop_assert!(!c.is_stalled());
+            prop_assert!(!c.stats().currently_stalled);
         }
 
         /// Identical consult sequences produce identical decisions and

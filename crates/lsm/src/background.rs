@@ -49,7 +49,7 @@ use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 use crate::admission::{
     self, AdmissionController, AdmissionDepth, AdmissionOutcome,
     AdmissionStats, IoPacer, PaceDecision, PacerStats, RetryBackoff,
-    StallTransition, Watermarks,
+    StallTransition,
 };
 use crate::compaction::{self, plan_merge, RunInput, Written};
 use crate::engine::{Batch, Engine, Executor, Front};
@@ -75,9 +75,8 @@ const CHANNEL_DEPTH: usize = 8;
 /// logical-tick backoff; any other error class aborts immediately. The
 /// backoff is charged in ticks, never slept, so fault schedules stay
 /// deterministic; each delayed reattempt is announced as
-/// [`Event::RetryBackoff`] and counted in `Metrics::retry_backoffs`.
+/// [`Event::RetryBackoff`].
 fn retry_store<T>(
-    state: &Mutex<TierState>,
     obs: &ObserverHandle,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
@@ -87,7 +86,6 @@ fn retry_store<T>(
             Ok(v) => return Ok(v),
             Err(e @ Error::Io(_)) => match backoff.next_delay() {
                 Some((attempt, ticks)) => {
-                    state.lock().metrics.retry_backoffs += 1;
                     obs.emit(|| Event::RetryBackoff {
                         attempt: u64::from(attempt),
                         ticks,
@@ -271,18 +269,9 @@ fn compact_l0_once(
         // Pace the output write against the logical token budget before it
         // hits the store. Ticks are accounting only — nothing sleeps — so
         // fault schedules stay deterministic while the charge shows up in
-        // `paced_ticks` for the bench/stats trajectory.
-        let paced = {
-            let mut state = state_mutex.lock();
-            match state.pacer.grant(plan.merged_points) {
-                PaceDecision::Proceed => None,
-                PaceDecision::Wait { ticks } => {
-                    state.metrics.paced_ticks += ticks;
-                    Some(ticks)
-                }
-            }
-        };
-        if let Some(ticks) = paced {
+        // `PacerStats::wait_ticks` and as an `Event::CompactionPaced`.
+        let paced = state_mutex.lock().pacer.grant(plan.merged_points);
+        if let PaceDecision::Wait { ticks } = paced {
             obs.emit(|| Event::CompactionPaced { ticks });
         }
         let prepared =
@@ -383,7 +372,6 @@ impl Background {
         store: &Arc<dyn TableStore>,
         written: &Arc<Written>,
         version: Version,
-        watermarks: Watermarks,
         obs: &ObserverHandle,
     ) -> Result<Self> {
         let flushed_max = version.last_stored_gen_time();
@@ -397,7 +385,7 @@ impl Background {
             degraded: None,
             compacting: false,
             merge_due: false,
-            admission: AdmissionController::new(watermarks),
+            admission: AdmissionController::new(kind.watermarks),
             pacer: kind.pacer,
             obs: obs.clone(),
         }));
@@ -426,17 +414,16 @@ impl Background {
                 // consistent (plus orphan tables) and a retry restarts from
                 // scratch; with the retries exhausted the engine degrades.
                 let compact_or_degrade = || {
-                    let merged =
-                        retry_store(&worker_state, &worker_obs, || {
-                            compact_l0_once(
-                                &worker_state,
-                                &worker_flush_done,
-                                &worker_store,
-                                &worker_written,
-                                sstable_points,
-                                &worker_obs,
-                            )
-                        });
+                    let merged = retry_store(&worker_obs, || {
+                        compact_l0_once(
+                            &worker_state,
+                            &worker_flush_done,
+                            &worker_store,
+                            &worker_written,
+                            sstable_points,
+                            &worker_obs,
+                        )
+                    });
                     if let Err(e) = &merged {
                         enter_degraded(
                             &worker_state,
@@ -451,50 +438,42 @@ impl Background {
                     // A flush is the merge plan with no inputs. Plan,
                     // encode and store outside the lock; only the commit
                     // and the (infrequent) compaction hold it.
-                    let prepared =
-                        match retry_store(&worker_state, &worker_obs, || {
-                            let plan = plan_merge(
-                                vec![batch.to_vec()],
-                                Vec::new(),
-                                sstable_points,
-                                None,
+                    let prepared = match retry_store(&worker_obs, || {
+                        let plan = plan_merge(
+                            vec![batch.to_vec()],
+                            Vec::new(),
+                            sstable_points,
+                            None,
+                        );
+                        let prepared = compaction::write_outputs(
+                            plan,
+                            worker_store.as_ref(),
+                            &worker_written,
+                            &worker_obs,
+                        )?;
+                        compaction::sync_outputs(
+                            &prepared,
+                            worker_store.as_ref(),
+                        )?;
+                        Ok(prepared)
+                    }) {
+                        Ok(prepared) => prepared,
+                        Err(e) => {
+                            // Retries exhausted: enter the degraded
+                            // read-only state instead of panicking. The
+                            // batch stays a registered flushing MemTable
+                            // (still queryable, still WAL-covered); any
+                            // tables a failed attempt did publish are
+                            // orphans for recovery-time GC.
+                            enter_degraded(
+                                &worker_state,
+                                &worker_degraded,
+                                DegradedOp::FlushWrite,
+                                &e,
                             );
-                            let prepared = compaction::write_outputs(
-                                plan,
-                                worker_store.as_ref(),
-                                &worker_written,
-                                &worker_obs,
-                            )?;
-                            compaction::sync_outputs(
-                                &prepared,
-                                worker_store.as_ref(),
-                            )?;
-                            Ok(prepared)
-                        }) {
-                            Ok(prepared) => prepared,
-                            Err(e) => {
-                                // Retries exhausted: enter the degraded
-                                // read-only state instead of panicking. The
-                                // batch stays a registered flushing MemTable
-                                // (still queryable, still WAL-covered); any
-                                // tables a failed attempt did publish are
-                                // orphans for recovery-time GC.
-                                enter_degraded(
-                                    &worker_state,
-                                    &worker_degraded,
-                                    DegradedOp::FlushWrite,
-                                    &e,
-                                );
-                                return Ok(());
-                            }
-                        };
-                    for meta in &prepared.added {
-                        // A fresh L0 table is consumed by the next
-                        // merge-compaction (out of `written`): whatever
-                        // queries cache of it gets the weaker short-lived
-                        // priority.
-                        worker_store.note_short_lived(meta.id);
-                    }
+                            return Ok(());
+                        }
+                    };
                     let mut state = worker_state.lock();
                     let TierState {
                         version,
@@ -712,7 +691,7 @@ impl Executor for Background {
         }
     }
 
-    fn admission_stats(&self) -> AdmissionStats {
+    fn admission_stats(&self, _writer: &Metrics) -> AdmissionStats {
         self.state.lock().admission.stats()
     }
 
@@ -826,11 +805,6 @@ impl Engine<Background> {
         self.exec.degraded_state()
     }
 
-    /// Number of points the user has written.
-    pub fn user_points(&self) -> u64 {
-        self.front.metrics.user_points
-    }
-
     /// Snapshot of the unified kernel metrics: the worker's counters plus
     /// the writer's (user points, WA snapshots).
     pub fn metrics(&self) -> Metrics {
@@ -911,6 +885,7 @@ impl Engine<Background> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::Watermarks;
     use crate::engine::tests as shared;
     use crate::engine::EngineConfig;
     use crate::fault::{Fault, FaultPlan, FaultStore};
@@ -1170,7 +1145,10 @@ mod tests {
     fn starved_pacer_charges_ticks_to_compactions() {
         // A 1-token bucket makes every compaction after the first wait for
         // a refill, so the paced-ticks counter must move.
-        let mut options = OpenOptions::new(tiny()).sync_flush();
+        let sink = AggregateSink::with_logical_clock();
+        let mut options = OpenOptions::new(tiny())
+            .observer(Arc::clone(&sink) as Arc<dyn Observer>)
+            .sync_flush();
         options.kind.pacer = IoPacer::new(1, 1).expect("pacer");
         let mut e = options.open().expect("open");
         for i in 0..64i64 {
@@ -1178,15 +1156,14 @@ mod tests {
         }
         e.quiesce().expect("quiesce");
         // In-order L0→run merges commit as flushes (nothing is rewritten),
-        // so the pacer counters are the evidence the merges were paced.
-        assert!(
-            e.metrics().paced_ticks >= 1,
-            "starved pacer never charged: {:?}",
-            e.metrics()
-        );
+        // so the pacer counters and events are the evidence the merges
+        // were paced.
         let pacer = e.pacer_stats();
+        assert!(pacer.wait_ticks >= 1, "starved pacer never charged");
         assert!(pacer.waits >= 1, "{pacer:?}");
         assert!(pacer.granted >= 2, "{pacer:?}");
+        let agg = sink.report();
+        assert_eq!(agg.paced_ticks, pacer.wait_ticks);
         let report = e.finish().expect("finish");
         assert_eq!(report.points.len(), 64);
     }
@@ -1206,7 +1183,6 @@ mod tests {
         for i in 0..32i64 {
             e.append(DataPoint::new(i, i, i as f64)).expect("append");
         }
-        assert!(e.metrics().retry_backoffs >= 1, "{:?}", e.metrics());
         let agg = sink.report();
         let backoff_kind = Event::RetryBackoff {
             attempt: 2,

@@ -14,24 +14,27 @@
 //!
 //! Design constraints (this is a seplint kernel module):
 //!
-//! * **Deterministic** (rule R3): eviction uses CLOCK — a reference bit per
-//!   entry and a sweeping hand per shard. The "recency" signal is the
-//!   purely logical tick of the hand over the ring; no wall clock or
-//!   thread primitive appears anywhere in this module, so seeded runs
-//!   behave identically.
+//! * **Deterministic** (rule R3): eviction is plain CLOCK — a reference
+//!   bit per entry, set on insertion and on every hit, and a sweeping hand
+//!   per shard. The hand clears a set bit and passes on; it evicts the
+//!   first entry it finds with the bit clear. Every block is treated alike,
+//!   whatever its table. The "recency" signal is the purely logical tick of
+//!   the hand over the ring; no wall clock or thread primitive appears
+//!   anywhere in this module, so seeded runs behave identically.
 //! * **Bounded**: capacity is counted in *decoded points* (the dominant
 //!   memory cost), split evenly across shards. An entry larger than a
 //!   whole shard is admitted alone rather than thrashing forever.
 //! * **Strictly invalidated**: [`BlockCache::invalidate_table`] removes a
-//!   table's index and every cached block. The store wrapper calls it
-//!   before forwarding `delete`/`quarantine`, so a table consumed by a
-//!   compaction can never serve a later query from the cache.
+//!   table's index and every cached block. The store wrapper calls it when
+//!   a table leaves its engine's version and before forwarding
+//!   `delete`/`quarantine`, so a table consumed by a compaction can never
+//!   serve a later query from the cache.
 //!
 //! Sharding is by table id, so one table's blocks colocate and
 //! invalidation locks exactly one shard. In the fleet setting different
 //! series flush to different tables, which spreads load across shards.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,54 +44,8 @@ use seplsm_types::DataPoint;
 use crate::sstable::format::TableIndex;
 use crate::sstable::SsTableId;
 
-/// Capacity and layout of a [`BlockCache`].
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    /// Total decoded points the cache may hold across all shards.
-    pub capacity_points: usize,
-    /// Number of independent shards (clamped to ≥ 1).
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self {
-            capacity_points: 64 * 1024,
-            shards: 8,
-        }
-    }
-}
-
-/// Per-level retention priority of a cached block: a generalised CLOCK
-/// where each entry starts with a number of *lives*, and a sweep pass
-/// over an unreferenced entry burns one life before the next pass may
-/// evict it.
-///
-/// Short-lived L0 tables are consumed by the very next merge-compaction,
-/// so their blocks should never displace blocks of long-lived run
-/// tables; the fleet flush path marks freshly flushed L0 tables
-/// [`ShortLived`](CachePriority::ShortLived) via
-/// [`BlockCache::mark_short_lived`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePriority {
-    /// One life: evicted on the first sweep pass that finds the entry
-    /// unreferenced. Used for L0 blocks about to be compacted away.
-    ShortLived,
-    /// Two lives: survives one full unreferenced sweep pass before
-    /// becoming evictable. The default for run (L1) tables.
-    #[default]
-    Durable,
-}
-
-impl CachePriority {
-    /// Sweep passes an unreferenced entry survives before eviction.
-    fn lives(self) -> u8 {
-        match self {
-            CachePriority::ShortLived => 1,
-            CachePriority::Durable => 2,
-        }
-    }
-}
+/// Shards of a [`BlockCache`] made by [`BlockCache::with_capacity`].
+const SHARDS: usize = 8;
 
 /// The key of one cached decoded block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,12 +93,10 @@ impl CacheStats {
 /// One resident block.
 struct Entry {
     points: Arc<Vec<DataPoint>>,
-    /// The CLOCK reference bit: set on every hit, cleared by a passing
-    /// sweep hand; an unreferenced entry the hand reaches loses a life.
+    /// The CLOCK reference bit: set on insertion and on every hit, cleared
+    /// by a passing sweep hand; an unreferenced entry the hand reaches is
+    /// evicted.
     referenced: bool,
-    /// Remaining sweep passes before an unreferenced entry is evicted
-    /// (seeded from [`CachePriority::lives`]).
-    lives: u8,
 }
 
 /// One independent cache shard: entries plus the CLOCK ring and hand.
@@ -193,13 +148,6 @@ impl Shard {
                     entry.referenced = false;
                     self.hand += 1;
                 }
-                Some(entry) if entry.lives > 1 => {
-                    // A durable entry burns a life per unreferenced pass
-                    // instead of evicting, so short-lived L0 blocks go
-                    // first.
-                    entry.lives -= 1;
-                    self.hand += 1;
-                }
                 Some(_) => {
                     if let Some(entry) = self.entries.remove(&key) {
                         let n = entry.points.len();
@@ -222,16 +170,11 @@ impl Shard {
 /// its shared store).
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard point budget (`capacity_points / shards`, at least 1).
+    /// Per-shard point budget (capacity / shards, at least 1).
     shard_capacity: usize,
     /// Parsed table indexes, keyed by table. Bounded by the number of
     /// live tables: invalidation removes a table's index with its blocks.
     indexes: Mutex<HashMap<SsTableId, Arc<TableIndex>>>,
-    /// Tables whose blocks enter with
-    /// [`CachePriority::ShortLived`] (freshly flushed L0 tables awaiting
-    /// compaction). Bounded like `indexes`: invalidation clears the mark
-    /// when the table leaves the store.
-    short_lived: Mutex<HashSet<SsTableId>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -239,28 +182,24 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// A cache laid out per `config`.
-    pub fn new(config: CacheConfig) -> Arc<Self> {
-        let shards = config.shards.max(1);
-        let shard_capacity = (config.capacity_points / shards).max(1);
+    /// A cache holding up to `points` decoded points, split evenly across
+    /// its shards.
+    pub fn with_capacity(points: usize) -> Arc<Self> {
+        Self::sharded(points, SHARDS)
+    }
+
+    /// A cache of `points` decoded points over `shards` shards (at least
+    /// one), each holding `points / shards` (at least one).
+    fn sharded(points: usize, shards: usize) -> Arc<Self> {
+        let shards = shards.max(1);
         Arc::new(Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity,
+            shard_capacity: (points / shards).max(1),
             indexes: Mutex::new(HashMap::new()),
-            short_lived: Mutex::new(HashSet::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
-        })
-    }
-
-    /// A cache holding up to `points` decoded points with the default
-    /// shard count.
-    pub fn with_capacity(points: usize) -> Arc<Self> {
-        Self::new(CacheConfig {
-            capacity_points: points,
-            ..CacheConfig::default()
         })
     }
 
@@ -294,43 +233,13 @@ impl BlockCache {
         }
     }
 
-    /// Marks `table` short-lived: until
-    /// [`invalidate_table`](Self::invalidate_table) clears the mark, its
-    /// blocks are cached with [`CachePriority::ShortLived`]. The tiered
-    /// flush path marks every freshly written L0 table this way.
-    pub fn mark_short_lived(&self, table: SsTableId) {
-        self.short_lived.lock().insert(table);
-    }
-
-    /// The priority `table`'s blocks are admitted with.
-    pub fn priority_of(&self, table: SsTableId) -> CachePriority {
-        if self.short_lived.lock().contains(&table) {
-            CachePriority::ShortLived
-        } else {
-            CachePriority::Durable
-        }
-    }
-
     /// Inserts a freshly decoded block, evicting as needed to stay within
     /// the shard's capacity. Returns the evicted blocks so the caller can
     /// report them. Re-inserting an existing key refreshes its contents.
-    /// The block's priority follows the table's
-    /// [`mark_short_lived`](Self::mark_short_lived) state.
     pub fn insert(
         &self,
         key: BlockKey,
         points: Arc<Vec<DataPoint>>,
-    ) -> Vec<EvictedBlock> {
-        let priority = self.priority_of(key.table);
-        self.insert_with_priority(key, points, priority)
-    }
-
-    /// [`insert`](Self::insert) with an explicit [`CachePriority`].
-    pub fn insert_with_priority(
-        &self,
-        key: BlockKey,
-        points: Arc<Vec<DataPoint>>,
-        priority: CachePriority,
     ) -> Vec<EvictedBlock> {
         let n = points.len();
         let mut shard = self.shard_for(key.table).lock();
@@ -339,7 +248,6 @@ impl BlockCache {
             Entry {
                 points,
                 referenced: true,
-                lives: priority.lives(),
             },
         ) {
             Some(old) => {
@@ -373,7 +281,6 @@ impl BlockCache {
     /// how many blocks were dropped.
     pub fn invalidate_table(&self, table: SsTableId) -> u64 {
         self.indexes.lock().remove(&table);
-        self.short_lived.lock().remove(&table);
         let mut shard = self.shard_for(table).lock();
         let victims: Vec<BlockKey> = shard
             .entries
@@ -466,10 +373,7 @@ mod tests {
     #[test]
     fn capacity_is_enforced_by_eviction() {
         // One shard, 100 points: the fourth 30-point block must evict.
-        let cache = BlockCache::new(CacheConfig {
-            capacity_points: 100,
-            shards: 1,
-        });
+        let cache = BlockCache::sharded(100, 1);
         for b in 0..4u32 {
             cache.insert(key(7, b), block(30, i64::from(b) * 100));
         }
@@ -485,10 +389,7 @@ mod tests {
 
     #[test]
     fn clock_prefers_evicting_unreferenced_blocks() {
-        let cache = BlockCache::new(CacheConfig {
-            capacity_points: 90,
-            shards: 1,
-        });
+        let cache = BlockCache::sharded(90, 1);
         cache.insert(key(1, 0), block(30, 0));
         cache.insert(key(1, 1), block(30, 100));
         cache.insert(key(1, 2), block(30, 200));
@@ -510,10 +411,7 @@ mod tests {
 
     #[test]
     fn oversized_block_is_admitted_alone() {
-        let cache = BlockCache::new(CacheConfig {
-            capacity_points: 10,
-            shards: 1,
-        });
+        let cache = BlockCache::sharded(10, 1);
         cache.insert(key(1, 0), block(4, 0));
         let evicted = cache.insert(key(1, 1), block(50, 100));
         // Everything else was evicted, but the oversized block is resident.
@@ -524,47 +422,35 @@ mod tests {
     }
 
     #[test]
-    fn short_lived_blocks_evict_before_durable_ones() {
-        // One shard, 60 points. Table 2 is a freshly flushed L0 table:
-        // its block carries one life, the durable block carries two, so
-        // under equal recency the L0 block goes first.
-        let cache = BlockCache::new(CacheConfig {
-            capacity_points: 60,
-            shards: 1,
-        });
-        cache.mark_short_lived(SsTableId(2));
-        assert_eq!(cache.priority_of(SsTableId(2)), CachePriority::ShortLived);
-        assert_eq!(cache.priority_of(SsTableId(1)), CachePriority::Durable);
-        cache.insert(key(1, 0), block(30, 0));
-        cache.insert(key(2, 0), block(30, 100));
-        let evicted = cache.insert(key(1, 1), block(30, 200));
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].key, key(2, 0), "L0 block must go first");
-        assert!(cache.lookup(key(1, 0)).is_some());
-        // Invalidation clears the mark: re-used table ids start durable.
-        cache.invalidate_table(SsTableId(2));
-        assert_eq!(cache.priority_of(SsTableId(2)), CachePriority::Durable);
-    }
-
-    #[test]
-    fn explicit_priority_overrides_the_table_mark() {
-        let cache = BlockCache::new(CacheConfig {
-            capacity_points: 60,
-            shards: 1,
-        });
-        cache.insert_with_priority(
-            key(1, 0),
-            block(30, 0),
-            CachePriority::ShortLived,
-        );
-        cache.insert_with_priority(
-            key(2, 0),
-            block(30, 100),
-            CachePriority::Durable,
-        );
-        let evicted = cache.insert(key(2, 1), block(30, 200));
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].key, key(1, 0));
+    fn plain_clock_spares_referenced_blocks_and_sweeps_stale_slots() {
+        // One shard of three 30-point blocks, each block its own table.
+        let cache = BlockCache::sharded(90, 1);
+        let keys = |evicted: Vec<EvictedBlock>| -> Vec<BlockKey> {
+            evicted.into_iter().map(|e| e.key).collect()
+        };
+        for t in 1..=3 {
+            assert!(cache.insert(key(t, 0), block(30, 0)).is_empty());
+        }
+        // Every block enters referenced: the hand clears all three bits
+        // on its first pass, then evicts in ring order.
+        assert_eq!(keys(cache.insert(key(4, 0), block(30, 0))), [key(1, 0)]);
+        // A referenced block survives the hand passing it once; the
+        // unreferenced one behind it leaves.
+        assert!(cache.lookup(key(2, 0)).is_some());
+        assert_eq!(keys(cache.insert(key(5, 0), block(30, 0))), [key(3, 0)]);
+        assert!(cache.lookup(key(2, 0)).is_some());
+        // An invalidation leaves its ring slot behind; the next sweep that
+        // reaches it drops it without counting an eviction.
+        assert_eq!(cache.invalidate_table(SsTableId(4)), 1);
+        assert_eq!(cache.shards[0].lock().ring.len(), 3);
+        assert!(cache.insert(key(6, 0), block(30, 0)).is_empty());
+        assert_eq!(cache.shards[0].lock().ring.len(), 4);
+        assert_eq!(keys(cache.insert(key(7, 0), block(30, 0))), [key(5, 0)]);
+        let shard = cache.shards[0].lock();
+        assert_eq!(shard.ring.len(), shard.entries.len());
+        assert!(!shard.ring.contains(&key(4, 0)));
+        drop(shard);
+        assert_eq!(cache.stats().evictions, 3);
     }
 
     #[test]
@@ -603,10 +489,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_double_counting() {
-        let cache = BlockCache::new(CacheConfig {
-            capacity_points: 100,
-            shards: 1,
-        });
+        let cache = BlockCache::sharded(100, 1);
         cache.insert(key(1, 0), block(40, 0));
         cache.insert(key(1, 0), block(20, 0));
         assert_eq!(cache.stats().resident_points, 20);

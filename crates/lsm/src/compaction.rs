@@ -253,11 +253,6 @@ pub struct PreparedCompaction {
     pub plan: CompactionPlan,
     /// Metadata of the freshly written output tables, one per output.
     pub added: Vec<SsTableMeta>,
-    /// Encoded bytes handed to the store (for `disk_bytes_written`),
-    /// whether or not they reach the file system: a
-    /// [`FileStore`](crate::FileStore) writes a table only at the horizon
-    /// that syncs it.
-    pub bytes_written: u64,
 }
 
 /// Phase 1 of plan execution: announces the plan (`FlushStarted` /
@@ -292,16 +287,11 @@ pub(crate) fn write_outputs(
     let chunks: Vec<&[DataPoint]> =
         plan.outputs.iter().map(Vec::as_slice).collect();
     let stored = store.publish_batch(&chunks)?;
-    let bytes_written = stored.iter().map(|(_, size)| *size as u64).sum();
     let added: Vec<SsTableMeta> =
         stored.into_iter().map(|(meta, _)| meta).collect();
     let outputs = std::mem::take(&mut plan.outputs);
     written.keep(added.iter().map(|meta| meta.id).zip(outputs));
-    Ok(PreparedCompaction {
-        plan,
-        added,
-        bytes_written,
-    })
+    Ok(PreparedCompaction { plan, added })
 }
 
 /// Phase 2 of the background worker's plans: makes the published outputs
@@ -346,7 +336,6 @@ pub fn commit(
     if let Some(manifest) = manifest {
         version.record(manifest, &edits)?;
     }
-    metrics.disk_bytes_written += prepared.bytes_written;
     metrics.tables_created += prepared.added.len() as u64;
     metrics.disk_points_written += plan.merged_points;
     metrics.rewritten_points += plan.rewritten_points;

@@ -17,13 +17,13 @@
 //!   triggers the merge-compaction of `π_c` (one per *phase*, §IV).
 //!
 //! Which MemTable a point enters and when one is sealed is the front half,
-//! written once here: admission, the log, classification and buffering
+//! written once here: the log, classification and buffering
 //! ([`PolicyBuffers`]), the policy switch, the log checkpoint and the read
 //! path ([`query`](crate::query)). *Where a sealed MemTable goes and who
-//! waits for it* is the executor: [`Inline`] merges it into the run before
-//! `append` returns and makes it durable at its next horizon
-//! (`compaction::horizon`; [`LsmEngine`], every write-amplification
-//! figure);
+//! waits for it* — admission included — is the executor: [`Inline`] merges
+//! it into the run before `append` returns, so it admits every append, and
+//! makes it durable at its next horizon (`compaction::horizon`;
+//! [`LsmEngine`], every write-amplification figure);
 //! [`Background`](crate::background::Background) queues it for a worker
 //! thread that keeps an L0 in front of the run
 //! ([`TieredEngine`](crate::TieredEngine), §V-C: Table III and the query
@@ -37,9 +37,7 @@ use std::sync::Arc;
 
 use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange, Timestamp};
 
-use crate::admission::{
-    self, AdmissionController, AdmissionOutcome, AdmissionStats, Watermarks,
-};
+use crate::admission::{AdmissionOutcome, AdmissionStats};
 use crate::buffer::{FlushTrigger, PolicyBuffers};
 use crate::compaction::{self, Outbox, Record, RunInput, Share, Written};
 use crate::fault::FaultPlan;
@@ -175,11 +173,22 @@ pub trait Executor: Sized {
     fn pivot(&self) -> Option<Timestamp>;
 
     /// Consults admission against the executor's backlog, returning once
-    /// the append may proceed — however a stall has to end for that.
-    fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome>;
+    /// the append may proceed — however a stall has to end for that. An
+    /// executor without a backlog admits every append at once.
+    fn admit(&mut self, _front: &mut Front) -> Result<AdmissionOutcome> {
+        Ok(AdmissionOutcome::Admitted)
+    }
 
-    /// Snapshot of the admission controller's counters.
-    fn admission_stats(&self) -> AdmissionStats;
+    /// Snapshot of the admission counters, `writer` being the counters of
+    /// the appending thread. Without a backlog every append was admitted:
+    /// `admitted` is the user points (a recovery's replay included), the
+    /// rest is zero.
+    fn admission_stats(&self, writer: &Metrics) -> AdmissionStats {
+        AdmissionStats {
+            admitted: writer.user_points,
+            ..AdmissionStats::default()
+        }
+    }
 
     /// Takes a sealed MemTable (`merging`: from `C0` / `C_nonseq`, the
     /// buffers whose flushes the Fig. 5 probe counts). When this returns
@@ -442,9 +451,10 @@ impl<X: Executor> Engine<X> {
         self.buffers.buffered_points()
     }
 
-    /// Snapshot of the admission controller's counters.
+    /// Snapshot of the admission counters: the background executor's
+    /// controller; under [`Inline`], every append admitted.
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.exec.admission_stats()
+        self.exec.admission_stats(&self.front.metrics)
     }
 
     /// Size and history of the write-ahead log, when one is attached.
@@ -735,9 +745,6 @@ pub struct Inline {
     /// Debug-build temporal invariants (counter monotonicity, pivot
     /// no-regression); no-op in release builds.
     invariants: InvariantChecker,
-    /// Consulted at depth zero — nothing ever waits behind this executor —
-    /// for the outcome contract and counters both executors report.
-    admission: AdmissionController,
 }
 
 /// When an inline engine's plans become durable ([`compaction::horizon`]).
@@ -756,11 +763,7 @@ pub(crate) enum Horizon {
 
 impl Inline {
     /// An executor over `version` whose plans become durable at `horizon`.
-    pub(crate) fn new(
-        version: Version,
-        horizon: Horizon,
-        watermarks: Watermarks,
-    ) -> Self {
+    pub(crate) fn new(version: Version, horizon: Horizon) -> Self {
         Self {
             invariants: InvariantChecker::seeded(&version),
             version,
@@ -768,7 +771,6 @@ impl Inline {
             outbox: Outbox::default(),
             horizon,
             retired: Vec::new(),
-            admission: AdmissionController::new(watermarks),
         }
     }
 }
@@ -790,23 +792,6 @@ impl Executor for Inline {
     /// `LAST(R).t_g`: the latest generation time in the run.
     fn pivot(&self) -> Option<Timestamp> {
         self.version.run().last_gen_time()
-    }
-
-    /// Neither L0 nor flushing batches: the depth is zero, every append
-    /// is admitted, and no stall ever has to end.
-    fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
-        let (decision, _) = admission::consult(
-            &mut self.admission,
-            &self.version,
-            &mut front.metrics,
-            &front.obs,
-        );
-        debug_assert!(decision.outcome.proceeds());
-        Ok(decision.outcome)
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        self.admission.stats()
     }
 
     /// The one flush: plan the merge of `points` with every run table
@@ -1224,6 +1209,47 @@ pub(crate) mod tests {
         assert!((e.metrics().write_amplification() - 1.0).abs() < 1e-12);
         assert_eq!(e.metrics().user_points, 160);
         e.run().check_invariants().expect("run invariant");
+    }
+
+    #[test]
+    fn an_inline_engine_admits_every_append_replay_included() {
+        let admitted_all = |e: &LsmEngine| AdmissionStats {
+            admitted: e.metrics().user_points,
+            ..AdmissionStats::default()
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-engine-admit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let store: Arc<dyn TableStore> = Arc::new(MemStore::new());
+        let config =
+            EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+        let options = || {
+            OpenOptions::new(config.clone())
+                .store(Arc::clone(&store))
+                .wal(dir.join("wal"))
+        };
+        let mut e = options().open().expect("open");
+        for p in in_order_points(20) {
+            assert_eq!(
+                e.append(p).expect("append"),
+                AdmissionOutcome::Admitted
+            );
+        }
+        e.sync_wal().expect("sync");
+        assert_eq!(e.metrics().user_points, 20);
+        assert_eq!(e.admission_stats(), admitted_all(&e));
+        drop(e);
+        // The replayed tail goes through the same append path, admitted.
+        let (e, _) = options().open_or_recover().expect("recover");
+        assert_eq!(e.buffered_points(), 4);
+        assert!(e.metrics().user_points >= 4, "{:?}", e.metrics());
+        assert_eq!(e.admission_stats(), admitted_all(&e));
+        assert_eq!(e.scan_all().expect("scan"), in_order_points(20));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -35,12 +35,12 @@ use crate::store::TableStore;
 /// crash point lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
-    /// `FileStore::sync_published` (and `put`/`put_batch`, which end in it)
-    /// writing one staged table to its tmp file. `publish_batch` only
-    /// stages: it writes nothing.
+    /// `FileStore::sync_published` (and `put`, which ends in it) writing one
+    /// staged table to its tmp file. `publish_batch` only stages: it writes
+    /// nothing.
     StoreWrite,
-    /// `FileStore::sync_published` (and `put`/`put_batch`, which end in it)
-    /// fsyncing one table's tmp file.
+    /// `FileStore::sync_published` (and `put`, which ends in it) fsyncing
+    /// one table's tmp file.
     StoreSync,
     /// `FileStore::sync_published` renaming one synced table tmp → final.
     StoreRename,
@@ -372,18 +372,6 @@ impl<S: TableStore> TableStore for FaultStore<S> {
     /// One op per table, all counted before the batch is forwarded, so a
     /// schedule numbers a batch exactly like the per-chunk puts it replaces
     /// while the inner store still sees one batch.
-    fn put_batch(
-        &self,
-        chunks: &[&[DataPoint]],
-    ) -> Result<Vec<(SsTableMeta, usize)>> {
-        for _ in chunks {
-            self.plan.begin(IoOp::StoreWrite)?;
-        }
-        self.inner.put_batch(chunks)
-    }
-
-    /// Numbered like [`put_batch`](TableStore::put_batch): one op per
-    /// table.
     fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
@@ -394,8 +382,8 @@ impl<S: TableStore> TableStore for FaultStore<S> {
         self.inner.publish_batch(chunks)
     }
 
-    /// Not an op of its own at this granularity: a `put_batch` is counted
-    /// per table, its fsyncs included.
+    /// Not an op of its own at this granularity: a published batch is
+    /// counted per table, its fsyncs included.
     fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
         self.inner.sync_published(ids)
     }

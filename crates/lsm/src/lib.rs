@@ -44,7 +44,11 @@
 //! * [`MemTable`] — bounded in-memory buffer sorted by generation time.
 //! * [`sstable`] — the immutable table format (delta-varint, CRC-32).
 //! * [`TableStore`] — where encoded tables live: [`MemStore`] (fast,
-//!   experiment-scale) or [`FileStore`] (durable, one file per table).
+//!   experiment-scale) or [`FileStore`] (durable, one file per table), with
+//!   three ways in: `put` (durable at once), and `publish_batch` followed
+//!   by `sync_published` (readable at once, durable at the sync).
+//! * [`BlockCache`] — an optional plain-CLOCK cache of decoded blocks, in
+//!   front of any store through [`CachedStore`].
 //! * [`Run`] — the non-overlapping level-1 run; `LAST(R)` classifies points
 //!   as in-order / out-of-order (paper Definition 3).
 //! * [`Wal`] — checksummed write-ahead log with crash recovery.
@@ -52,9 +56,11 @@
 //!   recovery.
 //!
 //! **Engines.** One single-series engine, [`Engine`]: its *front half* —
-//! admission, the log, classification and buffering, the policy switch, the
-//! log checkpoint, reads — is written once, over an [`Executor`], its *back
-//! half*: where a sealed MemTable goes and who waits for it.
+//! the log, classification and buffering, the policy switch, the log
+//! checkpoint, reads — is written once, over an [`Executor`], its *back
+//! half*: where a sealed MemTable goes and who waits for it. Only the
+//! background executor has a backlog to wait on, so only it runs admission
+//! control ([`admission`]); the inline one admits every append.
 //! Assembly ([`open`]: one builder, whose three names are [`OpenOptions`] /
 //! [`TieredOpenOptions`] / [`MultiOpenOptions`]), recovery ([`recovery`]:
 //! the [`Version`] from the manifest or a store scan under strict/salvage
@@ -129,9 +135,7 @@ pub use arbiter::{
 };
 pub use background::{Background, TieredEngine, TieredReport};
 pub use buffer::{FlushTrigger, PolicyBuffers};
-pub use cache::{
-    BlockCache, BlockKey, CacheConfig, CachePriority, CacheStats, EvictedBlock,
-};
+pub use cache::{BlockCache, BlockKey, CacheStats, EvictedBlock};
 pub use compaction::{plan_merge, CompactionPlan, RunInput};
 pub use engine::{Engine, EngineConfig, Executor, Inline, LsmEngine};
 pub use fault::{Fault, FaultPlan, FaultStore, IoOp};

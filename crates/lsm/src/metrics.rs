@@ -8,7 +8,7 @@
 
 /// Write amplification as defined in §I-B: points physically written per
 /// user point, `0.0` before the first append. The one shared definition
-/// behind [`Metrics`], `TieredReport` and `MultiMetrics`.
+/// behind [`Metrics`] and `TieredReport`.
 pub fn write_amplification(disk_points_written: u64, user_points: u64) -> f64 {
     if user_points == 0 {
         return 0.0;
@@ -34,12 +34,6 @@ pub struct Metrics {
     pub user_points: u64,
     /// Points physically written into SSTables (flushes + rewrites).
     pub disk_points_written: u64,
-    /// Encoded bytes of the SSTables the plans made, counted as they are
-    /// handed to the store — like `disk_points_written`, the paper's
-    /// quantity (Eq. 1), not what reaches the file system: a
-    /// [`FileStore`](crate::FileStore) writes a table only at the horizon
-    /// that syncs it, and one consumed before then never.
-    pub disk_bytes_written: u64,
     /// MemTable flushes that did not rewrite existing tables
     /// (`C_seq` flushes, or `C0` flushes with no overlap).
     pub flushes: u64,
@@ -47,7 +41,7 @@ pub struct Metrics {
     pub compactions: u64,
     /// Points re-written out of existing SSTables during compactions.
     pub rewritten_points: u64,
-    /// SSTables created / deleted.
+    /// SSTables created by flushes and compactions.
     pub tables_created: u64,
     /// SSTables deleted by compactions.
     pub tables_deleted: u64,
@@ -58,10 +52,6 @@ pub struct Metrics {
     pub write_stalls: u64,
     /// Logical ticks charged to admission delays and stall waits.
     pub stall_ticks: u64,
-    /// Logical ticks compaction output writes waited on the I/O pacer.
-    pub paced_ticks: u64,
-    /// Store retries that backed off before reattempting.
-    pub retry_backoffs: u64,
     /// Per-compaction count of *subsequent data points* on disk at the moment
     /// the compaction started (Definition 4) — the quantity the ζ-model
     /// estimates. Populated only when the engine is configured with
@@ -99,7 +89,6 @@ impl Metrics {
         let Metrics {
             user_points,
             disk_points_written,
-            disk_bytes_written,
             flushes,
             compactions,
             rewritten_points,
@@ -108,14 +97,11 @@ impl Metrics {
             delayed_appends,
             write_stalls,
             stall_ticks,
-            paced_ticks,
-            retry_backoffs,
             subsequent_counts,
             wa_snapshots,
         } = other;
         self.user_points += user_points;
         self.disk_points_written += disk_points_written;
-        self.disk_bytes_written += disk_bytes_written;
         self.flushes += flushes;
         self.compactions += compactions;
         self.rewritten_points += rewritten_points;
@@ -124,8 +110,6 @@ impl Metrics {
         self.delayed_appends += delayed_appends;
         self.write_stalls += write_stalls;
         self.stall_ticks += stall_ticks;
-        self.paced_ticks += paced_ticks;
-        self.retry_backoffs += retry_backoffs;
         self.subsequent_counts.extend(subsequent_counts);
         self.wa_snapshots.extend(wa_snapshots);
     }

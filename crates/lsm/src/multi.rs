@@ -89,42 +89,6 @@ impl std::fmt::Display for SeriesId {
     }
 }
 
-/// Aggregate write counters across all series.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MultiMetrics {
-    /// Series hosted.
-    pub series: usize,
-    /// Total user points across series.
-    pub user_points: u64,
-    /// Total points physically written.
-    pub disk_points_written: u64,
-    /// Total flushes.
-    pub flushes: u64,
-    /// Total merge compactions.
-    pub compactions: u64,
-}
-
-impl MultiMetrics {
-    /// Builds the aggregate view from a summed kernel [`Metrics`].
-    pub fn from_metrics(series: usize, metrics: &Metrics) -> Self {
-        Self {
-            series,
-            user_points: metrics.user_points,
-            disk_points_written: metrics.disk_points_written,
-            flushes: metrics.flushes,
-            compactions: metrics.compactions,
-        }
-    }
-
-    /// Fleet-wide write amplification (the shared §I-B definition).
-    pub fn write_amplification(&self) -> f64 {
-        crate::metrics::write_amplification(
-            self.disk_points_written,
-            self.user_points,
-        )
-    }
-}
-
 /// A collection of independently-buffered series over one shared store.
 pub struct MultiSeriesEngine {
     store: Arc<dyn TableStore>,
@@ -961,12 +925,6 @@ impl MultiSeriesEngine {
         self.fleet_manifest.as_ref().map(Manifest::stats)
     }
 
-    /// Aggregated counters across all series — a [`MultiMetrics`] view over
-    /// the summed kernel metrics.
-    pub fn metrics(&self) -> MultiMetrics {
-        MultiMetrics::from_metrics(self.series.len(), &self.combined_metrics())
-    }
-
     /// The full kernel [`Metrics`] summed across every series
     /// ([`Metrics::absorb`], in ascending series order: the per-engine
     /// series follow one another, so `windowed_wa` of the sum means
@@ -1225,8 +1183,8 @@ mod tests {
                     .expect("append");
             }
         }
-        let agg = m.metrics();
-        assert_eq!(agg.series, 4);
+        let agg = m.combined_metrics();
+        assert_eq!(m.len(), 4);
         assert_eq!(agg.user_points, 200);
         assert!(agg.disk_points_written >= 4 * 48);
         assert!((agg.write_amplification() - 1.0).abs() < 0.25);

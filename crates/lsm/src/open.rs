@@ -4,8 +4,8 @@
 //! How an engine is put together does not depend on where its compaction
 //! runs, so it is written once. [`EngineBuilder`] declares the settings
 //! every engine shares — configuration, table store, block cache, WAL and
-//! manifest paths, recovery options, fault plan, observer, admission
-//! watermarks — and applies each of them in exactly one place:
+//! manifest paths, recovery options, fault plan, observer — and applies each
+//! of them in exactly one place:
 //!
 //! * the store defaults to a fresh [`MemStore`] and is wrapped in a
 //!   [`CachedStore`] when a cache is configured;
@@ -20,10 +20,10 @@
 //!   series, as it hands out its store.
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
-//! has ([`Background`]: synchronous flushes; [`Fleet`]: durable
-//! directory, flush pool, arbiter) and the engine type it assembles — the
-//! two single-series kinds the same [`Engine`], over the executor their
-//! settings start. A durable fleet assembles its series through the
+//! has ([`Background`]: synchronous flushes and admission watermarks;
+//! [`Fleet`]: durable directory, flush pool, arbiter) and the engine type it
+//! assembles — the two single-series kinds the same [`Engine`], over the
+//! executor their settings start. A durable fleet assembles its series through the
 //! [`Inline`] kind with neither log nor manifest: both are the fleet's
 //! (`fleet.wal`, `fleet.manifest`), and so are the horizons that make a
 //! series' flushes durable. Which horizon an inline engine keeps is decided
@@ -89,8 +89,8 @@ pub trait Kind: Default {
     fn attach_faults(engine: &mut Self::Engine, plan: &Arc<FaultPlan>);
 }
 
-/// Kinds that open exactly one series and therefore take one WAL path, one
-/// manifest path and one admission controller.
+/// Kinds that open exactly one series and therefore take one WAL path and
+/// one manifest path.
 pub trait SingleSeries: Kind {}
 
 /// The [`LsmEngine`] kind; it has no settings of its own
@@ -113,6 +113,9 @@ pub struct Background {
     /// [`IoPacer::default`] outside the crate's own tests.
     pub(crate) pacer: IoPacer,
     pub(crate) sync_flush: bool,
+    /// The slowdown/stop watermarks the worker's backlog is admitted
+    /// against.
+    pub(crate) watermarks: Watermarks,
 }
 
 /// The [`MultiSeriesEngine`](crate::MultiSeriesEngine) kind.
@@ -154,7 +157,6 @@ pub struct EngineBuilder<K> {
     pub(crate) recovery: RecoveryOptions,
     faults: Option<Arc<FaultPlan>>,
     pub(crate) observer: ObserverHandle,
-    pub(crate) watermarks: Watermarks,
     /// The engine's pool of written tables (a fleet series: its fleet's).
     pub(crate) written: Arc<Written>,
     pub(crate) kind: K,
@@ -170,7 +172,6 @@ impl<K: std::fmt::Debug> std::fmt::Debug for EngineBuilder<K> {
             .field("recovery", &self.recovery)
             .field("faults", &self.faults.is_some())
             .field("observer", &self.observer.is_attached())
-            .field("watermarks", &self.watermarks)
             .field("kind", &self.kind)
             .finish()
     }
@@ -190,7 +191,6 @@ impl<K: Kind> EngineBuilder<K> {
             recovery: RecoveryOptions::strict(),
             faults: None,
             observer: ObserverHandle::detached(),
-            watermarks: Watermarks::default(),
             kind: K::default(),
         }
     }
@@ -306,17 +306,6 @@ impl<K: SingleSeries> EngineBuilder<K> {
         self.manifest = Some(path.into());
         self
     }
-
-    /// Sets the slowdown/stop admission watermarks consulted before every
-    /// buffer insert against the L0 + pending-flush depth (default
-    /// [`Watermarks::default`]: 8/16). Tight watermarks turn ingest bursts
-    /// into typed `Delayed` / `Stalled` outcomes instead of unbounded L0
-    /// growth; the inline engine drains in `append`, so its depth only
-    /// leaves zero transiently.
-    pub fn admission(mut self, watermarks: Watermarks) -> Self {
-        self.watermarks = watermarks;
-        self
-    }
 }
 
 impl Kind for Inline {
@@ -360,7 +349,7 @@ impl Kind for Inline {
         } else {
             Horizon::EveryPlan
         };
-        let exec = engine::Inline::new(version, horizon, options.watermarks);
+        let exec = engine::Inline::new(version, horizon);
         Engine::assemble(options, store, exec, report)
     }
 
@@ -378,6 +367,16 @@ impl TieredOpenOptions {
     /// throughput experiment keeps the default asynchronous pipeline.
     pub fn sync_flush(mut self) -> Self {
         self.kind.sync_flush = true;
+        self
+    }
+
+    /// Sets the slowdown/stop admission watermarks consulted before every
+    /// buffer insert against the L0 + pending-flush depth (default
+    /// [`Watermarks::default`]: 8/16). Tight watermarks turn ingest bursts
+    /// into typed `Delayed` / `Stalled` outcomes instead of unbounded L0
+    /// growth. The inline engine has no backlog and admits every append.
+    pub fn admission(mut self, watermarks: Watermarks) -> Self {
+        self.kind.watermarks = watermarks;
         self
     }
 }
@@ -425,7 +424,6 @@ impl Kind for Background {
             &store,
             &options.written,
             version,
-            options.watermarks,
             &options.observer,
         )?;
         Engine::assemble(options, store, exec, report)

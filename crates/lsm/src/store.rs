@@ -5,6 +5,16 @@
 //! while durability-sensitive users get the on-disk [`FileStore`]. Both
 //! stores move data through the real SSTable wire format — the in-memory
 //! store is a storage substitution, not a code-path shortcut.
+//!
+//! A table enters a store one of three ways: [`TableStore::put`] stores it
+//! durably at once; [`TableStore::publish_batch`] makes a plan's outputs
+//! readable, and [`TableStore::sync_published`] later makes those of them
+//! still live durable. The [`FileStore`] keeps a published table in memory
+//! until its sync writes it, so one deleted before then never reaches the
+//! file system. A store that overrides neither takes the defaults:
+//! `publish_batch` is one `put` per table and `sync_published` owes
+//! nothing (the wrappers forward both). [`CachedStore`] puts a
+//! [`BlockCache`] in front of any store for reads.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -70,32 +80,21 @@ pub trait TableStore: Send + Sync {
 
     /// Stores every chunk as its own new SSTable — the outputs of one
     /// flush or merge — returning one `(metadata, encoded size)` per chunk,
-    /// in order. When this returns, every table is as durable as a
-    /// [`put`](TableStore::put) would have made it; a failure may leave any
-    /// subset of the tables behind (unreferenced, for orphan GC). The
-    /// default stores chunk by chunk; stores that pay per publication (the
-    /// [`FileStore`]'s directory fsync) override it to pay once per batch.
-    fn put_batch(
-        &self,
-        chunks: &[&[DataPoint]],
-    ) -> Result<Vec<(SsTableMeta, usize)>> {
-        chunks.iter().map(|chunk| self.put(chunk)).collect()
-    }
-
-    /// [`put_batch`](TableStore::put_batch) minus the durability: when this
-    /// returns every table is readable under its id, but a crash may take
-    /// it back, whole or torn, until
-    /// [`sync_published`](TableStore::sync_published) has made it durable.
-    /// For an owner that syncs only the tables that live until its next
-    /// horizon and deletes the rest unsynced: the [`FileStore`] keeps such a
-    /// table in memory, so one deleted before it is synced never reaches
-    /// the file system. The default is `put_batch` itself — already
-    /// durable, so the default `sync_published` owes nothing.
+    /// in order. When this returns every table is readable under its id,
+    /// but a crash may take it back, whole or torn, until
+    /// [`sync_published`](TableStore::sync_published) has made it durable; a
+    /// failure may leave any subset of the tables behind (unreferenced, for
+    /// orphan GC). For an owner that syncs only the tables that live until
+    /// its next horizon and deletes the rest unsynced: the [`FileStore`]
+    /// keeps such a table in memory, so one deleted before it is synced
+    /// never reaches the file system. The default is one
+    /// [`put`](TableStore::put) per chunk — already durable, so the default
+    /// `sync_published` owes nothing.
     fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
     ) -> Result<Vec<(SsTableMeta, usize)>> {
-        self.put_batch(chunks)
+        chunks.iter().map(|chunk| self.put(chunk)).collect()
     }
 
     /// Makes the published tables `ids` durable (the [`FileStore`]: one
@@ -196,12 +195,9 @@ pub trait TableStore: Send + Sync {
         Ok(load_index(self, id)?.map(|(index, _)| index.may_contain(range)))
     }
 
-    /// Hints that the table is expected to be deleted soon (a freshly
-    /// flushed L0 table the next merge-compaction will consume — mostly
-    /// from the engine's pool of written tables, without reading it here).
-    /// Plain stores ignore the hint; the [`CachedStore`] lowers the
-    /// table's cache priority so the blocks queries fault in of it never
-    /// displace run-table blocks.
+    /// Hints that the table is expected to be deleted soon. No store acts
+    /// on it and the engines never give it; it stays a no-op only because
+    /// the benchmark's `TimedStore` decorator forwards it.
     fn note_short_lived(&self, id: SsTableId) {
         let _ = id;
     }
@@ -392,8 +388,7 @@ fn read_whole(path: &Path) -> Result<Vec<u8>> {
 /// the table from them through the same decode and checks as a file's.
 /// [`sync_published`](TableStore::sync_published) writes a staged table to
 /// `NNNNNNNN.sst.tmp`, fsyncs it, renames it to its live name and fsyncs the
-/// directory; [`put`](TableStore::put) and
-/// [`put_batch`](TableStore::put_batch) do both at once. A staged table that
+/// directory; [`put`](TableStore::put) does both at once. A staged table that
 /// is deleted before it is synced never reaches the file system. So tmp
 /// files exist only inside a sync, a crash never leaves a half-written or
 /// unsynced table under a live name, and the tmp debris a crash inside a
@@ -511,8 +506,9 @@ impl FileStore {
         Ok((SsTableMeta::describe(id, points), size))
     }
 
-    /// Drops the staged bytes of a failed batch, so that the retry its
-    /// caller makes does not leave them behind.
+    /// Drops the staged bytes of a failed `put` or `publish_batch`, which
+    /// nothing refers to, so that the retry its caller makes does not leave
+    /// them behind.
     fn discard(&self, ids: impl IntoIterator<Item = SsTableId>) {
         let mut staged = self.staged.lock();
         for id in ids {
@@ -557,29 +553,16 @@ impl FileStore {
 }
 
 impl TableStore for FileStore {
+    /// Stages the table and syncs it at once. A failed put leaves nothing
+    /// staged and no tmp file: no horizon will ever ask for the table. One
+    /// the failure had already renamed is an unreferenced orphan.
     fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
         let (meta, size) = self.stage(points)?;
-        self.sync_published(&[meta.id])?;
-        Ok((meta, size))
-    }
-
-    /// Group publication: every table written, then each fsynced and
-    /// renamed, then the directory fsynced *once* — k + 1 fsyncs for k
-    /// tables instead of 2k. A failed batch stages nothing and leaves no
-    /// tmp file behind; tables it had already renamed are unreferenced
-    /// orphans.
-    fn put_batch(
-        &self,
-        chunks: &[&[DataPoint]],
-    ) -> Result<Vec<(SsTableMeta, usize)>> {
-        let stored = self.publish_batch(chunks)?;
-        let ids: Vec<SsTableId> =
-            stored.iter().map(|(meta, _)| meta.id).collect();
-        if let Err(e) = self.sync_published(&ids) {
-            self.discard(ids);
+        if let Err(e) = self.sync_published(&[meta.id]) {
+            self.discard([meta.id]);
             return Err(e);
         }
-        Ok(stored)
+        Ok((meta, size))
     }
 
     /// Every table staged in memory and nothing else: no file, no hooked
@@ -884,13 +867,6 @@ impl TableStore for CachedStore {
         self.inner.put(points)
     }
 
-    fn put_batch(
-        &self,
-        chunks: &[&[DataPoint]],
-    ) -> Result<Vec<(SsTableMeta, usize)>> {
-        self.inner.put_batch(chunks)
-    }
-
     fn publish_batch(
         &self,
         chunks: &[&[DataPoint]],
@@ -900,11 +876,6 @@ impl TableStore for CachedStore {
 
     fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
         self.inner.sync_published(ids)
-    }
-
-    fn note_short_lived(&self, id: SsTableId) {
-        self.cache.mark_short_lived(id);
-        self.inner.note_short_lived(id);
     }
 
     fn note_retired(&self, id: SsTableId) {
@@ -1133,7 +1104,7 @@ mod tests {
     }
 
     #[test]
-    fn file_store_put_batch_syncs_directory_once() {
+    fn file_store_publish_then_sync_syncs_directory_once() {
         let dir = std::env::temp_dir().join(format!(
             "seplsm-store-batch-{}-{:?}",
             std::process::id(),
@@ -1145,7 +1116,9 @@ mod tests {
             .expect("open")
             .with_faults(Arc::clone(&plan));
         let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
-        let stored = store.put_batch(&[&a, &b, &c]).expect("put_batch");
+        let stored = store.publish_batch(&[&a, &b, &c]).expect("publish");
+        let ids: Vec<SsTableId> = stored.iter().map(|(m, _)| m.id).collect();
+        store.sync_published(&ids).expect("sync");
         // Group publication: every table written, then each made durable
         // and renamed, then the one directory fsync that makes every rename
         // durable.
@@ -1174,12 +1147,61 @@ mod tests {
             store.table_len(stored[0].0.id).expect("len").expect("some")
         );
         let ops = plan.ops();
-        store.put_batch(&[]).expect("empty batch");
+        store.publish_batch(&[]).expect("empty batch");
+        store.sync_published(&[]).expect("empty sync");
         assert_eq!(plan.ops(), ops, "an empty batch touches nothing");
         // The default implementation stores chunk by chunk.
         let mem = MemStore::new();
-        let stored = mem.put_batch(&[&a, &b]).expect("default put_batch");
+        let stored = mem.publish_batch(&[&a, &b]).expect("default publish");
         assert_eq!(mem.get(stored[1].0.id).expect("get"), b);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// How many `*.tmp` files `dir` holds.
+    fn tmp_files(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .expect("read_dir")
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count()
+    }
+
+    /// How many of the first `at` ops of `plan`'s trace renamed a table.
+    fn renamed_before(plan: &FaultPlan, at: u64) -> usize {
+        plan.trace()[..at as usize]
+            .iter()
+            .filter(|op| **op == IoOp::StoreRename)
+            .count()
+    }
+
+    #[test]
+    fn file_store_failed_put_discards_its_staged_table() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-put-fail-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        // A put is four ops: write, fsync, rename, directory. Fail each
+        // once: nothing stays staged — no horizon will ever sync or drop
+        // the table — and no tmp file is left; only a table renamed before
+        // the failure is left, as an orphan.
+        for at in 0..4u64 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at });
+            let store = FileStore::open(&dir)
+                .expect("open")
+                .with_faults(Arc::clone(&plan));
+            assert!(store.put(&pts(0..10)).is_err(), "op {at}");
+            assert_eq!(store.staged_tables(), 0, "op {at}");
+            assert_eq!(tmp_files(&dir), 0, "op {at}");
+            let renamed = renamed_before(&plan, at);
+            assert_eq!(renamed, usize::from(at == 3), "op {at}");
+            assert_eq!(store.list().expect("list").len(), renamed, "op {at}");
+            // The retry its caller makes goes through from scratch.
+            let (meta, _) = store.put(&pts(0..10)).expect("retry");
+            assert_eq!(store.get(meta.id).expect("get"), pts(0..10));
+            assert_eq!(store.staged_tables(), 0);
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -1191,47 +1213,43 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let tmp_files = |dir: &Path| {
-            std::fs::read_dir(dir)
-                .expect("read_dir")
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-                .count()
-        };
         let (a, b, c) = (pts(0..10), pts(10..25), pts(25..30));
-        // A batch of three is ten ops: three writes, then a fsync and a
-        // rename per table, then the directory. Fail each once: the batch
-        // stages nothing and leaves no tmp file, whichever op failed, and
-        // only the tables renamed before the failure are left, as orphans.
-        let mut orphans = 0;
+        // Syncing a batch of three is ten ops: three writes, then a fsync
+        // and a rename per table, then the directory. Fail each once: every
+        // table not yet renamed stays staged for the horizon's retry, no tmp
+        // file is left, whichever op failed, and the retry syncs what is
+        // still staged.
+        let mut renamed_total = 0;
         for at in 0..10u64 {
             let _ = std::fs::remove_dir_all(&dir);
             let plan = FaultPlan::new(0, crate::fault::Fault::FailOnce { at });
             let store = FileStore::open(&dir)
                 .expect("open")
                 .with_faults(Arc::clone(&plan));
-            assert!(store.put_batch(&[&a, &b, &c]).is_err(), "op {at}");
-            assert_eq!(store.staged_tables(), 0, "op {at}");
+            let stored = store.publish_batch(&[&a, &b, &c]).expect("publish");
+            let ids: Vec<SsTableId> =
+                stored.iter().map(|(m, _)| m.id).collect();
+            assert!(store.sync_published(&ids).is_err(), "op {at}");
+            let renamed = renamed_before(&plan, at);
+            assert_eq!(store.staged_tables(), 3 - renamed, "op {at}");
             assert_eq!(tmp_files(&dir), 0, "op {at}");
-            let renamed = plan.trace()[..at as usize]
-                .iter()
-                .filter(|op| **op == IoOp::StoreRename)
-                .count();
             assert_eq!(store.list().expect("list").len(), renamed, "op {at}");
-            orphans += renamed;
-            // The retry its caller makes goes through from scratch.
-            let stored = store.put_batch(&[&a, &b, &c]).expect("retry");
-            assert_eq!(store.get(stored[2].0.id).expect("get"), c);
+            renamed_total += renamed;
+            store.sync_published(&ids).expect("retry");
+            assert_eq!(store.get(ids[2]).expect("get"), c);
             assert_eq!(store.staged_tables(), 0);
+            assert_eq!(store.list().expect("list"), ids);
         }
         // Failing at the fsync or rename of the second table, of the third
-        // or at the directory leaves one, two or three renamed.
-        assert_eq!(orphans, 1 + 1 + 2 + 2 + 3);
+        // or at the directory finds one, two or three renamed.
+        assert_eq!(renamed_total, 1 + 1 + 2 + 2 + 3);
         let _ = std::fs::remove_dir_all(&dir);
         // A crash, unlike a transient failure, leaves its debris in place.
         let plan = FaultPlan::crash_at(0, 2);
         let store = FileStore::open(&dir).expect("open").with_faults(plan);
-        assert!(store.put_batch(&[&a, &b, &c]).is_err());
+        let stored = store.publish_batch(&[&a, &b, &c]).expect("publish");
+        let ids: Vec<SsTableId> = stored.iter().map(|(m, _)| m.id).collect();
+        assert!(store.sync_published(&ids).is_err());
         assert_eq!(tmp_files(&dir), 3);
         drop(store);
         FileStore::open(&dir).expect("reopen");

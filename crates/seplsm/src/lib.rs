@@ -38,14 +38,14 @@ pub use seplsm_dist::{DelayDistribution, Empirical, LogNormal};
 pub use seplsm_lsm::{
     sync_dir, AdmissionController, AdmissionDecision, AdmissionDepth,
     AdmissionOutcome, AdmissionStats, Agg, AggregateReport, AggregateSink,
-    Arbiter, ArbiterConfig, ArbiterStats, BlockCache, Bucket, CacheConfig,
-    CachePriority, Clock, DegradedOp, DegradedReason, DegradedState, DiskModel,
-    EncodeOptions, EngineConfig, Event, FanoutSink, Fault, FaultPlan,
-    FaultStore, FileStore, Histogram, IoOp, IoPacer, JsonlSink, LogicalClock,
-    LsmEngine, Manifest, ManifestEdit, ManifestRecordKind, ManifestStats,
-    MemStore, MultiOpenOptions, MultiSeriesEngine, Observer, ObserverHandle,
-    OpenOptions, PaceDecision, PacerStats, QuarantinedTable, QueryStats,
-    Rebalance, RecoveryMode, RecoveryOptions, RecoveryReport, RecoveryStepKind,
+    Arbiter, ArbiterConfig, ArbiterStats, BlockCache, Bucket, Clock,
+    DegradedOp, DegradedReason, DegradedState, DiskModel, EncodeOptions,
+    EngineConfig, Event, FanoutSink, Fault, FaultPlan, FaultStore, FileStore,
+    Histogram, IoOp, IoPacer, JsonlSink, LogicalClock, LsmEngine, Manifest,
+    ManifestEdit, ManifestRecordKind, ManifestStats, MemStore,
+    MultiOpenOptions, MultiSeriesEngine, Observer, ObserverHandle, OpenOptions,
+    PaceDecision, PacerStats, QuarantinedTable, QueryStats, Rebalance,
+    RecoveryMode, RecoveryOptions, RecoveryReport, RecoveryStepKind,
     RetryBackoff, RingBufferSink, SeriesAssignment, SeriesId, TableStore,
     TieredEngine, TieredOpenOptions, TieredReport, Wal, WalStats, Watermarks,
 };

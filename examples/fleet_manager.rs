@@ -86,10 +86,10 @@ fn main() -> seplsm::Result<()> {
         );
     }
 
-    let agg = fleet.engine().metrics();
+    let agg = fleet.engine().combined_metrics();
     println!(
         "\nfleet totals: {} series, {} points, WA {:.3}",
-        agg.series,
+        fleet.engine().len(),
         agg.user_points,
         agg.write_amplification()
     );

@@ -163,10 +163,13 @@ for name in an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons \
     || { echo "crash_schedules lost its horizon test '$name'"; exit 1; }
 done
 # The staged tables of `FileStore`: a table published and not yet synced
-# costs no op and leaves no file, yet reads like a synced one; a failed
-# batch leaves nothing staged and no tmp file, whichever op failed.
+# costs no op and leaves no file, yet reads like a synced one; a failed put
+# leaves nothing staged and no tmp file, whichever op failed; a failed sync
+# of a published batch keeps what it did not rename staged for the retry and
+# leaves no tmp file either.
 STORE_TESTS="$(cargo test -q -p seplsm-lsm --lib --offline -- --list 2>/dev/null)"
 for name in a_staged_table_costs_no_io_and_no_file_yet_reads_like_a_synced_one \
+    file_store_failed_put_discards_its_staged_table \
     file_store_failed_batch_removes_its_staged_tmp_files; do
   grep -qx "store::tests::$name: test" <<<"$STORE_TESTS" \
     || { echo "store.rs lost its staging test '$name'"; exit 1; }
@@ -278,7 +281,36 @@ PYEOF
 # all five workloads at 1/50 size; it exits non-zero on a build error, a
 # failed operation or an answer that differs from the oracle.
 echo "== benchmark smoke (frozen adapter contract) =="
-bash benchmark/run.sh --smoke --seconds 10 >/dev/null
+SMOKE_OUT="$TRACE_DIR/smoke.txt"
+bash benchmark/run.sh --smoke --seconds 10 >"$SMOKE_OUT"
+# The same run's exact counters — write amplification, bytes written and
+# stored per point, fsyncs and write syscalls per 1 000 points of the two
+# inline ingest workloads and of read-mix — repeat bit for bit from run to
+# run, so they are compared with the record in scripts/smoke_counters.json.
+# A change that means to move them updates that file in the same diff.
+echo "== benchmark smoke (exact counters equal scripts/smoke_counters.json) =="
+python3 - "$SMOKE_OUT" scripts/smoke_counters.json <<'PYEOF'
+import json, sys
+out, record = sys.argv[1:]
+# run.sh runs the workloads in this order; each prints its JSON result last.
+order = ["ingest-pc", "ingest-ps", "ingest-bg-open", "read-mix", "fleet-skew"]
+results = [json.loads(l) for l in open(out) if l.startswith("{")]
+assert len(results) == len(order), f"{len(results)} results, {len(order)} workloads"
+got = dict(zip(order, results))
+expected = json.load(open(record))
+moved = []
+for workload, metrics in expected.items():
+    for name, want in metrics.items():
+        have = got[workload]["metrics"][name]["value"]
+        if have != want:
+            moved.append(f"{workload} {name}: recorded {want!r}, ran {have!r}")
+for line in moved:
+    print(f"smoke counter moved: {line}")
+if moved:
+    print(f"a change that means to move these counters updates {record}")
+    sys.exit(1)
+print(f"smoke counters OK: {sum(map(len, expected.values()))} exact")
+PYEOF
 # The traced run wraps the store in the benchmark's frozen `TimedStore`,
 # which forwards neither `publish_batch` nor `sync_published`: every horizon
 # then runs over the trait's *defaults* (every table durable as it is

@@ -1,7 +1,8 @@
 //! Compile-time pins of the engine API the frozen benchmark is built
-//! against: one line per call `benchmark/src/adapter.rs` makes, and per call
-//! `benchmark/src/drills.rs` makes into the table format, the store's index
-//! loader and the log. `benchmark/`
+//! against: one line per call `benchmark/src/adapter.rs` makes, per call
+//! `benchmark/src/drills.rs` makes into the engine's crate, and a
+//! [`TableStore`] decorator overriding exactly the methods
+//! `benchmark/src/trace.rs`'s `TimedStore` overrides. `benchmark/`
 //! is a workspace of its own that `cargo test` never builds, so without
 //! this file an engine change that breaks it is only noticed by the smoke
 //! lanes of `scripts/ci.sh`. A signature that moves fails to compile here;
@@ -12,14 +13,16 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use seplsm::lsm::obs::Observer;
-use seplsm::lsm::sstable::format::{self, RangeRead};
+use seplsm::lsm::sstable::format::{self, ByteSpan, RangeRead};
 use seplsm::lsm::store::load_index;
 use seplsm::lsm::{
-    AdmissionOutcome, AdmissionStats, Agg, ArbiterConfig, ArbiterStats,
-    BlockCache, Bucket, CacheStats, EncodeOptions, EngineConfig, FaultPlan,
-    FileStore, LsmEngine, Metrics, MultiOpenOptions, MultiSeriesEngine,
-    OpenOptions, PacerStats, QueryStats, RecoveryReport, SeriesId, SsTableId,
-    TableIndex, TableStore, TieredEngine, TieredOpenOptions, TieredReport, Wal,
+    merge_sorted, plan_merge, AdmissionOutcome, AdmissionStats, Agg,
+    ArbiterConfig, ArbiterStats, BlockCache, BlockKey, Bucket, CacheStats,
+    CompactionPlan, EncodeOptions, EngineConfig, EvictedBlock, FaultPlan,
+    FileStore, FlushTrigger, LsmEngine, Metrics, MultiOpenOptions,
+    MultiSeriesEngine, OpenOptions, PacerStats, PolicyBuffers, QueryStats,
+    RecoveryReport, RunInput, SeriesId, SsTableId, SsTableMeta, TableIndex,
+    TableStore, TieredEngine, TieredOpenOptions, TieredReport, Wal,
 };
 use seplsm::{DataPoint, Policy, Result, TimeRange, Timestamp};
 
@@ -144,4 +147,104 @@ fn the_drills_keep_their_format_index_and_log_calls() {
     let _: fn(&'static PathBuf) -> Result<Wal> = Wal::open;
     let _: fn(&mut Wal, &DataPoint) -> Result<()> = Wal::append;
     let _: fn(&mut Wal) -> Result<()> = Wal::sync;
+}
+
+#[test]
+fn the_drills_keep_their_merge_buffer_and_cache_calls() {
+    type Block = Arc<Vec<DataPoint>>;
+    let _: fn(&BlockCache, BlockKey, Block) -> Vec<EvictedBlock> =
+        BlockCache::insert;
+    let _: fn(&BlockCache, BlockKey) -> Option<Block> = BlockCache::lookup;
+    let _: fn(SsTableId, u32) -> BlockKey =
+        |table, block| BlockKey { table, block };
+    let _: fn(SsTableId, &[DataPoint]) -> SsTableMeta = SsTableMeta::describe;
+    let _: fn(SsTableMeta, Vec<DataPoint>) -> RunInput =
+        |meta, points| RunInput { meta, points };
+    let _: fn(&RunInput) -> RunInput = RunInput::clone;
+    type Fresh = Vec<Vec<DataPoint>>;
+    let _: fn(Fresh, Vec<RunInput>, usize, Option<u64>) -> CompactionPlan =
+        plan_merge;
+    let _: fn(&CompactionPlan) -> u64 = |plan| plan.merged_points;
+    let _: fn(Fresh) -> Vec<DataPoint> = merge_sorted;
+    let _: fn(Policy) -> PolicyBuffers = PolicyBuffers::for_policy;
+    let _: fn(
+        &mut PolicyBuffers,
+        DataPoint,
+        Option<Timestamp>,
+    ) -> FlushTrigger = PolicyBuffers::insert;
+    let _: fn(&mut PolicyBuffers, FlushTrigger) -> Vec<DataPoint> =
+        PolicyBuffers::take;
+    let _: fn(&PolicyBuffers) -> usize = PolicyBuffers::buffered_points;
+    let _: fn(FlushTrigger) -> bool = |t| t != FlushTrigger::None;
+}
+
+/// A decorator overriding exactly the [`TableStore`] methods the benchmark's
+/// `TimedStore` overrides, each forwarded. A trait method it names that
+/// leaves the trait, or changes its signature, fails to compile here.
+struct Forwarding {
+    inner: Arc<dyn TableStore>,
+}
+
+impl TableStore for Forwarding {
+    fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+        self.inner.put(points)
+    }
+
+    fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+        self.inner.get(id)
+    }
+
+    fn delete(&self, id: SsTableId) -> Result<()> {
+        self.inner.delete(id)
+    }
+
+    fn list(&self) -> Result<Vec<SsTableId>> {
+        self.inner.list()
+    }
+
+    fn get_range(&self, id: SsTableId, range: TimeRange) -> Result<RangeRead> {
+        self.inner.get_range(id, range)
+    }
+
+    fn quarantine(&self, id: SsTableId) -> Result<()> {
+        self.inner.quarantine(id)
+    }
+
+    fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
+        self.inner.read_raw(id)
+    }
+
+    fn table_len(&self, id: SsTableId) -> Result<Option<u64>> {
+        self.inner.table_len(id)
+    }
+
+    fn read_span(
+        &self,
+        id: SsTableId,
+        span: ByteSpan,
+    ) -> Result<Option<Bytes>> {
+        self.inner.read_span(id, span)
+    }
+
+    fn may_contain(
+        &self,
+        id: SsTableId,
+        range: TimeRange,
+    ) -> Result<Option<bool>> {
+        self.inner.may_contain(id, range)
+    }
+
+    fn note_short_lived(&self, id: SsTableId) {
+        self.inner.note_short_lived(id);
+    }
+
+    fn table_index(&self, id: SsTableId) -> Result<Option<Arc<TableIndex>>> {
+        self.inner.table_index(id)
+    }
+}
+
+#[test]
+fn the_timed_store_s_overrides_keep_their_signatures() {
+    let _: fn(Arc<dyn TableStore>) -> Arc<dyn TableStore> =
+        |inner| Arc::new(Forwarding { inner });
 }

@@ -672,8 +672,8 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
         fleet.append(SeriesId(0), point(i * 10)).expect("append");
     }
     fleet.append(SeriesId(4), point(10)).expect("append");
-    assert_eq!(fleet.metrics().compactions, 1);
-    assert_eq!(fleet.metrics().flushes, 32 + 31);
+    assert_eq!(fleet.combined_metrics().compactions, 1);
+    assert_eq!(fleet.combined_metrics().flushes, 32 + 31);
     let k = 4 + 2 + 4 + 56;
     assert_eq!(tables.staged_tables(), k);
     let synced_at = plan.ops() as usize;
@@ -738,20 +738,20 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
             fleet.append(SeriesId(s), point(i * 10)).expect("append");
         }
     }
-    assert_eq!(fleet.metrics().flushes, 0);
+    assert_eq!(fleet.combined_metrics().flushes, 0);
     // Twenty appends to series 0 alone (it flushes twice), acknowledged.
     for i in 15..35 {
         fleet.append(SeriesId(0), point(i * 10)).expect("append");
     }
     fleet.sync_wal_all().expect("sync");
-    let flushes = fleet.metrics().flushes;
+    let flushes = fleet.combined_metrics().flushes;
     // The twenty-first is the split: series 0 has all the recent heat, and
     // every other series shrinks below what it holds and flushes — past the
     // 64 points that make a horizon due.
     let before = plan.ops() as usize;
     let staged = tables.staged_tables();
     fleet.append(SeriesId(0), point(350)).expect("append");
-    assert_eq!(fleet.metrics().flushes, flushes + 20);
+    assert_eq!(fleet.combined_metrics().flushes, flushes + 20);
     let synced_at = plan.ops() as usize;
     // Every table staged since the last horizon is live — in-order
     // flushes consume nothing — and is written and synced at this one.
@@ -882,7 +882,7 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
         }
     }
     assert_eq!(fleet.engine(SeriesId(0)).expect("series").run().len(), 2);
-    assert_eq!(fleet.metrics().flushes, 1);
+    assert_eq!(fleet.combined_metrics().flushes, 1);
     let flush = plan.ops() as usize;
     fleet.sync_wal_all().expect("sync");
     let trace = plan.trace();
@@ -1007,7 +1007,7 @@ fn a_late_point_inside_a_flushed_range_rides_the_fleet_s_deferred_checkpoint() {
     // next sync, and before that comes a point inside its range and one
     // past it.
     fleet.append(id, point(5110)).expect("append flushes");
-    assert_eq!(fleet.metrics().flushes, 64);
+    assert_eq!(fleet.combined_metrics().flushes, 64);
     fleet.append(id, point(5075)).expect("late, in range");
     fleet.append(id, point(5130)).expect("past the range");
     let ops = plan.ops() as usize;
@@ -1372,6 +1372,6 @@ fn fleet_series_on_one_store_merge_without_reading_it() {
         let ops = &plan.trace()[before..];
         assert_eq!(input_reads(ops), 0, "series {s}: {ops:?}");
     }
-    assert_eq!(fleet.metrics().compactions, 2);
+    assert_eq!(fleet.combined_metrics().compactions, 2);
     fleet.sync_wal_all().expect("sync");
 }
