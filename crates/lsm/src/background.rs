@@ -25,6 +25,17 @@
 //! The bounded channel back-pressures the writer if the worker cannot keep
 //! up (realistic write-stall behaviour).
 //!
+//! # Admission and failures
+//!
+//! Before each append the writer consults the admission watermarks
+//! ([`crate::admission`]) against L0 plus the flushing batches: below
+//! `stop` it goes ahead at once; at `stop` it parks on the worker's
+//! condvar until the depth falls below `resume`, merging L0 itself when the
+//! worker is idle. Nothing paces the worker's writes. A store operation
+//! failing with [`Error::Io`] is retried at once, up to
+//! [`DEFAULT_RETRY_ATTEMPTS`] attempts; when they are spent, or on any
+//! other error, the engine degrades to read-only.
+//!
 //! # Durability
 //!
 //! At every hand-off the log is told the generation-time ranges of the
@@ -48,8 +59,7 @@ use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
 use crate::admission::{
     self, AdmissionController, AdmissionDepth, AdmissionOutcome,
-    AdmissionStats, IoPacer, PaceDecision, PacerStats, RetryBackoff,
-    StallTransition,
+    AdmissionStats, StallTransition,
 };
 use crate::compaction::{self, plan_merge, RunInput, Written};
 use crate::engine::{Batch, Engine, Executor, Front};
@@ -70,48 +80,47 @@ const L0_COMPACT_THRESHOLD: usize = 4;
 /// Flush-queue depth before ingestion back-pressures.
 const CHANNEL_DEPTH: usize = 8;
 
-/// Retries `op` on [`Error::Io`] (the transient class — a torn network
-/// store, an injected fault) under a bounded, exponentially growing
-/// logical-tick backoff; any other error class aborts immediately. The
-/// backoff is charged in ticks, never slept, so fault schedules stay
-/// deterministic; each delayed reattempt is announced as
-/// [`Event::RetryBackoff`].
+/// Attempts the worker makes at a store operation before it degrades.
+pub const DEFAULT_RETRY_ATTEMPTS: u32 = 3;
+
+/// Runs `op` up to [`DEFAULT_RETRY_ATTEMPTS`] times, retrying at once on
+/// [`Error::Io`] (the transient class — a torn network store, an injected
+/// fault); any other error class aborts after the attempt that raised it.
+/// Each retry is announced as [`Event::RetryBackoff`]. A failure comes
+/// back with the attempts made.
 fn retry_store<T>(
     obs: &ObserverHandle,
     mut op: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    let mut backoff = RetryBackoff::default();
+) -> std::result::Result<T, (Error, u32)> {
+    let mut attempt = 1;
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e @ Error::Io(_)) => match backoff.next_delay() {
-                Some((attempt, ticks)) => {
-                    obs.emit(|| Event::RetryBackoff {
-                        attempt: u64::from(attempt),
-                        ticks,
-                    });
-                }
-                None => return Err(e),
-            },
-            Err(e) => return Err(e),
+            Err(Error::Io(_)) if attempt < DEFAULT_RETRY_ATTEMPTS => {
+                attempt += 1;
+                let attempt = u64::from(attempt);
+                obs.emit(|| Event::RetryBackoff { attempt });
+            }
+            Err(e) => return Err((e, attempt)),
         }
     }
 }
 
-/// Records the transition into the degraded read-only state: builds the
-/// typed [`DegradedState`], reports it to the observer, stores it for
+/// Records the transition into the degraded read-only state after
+/// `attempts` tries at `op` failed with `err`: builds the typed
+/// [`DegradedState`], reports it to the observer, stores it for
 /// [`TieredEngine::degraded_state`], and raises the lock-free flag the
 /// append path checks.
 fn enter_degraded(
     state: &Mutex<TierState>,
     flag: &AtomicBool,
     op: DegradedOp,
-    err: &Error,
+    (err, attempts): &(Error, u32),
 ) {
     let degraded = DegradedState {
         reason: DegradedReason::StoreIo,
         op,
-        attempts: crate::admission::DEFAULT_RETRY_ATTEMPTS,
+        attempts: *attempts,
         detail: err.to_string(),
     };
     let mut state = state.lock();
@@ -121,6 +130,14 @@ fn enter_degraded(
     state.degraded = Some(degraded);
     drop(state);
     flag.store(true, Ordering::Release);
+}
+
+/// What [`TieredEngine::pacer_stats`] reports: nothing paces the worker's
+/// writes, so it is always the default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PacerStats {
+    /// Writes that waited for I/O budget.
+    pub waits: u64,
 }
 
 /// Counters reported when the engine is finished — a view over the kernel's
@@ -175,8 +192,6 @@ struct TierState {
     /// Watermark-gated admission: consulted by the writer before every
     /// buffer insert against the combined L0 + pending-flush depth.
     admission: AdmissionController,
-    /// Logical token bucket rate-limiting compaction output writes.
-    pacer: IoPacer,
     /// Worker-side event sink (shared with the writer's handle).
     obs: ObserverHandle,
 }
@@ -196,13 +211,7 @@ impl TierState {
             .admission
             .interrupt_stall()
             .map(|ticks| StallTransition::Ended { ticks });
-        admission::witness(
-            ended,
-            AdmissionOutcome::Stalled,
-            depth,
-            &mut self.metrics,
-            &self.obs,
-        );
+        admission::witness(ended, depth, &mut self.metrics, &self.obs);
     }
 }
 
@@ -266,14 +275,6 @@ fn compact_l0_once(
             });
         }
         let plan = plan_merge(fresh, inputs, sstable_points, None);
-        // Pace the output write against the logical token budget before it
-        // hits the store. Ticks are accounting only — nothing sleeps — so
-        // fault schedules stay deterministic while the charge shows up in
-        // `PacerStats::wait_ticks` and as an `Event::CompactionPaced`.
-        let paced = state_mutex.lock().pacer.grant(plan.merged_points);
-        if let PaceDecision::Wait { ticks } = paced {
-            obs.emit(|| Event::CompactionPaced { ticks });
-        }
         let prepared =
             compaction::write_outputs(plan, store.as_ref(), written, obs)?;
         compaction::sync_outputs(&prepared, store.as_ref())?;
@@ -386,7 +387,6 @@ impl Background {
             compacting: false,
             merge_due: false,
             admission: AdmissionController::new(kind.watermarks),
-            pacer: kind.pacer,
             obs: obs.clone(),
         }));
         let degraded = Arc::new(AtomicBool::new(false));
@@ -424,12 +424,12 @@ impl Background {
                             &worker_obs,
                         )
                     });
-                    if let Err(e) = &merged {
+                    if let Err(failed) = &merged {
                         enter_degraded(
                             &worker_state,
                             &worker_degraded,
                             DegradedOp::Compaction,
-                            e,
+                            failed,
                         );
                     }
                     merged.is_ok()
@@ -458,7 +458,7 @@ impl Background {
                         Ok(prepared)
                     }) {
                         Ok(prepared) => prepared,
-                        Err(e) => {
+                        Err(failed) => {
                             // Retries exhausted: enter the degraded
                             // read-only state instead of panicking. The
                             // batch stays a registered flushing MemTable
@@ -469,7 +469,7 @@ impl Background {
                                 &worker_state,
                                 &worker_degraded,
                                 DegradedOp::FlushWrite,
-                                &e,
+                                &failed,
                             );
                             return Ok(());
                         }
@@ -530,8 +530,8 @@ impl Background {
     }
 
     /// The typed degraded (read-only) state, if the worker has entered it:
-    /// its backed-off retries ([`crate::admission::DEFAULT_RETRY_ATTEMPTS`])
-    /// at a store operation are exhausted. Writes then fail with
+    /// its attempts ([`DEFAULT_RETRY_ATTEMPTS`]) at a store operation are
+    /// exhausted. Writes then fail with
     /// [`Error::Degraded`] while queries keep serving the surviving state.
     fn degraded_state(&self) -> Option<DegradedState> {
         if !self.degraded.load(Ordering::Acquire) {
@@ -620,10 +620,10 @@ impl Executor for Background {
     }
 
     /// Consults the admission controller against the combined L0 +
-    /// pending-flush depth, blocking while the stop watermark is exceeded.
-    /// A stalled writer parks on `flush_done` and re-consults on every
-    /// wakeup; hysteresis ends the stall only once depth falls below the
-    /// resume (slowdown) watermark. When the worker has nothing queued but
+    /// pending-flush depth: below the stop watermark the append goes ahead
+    /// at once; at it the writer blocks. A stalled writer parks on
+    /// `flush_done` and re-consults on every wakeup; hysteresis ends the
+    /// stall only once depth falls below the resume watermark. When the worker has nothing queued but
     /// L0 is still over the watermark, the writer merges L0 itself, so
     /// stalls always end even with an idle worker.
     fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
@@ -639,55 +639,47 @@ impl Executor for Background {
             } = &mut *state;
             let (decision, depth) =
                 admission::consult(admission, version, metrics, obs);
-            match decision.outcome {
-                AdmissionOutcome::Admitted => {
-                    // An append that waited out a stall reports it.
-                    return Ok(if stalled_here {
-                        AdmissionOutcome::Stalled
-                    } else {
-                        AdmissionOutcome::Admitted
-                    });
-                }
-                AdmissionOutcome::Delayed { .. } => return Ok(decision.outcome),
-                AdmissionOutcome::Stalled => {
-                    stalled_here = true;
-                    if let Some(degraded) = &state.degraded {
-                        // A degraded worker will never drain the backlog:
-                        // close the episode and surface the typed error.
-                        let reason = degraded.to_string();
-                        state.interrupt_stall(depth);
-                        return Err(Error::Degraded(reason));
-                    }
-                    if state.version.flushing().is_empty() && !state.compacting
-                    {
-                        // Idle worker, over-watermark L0: drain it from
-                        // this thread (compact_l0_once locks internally).
-                        drop(state);
-                        compact_l0_once(
-                            &self.state,
-                            &self.flush_done,
-                            &front.store,
-                            &front.written,
-                            front.config.sstable_points,
-                            &front.obs,
-                        )?;
-                        state = self.state.lock();
-                        continue;
-                    }
-                    if self.handle.as_ref().is_none_or(JoinHandle::is_finished)
-                    {
-                        // Worker gone without degrading (shutdown race):
-                        // nothing will retire the backlog, so don't wait
-                        // for it.
-                        state.interrupt_stall(depth);
-                        return Ok(AdmissionOutcome::Stalled);
-                    }
-                    let (guard, _timed_out) = self
-                        .flush_done
-                        .wait_timeout(state, Duration::from_millis(10));
-                    state = guard;
-                }
+            if decision.outcome == AdmissionOutcome::Admitted {
+                // An append that waited out a stall reports it.
+                return Ok(if stalled_here {
+                    AdmissionOutcome::Stalled
+                } else {
+                    AdmissionOutcome::Admitted
+                });
             }
+            stalled_here = true;
+            if let Some(degraded) = &state.degraded {
+                // A degraded worker will never drain the backlog: close
+                // the episode and surface the typed error.
+                let reason = degraded.to_string();
+                state.interrupt_stall(depth);
+                return Err(Error::Degraded(reason));
+            }
+            if state.version.flushing().is_empty() && !state.compacting {
+                // Idle worker, over-watermark L0: drain it from this
+                // thread (compact_l0_once locks internally).
+                drop(state);
+                compact_l0_once(
+                    &self.state,
+                    &self.flush_done,
+                    &front.store,
+                    &front.written,
+                    front.config.sstable_points,
+                    &front.obs,
+                )?;
+                state = self.state.lock();
+                continue;
+            }
+            if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
+                // Worker gone without degrading (shutdown race): nothing
+                // will retire the backlog, so don't wait for it.
+                state.interrupt_stall(depth);
+                return Ok(AdmissionOutcome::Stalled);
+            }
+            let (guard, _timed_out) = self
+                .flush_done
+                .wait_timeout(state, Duration::from_millis(10));
+            state = guard;
         }
     }
 
@@ -813,9 +805,9 @@ impl Engine<Background> {
         metrics
     }
 
-    /// Snapshot of the compaction I/O pacer's counters.
+    /// Always [`PacerStats::default`]: nothing paces the worker's writes.
     pub fn pacer_stats(&self) -> PacerStats {
-        self.exec.state.lock().pacer.stats()
+        PacerStats::default()
     }
 
     /// Snapshot of the on-disk table layout: `(level, range, points)` per
@@ -889,8 +881,9 @@ mod tests {
     use crate::engine::tests as shared;
     use crate::engine::EngineConfig;
     use crate::fault::{Fault, FaultPlan, FaultStore};
-    use crate::obs::{AggregateSink, Observer};
+    use crate::obs::{Observer, RingBufferSink};
     use crate::open::TieredOpenOptions as OpenOptions;
+    use crate::sstable::SsTableId;
     use crate::store::MemStore;
     use seplsm_types::Policy;
 
@@ -1109,94 +1102,101 @@ mod tests {
         let metrics = e.metrics();
         assert_eq!(metrics.write_stalls, stats.stalls);
         assert_eq!(metrics.stall_ticks, stats.stall_ticks);
+        assert_eq!(e.pacer_stats(), PacerStats::default());
         let report = e.finish().expect("finish");
         assert_eq!(report.points.len(), 64, "stalled appends must not lose");
     }
 
     #[test]
-    fn delayed_outcomes_between_watermarks() {
+    fn appends_below_stop_are_admitted_at_once() {
+        // The merge threshold keeps L0 at most 4 deep, under stop = 8 but
+        // at or above resume = 1 after every seal: nothing may stall, and
+        // nothing between the watermarks is held or charged a tick.
         let mut e = OpenOptions::new(tiny())
             .admission(Watermarks::new(1, 8).expect("watermarks"))
             .sync_flush()
             .open()
             .expect("open");
-        let mut delayed = 0u64;
         for i in 0..32i64 {
-            if let AdmissionOutcome::Delayed { ticks } =
-                e.append(DataPoint::new(i, i, 0.0)).expect("append")
-            {
-                assert!(ticks >= 1);
-                delayed += 1;
-            }
+            let outcome = e.append(DataPoint::new(i, i, 0.0)).expect("append");
+            assert_eq!(outcome, AdmissionOutcome::Admitted);
         }
-        assert!(delayed >= 1, "slowdown watermark never crossed");
-        assert_eq!(e.admission_stats().delayed, delayed);
+        let stats = e.admission_stats();
+        assert!(stats.max_depth >= 1, "L0 never held a table: {stats:?}");
         assert_eq!(
-            e.admission_stats().stalls,
-            0,
-            "depth stays under the stop watermark: nothing may stall"
+            (stats.admitted, stats.stalls, stats.stall_ticks),
+            (32, 0, 0)
         );
-        assert_eq!(e.metrics().delayed_appends, delayed);
+        let metrics = e.metrics();
+        assert_eq!((metrics.delayed_appends, metrics.stall_ticks), (0, 0));
         let report = e.finish().expect("finish");
         assert_eq!(report.points.len(), 32);
     }
 
     #[test]
-    fn starved_pacer_charges_ticks_to_compactions() {
-        // A 1-token bucket makes every compaction after the first wait for
-        // a refill, so the paced-ticks counter must move.
-        let sink = AggregateSink::with_logical_clock();
-        let mut options = OpenOptions::new(tiny())
-            .observer(Arc::clone(&sink) as Arc<dyn Observer>)
-            .sync_flush();
-        options.kind.pacer = IoPacer::new(1, 1).expect("pacer");
-        let mut e = options.open().expect("open");
-        for i in 0..64i64 {
-            e.append(DataPoint::new(i, i, 0.0)).expect("append");
-        }
-        e.quiesce().expect("quiesce");
-        // In-order L0→run merges commit as flushes (nothing is rewritten),
-        // so the pacer counters and events are the evidence the merges
-        // were paced.
-        let pacer = e.pacer_stats();
-        assert!(pacer.wait_ticks >= 1, "starved pacer never charged");
-        assert!(pacer.waits >= 1, "{pacer:?}");
-        assert!(pacer.granted >= 2, "{pacer:?}");
-        let agg = sink.report();
-        assert_eq!(agg.paced_ticks, pacer.wait_ticks);
-        let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), 64);
-    }
-
-    #[test]
-    fn transient_failures_back_off_before_retrying() {
+    fn a_transient_failure_is_retried_at_once() {
         let plan = FaultPlan::new(7, Fault::FailOnce { at: 2 });
         let store =
             Arc::new(FaultStore::new(MemStore::new(), Arc::clone(&plan)));
-        let sink = AggregateSink::with_logical_clock();
+        let ring = RingBufferSink::new(1 << 12);
         let mut e = OpenOptions::new(tiny())
             .store(store)
-            .observer(Arc::clone(&sink) as Arc<dyn Observer>)
+            .observer(Arc::clone(&ring) as Arc<dyn Observer>)
             .sync_flush()
             .open()
             .expect("open");
         for i in 0..32i64 {
             e.append(DataPoint::new(i, i, i as f64)).expect("append");
         }
-        let agg = sink.report();
-        let backoff_kind = Event::RetryBackoff {
-            attempt: 2,
-            ticks: 1,
-        }
-        .kind();
-        assert!(
-            agg.counts[backoff_kind] >= 1,
-            "RetryBackoff event not observed"
-        );
-        assert!(agg.backoff_ticks >= 1);
+        let retries: Vec<Event> = ring
+            .events()
+            .into_iter()
+            .filter(|ev| matches!(ev, Event::RetryBackoff { .. }))
+            .collect();
+        assert_eq!(retries, vec![Event::RetryBackoff { attempt: 2 }]);
         let report = e.finish().expect("finish");
         assert_eq!(report.points.len(), 32);
-        assert!(plan.injected_failures() >= 1);
+        assert_eq!(plan.injected_failures(), 1);
+    }
+
+    #[test]
+    fn degraded_state_counts_the_attempts_made() {
+        // A store that refuses every table as corrupt: not the transient
+        // class, so the first attempt is the last.
+        struct CorruptStore(MemStore);
+        impl TableStore for CorruptStore {
+            fn put(&self, _: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+                Err(Error::Corrupt("refused".into()))
+            }
+            fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+                self.0.get(id)
+            }
+            fn delete(&self, id: SsTableId) -> Result<()> {
+                self.0.delete(id)
+            }
+            fn list(&self) -> Result<Vec<SsTableId>> {
+                self.0.list()
+            }
+        }
+        let degrade = |store: Arc<dyn TableStore>| {
+            let mut e = OpenOptions::new(tiny())
+                .store(store)
+                .sync_flush()
+                .open()
+                .expect("open");
+            for i in 0..8i64 {
+                let _ = e.append(DataPoint::new(i, i, 0.0));
+            }
+            e.degraded_state().expect("degraded")
+        };
+        let corrupt = degrade(Arc::new(CorruptStore(MemStore::new())));
+        assert_eq!((corrupt.op, corrupt.attempts), (DegradedOp::FlushWrite, 1));
+        let plan = FaultPlan::new(7, Fault::FailPersistent { from: 0 });
+        let io = degrade(Arc::new(FaultStore::new(MemStore::new(), plan)));
+        assert_eq!(
+            (io.op, io.attempts),
+            (DegradedOp::FlushWrite, DEFAULT_RETRY_ATTEMPTS)
+        );
     }
 
     #[test]

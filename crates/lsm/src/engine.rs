@@ -462,11 +462,10 @@ impl<X: Executor> Engine<X> {
         self.wal.as_ref().map(Wal::stats)
     }
 
-    /// Writes one point, reporting how admission treated it: `Admitted`
-    /// below the slowdown watermark, `Delayed { ticks }` between slowdown
-    /// and stop, `Stalled` when the append had to wait out a write stall
-    /// (the point is still accepted once the backlog drains — only the
-    /// outcome is typed). The inline executor has no backlog and always
+    /// Writes one point, reporting how admission treated it: `Admitted`,
+    /// or `Stalled` when the append had to wait out a write stall (the
+    /// point is still accepted once the backlog drains — only the outcome
+    /// is typed). The inline executor has no backlog and always
     /// admits; the background one also blocks while its queue is full.
     ///
     /// # Errors

@@ -60,7 +60,9 @@
 //! checkpoint, reads — is written once, over an [`Executor`], its *back
 //! half*: where a sealed MemTable goes and who waits for it. Only the
 //! background executor has a backlog to wait on, so only it runs admission
-//! control ([`admission`]); the inline one admits every append.
+//! control ([`admission`]: an append at the stop watermark blocks until the
+//! backlog drains below the resume one); the inline one admits every
+//! append.
 //! Assembly ([`open`]: one builder, whose three names are [`OpenOptions`] /
 //! [`TieredOpenOptions`] / [`MultiOpenOptions`]), recovery ([`recovery`]:
 //! the [`Version`] from the manifest or a store scan under strict/salvage
@@ -127,13 +129,12 @@ pub mod wal;
 
 pub use admission::{
     AdmissionController, AdmissionDecision, AdmissionDepth, AdmissionOutcome,
-    AdmissionStats, IoPacer, PaceDecision, PacerStats, RetryBackoff,
-    StallTransition, Watermarks,
+    AdmissionStats, StallTransition, Watermarks,
 };
 pub use arbiter::{
     Arbiter, ArbiterConfig, ArbiterStats, Rebalance, SeriesAssignment,
 };
-pub use background::{Background, TieredEngine, TieredReport};
+pub use background::{Background, PacerStats, TieredEngine, TieredReport};
 pub use buffer::{FlushTrigger, PolicyBuffers};
 pub use cache::{BlockCache, BlockKey, CacheStats, EvictedBlock};
 pub use compaction::{plan_merge, CompactionPlan, RunInput};

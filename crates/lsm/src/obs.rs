@@ -305,10 +305,10 @@ pub enum Event {
         /// The pruned table.
         table: u64,
     },
-    /// Admission control held an append between the slowdown and stop
-    /// watermarks.
+    /// A fleet held one series' flush over for a later wave of its flush
+    /// pool.
     AdmissionDelayed {
-        /// Logical ticks of delay charged to the append.
+        /// Waves the flush waited (always 1).
         ticks: u64,
     },
     /// Admission control entered a write stall (stop watermark reached).
@@ -318,21 +318,13 @@ pub enum Event {
     },
     /// The write stall ended (depth fell below the resume watermark).
     WriteStallEnd {
-        /// Logical ticks the stall episode lasted.
+        /// Stalled consults (writer wakeups) the episode lasted.
         ticks: u64,
     },
-    /// The compaction pacer withheld an output write to smooth a merge
-    /// burst.
-    CompactionPaced {
-        /// Logical ticks of token refill the write waited for.
-        ticks: u64,
-    },
-    /// A store retry backed off before its next attempt.
+    /// A store operation failed transiently and is retried at once.
     RetryBackoff {
         /// 1-based attempt number about to run.
         attempt: u64,
-        /// Logical ticks of backoff charged before the attempt.
-        ticks: u64,
     },
     /// The fleet memory arbiter redistributed the global point budget.
     ArbiterRebalance {
@@ -400,7 +392,6 @@ const EVENT_NAMES: &[&str] = &[
     "admission_delayed",
     "write_stall_begin",
     "write_stall_end",
-    "compaction_paced",
     "retry_backoff",
     "arbiter_rebalance",
     "policy_retuned",
@@ -444,13 +435,12 @@ impl Event {
             Self::AdmissionDelayed { .. } => 19,
             Self::WriteStallBegin { .. } => 20,
             Self::WriteStallEnd { .. } => 21,
-            Self::CompactionPaced { .. } => 22,
-            Self::RetryBackoff { .. } => 23,
-            Self::ArbiterRebalance { .. } => 24,
-            Self::PolicyRetuned { .. } => 25,
-            Self::HeatSample { .. } => 26,
-            Self::AggPushdown { .. } => 27,
-            Self::AggFallback { .. } => 28,
+            Self::RetryBackoff { .. } => 22,
+            Self::ArbiterRebalance { .. } => 23,
+            Self::PolicyRetuned { .. } => 24,
+            Self::HeatSample { .. } => 25,
+            Self::AggPushdown { .. } => 26,
+            Self::AggFallback { .. } => 27,
         }
     }
 
@@ -551,15 +541,14 @@ impl Event {
                 );
             }
             Self::AdmissionDelayed { ticks }
-            | Self::WriteStallEnd { ticks }
-            | Self::CompactionPaced { ticks } => {
+            | Self::WriteStallEnd { ticks } => {
                 let _ = write!(out, ",\"ticks\":{ticks}");
             }
             Self::WriteStallBegin { depth } => {
                 let _ = write!(out, ",\"depth\":{depth}");
             }
-            Self::RetryBackoff { attempt, ticks } => {
-                let _ = write!(out, ",\"attempt\":{attempt},\"ticks\":{ticks}");
+            Self::RetryBackoff { attempt } => {
+                let _ = write!(out, ",\"attempt\":{attempt}");
             }
             Self::ArbiterRebalance {
                 round,
@@ -833,8 +822,6 @@ struct AggregateState {
     compaction_rewritten: u64,
     stall_count: u64,
     stall_ticks: u64,
-    paced_ticks: u64,
-    backoff_ticks: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
@@ -856,12 +843,8 @@ pub struct AggregateReport {
     pub compaction_rewritten: u64,
     /// Backpressure stalls observed.
     pub stalls: u64,
-    /// Logical ticks charged to admission delays and write stalls.
+    /// Stalled consults of write stalls, plus a fleet's delayed flushes.
     pub stall_ticks: u64,
-    /// Logical ticks compaction writes spent waiting on the I/O pacer.
-    pub paced_ticks: u64,
-    /// Logical ticks store retries spent backing off.
-    pub backoff_ticks: u64,
     /// Decoded-block cache hits.
     pub cache_hits: u64,
     /// Decoded-block cache misses.
@@ -906,17 +889,12 @@ impl AggregateReport {
         );
         let delayed = self.counts[Event::AdmissionDelayed { ticks: 0 }.kind()];
         let stalls = self.counts[Event::WriteStallBegin { depth: 0 }.kind()];
-        let backoffs = self.counts[Event::RetryBackoff {
-            attempt: 0,
-            ticks: 0,
-        }
-        .kind()];
+        let retries = self.counts[Event::RetryBackoff { attempt: 0 }.kind()];
         let _ = writeln!(
             out,
             "admission: {delayed} delayed, {stalls} stalls \
-             ({} stall ticks), pacer {} ticks, {backoffs} retry \
-             backoffs ({} ticks)",
-            self.stall_ticks, self.paced_ticks, self.backoff_ticks
+             ({} stall ticks), {retries} retries",
+            self.stall_ticks
         );
         if self.cache_hits + self.cache_misses > 0 {
             let _ = writeln!(
@@ -963,8 +941,6 @@ impl AggregateSink {
             compaction_rewritten: s.compaction_rewritten,
             stalls: s.stall_count,
             stall_ticks: s.stall_ticks,
-            paced_ticks: s.paced_ticks,
-            backoff_ticks: s.backoff_ticks,
             cache_hits: s.cache_hits,
             cache_misses: s.cache_misses,
             cache_evictions: s.cache_evictions,
@@ -1003,8 +979,6 @@ impl Observer for AggregateSink {
             Event::BackpressureStall => s.stall_count += 1,
             Event::AdmissionDelayed { ticks }
             | Event::WriteStallEnd { ticks } => s.stall_ticks += ticks,
-            Event::CompactionPaced { ticks } => s.paced_ticks += ticks,
-            Event::RetryBackoff { ticks, .. } => s.backoff_ticks += ticks,
             Event::CacheHit { .. } => s.cache_hits += 1,
             Event::CacheMiss { .. } => s.cache_misses += 1,
             Event::CacheEvict { .. } => s.cache_evictions += 1,
@@ -1096,25 +1070,18 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_tracks_admission_and_pacing() {
+    fn aggregate_tracks_admission_and_retries() {
         let sink = AggregateSink::with_logical_clock();
         let handle = ObserverHandle::attached(sink.clone());
         handle.emit(|| Event::AdmissionDelayed { ticks: 2 });
         handle.emit(|| Event::WriteStallBegin { depth: 16 });
         handle.emit(|| Event::WriteStallEnd { ticks: 5 });
-        handle.emit(|| Event::CompactionPaced { ticks: 3 });
-        handle.emit(|| Event::RetryBackoff {
-            attempt: 2,
-            ticks: 4,
-        });
+        handle.emit(|| Event::RetryBackoff { attempt: 2 });
         let report = sink.report();
         assert_eq!(report.stall_ticks, 7);
-        assert_eq!(report.paced_ticks, 3);
-        assert_eq!(report.backoff_ticks, 4);
         let table = report.render_table();
         assert!(table.contains(
-            "admission: 1 delayed, 1 stalls (7 stall ticks), \
-             pacer 3 ticks, 1 retry backoffs (4 ticks)"
+            "admission: 1 delayed, 1 stalls (7 stall ticks), 1 retries"
         ));
     }
 
@@ -1197,11 +1164,7 @@ mod tests {
             Event::AdmissionDelayed { ticks: 0 },
             Event::WriteStallBegin { depth: 0 },
             Event::WriteStallEnd { ticks: 0 },
-            Event::CompactionPaced { ticks: 0 },
-            Event::RetryBackoff {
-                attempt: 0,
-                ticks: 0,
-            },
+            Event::RetryBackoff { attempt: 0 },
             Event::ArbiterRebalance {
                 round: 0,
                 resized: 0,

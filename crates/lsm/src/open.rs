@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use seplsm_types::{Error, Result};
 
-use crate::admission::{IoPacer, Watermarks, DEFAULT_FLUSH_QUEUE_DEPTH};
+use crate::admission::{Watermarks, DEFAULT_FLUSH_QUEUE_DEPTH};
 use crate::arbiter::ArbiterConfig;
 use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
@@ -109,11 +109,8 @@ pub struct Inline {
 /// The [`TieredEngine`] kind.
 #[derive(Debug, Default)]
 pub struct Background {
-    /// The logical token bucket pacing compaction output writes; always
-    /// [`IoPacer::default`] outside the crate's own tests.
-    pub(crate) pacer: IoPacer,
     pub(crate) sync_flush: bool,
-    /// The slowdown/stop watermarks the worker's backlog is admitted
+    /// The resume/stop watermarks the worker's backlog is admitted
     /// against.
     pub(crate) watermarks: Watermarks,
 }
@@ -370,11 +367,12 @@ impl TieredOpenOptions {
         self
     }
 
-    /// Sets the slowdown/stop admission watermarks consulted before every
+    /// Sets the resume/stop admission watermarks consulted before every
     /// buffer insert against the L0 + pending-flush depth (default
-    /// [`Watermarks::default`]: 8/16). Tight watermarks turn ingest bursts
-    /// into typed `Delayed` / `Stalled` outcomes instead of unbounded L0
-    /// growth. The inline engine has no backlog and admits every append.
+    /// [`Watermarks::default`]: 8/16). An append at `stop` blocks until the
+    /// depth falls below `resume` and reports `Stalled`, so an ingest burst
+    /// cannot grow L0 without bound. The inline engine has no backlog and
+    /// admits every append.
     pub fn admission(mut self, watermarks: Watermarks) -> Self {
         self.kind.watermarks = watermarks;
         self

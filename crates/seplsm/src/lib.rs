@@ -41,13 +41,13 @@ pub use seplsm_lsm::{
     Arbiter, ArbiterConfig, ArbiterStats, BlockCache, Bucket, Clock,
     DegradedOp, DegradedReason, DegradedState, DiskModel, EncodeOptions,
     EngineConfig, Event, FanoutSink, Fault, FaultPlan, FaultStore, FileStore,
-    Histogram, IoOp, IoPacer, JsonlSink, LogicalClock, LsmEngine, Manifest,
+    Histogram, IoOp, JsonlSink, LogicalClock, LsmEngine, Manifest,
     ManifestEdit, ManifestRecordKind, ManifestStats, MemStore,
     MultiOpenOptions, MultiSeriesEngine, Observer, ObserverHandle, OpenOptions,
-    PaceDecision, PacerStats, QuarantinedTable, QueryStats, Rebalance,
-    RecoveryMode, RecoveryOptions, RecoveryReport, RecoveryStepKind,
-    RetryBackoff, RingBufferSink, SeriesAssignment, SeriesId, TableStore,
-    TieredEngine, TieredOpenOptions, TieredReport, Wal, WalStats, Watermarks,
+    PacerStats, QuarantinedTable, QueryStats, Rebalance, RecoveryMode,
+    RecoveryOptions, RecoveryReport, RecoveryStepKind, RingBufferSink,
+    SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,
+    TieredReport, Wal, WalStats, Watermarks,
 };
 pub use seplsm_types::{
     DataPoint, Error, Policy, Result, TimeRange, Timestamp,

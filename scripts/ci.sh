@@ -167,12 +167,25 @@ done
 # leaves nothing staged and no tmp file, whichever op failed; a failed sync
 # of a published batch keeps what it did not rename staged for the retry and
 # leaves no tmp file either.
-STORE_TESTS="$(cargo test -q -p seplsm-lsm --lib --offline -- --list 2>/dev/null)"
+LSM_TESTS="$(cargo test -q -p seplsm-lsm --lib --offline -- --list 2>/dev/null)"
 for name in a_staged_table_costs_no_io_and_no_file_yet_reads_like_a_synced_one \
     file_store_failed_put_discards_its_staged_table \
     file_store_failed_batch_removes_its_staged_tmp_files; do
-  grep -qx "store::tests::$name: test" <<<"$STORE_TESTS" \
+  grep -qx "store::tests::$name: test" <<<"$LSM_TESTS" \
     || { echo "store.rs lost its staging test '$name'"; exit 1; }
+done
+# Real backpressure: a crash at every op inside a live write stall recovers
+# unstalled; a burst at tight watermarks stalls, stays at most stop deep and
+# resumes; under any interleaving the depth never passes stop and every
+# stall ends.
+grep -qx "tiered_engine_clears_write_stalls_after_any_crash: test" \
+    <<<"$CRASH_TESTS" \
+  || { echo "crash_schedules lost its write-stall test"; exit 1; }
+for name in background::tests::tight_watermarks_stall_and_resume \
+    admission::tests::depth_never_exceeds_stop \
+    admission::tests::stalls_always_end; do
+  grep -qx "$name: test" <<<"$LSM_TESTS" \
+    || { echo "crates/lsm lost its backpressure test '$name'"; exit 1; }
 done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \

@@ -451,7 +451,7 @@ fn tiered_engine_survives_a_crash_at_every_io_op() {
 }
 
 /// Satellite of the admission-control work: with the watermarks tightened
-/// to (slowdown 1, stop 2) every flush cycle drives the engine through a
+/// to (resume 1, stop 2) every flush cycle drives the engine through a
 /// live write stall, so the crash sweep below lands on every I/O op *while
 /// a stall is active*. Recovery must come back unstalled — a fresh
 /// controller, an append that proceeds, and no stuck `Stalled` verdict.
