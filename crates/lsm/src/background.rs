@@ -18,12 +18,11 @@
 //! flushing batches and queues them for a compaction worker over a bounded
 //! channel; the worker stores them as L0 tables (committed as
 //! [`VersionEdit::FlushToL0`]) and periodically merges L0 into the run —
-//! both through the same [`plan_merge`] →
-//! `write_outputs` →
-//! [`sync_outputs`](crate::compaction::sync_outputs) →
-//! [`commit`](crate::compaction::commit) pipeline as the inline executor.
-//! The bounded channel back-pressures the writer if the worker cannot keep
-//! up (realistic write-stall behaviour).
+//! both through the same [`plan_merge`] → `write_outputs` →
+//! [`commit`](crate::compaction::commit) pipeline as the inline executor,
+//! and made durable at the same horizon. The bounded channel back-pressures
+//! the writer if the worker cannot keep up (realistic write-stall
+//! behaviour).
 //!
 //! # Admission and failures
 //!
@@ -38,15 +37,21 @@
 //!
 //! # Durability
 //!
-//! At every hand-off the log is told the generation-time ranges of the
-//! batches that have retired since the last one; with a manifest the worker
-//! records every L0 addition and run replacement. A crashed engine (dropped
-//! without [`TieredEngine::finish`]) is rebuilt from both: the manifest
-//! restores the run and L0, the WAL replays the buffered tail. The WAL is
-//! deliberately conservative — a batch leaves it only after the *next*
-//! hand-off, so recovery may re-buffer points that already reached L0; the
-//! merge pipeline deduplicates them by generation time (freshest wins), so
-//! no point is lost or double-counted in query results.
+//! The worker's plans commit in memory and leave the rest to the engine's
+//! [`Outbox`]: their tables wait unsynced, a consumed table no horizon
+//! synced is deleted at once, a durable one is retired. After a plan that
+//! makes one due the worker runs the horizon (`compaction::horizon`: the
+//! waiting tables synced, one manifest group, the retired deleted), holding
+//! the state lock only to take the outbox and the manifest out and to put
+//! them back; coming to rest runs one more. A handed-off batch stays in the
+//! log until a horizon has recorded the tables that hold its points: at
+//! every hand-off the log is told the ranges of the batches that became
+//! durable since the last one, and a cut of the log carries every other.
+//! A crashed engine (dropped without [`TieredEngine::finish`]) is rebuilt
+//! from both: the manifest restores the run and L0 as the last horizon left
+//! them, the WAL replays every point since; the merge pipeline deduplicates
+//! what both hold by generation time (freshest wins), so no point is lost
+//! or double-counted in query results.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,7 +66,9 @@ use crate::admission::{
     self, AdmissionController, AdmissionDepth, AdmissionOutcome,
     AdmissionStats, StallTransition,
 };
-use crate::compaction::{self, plan_merge, RunInput, Written};
+use crate::compaction::{
+    self, plan_merge, Outbox, Record, RunInput, Share, Written,
+};
 use crate::engine::{Batch, Engine, Executor, Front};
 use crate::invariants::{self, InvariantChecker};
 use crate::iterator::merge_sorted;
@@ -71,7 +78,7 @@ use crate::obs::{
     DegradedOp, DegradedReason, DegradedState, Event, ObserverHandle,
 };
 use crate::open;
-use crate::sstable::SsTableMeta;
+use crate::sstable::{SsTableId, SsTableMeta};
 use crate::store::TableStore;
 use crate::version::{Version, VersionEdit};
 
@@ -83,53 +90,61 @@ const CHANNEL_DEPTH: usize = 8;
 /// Attempts the worker makes at a store operation before it degrades.
 pub const DEFAULT_RETRY_ATTEMPTS: u32 = 3;
 
-/// Runs `op` up to [`DEFAULT_RETRY_ATTEMPTS`] times, retrying at once on
-/// [`Error::Io`] (the transient class — a torn network store, an injected
-/// fault); any other error class aborts after the attempt that raised it.
-/// Each retry is announced as [`Event::RetryBackoff`]. A failure comes
-/// back with the attempts made.
-fn retry_store<T>(
-    obs: &ObserverHandle,
-    mut op: impl FnMut() -> Result<T>,
-) -> std::result::Result<T, (Error, u32)> {
-    let mut attempt = 1;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(Error::Io(_)) if attempt < DEFAULT_RETRY_ATTEMPTS => {
-                attempt += 1;
-                let attempt = u64::from(attempt);
-                obs.emit(|| Event::RetryBackoff { attempt });
-            }
-            Err(e) => return Err((e, attempt)),
-        }
-    }
+/// What the writer, the worker and queries share.
+struct Shared {
+    state: Mutex<TierState>,
+    /// Signalled by the worker after each flush batch lands in L0, after
+    /// every merge and horizon, and on its exit; [`TieredEngine::drain`]
+    /// waits on it.
+    flush_done: Condvar,
+    /// Raised when the engine enters the degraded read-only state; the
+    /// reason lives in [`TierState::degraded`]. Checked lock-free on the
+    /// append fast path.
+    degraded: AtomicBool,
 }
 
-/// Records the transition into the degraded read-only state after
-/// `attempts` tries at `op` failed with `err`: builds the typed
-/// [`DegradedState`], reports it to the observer, stores it for
-/// [`TieredEngine::degraded_state`], and raises the lock-free flag the
-/// append path checks.
-fn enter_degraded(
-    state: &Mutex<TierState>,
-    flag: &AtomicBool,
-    op: DegradedOp,
-    (err, attempts): &(Error, u32),
-) {
-    let degraded = DegradedState {
-        reason: DegradedReason::StoreIo,
-        op,
-        attempts: *attempts,
-        detail: err.to_string(),
-    };
-    let mut state = state.lock();
-    state.obs.emit(|| Event::DegradedTransition {
-        state: degraded.clone(),
-    });
-    state.degraded = Some(degraded);
-    drop(state);
-    flag.store(true, Ordering::Release);
+impl Shared {
+    /// Runs `attempt` up to [`DEFAULT_RETRY_ATTEMPTS`] times, retrying at
+    /// once on [`Error::Io`] (the transient class — a torn network store,
+    /// an injected fault); any other error class aborts after the attempt
+    /// that raised it. Each retry is announced as [`Event::RetryBackoff`].
+    /// A failure degrades the engine to read-only: the typed
+    /// [`DegradedState`] names `op` and the attempts made, is reported to
+    /// the observer and kept for [`TieredEngine::degraded_state`], and the
+    /// lock-free flag the append path checks is raised.
+    fn retry<T>(
+        &self,
+        obs: &ObserverHandle,
+        op: DegradedOp,
+        mut attempt: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        let mut attempts = 1;
+        let err = loop {
+            match attempt() {
+                Ok(v) => return Ok(v),
+                Err(Error::Io(_)) if attempts < DEFAULT_RETRY_ATTEMPTS => {
+                    attempts += 1;
+                    let attempt = u64::from(attempts);
+                    obs.emit(|| Event::RetryBackoff { attempt });
+                }
+                Err(e) => break e,
+            }
+        };
+        let degraded = DegradedState {
+            reason: DegradedReason::StoreIo,
+            op,
+            attempts,
+            detail: err.to_string(),
+        };
+        let mut state = self.state.lock();
+        state.obs.emit(|| Event::DegradedTransition {
+            state: degraded.clone(),
+        });
+        state.degraded = Some(degraded);
+        drop(state);
+        self.degraded.store(true, Ordering::Release);
+        Err(err)
+    }
 }
 
 /// What [`TieredEngine::pacer_stats`] reports: nothing paces the worker's
@@ -167,34 +182,44 @@ impl TieredReport {
 }
 
 /// State shared between the writer, the worker, and queries: the versioned
-/// table levels, the unified metrics, and the (optional) manifest that
-/// mirrors them.
+/// table levels, the unified metrics, the (optional) manifest that mirrors
+/// them and what waits for the next horizon.
 struct TierState {
     version: Version,
     metrics: Metrics,
     manifest: Option<Manifest>,
+    /// What the plans since the last horizon left to the next one.
+    outbox: Outbox,
+    /// The flush ranges a horizon made durable since
+    /// [`Background::progress`] last asked.
+    retired: Vec<TimeRange>,
     /// Debug-build temporal invariants, observed by the worker after every
     /// flush/compaction while the state lock is held.
     invariants: InvariantChecker,
     /// Why the engine is degraded (read-only), once the worker has exhausted
     /// its retries on a store failure. `None` while healthy.
     degraded: Option<DegradedState>,
-    /// `true` while an L0→run merge is between its snapshot and its commit.
-    /// [`compact_l0_once`] runs its store I/O with the state lock released;
-    /// this flag keeps a second merge from planning against the same
-    /// snapshot in that window. Cleared on every exit path and signalled on
-    /// the engine's `flush_done` condvar.
+    /// `true` while an L0→run merge is between its snapshot and its
+    /// commit, or a horizon between taking the outbox out and putting it
+    /// back: both run their store I/O with the state lock released, and
+    /// this flag keeps a merge from planning against the same snapshot in
+    /// that window. Cleared on every exit path and signalled on
+    /// `flush_done`.
     compacting: bool,
-    /// Set by the worker together with the commit of a flush that leaves L0
-    /// at its merge threshold, until the merge it then starts by itself has
-    /// finished: nothing is flushing, yet the worker is not idle.
-    merge_due: bool,
+    /// Set by the worker together with the commit of a flush that leaves it
+    /// a horizon or a merge to run, until both have finished: nothing is
+    /// flushing, yet the worker is not idle.
+    busy: bool,
     /// Watermark-gated admission: consulted by the writer before every
     /// buffer insert against the combined L0 + pending-flush depth.
     admission: AdmissionController,
     /// Worker-side event sink (shared with the writer's handle).
     obs: ObserverHandle,
 }
+
+/// A horizon taken out of [`TierState`]: the outbox, the manifest it
+/// records in and a snapshot of the version.
+type Claimed = (Outbox, Option<Manifest>, Version);
 
 impl TierState {
     /// Runs the temporal invariant checks against the current state
@@ -213,42 +238,108 @@ impl TierState {
             .map(|ticks| StallTransition::Ended { ticks });
         admission::witness(ended, depth, &mut self.metrics, &self.obs);
     }
+
+    /// Claims the horizon when one is due under a pool of `budget` points
+    /// — with `None`, whenever anything waits for one — and no merge or
+    /// horizon is in flight: raises `compacting` and takes the outbox and
+    /// the manifest out, for [`horizon`] to run with the lock released.
+    fn claim(&mut self, budget: Option<usize>) -> Option<Claimed> {
+        let due = budget
+            .map_or(!self.outbox.is_empty(), |budget| self.outbox.due(budget));
+        if !due || self.compacting {
+            return None;
+        }
+        self.compacting = true;
+        let outbox = std::mem::take(&mut self.outbox);
+        Some((outbox, self.manifest.take(), self.version.clone()))
+    }
+}
+
+/// Runs the horizon `claimed` ([`compaction::horizon`]) with the state
+/// lock released — no plan commits meanwhile: merges wait on
+/// `compacting`, and only the worker flushes — then, under the lock again,
+/// puts the outbox and the manifest back, clears the flag and leaves the
+/// flush ranges the horizon made durable for [`Background::progress`]. A
+/// failed attempt leaves the outbox to the retry ([`Shared::retry`]),
+/// which claims it again; with the attempts spent the engine degrades as
+/// on a failed flush write.
+fn horizon(
+    shared: &Shared,
+    store: &dyn TableStore,
+    obs: &ObserverHandle,
+    claimed: Claimed,
+) -> Result<()> {
+    let mut claimed = Some(claimed);
+    shared.retry(obs, DegradedOp::FlushWrite, || {
+        let claimed =
+            claimed.take().or_else(|| shared.state.lock().claim(None));
+        let Some((mut outbox, mut manifest, version)) = claimed else {
+            return Ok(());
+        };
+        let mut share = Share {
+            series: 0,
+            outbox: &mut outbox,
+            version: &version,
+        };
+        let record = Record::Own(&mut share, manifest.as_mut());
+        let durable = compaction::horizon(store, record);
+        let mut state = shared.state.lock();
+        debug_assert!(state.outbox.is_empty(), "a plan committed meanwhile");
+        state.outbox = outbox;
+        state.manifest = manifest;
+        state.compacting = false;
+        let durable = durable.map(|flushed| {
+            let ranges = flushed.into_iter().flat_map(|(_, ranges)| ranges);
+            state.retired.extend(ranges);
+        });
+        drop(state);
+        shared.flush_done.notify_all();
+        durable
+    })
+}
+
+/// The generation-time range of a non-empty batch.
+fn span(batch: &[DataPoint]) -> Option<TimeRange> {
+    Some(TimeRange::new(
+        batch.first()?.gen_time,
+        batch.last()?.gen_time,
+    ))
 }
 
 /// Merges every L0 table plus the overlapping part of the run through the
 /// shared compaction pipeline, holding the state lock only around the
 /// snapshot and the commit — never across table-store I/O:
 ///
-/// 1. **Snapshot** (locked): wait out any in-flight merge via
+/// 1. **Snapshot** (locked): wait out any in-flight merge or horizon via
 ///    [`TierState::compacting`], then capture the L0 and overlapping-run
 ///    metadata and raise the flag.
 /// 2. **Write** (unlocked): take the inputs from `written` (or read them),
-///    plan, and store the merged outputs (`compaction::write_outputs`,
-///    [`compaction::sync_outputs`]).
-/// 3. **Commit** (locked): apply the version edit, record the manifest, do
-///    the metric accounting ([`compaction::commit`]), clear the flag, and
-///    signal `flush_done`.
-/// 4. **Retire** (unlocked): delete the consumed run and L0 tables.
+///    plan, and publish the merged outputs (`compaction::write_outputs`).
+/// 3. **Commit** (locked): apply the version edit and do the metric
+///    accounting ([`compaction::commit`]), hand the outputs and the
+///    consumed tables to the outbox ([`Outbox::defer`]), clear the flag,
+///    and signal `flush_done`.
+/// 4. **Delete** (unlocked): the consumed tables no horizon synced.
 ///
 /// A failure in phase 2 leaves the version untouched (plus orphan output
 /// tables for recovery-time GC) and clears the flag, so a
-/// [`retry_store`]-driven re-invocation restarts cleanly from a fresh
+/// [`Shared::retry`]-driven re-invocation restarts cleanly from a fresh
 /// snapshot, reading from the store what the failed attempt took out of
 /// `written`. A failure in phase 4 leaves the committed version correct and
 /// the undeleted inputs as orphans.
 fn compact_l0_once(
-    state_mutex: &Mutex<TierState>,
-    flush_done: &Condvar,
-    store: &Arc<dyn TableStore>,
+    shared: &Shared,
+    store: &dyn TableStore,
     written: &Written,
     sstable_points: usize,
     obs: &ObserverHandle,
 ) -> Result<()> {
     // Phase 1: snapshot the merge inputs under the lock.
-    let mut state = state_mutex.lock();
+    let mut state = shared.state.lock();
     while state.compacting {
-        let (guard, _timed_out) =
-            flush_done.wait_timeout(state, Duration::from_millis(10));
+        let (guard, _timed_out) = shared
+            .flush_done
+            .wait_timeout(state, Duration::from_millis(10));
         state = guard;
     }
     let l0: Vec<SsTableMeta> = state.version.l0().to_vec();
@@ -260,35 +351,34 @@ fn compact_l0_once(
     state.compacting = true;
     drop(state);
 
-    // Phase 2: read inputs and write outputs with the lock released.
+    // Phase 2: read inputs and publish outputs with the lock released.
     // Priority: newest L0 table first, then older L0, then the run.
     let prepared = (|| {
         let mut fresh = Vec::with_capacity(l0.len());
         for meta in l0.iter().rev() {
-            fresh.push(written.take_or_read(store.as_ref(), meta.id)?);
+            fresh.push(written.take_or_read(store, meta.id)?);
         }
         let mut inputs = Vec::with_capacity(overlapping.len());
         for meta in overlapping {
             inputs.push(RunInput {
                 meta,
-                points: written.take_or_read(store.as_ref(), meta.id)?,
+                points: written.take_or_read(store, meta.id)?,
             });
         }
         let plan = plan_merge(fresh, inputs, sstable_points, None);
-        let prepared =
-            compaction::write_outputs(plan, store.as_ref(), written, obs)?;
-        compaction::sync_outputs(&prepared, store.as_ref())?;
-        Ok(prepared)
+        compaction::write_outputs(plan, store, written, obs)
     })();
 
-    // Phase 3: commit under the lock; the flag clears on every path out.
-    let mut state = state_mutex.lock();
+    // Phase 3: commit under the lock; the flag clears on every path out,
+    // and waiters wake once the lock is released.
+    let mut state = shared.state.lock();
     state.compacting = false;
-    let committed = prepared.and_then(|prepared| {
+    shared.flush_done.notify_all();
+    let doomed = prepared.and_then(|prepared| {
         let TierState {
             version,
             metrics,
-            manifest,
+            outbox,
             obs,
             ..
         } = &mut *state;
@@ -301,37 +391,29 @@ fn compact_l0_once(
             &prepared,
             drain_l0_into_run,
             version,
-            manifest.as_mut(),
             metrics,
             obs,
         )?;
-        Ok(prepared)
-    });
-    let committed = match committed {
-        Ok(prepared) => prepared,
-        Err(e) => {
-            drop(state);
-            flush_done.notify_all();
-            return Err(e);
-        }
-    };
+        let l0_ids = l0.iter().map(|meta| meta.id);
+        let consumed: Vec<SsTableId> =
+            prepared.plan.inputs.iter().copied().chain(l0_ids).collect();
+        Ok(outbox.defer(&prepared.added, &consumed, store))
+    })?;
     state.check_invariants()?;
     let version_snapshot =
         cfg!(debug_assertions).then(|| state.version.clone());
     drop(state);
-    flush_done.notify_all();
 
-    // Phase 4: retire the consumed inputs; readers resolving the committed
-    // version no longer reference them (a query snapshot taken before the
-    // commit retries on the missing table).
-    compaction::retire_inputs(&committed, store.as_ref())?;
-    for meta in &l0 {
-        store.delete(meta.id)?;
+    // Phase 4: delete the consumed tables nothing durable names; readers
+    // resolving the committed version no longer reference them (a query
+    // snapshot taken before the commit retries on the missing table).
+    for id in doomed {
+        store.delete(id)?;
     }
     // Debug builds cross-check the committed version against what the
     // store actually holds, using the snapshot taken at commit time.
     if let Some(version) = version_snapshot {
-        invariants::check_version_against_store(&version, store.as_ref())?;
+        invariants::check_version_against_store(&version, store)?;
     }
     Ok(())
 }
@@ -340,12 +422,9 @@ fn compact_l0_once(
 pub struct Background {
     tx: Option<Sender<Batch>>,
     handle: Option<JoinHandle<Result<()>>>,
-    state: Arc<Mutex<TierState>>,
-    /// Signalled by the worker after each flush batch lands in L0 (and on
-    /// worker exit); [`TieredEngine::drain`] waits on it.
-    flush_done: Arc<Condvar>,
-    /// The batches handed to the flush pipeline that the log has not been
-    /// told have retired, oldest first (see [`Executor::progress`]).
+    shared: Arc<Shared>,
+    /// The batches handed to the flush pipeline whose points no horizon has
+    /// made durable yet, oldest first (see [`Executor::progress`]).
     in_log: Vec<Batch>,
     /// Registered batches not yet queued for the worker.
     registered: Vec<Batch>,
@@ -355,10 +434,6 @@ pub struct Background {
     /// When set, `append` waits for each flush to reach L0 before returning
     /// (deterministic on-disk state for query experiments).
     sync_flush: bool,
-    /// Raised by the worker when it enters the degraded read-only state; the
-    /// reason lives in [`TierState::degraded`]. Checked lock-free on the
-    /// append fast path.
-    degraded: Arc<AtomicBool>,
 }
 
 /// The engine whose flushes and compactions run on a background thread.
@@ -366,7 +441,9 @@ pub type TieredEngine = Engine<Background>;
 
 impl Background {
     /// Starts the compaction worker over `version`; its flushes leave their
-    /// tables in `written` for the merges of L0 that consume them.
+    /// tables in `written` for the merges of L0 that consume them, and it
+    /// runs a horizon whenever a plan of its own makes one due under
+    /// `written`'s budget.
     pub(crate) fn start(
         kind: open::Background,
         sstable_points: usize,
@@ -377,113 +454,94 @@ impl Background {
     ) -> Result<Self> {
         let flushed_max = version.last_stored_gen_time();
         let invariants = InvariantChecker::seeded(&version);
-        let worker_obs = obs.clone();
-        let state = Arc::new(Mutex::new(TierState {
-            version,
-            metrics: Metrics::default(),
-            manifest: None,
-            invariants,
-            degraded: None,
-            compacting: false,
-            merge_due: false,
-            admission: AdmissionController::new(kind.watermarks),
-            obs: obs.clone(),
-        }));
-        let degraded = Arc::new(AtomicBool::new(false));
+        let shared = Arc::new(Shared {
+            state: Mutex::new(TierState {
+                version,
+                metrics: Metrics::default(),
+                manifest: None,
+                outbox: Outbox::default(),
+                retired: Vec::new(),
+                invariants,
+                degraded: None,
+                compacting: false,
+                busy: false,
+                admission: AdmissionController::new(kind.watermarks),
+                obs: obs.clone(),
+            }),
+            flush_done: Condvar::new(),
+            degraded: AtomicBool::new(false),
+        });
         let (tx, rx) = bounded::<Batch>(CHANNEL_DEPTH);
-        let flush_done = Arc::new(Condvar::new());
-        let worker_store = Arc::clone(store);
-        let worker_written = Arc::clone(written);
-        let worker_state = Arc::clone(&state);
-        let worker_flush_done = Arc::clone(&flush_done);
-        let worker_degraded = Arc::clone(&degraded);
+        let worker = Arc::clone(&shared);
+        let store = Arc::clone(store);
+        let written = Arc::clone(written);
+        let obs = obs.clone();
         let handle = std::thread::Builder::new()
             .name("seplsm-compaction".into())
             .spawn(move || -> Result<()> {
                 // Wake any drain() waiter when this thread exits, even on
                 // an error path, so waiters fall back to the liveness check.
-                struct NotifyOnExit(Arc<Condvar>);
+                struct NotifyOnExit(Arc<Shared>);
                 impl Drop for NotifyOnExit {
                     fn drop(&mut self) {
-                        self.0.notify_all();
+                        self.0.flush_done.notify_all();
                     }
                 }
-                let _exit_guard = NotifyOnExit(Arc::clone(&worker_flush_done));
+                let _exit_guard = NotifyOnExit(Arc::clone(&worker));
+                let store = store.as_ref();
                 // compact_l0_once only commits its version edit after every
-                // output table is stored, so a failed attempt leaves state
-                // consistent (plus orphan tables) and a retry restarts from
-                // scratch; with the retries exhausted the engine degrades.
-                let compact_or_degrade = || {
-                    let merged = retry_store(&worker_obs, || {
+                // output table is published, so a failed attempt leaves
+                // state consistent (plus orphan tables) and a retry restarts
+                // from scratch.
+                let compact = || {
+                    let merge = || {
                         compact_l0_once(
-                            &worker_state,
-                            &worker_flush_done,
-                            &worker_store,
-                            &worker_written,
+                            &worker,
+                            store,
+                            &written,
                             sstable_points,
-                            &worker_obs,
+                            &obs,
                         )
-                    });
-                    if let Err(failed) = &merged {
-                        enter_degraded(
-                            &worker_state,
-                            &worker_degraded,
-                            DegradedOp::Compaction,
-                            failed,
-                        );
-                    }
-                    merged.is_ok()
+                    };
+                    worker.retry(&obs, DegradedOp::Compaction, merge).is_ok()
+                };
+                let durable = |claimed: Option<Claimed>| {
+                    claimed.is_none_or(|claimed| {
+                        horizon(&worker, store, &obs, claimed).is_ok()
+                    })
                 };
                 for batch in rx {
                     // A flush is the merge plan with no inputs. Plan,
-                    // encode and store outside the lock; only the commit
-                    // and the (infrequent) compaction hold it.
-                    let prepared = match retry_store(&worker_obs, || {
+                    // encode and publish outside the lock; only the commit
+                    // holds it.
+                    let publish = || {
                         let plan = plan_merge(
                             vec![batch.to_vec()],
                             Vec::new(),
                             sstable_points,
                             None,
                         );
-                        let prepared = compaction::write_outputs(
-                            plan,
-                            worker_store.as_ref(),
-                            &worker_written,
-                            &worker_obs,
-                        )?;
-                        compaction::sync_outputs(
-                            &prepared,
-                            worker_store.as_ref(),
-                        )?;
-                        Ok(prepared)
-                    }) {
-                        Ok(prepared) => prepared,
-                        Err(failed) => {
-                            // Retries exhausted: enter the degraded
-                            // read-only state instead of panicking. The
-                            // batch stays a registered flushing MemTable
-                            // (still queryable, still WAL-covered); any
-                            // tables a failed attempt did publish are
-                            // orphans for recovery-time GC.
-                            enter_degraded(
-                                &worker_state,
-                                &worker_degraded,
-                                DegradedOp::FlushWrite,
-                                &failed,
-                            );
-                            return Ok(());
-                        }
+                        compaction::write_outputs(plan, store, &written, &obs)
                     };
-                    let mut state = worker_state.lock();
+                    // Retries exhausted, the engine is degraded: the batch
+                    // stays a registered flushing MemTable (still
+                    // queryable, still WAL-covered); any tables a failed
+                    // attempt did publish are orphans for recovery-time GC.
+                    let Ok(prepared) =
+                        worker.retry(&obs, DegradedOp::FlushWrite, publish)
+                    else {
+                        return Ok(());
+                    };
+                    let mut state = worker.state.lock();
                     let TierState {
                         version,
                         metrics,
-                        manifest,
+                        outbox,
                         ..
                     } = &mut *state;
                     // The batch lands in L0 and stops being a flushing
                     // MemTable in one atomic edit, so queries see the data
-                    // in exactly one place.
+                    // in exactly one place; its tables wait for a horizon.
                     compaction::commit(
                         &prepared,
                         |_, tables| VersionEdit::FlushToL0 {
@@ -491,41 +549,51 @@ impl Background {
                             tables,
                         },
                         version,
-                        manifest.as_mut(),
                         metrics,
-                        &worker_obs,
+                        &obs,
                     )?;
+                    outbox.defer(&prepared.added, &[], store);
+                    outbox.flushed.extend(span(&batch));
+                    outbox.points += batch.len();
+                    state.check_invariants()?;
+                    // Claimed with the commit, so the horizon a flush makes
+                    // due runs before anything else plans.
+                    let claimed = state.claim(Some(written.budget()));
                     let backlog =
                         state.version.l0().len() >= L0_COMPACT_THRESHOLD;
-                    state.merge_due = backlog;
-                    state.check_invariants()?;
+                    state.busy = backlog || claimed.is_some();
                     drop(state);
-                    worker_flush_done.notify_all();
-                    if backlog {
-                        let merged = compact_or_degrade();
-                        worker_state.lock().merge_due = false;
-                        worker_flush_done.notify_all();
-                        if !merged {
-                            return Ok(());
-                        }
+                    worker.flush_done.notify_all();
+                    let mut healthy = durable(claimed);
+                    if healthy && backlog {
+                        healthy = compact() && {
+                            let claimed = worker
+                                .state
+                                .lock()
+                                .claim(Some(written.budget()));
+                            durable(claimed)
+                        };
+                    }
+                    worker.state.lock().busy = false;
+                    worker.flush_done.notify_all();
+                    if !healthy {
+                        return Ok(());
                     }
                 }
-                if !compact_or_degrade() {
+                if !compact() {
                     return Ok(());
                 }
-                worker_state.lock().check_invariants()
+                worker.state.lock().check_invariants()
             })
             .map_err(|e| Error::Io(std::io::Error::other(e)))?;
         Ok(Self {
             tx: Some(tx),
             handle: Some(handle),
-            state,
-            flush_done,
+            shared,
             in_log: Vec::new(),
             registered: Vec::new(),
             flushed_max,
             sync_flush: kind.sync_flush,
-            degraded,
         })
     }
 
@@ -534,10 +602,10 @@ impl Background {
     /// exhausted. Writes then fail with
     /// [`Error::Degraded`] while queries keep serving the surviving state.
     fn degraded_state(&self) -> Option<DegradedState> {
-        if !self.degraded.load(Ordering::Acquire) {
+        if !self.shared.degraded.load(Ordering::Acquire) {
             return None;
         }
-        self.state.lock().degraded.clone()
+        self.shared.state.lock().degraded.clone()
     }
 
     /// Queues a registered batch for the worker.
@@ -573,7 +641,7 @@ impl Background {
 
     /// Parks on `flush_done` while `busy` holds and the worker lives.
     fn wait_while(&mut self, busy: impl Fn(&TierState) -> bool) {
-        let mut state = self.state.lock();
+        let mut state = self.shared.state.lock();
         while busy(&state) {
             if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
                 // Worker gone (finished or crashed): nothing will ever
@@ -585,6 +653,7 @@ impl Background {
             // worker signals after every batch, after every merge of its
             // own and on exit.
             let (guard, _timed_out) = self
+                .shared
                 .flush_done
                 .wait_timeout(state, Duration::from_millis(100));
             state = guard;
@@ -596,14 +665,14 @@ impl Executor for Background {
     type Kind = open::Background;
 
     fn with_version<T>(&self, f: impl FnOnce(&Version) -> T) -> T {
-        f(&self.state.lock().version)
+        f(&self.shared.state.lock().version)
     }
 
     fn with_manifest<T>(
         &mut self,
         f: impl FnOnce(&mut Option<Manifest>, &Version) -> T,
     ) -> T {
-        let mut state = self.state.lock();
+        let mut state = self.shared.state.lock();
         let TierState {
             version, manifest, ..
         } = &mut *state;
@@ -628,7 +697,7 @@ impl Executor for Background {
     /// stalls always end even with an idle worker.
     fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
         let mut stalled_here = false;
-        let mut state = self.state.lock();
+        let mut state = self.shared.state.lock();
         loop {
             let TierState {
                 admission,
@@ -660,14 +729,13 @@ impl Executor for Background {
                 // thread (compact_l0_once locks internally).
                 drop(state);
                 compact_l0_once(
-                    &self.state,
-                    &self.flush_done,
-                    &front.store,
+                    &self.shared,
+                    front.store.as_ref(),
                     &front.written,
                     front.config.sstable_points,
                     &front.obs,
                 )?;
-                state = self.state.lock();
+                state = self.shared.state.lock();
                 continue;
             }
             if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
@@ -677,6 +745,7 @@ impl Executor for Background {
                 return Ok(AdmissionOutcome::Stalled);
             }
             let (guard, _timed_out) = self
+                .shared
                 .flush_done
                 .wait_timeout(state, Duration::from_millis(10));
             state = guard;
@@ -684,7 +753,7 @@ impl Executor for Background {
     }
 
     fn admission_stats(&self, _writer: &Metrics) -> AdmissionStats {
-        self.state.lock().admission.stats()
+        self.shared.state.lock().admission.stats()
     }
 
     /// First half of a hand-off: `points` leave the buffers for a flushing
@@ -708,8 +777,9 @@ impl Executor for Background {
         let batch = Arc::new(points);
         // Register as a flushing MemTable *before* handing it to the worker
         // so it never becomes invisible to queries; the WAL keeps covering it
-        // until a later hand-off finds it durably retired.
-        self.state
+        // until a horizon has made its tables durable.
+        self.shared
+            .state
             .lock()
             .version
             .apply(&[VersionEdit::RegisterFlushing(Arc::clone(&batch))])?;
@@ -731,36 +801,44 @@ impl Executor for Background {
         Ok(())
     }
 
-    /// A batch has retired once it has left the flush pipeline for L0,
-    /// under a durable manifest record; the ones still registered as
-    /// flushing are in flight.
+    /// A forced horizon, once the worker has settled; the due ones the
+    /// worker runs itself, after the plans that make them due.
+    fn commit(&mut self, front: &Front, force: bool) -> Result<()> {
+        if !force {
+            return Ok(());
+        }
+        self.settle();
+        let claimed = self.shared.state.lock().claim(None);
+        claimed.map_or(Ok(()), |claimed| {
+            horizon(&self.shared, front.store.as_ref(), &front.obs, claimed)
+        })
+    }
+
+    /// A batch has retired once a horizon has recorded the tables that hold
+    /// its points; every other one is volatile, whether flushing or in L0.
     fn progress(&mut self) -> (Vec<TimeRange>, &[Batch]) {
-        let mut retired = Vec::new();
-        let state = self.state.lock();
-        let flushing = state.version.flushing();
-        self.in_log.retain(|batch| {
-            let in_flight = flushing.iter().any(|f| Arc::ptr_eq(f, batch));
-            if let (false, Some(first), Some(last)) =
-                (in_flight, batch.first(), batch.last())
-            {
-                retired.push(TimeRange::new(first.gen_time, last.gen_time));
+        let retired = std::mem::take(&mut self.shared.state.lock().retired);
+        for range in &retired {
+            let durable =
+                self.in_log.iter().position(|b| span(b) == Some(*range));
+            if let Some(at) = durable {
+                self.in_log.remove(at);
             }
-            in_flight
-        });
-        drop(state);
+        }
         (retired, &self.in_log)
     }
 
     fn disk_points_written(&self, _writer: &Metrics) -> u64 {
-        self.state.lock().metrics.disk_points_written
+        self.shared.state.lock().metrics.disk_points_written
     }
 
-    /// Lets the flushes in the pipeline land, and the merge the last of
-    /// them may have made due: its outputs are published before they are
-    /// committed, and a sweep in between would take them for orphans.
+    /// Lets the flushes in the pipeline land, and the horizon and the merge
+    /// the last of them may have made due: a merge's outputs are published
+    /// before they are committed, and a sweep in between would take them
+    /// for orphans.
     fn settle(&mut self) {
         self.wait_while(|state| {
-            !state.version.flushing().is_empty() || state.merge_due
+            !state.version.flushing().is_empty() || state.busy
         });
     }
 
@@ -800,7 +878,7 @@ impl Engine<Background> {
     /// Snapshot of the unified kernel metrics: the worker's counters plus
     /// the writer's (user points, WA snapshots).
     pub fn metrics(&self) -> Metrics {
-        let mut metrics = self.exec.state.lock().metrics.clone();
+        let mut metrics = self.exec.shared.state.lock().metrics.clone();
         metrics.absorb(&self.front.metrics);
         metrics
     }
@@ -838,14 +916,13 @@ impl Engine<Background> {
     pub fn quiesce(&mut self) -> Result<()> {
         self.exec.drain();
         compact_l0_once(
-            &self.exec.state,
-            &self.exec.flush_done,
-            &self.front.store,
+            &self.exec.shared,
+            self.front.store.as_ref(),
             &self.front.written,
             self.front.config.sstable_points,
             &self.front.obs,
         )?;
-        self.exec.state.lock().check_invariants()
+        self.exec.shared.state.lock().check_invariants()
     }
 
     /// Flushes buffers, stops the worker, and returns the final report.
@@ -1065,9 +1142,9 @@ mod tests {
         }
         // The worker degrades after `append` checked and before the sealed
         // MemTable is handed off: the points are out of the buffers by then.
-        e.exec.degraded.store(true, Ordering::Release);
+        e.exec.shared.degraded.store(true, Ordering::Release);
         let _ = e.rest();
-        e.exec.degraded.store(false, Ordering::Release);
+        e.exec.shared.degraded.store(false, Ordering::Release);
         assert_eq!(e.buffered_points(), 0);
         let (pts, _) = e.query(TimeRange::new(0, 10)).expect("query");
         assert_eq!(pts.len(), 3, "sealed points dropped on the floor");
@@ -1197,6 +1274,11 @@ mod tests {
             (io.op, io.attempts),
             (DegradedOp::FlushWrite, DEFAULT_RETRY_ATTEMPTS)
         );
+    }
+
+    #[test]
+    fn a_log_without_a_manifest_or_a_manifest_without_a_log_is_refused() {
+        shared::check_half_durable_opens_are_refused::<Background>();
     }
 
     #[test]

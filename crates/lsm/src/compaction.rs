@@ -14,15 +14,16 @@
 //! Under disorder a point is rewritten r_c ≈ ζ(n)/n + 1 times (Eq. 3), and
 //! most tables a merge writes are consumed by a merge a few plans later.
 //! Their points are in the log until a checkpoint lets them go, so the
-//! durable state may lag the in-memory one: an inline engine makes its
-//! plans durable at a *horizon*, not one by one. Between horizons `execute`
-//! publishes a plan's outputs without making them durable
-//! ([`TableStore::publish_batch`]: the [`FileStore`](crate::FileStore)
-//! keeps them in memory) and commits the version in memory; inputs that no
-//! horizon synced are deleted at once, durable ones stay on disk. A table
-//! a merge consumes before its horizon therefore never reaches the file
-//! system. Its [`Outbox`] keeps the score, and `horizon` then runs, for one
-//! engine or for every series of a fleet at once:
+//! durable state may lag the in-memory one: an engine makes its plans
+//! durable at a *horizon*, not one by one, whichever executor runs them.
+//! Between horizons a plan publishes its outputs without making them
+//! durable ([`TableStore::publish_batch`]: the
+//! [`FileStore`](crate::FileStore) keeps them in memory) and commits the
+//! version in memory; inputs that no horizon synced are deleted at once,
+//! durable ones stay on disk. A table a merge consumes before its horizon
+//! therefore never reaches the file system. The engine's [`Outbox`] keeps
+//! the score, and `horizon` then runs, for one engine or for every series
+//! of a fleet at once:
 //!
 //! 1. one write and one fsync per table still live and unsynced;
 //! 2. one fsync of the tables directory;
@@ -35,10 +36,10 @@
 //! A horizon is due once the flushes have taken `Written::TABLES` tables'
 //! worth of points out of memory — the log a crash replays is never longer
 //! — or more than `MAX_UNCOMMITTED_TABLES` live tables wait, and at rest.
-//! An engine without both a log and a manifest has nothing to defer to and
-//! runs one after every plan, and so does the background worker, which
-//! keeps its own sequence: `write_outputs` → [`sync_outputs`] → [`commit`]
-//! → [`retire_inputs`].
+//! The inline executor runs it on the appending thread, the background
+//! worker after a plan of its own, and a durable fleet over all of its
+//! series; an engine without a manifest runs the same horizon with nothing
+//! to record.
 //!
 //! A merge's inputs are, under disorder, mostly the tables the last few
 //! plans wrote. `write_outputs` therefore hands each plan's decoded outputs
@@ -237,15 +238,14 @@ impl Written {
     }
 }
 
-/// A plan whose output tables have been written to the store but whose
+/// A plan whose output tables have been published to the store but whose
 /// [`VersionEdit`] has not yet been committed — the intermediate state
 /// between `write_outputs` and [`commit`].
 ///
-/// Splitting execution into *write* (store I/O, no version access),
-/// *commit* (version/manifest/metrics, no store I/O), and *retire* (store
-/// deletes) lets concurrent engines do the expensive phases without holding
-/// their state lock: the background worker writes outputs unlocked, takes
-/// the lock only for [`commit`], and retires the inputs unlocked again.
+/// Splitting execution into *write* (store I/O, no version access) and
+/// *commit* (version/metrics, no store I/O) lets the background worker
+/// write outputs without holding its state lock and take the lock only for
+/// [`commit`].
 #[derive(Debug)]
 pub struct PreparedCompaction {
     /// The plan being executed; its `outputs` have moved on into the
@@ -258,7 +258,7 @@ pub struct PreparedCompaction {
 /// Phase 1 of plan execution: announces the plan (`FlushStarted` /
 /// `CompactionPlanned`) and publishes every output table as one
 /// [`TableStore::publish_batch`] — readable, not yet durable: see
-/// [`sync_outputs`] and [`horizon`] — then moves the decoded outputs, under
+/// [`horizon`] — then moves the decoded outputs, under
 /// the ids the store gave them, into `written` for the merges that will
 /// consume them.
 /// Touches no version, manifest or metrics state, so callers may run it
@@ -294,48 +294,28 @@ pub(crate) fn write_outputs(
     Ok(PreparedCompaction { plan, added })
 }
 
-/// Phase 2 of the background worker's plans: makes the published outputs
-/// durable ([`TableStore::sync_published`]: one fsync per table and one of
-/// the directory), which [`commit`]'s manifest record relies on. Like
-/// phase 1 it needs no engine lock.
-///
-/// # Errors
-/// Storage failures; the outputs stay behind, unreferenced.
-pub fn sync_outputs(
-    prepared: &PreparedCompaction,
-    store: &dyn TableStore,
-) -> Result<()> {
-    let ids: Vec<SsTableId> =
-        prepared.added.iter().map(|meta| meta.id).collect();
-    store.sync_published(&ids)
-}
-
-/// Phase 3 of plan execution — the only writer of version + manifest +
-/// metrics: atomically applies the one [`VersionEdit`] that `place` makes
-/// of the plan's consumed inputs and stored outputs
+/// Phase 2 of plan execution — the only writer of version + metrics:
+/// atomically applies, in memory, the one [`VersionEdit`] that `place`
+/// makes of the plan's consumed inputs and stored outputs
 /// ([`VersionEdit::Replace`] for a merge into the run,
-/// [`VersionEdit::FlushToL0`] for a background flush), records the
-/// manifest, and does all metric accounting and completion events. Does no
-/// table-store I/O — this is the only phase that needs the engine's state
-/// lock. Returns the edit it applied.
+/// [`VersionEdit::FlushToL0`] for a background flush), and does all metric
+/// accounting and completion events. Does no I/O — this is the only phase
+/// that needs the engine's state lock; the plan becomes durable at the
+/// next [`horizon`]. Returns the edit it applied.
 ///
 /// # Errors
-/// Version or manifest failures; the version is only mutated if the edit
-/// applies cleanly.
+/// Version failures; the version is only mutated if the edit applies
+/// cleanly.
 pub fn commit(
     prepared: &PreparedCompaction,
     place: impl FnOnce(Vec<SsTableId>, Vec<SsTableMeta>) -> VersionEdit,
     version: &mut Version,
-    manifest: Option<&mut Manifest>,
     metrics: &mut Metrics,
     obs: &ObserverHandle,
 ) -> Result<VersionEdit> {
     let plan = &prepared.plan;
     let edits = [place(plan.inputs.clone(), prepared.added.clone())];
     version.apply(&edits)?;
-    if let Some(manifest) = manifest {
-        version.record(manifest, &edits)?;
-    }
     metrics.tables_created += prepared.added.len() as u64;
     metrics.disk_points_written += plan.merged_points;
     metrics.rewritten_points += plan.rewritten_points;
@@ -362,29 +342,6 @@ pub fn commit(
     Ok(edit)
 }
 
-/// Phase 4 of plan execution: deletes the consumed input tables from the
-/// store. Runs strictly after [`commit`], so readers resolving the *new*
-/// version never look these tables up.
-///
-/// Deleting through `store` is the decoded-block cache's invalidation
-/// contract: when the store is a
-/// [`CachedStore`](crate::store::CachedStore), every cached block (and the
-/// cached index) of a consumed table is dropped before this returns, so a
-/// reader can never be served decoded points of a table the compaction
-/// replaced.
-///
-/// # Errors
-/// Storage failures.
-pub fn retire_inputs(
-    prepared: &PreparedCompaction,
-    store: &dyn TableStore,
-) -> Result<()> {
-    for id in &prepared.plan.inputs {
-        store.delete(*id)?;
-    }
-    Ok(())
-}
-
 /// More live tables than this may wait unsynced for a horizon: past it an
 /// append runs one, whatever else is due. Bounds the tables a sync leaves to
 /// the next horizon and the outbox that lists them.
@@ -398,8 +355,8 @@ pub(crate) fn due(points: usize, tables: usize, budget: usize) -> bool {
     points >= budget || tables > MAX_UNCOMMITTED_TABLES
 }
 
-/// What the plans of one inline engine have left to its next horizon (see
-/// the module docs): the live tables they published and did not sync, the
+/// What the plans of one engine have left to its next horizon (see the
+/// module docs): the live tables they published and did not sync, the
 /// durable tables they consumed, and what they took out of memory.
 #[derive(Debug, Default)]
 pub struct Outbox {
@@ -417,7 +374,7 @@ pub struct Outbox {
     retired: Vec<SsTableId>,
     /// The generation-time range each flush took out of memory, in flush
     /// order: what the owner's log may let go of after the horizon (the
-    /// engine adds these itself; a plan does not know what was fresh).
+    /// executor adds these itself; a plan does not know what was fresh).
     pub(crate) flushed: Vec<TimeRange>,
     /// Points those flushes took.
     pub(crate) points: usize,
@@ -443,18 +400,19 @@ impl Outbox {
         due(self.points, self.waiting(), budget)
     }
 
-    /// Takes an executed plan over: its outputs wait for the horizon, an
-    /// input no horizon has synced is deleted now — nothing durable names
-    /// it — and any other is retired until the horizon.
-    fn defer(
+    /// Takes an executed plan over: its `added` outputs wait for the
+    /// horizon, and of the tables it `consumed` any a horizon synced is
+    /// retired until the next one. Returns the others, which nothing
+    /// durable names: the caller deletes them at once.
+    pub(crate) fn defer(
         &mut self,
-        prepared: &PreparedCompaction,
+        added: &[SsTableMeta],
+        consumed: &[SsTableId],
         store: &dyn TableStore,
-    ) -> Result<()> {
-        self.unsynced
-            .extend(prepared.added.iter().map(|meta| meta.id));
+    ) -> Vec<SsTableId> {
+        self.unsynced.extend(added.iter().map(|meta| meta.id));
         let mut never_synced = Vec::new();
-        for &id in &prepared.plan.inputs {
+        for &id in consumed {
             if let Some(at) = self.unsynced.iter().position(|held| *held == id)
             {
                 never_synced.push(self.unsynced.swap_remove(at));
@@ -464,30 +422,27 @@ impl Outbox {
             store.note_retired(id);
             self.retired.push(id);
         }
-        for id in never_synced {
-            store.delete(id)?;
-        }
-        Ok(())
+        never_synced
     }
 
-    /// The live tables of `version` no durable manifest record is known to
-    /// name, in run order.
-    fn unrecorded<'v>(
-        &'v self,
-        version: &'v Version,
-    ) -> impl Iterator<Item = &'v SsTableMeta> + 'v {
-        let tables = version.run().tables().iter().chain(version.l0());
-        tables.filter(|meta| {
-            self.unsynced.contains(&meta.id) || self.synced.contains(&meta.id)
-        })
+    /// Whether the live table `id` is one no durable manifest record is
+    /// known to name.
+    fn unrecorded(&self, id: SsTableId) -> bool {
+        self.unsynced.contains(&id) || self.synced.contains(&id)
     }
 
-    /// The net change from the durable version to `version`: the retired
-    /// tables out, the unrecorded live ones in — one manifest group.
+    /// The net change from the durable version to `version`, as one
+    /// manifest group: the retired tables out, then the unrecorded live
+    /// ones in — run tables in run order, L0 tables in flush order.
     fn edits(&self, version: &Version) -> Vec<ManifestEdit> {
+        let unrecorded = |meta: &&SsTableMeta| self.unrecorded(meta.id);
+        let run = version.run().tables().iter().filter(unrecorded);
+        let l0 = version.l0().iter().filter(unrecorded);
         let removed = self.retired.iter().copied().map(ManifestEdit::Remove);
-        let added = self.unrecorded(version).copied().map(ManifestEdit::Add);
-        removed.chain(added).collect()
+        removed
+            .chain(run.copied().map(ManifestEdit::Add))
+            .chain(l0.copied().map(ManifestEdit::AddL0))
+            .collect()
     }
 }
 
@@ -549,12 +504,11 @@ pub(crate) fn horizon(
     let ids: Vec<SsTableId> = shares
         .iter()
         .flat_map(|share| {
-            let outbox = &*share.outbox;
-            outbox
-                .unrecorded(share.version)
-                .filter(|meta| outbox.unsynced.contains(&meta.id))
+            let (version, outbox) = (share.version, &*share.outbox);
+            let live = version.run().tables().iter().chain(version.l0());
+            live.map(|meta| meta.id)
+                .filter(|id| outbox.unsynced.contains(id))
         })
-        .map(|meta| meta.id)
         .collect();
     store.sync_published(&ids)?;
     for share in shares.iter_mut() {
@@ -629,7 +583,7 @@ pub(crate) fn coalesce(mut ranges: Vec<TimeRange>) -> Vec<TimeRange> {
 /// [`Outbox::defer`]): the outputs unsynced, inputs no horizon synced
 /// deleted at once, durable inputs kept on disk. An in-order buffer plans
 /// with no inputs and commits as a flush; the background engine calls the
-/// phases directly so the store I/O runs outside its state lock.
+/// same steps itself so the store I/O runs outside its state lock.
 ///
 /// Merged tables carry correct v3 per-block pre-aggregates by
 /// construction: the encoder re-derives min/max/sum/count from the merged
@@ -658,8 +612,10 @@ pub(crate) fn execute(
         added,
         drain_l0: false,
     };
-    commit(&prepared, into_run, version, None, metrics, obs)?;
-    outbox.defer(&prepared, store)?;
+    commit(&prepared, into_run, version, metrics, obs)?;
+    for id in outbox.defer(&prepared.added, &prepared.plan.inputs, store) {
+        store.delete(id)?;
+    }
     // Debug builds cross-check the committed version against what the
     // store actually holds after every executed plan.
     crate::invariants::check_version_against_store(version, store)?;
@@ -894,6 +850,92 @@ mod tests {
             4,
             "an in-order flush journals only run additions"
         );
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    /// The background worker's two plans over the pipeline alone: a flush
+    /// of `points` into L0, or a merge of every L0 table into the empty
+    /// run; both left to `outbox`.
+    fn into_l0(
+        points: Option<Vec<DataPoint>>,
+        store: &MemStore,
+        version: &mut Version,
+        outbox: &mut Outbox,
+    ) {
+        let l0: Vec<SsTableId> = version.l0().iter().map(|m| m.id).collect();
+        let fresh = match &points {
+            Some(points) => vec![points.clone()],
+            None => l0
+                .iter()
+                .rev()
+                .map(|id| store.get(*id).expect("get"))
+                .collect(),
+        };
+        let plan = plan_merge(fresh, Vec::new(), 2, None);
+        let obs = ObserverHandle::detached();
+        let prepared =
+            write_outputs(plan, store, &Written::new(2), &obs).expect("write");
+        let consumed = if points.is_some() { Vec::new() } else { l0 };
+        commit(
+            &prepared,
+            |removed, added| match points {
+                Some(points) => VersionEdit::FlushToL0 {
+                    batch: Arc::new(points),
+                    tables: added,
+                },
+                None => VersionEdit::Replace {
+                    removed,
+                    added,
+                    drain_l0: true,
+                },
+            },
+            version,
+            &mut Metrics::default(),
+            &obs,
+        )
+        .expect("commit");
+        let doomed = outbox.defer(&prepared.added, &consumed, store);
+        assert!(doomed.is_empty(), "every input was synced");
+    }
+
+    #[test]
+    fn a_horizon_records_l0_tables_in_l0_and_an_l0_merge_as_its_net_change() {
+        let path = std::env::temp_dir().join(format!(
+            "seplsm-compaction-l0-{}-{:?}.manifest",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let mut manifest = Manifest::open(&path).expect("open");
+        let store = MemStore::new();
+        let mut version = Version::new();
+        let mut outbox = Outbox::default();
+        let mut horizon_over = |version: &Version, outbox: &mut Outbox| {
+            let mut share = Share {
+                series: 0,
+                outbox,
+                version,
+            };
+            horizon(&store, Record::Own(&mut share, Some(&mut manifest)))
+                .expect("horizon");
+            Manifest::replay_levels(&path).expect("replay")
+        };
+        // Two flushes into L0, overlapping: three tables in flush order.
+        into_l0(Some(pts(&[10, 20, 30])), &store, &mut version, &mut outbox);
+        into_l0(Some(pts(&[5, 25])), &store, &mut version, &mut outbox);
+        let (run, l0) = horizon_over(&version, &mut outbox);
+        assert!(run.is_empty(), "L0 tables replayed into the run: {run:?}");
+        assert_eq!(l0, version.l0());
+        assert_eq!(l0.len(), 3);
+        // The merge of all three into the run: their removal and the
+        // outputs' addition, and the durable inputs deleted only now.
+        let inputs = version.live_table_ids();
+        into_l0(None, &store, &mut version, &mut outbox);
+        assert!(inputs.iter().all(|id| store.get(*id).is_ok()), "retired");
+        let (run, l0) = horizon_over(&version, &mut outbox);
+        assert!(l0.is_empty());
+        assert_eq!(run, version.run().tables());
+        assert!(inputs.iter().all(|id| store.get(*id).is_err()), "deleted");
         std::fs::remove_file(&path).expect("cleanup");
     }
 

@@ -25,7 +25,7 @@
 //! makes it durable at its next horizon (`compaction::horizon`;
 //! [`LsmEngine`], every write-amplification figure);
 //! [`Background`](crate::background::Background) queues it for a worker
-//! thread that keeps an L0 in front of the run
+//! thread that keeps an L0 in front of the run and runs the same horizon
 //! ([`TieredEngine`](crate::TieredEngine), §V-C: Table III and the query
 //! figures). The engine is instrumented for every quantity the paper
 //! measures: write amplification, per-compaction subsequent-point counts
@@ -211,16 +211,16 @@ pub trait Executor: Sized {
     /// `force`, whenever anything waits for one: what it published synced,
     /// the manifest told, what it retired deleted
     /// (`compaction::horizon`); [`progress`](Self::progress) then reports
-    /// the flushes it made durable. The background worker makes every plan
-    /// durable itself: nothing is ever due.
+    /// the flushes it made durable. The background worker runs the due ones
+    /// itself: only a forced one runs here.
     fn commit(&mut self, _front: &Front, _force: bool) -> Result<()> {
         Ok(())
     }
 
-    /// The generation-time ranges of the handed-off MemTables that have
-    /// become durable under a durable manifest record since this was last
-    /// asked, and the MemTables handed off that have not: the volatile
-    /// points outside the buffers, oldest first.
+    /// The generation-time ranges of the handed-off MemTables that a
+    /// horizon has made durable since this was last asked, and the
+    /// MemTables handed off that no horizon has: the volatile points
+    /// outside the buffers, oldest first.
     fn progress(&mut self) -> (Vec<TimeRange>, &[Batch]);
 
     /// Points written into SSTables so far, `writer` being the counters
@@ -736,8 +736,9 @@ pub struct Inline {
     manifest: Option<Manifest>,
     /// What the plans since the last horizon left to the next one.
     outbox: Outbox,
-    /// When the plans become durable.
-    horizon: Horizon,
+    /// The engine is one series of a durable fleet, whose owner runs the
+    /// horizons over all of its series; otherwise it runs its own.
+    owner_commits: bool,
     /// The ranges a horizon made durable since the engine's own log was
     /// last told.
     retired: Vec<TimeRange>,
@@ -746,29 +747,16 @@ pub struct Inline {
     invariants: InvariantChecker,
 }
 
-/// When an inline engine's plans become durable ([`compaction::horizon`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Horizon {
-    /// After every plan: an engine without both a log and a manifest has
-    /// nothing to defer to — no log to replay what an unsynced table held,
-    /// or no manifest to keep one out of the durable version.
-    EveryPlan,
-    /// When the outbox says one is due, and at rest.
-    Deferred,
-    /// When the engine's owner — a durable fleet, which keeps the log and
-    /// the manifest for it — runs one over all of its series.
-    Owner,
-}
-
 impl Inline {
-    /// An executor over `version` whose plans become durable at `horizon`.
-    pub(crate) fn new(version: Version, horizon: Horizon) -> Self {
+    /// An executor over `version` that runs its own horizons, or leaves
+    /// them to its owner (`owner_commits`).
+    pub(crate) fn new(version: Version, owner_commits: bool) -> Self {
         Self {
             invariants: InvariantChecker::seeded(&version),
             version,
             manifest: None,
             outbox: Outbox::default(),
-            horizon,
+            owner_commits,
             retired: Vec::new(),
         }
     }
@@ -796,8 +784,8 @@ impl Executor for Inline {
     /// The one flush: plan the merge of `points` with every run table
     /// overlapping their range (pure; the tables mostly come out of the pool
     /// of written tables, not the store), then execute the plan against
-    /// store/version/metrics, leaving its durability to the outbox (to this
-    /// very plan when every plan is a horizon). A `C_seq` buffer lies
+    /// store/version/metrics, leaving its durability to the outbox. A
+    /// `C_seq` buffer lies
     /// strictly past the run tail, so it finds no overlap and its plan
     /// commits as a flush that rewrites nothing. The range of `points` is
     /// what a checkpoint of the engine's log, or of its owner's, then
@@ -843,26 +831,17 @@ impl Executor for Inline {
         )?;
         self.outbox.flushed.push(flushed);
         self.outbox.points += taken;
-        if self.horizon == Horizon::EveryPlan {
-            self.commit(front, true)?;
-        }
         // Temporal invariants after every flush/compaction; the store
         // cross-check already ran inside the plan executor.
         self.invariants
             .observe_metrics(&self.version, &front.metrics)
     }
 
-    /// The horizon over this engine alone, series 0 of its own manifest,
-    /// when its `Horizon` says one is due.
+    /// The horizon over this engine alone, series 0 of its own manifest
+    /// if it keeps one, when one is due — unless its owner runs them.
     fn commit(&mut self, front: &Front, force: bool) -> Result<()> {
-        let due = match self.horizon {
-            Horizon::EveryPlan => true,
-            Horizon::Deferred => {
-                force || self.outbox.due(front.written.budget())
-            }
-            Horizon::Owner => false,
-        };
-        if !due {
+        let due = force || self.outbox.due(front.written.budget());
+        if self.owner_commits || !due {
             return Ok(());
         }
         let mut share = Share {
@@ -1182,6 +1161,38 @@ pub(crate) mod tests {
         );
     }
 
+    /// Crash durability needs a log and a manifest: an open, fresh or
+    /// recovering, that configures one without the other is refused before
+    /// it touches either file.
+    pub(crate) fn check_half_durable_opens_are_refused<X: Executor>() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-half-durable-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        for (wal, manifest) in [(true, false), (false, true)] {
+            let options = || {
+                let mut options = EngineBuilder::<X::Kind>::new(
+                    EngineConfig::new(Policy::conventional(8)),
+                );
+                if wal {
+                    options = options.wal(dir.join("wal"));
+                }
+                if manifest {
+                    options = options.manifest(dir.join("manifest"));
+                }
+                options
+            };
+            let refused = |opened: Result<()>| {
+                matches!(opened, Err(Error::InvalidConfig(_)))
+            };
+            assert!(refused(options().open().map(drop)), "{wal} {manifest}");
+            let recovered = options().open_or_recover().map(drop);
+            assert!(refused(recovered), "{wal} {manifest}");
+        }
+        assert!(!dir.exists());
+    }
+
     fn on_store(config: EngineConfig, store: Arc<dyn TableStore>) -> LsmEngine {
         OpenOptions::new(config)
             .store(store)
@@ -1230,6 +1241,7 @@ pub(crate) mod tests {
             OpenOptions::new(config.clone())
                 .store(Arc::clone(&store))
                 .wal(dir.join("wal"))
+                .manifest(dir.join("manifest"))
         };
         let mut e = options().open().expect("open");
         for p in in_order_points(20) {
@@ -1574,6 +1586,11 @@ pub(crate) mod tests {
         let all = e.scan_all().expect("scan");
         assert_eq!(all.len(), 300);
         assert!(all.windows(2).all(|w| w[0].gen_time < w[1].gen_time));
+    }
+
+    #[test]
+    fn a_log_without_a_manifest_or_a_manifest_without_a_log_is_refused() {
+        check_half_durable_opens_are_refused::<Inline>();
     }
 
     #[test]

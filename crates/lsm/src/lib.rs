@@ -26,18 +26,16 @@
 //!   MemTable set: Definition 3 classification against the pivot, flush
 //!   triggering, and mid-stream policy migration.
 //! * [`compaction`] — [`plan_merge`](compaction::plan_merge), the *pure*
-//!   merge planner (an in-order flush is the plan with no inputs), and
-//!   `compaction::write_outputs` →
-//!   [`sync_outputs`](compaction::sync_outputs) →
-//!   [`commit`](compaction::commit) →
-//!   [`retire_inputs`](compaction::retire_inputs), which apply plans to
-//!   store + version + metrics. The WA arithmetic exists exactly once, here.
-//!   `write_outputs` leaves each plan's decoded outputs in the store's pool
-//!   of written tables, which the next merges take their inputs from.
+//!   merge planner (an in-order flush is the plan with no inputs),
+//!   `compaction::write_outputs` → [`commit`](compaction::commit), which
+//!   apply plans to store + version + metrics, and `compaction::horizon`,
+//!   the one place that makes them durable, for every engine. The WA
+//!   arithmetic exists exactly once, here. `write_outputs` leaves each
+//!   plan's decoded outputs in the store's pool of written tables, which
+//!   the next merges take their inputs from.
 //! * [`version`] — [`Version`](version::Version), the table-level state
 //!   (run, L0, flushing batches), mutated only through atomic
-//!   [`VersionEdit`](version::VersionEdit) batches that also drive manifest
-//!   recording.
+//!   [`VersionEdit`](version::VersionEdit) batches.
 //!
 //! **Substrate:**
 //!

@@ -1406,16 +1406,38 @@ mod tests {
         }
     }
 
+    /// The manifest records of one version edit.
+    fn journal(edit: &crate::version::VersionEdit) -> Vec<ManifestEdit> {
+        use crate::version::VersionEdit;
+        match edit {
+            VersionEdit::RegisterFlushing(_) => Vec::new(),
+            VersionEdit::FlushToL0 { tables, .. } => {
+                tables.iter().copied().map(ManifestEdit::AddL0).collect()
+            }
+            VersionEdit::Replace {
+                removed,
+                added,
+                drain_l0,
+            } => drain_l0
+                .then_some(ManifestEdit::DrainL0)
+                .into_iter()
+                .chain(removed.iter().copied().map(ManifestEdit::Remove))
+                .chain(added.iter().copied().map(ManifestEdit::Add))
+                .collect(),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(
             proptest::prelude::ProptestConfig::with_cases(64)
         )]
 
         /// For any sequence of version edits — in-order appends, flushes to
-        /// L0, merges with and without an L0 drain — recorded through
-        /// `Version::record` (which interleaves its own compactions) with
-        /// forced compactions in between, replaying the log yields exactly
-        /// the version it was recorded from, after every step.
+        /// L0, merges with and without an L0 drain — each recorded as one
+        /// group through `commit_or_rewrite` (which interleaves its own
+        /// rewrites) with forced compactions in between, replaying the log
+        /// yields exactly the version it was recorded from, after every
+        /// step.
         #[test]
         fn replaying_the_delta_log_equals_the_recorded_version(
             ops in proptest::collection::vec(
@@ -1494,7 +1516,12 @@ mod tests {
                     }
                 };
                 version.apply(&edits).expect("apply");
-                version.record(&mut manifest, &edits).expect("record");
+                let group: Vec<ManifestEdit> =
+                    edits.iter().flat_map(journal).collect();
+                let (run, l0) = (version.run().tables(), version.l0());
+                manifest
+                    .commit_or_rewrite(&group, run, l0)
+                    .expect("record");
                 let (run, l0) =
                     Manifest::replay_levels(&path).expect("replay");
                 proptest::prop_assert_eq!(

@@ -137,7 +137,7 @@ impl DegradedReason {
 /// The operation that was failing when the engine degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradedOp {
-    /// Writing a sealed batch's tables to L0.
+    /// Writing a sealed batch's tables to L0, or a horizon's tables.
     FlushWrite,
     /// The background L0 → run compaction.
     Compaction,

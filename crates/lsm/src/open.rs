@@ -26,9 +26,10 @@
 //! executor their settings start. A durable fleet assembles its series through the
 //! [`Inline`] kind with neither log nor manifest: both are the fleet's
 //! (`fleet.wal`, `fleet.manifest`), and so are the horizons that make a
-//! series' flushes durable. Which horizon an inline engine keeps is decided
-//! here too, from what it is given: every plan is one without both a log and
-//! a manifest, and a due one with both (`compaction` module docs).
+//! series' flushes durable. Crash durability needs both files: an open that
+//! configures one without the other is refused, and an engine with neither
+//! makes its tables durable at its horizons and at rest (`compaction` module
+//! docs).
 //!
 //! ```
 //! use seplsm_lsm::{EngineConfig, OpenOptions};
@@ -51,7 +52,7 @@ use crate::arbiter::ArbiterConfig;
 use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
 use crate::compaction::Written;
-use crate::engine::{self, Engine, EngineConfig, Horizon, LsmEngine};
+use crate::engine::{self, Engine, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{Levels, Manifest};
 use crate::obs::{Observer, ObserverHandle};
@@ -242,7 +243,8 @@ impl<K: Kind> EngineBuilder<K> {
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for
-    /// degenerate configurations; I/O errors opening the WAL, manifest or
+    /// degenerate configurations, and for a WAL without a manifest or a
+    /// manifest without a WAL; I/O errors opening the WAL, manifest or
     /// durable directory.
     pub fn open(self) -> Result<K::Engine> {
         Ok(self.assemble(false)?.0)
@@ -270,6 +272,13 @@ impl<K: Kind> EngineBuilder<K> {
         mut self,
         recover: bool,
     ) -> Result<(K::Engine, RecoveryReport)> {
+        if self.wal.is_some() != self.manifest.is_some() {
+            return Err(Error::InvalidConfig(
+                "a log needs a manifest and a manifest a log: configure \
+                 both or neither"
+                    .into(),
+            ));
+        }
         let store = wrap_cache(
             store_or_default(self.store.take()),
             self.cache.take(),
@@ -290,15 +299,16 @@ impl<K: SingleSeries> EngineBuilder<K> {
     /// Attaches a write-ahead log at `path`: appended points are logged
     /// before being buffered, and
     /// [`open_or_recover`](Self::open_or_recover) replays the log into the
-    /// buffers.
+    /// buffers. Needs a [`manifest`](Self::manifest) as well.
     pub fn wal(mut self, path: impl Into<PathBuf>) -> Self {
         self.wal = Some(path.into());
         self
     }
 
-    /// Attaches a manifest at `path`: level-membership changes are logged,
-    /// and [`open_or_recover`](Self::open_or_recover) rebuilds from the
-    /// manifest instead of reading every table.
+    /// Attaches a manifest at `path`: every horizon records the tables it
+    /// made durable, and [`open_or_recover`](Self::open_or_recover)
+    /// rebuilds from the manifest instead of reading every table. Needs a
+    /// [`wal`](Self::wal) as well.
     pub fn manifest(mut self, path: impl Into<PathBuf>) -> Self {
         self.manifest = Some(path.into());
         self
@@ -339,14 +349,7 @@ impl Kind for Inline {
                 &options.observer,
             )?,
         };
-        let horizon = if options.kind.owner_commits {
-            Horizon::Owner
-        } else if options.wal.is_some() && options.manifest.is_some() {
-            Horizon::Deferred
-        } else {
-            Horizon::EveryPlan
-        };
-        let exec = engine::Inline::new(version, horizon);
+        let exec = engine::Inline::new(version, options.kind.owner_commits);
         Engine::assemble(options, store, exec, report)
     }
 

@@ -9,8 +9,9 @@
 //! State never mutates in place: engines describe changes as
 //! [`VersionEdit`]s and [`Version::apply`] commits a whole edit batch
 //! atomically — either every edit lands or the version is untouched. The
-//! same edits drive manifest recording ([`Version::record`]), so the
-//! durable log can never disagree with the in-memory state it mirrors.
+//! manifest does not follow edit by edit: a horizon records the net change
+//! between the durable version and the current one
+//! (`compaction::horizon`).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use seplsm_types::{DataPoint, Result, Timestamp};
 
 use crate::level::Run;
-use crate::manifest::{Manifest, ManifestEdit};
+use crate::manifest::Manifest;
 use crate::sstable::{SsTableId, SsTableMeta};
 
 /// One table-level state change, applied through [`Version::apply`].
@@ -47,30 +48,6 @@ pub enum VersionEdit {
         /// `true` when the merge also consumed all of L0 (tiered path).
         drain_l0: bool,
     },
-}
-
-impl VersionEdit {
-    /// Appends the manifest records of this edit to `group`: whoever logs
-    /// for the version commits them as (part of) one atomic edit group.
-    pub(crate) fn journal(&self, group: &mut Vec<ManifestEdit>) {
-        match self {
-            VersionEdit::FlushToL0 { tables, .. } => {
-                group.extend(tables.iter().copied().map(ManifestEdit::AddL0));
-            }
-            VersionEdit::RegisterFlushing(_) => {}
-            VersionEdit::Replace {
-                removed,
-                added,
-                drain_l0,
-            } => {
-                if *drain_l0 {
-                    group.push(ManifestEdit::DrainL0);
-                }
-                group.extend(removed.iter().copied().map(ManifestEdit::Remove));
-                group.extend(added.iter().copied().map(ManifestEdit::Add));
-            }
-        }
-    }
 }
 
 /// The table-level state of one series; see the module docs.
@@ -176,27 +153,6 @@ impl Version {
         }
     }
 
-    /// Durably records already-applied `edits` in `manifest` as one atomic
-    /// edit group — one append, one fsync — so a crash can never leave the
-    /// log holding half a [`VersionEdit::Replace`]. When the group would
-    /// leave the log more dead than live, the log is instead rewritten from
-    /// this version's live tables, which records the same state
-    /// ([`Manifest::commit_or_rewrite`]).
-    ///
-    /// # Errors
-    /// Manifest I/O failures.
-    pub fn record(
-        &self,
-        manifest: &mut Manifest,
-        edits: &[VersionEdit],
-    ) -> Result<()> {
-        let mut group = Vec::new();
-        for edit in edits {
-            edit.journal(&mut group);
-        }
-        manifest.commit_or_rewrite(&group, self.run.tables(), &self.l0)
-    }
-
     /// Rewrites `manifest` down to one record per live table, unless it
     /// already is. Engines call this where they come to rest (`flush_all`,
     /// `finish`), so dead records never outlive the burst that made them.
@@ -292,46 +248,5 @@ mod tests {
         assert!(v.l0().is_empty());
         assert_eq!(v.run().len(), 1);
         assert_eq!(v.last_stored_gen_time(), Some(120));
-    }
-
-    #[test]
-    fn record_round_trips_through_the_manifest() {
-        let path = std::env::temp_dir().join(format!(
-            "seplsm-version-record-{}-{:?}.manifest",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut manifest = Manifest::open(&path).expect("open");
-        let mut v = Version::new();
-
-        let appends = [append(vec![meta(1, 0, 99, 10), meta(2, 100, 199, 10)])];
-        v.apply(&appends).expect("apply");
-        v.record(&mut manifest, &appends).expect("record");
-
-        let batch = Arc::new(vec![DataPoint::new(150, 160, 0.0)]);
-        let flush = [VersionEdit::FlushToL0 {
-            batch,
-            tables: vec![meta(3, 150, 150, 1)],
-        }];
-        v.apply(&flush).expect("apply");
-        v.record(&mut manifest, &flush).expect("record");
-
-        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
-        assert_eq!(run.len(), 2);
-        assert_eq!(l0.len(), 1);
-
-        let replace = [VersionEdit::Replace {
-            removed: vec![SsTableId(1), SsTableId(2)],
-            added: vec![meta(4, 0, 199, 21)],
-            drain_l0: true,
-        }];
-        v.apply(&replace).expect("apply");
-        v.record(&mut manifest, &replace).expect("record");
-        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
-        assert_eq!(run.len(), 1);
-        assert_eq!(run[0].id.0, 4);
-        assert!(l0.is_empty());
-        std::fs::remove_file(&path).expect("cleanup");
     }
 }

@@ -136,9 +136,11 @@ for name in a_merge_of_tables_this_engine_wrote_reads_none_of_them \
 done
 # The horizon's schedule, and its crash contract: a merge over tables no
 # horizon synced drops them at no I/O at all; a horizon writes, syncs,
-# records, deletes and checkpoints in that order; engines with nothing to
-# defer to still pay every plan as it goes; a crash at every op across two
-# horizons, each followed by a power cut that loses or tears every table
+# records, deletes and checkpoints in that order; the background worker's
+# flushes and L0 merges pay nothing between its horizons and the same
+# grouped commit at one; an engine with neither log nor manifest syncs its
+# tables at rest; a crash at every op across two horizons, inline or the
+# worker's, each followed by a power cut that loses or tears every table
 # the durable manifest does not name, loses no acknowledged point; a
 # horizon's table write torn, at every one of them, loses none either; a
 # horizon whose table write fails once is retried, writing every staged
@@ -148,11 +150,13 @@ done
 # log and in the fleet's, replays more, never less.
 for name in a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing \
     a_horizon_syncs_then_commits_then_deletes_then_checkpoints \
-    engines_with_nothing_to_defer_to_pay_for_every_plan_as_it_goes; do
+    the_background_engine_pays_the_same_grouped_commit \
+    an_engine_with_neither_log_nor_manifest_syncs_its_tables_at_rest; do
   grep -qx "$name: test" <<<"$FSYNC_TESTS" \
     || { echo "fsync_budget lost its horizon test '$name'"; exit 1; }
 done
 for name in an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons \
+    a_tiered_engine_survives_a_power_cut_at_every_op_across_two_horizons \
     a_torn_horizon_table_write_loses_no_acknowledged_point \
     a_horizon_failing_at_any_table_write_rewrites_every_table_from_memory \
     an_engine_retries_a_horizon_that_failed_at_its_manifest_sync_as_a_rewrite \
@@ -251,6 +255,18 @@ echo "== seplsm stats (tables are written at horizons: < 8 StoreWrite per 1 000 
 WRITES_PER_KPOINT="$(sed -nE 's/.*StoreWrite [0-9]+ \(([0-9.]+)\/kpoint\).*/\1/p' <<<"$IO_LINE")"
 awk -v w="$WRITES_PER_KPOINT" 'BEGIN { exit !(w != "" && w < 8) }' \
   || { echo "tables a merge consumes reach the file system: $IO_LINE"; exit 1; }
+
+# The background engine takes the same horizon: its open-loop benchmark
+# lane, replayed on the durable stack for 3 s (90 000 points paced at
+# 30 000 points/s), must fsync fewer than 5 tables and commit fewer than 1
+# manifest group per 1 000 points. A worker that syncs and records every
+# flush and every L0 merge as it goes pays 8.79 and 4.79.
+echo "== io_split ingest-bg-open (the worker's tables are synced at horizons) =="
+BG_IO="$(target/release/io_split --workload ingest-bg-open --seed 11 --seconds 3)"
+per_kpoint() { sed -nE "s/^$1 +[0-9]+ +\(([0-9.]+)\/kpoint\)\$/\1/p" <<<"$BG_IO"; }
+awk -v s="$(per_kpoint StoreSync)" -v m="$(per_kpoint ManifestSync)" \
+    'BEGIN { exit !(s != "" && m != "" && s < 5 && m < 1) }' \
+  || { echo "the worker syncs plan by plan: $BG_IO"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because sinks run on the

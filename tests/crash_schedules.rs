@@ -51,10 +51,10 @@ const WORKLOAD_POINTS: usize = 48;
 /// `sync` every this many appends (odd on purpose, to land syncs in
 /// different phases of the flush cycle).
 const SYNC_EVERY: usize = 7;
-/// Points of the inline engine's crash sweeps: the workload plus the 64
-/// tables' worth of points (512 at `config()`'s tables) its flushes take
-/// out of memory before a horizon is due. Between horizons a flush or merge
-/// does no I/O at all, so a sweep must cross one to crash inside it.
+/// Points of the crash sweeps: the workload plus the 64 tables' worth of
+/// points (512 at `config()`'s tables) an engine's flushes take out of
+/// memory before a horizon is due. Between horizons a flush or merge does
+/// no I/O at all, so a sweep must cross one to crash inside it.
 const HORIZON_POINTS: usize = WORKLOAD_POINTS + 64 * 8;
 
 /// Bytes of a framed WAL's magic: the whole file when the log is at rest.
@@ -431,7 +431,7 @@ fn tiered_recover_check(
 
 #[test]
 fn tiered_engine_survives_a_crash_at_every_io_op() {
-    let pts = workload(WORKLOAD_POINTS);
+    let pts = workload(HORIZON_POINTS);
     let plan = FaultPlan::trace_only(SEED);
     let (dir, out) = tiered_pass("tiered-trace", &plan, &pts);
     assert_eq!(out.appended, pts.len(), "trace pass must complete");
@@ -477,7 +477,7 @@ fn tiered_engine_clears_write_stalls_after_any_crash() {
         let stalls = engine.admission_stats().stalls;
         (dir, out, stalls)
     };
-    let pts = workload(WORKLOAD_POINTS);
+    let pts = workload(HORIZON_POINTS);
     let plan = FaultPlan::trace_only(SEED);
     let (dir, out, stalls) = stall_pass("tiered-stall-trace", &plan, &pts);
     assert_eq!(out.appended, pts.len(), "trace pass must complete");
@@ -534,8 +534,9 @@ fn tiered_engine_clears_write_stalls_after_any_crash() {
 #[test]
 fn tiered_engine_absorbs_one_transient_fault_per_op() {
     // FailOnce is not a crash: the worker's bounded retry must absorb it
-    // wherever it lands on the flush path, and the workload completes.
-    let pts = workload(WORKLOAD_POINTS);
+    // wherever it lands on the flush path or in its horizon, and the
+    // workload completes.
+    let pts = workload(HORIZON_POINTS);
     let plan = FaultPlan::trace_only(SEED);
     let (dir, _) = tiered_pass("tiered-once-trace", &plan, &pts);
     drop(dir);
@@ -599,6 +600,22 @@ enum GroupEngine {
 }
 
 impl GroupEngine {
+    /// [`group_workload`]; the tiered engine's goes on in order for the 64
+    /// tables' worth of points it flushes before a horizon is due, so the
+    /// sweep crosses one of the worker's.
+    fn workload(self) -> Vec<DataPoint> {
+        let mut pts = group_workload();
+        if let Self::Tiered = self {
+            let from = pts.len() as i64;
+            let more = 64 * GROUP_SSTABLE_POINTS as i64;
+            pts.extend(
+                (from..from + more)
+                    .map(|i| DataPoint::new(i * 10, i * 10 + 3, i as f64)),
+            );
+        }
+        pts
+    }
+
     fn config(self) -> EngineConfig {
         let policy = match self {
             Self::Conventional => Policy::conventional(16),
@@ -770,7 +787,7 @@ fn recovery_modes() -> [(&'static str, RecoveryOptions); 2] {
 /// frames, the closing flush and its cut — and recovers in strict and
 /// salvage mode.
 fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
-    let pts = group_workload();
+    let pts = engine.workload();
     let plan = FaultPlan::trace_only(SEED);
     let (dir, out) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
     assert_eq!(out.synced, pts.len(), "trace pass must complete");
@@ -2112,6 +2129,100 @@ fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
                 format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
             power_cut(&dir);
             one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
+        }
+    }
+}
+
+/// A [`one_point_tables`] background engine over a fresh directory, with
+/// synchronous flushes, driven through `pts` like [`one_point_pass`]; it is
+/// dropped, its worker joined, before this returns.
+fn one_point_tiered_pass(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pts: &[DataPoint],
+) -> (TempDir, Outcome) {
+    let dir = TempDir::new(tag);
+    let store = FileStore::open(dir.path("tables"))
+        .expect("store")
+        .with_faults(Arc::clone(plan));
+    let mut engine = TieredOpenOptions::new(one_point_tables())
+        .store(Arc::new(store))
+        .sync_flush()
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(plan))
+        .open()
+        .expect("open");
+    let out = drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal());
+    (dir, out)
+}
+
+/// [`one_point_recover_check`] for a [`one_point_tiered_pass`] directory,
+/// the audit at rest (see `tiered_recover_check`).
+fn one_point_tiered_recover_check(
+    dir: &TempDir,
+    pts: &[DataPoint],
+    out: &Outcome,
+    recovery: RecoveryOptions,
+    ctx: &str,
+) {
+    let store: Arc<dyn TableStore> =
+        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
+    let (mut engine, report) = TieredOpenOptions::new(one_point_tables())
+        .store(store)
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .recovery(recovery)
+        .open_or_recover()
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
+    check_contract(&engine.scan_all().expect("scan"), pts, out, ctx);
+    engine
+        .quiesce()
+        .unwrap_or_else(|e| panic!("{ctx}: quiesce failed: {e}"));
+    engine
+        .check_integrity()
+        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+}
+
+/// The tiered twin of
+/// `an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons`:
+/// the background worker's flushes cross two of its horizons mid-run, its
+/// L0 merges retiring durable tables in between; crashed at every I/O op,
+/// with every table file the durable manifest does not name lost or torn
+/// before recovery, it loses no acknowledged point, in strict and salvage
+/// mode.
+#[test]
+fn a_tiered_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
+    let pts = workload(160);
+    let plan = FaultPlan::trace_only(SEED);
+    let (dir, out) = one_point_tiered_pass("bg-cut-trace", &plan, &pts);
+    assert_eq!(out.synced, pts.len(), "trace pass must complete");
+    let trace = plan.trace();
+    let count = |op| trace.iter().filter(|o| **o == op).count();
+    assert_eq!(count(IoOp::ManifestSync), 2, "two horizons: {trace:?}");
+    let second = trace
+        .iter()
+        .rposition(|op| *op == IoOp::ManifestSync)
+        .expect("a horizon");
+    assert!(
+        trace[second..].contains(&IoOp::StoreDelete),
+        "the second horizon deletes what merges retired: {trace:?}"
+    );
+    for (mode, recovery) in recovery_modes() {
+        power_cut(&dir);
+        one_point_tiered_recover_check(&dir, &pts, &out, recovery, mode);
+    }
+    drop(dir);
+    for k in crash_points(&trace) {
+        for (mode, recovery) in recovery_modes() {
+            let plan = FaultPlan::crash_at(SEED, k);
+            let (dir, out) = one_point_tiered_pass("bg-cut-crash", &plan, &pts);
+            assert!(plan.is_crashed(), "crash at op {k} never fired");
+            let ctx =
+                format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
+            power_cut(&dir);
+            one_point_tiered_recover_check(&dir, &pts, &out, recovery, &ctx);
         }
     }
 }

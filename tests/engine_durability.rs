@@ -49,6 +49,7 @@ fn recover(dir: &TempDir, config: EngineConfig) -> seplsm::Result<LsmEngine> {
     let (engine, _report) = OpenOptions::new(config)
         .store(store)
         .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
         .open_or_recover()?;
     Ok(engine)
 }
@@ -64,6 +65,7 @@ fn crash_recovery_restores_every_point() {
         let mut engine = OpenOptions::new(config.clone())
             .store(store)
             .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
             .open()
             .expect("open");
         write_points(&mut engine, 500);
@@ -93,6 +95,7 @@ fn recovery_under_separation_policy_reroutes_buffers() {
         let mut engine = OpenOptions::new(config.clone())
             .store(store)
             .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
             .open()
             .expect("open");
         write_points(&mut engine, 300);
@@ -113,6 +116,7 @@ fn recovery_is_idempotent() {
         let mut engine = OpenOptions::new(config.clone())
             .store(store)
             .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
             .open()
             .expect("open");
         write_points(&mut engine, 100);
@@ -136,6 +140,7 @@ fn recovered_engine_accepts_new_writes() {
         let mut engine = OpenOptions::new(config.clone())
             .store(store)
             .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
             .open()
             .expect("open");
         write_points(&mut engine, 100);
@@ -183,7 +188,9 @@ fn corrupted_table_is_reported_not_returned() {
     bytes[mid] ^= 0xff;
     std::fs::write(&victim, &bytes).expect("corrupt table");
 
-    let result = recover(&dir, config);
+    // With neither a log nor a manifest, recovery decodes every table.
+    let store = Arc::new(FileStore::open(dir.path("tables")).expect("store"));
+    let result = OpenOptions::new(config).store(store).open_or_recover();
     assert!(
         result.is_err(),
         "corruption must fail recovery, not pass silently"
@@ -319,6 +326,7 @@ fn a_policy_shrink_keeps_every_acknowledged_point_in_the_log() {
             )
             .store(store)
             .wal(dir.path("wal"))
+            .manifest(dir.path("manifest"))
             .open()
             .expect("open");
             for p in shrink_workload() {

@@ -14,11 +14,11 @@
 //! next write of the log. A merge whose k tables are what its horizon finds
 //! live therefore costs k + 2 fsyncs; a batch between horizons one WAL
 //! write + one WAL fsync, however many series of a fleet it touched or
-//! flushed, and a fleet batch that reaches a horizon Σk + 3. An engine
-//! without both a log and a manifest, and the background worker, still pay
-//! for every plan at once. The log file is cut only past its dead-bytes
-//! threshold and when the engine comes to rest. A regression names the op
-//! that crept back in.
+//! flushed, and a fleet batch that reaches a horizon Σk + 3. The background
+//! worker runs the same horizon after the plan that makes one due, and an
+//! engine with neither a log nor a manifest runs it with nothing to record.
+//! The log file is cut only past its dead-bytes threshold and when the
+//! engine comes to rest. A regression names the op that crept back in.
 //! The "checkpoint bytes" section pins what the checkpoints cost in bytes:
 //! their ranges, and the points still volatile inside them — not the
 //! buffers the flushes did not take. The last section pins what a merge
@@ -407,52 +407,78 @@ fn the_log_is_cut_only_past_its_dead_bytes_threshold_or_at_rest() {
 fn the_background_engine_pays_the_same_grouped_commit() {
     let dir = TempDir::new("tiered");
     let plan = FaultPlan::trace_only(0);
+    // Tables of 4 points, C0 of 8: a flush is two tables, the worker merges
+    // L0 every second flush, and a horizon is due every 32 flushes.
     let config =
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
     let mut engine = TieredOpenOptions::new(config)
         .store(store(&dir, &plan))
-        // Each append returns only once the worker has retired its
-        // hand-off, so the op order is the same on every run.
+        // Each append returns only once the worker has committed its
+        // hand-off; `quiesce` then waits out the horizon that commit may
+        // have made due, and merges L0 on this thread.
         .sync_flush()
         .wal(dir.path("wal"))
         .manifest(dir.path("manifest"))
         .faults(Arc::clone(&plan))
         .open()
         .expect("open");
-    for i in 0..7 {
-        engine.append(point(i * 10)).expect("append");
-    }
+    let mut next = 0;
+    let mut in_order = |engine: &mut seplsm::TieredEngine, n: i64| {
+        for _ in 0..n {
+            engine.append(point(next * 10)).expect("append");
+            next += 1;
+        }
+    };
+    let table_io = [
+        IoOp::StoreWrite,
+        IoOp::StoreSync,
+        IoOp::DirSync,
+        IoOp::ManifestSync,
+    ];
+    let io = |ops: &[IoOp]| table_io.map(|op| count(ops, op));
+    // A flush and an L0 merge between horizons: neither writes, syncs or
+    // records anything.
     let before = plan.ops() as usize;
-    engine.append(point(70)).expect("append hands off a flush");
-    let trace = plan.trace();
-    let ops = &trace[before..];
-    // The writer tells its WAL at the hand-off which batches have retired
-    // (here none: this one is still volatile) with queued frames: no I/O.
-    // The worker makes every plan durable itself — the grouped commit of 2
-    // tables, one directory fsync, one manifest fsync.
-    assert_eq!(wal_ops(ops), 0, "{ops:?}");
-    assert_grouped_commit(ops, 2);
-    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(fsyncs(ops), 2 + 1 + 1, "{ops:?}");
-
-    // The worker merges L0 by itself once it holds four tables, racing any
-    // snapshot taken here; `quiesce` after every flush keeps L0 at two, so
-    // each L0 → run merge below runs on this thread and nowhere else.
+    in_order(&mut engine, 8);
     engine.quiesce().expect("merge L0 into the empty run");
-    assert_eq!(engine.table_layout().len(), 2);
-    // A second batch overlapping the first, then the L0 → run merge:
-    // 16 points into k = 4 tables, no WAL involved.
+    assert_eq!(io(&plan.trace()[before..]), [0; 4]);
+    // The 32nd flush makes the horizon due: the 64 live tables, none of
+    // which a horizon recorded, written and synced, then the directory and
+    // one manifest group; the consumed tables no horizon synced were
+    // dropped as they went, so there is nothing to delete.
+    in_order(&mut engine, 247);
+    engine.sync_wal().expect("sync");
+    let before = plan.ops() as usize;
+    in_order(&mut engine, 1);
+    engine.quiesce().expect("wait out the horizon");
+    let commit = [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync];
+    assert_eq!(
+        unread(&plan.trace()[before..]),
+        seq(&[&written(64), &synced(64), &commit])
+    );
+    // Eight stragglers into the first two run tables, which that horizon
+    // made durable: the merge retires them and stages its four outputs, at
+    // no I/O.
     for i in 0..8 {
         engine.append(point(i * 10 + 5)).expect("append");
     }
     let before = plan.ops() as usize;
-    engine.quiesce().expect("merge L0 into the run");
-    let trace = plan.trace();
-    let ops = &trace[before..];
-    assert_eq!(engine.table_layout().len(), 4);
-    assert_grouped_commit(ops, 4);
-    assert_eq!(count(ops, IoOp::DirSync), 1, "{ops:?}");
-    assert_eq!(fsyncs(ops), 4 + 1 + 1, "{ops:?}");
+    engine.quiesce().expect("merge the stragglers");
+    assert_eq!(unread(&plan.trace()[before..]), []);
+    // 31 flushes more make the next horizon: the 68 live tables no horizon
+    // recorded — the merges' 2 + 4 outputs and the flushes' 62 — written
+    // and synced, the directory, one group, and only then the four retired
+    // tables, two of L0 and two of the run, deleted.
+    in_order(&mut engine, 247);
+    engine.sync_wal().expect("sync");
+    let before = plan.ops() as usize;
+    in_order(&mut engine, 1);
+    engine.quiesce().expect("wait out the horizon");
+    let delete = [IoOp::StoreDelete].repeat(4);
+    assert_eq!(
+        unread(&plan.trace()[before..]),
+        seq(&[&written(68), &synced(68), &commit, &delete])
+    );
     engine.finish().expect("finish");
 }
 
@@ -553,55 +579,33 @@ fn a_horizon_syncs_then_commits_then_deletes_then_checkpoints() {
 }
 
 #[test]
-fn engines_with_nothing_to_defer_to_pay_for_every_plan_as_it_goes() {
+fn an_engine_with_neither_log_nor_manifest_syncs_its_tables_at_rest() {
+    let dir = TempDir::new("bare");
+    let plan = FaultPlan::trace_only(0);
     let config =
         EngineConfig::new(Policy::conventional(16)).with_sstable_points(4);
-    for (name, wal, manifest) in
-        [("log-less", false, true), ("bare", true, false)]
-    {
-        let dir = TempDir::new(name);
-        let plan = FaultPlan::trace_only(0);
-        let mut options =
-            OpenOptions::new(config.clone()).store(store(&dir, &plan));
-        if wal {
-            options = options.wal(dir.path("wal"));
-        }
-        if manifest {
-            options = options.manifest(dir.path("manifest"));
-        }
-        let mut engine =
-            options.faults(Arc::clone(&plan)).open().expect("open");
-        let commit: &[IoOp] = if manifest {
-            &[IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync]
-        } else {
-            &[IoOp::DirSync]
-        };
-        // The flush: its 4 tables, each synced, and the commit — k + 2
-        // with a manifest, k + 1 without.
-        for i in 0..15 {
-            engine.append(point(i * 10)).expect("append");
-        }
-        let before = plan.ops() as usize;
-        engine.append(point(150)).expect("flush");
-        let write = |k| [IoOp::StoreWrite].repeat(k);
-        assert_eq!(
-            unread(&plan.trace()[before..]),
-            seq(&[&write(4), &synced(4), commit]),
-            "{name}"
-        );
-        // The merge: its 8 tables the same way, then its 4 inputs deleted.
-        for i in 0..15 {
-            engine.append(point(i * 10 + 5)).expect("append");
-        }
-        let before = plan.ops() as usize;
-        engine.append(point(155)).expect("merge");
-        let delete = [IoOp::StoreDelete].repeat(4);
-        assert_eq!(
-            unread(&plan.trace()[before..]),
-            seq(&[&write(8), &synced(8), commit, &delete]),
-            "{name}"
-        );
+    let mut engine = OpenOptions::new(config)
+        .store(store(&dir, &plan))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // A flush of four tables, then a merge of sixteen stragglers into
+    // them: eight tables, and no table I/O for either.
+    for i in 0..16 {
+        engine.append(point(i * 10)).expect("append");
     }
+    for i in 0..16 {
+        engine.append(point(i * 10 + 5)).expect("append");
+    }
+    assert_eq!(engine.metrics().compactions, 1);
+    assert_eq!(unread(&plan.trace()), []);
+    // At rest the horizon: each live table written and synced, then the
+    // directory; nothing to record and nothing retired.
+    engine.flush_all().expect("flush");
+    assert_eq!(
+        unread(&plan.trace()),
+        seq(&[&written(8), &synced(8), &[IoOp::DirSync]])
+    );
 }
 
 /// The ops of a commit: the tables directory, the manifest, the deletion
@@ -1108,8 +1112,9 @@ impl TableStore for GatedStore {
 #[test]
 fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
     let dir = TempDir::new("range-tiered");
+    // One-point tables: a horizon is due once eight batches have landed.
     let config =
-        EngineConfig::new(Policy::conventional(8)).with_sstable_points(8);
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(1);
     let gated = Arc::new(GatedStore {
         inner: FileStore::open(dir.path("tables")).expect("store"),
         shut: Mutex::new(true),
@@ -1132,11 +1137,12 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
             })
             .collect()
     };
-    // Three hand-offs while the worker is held: batches [0, 70], [5, 75]
-    // (overlapping it) and [200, 270] are in flight, none has retired, and
-    // the log is told nothing — it still covers all 24 points.
+    // Eight hand-offs while the worker is held: batches [0, 70], [5, 75]
+    // (overlapping it), [200, 270] and five more inside [200, 277] are in
+    // flight, none has retired, and the log is told nothing — it still
+    // covers all 64 points.
     let mut batch = Vec::new();
-    for base in [0, 5, 200] {
+    for base in [0, 5, 200, 201, 203, 204, 206, 207] {
         for i in 0..8 {
             let p = point(base + i * 10);
             batch.push(p);
@@ -1150,15 +1156,16 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
         8 + points_frame(&batch),
         "one batch, one frame, no checkpoint"
     );
-    // Let them retire, then buffer points inside and outside their ranges.
+    // Let them land, and the horizon the eighth makes due retire them;
+    // then buffer points inside and outside their ranges.
     gated.set_shut(false);
-    engine.drain();
+    engine.quiesce().expect("land and retire");
     for gen_time in [42, 142, 242] {
         engine.append(point(gen_time)).expect("append");
     }
     assert_eq!(checkpoints(), [0u64; 0], "told only at a hand-off");
-    // The fourth hand-off (held again) finds three batches retired: their
-    // two disjoint ranges [0, 75] and [200, 270] become one frame each,
+    // The next hand-off (held again) finds eight batches retired: their
+    // two disjoint ranges [0, 75] and [200, 277] become one frame each,
     // carrying the buffered point inside it. Point 142 is in neither, and
     // the batch being handed off — it holds all three — is in flight.
     gated.set_shut(true);
@@ -1205,7 +1212,7 @@ fn a_tiered_hand_off_with_nothing_retired_queues_no_frame() {
     let (recovered, _) = engine
         .query(TimeRange::new(i64::MIN, i64::MAX))
         .expect("query");
-    assert_eq!(recovered.len(), 24 + 3 + 5);
+    assert_eq!(recovered.len(), 64 + 3 + 5);
 }
 
 // ------------------------------------------------------------ merge inputs

@@ -205,7 +205,6 @@ fn a_directory_of_old_tables_opens_answers_and_upgrades_by_compaction() {
         let (mut engine, report) = OpenOptions::new(config)
             .store(Arc::clone(&store) as Arc<dyn TableStore>)
             .cache(BlockCache::with_capacity(16 * 1024))
-            .wal(dir.0.join("wal"))
             .open_or_recover()
             .expect("open over old tables");
         assert!(report.is_clean(), "{report:?}");
