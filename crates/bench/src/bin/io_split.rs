@@ -17,10 +17,15 @@
 //! same recent-window queries after them — they heat the fleet's arbiter,
 //! whose resizes flush — and the same closing flush. `read-mix` first
 //! writes its preload, drops the engine unflushed, and reopens it through
-//! the cache; its reads, which cost no fsync, are left out. So the fsync
-//! total per 1 000 acknowledged points is the benchmark's
-//! `fsyncs_per_kpoint` at the same seed (the background worker races its
-//! writer, there as here). Next to the counts:
+//! the cache; its reads cost no fsync. So the fsync total per 1 000
+//! acknowledged points is the benchmark's `fsyncs_per_kpoint` at the same
+//! seed (the background worker races its writer, there as here). Those
+//! reads are the same seeded read mix, 50 before each batch, and for each
+//! read class — recent and historical query, get, aggregate, downsample —
+//! it prints the `StoreRead` ops per read and, where
+//! `/proc/thread-self/io` counts them, the `read` syscalls and bytes per
+//! read: where the benchmark's `read_syscalls_per_op` and
+//! `read_bytes_per_op` come from. Next to the counts:
 //! the peaks, sampled after every batch, of what a horizon leaves for
 //! later — live tables not yet synced, which the store stages in memory,
 //! and their encoded bytes (`FileStore::staged_bytes`); durable inputs
@@ -57,6 +62,14 @@ const OPEN_LOOP_RATE: u64 = 30_000;
 /// of the fleet's hottest series one follows every batch.
 const QUERY_MS: i64 = 5_000;
 const FLEET_HOT_QUERIES: u32 = 3;
+/// `read-mix`: the aggregation window and the downsample's buckets, in ms
+/// of generation time, and the reads before each write batch.
+const AGG_MS: i64 = 500_000;
+const BUCKET_MS: i64 = 10_000;
+const READS_PER_BATCH: usize = 50;
+/// `read-mix`'s read classes, in the order its draw picks them.
+const READ_CLASSES: [&str; 5] =
+    ["recent", "historical", "get", "aggregate", "downsample"];
 /// Points generated past the measured stream for the recovery tails: five
 /// of 200. They shape the stream's generators, so they are generated too.
 const TAIL_POINTS: usize = 5 * 200;
@@ -293,6 +306,57 @@ impl Engine {
     }
 }
 
+/// One read of `read-mix`'s seeded mix (`benchmark/src/workloads.rs`,
+/// `read_mix_ops`): 40 % recent-window query, 30 % uniformly placed
+/// historical query, 10 % get, 10 % aggregate, 10 % downsample, drawn from
+/// `rng` exactly as the benchmark draws them. Returns the read's class, an
+/// index into [`READ_CLASSES`].
+fn mix_read(
+    engine: &LsmEngine,
+    rng: &mut StdRng,
+    newest: i64,
+    delta_t: i64,
+) -> Result<usize> {
+    let window = |rng: &mut StdRng, width: i64| {
+        let start = rng.gen_range(0..(newest - width).max(1));
+        TimeRange::new(start, start + width)
+    };
+    Ok(match rng.gen_range(0..10u32) {
+        0..=3 => {
+            engine.query(TimeRange::new(newest - QUERY_MS, newest))?;
+            0
+        }
+        4..=6 => {
+            engine.query(window(rng, QUERY_MS))?;
+            1
+        }
+        7 => {
+            engine.get(rng.gen_range(0..newest / delta_t + 1) * delta_t)?;
+            2
+        }
+        8 => {
+            engine.aggregate(window(rng, AGG_MS))?;
+            3
+        }
+        _ => {
+            engine.downsample(window(rng, AGG_MS), BUCKET_MS)?;
+            4
+        }
+    })
+}
+
+/// This thread's `read` syscalls and bytes so far, where the kernel keeps
+/// count: the inline engine reads on the thread that asks.
+fn thread_reads() -> Option<(u64, u64)> {
+    let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+    let field = |name: &str| {
+        io.lines()
+            .find_map(|l| l.strip_prefix(name))
+            .and_then(|v| v.trim().parse().ok())
+    };
+    Some((field("syscr:")?, field("rchar:")?))
+}
+
 /// Adds up the points recovery replays from the log.
 #[derive(Default)]
 struct Replayed(AtomicU64);
@@ -462,12 +526,36 @@ fn main() -> Result<()> {
         Duration::from_nanos(batch as u64 * 1_000_000_000 / OPEN_LOOP_RATE)
     });
     let mut newest = vec![i64::MIN; FLEET_SERIES as usize];
+    if let Some(last) = stream[..preload].iter().map(|(_, p)| p.gen_time).max()
+    {
+        newest[0] = last;
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5ead_5eed);
+    let delta_t = paper_dataset(w.dataset).map_or(1, |d| d.delta_t);
+    // Per read class: reads, `StoreRead` ops, and `read` syscalls and bytes.
+    let mut by_class = [(0u64, 0u64, 0u64, 0u64); READ_CLASSES.len()];
     let start = Instant::now();
     for (b, chunk) in stream[preload..].chunks(batch).enumerate() {
         if let Some(interval) = pace {
             let due = start + interval * b as u32;
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
+            }
+        }
+        if let (Engine::Inline(e), true) = (&engine, reads > 0) {
+            for _ in 0..READS_PER_BATCH {
+                // Reading the kernel's counters is itself counted, so
+                // what one reading costs is measured next to each read.
+                let (a, b) = (thread_reads(), thread_reads());
+                let ops = plan.counts()[IoOp::StoreRead as usize];
+                let class = mix_read(e, &mut rng, newest[0], delta_t)?;
+                let row = &mut by_class[class];
+                row.0 += 1;
+                row.1 += plan.counts()[IoOp::StoreRead as usize] - ops;
+                if let (Some(a), Some(b), Some(c)) = (a, b, thread_reads()) {
+                    row.2 += (c.0 - b.0).saturating_sub(b.0 - a.0);
+                    row.3 += (c.1 - b.1).saturating_sub(b.1 - a.1);
+                }
             }
         }
         engine.write_batch(chunk)?;
@@ -524,6 +612,19 @@ fn main() -> Result<()> {
         "fsyncs",
         per_kpoint(fsyncs)
     );
+    if reads > 0 {
+        println!("reads            n  StoreRead/read  syscalls/read  B/read");
+        for (class, (n, ops, calls, bytes)) in READ_CLASSES.iter().zip(by_class)
+        {
+            let per = |x: u64| x as f64 / n.max(1) as f64;
+            println!(
+                "{class:<10} {n:>6}  {:>14.2}  {:>13.2}  {:>6.0}",
+                per(ops),
+                per(calls),
+                per(bytes)
+            );
+        }
+    }
     println!(
         "peaks: {staged} tables staged ({staged_bytes} B), {retired} retired \
          inputs on disk, {log_live} B live in the log"

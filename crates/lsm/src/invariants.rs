@@ -153,7 +153,7 @@ fn probe_v3_layout(
     meta: &crate::sstable::SsTableMeta,
 ) -> Result<()> {
     use crate::sstable::format::{
-        sniff_version, v3_footer, ByteSpan, V3_FOOTER, VERSION_PRUNED,
+        sniff_version, v3_footer, ByteSpan, VERSION_PRUNED,
     };
     let Some(len) = store.table_len(meta.id)? else {
         return Ok(());
@@ -167,13 +167,6 @@ fn probe_v3_layout(
     };
     if sniff_version(&head) != Some(VERSION_PRUNED) {
         return Ok(());
-    }
-    if len < V3_FOOTER as u64 {
-        return Err(corrupt(format!(
-            "table {} is a torn v3 write: {len} bytes is too short \
-             for a footer",
-            meta.id
-        )));
     }
     let fetch = |span| {
         store

@@ -34,7 +34,8 @@
 //! single bucket when downsampling, and no fresh point lies inside its
 //! generation-time span. Every other overlapping block — range-straddling,
 //! shadowed, or aggregate-less (v1/v2/legacy v3) — is decoded
-//! span-granularly and deduped against the fresh set, which wins.
+//! span-granularly, each run of adjacent such blocks by one range read,
+//! and deduped against the fresh set, which wins.
 //!
 //! `min`/`max`/`count` are bit-identical to folding over `query` results
 //! regardless of plan; `sum` additionally matches whenever the fold is
@@ -481,7 +482,10 @@ impl<'a> ReadView<'a> {
                 fallback(read, blocks, stats, &mut items);
                 continue;
             };
-            for (_, span) in index.overlapping(range) {
+            // Runs of adjacent blocks that cannot fold: (the block after
+            // the run, its blocks, its first and last tg).
+            let mut runs: Vec<(usize, u64, Timestamp, Timestamp)> = vec![];
+            for (block, span) in index.overlapping(range) {
                 match span.agg {
                     Some(agg)
                         if range.start <= span.first
@@ -492,18 +496,21 @@ impl<'a> ReadView<'a> {
                         stats.blocks_folded += 1;
                         items.push((span.first, AggItem::Block(agg)));
                     }
-                    _ => {
-                        // Block spans are disjoint in generation time, so
-                        // clamping the query to this span decodes exactly
-                        // this block.
-                        let sub = TimeRange::new(
-                            range.start.max(span.first),
-                            range.end.min(span.last),
-                        );
-                        let read = self.store.get_range(meta.id, sub)?;
-                        fallback(read, 1, stats, &mut items);
-                    }
+                    _ => match runs.last_mut() {
+                        Some((next, n, _, last)) if *next == block => {
+                            (*next, *n, *last) = (block + 1, *n + 1, span.last);
+                        }
+                        _ => runs.push((block + 1, 1, span.first, span.last)),
+                    },
                 }
+            }
+            for (_, blocks, first, last) in runs {
+                // Block spans are disjoint in generation time, so clamping
+                // the query to the run's span decodes exactly its blocks.
+                let sub =
+                    TimeRange::new(range.start.max(first), range.end.min(last));
+                let read = self.store.get_range(meta.id, sub)?;
+                fallback(read, blocks, stats, &mut items);
             }
         }
         items.extend(
@@ -693,6 +700,118 @@ mod tests {
         assert_eq!(agg.sum, 120.0 - 3.0 - 50.0);
         assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (1, 1));
         assert_eq!(stats.mem_points_scanned, 1);
+    }
+
+    #[test]
+    fn adjacent_unfoldable_blocks_are_read_by_one_range_read() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        use crate::sstable::{ByteSpan, SsTableId};
+        use crate::store::MemStore;
+        use bytes::Bytes;
+
+        /// Counts the range reads the planner asks for.
+        struct RangeReads(MemStore, AtomicU64);
+        impl TableStore for RangeReads {
+            fn put(
+                &self,
+                points: &[DataPoint],
+            ) -> Result<(SsTableMeta, usize)> {
+                self.0.put(points)
+            }
+            fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+                self.0.get(id)
+            }
+            fn delete(&self, id: SsTableId) -> Result<()> {
+                self.0.delete(id)
+            }
+            fn list(&self) -> Result<Vec<SsTableId>> {
+                self.0.list()
+            }
+            fn get_range(
+                &self,
+                id: SsTableId,
+                range: TimeRange,
+            ) -> Result<RangeRead> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.get_range(id, range)
+            }
+            fn read_raw(&self, id: SsTableId) -> Result<Option<Bytes>> {
+                self.0.read_raw(id)
+            }
+            fn table_len(&self, id: SsTableId) -> Result<Option<u64>> {
+                self.0.table_len(id)
+            }
+            fn read_span(
+                &self,
+                id: SsTableId,
+                span: ByteSpan,
+            ) -> Result<Option<Bytes>> {
+                self.0.read_span(id, span)
+            }
+        }
+
+        let store = RangeReads(MemStore::new(), AtomicU64::new(0));
+        // One run table of 8 blocks: block b holds tg 1280b ..= 1280b+1270.
+        let points: Vec<DataPoint> = (0..1024)
+            .map(|i| DataPoint::new(i * 10, i * 10, (i % 7) as f64))
+            .collect();
+        let run = vec![store.put(&points).expect("put").0];
+        // Fresh points inside blocks 3, 4 and 5 shadow their aggregates.
+        let batch = Arc::new(vec![
+            DataPoint::new(3845, 0, -1.0),
+            DataPoint::new(5125, 0, -2.0),
+            DataPoint::new(6405, 0, -3.0),
+        ]);
+        let obs = ObserverHandle::detached();
+        let view = |range: TimeRange| ReadView {
+            store: &store,
+            obs: &obs,
+            block_reads: true,
+            range,
+            mem: Vec::new(),
+            flushing: vec![Arc::clone(&batch)],
+            l0: Vec::new(),
+            run: run.clone(),
+        };
+        let fold = |points: &[DataPoint]| {
+            let mut agg = Agg::default();
+            points.iter().for_each(|p| agg.merge_point(p.value));
+            agg
+        };
+        let reads = || store.1.swap(0, Ordering::Relaxed);
+
+        // The range straddles blocks 0 and 7 and the fresh points shadow
+        // 3, 4 and 5; 1, 2 and 6 fold. Runs: {0}, {3, 4, 5}, {7}.
+        let range = TimeRange::new(5, 9_000);
+        let (expected, _) = view(range).query().expect("query");
+        reads();
+        let (agg, stats) = view(range).aggregate().expect("aggregate");
+        assert!(agg.bits_eq(&fold(&expected)));
+        assert_eq!(reads(), 3, "one range read per run");
+        assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (3, 5));
+        assert_eq!(stats.blocks_read, 5);
+
+        // Buckets of 2 000 straddle blocks 1, 3, 4, 6 and 7 (and the fresh
+        // points shadow 3, 4, 5): runs {1}, {3, 4, 5, 6, 7}.
+        let range = TimeRange::new(0, 10_230);
+        let (expected, _) = view(range).query().expect("query");
+        reads();
+        let (buckets, stats) =
+            view(range).downsample(2_000).expect("downsample");
+        assert_eq!(reads(), 2, "one range read per run");
+        assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (2, 6));
+        let mut want = BTreeMap::<Timestamp, Vec<DataPoint>>::new();
+        for p in expected {
+            want.entry(p.gen_time.div_euclid(2_000) * 2_000)
+                .or_default()
+                .push(p);
+        }
+        assert_eq!(buckets.len(), want.len());
+        for ((start, agg), (want_start, points)) in buckets.iter().zip(&want) {
+            assert_eq!(start, want_start);
+            assert!(agg.bits_eq(&fold(points)), "bucket {start}");
+        }
     }
 
     #[test]

@@ -71,9 +71,10 @@
 //!             | magic "SL3F"                                 (20 bytes)
 //! ```
 //!
-//! A reader locates everything from the last 20 bytes: footer → metaindex
-//! → index + filter ([`parse_v3_footer`], [`parse_v3_metaindex`],
-//! [`parse_v3_index`]). Every region carries its own CRC (there is no
+//! A reader locates everything from the table's end in two fetches: the
+//! last 48 bytes (metaindex + footer: [`parse_v3_footer`],
+//! [`parse_v3_metaindex`]), then index + filter, which abut, as one span
+//! ([`parse_v3_index`]). Every region carries its own CRC (there is no
 //! whole-file CRC — that would force whole-file reads), so a torn write
 //! that loses the tail is detected by the missing footer magic.
 //!
@@ -787,47 +788,78 @@ fn parse_v3(data: &[u8]) -> Result<TableIndex> {
     Ok(index)
 }
 
-/// Footer step of the v3 tail walk: fetches the last [`V3_FOOTER`] bytes
-/// of a `len`-byte table and returns the metaindex span they name. `fetch`
-/// is how a [`ByteSpan`] becomes bytes — a slice of the in-memory table, or
-/// `TableStore::read_span`. A table that fails here is not a complete v3
-/// table: a v1/v2 one, or a torn v3 write.
+/// What the footer step fetched: the last `V3_METAINDEX + V3_FOOTER`
+/// bytes of the table, and their offset — where the metaindex starts.
+pub(crate) struct V3Tail<B>(B, u64);
+
+/// Footer step of the v3 tail walk: fetches the metaindex and the footer
+/// of a `len`-byte table as one span, validates the footer and checks that
+/// it names the metaindex right before it, where [`encode_with`] puts it.
+/// `fetch` is how a [`ByteSpan`] becomes bytes — a slice of the in-memory
+/// table, or `TableStore::read_span`. A table that fails here is not a
+/// complete v3 table: a v1/v2 one, or a torn v3 write.
 pub(crate) fn v3_footer<B: AsRef<[u8]>>(
     len: u64,
     fetch: impl Fn(ByteSpan) -> Result<B>,
-) -> Result<ByteSpan> {
-    let Some(tail_start) = len.checked_sub(V3_FOOTER as u64) else {
+) -> Result<V3Tail<B>> {
+    let tail_len = (V3_METAINDEX + V3_FOOTER) as u64;
+    let Some(at) = len.checked_sub(tail_len) else {
         return Err(Error::Corrupt(format!(
-            "v3 footer needs {V3_FOOTER} bytes, have {len}"
+            "v3 footer and metaindex need {tail_len} bytes, have {len}"
         )));
     };
-    let tail = fetch(ByteSpan {
-        offset: tail_start,
-        len: V3_FOOTER as u64,
+    let bytes = fetch(ByteSpan {
+        offset: at,
+        len: tail_len,
     })?;
-    let meta = parse_v3_footer(tail.as_ref())?;
-    if meta.offset < V3_FIXED as u64 || meta.end() > tail_start {
-        return Err(Error::Corrupt("v3 metaindex span out of bounds".into()));
+    let meta = parse_v3_footer(bytes.as_ref())?;
+    if at < V3_FIXED as u64
+        || meta
+            != (ByteSpan {
+                offset: at,
+                len: V3_METAINDEX as u64,
+            })
+    {
+        return Err(Error::Corrupt(
+            "v3 metaindex is not right before the footer".into(),
+        ));
     }
-    Ok(meta)
+    Ok(V3Tail(bytes, at))
 }
 
 /// The rest of the v3 tail walk: metaindex → index + filter, every span
 /// bounds-checked before it is fetched, the redundant copies (index vs
 /// filter) cross-checked, and every data block confined to the data region
-/// `[V3_FIXED, index_off)`. Data blocks are not touched.
+/// `[V3_FIXED, index_off)`. The metaindex is in the footer step's bytes;
+/// index and filter are fetched as the one span that covers both (they
+/// abut in every table [`encode_with`] writes). Data blocks are not
+/// touched.
 pub(crate) fn v3_index<B: AsRef<[u8]>>(
-    meta: ByteSpan,
+    V3Tail(tail, meta_off): V3Tail<B>,
     fetch: impl Fn(ByteSpan) -> Result<B>,
 ) -> Result<TableIndex> {
-    let (index_span, filter_span) = parse_v3_metaindex(fetch(meta)?.as_ref())?;
+    let (index_span, filter_span) = parse_v3_metaindex(
+        tail.as_ref().get(..V3_METAINDEX).unwrap_or_default(),
+    )?;
     for span in [index_span, filter_span] {
-        if span.offset < V3_FIXED as u64 || span.end() > meta.offset {
+        if span.offset < V3_FIXED as u64 || span.end() > meta_off {
             return Err(Error::Corrupt("v3 block span out of bounds".into()));
         }
     }
-    let mut index = parse_v3_index(fetch(index_span)?.as_ref())?;
-    let filter = TableFilter::decode(fetch(filter_span)?.as_ref())?;
+    let start = index_span.offset.min(filter_span.offset);
+    let both = fetch(ByteSpan {
+        offset: start,
+        len: index_span.end().max(filter_span.end()) - start,
+    })?;
+    // A short fetch leaves a region empty, which its parser rejects.
+    let region = |span: ByteSpan| {
+        let at = (span.offset - start) as usize;
+        both.as_ref()
+            .get(at..at + span.len as usize)
+            .unwrap_or_default()
+    };
+    let mut index = parse_v3_index(region(index_span))?;
+    let filter = TableFilter::decode(region(filter_span))?;
     if filter.min_tg() != index.min_tg
         || filter.max_tg() != index.max_tg
         || filter.count() as usize != index.count
@@ -1435,6 +1467,32 @@ mod tests {
         assert_eq!(filter.count(), 64);
         // A v2 table has no v3 footer.
         assert!(parse_v3_footer(old_table!("v2-bp7-64")).is_err());
+    }
+
+    #[test]
+    fn v3_footer_naming_a_metaindex_elsewhere_is_corrupt() {
+        let bytes = encode_with(&sample_points(64), &EncodeOptions::pruned())
+            .expect("encode");
+        let footer_off = bytes.len() - V3_FOOTER;
+        let meta_off = (footer_off - V3_METAINDEX) as u64;
+        let fetch = |bytes: &[u8], span: ByteSpan| {
+            Ok(bytes[span.offset as usize..span.end() as usize].to_vec())
+        };
+        assert!(v3_footer(bytes.len() as u64, |s| fetch(&bytes, s)).is_ok());
+        for named in [meta_off - 1, meta_off + 1] {
+            // A well-formed footer (valid CRC) that points off the layout.
+            let mut bad = bytes.to_vec();
+            bad.truncate(footer_off);
+            bad.extend_from_slice(&named.to_le_bytes());
+            bad.extend_from_slice(&(V3_METAINDEX as u32).to_le_bytes());
+            let crc = crc32(&bad[footer_off..]);
+            bad.extend_from_slice(&crc.to_le_bytes());
+            bad.extend_from_slice(FOOTER_MAGIC);
+            assert_eq!(parse_v3_footer(&bad).expect("footer").offset, named);
+            let walk = v3_footer(bad.len() as u64, |s| fetch(&bad, s));
+            assert!(matches!(walk, Err(Error::Corrupt(_))), "at {named}");
+            assert!(read_table_index(&bad).is_err(), "at {named}");
+        }
     }
 
     #[test]

@@ -242,9 +242,9 @@ fn slice_span(bytes: &Bytes, span: ByteSpan) -> Result<Bytes> {
 
 /// Second constructor of a [`TableIndex`], the ranged twin of
 /// [`format::read_table_index`]: a table whose last bytes are a v3 footer
-/// is walked through byte-granular reads (footer → metaindex → index +
-/// filter — ~a few hundred bytes); anything else (a v1/v2 table, a torn v3
-/// write, a store without ranged reads) takes one whole-file
+/// is walked through two byte-granular reads (metaindex + footer, then
+/// index + filter — ~a few hundred bytes); anything else (a v1/v2 table, a
+/// torn v3 write, a store without ranged reads) takes one whole-file
 /// [`read_raw`]. Returns the index plus the raw bytes *if* a whole-file
 /// read happened anyway (so callers can decode blocks from it without a
 /// second read).
@@ -260,17 +260,15 @@ pub fn load_index<S: TableStore + ?Sized>(
         })
     };
     if let Some(len) = store.table_len(id)? {
-        if len >= (format::V3_FOOTER + format::V3_METAINDEX) as u64 {
-            match format::v3_footer(len, fetch) {
-                Ok(meta) => {
-                    let index = format::v3_index(meta, fetch)?;
-                    return Ok(Some((index, None)));
-                }
-                // No v3 footer, or no ranged reads: the whole-file
-                // constructor below decides what the table is.
-                Err(Error::Corrupt(_)) => {}
-                Err(e) => return Err(e),
+        match format::v3_footer(len, fetch) {
+            Ok(tail) => {
+                let index = format::v3_index(tail, fetch)?;
+                return Ok(Some((index, None)));
             }
+            // Too short for a v3 tail, no v3 footer, or no ranged reads:
+            // the whole-file constructor below decides what the table is.
+            Err(Error::Corrupt(_)) => {}
+            Err(e) => return Err(e),
         }
     }
     let Some(bytes) = store.read_raw(id)? else {
@@ -680,8 +678,9 @@ impl TableStore for FileStore {
         let len = usize::try_from(span.len).map_err(|_| {
             Error::Corrupt("span length overflows usize".into())
         })?;
-        // Positioned read (seek + read_exact): byte-range I/O without mmap
-        // — the workspace forbids unsafe code, so no mmap crate.
+        // Opens and stats the file, seeks, and reads the whole span with one
+        // `read` however many blocks it covers (so callers fetch a run of
+        // blocks as one span). No mmap: the workspace forbids unsafe code.
         f.seek(SeekFrom::Start(span.offset))?;
         let mut buf = vec![0u8; len];
         f.read_exact(&mut buf)?;
@@ -710,12 +709,11 @@ impl TableStore for FileStore {
 /// [`BlockCache`] and strictly invalidates on table retirement and removal.
 ///
 /// * `get` / `get_range` consult the cached [`TableIndex`] (parsed at most
-///   once per table) and then each needed block: a **hit** costs no store
-///   I/O at all; on any **miss** the raw bytes are read **once** for the
-///   whole visit and only the missing blocks are decoded from that one
-///   buffer. This also fixes the historical double-read: the uncached path
-///   read full table bytes *and* re-parsed the header per `decode_range`
-///   call.
+///   once per table) and then look up every needed block: a **hit** costs
+///   no store I/O at all; the **misses** are fetched one
+///   [`read_span`](TableStore::read_span) per run of missing blocks whose
+///   byte spans abut, so no cached or unwanted byte is read, and each block
+///   of a run is decoded and CRC-checked on its own.
 /// * `note_retired`, `delete` and `quarantine` call
 ///   [`BlockCache::invalidate_table`] *before* forwarding, so a table
 ///   consumed by a compaction can never serve a later read from the cache —
@@ -768,97 +766,107 @@ impl CachedStore {
         self.obs = obs;
     }
 
-    /// Fills `raw` with the table's encoded bytes at most once per visit;
-    /// `Ok(None)` means the inner store does not expose raw bytes.
-    fn fill_raw(
-        &self,
-        id: SsTableId,
-        raw: &mut Option<Bytes>,
-    ) -> Result<Option<Bytes>> {
-        if raw.is_none() {
-            *raw = self.inner.read_raw(id)?;
-        }
-        Ok(raw.clone())
-    }
-
-    /// The table's parsed index, from the cache, from a ranged footer walk
+    /// The table's parsed index, from the cache, from a ranged tail walk
     /// (v3 tables on span-capable stores — a few hundred bytes), or from
-    /// one whole-file raw read (v1/v2).
+    /// one whole-file raw read (v1/v2), whose bytes come along.
     fn index_for(
         &self,
         id: SsTableId,
-        raw: &mut Option<Bytes>,
-    ) -> Result<Option<Arc<TableIndex>>> {
+    ) -> Result<Option<(Arc<TableIndex>, Option<Bytes>)>> {
         if let Some(index) = self.cache.lookup_index(id) {
-            return Ok(Some(index));
+            return Ok(Some((index, None)));
         }
-        let Some((index, bytes)) = load_index(self.inner.as_ref(), id)? else {
+        let Some((index, raw)) = load_index(self.inner.as_ref(), id)? else {
             return Ok(None);
         };
-        if raw.is_none() {
-            *raw = bytes;
-        }
         let index = Arc::new(index);
         self.cache.insert_index(id, Arc::clone(&index));
-        Ok(Some(index))
+        Ok(Some((index, raw)))
     }
 
-    /// One block via the cache: hit, or decode + insert. A miss decodes
-    /// from the whole-file buffer when one is already held, otherwise it
-    /// fetches only the block's byte span ([`TableStore::read_span`]),
-    /// falling back to a whole-file read on span-less stores. Emits the
-    /// matching cache events.
-    fn block_via_cache(
+    /// One visit to `blocks` (ascending): all are looked up first, one
+    /// `CacheHit`/`CacheMiss` each; then each maximal run of misses whose
+    /// spans abut is fetched with one `read_span`, cut into its blocks, and
+    /// each decoded and inserted. A held whole-file buffer (`raw`, v1/v2)
+    /// is decoded from instead; a store without ranged reads is read whole
+    /// once. Returns the blocks' points and how many were decoded.
+    fn visit(
         &self,
         id: SsTableId,
         index: &TableIndex,
-        block: usize,
-        raw: &mut Option<Bytes>,
-        disk_blocks: &mut u64,
-    ) -> Result<Arc<Vec<DataPoint>>> {
-        let key = BlockKey {
+        blocks: impl IntoIterator<Item = usize>,
+        mut raw: Option<Bytes>,
+    ) -> Result<(Vec<Arc<Vec<DataPoint>>>, u64)> {
+        let key = |block: usize| BlockKey {
             table: id,
             block: block as u32,
         };
-        if let Some(points) = self.cache.lookup(key) {
-            self.obs.emit(|| Event::CacheHit {
-                table: id.0,
-                block: block as u64,
+        let mut found = Vec::new();
+        // Runs of misses: `found[start..end]` and their joint span.
+        let mut runs: Vec<(usize, usize, ByteSpan)> = Vec::new();
+        for block in blocks {
+            let hit = self.cache.lookup(key(block));
+            let (table, b) = (id.0, block as u64);
+            self.obs.emit(|| match hit {
+                Some(_) => Event::CacheHit { table, block: b },
+                None => Event::CacheMiss { table, block: b },
             });
-            return Ok(points);
-        }
-        let decoded = if let Some(bytes) = raw.as_ref() {
-            format::decode_index_block(bytes, index, block)?
-        } else {
-            let span = index.block_span(block)?;
-            match self.inner.read_span(id, span)? {
-                Some(bytes) => {
-                    format::decode_index_block_bytes(index, block, &bytes)?
-                }
-                None => {
-                    let bytes = self.fill_raw(id, raw)?.ok_or_else(|| {
-                        Error::Corrupt(format!(
-                            "raw bytes of table {id} unavailable"
-                        ))
-                    })?;
-                    format::decode_index_block(&bytes, index, block)?
+            if hit.is_none() {
+                let span = index.block_span(block)?;
+                match runs.last_mut() {
+                    Some((_, end, run))
+                        if *end == found.len() && run.end() == span.offset =>
+                    {
+                        *end += 1;
+                        run.len += span.len;
+                    }
+                    _ => runs.push((found.len(), found.len() + 1, span)),
                 }
             }
-        };
-        let points = Arc::new(decoded);
-        *disk_blocks += 1;
-        self.obs.emit(|| Event::CacheMiss {
-            table: id.0,
-            block: block as u64,
-        });
-        for ev in self.cache.insert(key, Arc::clone(&points)) {
-            self.obs.emit(|| Event::CacheEvict {
-                table: ev.key.table.0,
-                block: u64::from(ev.key.block),
-                points: ev.points,
-            });
+            found.push((block, hit));
         }
-        Ok(points)
+        let decoded: usize =
+            runs.iter().map(|(start, end, _)| end - start).sum();
+        for (start, end, run) in runs {
+            let fetched = match raw {
+                Some(_) => None,
+                None => self.inner.read_span(id, run)?,
+            };
+            if fetched.is_none() && raw.is_none() {
+                raw = self.inner.read_raw(id)?;
+            }
+            for (block, slot) in &mut found[start..end] {
+                let points = Arc::new(match (&fetched, &raw) {
+                    (Some(bytes), _) => {
+                        let span = index.block_span(*block)?;
+                        let part = ByteSpan {
+                            offset: span.offset - run.offset,
+                            len: span.len,
+                        };
+                        let bytes = slice_span(bytes, part)?;
+                        format::decode_index_block_bytes(index, *block, &bytes)?
+                    }
+                    (None, Some(bytes)) => {
+                        format::decode_index_block(bytes, index, *block)?
+                    }
+                    (None, None) => {
+                        return Err(Error::Corrupt(format!(
+                            "raw bytes of table {id} unavailable"
+                        )))
+                    }
+                });
+                for ev in self.cache.insert(key(*block), Arc::clone(&points)) {
+                    self.obs.emit(|| Event::CacheEvict {
+                        table: ev.key.table.0,
+                        block: u64::from(ev.key.block),
+                        points: ev.points,
+                    });
+                }
+                *slot = Some(points);
+            }
+        }
+        let points = found.into_iter().filter_map(|(_, points)| points);
+        Ok((points.collect(), decoded as u64))
     }
 }
 
@@ -884,28 +892,19 @@ impl TableStore for CachedStore {
     }
 
     fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
-        let mut raw = None;
-        let Some(index) = self.index_for(id, &mut raw)? else {
+        let Some((index, raw)) = self.index_for(id)? else {
             return self.inner.get(id); // raw reads unsupported: pass through
         };
-        let mut disk_blocks = 0u64;
+        let (blocks, _) = self.visit(id, &index, 0..index.blocks.len(), raw)?;
         let mut out = Vec::with_capacity(index.count);
-        for block in 0..index.blocks.len() {
-            let points = self.block_via_cache(
-                id,
-                &index,
-                block,
-                &mut raw,
-                &mut disk_blocks,
-            )?;
+        for points in blocks {
             out.extend(points.iter().cloned());
         }
         Ok(out)
     }
 
     fn get_range(&self, id: SsTableId, range: TimeRange) -> Result<RangeRead> {
-        let mut raw = None;
-        let Some(index) = self.index_for(id, &mut raw)? else {
+        let Some((index, raw)) = self.index_for(id)? else {
             return self.inner.get_range(id, range);
         };
         let mut read = RangeRead::default();
@@ -913,14 +912,10 @@ impl TableStore for CachedStore {
         if !index.may_contain(range) {
             return Ok(read);
         }
-        for (block, _) in index.overlapping(range) {
-            let points = self.block_via_cache(
-                id,
-                &index,
-                block,
-                &mut raw,
-                &mut read.blocks_read,
-            )?;
+        let wanted = index.overlapping(range).map(|(block, _)| block);
+        let (blocks, decoded) = self.visit(id, &index, wanted, raw)?;
+        read.blocks_read = decoded;
+        for points in blocks {
             read.points_scanned += points.len() as u64;
             read.points.extend(
                 points
@@ -967,19 +962,17 @@ impl TableStore for CachedStore {
         id: SsTableId,
         range: TimeRange,
     ) -> Result<Option<bool>> {
-        let mut raw = None;
-        match self.index_for(id, &mut raw)? {
-            Some(index) => Ok(Some(index.may_contain(range))),
+        match self.index_for(id)? {
+            Some((index, _)) => Ok(Some(index.may_contain(range))),
             None => self.inner.may_contain(id, range),
         }
     }
 
     fn table_index(&self, id: SsTableId) -> Result<Option<Arc<TableIndex>>> {
         // Served from the shared index cache when warm; a cold lookup does
-        // a ranged footer walk (v3) or one raw read (v1/v2), never a data
+        // a ranged tail walk (v3) or one raw read (v1/v2), never a data
         // block — so a pushdown plan over cached indexes is I/O-free.
-        let mut raw = None;
-        self.index_for(id, &mut raw)
+        Ok(self.index_for(id)?.map(|(index, _)| index))
     }
 }
 
@@ -1511,9 +1504,9 @@ mod tests {
         let (counting, cached, meta) = cached_fixture();
         assert_eq!(cached.get(meta.id).expect("cold get"), pts(0..300));
         let cold_reads = counting.raw_reads();
-        // The cold visit walks the tail (footer, metaindex, index, filter)
-        // and then fetches each of the three blocks by its span.
-        assert_eq!(cold_reads, 4 + 3, "tail walk + one span per block");
+        // The cold visit walks the tail (metaindex + footer, then index +
+        // filter) and then fetches the three adjacent blocks as one span.
+        assert_eq!(cold_reads, 2 + 1, "tail walk + one span for the run");
         for _ in 0..5 {
             assert_eq!(cached.get(meta.id).expect("warm get"), pts(0..300));
         }
@@ -1540,13 +1533,80 @@ mod tests {
         assert_eq!(warm.points, cold.points);
         assert_eq!(warm.blocks_read, 0, "warm read decodes nothing");
         assert_eq!(warm.points_scanned, 128, "scanned counts hits too");
-        assert_eq!(counting.raw_reads(), 4 + 1, "tail walk + one block span");
+        assert_eq!(counting.raw_reads(), 2 + 1, "tail walk + one block span");
         // Disjoint range: nothing examined at all.
         let miss = cached
             .get_range(meta.id, TimeRange::new(100_000, 200_000))
             .expect("miss");
         assert!(miss.points.is_empty());
         assert_eq!(miss.points_scanned, 0);
+    }
+
+    #[test]
+    fn cached_store_fetches_the_missing_blocks_around_a_warm_one() {
+        let (counting, cached, meta) = cached_fixture();
+        let index = cached.table_index(meta.id).expect("index").expect("v3");
+        let span = |block| index.block_span(block).expect("span");
+        // Warm the middle block only: [1280, 2550] is block 1 exactly.
+        let middle = cached
+            .get_range(meta.id, TimeRange::new(1280, 2550))
+            .expect("middle");
+        assert_eq!(middle.blocks_read, 1);
+        let (reads, bytes) = (counting.raw_reads(), counting.raw_bytes());
+        let all = cached
+            .get_range(meta.id, TimeRange::new(0, 2990))
+            .expect("all three");
+        assert_eq!(all.points, pts(0..300));
+        assert_eq!(all.blocks_read, 2, "the warm block is not decoded");
+        assert_eq!(
+            counting.raw_reads() - reads,
+            2,
+            "a run never bridges a cached block"
+        );
+        assert_eq!(
+            counting.raw_bytes() - bytes,
+            span(0).len + span(2).len,
+            "exactly the missing blocks' bytes"
+        );
+    }
+
+    #[test]
+    fn a_corrupt_block_inside_a_fetched_run_fails_every_read() {
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-store-run-crc-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file = Arc::new(FileStore::open(&dir).expect("open"));
+        let (meta, _) = file.put(&pts(0..300)).expect("put"); // 3 blocks
+        let index = file.table_index(meta.id).expect("index").expect("v3");
+        let middle = index.block_span(1).expect("span");
+        let path = file.path_for(meta.id);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[(middle.offset + middle.len / 2) as usize] ^= 0x40;
+        std::fs::write(&path, bytes).expect("flip a byte of block 1");
+        let cached = CachedStore::new(
+            file,
+            crate::cache::BlockCache::with_capacity(64 * 1024),
+        );
+        for attempt in ["cold", "again"] {
+            assert!(
+                matches!(cached.get(meta.id), Err(Error::Corrupt(_))),
+                "{attempt}: block 1's CRC fails inside the run"
+            );
+        }
+        let whole = TimeRange::new(0, 2990);
+        assert!(matches!(
+            cached.get_range(meta.id, whole),
+            Err(Error::Corrupt(_))
+        ));
+        // The intact blocks around it still read.
+        let last = cached
+            .get_range(meta.id, TimeRange::new(2560, 2990))
+            .expect("block 2");
+        assert_eq!(last.points, pts(256..300));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -1703,12 +1763,12 @@ mod tests {
             std::thread::current().id()
         ));
         // (table, reads of `may_contain` / `table_index`): a v3 index loads
-        // through table_len + footer + metaindex + index + filter spans; a
-        // v2 one — a file an older build left in the directory — through
-        // table_len + footer probe + whole file.
+        // through table_len + a metaindex-and-footer span + an index-and-
+        // filter span; a v2 one — a file an older build left in the
+        // directory — through table_len + footer probe + whole file.
         let v2_table: &[u8] =
             include_bytes!("../../../tests/fixtures/tables/v2-bp128-512.sst");
-        for (old_table, index_reads) in [(None, 5), (Some(v2_table), 3)] {
+        for (old_table, index_reads) in [(None, 3), (Some(v2_table), 3)] {
             let _ = std::fs::remove_dir_all(&dir);
             if let Some(bytes) = old_table {
                 std::fs::create_dir_all(&dir).expect("dir");

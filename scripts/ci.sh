@@ -170,13 +170,17 @@ done
 # costs no op and leaves no file, yet reads like a synced one; a failed put
 # leaves nothing staged and no tmp file, whichever op failed; a failed sync
 # of a published batch keeps what it did not rename staged for the retry and
-# leaves no tmp file either.
+# leaves no tmp file either. The block cache's reads: a run of missing
+# blocks is one span that never bridges a cached block, and a corrupt block
+# inside a run fails every read of it.
 LSM_TESTS="$(cargo test -q -p seplsm-lsm --lib --offline -- --list 2>/dev/null)"
 for name in a_staged_table_costs_no_io_and_no_file_yet_reads_like_a_synced_one \
     file_store_failed_put_discards_its_staged_table \
-    file_store_failed_batch_removes_its_staged_tmp_files; do
+    file_store_failed_batch_removes_its_staged_tmp_files \
+    cached_store_fetches_the_missing_blocks_around_a_warm_one \
+    a_corrupt_block_inside_a_fetched_run_fails_every_read; do
   grep -qx "store::tests::$name: test" <<<"$LSM_TESTS" \
-    || { echo "store.rs lost its staging test '$name'"; exit 1; }
+    || { echo "store.rs lost its test '$name'"; exit 1; }
 done
 # Real backpressure: a crash at every op inside a live write stall recovers
 # unstalled; a burst at tight watermarks stalls, stays at most stop deep and
@@ -313,9 +317,11 @@ echo "== benchmark smoke (frozen adapter contract) =="
 SMOKE_OUT="$TRACE_DIR/smoke.txt"
 bash benchmark/run.sh --smoke --seconds 10 >"$SMOKE_OUT"
 # The same run's exact counters — write amplification, bytes written and
-# stored per point, fsyncs and write syscalls per 1 000 points of the two
-# inline ingest workloads and of read-mix — repeat bit for bit from run to
-# run, so they are compared with the record in scripts/smoke_counters.json.
+# stored per point, fsyncs and write syscalls per 1 000 points, and read
+# syscalls per read of the two inline ingest workloads and of read-mix —
+# repeat bit for bit from run to run (read bytes per read do not: they
+# move by a few bytes), so they are compared with the record in
+# scripts/smoke_counters.json.
 # A change that means to move them updates that file in the same diff.
 echo "== benchmark smoke (exact counters equal scripts/smoke_counters.json) =="
 python3 - "$SMOKE_OUT" scripts/smoke_counters.json <<'PYEOF'
