@@ -66,9 +66,7 @@ use crate::admission::{
     self, AdmissionController, AdmissionDepth, AdmissionOutcome,
     AdmissionStats, StallTransition,
 };
-use crate::compaction::{
-    self, plan_merge, Outbox, Record, RunInput, Share, Written,
-};
+use crate::compaction::{self, plan_merge, Outbox, RunInput, Share, Written};
 use crate::engine::{Batch, Engine, Executor, Front};
 use crate::invariants::{self, InvariantChecker};
 use crate::iterator::merge_sorted;
@@ -277,20 +275,19 @@ fn horizon(
             return Ok(());
         };
         let mut share = Share {
-            series: 0,
+            series: None,
             outbox: &mut outbox,
             version: &version,
         };
-        let record = Record::Own(&mut share, manifest.as_mut());
-        let durable = compaction::horizon(store, record);
+        let shares = std::slice::from_mut(&mut share);
+        let durable = compaction::horizon(store, shares, manifest.as_mut());
         let mut state = shared.state.lock();
         debug_assert!(state.outbox.is_empty(), "a plan committed meanwhile");
         state.outbox = outbox;
         state.manifest = manifest;
         state.compacting = false;
         let durable = durable.map(|flushed| {
-            let ranges = flushed.into_iter().flat_map(|(_, ranges)| ranges);
-            state.retired.extend(ranges);
+            state.retired.extend(flushed.into_iter().flatten());
         });
         drop(state);
         shared.flush_done.notify_all();

@@ -22,13 +22,13 @@
 //! version in memory; inputs that no horizon synced are deleted at once,
 //! durable ones stay on disk. A table a merge consumes before its horizon
 //! therefore never reaches the file system. The engine's [`Outbox`] keeps
-//! the score, and `horizon` then runs, for one engine or for every series
-//! of a fleet at once:
+//! the score, and `horizon` then runs over a slice of `Share`s — one
+//! engine's, or every series' of a fleet at once:
 //!
 //! 1. one write and one fsync per table still live and unsynced;
 //! 2. one fsync of the tables directory;
-//! 3. one manifest group per engine: the net change between the durable
-//!    version and the current one;
+//! 3. one manifest commit: per engine that changed, one group with the net
+//!    change between its durable version and its current one;
 //! 4. the deletion of the retired durable inputs;
 //! 5. by the owner of the log: a checkpoint per coalesced range the
 //!    flushes took out of memory, and a cut of the log when one is due.
@@ -449,43 +449,23 @@ impl Outbox {
 /// One engine's part in a [`horizon`]: its outbox and the version its plans
 /// led to.
 pub(crate) struct Share<'a> {
-    /// Which series of its owner's manifest and log the engine is (0 for an
-    /// engine that keeps its own).
-    pub(crate) series: u32,
+    /// Which series of its owner's manifest the engine is: `None` for an
+    /// engine that keeps its own.
+    pub(crate) series: Option<u32>,
     pub(crate) outbox: &'a mut Outbox,
     pub(crate) version: &'a Version,
 }
 
-/// What a [`horizon`] runs over, and the manifest it records their net
-/// change in.
-pub(crate) enum Record<'r, 'a> {
-    /// One engine and its own manifest, if it keeps one: one group.
-    Own(&'r mut Share<'a>, Option<&'r mut Manifest>),
-    /// Every series of a fleet, in ascending order, and the fleet's
-    /// manifest: one group per series that changed, next to the live
-    /// tables of every series (what a rewrite of the log keeps).
-    Fleet(&'r mut [Share<'a>], &'r mut Manifest),
-}
-
-impl<'a> Record<'_, 'a> {
-    fn shares(&mut self) -> &mut [Share<'a>] {
-        match self {
-            Self::Own(share, _) => std::slice::from_mut(&mut **share),
-            Self::Fleet(shares, _) => shares,
-        }
-    }
-}
-
-/// The durability horizon over `record`'s engines, steps 1–4 of the module
-/// docs: one write and one fsync per live table the plans did not sync and
-/// then one fsync of the directory ([`TableStore::sync_published`]), the
-/// net change since the
-/// durable version recorded in the manifest, and only then the retired
-/// tables deleted. Returns, per engine whose flushes took anything, the
-/// ranges they took out of memory: now durable, what the owner's log may
-/// let go of (step 5, its
-/// [`checkpoint_retired`](crate::engine::checkpoint_retired)). A no-op when
-/// nothing waits.
+/// The durability horizon over `shares` — one engine, or every series of
+/// a fleet in ascending order — steps 1–4 of the module docs: one write and
+/// one fsync per live table the plans did not sync and then one fsync of
+/// the directory ([`TableStore::sync_published`]), the net change since the
+/// durable version recorded in `manifest` (one group per share that
+/// changed, weighed against every share's live tables), and only then the
+/// retired tables deleted. Returns, per share, the ranges its flushes took
+/// out of memory: now durable, what the owner's log may let go of (step 5,
+/// its [`checkpoint_retired`](crate::engine::checkpoint_retired)). A no-op
+/// when nothing waits.
 ///
 /// # Errors
 /// A failure up to the manifest record leaves every outbox as it was, for
@@ -495,9 +475,9 @@ impl<'a> Record<'_, 'a> {
 /// behind as orphans.
 pub(crate) fn horizon(
     store: &dyn TableStore,
-    mut record: Record<'_, '_>,
-) -> Result<Vec<(u32, Vec<TimeRange>)>> {
-    let shares = record.shares();
+    shares: &mut [Share<'_>],
+    manifest: Option<&mut Manifest>,
+) -> Result<Vec<Vec<TimeRange>>> {
     if shares.iter().all(|share| share.outbox.is_empty()) {
         return Ok(Vec::new());
     }
@@ -515,45 +495,30 @@ pub(crate) fn horizon(
         let outbox = &mut *share.outbox;
         outbox.synced.append(&mut outbox.unsynced);
     }
-    match &mut record {
-        Record::Own(share, Some(manifest)) => {
-            let version = share.version;
-            let edits = share.outbox.edits(version);
-            let (run, l0) = (version.run().tables(), version.l0());
-            manifest.commit_or_rewrite(&edits, run, l0)?;
-        }
-        Record::Own(_, None) => {}
-        Record::Fleet(shares, manifest) => {
-            let edits: Vec<(u32, Vec<ManifestEdit>)> = shares
-                .iter()
-                .map(|share| (share.series, share.outbox.edits(share.version)))
-                .filter(|(_, edits)| !edits.is_empty())
-                .collect();
-            let groups: Vec<(u32, &[ManifestEdit])> = edits
-                .iter()
-                .map(|(series, edits)| (*series, edits.as_slice()))
-                .collect();
-            let live: Vec<SeriesTables<'_>> = shares
-                .iter()
-                .map(|share| SeriesTables {
-                    series: share.series,
-                    run: share.version.run().tables(),
-                    l0: share.version.l0(),
-                })
-                .collect();
-            manifest.commit_fleet(&groups, &live)?;
-        }
+    if let Some(manifest) = manifest {
+        let edits: Vec<(Option<u32>, Vec<ManifestEdit>)> = shares
+            .iter()
+            .map(|share| (share.series, share.outbox.edits(share.version)))
+            .filter(|(_, edits)| !edits.is_empty())
+            .collect();
+        let groups: Vec<(Option<u32>, &[ManifestEdit])> = edits
+            .iter()
+            .map(|(series, edits)| (*series, edits.as_slice()))
+            .collect();
+        let live: Vec<SeriesTables<'_>> = shares
+            .iter()
+            .map(|share| share.version.series_tables(share.series))
+            .collect();
+        manifest.commit_groups(&groups, &live)?;
     }
     // Durable. Empty every outbox before anything below can fail, or the
     // next horizon would record this change a second time.
     let mut retired = Vec::new();
-    let mut flushed = Vec::new();
-    for share in record.shares() {
+    let mut flushed = Vec::with_capacity(shares.len());
+    for share in shares.iter_mut() {
         let outbox = std::mem::take(&mut *share.outbox);
         retired.extend(outbox.retired);
-        if !outbox.flushed.is_empty() {
-            flushed.push((share.series, outbox.flushed));
-        }
+        flushed.push(outbox.flushed);
     }
     for id in retired {
         store.delete(id)?;
@@ -630,6 +595,22 @@ mod tests {
         tgs.iter()
             .map(|&t| DataPoint::new(t, t, t as f64))
             .collect()
+    }
+
+    /// The horizon over one engine that keeps `manifest`, if any, as its
+    /// own.
+    fn own_horizon(
+        store: &dyn TableStore,
+        outbox: &mut Outbox,
+        version: &Version,
+        manifest: Option<&mut Manifest>,
+    ) -> Result<Vec<Vec<TimeRange>>> {
+        let mut share = Share {
+            series: None,
+            outbox,
+            version,
+        };
+        horizon(store, std::slice::from_mut(&mut share), manifest)
     }
 
     fn input(id: u64, tgs: &[i64]) -> RunInput {
@@ -810,12 +791,7 @@ mod tests {
                 &obs,
             )
             .expect("execute");
-            let mut share = Share {
-                series: 0,
-                outbox: &mut outbox,
-                version: &version,
-            };
-            horizon(&store, Record::Own(&mut share, Some(&mut manifest)))
+            own_horizon(&store, &mut outbox, &version, Some(&mut manifest))
                 .expect("horizon");
         }
         assert_eq!(metrics.flushes, 2);
@@ -911,14 +887,11 @@ mod tests {
         let mut version = Version::new();
         let mut outbox = Outbox::default();
         let mut horizon_over = |version: &Version, outbox: &mut Outbox| {
-            let mut share = Share {
-                series: 0,
-                outbox,
-                version,
-            };
-            horizon(&store, Record::Own(&mut share, Some(&mut manifest)))
+            own_horizon(&store, outbox, version, Some(&mut manifest))
                 .expect("horizon");
-            Manifest::replay_levels(&path).expect("replay")
+            let (mut series, _) =
+                Manifest::replay(&path, true).expect("replay");
+            series.remove(&None).unwrap_or_default()
         };
         // Two flushes into L0, overlapping: three tables in flush order.
         into_l0(Some(pts(&[10, 20, 30])), &store, &mut version, &mut outbox);
@@ -1131,12 +1104,7 @@ mod tests {
             &mut Metrics::default(),
             &ObserverHandle::detached(),
         )?;
-        let mut share = Share {
-            series: 0,
-            outbox: &mut outbox,
-            version,
-        };
-        horizon(store, Record::Own(&mut share, None)).map(drop)
+        own_horizon(store, &mut outbox, version, None).map(drop)
     }
 
     #[test]

@@ -39,7 +39,7 @@ use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange, Timestamp};
 
 use crate::admission::{AdmissionOutcome, AdmissionStats};
 use crate::buffer::{FlushTrigger, PolicyBuffers};
-use crate::compaction::{self, Outbox, Record, RunInput, Share, Written};
+use crate::compaction::{self, Outbox, RunInput, Share, Written};
 use crate::fault::FaultPlan;
 use crate::invariants::{self, InvariantChecker};
 use crate::level::Run;
@@ -403,7 +403,8 @@ impl<X: Executor> Engine<X> {
         };
         let obs = &self.front.obs;
         self.exec.with_manifest(|manifest, version| {
-            *manifest = Some(open::open_manifest(path, obs, version)?);
+            let live = [version.series_tables(None)];
+            *manifest = Some(open::open_manifest(path, obs, &live)?);
             Ok(())
         })
     }
@@ -577,9 +578,8 @@ impl<X: Executor> Engine<X> {
             wal.rewrite(&[])?;
         }
         self.exec.with_manifest(|manifest, version| {
-            manifest
-                .as_mut()
-                .map_or(Ok(()), |m| version.compact_manifest(m))
+            let live = [version.series_tables(None)];
+            manifest.as_mut().map_or(Ok(()), |m| m.compact(&live))
         })
     }
 
@@ -837,22 +837,25 @@ impl Executor for Inline {
             .observe_metrics(&self.version, &front.metrics)
     }
 
-    /// The horizon over this engine alone, series 0 of its own manifest
-    /// if it keeps one, when one is due — unless its owner runs them.
+    /// The horizon over this engine alone, the unnamed series of its own
+    /// manifest if it keeps one, when one is due — unless its owner runs
+    /// them.
     fn commit(&mut self, front: &Front, force: bool) -> Result<()> {
         let due = force || self.outbox.due(front.written.budget());
         if self.owner_commits || !due {
             return Ok(());
         }
         let mut share = Share {
-            series: 0,
+            series: None,
             outbox: &mut self.outbox,
             version: &self.version,
         };
-        let record = Record::Own(&mut share, self.manifest.as_mut());
-        for (_, flushed) in compaction::horizon(front.store.as_ref(), record)? {
-            self.retired.extend(flushed);
-        }
+        let flushed = compaction::horizon(
+            front.store.as_ref(),
+            std::slice::from_mut(&mut share),
+            self.manifest.as_mut(),
+        )?;
+        self.retired.extend(flushed.into_iter().flatten());
         Ok(())
     }
 
@@ -875,7 +878,7 @@ impl Engine<Inline> {
     /// The engine's part in a horizon its owner runs, as series `series`.
     pub(crate) fn share(&mut self, series: u32) -> Share<'_> {
         Share {
-            series,
+            series: Some(series),
             outbox: &mut self.exec.outbox,
             version: &self.exec.version,
         }

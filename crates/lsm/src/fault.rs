@@ -63,13 +63,14 @@ pub enum IoOp {
     WalRewrite,
     /// `Wal::rewrite` renaming tmp → live.
     WalRename,
-    /// `Manifest::commit` writing one edit group (or one bare record).
+    /// `Manifest::commit_groups` writing its groups (or one bare record)
+    /// in one write, however many series they belong to.
     ManifestAppend,
-    /// `Manifest::commit` flush + fsync.
+    /// `Manifest::commit_groups` flush + fsync.
     ManifestSync,
-    /// `Manifest::rewrite_levels` writing + fsyncing the tmp log.
+    /// `Manifest::rewrite` writing + fsyncing the tmp log.
     ManifestRewrite,
-    /// `Manifest::rewrite_levels` renaming tmp → live.
+    /// `Manifest::rewrite` renaming tmp → live.
     ManifestRename,
     /// A parent-directory fsync after a rename ([`crate::store::sync_dir`]).
     /// The last class: [`IoOp::COUNT`] counts up to it.

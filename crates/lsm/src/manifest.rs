@@ -5,41 +5,40 @@
 //! O(metadata): every table added to or removed from the run or L0 is
 //! logged as a fixed-size checksummed record.
 //!
+//! **Series.** One log serves one engine or a whole fleet. Every change
+//! belongs to a series, keyed by `Option<u32>`: `None` is the one unnamed
+//! series of an engine's own log, `Some(n)` series `n` of a fleet's shared
+//! log. The format is the same for both; only a group header's `count`
+//! field tells them apart (zero for the unnamed series, `n + 1` for series
+//! `n`), so an engine's log holds the bytes it held before fleets shared
+//! one. A header is covered by its own record CRC, so damage to the series
+//! field is damage to the log, never another series' tables.
+//!
 //! **Edit groups.** A flush or merge changes several tables at once, and a
 //! half-applied change (outputs added, inputs not yet removed) is not a
-//! state the engine was ever in. [`Manifest::commit`] therefore appends the
-//! whole change as one *edit group* — a header record carrying the body's
-//! record count and CRC-32, then the body records — in a single write,
-//! followed by one fsync: no tmp file, no rename, no directory fsync.
-//! Replay applies a group all or nothing: a group whose body is incomplete
-//! or fails its CRC at the tail of the log is dropped whole (a torn
-//! commit), and [`Manifest::open`] truncates it away before anything is
-//! appended behind it. A single-record change needs no header — one record
-//! is already atomic — so logs written before groups existed are the
-//! degenerate case of this format and replay unchanged.
-//!
-//! **Shared logs.** A fleet keeps one manifest for all of its series. A
-//! group header's `count` field — zero in every log written before fleets
-//! shared one — names the series the group belongs to (`series + 1`; zero
-//! is the one unnamed series of a single-engine log, whose bytes are
-//! therefore what they always were). A tagged change always carries its
-//! header, a tagged header with no body announces a series that holds no
-//! table yet, and [`Manifest::commit_fleet`] appends the groups of many
-//! series in one write behind one fsync. [`Manifest::replay_fleet`] returns
-//! the levels per series under the same all-or-nothing and torn-tail
-//! rules; a header is covered by its own record CRC, so damage to the
-//! series field is damage to the log, never another series' tables.
+//! state the engine was ever in. [`Manifest::commit_groups`] therefore
+//! appends each series' change as one *edit group* — a header record
+//! carrying the body's record count and CRC-32, then the body records —
+//! and the groups of every series in a single write, followed by one fsync:
+//! no tmp file, no rename, no directory fsync. Replay applies a group all
+//! or nothing: a group whose body is incomplete or fails its CRC at the
+//! tail of the log is dropped whole (a torn commit), and [`Manifest::open`]
+//! truncates it away before anything is appended behind it. A lone edit of
+//! the unnamed series needs no header — one record is already atomic — so
+//! logs written before groups existed are the degenerate case of this
+//! format and replay unchanged. A named series' change always carries its
+//! header, and a header with no body announces a series that holds no
+//! table yet.
 //!
 //! **Compaction.** Removed tables leave dead records behind (their add,
-//! the remove, group headers). When a change would leave them outnumbering
-//! the live ones, [`Manifest::commit_or_rewrite`] rewrites the log from the
-//! live tables ([`Manifest::rewrite_levels`]: tmp file, fsync, rename,
-//! directory fsync) instead of appending; a shared log, whose rewrite
-//! copies every series' tables, waits until the dead records outnumber the
-//! live ones several times over. Engines also rewrite at open and
-//! at `flush_all`/`finish` ([`Manifest::compact`]), so a log at rest holds
-//! exactly one record per live table (a shared log: plus one header per
-//! series) and stays proportional to the live table count.
+//! the remove, group headers). When a commit would leave them outnumbering
+//! the live ones, it rewrites the log from the live tables instead
+//! ([`Manifest::rewrite`]: tmp file, fsync, rename, directory fsync); a
+//! shared log, whose rewrite copies every series' tables, waits until the
+//! dead records outnumber the live ones several times over. Owners also
+//! rewrite at open and compact at rest ([`Manifest::compact`]), so a log at
+//! rest holds exactly one record per live table plus one header per named
+//! series, and stays proportional to the live table count.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -58,12 +57,11 @@ use crate::store::sync_dir;
 
 const TAG_ADD: u8 = 1;
 const TAG_REMOVE: u8 = 2;
-/// A table joining L0 (tiered engines); run-level recovery must use
-/// [`Manifest::replay_levels`] to see these.
+/// A table joining L0 (tiered engines).
 const TAG_ADD_L0: u8 = 3;
 /// Header of an edit group: the id field holds the number of body records
 /// that follow, the first four bytes after it the CRC-32 of the body, the
-/// count field the group's series + 1 (zero: the log's one unnamed series).
+/// count field the group's series + 1 (zero: the unnamed series).
 const TAG_GROUP: u8 = 4;
 /// Every L0 table leaves at once (a merge drained L0).
 const TAG_DRAIN_L0: u8 = 5;
@@ -82,15 +80,25 @@ const FLEET_DEAD_FACTOR: u64 = 4;
 /// The live tables of one series: `(run, l0)`, each in log order.
 pub type Levels = (Vec<SsTableMeta>, Vec<SsTableMeta>);
 
-/// One series' live tables, as the rewrite of a shared log takes them.
+/// One series' live tables: what a commit weighs the log's dead records
+/// against, and what a rewrite keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesTables<'a> {
-    /// The series the tables belong to.
-    pub series: u32,
+    /// The series the tables belong to: `None` for an engine's own log.
+    pub series: Option<u32>,
     /// Its run, in range order.
     pub run: &'a [SsTableMeta],
     /// Its L0, in flush order.
     pub l0: &'a [SsTableMeta],
+}
+
+impl SeriesTables<'_> {
+    /// Records a rewrite keeps for the series: one per live table, plus
+    /// the header of a named series.
+    fn records(&self) -> u64 {
+        (self.run.len() + self.l0.len()) as u64
+            + u64::from(self.series.is_some())
+    }
 }
 
 /// Size and history of a manifest, for `seplsm stats`.
@@ -98,18 +106,18 @@ pub struct SeriesTables<'a> {
 pub struct ManifestStats {
     /// Records in the file — live, dead and group headers alike.
     pub records: u64,
-    /// Records a rewrite would keep, as of the last change recorded with
-    /// its levels: one per live table, plus one header per series of a
-    /// shared log.
+    /// Records a rewrite would keep, as of the last commit or rewrite: one
+    /// per live table, plus one header per named series.
     pub live: u64,
-    /// Edit groups (or bare records) made durable since the log was opened.
+    /// Commits made durable since the log was opened: one per append and
+    /// fsync, however many series' groups it carried.
     pub commits: u64,
     /// Times the log was rewritten from the live tables since it was opened.
     pub rewrites: u64,
 }
 
-/// One table-membership change; [`Manifest::commit`] logs a slice of them
-/// as one atomic edit group.
+/// One table-membership change; [`Manifest::commit_groups`] logs a slice of
+/// them as one atomic edit group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ManifestEdit {
     /// A table joins the run.
@@ -170,23 +178,27 @@ fn encode_group_header(body: &[u8], tag: u32) -> [u8; RECORD] {
     encode_record(TAG_GROUP, records, TimeRange::new(start, start), tag)
 }
 
-/// The header tag naming `series` in a shared log.
-fn series_tag(series: u32) -> Result<u32> {
-    series.checked_add(1).ok_or_else(|| {
-        Error::InvalidConfig(format!(
-            "series {series} cannot be named in a shared manifest"
-        ))
-    })
-}
-
-/// Appends `edits` to `buf` as one unit: a lone untagged record as itself,
-/// anything else — a longer change, or any change of a named series —
-/// behind a group header.
-fn encode_unit(buf: &mut Vec<u8>, tag: u32, edits: &[ManifestEdit]) {
-    if tag == 0 && edits.len() == 1 {
-        buf.extend_from_slice(&edits[0].encode());
-        return;
-    }
+/// Appends `edits` of `series` to `buf` as one unit: a lone edit of the
+/// unnamed series as itself, anything else — a longer change, or any change
+/// of a named series — behind a group header tagged `series + 1` (zero:
+/// the unnamed series).
+fn encode_unit(
+    buf: &mut Vec<u8>,
+    series: Option<u32>,
+    edits: &[ManifestEdit],
+) -> Result<()> {
+    let tag = match (series, edits) {
+        (None, [edit]) => {
+            buf.extend_from_slice(&edit.encode());
+            return Ok(());
+        }
+        (None, _) => 0,
+        (Some(n), _) => n.checked_add(1).ok_or_else(|| {
+            Error::InvalidConfig(format!(
+                "series {n} cannot be named in a manifest"
+            ))
+        })?,
+    };
     // The header's slot: it goes first but is computed from the body.
     let header_at = buf.len();
     buf.extend_from_slice(&[0u8; RECORD]);
@@ -195,6 +207,7 @@ fn encode_unit(buf: &mut Vec<u8>, tag: u32, edits: &[ManifestEdit]) {
     }
     let header = encode_group_header(&buf[header_at + RECORD..], tag);
     buf[header_at..header_at + RECORD].copy_from_slice(&header);
+    Ok(())
 }
 
 fn record_ok(rec: &[u8]) -> bool {
@@ -275,23 +288,6 @@ fn scan(data: &[u8]) -> (usize, bool) {
         offset += RECORD;
     }
     (good_len, true)
-}
-
-/// The records a rewrite keeps for one series: its run, then its L0.
-fn snapshot_edits<'a>(
-    run: &'a [SsTableMeta],
-    l0: &'a [SsTableMeta],
-) -> impl Iterator<Item = ManifestEdit> + 'a {
-    let run = run.iter().copied().map(ManifestEdit::Add);
-    run.chain(l0.iter().copied().map(ManifestEdit::AddL0))
-}
-
-/// Records of a shared log at rest: one header per series, one record per
-/// live table.
-fn fleet_live(live: &[SeriesTables<'_>]) -> u64 {
-    live.iter()
-        .map(|s| 1 + (s.run.len() + s.l0.len()) as u64)
-        .sum()
 }
 
 /// An append-only, checksummed log of table-membership changes.
@@ -446,129 +442,67 @@ impl Manifest {
         Ok(())
     }
 
-    /// Durably logs `edits` as one atomic edit group: one append, one
-    /// fsync. After a crash, replay sees all of the edits or none of them.
-    /// Empty input is a no-op.
-    pub fn commit(&mut self, edits: &[ManifestEdit]) -> Result<()> {
-        if edits.is_empty() {
-            return Ok(());
-        }
-        let mut buf = Vec::with_capacity((edits.len() + 1) * RECORD);
-        encode_unit(&mut buf, 0, edits);
-        self.append(&buf, edits.iter())?;
-        self.sync()
-    }
-
-    /// Durably records `edits`, a change that leaves `run` + `l0` as the
-    /// live tables: [`Manifest::commit`], or — when the group would leave
-    /// the log more dead than live, or an earlier attempt at it failed
-    /// part-way — a rewrite from the live tables, which records the same
-    /// state. No edits is a no-op.
-    pub fn commit_or_rewrite(
+    /// Durably records one edit group per `(series, edits)` of `groups` —
+    /// one append and one fsync for all of them — a change that leaves
+    /// `live` as the tables of every series the log knows. When the groups
+    /// would leave the log more dead than live (several times over once a
+    /// named series is live: a shared log's rewrite copies every series),
+    /// or an earlier attempt at them failed part-way, the log is rewritten
+    /// from `live` instead, which records the same state. Replay applies
+    /// each group whole or not at all; no groups is a no-op.
+    pub fn commit_groups(
         &mut self,
-        edits: &[ManifestEdit],
-        run: &[SsTableMeta],
-        l0: &[SsTableMeta],
-    ) -> Result<()> {
-        if edits.is_empty() {
-            return Ok(());
-        }
-        let live = (run.len() + l0.len()) as u64;
-        let added = edits.len() + usize::from(edits.len() > 1);
-        if self.tail_in_doubt || self.compaction_due(added, live, 1) {
-            return self.rewrite_levels(run, l0);
-        }
-        self.tail_in_doubt = true;
-        self.commit(edits)?;
-        self.tail_in_doubt = false;
-        self.live = live;
-        Ok(())
-    }
-
-    /// Durably records one edit group per `(series, edits)` of `groups` in
-    /// a shared log — one append and one fsync for all of them — a change
-    /// that leaves `live` as the tables of every series the log knows. When
-    /// the groups would leave the log several times more dead than live, or
-    /// an earlier attempt at them failed part-way, the log is rewritten
-    /// from `live` instead, which records the same state. Each group is
-    /// applied whole or not at all by replay; no groups is a no-op.
-    pub fn commit_fleet(
-        &mut self,
-        groups: &[(u32, &[ManifestEdit])],
+        groups: &[(Option<u32>, &[ManifestEdit])],
         live: &[SeriesTables<'_>],
     ) -> Result<()> {
         if groups.is_empty() {
             return Ok(());
         }
-        let edits = || groups.iter().flat_map(|(_, edits)| edits.iter());
-        let added = edits().count() + groups.len();
-        let live_records = fleet_live(live);
-        if self.tail_in_doubt
-            || self.compaction_due(added, live_records, FLEET_DEAD_FACTOR)
-        {
-            return self.rewrite_fleet(live);
-        }
-        let mut buf = Vec::with_capacity(added * RECORD);
+        let mut buf = Vec::new();
         for (series, edits) in groups {
-            encode_unit(&mut buf, series_tag(*series)?, edits);
+            encode_unit(&mut buf, *series, edits)?;
+        }
+        let live_records = live.iter().map(SeriesTables::records).sum();
+        let shared = live.iter().any(|tables| tables.series.is_some());
+        let factor = if shared { FLEET_DEAD_FACTOR } else { 1 };
+        if self.tail_in_doubt
+            || self.compaction_due(buf.len() / RECORD, live_records, factor)
+        {
+            return self.rewrite(live);
         }
         self.tail_in_doubt = true;
-        self.append(&buf, edits())?;
+        self.append(&buf, groups.iter().flat_map(|(_, edits)| edits.iter()))?;
         self.sync()?;
         self.tail_in_doubt = false;
         self.live = live_records;
         Ok(())
     }
 
-    /// Rewrites the log down to one record per live table, unless it
-    /// already is.
-    pub fn compact(
-        &mut self,
-        run: &[SsTableMeta],
-        l0: &[SsTableMeta],
-    ) -> Result<()> {
-        if self.records == (run.len() + l0.len()) as u64 {
+    /// Rewrites the log down to what [`Manifest::rewrite`] keeps of `live`,
+    /// unless it already is.
+    pub fn compact(&mut self, live: &[SeriesTables<'_>]) -> Result<()> {
+        let at_rest: u64 = live.iter().map(SeriesTables::records).sum();
+        if self.records == at_rest && !self.tail_in_doubt {
             return Ok(());
         }
-        self.rewrite_levels(run, l0)
+        self.rewrite(live)
     }
 
-    /// Rewrites a shared log down to one header per series and one record
-    /// per live table, unless it already is.
-    pub fn compact_fleet(&mut self, live: &[SeriesTables<'_>]) -> Result<()> {
-        if self.records == fleet_live(live) && !self.tail_in_doubt {
-            return Ok(());
-        }
-        self.rewrite_fleet(live)
-    }
-
-    /// Atomically rewrites the log as a flat list of the live run tables.
-    pub fn rewrite(&mut self, live: &[SsTableMeta]) -> Result<()> {
-        self.rewrite_levels(live, &[])
-    }
-
-    /// Atomically rewrites the log from both levels: the live run tables
-    /// followed by the live L0 tables.
-    pub fn rewrite_levels(
-        &mut self,
-        run: &[SsTableMeta],
-        l0: &[SsTableMeta],
-    ) -> Result<()> {
-        let mut buf = Vec::with_capacity((run.len() + l0.len()) * RECORD);
-        for edit in snapshot_edits(run, l0) {
-            buf.extend_from_slice(&edit.encode());
-        }
-        self.replace(&buf)
-    }
-
-    /// Atomically rewrites a shared log from every series' live tables: per
-    /// series of `live`, one group holding its run, then its L0.
-    pub fn rewrite_fleet(&mut self, live: &[SeriesTables<'_>]) -> Result<()> {
-        let mut buf = Vec::with_capacity(fleet_live(live) as usize * RECORD);
-        for series in live {
-            let edits: Vec<ManifestEdit> =
-                snapshot_edits(series.run, series.l0).collect();
-            encode_unit(&mut buf, series_tag(series.series)?, &edits);
+    /// Atomically rewrites the log from `live`, per series its run, then
+    /// its L0: the unnamed series as bare records, a named one as one group
+    /// (a header alone when it holds no table).
+    pub fn rewrite(&mut self, live: &[SeriesTables<'_>]) -> Result<()> {
+        let mut buf = Vec::new();
+        for tables in live {
+            let run = tables.run.iter().copied().map(ManifestEdit::Add);
+            let edits =
+                run.chain(tables.l0.iter().copied().map(ManifestEdit::AddL0));
+            if tables.series.is_none() {
+                edits.for_each(|edit| buf.extend_from_slice(&edit.encode()));
+            } else {
+                let edits: Vec<ManifestEdit> = edits.collect();
+                encode_unit(&mut buf, tables.series, &edits)?;
+            }
         }
         self.replace(&buf)
     }
@@ -612,91 +546,23 @@ impl Manifest {
         Ok(())
     }
 
-    /// Replays a run-only manifest at `path`, returning the live table
-    /// metadata in log order.
+    /// Replays the manifest at `path`: per series it names (`None`: the
+    /// records outside any named group), the live `(run, l0)` tables, each
+    /// in log order, plus the number of whole records dropped past the
+    /// last complete unit. A missing file is an empty log.
     ///
-    /// A torn final record is dropped; mid-log corruption is reported.
-    /// A missing file yields an empty set. A manifest containing L0 records
-    /// (a tiered engine's) is rejected — use [`Manifest::replay_levels`].
-    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<SsTableMeta>> {
-        let (run, l0) = Self::replay_levels(path)?;
-        if !l0.is_empty() {
-            return Err(Error::Corrupt(
-                "manifest contains L0 records; replay with replay_levels"
-                    .into(),
-            ));
-        }
-        Ok(run)
-    }
-
-    /// Replays the manifest at `path`, returning the live `(run, l0)` table
-    /// metadata, each in log order.
-    ///
-    /// A torn tail — a truncated or garbage final stretch, or an incomplete
-    /// edit group, with no valid record after it — is dropped whole;
-    /// corruption in front of still-valid records is reported. A missing
-    /// file yields empty sets. A log holding series-tagged groups (a
-    /// fleet's) is rejected — use [`Manifest::replay_fleet`].
-    pub fn replay_levels(path: impl AsRef<Path>) -> Result<Levels> {
-        Self::unnamed_series(Self::load(path.as_ref(), true)?.0)
-    }
-
-    /// Salvage replay: decodes the longest prefix of complete units plus
-    /// the number of whole records dropped after it, never failing on CRC
-    /// corruption (records with valid CRCs but malformed contents are still
-    /// errors). Used by salvage-mode recovery, which reports the loss.
-    pub fn replay_levels_salvage(
-        path: impl AsRef<Path>,
-    ) -> Result<(Vec<SsTableMeta>, Vec<SsTableMeta>, u64)> {
-        let (series, dropped) = Self::load(path.as_ref(), false)?;
-        let (run, l0) = Self::unnamed_series(series)?;
-        Ok((run, l0, dropped))
-    }
-
-    /// Replays the shared manifest at `path`: per series it names, the live
-    /// `(run, l0)` tables, plus the number of whole records dropped past
-    /// the last complete unit. `strict` treats the tail like
-    /// [`Manifest::replay_levels`] does (a torn one is dropped, damage in
-    /// front of valid records is an error); otherwise the longest valid
-    /// prefix is used whatever follows it. A record outside any tagged
-    /// group is not a fleet's and is rejected in either mode.
-    pub fn replay_fleet(
+    /// `strict` drops a torn tail — a truncated or garbage final stretch,
+    /// or an incomplete edit group, with no valid record after it — and
+    /// reports damage in front of still-valid records as corruption;
+    /// otherwise the longest valid prefix is used whatever follows it
+    /// (records with valid CRCs but malformed contents are still errors).
+    /// Which series a caller accepts is its own business: an engine takes
+    /// only the unnamed one, a fleet only named ones.
+    pub fn replay(
         path: impl AsRef<Path>,
         strict: bool,
-    ) -> Result<(BTreeMap<u32, Levels>, u64)> {
-        let (tagged, dropped) = Self::load(path.as_ref(), strict)?;
-        let mut series = BTreeMap::new();
-        for (tag, levels) in tagged {
-            let Some(id) = tag.checked_sub(1) else {
-                return Err(Error::Corrupt(
-                    "shared manifest holds records of an unnamed series; \
-                     replay with replay_levels"
-                        .into(),
-                ));
-            };
-            series.insert(id, levels);
-        }
-        Ok((series, dropped))
-    }
-
-    /// The levels of a single-engine log: everything must be untagged.
-    fn unnamed_series(mut tagged: BTreeMap<u32, Levels>) -> Result<Levels> {
-        let levels = tagged.remove(&0).unwrap_or_default();
-        if !tagged.is_empty() {
-            return Err(Error::Corrupt(
-                "manifest holds series-tagged groups; replay with \
-                 replay_fleet"
-                    .into(),
-            ));
-        }
-        Ok(levels)
-    }
-
-    /// Reads and decodes the log at `path`: the levels per group tag (zero:
-    /// untagged records) and the whole records dropped past the last
-    /// complete unit. A missing file is an empty log.
-    fn load(path: &Path, strict: bool) -> Result<(BTreeMap<u32, Levels>, u64)> {
-        let Some(data) = Self::read_log(path)? else {
+    ) -> Result<(BTreeMap<Option<u32>, Levels>, u64)> {
+        let Some(data) = Self::read_log(path.as_ref())? else {
             return Ok((BTreeMap::new(), 0));
         };
         let (good_len, tail_is_garbage) = scan(&data);
@@ -724,32 +590,33 @@ impl Manifest {
 
     /// Applies the records of `data[..good_len]` — a prefix of complete
     /// units, per [`scan`] — in log order, each to the series its group
-    /// header names (a record outside any group: tag zero). `scan` has
-    /// already vouched for every body in the prefix, so a header only says
-    /// whose the next records are — and, tagged, that its series exists.
+    /// header names (a record outside any group: the unnamed series).
+    /// `scan` has already vouched for every body in the prefix, so a header
+    /// only says whose the next records are — and, named, that its series
+    /// exists.
     fn decode_prefix(
         data: &[u8],
         good_len: usize,
-    ) -> Result<BTreeMap<u32, Levels>> {
-        let mut series: BTreeMap<u32, Levels> = BTreeMap::new();
-        // The tag of the group being read and its records still to come.
-        let (mut group_tag, mut group_left) = (0u32, 0u64);
+    ) -> Result<BTreeMap<Option<u32>, Levels>> {
+        let mut series: BTreeMap<Option<u32>, Levels> = BTreeMap::new();
+        // The series of the group being read and its records still to come.
+        let (mut group, mut group_left) = (None, 0u64);
         let mut offset = 0;
         while offset + RECORD <= good_len {
             let rec = &data[offset..offset + RECORD];
             offset += RECORD;
             let id = codec::read_u64_le(rec, 1)?;
             if rec[0] == TAG_GROUP {
-                group_tag = codec::read_u32_le(rec, 25)?;
+                group = codec::read_u32_le(rec, 25)?.checked_sub(1);
                 group_left = id;
-                if group_tag != 0 {
-                    series.entry(group_tag).or_default();
+                if group.is_some() {
+                    series.entry(group).or_default();
                 }
                 continue;
             }
-            let tag = if group_left > 0 { group_tag } else { 0 };
+            let owner = if group_left > 0 { group } else { None };
             group_left = group_left.saturating_sub(1);
-            let (run, l0) = series.entry(tag).or_default();
+            let (run, l0) = series.entry(owner).or_default();
             let id = SsTableId(id);
             match rec[0] {
                 level @ (TAG_ADD | TAG_ADD_L0) => {
@@ -792,6 +659,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -809,48 +677,93 @@ mod tests {
         }
     }
 
+    /// Appends `edits` of the unnamed series as one unit, made durable: a
+    /// commit with no live tables to weigh it against, so never a rewrite.
+    fn log(m: &mut Manifest, edits: &[ManifestEdit]) {
+        let mut buf = Vec::new();
+        encode_unit(&mut buf, None, edits).expect("encode");
+        m.append(&buf, edits.iter()).expect("append");
+        m.sync().expect("sync");
+    }
+
+    /// The live tables of the one `series` whose run is `run`.
+    fn run_of(
+        series: Option<u32>,
+        run: &[SsTableMeta],
+    ) -> [SeriesTables<'_>; 1] {
+        [SeriesTables {
+            series,
+            run,
+            l0: &[],
+        }]
+    }
+
+    /// The levels of an engine's own log at `path`, replayed strictly.
+    fn own(path: &Path) -> Result<Levels> {
+        let (mut series, _) = Manifest::replay(path, true)?;
+        let levels = series.remove(&None).unwrap_or_default();
+        assert!(series.is_empty(), "named series in an engine's log");
+        Ok(levels)
+    }
+
     #[test]
     fn add_remove_replay() {
         let path = temp_path("basic");
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.commit(&[ManifestEdit::Add(meta(1, 0, 99, 10))])
-                .expect("add");
-            m.commit(&[ManifestEdit::Add(meta(2, 100, 199, 10))])
-                .expect("add");
-            m.commit(&[ManifestEdit::Remove(SsTableId(1))])
-                .expect("remove");
-            m.commit(&[ManifestEdit::Add(meta(3, 0, 99, 12))])
-                .expect("add");
+            log(&mut m, &[ManifestEdit::Add(meta(1, 0, 99, 10))]);
+            log(&mut m, &[ManifestEdit::Add(meta(2, 100, 199, 10))]);
+            log(&mut m, &[ManifestEdit::Remove(SsTableId(1))]);
+            log(&mut m, &[ManifestEdit::Add(meta(3, 0, 99, 12))]);
         }
-        let live = Manifest::replay(&path).expect("replay");
+        let (live, _) = own(&path).expect("replay");
         let ids: Vec<u64> = live.iter().map(|m| m.id.0).collect();
         assert_eq!(ids, vec![2, 3]);
         assert_eq!(live[1].count, 12);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
-    #[test]
-    fn a_commit_that_failed_at_its_fsync_is_retried_as_a_rewrite() {
-        use crate::fault::{Fault, FaultPlan};
-        let path = temp_path("retry");
+    /// A commit of `series` whose fsync failed, offered again, is recorded
+    /// by a rewrite: the failed group may or may not be in the file, and the
+    /// same change must not land behind it.
+    fn retry_after_a_failed_fsync(series: Option<u32>) {
+        let path = temp_path(&format!("retry-{series:?}"));
         let _ = std::fs::remove_file(&path);
         let (a, b) = (meta(1, 0, 99, 10), meta(2, 100, 199, 10));
         let mut m = Manifest::open(&path).expect("open");
-        m.commit_or_rewrite(&[ManifestEdit::Add(a)], &[a], &[])
+        let first = [ManifestEdit::Add(a)];
+        m.commit_groups(&[(series, &first)], &run_of(series, &[a]))
             .expect("first");
-        // Op 0 is the next group's append, op 1 its fsync.
-        m.attach_faults(FaultPlan::new(0, Fault::FailOnce { at: 1 }));
+        // Op 0 is the next commit's append, op 1 its fsync.
+        let plan = FaultPlan::new(0, Fault::FailOnce { at: 1 });
+        m.attach_faults(Arc::clone(&plan));
         let edits = [ManifestEdit::Add(b)];
-        assert!(m.commit_or_rewrite(&edits, &[a, b], &[]).is_err());
-        // The failed group is still on its way to the file: the same
-        // change offered again must not land behind it.
-        m.commit_or_rewrite(&edits, &[a, b], &[]).expect("retry");
+        let groups = [(series, &edits[..])];
+        let both = [a, b];
+        let live = run_of(series, &both);
+        assert!(m.commit_groups(&groups, &live).is_err());
+        m.commit_groups(&groups, &live).expect("retry");
+        assert_eq!(
+            plan.trace()[2..],
+            [IoOp::ManifestRewrite, IoOp::ManifestRename, IoOp::DirSync]
+        );
         assert_eq!((m.stats().commits, m.stats().rewrites), (1, 1));
         drop(m);
-        assert_eq!(Manifest::replay(&path).expect("replay"), [a, b]);
+        let (replayed, _) = Manifest::replay(&path, true).expect("replay");
+        assert_eq!(replayed.keys().collect::<Vec<_>>(), [&series]);
+        assert_eq!(replayed[&series].0, [a, b], "recorded once, not twice");
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_commit_that_failed_at_its_fsync_is_retried_as_a_rewrite() {
+        retry_after_a_failed_fsync(None);
+    }
+
+    #[test]
+    fn a_failed_fleet_commit_is_retried_as_a_rewrite() {
+        retry_after_a_failed_fsync(Some(2));
     }
 
     #[test]
@@ -859,23 +772,18 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut m = Manifest::open(&path).expect("open");
         for i in 0..100 {
-            m.commit(&[ManifestEdit::Add(meta(
-                i,
-                i as i64 * 10,
-                i as i64 * 10 + 9,
-                1,
-            ))])
-            .expect("add");
+            let start = i as i64 * 10;
+            log(&mut m, &[ManifestEdit::Add(meta(i, start, start + 9, 1))]);
             if i > 0 {
-                m.commit(&[ManifestEdit::Remove(SsTableId(i - 1))])
-                    .expect("remove");
+                log(&mut m, &[ManifestEdit::Remove(SsTableId(i - 1))]);
             }
         }
         let size_before = std::fs::metadata(&path).expect("stat").len();
-        m.rewrite(&[meta(99, 990, 999, 1)]).expect("rewrite");
+        m.rewrite(&run_of(None, &[meta(99, 990, 999, 1)]))
+            .expect("rewrite");
         let size_after = std::fs::metadata(&path).expect("stat").len();
         assert!(size_after < size_before / 10);
-        let live = Manifest::replay(&path).expect("replay");
+        let (live, _) = own(&path).expect("replay");
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].id.0, 99);
         std::fs::remove_file(&path).expect("cleanup");
@@ -887,26 +795,24 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.commit(&[ManifestEdit::Add(meta(1, 0, 99, 10))])
-                .expect("add run");
-            m.commit(&[ManifestEdit::AddL0(meta(2, 50, 150, 8))])
-                .expect("add l0");
-            m.commit(&[ManifestEdit::AddL0(meta(3, 60, 160, 8))])
-                .expect("add l0");
-            m.commit(&[ManifestEdit::Remove(SsTableId(2))])
-                .expect("remove spans levels");
+            log(&mut m, &[ManifestEdit::Add(meta(1, 0, 99, 10))]);
+            log(&mut m, &[ManifestEdit::AddL0(meta(2, 50, 150, 8))]);
+            log(&mut m, &[ManifestEdit::AddL0(meta(3, 60, 160, 8))]);
+            log(&mut m, &[ManifestEdit::Remove(SsTableId(2))]);
         }
-        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
+        let (run, l0) = own(&path).expect("replay");
         assert_eq!(run.iter().map(|m| m.id.0).collect::<Vec<_>>(), vec![1]);
         assert_eq!(l0.iter().map(|m| m.id.0).collect::<Vec<_>>(), vec![3]);
-        // Run-only replay refuses a tiered manifest instead of losing L0.
-        assert!(Manifest::replay(&path).is_err());
-        // rewrite_levels compacts both levels in place.
+        // A rewrite keeps both levels, as bare records.
         let mut m = Manifest::open(&path).expect("reopen");
-        m.rewrite_levels(&run, &l0).expect("rewrite");
-        let (run2, l02) = Manifest::replay_levels(&path).expect("replay");
-        assert_eq!(run2, run);
-        assert_eq!(l02, l0);
+        let live = [SeriesTables {
+            series: None,
+            run: &run,
+            l0: &l0,
+        }];
+        m.rewrite(&live).expect("rewrite");
+        assert_eq!(m.stats().records, 2);
+        assert_eq!(own(&path).expect("replay"), (run, l0));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -914,7 +820,9 @@ mod tests {
     fn missing_manifest_is_empty() {
         let path = temp_path("missing");
         let _ = std::fs::remove_file(&path);
-        assert!(Manifest::replay(&path).expect("replay").is_empty());
+        let (series, dropped) = Manifest::replay(&path, true).expect("replay");
+        assert!(series.is_empty());
+        assert_eq!(dropped, 0);
     }
 
     #[test]
@@ -923,10 +831,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.commit(&[ManifestEdit::Add(meta(1, 0, 9, 1))])
-                .expect("add");
-            m.commit(&[ManifestEdit::Add(meta(2, 10, 19, 1))])
-                .expect("add");
+            log(&mut m, &[ManifestEdit::Add(meta(1, 0, 9, 1))]);
+            log(&mut m, &[ManifestEdit::Add(meta(2, 10, 19, 1))]);
         }
         let data = std::fs::read(&path).expect("read");
         std::fs::write(&path, &data[..data.len() - 7]).expect("truncate");
@@ -934,10 +840,9 @@ mod tests {
         // landed after the garbage, shifting every later record's framing.
         {
             let mut m = Manifest::open(&path).expect("re-open repairs tail");
-            m.commit(&[ManifestEdit::Add(meta(3, 20, 29, 1))])
-                .expect("add");
+            log(&mut m, &[ManifestEdit::Add(meta(3, 20, 29, 1))]);
         }
-        let live = Manifest::replay(&path).expect("must stay readable");
+        let (live, _) = own(&path).expect("must stay readable");
         let ids: Vec<u64> = live.iter().map(|m| m.id.0).collect();
         assert_eq!(ids, vec![1, 3], "torn record dropped, new one kept");
         std::fs::remove_file(&path).expect("cleanup");
@@ -961,21 +866,17 @@ mod tests {
         {
             let mut m = Manifest::open(&path).expect("open");
             for i in 0..4 {
-                m.commit(&[ManifestEdit::Add(meta(
-                    i,
-                    i as i64 * 10,
-                    i as i64 * 10 + 9,
-                    1,
-                ))])
-                .expect("add");
+                let start = i as i64 * 10;
+                log(&mut m, &[ManifestEdit::Add(meta(i, start, start + 9, 1))]);
             }
         }
         let mut data = std::fs::read(&path).expect("read");
         data[RECORD + 3] ^= 0xff; // corrupt the second record
         std::fs::write(&path, &data).expect("rewrite");
-        assert!(Manifest::replay(&path).is_err(), "strict replay refuses");
-        let (run, l0, dropped) =
-            Manifest::replay_levels_salvage(&path).expect("salvage");
+        assert!(own(&path).is_err(), "strict replay refuses");
+        let (mut series, dropped) =
+            Manifest::replay(&path, false).expect("salvage");
+        let (run, l0) = series.remove(&None).expect("the unnamed series");
         assert_eq!(run.len(), 1, "valid prefix recovered");
         assert!(l0.is_empty());
         assert_eq!(dropped, 3, "loss is reported, not hidden");
@@ -988,21 +889,19 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = Manifest::open(&path).expect("open");
-            m.commit(&[ManifestEdit::Add(meta(1, 0, 9, 1))])
-                .expect("add");
-            m.commit(&[ManifestEdit::Add(meta(2, 10, 19, 1))])
-                .expect("add");
+            log(&mut m, &[ManifestEdit::Add(meta(1, 0, 9, 1))]);
+            log(&mut m, &[ManifestEdit::Add(meta(2, 10, 19, 1))]);
         }
         let data = std::fs::read(&path).expect("read");
         // Torn tail: drop 5 bytes.
         std::fs::write(&path, &data[..data.len() - 5]).expect("truncate");
-        let live = Manifest::replay(&path).expect("tolerates torn tail");
+        let (live, _) = own(&path).expect("tolerates torn tail");
         assert_eq!(live.len(), 1);
         // Mid-log corruption: flip a byte in record 0.
         let mut bad = data.clone();
         bad[3] ^= 0xff;
         std::fs::write(&path, &bad).expect("corrupt");
-        assert!(Manifest::replay(&path).is_err());
+        assert!(own(&path).is_err());
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1011,50 +910,116 @@ mod tests {
     }
 
     /// A two-table run, then a merge replacing table 1 by tables 3 and 4
-    /// while draining an L0 table — committed as one group.
+    /// while draining an L0 table — logged as one group.
     fn write_seed_and_group(path: &Path) -> Manifest {
         let mut m = Manifest::open(path).expect("open");
-        m.commit(&[
-            ManifestEdit::Add(meta(1, 0, 99, 10)),
-            ManifestEdit::Add(meta(2, 100, 199, 10)),
-        ])
-        .expect("seed");
-        m.commit(&[ManifestEdit::AddL0(meta(9, 50, 150, 4))])
-            .expect("l0");
-        m.commit(&[
-            ManifestEdit::DrainL0,
-            ManifestEdit::Remove(SsTableId(1)),
-            ManifestEdit::Add(meta(3, 0, 49, 7)),
-            ManifestEdit::Add(meta(4, 50, 99, 7)),
-        ])
-        .expect("merge");
+        log(
+            &mut m,
+            &[
+                ManifestEdit::Add(meta(1, 0, 99, 10)),
+                ManifestEdit::Add(meta(2, 100, 199, 10)),
+            ],
+        );
+        log(&mut m, &[ManifestEdit::AddL0(meta(9, 50, 150, 4))]);
+        log(
+            &mut m,
+            &[
+                ManifestEdit::DrainL0,
+                ManifestEdit::Remove(SsTableId(1)),
+                ManifestEdit::Add(meta(3, 0, 49, 7)),
+                ManifestEdit::Add(meta(4, 50, 99, 7)),
+            ],
+        );
         m
+    }
+
+    /// The unnamed series' levels and the records dropped, replayed in
+    /// salvage mode.
+    fn salvage(path: &Path) -> (Levels, u64) {
+        let (mut series, dropped) =
+            Manifest::replay(path, false).expect("salvage replay");
+        (series.remove(&None).unwrap_or_default(), dropped)
     }
 
     #[test]
     fn commit_is_one_append_and_one_fsync() {
+        // One group for a change of several tables.
         let path = temp_path("group-ops");
         let _ = std::fs::remove_file(&path);
         let plan = FaultPlan::trace_only(0);
         let mut m = Manifest::open(&path).expect("open");
         m.attach_faults(Arc::clone(&plan));
-        m.commit(&[
+        let (a, b) = (meta(2, 0, 9, 1), meta(3, 10, 19, 1));
+        let edits = [
             ManifestEdit::Remove(SsTableId(1)),
-            ManifestEdit::Add(meta(2, 0, 9, 1)),
-            ManifestEdit::Add(meta(3, 10, 19, 1)),
-        ])
-        .expect("commit");
+            ManifestEdit::Add(a),
+            ManifestEdit::Add(b),
+        ];
+        m.commit_groups(&[(None, &edits)], &run_of(None, &[a, b]))
+            .expect("commit");
         assert_eq!(
             plan.trace(),
             vec![IoOp::ManifestAppend, IoOp::ManifestSync]
         );
         assert_eq!(m.records, 4, "header + three edits");
-        m.commit(&[]).expect("empty commit");
+        m.commit_groups(&[], &run_of(None, &[a, b]))
+            .expect("empty commit");
         assert_eq!(plan.ops(), 2, "an empty commit touches nothing");
         // A lone edit needs no header: it is the pre-group record format.
-        m.commit(&[ManifestEdit::Add(meta(4, 20, 29, 1))])
+        let c = meta(4, 20, 29, 1);
+        let lone = [ManifestEdit::Add(c)];
+        m.commit_groups(&[(None, &lone)], &run_of(None, &[a, b, c]))
             .expect("single");
         assert_eq!(m.records, 5);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_fleet_commit_is_one_append_and_one_fsync_for_every_series() {
+        let path = temp_path("fleet-ops");
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::trace_only(0);
+        let mut m = Manifest::open(&path).expect("open");
+        m.attach_faults(Arc::clone(&plan));
+        let (a, b, c) =
+            (meta(1, 0, 9, 4), meta(2, 10, 19, 4), meta(3, 0, 9, 4));
+        let s3 = [ManifestEdit::Add(a), ManifestEdit::Add(b)];
+        let s7 = [ManifestEdit::Add(c)];
+        let runs = [(3, vec![a, b]), (7, vec![c])];
+        let live = live_of(&runs);
+        m.commit_groups(&[(Some(3), &s3), (Some(7), &s7)], &live)
+            .expect("commit");
+        assert_eq!(
+            plan.trace(),
+            vec![IoOp::ManifestAppend, IoOp::ManifestSync]
+        );
+        // A named series' change carries its header even when it is one
+        // record long: two headers, three edits.
+        let stats = m.stats();
+        assert_eq!((stats.records, stats.live, stats.commits), (5, 5, 1));
+        m.commit_groups(&[], &live).expect("nothing to commit");
+        assert_eq!(plan.ops(), 2, "an empty commit touches nothing");
+        // Series 3 merges its tables away; series 7 is untouched.
+        let d = meta(4, 0, 19, 8);
+        let merge = [
+            ManifestEdit::Remove(a.id),
+            ManifestEdit::Remove(b.id),
+            ManifestEdit::Add(d),
+        ];
+        let runs = [(3, vec![d]), (7, vec![c])];
+        let live = live_of(&runs);
+        m.commit_groups(&[(Some(3), &merge)], &live)
+            .expect("commit");
+        drop(m);
+        let (series, dropped) = Manifest::replay(&path, true).expect("replay");
+        assert_eq!(dropped, 0);
+        // Every record is a named series': nothing for an engine to take.
+        assert_eq!(
+            series.keys().copied().collect::<Vec<_>>(),
+            [Some(3), Some(7)]
+        );
+        assert_eq!(ids(&series[&Some(3)].0), vec![4]);
+        assert_eq!(ids(&series[&Some(7)].0), vec![3]);
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -1063,7 +1028,7 @@ mod tests {
         let path = temp_path("group-replay");
         let _ = std::fs::remove_file(&path);
         drop(write_seed_and_group(&path));
-        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
+        let (run, l0) = own(&path).expect("replay");
         assert_eq!(ids(&run), vec![2, 3, 4]);
         assert!(l0.is_empty(), "the group drained L0");
         std::fs::remove_file(&path).expect("cleanup");
@@ -1081,12 +1046,11 @@ mod tests {
         assert_eq!(data.len(), group_start + 5 * RECORD);
         for cut in group_start..data.len() {
             std::fs::write(&path, &data[..cut]).expect("truncate");
-            let (run, l0) = Manifest::replay_levels(&path)
-                .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            let (run, l0) =
+                own(&path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
             assert_eq!(ids(&run), vec![1, 2], "cut at {cut}: half a merge");
             assert_eq!(ids(&l0), vec![9], "cut at {cut}: half a drain");
-            let (run, l0, dropped) =
-                Manifest::replay_levels_salvage(&path).expect("salvage replay");
+            let ((run, l0), dropped) = salvage(&path);
             assert_eq!((ids(&run), ids(&l0)), (vec![1, 2], vec![9]));
             assert_eq!(dropped as usize, (cut - group_start) / RECORD);
         }
@@ -1096,10 +1060,9 @@ mod tests {
         {
             let mut m = Manifest::open(&path).expect("re-open repairs");
             assert_eq!(m.records, 4);
-            m.commit(&[ManifestEdit::Add(meta(5, 200, 299, 3))])
-                .expect("commit");
+            log(&mut m, &[ManifestEdit::Add(meta(5, 200, 299, 3))]);
         }
-        let (run, l0) = Manifest::replay_levels(&path).expect("replay");
+        let (run, l0) = own(&path).expect("replay");
         assert_eq!(ids(&run), vec![1, 2, 5]);
         assert_eq!(ids(&l0), vec![9]);
         std::fs::remove_file(&path).expect("cleanup");
@@ -1111,15 +1074,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut m = write_seed_and_group(&path);
-            m.commit(&[ManifestEdit::Add(meta(5, 200, 299, 3))])
-                .expect("later commit");
+            log(&mut m, &[ManifestEdit::Add(meta(5, 200, 299, 3))]);
         }
         let mut data = std::fs::read(&path).expect("read");
         data[6 * RECORD + 3] ^= 0xff; // inside the merge group's body
         std::fs::write(&path, &data).expect("corrupt");
-        assert!(Manifest::replay_levels(&path).is_err(), "strict refuses");
-        let (run, l0, dropped) =
-            Manifest::replay_levels_salvage(&path).expect("salvage");
+        assert!(own(&path).is_err(), "strict refuses");
+        let ((run, l0), dropped) = salvage(&path);
         assert_eq!((ids(&run), ids(&l0)), (vec![1, 2], vec![9]));
         assert_eq!(dropped, 6, "the whole group and what follows it");
         std::fs::remove_file(&path).expect("cleanup");
@@ -1133,7 +1094,7 @@ mod tests {
         let live: Vec<SsTableMeta> = (0..100)
             .map(|i| meta(i, i as i64 * 10, i as i64 * 10 + 9, 1))
             .collect();
-        m.rewrite(&live).expect("seed");
+        m.rewrite(&run_of(None, &live)).expect("seed");
         assert_eq!(m.records, 100);
         assert!(!m.compaction_due(0, 100, 1));
         // 100 live; a group of 100 edits + header makes 101 dead.
@@ -1144,7 +1105,7 @@ mod tests {
         assert!(!m.compaction_due(100 * factor as usize, 100, factor));
         assert!(m.compaction_due(100 * factor as usize + 1, 100, factor));
         // A small log gets a fixed allowance instead of the ratio.
-        m.rewrite(&live[..2]).expect("shrink");
+        m.rewrite(&run_of(None, &live[..2])).expect("shrink");
         assert!(!m.compaction_due(COMPACT_MIN_DEAD as usize, 2, 1));
         assert!(m.compaction_due(COMPACT_MIN_DEAD as usize + 1, 2, 1));
         std::fs::remove_file(&path).expect("cleanup");
@@ -1154,61 +1115,11 @@ mod tests {
     fn live_of(runs: &[(u32, Vec<SsTableMeta>)]) -> Vec<SeriesTables<'_>> {
         runs.iter()
             .map(|(series, run)| SeriesTables {
-                series: *series,
+                series: Some(*series),
                 run,
                 l0: &[],
             })
             .collect()
-    }
-
-    #[test]
-    fn a_fleet_commit_is_one_append_and_one_fsync_for_every_series() {
-        let path = temp_path("fleet-ops");
-        let _ = std::fs::remove_file(&path);
-        let plan = FaultPlan::trace_only(0);
-        let mut m = Manifest::open(&path).expect("open");
-        m.attach_faults(Arc::clone(&plan));
-        let (a, b, c) =
-            (meta(1, 0, 9, 4), meta(2, 10, 19, 4), meta(3, 0, 9, 4));
-        let s3 = [ManifestEdit::Add(a), ManifestEdit::Add(b)];
-        let s7 = [ManifestEdit::Add(c)];
-        let runs = [(3, vec![a, b]), (7, vec![c])];
-        let live = live_of(&runs);
-        m.commit_fleet(&[(3, &s3), (7, &s7)], &live)
-            .expect("commit");
-        assert_eq!(
-            plan.trace(),
-            vec![IoOp::ManifestAppend, IoOp::ManifestSync]
-        );
-        // A named series' change carries its header even when it is one
-        // record long: two headers, three edits.
-        let stats = m.stats();
-        assert_eq!((stats.records, stats.live, stats.commits), (5, 5, 1));
-        m.commit_fleet(&[], &live).expect("nothing to commit");
-        assert_eq!(plan.ops(), 2, "an empty commit touches nothing");
-        // Series 3 merges its tables away; series 7 is untouched.
-        let d = meta(4, 0, 19, 8);
-        let merge = [
-            ManifestEdit::Remove(a.id),
-            ManifestEdit::Remove(b.id),
-            ManifestEdit::Add(d),
-        ];
-        let runs = [(3, vec![d]), (7, vec![c])];
-        let live = live_of(&runs);
-        m.commit_fleet(&[(3, &merge)], &live).expect("commit");
-        drop(m);
-        let (series, dropped) =
-            Manifest::replay_fleet(&path, true).expect("replay");
-        assert_eq!(dropped, 0);
-        assert_eq!(series.keys().copied().collect::<Vec<_>>(), vec![3, 7]);
-        assert_eq!(ids(&series[&3].0), vec![4]);
-        assert_eq!(ids(&series[&7].0), vec![3]);
-        // It is not a single engine's log, and says so.
-        assert!(matches!(
-            Manifest::replay_levels(&path),
-            Err(Error::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
@@ -1219,61 +1130,33 @@ mod tests {
         let a = meta(1, 0, 9, 4);
         let runs = [(0, vec![a]), (5, Vec::new())];
         let live = live_of(&runs);
-        m.rewrite_fleet(&live).expect("rewrite");
+        m.rewrite(&live).expect("rewrite");
         assert_eq!(m.stats().records, 3, "two headers, one table");
-        m.compact_fleet(&live).expect("compact");
+        m.compact(&live).expect("compact");
         assert_eq!(m.stats().rewrites, 1, "already at rest");
-        let (series, _) = Manifest::replay_fleet(&path, true).expect("replay");
+        let (series, _) = Manifest::replay(&path, true).expect("replay");
         assert_eq!(series.len(), 2, "the empty series is still named");
-        assert_eq!(series[&5], (Vec::new(), Vec::new()));
+        assert_eq!(series[&Some(5)], (Vec::new(), Vec::new()));
         // A single engine's log, on the other hand, names no series: its
         // group headers keep the zero they always had in that field.
         let single = temp_path("fleet-rest-single");
         let _ = std::fs::remove_file(&single);
         let mut m = Manifest::open(&single).expect("open");
-        m.commit(&[ManifestEdit::Add(a), ManifestEdit::Remove(a.id)])
+        let group = [ManifestEdit::Add(a), ManifestEdit::Remove(a.id)];
+        m.commit_groups(&[(None, &group)], &run_of(None, &[]))
             .expect("group");
         let data = std::fs::read(&single).expect("read");
         assert_eq!(data[..RECORD][0], TAG_GROUP);
         assert_eq!(data[25..PAYLOAD], [0u8; 4]);
-        assert!(matches!(
-            Manifest::replay_fleet(&single, true),
-            Err(Error::Corrupt(_))
-        ));
+        let (series, _) = Manifest::replay(&single, true).expect("replay");
+        assert_eq!(series.keys().collect::<Vec<_>>(), [&None]);
         std::fs::remove_file(&path).expect("cleanup");
         std::fs::remove_file(&single).expect("cleanup");
     }
 
-    #[test]
-    fn a_failed_fleet_commit_is_retried_as_a_rewrite() {
-        use crate::fault::Fault;
-
-        let path = temp_path("fleet-retry");
-        let _ = std::fs::remove_file(&path);
-        // Op 0 the append, op 1 the fsync that fails: the group may or may
-        // not be in the file when the caller offers it again.
-        let plan = FaultPlan::new(0, Fault::FailOnce { at: 1 });
-        let mut m = Manifest::open(&path).expect("open");
-        m.attach_faults(Arc::clone(&plan));
-        let a = meta(1, 0, 9, 4);
-        let edits = [ManifestEdit::Add(a)];
-        let runs = [(2, vec![a])];
-        let live = live_of(&runs);
-        assert!(m.commit_fleet(&[(2, &edits)], &live).is_err());
-        m.commit_fleet(&[(2, &edits)], &live).expect("retry");
-        assert_eq!(
-            plan.trace()[2..],
-            [IoOp::ManifestRewrite, IoOp::ManifestRename, IoOp::DirSync]
-        );
-        drop(m);
-        let (series, _) = Manifest::replay_fleet(&path, true).expect("replay");
-        assert_eq!(ids(&series[&2].0), vec![1], "recorded once, not twice");
-        std::fs::remove_file(&path).expect("cleanup");
-    }
-
-    /// One unit of the model log: a group of `tag` (zero: the unnamed
-    /// series) adding `adds` fresh tables and removing the `removes`
-    /// oldest ones of that series.
+    /// One unit of the model log: a group of series `tag - 1` (zero: the
+    /// unnamed series) adding `adds` fresh tables and removing the
+    /// `removes` oldest ones of that series.
     type ModelUnit = (u32, usize, usize);
 
     proptest::proptest! {
@@ -1301,7 +1184,7 @@ mod tests {
             ));
             let _ = std::fs::remove_file(&path);
             let mut manifest = Manifest::open(&path).expect("open");
-            let mut model: BTreeMap<u32, Levels> = BTreeMap::new();
+            let mut model: BTreeMap<Option<u32>, Levels> = BTreeMap::new();
             // The model and the file length after each unit; and where the
             // units that start with a header start.
             let mut states = vec![(0usize, model.clone())];
@@ -1309,7 +1192,8 @@ mod tests {
             let mut next_id = 0u64;
             let units: Vec<ModelUnit> = units;
             for (tag, adds, removes) in units {
-                let (run, _) = model.entry(tag).or_default();
+                let series = tag.checked_sub(1);
+                let (run, _) = model.entry(series).or_default();
                 let removes = removes.min(run.len());
                 let mut edits: Vec<ManifestEdit> = run
                     .drain(..removes)
@@ -1322,11 +1206,11 @@ mod tests {
                     run.push(table);
                     edits.push(ManifestEdit::Add(table));
                 }
-                if tag == 0 && edits.is_empty() {
+                if series.is_none() && edits.is_empty() {
                     continue; // the unnamed series has no header to write
                 }
                 let mut buf = Vec::new();
-                encode_unit(&mut buf, tag, &edits);
+                encode_unit(&mut buf, series, &edits).expect("encode");
                 let start = states.last().expect("seeded").0;
                 if buf[0] == TAG_GROUP {
                     headers.push((start, states.len() - 1));
@@ -1350,20 +1234,20 @@ mod tests {
                 let mut model = model.clone();
                 // A series the log never gave a table or a header is not
                 // one replay can know about.
-                model.retain(|tag, (run, l0)| {
-                    *tag != 0 || !(run.is_empty() && l0.is_empty())
+                model.retain(|series, (run, l0)| {
+                    series.is_some() || !(run.is_empty() && l0.is_empty())
                 });
                 model
             };
-            let normal = |mut got: BTreeMap<u32, Levels>| {
-                got.retain(|tag, (run, l0)| {
-                    *tag != 0 || !(run.is_empty() && l0.is_empty())
+            let normal = |mut got: BTreeMap<Option<u32>, Levels>| {
+                got.retain(|series, (run, l0)| {
+                    series.is_some() || !(run.is_empty() && l0.is_empty())
                 });
                 got
             };
             for cut in 0..=data.len() {
                 std::fs::write(&path, &data[..cut]).expect("truncate");
-                let (got, _) = Manifest::load(&path, true)
+                let (got, _) = Manifest::replay(&path, true)
                     .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
                 proptest::prop_assert_eq!(
                     normal(got),
@@ -1377,13 +1261,13 @@ mod tests {
                     bad[at + byte] ^= 0x41;
                     std::fs::write(&path, &bad).expect("corrupt");
                     let (prefix, _) =
-                        Manifest::load(&path, false).expect("salvage");
+                        Manifest::replay(&path, false).expect("salvage");
                     proptest::prop_assert_eq!(
                         normal(prefix),
                         expect_at(states[before].0),
                         "salvage past a damaged header at {}", at
                     );
-                    match Manifest::load(&path, true) {
+                    match Manifest::replay(&path, true) {
                         Err(Error::Corrupt(_)) => {}
                         Ok((got, _)) => {
                             // Only a damaged unit with nothing valid behind
@@ -1434,7 +1318,7 @@ mod tests {
 
         /// For any sequence of version edits — in-order appends, flushes to
         /// L0, merges with and without an L0 drain — each recorded as one
-        /// group through `commit_or_rewrite` (which interleaves its own
+        /// group through `commit_groups` (which interleaves its own
         /// rewrites) with forced compactions in between, replaying the log
         /// yields exactly the version it was recorded from, after every
         /// step.
@@ -1509,8 +1393,8 @@ mod tests {
                     }
                     // The engine comes to rest: forced compaction.
                     _ => {
-                        version
-                            .compact_manifest(&mut manifest)
+                        manifest
+                            .compact(&[version.series_tables(None)])
                             .expect("compact");
                         Vec::new()
                     }
@@ -1518,12 +1402,12 @@ mod tests {
                 version.apply(&edits).expect("apply");
                 let group: Vec<ManifestEdit> =
                     edits.iter().flat_map(journal).collect();
-                let (run, l0) = (version.run().tables(), version.l0());
+                let groups = [(None, group.as_slice())];
+                let groups = if group.is_empty() { &[][..] } else { &groups };
                 manifest
-                    .commit_or_rewrite(&group, run, l0)
+                    .commit_groups(groups, &[version.series_tables(None)])
                     .expect("record");
-                let (run, l0) =
-                    Manifest::replay_levels(&path).expect("replay");
+                let (run, l0) = own(&path).expect("replay");
                 proptest::prop_assert_eq!(
                     crate::level::Run::from_tables(run).expect("run").tables(),
                     version.run().tables()

@@ -57,7 +57,7 @@
 //! the series it names. New and recovered series alike are opened through
 //! the single-series [`OpenOptions`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ use seplsm_types::{DataPoint, Error, Policy, Result, TimeRange};
 
 use crate::admission::AdmissionOutcome;
 use crate::arbiter::{Arbiter, ArbiterStats, Rebalance};
-use crate::compaction::{self, Record, Written, MAX_UNCOMMITTED_TABLES};
+use crate::compaction::{self, Written, MAX_UNCOMMITTED_TABLES};
 use crate::engine::{checkpoint_retired, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{Levels, Manifest, ManifestStats, SeriesTables};
@@ -175,7 +175,11 @@ impl Kind for Fleet {
         } else if let Some(dir) = engine.durable_dir.clone() {
             engine.wal =
                 Some(open::open_wal(&dir.join(FLEET_WAL), &engine.obs)?);
-            engine.fleet_manifest = Some(engine.open_manifest(&dir)?);
+            engine.fleet_manifest = Some(open::open_manifest(
+                &dir.join(FLEET_MANIFEST),
+                &engine.obs,
+                &live_tables(&engine.series),
+            )?);
         }
         // Series already hosted (the recovery path) stay at their recovered
         // capacity until their first post-open append admits them into
@@ -280,11 +284,7 @@ fn fold_series_logs(
 fn live_tables(series: &HashMap<SeriesId, LsmEngine>) -> Vec<SeriesTables<'_>> {
     let mut live: Vec<SeriesTables<'_>> = series
         .iter()
-        .map(|(id, engine)| SeriesTables {
-            series: id.0,
-            run: engine.version().run().tables(),
-            l0: engine.version().l0(),
-        })
+        .map(|(id, engine)| engine.version().series_tables(Some(id.0)))
         .collect();
     live.sort_by_key(|tables| tables.series);
     live
@@ -305,16 +305,6 @@ impl MultiSeriesEngine {
         options.kind.owner_commits = self.durable_dir.is_some();
         options.kind.levels = levels;
         options
-    }
-
-    /// Opens `dir/fleet.manifest`, reporting to the fleet's observer, and
-    /// re-seeds it with the levels of every series hosted so far, so it is
-    /// authoritative for them from its first record on.
-    fn open_manifest(&self, dir: &Path) -> Result<Manifest> {
-        let mut manifest = Manifest::open(dir.join(FLEET_MANIFEST))?;
-        manifest.attach_observer(self.obs.clone());
-        manifest.rewrite_fleet(&live_tables(&self.series))?;
-        Ok(manifest)
     }
 
     /// The engine of `series`, opened fresh on first use.
@@ -371,24 +361,26 @@ impl MultiSeriesEngine {
         let mut engines: Vec<(&SeriesId, &mut LsmEngine)> =
             self.series.iter_mut().collect();
         engines.sort_by_key(|(id, _)| **id);
+        let ids: Vec<SeriesId> = engines.iter().map(|(id, _)| **id).collect();
         let mut shares: Vec<_> = engines
             .into_iter()
             .map(|(id, engine)| engine.share(id.0))
             .collect();
         let flushed = compaction::horizon(
             self.store.as_ref(),
-            Record::Fleet(&mut shares, fleet_manifest),
+            &mut shares,
+            Some(fleet_manifest),
         )?;
         let mut cut_due = false;
-        for (series, ranges) in flushed {
+        for (id, ranges) in ids.into_iter().zip(flushed) {
             if let (Some(wal), Some(engine)) =
-                (self.wal.as_mut(), self.series.get(&SeriesId(series)))
+                (self.wal.as_mut(), self.series.get(&id))
             {
                 // What the series buffers inside a flushed range arrived
                 // after the flush: everything volatile is in its MemTables.
                 cut_due |= checkpoint_retired(
                     wal,
-                    series,
+                    id.0,
                     ranges,
                     &[],
                     engine.buffers(),
@@ -425,10 +417,21 @@ impl MultiSeriesEngine {
             gc_orphans: false,
             ..options
         };
-        let (mut levels, dropped) =
-            Manifest::replay_fleet(dir.join(FLEET_MANIFEST), !salvage)?;
+        let (replayed, dropped) =
+            Manifest::replay(dir.join(FLEET_MANIFEST), !salvage)?;
         if salvage {
             report.manifest_records_dropped += dropped;
+        }
+        let mut levels = BTreeMap::new();
+        for (series, tables) in replayed {
+            let Some(id) = series else {
+                return Err(Error::Corrupt(
+                    "the fleet manifest holds records of an unnamed series: \
+                     an engine's own log"
+                        .into(),
+                ));
+            };
+            levels.insert(id, tables);
         }
         let old_manifests = legacy_files(&dir, ".manifest", options, report)?;
         for (id, path) in &old_manifests {
@@ -446,7 +449,11 @@ impl MultiSeriesEngine {
         // The fold: rewritten from the recovered versions, the fleet
         // manifest now holds what the per-series manifests held. Repeating
         // it after a crash short of the removal below changes nothing.
-        self.fleet_manifest = Some(self.open_manifest(&dir)?);
+        self.fleet_manifest = Some(open::open_manifest(
+            &dir.join(FLEET_MANIFEST),
+            &self.obs,
+            &live_tables(&self.series),
+        )?);
         let fleet_wal = dir.join(FLEET_WAL);
         let old_logs = legacy_files(&dir, ".wal", options, report)?;
         fold_series_logs(&fleet_wal, &old_logs, options, report)?;
@@ -797,7 +804,7 @@ impl MultiSeriesEngine {
         // records and, nothing being buffered any more, the log is cut to
         // its header.
         if let Some(fleet_manifest) = self.fleet_manifest.as_mut() {
-            fleet_manifest.compact_fleet(&live_tables(&self.series))?;
+            fleet_manifest.compact(&live_tables(&self.series))?;
         }
         if let Some(wal) = self.wal.as_mut() {
             wal.rewrite(&[])?;

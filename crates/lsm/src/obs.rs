@@ -73,7 +73,8 @@ pub enum ManifestRecordKind {
     Remove,
     /// Every L0 table removed at once (`TAG_DRAIN_L0`).
     DrainL0,
-    /// A full rewrite to the live set (`rewrite_levels`).
+    /// A full rewrite to the live tables of every series
+    /// (`Manifest::rewrite`).
     Rewrite,
 }
 

@@ -54,7 +54,7 @@ use crate::cache::BlockCache;
 use crate::compaction::Written;
 use crate::engine::{self, Engine, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
-use crate::manifest::{Levels, Manifest};
+use crate::manifest::{Levels, Manifest, SeriesTables};
 use crate::obs::{Observer, ObserverHandle};
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 use crate::store::{CachedStore, MemStore, TableStore};
@@ -501,17 +501,18 @@ pub(crate) fn open_wal(path: &Path, obs: &ObserverHandle) -> Result<Wal> {
     Ok(wal)
 }
 
-/// Opens the manifest at `path`, reporting to `obs`, and re-seeds it with
-/// `version`'s levels so it is authoritative for the state it is attached
-/// to from its first record on.
+/// Opens the manifest at `path` — an engine's own or a fleet's — reporting
+/// to `obs`, and re-seeds it with `live`, the tables of every series it
+/// records, so it is authoritative for the state it is attached to from its
+/// first record on.
 pub(crate) fn open_manifest(
     path: &Path,
     obs: &ObserverHandle,
-    version: &Version,
+    live: &[SeriesTables<'_>],
 ) -> Result<Manifest> {
     let mut manifest = Manifest::open(path)?;
     manifest.attach_observer(obs.clone());
-    manifest.rewrite_levels(version.run().tables(), version.l0())?;
+    manifest.rewrite(live)?;
     Ok(manifest)
 }
 

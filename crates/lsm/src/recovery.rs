@@ -172,20 +172,29 @@ pub(crate) fn rebuild_version(
     version_from_levels(store, levels, replayed, mode, allow_l0, report, obs)
 }
 
-/// Replays the single-engine manifest at `path`: strict mode refuses
-/// damage in front of valid records, salvage mode uses the longest valid
-/// prefix and counts what it dropped in `report`.
+/// Replays an engine's own manifest at `path` — or an older fleet layout's
+/// `series-<n>.manifest`, which is one — into the levels of its unnamed
+/// series: strict mode refuses damage in front of valid records, salvage
+/// mode uses the longest valid prefix and counts what it dropped in
+/// `report`. A log with named series is a fleet's, refused in either mode.
 pub(crate) fn replay_manifest(
     path: &Path,
     mode: RecoveryMode,
     report: &mut RecoveryReport,
 ) -> Result<Levels> {
-    if mode == RecoveryMode::Strict {
-        return Manifest::replay_levels(path);
+    let salvage = mode == RecoveryMode::Salvage;
+    let (mut series, dropped) = Manifest::replay(path, !salvage)?;
+    let levels = series.remove(&None).unwrap_or_default();
+    if !series.is_empty() {
+        return Err(Error::Corrupt(
+            "manifest holds named series: a fleet's log, not an engine's"
+                .into(),
+        ));
     }
-    let (run, l0, dropped) = Manifest::replay_levels_salvage(path)?;
-    report.manifest_records_dropped += dropped;
-    Ok((run, l0))
+    if salvage {
+        report.manifest_records_dropped += dropped;
+    }
+    Ok(levels)
 }
 
 /// Turns `(run, l0)` levels — `replayed` from an engine's own manifest or

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use seplsm_types::{DataPoint, Result, Timestamp};
 
 use crate::level::Run;
-use crate::manifest::Manifest;
+use crate::manifest::SeriesTables;
 use crate::sstable::{SsTableId, SsTableMeta};
 
 /// One table-level state change, applied through [`Version::apply`].
@@ -153,14 +153,16 @@ impl Version {
         }
     }
 
-    /// Rewrites `manifest` down to one record per live table, unless it
-    /// already is. Engines call this where they come to rest (`flush_all`,
-    /// `finish`), so dead records never outlive the burst that made them.
-    ///
-    /// # Errors
-    /// Manifest I/O failures.
-    pub fn compact_manifest(&self, manifest: &mut Manifest) -> Result<()> {
-        manifest.compact(self.run.tables(), &self.l0)
+    /// The live tables, as the manifest records them for `series`.
+    pub(crate) fn series_tables(
+        &self,
+        series: Option<u32>,
+    ) -> SeriesTables<'_> {
+        SeriesTables {
+            series,
+            run: self.run.tables(),
+            l0: &self.l0,
+        }
     }
 }
 

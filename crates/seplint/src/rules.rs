@@ -146,14 +146,14 @@ enum EvKind {
     WalCut,
     /// `sync_published(...)` — the published tables are durable.
     TableSync,
-    /// A manifest commit (`commit_or_rewrite`, or a fleet's `commit_fleet`
-    /// — its series keep neither log nor manifest): it names tables, so
+    /// A manifest commit (`commit_groups`, an engine's own or a fleet's —
+    /// whose series keep neither log nor manifest): it names tables, so
     /// they must have been synced first, and once they were it is what
     /// covers a checkpoint.
     ManifestCommit,
     /// Other evidence that what a cut drops is covered elsewhere: a
-    /// manifest record (`manifest`, `record`, `rewrite_levels`) or a
-    /// still-queryable flushing registration (`RegisterFlushing`).
+    /// manifest touched by name (`manifest`) or a still-queryable flushing
+    /// registration (`RegisterFlushing`).
     Cover,
     /// A recovery / migration source (`replay`, `migrate`): points flowing
     /// from here were already durable, so they need no fresh WAL append,
@@ -174,11 +174,10 @@ struct Ev {
 }
 
 /// Identifiers that count as [`EvKind::ManifestCommit`].
-const COMMIT_IDENTS: &[&str] = &["commit_or_rewrite", "commit_fleet"];
+const COMMIT_IDENTS: &[&str] = &["commit_groups"];
 
 /// Identifiers that count as [`EvKind::Cover`].
-const COVER_IDENTS: &[&str] =
-    &["manifest", "record", "rewrite_levels", "RegisterFlushing"];
+const COVER_IDENTS: &[&str] = &["manifest", "RegisterFlushing"];
 
 /// Identifiers that count as [`EvKind::Source`].
 const SOURCE_IDENTS: &[&str] = &["replay", "migrate"];

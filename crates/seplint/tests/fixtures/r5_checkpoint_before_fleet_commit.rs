@@ -1,6 +1,6 @@
 //! R5 fixture: a fleet whose horizon lets the log go first. Its series
 //! keep neither log nor manifest, so nothing they report covers a
-//! checkpoint: only the fleet manifest's own `commit_fleet` does.
+//! checkpoint: only the fleet manifest's own `commit_groups` does.
 
 pub struct Fleet {
     store: Store,
@@ -22,7 +22,7 @@ impl Fleet {
                 self.wal.rewrite(&self.series.survivors())?;
             }
         }
-        self.fleet_manifest.commit_fleet(&groups, &self.series.live())?;
+        self.fleet_manifest.commit_groups(&groups, &self.series.live())?;
         Ok(())
     }
 
@@ -31,7 +31,7 @@ impl Fleet {
     fn commit_in_order(&mut self) -> Result<(), Error> {
         let groups = self.series.pending_groups();
         self.store.sync_published(&self.series.unsynced())?;
-        self.fleet_manifest.commit_fleet(&groups, &self.series.live())?;
+        self.fleet_manifest.commit_groups(&groups, &self.series.live())?;
         for (series, range, in_range) in self.series.flushed() {
             self.wal.checkpoint(series, range, &in_range)?;
         }

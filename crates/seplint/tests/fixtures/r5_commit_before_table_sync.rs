@@ -15,7 +15,7 @@ impl Engine {
     // only durable copy of their points.
     fn horizon(&mut self) -> Result<(), Error> {
         let edits = self.version.net_change();
-        self.manifest.commit_or_rewrite(&edits, &[], &[])?;
+        self.manifest.commit_groups(&[(None, &edits)], &[])?;
         self.store.sync_published(&self.version.unsynced())?;
         self.wal.checkpoint(0, self.version.flushed(), &[])?;
         Ok(())
@@ -32,7 +32,7 @@ impl Engine {
 
     // VIOLATION: the fleet's commit is a manifest commit like any other.
     fn fleet_horizon(&mut self, groups: &Groups) -> Result<(), Error> {
-        self.manifest.commit_fleet(groups, &[])?;
+        self.manifest.commit_groups(groups, &[])?;
         Ok(())
     }
 
@@ -40,7 +40,7 @@ impl Engine {
     fn horizon_in_order(&mut self) -> Result<(), Error> {
         self.store.sync_published(&self.version.unsynced())?;
         let edits = self.version.net_change();
-        self.manifest.commit_or_rewrite(&edits, &[], &[])?;
+        self.manifest.commit_groups(&[(None, &edits)], &[])?;
         self.wal.checkpoint(0, self.version.flushed(), &[])?;
         Ok(())
     }

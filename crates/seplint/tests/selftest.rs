@@ -209,7 +209,7 @@ fn r5_passes_the_compliant_orderings() {
         impl Engine {
             pub fn flush(&mut self) -> Result<()> {
                 self.store.sync_published(&ids)?;
-                self.manifest.commit_or_rewrite(&edits, run, l0)?;
+                self.manifest.commit_groups(&groups, &live)?;
                 self.compact_wal(flushed)?;
                 Ok(())
             }
@@ -231,7 +231,7 @@ fn r5_passes_the_compliant_orderings() {
         impl Fleet {
             fn commit_pending(&mut self) -> Result<()> {
                 store.sync_published(&ids)?;
-                fleet_manifest.commit_fleet(&groups, &live)?;
+                fleet_manifest.commit_groups(&groups, &live)?;
                 wal.checkpoint(series.0, range, &engine.buffered_in(range))?;
                 Ok(())
             }

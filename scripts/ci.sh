@@ -182,6 +182,23 @@ for name in a_staged_table_costs_no_io_and_no_file_yet_reads_like_a_synced_one \
   grep -qx "store::tests::$name: test" <<<"$LSM_TESTS" \
     || { echo "store.rs lost its test '$name'"; exit 1; }
 done
+# One manifest path for an engine and a fleet: a commit that failed at its
+# fsync is retried as a rewrite, whichever owner it has; an engine refuses a
+# fleet's manifest and a fleet an engine's (or an older layout's per-series
+# manifest holding a named group), strict and salvage; a recovery report
+# counts the manifest records salvage dropped, and not the torn group tail a
+# strict open drops.
+for name in a_commit_that_failed_at_its_fsync_is_retried_as_a_rewrite \
+    a_failed_fleet_commit_is_retried_as_a_rewrite; do
+  grep -qx "manifest::tests::$name: test" <<<"$LSM_TESTS" \
+    || { echo "manifest.rs lost its retry test '$name'"; exit 1; }
+done
+DURABILITY_TESTS="$(listed engine_durability)"
+for name in an_engine_refuses_a_fleet_s_manifest_and_a_fleet_an_engine_s \
+    manifest_records_dropped_counts_what_salvage_drops_and_nothing_else; do
+  grep -qx "$name: test" <<<"$DURABILITY_TESTS" \
+    || { echo "engine_durability lost its manifest test '$name'"; exit 1; }
+done
 # Real backpressure: a crash at every op inside a live write stall recovers
 # unstalled; a burst at tight watermarks stalls, stays at most stop deep and
 # resumes; under any interleaving the depth never passes stop and every

@@ -2001,8 +2001,10 @@ fn an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more() {
 /// (A table no horizon synced is in no file at all, or, when the crash cut
 /// its sync short, under its tmp name, which the next open sweeps.)
 fn power_cut(dir: &TempDir) {
-    let (run, l0) = seplsm::lsm::Manifest::replay_levels(dir.path("manifest"))
-        .expect("the durable manifest");
+    let (mut series, _) =
+        seplsm::lsm::Manifest::replay(dir.path("manifest"), true)
+            .expect("the durable manifest");
+    let (run, l0) = series.remove(&None).unwrap_or_default();
     let named: HashSet<u64> = run.iter().chain(&l0).map(|m| m.id.0).collect();
     for entry in std::fs::read_dir(dir.path("tables")).expect("ls") {
         let path = entry.expect("entry").path();

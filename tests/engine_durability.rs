@@ -5,9 +5,13 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use seplsm::lsm::manifest::SeriesTables;
+use seplsm::lsm::sstable::{SsTableId, SsTableMeta};
+use seplsm::lsm::{Manifest, ManifestEdit};
 use seplsm::{
-    DataPoint, EngineConfig, FileStore, LsmEngine, OpenOptions, Policy,
-    TieredOpenOptions, TimeRange,
+    DataPoint, EngineConfig, Error, FileStore, LsmEngine, MultiOpenOptions,
+    MultiSeriesEngine, OpenOptions, Policy, RecoveryOptions, RecoveryReport,
+    SeriesId, TieredOpenOptions, TimeRange,
 };
 
 struct TempDir(PathBuf);
@@ -379,4 +383,217 @@ fn a_policy_shrink_on_the_background_engine_keeps_every_acknowledged_point() {
             .expect("query");
         assert_eq!(recovered.len(), 61, "{name}");
     }
+}
+
+/// A manifest record: tag, id, range, count, CRC-32.
+const RECORD: usize = 33;
+
+fn durability_config() -> EngineConfig {
+    EngineConfig::new(Policy::conventional(32)).with_sstable_points(16)
+}
+
+/// An engine over `dir/tables` with `dir/wal` and `dir/manifest`, brought to
+/// rest after 500 points: the manifest holds one bare record per table.
+fn engine_at_rest(dir: &TempDir) {
+    let store = Arc::new(FileStore::open(dir.path("tables")).expect("store"));
+    let mut engine = OpenOptions::new(durability_config())
+        .store(store)
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .open()
+        .expect("open");
+    write_points(&mut engine, 500);
+    engine.flush_all().expect("rest");
+}
+
+fn open_engine(
+    dir: &TempDir,
+    recovery: RecoveryOptions,
+) -> seplsm::Result<(LsmEngine, RecoveryReport)> {
+    let store = Arc::new(FileStore::open(dir.path("tables"))?);
+    OpenOptions::new(durability_config())
+        .store(store)
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .recovery(recovery)
+        .open_or_recover()
+}
+
+/// A fleet of three series over `dir/tables`, durable in `dir/meta`,
+/// brought to rest: `fleet.manifest` holds one group per series.
+fn fleet_at_rest(dir: &TempDir) {
+    let store = Arc::new(FileStore::open(dir.path("tables")).expect("store"));
+    let mut fleet = MultiOpenOptions::new(durability_config())
+        .store(store)
+        .durable_dir(dir.path("meta"))
+        .open()
+        .expect("open");
+    for i in 0..300i64 {
+        let tg = i * 10;
+        let p = DataPoint::new(tg, tg + (i * 37) % 400, i as f64);
+        fleet.append(SeriesId((i % 3) as u32), p).expect("append");
+    }
+    fleet.flush_all().expect("rest");
+}
+
+fn open_fleet(
+    dir: &TempDir,
+    recovery: RecoveryOptions,
+) -> seplsm::Result<(MultiSeriesEngine, RecoveryReport)> {
+    let store = Arc::new(FileStore::open(dir.path("tables"))?);
+    MultiOpenOptions::new(durability_config())
+        .store(store)
+        .durable_dir(dir.path("meta"))
+        .recovery(recovery)
+        .open_or_recover()
+}
+
+/// The bytes a commit of `edits` as one group of `series` appends.
+fn group_bytes(series: Option<u32>, edits: &[ManifestEdit]) -> Vec<u8> {
+    let dir = TempDir::new(&format!("group-{series:?}"));
+    let path = dir.path("manifest");
+    let run: Vec<SsTableMeta> = edits
+        .iter()
+        .filter_map(|edit| match edit {
+            ManifestEdit::Add(meta) => Some(*meta),
+            _ => None,
+        })
+        .collect();
+    let live = [SeriesTables {
+        series,
+        run: &run,
+        l0: &[],
+    }];
+    let mut manifest = Manifest::open(&path).expect("open");
+    manifest
+        .commit_groups(&[(series, edits)], &live)
+        .expect("commit");
+    drop(manifest);
+    std::fs::read(&path).expect("read")
+}
+
+/// Two tables no store holds, added in one group.
+fn two_adds() -> [ManifestEdit; 2] {
+    let table = |id: u64| SsTableMeta {
+        id: SsTableId(id),
+        range: TimeRange::new(1_000_000, 1_000_099),
+        count: 10,
+    };
+    [
+        ManifestEdit::Add(table(90_000)),
+        ManifestEdit::Add(table(90_001)),
+    ]
+}
+
+fn append_bytes(path: &std::path::Path, bytes: &[u8]) {
+    let mut data = std::fs::read(path).expect("read");
+    data.extend_from_slice(bytes);
+    std::fs::write(path, data).expect("write");
+}
+
+fn is_corrupt<T>(result: seplsm::Result<T>) -> bool {
+    matches!(result, Err(Error::Corrupt(_)))
+}
+
+#[test]
+fn an_engine_refuses_a_fleet_s_manifest_and_a_fleet_an_engine_s() {
+    let modes = [RecoveryOptions::strict(), RecoveryOptions::salvage()];
+    let fleet = TempDir::new("refuse-fleet");
+    fleet_at_rest(&fleet);
+    let fleet_log = fleet.path("meta/fleet.manifest");
+    let engine = TempDir::new("refuse-engine");
+    engine_at_rest(&engine);
+    let engine_log = engine.path("manifest");
+    for recovery in modes {
+        // An engine handed a fleet's log: named groups, and nothing of the
+        // unnamed series.
+        let dir = TempDir::new("refuse-engine-opens-fleet");
+        engine_at_rest(&dir);
+        std::fs::copy(&fleet_log, dir.path("manifest")).expect("copy");
+        assert!(is_corrupt(open_engine(&dir, recovery)), "{recovery:?}");
+        // One named group behind an engine's own records.
+        let dir = TempDir::new("refuse-engine-named-group");
+        engine_at_rest(&dir);
+        append_bytes(&dir.path("manifest"), &group_bytes(Some(0), &two_adds()));
+        assert!(is_corrupt(open_engine(&dir, recovery)), "{recovery:?}");
+        // An older fleet layout's `series-<n>.manifest` is an engine's
+        // own log: one holding a named group is a fleet's.
+        let dir = TempDir::new("refuse-legacy-series");
+        fleet_at_rest(&dir);
+        std::fs::copy(&fleet_log, dir.path("meta/series-4.manifest"))
+            .expect("copy");
+        assert!(is_corrupt(open_fleet(&dir, recovery)), "{recovery:?}");
+        // A fleet handed an engine's log: bare records of no series.
+        let dir = TempDir::new("refuse-fleet-opens-engine");
+        fleet_at_rest(&dir);
+        std::fs::copy(&engine_log, dir.path("meta/fleet.manifest"))
+            .expect("copy");
+        assert!(is_corrupt(open_fleet(&dir, recovery)), "{recovery:?}");
+    }
+}
+
+#[test]
+fn manifest_records_dropped_counts_what_salvage_drops_and_nothing_else() {
+    // A torn group at the tail is a commit that never happened: strict
+    // recovery drops it silently, and the report is clean.
+    let dir = TempDir::new("dropped-engine-torn");
+    engine_at_rest(&dir);
+    let torn = group_bytes(None, &two_adds());
+    assert_eq!(torn.len(), 3 * RECORD, "a header and two records");
+    append_bytes(&dir.path("manifest"), &torn[..2 * RECORD + 7]);
+    let (engine, report) =
+        open_engine(&dir, RecoveryOptions::strict()).expect("strict");
+    assert_eq!(report.manifest_records_dropped, 0, "{report:?}");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(engine.scan_all().expect("scan").len(), 500);
+    drop(engine);
+
+    let dir = TempDir::new("dropped-fleet-torn");
+    fleet_at_rest(&dir);
+    let torn = group_bytes(Some(1), &two_adds());
+    append_bytes(&dir.path("meta/fleet.manifest"), &torn[..RECORD + 20]);
+    let (fleet, report) =
+        open_fleet(&dir, RecoveryOptions::strict()).expect("strict");
+    assert_eq!(report.manifest_records_dropped, 0, "{report:?}");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(fleet.series_ids().len(), 3);
+    drop(fleet);
+
+    // Damage in front of valid records: strict refuses, salvage keeps the
+    // prefix and counts every whole record behind it.
+    let dir = TempDir::new("dropped-engine-salvage");
+    engine_at_rest(&dir);
+    let path = dir.path("manifest");
+    let mut data = std::fs::read(&path).expect("read");
+    let records = data.len() / RECORD;
+    assert!(records > 2, "needs records behind the damage");
+    data[RECORD + 3] ^= 0xff; // the second table's record
+    std::fs::write(&path, &data).expect("corrupt");
+    assert!(is_corrupt(open_engine(&dir, RecoveryOptions::strict())));
+    let (_, report) =
+        open_engine(&dir, RecoveryOptions::salvage()).expect("salvage");
+    assert_eq!(report.manifest_records_dropped, (records - 1) as u64);
+    assert!(!report.is_clean());
+
+    let dir = TempDir::new("dropped-fleet-salvage");
+    fleet_at_rest(&dir);
+    let path = dir.path("meta/fleet.manifest");
+    let mut data = std::fs::read(&path).expect("read");
+    let records = data.len() / RECORD;
+    // The second series' group starts behind the first one's header and
+    // body; its header's id field counts the body.
+    let body = u64::from_le_bytes(data[1..9].try_into().expect("8 bytes"));
+    let second = (1 + body as usize) * RECORD;
+    assert!(
+        second + 2 * RECORD < data.len(),
+        "a group behind the damage"
+    );
+    data[second + RECORD + 3] ^= 0xff; // inside its body
+    std::fs::write(&path, &data).expect("corrupt");
+    assert!(is_corrupt(open_fleet(&dir, RecoveryOptions::strict())));
+    let (_, report) =
+        open_fleet(&dir, RecoveryOptions::salvage()).expect("salvage");
+    let kept = second / RECORD;
+    assert_eq!(report.manifest_records_dropped, (records - kept) as u64);
+    assert!(!report.is_clean());
 }

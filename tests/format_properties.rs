@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use seplsm::{DataPoint, TimeRange};
+use seplsm_lsm::manifest::SeriesTables;
 use seplsm_lsm::sstable::format::decode;
 use seplsm_lsm::sstable::{SsTableId, SsTableMeta};
 use seplsm_lsm::{Manifest, ManifestEdit, TableStore, Wal};
@@ -157,31 +158,43 @@ proptest! {
         ));
         let _ = std::fs::remove_file(&path);
         let mut reference: Vec<SsTableMeta> = Vec::new();
-        let mut edits = Vec::new();
-        for (add, id) in &ops {
-            if *add {
-                let meta = SsTableMeta {
-                    id: SsTableId(*id),
-                    range: TimeRange::new(*id as i64 * 100, *id as i64 * 100 + 99),
-                    count: 10,
-                };
-                edits.push(ManifestEdit::Add(meta));
-                reference.push(meta);
-            } else {
-                edits.push(ManifestEdit::Remove(SsTableId(*id)));
-                reference.retain(|m| m.id != SsTableId(*id));
-            }
-        }
         {
             // `group` = 1 writes the bare pre-group record format; larger
-            // values frame the same history as edit groups.
+            // values frame the same history as edit groups. Each commit
+            // weighs the log against the reference's tables, and may
+            // rewrite it from them.
             let mut manifest = Manifest::open(&path).expect("open");
-            for chunk in edits.chunks(group) {
-                manifest.commit(chunk).expect("commit");
+            for chunk in ops.chunks(group) {
+                let mut edits = Vec::new();
+                for (add, id) in chunk {
+                    if *add {
+                        let start = *id as i64 * 100;
+                        let meta = SsTableMeta {
+                            id: SsTableId(*id),
+                            range: TimeRange::new(start, start + 99),
+                            count: 10,
+                        };
+                        edits.push(ManifestEdit::Add(meta));
+                        reference.push(meta);
+                    } else {
+                        edits.push(ManifestEdit::Remove(SsTableId(*id)));
+                        reference.retain(|m| m.id != SsTableId(*id));
+                    }
+                }
+                let live = [SeriesTables {
+                    series: None,
+                    run: &reference,
+                    l0: &[],
+                }];
+                manifest
+                    .commit_groups(&[(None, &edits)], &live)
+                    .expect("commit");
             }
         }
-        let live = Manifest::replay(&path).expect("replay");
-        prop_assert_eq!(live, reference);
+        let (mut series, _) = Manifest::replay(&path, true).expect("replay");
+        let (run, l0) = series.remove(&None).unwrap_or_default();
+        prop_assert!(series.is_empty() && l0.is_empty());
+        prop_assert_eq!(run, reference);
         let _ = std::fs::remove_file(&path);
     }
 }
