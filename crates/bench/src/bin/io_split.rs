@@ -25,7 +25,11 @@
 //! it prints the `StoreRead` ops per read and, where
 //! `/proc/thread-self/io` counts them, the `read` syscalls and bytes per
 //! read: where the benchmark's `read_syscalls_per_op` and
-//! `read_bytes_per_op` come from. Next to the counts:
+//! `read_bytes_per_op` come from. For every workload it splits `StoreRead`
+//! by what was running when the op was issued: a write batch or the
+//! closing flush (merge inputs the pool of written tables missed), or a
+//! read. The background worker reads on its own thread, so its misses land
+//! in whichever of the two ran at the time. Next to the counts:
 //! the peaks, sampled after every batch, of what a horizon leaves for
 //! later — live tables not yet synced, which the store stages in memory,
 //! and their encoded bytes (`FileStore::staged_bytes`); durable inputs
@@ -534,6 +538,11 @@ fn main() -> Result<()> {
     let delta_t = paper_dataset(w.dataset).map_or(1, |d| d.delta_t);
     // Per read class: reads, `StoreRead` ops, and `read` syscalls and bytes.
     let mut by_class = [(0u64, 0u64, 0u64, 0u64); READ_CLASSES.len()];
+    // `StoreRead` ops issued while a write batch or the closing flush runs
+    // (merge inputs the pool of written tables missed), and while a read
+    // runs, with the count of those reads.
+    let store_reads = || plan.counts()[IoOp::StoreRead as usize];
+    let (mut write_reads, mut read_reads, mut read_ops) = (0, 0, 0);
     let start = Instant::now();
     for (b, chunk) in stream[preload..].chunks(batch).enumerate() {
         if let Some(interval) = pace {
@@ -547,18 +556,23 @@ fn main() -> Result<()> {
                 // Reading the kernel's counters is itself counted, so
                 // what one reading costs is measured next to each read.
                 let (a, b) = (thread_reads(), thread_reads());
-                let ops = plan.counts()[IoOp::StoreRead as usize];
+                let ops = store_reads();
                 let class = mix_read(e, &mut rng, newest[0], delta_t)?;
+                let issued = store_reads() - ops;
                 let row = &mut by_class[class];
                 row.0 += 1;
-                row.1 += plan.counts()[IoOp::StoreRead as usize] - ops;
+                row.1 += issued;
+                read_reads += issued;
+                read_ops += 1;
                 if let (Some(a), Some(b), Some(c)) = (a, b, thread_reads()) {
                     row.2 += (c.0 - b.0).saturating_sub(b.0 - a.0);
                     row.3 += (c.1 - b.1).saturating_sub(b.1 - a.1);
                 }
             }
         }
+        let ops = store_reads();
         engine.write_batch(chunk)?;
+        write_reads += store_reads() - ops;
         for &(series, p) in chunk {
             let n = &mut newest[series as usize];
             *n = (*n).max(p.gen_time);
@@ -573,7 +587,10 @@ fn main() -> Result<()> {
         };
         for series in hot {
             if newest[series as usize] != i64::MIN {
+                let ops = store_reads();
                 engine.query_recent(series, newest[series as usize])?;
+                read_reads += store_reads() - ops;
+                read_ops += 1;
             }
         }
         // Unsynced tables are the staged ones; the live names beyond the
@@ -587,7 +604,9 @@ fn main() -> Result<()> {
             log_live = log_live.max(stats.live_bytes);
         }
     }
+    let ops = store_reads();
     engine.close()?;
+    write_reads += store_reads() - ops;
     let after = plan.counts();
 
     let points = (stream.len() - preload) as f64;
@@ -611,6 +630,12 @@ fn main() -> Result<()> {
         "{:<16} {fsyncs:>8}  ({:.2}/kpoint)",
         "fsyncs",
         per_kpoint(fsyncs)
+    );
+    println!(
+        "StoreRead under writes {write_reads} ({:.2}/kpoint), under reads \
+         {read_reads} ({:.2}/read over {read_ops} reads)",
+        per_kpoint(write_reads),
+        read_reads as f64 / read_ops.max(1) as f64
     );
     if reads > 0 {
         println!("reads            n  StoreRead/read  syscalls/read  B/read");

@@ -445,7 +445,7 @@ impl Background {
         kind: open::Background,
         sstable_points: usize,
         store: &Arc<dyn TableStore>,
-        written: &Arc<Written>,
+        written: &Written,
         version: Version,
         obs: &ObserverHandle,
     ) -> Result<Self> {
@@ -471,7 +471,7 @@ impl Background {
         let (tx, rx) = bounded::<Batch>(CHANNEL_DEPTH);
         let worker = Arc::clone(&shared);
         let store = Arc::clone(store);
-        let written = Arc::clone(written);
+        let written = written.clone();
         let obs = obs.clone();
         let handle = std::thread::Builder::new()
             .name("seplsm-compaction".into())

@@ -45,9 +45,13 @@
 //! plans wrote. `write_outputs` therefore hands each plan's decoded outputs
 //! to the store's pool of written tables, and every merge-input fetch takes
 //! its table from there before it reads the store: what the paper counts
-//! is written exactly as before, only the read-back goes.
+//! is written exactly as before, only the read-back goes. A fleet's series
+//! share one pool; over budget the series holding the most points gives up
+//! its oldest table, so the next merge of a cold series still finds the
+//! tail it consumes however much the hot ones wrote since.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Result, TimeRange};
@@ -155,27 +159,83 @@ pub fn plan_merge(
 }
 
 /// The decoded output tables of the latest plans over one store, for the
-/// merges that are about to consume them: one per engine, one per fleet
+/// merges that are about to consume them: one pool per engine, one per fleet
 /// (its series share it as they share the store).
 ///
-/// A FIFO of `(id, points)` holding at most [`Written::TABLES`] full
-/// tables' worth of points. Ids are store-unique and tables immutable, so
-/// an entry is exact for as long as its table exists; a merge consumes the
-/// entries it takes, and entries no merge asks for age out. It is memory
-/// outside the paper's budget *n* and changes only what is read back:
-/// queries, audits and recovery still read the store.
-#[derive(Debug)]
+/// The pool holds `(id, points)` entries, at most [`Written::TABLES`] full
+/// tables' worth of points, each tagged with its *owner*: the series of a
+/// fleet that wrote it (`Some(series)`, the key of [`Share::series`]) or an
+/// engine's own pool (`None`). While the pool is over budget, the owner that
+/// holds the most points gives up its oldest entry, ties going to the lowest
+/// key. With one owner that is plain FIFO. In a fleet a series' next merge
+/// consumes its own latest tables, so the Zipf-hot series give up their
+/// surplus, not the cold series' run tails.
+///
+/// Ids are store-unique and tables immutable, so an entry is exact for as
+/// long as its table exists; a merge consumes the entries it takes, and
+/// entries no merge asks for are evicted. It is memory outside the paper's
+/// budget *n* and changes only what is read back: queries, audits and
+/// recovery still read the store.
+///
+/// A `Written` is a cheap handle on the pool: the owner whose tables it
+/// keeps and a shared reference to the pool ([`Written::for_series`]).
+#[derive(Debug, Clone)]
 pub(crate) struct Written {
+    /// The owner this handle keeps tables for.
+    series: Option<u32>,
+    pool: Arc<Pool>,
+}
+
+#[derive(Debug)]
+struct Pool {
     /// Points the pool may hold.
     budget: usize,
-    fifo: Mutex<Fifo>,
+    held: Mutex<Held>,
 }
 
 #[derive(Debug, Default)]
-struct Fifo {
+struct Held {
+    /// Per owner, its entries oldest first; an owner holding none is absent.
+    owners: BTreeMap<Option<u32>, Owned>,
+    /// The owner of every entry held.
+    owner_of: HashMap<SsTableId, Option<u32>>,
+    /// `Σ owners[o].points`.
+    points: usize,
+}
+
+#[derive(Debug, Default)]
+struct Owned {
     tables: VecDeque<(SsTableId, Vec<DataPoint>)>,
     /// `Σ tables[i].1.len()`.
     points: usize,
+}
+
+impl Held {
+    /// The owner that holds the most points, the lowest key among equals
+    /// (`max_by_key` keeps the last maximum it meets).
+    fn largest(&self) -> Option<Option<u32>> {
+        let owners = self.owners.iter().rev();
+        owners
+            .max_by_key(|(_, owned)| owned.points)
+            .map(|(owner, _)| *owner)
+    }
+
+    /// Removes the entry at position `at` of `owner`'s, oldest first.
+    fn remove(
+        &mut self,
+        owner: Option<u32>,
+        at: usize,
+    ) -> Option<Vec<DataPoint>> {
+        let owned = self.owners.get_mut(&owner)?;
+        let (id, points) = owned.tables.remove(at)?;
+        owned.points -= points.len();
+        if owned.tables.is_empty() {
+            self.owners.remove(&owner);
+        }
+        self.owner_of.remove(&id);
+        self.points -= points.len();
+        Some(points)
+    }
 }
 
 impl Written {
@@ -183,33 +243,49 @@ impl Written {
     /// paper's 512-point tables.
     pub(crate) const TABLES: usize = 64;
 
-    /// An empty pool for tables of `sstable_points`.
+    /// An empty pool for tables of `sstable_points`, and the handle of its
+    /// unnamed owner: an engine's own.
     pub(crate) fn new(sstable_points: usize) -> Self {
         Self {
-            budget: Self::TABLES.saturating_mul(sstable_points),
-            fifo: Mutex::default(),
+            series: None,
+            pool: Arc::new(Pool {
+                budget: Self::TABLES.saturating_mul(sstable_points),
+                held: Mutex::default(),
+            }),
         }
     }
 
-    /// Points the pool may hold: also how many points an inline engine's
-    /// flushes may take out of memory before its next horizon is due.
+    /// The handle through which fleet series `series` keeps its tables in
+    /// this pool.
+    pub(crate) fn for_series(&self, series: u32) -> Self {
+        Self {
+            series: Some(series),
+            pool: Arc::clone(&self.pool),
+        }
+    }
+
+    /// Points the pool may hold: also how many points an engine's (or a
+    /// fleet's) flushes may take out of memory before its next horizon is
+    /// due.
     pub(crate) fn budget(&self) -> usize {
-        self.budget
+        self.pool.budget
     }
 
-    /// Keeps `tables`, just written, then lets the oldest entries go until
-    /// the pool is back within its budget.
+    /// Keeps `tables`, just written by this handle's owner, then lets the
+    /// largest holder's oldest entries go until the pool is back within its
+    /// budget.
     fn keep(&self, tables: impl Iterator<Item = (SsTableId, Vec<DataPoint>)>) {
-        let mut fifo = self.fifo.lock();
+        let mut held = self.pool.held.lock();
         for (id, points) in tables {
-            fifo.points += points.len();
-            fifo.tables.push_back((id, points));
+            held.points += points.len();
+            held.owner_of.insert(id, self.series);
+            let owned = held.owners.entry(self.series).or_default();
+            owned.points += points.len();
+            owned.tables.push_back((id, points));
         }
-        while fifo.points > self.budget {
-            let Some((_, points)) = fifo.tables.pop_front() else {
-                break;
-            };
-            fifo.points -= points.len();
+        while held.points > self.pool.budget {
+            let Some(owner) = held.largest() else { break };
+            held.remove(owner, 0);
         }
     }
 
@@ -230,11 +306,11 @@ impl Written {
     }
 
     fn take(&self, id: SsTableId) -> Option<Vec<DataPoint>> {
-        let mut fifo = self.fifo.lock();
-        let at = fifo.tables.iter().position(|(held, _)| *held == id)?;
-        let (_, points) = fifo.tables.remove(at)?;
-        fifo.points -= points.len();
-        Some(points)
+        let mut held = self.pool.held.lock();
+        let owner = *held.owner_of.get(&id)?;
+        let owned = held.owners.get(&owner)?;
+        let at = owned.tables.iter().position(|(held, _)| *held == id)?;
+        held.remove(owner, at)
     }
 }
 
@@ -1012,10 +1088,62 @@ mod tests {
     use crate::store::MemStore;
     use std::sync::Arc;
 
-    /// The ids the pool holds, oldest first, and its point total.
+    /// The ids the pool holds, owner by owner in key order and oldest
+    /// first within each, and its point total.
     fn held(written: &Written) -> (Vec<SsTableId>, usize) {
-        let fifo = written.fifo.lock();
-        (fifo.tables.iter().map(|(id, _)| *id).collect(), fifo.points)
+        let held = written.pool.held.lock();
+        let ids = held
+            .owners
+            .values()
+            .flat_map(|owned| owned.tables.iter().map(|(id, _)| *id));
+        (ids.collect(), held.points)
+    }
+
+    /// Table `id` of `size` points.
+    fn table(id: u64, size: usize) -> (SsTableId, Vec<DataPoint>) {
+        (SsTableId(id), pts(&[0, 1][..size]))
+    }
+
+    fn ids(ids: impl IntoIterator<Item = u64>) -> Vec<SsTableId> {
+        ids.into_iter().map(SsTableId).collect()
+    }
+
+    #[test]
+    fn the_largest_holder_gives_up_its_oldest_entry_first() {
+        let pool = Written::new(2);
+        let budget = pool.budget() as u64;
+        let (cold, hot) = (pool.for_series(1), pool.for_series(2));
+        cold.keep([table(0, 1), table(1, 1)].into_iter());
+        // The hot series writes twice the budget, a table at a time: it
+        // gives up its own oldest tables, never the cold series' two.
+        for id in 2..2 + budget {
+            hot.keep(std::iter::once(table(id, 2)));
+        }
+        let newest = 2 + budget - (budget - 2) / 2;
+        let expected = ids((0..2).chain(newest..2 + budget));
+        assert_eq!(held(&pool), (expected, budget as usize));
+        // A take finds its entry whoever owns it, and the entry leaves.
+        assert_eq!(hot.take(SsTableId(0)), Some(pts(&[0])));
+        assert_eq!(cold.take(SsTableId(0)), None);
+
+        // Equal holders: the lowest series key gives up first.
+        let pool = Written::new(2);
+        let (three, four, five) =
+            (pool.for_series(3), pool.for_series(4), pool.for_series(5));
+        four.keep((0..32).map(|id| table(id, 2)));
+        three.keep((32..64).map(|id| table(id, 2)));
+        five.keep(std::iter::once(table(64, 2)));
+        let expected = ids((33..64).chain(0..32).chain([64]));
+        assert_eq!(held(&pool).0, expected, "series 3 gave up table 32");
+        five.keep(std::iter::once(table(65, 2)));
+        let expected = ids((33..64).chain(1..32).chain([64, 65]));
+        assert_eq!(held(&pool).0, expected, "then series 4, now larger");
+
+        // A single owner, named or not, evicts in FIFO order.
+        let only = Written::new(1).for_series(9);
+        let tables = Written::TABLES as u64;
+        only.keep((0..=tables).map(|id| table(id, 1)));
+        assert_eq!(held(&only), (ids(1..=tables), Written::TABLES));
     }
 
     #[test]

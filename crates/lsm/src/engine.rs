@@ -245,7 +245,7 @@ pub struct Front {
     pub(crate) store: Arc<dyn TableStore>,
     /// The store's pool of written tables, where merge inputs are taken
     /// from first.
-    pub(crate) written: Arc<Written>,
+    pub(crate) written: Written,
     /// Typed event sink; detached unless set through
     /// [`EngineBuilder::observer`].
     pub(crate) obs: ObserverHandle,

@@ -6,7 +6,10 @@
 //! [`SeriesId`] gets its own MemTables, level-1 run and metrics (so policies
 //! can differ per series), while all series share one [`TableStore`] — and
 //! the one pool of tables lately written to it, which their merges take
-//! their inputs from before they read the store.
+//! their inputs from before they read the store. Each series keeps its
+//! tables there under its own key, and while the pool is over budget the
+//! series holding the most points gives up its oldest table: a hot series
+//! pays for its own surplus, not with a cold series' run tail.
 //!
 //! With [`MultiOpenOptions::durable_dir`] the collection is durable: one
 //! write-ahead log (`fleet.wal`, every frame tagged with its series) and one
@@ -92,10 +95,11 @@ impl std::fmt::Display for SeriesId {
 /// A collection of independently-buffered series over one shared store.
 pub struct MultiSeriesEngine {
     store: Arc<dyn TableStore>,
-    /// The pool of written tables over `store`, shared like the store: a
-    /// merge of one series finds the tables that series wrote whoever
-    /// wrote last.
-    written: Arc<Written>,
+    /// The pool of written tables over `store`, shared like the store;
+    /// each series keeps its tables through `Written::for_series`, so a
+    /// merge of one series finds the tables that series wrote lately
+    /// however much the others wrote since.
+    written: Written,
     template: EngineConfig,
     series: HashMap<SeriesId, LsmEngine>,
     /// When set, the fleet log and the fleet manifest live under this
@@ -291,16 +295,20 @@ fn live_tables(series: &HashMap<SeriesId, LsmEngine>) -> Vec<SeriesTables<'_>> {
 }
 
 impl MultiSeriesEngine {
-    /// The builder one series of this collection opens through: the
-    /// template configuration over the shared store and the store's pool of
-    /// written tables, reporting to the collection's observer, with neither
-    /// log nor manifest — a durable collection keeps both for it and
-    /// commits its flushes, and hands a recovering series the `levels` its
-    /// manifest holds for it.
-    fn series_options(&self, levels: Option<Levels>) -> OpenOptions {
+    /// The builder `series` of this collection opens through: the template
+    /// configuration over the shared store and the series' handle on the
+    /// store's pool of written tables, reporting to the collection's
+    /// observer, with neither log nor manifest — a durable collection keeps
+    /// both for it and commits its flushes, and hands a recovering series
+    /// the `levels` its manifest holds for it.
+    fn series_options(
+        &self,
+        series: SeriesId,
+        levels: Option<Levels>,
+    ) -> OpenOptions {
         let mut options = OpenOptions::new(self.template.clone())
             .store(Arc::clone(&self.store));
-        options.written = Arc::clone(&self.written);
+        options.written = self.written.for_series(series.0);
         options.observer = self.obs.clone();
         options.kind.owner_commits = self.durable_dir.is_some();
         options.kind.levels = levels;
@@ -310,7 +318,7 @@ impl MultiSeriesEngine {
     /// The engine of `series`, opened fresh on first use.
     fn series_mut(&mut self, series: SeriesId) -> Result<&mut LsmEngine> {
         if !self.series.contains_key(&series) {
-            let engine = self.series_options(None).open()?;
+            let engine = self.series_options(series, None).open()?;
             self.series.insert(series, engine);
         }
         self.series
@@ -440,7 +448,7 @@ impl MultiSeriesEngine {
         }
         for (id, levels) in levels {
             let (engine, series_report) = self
-                .series_options(Some(levels))
+                .series_options(SeriesId(id), Some(levels))
                 .recovery(per_series)
                 .open_or_recover()?;
             report.merge(series_report);

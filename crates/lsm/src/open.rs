@@ -156,7 +156,7 @@ pub struct EngineBuilder<K> {
     faults: Option<Arc<FaultPlan>>,
     pub(crate) observer: ObserverHandle,
     /// The engine's pool of written tables (a fleet series: its fleet's).
-    pub(crate) written: Arc<Written>,
+    pub(crate) written: Written,
     pub(crate) kind: K,
 }
 
@@ -180,7 +180,7 @@ impl<K: Kind> EngineBuilder<K> {
     /// template every new series starts from).
     pub fn new(config: EngineConfig) -> Self {
         Self {
-            written: Arc::new(Written::new(config.sstable_points)),
+            written: Written::new(config.sstable_points),
             config,
             store: None,
             cache: None,

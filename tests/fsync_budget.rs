@@ -1382,3 +1382,42 @@ fn fleet_series_on_one_store_merge_without_reading_it() {
     assert_eq!(fleet.combined_metrics().compactions, 2);
     fleet.sync_wal_all().expect("sync");
 }
+
+#[test]
+fn a_cold_series_merges_without_reading_back_what_a_hot_series_wrote_since() {
+    let dir = TempDir::new("inputs-fleet-skew");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let tables = store(&dir, &plan);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // Series 1 writes two tables, and a horizon makes them files.
+    for i in 0..8 {
+        fleet.append(SeriesId(1), point(i * 10)).expect("append");
+    }
+    fleet.flush_all().expect("horizon");
+    assert_eq!(tables.staged_tables(), 0);
+    // Series 2 then flushes more in-order points than the pool holds
+    // (64 tables of 4 points): the pool's largest holder, it gives up its
+    // own oldest tables, not series 1's.
+    for i in 0..(64 * 4 + 48) {
+        fleet.append(SeriesId(2), point(i * 10)).expect("append");
+    }
+    assert_eq!(fleet.engine(SeriesId(2)).expect("series 2").run().len(), 76);
+    // Series 1's stragglers merge into its two tables, taken from the pool.
+    let before = plan.ops() as usize;
+    for i in 0..8 {
+        fleet
+            .append(SeriesId(1), point(i * 10 + 5))
+            .expect("append");
+    }
+    let ops = &plan.trace()[before..];
+    assert_eq!(input_reads(ops), 0, "{ops:?}");
+    assert_eq!(fleet.combined_metrics().compactions, 1);
+    fleet.sync_wal_all().expect("sync");
+}
