@@ -21,10 +21,8 @@
 //! I/O (seplint rule R3). The background executor owns the blocking — a
 //! stalled append waits on the flush condvar and re-consults the
 //! controller per wakeup; each consult while stalled charges one stall
-//! tick, so a tick counts a wakeup of a writer that really waited. The
-//! controller never answers [`AdmissionOutcome::Delayed`]: that is the
-//! fleet's, for a series whose flush missed the pool's current wave and
-//! waits for the next one ([`DEFAULT_FLUSH_QUEUE_DEPTH`]).
+//! tick, so a tick counts a wakeup of a writer that really waited. Nothing
+//! else holds a write back: a fleet flushes all of its series in one pass.
 
 use seplsm_types::{Error, Result};
 
@@ -38,11 +36,6 @@ pub const DEFAULT_RESUME_DEPTH: usize = 8;
 
 /// Default stop watermark: combined depth at which appends stall.
 pub const DEFAULT_STOP_DEPTH: usize = 16;
-
-/// Default depth bound on the multi-series flush queue: at most this many
-/// series are outstanding in the flush pool at once; further series wait
-/// for the next wave and surface as [`AdmissionOutcome::Delayed`].
-pub const DEFAULT_FLUSH_QUEUE_DEPTH: usize = 8;
 
 /// The resume / stop watermark pair admission decisions are made
 /// against. Invariant: `0 < resume < stop`.
@@ -110,19 +103,12 @@ impl AdmissionDepth {
     }
 }
 
-/// What admission decided about one append. The background executor
-/// answers `Admitted` or `Stalled`; only a fleet's flush waves answer
-/// `Delayed`.
+/// What admission decided about one append: only the background executor
+/// ever answers `Stalled`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionOutcome {
     /// Nothing held the append back.
     Admitted,
-    /// The fleet held `ticks` series' flushes over for a later wave of
-    /// its flush pool.
-    Delayed {
-        /// Series flushes that waited for a later wave.
-        ticks: u64,
-    },
     /// At or above the stop watermark (or a stall is still draining):
     /// the writer must wait and re-consult.
     Stalled,

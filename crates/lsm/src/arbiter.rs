@@ -24,9 +24,11 @@
 //!   [`ArbiterConfig::floor_points`]. Integer-division remainders are
 //!   folded into the cache share, never lost.
 //! * **Mechanism only**: the arbiter decides *capacities*; applying them
-//!   (policy migration via `set_policy`, cache resizing) is the fleet
-//!   engine's job, which is also where the typed
-//!   [`Event`](crate::obs::Event)s are emitted.
+//!   (policy migration via `set_policy`) is the fleet engine's job, which
+//!   is also where the typed [`Event`](crate::obs::Event)s are emitted.
+//!   The cache share is held back from the series and reported (in
+//!   `ArbiterRebalance` and [`ArbiterStats`]), not applied: nothing
+//!   resizes the block cache, whose capacity is fixed at open.
 //!
 //! Heat is held in fixed-point units of [`HEAT_UNIT`] (1/256ths of a
 //! point) so decay keeps fractional residue without floating point.

@@ -45,13 +45,11 @@ pub struct Metrics {
     pub tables_created: u64,
     /// SSTables deleted by compactions.
     pub tables_deleted: u64,
-    /// Series flushes a fleet held over for a later wave of its flush pool
-    /// (admission `Delayed`); 0 on a single-series engine.
+    /// Always 0: nothing delays an append short of a write stall.
     pub delayed_appends: u64,
     /// Write-stall episodes (stop watermark reached).
     pub write_stalls: u64,
-    /// Stalled consults (one per wakeup of a writer waiting out a stall),
-    /// plus a fleet's delayed flushes.
+    /// Stalled consults (one per wakeup of a writer waiting out a stall).
     pub stall_ticks: u64,
     /// Per-compaction count of *subsequent data points* on disk at the moment
     /// the compaction started (Definition 4) — the quantity the ζ-model

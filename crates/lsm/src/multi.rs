@@ -30,7 +30,7 @@
 //! (`Written::TABLES` tables' worth) out of memory since the last one —
 //! checked at [`MultiSeriesEngine::sync_wal_all`] — or once more than
 //! `MAX_UNCOMMITTED_TABLES` live tables wait unsynced — checked there and
-//! after every append — and it runs at each wave barrier of
+//! after every append — and it runs once at the end of
 //! [`MultiSeriesEngine::flush_all`] and at the end of recovery:
 //!
 //! 1. one fsync per table that is still live and unsynced, in every series;
@@ -60,7 +60,7 @@
 //! the series it names. New and recovered series alike are opened through
 //! the single-series [`OpenOptions`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -101,7 +101,8 @@ pub struct MultiSeriesEngine {
     /// however much the others wrote since.
     written: Written,
     template: EngineConfig,
-    series: HashMap<SeriesId, LsmEngine>,
+    /// Every series' engine, in ascending id order.
+    series: BTreeMap<SeriesId, LsmEngine>,
     /// When set, the fleet log and the fleet manifest live under this
     /// directory.
     durable_dir: Option<PathBuf>,
@@ -113,13 +114,9 @@ pub struct MultiSeriesEngine {
     fleet_manifest: Option<Manifest>,
     /// Event sink cloned into every series engine (current and future).
     obs: ObserverHandle,
-    /// Upper bound on flush worker threads (1 = sequential, no spawning).
+    /// Upper bound on the threads `flush_all` flushes on, the caller's
+    /// included (1 = no spawning).
     workers: usize,
-    /// At most this many series are outstanding in the flush pool at once.
-    flush_queue_depth: usize,
-    /// Cumulative flush waves (and inline fallbacks) that had to wait on
-    /// the depth-bounded queue — the fleet-level `Delayed` count.
-    fleet_delayed_waves: u64,
     /// The fleet memory arbiter, when opened with
     /// [`MultiOpenOptions::arbiter`]. Behind a `Mutex` only because the
     /// (read-only) query path records heat; the lock is always dropped
@@ -162,14 +159,12 @@ impl Kind for Fleet {
             store,
             written: options.written,
             template: options.config,
-            series: HashMap::new(),
+            series: BTreeMap::new(),
             durable_dir: fleet.durable_dir,
             wal: None,
             fleet_manifest: None,
             obs: options.observer,
             workers: fleet.workers,
-            flush_queue_depth: fleet.flush_queue_depth,
-            fleet_delayed_waves: 0,
             arbiter: None,
             fleet_retunes: 0,
         };
@@ -285,13 +280,13 @@ fn fold_series_logs(
 
 /// Every series' live tables, in ascending series order: what a rewrite of
 /// the fleet manifest records.
-fn live_tables(series: &HashMap<SeriesId, LsmEngine>) -> Vec<SeriesTables<'_>> {
-    let mut live: Vec<SeriesTables<'_>> = series
+fn live_tables(
+    series: &BTreeMap<SeriesId, LsmEngine>,
+) -> Vec<SeriesTables<'_>> {
+    series
         .iter()
         .map(|(id, engine)| engine.version().series_tables(Some(id.0)))
-        .collect();
-    live.sort_by_key(|tables| tables.series);
-    live
+        .collect()
 }
 
 impl MultiSeriesEngine {
@@ -340,13 +335,10 @@ impl MultiSeriesEngine {
     /// Every series' still-buffered points, in ascending series order: what
     /// a cut of the fleet log must carry over.
     fn wal_survivors(&self) -> Vec<(u32, Vec<DataPoint>)> {
-        let mut survivors: Vec<(u32, Vec<DataPoint>)> = self
-            .series
+        self.series
             .iter()
             .map(|(id, engine)| (id.0, engine.buffered_snapshot()))
-            .collect();
-        survivors.sort_by_key(|(series, _)| *series);
-        survivors
+            .collect()
     }
 
     /// The horizon (see the module docs): makes everything the series'
@@ -366,12 +358,10 @@ impl MultiSeriesEngine {
         let Some(fleet_manifest) = self.fleet_manifest.as_mut() else {
             return Ok(());
         };
-        let mut engines: Vec<(&SeriesId, &mut LsmEngine)> =
-            self.series.iter_mut().collect();
-        engines.sort_by_key(|(id, _)| **id);
-        let ids: Vec<SeriesId> = engines.iter().map(|(id, _)| **id).collect();
-        let mut shares: Vec<_> = engines
-            .into_iter()
+        let ids: Vec<SeriesId> = self.series.keys().copied().collect();
+        let mut shares: Vec<_> = self
+            .series
+            .iter_mut()
             .map(|(id, engine)| engine.share(id.0))
             .collect();
         let flushed = compaction::horizon(
@@ -532,9 +522,7 @@ impl MultiSeriesEngine {
 
     /// The hosted series ids, in ascending order.
     pub fn series_ids(&self) -> Vec<SeriesId> {
-        let mut ids: Vec<SeriesId> = self.series.keys().copied().collect();
-        ids.sort();
-        ids
+        self.series.keys().copied().collect()
     }
 
     /// The engine behind `series`, if it exists.
@@ -738,76 +726,30 @@ impl MultiSeriesEngine {
             .and_then(|a| a.lock().capacity_of(series.0))
     }
 
-    /// The configured flush worker bound (1 = sequential).
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
-    /// Cumulative flush waves (and inline fallbacks) that waited on the
-    /// depth-bounded queue since open — the fleet-level `Delayed` count.
+    /// Always 0: `flush_all` flushes every series in one pass, and no
+    /// series' flush waits for another's.
     pub fn fleet_delayed_waves(&self) -> u64 {
-        self.fleet_delayed_waves
+        0
     }
 
-    /// Flushes every series in ascending [`SeriesId`] order, admitting at
-    /// most [`DEFAULT_FLUSH_QUEUE_DEPTH`](crate::admission::DEFAULT_FLUSH_QUEUE_DEPTH)
-    /// series into the flush queue
-    /// per *wave*. Each wave drains completely before the next is admitted;
-    /// every wave after the first counts one logical tick of backpressure,
-    /// emits [`Event::AdmissionDelayed`], and turns the returned outcome
-    /// into [`AdmissionOutcome::Delayed`] — callers observe queue pressure
-    /// as typed admission feedback, never as silent inline degradation.
-    ///
-    /// With [`MultiOpenOptions::workers`] above 1 (and more than one series to
-    /// flush) the series of a wave fan out across a bounded pool of
-    /// short-lived worker threads. Each series is still flushed by exactly
-    /// one thread, and each worker emits into a private per-series capture
-    /// that the wave barrier replays in ascending id order, so the wave
-    /// schedule, per-series contents, summed metrics *and the emitted
-    /// event trace* are identical for every worker count, durable fleet or
-    /// not; only wall-clock changes. With the default of 1 worker no thread
-    /// is ever spawned.
-    ///
-    /// The fleet log and the fleet manifest never enter the pool: each wave
-    /// barrier is a horizon on this thread, and once every wave has drained
-    /// the log is cut to its header and the manifest sheds its dead
-    /// records.
+    /// Flushes every series in one pass, then runs the fleet's horizon
+    /// once; the log is then cut to its header and the manifest sheds its
+    /// dead records. With [`MultiOpenOptions::workers`] above 1 the pass
+    /// fans out across a bounded pool of threads, the caller's among them,
+    /// and per-series contents, summed metrics *and the emitted event
+    /// trace* are identical for every worker count, durable fleet or not;
+    /// only wall-clock changes. The fleet log and the fleet manifest never
+    /// enter the pool: the horizon runs on the caller's thread.
     ///
     /// # Errors
-    /// Storage failures. Every series of every wave gets its flush attempt
-    /// and what succeeded is committed, whatever the worker count; the
-    /// error returned is the first one met — within a wave that of the
-    /// lowest failing [`SeriesId`] — and the log is then left uncut.
+    /// Storage failures. Every series gets its flush attempt and what
+    /// succeeded is committed, whatever the worker count; the error
+    /// returned is that of the lowest failing [`SeriesId`], else the
+    /// horizon's, and the log is then left uncut.
     pub fn flush_all(&mut self) -> Result<AdmissionOutcome> {
-        let ids = self.series_ids();
-        let pooled = self.workers > 1 && ids.len() > 1;
-        let mut delayed = 0u64;
-        let mut first_error: Option<Error> = None;
-        for (w, wave) in ids.chunks(self.flush_queue_depth.max(1)).enumerate() {
-            if w > 0 {
-                // The queue is full: this wave waited for the previous one
-                // to drain. One logical tick per extra wave, emitted from
-                // the single-threaded dispatcher so the trace position is
-                // the same for every worker count.
-                delayed += 1;
-                self.fleet_delayed_waves += 1;
-                self.obs.emit(|| Event::AdmissionDelayed { ticks: 1 });
-            }
-            let flushed = if pooled {
-                self.flush_wave_pooled(wave, &mut delayed)
-            } else {
-                self.flush_wave(wave)
-            };
-            let committed = self.commit_pending();
-            for outcome in [flushed, committed] {
-                if let (None, Err(err)) = (&first_error, outcome) {
-                    first_error = Some(err);
-                }
-            }
-        }
-        if let Some(err) = first_error {
-            return Err(err);
-        }
+        let flushed = self.flush_series();
+        let committed = self.commit_pending();
+        flushed.and(committed)?;
         // The fleet comes to rest here: the manifest sheds its dead
         // records and, nothing being buffered any more, the log is cut to
         // its header.
@@ -817,50 +759,26 @@ impl MultiSeriesEngine {
         if let Some(wal) = self.wal.as_mut() {
             wal.rewrite(&[])?;
         }
-        if delayed > 0 {
-            Ok(AdmissionOutcome::Delayed { ticks: delayed })
-        } else {
-            Ok(AdmissionOutcome::Admitted)
-        }
+        Ok(AdmissionOutcome::Admitted)
     }
 
-    /// The single-worker arm of one [`MultiSeriesEngine::flush_all`] wave:
-    /// every series of the wave is flushed on this thread, in ascending id
-    /// order, whether or not an earlier one failed.
-    fn flush_wave(&mut self, wave: &[SeriesId]) -> Result<()> {
-        let mut first_error = None;
-        for id in wave {
-            if let Some(Err(err)) =
-                self.series.get_mut(id).map(LsmEngine::flush_all)
-            {
-                first_error.get_or_insert(err);
-            }
-        }
-        first_error.map_or(Ok(()), Err)
-    }
-
-    /// The multi-worker arm of one [`MultiSeriesEngine::flush_all`] wave:
-    /// the wave's engines are borrowed from the map and dealt round-robin,
-    /// in ascending id order, to `min(workers, wave)` scoped threads
-    /// (`seplsm-fleet-<w>`); leaving the scope is the wave barrier. A
-    /// worker that could not be spawned leaves its series unflushed: each
-    /// surfaces as one `Delayed` tick (with an [`Event::AdmissionDelayed`])
-    /// and is flushed on the caller thread, so no backpressure goes
-    /// unreported.
-    fn flush_wave_pooled(
-        &mut self,
-        wave: &[SeriesId],
-        delayed: &mut u64,
-    ) -> Result<()> {
-        let capturing = self.obs.is_attached();
-        // Per series: id, engine, the private capture its worker emits into
-        // (replayed in ascending id order below, so the observed trace
-        // never depends on thread scheduling) and the flush outcome.
+    /// The flush pass of [`MultiSeriesEngine::flush_all`]: the series, in
+    /// ascending id order, are dealt round-robin to `min(workers, series)`
+    /// shares; the caller's thread flushes share 0 and a scoped thread
+    /// (`seplsm-fleet-<w>`) each other share. A share whose thread could
+    /// not be spawned is flushed on the caller's thread after the others.
+    /// Every series is flushed whether or not another failed; the error
+    /// returned is that of the lowest failing series.
+    fn flush_series(&mut self) -> Result<()> {
+        let share_count = self.workers.min(self.series.len()).max(1);
+        let capturing = share_count > 1 && self.obs.is_attached();
+        // Per series: engine, the private capture it emits into (replayed
+        // in ascending id order below, so the observed trace never depends
+        // on thread scheduling) and the flush outcome.
         let mut slots: Vec<_> =
             self.series
-                .iter_mut()
-                .filter(|(id, _)| wave.contains(id))
-                .map(|(id, engine)| {
+                .values_mut()
+                .map(|engine| {
                     let capture = capturing.then(|| {
                         let capture = Arc::new(CaptureSink::default());
                         engine.front.obs = ObserverHandle::attached(
@@ -868,44 +786,41 @@ impl MultiSeriesEngine {
                         );
                         capture
                     });
-                    (*id, engine, capture, None::<Result<()>>)
+                    (engine, capture, None::<Result<()>>)
                 })
                 .collect();
-        slots.sort_by_key(|slot| slot.0);
-        let worker_count = self.workers.min(slots.len());
-        std::thread::scope(|scope| {
-            let mut shares: Vec<Vec<_>> =
-                (0..worker_count).map(|_| Vec::new()).collect();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                shares[i % worker_count].push(slot);
+        let mut shares: Vec<Vec<_>> =
+            (0..share_count).map(|_| Vec::new()).collect();
+        for (i, slot) in slots.iter_mut().enumerate() {
+            shares[i % share_count].push(slot);
+        }
+        let flush = |share: Vec<&mut (&mut LsmEngine, _, Option<_>)>| {
+            for (engine, _, outcome) in share {
+                *outcome = Some(engine.flush_all());
             }
-            for (w, share) in shares.into_iter().enumerate() {
+        };
+        std::thread::scope(|scope| {
+            let mut shares = shares.into_iter().enumerate();
+            let own = shares.next();
+            for (w, share) in shares {
                 // A failed spawn drops its share with no outcome recorded.
                 let _ = std::thread::Builder::new()
                     .name(format!("seplsm-fleet-{w}"))
-                    .spawn_scoped(scope, move || {
-                        for (_, engine, _, outcome) in share {
-                            *outcome = Some(engine.flush_all());
-                        }
-                    });
+                    .spawn_scoped(scope, move || flush(share));
+            }
+            if let Some((_, share)) = own {
+                flush(share);
             }
         });
-        for (_, engine, _, outcome) in &mut slots {
-            if outcome.is_none() {
-                *delayed += 1;
-                self.fleet_delayed_waves += 1;
-                self.obs.emit(|| Event::AdmissionDelayed { ticks: 1 });
-                *outcome = Some(engine.flush_all());
-            }
-        }
         let mut first_error = None;
-        for (_, engine, capture, outcome) in slots {
+        for (engine, capture, outcome) in slots {
+            let outcome = outcome.unwrap_or_else(|| engine.flush_all());
             if let Some(capture) = capture {
                 engine.front.obs = self.obs.clone();
                 capture.replay_into(&self.obs);
             }
-            if let (None, Some(Err(err))) = (&first_error, outcome) {
-                first_error = Some(err);
+            if let Err(err) = outcome {
+                first_error.get_or_insert(err);
             }
         }
         first_error.map_or(Ok(()), Err)
@@ -943,25 +858,20 @@ impl MultiSeriesEngine {
     /// The full kernel [`Metrics`] summed across every series
     /// ([`Metrics::absorb`], in ascending series order: the per-engine
     /// series follow one another, so `windowed_wa` of the sum means
-    /// nothing), plus the fleet-level flush-queue delays (which belong to
-    /// no single series) folded into `delayed_appends`/`stall_ticks`.
+    /// nothing).
     pub fn combined_metrics(&self) -> Metrics {
         let mut sum = Metrics::default();
-        for id in self.series_ids() {
-            if let Some(engine) = self.series.get(&id) {
-                sum.absorb(engine.metrics());
-            }
+        for engine in self.series.values() {
+            sum.absorb(engine.metrics());
         }
-        sum.delayed_appends += self.fleet_delayed_waves;
-        sum.stall_ticks += self.fleet_delayed_waves;
         sum
     }
 }
 
-/// Buffers one series' kernel events while a flush worker owns its engine;
-/// the wave barrier replays them into the shared sink in ascending
-/// [`SeriesId`] order, making pooled flush traces independent of thread
-/// scheduling and worker count.
+/// Buffers one series' kernel events while the flush pool runs; the end of
+/// the pass replays them into the shared sink in ascending [`SeriesId`]
+/// order, making pooled flush traces independent of thread scheduling and
+/// worker count.
 #[derive(Default)]
 struct CaptureSink {
     events: Mutex<Vec<Event>>,
@@ -988,6 +898,7 @@ mod tests {
     use super::*;
     use crate::arbiter::ArbiterConfig;
     use crate::open::MultiOpenOptions as OpenOptions;
+    use std::collections::BTreeSet;
 
     fn config() -> EngineConfig {
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(8)
@@ -1272,13 +1183,12 @@ mod tests {
         m
     }
 
-    /// Like [`flushed_fleet`] but with an explicit queue depth and a ring
-    /// observer — durable under `dir` when one is given: returns the fleet
-    /// plus the full emitted event trace.
+    /// Like [`flushed_fleet`] but with a ring observer — durable under
+    /// `dir` when one is given: returns the fleet plus the full emitted
+    /// event trace.
     fn traced_fleet(
         dir: Option<&Path>,
         workers: usize,
-        depth: usize,
         points: &[(u32, i64)],
     ) -> (MultiSeriesEngine, Vec<Event>) {
         let ring = crate::obs::RingBufferSink::new(1 << 16);
@@ -1288,7 +1198,6 @@ mod tests {
         if let Some(dir) = dir {
             options = options.durable_dir(dir);
         }
-        options.kind.flush_queue_depth = depth;
         let mut m = options.open().expect("open");
         for &(series, tg) in points {
             m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
@@ -1303,11 +1212,10 @@ mod tests {
     /// the traced window.
     fn traced_arbiter_fleet(
         workers: usize,
-        depth: usize,
         points: &[(u32, i64)],
     ) -> (MultiSeriesEngine, Vec<Event>) {
         let ring = crate::obs::RingBufferSink::new(1 << 16);
-        let mut options = OpenOptions::new(config())
+        let options = OpenOptions::new(config())
             .workers(workers)
             .observer(ring.clone())
             .arbiter(
@@ -1315,7 +1223,6 @@ mod tests {
                     .with_floor(8)
                     .with_rebalance_every(16),
             );
-        options.kind.flush_queue_depth = depth;
         let mut m = options.open().expect("open");
         for &(series, tg) in points {
             m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
@@ -1325,34 +1232,22 @@ mod tests {
         (m, ring.events())
     }
 
-    /// A store whose first table write holding points of `victim` — points
-    /// here carry their series as their value — fails, once, after
-    /// [`FailOnce::arm`]: which series' flush fails does not depend on
-    /// which thread gets to the store first.
-    struct FailOnce {
+    /// A store that hands the series of every table write to `hook` first
+    /// — points here carry their series as their value — and fails the
+    /// write when the hook does: which series a hook sees does not depend
+    /// on which thread gets to the store first.
+    struct Hooked<F> {
         inner: crate::store::MemStore,
-        victim: f64,
-        armed: std::sync::atomic::AtomicBool,
+        hook: F,
     }
 
-    impl FailOnce {
-        fn arm(&self) {
-            self.armed.store(true, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-
-    impl TableStore for FailOnce {
+    impl<F: Fn(u32) -> Result<()> + Send + Sync> TableStore for Hooked<F> {
         fn put(
             &self,
             points: &[DataPoint],
         ) -> Result<(crate::sstable::SsTableMeta, usize)> {
-            let hit = points.first().is_some_and(|p| p.value == self.victim);
-            if hit
-                && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst)
-            {
-                return Err(Error::Io(std::io::Error::other(
-                    "injected StoreWrite failure",
-                )));
+            if let Some(p) = points.first() {
+                (self.hook)(p.value as u32)?;
             }
             self.inner.put(points)
         }
@@ -1370,37 +1265,56 @@ mod tests {
         }
     }
 
-    /// Like [`traced_fleet`], over a [`FailOnce`] store armed just before
-    /// the closing `flush_all`: returns what that call returned, as text,
-    /// next to what the fleet then holds and the trace.
-    fn traced_failing_fleet(
+    /// Like [`traced_fleet`], over a [`Hooked`] store, with `arm` run just
+    /// before the closing `flush_all`: returns what that call returned, as
+    /// text, next to what the fleet then holds and the trace.
+    fn traced_hooked_fleet(
         workers: usize,
-        depth: usize,
         points: &[(u32, i64)],
-        victim: u32,
+        hook: impl Fn(u32) -> Result<()> + Send + Sync + 'static,
+        arm: impl FnOnce(),
     ) -> (String, MultiSeriesEngine, Vec<Event>) {
         let ring = crate::obs::RingBufferSink::new(1 << 16);
-        let store = Arc::new(FailOnce {
+        let store = Arc::new(Hooked {
             inner: crate::store::MemStore::new(),
-            victim: f64::from(victim),
-            armed: std::sync::atomic::AtomicBool::new(false),
+            hook,
         });
-        let mut options = OpenOptions::new(config())
-            .store(Arc::clone(&store) as Arc<dyn TableStore>)
+        let options = OpenOptions::new(config())
+            .store(store)
             .workers(workers)
             .observer(ring.clone());
-        options.kind.flush_queue_depth = depth;
         let mut m = options.open().expect("open");
         for &(series, tg) in points {
             let p = DataPoint::new(tg, tg + 3, f64::from(series));
             m.append(SeriesId(series), p).expect("append");
         }
-        store.arm();
+        arm();
         let outcome = match m.flush_all() {
             Ok(outcome) => format!("{outcome:?}"),
             Err(err) => err.to_string(),
         };
         (outcome, m, ring.events())
+    }
+
+    /// Like [`traced_hooked_fleet`], where the first table write of
+    /// `victim` in the closing `flush_all` fails.
+    fn traced_failing_fleet(
+        workers: usize,
+        points: &[(u32, i64)],
+        victim: u32,
+    ) -> (String, MultiSeriesEngine, Vec<Event>) {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let armed = Arc::new(AtomicBool::new(false));
+        let trip = Arc::clone(&armed);
+        let hook = move |series| {
+            if series == victim && trip.swap(false, SeqCst) {
+                return Err(Error::Io(std::io::Error::other(
+                    "injected StoreWrite failure",
+                )));
+            }
+            Ok(())
+        };
+        traced_hooked_fleet(workers, points, hook, || armed.store(true, SeqCst))
     }
 
     /// A mixed-order workload across `series_count` series: mostly
@@ -1432,7 +1346,6 @@ mod tests {
         let points = pool_workload(8, 40);
         let sequential = flushed_fleet(1, &points);
         let pooled = flushed_fleet(4, &points);
-        assert_eq!(pooled.worker_count(), 4);
         assert_eq!(
             pooled.combined_metrics(),
             sequential.combined_metrics(),
@@ -1457,55 +1370,14 @@ mod tests {
     }
 
     #[test]
-    fn deep_fleets_flush_in_bounded_waves() {
-        // 10 series against a queue depth of 4: three waves, two of which
-        // wait on the queue and surface as typed `Delayed` backpressure.
-        let points = pool_workload(10, 12);
-        let mut options = OpenOptions::new(config()).workers(3);
-        options.kind.flush_queue_depth = 4;
-        let mut m = options.open().expect("open");
-        for &(series, tg) in &points {
-            m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
-                .expect("append");
-        }
-        let outcome = m.flush_all().expect("flush");
-        assert_eq!(outcome, AdmissionOutcome::Delayed { ticks: 2 });
-        assert_eq!(m.fleet_delayed_waves(), 2);
-        let combined = m.combined_metrics();
-        assert_eq!(combined.delayed_appends, 2);
-        assert_eq!(combined.stall_ticks, 2);
-        for id in m.series_ids() {
-            assert_eq!(
-                m.engine(id).expect("series").buffered_points(),
-                0,
-                "{id} left points buffered"
-            );
-        }
-        // The wave schedule depends only on the series set and the depth
-        // bound: a sequential fleet reports identical backpressure.
-        let mut options = OpenOptions::new(config()).workers(1);
-        options.kind.flush_queue_depth = 4;
-        let mut seq = options.open().expect("open");
-        for &(series, tg) in &points {
-            seq.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
-                .expect("append");
-        }
-        assert_eq!(
-            seq.flush_all().expect("flush"),
-            AdmissionOutcome::Delayed { ticks: 2 }
-        );
-        assert_eq!(seq.combined_metrics(), m.combined_metrics());
-    }
-
-    #[test]
     fn pooled_flush_traces_match_sequential_traces() {
-        // Capture-replay at the wave barrier makes the emitted event trace
+        // Capture-replay at the end of the pass makes the emitted event trace
         // a pure function of the workload — thread scheduling and worker
         // count must be invisible in it. 29 points leave every series a
         // partial buffer, so the pooled `flush_all` has flushes to trace.
         let points = pool_workload(10, 29);
-        let (seq, seq_trace) = traced_fleet(None, 1, 4, &points);
-        let (pooled, pooled_trace) = traced_fleet(None, 4, 4, &points);
+        let (seq, seq_trace) = traced_fleet(None, 1, &points);
+        let (pooled, pooled_trace) = traced_fleet(None, 4, &points);
         assert!(!seq_trace.is_empty(), "workload emitted no events");
         assert_eq!(
             pooled_trace, seq_trace,
@@ -1522,7 +1394,7 @@ mod tests {
         ));
         let traced = |workers: usize| {
             let _ = std::fs::remove_dir_all(&dir);
-            let (_, trace) = traced_fleet(Some(&dir), workers, 4, &points);
+            let (_, trace) = traced_fleet(Some(&dir), workers, &points);
             trace
         };
         let seq_trace = traced(1);
@@ -1542,8 +1414,8 @@ mod tests {
 
     #[test]
     fn single_series_never_enters_the_pool() {
-        // One series short-circuits to the sequential path even with a
-        // large worker bound; the observable outcome is identical.
+        // One series is one share, which the caller's thread flushes even
+        // with a large worker bound; the observable outcome is identical.
         let points = pool_workload(1, 20);
         let m = flushed_fleet(8, &points);
         assert_eq!(m.len(), 1);
@@ -1557,8 +1429,7 @@ mod tests {
 
         /// Worker count is unobservable: any fleet workload flushed with N
         /// workers yields the same per-series points, summed metrics *and
-        /// byte-identical event trace* as the sequential path, even when
-        /// the depth-bounded queue forces multiple waves.
+        /// byte-identical event trace* as a single worker.
         #[test]
         fn worker_count_is_unobservable(
             raw in proptest::collection::vec(
@@ -1574,9 +1445,8 @@ mod tests {
                 .into_iter()
                 .filter(|p| seen.insert(*p))
                 .collect();
-            // Depth 3 against up to 5 series exercises multi-wave flushes.
-            let (sequential, seq_trace) = traced_fleet(None, 1, 3, &points);
-            let (pooled, pooled_trace) = traced_fleet(None, workers, 3, &points);
+            let (sequential, seq_trace) = traced_fleet(None, 1, &points);
+            let (pooled, pooled_trace) = traced_fleet(None, workers, &points);
             proptest::prop_assert_eq!(
                 pooled.combined_metrics(),
                 sequential.combined_metrics()
@@ -1590,9 +1460,9 @@ mod tests {
             // samples, rebalances, migrations) must still be a pure
             // function of the workload, never of the worker count.
             let (arb_seq, arb_seq_trace) =
-                traced_arbiter_fleet(1, 3, &points);
+                traced_arbiter_fleet(1, &points);
             let (arb_pooled, arb_pooled_trace) =
-                traced_arbiter_fleet(workers, 3, &points);
+                traced_arbiter_fleet(workers, &points);
             proptest::prop_assert_eq!(
                 arb_pooled.combined_metrics(),
                 arb_seq.combined_metrics()
@@ -1607,14 +1477,14 @@ mod tests {
                 arb_seq.arbiter_stats()
             );
             // Nor on the failure path: when one series' table write fails
-            // inside `flush_all`, every other series of every wave is still
+            // inside `flush_all`, every other series is still
             // flushed, and the error, the contents, the counters and the
             // trace are those of the sequential fleet.
             let victim = points[0].0;
             let (seq_outcome, failed_seq, failed_seq_trace) =
-                traced_failing_fleet(1, 3, &points, victim);
+                traced_failing_fleet(1, &points, victim);
             let (pooled_outcome, failed_pooled, failed_pooled_trace) =
-                traced_failing_fleet(workers, 3, &points, victim);
+                traced_failing_fleet(workers, &points, victim);
             proptest::prop_assert_eq!(pooled_outcome, seq_outcome);
             proptest::prop_assert_eq!(
                 failed_pooled.combined_metrics(),
@@ -1634,11 +1504,11 @@ mod tests {
 
     #[test]
     fn a_failing_series_does_not_keep_the_others_from_flushing() {
-        // Series 1 of 0..5 fails in the first wave of two: series 2–4 are
-        // flushed all the same, by one worker or three.
+        // Series 1 of 0..5 fails: series 2–4 are flushed all the same, by
+        // one worker or three.
         let points = pool_workload(5, 12);
         for workers in [1, 3] {
-            let (outcome, m, _) = traced_failing_fleet(workers, 3, &points, 1);
+            let (outcome, m, _) = traced_failing_fleet(workers, &points, 1);
             assert!(outcome.contains("injected"), "{workers}: {outcome}");
             for id in m.series_ids() {
                 let engine = m.engine(id).expect("series");
@@ -1651,6 +1521,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The current thread's name, or its id when it has none.
+    fn thread_name() -> String {
+        let here = std::thread::current();
+        here.name()
+            .map_or_else(|| format!("{:?}", here.id()), String::from)
+    }
+
+    #[test]
+    fn the_caller_s_thread_flushes_the_first_share() {
+        type Writers = BTreeMap<u32, BTreeSet<String>>;
+        let points = pool_workload(6, 29);
+        let run = |workers: usize| {
+            let writers: Arc<Mutex<Option<Writers>>> = Arc::default();
+            let log = Arc::clone(&writers);
+            let hook = move |series| {
+                if let Some(writers) = log.lock().as_mut() {
+                    writers.entry(series).or_default().insert(thread_name());
+                }
+                Ok(())
+            };
+            let arm = || *writers.lock() = Some(BTreeMap::new());
+            let (_, m, trace) =
+                traced_hooked_fleet(workers, &points, hook, arm);
+            let writers = writers.lock().take().expect("armed");
+            (writers, fleet_scans(&m), trace)
+        };
+        let caller = thread_name();
+        let expect = |names: &[&str]| -> Writers {
+            names
+                .iter()
+                .enumerate()
+                .map(|(s, name)| {
+                    (s as u32, BTreeSet::from([(*name).to_string()]))
+                })
+                .collect()
+        };
+        let (one, one_scans, one_trace) = run(1);
+        assert_eq!(one, expect(&[caller.as_str(); 6]));
+        let (three, three_scans, three_trace) = run(3);
+        let (w1, w2) = ("seplsm-fleet-1", "seplsm-fleet-2");
+        assert_eq!(three, expect(&[&caller, w1, w2, &caller, w1, w2]));
+        assert_eq!(three_scans, one_scans);
+        assert_eq!(three_trace, one_trace);
     }
 
     #[test]

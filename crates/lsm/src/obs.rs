@@ -306,12 +306,6 @@ pub enum Event {
         /// The pruned table.
         table: u64,
     },
-    /// A fleet held one series' flush over for a later wave of its flush
-    /// pool.
-    AdmissionDelayed {
-        /// Waves the flush waited (always 1).
-        ticks: u64,
-    },
     /// Admission control entered a write stall (stop watermark reached).
     WriteStallBegin {
         /// Combined L0 + pending-flush depth at stall entry.
@@ -390,7 +384,6 @@ const EVENT_NAMES: &[&str] = &[
     "cache_miss",
     "cache_evict",
     "table_pruned",
-    "admission_delayed",
     "write_stall_begin",
     "write_stall_end",
     "retry_backoff",
@@ -433,15 +426,14 @@ impl Event {
             Self::CacheMiss { .. } => 16,
             Self::CacheEvict { .. } => 17,
             Self::TablePruned { .. } => 18,
-            Self::AdmissionDelayed { .. } => 19,
-            Self::WriteStallBegin { .. } => 20,
-            Self::WriteStallEnd { .. } => 21,
-            Self::RetryBackoff { .. } => 22,
-            Self::ArbiterRebalance { .. } => 23,
-            Self::PolicyRetuned { .. } => 24,
-            Self::HeatSample { .. } => 25,
-            Self::AggPushdown { .. } => 26,
-            Self::AggFallback { .. } => 27,
+            Self::WriteStallBegin { .. } => 19,
+            Self::WriteStallEnd { .. } => 20,
+            Self::RetryBackoff { .. } => 21,
+            Self::ArbiterRebalance { .. } => 22,
+            Self::PolicyRetuned { .. } => 23,
+            Self::HeatSample { .. } => 24,
+            Self::AggPushdown { .. } => 25,
+            Self::AggFallback { .. } => 26,
         }
     }
 
@@ -541,8 +533,7 @@ impl Event {
                     ",\"table\":{table},\"block\":{block},\"points\":{points}"
                 );
             }
-            Self::AdmissionDelayed { ticks }
-            | Self::WriteStallEnd { ticks } => {
+            Self::WriteStallEnd { ticks } => {
                 let _ = write!(out, ",\"ticks\":{ticks}");
             }
             Self::WriteStallBegin { depth } => {
@@ -844,7 +835,7 @@ pub struct AggregateReport {
     pub compaction_rewritten: u64,
     /// Backpressure stalls observed.
     pub stalls: u64,
-    /// Stalled consults of write stalls, plus a fleet's delayed flushes.
+    /// Stalled consults of write stalls.
     pub stall_ticks: u64,
     /// Decoded-block cache hits.
     pub cache_hits: u64,
@@ -888,12 +879,11 @@ impl AggregateReport {
             self.compaction_latency.samples,
             self.compaction_latency.mean_micros()
         );
-        let delayed = self.counts[Event::AdmissionDelayed { ticks: 0 }.kind()];
         let stalls = self.counts[Event::WriteStallBegin { depth: 0 }.kind()];
         let retries = self.counts[Event::RetryBackoff { attempt: 0 }.kind()];
         let _ = writeln!(
             out,
-            "admission: {delayed} delayed, {stalls} stalls \
+            "admission: {stalls} stalls \
              ({} stall ticks), {retries} retries",
             self.stall_ticks
         );
@@ -978,8 +968,7 @@ impl Observer for AggregateSink {
                 }
             }
             Event::BackpressureStall => s.stall_count += 1,
-            Event::AdmissionDelayed { ticks }
-            | Event::WriteStallEnd { ticks } => s.stall_ticks += ticks,
+            Event::WriteStallEnd { ticks } => s.stall_ticks += ticks,
             Event::CacheHit { .. } => s.cache_hits += 1,
             Event::CacheMiss { .. } => s.cache_misses += 1,
             Event::CacheEvict { .. } => s.cache_evictions += 1,
@@ -1074,16 +1063,15 @@ mod tests {
     fn aggregate_tracks_admission_and_retries() {
         let sink = AggregateSink::with_logical_clock();
         let handle = ObserverHandle::attached(sink.clone());
-        handle.emit(|| Event::AdmissionDelayed { ticks: 2 });
         handle.emit(|| Event::WriteStallBegin { depth: 16 });
         handle.emit(|| Event::WriteStallEnd { ticks: 5 });
         handle.emit(|| Event::RetryBackoff { attempt: 2 });
         let report = sink.report();
-        assert_eq!(report.stall_ticks, 7);
+        assert_eq!(report.stall_ticks, 5);
         let table = report.render_table();
-        assert!(table.contains(
-            "admission: 1 delayed, 1 stalls (7 stall ticks), 1 retries"
-        ));
+        assert!(
+            table.contains("admission: 1 stalls (5 stall ticks), 1 retries")
+        );
     }
 
     #[test]
@@ -1162,7 +1150,6 @@ mod tests {
                 points: 0,
             },
             Event::TablePruned { table: 0 },
-            Event::AdmissionDelayed { ticks: 0 },
             Event::WriteStallBegin { depth: 0 },
             Event::WriteStallEnd { ticks: 0 },
             Event::RetryBackoff { attempt: 0 },

@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use seplsm_types::{Error, Result};
 
-use crate::admission::{Watermarks, DEFAULT_FLUSH_QUEUE_DEPTH};
+use crate::admission::Watermarks;
 use crate::arbiter::ArbiterConfig;
 use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
@@ -121,9 +121,6 @@ pub struct Background {
 pub struct Fleet {
     pub(crate) durable_dir: Option<PathBuf>,
     pub(crate) workers: usize,
-    /// Series admitted into the flush pool per wave; always
-    /// [`DEFAULT_FLUSH_QUEUE_DEPTH`] outside the crate's own tests.
-    pub(crate) flush_queue_depth: usize,
     pub(crate) arbiter: Option<ArbiterConfig>,
 }
 
@@ -132,7 +129,6 @@ impl Default for Fleet {
         Self {
             durable_dir: None,
             workers: 1,
-            flush_queue_depth: DEFAULT_FLUSH_QUEUE_DEPTH,
             arbiter: None,
         }
     }
@@ -449,11 +445,11 @@ impl MultiOpenOptions {
         self
     }
 
-    /// Fans [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all) across up to `n` worker
-    /// threads, one series at a time per worker (default 1 = fully
-    /// sequential, never spawning). Each series' kernel stays
-    /// single-threaded, so per-series results and summed metrics are
-    /// identical for every worker count; only wall-clock changes.
+    /// Fans [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all) across up to `n`
+    /// threads, the caller's included, one series at a time per thread
+    /// (default 1 = fully sequential, never spawning). Each series' kernel
+    /// stays single-threaded, so per-series results and summed metrics
+    /// are identical for every worker count; only wall-clock changes.
     pub fn workers(mut self, n: usize) -> Self {
         self.kind.workers = n.max(1);
         self
@@ -461,8 +457,10 @@ impl MultiOpenOptions {
 
     /// Arbitrates memory across the fleet: an
     /// [`Arbiter`](crate::Arbiter) splits `config`'s global point budget
-    /// between every series' MemTables and the block-cache share, growing
-    /// hot series and shrinking cold ones toward the floor. Series are
+    /// between every series' MemTables and a cache share, growing hot
+    /// series and shrinking cold ones toward the floor. The cache share is
+    /// held back from the series and reported, not applied: the block
+    /// cache keeps the capacity it was opened with. Series are
     /// admitted at the floor on first append (the template policy's shape
     /// is preserved, rescaled via
     /// [`Policy::resized`](seplsm_types::Policy::resized)); every rebalance

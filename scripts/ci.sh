@@ -148,11 +148,13 @@ done
 # table again from memory; a horizon whose manifest fsync fails once is
 # retried as a rewrite, and a merge before the retry keeps what that horizon
 # synced; a horizon's checkpoint write torn at every byte, in an engine's
-# log and in the fleet's, replays more, never less.
+# log and in the fleet's, replays more, never less; a fleet at rest runs one
+# horizon, after every series has flushed.
 for name in a_merge_over_never_synced_inputs_deletes_them_and_syncs_nothing \
     a_horizon_syncs_then_commits_then_deletes_then_checkpoints \
     the_background_engine_pays_the_same_grouped_commit \
-    an_engine_with_neither_log_nor_manifest_syncs_its_tables_at_rest; do
+    an_engine_with_neither_log_nor_manifest_syncs_its_tables_at_rest \
+    a_fleet_at_rest_runs_one_horizon_however_many_series_it_holds; do
   grep -qx "$name: test" <<<"$FSYNC_TESTS" \
     || { echo "fsync_budget lost its horizon test '$name'"; exit 1; }
 done

@@ -892,17 +892,15 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
     let trace = plan.trace();
     assert_eq!(unread(&trace[before..flush]), []);
     assert_eq!(trace[flush..], [IoOp::WalAppend, IoOp::WalSync]);
-    // At rest: every series flushes its own tables, each wave ends in a
-    // horizon of its own, one commit to the one manifest, and the log is
-    // cut once.
+    // At rest: every series flushes its own tables, one horizon commits
+    // them to the one manifest, and the log is cut once.
     let before = plan.ops() as usize;
     fleet.flush_all().expect("flush");
     let trace = plan.trace();
     let ops = &trace[before..];
     assert_eq!(wal_ops(ops), 1, "{ops:?}");
     assert_eq!(ops[ops.len() - 1], IoOp::WalRewrite, "{ops:?}");
-    // Twelve series in waves of eight: two horizons.
-    assert_eq!(count(ops, IoOp::ManifestSync), 2, "{ops:?}");
+    assert_eq!(count(ops, IoOp::ManifestSync), 1, "{ops:?}");
     // The manifest at rest: one header per series, one record per table.
     let tables: usize = (0..12)
         .map(|s| fleet.engine(SeriesId(s)).expect("series").run().len())
@@ -910,6 +908,54 @@ fn a_fleet_batch_costs_one_wal_write_and_one_wal_fsync() {
     let stats = fleet.manifest_stats().expect("durable fleet");
     assert_eq!(stats.records, (12 + tables) as u64);
     assert_eq!(stats.live, stats.records);
+}
+
+#[test]
+fn a_fleet_at_rest_runs_one_horizon_however_many_series_it_holds() {
+    let dir = TempDir::new("fleet-rest");
+    let plan = FaultPlan::trace_only(0);
+    let config =
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
+    let tables = store(&dir, &plan);
+    let mut fleet = MultiOpenOptions::new(config)
+        .store(Arc::clone(&tables) as Arc<dyn TableStore>)
+        .durable_dir(dir.path("meta"))
+        .faults(Arc::clone(&plan))
+        .open()
+        .expect("open");
+    // Every series flushes eight in-order points into two tables, then
+    // buffers three stragglers inside their range: 24 series, 48 tables
+    // and 192 points, short of a horizon.
+    let series = 24;
+    for s in 0..series {
+        for i in 0..8 {
+            fleet.append(SeriesId(s), point(i * 10)).expect("append");
+        }
+        for i in 0..3 {
+            fleet
+                .append(SeriesId(s), point(i * 10 + 5))
+                .expect("append");
+        }
+    }
+    fleet.sync_wal_all().expect("sync");
+    assert_eq!(tables.staged_tables(), 2 * series as usize);
+    let before = plan.ops() as usize;
+    assert_eq!(count(&plan.trace(), IoOp::StoreSync), 0);
+    fleet.flush_all().expect("flush");
+    // Every series' stragglers merge into the two tables it staged; only
+    // then does the one horizon sync what is live, so no table is synced
+    // and then consumed.
+    assert_eq!(fleet.combined_metrics().compactions, u64::from(series));
+    let trace = plan.trace();
+    let ops = &trace[before..];
+    assert_eq!(count(ops, IoOp::ManifestSync), 1, "{ops:?}");
+    let commit = first(ops, IoOp::ManifestSync);
+    assert_eq!(count(&ops[..commit], IoOp::DirSync), 1, "{ops:?}");
+    let live: usize = (0..series)
+        .map(|s| fleet.engine(SeriesId(s)).expect("series").run().len())
+        .sum();
+    assert_eq!(count(ops, IoOp::StoreSync), live, "{ops:?}");
+    assert_eq!(tables.staged_tables(), 0);
 }
 
 // ------------------------------------------------------- checkpoint bytes
