@@ -21,8 +21,12 @@
 //! I/O (seplint rule R3). The background executor owns the blocking — a
 //! stalled append waits on the flush condvar and re-consults the
 //! controller per wakeup; each consult while stalled charges one stall
-//! tick, so a tick counts a wakeup of a writer that really waited. Nothing
-//! else holds a write back: a fleet flushes all of its series in one pass.
+//! tick, so a tick counts a wakeup of a writer that really waited. The
+//! second bound is the background executor's flush channel, which holds
+//! `CHANNEL_DEPTH` (8) sealed batches: a writer that finds it full emits
+//! [`Event::BackpressureStall`] and blocks in `enqueue` until the worker
+//! takes one. Nothing else holds a write back: a fleet flushes all of its
+//! series in one pass.
 
 use seplsm_types::{Error, Result};
 

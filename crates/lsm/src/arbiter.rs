@@ -7,9 +7,9 @@
 //! pool, and a static even split starves the hot series while cold ones
 //! idle. The [`Arbiter`] is the kernel-side answer, following the
 //! adaptive-memory-management line of work (see PAPERS.md): a global
-//! budget is split between per-series MemTable capacity and a shared
-//! block-cache share, steered by decayed per-series *heat* counters so
-//! hot series grow and cold series shrink back toward a floor.
+//! budget is split between the series' MemTables, steered by decayed
+//! per-series *heat* counters so hot series grow and cold series shrink
+//! back toward a floor.
 //!
 //! Design constraints (this is a seplint kernel module):
 //!
@@ -18,17 +18,15 @@
 //!   wall clock, no thread primitive; two identical op sequences produce
 //!   identical rebalance plans, so seeded fleet traces stay
 //!   byte-identical.
-//! * **Exactly conserving**: after every operation the per-series
-//!   capacities and the cache share partition the budget —
-//!   Σ capacity + cache share = budget — and every series holds at least
-//!   [`ArbiterConfig::floor_points`]. Integer-division remainders are
-//!   folded into the cache share, never lost.
+//! * **Conserving**: after every operation Σ capacity ≤ budget and every
+//!   series holds at least [`ArbiterConfig::floor_points`]. A split hands
+//!   out the whole budget but its integer-division remainders — fewer
+//!   points than there are series — which a series admitted later takes
+//!   its floor from; when they fall short of a floor, the admission forces
+//!   a new split.
 //! * **Mechanism only**: the arbiter decides *capacities*; applying them
 //!   (policy migration via `set_policy`) is the fleet engine's job, which
 //!   is also where the typed [`Event`](crate::obs::Event)s are emitted.
-//!   The cache share is held back from the series and reported (in
-//!   `ArbiterRebalance` and [`ArbiterStats`]), not applied: nothing
-//!   resizes the block cache, whose capacity is fixed at open.
 //!
 //! Heat is held in fixed-point units of [`HEAT_UNIT`] (1/256ths of a
 //! point) so decay keeps fractional residue without floating point.
@@ -41,44 +39,28 @@ use seplsm_types::{Error, Result};
 /// `HEAT_UNIT` (i.e. 1.0 point-equivalents) of heat.
 pub const HEAT_UNIT: u64 = 256;
 
+/// Heat one recorded query adds: twice an append's, so reads keep a
+/// series warm.
+pub const QUERY_HEAT: u64 = 2 * HEAT_UNIT;
+
 /// Default minimum MemTable capacity a series never shrinks below.
 pub const DEFAULT_FLOOR_POINTS: u64 = 8;
-
-/// Default share of the budget targeted at the block cache, in percent.
-pub const DEFAULT_CACHE_PERCENT: u64 = 25;
 
 /// Default logical ticks (appends + queries) between rebalances.
 pub const DEFAULT_REBALANCE_EVERY: u64 = 1024;
 
-/// Default heat retained across one rebalance, in percent (50 = one
-/// half-life per rebalance interval).
-pub const DEFAULT_DECAY_PERCENT: u64 = 50;
-
-/// Default heat units a query adds, as a multiple of an append's
-/// [`HEAT_UNIT`].
-pub const DEFAULT_QUERY_WEIGHT: u64 = 2;
-
 /// Configuration of an [`Arbiter`]. Validated by [`Arbiter::new`].
 #[derive(Debug, Clone, Copy)]
 pub struct ArbiterConfig {
-    /// The global budget, in points, partitioned between every series'
-    /// MemTable capacity and the block-cache share.
+    /// The global budget, in points, split between every series'
+    /// MemTable capacity.
     pub budget_points: u64,
     /// Per-series capacity floor: no rebalance shrinks a series below
     /// this many points (≥ 2, so separation policies keep a non-empty
     /// `C_nonseq`).
     pub floor_points: u64,
-    /// Target block-cache share, in percent of the budget. The target
-    /// yields to series floors when the fleet grows large; remainders of
-    /// the heat split are folded into the share on top of the target.
-    pub cache_percent: u64,
     /// Logical ticks between rebalances (the cadence).
     pub rebalance_every: u64,
-    /// Heat retained across one rebalance, in percent (0 = forget
-    /// everything, 100 = never decay).
-    pub decay_percent: u64,
-    /// Heat units a query adds, as a multiple of an append's one unit.
-    pub query_weight: u64,
 }
 
 impl ArbiterConfig {
@@ -87,10 +69,7 @@ impl ArbiterConfig {
         Self {
             budget_points,
             floor_points: DEFAULT_FLOOR_POINTS,
-            cache_percent: DEFAULT_CACHE_PERCENT,
             rebalance_every: DEFAULT_REBALANCE_EVERY,
-            decay_percent: DEFAULT_DECAY_PERCENT,
-            query_weight: DEFAULT_QUERY_WEIGHT,
         }
     }
 
@@ -100,21 +79,9 @@ impl ArbiterConfig {
         self
     }
 
-    /// Sets the target cache share, in percent of the budget.
-    pub fn with_cache_percent(mut self, percent: u64) -> Self {
-        self.cache_percent = percent;
-        self
-    }
-
     /// Sets the rebalance cadence, in logical ticks.
     pub fn with_rebalance_every(mut self, ticks: u64) -> Self {
         self.rebalance_every = ticks;
-        self
-    }
-
-    /// Sets the per-rebalance heat retention, in percent.
-    pub fn with_decay_percent(mut self, percent: u64) -> Self {
-        self.decay_percent = percent;
         self
     }
 
@@ -132,19 +99,9 @@ impl ArbiterConfig {
                 self.budget_points, self.floor_points
             )));
         }
-        if self.cache_percent > 90 {
-            return Err(Error::InvalidConfig(
-                "arbiter cache share must be <= 90% of the budget".into(),
-            ));
-        }
         if self.rebalance_every == 0 {
             return Err(Error::InvalidConfig(
                 "arbiter rebalance cadence must be >= 1 tick".into(),
-            ));
-        }
-        if self.decay_percent > 100 {
-            return Err(Error::InvalidConfig(
-                "arbiter decay retention is a percentage (0..=100)".into(),
             ));
         }
         Ok(())
@@ -169,18 +126,16 @@ pub struct SeriesAssignment {
     pub capacity: u64,
 }
 
-/// One rebalance decision: which series change capacity, the new cache
-/// share, and the decayed heat samples the split was computed from.
-/// Everything is ordered by ascending series id, so applying (and
-/// emitting events for) a plan is deterministic.
+/// One rebalance decision: which series change capacity, and the decayed
+/// heat samples the split was computed from. Everything is ordered by
+/// ascending series id, so applying (and emitting events for) a plan is
+/// deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rebalance {
     /// 1-based rebalance round.
     pub round: u64,
     /// Series whose capacity changed, ascending by id.
     pub assignments: Vec<SeriesAssignment>,
-    /// The block-cache share after the split, in points.
-    pub cache_share: u64,
     /// Every series' decayed heat at the split, ascending by id, in
     /// [`HEAT_UNIT`] fixed point.
     pub heats: Vec<(u32, u64)>,
@@ -197,13 +152,11 @@ pub struct ArbiterStats {
     pub resizes: u64,
     /// Series currently hosted.
     pub series: usize,
-    /// The current block-cache share, in points.
-    pub cache_share: u64,
 }
 
 /// The fleet memory arbiter: a deterministic, logical-tick-driven state
-/// machine partitioning [`ArbiterConfig::budget_points`] between series
-/// MemTables and the block-cache share. See the module docs.
+/// machine splitting [`ArbiterConfig::budget_points`] between series
+/// MemTables. See the module docs.
 #[derive(Debug)]
 pub struct Arbiter {
     config: ArbiterConfig,
@@ -214,11 +167,10 @@ pub struct Arbiter {
     last_rebalance_tick: u64,
     rounds: u64,
     resizes: u64,
-    cache_share: u64,
 }
 
 impl Arbiter {
-    /// A fresh arbiter; the whole budget starts as cache share.
+    /// A fresh arbiter; no series holds any of the budget yet.
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for degenerate configurations.
@@ -231,7 +183,6 @@ impl Arbiter {
             last_rebalance_tick: 0,
             rounds: 0,
             resizes: 0,
-            cache_share: config.budget_points,
         })
     }
 
@@ -251,107 +202,70 @@ impl Arbiter {
     /// series at the floor.
     pub fn record_append(&mut self, series: u32) -> Result<Option<Rebalance>> {
         self.ticks += 1;
-        let mut forced = false;
-        if !self.series.contains_key(&series) {
-            forced = self.admit(series)?;
-        }
+        let forced =
+            !self.series.contains_key(&series) && self.admit(series)?;
         if let Some(slot) = self.series.get_mut(&series) {
             slot.heat = slot.heat.saturating_add(HEAT_UNIT);
         }
-        if forced {
-            return Ok(Some(self.rebalance()));
-        }
-        if self.ticks - self.last_rebalance_tick >= self.config.rebalance_every
-        {
-            return Ok(Some(self.rebalance()));
-        }
-        Ok(None)
+        let due = self.ticks - self.last_rebalance_tick
+            >= self.config.rebalance_every;
+        Ok((forced || due).then(|| self.rebalance()))
     }
 
     /// Records one query against `series` (unknown series heat nothing).
-    /// Queries advance the logical clock and add
-    /// [`ArbiterConfig::query_weight`] heat units, but never return a
-    /// plan — only the (mutating) append path can apply one.
+    /// Queries advance the logical clock and add [`QUERY_HEAT`], but never
+    /// return a plan — only the (mutating) append path can apply one.
     pub fn record_query(&mut self, series: u32) {
         self.ticks += 1;
         if let Some(slot) = self.series.get_mut(&series) {
-            slot.heat = slot.heat.saturating_add(
-                HEAT_UNIT.saturating_mul(self.config.query_weight),
-            );
+            slot.heat = slot.heat.saturating_add(QUERY_HEAT);
         }
     }
 
-    /// Admits a new series at the floor capacity, preferring to take the
-    /// points from the cache share. Returns `true` when the share could
-    /// not cover the floor and a full rebalance must re-cut the split.
+    /// Admits a new series at the floor capacity, taking the points from
+    /// the budget no series holds. Returns `true` when those fall short of
+    /// the floor and a full rebalance must re-cut the split.
     fn admit(&mut self, series: u32) -> Result<bool> {
         let floor = self.config.floor_points;
+        let budget = self.config.budget_points;
         let hosted = self.series.len() as u64;
-        let needed = hosted.saturating_add(1).saturating_mul(floor);
-        if needed > self.config.budget_points {
+        if hosted.saturating_add(1).saturating_mul(floor) > budget {
             return Err(Error::InvalidConfig(format!(
                 "arbiter budget exhausted: {} series at floor {} exceed \
-                 budget {}",
+                 budget {budget}",
                 hosted + 1,
                 floor,
-                self.config.budget_points
             )));
         }
-        if self.cache_share >= floor {
-            self.cache_share -= floor;
-            self.series.insert(
-                series,
-                Slot {
-                    heat: 0,
-                    capacity: floor,
-                },
-            );
-            Ok(false)
-        } else {
-            // The share is drained; register at the floor on paper and
-            // let the forced rebalance rebuild an exact partition.
-            self.series.insert(
-                series,
-                Slot {
-                    heat: 0,
-                    capacity: floor,
-                },
-            );
-            Ok(true)
-        }
+        let assigned: u64 = self.series.values().map(|s| s.capacity).sum();
+        // Short of a floor, the series is registered at it on paper and
+        // the forced rebalance cuts the budget anew.
+        self.series.insert(
+            series,
+            Slot {
+                heat: 0,
+                capacity: floor,
+            },
+        );
+        Ok(budget - assigned < floor)
     }
 
-    /// Re-cuts the budget: decays every heat counter, grants the cache
-    /// its target share (clamped so every series keeps the floor), and
-    /// splits the remaining pool proportionally to heat. Division
-    /// remainders are folded into the cache share, so the partition is
-    /// exact by construction.
+    /// Re-cuts the budget: halves every heat counter (one half-life per
+    /// rebalance) and gives every series its floor plus a share of the
+    /// rest proportional to its heat. Division remainders stay unassigned.
     fn rebalance(&mut self) -> Rebalance {
         self.last_rebalance_tick = self.ticks;
         self.rounds += 1;
-        let budget = self.config.budget_points;
         let floor = self.config.floor_points;
-        for slot in self.series.values_mut() {
-            slot.heat = mul_pct(slot.heat, self.config.decay_percent);
-        }
+        // Only appends rebalance, and the appending series is hosted.
         let n = self.series.len() as u64;
-        if n == 0 {
-            self.cache_share = budget;
-            return Rebalance {
-                round: self.rounds,
-                assignments: Vec::new(),
-                cache_share: budget,
-                heats: Vec::new(),
-            };
+        let extra_pool = self.config.budget_points - n * floor;
+        for slot in self.series.values_mut() {
+            slot.heat /= 2;
         }
-        let cache_target =
-            mul_pct(budget, self.config.cache_percent).min(budget - n * floor);
-        let pool = budget - cache_target;
-        let extra_pool = pool - n * floor;
         let total_heat: u64 = self.series.values().map(|s| s.heat).sum();
         let mut assignments = Vec::new();
         let mut heats = Vec::with_capacity(self.series.len());
-        let mut assigned = 0u64;
         for (&id, slot) in &mut self.series {
             let extra = if total_heat == 0 {
                 extra_pool / n
@@ -362,7 +276,6 @@ impl Arbiter {
                     / u128::from(total_heat)) as u64
             };
             let capacity = floor + extra;
-            assigned += capacity;
             if capacity != slot.capacity {
                 slot.capacity = capacity;
                 assignments.push(SeriesAssignment {
@@ -372,13 +285,10 @@ impl Arbiter {
             }
             heats.push((id, slot.heat));
         }
-        // Exact by construction: remainders land in the cache share.
-        self.cache_share = budget - assigned;
         self.resizes += assignments.len() as u64;
         Rebalance {
             round: self.rounds,
             assignments,
-            cache_share: self.cache_share,
             heats,
         }
     }
@@ -399,11 +309,6 @@ impl Arbiter {
             .collect()
     }
 
-    /// The current block-cache share, in points.
-    pub fn cache_share(&self) -> u64 {
-        self.cache_share
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> ArbiterStats {
         ArbiterStats {
@@ -411,14 +316,8 @@ impl Arbiter {
             rounds: self.rounds,
             resizes: self.resizes,
             series: self.series.len(),
-            cache_share: self.cache_share,
         }
     }
-}
-
-/// `value * percent / 100` without intermediate overflow.
-fn mul_pct(value: u64, percent: u64) -> u64 {
-    ((u128::from(value) * u128::from(percent)) / 100) as u64
 }
 
 #[cfg(test)]
@@ -431,13 +330,18 @@ mod tests {
             .with_rebalance_every(64)
     }
 
-    /// Σ capacity + cache share must equal the budget, every series at
-    /// or above the floor.
+    /// The points of the budget no series holds.
+    fn unassigned(a: &Arbiter) -> u64 {
+        let held: u64 = a.capacities().iter().map(|c| c.capacity).sum();
+        a.config().budget_points - held
+    }
+
+    /// Σ capacity must stay within the budget, every series at or above
+    /// the floor.
     fn assert_partition(a: &Arbiter) {
         let caps = a.capacities();
-        let total: u64 =
-            caps.iter().map(|c| c.capacity).sum::<u64>() + a.cache_share();
-        assert_eq!(total, a.config().budget_points, "partition leaked");
+        let total: u64 = caps.iter().map(|c| c.capacity).sum();
+        assert!(total <= a.config().budget_points, "budget overdrawn");
         for c in &caps {
             assert!(
                 c.capacity >= a.config().floor_points,
@@ -453,27 +357,19 @@ mod tests {
         assert!(Arbiter::new(ArbiterConfig::new(1024).with_floor(1)).is_err());
         assert!(Arbiter::new(ArbiterConfig::new(4).with_floor(8)).is_err());
         assert!(
-            Arbiter::new(ArbiterConfig::new(1024).with_cache_percent(95))
-                .is_err()
-        );
-        assert!(
             Arbiter::new(ArbiterConfig::new(1024).with_rebalance_every(0))
-                .is_err()
-        );
-        assert!(
-            Arbiter::new(ArbiterConfig::new(1024).with_decay_percent(150))
                 .is_err()
         );
         assert!(Arbiter::new(config()).is_ok());
     }
 
     #[test]
-    fn admission_takes_the_floor_from_the_cache_share() {
+    fn admission_takes_the_floor_from_the_unassigned_points() {
         let mut a = Arbiter::new(config()).expect("arbiter");
-        assert_eq!(a.cache_share(), 1024);
+        assert_eq!(unassigned(&a), 1024);
         assert!(a.record_append(3).expect("append").is_none());
         assert_eq!(a.capacity_of(3), Some(8));
-        assert_eq!(a.cache_share(), 1016);
+        assert_eq!(unassigned(&a), 1016);
         assert_partition(&a);
     }
 
@@ -570,32 +466,33 @@ mod tests {
             .assignments
             .windows(2)
             .all(|w| w[0].series < w[1].series));
-        let caps: u64 = a.capacities().iter().map(|c| c.capacity).sum();
-        assert_eq!(caps + plan.cache_share, a.config().budget_points);
-        assert_eq!(plan.cache_share, a.cache_share());
+        // The split hands out all but its division remainders.
+        assert_partition(&a);
+        assert!(unassigned(&a) < 3, "{} points held back", unassigned(&a));
     }
 
     #[test]
-    fn forced_rebalance_restores_floors_when_the_share_drains() {
-        // Budget 64, floor 8: the cache share covers 8 series at
-        // registration, and more than that cannot be hosted at all —
-        // instead drain the share via a tiny cache target.
+    fn forced_rebalance_restores_floors_when_the_split_left_too_little() {
+        // Budget 64, floor 8, a split every two ticks: the cadence split at
+        // the second append hands both series all 64 points.
         let mut a = Arbiter::new(
-            ArbiterConfig::new(64)
-                .with_floor(8)
-                .with_cache_percent(0)
-                .with_rebalance_every(1_000_000),
+            ArbiterConfig::new(64).with_floor(8).with_rebalance_every(2),
         )
         .expect("arbiter");
-        for id in 0..7u32 {
-            assert!(a.record_append(id).expect("append").is_none());
-        }
-        // 7 series * 8 = 56 assigned, share = 8. One heavy rebalance-free
-        // admit drains it; the eighth admit must force a plan.
-        let plan = a.record_append(7).expect("append");
-        assert!(plan.is_none(), "share exactly covers the eighth floor");
+        assert!(a.record_append(0).expect("append").is_none());
+        assert!(a.record_append(1).expect("append").is_some());
+        assert_eq!(a.capacity_of(0), Some(32));
+        assert_eq!(a.capacity_of(1), Some(32));
+        assert_eq!(unassigned(&a), 0);
+        // A third series finds no floor unassigned: its admission must
+        // force a plan, and every series keeps its floor.
+        let plan = a.record_append(2).expect("append");
+        let plan = plan.expect("the admission must force a split");
+        assert_eq!(plan.round, 2);
+        assert_eq!(a.stats().series, 3);
         assert_partition(&a);
-        assert_eq!(a.cache_share(), 0);
+        assert!(unassigned(&a) < 3);
+        assert!(a.capacity_of(2).expect("admitted") > 8);
     }
 
     proptest::proptest! {
@@ -603,42 +500,45 @@ mod tests {
             proptest::prelude::ProptestConfig::with_cases(64)
         )]
 
-        /// The partition invariant holds after every single operation,
-        /// for any interleaving of appends and queries.
+        /// The budget holds after every single operation, for any
+        /// interleaving of appends and queries, and every split hands out
+        /// all of it but fewer points than there are series.
         #[test]
         fn budget_is_conserved_exactly(
             ops in proptest::collection::vec(
                 (0u32..6, proptest::prelude::any::<bool>()),
                 1..400,
             ),
-            cache_pct in 0u64..=60,
             every in 1u64..96,
         ) {
             let mut a = Arbiter::new(
                 ArbiterConfig::new(2048)
                     .with_floor(8)
-                    .with_cache_percent(cache_pct)
                     .with_rebalance_every(every),
             )
             .expect("arbiter");
             for &(series, is_query) in &ops {
-                if is_query {
+                let plan = if is_query {
                     a.record_query(series);
+                    None
                 } else {
-                    a.record_append(series).expect("budget fits 6 floors");
-                }
+                    a.record_append(series).expect("budget fits 6 floors")
+                };
                 let caps = a.capacities();
-                let total: u64 = caps.iter().map(|c| c.capacity).sum::<u64>()
-                    + a.cache_share();
-                proptest::prop_assert_eq!(total, 2048);
+                let total: u64 = caps.iter().map(|c| c.capacity).sum();
+                proptest::prop_assert!(total <= 2048);
                 for c in &caps {
                     proptest::prop_assert!(c.capacity >= 8);
+                }
+                // A split hands out all but its division remainders.
+                if plan.is_some() {
+                    proptest::prop_assert!(2048 - total < caps.len() as u64);
                 }
             }
         }
 
         /// The arbiter is a pure function of its op sequence: two
-        /// identical runs produce identical capacities, shares and stats.
+        /// identical runs produce identical capacities, plans and stats.
         #[test]
         fn arbitration_is_deterministic(
             ops in proptest::collection::vec(
@@ -658,7 +558,7 @@ mod tests {
                         plans.push(p);
                     }
                 }
-                (a.capacities(), a.cache_share(), a.stats(), plans)
+                (a.capacities(), a.stats(), plans)
             };
             let first = run();
             let second = run();

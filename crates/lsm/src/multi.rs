@@ -605,7 +605,6 @@ impl MultiSeriesEngine {
         self.obs.emit(|| Event::ArbiterRebalance {
             round: plan.round,
             resized,
-            cache_share: plan.cache_share,
         });
         Ok(())
     }
@@ -1065,8 +1064,7 @@ mod tests {
         );
         let stats = m.arbiter_stats().expect("stats");
         assert!(stats.rounds >= 1);
-        // Budget partition: capacities + cache share = budget.
-        assert_eq!(hot + cold + stats.cache_share, 256);
+        assert!(hot + cold <= 256, "hot={hot} cold={cold}");
         // The rounds were witnessed by typed events, heat samples first.
         let events = ring.events();
         let rebalances = events
@@ -1080,6 +1078,39 @@ mod tests {
             .query(SeriesId(0), TimeRange::new(0, 4_000))
             .expect("query");
         assert_eq!(pts.len(), 400);
+    }
+
+    #[test]
+    fn an_arbiter_hands_its_series_the_whole_budget() {
+        let mut m = OpenOptions::new(config())
+            .arbiter(
+                ArbiterConfig::new(256)
+                    .with_floor(8)
+                    .with_rebalance_every(64),
+            )
+            .open()
+            .expect("open");
+        // Four series at uneven rates, through several splits.
+        for i in 0..400i64 {
+            for s in 0..4u32 {
+                if i % (i64::from(s) + 1) == 0 {
+                    m.append(SeriesId(s), DataPoint::new(i * 10, i * 10, 0.0))
+                        .expect("append");
+                }
+            }
+        }
+        assert!(m.arbiter_stats().expect("stats").rounds >= 2);
+        let ids = m.series_ids();
+        let mut held = 0;
+        for &id in &ids {
+            let capacity = m.series_capacity(id).expect("admitted");
+            let engine = m.engine(id).expect("series");
+            assert_eq!(engine.policy().total_capacity() as u64, capacity);
+            held += capacity;
+        }
+        // All of it but the split's division remainders, one short of a
+        // point per series at most.
+        assert!(held <= 256 && 256 - held < ids.len() as u64, "held {held}");
     }
 
     #[test]

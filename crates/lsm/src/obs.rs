@@ -327,8 +327,6 @@ pub enum Event {
         round: u64,
         /// Series whose buffer capacity changed this round.
         resized: u64,
-        /// Points granted to the block-cache share after the split.
-        cache_share: u64,
     },
     /// A series re-ran Algorithm 1 online and switched (or confirmed) its
     /// buffering policy.
@@ -542,16 +540,8 @@ impl Event {
             Self::RetryBackoff { attempt } => {
                 let _ = write!(out, ",\"attempt\":{attempt}");
             }
-            Self::ArbiterRebalance {
-                round,
-                resized,
-                cache_share,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"round\":{round},\"resized\":{resized},\
-                     \"cache_share\":{cache_share}"
-                );
+            Self::ArbiterRebalance { round, resized } => {
+                let _ = write!(out, ",\"round\":{round},\"resized\":{resized}");
             }
             Self::PolicyRetuned {
                 series,
@@ -812,11 +802,7 @@ struct AggregateState {
     counts: [u64; EVENT_KINDS],
     flush_points: u64,
     compaction_rewritten: u64,
-    stall_count: u64,
     stall_ticks: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
     flush_open: Option<u64>,
     compaction_open: Option<u64>,
     flush_latency: Histogram,
@@ -926,15 +912,20 @@ impl AggregateSink {
     /// Snapshot of everything aggregated so far.
     pub fn report(&self) -> AggregateReport {
         let s = self.state.lock();
+        let count = |event: Event| s.counts[event.kind()];
         AggregateReport {
             counts: s.counts,
             flush_points: s.flush_points,
             compaction_rewritten: s.compaction_rewritten,
-            stalls: s.stall_count,
+            stalls: count(Event::BackpressureStall),
             stall_ticks: s.stall_ticks,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            cache_evictions: s.cache_evictions,
+            cache_hits: count(Event::CacheHit { table: 0, block: 0 }),
+            cache_misses: count(Event::CacheMiss { table: 0, block: 0 }),
+            cache_evictions: count(Event::CacheEvict {
+                table: 0,
+                block: 0,
+                points: 0,
+            }),
             flush_latency: s.flush_latency.clone(),
             compaction_latency: s.compaction_latency.clone(),
         }
@@ -967,11 +958,7 @@ impl Observer for AggregateSink {
                     s.compaction_latency.record(dt);
                 }
             }
-            Event::BackpressureStall => s.stall_count += 1,
             Event::WriteStallEnd { ticks } => s.stall_ticks += ticks,
-            Event::CacheHit { .. } => s.cache_hits += 1,
-            Event::CacheMiss { .. } => s.cache_misses += 1,
-            Event::CacheEvict { .. } => s.cache_evictions += 1,
             _ => {}
         }
     }
@@ -1156,7 +1143,6 @@ mod tests {
             Event::ArbiterRebalance {
                 round: 0,
                 resized: 0,
-                cache_share: 0,
             },
             Event::PolicyRetuned {
                 series: 0,

@@ -457,12 +457,10 @@ impl MultiOpenOptions {
 
     /// Arbitrates memory across the fleet: an
     /// [`Arbiter`](crate::Arbiter) splits `config`'s global point budget
-    /// between every series' MemTables and a cache share, growing hot
-    /// series and shrinking cold ones toward the floor. The cache share is
-    /// held back from the series and reported, not applied: the block
-    /// cache keeps the capacity it was opened with. Series are
-    /// admitted at the floor on first append (the template policy's shape
-    /// is preserved, rescaled via
+    /// between every series' MemTables, growing hot series and shrinking
+    /// cold ones toward the floor; the block cache keeps the capacity it
+    /// was opened with. Series are admitted at the floor on first append
+    /// (the template policy's shape is preserved, rescaled via
     /// [`Policy::resized`](seplsm_types::Policy::resized)); every rebalance
     /// emits [`Event::HeatSample`](crate::obs::Event::HeatSample)s and one
     /// [`Event::ArbiterRebalance`](crate::obs::Event::ArbiterRebalance)

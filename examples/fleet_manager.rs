@@ -80,9 +80,8 @@ fn main() -> seplsm::Result<()> {
 
     if let Some(stats) = fleet.engine().arbiter_stats() {
         println!(
-            "\narbiter: {} rebalances, {} resizes, {} points held back \
-             for the cache",
-            stats.rounds, stats.resizes, stats.cache_share
+            "\narbiter: {} rebalances, {} resizes",
+            stats.rounds, stats.resizes
         );
     }
 

@@ -725,7 +725,6 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
     let series = 21u32;
     let arbiter = ArbiterConfig::new(u64::from(series) * 16)
         .with_floor(4)
-        .with_cache_percent(0)
         .with_rebalance_every(u64::from(series));
     let tables = store(&dir, &plan);
     let mut fleet = MultiOpenOptions::new(config)
