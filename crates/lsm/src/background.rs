@@ -20,20 +20,20 @@
 //! [`VersionEdit::FlushToL0`]) and periodically merges L0 into the run —
 //! both through the same [`plan_merge`] → `write_outputs` →
 //! [`commit`](crate::compaction::commit) pipeline as the inline executor,
-//! and made durable at the same horizon. The bounded channel back-pressures
-//! the writer if the worker cannot keep up (realistic write-stall
-//! behaviour).
+//! and made durable at the same horizon.
 //!
-//! # Admission and failures
+//! # Write stalls and failures
 //!
-//! Before each append the writer consults the admission watermarks
-//! ([`crate::admission`]) against L0 plus the flushing batches: below
-//! `stop` it goes ahead at once; at `stop` it parks on the worker's
-//! condvar until the depth falls below `resume`, merging L0 itself when the
-//! worker is idle. Nothing paces the worker's writes. A store operation
-//! failing with [`Error::Io`] is retried at once, up to
-//! [`DEFAULT_RETRY_ATTEMPTS`] attempts; when they are spent, or on any
-//! other error, the engine degrades to read-only.
+//! The flush queue is the one bound on the backlog: it holds
+//! `CHANNEL_DEPTH` batches, and a hand-off that finds it full blocks until
+//! the worker takes one — a write stall, witnessed by
+//! `admission::stall` and reported by the append whose hand-off waited.
+//! Since the worker merges all of L0 after every flush that leaves it
+//! `L0_COMPACT_THRESHOLD` deep, that bounds L0 as well (DESIGN §14).
+//! Nothing paces the worker's writes. A store operation failing with
+//! [`Error::Io`] is retried at once, up to [`DEFAULT_RETRY_ATTEMPTS`]
+//! attempts; when they are spent, or on any other error, the engine
+//! degrades to read-only, and the writer learns it from the failed send.
 //!
 //! # Durability
 //!
@@ -62,10 +62,7 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
-use crate::admission::{
-    self, AdmissionController, AdmissionDepth, AdmissionOutcome,
-    AdmissionStats, StallTransition,
-};
+use crate::admission::{self, AdmissionOutcome, AdmissionStats};
 use crate::compaction::{self, plan_merge, Outbox, RunInput, Share, Written};
 use crate::engine::{Batch, Engine, Executor, Front};
 use crate::invariants::{self, InvariantChecker};
@@ -82,7 +79,7 @@ use crate::version::{Version, VersionEdit};
 
 /// How many L0 tables accumulate before the worker merges them into the run.
 const L0_COMPACT_THRESHOLD: usize = 4;
-/// Flush-queue depth before ingestion back-pressures.
+/// Flush-queue depth: a hand-off that finds it full is a write stall.
 const CHANNEL_DEPTH: usize = 8;
 
 /// Attempts the worker makes at a store operation before it degrades.
@@ -208,9 +205,9 @@ struct TierState {
     /// a horizon or a merge to run, until both have finished: nothing is
     /// flushing, yet the worker is not idle.
     busy: bool,
-    /// Watermark-gated admission: consulted by the writer before every
-    /// buffer insert against the combined L0 + pending-flush depth.
-    admission: AdmissionController,
+    /// The deepest backlog — L0 tables plus flushing batches — noted at a
+    /// hand-off or a flush commit.
+    max_depth: usize,
     /// Worker-side event sink (shared with the writer's handle).
     obs: ObserverHandle,
 }
@@ -227,14 +224,12 @@ impl TierState {
             .observe_metrics(&self.version, &self.metrics)
     }
 
-    /// Closes the active stall episode without admitting anything: nothing
-    /// will drain the backlog the stalled writer is waiting on.
-    fn interrupt_stall(&mut self, depth: AdmissionDepth) {
-        let ended = self
-            .admission
-            .interrupt_stall()
-            .map(|ticks| StallTransition::Ended { ticks });
-        admission::witness(ended, depth, &mut self.metrics, &self.obs);
+    /// The backlog — L0 tables plus flushing batches — noted into
+    /// `max_depth`.
+    fn note_depth(&mut self) -> usize {
+        let depth = self.version.l0().len() + self.version.flushing().len();
+        self.max_depth = self.max_depth.max(depth);
+        depth
     }
 
     /// Claims the horizon when one is due under a pool of `budget` points
@@ -431,6 +426,8 @@ pub struct Background {
     /// When set, `append` waits for each flush to reach L0 before returning
     /// (deterministic on-disk state for query experiments).
     sync_flush: bool,
+    /// The backlog at the last hand-off: what a write stall reports.
+    depth: usize,
 }
 
 /// The engine whose flushes and compactions run on a background thread.
@@ -462,7 +459,7 @@ impl Background {
                 degraded: None,
                 compacting: false,
                 busy: false,
-                admission: AdmissionController::new(kind.watermarks),
+                max_depth: 0,
                 obs: obs.clone(),
             }),
             flush_done: Condvar::new(),
@@ -553,6 +550,7 @@ impl Background {
                     outbox.flushed.extend(span(&batch));
                     outbox.points += batch.len();
                     state.check_invariants()?;
+                    state.note_depth();
                     // Claimed with the commit, so the horizon a flush makes
                     // due runs before anything else plans.
                     let claimed = state.claim(Some(written.budget()));
@@ -591,6 +589,7 @@ impl Background {
             registered: Vec::new(),
             flushed_max,
             sync_flush: kind.sync_flush,
+            depth: 0,
         })
     }
 
@@ -605,30 +604,31 @@ impl Background {
         self.shared.state.lock().degraded.clone()
     }
 
-    /// Queues a registered batch for the worker.
-    fn enqueue(&mut self, batch: Batch, obs: &ObserverHandle) -> Result<()> {
+    /// Queues a registered batch for the worker; `true` when the queue was
+    /// full and the writer waited for the worker to take a batch: a write
+    /// stall (`admission::stall`).
+    fn enqueue(&self, batch: Batch, front: &mut Front) -> Result<bool> {
         let Some(tx) = self.tx.as_ref() else {
             return Err(Error::Io(std::io::Error::other(
                 "flush after engine finished",
             )));
         };
-        // Try the fast path first so a full queue is observable as a
-        // backpressure stall before the writer blocks on it.
-        let batch = match tx.try_send(batch) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Full(batch)) => {
-                obs.emit(|| Event::BackpressureStall);
-                batch
-            }
-            Err(TrySendError::Disconnected(batch)) => batch,
-        };
-        tx.send(batch).map_err(|_| {
-            // A dead worker almost always died into the degraded state;
-            // surface that reason rather than a generic channel error.
+        // A dead worker almost always died into the degraded state: surface
+        // that reason rather than a generic channel error.
+        let gone = || {
             self.writable().err().unwrap_or_else(|| {
                 Error::Io(std::io::Error::other("compaction worker terminated"))
             })
-        })
+        };
+        let batch = match tx.try_send(batch) {
+            Ok(()) => return Ok(false),
+            Err(TrySendError::Full(batch)) => batch,
+            Err(TrySendError::Disconnected(_)) => return Err(gone()),
+        };
+        let (metrics, obs) = (&mut front.metrics, &front.obs);
+        admission::stall(self.depth, metrics, obs, || tx.send(batch))
+            .map_err(|_| gone())?;
+        Ok(true)
     }
 
     /// Waits (best effort) for the worker to drain the flush queue.
@@ -685,72 +685,8 @@ impl Executor for Background {
         self.flushed_max
     }
 
-    /// Consults the admission controller against the combined L0 +
-    /// pending-flush depth: below the stop watermark the append goes ahead
-    /// at once; at it the writer blocks. A stalled writer parks on
-    /// `flush_done` and re-consults on every wakeup; hysteresis ends the
-    /// stall only once depth falls below the resume watermark. When the worker has nothing queued but
-    /// L0 is still over the watermark, the writer merges L0 itself, so
-    /// stalls always end even with an idle worker.
-    fn admit(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
-        let mut stalled_here = false;
-        let mut state = self.shared.state.lock();
-        loop {
-            let TierState {
-                admission,
-                version,
-                metrics,
-                obs,
-                ..
-            } = &mut *state;
-            let (decision, depth) =
-                admission::consult(admission, version, metrics, obs);
-            if decision.outcome == AdmissionOutcome::Admitted {
-                // An append that waited out a stall reports it.
-                return Ok(if stalled_here {
-                    AdmissionOutcome::Stalled
-                } else {
-                    AdmissionOutcome::Admitted
-                });
-            }
-            stalled_here = true;
-            if let Some(degraded) = &state.degraded {
-                // A degraded worker will never drain the backlog: close
-                // the episode and surface the typed error.
-                let reason = degraded.to_string();
-                state.interrupt_stall(depth);
-                return Err(Error::Degraded(reason));
-            }
-            if state.version.flushing().is_empty() && !state.compacting {
-                // Idle worker, over-watermark L0: drain it from this
-                // thread (compact_l0_once locks internally).
-                drop(state);
-                compact_l0_once(
-                    &self.shared,
-                    front.store.as_ref(),
-                    &front.written,
-                    front.config.sstable_points,
-                    &front.obs,
-                )?;
-                state = self.shared.state.lock();
-                continue;
-            }
-            if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
-                // Worker gone without degrading (shutdown race): nothing
-                // will retire the backlog, so don't wait for it.
-                state.interrupt_stall(depth);
-                return Ok(AdmissionOutcome::Stalled);
-            }
-            let (guard, _timed_out) = self
-                .shared
-                .flush_done
-                .wait_timeout(state, Duration::from_millis(10));
-            state = guard;
-        }
-    }
-
-    fn admission_stats(&self, _writer: &Metrics) -> AdmissionStats {
-        self.shared.state.lock().admission.stats()
+    fn admission_stats(&self, writer: &Metrics) -> AdmissionStats {
+        AdmissionStats::of(writer, self.shared.state.lock().max_depth)
     }
 
     /// First half of a hand-off: `points` leave the buffers for a flushing
@@ -775,27 +711,31 @@ impl Executor for Background {
         // Register as a flushing MemTable *before* handing it to the worker
         // so it never becomes invisible to queries; the WAL keeps covering it
         // until a horizon has made its tables durable.
-        self.shared
-            .state
-            .lock()
+        let mut state = self.shared.state.lock();
+        state
             .version
             .apply(&[VersionEdit::RegisterFlushing(Arc::clone(&batch))])?;
+        self.depth = state.note_depth();
+        drop(state);
         self.in_log.push(Arc::clone(&batch));
         self.registered.push(batch);
         Ok(())
     }
 
     /// Second half of a hand-off: queues every registered batch for the
-    /// worker — which blocks while the queue is full — and, on a
-    /// `sync_flush` engine, waits for them to reach L0.
-    fn dispatch(&mut self, front: &mut Front) -> Result<()> {
+    /// worker — `Stalled` when one found the queue full and waited — and,
+    /// on a `sync_flush` engine, waits for them to reach L0.
+    fn dispatch(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
+        let mut outcome = AdmissionOutcome::Admitted;
         for batch in std::mem::take(&mut self.registered) {
-            self.enqueue(batch, &front.obs)?;
+            if self.enqueue(batch, front)? {
+                outcome = AdmissionOutcome::Stalled;
+            }
         }
         if self.sync_flush {
             self.drain();
         }
-        Ok(())
+        Ok(outcome)
     }
 
     /// A forced horizon, once the worker has settled; the due ones the
@@ -951,7 +891,6 @@ impl Engine<Background> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::Watermarks;
     use crate::engine::tests as shared;
     use crate::engine::EngineConfig;
     use crate::fault::{Fault, FaultPlan, FaultStore};
@@ -1147,64 +1086,168 @@ mod tests {
         assert_eq!(pts.len(), 3, "sealed points dropped on the floor");
     }
 
-    #[test]
-    fn tight_watermarks_stall_and_resume() {
-        // sync_flush drains the queue after every hand-off, so depth is L0
-        // alone and fully deterministic: each 4-point seal adds one L0
-        // table, so with stop=2 the third seal's successor append must
-        // stall, self-compact L0 into the run, and resume.
+    /// A store whose writes wait while the gate is shut: holds the worker
+    /// still, so hand-offs pile up in the flush queue behind it.
+    struct GatedStore {
+        inner: MemStore,
+        shut: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl GatedStore {
+        fn set_shut(&self, shut: bool) {
+            *self.shut.lock() = shut;
+            self.opened.notify_all();
+        }
+    }
+
+    impl TableStore for GatedStore {
+        fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+            let mut shut = self.shut.lock();
+            while *shut {
+                shut = self.opened.wait(shut);
+            }
+            drop(shut);
+            self.inner.put(points)
+        }
+        fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+            self.inner.get(id)
+        }
+        fn delete(&self, id: SsTableId) -> Result<()> {
+            self.inner.delete(id)
+        }
+        fn list(&self) -> Result<Vec<SsTableId>> {
+            self.inner.list()
+        }
+    }
+
+    /// What a burst of `points` appends on an asynchronous `tiny()` engine
+    /// left behind, every point in `finish`'s report: each append's outcome,
+    /// the events, the admission stats and the metrics. With `gated`, the worker is held
+    /// at its first write until a `WriteStallBegin` shows (or ten seconds
+    /// pass without one).
+    struct Burst {
+        outcomes: Vec<AdmissionOutcome>,
+        events: Vec<Event>,
+        stats: AdmissionStats,
+        metrics: Metrics,
+    }
+
+    fn burst(points: i64, gated: bool) -> Burst {
+        let store = Arc::new(GatedStore {
+            inner: MemStore::new(),
+            shut: Mutex::new(gated),
+            opened: Condvar::new(),
+        });
+        let ring = RingBufferSink::new(1 << 16);
         let mut e = OpenOptions::new(tiny())
-            .admission(Watermarks::new(1, 2).expect("watermarks"))
-            .sync_flush()
+            .store(Arc::clone(&store) as Arc<dyn TableStore>)
+            .observer(Arc::clone(&ring) as Arc<dyn Observer>)
             .open()
             .expect("open");
-        let mut outcomes = Vec::new();
-        for i in 0..64i64 {
-            outcomes.push(e.append(DataPoint::new(i, i, 0.0)).expect("append"));
+        let opener = gated.then(|| {
+            let (store, ring) = (Arc::clone(&store), Arc::clone(&ring));
+            std::thread::spawn(move || {
+                let stalled =
+                    |e: &Event| matches!(e, Event::WriteStallBegin { .. });
+                for _ in 0..10_000 {
+                    if ring.count(stalled) > 0 {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                store.set_shut(false);
+            })
+        });
+        let outcomes = (0..points)
+            .map(|i| e.append(DataPoint::new(i, i, 0.0)).expect("append"))
+            .collect();
+        let (stats, metrics) = (e.admission_stats(), e.metrics());
+        if let Some(opener) = opener {
+            opener.join().expect("opener");
         }
-        let stats = e.admission_stats();
-        assert!(stats.stalls >= 1, "stop watermark never reached: {stats:?}");
-        assert!(stats.stall_ticks >= stats.stalls);
-        assert!(!stats.currently_stalled, "stall must have ended");
-        assert!(
-            stats.max_depth <= 2,
-            "depth exceeded the stop watermark: {stats:?}"
-        );
-        assert!(outcomes
-            .iter()
-            .any(|o| matches!(o, AdmissionOutcome::Stalled)));
-        let metrics = e.metrics();
-        assert_eq!(metrics.write_stalls, stats.stalls);
-        assert_eq!(metrics.stall_ticks, stats.stall_ticks);
-        assert_eq!(e.pacer_stats(), PacerStats::default());
         let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), 64, "stalled appends must not lose");
+        assert_eq!(report.points.len(), points as usize, "a point was lost");
+        Burst {
+            outcomes,
+            events: ring.events(),
+            stats,
+            metrics,
+        }
     }
 
     #[test]
-    fn appends_below_stop_are_admitted_at_once() {
-        // The merge threshold keeps L0 at most 4 deep, under stop = 8 but
-        // at or above resume = 1 after every seal: nothing may stall, and
-        // nothing between the watermarks is held or charged a tick.
-        let mut e = OpenOptions::new(tiny())
-            .admission(Watermarks::new(1, 8).expect("watermarks"))
-            .sync_flush()
-            .open()
-            .expect("open");
-        for i in 0..32i64 {
-            let outcome = e.append(DataPoint::new(i, i, 0.0)).expect("append");
-            assert_eq!(outcome, AdmissionOutcome::Admitted);
-        }
-        let stats = e.admission_stats();
-        assert!(stats.max_depth >= 1, "L0 never held a table: {stats:?}");
-        assert_eq!(
-            (stats.admitted, stats.stalls, stats.stall_ticks),
-            (32, 0, 0)
+    fn a_full_flush_queue_is_a_write_stall() {
+        // Four-point MemTables: the tenth seal finds the worker holding the
+        // first and the queue full of the next eight.
+        let b = burst(64, true);
+        let depths: Vec<u64> = b
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::WriteStallBegin { depth } => Some(*depth),
+                _ => None,
+            })
+            .collect();
+        let ticks: u64 = b
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::WriteStallEnd { ticks } => Some(*ticks),
+                _ => None,
+            })
+            .sum();
+        let ends = b
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::WriteStallEnd { .. }))
+            .count();
+        let stalled = b
+            .outcomes
+            .iter()
+            .filter(|o| **o == AdmissionOutcome::Stalled)
+            .count();
+        let stalls = depths.len() as u64;
+        assert!(stalls >= 1, "the held worker never stalled a hand-off");
+        assert_eq!(ends as u64, stalls);
+        assert_eq!(b.metrics.write_stalls, stalls);
+        assert_eq!(b.stats.stalls, stalls);
+        assert_eq!(stalled as u64, stalls, "one seal per append");
+        assert_eq!(b.metrics.stall_ticks, ticks);
+        assert_eq!(b.stats.stall_ticks, ticks);
+        assert_eq!(b.stats.admitted, 64);
+        // A full queue holds eight batches, all flushing, plus the one
+        // being handed off.
+        assert!(
+            depths.iter().all(|&d| d > CHANNEL_DEPTH as u64),
+            "{depths:?}"
         );
-        let metrics = e.metrics();
-        assert_eq!((metrics.delayed_appends, metrics.stall_ticks), (0, 0));
-        let report = e.finish().expect("finish");
-        assert_eq!(report.points.len(), 32);
+    }
+
+    #[test]
+    fn the_backlog_stays_within_its_structural_bound() {
+        // DESIGN §14: L0 stays below the merge threshold while the worker
+        // flushes a batch, and holds at most that flush's tables more once
+        // it commits. The queue and the batch being handed off are flushing
+        // either way — plus, in the first case, the worker's batch, which
+        // its one table or more outweighs. A held worker fills the queue.
+        let config = tiny();
+        let flush_tables = config
+            .policy
+            .total_capacity()
+            .div_ceil(config.sstable_points);
+        let bound = L0_COMPACT_THRESHOLD - 1 + flush_tables + CHANNEL_DEPTH + 1;
+        for gated in [false, true] {
+            let b = burst(4_000, gated);
+            assert!(
+                b.stats.max_depth <= bound,
+                "gated {gated}: {} > {bound}",
+                b.stats.max_depth
+            );
+            if gated {
+                assert!(b.stats.max_depth > CHANNEL_DEPTH, "{:?}", b.stats);
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! written once here: the log, classification and buffering
 //! ([`PolicyBuffers`]), the policy switch, the log checkpoint and the read
 //! path ([`query`](crate::query)). *Where a sealed MemTable goes and who
-//! waits for it* — admission included — is the executor: [`Inline`] merges
-//! it into the run before `append` returns, so it admits every append, and
+//! waits for it* — write stalls included — is the executor: [`Inline`]
+//! merges it into the run before `append` returns, so it never stalls, and
 //! makes it durable at its next horizon (`compaction::horizon`;
 //! [`LsmEngine`], every write-amplification figure);
 //! [`Background`](crate::background::Background) queues it for a worker
@@ -172,22 +172,11 @@ pub trait Executor: Sized {
     /// disk" from the writer's point of view.
     fn pivot(&self) -> Option<Timestamp>;
 
-    /// Consults admission against the executor's backlog, returning once
-    /// the append may proceed — however a stall has to end for that. An
-    /// executor without a backlog admits every append at once.
-    fn admit(&mut self, _front: &mut Front) -> Result<AdmissionOutcome> {
-        Ok(AdmissionOutcome::Admitted)
-    }
-
     /// Snapshot of the admission counters, `writer` being the counters of
-    /// the appending thread. Without a backlog every append was admitted:
-    /// `admitted` is the user points (a recovery's replay included), the
-    /// rest is zero.
+    /// the appending thread, which counts the write stalls: without a
+    /// backlog there are none, and no depth.
     fn admission_stats(&self, writer: &Metrics) -> AdmissionStats {
-        AdmissionStats {
-            admitted: writer.user_points,
-            ..AdmissionStats::default()
-        }
+        AdmissionStats::of(writer, 0)
     }
 
     /// Takes a sealed MemTable (`merging`: from `C0` / `C_nonseq`, the
@@ -202,9 +191,10 @@ pub trait Executor: Sized {
     ) -> Result<()>;
 
     /// Called once the log has been told of the hand-offs so far: starts
-    /// on whatever `hand_off` only took note of.
-    fn dispatch(&mut self, _front: &mut Front) -> Result<()> {
-        Ok(())
+    /// on whatever `hand_off` only took note of — `Stalled` when that had
+    /// to wait for room in the executor's backlog.
+    fn dispatch(&mut self, _front: &mut Front) -> Result<AdmissionOutcome> {
+        Ok(AdmissionOutcome::Admitted)
     }
 
     /// Runs the executor's durability horizon when one is due — with
@@ -452,8 +442,8 @@ impl<X: Executor> Engine<X> {
         self.buffers.buffered_points()
     }
 
-    /// Snapshot of the admission counters: the background executor's
-    /// controller; under [`Inline`], every append admitted.
+    /// Snapshot of the admission counters: every append admitted, and the
+    /// background executor's write stalls and deepest backlog.
     pub fn admission_stats(&self) -> AdmissionStats {
         self.exec.admission_stats(&self.front.metrics)
     }
@@ -464,10 +454,11 @@ impl<X: Executor> Engine<X> {
     }
 
     /// Writes one point, reporting how admission treated it: `Admitted`,
-    /// or `Stalled` when the append had to wait out a write stall (the
-    /// point is still accepted once the backlog drains — only the outcome
-    /// is typed). The inline executor has no backlog and always
-    /// admits; the background one also blocks while its queue is full.
+    /// or `Stalled` when the MemTable it sealed found the background
+    /// executor's flush queue full and the append waited for the worker to
+    /// take a batch (the point is accepted all the same — only the outcome
+    /// is typed). Nothing is consulted before the point goes to the log;
+    /// the inline executor has no backlog and always admits.
     ///
     /// # Errors
     /// Storage or WAL failures — the engine state stays consistent (the
@@ -477,11 +468,10 @@ impl<X: Executor> Engine<X> {
         self.append_internal(p)
     }
 
-    /// The one append path: admit → log → count → classify → insert →
-    /// seal and hand off → checkpoint → WA snapshot.
+    /// The one append path: log → count → classify → insert → seal and
+    /// hand off → checkpoint → dispatch → WA snapshot.
     fn append_internal(&mut self, p: DataPoint) -> Result<AdmissionOutcome> {
         self.exec.writable()?;
-        let outcome = self.exec.admit(&mut self.front)?;
         if let Some(wal) = self.wal.as_mut() {
             wal.append(&p)?;
         }
@@ -489,8 +479,9 @@ impl<X: Executor> Engine<X> {
         self.max_gen_seen = self.max_gen_seen.max(Some(p.gen_time));
         let pivot = self.emit_classified(&p);
         let trigger = self.buffers.insert(p, pivot);
+        let mut outcome = AdmissionOutcome::Admitted;
         if self.seal(trigger)? {
-            self.release()?;
+            outcome = self.release()?;
         }
         let cadence = self.front.config.wa_snapshot_every;
         if cadence
@@ -536,10 +527,11 @@ impl<X: Executor> Engine<X> {
     /// Follows the hand-offs of one call: runs the executor's horizon if
     /// one is due, tells the log what has become durable
     /// ([`checkpoint_retired`]), cuts the file when that said it pays, and
-    /// only then lets the executor start on what it was handed. Only call
-    /// it while every volatile point is in the buffers or with the executor
-    /// ([`Wal::checkpoint`]); a fleet series has no log: its owner does this.
-    fn release(&mut self) -> Result<()> {
+    /// only then lets the executor start on what it was handed, returning
+    /// whether that stalled. Only call it while every volatile point is in
+    /// the buffers or with the executor ([`Wal::checkpoint`]); a fleet
+    /// series has no log: its owner does this.
+    fn release(&mut self) -> Result<AdmissionOutcome> {
         self.exec.commit(&self.front, false)?;
         let (retired, in_flight) = self.exec.progress();
         if let Some(wal) = self.wal.as_mut() {

@@ -57,9 +57,9 @@
 //! the log, classification and buffering, the policy switch, the log
 //! checkpoint, reads — is written once, over an [`Executor`], its *back
 //! half*: where a sealed MemTable goes and who waits for it. Only the
-//! background executor has a backlog to wait on, so only it runs admission
-//! control ([`admission`]: an append at the stop watermark blocks until the
-//! backlog drains below the resume one); the inline one admits every
+//! background executor has a backlog to wait on, bounded once: an append
+//! whose hand-off finds its flush queue full waits for the worker to take
+//! a batch — a write stall ([`admission`]); the inline one admits every
 //! append.
 //! Assembly ([`open`]: one builder, whose three names are [`OpenOptions`] /
 //! [`TieredOpenOptions`] / [`MultiOpenOptions`]), recovery ([`recovery`]:
@@ -125,10 +125,7 @@ pub mod store;
 pub mod version;
 pub mod wal;
 
-pub use admission::{
-    AdmissionController, AdmissionDecision, AdmissionDepth, AdmissionOutcome,
-    AdmissionStats, StallTransition, Watermarks,
-};
+pub use admission::{AdmissionOutcome, AdmissionStats};
 pub use arbiter::{
     Arbiter, ArbiterConfig, ArbiterStats, Rebalance, SeriesAssignment,
 };

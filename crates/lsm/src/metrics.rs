@@ -47,9 +47,9 @@ pub struct Metrics {
     pub tables_deleted: u64,
     /// Always 0: nothing delays an append short of a write stall.
     pub delayed_appends: u64,
-    /// Write-stall episodes (stop watermark reached).
+    /// Write stalls: hand-offs that found the background flush queue full.
     pub write_stalls: u64,
-    /// Stalled consults (one per wakeup of a writer waiting out a stall).
+    /// Queue slots the write stalls waited for (one per stall).
     pub stall_ticks: u64,
     /// Per-compaction count of *subsequent data points* on disk at the moment
     /// the compaction started (Definition 4) — the quantity the ζ-model

@@ -2,7 +2,7 @@
 //!
 //! Every interesting state transition in the engines — point
 //! classification, MemTable seals, flushes, compactions, WAL and manifest
-//! I/O, backpressure stalls, recovery steps, quarantines, degraded
+//! I/O, write stalls, recovery steps, quarantines, degraded
 //! transitions, injected faults — is described by one [`Event`] variant and
 //! delivered to an attached [`Observer`]. The layer is:
 //!
@@ -251,8 +251,6 @@ pub enum Event {
         /// Which mutation.
         kind: ManifestRecordKind,
     },
-    /// An appender stalled because the flush channel was full.
-    BackpressureStall,
     /// One recovery step completed.
     RecoveryStep {
         /// Which step.
@@ -306,14 +304,15 @@ pub enum Event {
         /// The pruned table.
         table: u64,
     },
-    /// Admission control entered a write stall (stop watermark reached).
+    /// A hand-off found the background flush queue full: the writer waits
+    /// for the worker to take a batch.
     WriteStallBegin {
-        /// Combined L0 + pending-flush depth at stall entry.
+        /// L0 tables plus flushing batches at the hand-off.
         depth: u64,
     },
-    /// The write stall ended (depth fell below the resume watermark).
+    /// The stalled hand-off's batch is queued (or the worker is gone).
     WriteStallEnd {
-        /// Stalled consults (writer wakeups) the episode lasted.
+        /// Queue slots the stall waited for: one.
         ticks: u64,
     },
     /// A store operation failed transiently and is retried at once.
@@ -373,7 +372,6 @@ const EVENT_NAMES: &[&str] = &[
     "wal_sync",
     "wal_truncate",
     "manifest_record",
-    "backpressure_stall",
     "recovery_step",
     "quarantine",
     "degraded_transition",
@@ -415,23 +413,22 @@ impl Event {
             Self::WalSync => 7,
             Self::WalTruncate { .. } => 8,
             Self::ManifestRecord { .. } => 9,
-            Self::BackpressureStall => 10,
-            Self::RecoveryStep { .. } => 11,
-            Self::Quarantine { .. } => 12,
-            Self::DegradedTransition { .. } => 13,
-            Self::FaultInjected { .. } => 14,
-            Self::CacheHit { .. } => 15,
-            Self::CacheMiss { .. } => 16,
-            Self::CacheEvict { .. } => 17,
-            Self::TablePruned { .. } => 18,
-            Self::WriteStallBegin { .. } => 19,
-            Self::WriteStallEnd { .. } => 20,
-            Self::RetryBackoff { .. } => 21,
-            Self::ArbiterRebalance { .. } => 22,
-            Self::PolicyRetuned { .. } => 23,
-            Self::HeatSample { .. } => 24,
-            Self::AggPushdown { .. } => 25,
-            Self::AggFallback { .. } => 26,
+            Self::RecoveryStep { .. } => 10,
+            Self::Quarantine { .. } => 11,
+            Self::DegradedTransition { .. } => 12,
+            Self::FaultInjected { .. } => 13,
+            Self::CacheHit { .. } => 14,
+            Self::CacheMiss { .. } => 15,
+            Self::CacheEvict { .. } => 16,
+            Self::TablePruned { .. } => 17,
+            Self::WriteStallBegin { .. } => 18,
+            Self::WriteStallEnd { .. } => 19,
+            Self::RetryBackoff { .. } => 20,
+            Self::ArbiterRebalance { .. } => 21,
+            Self::PolicyRetuned { .. } => 22,
+            Self::HeatSample { .. } => 23,
+            Self::AggPushdown { .. } => 24,
+            Self::AggFallback { .. } => 25,
         }
     }
 
@@ -485,7 +482,7 @@ impl Event {
             Self::WalAppend { bytes } => {
                 let _ = write!(out, ",\"bytes\":{bytes}");
             }
-            Self::WalSync | Self::BackpressureStall => {}
+            Self::WalSync => {}
             Self::WalTruncate { survivors } => {
                 let _ = write!(out, ",\"survivors\":{survivors}");
             }
@@ -819,9 +816,9 @@ pub struct AggregateReport {
     pub flush_points: u64,
     /// Total points rewritten by compactions.
     pub compaction_rewritten: u64,
-    /// Backpressure stalls observed.
+    /// Write stalls begun.
     pub stalls: u64,
-    /// Stalled consults of write stalls.
+    /// Ticks the ended write stalls lasted.
     pub stall_ticks: u64,
     /// Decoded-block cache hits.
     pub cache_hits: u64,
@@ -865,13 +862,11 @@ impl AggregateReport {
             self.compaction_latency.samples,
             self.compaction_latency.mean_micros()
         );
-        let stalls = self.counts[Event::WriteStallBegin { depth: 0 }.kind()];
         let retries = self.counts[Event::RetryBackoff { attempt: 0 }.kind()];
         let _ = writeln!(
             out,
-            "admission: {stalls} stalls \
-             ({} stall ticks), {retries} retries",
-            self.stall_ticks
+            "admission: {} stalls ({} stall ticks), {retries} retries",
+            self.stalls, self.stall_ticks
         );
         if self.cache_hits + self.cache_misses > 0 {
             let _ = writeln!(
@@ -917,7 +912,7 @@ impl AggregateSink {
             counts: s.counts,
             flush_points: s.flush_points,
             compaction_rewritten: s.compaction_rewritten,
-            stalls: count(Event::BackpressureStall),
+            stalls: count(Event::WriteStallBegin { depth: 0 }),
             stall_ticks: s.stall_ticks,
             cache_hits: count(Event::CacheHit { table: 0, block: 0 }),
             cache_misses: count(Event::CacheMiss { table: 0, block: 0 }),
@@ -1035,29 +1030,32 @@ mod tests {
             tables: 1,
             points: 8,
         });
-        handle.emit(|| Event::BackpressureStall);
         let report = sink.report();
         assert_eq!(report.counts[Event::FlushStarted { points: 0 }.kind()], 1);
         assert_eq!(report.flush_points, 8);
-        assert_eq!(report.stalls, 1);
         assert_eq!(report.flush_latency.samples, 1);
         let table = report.render_table();
         assert!(table.contains("flush_started"));
-        assert!(table.contains("backpressure_stall"));
+        assert!(
+            table.contains("admission: 0 stalls (0 stall ticks), 0 retries")
+        );
     }
 
     #[test]
     fn aggregate_tracks_admission_and_retries() {
         let sink = AggregateSink::with_logical_clock();
         let handle = ObserverHandle::attached(sink.clone());
-        handle.emit(|| Event::WriteStallBegin { depth: 16 });
-        handle.emit(|| Event::WriteStallEnd { ticks: 5 });
+        for depth in [11, 12] {
+            handle.emit(|| Event::WriteStallBegin { depth });
+            handle.emit(|| Event::WriteStallEnd { ticks: 1 });
+        }
         handle.emit(|| Event::RetryBackoff { attempt: 2 });
         let report = sink.report();
-        assert_eq!(report.stall_ticks, 5);
+        assert_eq!((report.stalls, report.stall_ticks), (2, 2));
         let table = report.render_table();
+        assert!(table.contains("write_stall_begin"));
         assert!(
-            table.contains("admission: 1 stalls (5 stall ticks), 1 retries")
+            table.contains("admission: 2 stalls (2 stall ticks), 1 retries")
         );
     }
 
@@ -1111,7 +1109,6 @@ mod tests {
             Event::ManifestRecord {
                 kind: ManifestRecordKind::Add,
             },
-            Event::BackpressureStall,
             Event::RecoveryStep {
                 step: RecoveryStepKind::WalReplayed,
                 items: 0,

@@ -20,10 +20,10 @@
 //!   series, as it hands out its store.
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
-//! has ([`Background`]: synchronous flushes and admission watermarks;
-//! [`Fleet`]: durable directory, flush pool, arbiter) and the engine type it
-//! assembles — the two single-series kinds the same [`Engine`], over the
-//! executor their settings start. A durable fleet assembles its series through the
+//! has ([`Background`]: synchronous flushes; [`Fleet`]: durable directory,
+//! flush pool, arbiter) and the engine type it assembles — the two
+//! single-series kinds the same [`Engine`], over the executor their settings
+//! start. A durable fleet assembles its series through the
 //! [`Inline`] kind with neither log nor manifest: both are the fleet's
 //! (`fleet.wal`, `fleet.manifest`), and so are the horizons that make a
 //! series' flushes durable. Crash durability needs both files: an open that
@@ -47,7 +47,6 @@ use std::sync::Arc;
 
 use seplsm_types::{Error, Result};
 
-use crate::admission::Watermarks;
 use crate::arbiter::ArbiterConfig;
 use crate::background::{self, TieredEngine};
 use crate::cache::BlockCache;
@@ -111,9 +110,6 @@ pub struct Inline {
 #[derive(Debug, Default)]
 pub struct Background {
     pub(crate) sync_flush: bool,
-    /// The resume/stop watermarks the worker's backlog is admitted
-    /// against.
-    pub(crate) watermarks: Watermarks,
 }
 
 /// The [`MultiSeriesEngine`](crate::MultiSeriesEngine) kind.
@@ -363,17 +359,6 @@ impl TieredOpenOptions {
     /// throughput experiment keeps the default asynchronous pipeline.
     pub fn sync_flush(mut self) -> Self {
         self.kind.sync_flush = true;
-        self
-    }
-
-    /// Sets the resume/stop admission watermarks consulted before every
-    /// buffer insert against the L0 + pending-flush depth (default
-    /// [`Watermarks::default`]: 8/16). An append at `stop` blocks until the
-    /// depth falls below `resume` and reports `Stalled`, so an ingest burst
-    /// cannot grow L0 without bound. The inline engine has no backlog and
-    /// admits every append.
-    pub fn admission(mut self, watermarks: Watermarks) -> Self {
-        self.kind.watermarks = watermarks;
         self
     }
 }

@@ -80,10 +80,9 @@ fn r3_fires_on_wallclock_salt_in_the_pruning_filter() {
 
 #[test]
 fn r3_fires_on_wallclock_stall_tracking_in_admission() {
-    // `admission.rs` is a kernel module: watermark decisions and stall
-    // ticks must advance on consults only — an `Instant`-timed stall or a
-    // background refill thread would make the same workload stall
-    // differently across replays.
+    // `admission.rs` is a kernel module: its stall accounting must not read
+    // a clock — an `Instant`-timed stall or a background refill thread
+    // would make the same workload trace differently across replays.
     let src = fixture("r3_admission_wallclock.rs");
     let v = rules::deterministic_kernel(Path::new("admission.rs"), &src);
     // `Instant` appears three times (use + field type + now), `spawn` once.

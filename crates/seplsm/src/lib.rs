@@ -36,10 +36,9 @@ pub use seplsm_core::{
 };
 pub use seplsm_dist::{DelayDistribution, Empirical, LogNormal};
 pub use seplsm_lsm::{
-    sync_dir, AdmissionController, AdmissionDecision, AdmissionDepth,
-    AdmissionOutcome, AdmissionStats, Agg, AggregateReport, AggregateSink,
-    Arbiter, ArbiterConfig, ArbiterStats, BlockCache, Bucket, Clock,
-    DegradedOp, DegradedReason, DegradedState, DiskModel, EncodeOptions,
+    sync_dir, AdmissionOutcome, AdmissionStats, Agg, AggregateReport,
+    AggregateSink, Arbiter, ArbiterConfig, ArbiterStats, BlockCache, Bucket,
+    Clock, DegradedOp, DegradedReason, DegradedState, DiskModel, EncodeOptions,
     EngineConfig, Event, FanoutSink, Fault, FaultPlan, FaultStore, FileStore,
     Histogram, IoOp, JsonlSink, LogicalClock, LsmEngine, Manifest,
     ManifestEdit, ManifestRecordKind, ManifestStats, MemStore,
@@ -47,7 +46,7 @@ pub use seplsm_lsm::{
     PacerStats, QuarantinedTable, QueryStats, Rebalance, RecoveryMode,
     RecoveryOptions, RecoveryReport, RecoveryStepKind, RingBufferSink,
     SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,
-    TieredReport, Wal, WalStats, Watermarks,
+    TieredReport, Wal, WalStats,
 };
 pub use seplsm_types::{
     DataPoint, Error, Policy, Result, TimeRange, Timestamp,

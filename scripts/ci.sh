@@ -219,18 +219,15 @@ for name in arbiter::tests::admission_takes_the_floor_from_the_unassigned_points
   grep -qx "$name: test" <<<"$LSM_TESTS" \
     || { echo "crates/lsm lost its arbiter test '$name'"; exit 1; }
 done
-# Real backpressure: a crash at every op inside a live write stall recovers
-# unstalled; a burst at tight watermarks stalls, stays at most stop deep and
-# resumes; under any interleaving the depth never passes stop and every
-# stall ends.
-grep -qx "tiered_engine_clears_write_stalls_after_any_crash: test" \
-    <<<"$CRASH_TESTS" \
-  || { echo "crash_schedules lost its write-stall test"; exit 1; }
-for name in background::tests::tight_watermarks_stall_and_resume \
-    admission::tests::depth_never_exceeds_stop \
-    admission::tests::stalls_always_end; do
+# One bound on the background backlog: a hand-off that finds the flush
+# queue full is the write stall, witnessed and counted where the writer
+# waits; every stall ends, its wait refused or not; and the backlog never
+# passes the depth DESIGN §14 derives.
+for name in background::tests::a_full_flush_queue_is_a_write_stall \
+    admission::tests::stalls_always_end \
+    background::tests::the_backlog_stays_within_its_structural_bound; do
   grep -qx "$name: test" <<<"$LSM_TESTS" \
-    || { echo "crates/lsm lost its backpressure test '$name'"; exit 1; }
+    || { echo "crates/lsm lost its write-stall test '$name'"; exit 1; }
 done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \

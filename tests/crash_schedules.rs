@@ -39,7 +39,6 @@ use seplsm::{
     FileStore, IoOp, LsmEngine, MultiOpenOptions, MultiSeriesEngine,
     OpenOptions, Policy, RecoveryOptions, RecoveryStepKind, RingBufferSink,
     SeriesId, TableStore, TieredEngine, TieredOpenOptions, TimeRange,
-    Watermarks,
 };
 
 /// Seed carried by every plan; derives nothing at runtime (determinism),
@@ -447,87 +446,6 @@ fn tiered_engine_survives_a_crash_at_every_io_op() {
         let (dir, out) = tiered_pass("tiered-crash", &plan, &pts);
         assert!(plan.is_crashed(), "crash at op {k}/{total} never fired");
         tiered_recover_check(&dir, &pts, &out, &format!("crash at op {k}"));
-    }
-}
-
-/// Satellite of the admission-control work: with the watermarks tightened
-/// to (resume 1, stop 2) every flush cycle drives the engine through a
-/// live write stall, so the crash sweep below lands on every I/O op *while
-/// a stall is active*. Recovery must come back unstalled — a fresh
-/// controller, an append that proceeds, and no stuck `Stalled` verdict.
-#[test]
-fn tiered_engine_clears_write_stalls_after_any_crash() {
-    let tight = || Watermarks::new(1, 2).expect("watermarks");
-    let stall_pass = |tag: &str, plan: &Arc<FaultPlan>, pts: &[DataPoint]| {
-        let dir = TempDir::new(tag);
-        let store = FileStore::open(dir.path("tables"))
-            .expect("store")
-            .with_faults(Arc::clone(plan));
-        let mut engine = TieredOpenOptions::new(config())
-            .store(Arc::new(store))
-            .sync_flush()
-            .admission(tight())
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .faults(Arc::clone(plan))
-            .open()
-            .expect("open");
-        let out =
-            drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal());
-        let stalls = engine.admission_stats().stalls;
-        (dir, out, stalls)
-    };
-    let pts = workload(HORIZON_POINTS);
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out, stalls) = stall_pass("tiered-stall-trace", &plan, &pts);
-    assert_eq!(out.appended, pts.len(), "trace pass must complete");
-    assert!(
-        stalls > 0,
-        "tight watermarks must actually stall the trace pass"
-    );
-    drop(dir);
-    let total = plan.ops();
-    assert!(
-        total >= 100,
-        "workload too small to be interesting: {total}"
-    );
-    for k in 0..total {
-        let plan = FaultPlan::crash_at(SEED, k);
-        let (dir, out, _) = stall_pass("tiered-stall-crash", &plan, &pts);
-        assert!(plan.is_crashed(), "crash at op {k}/{total} never fired");
-        let ctx = format!("stall crash at op {k}");
-        // The standard durability contract still holds under stalls...
-        tiered_recover_check(&dir, &pts, &out, &ctx);
-        // ...and recovery never resumes into a stalled engine: reopen with
-        // the same tight watermarks, observe a clear controller, and prove
-        // appends proceed (typed outcome, no error).
-        let store: Arc<dyn TableStore> = Arc::new(
-            FileStore::open(dir.path("tables")).expect("reopen store"),
-        );
-        let (mut engine, _) = TieredOpenOptions::new(config())
-            .store(store)
-            .sync_flush()
-            .admission(tight())
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .recovery(RecoveryOptions::strict().with_gc_orphans())
-            .open_or_recover()
-            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-        assert!(
-            !engine.admission_stats().currently_stalled,
-            "{ctx}: engine recovered into a stuck stall"
-        );
-        // The append may report `Stalled` if recovery rebuilt a deep L0 —
-        // but the stall must resolve *within* the call (the point is
-        // accepted) and never be left active afterwards.
-        let p = DataPoint::new(1_000_003, 1_000_003, 42.0);
-        let _outcome = engine
-            .append(p)
-            .unwrap_or_else(|e| panic!("{ctx}: post-recovery append: {e}"));
-        assert!(
-            !engine.admission_stats().currently_stalled,
-            "{ctx}: stall left active after post-recovery append"
-        );
     }
 }
 
