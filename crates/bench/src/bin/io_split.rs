@@ -12,7 +12,7 @@
 //! (`benchmark/src/workloads.rs`, `adapter.rs`): the same seeded stream of
 //! integer-valued points, the same engine — `FileStore` with the pruned
 //! encoding, WAL and manifest; a fleet of 64 series with one durable
-//! directory, two flush workers and the arbiter — the same batches, each
+//! directory and the arbiter — the same batches, each
 //! closed by one log sync (`ingest-bg-open` paced at 30 000 points/s), the
 //! same recent-window queries after them — they heat the fleet's arbiter,
 //! whose resizes flush — and the same closing flush. `read-mix` first
@@ -60,7 +60,6 @@ const MEMORY_BUDGET: usize = 512;
 const BATCH: usize = 128;
 const FLEET_BATCH: usize = 256;
 const FLEET_SERIES: u32 = 64;
-const FLEET_WORKERS: usize = 2;
 const OPEN_LOOP_RATE: u64 = 30_000;
 /// Width of a recent-window query, in ms of generation time, and how many
 /// of the fleet's hottest series one follows every batch.
@@ -442,7 +441,6 @@ fn open(
             let mut o = MultiOpenOptions::new(config)
                 .store(store)
                 .durable_dir(dir.join("fleet"))
-                .workers(FLEET_WORKERS)
                 .arbiter(ArbiterConfig::new(budget));
             if let Some(plan) = plan {
                 o = o.faults(Arc::clone(plan));

@@ -73,9 +73,9 @@
 //!   through a worker that merges them into the run, the production write
 //!   path of §V-C (Table III throughput).
 //! * [`MultiSeriesEngine`](multi::MultiSeriesEngine) — one [`LsmEngine`]
-//!   per series over a shared store, with a flush pool and a memory
-//!   arbiter; durable through one `fleet.wal` and one `fleet.manifest`,
-//!   committed once per batch.
+//!   per series over a shared store, with a memory arbiter; durable
+//!   through one `fleet.wal` and one `fleet.manifest`, committed once per
+//!   batch.
 //!
 //! # Quick start
 //!

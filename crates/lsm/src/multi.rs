@@ -11,6 +11,10 @@
 //! series holding the most points gives up its oldest table: a hot series
 //! pays for its own surplus, not with a cold series' run tail.
 //!
+//! Everything runs on the caller's thread: a series flushes inside the
+//! append that fills its MemTables, and [`MultiSeriesEngine::flush_all`]
+//! flushes every series in ascending id order.
+//!
 //! With [`MultiOpenOptions::durable_dir`] the collection is durable: one
 //! write-ahead log (`fleet.wal`, every frame tagged with its series) and one
 //! manifest (`fleet.manifest`, every edit group tagged with its series) for
@@ -74,7 +78,7 @@ use crate::engine::{checkpoint_retired, EngineConfig, LsmEngine};
 use crate::fault::FaultPlan;
 use crate::manifest::{Levels, Manifest, ManifestStats, SeriesTables};
 use crate::metrics::Metrics;
-use crate::obs::{Event, Observer, ObserverHandle};
+use crate::obs::{Event, ObserverHandle};
 use crate::open::{self, Fleet, Kind, MultiOpenOptions, OpenOptions};
 use crate::query::{Agg, Bucket, QueryStats};
 use crate::recovery::{self, RecoveryMode, RecoveryOptions, RecoveryReport};
@@ -114,9 +118,6 @@ pub struct MultiSeriesEngine {
     fleet_manifest: Option<Manifest>,
     /// Event sink cloned into every series engine (current and future).
     obs: ObserverHandle,
-    /// Upper bound on the threads `flush_all` flushes on, the caller's
-    /// included (1 = no spawning).
-    workers: usize,
     /// The fleet memory arbiter, when opened with
     /// [`MultiOpenOptions::arbiter`]. Behind a `Mutex` only because the
     /// (read-only) query path records heat; the lock is always dropped
@@ -164,7 +165,6 @@ impl Kind for Fleet {
             wal: None,
             fleet_manifest: None,
             obs: options.observer,
-            workers: fleet.workers,
             arbiter: None,
             fleet_retunes: 0,
         };
@@ -182,7 +182,7 @@ impl Kind for Fleet {
         }
         // Series already hosted (the recovery path) stay at their recovered
         // capacity until their first post-open append admits them into
-        // arbitration.
+        // arbitration and resizes them to the capacity admitted.
         if let Some(config) = fleet.arbiter {
             engine.arbiter = Some(Mutex::new(Arbiter::new(config)?));
         }
@@ -536,33 +536,33 @@ impl MultiSeriesEngine {
     /// With an [`MultiOpenOptions::arbiter`] configured the append first ticks
     /// the arbiter (admitting a new series at the floor, or erroring when
     /// the budget cannot host it), and any due [`Rebalance`] plan is
-    /// applied — and its events emitted — right after the point lands,
-    /// still on this single-threaded path, so seeded traces stay
-    /// byte-identical across worker counts. Past
+    /// applied — and its events emitted — right after the point lands.
+    /// A series the arbiter admits — new, or rebuilt by recovery and
+    /// appended to for the first time since the open — moves to its
+    /// admitted capacity first, keeping the template policy's shape. Past
     /// `MAX_UNCOMMITTED_TABLES` live tables waiting unsynced the append
     /// runs the fleet's horizon.
     ///
     /// # Errors
-    /// Arbiter budget exhaustion for a brand-new series; storage failures.
+    /// Arbiter budget exhaustion for a series it does not host yet; storage
+    /// failures.
     pub fn append(
         &mut self,
         series: SeriesId,
         p: DataPoint,
     ) -> Result<AdmissionOutcome> {
-        let fresh = !self.series.contains_key(&series);
         let mut plan = None;
         let mut admitted = None;
         if let Some(arb) = self.arbiter.as_mut() {
             let arb = arb.get_mut();
+            let hosted = arb.capacity_of(series.0).is_some();
             plan = arb.record_append(series.0)?;
-            if fresh {
+            if !hosted {
                 admitted = arb.capacity_of(series.0);
             }
         }
         let engine = self.series_mut(series)?;
         if let Some(capacity) = admitted {
-            // A freshly admitted series starts at its arbiter-assigned
-            // capacity, keeping the template policy's shape.
             let policy = engine.policy().resized(capacity as usize)?;
             engine.set_policy(policy)?;
         }
@@ -731,22 +731,21 @@ impl MultiSeriesEngine {
         0
     }
 
-    /// Flushes every series in one pass, then runs the fleet's horizon
-    /// once; the log is then cut to its header and the manifest sheds its
-    /// dead records. With [`MultiOpenOptions::workers`] above 1 the pass
-    /// fans out across a bounded pool of threads, the caller's among them,
-    /// and per-series contents, summed metrics *and the emitted event
-    /// trace* are identical for every worker count, durable fleet or not;
-    /// only wall-clock changes. The fleet log and the fleet manifest never
-    /// enter the pool: the horizon runs on the caller's thread.
+    /// Flushes every series on the caller's thread, in ascending id
+    /// order, then runs the fleet's horizon once; the log is then cut to
+    /// its header and the manifest sheds its dead records.
     ///
     /// # Errors
     /// Storage failures. Every series gets its flush attempt and what
-    /// succeeded is committed, whatever the worker count; the error
-    /// returned is that of the lowest failing [`SeriesId`], else the
-    /// horizon's, and the log is then left uncut.
+    /// succeeded is committed; the error returned is that of the lowest
+    /// failing [`SeriesId`], else the horizon's, and the log is then left
+    /// uncut.
     pub fn flush_all(&mut self) -> Result<AdmissionOutcome> {
-        let flushed = self.flush_series();
+        // `and` keeps the first error, and every series still flushes.
+        let mut flushed = Ok(());
+        for engine in self.series.values_mut() {
+            flushed = flushed.and(engine.flush_all());
+        }
         let committed = self.commit_pending();
         flushed.and(committed)?;
         // The fleet comes to rest here: the manifest sheds its dead
@@ -759,70 +758,6 @@ impl MultiSeriesEngine {
             wal.rewrite(&[])?;
         }
         Ok(AdmissionOutcome::Admitted)
-    }
-
-    /// The flush pass of [`MultiSeriesEngine::flush_all`]: the series, in
-    /// ascending id order, are dealt round-robin to `min(workers, series)`
-    /// shares; the caller's thread flushes share 0 and a scoped thread
-    /// (`seplsm-fleet-<w>`) each other share. A share whose thread could
-    /// not be spawned is flushed on the caller's thread after the others.
-    /// Every series is flushed whether or not another failed; the error
-    /// returned is that of the lowest failing series.
-    fn flush_series(&mut self) -> Result<()> {
-        let share_count = self.workers.min(self.series.len()).max(1);
-        let capturing = share_count > 1 && self.obs.is_attached();
-        // Per series: engine, the private capture it emits into (replayed
-        // in ascending id order below, so the observed trace never depends
-        // on thread scheduling) and the flush outcome.
-        let mut slots: Vec<_> =
-            self.series
-                .values_mut()
-                .map(|engine| {
-                    let capture = capturing.then(|| {
-                        let capture = Arc::new(CaptureSink::default());
-                        engine.front.obs = ObserverHandle::attached(
-                            Arc::clone(&capture) as Arc<dyn Observer>,
-                        );
-                        capture
-                    });
-                    (engine, capture, None::<Result<()>>)
-                })
-                .collect();
-        let mut shares: Vec<Vec<_>> =
-            (0..share_count).map(|_| Vec::new()).collect();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            shares[i % share_count].push(slot);
-        }
-        let flush = |share: Vec<&mut (&mut LsmEngine, _, Option<_>)>| {
-            for (engine, _, outcome) in share {
-                *outcome = Some(engine.flush_all());
-            }
-        };
-        std::thread::scope(|scope| {
-            let mut shares = shares.into_iter().enumerate();
-            let own = shares.next();
-            for (w, share) in shares {
-                // A failed spawn drops its share with no outcome recorded.
-                let _ = std::thread::Builder::new()
-                    .name(format!("seplsm-fleet-{w}"))
-                    .spawn_scoped(scope, move || flush(share));
-            }
-            if let Some((_, share)) = own {
-                flush(share);
-            }
-        });
-        let mut first_error = None;
-        for (engine, capture, outcome) in slots {
-            let outcome = outcome.unwrap_or_else(|| engine.flush_all());
-            if let Some(capture) = capture {
-                engine.front.obs = self.obs.clone();
-                capture.replay_into(&self.obs);
-            }
-            if let Err(err) = outcome {
-                first_error.get_or_insert(err);
-            }
-        }
-        first_error.map_or(Ok(()), Err)
     }
 
     /// Writes and fsyncs the fleet log (no-op for a non-durable fleet):
@@ -864,31 +799,6 @@ impl MultiSeriesEngine {
             sum.absorb(engine.metrics());
         }
         sum
-    }
-}
-
-/// Buffers one series' kernel events while the flush pool runs; the end of
-/// the pass replays them into the shared sink in ascending [`SeriesId`]
-/// order, making pooled flush traces independent of thread scheduling and
-/// worker count.
-#[derive(Default)]
-struct CaptureSink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl CaptureSink {
-    /// Drains the captured events into `obs`, preserving emission order.
-    fn replay_into(&self, obs: &ObserverHandle) {
-        let events = std::mem::take(&mut *self.events.lock());
-        for event in events {
-            obs.emit(move || event);
-        }
-    }
-}
-
-impl Observer for CaptureSink {
-    fn observe(&self, event: &Event) {
-        self.events.lock().push(event.clone());
     }
 }
 
@@ -1196,77 +1106,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    /// Builds a fleet with `workers` flush workers and feeds it the same
-    /// deterministic out-of-order workload, then flushes.
-    fn flushed_fleet(
-        workers: usize,
-        points: &[(u32, i64)],
-    ) -> MultiSeriesEngine {
-        let mut m = OpenOptions::new(config())
-            .workers(workers)
-            .open()
-            .expect("open");
-        for &(series, tg) in points {
-            m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
-                .expect("append");
-        }
-        m.flush_all().expect("flush");
-        m
-    }
-
-    /// Like [`flushed_fleet`] but with a ring observer — durable under
-    /// `dir` when one is given: returns the fleet plus the full emitted
-    /// event trace.
-    fn traced_fleet(
-        dir: Option<&Path>,
-        workers: usize,
-        points: &[(u32, i64)],
-    ) -> (MultiSeriesEngine, Vec<Event>) {
-        let ring = crate::obs::RingBufferSink::new(1 << 16);
-        let mut options = OpenOptions::new(config())
-            .workers(workers)
-            .observer(ring.clone());
-        if let Some(dir) = dir {
-            options = options.durable_dir(dir);
-        }
-        let mut m = options.open().expect("open");
-        for &(series, tg) in points {
-            m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
-                .expect("append");
-        }
-        m.flush_all().expect("flush");
-        (m, ring.events())
-    }
-
-    /// Like [`traced_fleet`] but with the memory arbiter enabled at a
-    /// cadence the workloads actually reach, so rebalances land inside
-    /// the traced window.
-    fn traced_arbiter_fleet(
-        workers: usize,
-        points: &[(u32, i64)],
-    ) -> (MultiSeriesEngine, Vec<Event>) {
-        let ring = crate::obs::RingBufferSink::new(1 << 16);
-        let options = OpenOptions::new(config())
-            .workers(workers)
-            .observer(ring.clone())
-            .arbiter(
-                ArbiterConfig::new(512)
-                    .with_floor(8)
-                    .with_rebalance_every(16),
-            );
-        let mut m = options.open().expect("open");
-        for &(series, tg) in points {
-            m.append(SeriesId(series), DataPoint::new(tg, tg + 3, tg as f64))
-                .expect("append");
-        }
-        m.flush_all().expect("flush");
-        (m, ring.events())
-    }
-
     /// A store that hands the series of every table write to `hook` first
     /// — points here carry their series as their value — and fails the
-    /// write when the hook does: which series a hook sees does not depend
-    /// on which thread gets to the store first.
+    /// write when the hook does.
     struct Hooked<F> {
         inner: crate::store::MemStore,
         hook: F,
@@ -1296,25 +1138,20 @@ mod tests {
         }
     }
 
-    /// Like [`traced_fleet`], over a [`Hooked`] store, with `arm` run just
-    /// before the closing `flush_all`: returns what that call returned, as
-    /// text, next to what the fleet then holds and the trace.
-    fn traced_hooked_fleet(
-        workers: usize,
+    /// Opens `options` over a [`Hooked`] store, feeds it `points` and runs
+    /// `arm` just before the closing `flush_all`: returns what that call
+    /// returned, as text, next to the fleet.
+    fn hooked_fleet(
+        options: OpenOptions,
         points: &[(u32, i64)],
         hook: impl Fn(u32) -> Result<()> + Send + Sync + 'static,
         arm: impl FnOnce(),
-    ) -> (String, MultiSeriesEngine, Vec<Event>) {
-        let ring = crate::obs::RingBufferSink::new(1 << 16);
+    ) -> (String, MultiSeriesEngine) {
         let store = Arc::new(Hooked {
             inner: crate::store::MemStore::new(),
             hook,
         });
-        let options = OpenOptions::new(config())
-            .store(store)
-            .workers(workers)
-            .observer(ring.clone());
-        let mut m = options.open().expect("open");
+        let mut m = options.store(store).open().expect("open");
         for &(series, tg) in points {
             let p = DataPoint::new(tg, tg + 3, f64::from(series));
             m.append(SeriesId(series), p).expect("append");
@@ -1324,33 +1161,12 @@ mod tests {
             Ok(outcome) => format!("{outcome:?}"),
             Err(err) => err.to_string(),
         };
-        (outcome, m, ring.events())
-    }
-
-    /// Like [`traced_hooked_fleet`], where the first table write of
-    /// `victim` in the closing `flush_all` fails.
-    fn traced_failing_fleet(
-        workers: usize,
-        points: &[(u32, i64)],
-        victim: u32,
-    ) -> (String, MultiSeriesEngine, Vec<Event>) {
-        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-        let armed = Arc::new(AtomicBool::new(false));
-        let trip = Arc::clone(&armed);
-        let hook = move |series| {
-            if series == victim && trip.swap(false, SeqCst) {
-                return Err(Error::Io(std::io::Error::other(
-                    "injected StoreWrite failure",
-                )));
-            }
-            Ok(())
-        };
-        traced_hooked_fleet(workers, points, hook, || armed.store(true, SeqCst))
+        (outcome, m)
     }
 
     /// A mixed-order workload across `series_count` series: mostly
     /// ascending with every 7th point a straggler, unique per series.
-    fn pool_workload(series_count: u32, per_series: i64) -> Vec<(u32, i64)> {
+    fn mixed_workload(series_count: u32, per_series: i64) -> Vec<(u32, i64)> {
         let mut points = Vec::new();
         for s in 0..series_count {
             for i in 0..per_series {
@@ -1361,196 +1177,33 @@ mod tests {
         points
     }
 
-    fn fleet_scans(m: &MultiSeriesEngine) -> Vec<(SeriesId, Vec<DataPoint>)> {
-        m.series_ids()
-            .into_iter()
-            .map(|id| {
-                let pts =
-                    m.engine(id).expect("series").scan_all().expect("scan");
-                (id, pts)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn pooled_flush_matches_sequential_flush() {
-        let points = pool_workload(8, 40);
-        let sequential = flushed_fleet(1, &points);
-        let pooled = flushed_fleet(4, &points);
-        assert_eq!(
-            pooled.combined_metrics(),
-            sequential.combined_metrics(),
-            "summed kernel metrics must not depend on worker count"
-        );
-        assert_eq!(fleet_scans(&pooled), fleet_scans(&sequential));
-        for id in pooled.series_ids() {
-            assert_eq!(
-                pooled.engine(id).expect("series").buffered_points(),
-                0,
-                "{id} left points buffered"
-            );
-        }
-    }
-
-    #[test]
-    fn more_workers_than_series_is_fine() {
-        let points = pool_workload(2, 12);
-        let wide = flushed_fleet(16, &points);
-        let narrow = flushed_fleet(1, &points);
-        assert_eq!(fleet_scans(&wide), fleet_scans(&narrow));
-    }
-
-    #[test]
-    fn pooled_flush_traces_match_sequential_traces() {
-        // Capture-replay at the end of the pass makes the emitted event trace
-        // a pure function of the workload — thread scheduling and worker
-        // count must be invisible in it. 29 points leave every series a
-        // partial buffer, so the pooled `flush_all` has flushes to trace.
-        let points = pool_workload(10, 29);
-        let (seq, seq_trace) = traced_fleet(None, 1, &points);
-        let (pooled, pooled_trace) = traced_fleet(None, 4, &points);
-        assert!(!seq_trace.is_empty(), "workload emitted no events");
-        assert_eq!(
-            pooled_trace, seq_trace,
-            "pooled flush trace diverged from the sequential trace"
-        );
-        assert_eq!(fleet_scans(&pooled), fleet_scans(&seq));
-
-        // A durable fleet journals every flush; the manifests' events must
-        // go through the per-series captures too.
-        let dir = std::env::temp_dir().join(format!(
-            "seplsm-multi-durable-trace-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let traced = |workers: usize| {
-            let _ = std::fs::remove_dir_all(&dir);
-            let (_, trace) = traced_fleet(Some(&dir), workers, &points);
-            trace
-        };
-        let seq_trace = traced(1);
-        assert!(
-            seq_trace
-                .iter()
-                .any(|e| matches!(e, Event::ManifestRecord { .. })),
-            "durable fleet journalled nothing"
-        );
-        assert_eq!(
-            traced(4),
-            seq_trace,
-            "pooled durable flush trace diverged from the sequential trace"
-        );
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn single_series_never_enters_the_pool() {
-        // One series is one share, which the caller's thread flushes even
-        // with a large worker bound; the observable outcome is identical.
-        let points = pool_workload(1, 20);
-        let m = flushed_fleet(8, &points);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.engine(SeriesId(0)).expect("series").buffered_points(), 0);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(
-            proptest::prelude::ProptestConfig::with_cases(16)
-        )]
-
-        /// Worker count is unobservable: any fleet workload flushed with N
-        /// workers yields the same per-series points, summed metrics *and
-        /// byte-identical event trace* as a single worker.
-        #[test]
-        fn worker_count_is_unobservable(
-            raw in proptest::collection::vec(
-                (0u32..5, 0i64..400),
-                1..120,
-            ),
-            workers in 2usize..6,
-        ) {
-            // Dedupe (series, gen_time) pairs: engines require unique
-            // generation times within one series.
-            let mut seen = HashSet::new();
-            let points: Vec<(u32, i64)> = raw
-                .into_iter()
-                .filter(|p| seen.insert(*p))
-                .collect();
-            let (sequential, seq_trace) = traced_fleet(None, 1, &points);
-            let (pooled, pooled_trace) = traced_fleet(None, workers, &points);
-            proptest::prop_assert_eq!(
-                pooled.combined_metrics(),
-                sequential.combined_metrics()
-            );
-            proptest::prop_assert_eq!(
-                fleet_scans(&pooled),
-                fleet_scans(&sequential)
-            );
-            proptest::prop_assert_eq!(pooled_trace, seq_trace);
-            // With the arbiter rebalancing mid-workload the trace (heat
-            // samples, rebalances, migrations) must still be a pure
-            // function of the workload, never of the worker count.
-            let (arb_seq, arb_seq_trace) =
-                traced_arbiter_fleet(1, &points);
-            let (arb_pooled, arb_pooled_trace) =
-                traced_arbiter_fleet(workers, &points);
-            proptest::prop_assert_eq!(
-                arb_pooled.combined_metrics(),
-                arb_seq.combined_metrics()
-            );
-            proptest::prop_assert_eq!(
-                fleet_scans(&arb_pooled),
-                fleet_scans(&arb_seq)
-            );
-            proptest::prop_assert_eq!(arb_pooled_trace, arb_seq_trace);
-            proptest::prop_assert_eq!(
-                arb_pooled.arbiter_stats(),
-                arb_seq.arbiter_stats()
-            );
-            // Nor on the failure path: when one series' table write fails
-            // inside `flush_all`, every other series is still
-            // flushed, and the error, the contents, the counters and the
-            // trace are those of the sequential fleet.
-            let victim = points[0].0;
-            let (seq_outcome, failed_seq, failed_seq_trace) =
-                traced_failing_fleet(1, &points, victim);
-            let (pooled_outcome, failed_pooled, failed_pooled_trace) =
-                traced_failing_fleet(workers, &points, victim);
-            proptest::prop_assert_eq!(pooled_outcome, seq_outcome);
-            proptest::prop_assert_eq!(
-                failed_pooled.combined_metrics(),
-                failed_seq.combined_metrics()
-            );
-            proptest::prop_assert_eq!(
-                fleet_scans(&failed_pooled),
-                fleet_scans(&failed_seq)
-            );
-            proptest::prop_assert_eq!(failed_pooled_trace, failed_seq_trace);
-            for id in failed_seq.series_ids() {
-                let engine = failed_seq.engine(id).expect("series");
-                proptest::prop_assert_eq!(engine.buffered_points(), 0);
-            }
-        }
-    }
-
     #[test]
     fn a_failing_series_does_not_keep_the_others_from_flushing() {
-        // Series 1 of 0..5 fails: series 2–4 are flushed all the same, by
-        // one worker or three.
-        let points = pool_workload(5, 12);
-        for workers in [1, 3] {
-            let (outcome, m, _) = traced_failing_fleet(workers, &points, 1);
-            assert!(outcome.contains("injected"), "{workers}: {outcome}");
-            for id in m.series_ids() {
-                let engine = m.engine(id).expect("series");
-                assert_eq!(engine.buffered_points(), 0, "{workers}: {id}");
-                let flushed = if id == SeriesId(1) { 8 } else { 12 };
-                assert_eq!(
-                    engine.run().total_points(),
-                    flushed,
-                    "{workers}: {id}"
-                );
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        // The first table write of series 1 of 0..5 in the closing
+        // `flush_all` fails: series 2–4 are flushed all the same.
+        let armed = Arc::new(AtomicBool::new(false));
+        let trip = Arc::clone(&armed);
+        let hook = move |series| {
+            if series == 1 && trip.swap(false, SeqCst) {
+                return Err(Error::Io(std::io::Error::other(
+                    "injected StoreWrite failure",
+                )));
             }
+            Ok(())
+        };
+        let (outcome, m) = hooked_fleet(
+            OpenOptions::new(config()),
+            &mixed_workload(5, 12),
+            hook,
+            || armed.store(true, SeqCst),
+        );
+        assert!(outcome.contains("injected"), "{outcome}");
+        for id in m.series_ids() {
+            let engine = m.engine(id).expect("series");
+            assert_eq!(engine.buffered_points(), 0, "{id}");
+            let flushed = if id == SeriesId(1) { 8 } else { 12 };
+            assert_eq!(engine.run().total_points(), flushed, "{id}");
         }
     }
 
@@ -1562,41 +1215,79 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_s_thread_flushes_the_first_share() {
-        type Writers = BTreeMap<u32, BTreeSet<String>>;
-        let points = pool_workload(6, 29);
-        let run = |workers: usize| {
-            let writers: Arc<Mutex<Option<Writers>>> = Arc::default();
-            let log = Arc::clone(&writers);
-            let hook = move |series| {
-                if let Some(writers) = log.lock().as_mut() {
-                    writers.entry(series).or_default().insert(thread_name());
-                }
-                Ok(())
-            };
-            let arm = || *writers.lock() = Some(BTreeMap::new());
-            let (_, m, trace) =
-                traced_hooked_fleet(workers, &points, hook, arm);
-            let writers = writers.lock().take().expect("armed");
-            (writers, fleet_scans(&m), trace)
+    fn flush_all_runs_on_the_caller_s_thread() {
+        // `workers` is kept as a setter and changes nothing: every table
+        // write of the closing `flush_all` comes from the caller's thread.
+        let writers = Arc::new(Mutex::new(None::<BTreeSet<(u32, String)>>));
+        let log = Arc::clone(&writers);
+        let hook = move |series| {
+            if let Some(writers) = log.lock().as_mut() {
+                writers.insert((series, thread_name()));
+            }
+            Ok(())
         };
+        let (outcome, _) = hooked_fleet(
+            OpenOptions::new(config()).workers(3),
+            &mixed_workload(6, 29),
+            hook,
+            || *writers.lock() = Some(BTreeSet::new()),
+        );
+        assert_eq!(outcome, "Admitted");
         let caller = thread_name();
-        let expect = |names: &[&str]| -> Writers {
-            names
-                .iter()
-                .enumerate()
-                .map(|(s, name)| {
-                    (s as u32, BTreeSet::from([(*name).to_string()]))
-                })
-                .collect()
+        let expected = (0..6).map(|s| (s, caller.clone())).collect();
+        assert_eq!(writers.lock().take(), Some(expected));
+    }
+
+    #[test]
+    fn a_recovered_series_takes_its_admitted_capacity() {
+        use crate::store::FileStore;
+
+        let dir = std::env::temp_dir().join(format!(
+            "seplsm-multi-recovered-capacity-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = |recover: bool| {
+            let store: Arc<dyn TableStore> =
+                Arc::new(FileStore::open(dir.join("tables")).expect("store"));
+            let options =
+                OpenOptions::new(EngineConfig::new(Policy::conventional(64)))
+                    .store(store)
+                    .durable_dir(dir.join("meta"))
+                    .arbiter(
+                        ArbiterConfig::new(256)
+                            .with_floor(8)
+                            .with_rebalance_every(1000),
+                    );
+            if recover {
+                options.open_or_recover().expect("recover").0
+            } else {
+                options.open().expect("open")
+            }
         };
-        let (one, one_scans, one_trace) = run(1);
-        assert_eq!(one, expect(&[caller.as_str(); 6]));
-        let (three, three_scans, three_trace) = run(3);
-        let (w1, w2) = ("seplsm-fleet-1", "seplsm-fleet-2");
-        assert_eq!(three, expect(&[&caller, w1, w2, &caller, w1, w2]));
-        assert_eq!(three_scans, one_scans);
-        assert_eq!(three_trace, one_trace);
+        {
+            let mut m = open(false);
+            for s in 0..2u32 {
+                m.append(SeriesId(s), DataPoint::new(0, 0, 0.0))
+                    .expect("append");
+            }
+            m.sync_wal_all().expect("sync");
+            // Crash: dropped without flushing the buffers.
+        }
+        let mut m = open(true);
+        // Recovery rebuilt both series at the template's capacity.
+        let engine = m.engine(SeriesId(0)).expect("recovered");
+        assert_eq!(engine.policy().total_capacity(), 64);
+        m.append(SeriesId(0), DataPoint::new(10, 10, 0.0))
+            .expect("append");
+        assert_eq!(m.series_capacity(SeriesId(0)), Some(8));
+        let engine = m.engine(SeriesId(0)).expect("recovered");
+        assert_eq!(engine.policy().total_capacity(), 8);
+        let (pts, _) =
+            m.query(SeriesId(0), TimeRange::new(0, 100)).expect("query");
+        assert_eq!(pts.len(), 2);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! What differs per engine is its [`Kind`]: the settings only that engine
 //! has ([`Background`]: synchronous flushes; [`Fleet`]: durable directory,
-//! flush pool, arbiter) and the engine type it assembles — the two
+//! arbiter) and the engine type it assembles — the two
 //! single-series kinds the same [`Engine`], over the executor their settings
 //! start. A durable fleet assembles its series through the
 //! [`Inline`] kind with neither log nor manifest: both are the fleet's
@@ -113,21 +113,10 @@ pub struct Background {
 }
 
 /// The [`MultiSeriesEngine`](crate::MultiSeriesEngine) kind.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Fleet {
     pub(crate) durable_dir: Option<PathBuf>,
-    pub(crate) workers: usize,
     pub(crate) arbiter: Option<ArbiterConfig>,
-}
-
-impl Default for Fleet {
-    fn default() -> Self {
-        Self {
-            durable_dir: None,
-            workers: 1,
-            arbiter: None,
-        }
-    }
 }
 
 /// The one way to open an engine. Use it through [`OpenOptions`],
@@ -430,13 +419,9 @@ impl MultiOpenOptions {
         self
     }
 
-    /// Fans [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all) across up to `n`
-    /// threads, the caller's included, one series at a time per thread
-    /// (default 1 = fully sequential, never spawning). Each series' kernel
-    /// stays single-threaded, so per-series results and summed metrics
-    /// are identical for every worker count; only wall-clock changes.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.kind.workers = n.max(1);
+    /// Does nothing: [`MultiSeriesEngine::flush_all`](crate::MultiSeriesEngine::flush_all)
+    /// flushes every series on the caller's thread, whatever `n` is.
+    pub fn workers(self, _n: usize) -> Self {
         self
     }
 

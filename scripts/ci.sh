@@ -313,14 +313,17 @@ awk -v s="$(per_kpoint StoreSync "$BG_IO")" \
 # Zipf-hot series pay for their own surplus instead of evicting the tables a
 # cold series' next merge consumes. `fleet-skew` replayed for 3 s (45 000
 # points) must read fewer than 2 tables per 1 000 points back from the
-# store: 0.76 with that rule, 6.47–6.51 (two runs: the flush workers race)
-# when the pool evicts in plain FIFO order and the arbiter holds a quarter
-# of its budget back from the series (0.42 with the rule).
+# store: 0.73 with that rule. The fleet flushes on one thread, so the
+# replay repeats bit for bit: a second run must print the same.
 echo "== io_split fleet-skew (a hot series does not evict a cold one's merge inputs) =="
 FLEET_IO="$(target/release/io_split --workload fleet-skew --seed 11 --seconds 3)"
 awk -v r="$(per_kpoint StoreRead "$FLEET_IO")" \
     'BEGIN { exit !(r != "" && r < 2) }' \
   || { echo "the fleet's merges read their inputs back: $FLEET_IO"; exit 1; }
+FLEET_IO_AGAIN="$(target/release/io_split --workload fleet-skew --seed 11 --seconds 3)"
+cmp -s <(echo "$FLEET_IO") <(echo "$FLEET_IO_AGAIN") \
+  || { printf 'the fleet replay does not repeat:\n%s\n-- second run --\n%s\n' \
+         "$FLEET_IO" "$FLEET_IO_AGAIN"; exit 1; }
 # The arbiter gives the fleet's whole budget to the series' MemTables, and
 # larger MemTables flush less often: `fleet-skew` replayed for 10 s must
 # fsync fewer than 25 times per 1 000 points. 20.27 so; 30.70 when a quarter
@@ -377,10 +380,10 @@ SMOKE_OUT="$TRACE_DIR/smoke.txt"
 bash benchmark/run.sh --smoke --seconds 10 >"$SMOKE_OUT"
 # The same run's exact counters — write amplification, bytes written and
 # stored per point, fsyncs and write syscalls per 1 000 points, and read
-# syscalls per read of the two inline ingest workloads and of read-mix —
-# repeat bit for bit from run to run (read bytes per read do not: they
-# move by a few bytes), so they are compared with the record in
-# scripts/smoke_counters.json.
+# syscalls per read of the two inline ingest workloads, of read-mix and of
+# fleet-skew, whose series all flush on one thread — repeat bit for bit
+# from run to run (read bytes per read do not: they move by a few bytes),
+# so they are compared with the record in scripts/smoke_counters.json.
 # A change that means to move them updates that file in the same diff.
 echo "== benchmark smoke (exact counters equal scripts/smoke_counters.json) =="
 python3 - "$SMOKE_OUT" scripts/smoke_counters.json <<'PYEOF'
@@ -426,10 +429,11 @@ if [[ "${MIRI:-0}" == "1" ]]; then
   fi
 fi
 
-# Opt-in data-race lane: TSAN=1 scripts/ci.sh rebuilds the flush-pool and
-# cache tests under ThreadSanitizer (nightly-only -Zsanitizer=thread) — the
-# runtime complement to seplint R8's static lock discipline. Tolerant-skip
-# like the MIRI lane: a stable-only toolchain just reports and moves on.
+# Opt-in data-race lane: TSAN=1 scripts/ci.sh rebuilds the cache and
+# background-worker tests under ThreadSanitizer (nightly-only
+# -Zsanitizer=thread) — the runtime complement to seplint R8's static lock
+# discipline. Tolerant-skip like the MIRI lane: a stable-only toolchain just
+# reports and moves on.
 if [[ "${TSAN:-0}" == "1" ]]; then
   TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
   # -Zbuild-std (needed so std itself is TSAN-instrumented, avoiding false
@@ -444,7 +448,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
     TSAN_OPTIONS="halt_on_error=1" \
     cargo +nightly test -q -p seplsm-lsm --lib --offline \
       -Zbuild-std --target "$TSAN_TARGET" \
-      --target-dir target/tsan -- multi:: cache:: background:: \
+      --target-dir target/tsan -- cache:: background:: \
       || { echo "ThreadSanitizer lane failed"; exit 1; }
   else
     echo "== TSAN=1 requested but nightly + rust-src are not installed; skipping =="

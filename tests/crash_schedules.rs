@@ -1467,20 +1467,20 @@ proptest! {
     }
 }
 
-/// The pooled-flush variant of the fleet crash schedule: with several flush
-/// workers live, a crash during `flush_all` lands on whichever worker's
-/// store/manifest op hits the schedule first — every engine must still be
-/// handed back to the fleet, and recovery must uphold the same contract
-/// (synced prefix survives, nothing is invented) at every crash point.
+/// The fleet crash schedule over a run that closes with `flush_all`, which
+/// flushes the series one after another and then runs the horizon: at
+/// each of five crash points, before that call or inside it, the fleet
+/// must keep every series' engine, and recovery must uphold the same
+/// contract (synced prefix survives, nothing is invented).
 #[test]
-fn pooled_flush_crash_schedule_preserves_the_durability_contract() {
+fn a_crash_inside_the_fleet_s_flush_all_preserves_the_durability_contract() {
     let pts: Vec<(u32, DataPoint)> = workload(WORKLOAD_POINTS)
         .into_iter()
         .enumerate()
         .map(|(i, p)| ((i % 4) as u32, p))
         .collect();
     for crash_at in [6u64, 25, 60, 110, 200] {
-        let dir = TempDir::new(&format!("multi-pool-{crash_at}"));
+        let dir = TempDir::new(&format!("multi-flush-all-{crash_at}"));
         let plan = FaultPlan::crash_at(SEED, crash_at);
         let out = {
             let store = FileStore::open(dir.path("tables"))
@@ -1489,18 +1489,17 @@ fn pooled_flush_crash_schedule_preserves_the_durability_contract() {
             let mut engine = MultiOpenOptions::new(config())
                 .store(Arc::new(store))
                 .durable_dir(dir.path("meta"))
-                .workers(3)
                 .faults(Arc::clone(&plan))
                 .open()
                 .expect("durable engine");
             let out = drive_fleet(&mut engine, &pts, usize::MAX);
-            // May crash mid-pool; every series engine is retained either
+            // May crash mid-flush; every series engine is retained either
             // way, and the fleet keeps answering for the survivors.
             if engine.flush_all().is_err() {
                 assert_eq!(
                     engine.len(),
                     out.appended.len(),
-                    "crash_at {crash_at}: a failed pooled flush lost series"
+                    "crash_at {crash_at}: a failed flush_all lost series"
                 );
             }
             out
@@ -1512,7 +1511,7 @@ fn pooled_flush_crash_schedule_preserves_the_durability_contract() {
             &engine,
             &pts,
             &out,
-            &format!("pooled flush, crash at op {crash_at}"),
+            &format!("flush_all, crash at op {crash_at}"),
         );
     }
 }
