@@ -1,8 +1,9 @@
 //! **Trace run** — one instrumented ingest with the observability layer
 //! attached: prints the aggregate event table and (with `--trace`) writes
-//! the full typed event stream as JSONL. Both run on the deterministic
-//! logical clock, so two runs with the same `--seed` produce byte-identical
-//! traces — the property `scripts/ci.sh` checks.
+//! the full typed event stream as JSONL. The table counts events and the
+//! trace numbers them by sequence alone, with no clock, so two runs with
+//! the same `--seed` produce byte-identical traces — the property
+//! `scripts/ci.sh` checks.
 //!
 //! ```text
 //! cargo run --release -p seplsm-bench --bin trace_run -- \

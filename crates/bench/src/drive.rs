@@ -32,7 +32,7 @@ pub fn measure_wa(
 /// Like [`measure_wa`] with the observability layer attached: aggregates
 /// every storage-kernel event (returned as an [`AggregateReport`]) and, if
 /// `trace` is given, writes the full typed event stream to it as JSONL.
-/// Both run on the deterministic logical clock, so two runs of the same
+/// Trace lines are numbered by sequence alone, so two runs of the same
 /// seeded workload produce byte-identical traces.
 pub fn measure_wa_traced(
     points: &[DataPoint],
@@ -40,12 +40,12 @@ pub fn measure_wa_traced(
     sstable_points: usize,
     trace: Option<&Path>,
 ) -> Result<(Metrics, AggregateReport)> {
-    let aggregate = AggregateSink::with_logical_clock();
+    let aggregate = AggregateSink::new();
     let mut sinks: Vec<std::sync::Arc<dyn Observer>> = vec![aggregate.clone()];
     let jsonl = match trace {
         Some(path) => {
             let file = std::fs::File::create(path)?;
-            let sink = JsonlSink::with_logical_clock(Box::new(file));
+            let sink = JsonlSink::new(Box::new(file));
             sinks.push(sink.clone());
             Some(sink)
         }

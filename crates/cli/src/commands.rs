@@ -349,12 +349,12 @@ pub fn stats(opts: &Opts) -> Result<()> {
         ));
     };
 
-    let aggregate = AggregateSink::with_logical_clock();
+    let aggregate = AggregateSink::new();
     let mut sinks: Vec<Arc<dyn Observer>> = vec![aggregate.clone()];
     let jsonl = match opts.get("trace") {
         Some(path) => {
             let file = std::fs::File::create(path)?;
-            let sink = JsonlSink::with_logical_clock(Box::new(file));
+            let sink = JsonlSink::new(Box::new(file));
             sinks.push(sink.clone());
             Some((sink, path.to_string()))
         }

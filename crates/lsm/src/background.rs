@@ -65,7 +65,7 @@ use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 use crate::admission::{self, AdmissionOutcome, AdmissionStats};
 use crate::compaction::{self, plan_merge, Outbox, RunInput, Share, Written};
 use crate::engine::{Batch, Engine, Executor, Front};
-use crate::invariants::{self, InvariantChecker};
+use crate::invariants;
 use crate::iterator::merge_sorted;
 use crate::manifest::Manifest;
 use crate::metrics::Metrics;
@@ -188,9 +188,6 @@ struct TierState {
     /// The flush ranges a horizon made durable since
     /// [`Background::progress`] last asked.
     retired: Vec<TimeRange>,
-    /// Debug-build temporal invariants, observed by the worker after every
-    /// flush/compaction while the state lock is held.
-    invariants: InvariantChecker,
     /// Why the engine is degraded (read-only), once the worker has exhausted
     /// its retries on a store failure. `None` while healthy.
     degraded: Option<DegradedState>,
@@ -217,13 +214,6 @@ struct TierState {
 type Claimed = (Outbox, Option<Manifest>, Version);
 
 impl TierState {
-    /// Runs the temporal invariant checks against the current state
-    /// (no-op in release builds).
-    fn check_invariants(&mut self) -> Result<()> {
-        self.invariants
-            .observe_metrics(&self.version, &self.metrics)
-    }
-
     /// The backlog — L0 tables plus flushing batches — noted into
     /// `max_depth`.
     fn note_depth(&mut self) -> usize {
@@ -391,7 +381,6 @@ fn compact_l0_once(
             prepared.plan.inputs.iter().copied().chain(l0_ids).collect();
         Ok(outbox.defer(&prepared.added, &consumed, store))
     })?;
-    state.check_invariants()?;
     let version_snapshot =
         cfg!(debug_assertions).then(|| state.version.clone());
     drop(state);
@@ -447,7 +436,6 @@ impl Background {
         obs: &ObserverHandle,
     ) -> Result<Self> {
         let flushed_max = version.last_stored_gen_time();
-        let invariants = InvariantChecker::seeded(&version);
         let shared = Arc::new(Shared {
             state: Mutex::new(TierState {
                 version,
@@ -455,7 +443,6 @@ impl Background {
                 manifest: None,
                 outbox: Outbox::default(),
                 retired: Vec::new(),
-                invariants,
                 degraded: None,
                 compacting: false,
                 busy: false,
@@ -549,7 +536,6 @@ impl Background {
                     outbox.defer(&prepared.added, &[], store);
                     outbox.flushed.extend(span(&batch));
                     outbox.points += batch.len();
-                    state.check_invariants()?;
                     state.note_depth();
                     // Claimed with the commit, so the horizon a flush makes
                     // due runs before anything else plans.
@@ -575,10 +561,9 @@ impl Background {
                         return Ok(());
                     }
                 }
-                if !compact() {
-                    return Ok(());
-                }
-                worker.state.lock().check_invariants()
+                // A merge that fails here has degraded the engine.
+                compact();
+                Ok(())
             })
             .map_err(|e| Error::Io(std::io::Error::other(e)))?;
         Ok(Self {
@@ -858,8 +843,7 @@ impl Engine<Background> {
             &self.front.written,
             self.front.config.sstable_points,
             &self.front.obs,
-        )?;
-        self.exec.shared.state.lock().check_invariants()
+        )
     }
 
     /// Flushes buffers, stops the worker, and returns the final report.

@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use seplsm_types::{DataPoint, Result, TimeRange};
+use seplsm_types::{DataPoint, Error, Result, TimeRange};
 
 use crate::iterator::merge_sorted;
 use crate::manifest::{Manifest, ManifestEdit, SeriesTables};
@@ -377,11 +377,14 @@ pub(crate) fn write_outputs(
 /// [`VersionEdit::FlushToL0`] for a background flush), and does all metric
 /// accounting and completion events. Does no I/O — this is the only phase
 /// that needs the engine's state lock; the plan becomes durable at the
-/// next [`horizon`]. Returns the edit it applied.
+/// next [`horizon`]. Debug builds also check that the commit did not move
+/// the classification pivot `LAST(R).t_g` backwards (Definition 3). Returns
+/// the edit it applied.
 ///
 /// # Errors
 /// Version failures; the version is only mutated if the edit applies
-/// cleanly.
+/// cleanly. In debug builds, [`Error::Corrupt`] when the applied edit moved
+/// the pivot backwards.
 pub fn commit(
     prepared: &PreparedCompaction,
     place: impl FnOnce(Vec<SsTableId>, Vec<SsTableMeta>) -> VersionEdit,
@@ -391,7 +394,19 @@ pub fn commit(
 ) -> Result<VersionEdit> {
     let plan = &prepared.plan;
     let edits = [place(plan.inputs.clone(), prepared.added.clone())];
+    let before = cfg!(debug_assertions)
+        .then(|| version.last_stored_gen_time())
+        .flatten();
     version.apply(&edits)?;
+    let now = before.and_then(|_| version.last_stored_gen_time());
+    if let (Some(before), Some(now)) = (before, now) {
+        if now < before {
+            return Err(Error::Corrupt(format!(
+                "classification pivot LAST(R).t_g regressed: \
+                 {before} -> {now}"
+            )));
+        }
+    }
     metrics.tables_created += prepared.added.len() as u64;
     metrics.disk_points_written += plan.merged_points;
     metrics.rewritten_points += plan.rewritten_points;
@@ -770,6 +785,50 @@ mod tests {
             plan_merge(vec![pts(&[15])], Vec::new(), 512, None).subsequent,
             None
         );
+    }
+
+    #[test]
+    fn a_commit_that_moves_the_pivot_back_is_corrupt() {
+        let meta = |id, start, end| SsTableMeta {
+            id: SsTableId(id),
+            range: TimeRange::new(start, end),
+            count: 2,
+        };
+        let mut version = Version::new();
+        version
+            .apply(&[VersionEdit::Replace {
+                removed: Vec::new(),
+                added: vec![meta(1, 0, 100), meta(2, 150, 200)],
+                drain_l0: false,
+            }])
+            .expect("seed");
+        // The run's tail [150 .. 200] comes back as a table ending at 150.
+        let prepared = PreparedCompaction {
+            plan: CompactionPlan {
+                inputs: vec![SsTableId(2)],
+                outputs: Vec::new(),
+                merged_points: 2,
+                rewritten_points: 2,
+                subsequent: None,
+                is_flush: false,
+            },
+            added: vec![meta(3, 120, 150)],
+        };
+        let into_run = |removed, added| VersionEdit::Replace {
+            removed,
+            added,
+            drain_l0: false,
+        };
+        let err = commit(
+            &prepared,
+            into_run,
+            &mut version,
+            &mut Metrics::default(),
+            &ObserverHandle::detached(),
+        )
+        .expect_err("the pivot moved from 200 back to 150");
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("pivot"), "{err}");
     }
 
     #[test]

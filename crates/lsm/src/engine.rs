@@ -41,7 +41,7 @@ use crate::admission::{AdmissionOutcome, AdmissionStats};
 use crate::buffer::{FlushTrigger, PolicyBuffers};
 use crate::compaction::{self, Outbox, RunInput, Share, Written};
 use crate::fault::FaultPlan;
-use crate::invariants::{self, InvariantChecker};
+use crate::invariants;
 use crate::level::Run;
 use crate::manifest::{Manifest, ManifestStats};
 use crate::metrics::{Metrics, WaSnapshot};
@@ -734,9 +734,6 @@ pub struct Inline {
     /// The ranges a horizon made durable since the engine's own log was
     /// last told.
     retired: Vec<TimeRange>,
-    /// Debug-build temporal invariants (counter monotonicity, pivot
-    /// no-regression); no-op in release builds.
-    invariants: InvariantChecker,
 }
 
 impl Inline {
@@ -744,7 +741,6 @@ impl Inline {
     /// them to its owner (`owner_commits`).
     pub(crate) fn new(version: Version, owner_commits: bool) -> Self {
         Self {
-            invariants: InvariantChecker::seeded(&version),
             version,
             manifest: None,
             outbox: Outbox::default(),
@@ -823,10 +819,7 @@ impl Executor for Inline {
         )?;
         self.outbox.flushed.push(flushed);
         self.outbox.points += taken;
-        // Temporal invariants after every flush/compaction; the store
-        // cross-check already ran inside the plan executor.
-        self.invariants
-            .observe_metrics(&self.version, &front.metrics)
+        Ok(())
     }
 
     /// The horizon over this engine alone, the unnamed series of its own

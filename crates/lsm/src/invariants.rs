@@ -1,27 +1,24 @@
-//! Debug-build invariant checker for the storage kernel.
+//! Debug-build invariant checks for the storage kernel.
 //!
 //! Every [`VersionEdit`](crate::version::VersionEdit) application re-checks
-//! the *structural* invariants ([`check_version`]), and every executed
+//! the *structural* invariants ([`check_version`]); every executed
 //! [`CompactionPlan`](crate::compaction::CompactionPlan) additionally
 //! cross-checks the version metadata against the actual store contents
-//! ([`check_version_against_store`]). The engines own an
-//! [`InvariantChecker`] that layers *temporal* invariants on top: the WA
-//! counters of [`Metrics`] are monotone and agree with
-//! [`metrics::write_amplification`](crate::metrics::write_amplification)
-//! recomputed from first principles (the paper's §I-B definition behind
-//! Eq. 2–3), and the `π_s` classification pivot (`LAST(R).t_g`,
-//! Definition 3) never moves backwards.
+//! ([`check_version_against_store`]); and every
+//! [`commit`](crate::compaction::commit) — inline flush, background flush
+//! and L0 merge alike — checks that the `π_s` classification pivot
+//! (`LAST(R).t_g`, Definition 3) did not move backwards.
 //!
 //! All checks compile to no-ops without `debug_assertions`, so release
 //! builds (the benchmarked configuration) pay nothing while every test and
-//! proptest run doubles as a model-checking pass. Violations surface as
-//! [`Error::Corrupt`] rather than panics — the library crates are
-//! panic-free by lint (clippy `unwrap_used`/`expect_used`/`panic`, `seplint`
-//! R4).
+//! proptest run doubles as a model-checking pass. The recovery-time audit
+//! ([`audit_version_against_store`]) is the exception: it runs in every
+//! build. Violations surface as [`Error::Corrupt`] rather than panics — the
+//! library crates are panic-free by lint (clippy
+//! `unwrap_used`/`expect_used`/`panic`, `seplint` R4).
 
-use seplsm_types::{Error, Result, Timestamp};
+use seplsm_types::{Error, Result};
 
-use crate::metrics::{self, Metrics};
 use crate::store::TableStore;
 use crate::version::Version;
 
@@ -201,161 +198,12 @@ pub fn audit_version_against_store(
     Ok(())
 }
 
-/// Temporal invariants carried across observations: WA counters only grow
-/// and stay self-consistent, and the classification pivot never regresses.
-///
-/// Owned by each engine (one per series); all methods are no-ops in
-/// release builds.
-#[derive(Debug, Clone, Default)]
-pub struct InvariantChecker {
-    last_user_points: u64,
-    last_disk_points_written: u64,
-    last_flushes: u64,
-    last_compactions: u64,
-    last_rewritten_points: u64,
-    /// Last observed `LAST(R).t_g` over all stored tables (run + L0).
-    last_pivot: Option<Timestamp>,
-}
-
-impl InvariantChecker {
-    /// A checker with no history (fresh engine).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A checker whose pivot history starts from a recovered version, so
-    /// the no-regression check holds across the recovery boundary too.
-    pub fn seeded(version: &Version) -> Self {
-        Self {
-            last_pivot: version.last_stored_gen_time(),
-            ..Self::default()
-        }
-    }
-
-    /// Checks the full invariant set against the current engine state and
-    /// records it as the new baseline.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on the first violated invariant. No-op in
-    /// release builds.
-    pub fn observe(
-        &mut self,
-        version: &Version,
-        metrics: &Metrics,
-        store: &dyn TableStore,
-    ) -> Result<()> {
-        if !cfg!(debug_assertions) {
-            return Ok(());
-        }
-        check_version_against_store(version, store)?;
-        self.check_counters(metrics)?;
-        self.check_pivot(version)?;
-        Ok(())
-    }
-
-    /// Counter-only variant of [`InvariantChecker::observe`] for callers
-    /// without store access.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on the first violated invariant.
-    pub fn observe_metrics(
-        &mut self,
-        version: &Version,
-        metrics: &Metrics,
-    ) -> Result<()> {
-        if !cfg!(debug_assertions) {
-            return Ok(());
-        }
-        check_version(version)?;
-        self.check_counters(metrics)?;
-        self.check_pivot(version)?;
-        Ok(())
-    }
-
-    fn check_counters(&mut self, m: &Metrics) -> Result<()> {
-        let monotone = [
-            ("user_points", self.last_user_points, m.user_points),
-            (
-                "disk_points_written",
-                self.last_disk_points_written,
-                m.disk_points_written,
-            ),
-            ("flushes", self.last_flushes, m.flushes),
-            ("compactions", self.last_compactions, m.compactions),
-            (
-                "rewritten_points",
-                self.last_rewritten_points,
-                m.rewritten_points,
-            ),
-        ];
-        for (name, before, now) in monotone {
-            if now < before {
-                return Err(corrupt(format!(
-                    "WA counter {name} regressed: {before} -> {now}"
-                )));
-            }
-        }
-        // The engine's WA must equal the §I-B ratio recomputed from the raw
-        // counters — the single shared definition behind Eq. 2–3.
-        let recomputed =
-            metrics::write_amplification(m.disk_points_written, m.user_points);
-        if m.write_amplification() != recomputed {
-            return Err(corrupt(format!(
-                "write amplification diverged from first principles: \
-                 {} vs {recomputed}",
-                m.write_amplification()
-            )));
-        }
-        // Snapshots are a prefix of the counter history: monotone in both
-        // coordinates and never ahead of the live counters.
-        for w in m.wa_snapshots.windows(2) {
-            if w[1].user_points < w[0].user_points
-                || w[1].disk_points_written < w[0].disk_points_written
-            {
-                return Err(corrupt("WA snapshots are not monotone"));
-            }
-        }
-        if let Some(last) = m.wa_snapshots.last() {
-            if last.user_points > m.user_points
-                || last.disk_points_written > m.disk_points_written
-            {
-                return Err(corrupt(
-                    "WA snapshot is ahead of the live counters",
-                ));
-            }
-        }
-        self.last_user_points = m.user_points;
-        self.last_disk_points_written = m.disk_points_written;
-        self.last_flushes = m.flushes;
-        self.last_compactions = m.compactions;
-        self.last_rewritten_points = m.rewritten_points;
-        Ok(())
-    }
-
-    fn check_pivot(&mut self, version: &Version) -> Result<()> {
-        let pivot = version.last_stored_gen_time();
-        if let (Some(before), Some(now)) = (self.last_pivot, pivot) {
-            if now < before {
-                return Err(corrupt(format!(
-                    "classification pivot LAST(R).t_g regressed: \
-                     {before} -> {now}"
-                )));
-            }
-        }
-        if pivot.is_some() {
-            self.last_pivot = pivot;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use seplsm_types::{DataPoint, TimeRange};
 
     use super::*;
     use crate::level::Run;
-    use crate::metrics::WaSnapshot;
     use crate::sstable::{SsTableId, SsTableMeta};
     use crate::store::MemStore;
 
@@ -459,122 +307,5 @@ mod tests {
         l0_meta.count = 7; // lie about the contents
         let v = Version::from_levels(Run::new(), vec![l0_meta]);
         assert!(check_version_against_store(&v, &store).is_err());
-    }
-
-    #[test]
-    fn regressed_counters_are_caught() {
-        let mut checker = InvariantChecker::new();
-        let v = Version::new();
-        let store = MemStore::new();
-        let mut m = Metrics {
-            user_points: 100,
-            disk_points_written: 150,
-            flushes: 3,
-            ..Default::default()
-        };
-        checker.observe(&v, &m, &store).expect("baseline");
-        m.disk_points_written = 120; // counters only grow
-        let err = checker.observe(&v, &m, &store).expect_err("regression");
-        assert!(err.to_string().contains("regressed"), "{err}");
-    }
-
-    #[test]
-    fn skewed_wa_snapshots_are_caught() {
-        let mut checker = InvariantChecker::new();
-        let v = Version::new();
-        let m = Metrics {
-            user_points: 10,
-            disk_points_written: 10,
-            wa_snapshots: vec![WaSnapshot {
-                user_points: 512, // ahead of the live counter
-                disk_points_written: 5,
-            }],
-            ..Default::default()
-        };
-        let err = checker.observe_metrics(&v, &m).expect_err("skew");
-        assert!(err.to_string().contains("snapshot"), "{err}");
-
-        let mut checker = InvariantChecker::new();
-        let m = Metrics {
-            user_points: 1024,
-            disk_points_written: 1024,
-            wa_snapshots: vec![
-                WaSnapshot {
-                    user_points: 512,
-                    disk_points_written: 600,
-                },
-                WaSnapshot {
-                    user_points: 1024,
-                    disk_points_written: 550, // went backwards
-                },
-            ],
-            ..Default::default()
-        };
-        assert!(checker.observe_metrics(&v, &m).is_err());
-    }
-
-    #[test]
-    fn regressed_pivot_is_caught() {
-        let mut checker = InvariantChecker::new();
-        let m = Metrics::default();
-        let v = Version::from_levels(
-            Run::from_tables(vec![meta(1, 0, 200, 10)]).expect("run"),
-            Vec::new(),
-        );
-        checker.observe_metrics(&v, &m).expect("baseline");
-        let v = Version::from_levels(
-            Run::from_tables(vec![meta(1, 0, 150, 10)]).expect("run"),
-            Vec::new(),
-        );
-        let err = checker.observe_metrics(&v, &m).expect_err("pivot");
-        assert!(err.to_string().contains("pivot"), "{err}");
-    }
-
-    #[test]
-    fn seeded_checker_spans_the_recovery_boundary() {
-        let recovered = Version::from_levels(
-            Run::from_tables(vec![meta(1, 0, 500, 10)]).expect("run"),
-            Vec::new(),
-        );
-        let mut checker = InvariantChecker::seeded(&recovered);
-        // An engine rebuilt with an older run tail must be flagged even
-        // though this checker never observed the original version.
-        let older = Version::from_levels(
-            Run::from_tables(vec![meta(1, 0, 300, 10)]).expect("run"),
-            Vec::new(),
-        );
-        assert!(checker
-            .observe_metrics(&older, &Metrics::default())
-            .is_err());
-    }
-
-    #[test]
-    fn healthy_progression_passes() {
-        let mut checker = InvariantChecker::new();
-        let store = MemStore::new();
-        let mut version = Version::new();
-        let mut m = Metrics::default();
-        let mut next_start = 0i64;
-        for round in 1..=20u64 {
-            let points: Vec<DataPoint> = (0..8)
-                .map(|i| {
-                    let tg = next_start + i;
-                    DataPoint::new(tg, tg + 3, tg as f64)
-                })
-                .collect();
-            next_start += 8;
-            let (table, _) = store.put(&points).expect("put");
-            version
-                .apply(&[crate::version::VersionEdit::Replace {
-                    removed: Vec::new(),
-                    added: vec![table],
-                    drain_l0: false,
-                }])
-                .expect("apply");
-            m.user_points += 8;
-            m.disk_points_written += 8;
-            m.flushes = round;
-            checker.observe(&version, &m, &store).expect("healthy");
-        }
     }
 }

@@ -135,7 +135,6 @@ pub use cache::{BlockCache, BlockKey, CacheStats, EvictedBlock};
 pub use compaction::{plan_merge, CompactionPlan, RunInput};
 pub use engine::{Engine, EngineConfig, Executor, Inline, LsmEngine};
 pub use fault::{Fault, FaultPlan, FaultStore, IoOp};
-pub use invariants::InvariantChecker;
 pub use iterator::{merge_sorted, MergeIter};
 pub use level::Run;
 pub use manifest::{Manifest, ManifestEdit, ManifestStats};
@@ -143,10 +142,9 @@ pub use memtable::MemTable;
 pub use metrics::{Metrics, WaSnapshot};
 pub use multi::{MultiSeriesEngine, SeriesId};
 pub use obs::{
-    AggregateReport, AggregateSink, Clock, DegradedOp, DegradedReason,
-    DegradedState, Event, FanoutSink, Histogram, JsonlSink, LogicalClock,
-    ManifestRecordKind, Observer, ObserverHandle, RecoveryStepKind,
-    RingBufferSink,
+    AggregateReport, AggregateSink, DegradedOp, DegradedReason, DegradedState,
+    Event, FanoutSink, JsonlSink, ManifestRecordKind, Observer, ObserverHandle,
+    RecoveryStepKind, RingBufferSink,
 };
 pub use open::{
     EngineBuilder, MultiOpenOptions, OpenOptions, TieredOpenOptions,

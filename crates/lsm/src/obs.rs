@@ -12,11 +12,11 @@
 //!   closure is never even evaluated, so the hot path does no allocation
 //!   and no formatting;
 //! * **deterministic** — this is a seplint kernel module (rule R3): no wall
-//!   clock or thread primitive appears here. Sinks that want timestamps
-//!   take an injectable [`Clock`]; the default [`LogicalClock`] is a plain
-//!   counter, so two runs of the same seeded workload produce
-//!   byte-identical JSONL traces. Wall-clock `Clock` implementations live
-//!   in the binary crates (bench, cli), outside the kernel.
+//!   clock or thread primitive appears here. A trace line is numbered by
+//!   its sequence number alone, so two runs of the same seeded workload
+//!   produce byte-identical JSONL traces, and the [`AggregateSink`] counts
+//!   rather than times. Latency is measured on a real clock outside the
+//!   kernel modules, by whoever drives the engine.
 //!
 //! Emission never does I/O through the fault hooks: observer traffic is
 //! invisible to [`FaultPlan`](crate::fault::FaultPlan) op numbering, so
@@ -26,41 +26,11 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::fault::IoOp;
-
-/// A monotonic time source for sinks that measure latency or stamp trace
-/// lines. Injectable so the deterministic kernel never reads a wall clock:
-/// tests and seeded runs use [`LogicalClock`]; binaries may supply a real
-/// clock implemented outside the kernel modules.
-pub trait Clock: Send + Sync {
-    /// Current time in microseconds on this clock's (monotonic) scale.
-    fn now_micros(&self) -> u64;
-}
-
-/// The deterministic default [`Clock`]: a counter that advances by one
-/// microsecond per reading. Identical workloads read identical times.
-#[derive(Debug, Default)]
-pub struct LogicalClock {
-    ticks: AtomicU64,
-}
-
-impl LogicalClock {
-    /// A fresh logical clock starting at zero.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-}
-
-impl Clock for LogicalClock {
-    fn now_micros(&self) -> u64 {
-        self.ticks.fetch_add(1, Ordering::Relaxed)
-    }
-}
 
 /// Which manifest mutation a [`Event::ManifestRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -697,100 +667,59 @@ impl Observer for FanoutSink {
 struct JsonlInner {
     seq: u64,
     out: Box<dyn Write + Send>,
+    /// The first write that failed; the sink writes nothing after it.
+    error: Option<std::io::Error>,
 }
 
-/// Writes one JSON object per event:
-/// `{"seq":N,"ts":T,"event":"flush_started",...}`.
+/// Writes one JSON object per event, numbered in emission order:
+/// `{"seq":N,"event":"flush_started",...}`.
 ///
-/// Timestamps come from the injected [`Clock`]; under the default
-/// [`LogicalClock`] two identical seeded runs produce byte-identical
-/// traces. Write errors are swallowed (telemetry must never fail the
-/// storage path); call [`JsonlSink::flush`] to surface back-pressure at a
-/// safe point.
+/// Two identical seeded runs produce byte-identical traces. A failed write
+/// never fails the storage path: the sink keeps the first error, writes
+/// nothing more, and [`JsonlSink::flush`] returns it at a safe point.
 pub struct JsonlSink {
-    clock: Arc<dyn Clock>,
     inner: Mutex<JsonlInner>,
 }
 
 impl JsonlSink {
-    /// A sink writing to `out`, stamping lines with `clock`.
-    pub fn new(out: Box<dyn Write + Send>, clock: Arc<dyn Clock>) -> Arc<Self> {
+    /// A sink writing to `out`.
+    pub fn new(out: Box<dyn Write + Send>) -> Arc<Self> {
         Arc::new(Self {
-            clock,
-            inner: Mutex::new(JsonlInner { seq: 0, out }),
+            inner: Mutex::new(JsonlInner {
+                seq: 0,
+                out,
+                error: None,
+            }),
         })
-    }
-
-    /// A sink writing to `out` under the deterministic [`LogicalClock`].
-    pub fn with_logical_clock(out: Box<dyn Write + Send>) -> Arc<Self> {
-        Self::new(out, LogicalClock::new())
     }
 
     /// Flushes the underlying writer.
     ///
     /// # Errors
-    /// The writer's flush error, if any.
+    /// The first write error the sink met, or else the writer's flush
+    /// error.
     pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.lock().out.flush()
+        let mut inner = self.inner.lock();
+        if let Some(e) = &inner.error {
+            return Err(std::io::Error::new(e.kind(), e.to_string()));
+        }
+        inner.out.flush()
     }
 }
 
 impl Observer for JsonlSink {
     fn observe(&self, event: &Event) {
-        let ts = self.clock.now_micros();
         let mut inner = self.inner.lock();
         let seq = inner.seq;
         inner.seq += 1;
+        if inner.error.is_some() {
+            return;
+        }
         let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"seq\":{seq},\"ts\":{ts},\"event\":\"{}\"",
-            event.name()
-        );
+        let _ = write!(line, "{{\"seq\":{seq},\"event\":\"{}\"", event.name());
         event.write_json_fields(&mut line);
         line.push_str("}\n");
-        let _ = inner.out.write_all(line.as_bytes());
-    }
-}
-
-/// Upper bucket bounds (µs) of the fixed-bucket latency histograms:
-/// powers of two from 1 µs to ~0.5 s, plus an overflow bucket.
-pub const LATENCY_BUCKETS_MICROS: [u64; 20] = [
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
-    32768, 65536, 131072, 262144, 524288,
-];
-
-/// A fixed-bucket latency histogram over [`LATENCY_BUCKETS_MICROS`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    /// `counts[i]` counts samples `<= LATENCY_BUCKETS_MICROS[i]`; the final
-    /// slot counts overflows.
-    pub counts: [u64; LATENCY_BUCKETS_MICROS.len() + 1],
-    /// Total samples recorded.
-    pub samples: u64,
-    /// Sum of all samples (µs), for mean reporting.
-    pub total_micros: u64,
-}
-
-impl Histogram {
-    /// Records one sample of `micros`.
-    pub fn record(&mut self, micros: u64) {
-        let idx = LATENCY_BUCKETS_MICROS
-            .iter()
-            .position(|&b| micros <= b)
-            .unwrap_or(LATENCY_BUCKETS_MICROS.len());
-        self.counts[idx] += 1;
-        self.samples += 1;
-        self.total_micros = self.total_micros.saturating_add(micros);
-    }
-
-    /// Mean sample in µs (0 when empty).
-    pub fn mean_micros(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.total_micros as f64 / self.samples as f64
-        }
+        inner.error = inner.out.write_all(line.as_bytes()).err();
     }
 }
 
@@ -800,10 +729,6 @@ struct AggregateState {
     flush_points: u64,
     compaction_rewritten: u64,
     stall_ticks: u64,
-    flush_open: Option<u64>,
-    compaction_open: Option<u64>,
-    flush_latency: Histogram,
-    compaction_latency: Histogram,
 }
 
 /// An immutable snapshot of an [`AggregateSink`].
@@ -826,10 +751,6 @@ pub struct AggregateReport {
     pub cache_misses: u64,
     /// Decoded-block cache evictions.
     pub cache_evictions: u64,
-    /// Flush latency (started → finished), on the injected clock's scale.
-    pub flush_latency: Histogram,
-    /// Compaction latency (planned → executed), same scale.
-    pub compaction_latency: Histogram,
 }
 
 impl AggregateReport {
@@ -840,7 +761,7 @@ impl AggregateReport {
     }
 
     /// Renders the report as a fixed-width text table (one row per
-    /// non-zero event kind, then the latency summaries).
+    /// non-zero event kind, then the admission and cache summaries).
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str("event                 count\n");
@@ -850,18 +771,6 @@ impl AggregateReport {
                 let _ = writeln!(out, "{:<20}  {n:>10}", Event::kind_name(k));
             }
         }
-        let _ = writeln!(
-            out,
-            "flush latency: {} samples, mean {:.1}us",
-            self.flush_latency.samples,
-            self.flush_latency.mean_micros()
-        );
-        let _ = writeln!(
-            out,
-            "compaction latency: {} samples, mean {:.1}us",
-            self.compaction_latency.samples,
-            self.compaction_latency.mean_micros()
-        );
         let retries = self.counts[Event::RetryBackoff { attempt: 0 }.kind()];
         let _ = writeln!(
             out,
@@ -883,25 +792,18 @@ impl AggregateReport {
     }
 }
 
-/// A counter/histogram registry: counts every event kind and measures
-/// flush and compaction latency on the injected [`Clock`].
+/// A counter registry: counts every event kind, the points flushed and
+/// rewritten and the ticks write stalls lasted.
 pub struct AggregateSink {
-    clock: Arc<dyn Clock>,
     state: Mutex<AggregateState>,
 }
 
 impl AggregateSink {
-    /// An aggregate sink timing on `clock`.
-    pub fn new(clock: Arc<dyn Clock>) -> Arc<Self> {
+    /// An aggregate sink with every counter at zero.
+    pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            clock,
             state: Mutex::new(AggregateState::default()),
         })
-    }
-
-    /// An aggregate sink on the deterministic [`LogicalClock`].
-    pub fn with_logical_clock() -> Arc<Self> {
-        Self::new(LogicalClock::new())
     }
 
     /// Snapshot of everything aggregated so far.
@@ -921,37 +823,18 @@ impl AggregateSink {
                 block: 0,
                 points: 0,
             }),
-            flush_latency: s.flush_latency.clone(),
-            compaction_latency: s.compaction_latency.clone(),
         }
     }
 }
 
 impl Observer for AggregateSink {
     fn observe(&self, event: &Event) {
-        let now = self.clock.now_micros();
         let mut s = self.state.lock();
         s.counts[event.kind()] += 1;
         match event {
-            Event::FlushStarted { points } => {
-                s.flush_points += points;
-                s.flush_open = Some(now);
-            }
-            Event::FlushFinished { .. } => {
-                if let Some(t0) = s.flush_open.take() {
-                    let dt = now.saturating_sub(t0);
-                    s.flush_latency.record(dt);
-                }
-            }
-            Event::CompactionPlanned { .. } => {
-                s.compaction_open = Some(now);
-            }
+            Event::FlushStarted { points } => s.flush_points += points,
             Event::CompactionExecuted { rewritten, .. } => {
                 s.compaction_rewritten += rewritten;
-                if let Some(t0) = s.compaction_open.take() {
-                    let dt = now.saturating_sub(t0);
-                    s.compaction_latency.record(dt);
-                }
             }
             Event::WriteStallEnd { ticks } => s.stall_ticks += ticks,
             _ => {}
@@ -998,7 +881,7 @@ mod tests {
         let run = || {
             let buf = Arc::new(Mutex::new(Vec::new()));
             let writer = SharedBuf(buf.clone());
-            let sink = JsonlSink::with_logical_clock(Box::new(writer));
+            let sink = JsonlSink::new(Box::new(writer));
             let handle = ObserverHandle::attached(sink);
             handle.emit(|| Event::FlushStarted { points: 3 });
             handle.emit(|| Event::DegradedTransition {
@@ -1016,14 +899,24 @@ mod tests {
         let b = run();
         assert_eq!(a, b, "identical runs must yield identical traces");
         assert!(a.starts_with(
-            "{\"seq\":0,\"ts\":0,\"event\":\"flush_started\",\"points\":3}\n"
+            "{\"seq\":0,\"event\":\"flush_started\",\"points\":3}\n"
         ));
         assert!(a.contains("\\\"quoted\\\"\\nline"));
     }
 
     #[test]
-    fn aggregate_counts_and_times_flushes() {
-        let sink = AggregateSink::with_logical_clock();
+    fn a_trace_write_that_failed_surfaces_at_flush() {
+        let sink = JsonlSink::new(Box::new(FullDisk));
+        let handle = ObserverHandle::attached(sink.clone());
+        handle.emit(|| Event::WalSync);
+        handle.emit(|| Event::WalSync);
+        let err = sink.flush().expect_err("the trace was not written");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+    }
+
+    #[test]
+    fn aggregate_counts_flushes() {
+        let sink = AggregateSink::new();
         let handle = ObserverHandle::attached(sink.clone());
         handle.emit(|| Event::FlushStarted { points: 8 });
         handle.emit(|| Event::FlushFinished {
@@ -1033,7 +926,6 @@ mod tests {
         let report = sink.report();
         assert_eq!(report.counts[Event::FlushStarted { points: 0 }.kind()], 1);
         assert_eq!(report.flush_points, 8);
-        assert_eq!(report.flush_latency.samples, 1);
         let table = report.render_table();
         assert!(table.contains("flush_started"));
         assert!(
@@ -1043,7 +935,7 @@ mod tests {
 
     #[test]
     fn aggregate_tracks_admission_and_retries() {
-        let sink = AggregateSink::with_logical_clock();
+        let sink = AggregateSink::new();
         let handle = ObserverHandle::attached(sink.clone());
         for depth in [11, 12] {
             handle.emit(|| Event::WriteStallBegin { depth });
@@ -1057,18 +949,6 @@ mod tests {
         assert!(
             table.contains("admission: 2 stalls (2 stall ticks), 1 retries")
         );
-    }
-
-    #[test]
-    fn histogram_buckets_cover_overflow() {
-        let mut h = Histogram::default();
-        h.record(1);
-        h.record(3);
-        h.record(u64::MAX);
-        assert_eq!(h.samples, 3);
-        assert_eq!(h.counts[0], 1); // <= 1us
-        assert_eq!(h.counts[2], 1); // <= 4us
-        assert_eq!(h.counts[LATENCY_BUCKETS_MICROS.len()], 1); // overflow
     }
 
     #[test]
@@ -1177,6 +1057,19 @@ mod tests {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             self.0.lock().extend_from_slice(buf);
             Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Write` whose every write fails, as on a full disk.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::StorageFull.into())
         }
 
         fn flush(&mut self) -> std::io::Result<()> {

@@ -1,5 +1,5 @@
 //! R3 fixture: an observer sink that stamps events with the wall clock
-//! instead of an injected `Clock` — exactly the nondeterminism the
+//! instead of numbering them by sequence — exactly the nondeterminism the
 //! observability layer must not reintroduce into the kernel.
 
 use std::time::SystemTime;

@@ -43,7 +43,7 @@ fn r3_fires_on_wallclock_and_thread_use() {
 #[test]
 fn r3_fires_on_wallclock_in_an_observer_sink() {
     // `obs.rs` is a kernel module: a sink stamping events with
-    // `SystemTime` instead of an injected `Clock` must be caught.
+    // `SystemTime` instead of a sequence number must be caught.
     let src = fixture("r3_obs_wallclock.rs");
     let v = rules::deterministic_kernel(Path::new("obs.rs"), &src);
     // `SystemTime` appears three times (use + now() + UNIX_EPOCH).

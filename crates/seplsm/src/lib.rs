@@ -38,15 +38,14 @@ pub use seplsm_dist::{DelayDistribution, Empirical, LogNormal};
 pub use seplsm_lsm::{
     sync_dir, AdmissionOutcome, AdmissionStats, Agg, AggregateReport,
     AggregateSink, Arbiter, ArbiterConfig, ArbiterStats, BlockCache, Bucket,
-    Clock, DegradedOp, DegradedReason, DegradedState, DiskModel, EncodeOptions,
+    DegradedOp, DegradedReason, DegradedState, DiskModel, EncodeOptions,
     EngineConfig, Event, FanoutSink, Fault, FaultPlan, FaultStore, FileStore,
-    Histogram, IoOp, JsonlSink, LogicalClock, LsmEngine, Manifest,
-    ManifestEdit, ManifestRecordKind, ManifestStats, MemStore,
-    MultiOpenOptions, MultiSeriesEngine, Observer, ObserverHandle, OpenOptions,
-    PacerStats, QuarantinedTable, QueryStats, Rebalance, RecoveryMode,
-    RecoveryOptions, RecoveryReport, RecoveryStepKind, RingBufferSink,
-    SeriesAssignment, SeriesId, TableStore, TieredEngine, TieredOpenOptions,
-    TieredReport, Wal, WalStats,
+    IoOp, JsonlSink, LsmEngine, Manifest, ManifestEdit, ManifestRecordKind,
+    ManifestStats, MemStore, MultiOpenOptions, MultiSeriesEngine, Observer,
+    ObserverHandle, OpenOptions, PacerStats, QuarantinedTable, QueryStats,
+    Rebalance, RecoveryMode, RecoveryOptions, RecoveryReport, RecoveryStepKind,
+    RingBufferSink, SeriesAssignment, SeriesId, TableStore, TieredEngine,
+    TieredOpenOptions, TieredReport, Wal, WalStats,
 };
 pub use seplsm_types::{
     DataPoint, Error, Policy, Result, TimeRange, Timestamp,

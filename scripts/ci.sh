@@ -208,6 +208,14 @@ done
 grep -qx "compaction::tests::the_largest_holder_gives_up_its_oldest_entry_first: test" \
     <<<"$LSM_TESTS" \
   || { echo "compaction.rs lost its pool eviction test"; exit 1; }
+# The one temporal invariant: a commit that moves the pivot LAST(R).t_g
+# backwards is corrupt. A trace write that failed surfaces when the JSONL
+# sink is flushed.
+for name in compaction::tests::a_commit_that_moves_the_pivot_back_is_corrupt \
+    obs::tests::a_trace_write_that_failed_surfaces_at_flush; do
+  grep -qx "$name: test" <<<"$LSM_TESTS" \
+    || { echo "crates/lsm lost its test '$name'"; exit 1; }
+done
 # The fleet arbiter splits its whole budget between the series' MemTables:
 # a split hands out all but its division remainders, a series admitted
 # later takes its floor from them or forces a new split, and a fleet's
@@ -335,9 +343,10 @@ awk -v f="$(per_kpoint fsyncs "$FLEET_IO")" \
   || { echo "the fleet's memory is held back from its series: $FLEET_IO"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
-# event trace that parses line-by-line, and — because sinks run on the
-# deterministic logical clock — two runs of the same seeded workload must
-# produce byte-identical traces.
+# event trace that parses line-by-line, and — because a trace line is
+# numbered by its sequence alone, with no clock — two runs of the same
+# seeded workload must produce byte-identical traces. Every line begins
+# `{"seq":N,"event":…` and carries no timestamp.
 echo "== observability (JSONL trace determinism) =="
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
@@ -362,12 +371,23 @@ assert lines, "empty trace"
 kinds = set()
 for i, line in enumerate(lines):
     obj = json.loads(line)
+    assert list(obj)[:2] == ["seq", "event"], f"line {i} begins {list(obj)[:2]}"
+    assert "ts" not in obj, f"line {i} carries a timestamp"
     assert obj["seq"] == i, f"seq gap at line {i}"
     kinds.add(obj["event"])
 assert "flush_finished" in kinds, kinds
 assert "point_classified" in kinds, kinds
 print(f"trace OK: {len(lines)} events, {len(kinds)} kinds")
 PYEOF
+# A trace that cannot be written fails the run that asked for it: the JSONL
+# sink keeps its first write error and returns it when flushed.
+echo "== observability (an unwritable trace fails seplsm stats) =="
+target/release/seplsm generate --dataset M3 --points 2000 --seed 7 \
+  --out "$TRACE_DIR/small.csv" >/dev/null
+if target/release/seplsm stats --input "$TRACE_DIR/small.csv" \
+    --trace /dev/full >/dev/null 2>&1; then
+  echo "seplsm stats reported a trace to /dev/full as written"; exit 1
+fi
 
 # Frozen-benchmark lane: `benchmark/` (a cargo workspace of its own) is the
 # instrument every later PR is judged with and may not change with the code
