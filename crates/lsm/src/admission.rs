@@ -6,7 +6,7 @@
 //! Systems"). The background executor bounds its backlog once: its flush
 //! queue holds `CHANNEL_DEPTH` (8) sealed MemTables, and a hand-off that
 //! finds it full blocks until the worker takes one. That wait is the write
-//! stall — the only place a writer is held back — and [`stall`] is its one
+//! stall — the only place a writer is held back — and `stall` is its one
 //! witness: the counters and the typed events move here, next to each
 //! other. The inline executor has no backlog and never stalls.
 //!

@@ -9,7 +9,9 @@
 //! adaptive-memory-management line of work (see PAPERS.md): a global
 //! budget is split between the series' MemTables, steered by decayed
 //! per-series *heat* counters so hot series grow and cold series shrink
-//! back toward a floor.
+//! back toward a floor. The share above the floors goes by √heat, not by
+//! heat: every flushed table costs a write and an fsync, and a series'
+//! flush count λ/n summed over the fleet is least at n ∝ √λ.
 //!
 //! Design constraints (this is a seplint kernel module):
 //!
@@ -252,7 +254,10 @@ impl Arbiter {
 
     /// Re-cuts the budget: halves every heat counter (one half-life per
     /// rebalance) and gives every series its floor plus a share of the
-    /// rest proportional to its heat. Division remainders stay unassigned.
+    /// rest proportional to the square root of its heat. A series
+    /// appending at rate λ into a MemTable of n points flushes λ/n tables,
+    /// and Σ λ/n under Σ n = budget is least at n ∝ √λ; `isqrt` keeps the
+    /// split in integers. Division remainders stay unassigned.
     fn rebalance(&mut self) -> Rebalance {
         self.last_rebalance_tick = self.ticks;
         self.rounds += 1;
@@ -263,17 +268,18 @@ impl Arbiter {
         for slot in self.series.values_mut() {
             slot.heat /= 2;
         }
-        let total_heat: u64 = self.series.values().map(|s| s.heat).sum();
+        let total_weight: u64 =
+            self.series.values().map(|s| s.heat.isqrt()).sum();
         let mut assignments = Vec::new();
         let mut heats = Vec::with_capacity(self.series.len());
         for (&id, slot) in &mut self.series {
-            let extra = if total_heat == 0 {
+            let extra = if total_weight == 0 {
                 extra_pool / n
             } else {
-                // u128 keeps `extra_pool * heat` from overflowing; the
+                // u128 keeps `extra_pool * weight` from overflowing; the
                 // quotient is <= extra_pool, so it fits back into u64.
-                ((u128::from(extra_pool) * u128::from(slot.heat))
-                    / u128::from(total_heat)) as u64
+                ((u128::from(extra_pool) * u128::from(slot.heat.isqrt()))
+                    / u128::from(total_weight)) as u64
             };
             let capacity = floor + extra;
             if capacity != slot.capacity {
@@ -421,6 +427,43 @@ mod tests {
             after < before,
             "decayed series must shrink: {before} -> {after}"
         );
+        assert_partition(&a);
+    }
+
+    #[test]
+    fn shares_above_the_floor_go_by_the_square_root_of_heat() {
+        // Series m appends 2·m² times inside one cadence window, so the
+        // halving leaves it 256·m² of heat, √ = 16·m: the shares above the
+        // floor are 1:2:3:4, not the 1:4:9:16 of a split by heat.
+        let mut a = Arbiter::new(
+            ArbiterConfig::new(1024)
+                .with_floor(8)
+                .with_rebalance_every(2 * (1 + 4 + 9 + 16)),
+        )
+        .expect("arbiter");
+        let mut plans = Vec::new();
+        for m in 1..=4u32 {
+            for _ in 0..2 * m * m {
+                plans.extend(a.record_append(m).expect("append"));
+            }
+        }
+        assert_eq!(plans.len(), 1, "one split, at the window's last append");
+        let heats: Vec<u64> = plans[0].heats.iter().map(|h| h.1).collect();
+        assert_eq!(heats, [256, 1024, 2304, 4096]);
+        let share = |m: u32| {
+            a.capacity_of(m).expect("hosted") - a.config().floor_points
+        };
+        let unit = share(1);
+        assert!(unit > 0);
+        for m in 2..=4u32 {
+            let got = share(m);
+            let m = u64::from(m);
+            // Within the integer division's remainder.
+            assert!(
+                (m * unit..m * unit + m).contains(&got),
+                "share of series {m}: {got} against {unit} for series 1"
+            );
+        }
         assert_partition(&a);
     }
 

@@ -377,7 +377,7 @@ pub(crate) fn write_outputs(
 /// [`VersionEdit::FlushToL0`] for a background flush), and does all metric
 /// accounting and completion events. Does no I/O — this is the only phase
 /// that needs the engine's state lock; the plan becomes durable at the
-/// next [`horizon`]. Debug builds also check that the commit did not move
+/// next `horizon`. Debug builds also check that the commit did not move
 /// the classification pivot `LAST(R).t_g` backwards (Definition 3). Returns
 /// the edit it applied.
 ///

@@ -76,7 +76,7 @@ pub(crate) fn check_version_always(version: &Version) -> Result<()> {
 }
 
 /// Cross-checks version metadata against the store: every L0 table and the
-/// [`DECODED_TAIL_TABLES`] newest run tables are decoded and must agree
+/// `DECODED_TAIL_TABLES` newest run tables are decoded and must agree
 /// with their metadata (point count and range endpoints). The check is
 /// deliberately bounded: compactions only ever touch the region around the
 /// fresh points, and older run tables get re-validated the moment a merge

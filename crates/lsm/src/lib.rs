@@ -22,10 +22,10 @@
 //!
 //! **Kernel layers** (shared by every engine):
 //!
-//! * [`buffer`] — [`PolicyBuffers`](buffer::PolicyBuffers), the policy-aware
+//! * [`buffer`] — [`PolicyBuffers`], the policy-aware
 //!   MemTable set: Definition 3 classification against the pivot, flush
 //!   triggering, and mid-stream policy migration.
-//! * [`compaction`] — [`plan_merge`](compaction::plan_merge), the *pure*
+//! * [`compaction`] — [`plan_merge`], the *pure*
 //!   merge planner (an in-order flush is the plan with no inputs),
 //!   `compaction::write_outputs` → [`commit`](compaction::commit), which
 //!   apply plans to store + version + metrics, and `compaction::horizon`,
@@ -33,9 +33,9 @@
 //!   arithmetic exists exactly once, here. `write_outputs` leaves each
 //!   plan's decoded outputs in the store's pool of written tables, which
 //!   the next merges take their inputs from.
-//! * [`version`] — [`Version`](version::Version), the table-level state
+//! * [`version`] — [`Version`], the table-level state
 //!   (run, L0, flushing batches), mutated only through atomic
-//!   [`VersionEdit`](version::VersionEdit) batches.
+//!   [`VersionEdit`] batches.
 //!
 //! **Substrate:**
 //!
@@ -72,7 +72,7 @@
 //! * [`TieredEngine`] = `Engine<Background>`: full MemTables go to an L0
 //!   through a worker that merges them into the run, the production write
 //!   path of §V-C (Table III throughput).
-//! * [`MultiSeriesEngine`](multi::MultiSeriesEngine) — one [`LsmEngine`]
+//! * [`MultiSeriesEngine`] — one [`LsmEngine`]
 //!   per series over a shared store, with a memory arbiter; durable
 //!   through one `fleet.wal` and one `fleet.manifest`, committed once per
 //!   batch.

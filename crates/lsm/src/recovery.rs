@@ -4,7 +4,7 @@
 //! existed) aborts on the first unreadable table, torn log, or metadata
 //! disagreement. Salvage recovery instead *degrades*: unreadable tables are
 //! moved into the store's quarantine area
-//! ([`TableStore::quarantine`](crate::store::TableStore::quarantine)), the
+//! ([`TableStore::quarantine`]), the
 //! longest valid prefix of a damaged WAL or manifest is used, and the
 //! returned [`RecoveryReport`] names every lost time range so operators know
 //! exactly what the surviving data set is missing. Either mode can also

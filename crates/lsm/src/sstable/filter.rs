@@ -54,7 +54,7 @@ fn splitmix64(seed: u64) -> u64 {
 
 impl TableFilter {
     /// Builds a filter over `gen_times` (the generation times of one table,
-    /// in any order, at ~[`BITS_PER_KEY`] bits per key).
+    /// in any order, at ~`BITS_PER_KEY` bits per key).
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] if `gen_times` is empty.

@@ -609,7 +609,7 @@ impl Wal {
     ///
     /// Stale `wal.tmp` debris from a crashed cut is swept. Everything past
     /// the valid prefix — a torn tail, or damage this caller chose not to
-    /// hear about (see [`Wal::recover`]) — is truncated away, because
+    /// hear about (see `Wal::recover`) — is truncated away, because
     /// appending behind it would hide the new frames from replay. A log in
     /// the oldest, fixed-record format is rewritten in this one; a framed
     /// log of an older build is continued as it stands.

@@ -11,7 +11,7 @@
 //! | R9 | engine modules | metric mutations emit a typed obs event |
 //!
 //! R5 and R8 judge helper calls through the crate-wide
-//! [`CallGraph`](crate::callgraph::CallGraph), so a contract split across
+//! [`CallGraph`], so a contract split across
 //! files is checked at the call site instead of being invisible.
 //!
 //! Rule numbering starts at R3: R1 (no panics in library code) and R2
@@ -87,7 +87,7 @@ pub fn deterministic_kernel(path: &Path, src: &str) -> Vec<Violation> {
 /// R4: a public kernel function whose body can panic (`panic!`,
 /// `.unwrap(`, `.expect(`, `assert!`-family) must return `Result` so the
 /// failure reaches the caller as the shared error type. `debug_assert!`
-/// and `unreachable!` are exempt by design (see [`R4_BANNED_MACROS`]).
+/// and `unreachable!` are exempt by design (see `R4_BANNED_MACROS`).
 pub fn kernel_returns_results(path: &Path, src: &str) -> Vec<Violation> {
     let lexed = lex(src);
     let tokens = strip_test_items(&lexed.tokens);
@@ -610,10 +610,10 @@ fn is_bound_ident(id: &str) -> bool {
 /// a 4-byte flip can OOM salvage recovery.
 ///
 /// The analysis is a per-function, statement-granular taint pass: `let`
-/// bindings whose initializer calls a [`DECODE_SOURCES`] routine become
+/// bindings whose initializer calls a `DECODE_SOURCES` routine become
 /// tainted roots; derived bindings inherit their roots; any statement that
 /// mentions a tainted name together with bounds evidence
-/// ([`is_bound_ident`]) sanitizes those roots. Slice reads are out of
+/// (`is_bound_ident`) sanitizes those roots. Slice reads are out of
 /// scope: the workspace routes them through the checked `codec`/`varint`
 /// helpers, which R7 instead treats as taint sources.
 pub fn untrusted_len(path: &Path, src: &str) -> Vec<Violation> {
@@ -849,7 +849,7 @@ pub fn lock_discipline(path: &Path, src: &str) -> Vec<Violation> {
 }
 
 /// R8: in the lock modules, (a) locks are acquired in the documented order
-/// ([`LOCK_RANKS`]: tier state → cache → store internals), and (b) no
+/// (`LOCK_RANKS`: tier state → cache → store internals), and (b) no
 /// `MutexGuard` is held across store/WAL/filesystem I/O or a channel
 /// operation — directly or through a helper whose crate-wide call-graph
 /// summary reaches I/O. Manifest writes and `obs` event emission are

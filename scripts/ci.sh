@@ -20,16 +20,20 @@ else
   echo "== cargo clippy not installed; skipping lint =="
 fi
 
-# Rustdoc lane: an intra-doc link to a function a PR deleted or renamed is
-# an error, over the workspace's own crates only (not the vendored shims).
+# Rustdoc lane: an intra-doc link to a function a change deleted or renamed
+# is an error, over the workspace's own crates only (not the vendored
+# shims); so is a public doc linking a private item (a dead link in the
+# rendered docs) and an explicit link target the label already names.
 if rustdoc --version >/dev/null 2>&1; then
-  echo "== cargo doc (broken intra-doc links) =="
+  echo "== cargo doc (broken, private and redundant intra-doc links) =="
   DOC_PKGS=()
   for manifest in crates/*/Cargo.toml; do
     DOC_PKGS+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -1)")
   done
-  RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
-    cargo doc --no-deps --offline -q "${DOC_PKGS[@]}"
+  DOC_DENY="-D rustdoc::broken_intra_doc_links"
+  DOC_DENY+=" -D rustdoc::private_intra_doc_links"
+  DOC_DENY+=" -D rustdoc::redundant_explicit_links"
+  RUSTDOCFLAGS="$DOC_DENY" cargo doc --no-deps --offline -q "${DOC_PKGS[@]}"
 else
   echo "== rustdoc not installed; skipping doc-link check =="
 fi
@@ -83,24 +87,15 @@ cargo build --release --workspace --offline
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
-# Fault-injection lane: replays every engine workload with a simulated crash
-# at every I/O operation (seeded FaultPlan — fully deterministic, no clock,
-# no RNG at runtime) and checks the durability contract after each recovery.
-echo "== fault injection (crash schedules) =="
-cargo test -q -p seplsm --test crash_schedules --offline
-# The traced fsync budget of the durability horizon: a plan between
-# horizons writes its tables and nothing else; a horizon costs one fsync per
-# table still live and unsynced + 1 directory + 1 manifest, in that order,
-# then deletes what the plans retired, and nothing on the WAL; one WAL write
-# + fsync per batch, however many series; a fleet batch that reaches a
-# horizon Σk + 3, however many series flushed; at rest one manifest record
-# per live table + one header per series. A regression fails on the
-# assertion that prints the op that crept back in.
-echo "== fault injection (fsync budget) =="
-cargo test -q -p seplsm --test fsync_budget --offline
-# The tests that read bytes an *older build* wrote ran with their files
-# above; what is checked here is that they are still there under their
-# names, so that a rename or a deletion cannot pass silently:
+# The fault files ran once, inside `cargo test --workspace` above; what is
+# checked from here on is that the tests they hold are still there under
+# their names, so that a rename or a deletion cannot pass silently.
+#
+# Fault-injection lane, `tests/crash_schedules.rs`: replays every engine
+# workload with a simulated crash at every I/O operation (seeded FaultPlan —
+# fully deterministic, no clock, no RNG at runtime) and checks the
+# durability contract after each recovery. Its tests that read bytes an
+# *older build* wrote:
 #   - directories of the PR 12 and PR 13 builds (headerless fixed-record
 #     WALs, one per fleet series; flat manifests) recover, strict and
 #     salvage, and leave only framed logs behind;
@@ -124,8 +119,16 @@ for name in pr12_and_pr13_format_directories_still_recover \
   grep -qx "$name: test" <<<"$CRASH_TESTS" \
     || { echo "crash_schedules lost its fixture test '$name'"; exit 1; }
 done
-# The merge-input section of the traced fsync budget: a merge takes the
-# tables lately written from the pool of written tables and reads none.
+# The traced fsync budget of the durability horizon, `tests/fsync_budget.rs`:
+# a plan between horizons writes its tables and nothing else; a horizon
+# costs one fsync per table still live and unsynced + 1 directory + 1
+# manifest, in that order, then deletes what the plans retired, and nothing
+# on the WAL; one WAL write + fsync per batch, however many series; a fleet
+# batch that reaches a horizon Σk + 3, however many series flushed; at rest
+# one manifest record per live table + one header per series. A regression
+# fails on the assertion that prints the op that crept back in. Its
+# merge-input section: a merge takes the tables lately written from the
+# pool of written tables and reads none.
 FSYNC_TESTS="$(listed fsync_budget)"
 for name in a_merge_of_tables_this_engine_wrote_reads_none_of_them \
     the_first_merge_after_recovery_reads_exactly_its_inputs \
@@ -321,7 +324,7 @@ awk -v s="$(per_kpoint StoreSync "$BG_IO")" \
 # Zipf-hot series pay for their own surplus instead of evicting the tables a
 # cold series' next merge consumes. `fleet-skew` replayed for 3 s (45 000
 # points) must read fewer than 2 tables per 1 000 points back from the
-# store: 0.73 with that rule. The fleet flushes on one thread, so the
+# store: 1.00 with that rule. The fleet flushes on one thread, so the
 # replay repeats bit for bit: a second run must print the same.
 echo "== io_split fleet-skew (a hot series does not evict a cold one's merge inputs) =="
 FLEET_IO="$(target/release/io_split --workload fleet-skew --seed 11 --seconds 3)"
@@ -332,15 +335,17 @@ FLEET_IO_AGAIN="$(target/release/io_split --workload fleet-skew --seed 11 --seco
 cmp -s <(echo "$FLEET_IO") <(echo "$FLEET_IO_AGAIN") \
   || { printf 'the fleet replay does not repeat:\n%s\n-- second run --\n%s\n' \
          "$FLEET_IO" "$FLEET_IO_AGAIN"; exit 1; }
-# The arbiter gives the fleet's whole budget to the series' MemTables, and
-# larger MemTables flush less often: `fleet-skew` replayed for 10 s must
-# fsync fewer than 25 times per 1 000 points. 20.27 so; 30.70 when a quarter
-# of the budget is held back from the series.
-echo "== io_split fleet-skew (the memory budget goes to the MemTables: < 25 fsyncs per 1 000 points) =="
+# The arbiter gives the fleet's whole budget to the series' MemTables, split
+# by √heat, and larger MemTables flush less often: `fleet-skew` replayed for
+# 10 s must fsync fewer than 13 times per 1 000 points. 10.85 so; 20.27 when
+# the split goes by heat, which leaves the Zipf-cold series near their
+# floor; 30.70 when a quarter of the budget is also held back from the
+# series.
+echo "== io_split fleet-skew (the memory budget goes to the MemTables by √heat: < 13 fsyncs per 1 000 points) =="
 FLEET_IO="$(target/release/io_split --workload fleet-skew --seed 11 --seconds 10)"
 awk -v f="$(per_kpoint fsyncs "$FLEET_IO")" \
-    'BEGIN { exit !(f != "" && f < 25) }' \
-  || { echo "the fleet's memory is held back from its series: $FLEET_IO"; exit 1; }
+    'BEGIN { exit !(f != "" && f < 13) }' \
+  || { echo "the fleet's memory does not go where it saves fsyncs: $FLEET_IO"; exit 1; }
 
 # Observability lane: a short instrumented bench run must emit a JSONL
 # event trace that parses line-by-line, and — because a trace line is

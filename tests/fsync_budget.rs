@@ -716,10 +716,10 @@ fn a_fleet_batch_pays_one_commit_however_many_series_flushed() {
 fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
     let dir = TempDir::new("fleet-rebalance");
     let plan = FaultPlan::trace_only(0);
-    // One-point tables: a horizon once the flushes took 64 points out of
+    // Two-point tables: a horizon once the flushes took 128 points out of
     // memory.
     let config =
-        EngineConfig::new(Policy::conventional(8)).with_sstable_points(1);
+        EngineConfig::new(Policy::conventional(8)).with_sstable_points(2);
     // 21 series at 16 points each while they are equally hot; the floor is
     // what a series is admitted with, before the first split.
     let series = 21u32;
@@ -742,15 +742,18 @@ fn a_rebalance_that_flushes_twenty_series_commits_nothing_until_the_sync() {
         }
     }
     assert_eq!(fleet.combined_metrics().flushes, 0);
-    // Twenty appends to series 0 alone (it flushes twice), acknowledged.
+    // Twenty appends to series 0 alone (it flushes twice: sixteen tables),
+    // acknowledged.
     for i in 15..35 {
         fleet.append(SeriesId(0), point(i * 10)).expect("append");
     }
     fleet.sync_wal_all().expect("sync");
     let flushes = fleet.combined_metrics().flushes;
     // The twenty-first is the split: series 0 has all the recent heat, and
-    // every other series shrinks below what it holds and flushes — past the
-    // 64 points that make a horizon due.
+    // every other series shrinks to 14 points, below the 15 it holds, and
+    // flushes 14 of them as seven tables — past the 128 points that make a
+    // horizon due, yet short of the 256 unsynced tables that would run one
+    // inside the append: 16 + 140 tables wait for the sync.
     let before = plan.ops() as usize;
     let staged = tables.staged_tables();
     fleet.append(SeriesId(0), point(350)).expect("append");
