@@ -7,13 +7,13 @@
 //! * [`DelayDistribution`] — the common interface (PDF/CDF/survival/quantile/
 //!   sampling), implemented by the parametric families used in the paper's
 //!   experiments ([`LogNormal`] foremost — all synthetic datasets M1–M12 use
-//!   lognormal delays) plus [`Exponential`], [`Normal`], [`Uniform`],
-//!   [`Pareto`], [`Constant`], [`Shifted`] and weighted [`Mixture`]
-//!   distributions for building the S-9 / H style workloads.
+//!   lognormal delays) plus [`Exponential`], [`Uniform`], [`Pareto`],
+//!   [`Constant`], [`Shifted`] and weighted [`Mixture`] distributions for
+//!   building the S-9 / H style workloads.
 //! * [`Empirical`] — a distribution fitted from observed delay samples, the
 //!   backbone of the delay analyzer (§I-D): the analyzer collects delays and
 //!   evaluates the models on their empirical distribution.
-//! * [`quadrature`] — Gauss–Legendre rules and adaptive Simpson integration;
+//! * [`quadrature`] — Gauss–Legendre rules;
 //!   [`quadrature::expectation`] evaluates `∫ f(x)·h(x) dx` by quantile
 //!   substitution so heavy-tailed delay laws stay well conditioned.
 //! * [`special`] — in-repo erf/normal-CDF/inverse-normal-CDF (no external
@@ -37,6 +37,5 @@ pub mod stats;
 pub use distribution::DelayDistribution;
 pub use empirical::Empirical;
 pub use parametric::{
-    Constant, Exponential, LogNormal, Mixture, Normal, Pareto, Shifted,
-    Uniform, Weibull,
+    Constant, Exponential, LogNormal, Mixture, Pareto, Shifted, Uniform,
 };

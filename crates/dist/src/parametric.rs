@@ -90,54 +90,6 @@ impl DelayDistribution for LogNormal {
     }
 }
 
-/// Gaussian delay law `N(mean, std²)`.
-///
-/// Delays can be negative under this law (clock skew); the models tolerate
-/// that, matching the paper's independence-only assumption.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
-
-impl Normal {
-    /// Creates `N(mean, std²)`; `std` must be positive and finite.
-    pub fn new(mean: f64, std: f64) -> Self {
-        assert!(std > 0.0 && std.is_finite(), "Normal std must be > 0");
-        Self { mean, std }
-    }
-}
-
-impl DelayDistribution for Normal {
-    fn pdf(&self, x: f64) -> f64 {
-        norm_pdf((x - self.mean) / self.std) / self.std
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        norm_cdf((x - self.mean) / self.std)
-    }
-
-    fn sf(&self, x: f64) -> f64 {
-        norm_sf((x - self.mean) / self.std)
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        self.mean + self.std * norm_quantile(q)
-    }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.mean + self.std * sample_std_normal(rng)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
-    }
-
-    fn label(&self) -> String {
-        format!("Normal(mean={}, std={})", self.mean, self.std)
-    }
-}
-
 /// Exponential delay law with the given rate `λ` (mean `1/λ`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
@@ -308,75 +260,6 @@ impl DelayDistribution for Pareto {
 
     fn label(&self) -> String {
         format!("Pareto(scale={}, shape={})", self.scale, self.shape)
-    }
-}
-
-/// Weibull delay law: `F(x) = 1 − exp(−(x/λ)^k)` for `x ≥ 0`.
-///
-/// `k < 1` gives a heavy, sub-exponential tail (bursty retries); `k = 1`
-/// degenerates to the exponential; `k > 1` concentrates around the scale —
-/// a common parametric family for transmission-delay fitting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull law with scale `λ > 0` and shape `k > 0`.
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(
-            scale > 0.0 && shape > 0.0,
-            "Weibull scale and shape must be > 0"
-        );
-        Self { scale, shape }
-    }
-}
-
-impl DelayDistribution for Weibull {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        let z = x / self.scale;
-        self.shape / self.scale
-            * z.powf(self.shape - 1.0)
-            * (-z.powf(self.shape)).exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            -(-(x / self.scale).powf(self.shape)).exp_m1()
-        }
-    }
-
-    fn sf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            1.0
-        } else {
-            (-(x / self.scale).powf(self.shape)).exp()
-        }
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        self.scale * (-(-q).ln_1p()).powf(1.0 / self.shape)
-    }
-
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(
-            self.scale * crate::special::ln_gamma(1.0 + 1.0 / self.shape).exp(),
-        )
-    }
-
-    fn label(&self) -> String {
-        format!("Weibull(scale={}, shape={})", self.scale, self.shape)
     }
 }
 
@@ -638,16 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_cdf_sf_sum_to_one() {
-        let d = Normal::new(10.0, 3.0);
-        check_quantile_inverts(&d, 1e-10);
-        for &x in &[-5.0, 0.0, 10.0, 25.0] {
-            assert!((d.cdf(x) + d.sf(x) - 1.0).abs() < 1e-12);
-        }
-        check_sample_mean(&d, 0.02);
-    }
-
-    #[test]
     fn exponential_closed_forms() {
         let d = Exponential::with_mean(20.0);
         assert!((d.cdf(20.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
@@ -673,27 +546,6 @@ mod tests {
         assert!((d.mean().unwrap() - 2.0).abs() < 1e-12);
         // Shape ≤ 1 has no finite mean.
         assert!(Pareto::new(1.0, 0.9).mean().is_none());
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let w = Weibull::new(20.0, 1.0);
-        let e = Exponential::with_mean(20.0);
-        for &x in &[1.0, 5.0, 20.0, 100.0] {
-            assert!((w.cdf(x) - e.cdf(x)).abs() < 1e-12, "x={x}");
-            assert!((w.pdf(x) - e.pdf(x)).abs() < 1e-12, "x={x}");
-        }
-        assert!((w.mean().unwrap() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weibull_closed_forms_and_sampling() {
-        let w = Weibull::new(100.0, 0.7); // heavy tail
-        check_quantile_inverts(&w, 1e-10);
-        check_sample_mean(&w, 0.05);
-        // Heavy tail: sf decays slower than exponential at large x.
-        let e = Exponential::with_mean(w.mean().unwrap());
-        assert!(w.sf(2_000.0) > e.sf(2_000.0));
     }
 
     #[test]

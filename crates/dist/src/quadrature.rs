@@ -1,5 +1,5 @@
-//! Numerical integration: Gauss–Legendre rules, adaptive Simpson, and the
-//! quantile-substitution expectation used throughout the ζ-model.
+//! Numerical integration: Gauss–Legendre rules and the quantile-substitution
+//! expectation used throughout the ζ-model.
 //!
 //! The ζ-model's delay integral `∫₀^∞ f(x)·h(x) dx` is awkward on the raw
 //! axis: the lognormal laws in the paper put mass across 4–5 decades. We
@@ -133,51 +133,6 @@ pub fn expectation_nodes(
         .collect()
 }
 
-/// Adaptive Simpson integration of `f` on `[a, b]` to absolute tolerance
-/// `tol` (recursion capped at `max_depth`).
-pub fn adaptive_simpson(
-    f: &dyn Fn(f64) -> f64,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_depth: u32,
-) -> f64 {
-    fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        f: &dyn Fn(f64) -> f64,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: u32,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson(fa, flm, fm, a, m);
-        let right = simpson(fm, frm, fb, m, b);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-        }
-    }
-    let m = 0.5 * (a + b);
-    let (fa, fm, fb) = (f(a), f(m), f(b));
-    let whole = simpson(fa, fm, fb, a, b);
-    recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,30 +206,5 @@ mod tests {
             .sum();
         let direct = expectation(&gl, &d, |x| (1.0 + x).ln());
         assert!((via_nodes - direct).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_simpson_matches_closed_form() {
-        let got = adaptive_simpson(
-            &|x: f64| x.sin(),
-            0.0,
-            std::f64::consts::PI,
-            1e-10,
-            30,
-        );
-        assert!((got - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adaptive_simpson_handles_peaked_integrands() {
-        // Narrow Gaussian bump integrates to ~1.
-        let got = adaptive_simpson(
-            &|x: f64| crate::special::norm_pdf((x - 500.0) / 2.0) / 2.0,
-            0.0,
-            1000.0,
-            1e-10,
-            40,
-        );
-        assert!((got - 1.0).abs() < 1e-8, "got {got}");
     }
 }

@@ -168,59 +168,9 @@ fn acklam_inverse(p: f64) -> f64 {
     }
 }
 
-/// Natural log of the gamma function, `ln Γ(x)` for `x > 0`
-/// (Lanczos approximation, ~1e-13 relative error).
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
-    const G: f64 = 7.0;
-    // Canonical g=7, n=9 Lanczos coefficients, quoted in full.
-    #[allow(clippy::excessive_precision)]
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_571_6e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula keeps small arguments accurate.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut acc = COEF[0];
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        acc += c / (x + i as f64);
-    }
-    let t = x + G + 0.5;
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ln_gamma_matches_known_values() {
-        // Γ(1)=1, Γ(2)=1, Γ(5)=24, Γ(0.5)=√π.
-        assert!(ln_gamma(1.0).abs() < 1e-12);
-        assert!(ln_gamma(2.0).abs() < 1e-12);
-        assert!((ln_gamma(5.0) - 24.0f64.ln()).abs() < 1e-10);
-        assert!(
-            (ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-10
-        );
-        // Recurrence Γ(x+1) = xΓ(x).
-        for &x in &[0.3, 1.7, 4.2, 9.9] {
-            assert!(
-                (ln_gamma(x + 1.0) - (ln_gamma(x) + x.ln())).abs() < 1e-9,
-                "recurrence fails at {x}"
-            );
-        }
-    }
 
     #[test]
     fn cdf_matches_known_values() {

@@ -22,18 +22,27 @@
 //! [`commit`](crate::compaction::commit) pipeline as the inline executor,
 //! and made durable at the same horizon.
 //!
+//! # One thread compacts
+//!
+//! While the worker lives no other thread plans a merge or runs a horizon.
+//! Its queue carries jobs, taken in the order sent: flush batches, and the
+//! calls the writer waits for — [`TieredEngine::quiesce`]'s merge, a
+//! recovery's forced horizon, the barrier before an orphan sweep. Once the
+//! worker is joined at rest, the writer runs the last horizon itself.
+//!
 //! # Write stalls and failures
 //!
-//! The flush queue is the one bound on the backlog: it holds
-//! `CHANNEL_DEPTH` batches, and a hand-off that finds it full blocks until
-//! the worker takes one — a write stall, witnessed by
-//! `admission::stall` and reported by the append whose hand-off waited.
-//! Since the worker merges all of L0 after every flush that leaves it
-//! `L0_COMPACT_THRESHOLD` deep, that bounds L0 as well (DESIGN §14).
-//! Nothing paces the worker's writes. A store operation failing with
-//! [`Error::Io`] is retried at once, up to [`DEFAULT_RETRY_ATTEMPTS`]
-//! attempts; when they are spent, or on any other error, the engine
-//! degrades to read-only, and the writer learns it from the failed send.
+//! The flush queue is the one bound on the backlog: a hand-off that finds
+//! its `CHANNEL_DEPTH` slots full blocks until the worker takes a job — a
+//! write stall, witnessed by `admission::stall` and reported by the append
+//! whose hand-off waited. A call is a plain blocking send, not a stall, and
+//! nothing else is sent until it is answered. Since the worker merges all
+//! of L0 after every flush that leaves it `L0_COMPACT_THRESHOLD` deep, that
+//! bounds L0 as well (DESIGN §14). Nothing paces the worker's writes. A
+//! store operation failing with [`Error::Io`] is retried at once, up to
+//! [`DEFAULT_RETRY_ATTEMPTS`] attempts; when they are spent, or on any
+//! other error, the engine degrades to read-only and the worker exits: a
+//! send or a call then fails with the degraded error.
 //!
 //! # Durability
 //!
@@ -58,7 +67,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
@@ -82,15 +91,31 @@ const L0_COMPACT_THRESHOLD: usize = 4;
 /// Flush-queue depth: a hand-off that finds it full is a write stall.
 const CHANNEL_DEPTH: usize = 8;
 
+/// Where the worker answers a call.
+type Reply = Sender<Result<()>>;
+
+/// What the writer queues for the worker, handled in the order sent: a
+/// flush, or a call the writer waits for the answer to.
+enum Job {
+    /// A sealed MemTable, registered as a flushing batch, to store in L0.
+    Flush(Batch),
+    /// One [`Worker::compact_l0_once`] attempt: no retry, no degrade and
+    /// no horizon after it ([`TieredEngine::quiesce`]).
+    Merge(Reply),
+    /// A horizon over whatever waits for one, with the worker's retries.
+    Horizon(Reply),
+    /// Nothing: answered once everything sent before it is done.
+    Barrier(Reply),
+}
+
 /// Attempts the worker makes at a store operation before it degrades.
 pub const DEFAULT_RETRY_ATTEMPTS: u32 = 3;
 
 /// What the writer, the worker and queries share.
 struct Shared {
     state: Mutex<TierState>,
-    /// Signalled by the worker after each flush batch lands in L0, after
-    /// every merge and horizon, and on its exit; [`TieredEngine::drain`]
-    /// waits on it.
+    /// Signalled by the worker after each flush batch lands in L0 and on
+    /// its exit; [`TieredEngine::drain`] waits on it.
     flush_done: Condvar,
     /// Raised when the engine enters the degraded read-only state; the
     /// reason lives in [`TierState::degraded`]. Checked lock-free on the
@@ -139,6 +164,49 @@ impl Shared {
         drop(state);
         self.degraded.store(true, Ordering::Release);
         Err(err)
+    }
+
+    /// Runs the horizon ([`compaction::horizon`]) when one is due under a
+    /// pool of `budget` points — with `None`, whenever anything waits for
+    /// one. The outbox and the manifest are taken out of [`TierState`] and
+    /// put back around it, so the store I/O runs with the state lock
+    /// released; no plan commits meanwhile, since only the thread running
+    /// this plans. The flush ranges it made durable are left for
+    /// [`Background::progress`]. A failed attempt is retried over the same
+    /// outbox ([`retry`](Self::retry)); with the attempts spent the engine
+    /// degrades as on a failed flush write.
+    fn horizon(
+        &self,
+        store: &dyn TableStore,
+        obs: &ObserverHandle,
+        budget: Option<usize>,
+    ) -> Result<()> {
+        let mut state = self.state.lock();
+        let due = budget.map_or(!state.outbox.is_empty(), |budget| {
+            state.outbox.due(budget)
+        });
+        if !due {
+            return Ok(());
+        }
+        let mut outbox = std::mem::take(&mut state.outbox);
+        let mut manifest = state.manifest.take();
+        let version = state.version.clone();
+        drop(state);
+        let durable = self.retry(obs, DegradedOp::FlushWrite, || {
+            let mut share = Share {
+                series: None,
+                outbox: &mut outbox,
+                version: &version,
+            };
+            let shares = std::slice::from_mut(&mut share);
+            compaction::horizon(store, shares, manifest.as_mut())
+        });
+        let mut state = self.state.lock();
+        debug_assert!(state.outbox.is_empty(), "a plan committed meanwhile");
+        state.outbox = outbox;
+        state.manifest = manifest;
+        durable
+            .map(|flushed| state.retired.extend(flushed.into_iter().flatten()))
     }
 }
 
@@ -191,27 +259,12 @@ struct TierState {
     /// Why the engine is degraded (read-only), once the worker has exhausted
     /// its retries on a store failure. `None` while healthy.
     degraded: Option<DegradedState>,
-    /// `true` while an L0→run merge is between its snapshot and its
-    /// commit, or a horizon between taking the outbox out and putting it
-    /// back: both run their store I/O with the state lock released, and
-    /// this flag keeps a merge from planning against the same snapshot in
-    /// that window. Cleared on every exit path and signalled on
-    /// `flush_done`.
-    compacting: bool,
-    /// Set by the worker together with the commit of a flush that leaves it
-    /// a horizon or a merge to run, until both have finished: nothing is
-    /// flushing, yet the worker is not idle.
-    busy: bool,
     /// The deepest backlog — L0 tables plus flushing batches — noted at a
     /// hand-off or a flush commit.
     max_depth: usize,
     /// Worker-side event sink (shared with the writer's handle).
     obs: ObserverHandle,
 }
-
-/// A horizon taken out of [`TierState`]: the outbox, the manifest it
-/// records in and a snapshot of the version.
-type Claimed = (Outbox, Option<Manifest>, Version);
 
 impl TierState {
     /// The backlog — L0 tables plus flushing batches — noted into
@@ -221,63 +274,6 @@ impl TierState {
         self.max_depth = self.max_depth.max(depth);
         depth
     }
-
-    /// Claims the horizon when one is due under a pool of `budget` points
-    /// — with `None`, whenever anything waits for one — and no merge or
-    /// horizon is in flight: raises `compacting` and takes the outbox and
-    /// the manifest out, for [`horizon`] to run with the lock released.
-    fn claim(&mut self, budget: Option<usize>) -> Option<Claimed> {
-        let due = budget
-            .map_or(!self.outbox.is_empty(), |budget| self.outbox.due(budget));
-        if !due || self.compacting {
-            return None;
-        }
-        self.compacting = true;
-        let outbox = std::mem::take(&mut self.outbox);
-        Some((outbox, self.manifest.take(), self.version.clone()))
-    }
-}
-
-/// Runs the horizon `claimed` ([`compaction::horizon`]) with the state
-/// lock released — no plan commits meanwhile: merges wait on
-/// `compacting`, and only the worker flushes — then, under the lock again,
-/// puts the outbox and the manifest back, clears the flag and leaves the
-/// flush ranges the horizon made durable for [`Background::progress`]. A
-/// failed attempt leaves the outbox to the retry ([`Shared::retry`]),
-/// which claims it again; with the attempts spent the engine degrades as
-/// on a failed flush write.
-fn horizon(
-    shared: &Shared,
-    store: &dyn TableStore,
-    obs: &ObserverHandle,
-    claimed: Claimed,
-) -> Result<()> {
-    let mut claimed = Some(claimed);
-    shared.retry(obs, DegradedOp::FlushWrite, || {
-        let claimed =
-            claimed.take().or_else(|| shared.state.lock().claim(None));
-        let Some((mut outbox, mut manifest, version)) = claimed else {
-            return Ok(());
-        };
-        let mut share = Share {
-            series: None,
-            outbox: &mut outbox,
-            version: &version,
-        };
-        let shares = std::slice::from_mut(&mut share);
-        let durable = compaction::horizon(store, shares, manifest.as_mut());
-        let mut state = shared.state.lock();
-        debug_assert!(state.outbox.is_empty(), "a plan committed meanwhile");
-        state.outbox = outbox;
-        state.manifest = manifest;
-        state.compacting = false;
-        let durable = durable.map(|flushed| {
-            state.retired.extend(flushed.into_iter().flatten());
-        });
-        drop(state);
-        shared.flush_done.notify_all();
-        durable
-    })
 }
 
 /// The generation-time range of a non-empty batch.
@@ -288,120 +284,217 @@ fn span(batch: &[DataPoint]) -> Option<TimeRange> {
     ))
 }
 
-/// Merges every L0 table plus the overlapping part of the run through the
-/// shared compaction pipeline, holding the state lock only around the
-/// snapshot and the commit — never across table-store I/O:
-///
-/// 1. **Snapshot** (locked): wait out any in-flight merge or horizon via
-///    [`TierState::compacting`], then capture the L0 and overlapping-run
-///    metadata and raise the flag.
-/// 2. **Write** (unlocked): take the inputs from `written` (or read them),
-///    plan, and publish the merged outputs (`compaction::write_outputs`).
-/// 3. **Commit** (locked): apply the version edit and do the metric
-///    accounting ([`compaction::commit`]), hand the outputs and the
-///    consumed tables to the outbox ([`Outbox::defer`]), clear the flag,
-///    and signal `flush_done`.
-/// 4. **Delete** (unlocked): the consumed tables no horizon synced.
-///
-/// A failure in phase 2 leaves the version untouched (plus orphan output
-/// tables for recovery-time GC) and clears the flag, so a
-/// [`Shared::retry`]-driven re-invocation restarts cleanly from a fresh
-/// snapshot, reading from the store what the failed attempt took out of
-/// `written`. A failure in phase 4 leaves the committed version correct and
-/// the undeleted inputs as orphans.
-fn compact_l0_once(
-    shared: &Shared,
-    store: &dyn TableStore,
-    written: &Written,
+/// The compaction worker: while it lives, the one thread that plans a
+/// flush or a merge or runs a horizon. Dropping it — on any way out of
+/// [`run`](Self::run) — wakes the [`TieredEngine::drain`] waiters, which
+/// then fall back to the liveness check.
+struct Worker {
+    shared: Arc<Shared>,
+    store: Arc<dyn TableStore>,
+    written: Written,
     sstable_points: usize,
-    obs: &ObserverHandle,
-) -> Result<()> {
-    // Phase 1: snapshot the merge inputs under the lock.
-    let mut state = shared.state.lock();
-    while state.compacting {
-        let (guard, _timed_out) = shared
-            .flush_done
-            .wait_timeout(state, Duration::from_millis(10));
-        state = guard;
+    obs: ObserverHandle,
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.shared.flush_done.notify_all();
     }
-    let l0: Vec<SsTableMeta> = state.version.l0().to_vec();
-    let Some(range) = l0.iter().map(|m| m.range).reduce(|a, b| a.union(&b))
-    else {
-        return Ok(()); // L0 empty: nothing to merge.
-    };
-    let overlapping = state.version.run().overlapping(range);
-    state.compacting = true;
-    drop(state);
+}
 
-    // Phase 2: read inputs and publish outputs with the lock released.
-    // Priority: newest L0 table first, then older L0, then the run.
-    let prepared = (|| {
-        let mut fresh = Vec::with_capacity(l0.len());
-        for meta in l0.iter().rev() {
-            fresh.push(written.take_or_read(store, meta.id)?);
+impl Worker {
+    /// Handles the jobs in the order they were sent until the writer
+    /// closes the queue — then merges what is left of L0 — or the engine
+    /// degrades.
+    fn run(self, jobs: Receiver<Job>) -> Result<()> {
+        let store = self.store.as_ref();
+        let forced = || self.shared.horizon(store, &self.obs, None);
+        for job in jobs {
+            match job {
+                Job::Flush(batch) => self.flush(&batch)?,
+                Job::Merge(reply) => drop(reply.send(self.compact_l0_once())),
+                Job::Horizon(reply) => drop(reply.send(forced())),
+                Job::Barrier(reply) => drop(reply.send(Ok(()))),
+            }
+            // Every failure but a merge call's has degraded the engine.
+            if self.shared.degraded.load(Ordering::Acquire) {
+                return Ok(());
+            }
         }
-        let mut inputs = Vec::with_capacity(overlapping.len());
-        for meta in overlapping {
-            inputs.push(RunInput {
-                meta,
-                points: written.take_or_read(store, meta.id)?,
-            });
-        }
-        let plan = plan_merge(fresh, inputs, sstable_points, None);
-        compaction::write_outputs(plan, store, written, obs)
-    })();
+        // A merge that fails here has degraded the engine.
+        let _ = self.merge();
+        Ok(())
+    }
 
-    // Phase 3: commit under the lock; the flag clears on every path out,
-    // and waiters wake once the lock is released.
-    let mut state = shared.state.lock();
-    state.compacting = false;
-    shared.flush_done.notify_all();
-    let doomed = prepared.and_then(|prepared| {
+    /// Stores `batch` in L0, then runs the horizon that made due and, once
+    /// L0 is `L0_COMPACT_THRESHOLD` deep, the merge and the horizon that
+    /// made due. Fails only when the commit does: a failed store operation
+    /// degrades the engine.
+    fn flush(&self, batch: &Batch) -> Result<()> {
+        let store = self.store.as_ref();
+        // A flush is the merge plan with no inputs. Plan, encode and
+        // publish outside the lock; only the commit holds it.
+        let publish = || {
+            let plan = plan_merge(
+                vec![batch.to_vec()],
+                Vec::new(),
+                self.sstable_points,
+                None,
+            );
+            compaction::write_outputs(plan, store, &self.written, &self.obs)
+        };
+        // Retries exhausted, the engine is degraded: the batch stays a
+        // registered flushing MemTable (still queryable, still WAL-covered);
+        // any tables a failed attempt did publish are orphans for
+        // recovery-time GC.
+        let shared = &self.shared;
+        let op = DegradedOp::FlushWrite;
+        let Ok(prepared) = shared.retry(&self.obs, op, publish) else {
+            return Ok(());
+        };
+        let mut state = shared.state.lock();
         let TierState {
             version,
             metrics,
             outbox,
-            obs,
             ..
         } = &mut *state;
-        let drain_l0_into_run = |removed, added| VersionEdit::Replace {
-            removed,
-            added,
-            drain_l0: true,
-        };
+        // The batch lands in L0 and stops being a flushing MemTable in one
+        // atomic edit, so queries see the data in exactly one place; its
+        // tables wait for a horizon.
         compaction::commit(
             &prepared,
-            drain_l0_into_run,
+            |_, tables| VersionEdit::FlushToL0 {
+                batch: Arc::clone(batch),
+                tables,
+            },
             version,
             metrics,
-            obs,
+            &self.obs,
         )?;
-        let l0_ids = l0.iter().map(|meta| meta.id);
-        let consumed: Vec<SsTableId> =
-            prepared.plan.inputs.iter().copied().chain(l0_ids).collect();
-        Ok(outbox.defer(&prepared.added, &consumed, store))
-    })?;
-    let version_snapshot =
-        cfg!(debug_assertions).then(|| state.version.clone());
-    drop(state);
+        outbox.defer(&prepared.added, &[], store);
+        outbox.flushed.extend(span(batch));
+        outbox.points += batch.len();
+        state.note_depth();
+        let backlog = state.version.l0().len() >= L0_COMPACT_THRESHOLD;
+        drop(state);
+        shared.flush_done.notify_all();
+        let budget = Some(self.written.budget());
+        let horizon = || shared.horizon(store, &self.obs, budget);
+        let _ = horizon().and_then(|()| {
+            if !backlog {
+                return Ok(());
+            }
+            self.merge()?;
+            horizon()
+        });
+        Ok(())
+    }
 
-    // Phase 4: delete the consumed tables nothing durable names; readers
-    // resolving the committed version no longer reference them (a query
-    // snapshot taken before the commit retries on the missing table).
-    for id in doomed {
-        store.delete(id)?;
+    /// [`compact_l0_once`](Self::compact_l0_once), retried as a store
+    /// operation ([`Shared::retry`]).
+    fn merge(&self) -> Result<()> {
+        let op = DegradedOp::Compaction;
+        self.shared.retry(&self.obs, op, || self.compact_l0_once())
     }
-    // Debug builds cross-check the committed version against what the
-    // store actually holds, using the snapshot taken at commit time.
-    if let Some(version) = version_snapshot {
-        invariants::check_version_against_store(&version, store)?;
+
+    /// Merges every L0 table plus the overlapping part of the run through
+    /// the shared compaction pipeline, holding the state lock only around
+    /// the snapshot and the commit — never across table-store I/O. Only the
+    /// worker adds to L0 or the run, so the snapshot holds at the commit:
+    ///
+    /// 1. **Snapshot** (locked): the L0 and overlapping-run metadata.
+    /// 2. **Write** (unlocked): take the inputs from `written` (or read
+    ///    them), plan, and publish the outputs (`compaction::write_outputs`).
+    /// 3. **Commit** (locked): apply the version edit and do the metric
+    ///    accounting ([`compaction::commit`]) and hand the outputs and the
+    ///    consumed tables to the outbox ([`Outbox::defer`]).
+    /// 4. **Delete** (unlocked): the consumed tables no horizon synced.
+    ///
+    /// A failure in phase 2 leaves the version untouched (plus orphan output
+    /// tables for recovery-time GC), so a retry ([`merge`](Self::merge))
+    /// restarts cleanly from a fresh snapshot, reading from the store what
+    /// the failed attempt took out of `written`. A failure in phase 4 leaves
+    /// the committed version correct and the undeleted inputs as orphans.
+    fn compact_l0_once(&self) -> Result<()> {
+        let (store, written) = (self.store.as_ref(), &self.written);
+        // Phase 1: snapshot the merge inputs under the lock.
+        let state = self.shared.state.lock();
+        let l0: Vec<SsTableMeta> = state.version.l0().to_vec();
+        let Some(range) = l0.iter().map(|m| m.range).reduce(|a, b| a.union(&b))
+        else {
+            return Ok(()); // L0 empty: nothing to merge.
+        };
+        let overlapping = state.version.run().overlapping(range);
+        drop(state);
+
+        // Phase 2: read inputs and publish outputs with the lock released.
+        // Priority: newest L0 table first, then older L0, then the run.
+        let prepared = (|| {
+            let mut fresh = Vec::with_capacity(l0.len());
+            for meta in l0.iter().rev() {
+                fresh.push(written.take_or_read(store, meta.id)?);
+            }
+            let mut inputs = Vec::with_capacity(overlapping.len());
+            for meta in overlapping {
+                inputs.push(RunInput {
+                    meta,
+                    points: written.take_or_read(store, meta.id)?,
+                });
+            }
+            let plan = plan_merge(fresh, inputs, self.sstable_points, None);
+            compaction::write_outputs(plan, store, written, &self.obs)
+        })();
+
+        // Phase 3: commit under the lock.
+        let mut state = self.shared.state.lock();
+        let doomed = prepared.and_then(|prepared| {
+            let TierState {
+                version,
+                metrics,
+                outbox,
+                obs,
+                ..
+            } = &mut *state;
+            let drain_l0_into_run = |removed, added| VersionEdit::Replace {
+                removed,
+                added,
+                drain_l0: true,
+            };
+            compaction::commit(
+                &prepared,
+                drain_l0_into_run,
+                version,
+                metrics,
+                obs,
+            )?;
+            let l0_ids = l0.iter().map(|meta| meta.id);
+            let consumed: Vec<SsTableId> =
+                prepared.plan.inputs.iter().copied().chain(l0_ids).collect();
+            Ok(outbox.defer(&prepared.added, &consumed, store))
+        })?;
+        let version_snapshot =
+            cfg!(debug_assertions).then(|| state.version.clone());
+        drop(state);
+
+        // Phase 4: delete the consumed tables nothing durable names; readers
+        // resolving the committed version no longer reference them (a query
+        // snapshot taken before the commit retries on the missing table).
+        for id in doomed {
+            store.delete(id)?;
+        }
+        // Debug builds cross-check the committed version against what the
+        // store actually holds, using the snapshot taken at commit time.
+        if let Some(version) = version_snapshot {
+            invariants::check_version_against_store(&version, store)?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The executor whose flushes and compactions run on a background thread.
 pub struct Background {
-    tx: Option<Sender<Batch>>,
+    tx: Option<Sender<Job>>,
     handle: Option<JoinHandle<Result<()>>>,
     shared: Arc<Shared>,
     /// The batches handed to the flush pipeline whose points no horizon has
@@ -426,7 +519,7 @@ impl Background {
     /// Starts the compaction worker over `version`; its flushes leave their
     /// tables in `written` for the merges of L0 that consume them, and it
     /// runs a horizon whenever a plan of its own makes one due under
-    /// `written`'s budget.
+    /// `written`'s budget, and whenever it is called for one.
     pub(crate) fn start(
         kind: open::Background,
         sstable_points: usize,
@@ -444,127 +537,23 @@ impl Background {
                 outbox: Outbox::default(),
                 retired: Vec::new(),
                 degraded: None,
-                compacting: false,
-                busy: false,
                 max_depth: 0,
                 obs: obs.clone(),
             }),
             flush_done: Condvar::new(),
             degraded: AtomicBool::new(false),
         });
-        let (tx, rx) = bounded::<Batch>(CHANNEL_DEPTH);
-        let worker = Arc::clone(&shared);
-        let store = Arc::clone(store);
-        let written = written.clone();
-        let obs = obs.clone();
+        let (tx, rx) = bounded::<Job>(CHANNEL_DEPTH);
+        let worker = Worker {
+            shared: Arc::clone(&shared),
+            store: Arc::clone(store),
+            written: written.clone(),
+            sstable_points,
+            obs: obs.clone(),
+        };
         let handle = std::thread::Builder::new()
             .name("seplsm-compaction".into())
-            .spawn(move || -> Result<()> {
-                // Wake any drain() waiter when this thread exits, even on
-                // an error path, so waiters fall back to the liveness check.
-                struct NotifyOnExit(Arc<Shared>);
-                impl Drop for NotifyOnExit {
-                    fn drop(&mut self) {
-                        self.0.flush_done.notify_all();
-                    }
-                }
-                let _exit_guard = NotifyOnExit(Arc::clone(&worker));
-                let store = store.as_ref();
-                // compact_l0_once only commits its version edit after every
-                // output table is published, so a failed attempt leaves
-                // state consistent (plus orphan tables) and a retry restarts
-                // from scratch.
-                let compact = || {
-                    let merge = || {
-                        compact_l0_once(
-                            &worker,
-                            store,
-                            &written,
-                            sstable_points,
-                            &obs,
-                        )
-                    };
-                    worker.retry(&obs, DegradedOp::Compaction, merge).is_ok()
-                };
-                let durable = |claimed: Option<Claimed>| {
-                    claimed.is_none_or(|claimed| {
-                        horizon(&worker, store, &obs, claimed).is_ok()
-                    })
-                };
-                for batch in rx {
-                    // A flush is the merge plan with no inputs. Plan,
-                    // encode and publish outside the lock; only the commit
-                    // holds it.
-                    let publish = || {
-                        let plan = plan_merge(
-                            vec![batch.to_vec()],
-                            Vec::new(),
-                            sstable_points,
-                            None,
-                        );
-                        compaction::write_outputs(plan, store, &written, &obs)
-                    };
-                    // Retries exhausted, the engine is degraded: the batch
-                    // stays a registered flushing MemTable (still
-                    // queryable, still WAL-covered); any tables a failed
-                    // attempt did publish are orphans for recovery-time GC.
-                    let Ok(prepared) =
-                        worker.retry(&obs, DegradedOp::FlushWrite, publish)
-                    else {
-                        return Ok(());
-                    };
-                    let mut state = worker.state.lock();
-                    let TierState {
-                        version,
-                        metrics,
-                        outbox,
-                        ..
-                    } = &mut *state;
-                    // The batch lands in L0 and stops being a flushing
-                    // MemTable in one atomic edit, so queries see the data
-                    // in exactly one place; its tables wait for a horizon.
-                    compaction::commit(
-                        &prepared,
-                        |_, tables| VersionEdit::FlushToL0 {
-                            batch: Arc::clone(&batch),
-                            tables,
-                        },
-                        version,
-                        metrics,
-                        &obs,
-                    )?;
-                    outbox.defer(&prepared.added, &[], store);
-                    outbox.flushed.extend(span(&batch));
-                    outbox.points += batch.len();
-                    state.note_depth();
-                    // Claimed with the commit, so the horizon a flush makes
-                    // due runs before anything else plans.
-                    let claimed = state.claim(Some(written.budget()));
-                    let backlog =
-                        state.version.l0().len() >= L0_COMPACT_THRESHOLD;
-                    state.busy = backlog || claimed.is_some();
-                    drop(state);
-                    worker.flush_done.notify_all();
-                    let mut healthy = durable(claimed);
-                    if healthy && backlog {
-                        healthy = compact() && {
-                            let claimed = worker
-                                .state
-                                .lock()
-                                .claim(Some(written.budget()));
-                            durable(claimed)
-                        };
-                    }
-                    worker.state.lock().busy = false;
-                    worker.flush_done.notify_all();
-                    if !healthy {
-                        return Ok(());
-                    }
-                }
-                // A merge that fails here has degraded the engine.
-                compact();
-                Ok(())
-            })
+            .spawn(move || worker.run(rx))
             .map_err(|e| Error::Io(std::io::Error::other(e)))?;
         Ok(Self {
             tx: Some(tx),
@@ -589,42 +578,48 @@ impl Background {
         self.shared.state.lock().degraded.clone()
     }
 
+    /// What a send to a departed (or joined) worker reports: almost always
+    /// it died into the degraded state, so that reason rather than a
+    /// generic channel error.
+    fn gone(&self) -> Error {
+        self.writable().err().unwrap_or_else(|| {
+            Error::Io(std::io::Error::other("compaction worker terminated"))
+        })
+    }
+
     /// Queues a registered batch for the worker; `true` when the queue was
-    /// full and the writer waited for the worker to take a batch: a write
+    /// full and the writer waited for the worker to take a job: a write
     /// stall (`admission::stall`).
     fn enqueue(&self, batch: Batch, front: &mut Front) -> Result<bool> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(Error::Io(std::io::Error::other(
-                "flush after engine finished",
-            )));
-        };
-        // A dead worker almost always died into the degraded state: surface
-        // that reason rather than a generic channel error.
-        let gone = || {
-            self.writable().err().unwrap_or_else(|| {
-                Error::Io(std::io::Error::other("compaction worker terminated"))
-            })
-        };
-        let batch = match tx.try_send(batch) {
+        let tx = self.tx.as_ref().ok_or_else(|| self.gone())?;
+        let job = match tx.try_send(Job::Flush(batch)) {
             Ok(()) => return Ok(false),
-            Err(TrySendError::Full(batch)) => batch,
-            Err(TrySendError::Disconnected(_)) => return Err(gone()),
+            Err(TrySendError::Full(job)) => job,
+            Err(TrySendError::Disconnected(_)) => return Err(self.gone()),
         };
         let (metrics, obs) = (&mut front.metrics, &front.obs);
-        admission::stall(self.depth, metrics, obs, || tx.send(batch))
-            .map_err(|_| gone())?;
+        admission::stall(self.depth, metrics, obs, || tx.send(job))
+            .map_err(|_| self.gone())?;
         Ok(true)
     }
 
-    /// Waits (best effort) for the worker to drain the flush queue.
-    fn drain(&mut self) {
-        self.wait_while(|state| !state.version.flushing().is_empty());
+    /// Sends the `job` of a call to the worker and waits for the answer,
+    /// which comes once everything queued before it is done. A degraded or
+    /// departed worker answers with the degraded error.
+    fn call(&self, job: fn(Reply) -> Job) -> Result<()> {
+        self.writable()?;
+        let tx = self.tx.as_ref().ok_or_else(|| self.gone())?;
+        let (reply, outcome) = bounded(1);
+        tx.send(job(reply)).map_err(|_| self.gone())?;
+        outcome.recv().map_err(|_| self.gone())?
     }
 
-    /// Parks on `flush_done` while `busy` holds and the worker lives.
-    fn wait_while(&mut self, busy: impl Fn(&TierState) -> bool) {
+    /// Waits (best effort) until nothing is flushing: the worker has taken
+    /// every queued batch into L0, though it may still be running the
+    /// horizon or the merge the last of them made due.
+    fn drain(&self) {
         let mut state = self.shared.state.lock();
-        while busy(&state) {
+        while !state.version.flushing().is_empty() {
             if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
                 // Worker gone (finished or crashed): nothing will ever
                 // retire the remaining batches, so don't wait for them.
@@ -632,8 +627,7 @@ impl Background {
             }
             // The timeout only covers the unlucky interleaving where the
             // worker exits between the liveness check and the wait; the
-            // worker signals after every batch, after every merge of its
-            // own and on exit.
+            // worker signals after every flush and on exit.
             let (guard, _timed_out) = self
                 .shared
                 .flush_done
@@ -723,17 +717,18 @@ impl Executor for Background {
         Ok(outcome)
     }
 
-    /// A forced horizon, once the worker has settled; the due ones the
-    /// worker runs itself, after the plans that make them due.
+    /// A forced horizon: a call to the worker, which runs it after
+    /// everything queued before it; the due ones the worker runs itself,
+    /// after the plans that make them due. Once [`rest`](Self::rest) has
+    /// joined the worker, the writer runs it.
     fn commit(&mut self, front: &Front, force: bool) -> Result<()> {
         if !force {
             return Ok(());
         }
-        self.settle();
-        let claimed = self.shared.state.lock().claim(None);
-        claimed.map_or(Ok(()), |claimed| {
-            horizon(&self.shared, front.store.as_ref(), &front.obs, claimed)
-        })
+        if self.tx.is_some() {
+            return self.call(Job::Horizon);
+        }
+        self.shared.horizon(front.store.as_ref(), &front.obs, None)
     }
 
     /// A batch has retired once a horizon has recorded the tables that hold
@@ -754,14 +749,13 @@ impl Executor for Background {
         self.shared.state.lock().metrics.disk_points_written
     }
 
-    /// Lets the flushes in the pipeline land, and the horizon and the merge
-    /// the last of them may have made due: a merge's outputs are published
-    /// before they are committed, and a sweep in between would take them
-    /// for orphans.
+    /// Waits behind a barrier call for the flushes in the queue to land,
+    /// and for the horizons and merges they made due: a merge's outputs are
+    /// published before they are committed, and a sweep in between would
+    /// take them for orphans. Best effort: a degraded worker does nothing
+    /// more.
     fn settle(&mut self) {
-        self.wait_while(|state| {
-            !state.version.flushing().is_empty() || state.busy
-        });
+        let _ = self.call(Job::Barrier);
     }
 
     /// Closes the queue and joins the worker, which merges what is left of
@@ -831,19 +825,17 @@ impl Engine<Background> {
     }
 
     /// Blocks until the flush queue is drained *and* L0 is merged into the
-    /// run (for deterministic post-ingest queries).
+    /// run (for deterministic post-ingest queries): a call to the worker,
+    /// which handles every job queued before it — with the horizons and
+    /// merges they make due — and then makes one merge attempt, with no
+    /// retry and no horizon after it.
     ///
     /// # Errors
-    /// Storage failures from the forced compaction.
+    /// [`Error::Degraded`] once the worker has given up, without touching
+    /// a table; storage failures from the merge, which leave the engine
+    /// writable.
     pub fn quiesce(&mut self) -> Result<()> {
-        self.exec.drain();
-        compact_l0_once(
-            &self.exec.shared,
-            self.front.store.as_ref(),
-            &self.front.written,
-            self.front.config.sstable_points,
-            &self.front.obs,
-        )
+        self.exec.call(Job::Merge)
     }
 
     /// Flushes buffers, stops the worker, and returns the final report.
@@ -880,6 +872,7 @@ mod tests {
     use crate::fault::{Fault, FaultPlan, FaultStore};
     use crate::obs::{Observer, RingBufferSink};
     use crate::open::TieredOpenOptions as OpenOptions;
+    use crate::recovery::RecoveryOptions;
     use crate::sstable::SsTableId;
     use crate::store::MemStore;
     use seplsm_types::Policy;
@@ -1331,5 +1324,127 @@ mod tests {
     fn wa_snapshots_are_recorded() {
         let e = shared::check_wa_snapshots_are_recorded::<Background>();
         assert_eq!(e.metrics().wa_snapshots, e.front.metrics.wa_snapshots);
+    }
+
+    /// A store that notes the thread of every call that writes, makes
+    /// durable or deletes a table.
+    struct ThreadLog {
+        inner: MemStore,
+        calls: Mutex<Vec<(&'static str, Option<String>)>>,
+    }
+
+    impl ThreadLog {
+        fn note(&self, call: &'static str) {
+            let thread = std::thread::current().name().map(str::to_owned);
+            self.calls.lock().push((call, thread));
+        }
+
+        /// The calls noted since the last look: `(made, made elsewhere
+        /// than on the compaction worker)`.
+        fn take(&self) -> (Vec<&'static str>, Vec<(&'static str, String)>) {
+            let calls = std::mem::take(&mut *self.calls.lock());
+            let stray = calls
+                .iter()
+                .filter(|(_, t)| t.as_deref() != Some("seplsm-compaction"))
+                .map(|(call, t)| (*call, format!("{t:?}")))
+                .collect();
+            (calls.into_iter().map(|(call, _)| call).collect(), stray)
+        }
+    }
+
+    impl TableStore for ThreadLog {
+        fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+            self.note("put");
+            self.inner.put(points)
+        }
+        fn publish_batch(
+            &self,
+            chunks: &[&[DataPoint]],
+        ) -> Result<Vec<(SsTableMeta, usize)>> {
+            self.note("publish_batch");
+            self.inner.publish_batch(chunks)
+        }
+        fn sync_published(&self, ids: &[SsTableId]) -> Result<()> {
+            self.note("sync_published");
+            self.inner.sync_published(ids)
+        }
+        fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+            self.inner.get(id)
+        }
+        fn delete(&self, id: SsTableId) -> Result<()> {
+            self.note("delete");
+            self.inner.delete(id)
+        }
+        fn list(&self) -> Result<Vec<SsTableId>> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn only_the_worker_writes_syncs_or_deletes_a_table() {
+        let dir = std::env::temp_dir()
+            .join(format!("seplsm-tiered-one-thread-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let store = Arc::new(ThreadLog {
+            inner: MemStore::new(),
+            calls: Mutex::new(Vec::new()),
+        });
+        let options = || {
+            OpenOptions::new(tiny())
+                .store(Arc::clone(&store) as Arc<dyn TableStore>)
+                .wal(dir.join("wal"))
+                .manifest(dir.join("manifest"))
+        };
+        // Every fourth point lands 35 below its place: the flushes overlap,
+        // and L0 is merged into the run again and again.
+        let point = |i: i64| {
+            let late = if i % 4 == 3 { 35 } else { 0 };
+            DataPoint::new(i * 10 - late, i * 10, 0.0)
+        };
+        let mut e = options().open().expect("open");
+        for i in 0..200 {
+            e.append(point(i)).expect("append");
+        }
+        e.quiesce().expect("quiesce");
+        e.sync_wal().expect("sync");
+        let (calls, stray) = store.take();
+        assert!(calls.contains(&"delete"), "{calls:?}");
+        assert_eq!(stray, [], "appends and quiesce");
+        // Dropped between horizons: recovery replays all 200 points, and
+        // its forced horizon makes what their flushes stored durable.
+        drop(e);
+        store.take();
+        let (e, _) = options()
+            .recovery(RecoveryOptions::strict())
+            .open_or_recover()
+            .expect("recover");
+        let (calls, stray) = store.take();
+        assert!(calls.contains(&"sync_published"), "{calls:?}");
+        assert_eq!(stray, [], "recovery");
+        let points: Vec<DataPoint> = (0..200).map(point).collect();
+        let mut expected = points.clone();
+        expected.sort_by_key(|p| p.gen_time);
+        assert_eq!(e.scan_all().expect("scan"), expected);
+        drop(e);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn quiesce_on_a_degraded_engine_touches_no_table() {
+        let plan = FaultPlan::new(7, Fault::FailPersistent { from: 0 });
+        let store = FaultStore::new(MemStore::new(), Arc::clone(&plan));
+        let mut e = OpenOptions::new(tiny())
+            .store(Arc::new(store))
+            .sync_flush()
+            .open()
+            .expect("engine");
+        for i in 0..8i64 {
+            let _ = e.append(DataPoint::new(i, i, 0.0));
+        }
+        assert!(e.degraded_state().is_some());
+        let ops = plan.ops();
+        assert!(matches!(e.quiesce(), Err(Error::Degraded(_))));
+        assert_eq!(plan.ops(), ops, "quiesce touched the store");
     }
 }

@@ -202,7 +202,8 @@ pub trait Executor: Sized {
     /// the manifest told, what it retired deleted
     /// (`compaction::horizon`); [`progress`](Self::progress) then reports
     /// the flushes it made durable. The background worker runs the due ones
-    /// itself: only a forced one runs here.
+    /// itself, and a forced one as a job this sends it and waits for; only
+    /// once [`rest`](Self::rest) has joined the worker does one run here.
     fn commit(&mut self, _front: &Front, _force: bool) -> Result<()> {
         Ok(())
     }
@@ -218,7 +219,8 @@ pub trait Executor: Sized {
     fn disk_points_written(&self, writer: &Metrics) -> u64;
 
     /// Waits until every table the executor will publish for what it has
-    /// been handed is in its version (what an orphan sweep must see).
+    /// been handed is in its version (what an orphan sweep must see): the
+    /// background executor queues a barrier behind it for its worker.
     fn settle(&mut self) {}
 
     /// Comes to rest: when this returns everything handed off is in the

@@ -240,6 +240,14 @@ for name in background::tests::a_full_flush_queue_is_a_write_stall \
   grep -qx "$name: test" <<<"$LSM_TESTS" \
     || { echo "crates/lsm lost its write-stall test '$name'"; exit 1; }
 done
+# One thread compacts the background engine: every table write, sync and
+# delete lands on its worker, appends, quiesce and recovery included, and a
+# degraded worker answers a call without touching a table.
+for name in background::tests::only_the_worker_writes_syncs_or_deletes_a_table \
+    background::tests::quiesce_on_a_degraded_engine_touches_no_table; do
+  grep -qx "$name: test" <<<"$LSM_TESTS" \
+    || { echo "crates/lsm lost its one-worker test '$name'"; exit 1; }
+done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \
@@ -420,6 +428,8 @@ results = [json.loads(l) for l in open(out) if l.startswith("{")]
 assert len(results) == len(order), f"{len(results)} results, {len(order)} workloads"
 got = dict(zip(order, results))
 expected = json.load(open(record))
+# The traced run's entry is checked below, after that run.
+expected.pop("fleet-skew traced")
 moved = []
 for workload, metrics in expected.items():
     for name, want in metrics.items():
@@ -438,8 +448,33 @@ PYEOF
 # then runs over the trait's *defaults* (every table durable as it is
 # written, nothing left to sync), a path no other lane takes.
 echo "== benchmark smoke (traced fleet, default publish/sync pair) =="
+TRACED_OUT="$TRACE_DIR/smoke_traced.txt"
 bash benchmark/run.sh --smoke --seconds 10 --workload fleet-skew --trace 1 \
-  >/dev/null
+  >"$TRACED_OUT"
+# The untraced counters above cannot see the fleet arbiter: at 1/50 size a
+# change to how it splits the memory can leave every flush where it was.
+# Its own lines in the traced run — rebalances, resizes and the hot/cold
+# capacity ratio, as printed — repeat from run to run, so they are compared
+# with the "fleet-skew traced" entry of scripts/smoke_counters.json.
+echo "== benchmark smoke (traced fleet arbiter equals scripts/smoke_counters.json) =="
+python3 - "$TRACED_OUT" scripts/smoke_counters.json <<'PYEOF'
+import json, sys
+out, record = sys.argv[1:]
+expected = json.load(open(record))["fleet-skew traced"]
+printed = {}
+for line in open(out):
+    parts = line.split()
+    if len(parts) == 3 and parts[0] in expected:
+        printed[parts[0]] = float(parts[1])
+moved = [f"{name}: recorded {want!r}, ran {printed.get(name)!r}"
+         for name, want in expected.items() if printed.get(name) != want]
+for line in moved:
+    print(f"traced smoke line moved: {line}")
+if moved:
+    print(f"a change that means to move these lines updates {record}")
+    sys.exit(1)
+print(f"traced smoke lines OK: {len(expected)} exact")
+PYEOF
 
 # Opt-in undefined-behaviour lane: MIRI=1 scripts/ci.sh runs the kernel's
 # memtable/buffer unit tests under miri when the component is installed.

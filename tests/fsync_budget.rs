@@ -414,8 +414,8 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     let mut engine = TieredOpenOptions::new(config)
         .store(store(&dir, &plan))
         // Each append returns only once the worker has committed its
-        // hand-off; `quiesce` then waits out the horizon that commit may
-        // have made due, and merges L0 on this thread.
+        // hand-off; `quiesce` is a job queued behind that commit's due
+        // horizon, and the worker merges L0 once that horizon is done.
         .sync_flush()
         .wal(dir.path("wal"))
         .manifest(dir.path("manifest"))
