@@ -95,7 +95,6 @@ fn main() -> seplsm_types::Result<()> {
         for p in &dataset {
             engine.append(*p)?;
         }
-        engine.drain();
         counts.push((label, render(label, &engine, query, view_lo, view_hi)));
     }
     println!(

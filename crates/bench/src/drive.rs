@@ -174,7 +174,10 @@ fn summarize(per_query: &[QueryStats], disk: &DiskModel) -> QueryReport {
 /// background compaction — the configuration the paper's query
 /// experiments ran on): while ingesting
 /// `points`, every `workload.every_points` appended points issue
-/// `time ∈ (max_written − window, max_written]`.
+/// `time ∈ (max_written − window, max_written]`. The engine flushes
+/// synchronously (`sync_flush`): every query finds the worker idle, with
+/// each flush and the L0 merge it made due done, so a run's answers and
+/// statistics repeat exactly.
 pub fn run_recent_queries(
     points: &[DataPoint],
     policy: Policy,
@@ -202,8 +205,12 @@ pub fn run_recent_queries(
 
 /// Runs the historical query workload of §V-D2 after ingesting `points`
 /// into a [`TieredEngine`](seplsm_lsm::TieredEngine). The level-1
-/// backlog left by ingestion is *not* force-compacted first — the paper attributes the historical-query gap to
-/// exactly those not-yet-compacted overlapping files (Fig. 15).
+/// backlog left by ingestion — the L0 tables below the worker's merge
+/// threshold — is *not* force-compacted first: the paper attributes the
+/// historical-query gap to exactly those not-yet-compacted overlapping
+/// files (Fig. 15). The engine flushes synchronously (`sync_flush`), so
+/// the last append returns with the worker idle and the backlog the same
+/// from run to run.
 pub fn run_historical_queries(
     points: &[DataPoint],
     policy: Policy,
@@ -221,7 +228,6 @@ pub fn run_historical_queries(
         engine.append(*p)?;
         min_gen = min_gen.min(p.gen_time);
     }
-    engine.drain();
     let max_gen = engine.max_gen_time().expect("non-empty dataset");
     let mut per_query = Vec::new();
     for range in workload.ranges(min_gen, max_gen) {

@@ -27,8 +27,13 @@
 //! While the worker lives no other thread plans a merge or runs a horizon.
 //! Its queue carries jobs, taken in the order sent: flush batches, and the
 //! calls the writer waits for — [`TieredEngine::quiesce`]'s merge, a
-//! recovery's forced horizon, the barrier before an orphan sweep. Once the
-//! worker is joined at rest, the writer runs the last horizon itself.
+//! recovery's forced horizon, and a barrier, sent before an orphan sweep
+//! and after every hand-off of a `sync_flush` engine. The writer waits for
+//! the worker only through that queue: for room in it (a write stall) or
+//! for the answer to a call. So a `sync_flush` append returns with the
+//! worker idle, its flushes and the horizons and merges they made due
+//! done. Once the worker is joined at rest, the writer runs the last
+//! horizon itself.
 //!
 //! # Write stalls and failures
 //!
@@ -65,10 +70,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use seplsm_types::{DataPoint, Error, Result, TimeRange, Timestamp};
 
 use crate::admission::{self, AdmissionOutcome, AdmissionStats};
@@ -114,9 +118,6 @@ pub const DEFAULT_RETRY_ATTEMPTS: u32 = 3;
 /// What the writer, the worker and queries share.
 struct Shared {
     state: Mutex<TierState>,
-    /// Signalled by the worker after each flush batch lands in L0 and on
-    /// its exit; [`TieredEngine::drain`] waits on it.
-    flush_done: Condvar,
     /// Raised when the engine enters the degraded read-only state; the
     /// reason lives in [`TierState::degraded`]. Checked lock-free on the
     /// append fast path.
@@ -285,21 +286,13 @@ fn span(batch: &[DataPoint]) -> Option<TimeRange> {
 }
 
 /// The compaction worker: while it lives, the one thread that plans a
-/// flush or a merge or runs a horizon. Dropping it — on any way out of
-/// [`run`](Self::run) — wakes the [`TieredEngine::drain`] waiters, which
-/// then fall back to the liveness check.
+/// flush or a merge or runs a horizon.
 struct Worker {
     shared: Arc<Shared>,
     store: Arc<dyn TableStore>,
     written: Written,
     sstable_points: usize,
     obs: ObserverHandle,
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        self.shared.flush_done.notify_all();
-    }
 }
 
 impl Worker {
@@ -378,7 +371,6 @@ impl Worker {
         state.note_depth();
         let backlog = state.version.l0().len() >= L0_COMPACT_THRESHOLD;
         drop(state);
-        shared.flush_done.notify_all();
         let budget = Some(self.written.budget());
         let horizon = || shared.horizon(store, &self.obs, budget);
         let _ = horizon().and_then(|()| {
@@ -505,8 +497,8 @@ pub struct Background {
     /// Largest generation time handed to the flush pipeline — the in-order
     /// classification pivot (it is "on disk" from the writer's perspective).
     flushed_max: Option<Timestamp>,
-    /// When set, `append` waits for each flush to reach L0 before returning
-    /// (deterministic on-disk state for query experiments).
+    /// When set, a hand-off waits behind a barrier call until the worker
+    /// is idle (deterministic on-disk state for query experiments).
     sync_flush: bool,
     /// The backlog at the last hand-off: what a write stall reports.
     depth: usize,
@@ -540,7 +532,6 @@ impl Background {
                 max_depth: 0,
                 obs: obs.clone(),
             }),
-            flush_done: Condvar::new(),
             degraded: AtomicBool::new(false),
         });
         let (tx, rx) = bounded::<Job>(CHANNEL_DEPTH);
@@ -613,28 +604,6 @@ impl Background {
         tx.send(job(reply)).map_err(|_| self.gone())?;
         outcome.recv().map_err(|_| self.gone())?
     }
-
-    /// Waits (best effort) until nothing is flushing: the worker has taken
-    /// every queued batch into L0, though it may still be running the
-    /// horizon or the merge the last of them made due.
-    fn drain(&self) {
-        let mut state = self.shared.state.lock();
-        while !state.version.flushing().is_empty() {
-            if self.handle.as_ref().is_none_or(JoinHandle::is_finished) {
-                // Worker gone (finished or crashed): nothing will ever
-                // retire the remaining batches, so don't wait for them.
-                return;
-            }
-            // The timeout only covers the unlucky interleaving where the
-            // worker exits between the liveness check and the wait; the
-            // worker signals after every flush and on exit.
-            let (guard, _timed_out) = self
-                .shared
-                .flush_done
-                .wait_timeout(state, Duration::from_millis(100));
-            state = guard;
-        }
-    }
 }
 
 impl Executor for Background {
@@ -703,7 +672,9 @@ impl Executor for Background {
 
     /// Second half of a hand-off: queues every registered batch for the
     /// worker — `Stalled` when one found the queue full and waited — and,
-    /// on a `sync_flush` engine, waits for them to reach L0.
+    /// on a `sync_flush` engine, waits behind a barrier call
+    /// ([`settle`](Self::settle)) for them to land in L0, and for the
+    /// horizons and merges they made due.
     fn dispatch(&mut self, front: &mut Front) -> Result<AdmissionOutcome> {
         let mut outcome = AdmissionOutcome::Admitted;
         for batch in std::mem::take(&mut self.registered) {
@@ -712,7 +683,7 @@ impl Executor for Background {
             }
         }
         if self.sync_flush {
-            self.drain();
+            self.settle();
         }
         Ok(outcome)
     }
@@ -752,8 +723,9 @@ impl Executor for Background {
     /// Waits behind a barrier call for the flushes in the queue to land,
     /// and for the horizons and merges they made due: a merge's outputs are
     /// published before they are committed, and a sweep in between would
-    /// take them for orphans. Best effort: a degraded worker does nothing
-    /// more.
+    /// take them for orphans; a `sync_flush` hand-off waits the same way
+    /// ([`dispatch`](Self::dispatch)). Best effort: a degraded worker does
+    /// nothing more.
     fn settle(&mut self) {
         let _ = self.call(Job::Barrier);
     }
@@ -817,13 +789,6 @@ impl Engine<Background> {
         })
     }
 
-    /// Waits (best effort) for the background worker to drain the flush
-    /// queue, leaving whatever L0 backlog naturally remains — the state the
-    /// paper's historical-query experiment measures.
-    pub fn drain(&mut self) {
-        self.exec.drain();
-    }
-
     /// Blocks until the flush queue is drained *and* L0 is merged into the
     /// run (for deterministic post-ingest queries): a call to the worker,
     /// which handles every job queued before it — with the horizons and
@@ -875,7 +840,9 @@ mod tests {
     use crate::recovery::RecoveryOptions;
     use crate::sstable::SsTableId;
     use crate::store::MemStore;
+    use parking_lot::Condvar;
     use seplsm_types::Policy;
+    use std::time::Duration;
 
     fn tiny() -> EngineConfig {
         EngineConfig::new(Policy::conventional(4)).with_sstable_points(4)
@@ -1198,6 +1165,94 @@ mod tests {
         assert!(
             depths.iter().all(|&d| d > CHANNEL_DEPTH as u64),
             "{depths:?}"
+        );
+    }
+
+    /// A store that holds the first publish of more than one table — under
+    /// `tiny()`, whose flushes publish one each, an L0 merge's — until the
+    /// gate opens.
+    struct MergeGate {
+        inner: MemStore,
+        /// `(a merge is held, the gate is open)`.
+        gate: Mutex<(bool, bool)>,
+        opened: Condvar,
+    }
+
+    impl TableStore for MergeGate {
+        fn put(&self, points: &[DataPoint]) -> Result<(SsTableMeta, usize)> {
+            self.inner.put(points)
+        }
+        fn publish_batch(
+            &self,
+            chunks: &[&[DataPoint]],
+        ) -> Result<Vec<(SsTableMeta, usize)>> {
+            if chunks.len() > 1 {
+                let mut gate = self.gate.lock();
+                gate.0 = true;
+                while !gate.1 {
+                    gate = self.opened.wait(gate);
+                }
+            }
+            self.inner.publish_batch(chunks)
+        }
+        fn get(&self, id: SsTableId) -> Result<Vec<DataPoint>> {
+            self.inner.get(id)
+        }
+        fn delete(&self, id: SsTableId) -> Result<()> {
+            self.inner.delete(id)
+        }
+        fn list(&self) -> Result<Vec<SsTableId>> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn a_sync_flush_append_returns_after_the_merge_it_made_due() {
+        let store = Arc::new(MergeGate {
+            inner: MemStore::new(),
+            gate: Mutex::new((false, false)),
+            opened: Condvar::new(),
+        });
+        let mut e = OpenOptions::new(tiny())
+            .store(Arc::clone(&store) as Arc<dyn TableStore>)
+            .sync_flush()
+            .open()
+            .expect("open");
+        let append = |e: &mut TieredEngine, points: std::ops::Range<i64>| {
+            for i in points {
+                e.append(DataPoint::new(i, i, 0.0)).expect("append");
+            }
+        };
+        // Three flushes of one table each: L0 is one short of a merge.
+        append(&mut e, 0..12);
+        assert_eq!(e.table_layout().len(), L0_COMPACT_THRESHOLD - 1);
+        // The gate opens 50 ms after the merge reaches it (or once ten
+        // seconds passed without one): an append that does not wait for
+        // the merge returns in that window, and is caught below.
+        let opener = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                for _ in 0..10_000 {
+                    if store.gate.lock().0 {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                store.gate.lock().1 = true;
+                store.opened.notify_all();
+            })
+        };
+        // The fourth flush makes L0 `L0_COMPACT_THRESHOLD` deep.
+        append(&mut e, 12..16);
+        let (held, opened) = *store.gate.lock();
+        opener.join().expect("opener");
+        assert!(held, "no merge was held");
+        assert!(opened, "the append returned while its merge was held");
+        let layout = e.table_layout();
+        assert!(
+            layout.iter().all(|(level, ..)| *level == "run"),
+            "{layout:?}"
         );
     }
 

@@ -342,10 +342,14 @@ impl Kind for Inline {
 impl SingleSeries for Inline {}
 
 impl TieredOpenOptions {
-    /// Makes every flush synchronous: `append` returns only after the
-    /// flushed MemTable is stored as an L0 table. Queries then observe a
-    /// deterministic on-disk state (used by the query experiments); the
-    /// throughput experiment keeps the default asynchronous pipeline.
+    /// Makes every flush synchronous: an `append` (or `set_policy`) that
+    /// hands off a MemTable returns only once the worker is idle — the
+    /// MemTable stored as an L0 table, and the horizon and the L0 merge that
+    /// made due done — by waiting behind a barrier in the worker's queue.
+    /// Queries then observe a deterministic on-disk state, and each run
+    /// does the same I/O in the same order (used by the query experiments
+    /// and the crash schedules); the throughput experiment keeps the
+    /// default asynchronous pipeline.
     pub fn sync_flush(mut self) -> Self {
         self.kind.sync_flush = true;
         self

@@ -242,12 +242,18 @@ for name in background::tests::a_full_flush_queue_is_a_write_stall \
 done
 # One thread compacts the background engine: every table write, sync and
 # delete lands on its worker, appends, quiesce and recovery included, and a
-# degraded worker answers a call without touching a table.
+# degraded worker answers a call without touching a table. The writer waits
+# for the worker only through its queue: a `sync_flush` append returns once
+# a barrier call is answered, after the merge its flush made due; so two
+# trace passes of the tiered crash sweep do the same I/O op for op.
 for name in background::tests::only_the_worker_writes_syncs_or_deletes_a_table \
-    background::tests::quiesce_on_a_degraded_engine_touches_no_table; do
+    background::tests::quiesce_on_a_degraded_engine_touches_no_table \
+    background::tests::a_sync_flush_append_returns_after_the_merge_it_made_due; do
   grep -qx "$name: test" <<<"$LSM_TESTS" \
     || { echo "crates/lsm lost its one-worker test '$name'"; exit 1; }
 done
+grep -qx "a_tiered_pass_repeats_its_io_op_for_op: test" <<<"$CRASH_TESTS" \
+  || { echo "crash_schedules lost its repeat test"; exit 1; }
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \
@@ -392,6 +398,34 @@ assert "flush_finished" in kinds, kinds
 assert "point_classified" in kinds, kinds
 print(f"trace OK: {len(lines)} events, {len(kinds)} kinds")
 PYEOF
+# The query figures run the background engine with `sync_flush`, whose
+# appends return only once the worker is idle: its flush, and the horizon
+# and L0 merge that made due, done. No query races a merge, so a rerun of
+# fig12–fig14 prints the same bytes, text and JSON. At 10 000 points every
+# pair of three runs each of the build whose appends waited only for the
+# flush differed, in 1 to 5 text rows. A run takes about two minutes
+# whatever the number of points, so the two runs of a pair go side by side.
+echo "== fig12–fig14 (the sync_flush query figures repeat byte for byte) =="
+for fig in fig12 fig13 fig14; do
+  pids=()
+  for run in a b; do
+    "target/release/$fig" --points 10000 --json "$TRACE_DIR/$fig.$run.json" \
+      >"$TRACE_DIR/$fig.$run.out" &
+    pids+=($!)
+  done
+  for pid in "${pids[@]}"; do
+    wait "$pid" || { echo "$fig failed"; exit 1; }
+  done
+  for run in a b; do
+    grep -v '^wrote ' "$TRACE_DIR/$fig.$run.out" >"$TRACE_DIR/$fig.$run.txt"
+  done
+  for ext in txt json; do
+    cmp -s "$TRACE_DIR/$fig.a.$ext" "$TRACE_DIR/$fig.b.$ext" \
+      || { printf '%s does not repeat:\n' "$fig"; cat "$TRACE_DIR/$fig.a.$ext"
+           echo "-- second run --"; cat "$TRACE_DIR/$fig.b.$ext"; exit 1; }
+  done
+done
+
 # A trace that cannot be written fails the run that asked for it: the JSONL
 # sink keeps its first write error and returns it when flushed.
 echo "== observability (an unwritable trace fails seplsm stats) =="

@@ -382,8 +382,10 @@ fn tiered_pass(
         .with_faults(Arc::clone(plan));
     let mut engine = TieredOpenOptions::new(config())
         .store(Arc::new(store))
-        // Synchronous flushes give every pass the same deterministic op
-        // order (append blocks until the worker retires the hand-off).
+        // Synchronous flushes give every pass the same op order: a hand-off
+        // returns only once the worker is idle, its flush and the horizon
+        // and L0 merge that made due done, so the writer's and the worker's
+        // I/O never interleave (`a_tiered_pass_repeats_its_io_op_for_op`).
         .sync_flush()
         .wal(dir.path("wal"))
         .manifest(dir.path("manifest"))
@@ -392,6 +394,28 @@ fn tiered_pass(
         .expect("open");
     let out = drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal());
     (dir, out)
+}
+
+/// The premise of the tiered sweeps: two trace passes over the same points
+/// do the same I/O in the same order, so crash `k` of a sweep lands on the
+/// op the trace pass numbered `k`.
+#[test]
+fn a_tiered_pass_repeats_its_io_op_for_op() {
+    let pts = workload(HORIZON_POINTS);
+    let trace = || {
+        let plan = FaultPlan::trace_only(SEED);
+        let (dir, out) = tiered_pass("tiered-repeat", &plan, &pts);
+        assert_eq!(out.appended, pts.len(), "trace pass must complete");
+        drop(dir);
+        plan.trace()
+    };
+    let (first, second) = (trace(), trace());
+    let apart = first.iter().zip(&second).position(|(a, b)| a != b);
+    assert_eq!(
+        (apart, first.len()),
+        (None, second.len()),
+        "the passes part at the op numbered first"
+    );
 }
 
 fn tiered_recover_check(

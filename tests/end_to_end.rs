@@ -152,7 +152,6 @@ fn fig14_pipeline_separation_wins_historical_queries_under_disorder() {
             engine.append(*p).expect("append");
             min_gen = min_gen.min(p.gen_time);
         }
-        engine.drain();
         let max_gen = engine.max_gen_time().expect("points");
         let (mut tbl, mut lat, mut n) = (0.0, 0.0, 0u32);
         for range in queries.ranges(min_gen, max_gen) {

@@ -413,9 +413,9 @@ fn the_background_engine_pays_the_same_grouped_commit() {
         EngineConfig::new(Policy::conventional(8)).with_sstable_points(4);
     let mut engine = TieredOpenOptions::new(config)
         .store(store(&dir, &plan))
-        // Each append returns only once the worker has committed its
-        // hand-off; `quiesce` is a job queued behind that commit's due
-        // horizon, and the worker merges L0 once that horizon is done.
+        // Each append that hands off returns only once the worker is idle:
+        // the flush committed, and the horizon and the L0 merge that made
+        // due done. `quiesce` merges what L0 holds below the threshold.
         .sync_flush()
         .wal(dir.path("wal"))
         .manifest(dir.path("manifest"))
@@ -450,12 +450,14 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     engine.sync_wal().expect("sync");
     let before = plan.ops() as usize;
     in_order(&mut engine, 1);
-    engine.quiesce().expect("wait out the horizon");
     let commit = [IoOp::DirSync, IoOp::ManifestAppend, IoOp::ManifestSync];
     assert_eq!(
         unread(&plan.trace()[before..]),
         seq(&[&written(64), &synced(64), &commit])
     );
+    // The two tables that flush left in L0 join the run, so that the next
+    // merge's inputs are the stragglers and the run tables they fall in.
+    engine.quiesce().expect("merge L0 into the run");
     // Eight stragglers into the first two run tables, which that horizon
     // made durable: the merge retires them and stages its four outputs, at
     // no I/O.
@@ -473,7 +475,6 @@ fn the_background_engine_pays_the_same_grouped_commit() {
     engine.sync_wal().expect("sync");
     let before = plan.ops() as usize;
     in_order(&mut engine, 1);
-    engine.quiesce().expect("wait out the horizon");
     let delete = [IoOp::StoreDelete].repeat(4);
     assert_eq!(
         unread(&plan.trace()[before..]),

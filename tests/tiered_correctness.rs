@@ -277,8 +277,9 @@ fn live_l0_tables_shadow_otherwise_foldable_run_blocks() {
     for i in 0..64i64 {
         write(&mut engine, DataPoint::new(i * 10, i * 10, i as f64));
     }
-    // Eight single-block run tables [0..70], [80..150], …, L0 empty.
-    engine.quiesce().expect("quiesce");
+    // Eight single-block run tables [0..70], [80..150], …, L0 empty: the
+    // eighth flush made the second merge due, and the append returned
+    // once it was done.
     let range = TimeRange::new(0, 700);
     let (_, stats) = engine.aggregate(range).expect("aggregate");
     assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (8, 0));
@@ -401,7 +402,6 @@ fn unsynced_tail_may_be_lost_but_nothing_else() {
                 .append(DataPoint::new(i * 10, i * 10, 0.0))
                 .expect("append");
         }
-        engine.drain();
         drop(engine);
     }
     let store: Arc<dyn TableStore> =
@@ -444,7 +444,7 @@ fn observer_sees_one_compaction_event_per_executed_compaction() {
             .append(DataPoint::new(tg, tg + 5, i as f64))
             .expect("append");
     }
-    engine.quiesce().expect("quiesce");
+    // The last append returned with the worker idle.
     let metrics = engine.metrics();
     let events = sink.events();
     let executed = events
