@@ -5,11 +5,11 @@
 //! its last K bytes, or hard-crash at op N so that op and every later one
 //! fails without touching the disk. Plans are attached to [`FileStore`],
 //! [`Wal`](crate::Wal) and [`Manifest`](crate::Manifest), which call the
-//! hooks below around each physical operation, and [`FaultStore`] wraps any
-//! other [`TableStore`] at op granularity. The crash-schedule harness
-//! (`tests/crash_schedules.rs`) records a trace with [`Fault::None`], then
-//! replays every prefix with [`Fault::CrashAt`] and checks the recovery
-//! contract.
+//! hooks below before each physical operation, and [`FaultStore`] wraps any
+//! other [`TableStore`] at op granularity. A crash at op N thus leaves the
+//! directory as op N found it: the crash-schedule harness
+//! (`tests/crash_schedules.rs`) runs each workload once under a
+//! [`FaultPlan::probed`] plan that copies it there, and recovers each copy.
 //!
 //! Everything here is deterministic: op numbering is the only "clock", the
 //! seed is carried verbatim for workload derivation, and no wall-clock or
@@ -18,6 +18,7 @@
 //! [`FileStore`]: crate::FileStore
 
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ pub enum IoOp {
     /// `Manifest::commit_groups` writing its groups (or one bare record)
     /// in one write, however many series they belong to.
     ManifestAppend,
-    /// `Manifest::commit_groups` flush + fsync.
+    /// `Manifest::commit_groups` fsyncing what it appended.
     ManifestSync,
     /// `Manifest::rewrite` writing + fsyncing the tmp log.
     ManifestRewrite,
@@ -152,6 +153,16 @@ fn injected_transient(op: IoOp, index: u64) -> Error {
     )))
 }
 
+/// What a [`FaultPlan::probed`] plan calls before each op.
+type ProbeFn = dyn Fn(u64, IoOp, Option<(&Path, &[u8])>) + Send + Sync;
+struct Probe(Box<ProbeFn>);
+
+impl std::fmt::Debug for Probe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Probe")
+    }
+}
+
 /// A seeded, op-counting fault schedule. See the module docs.
 ///
 /// The same plan instance may be shared (via `Arc`) by a store, a WAL and a
@@ -161,6 +172,7 @@ fn injected_transient(op: IoOp, index: u64) -> Error {
 pub struct FaultPlan {
     seed: u64,
     fault: Fault,
+    probe: Option<Probe>,
     ops: AtomicU64,
     /// `ops`, per [`IoOp`] class.
     counts: [AtomicU64; IoOp::COUNT],
@@ -174,9 +186,14 @@ impl FaultPlan {
     /// Creates a plan injecting `fault`, carrying `seed` for workload
     /// derivation (the plan itself uses no randomness).
     pub fn new(seed: u64, fault: Fault) -> Arc<Self> {
+        Self::build(seed, fault, None)
+    }
+
+    fn build(seed: u64, fault: Fault, probe: Option<Probe>) -> Arc<Self> {
         Arc::new(Self {
             seed,
             fault,
+            probe,
             ops: AtomicU64::new(0),
             counts: Default::default(),
             crashed: AtomicBool::new(false),
@@ -189,6 +206,16 @@ impl FaultPlan {
     /// A plan that injects nothing — counts and traces ops only.
     pub fn trace_only(seed: u64) -> Arc<Self> {
         Self::new(seed, Fault::None)
+    }
+
+    /// [`trace_only`](Self::trace_only), calling `probe` on the thread of
+    /// each op before it touches the disk, with its index, its class and,
+    /// for a write, the file it writes and the payload.
+    pub fn probed(
+        seed: u64,
+        probe: impl Fn(u64, IoOp, Option<(&Path, &[u8])>) + Send + Sync + 'static,
+    ) -> Arc<Self> {
+        Self::build(seed, Fault::None, Some(Probe(Box::new(probe))))
     }
 
     /// A plan that hard-crashes at op `at`.
@@ -248,16 +275,30 @@ impl FaultPlan {
     /// Counts one non-write op: returns `Ok` if it may proceed, or the
     /// injected error it must surface.
     pub fn begin(&self, op: IoOp) -> Result<()> {
-        self.begin_write(op, 0).map(|_| ())
+        self.begin_op(op, 0, None).map(|_| ())
     }
 
     /// Counts one op that writes `len` payload bytes. On
     /// [`WriteCheck::Torn`] the caller persists only the returned prefix
     /// and then fails with [`injected_crash`].
     pub fn begin_write(&self, op: IoOp, len: usize) -> Result<WriteCheck> {
+        self.begin_op(op, len, None)
+    }
+
+    /// Counts one op writing `len` bytes (`write`: where and what, if
+    /// known) and shows it to the probe.
+    fn begin_op(
+        &self,
+        op: IoOp,
+        len: usize,
+        write: Option<(&Path, &[u8])>,
+    ) -> Result<WriteCheck> {
         let index = self.ops.fetch_add(1, Ordering::SeqCst);
         self.counts[op as usize].fetch_add(1, Ordering::Relaxed);
         self.trace.lock().push(op);
+        if let Some(Probe(probe)) = &self.probe {
+            probe(index, op, write);
+        }
         if self.crashed.load(Ordering::SeqCst) {
             self.note_injected(op, index);
             return Err(injected_crash(op, index));
@@ -305,30 +346,32 @@ pub(crate) fn hook(plan: Option<&Arc<FaultPlan>>, op: IoOp) -> Result<()> {
     }
 }
 
-/// Writes `buf` to `w` as one write op counted against an optional plan.
-/// `Ok(None)`: all of it was written. `Ok(Some(crash))`: the plan tore this
-/// write — only the prefix a power cut would have left reached `w`; the
-/// caller gets that prefix as far towards the disk as it would have got the
-/// whole (a flush, an fsync) and fails with `crash`.
-pub(crate) fn write_hooked(
+/// Writes `buf` to the file at `path` as one write op counted against an
+/// optional plan, and returns the writer `open` gave. The op is counted
+/// before `open` runs, so a refused op creates and truncates nothing. A
+/// torn write leaves only the prefix a power cut would have left and fails
+/// with [`injected_crash`].
+pub(crate) fn write_hooked<W: Write>(
     plan: Option<&Arc<FaultPlan>>,
     op: IoOp,
-    w: &mut impl Write,
+    path: &Path,
     buf: &[u8],
-) -> Result<Option<Error>> {
+    open: impl FnOnce() -> std::io::Result<W>,
+) -> Result<W> {
     let check = match plan {
-        Some(p) => p.begin_write(op, buf.len())?,
+        Some(p) => p.begin_op(op, buf.len(), Some((path, buf)))?,
         None => WriteCheck::Proceed,
     };
+    let mut w = open()?;
     match check {
         WriteCheck::Proceed => {
             w.write_all(buf)?;
-            Ok(None)
+            Ok(w)
         }
         WriteCheck::Torn { keep } => {
             w.write_all(&buf[..keep.min(buf.len())])?;
             let index = plan.map_or(0, |p| p.ops().saturating_sub(1));
-            Ok(Some(injected_crash(op, index)))
+            Err(injected_crash(op, index))
         }
     }
 }
@@ -514,6 +557,68 @@ mod tests {
         assert!(store.put(&pts(1)).is_err());
         assert!(store.put(&pts(1)).is_err());
         assert!(!plan.is_crashed(), "persistent failure is not a crash");
+    }
+
+    #[test]
+    fn a_probe_sees_every_op_in_order_before_it_touches_the_disk() {
+        let path = std::env::temp_dir()
+            .join(format!("seplsm-fault-probe-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // Per op: its index and class, and for a write the file, the
+        // payload and the file's length when the probe ran.
+        type Seen = (u64, IoOp, Option<(std::path::PathBuf, Vec<u8>, u64)>);
+        let seen: Arc<Mutex<Vec<Seen>>> = Arc::default();
+        let plan = FaultPlan::probed(3, {
+            let seen = Arc::clone(&seen);
+            move |at, op, write| {
+                let write = write.map(|(file, payload)| {
+                    let len = std::fs::metadata(file).expect("stat").len();
+                    (file.to_path_buf(), payload.to_vec(), len)
+                });
+                seen.lock().push((at, op, write));
+            }
+        });
+        assert!(format!("{plan:?}").contains("Probe"));
+        let mut wal = crate::Wal::open(&path).expect("open");
+        wal.attach_faults(Arc::clone(&plan));
+        for i in 0..3 {
+            wal.append(&DataPoint::new(i, i + 1, 0.5)).expect("append");
+            wal.sync().expect("sync");
+        }
+        let log = std::fs::read(&path).expect("read");
+        std::fs::remove_file(&path).expect("cleanup");
+
+        let seen = seen.lock();
+        let ops: Vec<(u64, IoOp)> = seen.iter().map(|s| (s.0, s.1)).collect();
+        let trace = plan.trace();
+        assert_eq!(
+            ops,
+            trace
+                .into_iter()
+                .zip(0..)
+                .map(|(op, at)| (at, op))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            ops.iter().map(|(_, op)| *op).collect::<Vec<_>>(),
+            [IoOp::WalAppend, IoOp::WalSync].repeat(3)
+        );
+        assert_eq!(plan.injected_failures(), 0);
+        // Each write's probe found the log as the write before left it,
+        // and the log is the header followed by the payloads it saw.
+        let mut expected = log[..8].to_vec();
+        for (_, op, write) in seen.iter() {
+            match (op, write) {
+                (IoOp::WalAppend, Some((file, payload, len))) => {
+                    assert_eq!(file, &path);
+                    assert_eq!(*len, expected.len() as u64);
+                    expected.extend_from_slice(payload);
+                }
+                (IoOp::WalSync, None) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(log, expected);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -292,7 +292,7 @@ fn scan(data: &[u8]) -> (usize, bool) {
 
 /// An append-only, checksummed log of table-membership changes.
 pub struct Manifest {
-    writer: BufWriter<File>,
+    file: File,
     path: PathBuf,
     /// Records in the log file — live, dead and group headers alike.
     records: u64,
@@ -303,7 +303,7 @@ pub struct Manifest {
     rewrites: u64,
     /// A commit or a rewrite failed part-way: the same change will be
     /// offered again, and the tail of the file may already hold it (or the
-    /// writer may be left on a file a rewrite replaced). The next commit
+    /// file may be one a rewrite replaced). The next commit
     /// rewrites the log instead of appending behind that.
     tail_in_doubt: bool,
     faults: Option<Arc<FaultPlan>>,
@@ -340,7 +340,7 @@ impl Manifest {
         let len = Self::repair_tail(&path)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
-            writer: BufWriter::new(file),
+            file,
             path,
             records: (len / RECORD) as u64,
             live: 0,
@@ -409,22 +409,21 @@ impl Manifest {
         records.saturating_sub(live) > (factor * live).max(COMPACT_MIN_DEAD)
     }
 
-    /// Appends `buf` — whole units carrying `edits` — in one write.
-    /// Buffered: [`Manifest::sync`] makes it durable.
+    /// Appends `buf` — whole units carrying `edits` — to the file in one
+    /// write; [`Manifest::sync`] makes it durable. A torn write leaves a
+    /// prefix of it in the file.
     fn append<'a>(
         &mut self,
         buf: &[u8],
         edits: impl Iterator<Item = &'a ManifestEdit>,
     ) -> Result<()> {
-        if let Some(crash) = fault::write_hooked(
+        fault::write_hooked(
             self.faults.as_ref(),
             IoOp::ManifestAppend,
-            &mut self.writer,
+            &self.path,
             buf,
-        )? {
-            self.writer.flush()?;
-            return Err(crash);
-        }
+            || Ok(&mut self.file),
+        )?;
         self.records += (buf.len() / RECORD) as u64;
         for edit in edits {
             self.obs
@@ -436,8 +435,7 @@ impl Manifest {
     /// Makes everything appended durable: one fsync.
     fn sync(&mut self) -> Result<()> {
         fault::hook(self.faults.as_ref(), IoOp::ManifestSync)?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
+        self.file.sync_all()?;
         self.commits += 1;
         Ok(())
     }
@@ -512,20 +510,15 @@ impl Manifest {
     fn replace(&mut self, buf: &[u8]) -> Result<()> {
         self.tail_in_doubt = true;
         let tmp = self.path.with_extension("manifest.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            if let Some(crash) = fault::write_hooked(
-                self.faults.as_ref(),
-                IoOp::ManifestRewrite,
-                &mut f,
-                buf,
-            )? {
-                // Tmp debris stays behind; swept on the next open.
-                f.sync_all()?;
-                return Err(crash);
-            }
-            f.sync_all()?;
-        }
+        // Torn, tmp debris stays behind; swept on the next open.
+        fault::write_hooked(
+            self.faults.as_ref(),
+            IoOp::ManifestRewrite,
+            &tmp,
+            buf,
+            || File::create(&tmp),
+        )?
+        .sync_all()?;
         fault::hook(self.faults.as_ref(), IoOp::ManifestRename)?;
         std::fs::rename(&tmp, &self.path)?;
         if let Some(parent) =
@@ -534,8 +527,7 @@ impl Manifest {
             fault::hook(self.faults.as_ref(), IoOp::DirSync)?;
             sync_dir(parent)?;
         }
-        let file = OpenOptions::new().append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.records = (buf.len() / RECORD) as u64;
         self.live = self.records;
         self.rewrites += 1;

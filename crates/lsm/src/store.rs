@@ -523,18 +523,16 @@ impl FileStore {
             let Some(bytes) = self.staged(id) else {
                 continue;
             };
-            // `create` truncates what a failed attempt left.
-            let mut f = std::fs::File::create(self.tmp_path_for(id))?;
-            if let Some(crash) = fault::write_hooked(
+            // `create` truncates what a failed attempt left; a torn write
+            // leaves a prefix in the tmp file behind, swept on the next open.
+            let tmp = self.tmp_path_for(id);
+            fault::write_hooked(
                 self.faults.as_ref(),
                 IoOp::StoreWrite,
-                &mut f,
+                &tmp,
                 &bytes,
-            )? {
-                // A torn table write leaves a prefix in the tmp file behind,
-                // swept on the next open.
-                return Err(crash);
-            }
+                || std::fs::File::create(&tmp),
+            )?;
             written.push(id);
         }
         for id in written {
@@ -1237,13 +1235,15 @@ mod tests {
         // or at the directory finds one, two or three renamed.
         assert_eq!(renamed_total, 1 + 1 + 2 + 2 + 3);
         let _ = std::fs::remove_dir_all(&dir);
-        // A crash, unlike a transient failure, leaves its debris in place.
+        // A crash, unlike a transient failure, leaves its debris in place:
+        // the two writes before it, and no file of the third, which it
+        // refused before its `create`.
         let plan = FaultPlan::crash_at(0, 2);
         let store = FileStore::open(&dir).expect("open").with_faults(plan);
         let stored = store.publish_batch(&[&a, &b, &c]).expect("publish");
         let ids: Vec<SsTableId> = stored.iter().map(|(m, _)| m.id).collect();
         assert!(store.sync_published(&ids).is_err());
-        assert_eq!(tmp_files(&dir), 3);
+        assert_eq!(tmp_files(&dir), 2);
         drop(store);
         FileStore::open(&dir).expect("reopen");
         assert_eq!(tmp_files(&dir), 0, "open sweeps tmp files");

@@ -778,16 +778,14 @@ impl Wal {
             return Ok(());
         }
         let len = self.queued.len();
-        if let Some(crash) = fault::write_hooked(
+        // A torn write leaves a prefix of the frames in the file.
+        fault::write_hooked(
             self.faults.as_ref(),
             IoOp::WalAppend,
-            &mut self.file,
+            &self.path,
             &self.queued,
-        )? {
-            // The modelled power cut happened mid-write: a prefix of the
-            // frames reached the file, then the op fails.
-            return Err(crash);
-        }
+            || Ok(&mut self.file),
+        )?;
         self.queued.clear();
         self.file_len += len as u64;
         self.obs.emit(|| Event::WalAppend { bytes: len as u64 });
@@ -957,20 +955,15 @@ impl Wal {
             }
         }
         let tmp = self.path.with_extension("wal.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            if let Some(crash) = fault::write_hooked(
-                self.faults.as_ref(),
-                IoOp::WalRewrite,
-                &mut f,
-                &buf,
-            )? {
-                // Tmp debris stays behind; swept on the next open.
-                f.sync_all()?;
-                return Err(crash);
-            }
-            f.sync_all()?;
-        }
+        // Torn, tmp debris stays behind; swept on the next open.
+        fault::write_hooked(
+            self.faults.as_ref(),
+            IoOp::WalRewrite,
+            &tmp,
+            &buf,
+            || File::create(&tmp),
+        )?
+        .sync_all()?;
         fault::hook(self.faults.as_ref(), IoOp::WalRename)?;
         std::fs::rename(&tmp, &self.path)?;
         if let Some(parent) =

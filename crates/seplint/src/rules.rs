@@ -463,9 +463,7 @@ const FAULT_HOOKS: &[&str] = &["hook", "write_hooked"];
 ///   `fsyncs_per_kpoint`) and reachable by crash schedules — an un-hooked
 ///   fsync is a cost nobody can see or crash-test.
 ///
-/// The `sync_dir` helper itself is the primitive and is exempt, and so is
-/// the block of an `if let Some(..) = ..write_hooked(..)? { .. }`: it *is*
-/// the injected crash, persisting the prefix a power cut would have left.
+/// The `sync_dir` helper itself is the primitive and is exempt.
 pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
     let lexed = lex(src);
     let tokens = strip_test_items(&lexed.tokens);
@@ -479,7 +477,6 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
             body[i].ident().is_some_and(|id| names.contains(&id))
                 && body.get(i + 1).is_some_and(|n| n.is_punct('('))
         };
-        let torn = torn_blocks(body);
         for (i, t) in body.iter().enumerate() {
             if calls(i, &["rename"]) {
                 let synced_later =
@@ -497,12 +494,11 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
                     ));
                 }
             }
-            if calls(i, FSYNC_CALLS) && !torn[i] {
+            if calls(i, FSYNC_CALLS) {
                 // The nearest earlier hook, fsync or rename must be a hook:
                 // a hook further back already paid for another op.
                 let hooked = (0..i)
                     .rev()
-                    .filter(|j| !torn[*j])
                     .find(|j| {
                         calls(*j, FAULT_HOOKS)
                             || calls(*j, FSYNC_CALLS)
@@ -527,49 +523,6 @@ pub fn rename_syncs_dir(path: &Path, src: &str) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Marks the tokens of `body` that sit inside the block a torn write runs:
-/// the `{ .. }` of an `if let Some(..) = ..write_hooked(..)? { .. }`.
-fn torn_blocks(body: &[Token]) -> Vec<bool> {
-    let mut inside = vec![false; body.len()];
-    for (i, t) in body.iter().enumerate() {
-        let called = body.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if !t.is_ident("write_hooked") || !called {
-            continue;
-        }
-        // Past the call's balanced argument list and its `?`.
-        let mut depth = 0usize;
-        let Some(close) = (i + 1..body.len()).find(|j| {
-            if body[*j].is_punct('(') {
-                depth += 1;
-            } else if body[*j].is_punct(')') {
-                depth -= 1;
-            }
-            depth == 0
-        }) else {
-            continue;
-        };
-        let open = close + 2;
-        if !body.get(close + 1).is_some_and(|n| n.is_punct('?'))
-            || !body.get(open).is_some_and(|n| n.is_punct('{'))
-        {
-            continue;
-        }
-        let mut depth = 0usize;
-        for (j, n) in body.iter().enumerate().skip(open) {
-            inside[j] = true;
-            if n.is_punct('{') {
-                depth += 1;
-            } else if n.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-        }
-    }
-    inside
 }
 
 // ---------------------------------------------------------------------------

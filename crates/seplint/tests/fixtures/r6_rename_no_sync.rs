@@ -55,22 +55,17 @@ impl Store {
         Ok(())
     }
 
-    // Compliant: the fsync inside the torn-write block is the injected
-    // crash itself, and does not stand between the write's hook and its
-    // fsync.
+    // Compliant: the hooked write pays for the fsync of what it wrote.
     pub fn rewrite(&self, bytes: &[u8]) -> Result<(), Error> {
         let tmp = self.dir.join("log.tmp");
-        let mut f = File::create(&tmp)?;
-        if let Some(crash) = fault::write_hooked(
+        fault::write_hooked(
             self.faults.as_ref(),
             IoOp::WalRewrite,
-            &mut f,
+            &tmp,
             bytes,
-        )? {
-            f.sync_all()?;
-            return Err(crash);
-        }
-        f.sync_all()?;
+            || File::create(&tmp),
+        )?
+        .sync_all()?;
         fault::hook(self.faults.as_ref(), IoOp::WalRename)?;
         std::fs::rename(&tmp, self.dir.join("log"))?;
         fault::hook(self.faults.as_ref(), IoOp::DirSync)?;

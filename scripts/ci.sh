@@ -91,11 +91,13 @@ cargo test -q --workspace --offline
 # checked from here on is that the tests they hold are still there under
 # their names, so that a rename or a deletion cannot pass silently.
 #
-# Fault-injection lane, `tests/crash_schedules.rs`: replays every engine
-# workload with a simulated crash at every I/O operation (seeded FaultPlan —
-# fully deterministic, no clock, no RNG at runtime) and checks the
-# durability contract after each recovery. Its tests that read bytes an
-# *older build* wrote:
+# Fault-injection lane, `tests/crash_schedules.rs`: runs every engine
+# workload once under a probed FaultPlan (seeded, fully deterministic, no
+# clock, no RNG at runtime), which copies the directory a crash — or a torn
+# write — would leave at each I/O operation, and checks the durability
+# contract on a recovery of every copy. `one_pass_images_equal_replayed_faults`
+# proves each copy equal to the directory a replayed crash leaves. Its tests
+# that read bytes an *older build* wrote:
 #   - directories of the PR 12 and PR 13 builds (headerless fixed-record
 #     WALs, one per fleet series; flat manifests) recover, strict and
 #     salvage, and leave only framed logs behind;
@@ -245,15 +247,19 @@ done
 # degraded worker answers a call without touching a table. The writer waits
 # for the worker only through its queue: a `sync_flush` append returns once
 # a barrier call is answered, after the merge its flush made due; so two
-# trace passes of the tiered crash sweep do the same I/O op for op.
+# trace passes of the tiered crash sweep do the same I/O op for op, and a
+# crash image recorded in one pass is the directory a replayed crash leaves.
 for name in background::tests::only_the_worker_writes_syncs_or_deletes_a_table \
     background::tests::quiesce_on_a_degraded_engine_touches_no_table \
     background::tests::a_sync_flush_append_returns_after_the_merge_it_made_due; do
   grep -qx "$name: test" <<<"$LSM_TESTS" \
     || { echo "crates/lsm lost its one-worker test '$name'"; exit 1; }
 done
-grep -qx "a_tiered_pass_repeats_its_io_op_for_op: test" <<<"$CRASH_TESTS" \
-  || { echo "crash_schedules lost its repeat test"; exit 1; }
+for name in a_tiered_pass_repeats_its_io_op_for_op \
+    one_pass_images_equal_replayed_faults; do
+  grep -qx "$name: test" <<<"$CRASH_TESTS" \
+    || { echo "crash_schedules lost its premise test '$name'"; exit 1; }
+done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \

@@ -1,7 +1,11 @@
-//! Crash-schedule exploration: record the full I/O-op trace of a mixed
-//! in-order/out-of-order workload, then replay the same workload with a
-//! hard crash injected at *every* op prefix and assert the recovery
-//! contract after each one:
+//! Crash-schedule exploration. Each sweep runs its workload once, under a
+//! probed [`FaultPlan`]: before every op it wants, the probe copies the
+//! directory — what a crash at that op leaves, since a crashed plan touches
+//! the disk no more — and notes what the workload had achieved. A torn
+//! write's image is that copy plus a prefix of the op's payload at the end
+//! of the file it writes. After the pass every image is recovered, on a
+//! fresh copy and in every mode the sweep names, and must keep the recovery
+//! contract:
 //!
 //! * every point acknowledged by a successful `sync` survives recovery;
 //! * recovery never invents points (recovered ⊆ attempted) and never
@@ -10,10 +14,14 @@
 //! * the recovered engine passes the full integrity audit
 //!   (`check_integrity`), and nothing panics anywhere on the way.
 //!
-//! A torn-write sweep repeats the schedule with the crashing op's payload
-//! truncated, a proptest drives `MultiSeriesEngine` through random
-//! workload/crash combinations, and a salvage test corrupts a stored table
-//! on purpose to check the degraded recovery path end to end.
+//! `one_pass_images_equal_replayed_faults` proves the premise: over a
+//! workload that crosses a horizon and a log cut, every image equals byte
+//! for byte the directory a replayed `CrashAt` or `TornWrite` pass leaves.
+//! What no image can stand for stays a replay: a transient fault, after
+//! which the run goes on, a crashed fleet's own answers, and a proptest
+//! driving `MultiSeriesEngine` through random workload/crash combinations.
+//! A salvage test corrupts a stored table on purpose to check the degraded
+//! recovery path end to end.
 //!
 //! The grouped-commit section crashes at every op of a multi-output merge
 //! and of an in-order flush (group publication, manifest edit group, the
@@ -28,24 +36,27 @@
 #[path = "support/wal_layout.rs"]
 mod wal_layout;
 
-use std::collections::HashSet;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, HashSet};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
+use seplsm::lsm::open::SingleSeries;
+use seplsm::lsm::{Engine, EngineBuilder, Executor};
 use seplsm::{
-    AdmissionOutcome, DataPoint, EngineConfig, Event, Fault, FaultPlan,
-    FileStore, IoOp, LsmEngine, MultiOpenOptions, MultiSeriesEngine,
-    OpenOptions, Policy, RecoveryOptions, RecoveryStepKind, RingBufferSink,
-    SeriesId, TableStore, TieredEngine, TieredOpenOptions, TimeRange,
+    DataPoint, EngineConfig, Event, Fault, FaultPlan, FileStore, IoOp,
+    MultiOpenOptions, MultiSeriesEngine, OpenOptions, Policy, RecoveryOptions,
+    RecoveryStepKind, RingBufferSink, SeriesId, TableStore, TieredOpenOptions,
+    TimeRange,
 };
 
 /// Seed carried by every plan; derives nothing at runtime (determinism),
 /// but names the schedule in failure messages.
 const SEED: u64 = 0xB10C_5EED;
 /// Points per engine workload. Sized so each engine sees well over a
-/// hundred I/O ops (crash points) without making the quadratic sweep slow.
+/// hundred I/O ops (crash points).
 const WORKLOAD_POINTS: usize = 48;
 /// `sync` every this many appends (odd on purpose, to land syncs in
 /// different phases of the flush cycle).
@@ -102,6 +113,7 @@ fn workload(n: usize) -> Vec<DataPoint> {
 }
 
 /// What the workload managed before the injected failure (if any).
+#[derive(Clone, Default)]
 struct Outcome {
     /// Points whose append was *called* (the last one may have failed after
     /// partially logging — recovery may legally resurrect it).
@@ -113,35 +125,208 @@ struct Outcome {
     synced: usize,
 }
 
-fn drive<E>(
-    engine: &mut E,
-    pts: &[DataPoint],
-    mut append: impl FnMut(&mut E, DataPoint) -> seplsm::Result<AdmissionOutcome>,
-    mut sync: impl FnMut(&mut E) -> seplsm::Result<()>,
-) -> Outcome {
-    let mut out = Outcome {
-        attempted: 0,
-        appended: 0,
-        synced: 0,
-    };
-    for (i, p) in pts.iter().enumerate() {
-        out.attempted += 1;
-        if append(engine, *p).is_err() {
-            return out;
-        }
-        out.appended += 1;
-        if (i + 1) % SYNC_EVERY == 0 {
-            if sync(engine).is_err() {
-                return out;
-            }
-            out.synced = out.appended;
-        }
-    }
-    if sync(engine).is_ok() {
-        out.synced = out.appended;
-    }
-    out
+/// What a pass has achieved so far, kept where the probe — on whichever
+/// thread runs the op — can read it while the pass is blocked in that op.
+type Shared<O> = Mutex<O>;
+
+fn note<O>(out: &Shared<O>, f: impl FnOnce(&mut O)) {
+    f(&mut out.lock().expect("outcome"));
 }
+
+/// Appends `pts`, syncing every [`SYNC_EVERY`] appends and once at the
+/// end, and keeps `out` up to date; stops at the first failure. True when
+/// the closing sync returned.
+fn drive<X: Executor>(
+    engine: &mut Engine<X>,
+    pts: &[DataPoint],
+    out: &Shared<Outcome>,
+) -> bool {
+    let acknowledge = |o: &mut Outcome| o.synced = o.appended;
+    for (i, p) in pts.iter().enumerate() {
+        note(out, |o| o.attempted += 1);
+        if engine.append(*p).is_err() {
+            return false;
+        }
+        note(out, |o| o.appended += 1);
+        if (i + 1) % SYNC_EVERY == 0 {
+            if engine.sync_wal().is_err() {
+                return false;
+            }
+            note(out, acknowledge);
+        }
+    }
+    let synced = engine.sync_wal().is_ok();
+    if synced {
+        note(out, acknowledge);
+    }
+    synced
+}
+
+/// `builder` over the store, log and manifest in `dir`, whose every op
+/// `plan` counts. Faults attach only after `open` completes, so op
+/// numbering starts at the first workload-driven disk touch.
+fn faulty<K: SingleSeries>(
+    builder: EngineBuilder<K>,
+    dir: &TempDir,
+    plan: &Arc<FaultPlan>,
+) -> EngineBuilder<K> {
+    let store = FileStore::open(dir.path("tables"))
+        .expect("store")
+        .with_faults(Arc::clone(plan));
+    builder
+        .store(Arc::new(store))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .faults(Arc::clone(plan))
+}
+
+/// `builder` recovering, in `recovery`'s mode, what a pass left in `dir`.
+fn reopen<K: SingleSeries>(
+    builder: EngineBuilder<K>,
+    dir: &TempDir,
+    recovery: RecoveryOptions,
+) -> EngineBuilder<K> {
+    let store = FileStore::open(dir.path("tables")).expect("reopen store");
+    builder
+        .store(Arc::new(store))
+        .wal(dir.path("wal"))
+        .manifest(dir.path("manifest"))
+        .recovery(recovery)
+}
+
+// ------------------------------------------------------------ Crash images
+
+/// What a crash at op `at` leaves: the directory as the op found it, and
+/// what the pass had achieved when the op began.
+struct Image<O> {
+    at: u64,
+    op: IoOp,
+    dir: TempDir,
+    /// The file the op writes, relative to the pass's directory, and the
+    /// payload: a torn write leaves a prefix of it at the end of that file.
+    write: Option<(PathBuf, Vec<u8>)>,
+    out: O,
+}
+
+impl<O> Image<O> {
+    /// A fresh copy of the image to recover: torn by `torn` bytes off the
+    /// op's write, or — `None`, or an op that writes nothing — crashed.
+    fn restore(&self, torn: Option<usize>) -> TempDir {
+        let dir = TempDir::new("restored");
+        copy_dir(&self.dir.0, &dir.0);
+        if let (Some(torn), Some((file, payload))) = (torn, &self.write) {
+            let keep = payload.len().saturating_sub(torn);
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(dir.0.join(file))
+                .and_then(|mut f| f.write_all(&payload[..keep]))
+                .expect("tear the op's write");
+        }
+        dir
+    }
+}
+
+/// One probed pass of a workload and the crash images it recorded.
+struct Sweep<O> {
+    /// The directory the completed pass left.
+    dir: TempDir,
+    /// What the completed pass achieved.
+    out: O,
+    trace: Vec<IoOp>,
+    /// One per op `want` asked for, in op order.
+    images: Vec<Image<O>>,
+}
+
+/// Runs `pass` once over a fresh directory under a probed plan that
+/// injects nothing. Before each op `want` asks for, on the thread that runs
+/// it, the probe records an [`Image`]: a copy of the directory and the
+/// outcome `pass` has published at that moment. Checks run afterwards, on
+/// the caller's thread.
+fn one_pass<O: Clone + Default + Send + 'static>(
+    tag: &str,
+    want: impl Fn(u64, IoOp) -> bool + Send + Sync + 'static,
+    pass: impl FnOnce(&TempDir, &Arc<FaultPlan>, &Shared<O>),
+) -> Sweep<O> {
+    let dir = TempDir::new(tag);
+    let out: Arc<Shared<O>> = Arc::default();
+    let images = Arc::new(Mutex::new(Vec::new()));
+    let plan = {
+        let (root, tag) = (dir.0.clone(), tag.to_owned());
+        let (out, images) = (Arc::clone(&out), Arc::clone(&images));
+        FaultPlan::probed(SEED, move |at, op, write| {
+            if !want(at, op) {
+                return;
+            }
+            let dir = TempDir::new(&format!("{tag}-{at}"));
+            copy_dir(&root, &dir.0);
+            let write = write.map(|(file, payload)| {
+                let file =
+                    file.strip_prefix(&root).expect("a file of the pass");
+                (file.to_path_buf(), payload.to_vec())
+            });
+            let out = out.lock().expect("outcome").clone();
+            let image = Image {
+                at,
+                op,
+                dir,
+                write,
+                out,
+            };
+            images.lock().expect("images").push(image);
+        })
+    };
+    pass(&dir, &plan, &out);
+    let out = out.lock().expect("outcome").clone();
+    let images = std::mem::take(&mut *images.lock().expect("images"));
+    Sweep {
+        dir,
+        out,
+        trace: plan.trace(),
+        images,
+    }
+}
+
+/// Runs `pass` once over a fresh directory under `plan`: what a fault
+/// that the run goes on after leaves, and what the pass achieved.
+fn replay<O: Clone + Default>(
+    tag: &str,
+    plan: &Arc<FaultPlan>,
+    pass: impl FnOnce(&TempDir, &Arc<FaultPlan>, &Shared<O>),
+) -> (TempDir, O) {
+    let dir = TempDir::new(tag);
+    let out = Shared::default();
+    pass(&dir, plan, &out);
+    let out = out.into_inner().expect("outcome");
+    (dir, out)
+}
+
+/// Recovers a fresh copy of every image — per tear of `tears` (`None`: the
+/// crash itself) and per mode of `modes` — with `check`, which gets the
+/// copy, what the pass had achieved, the mode and a context naming all of
+/// it.
+fn recover_each<O>(
+    images: &[Image<O>],
+    tears: &[Option<usize>],
+    modes: &[(&str, RecoveryOptions)],
+    check: impl Fn(&TempDir, &O, RecoveryOptions, &str),
+) {
+    for image in images {
+        let (k, op) = (image.at, image.op);
+        for &torn in tears {
+            for &(mode, recovery) in modes {
+                let ctx = match torn {
+                    None => format!("{mode}: crash at op {k} ({op:?})"),
+                    Some(t) => format!("{mode}: op {k} ({op:?}) torn by {t}"),
+                };
+                check(&image.restore(torn), &image.out, recovery, &ctx);
+            }
+        }
+    }
+}
+
+/// The tears of a sweep that only crashes.
+const CRASH: &[Option<usize>] = &[None];
 
 /// The recovery contract, checked against what one pass achieved.
 fn check_contract(
@@ -178,157 +363,166 @@ fn check_contract(
     }
 }
 
-// ---------------------------------------------------------------- LsmEngine
+// ------------------------------------------------------ Single-series engines
 
-fn lsm_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
+/// An inline engine of `config` over a pass's directory, driven through
+/// `pts`.
+fn inline_pass(
+    config: EngineConfig,
     pts: &[DataPoint],
-) -> (TempDir, Outcome) {
-    let dir = TempDir::new(tag);
-    let store = FileStore::open(dir.path("tables"))
-        .expect("store")
-        .with_faults(Arc::clone(plan));
-    // Faults attach only after `open` completes, so op numbering starts
-    // at the first workload-driven disk touch in every pass.
-    let mut engine = OpenOptions::new(config())
-        .store(Arc::new(store))
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(plan))
-        .open()
-        .expect("open");
-    let out = drive(&mut engine, pts, LsmEngine::append, |e| e.sync_wal());
-    (dir, out)
+) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<Outcome>) + '_ {
+    move |dir, plan, out| {
+        let builder = faulty(OpenOptions::new(config.clone()), dir, plan);
+        drive(&mut builder.open().expect("open"), pts, out);
+    }
 }
 
-fn lsm_recover_check(
+/// [`inline_pass`] on the background engine, with synchronous flushes:
+/// a hand-off returns only once the worker is idle, its flush and the
+/// horizon and L0 merge that made due done, so the writer's and the
+/// worker's I/O never interleave (`a_tiered_pass_repeats_its_io_op_for_op`).
+fn tiered_pass(
+    config: EngineConfig,
+    pts: &[DataPoint],
+) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<Outcome>) + '_ {
+    move |dir, plan, out| {
+        let builder = TieredOpenOptions::new(config.clone()).sync_flush();
+        drive(
+            &mut faulty(builder, dir, plan).open().expect("open"),
+            pts,
+            out,
+        );
+    }
+}
+
+/// Recovers an inline engine of `config` from `dir` in `recovery`'s mode —
+/// nothing quarantined: a crash only truncates — checks the contract and
+/// the integrity audit, and returns what it recovered.
+fn inline_recover_check(
+    config: EngineConfig,
     dir: &TempDir,
     pts: &[DataPoint],
     out: &Outcome,
+    recovery: RecoveryOptions,
     ctx: &str,
-) {
-    let store: Arc<dyn TableStore> =
-        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, report) = OpenOptions::new(config())
-        .store(store)
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .recovery(RecoveryOptions::strict().with_gc_orphans())
+) -> Vec<DataPoint> {
+    let (engine, report) = reopen(OpenOptions::new(config), dir, recovery)
         .open_or_recover()
-        .unwrap_or_else(|e| panic!("{ctx}: strict recovery failed: {e}"));
-    assert!(
-        report.quarantined.is_empty(),
-        "{ctx}: strict recovery must not quarantine (a crash only truncates)"
-    );
-    let recovered = engine.scan_all().expect("scan recovered engine");
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
+    let recovered = engine.scan_all().expect("scan");
     check_contract(&recovered, pts, out, ctx);
     engine
         .check_integrity()
-        .unwrap_or_else(|e| panic!("{ctx}: integrity audit failed: {e}"));
+        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+    recovered
+}
+
+/// [`inline_recover_check`] on the background engine. A lost checkpoint
+/// replays a longer log, whose flushes can leave the worker merging L0 —
+/// and retiring the tables an audit of the pre-merge version would still
+/// look for: the audit runs at rest.
+fn tiered_recover_check(
+    config: EngineConfig,
+    dir: &TempDir,
+    pts: &[DataPoint],
+    out: &Outcome,
+    recovery: RecoveryOptions,
+    ctx: &str,
+) {
+    let builder = TieredOpenOptions::new(config);
+    let (mut engine, report) = reopen(builder, dir, recovery)
+        .open_or_recover()
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
+    check_contract(&engine.scan_all().expect("scan"), pts, out, ctx);
+    engine
+        .quiesce()
+        .unwrap_or_else(|e| panic!("{ctx}: quiesce failed: {e}"));
+    engine
+        .check_integrity()
+        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+}
+
+/// Strict recovery that sweeps orphans, the mode of the single-mode sweeps.
+fn strict() -> RecoveryOptions {
+    RecoveryOptions::strict().with_gc_orphans()
 }
 
 #[test]
 fn lsm_engine_survives_a_crash_at_every_io_op() {
     let pts = workload(HORIZON_POINTS);
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = lsm_pass("lsm-trace", &plan, &pts);
-    assert_eq!(out.appended, pts.len(), "trace pass must complete");
-    assert_eq!(out.synced, pts.len());
-    lsm_recover_check(&dir, &pts, &out, "trace pass");
-    drop(dir);
-    let total = plan.ops();
+    let sweep = one_pass("lsm", |_, _| true, inline_pass(config(), &pts));
+    assert_eq!(sweep.out.appended, pts.len(), "the pass must complete");
+    assert_eq!(sweep.out.synced, pts.len());
+    let check = |dir: &_, out: &Outcome, recovery, ctx: &_| {
+        assert!(out.appended < pts.len() || out.synced < pts.len());
+        inline_recover_check(config(), dir, &pts, out, recovery, ctx);
+    };
+    inline_recover_check(
+        config(),
+        &sweep.dir,
+        &pts,
+        &sweep.out,
+        strict(),
+        "at rest",
+    );
+    let total = sweep.images.len();
     assert!(
         total >= 100,
         "workload too small to be interesting: {total}"
     );
-    for k in 0..total {
-        let plan = FaultPlan::crash_at(SEED, k);
-        let (dir, out) = lsm_pass("lsm-crash", &plan, &pts);
-        assert!(plan.is_crashed(), "crash at op {k}/{total} never fired");
-        assert!(out.appended < pts.len() || out.synced < pts.len());
-        lsm_recover_check(&dir, &pts, &out, &format!("crash at op {k}"));
-    }
+    recover_each(&sweep.images, CRASH, &[("strict", strict())], check);
 }
 
 #[test]
 fn lsm_engine_survives_torn_writes() {
     let pts = workload(WORKLOAD_POINTS);
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, _) = lsm_pass("lsm-torn-trace", &plan, &pts);
-    drop(dir);
-    let total = plan.ops();
-    for k in (0..total).step_by(5) {
-        // Tear a little and a lot: 3 bytes clips a frame's last point, 64
-        // takes several points off it (or more than some payloads hold);
-        // either way the whole frame fails its CRC.
-        for truncate in [3usize, 64] {
-            let plan =
-                FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
-            let (dir, out) = lsm_pass("lsm-torn", &plan, &pts);
-            assert!(plan.is_crashed(), "tear at op {k} never fired");
-            lsm_recover_check(
-                &dir,
-                &pts,
-                &out,
-                &format!("torn write at op {k} (-{truncate} bytes)"),
-            );
-        }
-    }
+    let pass = inline_pass(config(), &pts);
+    let sweep = one_pass("lsm-torn", |k, _| k % 5 == 0, pass);
+    // Tear a little and a lot: 3 bytes clips a frame's last point, 64
+    // takes several points off it (or more than some payloads hold);
+    // either way the whole frame fails its CRC.
+    let tears = [Some(3), Some(64)];
+    recover_each(
+        &sweep.images,
+        &tears,
+        &[("strict", strict())],
+        |dir, out, recovery, ctx| {
+            inline_recover_check(config(), dir, &pts, out, recovery, ctx);
+        },
+    );
 }
 
-/// `lsm_pass` with a policy shrink in the middle: the first 30 points go
-/// into buffers of `wide`, which `set_policy(narrow)` then re-routes through
-/// buffers a quarter the size — several flushes inside one call, each with
-/// the not yet re-routed points in no buffer at all, and a few points left
-/// buffered at the end — and the rest of the workload follows under
-/// `narrow`.
-fn lsm_shrink_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
-    pts: &[DataPoint],
+/// [`inline_pass`] with a policy shrink in the middle: the first 30 points
+/// go into buffers of `wide`, which `set_policy(narrow)` then re-routes
+/// through buffers a quarter the size — several flushes inside one call,
+/// each with the not yet re-routed points in no buffer at all, and a few
+/// points left buffered at the end — and the rest of the workload follows
+/// under `narrow`.
+fn shrink_pass(
     (wide, narrow): (Policy, Policy),
-) -> (TempDir, Outcome) {
-    let dir = TempDir::new(tag);
-    let store = FileStore::open(dir.path("tables"))
-        .expect("store")
-        .with_faults(Arc::clone(plan));
-    let mut engine =
-        OpenOptions::new(EngineConfig::new(wide).with_sstable_points(8))
-            .store(Arc::new(store))
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .faults(Arc::clone(plan))
-            .open()
-            .expect("open");
-    let mut out = Outcome {
-        attempted: 0,
-        appended: 0,
-        synced: 0,
-    };
-    // The second segment is one point and a sync: it puts the checkpoints
-    // of the shrink on the disk while what the shrink left buffered is
-    // still buffered.
-    for (i, segment) in [&pts[..30], &pts[30..31], &pts[31..]]
-        .into_iter()
-        .enumerate()
-    {
-        if i == 1 && engine.set_policy(narrow).is_err() {
-            break;
-        }
-        let done = out.appended;
-        let part =
-            drive(&mut engine, segment, LsmEngine::append, |e| e.sync_wal());
-        out.attempted += part.attempted;
-        out.appended += part.appended;
-        if part.synced > 0 {
-            out.synced = done + part.synced;
-        }
-        if part.synced < segment.len() {
-            break;
+    pts: &[DataPoint],
+) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<Outcome>) + '_ {
+    move |dir, plan, out| {
+        let config = EngineConfig::new(wide).with_sstable_points(8);
+        let builder = faulty(OpenOptions::new(config), dir, plan);
+        let mut engine = builder.open().expect("open");
+        // The second segment is one point and a sync: it puts the
+        // checkpoints of the shrink on the disk while what the shrink left
+        // buffered is still buffered.
+        for (i, segment) in [&pts[..30], &pts[30..31], &pts[31..]]
+            .into_iter()
+            .enumerate()
+        {
+            if i == 1 && engine.set_policy(narrow).is_err() {
+                break;
+            }
+            if !drive(&mut engine, segment, out) {
+                break;
+            }
         }
     }
-    (dir, out)
 }
 
 /// The recovery contract across a policy shrink: a crash at any op of it —
@@ -348,65 +542,33 @@ fn a_policy_shrink_survives_a_crash_at_every_io_op() {
         ),
     ];
     for (name, shrink) in shrinks {
-        let plan = FaultPlan::trace_only(SEED);
-        let (dir, out) = lsm_shrink_pass("shrink-trace", &plan, &pts, shrink);
-        assert_eq!(out.synced, pts.len(), "{name}: trace pass must complete");
-        lsm_recover_check(&dir, &pts, &out, &format!("{name}: trace pass"));
-        drop(dir);
-        let total = plan.ops();
+        let sweep = one_pass("shrink", |_, _| true, shrink_pass(shrink, &pts));
+        let check = |dir: &_, out: &_, recovery, ctx: &str| {
+            let ctx = format!("{name}: shrink, {ctx}");
+            inline_recover_check(config(), dir, &pts, out, recovery, &ctx);
+        };
+        let out = &sweep.out;
+        assert_eq!(out.synced, pts.len(), "{name}: the pass must complete");
+        check(&sweep.dir, out, strict(), "at rest");
+        let total = sweep.images.len();
         assert!(
             total >= 60,
             "{name}: too few ops to be interesting: {total}"
         );
-        for k in 0..total {
-            let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) =
-                lsm_shrink_pass("shrink-crash", &plan, &pts, shrink);
-            assert!(plan.is_crashed(), "{name}: crash at op {k} never fired");
-            let ctx = format!("{name}: shrink, crash at op {k}/{total}");
-            lsm_recover_check(&dir, &pts, &out, &ctx);
-        }
+        recover_each(&sweep.images, CRASH, &[("strict", strict())], check);
     }
 }
 
-// -------------------------------------------------------------- TieredEngine
-
-fn tiered_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
-    pts: &[DataPoint],
-) -> (TempDir, Outcome) {
-    let dir = TempDir::new(tag);
-    let store = FileStore::open(dir.path("tables"))
-        .expect("store")
-        .with_faults(Arc::clone(plan));
-    let mut engine = TieredOpenOptions::new(config())
-        .store(Arc::new(store))
-        // Synchronous flushes give every pass the same op order: a hand-off
-        // returns only once the worker is idle, its flush and the horizon
-        // and L0 merge that made due done, so the writer's and the worker's
-        // I/O never interleave (`a_tiered_pass_repeats_its_io_op_for_op`).
-        .sync_flush()
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(plan))
-        .open()
-        .expect("open");
-    let out = drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal());
-    (dir, out)
-}
-
 /// The premise of the tiered sweeps: two trace passes over the same points
-/// do the same I/O in the same order, so crash `k` of a sweep lands on the
-/// op the trace pass numbered `k`.
+/// do the same I/O in the same order, so a pass has one crash image per op.
 #[test]
 fn a_tiered_pass_repeats_its_io_op_for_op() {
     let pts = workload(HORIZON_POINTS);
     let trace = || {
         let plan = FaultPlan::trace_only(SEED);
-        let (dir, out) = tiered_pass("tiered-repeat", &plan, &pts);
+        let (_, out): (_, Outcome) =
+            replay("tiered-repeat", &plan, tiered_pass(config(), &pts));
         assert_eq!(out.appended, pts.len(), "trace pass must complete");
-        drop(dir);
         plan.trace()
     };
     let (first, second) = (trace(), trace());
@@ -418,59 +580,21 @@ fn a_tiered_pass_repeats_its_io_op_for_op() {
     );
 }
 
-fn tiered_recover_check(
-    dir: &TempDir,
-    pts: &[DataPoint],
-    out: &Outcome,
-    ctx: &str,
-) {
-    let store: Arc<dyn TableStore> =
-        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (mut engine, report) = TieredOpenOptions::new(config())
-        .store(store)
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .recovery(RecoveryOptions::strict().with_gc_orphans())
-        .open_or_recover()
-        .unwrap_or_else(|e| panic!("{ctx}: strict recovery failed: {e}"));
-    assert!(
-        report.quarantined.is_empty(),
-        "{ctx}: strict recovery must not quarantine"
-    );
-    let (recovered, _) = engine
-        .query(TimeRange::new(-1_000, 1_000_000))
-        .expect("query recovered engine");
-    check_contract(&recovered, pts, out, ctx);
-    // A lost checkpoint replays a longer log, whose flushes can leave the
-    // worker merging L0 — and retiring the tables an audit of the
-    // pre-merge version would still look for. Audit at rest.
-    engine
-        .quiesce()
-        .unwrap_or_else(|e| panic!("{ctx}: quiesce failed: {e}"));
-    engine
-        .check_integrity()
-        .unwrap_or_else(|e| panic!("{ctx}: integrity audit failed: {e}"));
-}
-
 #[test]
 fn tiered_engine_survives_a_crash_at_every_io_op() {
     let pts = workload(HORIZON_POINTS);
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = tiered_pass("tiered-trace", &plan, &pts);
-    assert_eq!(out.appended, pts.len(), "trace pass must complete");
-    tiered_recover_check(&dir, &pts, &out, "trace pass");
-    drop(dir);
-    let total = plan.ops();
+    let sweep = one_pass("tiered", |_, _| true, tiered_pass(config(), &pts));
+    assert_eq!(sweep.out.appended, pts.len(), "the pass must complete");
+    let check = |dir: &_, out: &_, recovery, ctx: &_| {
+        tiered_recover_check(config(), dir, &pts, out, recovery, ctx);
+    };
+    check(&sweep.dir, &sweep.out, strict(), "at rest");
+    let total = sweep.images.len();
     assert!(
         total >= 100,
         "workload too small to be interesting: {total}"
     );
-    for k in 0..total {
-        let plan = FaultPlan::crash_at(SEED, k);
-        let (dir, out) = tiered_pass("tiered-crash", &plan, &pts);
-        assert!(plan.is_crashed(), "crash at op {k}/{total} never fired");
-        tiered_recover_check(&dir, &pts, &out, &format!("crash at op {k}"));
-    }
+    recover_each(&sweep.images, CRASH, &[("strict", strict())], check);
 }
 
 #[test]
@@ -479,14 +603,14 @@ fn tiered_engine_absorbs_one_transient_fault_per_op() {
     // wherever it lands on the flush path or in its horizon, and the
     // workload completes.
     let pts = workload(HORIZON_POINTS);
+    let pass = tiered_pass(config(), &pts);
     let plan = FaultPlan::trace_only(SEED);
-    let (dir, _) = tiered_pass("tiered-once-trace", &plan, &pts);
-    drop(dir);
+    let _: (_, Outcome) = replay("tiered-once-trace", &plan, &pass);
     let total = plan.ops();
     let mut absorbed = 0u64;
     for k in (0..total).step_by(11) {
         let plan = FaultPlan::new(SEED, Fault::FailOnce { at: k });
-        let (dir, out) = tiered_pass("tiered-once", &plan, &pts);
+        let (dir, out): (_, Outcome) = replay("tiered-once", &plan, &pass);
         // The workload either completes (fault absorbed by a retry) or
         // fails cleanly on an unretried path (WAL/manifest appends are
         // writer-side and not retried) — never panics, and recovery holds
@@ -494,12 +618,8 @@ fn tiered_engine_absorbs_one_transient_fault_per_op() {
         if out.appended == pts.len() && plan.injected_failures() > 0 {
             absorbed += 1;
         }
-        tiered_recover_check(
-            &dir,
-            &pts,
-            &out,
-            &format!("transient fault at op {k}"),
-        );
+        let ctx = format!("transient fault at op {k}");
+        tiered_recover_check(config(), &dir, &pts, &out, strict(), &ctx);
     }
     assert!(
         absorbed > 0,
@@ -531,7 +651,7 @@ fn group_workload() -> Vec<DataPoint> {
         .collect()
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum GroupEngine {
     /// Inline engine, `π_c(16)`: merges only.
     Conventional,
@@ -567,51 +687,27 @@ impl GroupEngine {
         EngineConfig::new(policy).with_sstable_points(GROUP_SSTABLE_POINTS)
     }
 
+    /// `pts` driven through the engine, which then comes to rest: the WAL
+    /// is cut to its header.
     fn pass(
         self,
-        tag: &str,
-        plan: &Arc<FaultPlan>,
         pts: &[DataPoint],
-    ) -> (TempDir, Outcome) {
-        let dir = TempDir::new(tag);
-        let store = Arc::new(
-            FileStore::open(dir.path("tables"))
-                .expect("store")
-                .with_faults(Arc::clone(plan)),
-        );
-        let out = match self {
-            Self::Conventional | Self::Separation => {
-                let mut engine = OpenOptions::new(self.config())
-                    .store(store)
-                    .wal(dir.path("wal"))
-                    .manifest(dir.path("manifest"))
-                    .faults(Arc::clone(plan))
-                    .open()
-                    .expect("open");
-                let out = drive(&mut engine, pts, LsmEngine::append, |e| {
-                    e.sync_wal()
-                });
-                // The engine comes to rest: the WAL is cut to its header.
-                let _ = engine.flush_all();
-                out
-            }
-            Self::Tiered => {
-                let mut engine = TieredOpenOptions::new(self.config())
-                    .store(store)
-                    .sync_flush()
-                    .wal(dir.path("wal"))
-                    .manifest(dir.path("manifest"))
-                    .faults(Arc::clone(plan))
-                    .open()
-                    .expect("open");
-                let out = drive(&mut engine, pts, TieredEngine::append, |e| {
-                    e.sync_wal()
-                });
+    ) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<Outcome>) + '_ {
+        move |dir, plan, out| {
+            if let Self::Tiered = self {
+                let builder = TieredOpenOptions::new(self.config());
+                let builder = faulty(builder.sync_flush(), dir, plan);
+                let mut engine = builder.open().expect("open");
+                drive(&mut engine, pts, out);
                 let _ = engine.finish();
-                out
+            } else {
+                let builder =
+                    faulty(OpenOptions::new(self.config()), dir, plan);
+                let mut engine = builder.open().expect("open");
+                drive(&mut engine, pts, out);
+                let _ = engine.flush_all();
             }
-        };
-        (dir, out)
+        }
     }
 
     /// Recovers the directory in `mode` and checks the contract, the
@@ -627,50 +723,25 @@ impl GroupEngine {
         recovery: RecoveryOptions,
         ctx: &str,
     ) {
-        let store: Arc<dyn TableStore> = Arc::new(
-            FileStore::open(dir.path("tables")).expect("reopen store"),
-        );
-        let (recovered, live_tables, table_files, report) = match self {
-            Self::Conventional | Self::Separation => {
-                let (engine, report) = OpenOptions::new(self.config())
-                    .store(Arc::clone(&store))
-                    .wal(dir.path("wal"))
-                    .manifest(dir.path("manifest"))
-                    .recovery(recovery)
-                    .open_or_recover()
-                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-                engine
-                    .check_integrity()
-                    .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
-                let live = engine.version().live_table_ids().len();
-                let files = store.list().expect("list").len();
-                (engine.scan_all().expect("scan"), live, files, report)
-            }
-            Self::Tiered => {
-                let (mut engine, report) =
-                    TieredOpenOptions::new(self.config())
-                        .store(Arc::clone(&store))
-                        .wal(dir.path("wal"))
-                        .manifest(dir.path("manifest"))
-                        .recovery(recovery)
-                        .open_or_recover()
-                        .unwrap_or_else(|e| {
-                            panic!("{ctx}: recovery failed: {e}")
-                        });
-                // Audit at rest (see `tiered_recover_check`).
-                engine
-                    .quiesce()
-                    .unwrap_or_else(|e| panic!("{ctx}: quiesce: {e}"));
-                engine
-                    .check_integrity()
-                    .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
-                let recovered = engine.scan_all().expect("scan");
-                // Stop the worker first, so the file count is not racing
-                // a merge still retiring its inputs.
-                let live = engine.finish().expect("finish").run_tables;
-                let files = store.list().expect("list").len();
-                (recovered, live, files, report)
-            }
+        let (recovered, live_tables, report) = if let Self::Tiered = self {
+            let builder = TieredOpenOptions::new(self.config());
+            let (mut engine, report) =
+                reopen(builder, dir, recovery).open_or_recover().expect(ctx);
+            // Audit at rest (see `tiered_recover_check`).
+            engine.quiesce().expect(ctx);
+            engine.check_integrity().expect(ctx);
+            let recovered = engine.scan_all().expect("scan");
+            // Stop the worker first, so the file count is not racing a
+            // merge still retiring its inputs.
+            let live = engine.finish().expect("finish").run_tables;
+            (recovered, live, report)
+        } else {
+            let builder = OpenOptions::new(self.config());
+            let (engine, report) =
+                reopen(builder, dir, recovery).open_or_recover().expect(ctx);
+            engine.check_integrity().expect(ctx);
+            let live = engine.version().live_table_ids().len();
+            (engine.scan_all().expect("scan"), live, report)
         };
         assert!(
             report.quarantined.is_empty(),
@@ -678,13 +749,24 @@ impl GroupEngine {
         );
         check_contract(&recovered, pts, out, ctx);
         assert_eq!(
-            table_files,
+            table_files(dir),
             live_tables,
             "{ctx}: uncommitted outputs / unretired inputs must be GC'd \
              ({} removed)",
             report.orphans_removed.len()
         );
     }
+}
+
+/// The `.sst` files in `dir`'s tables directory.
+fn table_files(dir: &TempDir) -> usize {
+    std::fs::read_dir(dir.path("tables"))
+        .expect("ls")
+        .filter(|e| {
+            let path = e.as_ref().expect("entry").path();
+            path.extension().is_some_and(|ext| ext == "sst")
+        })
+        .count()
 }
 
 /// The crash points of the power-cut sweep over `trace`, whose every
@@ -730,10 +812,9 @@ fn recovery_modes() -> [(&'static str, RecoveryOptions); 2] {
 /// salvage mode.
 fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
     let pts = engine.workload();
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
-    assert_eq!(out.synced, pts.len(), "trace pass must complete");
-    let trace = plan.trace();
+    let sweep = one_pass(tag, |_, _| true, engine.pass(&pts));
+    let (dir, out, trace) = (&sweep.dir, &sweep.out, &sweep.trace);
+    assert_eq!(out.synced, pts.len(), "the pass must complete");
     // The scenario must actually contain what it claims to sweep: a
     // multi-table group publication and edit-group commits.
     assert!(
@@ -762,22 +843,16 @@ fn grouped_commit_survives_every_crash(engine: GroupEngine, tag: &str) {
         WAL_HEADER,
         "a log at rest is its header"
     );
+    let check = |dir: &_, out: &_, recovery, ctx: &_| {
+        engine.recover_check(dir, &pts, out, recovery, ctx);
+    };
+    // Recovery is idempotent: the second mode reopens what the first one
+    // left behind.
     for (mode, recovery) in recovery_modes() {
-        engine.recover_check(&dir, &pts, &out, recovery, mode);
-        // Recovery is idempotent: the second mode reopens what the first
-        // one left behind.
+        check(dir, out, recovery, mode);
     }
-    drop(dir);
-    for k in 0..plan.ops() {
-        for (mode, recovery) in recovery_modes() {
-            let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) = engine.pass(&format!("{tag}-crash"), &plan, &pts);
-            assert!(plan.is_crashed(), "crash at op {k} never fired");
-            let ctx =
-                format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
-            engine.recover_check(&dir, &pts, &out, recovery, &ctx);
-        }
-    }
+    assert_eq!(sweep.images.len(), trace.len());
+    recover_each(&sweep.images, CRASH, &recovery_modes(), check);
 }
 
 #[test]
@@ -795,6 +870,116 @@ fn tiered_flush_and_l0_merge_survive_a_crash_at_every_io_op() {
     grouped_commit_survives_every_crash(GroupEngine::Tiered, "grp-bg");
 }
 
+/// The files under `dir`, by path relative to it, with their contents.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("ls") {
+        let path = entry.expect("entry").path();
+        let name = PathBuf::from(path.file_name().expect("a name"));
+        if path.is_dir() {
+            let inner = tree(&path).into_iter();
+            files.extend(inner.map(|(file, bytes)| (name.join(file), bytes)));
+        } else {
+            files.insert(name, std::fs::read(&path).expect("read"));
+        }
+    }
+    files
+}
+
+/// The premise of the one-pass sweeps. An inline `π_c` engine and a
+/// `sync_flush` background one run the grouped-commit scenario, which
+/// ends in a horizon and a log cut, once under a probed plan and once more
+/// per fault: a crash at every op, and a tear of every write by one byte,
+/// by 64 and whole. Every replayed directory must equal — file names and
+/// contents — the image the one pass recorded.
+#[test]
+fn one_pass_images_equal_replayed_faults() {
+    let pts = group_workload();
+    for engine in [GroupEngine::Conventional, GroupEngine::Tiered] {
+        let sweep = one_pass("premise", |_, _| true, engine.pass(&pts));
+        let trace = &sweep.trace;
+        for op in [IoOp::ManifestSync, IoOp::WalRewrite] {
+            assert!(trace.contains(&op), "{engine:?}: {trace:?}");
+        }
+        assert_eq!(sweep.images.len(), trace.len(), "{engine:?}");
+        for image in &sweep.images {
+            let at = image.at;
+            let tears = [1, 64, usize::MAX].map(|truncate| {
+                (Fault::TornWrite { at, truncate }, Some(truncate))
+            });
+            let tears = if image.write.is_some() {
+                &tears[..]
+            } else {
+                &[]
+            };
+            for &(fault, torn) in
+                [(Fault::CrashAt { at }, None)].iter().chain(tears)
+            {
+                let plan = FaultPlan::new(SEED, fault);
+                let (replayed, _): (_, Outcome) =
+                    replay("premise-replay", &plan, engine.pass(&pts));
+                assert!(plan.is_crashed(), "{engine:?}: {fault:?}");
+                assert!(
+                    tree(&image.restore(torn).0) == tree(&replayed.0),
+                    "{engine:?}: {fault:?} at {:?}",
+                    image.op
+                );
+            }
+        }
+    }
+}
+
+/// A crash at a horizon's `ManifestSync` finds its group in the file,
+/// unsynced; the crashed engine — inline or background — dropped, the
+/// manifest is still what the crash found.
+#[test]
+fn a_crashed_engine_s_drop_leaves_its_manifest_as_the_crash_found_it() {
+    let pts = workload(HORIZON_POINTS);
+    for tiered in [false, true] {
+        let pass = |dir: &_, plan: &_, out: &_| match tiered {
+            true => tiered_pass(config(), &pts)(dir, plan, out),
+            false => inline_pass(config(), &pts)(dir, plan, out),
+        };
+        let want = |_, op| op == IoOp::ManifestSync;
+        let sweep = one_pass("drop", want, pass);
+        let image = sweep.images.first().expect("a horizon");
+        let manifest = |dir: &TempDir| std::fs::read(dir.path("manifest"));
+        let found = manifest(&image.dir).expect("the manifest");
+        assert!(!found.is_empty(), "tiered {tiered}: the group is in it");
+        let plan = FaultPlan::crash_at(SEED, image.at);
+        let (dir, _): (_, Outcome) = replay("drop-crash", &plan, pass);
+        let left = manifest(&dir).expect("the manifest");
+        assert!(left == found, "tiered {tiered}: the drop wrote to it");
+    }
+}
+
+/// The first table write of a background engine's horizon, torn by one
+/// byte: the worker retries the horizon — every attempt refused, the plan
+/// has crashed — and the tmp file keeps the torn prefix.
+#[test]
+fn a_tiered_engine_s_torn_table_write_keeps_its_prefix_through_retries() {
+    let pts = workload(160);
+    let pass = tiered_pass(one_point_tables(), &pts);
+    let sweep = one_pass("torn-retry", |_, op| op == IoOp::StoreWrite, &pass);
+    let image = sweep.images.first().expect("a horizon writes tables");
+    let (file, payload) = image.write.as_ref().expect("a write");
+    let plan = FaultPlan::new(
+        SEED,
+        Fault::TornWrite {
+            at: image.at,
+            truncate: 1,
+        },
+    );
+    let (dir, _) = replay("torn-retry-tear", &plan, &pass);
+    assert!(plan.injected_failures() > 1, "the worker retried");
+    let torn = std::fs::read(dir.0.join(file)).expect("the tmp file");
+    assert!(
+        torn[..] == payload[..payload.len() - 1],
+        "{} B left",
+        torn.len()
+    );
+}
+
 /// Tears every WAL write of the scenario — `Points` frames, the
 /// `Checkpoint` frames riding with them, under the tiered engine the
 /// checkpoint carrying a whole hand-off — at every byte. A frame
@@ -802,41 +987,27 @@ fn tiered_flush_and_l0_merge_survive_a_crash_at_every_io_op() {
 /// prefix survives and nothing is invented, in strict and salvage mode.
 #[test]
 fn torn_wal_writes_never_lose_an_acknowledged_point() {
-    for (engine, tag) in [
-        (GroupEngine::Conventional, "torn-wal-pc"),
-        (GroupEngine::Separation, "torn-wal-ps"),
-        (GroupEngine::Tiered, "torn-wal-bg"),
+    let pts = group_workload();
+    for engine in [
+        GroupEngine::Conventional,
+        GroupEngine::Separation,
+        GroupEngine::Tiered,
     ] {
-        let pts = group_workload();
-        let plan = FaultPlan::trace_only(SEED);
-        let (dir, _) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
-        drop(dir);
-        let writes: Vec<u64> = plan
-            .trace()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| **op == IoOp::WalAppend)
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert!(writes.len() >= 4, "scenario syncs several batches");
-        for at in writes {
-            // The largest write here is a 16-point hand-off checkpoint plus
-            // a batch, 86 bytes packed: every byte of it is a place to
-            // tear, and cuts past a smaller write's length persist nothing.
-            for truncate in 1..=88 {
-                for (mode, recovery) in recovery_modes() {
-                    let plan =
-                        FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
-                    let (dir, out) =
-                        engine.pass(&format!("{tag}-tear"), &plan, &pts);
-                    assert!(plan.is_crashed(), "tear at op {at} never fired");
-                    let ctx = format!(
-                        "{mode}: WAL write at op {at} torn by {truncate} bytes"
-                    );
-                    engine.recover_check(&dir, &pts, &out, recovery, &ctx);
-                }
-            }
-        }
+        let want = |_, op| op == IoOp::WalAppend;
+        let sweep = one_pass("torn-wal", want, engine.pass(&pts));
+        assert!(sweep.images.len() >= 4, "scenario syncs several batches");
+        // The largest write here is a 16-point hand-off checkpoint plus a
+        // batch, 86 bytes packed: every byte of it is a place to tear, and
+        // cuts past a smaller write's length persist nothing.
+        let tears: Vec<_> = (1..=88).map(Some).collect();
+        recover_each(
+            &sweep.images,
+            &tears,
+            &recovery_modes(),
+            |dir, out, recovery, ctx| {
+                engine.recover_check(dir, &pts, out, recovery, ctx);
+            },
+        );
     }
 }
 
@@ -850,49 +1021,30 @@ fn torn_wal_writes_never_lose_an_acknowledged_point() {
 fn torn_manifest_edit_groups_are_never_half_applied() {
     /// Bytes of one manifest record.
     const RECORD: usize = 33;
-    for (engine, tag) in [
-        (GroupEngine::Conventional, "torn-grp-pc"),
-        (GroupEngine::Tiered, "torn-grp-bg"),
-    ] {
-        let pts = group_workload();
-        let plan = FaultPlan::trace_only(SEED);
-        let (dir, _) = engine.pass(&format!("{tag}-trace"), &plan, &pts);
-        drop(dir);
-        let appends: Vec<u64> = plan
-            .trace()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| **op == IoOp::ManifestAppend)
-            .map(|(i, _)| i as u64)
-            .collect();
+    let pts = group_workload();
+    for engine in [GroupEngine::Conventional, GroupEngine::Tiered] {
+        let want = |_, op| op == IoOp::ManifestAppend;
+        let sweep = one_pass("torn-grp", want, engine.pass(&pts));
         // The inline engine commits one group, at rest; the background
         // worker one per plan.
-        assert!(!appends.is_empty(), "scenario commits a group");
-        for at in appends {
-            // The largest group here is header + 4 removes + 8 adds (the
-            // inline engine's at rest: header + 10 adds); cuts past a
-            // smaller group's length persist nothing of it.
-            for records in 0..14 {
-                for extra in [0, 1, RECORD / 2, RECORD - 1] {
-                    let truncate = records * RECORD + extra;
-                    let plan =
-                        FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
-                    let (dir, out) =
-                        engine.pass(&format!("{tag}-tear"), &plan, &pts);
-                    assert!(plan.is_crashed(), "tear at op {at} never fired");
-                    let ctx = format!(
-                        "manifest group at op {at} torn by {truncate} bytes"
-                    );
-                    engine.recover_check(
-                        &dir,
-                        &pts,
-                        &out,
-                        RecoveryOptions::strict().with_gc_orphans(),
-                        &ctx,
-                    );
-                }
-            }
-        }
+        assert!(!sweep.images.is_empty(), "scenario commits a group");
+        // The largest group here is header + 4 removes + 8 adds (the inline
+        // engine's at rest: header + 10 adds); cuts past a smaller group's
+        // length persist nothing of it.
+        let tears: Vec<_> = (0..14)
+            .flat_map(|records| {
+                [0, 1, RECORD / 2, RECORD - 1]
+                    .map(|extra| Some(records * RECORD + extra))
+            })
+            .collect();
+        recover_each(
+            &sweep.images,
+            &tears,
+            &[("strict", strict())],
+            |dir, out, recovery, ctx| {
+                engine.recover_check(dir, &pts, out, recovery, ctx);
+            },
+        );
     }
 }
 
@@ -918,7 +1070,8 @@ fn pr13_fleet_contents(series: u32) -> Vec<DataPoint> {
     points
 }
 
-/// Copies a checked-in fixture directory to where a test may write.
+/// Copies the directory `from` — a checked-in fixture, a crash image — to
+/// `to`.
 fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
     std::fs::create_dir_all(to).expect("mkdir");
     for entry in std::fs::read_dir(from).expect("read fixture dir") {
@@ -1356,7 +1509,7 @@ static MULTI_CASE: AtomicUsize = AtomicUsize::new(0);
 type PerSeries<T> = std::collections::HashMap<u32, T>;
 
 /// What a fleet workload managed before the injected failure (if any).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct FleetOutcome {
     /// Per series, the generation times whose append returned `Ok`.
     appended: PerSeries<Vec<i64>>,
@@ -1374,45 +1527,46 @@ impl FleetOutcome {
 }
 
 /// Appends `pts` in order, syncing the fleet log every `sync_every`
-/// appends and once at the end; stops at the first failure.
+/// appends and once at the end, and keeps `out` up to date; stops at the
+/// first failure.
 fn drive_fleet(
     engine: &mut MultiSeriesEngine,
     pts: &[(u32, DataPoint)],
     sync_every: usize,
-) -> FleetOutcome {
-    let mut out = FleetOutcome::default();
+    out: &Shared<FleetOutcome>,
+) {
     for (i, (s, p)) in pts.iter().enumerate() {
         if engine.append(SeriesId(*s), *p).is_err() {
-            return out;
+            return;
         }
-        out.appended.entry(*s).or_default().push(p.gen_time);
+        note(out, |o| o.appended.entry(*s).or_default().push(p.gen_time));
         if (i + 1) % sync_every == 0 {
             if engine.sync_wal_all().is_err() {
-                return out;
+                return;
             }
-            out.acknowledge();
+            note(out, FleetOutcome::acknowledge);
         }
     }
     if engine.sync_wal_all().is_ok() {
-        out.acknowledge();
+        note(out, FleetOutcome::acknowledge);
     }
-    out
 }
 
-fn fleet_recover(
+/// A durable fleet of `config` over `dir`, whose every op `plan` counts.
+fn open_fleet(
+    config: EngineConfig,
     dir: &TempDir,
-    recovery: RecoveryOptions,
+    plan: &Arc<FaultPlan>,
 ) -> MultiSeriesEngine {
-    let store: Arc<dyn TableStore> =
-        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, _report) = MultiOpenOptions::new(config())
-        .store(store)
+    let store = FileStore::open(dir.path("tables"))
+        .expect("store")
+        .with_faults(Arc::clone(plan));
+    MultiOpenOptions::new(config)
+        .store(Arc::new(store))
         .durable_dir(dir.path("meta"))
-        .recovery(recovery)
-        .open_or_recover()
-        .expect("recovery after crash");
-    engine.check_integrity().expect("integrity audit");
-    engine
+        .faults(Arc::clone(plan))
+        .open()
+        .expect("durable fleet")
 }
 
 /// The recovery contract per series: no duplicate generation times, every
@@ -1469,25 +1623,11 @@ proptest! {
             .map(|(s, tg)| (s, DataPoint::new(tg, tg + 5, f64::from(s))))
             .collect();
         let case = MULTI_CASE.fetch_add(1, Ordering::Relaxed);
-        let dir = TempDir::new(&format!("multi-{case}"));
         let plan = FaultPlan::crash_at(SEED, crash_at);
-        let out = {
-            let store = FileStore::open(dir.path("tables"))
-                .expect("store")
-                .with_faults(Arc::clone(&plan));
-            let mut engine = MultiOpenOptions::new(config())
-                .store(Arc::new(store))
-                .durable_dir(dir.path("meta"))
-                .faults(Arc::clone(&plan))
-                .open()
-                .expect("durable engine");
-            drive_fleet(&mut engine, &pts, 9)
-        };
-        let engine = fleet_recover(
-            &dir,
-            RecoveryOptions::strict().with_gc_orphans(),
-        );
-        check_fleet_contract(&engine, &pts, &out, "random crash");
+        let (dir, out) = replay(&format!("multi-{case}"), &plan, |dir, plan, out| {
+            drive_fleet(&mut open_fleet(config(), dir, plan), &pts, 9, out);
+        });
+        fleet_recover_check(config(), &dir, &pts, &out, strict(), "random crash");
     }
 }
 
@@ -1504,39 +1644,25 @@ fn a_crash_inside_the_fleet_s_flush_all_preserves_the_durability_contract() {
         .map(|(i, p)| ((i % 4) as u32, p))
         .collect();
     for crash_at in [6u64, 25, 60, 110, 200] {
-        let dir = TempDir::new(&format!("multi-flush-all-{crash_at}"));
         let plan = FaultPlan::crash_at(SEED, crash_at);
-        let out = {
-            let store = FileStore::open(dir.path("tables"))
-                .expect("store")
-                .with_faults(Arc::clone(&plan));
-            let mut engine = MultiOpenOptions::new(config())
-                .store(Arc::new(store))
-                .durable_dir(dir.path("meta"))
-                .faults(Arc::clone(&plan))
-                .open()
-                .expect("durable engine");
-            let out = drive_fleet(&mut engine, &pts, usize::MAX);
+        let tag = format!("multi-flush-all-{crash_at}");
+        let (dir, out) = replay(&tag, &plan, |dir, plan, out| {
+            let mut engine = open_fleet(config(), dir, plan);
+            drive_fleet(&mut engine, &pts, usize::MAX, out);
             // May crash mid-flush; every series engine is retained either
             // way, and the fleet keeps answering for the survivors.
             if engine.flush_all().is_err() {
+                let series = out.lock().expect("outcome").appended.len();
                 assert_eq!(
                     engine.len(),
-                    out.appended.len(),
+                    series,
                     "crash_at {crash_at}: a failed flush_all lost series"
                 );
             }
-            out
             // Crash: dropped here.
-        };
-        let engine =
-            fleet_recover(&dir, RecoveryOptions::strict().with_gc_orphans());
-        check_fleet_contract(
-            &engine,
-            &pts,
-            &out,
-            &format!("flush_all, crash at op {crash_at}"),
-        );
+        });
+        let ctx = format!("flush_all, crash at op {crash_at}");
+        fleet_recover_check(config(), &dir, &pts, &out, strict(), &ctx);
     }
 }
 
@@ -1586,23 +1712,13 @@ fn fleet_log_workload() -> Vec<(u32, DataPoint)> {
 fn fleet_pass(
     config: EngineConfig,
     batch: usize,
-    tag: &str,
-    plan: &Arc<FaultPlan>,
     pts: &[(u32, DataPoint)],
-) -> (TempDir, FleetOutcome) {
-    let dir = TempDir::new(tag);
-    let store = FileStore::open(dir.path("tables"))
-        .expect("store")
-        .with_faults(Arc::clone(plan));
-    let mut engine = MultiOpenOptions::new(config)
-        .store(Arc::new(store))
-        .durable_dir(dir.path("meta"))
-        .faults(Arc::clone(plan))
-        .open()
-        .expect("durable fleet");
-    let out = drive_fleet(&mut engine, pts, batch);
-    let _ = engine.flush_all();
-    (dir, out)
+) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<FleetOutcome>) + '_ {
+    move |dir, plan, out| {
+        let mut engine = open_fleet(config.clone(), dir, plan);
+        drive_fleet(&mut engine, pts, batch, out);
+        let _ = engine.flush_all();
+    }
 }
 
 /// Recovers the fleet `fleet_pass` left in `dir` and checks the contract
@@ -1634,30 +1750,17 @@ fn fleet_recover_check(
 /// Batch → sync, batch → flush → checkpoint → sync, twice, then the
 /// closing `flush_all` that cuts the log.
 fn fleet_log_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
     pts: &[(u32, DataPoint)],
-) -> (TempDir, FleetOutcome) {
-    fleet_pass(fleet_log_config(), FLEET_LOG_BATCH, tag, plan, pts)
-}
-
-fn fleet_log_recover_check(
-    dir: &TempDir,
-    pts: &[(u32, DataPoint)],
-    out: &FleetOutcome,
-    recovery: RecoveryOptions,
-    ctx: &str,
-) {
-    fleet_recover_check(fleet_log_config(), dir, pts, out, recovery, ctx);
+) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<FleetOutcome>) + '_ {
+    fleet_pass(fleet_log_config(), FLEET_LOG_BATCH, pts)
 }
 
 #[test]
 fn fleet_log_survives_a_crash_or_a_torn_write_at_every_io_op() {
     let pts = fleet_log_workload();
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = fleet_log_pass("fleet-log-trace", &plan, &pts);
-    let trace = plan.trace();
-    assert_eq!(out.synced.len(), 4, "trace pass must complete");
+    let sweep = one_pass("fleet-log", |_, _| true, fleet_log_pass(&pts));
+    let (dir, out, trace) = (&sweep.dir, &sweep.out, &sweep.trace);
+    assert_eq!(out.synced.len(), 4, "the pass must complete");
     // Four batches: four WAL writes and fsyncs for four series, two
     // flushes of the hot series in between, and at rest the horizon and
     // one cut.
@@ -1673,30 +1776,16 @@ fn fleet_log_survives_a_crash_or_a_torn_write_at_every_io_op() {
             .len(),
         WAL_HEADER
     );
+    let check = |dir: &_, out: &_, recovery, ctx: &_| {
+        fleet_recover_check(fleet_log_config(), dir, &pts, out, recovery, ctx);
+    };
     for (mode, recovery) in recovery_modes() {
-        fleet_log_recover_check(&dir, &pts, &out, recovery, mode);
+        check(dir, out, recovery, mode);
     }
-    drop(dir);
-    for k in 0..plan.ops() {
-        for (mode, recovery) in recovery_modes() {
-            let op = trace[k as usize];
-            let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) = fleet_log_pass("fleet-log-crash", &plan, &pts);
-            assert!(plan.is_crashed(), "crash at op {k} never fired");
-            let ctx = format!("{mode}: crash at op {k} ({op:?})");
-            fleet_log_recover_check(&dir, &pts, &out, recovery, &ctx);
-            // A few bytes, a point and a half, most of a frame.
-            for truncate in [3usize, 8, 30] {
-                let plan =
-                    FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
-                let (dir, out) = fleet_log_pass("fleet-log-tear", &plan, &pts);
-                assert!(plan.is_crashed(), "tear at op {k} never fired");
-                let ctx =
-                    format!("{mode}: op {k} ({op:?}) torn by {truncate} bytes");
-                fleet_log_recover_check(&dir, &pts, &out, recovery, &ctx);
-            }
-        }
-    }
+    assert_eq!(sweep.images.len(), trace.len());
+    // The crash, and a few bytes, a point and a half, most of a frame torn.
+    let tears = [None, Some(3), Some(8), Some(30)];
+    recover_each(&sweep.images, &tears, &recovery_modes(), check);
 }
 
 /// Points the recovery of `dir` replayed from the fleet log, and the fleet.
@@ -1713,18 +1802,19 @@ fn fleet_log_replayed(
         .observer(sink.clone())
         .open_or_recover()
         .expect("strict recovery");
-    let replayed = sink
-        .events()
-        .iter()
-        .map(|e| match e {
-            Event::RecoveryStep {
-                step: RecoveryStepKind::WalReplayed,
-                items,
-            } => *items,
-            _ => 0,
-        })
-        .sum();
-    (replayed, engine)
+    (wal_replayed(&sink), engine)
+}
+
+/// Points a recovery observed by `sink` replayed from the log.
+fn wal_replayed(sink: &RingBufferSink) -> u64 {
+    let replayed = |e: &Event| match e {
+        Event::RecoveryStep {
+            step: RecoveryStepKind::WalReplayed,
+            items,
+        } => *items,
+        _ => 0,
+    };
+    sink.events().iter().map(replayed).sum()
 }
 
 /// The shape of the torn-checkpoint scenarios: `π_s(16, 8)` over one-point
@@ -1781,21 +1871,15 @@ fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
         pts.extend(points.iter().map(|p| (0, *p)));
     }
     pts.push((0, series_0[64]));
-    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
-        fleet_pass(torn_checkpoint_config(), 9, tag, plan, &pts)
-    };
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = pass("fleet-ckpt-trace", &plan);
-    assert_eq!(out.synced.values().sum::<usize>(), 72, "trace pass");
-    drop(dir);
-    let trace = plan.trace();
-    let eighth_write = trace
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| **op == IoOp::WalAppend)
-        .nth(7)
-        .map(|(at, _)| at)
-        .expect("eight WAL writes");
+    let sweep = one_pass(
+        "fleet-ckpt",
+        |_, op| op == IoOp::WalAppend,
+        fleet_pass(torn_checkpoint_config(), 9, &pts),
+    );
+    assert_eq!(sweep.out.synced.values().sum::<usize>(), 72, "the pass");
+    let trace = &sweep.trace;
+    let image = sweep.images.get(7).expect("eight WAL writes");
+    let eighth_write = image.at as usize;
     assert!(
         trace[..eighth_write].contains(&IoOp::ManifestSync),
         "the horizon precedes the write: {trace:?}"
@@ -1803,25 +1887,18 @@ fn a_torn_checkpoint_is_ignored_whole_and_only_ever_replays_more() {
     let mut frames = vec![wal_layout::CHECKPOINT_FRAME as usize; 8];
     frames.push(wal_layout::points_frame(&series_0[64..]) as usize);
     let write: usize = frames.iter().sum();
+    let out = &image.out;
     for truncate in 1..=write {
-        let plan = FaultPlan::new(
-            SEED,
-            Fault::TornWrite {
-                at: eighth_write as u64,
-                truncate,
-            },
-        );
-        let (dir, out) = pass("fleet-ckpt-tear", &plan);
-        assert!(plan.is_crashed(), "tear never fired");
         let ctx = format!("checkpoint write torn by {truncate} of {write}");
         assert_eq!(
             (out.synced.get(&0), out.synced.get(&1)),
             (Some(&56), Some(&7)),
             "{ctx}: seven batches acknowledged"
         );
+        let dir = image.restore(Some(truncate));
         let (replayed, engine) =
             fleet_log_replayed(torn_checkpoint_config(), &dir);
-        check_fleet_contract(&engine, &pts, &out, &ctx);
+        check_fleet_contract(&engine, &pts, out, &ctx);
         let whole = whole_frames(&frames, write - truncate);
         assert_eq!(replayed as usize, 7 + 56 - 8 * whole.min(7), "{ctx}");
     }
@@ -1839,72 +1916,36 @@ fn an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more() {
     let config = torn_checkpoint_config();
     let pts = torn_checkpoint_points();
     let batches = [0, 8, 16, 24, 32, 40, 48, 56, 65];
-    let pass = |tag: &str, plan: &Arc<FaultPlan>| {
-        let dir = TempDir::new(tag);
-        let store = FileStore::open(dir.path("tables"))
-            .expect("store")
-            .with_faults(Arc::clone(plan));
-        let mut engine = OpenOptions::new(config.clone())
-            .store(Arc::new(store))
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .faults(Arc::clone(plan))
-            .open()
-            .expect("open");
-        let mut out = Outcome {
-            attempted: 0,
-            appended: 0,
-            synced: 0,
-        };
+    let pass = |dir: &TempDir, plan: &Arc<FaultPlan>, out: &Shared<_>| {
+        let builder = faulty(OpenOptions::new(config.clone()), dir, plan);
+        let mut engine = builder.open().expect("open");
         for batch in batches.windows(2) {
             for p in &pts[batch[0]..batch[1]] {
-                out.attempted += 1;
+                note(out, |o: &mut Outcome| o.attempted += 1);
                 if engine.append(*p).is_err() {
-                    return (dir, out);
+                    return;
                 }
-                out.appended += 1;
+                note(out, |o| o.appended += 1);
             }
             if engine.sync_wal().is_err() {
-                return (dir, out);
+                return;
             }
-            out.synced = out.appended;
+            note(out, |o| o.synced = o.appended);
         }
-        (dir, out)
     };
     let replayed = |dir: &TempDir| {
         let sink = RingBufferSink::new(4096);
-        let store: Arc<dyn TableStore> = Arc::new(
-            FileStore::open(dir.path("tables")).expect("reopen store"),
-        );
-        let (engine, _) = OpenOptions::new(config.clone())
-            .store(store)
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .observer(sink.clone())
+        let builder = OpenOptions::new(config.clone()).observer(sink.clone());
+        let (engine, _) = reopen(builder, dir, RecoveryOptions::strict())
             .open_or_recover()
             .expect("strict recovery");
-        let replayed: u64 = sink
-            .events()
-            .iter()
-            .map(|e| match e {
-                Event::RecoveryStep {
-                    step: RecoveryStepKind::WalReplayed,
-                    items,
-                } => *items,
-                _ => 0,
-            })
-            .sum();
-        (replayed as usize, engine)
+        (wal_replayed(&sink) as usize, engine)
     };
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = pass("ckpt-trace", &plan);
-    assert_eq!(out.synced, pts.len(), "trace pass must complete");
-    drop(dir);
-    let trace = plan.trace();
-    let last_write = trace
-        .iter()
-        .rposition(|op| *op == IoOp::WalAppend)
-        .expect("eight WAL writes");
+    let sweep = one_pass("ckpt", |_, op| op == IoOp::WalAppend, pass);
+    assert_eq!(sweep.out.synced, pts.len(), "the pass must complete");
+    let trace = &sweep.trace;
+    let image = sweep.images.last().expect("eight WAL writes");
+    let last_write = image.at as usize;
     assert!(
         trace[..last_write].contains(&IoOp::ManifestSync),
         "the horizon precedes the write: {trace:?}"
@@ -1912,20 +1953,13 @@ fn an_engine_s_torn_checkpoint_is_ignored_whole_and_only_replays_more() {
     let mut frames = vec![wal_layout::CHECKPOINT_FRAME as usize; 8];
     frames.push(wal_layout::points_frame(&pts[64..]) as usize);
     let write: usize = frames.iter().sum();
+    let out = &image.out;
     for truncate in 1..=write {
-        let plan = FaultPlan::new(
-            SEED,
-            Fault::TornWrite {
-                at: last_write as u64,
-                truncate,
-            },
-        );
-        let (dir, out) = pass("ckpt-tear", &plan);
-        assert!(plan.is_crashed(), "tear never fired");
         let ctx = format!("checkpoint write torn by {truncate} of {write}");
         assert_eq!(out.synced, 56, "{ctx}: seven batches acknowledged");
+        let dir = image.restore(Some(truncate));
         let (replayed, engine) = replayed(&dir);
-        check_contract(&engine.scan_all().expect("scan"), &pts, &out, &ctx);
+        check_contract(&engine.scan_all().expect("scan"), &pts, out, &ctx);
         // The seven earlier batches replay their 56 points, less the eight
         // of every batch whose checkpoint is wholly there; the eighth
         // frame's range holds no logged point, and the points frame is
@@ -1978,76 +2012,28 @@ fn one_point_tables() -> EngineConfig {
     EngineConfig::new(Policy::conventional(8)).with_sstable_points(1)
 }
 
-/// A fresh inline engine of [`one_point_tables`] over `dir`, every op
-/// counted by `plan`.
-fn one_point_engine(dir: &TempDir, plan: &Arc<FaultPlan>) -> LsmEngine {
-    let store = FileStore::open(dir.path("tables"))
-        .expect("store")
-        .with_faults(Arc::clone(plan));
-    OpenOptions::new(one_point_tables())
-        .store(Arc::new(store))
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(plan))
-        .open()
-        .expect("open")
-}
-
-/// A [`one_point_engine`] over a fresh directory, driven through `pts` with
-/// a sync every [`SYNC_EVERY`] appends.
-fn one_point_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
-    pts: &[DataPoint],
-) -> (TempDir, Outcome) {
-    let dir = TempDir::new(tag);
-    let mut engine = one_point_engine(&dir, plan);
-    let out = drive(&mut engine, pts, LsmEngine::append, |e| e.sync_wal());
-    (dir, out)
-}
-
-/// Recovers a [`one_point_pass`] directory in `recovery`'s mode — nothing
-/// quarantined — checks the contract and the integrity audit, and returns
-/// what it recovered.
-fn one_point_recover_check(
-    dir: &TempDir,
-    pts: &[DataPoint],
-    out: &Outcome,
-    recovery: RecoveryOptions,
-    ctx: &str,
-) -> Vec<DataPoint> {
-    let store: Arc<dyn TableStore> =
-        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, report) = OpenOptions::new(one_point_tables())
-        .store(store)
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .recovery(recovery)
-        .open_or_recover()
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
-    let recovered = engine.scan_all().expect("scan");
-    check_contract(&recovered, pts, out, ctx);
-    engine
-        .check_integrity()
-        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
-    recovered
-}
-
 /// The durability horizon under a crash at every op and the power cut that
-/// comes with it: an inline engine whose flushes cross two horizons mid-run
+/// comes with it: an engine whose flushes cross two horizons mid-run
 /// ([`one_point_tables`]), with merges retiring durable tables in between,
-/// crashed at every I/O op of the run; before recovery every table file the
-/// durable manifest does not name is lost or torn. Every acknowledged point
-/// must come back — from the tables the manifest names and from the log —
-/// in strict and salvage mode.
-#[test]
-fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
-    let pts = workload(160);
+/// crashed at the [`crash_points`] of the run; before recovery every table
+/// file the durable manifest does not name is lost or torn. Every
+/// acknowledged point must come back — from the tables the manifest names
+/// and from the log — in strict and salvage mode, which `check` checks.
+///
+/// The crash points look one op ahead, so a first, traced run of `pass`
+/// names them; the probed one does the same ops.
+fn power_cut_at_every_op(
+    tag: &str,
+    pass: impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<Outcome>),
+    check: impl Fn(&TempDir, &Outcome, RecoveryOptions, &str),
+) {
     let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = one_point_pass("cut-trace", &plan, &pts);
-    assert_eq!(out.synced, pts.len(), "trace pass must complete");
+    let _: (_, Outcome) = replay(tag, &plan, &pass);
     let trace = plan.trace();
+    let points: HashSet<u64> = crash_points(&trace).into_iter().collect();
+    let sweep = one_pass(tag, move |k, _| points.contains(&k), pass);
+    assert_eq!(sweep.trace, trace, "the pass repeats its ops");
+    assert_eq!(sweep.out.synced, 160, "the pass must complete");
     let count = |op| trace.iter().filter(|o| **o == op).count();
     assert_eq!(count(IoOp::ManifestSync), 2, "two horizons: {trace:?}");
     let second = trace
@@ -2058,116 +2044,36 @@ fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
         trace[second..].contains(&IoOp::StoreDelete),
         "the second horizon deletes what merges retired: {trace:?}"
     );
+    let check = |dir: &TempDir, out: &_, recovery, ctx: &_| {
+        power_cut(dir);
+        check(dir, out, recovery, ctx);
+    };
     for (mode, recovery) in recovery_modes() {
-        power_cut(&dir);
-        one_point_recover_check(&dir, &pts, &out, recovery, mode);
+        check(&sweep.dir, &sweep.out, recovery, mode);
     }
-    drop(dir);
-    for k in crash_points(&trace) {
-        for (mode, recovery) in recovery_modes() {
-            let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) = one_point_pass("cut-crash", &plan, &pts);
-            assert!(plan.is_crashed(), "crash at op {k} never fired");
-            let ctx =
-                format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
-            power_cut(&dir);
-            one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
-        }
-    }
+    recover_each(&sweep.images, CRASH, &recovery_modes(), check);
 }
 
-/// A [`one_point_tables`] background engine over a fresh directory, with
-/// synchronous flushes, driven through `pts` like [`one_point_pass`]; it is
-/// dropped, its worker joined, before this returns.
-fn one_point_tiered_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
-    pts: &[DataPoint],
-) -> (TempDir, Outcome) {
-    let dir = TempDir::new(tag);
-    let store = FileStore::open(dir.path("tables"))
-        .expect("store")
-        .with_faults(Arc::clone(plan));
-    let mut engine = TieredOpenOptions::new(one_point_tables())
-        .store(Arc::new(store))
-        .sync_flush()
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .faults(Arc::clone(plan))
-        .open()
-        .expect("open");
-    let out = drive(&mut engine, pts, TieredEngine::append, |e| e.sync_wal());
-    (dir, out)
-}
-
-/// [`one_point_recover_check`] for a [`one_point_tiered_pass`] directory,
-/// the audit at rest (see `tiered_recover_check`).
-fn one_point_tiered_recover_check(
-    dir: &TempDir,
-    pts: &[DataPoint],
-    out: &Outcome,
-    recovery: RecoveryOptions,
-    ctx: &str,
-) {
-    let store: Arc<dyn TableStore> =
-        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (mut engine, report) = TieredOpenOptions::new(one_point_tables())
-        .store(store)
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .recovery(recovery)
-        .open_or_recover()
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    assert!(report.quarantined.is_empty(), "{ctx}: {report:?}");
-    check_contract(&engine.scan_all().expect("scan"), pts, out, ctx);
-    engine
-        .quiesce()
-        .unwrap_or_else(|e| panic!("{ctx}: quiesce failed: {e}"));
-    engine
-        .check_integrity()
-        .unwrap_or_else(|e| panic!("{ctx}: integrity: {e}"));
+#[test]
+fn an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
+    let pts = workload(160);
+    let pass = inline_pass(one_point_tables(), &pts);
+    power_cut_at_every_op("cut", pass, |dir, out, recovery, ctx| {
+        inline_recover_check(one_point_tables(), dir, &pts, out, recovery, ctx);
+    });
 }
 
 /// The tiered twin of
 /// `an_lsm_engine_survives_a_power_cut_at_every_op_across_two_horizons`:
-/// the background worker's flushes cross two of its horizons mid-run, its
-/// L0 merges retiring durable tables in between; crashed at every I/O op,
-/// with every table file the durable manifest does not name lost or torn
-/// before recovery, it loses no acknowledged point, in strict and salvage
-/// mode.
+/// the background worker's flushes cross two of its horizons, its L0 merges
+/// retiring durable tables in between.
 #[test]
 fn a_tiered_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
     let pts = workload(160);
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = one_point_tiered_pass("bg-cut-trace", &plan, &pts);
-    assert_eq!(out.synced, pts.len(), "trace pass must complete");
-    let trace = plan.trace();
-    let count = |op| trace.iter().filter(|o| **o == op).count();
-    assert_eq!(count(IoOp::ManifestSync), 2, "two horizons: {trace:?}");
-    let second = trace
-        .iter()
-        .rposition(|op| *op == IoOp::ManifestSync)
-        .expect("a horizon");
-    assert!(
-        trace[second..].contains(&IoOp::StoreDelete),
-        "the second horizon deletes what merges retired: {trace:?}"
-    );
-    for (mode, recovery) in recovery_modes() {
-        power_cut(&dir);
-        one_point_tiered_recover_check(&dir, &pts, &out, recovery, mode);
-    }
-    drop(dir);
-    for k in crash_points(&trace) {
-        for (mode, recovery) in recovery_modes() {
-            let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) = one_point_tiered_pass("bg-cut-crash", &plan, &pts);
-            assert!(plan.is_crashed(), "crash at op {k} never fired");
-            let ctx =
-                format!("{mode}: crash at op {k} ({:?})", trace[k as usize]);
-            power_cut(&dir);
-            one_point_tiered_recover_check(&dir, &pts, &out, recovery, &ctx);
-        }
-    }
+    let pass = tiered_pass(one_point_tables(), &pts);
+    power_cut_at_every_op("bg-cut", pass, |dir, out, recovery, ctx| {
+        tiered_recover_check(one_point_tables(), dir, &pts, out, recovery, ctx);
+    });
 }
 
 /// A table write of a horizon torn — by one byte, by most of the table, or
@@ -2178,14 +2084,13 @@ fn a_tiered_engine_survives_a_power_cut_at_every_op_across_two_horizons() {
 #[test]
 fn a_torn_horizon_table_write_loses_no_acknowledged_point() {
     let pts = workload(160);
-    let plan = FaultPlan::trace_only(SEED);
-    drop(one_point_pass("torn-table-trace", &plan, &pts));
-    let trace = plan.trace();
-    let writes: Vec<usize> = (0..trace.len())
-        .filter(|k| trace[*k] == IoOp::StoreWrite)
-        .collect();
-    assert!(writes.len() >= 2 * 64, "two horizons: {}", writes.len());
-    for k in writes {
+    let want = |_, op| op == IoOp::StoreWrite;
+    let sweep =
+        one_pass("torn-table", want, inline_pass(one_point_tables(), &pts));
+    let (trace, writes) = (&sweep.trace, sweep.images.len());
+    assert!(writes >= 2 * 64, "two horizons: {writes}");
+    for image in &sweep.images {
+        let k = image.at as usize;
         // The horizon's writes so far, this one included, each left a tmp
         // file: the crash cleans nothing up.
         let written = trace[..=k]
@@ -2193,21 +2098,27 @@ fn a_torn_horizon_table_write_loses_no_acknowledged_point() {
             .rev()
             .take_while(|op| **op == IoOp::StoreWrite)
             .count();
-        for truncate in [1, 64, usize::MAX] {
-            let at = k as u64;
-            let plan = FaultPlan::new(SEED, Fault::TornWrite { at, truncate });
-            let (dir, out) = one_point_pass("torn-table", &plan, &pts);
-            assert!(plan.is_crashed(), "tear at op {k} never fired");
-            let tmp = file_names(&dir.path("tables"))
-                .into_iter()
-                .filter(|name| name.ends_with(".sst.tmp"))
-                .count();
-            assert_eq!(tmp, written, "op {k}");
-            for (mode, recovery) in recovery_modes() {
-                let ctx = format!("{mode}: table write {k} torn by {truncate}");
-                one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
-            }
-        }
+        let tears = [1, 64, usize::MAX].map(Some);
+        recover_each(
+            std::slice::from_ref(image),
+            &tears,
+            &recovery_modes(),
+            |dir, out, recovery, ctx| {
+                let tmp = file_names(&dir.path("tables"))
+                    .into_iter()
+                    .filter(|name| name.ends_with(".sst.tmp"))
+                    .count();
+                assert_eq!(tmp, written, "{ctx}");
+                inline_recover_check(
+                    one_point_tables(),
+                    dir,
+                    &pts,
+                    out,
+                    recovery,
+                    ctx,
+                );
+            },
+        );
     }
 }
 
@@ -2226,7 +2137,8 @@ fn a_horizon_failing_at_any_table_write_rewrites_every_table_from_memory() {
         .collect();
     let pass = |tag: &str, plan: &Arc<FaultPlan>| {
         let dir = TempDir::new(tag);
-        let mut engine = one_point_engine(&dir, plan);
+        let builder = OpenOptions::new(one_point_tables());
+        let mut engine = faulty(builder, &dir, plan).open().expect("open");
         let mut failed = Vec::new();
         for (i, p) in pts.iter().enumerate() {
             if engine.append(*p).is_err() {
@@ -2272,15 +2184,21 @@ fn a_horizon_failing_at_any_table_write_rewrites_every_table_from_memory() {
         );
         for (mode, recovery) in recovery_modes() {
             let ctx = format!("{mode}: table write {j} failed");
-            let recovered =
-                one_point_recover_check(&dir, &pts, &out, recovery, &ctx);
+            let recovered = inline_recover_check(
+                one_point_tables(),
+                &dir,
+                &pts,
+                &out,
+                recovery,
+                &ctx,
+            );
             assert_eq!(recovered, pts, "{ctx}");
         }
     }
 }
 
 /// A horizon whose manifest fsync fails after its tables were synced
-/// leaves its group in the manifest's write buffer, on its way to the file.
+/// leaves its group in the manifest's file, unsynced.
 /// Under `π_c(8)` over one-point tables, 128 in-order points flush sixteen
 /// times; the eighth flush's horizon records 64 tables, and the sixteenth's
 /// fails at its `ManifestSync`. Eight stragglers between the 65th and the
@@ -2302,16 +2220,8 @@ fn an_engine_retries_a_horizon_that_failed_at_its_manifest_sync_as_a_rewrite() {
         .collect();
     let pass = |tag: &str, plan: &Arc<FaultPlan>| {
         let dir = TempDir::new(tag);
-        let store = FileStore::open(dir.path("tables"))
-            .expect("store")
-            .with_faults(Arc::clone(plan));
-        let mut engine = OpenOptions::new(config.clone())
-            .store(Arc::new(store))
-            .wal(dir.path("wal"))
-            .manifest(dir.path("manifest"))
-            .faults(Arc::clone(plan))
-            .open()
-            .expect("open");
+        let builder = faulty(OpenOptions::new(config.clone()), &dir, plan);
+        let mut engine = builder.open().expect("open");
         let failed: Vec<usize> = pts
             .iter()
             .enumerate()
@@ -2354,23 +2264,12 @@ fn an_engine_retries_a_horizon_that_failed_at_its_manifest_sync_as_a_rewrite() {
             && !after[..retry].contains(&IoOp::StoreDelete),
         "the merge retired what the failed horizon synced: {trace:?}"
     );
-    let store: Arc<dyn TableStore> =
-        Arc::new(FileStore::open(dir.path("tables")).expect("reopen store"));
-    let (engine, report) = OpenOptions::new(config)
-        .store(store)
-        .wal(dir.path("wal"))
-        .manifest(dir.path("manifest"))
-        .recovery(RecoveryOptions::strict().with_gc_orphans())
-        .open_or_recover()
-        .expect("strict recovery");
-    assert!(report.quarantined.is_empty(), "{report:?}");
-    engine.check_integrity().expect("integrity");
     let out = Outcome {
         attempted: pts.len(),
         appended: pts.len(),
         synced: pts.len(),
     };
-    check_contract(&engine.scan_all().expect("scan"), &pts, &out, "retry");
+    inline_recover_check(config, &dir, &pts, &out, strict(), "retry");
 }
 
 /// `flush_all` / `finish`, then reopen: the log is its header, recovery
@@ -2392,7 +2291,7 @@ fn a_flushed_engine_leaves_an_empty_log_behind() {
             .manifest(dir.path("lsm-manifest"))
             .open()
             .expect("open");
-        drive(&mut engine, &pts, LsmEngine::append, |e| e.sync_wal());
+        drive(&mut engine, &pts, &Shared::default());
         engine.flush_all().expect("flush");
     }
     at_rest(dir.path("lsm-wal"));
@@ -2412,13 +2311,14 @@ fn a_flushed_engine_leaves_an_empty_log_behind() {
         .manifest(dir.path("bg-manifest"))
         .open()
         .expect("open");
-    drive(&mut engine, &pts, TieredEngine::append, |e| e.sync_wal());
+    drive(&mut engine, &pts, &Shared::default());
     engine.finish().expect("finish");
     at_rest(dir.path("bg-wal"));
 
     let fleet_pts = fleet_log_workload();
     let plan = FaultPlan::trace_only(SEED);
-    let (fleet_dir, _) = fleet_log_pass("at-rest-fleet", &plan, &fleet_pts);
+    let (fleet_dir, _) =
+        replay("at-rest-fleet", &plan, fleet_log_pass(&fleet_pts));
     let (replayed, engine) = fleet_log_replayed(fleet_log_config(), &fleet_dir);
     assert_eq!(replayed, 0);
     assert_eq!(engine.len(), 4);
@@ -2461,11 +2361,9 @@ fn fleet_commit_workload() -> Vec<(u32, DataPoint)> {
 }
 
 fn fleet_commit_pass(
-    tag: &str,
-    plan: &Arc<FaultPlan>,
     pts: &[(u32, DataPoint)],
-) -> (TempDir, FleetOutcome) {
-    fleet_pass(fleet_commit_config(), FLEET_COMMIT_BATCH, tag, plan, pts)
+) -> impl Fn(&TempDir, &Arc<FaultPlan>, &Shared<FleetOutcome>) + '_ {
+    fleet_pass(fleet_commit_config(), FLEET_COMMIT_BATCH, pts)
 }
 
 /// The fleet contract, plus: every table file the recovered versions do
@@ -2478,28 +2376,16 @@ fn fleet_commit_recover_check(
     recovery: RecoveryOptions,
     ctx: &str,
 ) {
-    let (engine, report) = fleet_recover_check(
-        fleet_commit_config(),
-        dir,
-        pts,
-        out,
-        recovery,
-        ctx,
-    );
+    let config = fleet_commit_config();
+    let (engine, report) =
+        fleet_recover_check(config, dir, pts, out, recovery, ctx);
     let live: usize = engine
         .series_ids()
         .into_iter()
         .map(|id| engine.engine(id).expect("series").run().len())
         .sum();
-    let files = std::fs::read_dir(dir.path("tables"))
-        .expect("ls")
-        .filter(|e| {
-            let path = e.as_ref().expect("entry").path();
-            path.extension().is_some_and(|ext| ext == "sst")
-        })
-        .count();
     assert_eq!(
-        files,
+        table_files(dir),
         live,
         "{ctx}: uncommitted outputs / undeleted inputs must be GC'd \
          ({} removed)",
@@ -2520,10 +2406,9 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
     /// Bytes of one manifest record.
     const RECORD: usize = 33;
     let pts = fleet_commit_workload();
-    let plan = FaultPlan::trace_only(SEED);
-    let (dir, out) = fleet_commit_pass("fleet-commit-trace", &plan, &pts);
-    let trace = plan.trace();
-    assert_eq!(out.synced.len(), 2, "trace pass must complete");
+    let sweep = one_pass("fleet-commit", |_, _| true, fleet_commit_pass(&pts));
+    let (dir, out, trace) = (&sweep.dir, &sweep.out, &sweep.trace);
+    assert_eq!(out.synced.len(), 2, "the pass must complete");
     // The scenario must contain what it claims to sweep: a horizon at a
     // sync that covers several series' publications, merges that drop their
     // never-synced inputs at once — which never reached the disk: no op
@@ -2561,20 +2446,16 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
         "{trace:?}"
     );
     for (mode, recovery) in recovery_modes() {
-        fleet_commit_recover_check(&dir, &pts, &out, recovery, mode);
+        fleet_commit_recover_check(dir, &pts, out, recovery, mode);
     }
-    drop(dir);
-    for k in 0..plan.ops() {
-        let op = trace[k as usize];
-        for (mode, recovery) in recovery_modes() {
-            let plan = FaultPlan::crash_at(SEED, k);
-            let (dir, out) =
-                fleet_commit_pass("fleet-commit-crash", &plan, &pts);
-            assert!(plan.is_crashed(), "crash at op {k} never fired");
-            let ctx = format!("{mode}: crash at op {k} ({op:?})");
-            fleet_commit_recover_check(&dir, &pts, &out, recovery, &ctx);
-        }
-        if op != IoOp::ManifestAppend {
+    assert_eq!(sweep.images.len(), trace.len());
+    let check = |dir: &_, out: &_, recovery, ctx: &_| {
+        fleet_commit_recover_check(dir, &pts, out, recovery, ctx);
+    };
+    recover_each(&sweep.images, CRASH, &recovery_modes(), check);
+    for image in &sweep.images {
+        let (k, out) = (image.at, &image.out);
+        if image.op != IoOp::ManifestAppend {
             continue;
         }
         // The flushes' horizon (two groups of a header and eight adds) is
@@ -2590,31 +2471,27 @@ fn fleet_commit_survives_a_crash_or_a_torn_write_at_every_io_op() {
         };
         for truncate in lengths {
             let (mode, recovery) = recovery_modes()[truncate % 2];
-            let plan =
-                FaultPlan::new(SEED, Fault::TornWrite { at: k, truncate });
-            let (dir, out) =
-                fleet_commit_pass("fleet-commit-tear", &plan, &pts);
-            assert!(plan.is_crashed(), "tear at op {k} never fired");
             let ctx =
                 format!("{mode}: manifest append at op {k} torn by {truncate}");
-            fleet_commit_recover_check(&dir, &pts, &out, recovery, &ctx);
+            check(&image.restore(Some(truncate)), out, recovery, &ctx);
         }
     }
 }
 
 /// The fleet-commit scenario with its first horizon's manifest fsync
 /// failing once, after the horizon synced its tables: the fourth batch's
-/// sync fails, and its group stays in the manifest's write buffer, on its
-/// way to the file. The stragglers' merges then consume seven of the tables
-/// that horizon synced, and the fleet crashes before the next sync would
-/// retry it. The merges must have retired those tables, not deleted them:
-/// the group that reaches the file names them. Strict recovery finds them,
+/// sync fails, and its group is in the file, unsynced. The stragglers'
+/// merges then consume seven of the tables that horizon synced, and the
+/// fleet crashes before the next sync would retry it. The merges must have
+/// retired those tables, not deleted them: the group in the file names
+/// them. Strict recovery finds them,
 /// and every acknowledged point.
 #[test]
 fn a_merge_after_a_failed_fleet_horizon_keeps_what_that_horizon_synced() {
     let pts = fleet_commit_workload();
     let trace_plan = FaultPlan::trace_only(SEED);
-    drop(fleet_commit_pass("fail-sync-trace", &trace_plan, &pts));
+    let _: (_, FleetOutcome) =
+        replay("fail-sync-trace", &trace_plan, fleet_commit_pass(&pts));
     let manifest_sync = trace_plan
         .trace()
         .iter()
