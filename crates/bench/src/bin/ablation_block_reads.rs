@@ -70,7 +70,7 @@ fn main() -> seplsm_types::Result<()> {
         .generate();
     let mut rows = Vec::new();
     for (label, block_reads) in
-        [("whole-table", false), ("block (128 pts)", true)]
+        [("whole-table", false), ("block (10 s grid)", true)]
     {
         let mut config = EngineConfig::new(Policy::conventional(512));
         if block_reads {

@@ -25,11 +25,13 @@
 //! it prints the `StoreRead` ops per read and, where
 //! `/proc/thread-self/io` counts them, the `read` syscalls and bytes per
 //! read: where the benchmark's `read_syscalls_per_op` and
-//! `read_bytes_per_op` come from. For every workload it splits `StoreRead`
-//! by what was running when the op was issued: a write batch or the
-//! closing flush (merge inputs the pool of written tables missed), or a
-//! read. The background worker reads on its own thread, so its misses land
-//! in whichever of the two ran at the time. Next to the counts:
+//! `read_bytes_per_op` come from; per aggregate and downsample, the blocks
+//! folded from the index and the blocks decoded. For every workload it
+//! splits `StoreRead` by what was running when the op was issued: a write
+//! batch or the closing flush (merge inputs the pool of written tables
+//! missed), or a read. The background worker reads on its own thread, so
+//! its misses land in whichever of the two ran at the time. Next to the
+//! counts:
 //! the peaks, sampled after every batch, of what a horizon leaves for
 //! later — live tables not yet synced, which the store stages in memory,
 //! and their encoded bytes (`FileStore::staged_bytes`); durable inputs
@@ -313,13 +315,14 @@ impl Engine {
 /// `read_mix_ops`): 40 % recent-window query, 30 % uniformly placed
 /// historical query, 10 % get, 10 % aggregate, 10 % downsample, drawn from
 /// `rng` exactly as the benchmark draws them. Returns the read's class, an
-/// index into [`READ_CLASSES`].
+/// index into [`READ_CLASSES`], and for an aggregate or a downsample the
+/// blocks it folded from the index and the blocks it decoded instead.
 fn mix_read(
     engine: &LsmEngine,
     rng: &mut StdRng,
     newest: i64,
     delta_t: i64,
-) -> Result<usize> {
+) -> Result<(usize, [u64; 2])> {
     let window = |rng: &mut StdRng, width: i64| {
         let start = rng.gen_range(0..(newest - width).max(1));
         TimeRange::new(start, start + width)
@@ -327,23 +330,24 @@ fn mix_read(
     Ok(match rng.gen_range(0..10u32) {
         0..=3 => {
             engine.query(TimeRange::new(newest - QUERY_MS, newest))?;
-            0
+            (0, [0; 2])
         }
         4..=6 => {
             engine.query(window(rng, QUERY_MS))?;
-            1
+            (1, [0; 2])
         }
         7 => {
             engine.get(rng.gen_range(0..newest / delta_t + 1) * delta_t)?;
-            2
+            (2, [0; 2])
         }
         8 => {
-            engine.aggregate(window(rng, AGG_MS))?;
-            3
+            let (_, stats) = engine.aggregate(window(rng, AGG_MS))?;
+            (3, [stats.blocks_folded, stats.agg_fallback_blocks])
         }
         _ => {
-            engine.downsample(window(rng, AGG_MS), BUCKET_MS)?;
-            4
+            let range = window(rng, AGG_MS);
+            let (_, stats) = engine.downsample(range, BUCKET_MS)?;
+            (4, [stats.blocks_folded, stats.agg_fallback_blocks])
         }
     })
 }
@@ -534,8 +538,10 @@ fn main() -> Result<()> {
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ead_5eed);
     let delta_t = paper_dataset(w.dataset).map_or(1, |d| d.delta_t);
-    // Per read class: reads, `StoreRead` ops, and `read` syscalls and bytes.
-    let mut by_class = [(0u64, 0u64, 0u64, 0u64); READ_CLASSES.len()];
+    // Per read class: reads, `StoreRead` ops, `read` syscalls and bytes,
+    // and the blocks folded and decoded by aggregates and downsamples.
+    let mut by_class =
+        [(0u64, 0u64, 0u64, 0u64, [0u64; 2]); READ_CLASSES.len()];
     // `StoreRead` ops issued while a write batch or the closing flush runs
     // (merge inputs the pool of written tables missed), and while a read
     // runs, with the count of those reads.
@@ -555,11 +561,14 @@ fn main() -> Result<()> {
                 // what one reading costs is measured next to each read.
                 let (a, b) = (thread_reads(), thread_reads());
                 let ops = store_reads();
-                let class = mix_read(e, &mut rng, newest[0], delta_t)?;
+                let (class, blocks) =
+                    mix_read(e, &mut rng, newest[0], delta_t)?;
                 let issued = store_reads() - ops;
                 let row = &mut by_class[class];
                 row.0 += 1;
                 row.1 += issued;
+                row.4[0] += blocks[0];
+                row.4[1] += blocks[1];
                 read_reads += issued;
                 read_ops += 1;
                 if let (Some(a), Some(b), Some(c)) = (a, b, thread_reads()) {
@@ -636,15 +645,22 @@ fn main() -> Result<()> {
         read_reads as f64 / read_ops.max(1) as f64
     );
     if reads > 0 {
-        println!("reads            n  StoreRead/read  syscalls/read  B/read");
-        for (class, (n, ops, calls, bytes)) in READ_CLASSES.iter().zip(by_class)
+        println!(
+            "reads            n  StoreRead/read  syscalls/read  B/read  \
+             folded/read  decoded/read"
+        );
+        for (class, (n, ops, calls, bytes, [folded, decoded])) in
+            READ_CLASSES.iter().zip(by_class)
         {
             let per = |x: u64| x as f64 / n.max(1) as f64;
             println!(
-                "{class:<10} {n:>6}  {:>14.2}  {:>13.2}  {:>6.0}",
+                "{class:<10} {n:>6}  {:>14.2}  {:>13.2}  {:>6.0}  {:>11.2}  \
+                 {:>12.2}",
                 per(ops),
                 per(calls),
-                per(bytes)
+                per(bytes),
+                per(folded),
+                per(decoded)
             );
         }
     }

@@ -120,9 +120,9 @@ pub enum Fault {
     },
 }
 
-/// What a write call site must do after [`FaultPlan::begin_write`].
+/// What [`write_hooked`] must do once the plan counted its write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteCheck {
+enum WriteCheck {
     /// Perform the full write.
     Proceed,
     /// Write (and flush) only the first `keep` bytes of the payload, then
@@ -276,13 +276,6 @@ impl FaultPlan {
     /// injected error it must surface.
     pub fn begin(&self, op: IoOp) -> Result<()> {
         self.begin_op(op, 0, None).map(|_| ())
-    }
-
-    /// Counts one op that writes `len` payload bytes. On
-    /// [`WriteCheck::Torn`] the caller persists only the returned prefix
-    /// and then fails with [`injected_crash`].
-    pub fn begin_write(&self, op: IoOp, len: usize) -> Result<WriteCheck> {
-        self.begin_op(op, len, None)
     }
 
     /// Counts one op writing `len` bytes (`write`: where and what, if
@@ -623,24 +616,26 @@ mod tests {
 
     #[test]
     fn torn_write_keeps_a_prefix_then_crashes() {
-        let plan = FaultPlan::new(0, Fault::TornWrite { at: 0, truncate: 3 });
-        match plan.begin_write(IoOp::WalAppend, 10).expect("torn check") {
-            WriteCheck::Torn { keep } => assert_eq!(keep, 7),
-            other => panic!("expected torn, got {other:?}"),
-        }
-        assert!(plan.is_crashed());
-        assert!(plan.begin(IoOp::WalSync).is_err());
+        let path = std::env::temp_dir()
+            .join(format!("seplsm-fault-torn-{}.wal", std::process::id()));
+        let tear = |truncate| {
+            let plan = FaultPlan::new(0, Fault::TornWrite { at: 0, truncate });
+            let err = write_hooked(
+                Some(&plan),
+                IoOp::WalAppend,
+                &path,
+                b"0123456789",
+                || std::fs::File::create(&path),
+            )
+            .expect_err("torn");
+            assert!(is_injected(&err), "unexpected error: {err}");
+            assert!(plan.is_crashed());
+            assert!(plan.begin(IoOp::WalSync).is_err());
+            std::fs::read(&path).expect("read")
+        };
+        assert_eq!(tear(3), b"0123456");
         // Saturating: tearing more than the payload persists nothing.
-        let plan = FaultPlan::new(
-            0,
-            Fault::TornWrite {
-                at: 0,
-                truncate: 99,
-            },
-        );
-        match plan.begin_write(IoOp::WalAppend, 10).expect("torn check") {
-            WriteCheck::Torn { keep } => assert_eq!(keep, 0),
-            other => panic!("expected torn, got {other:?}"),
-        }
+        assert_eq!(tear(99), b"");
+        std::fs::remove_file(&path).expect("cleanup");
     }
 }

@@ -703,6 +703,48 @@ mod tests {
     }
 
     #[test]
+    fn a_grid_bucket_downsample_decodes_only_the_range_edges() {
+        use crate::store::MemStore;
+
+        // 50 ms points over 100 s: the encoder's 10 s grid cuts the run
+        // table into ten 200-point blocks, block b = [10 000b, 10 000b +
+        // 9 950].
+        let store = MemStore::new();
+        let points: Vec<DataPoint> = (0..2_000)
+            .map(|i| DataPoint::new(i * 50, i * 50 + 7, (i % 13) as f64))
+            .collect();
+        let run = vec![store.put(&points).expect("put").0];
+        let obs = ObserverHandle::detached();
+        let range = TimeRange::new(12_345, 87_654);
+        let view = || ReadView {
+            store: &store,
+            obs: &obs,
+            block_reads: true,
+            range,
+            mem: Vec::new(),
+            flushing: Vec::new(),
+            l0: Vec::new(),
+            run: run.clone(),
+        };
+        let (expected, _) = view().query().expect("query");
+        let (buckets, stats) = view().downsample(10_000).expect("downsample");
+        // Only blocks 1 and 8 are clipped by the range; 2..=7 fold.
+        assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (6, 2));
+        assert_eq!(stats.blocks_read, 2);
+        let mut want = BTreeMap::<Timestamp, Agg>::new();
+        for p in &expected {
+            want.entry(p.gen_time.div_euclid(10_000) * 10_000)
+                .or_default()
+                .merge_point(p.value);
+        }
+        assert_eq!(buckets.len(), want.len());
+        for ((start, agg), (want_start, fold)) in buckets.iter().zip(&want) {
+            assert_eq!(start, want_start);
+            assert!(agg.bits_eq(fold), "bucket {start}");
+        }
+    }
+
+    #[test]
     fn adjacent_unfoldable_blocks_are_read_by_one_range_read() {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -752,16 +794,17 @@ mod tests {
         }
 
         let store = RangeReads(MemStore::new(), AtomicU64::new(0));
-        // One run table of 8 blocks: block b holds tg 1280b ..= 1280b+1270.
-        let points: Vec<DataPoint> = (0..1024)
+        // One run table of 8 blocks on a 2 000 grid: block b holds tg
+        // 2000b ..= 2000b+1990.
+        let points: Vec<DataPoint> = (0..1600)
             .map(|i| DataPoint::new(i * 10, i * 10, (i % 7) as f64))
             .collect();
         let run = vec![store.put(&points).expect("put").0];
         // Fresh points inside blocks 3, 4 and 5 shadow their aggregates.
         let batch = Arc::new(vec![
-            DataPoint::new(3845, 0, -1.0),
-            DataPoint::new(5125, 0, -2.0),
-            DataPoint::new(6405, 0, -3.0),
+            DataPoint::new(6005, 0, -1.0),
+            DataPoint::new(8005, 0, -2.0),
+            DataPoint::new(10_005, 0, -3.0),
         ]);
         let obs = ObserverHandle::detached();
         let view = |range: TimeRange| ReadView {
@@ -783,7 +826,7 @@ mod tests {
 
         // The range straddles blocks 0 and 7 and the fresh points shadow
         // 3, 4 and 5; 1, 2 and 6 fold. Runs: {0}, {3, 4, 5}, {7}.
-        let range = TimeRange::new(5, 9_000);
+        let range = TimeRange::new(5, 15_000);
         let (expected, _) = view(range).query().expect("query");
         reads();
         let (agg, stats) = view(range).aggregate().expect("aggregate");
@@ -792,18 +835,19 @@ mod tests {
         assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (3, 5));
         assert_eq!(stats.blocks_read, 5);
 
-        // Buckets of 2 000 straddle blocks 1, 3, 4, 6 and 7 (and the fresh
-        // points shadow 3, 4, 5): runs {1}, {3, 4, 5, 6, 7}.
-        let range = TimeRange::new(0, 10_230);
+        // Buckets of 3 000, not a multiple of the grid, straddle blocks 1,
+        // 4 and 7 (and the fresh points shadow 3, 4, 5): runs {1},
+        // {3, 4, 5}, {7}.
+        let range = TimeRange::new(0, 15_990);
         let (expected, _) = view(range).query().expect("query");
         reads();
         let (buckets, stats) =
-            view(range).downsample(2_000).expect("downsample");
-        assert_eq!(reads(), 2, "one range read per run");
-        assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (2, 6));
+            view(range).downsample(3_000).expect("downsample");
+        assert_eq!(reads(), 3, "one range read per run");
+        assert_eq!((stats.blocks_folded, stats.agg_fallback_blocks), (3, 5));
         let mut want = BTreeMap::<Timestamp, Vec<DataPoint>>::new();
         for p in expected {
-            want.entry(p.gen_time.div_euclid(2_000) * 2_000)
+            want.entry(p.gen_time.div_euclid(3_000) * 3_000)
                 .or_default()
                 .push(p);
         }

@@ -71,6 +71,11 @@
 //!             | magic "SL3F"                                 (20 bytes)
 //! ```
 //!
+//! Blocks hold at most the header's `block_points` and are also cut at
+//! every multiple of a time-grid step the encoder derives from the points
+//! (DESIGN §13), so blocks differ in size and a reader takes each block's
+//! extent and count from its index entry.
+//!
 //! A reader locates everything from the table's end in two fetches: the
 //! last 48 bytes (metaindex + footer: [`parse_v3_footer`],
 //! [`parse_v3_metaindex`]), then index + filter, which abut, as one span
@@ -138,13 +143,15 @@ pub const VERSION_PRUNED: u16 = 3;
 /// SSTable build options.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeOptions {
-    /// Points per compressed block.
+    /// The most points a compressed block holds. Blocks are also cut at
+    /// every multiple of the table's time-grid step, which this bound
+    /// sizes (DESIGN §13).
     pub block_points: usize,
 }
 
 impl Default for EncodeOptions {
     fn default() -> Self {
-        Self { block_points: 128 }
+        Self { block_points: 256 }
     }
 }
 
@@ -194,35 +201,89 @@ struct BlockBuild {
     payload: Vec<u8>,
 }
 
-/// Chunks `points` into compressed blocks of at most `block_points` each
-/// (delta-of-delta timestamps/delays + Gorilla values + block CRC).
+/// The grid step *G* (ms of generation time) on which the encoder cuts
+/// `points` into blocks: the largest 1-2-5 × 10^k value whose window holds
+/// at most `block_points` points at the table's median gen-time interval.
+/// A block then never straddles a multiple of *G*, so a downsample whose
+/// bucket width is a multiple of *G* folds every block inside its range
+/// from the index. `None` for a single point. A pure function of the
+/// points, so encoding stays deterministic.
+fn grid_step(points: &[DataPoint], block_points: usize) -> Option<i64> {
+    // Strictly increasing, so each true gap is in 1..=u64::MAX and the
+    // wrapping difference reinterpreted as u64 is exact.
+    let mut gaps: Vec<u64> = points
+        .windows(2)
+        .map(|w| w[1].gen_time.wrapping_sub(w[0].gen_time) as u64)
+        .collect();
+    if gaps.is_empty() {
+        return None;
+    }
+    let mid = (gaps.len() - 1) / 2;
+    let (_, &mut median, _) = gaps.select_nth_unstable(mid);
+    let window = u128::from(median)
+        .saturating_mul(block_points as u128)
+        .min(i64::MAX as u128);
+    let mut step = 1u128;
+    let mut decade = 1u128;
+    while decade <= window {
+        for m in [1, 2, 5] {
+            if m * decade <= window {
+                step = m * decade;
+            }
+        }
+        decade *= 10;
+    }
+    i64::try_from(step).ok()
+}
+
+/// Chunks `points` into compressed blocks, cut at every multiple of the
+/// [`grid_step`] and after at most `block_points` points.
 fn build_blocks(points: &[DataPoint], block_points: usize) -> Vec<BlockBuild> {
+    let step = grid_step(points, block_points);
     let mut blocks = Vec::new();
-    for chunk in points.chunks(block_points) {
-        let tgs: Vec<i64> = chunk.iter().map(|p| p.gen_time).collect();
-        let delays: Vec<i64> = chunk.iter().map(DataPoint::delay).collect();
-        let values: Vec<f64> = chunk.iter().map(|p| p.value).collect();
-        let mut w = BitWriter::new();
-        encode_i64s(&mut w, &tgs);
-        encode_i64s(&mut w, &delays);
-        encode_f64s(&mut w, &values);
-        let mut payload = w.finish();
-        let block_crc = crc32(&payload);
-        payload.extend_from_slice(&block_crc.to_le_bytes());
-        blocks.push(BlockBuild {
-            first: tgs[0],
-            last: tgs[tgs.len() - 1],
-            count: chunk.len() as u32,
-            agg: block_aggregates(chunk).unwrap_or(BlockAggregates {
-                min: 0.0,
-                max: 0.0,
-                sum: 0.0,
-                count: 0,
-            }),
-            payload,
-        });
+    let mut rest = points;
+    while let Some(first) = rest.first() {
+        let head = &rest[..rest.len().min(block_points)];
+        // The next multiple of the step, if one fits in an i64.
+        let cut = step
+            .and_then(|g| {
+                first.gen_time.div_euclid(g).checked_add(1)?.checked_mul(g)
+            })
+            .map_or(head.len(), |end| {
+                head.partition_point(|p| p.gen_time < end)
+            });
+        let (block, tail) = rest.split_at(cut);
+        blocks.push(build_block(block));
+        rest = tail;
     }
     blocks
+}
+
+/// Compresses one block: delta-of-delta timestamps/delays + Gorilla
+/// values + block CRC.
+fn build_block(chunk: &[DataPoint]) -> BlockBuild {
+    let tgs: Vec<i64> = chunk.iter().map(|p| p.gen_time).collect();
+    let delays: Vec<i64> = chunk.iter().map(DataPoint::delay).collect();
+    let values: Vec<f64> = chunk.iter().map(|p| p.value).collect();
+    let mut w = BitWriter::new();
+    encode_i64s(&mut w, &tgs);
+    encode_i64s(&mut w, &delays);
+    encode_f64s(&mut w, &values);
+    let mut payload = w.finish();
+    let block_crc = crc32(&payload);
+    payload.extend_from_slice(&block_crc.to_le_bytes());
+    BlockBuild {
+        first: tgs[0],
+        last: tgs[tgs.len() - 1],
+        count: chunk.len() as u32,
+        agg: block_aggregates(chunk).unwrap_or(BlockAggregates {
+            min: 0.0,
+            max: 0.0,
+            sum: 0.0,
+            count: 0,
+        }),
+        payload,
+    }
 }
 
 /// v3 fixed header: magic(4) + version(2) + flags(2) + count(4) + min(8) +
@@ -318,7 +379,8 @@ pub fn sniff_version(data: &[u8]) -> Option<u16> {
 }
 
 /// Encodes `points` (non-empty, strictly increasing generation times) as
-/// a version-3 table of `options.block_points`-point blocks.
+/// a version-3 table of blocks cut on the time grid and holding at most
+/// `options.block_points` points each.
 ///
 /// # Errors
 /// [`Error::InvalidConfig`] if the input is empty or not strictly sorted.
@@ -1497,7 +1559,8 @@ mod tests {
 
     #[test]
     fn v3_index_carries_filter_and_aggregates() {
-        let pts = sample_points(300); // 3 blocks: 128 + 128 + 44
+        // 50 ms points from tg 1 000 000 on a 10 s grid: 200 + 200 + 100.
+        let pts = sample_points(500);
         let bytes =
             encode_with(&pts, &EncodeOptions::pruned()).expect("encode");
         let index = read_table_index(&bytes).expect("index");
@@ -1525,6 +1588,84 @@ mod tests {
             all.extend(block);
         }
         assert_eq!(all, pts);
+    }
+
+    /// Encodes `points` at `block_points` and returns the table bytes with
+    /// its block spans, checking that no block holds more than
+    /// `block_points` points or straddles a multiple of `grid`.
+    fn grid_cut(
+        points: &[DataPoint],
+        block_points: usize,
+        grid: i64,
+    ) -> (Bytes, Vec<BlockSpan>) {
+        assert_eq!(grid_step(points, block_points), Some(grid));
+        let bytes = encode_with(points, &EncodeOptions { block_points })
+            .expect("encode");
+        let index = read_table_index(&bytes).expect("index");
+        for span in &index.blocks {
+            assert!(span.count as usize <= block_points, "{span:?}");
+            assert_eq!(
+                span.first.div_euclid(grid),
+                span.last.div_euclid(grid),
+                "{span:?} straddles a multiple of {grid}"
+            );
+        }
+        assert_eq!(decode(&bytes).expect("decode"), points);
+        (bytes, index.blocks.clone())
+    }
+
+    #[test]
+    fn blocks_are_cut_on_a_1_2_5_time_grid() {
+        // 50 ms points, and one burst of 1 ms points inside a single 10 s
+        // cell: the median gap stays 50 ms, so 256 points size a 10 s grid
+        // (12.8 s rounded down to 1-2-5), and the burst's cell also hits
+        // the point cap.
+        let mut tgs: Vec<i64> =
+            (0..2_000).map(|i| 1_000_000 + i * 50).collect();
+        tgs.extend(1_050_001..1_050_301);
+        tgs.sort_unstable();
+        tgs.dedup();
+        let pts: Vec<DataPoint> = tgs
+            .iter()
+            .map(|&tg| DataPoint::with_delay(tg, tg % 91, (tg % 17) as f64))
+            .collect();
+        let (bytes, blocks) = grid_cut(&pts, 256, 10_000);
+        assert_eq!(blocks.iter().filter(|b| b.count == 200).count(), 9);
+        assert!(blocks.iter().any(|b| b.count == 256), "the cap cut too");
+        let again = encode_with(&pts, &EncodeOptions { block_points: 256 })
+            .expect("encode");
+        assert_eq!(bytes, again, "encoding is deterministic");
+        // The default cap sizes that 10 s grid for 50 ms series.
+        assert_eq!(EncodeOptions::default().block_points, 256);
+    }
+
+    #[test]
+    fn the_grid_handles_one_point_negative_times_and_huge_gaps() {
+        let one = sample_points(1);
+        assert_eq!(grid_step(&one, 256), None);
+        let bytes = encode_with(&one, &EncodeOptions::default()).expect("one");
+        assert_eq!(read_table_index(&bytes).expect("index").blocks.len(), 1);
+        assert_eq!(decode(&bytes).expect("decode"), one);
+
+        // Across zero, -25 and 25 are in different cells: truncating
+        // division would put them together.
+        let pts: Vec<DataPoint> = (0..400)
+            .map(|i| DataPoint::with_delay(-10_025 + i * 50, -3, i as f64))
+            .collect();
+        let (_, blocks) = grid_cut(&pts, 256, 10_000);
+        assert!(blocks.iter().any(|b| b.last == -25));
+        assert!(blocks.iter().any(|b| b.first == 25));
+
+        // Gaps of 2^63 and 2^64 - 1 saturate the window at i64::MAX, and
+        // the step is the largest 1-2-5 value below it.
+        let huge = 5_000_000_000_000_000_000;
+        let ends =
+            [i64::MIN, 0, i64::MAX].map(|tg| DataPoint::with_delay(tg, 0, 1.0));
+        let (_, blocks) = grid_cut(&ends, 256, huge);
+        assert_eq!(blocks.len(), 3);
+        let pair = [ends[0], ends[2]];
+        let (_, blocks) = grid_cut(&pair, 256, huge);
+        assert_eq!(blocks.len(), 2);
     }
 
     /// Reads `range` through every in-crate entry point: `decode_range`,

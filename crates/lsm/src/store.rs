@@ -1419,9 +1419,13 @@ mod tests {
     }
 
     impl CountingStore {
+        /// Blocks of 100 points: `pts(0..n)` cuts into blocks
+        /// `[1000b, 1000b + 990]`, one per grid cell.
         fn new() -> Self {
             Self {
-                inner: MemStore::new(),
+                inner: MemStore::with_options(EncodeOptions {
+                    block_points: 100,
+                }),
                 raw_reads: std::sync::atomic::AtomicU64::new(0),
                 raw_bytes: std::sync::atomic::AtomicU64::new(0),
             }
@@ -1523,16 +1527,16 @@ mod tests {
     #[test]
     fn cached_store_range_reads_prune_and_account() {
         let (counting, cached, meta) = cached_fixture();
-        // Points 0..300 at gen times i*10: blocks of 128 → 3 blocks.
+        // Points 0..300 at gen times i*10: blocks of 100 → 3 blocks.
         let range = TimeRange::new(0, 500); // inside block 0
         let cold = cached.get_range(meta.id, range).expect("cold");
         assert_eq!(cold.points.len(), 51);
         assert_eq!(cold.blocks_read, 1, "one block decoded from raw");
-        assert_eq!(cold.points_scanned, 128);
+        assert_eq!(cold.points_scanned, 100);
         let warm = cached.get_range(meta.id, range).expect("warm");
         assert_eq!(warm.points, cold.points);
         assert_eq!(warm.blocks_read, 0, "warm read decodes nothing");
-        assert_eq!(warm.points_scanned, 128, "scanned counts hits too");
+        assert_eq!(warm.points_scanned, 100, "scanned counts hits too");
         assert_eq!(counting.raw_reads(), 2 + 1, "tail walk + one block span");
         // Disjoint range: nothing examined at all.
         let miss = cached
@@ -1547,9 +1551,9 @@ mod tests {
         let (counting, cached, meta) = cached_fixture();
         let index = cached.table_index(meta.id).expect("index").expect("v3");
         let span = |block| index.block_span(block).expect("span");
-        // Warm the middle block only: [1280, 2550] is block 1 exactly.
+        // Warm the middle block only: [1000, 1990] is block 1 exactly.
         let middle = cached
-            .get_range(meta.id, TimeRange::new(1280, 2550))
+            .get_range(meta.id, TimeRange::new(1000, 1990))
             .expect("middle");
         assert_eq!(middle.blocks_read, 1);
         let (reads, bytes) = (counting.raw_reads(), counting.raw_bytes());
@@ -1578,7 +1582,10 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let file = Arc::new(FileStore::open(&dir).expect("open"));
+        let file = Arc::new(
+            FileStore::open_with(&dir, EncodeOptions { block_points: 100 })
+                .expect("open"),
+        );
         let (meta, _) = file.put(&pts(0..300)).expect("put"); // 3 blocks
         let index = file.table_index(meta.id).expect("index").expect("v3");
         let middle = index.block_span(1).expect("span");
@@ -1603,9 +1610,9 @@ mod tests {
         ));
         // The intact blocks around it still read.
         let last = cached
-            .get_range(meta.id, TimeRange::new(2560, 2990))
+            .get_range(meta.id, TimeRange::new(2000, 2990))
             .expect("block 2");
-        assert_eq!(last.points, pts(256..300));
+        assert_eq!(last.points, pts(200..300));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -260,6 +260,17 @@ for name in a_tiered_pass_repeats_its_io_op_for_op \
   grep -qx "$name: test" <<<"$CRASH_TESTS" \
     || { echo "crash_schedules lost its premise test '$name'"; exit 1; }
 done
+# SSTable blocks are cut on a 1-2-5 time grid: no block straddles a
+# multiple of the grid step or holds more than the point cap, encoding is
+# deterministic, the cut handles one point, negative generation times and
+# gaps near 2^64, and a downsample in buckets of the grid step decodes only
+# the blocks that the range edges clip.
+for name in sstable::format::tests::blocks_are_cut_on_a_1_2_5_time_grid \
+    sstable::format::tests::the_grid_handles_one_point_negative_times_and_huge_gaps \
+    query::tests::a_grid_bucket_downsample_decodes_only_the_range_edges; do
+  grep -qx "$name: test" <<<"$LSM_TESTS" \
+    || { echo "crates/lsm lost its block grid test '$name'"; exit 1; }
+done
 TABLE_TESTS="$(listed old_tables)"
 for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     every_flip_and_truncation_of_a_fixture_is_rejected_or_harmless \

@@ -1633,7 +1633,8 @@ proptest! {
 
 /// The fleet crash schedule over a run that closes with `flush_all`, which
 /// flushes the series one after another and then runs the horizon: at
-/// each of five crash points, before that call or inside it, the fleet
+/// crash points spread over the run's ops, as a trace-only pass of it
+/// counts them, and at the first op of `flush_all` and its last, the fleet
 /// must keep every series' engine, and recovery must uphold the same
 /// contract (synced prefix survives, nothing is invented).
 #[test]
@@ -1643,12 +1644,14 @@ fn a_crash_inside_the_fleet_s_flush_all_preserves_the_durability_contract() {
         .enumerate()
         .map(|(i, p)| ((i % 4) as u32, p))
         .collect();
-    for crash_at in [6u64, 25, 60, 110, 200] {
-        let plan = FaultPlan::crash_at(SEED, crash_at);
-        let tag = format!("multi-flush-all-{crash_at}");
-        let (dir, out) = replay(&tag, &plan, |dir, plan, out| {
+    // Ops counted when the fleet was open and when `flush_all` began.
+    let marks = std::cell::Cell::new((0, 0));
+    let pass =
+        |dir: &TempDir, plan: &Arc<FaultPlan>, out: &Shared<FleetOutcome>| {
             let mut engine = open_fleet(config(), dir, plan);
+            let opened = plan.ops();
             drive_fleet(&mut engine, &pts, usize::MAX, out);
+            marks.set((opened, plan.ops()));
             // May crash mid-flush; every series engine is retained either
             // way, and the fleet keeps answering for the survivors.
             if engine.flush_all().is_err() {
@@ -1656,12 +1659,30 @@ fn a_crash_inside_the_fleet_s_flush_all_preserves_the_durability_contract() {
                 assert_eq!(
                     engine.len(),
                     series,
-                    "crash_at {crash_at}: a failed flush_all lost series"
+                    "op {}: a failed flush_all lost series",
+                    plan.ops()
                 );
             }
             // Crash: dropped here.
-        });
-        let ctx = format!("flush_all, crash at op {crash_at}");
+        };
+    let traced = FaultPlan::trace_only(SEED);
+    let (dir, out) = replay("multi-flush-all", &traced, pass);
+    fleet_recover_check(config(), &dir, &pts, &out, strict(), "at rest");
+    let (opened, flush) = marks.get();
+    let ops = traced.ops();
+    assert!(opened < flush && flush < ops, "{opened} {flush} {ops}");
+    let mut crash_points: Vec<u64> = (0..5)
+        .map(|k| opened + k * (ops - opened) / 5)
+        .chain([flush, ops - 1])
+        .collect();
+    crash_points.sort_unstable();
+    crash_points.dedup();
+    for crash_at in crash_points {
+        let plan = FaultPlan::crash_at(SEED, crash_at);
+        let tag = format!("multi-flush-all-{crash_at}");
+        let (dir, out) = replay(&tag, &plan, pass);
+        assert!(plan.is_crashed(), "crash at op {crash_at} of {ops}");
+        let ctx = format!("flush_all, crash at op {crash_at} of {ops}");
         fleet_recover_check(config(), &dir, &pts, &out, strict(), &ctx);
     }
 }
