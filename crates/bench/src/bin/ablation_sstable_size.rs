@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use seplsm_bench::{args, drive, report};
 use seplsm_core::WaModel;
+use seplsm_lsm::EngineConfig;
 use seplsm_types::Policy;
 use seplsm_workload::paper_dataset;
 
@@ -31,12 +32,12 @@ fn main() -> seplsm_types::Result<()> {
     println!("model predictions (size-independent): r_c={rc_model:.3}, r_s(256)={rs_model:.3}");
     let mut rows = Vec::new();
     for sstable in [64usize, 128, 256, 512, 1024, 2048] {
-        let wa_c =
-            drive::measure_wa(&dataset, Policy::conventional(n), sstable)?
-                .write_amplification();
-        let wa_s =
-            drive::measure_wa(&dataset, Policy::separation(n, 256)?, sstable)?
-                .write_amplification();
+        let wa = |policy| -> seplsm_types::Result<f64> {
+            let config = EngineConfig::new(policy).with_sstable_points(sstable);
+            Ok(drive::measure_wa(&dataset, config)?.write_amplification())
+        };
+        let wa_c = wa(Policy::conventional(n))?;
+        let wa_s = wa(Policy::separation(n, 256)?)?;
         rows.push(vec![
             sstable.to_string(),
             report::f3(wa_c),

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use seplsm_bench::{args, drive, report};
 use seplsm_core::ZetaModel;
 use seplsm_dist::LogNormal;
+use seplsm_lsm::EngineConfig;
 use seplsm_types::Policy;
 use seplsm_workload::SyntheticWorkload;
 
@@ -30,13 +31,12 @@ fn main() -> seplsm_types::Result<()> {
         let dataset = SyntheticWorkload::new(50, dist, points, seed).generate();
         let model = ZetaModel::new(Arc::new(dist), 50.0);
         for &n in &buffer_sizes {
-            let metrics = drive::measure_wa_with_probe(
-                &dataset,
-                Policy::conventional(n),
-                // Match the paper's prototype: the whole buffer becomes one
-                // table per merge.
-                n,
-            )?;
+            // Match the paper's prototype: the whole buffer becomes one
+            // table per merge.
+            let config = EngineConfig::new(Policy::conventional(n))
+                .with_sstable_points(n)
+                .with_subsequent_probe();
+            let metrics = drive::measure_wa(&dataset, config)?;
             let measured = metrics.mean_subsequent().unwrap_or(0.0);
             let predicted = model.zeta(n);
             rows.push(vec![
@@ -62,7 +62,5 @@ fn main() -> seplsm_types::Result<()> {
         &["distribution", "buffer", "measured", "zeta(n)", "rel_err"],
         &rows,
     );
-    report::maybe_write_json(args::flag("json"), &serde_json::json!(json))
-        .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!(json))
 }

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use seplsm_bench::{args, drive, report};
 use seplsm_core::WaModel;
 use seplsm_dist::LogNormal;
+use seplsm_lsm::EngineConfig;
 use seplsm_types::Policy;
 use seplsm_workload::SyntheticWorkload;
 
@@ -25,9 +26,11 @@ fn main() -> seplsm_types::Result<()> {
 
     report::banner("Fig. 7: WA vs n_seq, LogNormal(5,2), dt=50, n=512");
 
-    let rc_measured =
-        drive::measure_wa(&dataset, Policy::conventional(n), sstable)?
-            .write_amplification();
+    let wa = |policy| -> seplsm_types::Result<f64> {
+        let config = EngineConfig::new(policy).with_sstable_points(sstable);
+        Ok(drive::measure_wa(&dataset, config)?.write_amplification())
+    };
+    let rc_measured = wa(Policy::conventional(n))?;
     let rc_model = model.wa_conventional();
     println!(
         "pi_c : measured WA = {rc_measured:.3}, model r_c = {rc_model:.3}"
@@ -37,12 +40,7 @@ fn main() -> seplsm_types::Result<()> {
     let mut json = Vec::new();
     for n_seq in (32..n).step_by(32) {
         let est = model.wa_separation(n_seq)?;
-        let measured = drive::measure_wa(
-            &dataset,
-            Policy::separation(n, n_seq)?,
-            sstable,
-        )?
-        .write_amplification();
+        let measured = wa(Policy::separation(n, n_seq)?)?;
         rows.push(vec![
             n_seq.to_string(),
             report::f3(measured),
@@ -62,13 +60,8 @@ fn main() -> seplsm_types::Result<()> {
         &["n_seq", "measured", "r_s model", "g(n_seq)", "N_arrive"],
         &rows,
     );
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "r_c": {"measured": rc_measured, "model": rc_model},
-            "r_s": json,
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!({
+        "r_c": {"measured": rc_measured, "model": rc_model},
+        "r_s": json,
+    }))
 }

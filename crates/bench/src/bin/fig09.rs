@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use seplsm_bench::{args, drive, report};
 use seplsm_core::WaModel;
+use seplsm_lsm::EngineConfig;
 use seplsm_types::Policy;
 use seplsm_workload::{paper_dataset, PAPER_DATASETS};
 
@@ -38,9 +39,11 @@ fn main() -> seplsm_types::Result<()> {
         let model =
             WaModel::new(Arc::new(ds.distribution()), ds.delta_t as f64, n);
 
-        let rc_measured =
-            drive::measure_wa(&dataset, Policy::conventional(n), sstable)?
-                .write_amplification();
+        let wa = |policy| -> seplsm_types::Result<f64> {
+            let config = EngineConfig::new(policy).with_sstable_points(sstable);
+            Ok(drive::measure_wa(&dataset, config)?.write_amplification())
+        };
+        let rc_measured = wa(Policy::conventional(n))?;
         let rc_model = model.wa_conventional();
         println!(
             "\n{} (dt={}, mu={}, sigma={}):  pi_c measured {:.3} | model {:.3}",
@@ -51,12 +54,7 @@ fn main() -> seplsm_types::Result<()> {
         let mut curve = Vec::new();
         for &n_seq in &n_seq_grid {
             let est = model.wa_separation(n_seq)?;
-            let measured = drive::measure_wa(
-                &dataset,
-                Policy::separation(n, n_seq)?,
-                sstable,
-            )?
-            .write_amplification();
+            let measured = wa(Policy::separation(n, n_seq)?)?;
             rows.push(vec![
                 n_seq.to_string(),
                 report::f3(measured),
@@ -75,7 +73,5 @@ fn main() -> seplsm_types::Result<()> {
             "r_s": curve,
         }));
     }
-    report::maybe_write_json(args::flag("json"), &serde_json::json!(json))
-        .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!(json))
 }

@@ -46,23 +46,18 @@ fn main() -> seplsm_types::Result<()> {
     report::banner(
         "Fig. 10: WA under dynamic delays (sigma 2 -> 1.75 -> 1.5 -> 1.25 -> 1)",
     );
-    let conventional = drive::measure_wa_windowed(
-        &dataset,
-        Policy::conventional(n),
-        sstable,
-        snapshot,
-    )?;
-    let half = drive::measure_wa_windowed(
-        &dataset,
-        Policy::separation_even(n)?,
-        sstable,
-        snapshot,
-    )?;
+    let config = |policy| {
+        EngineConfig::new(policy)
+            .with_sstable_points(sstable)
+            .with_wa_snapshots(snapshot)
+    };
+    let conventional =
+        drive::measure_wa(&dataset, config(Policy::conventional(n)))?;
+    let half =
+        drive::measure_wa(&dataset, config(Policy::separation_even(n)?))?;
     let (adaptive, tunes) = drive::measure_adaptive(
         &dataset,
-        EngineConfig::new(Policy::conventional(n))
-            .with_sstable_points(sstable)
-            .with_wa_snapshots(snapshot),
+        config(Policy::conventional(n)),
         AdaptiveConfig::new(),
     )?;
 
@@ -100,16 +95,11 @@ fn main() -> seplsm_types::Result<()> {
         );
     }
 
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "segments": ["2", "1.75", "1.5", "1.25", "1"],
-            "pi_c": {"per_segment": seg_c, "overall": conventional.write_amplification()},
-            "pi_s_half": {"per_segment": seg_h, "overall": half.write_amplification()},
-            "pi_adaptive": {"per_segment": seg_a, "overall": adaptive.write_amplification()},
-            "tunes": report::tunes_json(&tunes),
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!({
+        "segments": ["2", "1.75", "1.5", "1.25", "1"],
+        "pi_c": {"per_segment": seg_c, "overall": conventional.write_amplification()},
+        "pi_s_half": {"per_segment": seg_h, "overall": half.write_amplification()},
+        "pi_adaptive": {"per_segment": seg_a, "overall": adaptive.write_amplification()},
+        "tunes": report::tunes_json(&tunes),
+    }))
 }

@@ -27,20 +27,12 @@ fn main() -> seplsm_types::Result<()> {
         ooo * 100.0
     );
     let result = drive::estimate_and_measure(&dataset, budget, budget)?;
-    report::print_table(
-        &["policy", "estimated", "real"],
-        &[
-            vec![
-                "pi_c".into(),
-                report::f3(result.rc_model),
-                report::f3(result.rc_measured),
-            ],
-            vec![
-                format!("pi_s(n_seq={})", result.n_seq_star),
-                report::f3(result.rs_model),
-                report::f3(result.rs_measured),
-            ],
-        ],
+    let json = report::estimate_vs_real(
+        &result,
+        serde_json::json!({
+            "out_of_order_fraction": ooo,
+            "delta_t": result.delta_t,
+        }),
     );
     println!(
         "estimated delta_t = {} ms; model picked the correct policy: {}",
@@ -48,20 +40,5 @@ fn main() -> seplsm_types::Result<()> {
         result.decision_correct()
     );
 
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "out_of_order_fraction": ooo,
-            "delta_t": result.delta_t,
-            "pi_c": {"model": result.rc_model, "measured": result.rc_measured},
-            "pi_s": {
-                "n_seq": result.n_seq_star,
-                "model": result.rs_model,
-                "measured": result.rs_measured,
-            },
-            "decision_correct": result.decision_correct(),
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&json)
 }

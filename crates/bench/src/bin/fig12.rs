@@ -6,59 +6,38 @@
 //! cargo run --release -p seplsm-bench --bin fig12 -- [--points N] [--seed S] [--json out.json]
 //! ```
 
-use std::sync::Arc;
-
-use seplsm_bench::{args, drive, report};
-use seplsm_lsm::DiskModel;
-use seplsm_types::Policy;
-use seplsm_workload::{RecentQueries, PAPER_DATASETS, PAPER_WINDOWS_MS};
+use seplsm_bench::drive::{query_sweep, Queries};
+use seplsm_bench::{args, report};
 
 fn main() -> seplsm_types::Result<()> {
     let points: usize = args::flag_or("points", 60_000);
     let seed: u64 = args::flag_or("seed", 12);
-    let n = 512usize;
-    let sstable = 512usize;
-    let every = 500u64;
-    let disk = DiskModel::hdd();
 
     report::banner("Fig. 12: read amplification, recent-data queries, M1-M12");
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for ds in PAPER_DATASETS {
-        let dataset = ds.workload(points, seed).generate();
-        let rec = drive::recommended_policy(
-            Arc::new(ds.distribution()),
-            ds.delta_t as f64,
-            n,
-        )?;
-        for window in PAPER_WINDOWS_MS {
-            let q = RecentQueries::new(window, every);
-            let conv = drive::run_recent_queries(
-                &dataset,
-                Policy::conventional(n),
-                sstable,
-                q,
-                &disk,
-            )?;
-            let sep =
-                drive::run_recent_queries(&dataset, rec, sstable, q, &disk)?;
-            rows.push(vec![
-                ds.name.to_string(),
-                format!("{window}ms"),
-                report::f1(conv.mean_read_amplification),
-                report::f1(sep.mean_read_amplification),
-            ]);
-            json.push(serde_json::json!({
-                "dataset": ds.name,
-                "window_ms": window,
-                "pi_c_ra": conv.mean_read_amplification,
-                "pi_s_ra": sep.mean_read_amplification,
-                "pi_s_policy": rec.name(),
-            }));
-        }
-    }
+    let cells = query_sweep(points, seed, Queries::Recent { every: 500 })?;
+    let rows: Vec<Vec<String>> = cells
+        .iter()
+        .map(|c| {
+            vec![
+                c.dataset.to_string(),
+                format!("{}ms", c.window_ms),
+                report::f1(c.pi_c.mean_read_amplification),
+                report::f1(c.pi_s.mean_read_amplification),
+            ]
+        })
+        .collect();
     report::print_table(&["dataset", "window", "pi_c RA", "pi_s RA"], &rows);
-    report::maybe_write_json(args::flag("json"), &serde_json::json!(json))
-        .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    let json: Vec<serde_json::Value> = cells
+        .iter()
+        .map(|c| {
+            serde_json::json!({
+                "dataset": c.dataset,
+                "window_ms": c.window_ms,
+                "pi_c_ra": c.pi_c.mean_read_amplification,
+                "pi_s_ra": c.pi_s.mean_read_amplification,
+                "pi_s_policy": c.pi_s_policy.name(),
+            })
+        })
+        .collect();
+    report::write_json(&serde_json::json!(json))
 }

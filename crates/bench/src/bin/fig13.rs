@@ -9,74 +9,16 @@
 //! cargo run --release -p seplsm-bench --bin fig13 -- [--points N] [--seed S] [--json out.json]
 //! ```
 
-use std::sync::Arc;
-
-use seplsm_bench::{args, drive, report};
-use seplsm_lsm::DiskModel;
-use seplsm_types::Policy;
-use seplsm_workload::{RecentQueries, PAPER_DATASETS, PAPER_WINDOWS_MS};
+use seplsm_bench::drive::{query_sweep, Queries};
+use seplsm_bench::{args, report};
 
 fn main() -> seplsm_types::Result<()> {
     let points: usize = args::flag_or("points", 60_000);
     let seed: u64 = args::flag_or("seed", 13);
-    let n = 512usize;
-    let sstable = 512usize;
-    let every = 500u64;
-    let disk = DiskModel::hdd();
 
     report::banner(
         "Fig. 13: recent-data query latency (ns, simulated HDD), M1-M12",
     );
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for ds in PAPER_DATASETS {
-        let dataset = ds.workload(points, seed).generate();
-        let rec = drive::recommended_policy(
-            Arc::new(ds.distribution()),
-            ds.delta_t as f64,
-            n,
-        )?;
-        for window in PAPER_WINDOWS_MS {
-            let q = RecentQueries::new(window, every);
-            let conv = drive::run_recent_queries(
-                &dataset,
-                Policy::conventional(n),
-                sstable,
-                q,
-                &disk,
-            )?;
-            let sep =
-                drive::run_recent_queries(&dataset, rec, sstable, q, &disk)?;
-            rows.push(vec![
-                ds.name.to_string(),
-                format!("{window}ms"),
-                format!("{:.3e}", conv.mean_latency_ns),
-                format!("{:.3e}", sep.mean_latency_ns),
-                report::f1(conv.mean_tables_read),
-                report::f1(sep.mean_tables_read),
-            ]);
-            json.push(serde_json::json!({
-                "dataset": ds.name,
-                "window_ms": window,
-                "pi_c_latency_ns": conv.mean_latency_ns,
-                "pi_s_latency_ns": sep.mean_latency_ns,
-                "pi_c_tables": conv.mean_tables_read,
-                "pi_s_tables": sep.mean_tables_read,
-            }));
-        }
-    }
-    report::print_table(
-        &[
-            "dataset",
-            "window",
-            "pi_c lat(ns)",
-            "pi_s lat(ns)",
-            "pi_c tbls",
-            "pi_s tbls",
-        ],
-        &rows,
-    );
-    report::maybe_write_json(args::flag("json"), &serde_json::json!(json))
-        .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    let cells = query_sweep(points, seed, Queries::Recent { every: 500 })?;
+    report::write_json(&report::query_latency(&cells))
 }

@@ -53,13 +53,15 @@ fn main() -> seplsm_types::Result<()> {
     );
 
     report::banner("Fig. 17(b): WA while ingesting the mixed stream");
+    let config =
+        |policy| EngineConfig::new(policy).with_sstable_points(sstable);
     let conventional =
-        drive::measure_wa(&dataset, Policy::conventional(n), sstable)?;
+        drive::measure_wa(&dataset, config(Policy::conventional(n)))?;
     let half =
-        drive::measure_wa(&dataset, Policy::separation_even(n)?, sstable)?;
+        drive::measure_wa(&dataset, config(Policy::separation_even(n)?))?;
     let (adaptive, tunes) = drive::measure_adaptive(
         &dataset,
-        EngineConfig::new(Policy::conventional(n)).with_sstable_points(sstable),
+        config(Policy::conventional(n)),
         AdaptiveConfig::new(),
     )?;
     report::print_table(
@@ -87,16 +89,11 @@ fn main() -> seplsm_types::Result<()> {
         );
     }
 
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "segments": labels,
-            "pi_c": conventional.write_amplification(),
-            "pi_s_half": half.write_amplification(),
-            "pi_adaptive": adaptive.write_amplification(),
-            "tunes": report::tunes_json(&tunes),
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!({
+        "segments": labels,
+        "pi_c": conventional.write_amplification(),
+        "pi_s_half": half.write_amplification(),
+        "pi_adaptive": adaptive.write_amplification(),
+        "tunes": report::tunes_json(&tunes),
+    }))
 }

@@ -35,20 +35,15 @@ fn main() -> seplsm_types::Result<()> {
 
     report::banner("Fig. 18(b): WA estimate vs real with variable intervals");
     let result = drive::estimate_and_measure(&dataset, budget, budget)?;
-    report::print_table(
-        &["policy", "estimated", "real"],
-        &[
-            vec![
-                "pi_c".into(),
-                report::f3(result.rc_model),
-                report::f3(result.rc_measured),
-            ],
-            vec![
-                format!("pi_s(n_seq={})", result.n_seq_star),
-                report::f3(result.rs_model),
-                report::f3(result.rs_measured),
-            ],
-        ],
+    let json = report::estimate_vs_real(
+        &result,
+        serde_json::json!({
+            "interval_percentiles": {
+                "p50": percentile_sorted(&intervals, 50.0),
+                "p99": percentile_sorted(&intervals, 99.0),
+            },
+            "delta_t": result.delta_t,
+        }),
     );
     println!(
         "models used the median interval delta_t={} ms; correct policy: {}",
@@ -56,23 +51,5 @@ fn main() -> seplsm_types::Result<()> {
         result.decision_correct()
     );
 
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "interval_percentiles": {
-                "p50": percentile_sorted(&intervals, 50.0),
-                "p99": percentile_sorted(&intervals, 99.0),
-            },
-            "delta_t": result.delta_t,
-            "pi_c": {"model": result.rc_model, "measured": result.rc_measured},
-            "pi_s": {
-                "n_seq": result.n_seq_star,
-                "model": result.rs_model,
-                "measured": result.rs_measured,
-            },
-            "decision_correct": result.decision_correct(),
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&json)
 }

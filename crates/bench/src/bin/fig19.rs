@@ -71,16 +71,11 @@ fn main() -> seplsm_types::Result<()> {
     }
     report::print_table(&["delay range (ms)", "count", ""], &rows);
 
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "points": dataset.len(),
-            "median_delay_ms": percentile_sorted(&delays, 50.0),
-            "p99_delay_ms": percentile_sorted(&delays, 99.0),
-            "out_of_order_fraction": ooo_fraction,
-            "mean_out_of_order_delay_ms": ooo_mean,
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!({
+        "points": dataset.len(),
+        "median_delay_ms": percentile_sorted(&delays, 50.0),
+        "p99_delay_ms": percentile_sorted(&delays, 99.0),
+        "out_of_order_fraction": ooo_fraction,
+        "mean_out_of_order_delay_ms": ooo_mean,
+    }))
 }

@@ -9,19 +9,16 @@
 
 use std::sync::Arc;
 
-use seplsm_bench::{args, drive, report};
+use seplsm_bench::drive::{self, Queries};
+use seplsm_bench::{args, report};
 use seplsm_dist::Empirical;
-use seplsm_lsm::DiskModel;
 use seplsm_types::Policy;
-use seplsm_workload::{HistoricalQueries, RecentQueries, VehicleWorkload};
+use seplsm_workload::VehicleWorkload;
 
 fn main() -> seplsm_types::Result<()> {
     let points: usize = args::flag_or("points", 120_000);
     let seed: u64 = args::flag_or("seed", 20);
     let n = 512usize;
-    let sstable = 512usize;
-    let windows_ms = [10_000i64, 20_000];
-    let disk = DiskModel::hdd();
 
     let workload = VehicleWorkload::new(points, seed);
     let dataset = workload.generate();
@@ -39,63 +36,34 @@ fn main() -> seplsm_types::Result<()> {
         Policy::Conventional { .. } => Policy::separation_even(n)?,
     };
 
-    report::banner("Fig. 20(a): recent-data query latency on H (ns)");
-    let mut rows = Vec::new();
     let mut json = Vec::new();
-    for window in windows_ms {
-        let q = RecentQueries::new(window, 500);
-        let conv = drive::run_recent_queries(
-            &dataset,
-            Policy::conventional(n),
-            sstable,
-            q,
-            &disk,
-        )?;
-        let sep =
-            drive::run_recent_queries(&dataset, sep_policy, sstable, q, &disk)?;
-        rows.push(vec![
-            format!("{}s", window / 1000),
-            format!("{:.3e}", conv.mean_latency_ns),
-            format!("{:.3e}", sep.mean_latency_ns),
-        ]);
-        json.push(serde_json::json!({
-            "workload": "recent",
-            "window_ms": window,
-            "pi_c_latency_ns": conv.mean_latency_ns,
-            "pi_s_latency_ns": sep.mean_latency_ns,
-        }));
+    for (part, name, queries) in [
+        ("(a): recent-data", "recent", Queries::Recent { every: 500 }),
+        (
+            "(b): historical",
+            "historical",
+            Queries::Historical { count: 200, seed },
+        ),
+    ] {
+        report::banner(&format!("Fig. 20{part} query latency on H (ns)"));
+        let mut rows = Vec::new();
+        for window in [10_000i64, 20_000] {
+            let conv =
+                queries.run(&dataset, Policy::conventional(n), window)?;
+            let sep = queries.run(&dataset, sep_policy, window)?;
+            rows.push(vec![
+                format!("{}s", window / 1000),
+                format!("{:.3e}", conv.mean_latency_ns),
+                format!("{:.3e}", sep.mean_latency_ns),
+            ]);
+            json.push(serde_json::json!({
+                "workload": name,
+                "window_ms": window,
+                "pi_c_latency_ns": conv.mean_latency_ns,
+                "pi_s_latency_ns": sep.mean_latency_ns,
+            }));
+        }
+        report::print_table(&["window", "pi_c lat(ns)", "pi_s lat(ns)"], &rows);
     }
-    report::print_table(&["window", "pi_c lat(ns)", "pi_s lat(ns)"], &rows);
-
-    report::banner("Fig. 20(b): historical query latency on H (ns)");
-    let mut rows = Vec::new();
-    for window in windows_ms {
-        let q = HistoricalQueries::new(window, 200, seed ^ window as u64);
-        let conv = drive::run_historical_queries(
-            &dataset,
-            Policy::conventional(n),
-            sstable,
-            q,
-            &disk,
-        )?;
-        let sep = drive::run_historical_queries(
-            &dataset, sep_policy, sstable, q, &disk,
-        )?;
-        rows.push(vec![
-            format!("{}s", window / 1000),
-            format!("{:.3e}", conv.mean_latency_ns),
-            format!("{:.3e}", sep.mean_latency_ns),
-        ]);
-        json.push(serde_json::json!({
-            "workload": "historical",
-            "window_ms": window,
-            "pi_c_latency_ns": conv.mean_latency_ns,
-            "pi_s_latency_ns": sep.mean_latency_ns,
-        }));
-    }
-    report::print_table(&["window", "pi_c lat(ns)", "pi_s lat(ns)"], &rows);
-
-    report::maybe_write_json(args::flag("json"), &serde_json::json!(json))
-        .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!(json))
 }

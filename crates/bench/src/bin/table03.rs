@@ -58,7 +58,5 @@ fn main() -> seplsm_types::Result<()> {
         "\n(absolute numbers depend on the host; the paper's claim is the \
          ratio staying near 1)"
     );
-    report::maybe_write_json(args::flag("json"), &serde_json::json!(json))
-        .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!(json))
 }

@@ -13,6 +13,7 @@
 
 use seplsm_bench::{args, drive, report};
 use seplsm_dist::LogNormal;
+use seplsm_lsm::EngineConfig;
 use seplsm_types::Policy;
 use seplsm_workload::SyntheticWorkload;
 
@@ -34,8 +35,11 @@ fn main() -> seplsm_types::Result<()> {
             .generate();
 
     report::banner("trace run: instrumented ingest");
-    let (metrics, aggregate) =
-        drive::measure_wa_traced(&dataset, policy, sstable, trace.as_deref())?;
+    let (metrics, aggregate) = drive::measure_wa_traced(
+        &dataset,
+        EngineConfig::new(policy).with_sstable_points(sstable),
+        trace.as_deref(),
+    )?;
     println!("policy:              {}", policy.name());
     println!("user points:         {}", metrics.user_points);
     println!("write amplification: {:.3}", metrics.write_amplification());
@@ -45,17 +49,12 @@ fn main() -> seplsm_types::Result<()> {
         eprintln!("trace written to {}", path.display());
     }
 
-    report::maybe_write_json(
-        args::flag("json"),
-        &serde_json::json!({
-            "policy": policy.name(),
-            "user_points": metrics.user_points,
-            "write_amplification": metrics.write_amplification(),
-            "flush_points": aggregate.flush_points,
-            "compaction_rewritten": aggregate.compaction_rewritten,
-            "stalls": aggregate.stalls,
-        }),
-    )
-    .map_err(seplsm_types::Error::Io)?;
-    Ok(())
+    report::write_json(&serde_json::json!({
+        "policy": policy.name(),
+        "user_points": metrics.user_points,
+        "write_amplification": metrics.write_amplification(),
+        "flush_points": aggregate.flush_points,
+        "compaction_rewritten": aggregate.compaction_rewritten,
+        "stalls": aggregate.stalls,
+    }))
 }

@@ -2,27 +2,33 @@
 //! quantities the paper reports.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
-use seplsm_core::{AdaptiveConfig, AdaptiveOpen, TuneRecord};
+use seplsm_core::{
+    tune, AdaptiveConfig, AdaptiveOpen, TuneRecord, TunerOptions, WaModel,
+    ZetaConfig,
+};
+use seplsm_dist::{DelayDistribution, Empirical};
 use seplsm_lsm::{
     AggregateReport, AggregateSink, DiskModel, EngineConfig, FanoutSink,
     JsonlSink, Metrics, Observer, OpenOptions, QueryStats, TieredOpenOptions,
 };
 use seplsm_types::{DataPoint, Policy, Result};
-use seplsm_workload::{HistoricalQueries, RecentQueries};
+use seplsm_workload::{
+    HistoricalQueries, RecentQueries, PAPER_DATASETS, PAPER_WINDOWS_MS,
+};
 
-/// Ingests `points` (already in arrival order) under `policy` and returns
-/// the engine's final metrics.
+/// Ingests `points` (already in arrival order) into an inline engine opened
+/// with `config` and returns the engine's final metrics. What a figure
+/// records beyond WA is set on the config: the subsequent-point probe
+/// ([`EngineConfig::with_subsequent_probe`], Fig. 5) or WA snapshots
+/// ([`EngineConfig::with_wa_snapshots`], Fig. 10).
 pub fn measure_wa(
     points: &[DataPoint],
-    policy: Policy,
-    sstable_points: usize,
+    config: EngineConfig,
 ) -> Result<Metrics> {
-    let mut engine = OpenOptions::new(
-        EngineConfig::new(policy).with_sstable_points(sstable_points),
-    )
-    .open()?;
+    let mut engine = OpenOptions::new(config).open()?;
     for p in points {
         engine.append(*p)?;
     }
@@ -36,12 +42,11 @@ pub fn measure_wa(
 /// seeded workload produce byte-identical traces.
 pub fn measure_wa_traced(
     points: &[DataPoint],
-    policy: Policy,
-    sstable_points: usize,
+    config: EngineConfig,
     trace: Option<&Path>,
 ) -> Result<(Metrics, AggregateReport)> {
     let aggregate = AggregateSink::new();
-    let mut sinks: Vec<std::sync::Arc<dyn Observer>> = vec![aggregate.clone()];
+    let mut sinks: Vec<Arc<dyn Observer>> = vec![aggregate.clone()];
     let jsonl = match trace {
         Some(path) => {
             let file = std::fs::File::create(path)?;
@@ -51,11 +56,9 @@ pub fn measure_wa_traced(
         }
         None => None,
     };
-    let mut engine = OpenOptions::new(
-        EngineConfig::new(policy).with_sstable_points(sstable_points),
-    )
-    .observer(FanoutSink::new(sinks))
-    .open()?;
+    let mut engine = OpenOptions::new(config)
+        .observer(FanoutSink::new(sinks))
+        .open()?;
     for p in points {
         engine.append(*p)?;
     }
@@ -64,44 +67,6 @@ pub fn measure_wa_traced(
         sink.flush()?;
     }
     Ok((engine.metrics().clone(), aggregate.report()))
-}
-
-/// Like [`measure_wa`] with the per-compaction subsequent-point probe on.
-pub fn measure_wa_with_probe(
-    points: &[DataPoint],
-    policy: Policy,
-    sstable_points: usize,
-) -> Result<Metrics> {
-    let mut engine = OpenOptions::new(
-        EngineConfig::new(policy)
-            .with_sstable_points(sstable_points)
-            .with_subsequent_probe(),
-    )
-    .open()?;
-    for p in points {
-        engine.append(*p)?;
-    }
-    Ok(engine.metrics().clone())
-}
-
-/// Like [`measure_wa`] with WA snapshots every `snapshot_every` user points
-/// (the Fig. 10 time series).
-pub fn measure_wa_windowed(
-    points: &[DataPoint],
-    policy: Policy,
-    sstable_points: usize,
-    snapshot_every: u64,
-) -> Result<Metrics> {
-    let mut engine = OpenOptions::new(
-        EngineConfig::new(policy)
-            .with_sstable_points(sstable_points)
-            .with_wa_snapshots(snapshot_every),
-    )
-    .open()?;
-    for p in points {
-        engine.append(*p)?;
-    }
-    Ok(engine.metrics().clone())
 }
 
 /// Runs the adaptive engine over `points`, returning its metrics and the
@@ -134,10 +99,11 @@ pub struct QueryReport {
     pub mean_points_returned: f64,
 }
 
-fn summarize(per_query: &[QueryStats], disk: &DiskModel) -> QueryReport {
+fn summarize(per_query: &[QueryStats]) -> QueryReport {
     if per_query.is_empty() {
         return QueryReport::default();
     }
+    let disk = DiskModel::hdd();
     let ra: Vec<f64> = per_query
         .iter()
         .filter_map(QueryStats::read_amplification)
@@ -169,84 +135,145 @@ fn summarize(per_query: &[QueryStats], disk: &DiskModel) -> QueryReport {
     }
 }
 
-/// Runs the recent-data query workload of §V-D1 on the production-style
+/// The query workload of a query figure (Figs. 12–14, 20). Both kinds run,
+/// for one window, on the production-style
 /// [`TieredEngine`](seplsm_lsm::TieredEngine) (overlapping level-1 files,
 /// background compaction — the configuration the paper's query
-/// experiments ran on): while ingesting
-/// `points`, every `workload.every_points` appended points issue
-/// `time ∈ (max_written − window, max_written]`. The engine flushes
-/// synchronously (`sync_flush`): every query finds the worker idle, with
-/// each flush and the L0 merge it made due done, so a run's answers and
-/// statistics repeat exactly.
-pub fn run_recent_queries(
-    points: &[DataPoint],
-    policy: Policy,
-    sstable_points: usize,
-    workload: RecentQueries,
-    disk: &DiskModel,
-) -> Result<QueryReport> {
-    let mut engine = TieredOpenOptions::new(
-        EngineConfig::new(policy).with_sstable_points(sstable_points),
-    )
-    .sync_flush()
-    .open()?;
-    let mut per_query = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        engine.append(*p)?;
-        if workload.due(i as u64 + 1) {
-            let max_gen =
-                engine.max_gen_time().expect("at least one point written");
-            let (_, stats) = engine.query(workload.range(max_gen))?;
-            per_query.push(stats);
-        }
-    }
-    Ok(summarize(&per_query, disk))
+/// experiments ran on) with 512-point tables, and are costed on the
+/// simulated HDD. The engine flushes synchronously
+/// (`sync_flush`): every append returns with the worker idle, each flush
+/// and the L0 merge it made due done, so a run's answers and statistics
+/// repeat exactly.
+#[derive(Debug, Clone, Copy)]
+pub enum Queries {
+    /// The recent-data workload of §V-D1: while ingesting, every `every`
+    /// appended points issue `time ∈ (max_written − window, max_written]`.
+    Recent {
+        /// Appended points between two queries.
+        every: u64,
+    },
+    /// The historical workload of §V-D2: `count` random ranges after
+    /// ingesting, drawn with `seed ^ window`. The level-1 backlog left by
+    /// ingestion — the L0 tables below the worker's merge threshold — is
+    /// *not* force-compacted first: the paper attributes the
+    /// historical-query gap to exactly those not-yet-compacted overlapping
+    /// files (Fig. 15).
+    Historical {
+        /// Queries issued.
+        count: usize,
+        /// Seed of the ranges, XORed with the window.
+        seed: u64,
+    },
 }
 
-/// Runs the historical query workload of §V-D2 after ingesting `points`
-/// into a [`TieredEngine`](seplsm_lsm::TieredEngine). The level-1
-/// backlog left by ingestion — the L0 tables below the worker's merge
-/// threshold — is *not* force-compacted first: the paper attributes the
-/// historical-query gap to exactly those not-yet-compacted overlapping
-/// files (Fig. 15). The engine flushes synchronously (`sync_flush`), so
-/// the last append returns with the worker idle and the backlog the same
-/// from run to run.
-pub fn run_historical_queries(
-    points: &[DataPoint],
-    policy: Policy,
-    sstable_points: usize,
-    workload: HistoricalQueries,
-    disk: &DiskModel,
-) -> Result<QueryReport> {
-    let mut engine = TieredOpenOptions::new(
-        EngineConfig::new(policy).with_sstable_points(sstable_points),
-    )
-    .sync_flush()
-    .open()?;
-    let mut min_gen = i64::MAX;
-    for p in points {
-        engine.append(*p)?;
-        min_gen = min_gen.min(p.gen_time);
+impl Queries {
+    /// Runs this workload with `window`-ms ranges over `points` under
+    /// `policy`.
+    pub fn run(
+        self,
+        points: &[DataPoint],
+        policy: Policy,
+        window: i64,
+    ) -> Result<QueryReport> {
+        let mut engine = TieredOpenOptions::new(
+            EngineConfig::new(policy).with_sstable_points(512),
+        )
+        .sync_flush()
+        .open()?;
+        let mut per_query = Vec::new();
+        match self {
+            Queries::Recent { every } => {
+                let workload = RecentQueries::new(window, every);
+                for (i, p) in points.iter().enumerate() {
+                    engine.append(*p)?;
+                    if workload.due(i as u64 + 1) {
+                        let max_gen = engine
+                            .max_gen_time()
+                            .expect("at least one point written");
+                        per_query
+                            .push(engine.query(workload.range(max_gen))?.1);
+                    }
+                }
+            }
+            Queries::Historical { count, seed } => {
+                let mut min_gen = i64::MAX;
+                for p in points {
+                    engine.append(*p)?;
+                    min_gen = min_gen.min(p.gen_time);
+                }
+                let max_gen = engine.max_gen_time().expect("non-empty dataset");
+                let workload =
+                    HistoricalQueries::new(window, count, seed ^ window as u64);
+                for range in workload.ranges(min_gen, max_gen) {
+                    per_query.push(engine.query(range)?.1);
+                }
+            }
+        }
+        Ok(summarize(&per_query))
     }
-    let max_gen = engine.max_gen_time().expect("non-empty dataset");
-    let mut per_query = Vec::new();
-    for range in workload.ranges(min_gen, max_gen) {
-        let (_, stats) = engine.query(range)?;
-        per_query.push(stats);
+}
+
+/// One cell of the query figures 12–14: a paper dataset and a window, the
+/// policy recommended for the dataset and the reports of `π_c` and of it.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryCell {
+    /// Paper dataset name (`M1`–`M12`).
+    pub dataset: &'static str,
+    /// Query window (ms).
+    pub window_ms: i64,
+    /// The policy [`recommended_policy`] picks for the dataset.
+    pub pi_s_policy: Policy,
+    /// The workload under `π_c`.
+    pub pi_c: QueryReport,
+    /// The workload under `pi_s_policy`.
+    pub pi_s: QueryReport,
+}
+
+/// The sweep of Figs. 12–14: for each of M1–M12 (`points` each, generated
+/// with `seed`), recommends a policy for a 512-point budget, then runs
+/// `queries` under `π_c` and the recommendation for every window of
+/// [`PAPER_WINDOWS_MS`].
+pub fn query_sweep(
+    points: usize,
+    seed: u64,
+    queries: Queries,
+) -> Result<Vec<QueryCell>> {
+    let mut cells = Vec::new();
+    for ds in PAPER_DATASETS {
+        let dataset = ds.workload(points, seed).generate();
+        let pi_s_policy = recommended_policy(
+            Arc::new(ds.distribution()),
+            ds.delta_t as f64,
+            512,
+        )?;
+        for window_ms in PAPER_WINDOWS_MS {
+            cells.push(QueryCell {
+                dataset: ds.name,
+                window_ms,
+                pi_s_policy,
+                pi_c: queries.run(
+                    &dataset,
+                    Policy::conventional(512),
+                    window_ms,
+                )?,
+                pi_s: queries.run(&dataset, pi_s_policy, window_ms)?,
+            });
+        }
     }
-    Ok(summarize(&per_query, disk))
+    Ok(cells)
 }
 
 /// Runs Algorithm 1 on a known delay law and returns the recommended policy
 /// (used by the query experiments, which run `π_s` "with the values
-/// recommended by the system", §V-D1).
+/// recommended by the system", §V-D1). ζ is evaluated with the preset the
+/// adaptive engines tune with online, [`ZetaConfig::online`].
 pub fn recommended_policy(
-    dist: std::sync::Arc<dyn seplsm_dist::DelayDistribution>,
+    dist: Arc<dyn DelayDistribution>,
     delta_t: f64,
     budget: usize,
 ) -> Result<Policy> {
-    use seplsm_core::{tune, TunerOptions, WaModel};
-    let model = WaModel::new(dist, delta_t, budget);
+    let model =
+        WaModel::with_zeta_config(dist, delta_t, budget, ZetaConfig::online());
     Ok(tune(&model, TunerOptions::online(budget))?.decision)
 }
 
@@ -285,9 +312,6 @@ pub fn estimate_and_measure(
     budget: usize,
     sstable_points: usize,
 ) -> Result<EstimateVsReal> {
-    use seplsm_core::{tune, TunerOptions, WaModel};
-    use seplsm_dist::Empirical;
-
     let delays: Vec<f64> = points.iter().map(|p| p.delay() as f64).collect();
     let mut gen_times: Vec<i64> = points.iter().map(|p| p.gen_time).collect();
     gen_times.sort_unstable();
@@ -301,19 +325,17 @@ pub fn estimate_and_measure(
         seplsm_types::Error::Model("dataset too small for a delta_t".into())
     })? as f64;
 
-    let dist = std::sync::Arc::new(Empirical::from_samples(&delays));
+    let dist = Arc::new(Empirical::from_samples(&delays));
     let model = WaModel::new(dist, delta_t, budget);
     let outcome = tune(&model, TunerOptions::online(budget))?;
 
-    let rc_measured =
-        measure_wa(points, Policy::conventional(budget), sstable_points)?
-            .write_amplification();
-    let rs_measured = measure_wa(
-        points,
-        Policy::separation(budget, outcome.best_n_seq)?,
-        sstable_points,
-    )?
-    .write_amplification();
+    let wa = |policy| -> Result<f64> {
+        let config =
+            EngineConfig::new(policy).with_sstable_points(sstable_points);
+        Ok(measure_wa(points, config)?.write_amplification())
+    };
+    let rc_measured = wa(Policy::conventional(budget))?;
+    let rs_measured = wa(Policy::separation(budget, outcome.best_n_seq)?)?;
     Ok(EstimateVsReal {
         delta_t,
         rc_model: outcome.r_c,
@@ -363,7 +385,9 @@ mod tests {
     #[test]
     fn measure_wa_reports_amplification() {
         let pts = dataset();
-        let m = measure_wa(&pts, Policy::conventional(512), 512).expect("run");
+        let config = EngineConfig::new(Policy::conventional(512))
+            .with_sstable_points(512);
+        let m = measure_wa(&pts, config).expect("run");
         assert_eq!(m.user_points, 20_000);
         assert!(m.write_amplification() >= 0.9);
     }
@@ -371,22 +395,19 @@ mod tests {
     #[test]
     fn probe_records_compactions() {
         let pts = dataset();
-        let m = measure_wa_with_probe(&pts, Policy::conventional(256), 256)
-            .expect("run");
+        let config = EngineConfig::new(Policy::conventional(256))
+            .with_sstable_points(256)
+            .with_subsequent_probe();
+        let m = measure_wa(&pts, config).expect("run");
         assert!(!m.subsequent_counts.is_empty());
     }
 
     #[test]
     fn recent_queries_produce_a_report() {
         let pts = dataset();
-        let report = run_recent_queries(
-            &pts,
-            Policy::conventional(512),
-            512,
-            RecentQueries::new(5_000, 1_000),
-            &DiskModel::hdd(),
-        )
-        .expect("run");
+        let report = Queries::Recent { every: 1_000 }
+            .run(&pts, Policy::conventional(512), 5_000)
+            .expect("run");
         assert!(report.queries > 0);
         assert!(report.mean_read_amplification >= 0.0);
         assert!(report.mean_latency_ns > 0.0);
@@ -395,14 +416,10 @@ mod tests {
     #[test]
     fn historical_queries_produce_a_report() {
         let pts = dataset();
-        let report = run_historical_queries(
-            &pts,
-            Policy::separation(512, 256).expect("policy"),
-            512,
-            HistoricalQueries::new(5_000, 50, 3),
-            &DiskModel::hdd(),
-        )
-        .expect("run");
+        let policy = Policy::separation(512, 256).expect("policy");
+        let report = Queries::Historical { count: 50, seed: 3 }
+            .run(&pts, policy, 5_000)
+            .expect("run");
         assert_eq!(report.queries, 50);
         assert!(report.mean_points_returned > 0.0);
     }
@@ -415,5 +432,24 @@ mod tests {
                 .expect("run");
         assert!(per_ms > 0.0);
         assert!(wa >= 1.0 - 1e-9);
+    }
+
+    /// The query figures recommend with the online ζ preset; the
+    /// recommendation must stay the decision the default preset takes, or
+    /// Figs. 12–14 would compare against another policy than the model's.
+    #[test]
+    fn the_online_preset_recommends_what_the_default_preset_does() {
+        for name in ["M1", "M4", "M7"] {
+            let ds = seplsm_workload::paper_dataset(name).expect("dataset");
+            let dist = Arc::new(ds.distribution());
+            let delta_t = ds.delta_t as f64;
+            let default = WaModel::new(dist.clone(), delta_t, 512);
+            let decision = tune(&default, TunerOptions::online(512))
+                .expect("tune")
+                .decision;
+            let recommended =
+                recommended_policy(dist, delta_t, 512).expect("recommend");
+            assert_eq!(recommended, decision, "{name}");
+        }
     }
 }

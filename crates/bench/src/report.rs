@@ -3,6 +3,11 @@
 use std::io::Write;
 use std::path::Path;
 
+use seplsm_types::Result;
+use serde_json::Value;
+
+use crate::drive::{EstimateVsReal, QueryCell};
+
 /// Prints `rows` under `headers` with aligned columns.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -32,20 +37,108 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// Writes `value` as pretty JSON to the path given by `--json`, if any.
+pub fn write_json(value: &serde_json::Value) -> Result<()> {
+    maybe_write_json(crate::args::flag("json"), value)
+}
+
 /// Writes `value` as pretty JSON to `path` (if given), creating parents.
-pub fn maybe_write_json(
+fn maybe_write_json(
     path: Option<String>,
     value: &serde_json::Value,
-) -> std::io::Result<()> {
+) -> Result<()> {
     let Some(path) = path else { return Ok(()) };
     let path = Path::new(&path);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{}", serde_json::to_string_pretty(value)?)?;
+    let text =
+        serde_json::to_string_pretty(value).map_err(std::io::Error::from)?;
+    writeln!(f, "{text}")?;
     eprintln!("wrote {}", path.display());
     Ok(())
+}
+
+/// Prints the two-row `pi_c`/`pi_s` table of estimated against measured
+/// WA (Figs. 11, 16(b), 18(b)) and returns the object `fields` followed by
+/// the same numbers: `pi_c`, `pi_s` and `decision_correct`.
+pub fn estimate_vs_real(
+    r: &EstimateVsReal,
+    fields: serde_json::Value,
+) -> serde_json::Value {
+    print_table(
+        &["policy", "estimated", "real"],
+        &[
+            vec!["pi_c".into(), f3(r.rc_model), f3(r.rc_measured)],
+            vec![
+                format!("pi_s(n_seq={})", r.n_seq_star),
+                f3(r.rs_model),
+                f3(r.rs_measured),
+            ],
+        ],
+    );
+    let tail = serde_json::json!({
+        "pi_c": {"model": r.rc_model, "measured": r.rc_measured},
+        "pi_s": {
+            "n_seq": r.n_seq_star,
+            "model": r.rs_model,
+            "measured": r.rs_measured,
+        },
+        "decision_correct": r.decision_correct(),
+    });
+    match (fields, tail) {
+        (Value::Object(mut head), Value::Object(tail)) => {
+            head.extend(tail);
+            Value::Object(head)
+        }
+        (fields, _) => fields,
+    }
+}
+
+/// Prints the latency table of a query sweep (Figs. 13, 14): mean
+/// simulated-HDD latency and tables read per query under `π_c` and `π_s`,
+/// and returns the same cells as JSON.
+pub fn query_latency(cells: &[QueryCell]) -> serde_json::Value {
+    let rows: Vec<Vec<String>> = cells
+        .iter()
+        .map(|c| {
+            vec![
+                c.dataset.to_string(),
+                format!("{}ms", c.window_ms),
+                format!("{:.3e}", c.pi_c.mean_latency_ns),
+                format!("{:.3e}", c.pi_s.mean_latency_ns),
+                f1(c.pi_c.mean_tables_read),
+                f1(c.pi_s.mean_tables_read),
+            ]
+        })
+        .collect();
+    print_table(
+        &[
+            "dataset",
+            "window",
+            "pi_c lat(ns)",
+            "pi_s lat(ns)",
+            "pi_c tbls",
+            "pi_s tbls",
+        ],
+        &rows,
+    );
+    Value::Array(
+        cells
+            .iter()
+            .map(|c| {
+                serde_json::json!({
+                    "dataset": c.dataset,
+                    "window_ms": c.window_ms,
+                    "pi_c_latency_ns": c.pi_c.mean_latency_ns,
+                    "pi_s_latency_ns": c.pi_s.mean_latency_ns,
+                    "pi_c_tables": c.pi_c.mean_tables_read,
+                    "pi_s_tables": c.pi_s.mean_tables_read,
+                })
+            })
+            .collect(),
+    )
 }
 
 /// Converts adaptive tuning decisions into JSON rows for report export.

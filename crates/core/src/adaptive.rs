@@ -22,8 +22,9 @@
 //!   else.
 //! * [`EngineConfig`](seplsm_lsm::EngineConfig) — *engine mechanics*:
 //!   the starting policy plus SSTable size, WA snapshots, probes.
-//! * [`AdaptiveConfig`] — the *controller*: drift detection, tuning-scan
-//!   and ζ parameters, and retune hysteresis. It carries no memory
+//! * [`AdaptiveConfig`] — the *controller*: drift detection and retune
+//!   hysteresis. Every decision scans with [`TunerOptions::online`] and
+//!   evaluates ζ with [`ZetaConfig::online`]. It carries no memory
 //!   budget: the budget is whatever the engine's current policy holds
 //!   (which the fleet memory arbiter may resize at any time).
 //!
@@ -54,7 +55,7 @@ use crate::wa::WaModel;
 use crate::zeta::ZetaConfig;
 
 /// Configuration of the adaptive *controller* — drift detection and
-/// tuning parameters only. Engine mechanics (budget, SSTable size,
+/// hysteresis only. Engine mechanics (budget, SSTable size,
 /// snapshots) belong to [`EngineConfig`](seplsm_lsm::EngineConfig); the
 /// tuning budget `n` is always read from the engine's current policy at
 /// decision time.
@@ -62,11 +63,6 @@ use crate::zeta::ZetaConfig;
 pub struct AdaptiveConfig {
     /// Analyzer (drift-detection) parameters.
     pub analyzer: AnalyzerConfig,
-    /// Tuning-scan options; `None` derives the online granularity
-    /// [`TunerOptions::online`] from the budget at each decision.
-    pub tuner: Option<TunerOptions>,
-    /// ζ evaluation parameters used for online tuning.
-    pub zeta: ZetaConfig,
     /// Minimum user points between two policy switches (hysteresis).
     pub min_points_between_tunes: u64,
 }
@@ -78,14 +74,12 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Sensible defaults: online tuner granularity, cheap ζ, re-tune at
-    /// most every `4 × analyzer window` points.
+    /// Sensible defaults: re-tune at most every `4 × analyzer window`
+    /// points.
     pub fn new() -> Self {
         let analyzer = AnalyzerConfig::default();
         Self {
             analyzer,
-            tuner: None,
-            zeta: ZetaConfig::online(),
             min_points_between_tunes: (analyzer.window as u64) * 4,
         }
     }
@@ -101,11 +95,6 @@ impl AdaptiveConfig {
     pub fn with_hysteresis(mut self, points: u64) -> Self {
         self.min_points_between_tunes = points;
         self
-    }
-
-    /// The scan options for a decision against `budget` points.
-    pub(crate) fn tuner_for(&self, budget: usize) -> TunerOptions {
-        self.tuner.unwrap_or_else(|| TunerOptions::online(budget))
     }
 }
 
@@ -175,7 +164,7 @@ impl SeriesController {
             }
         };
         if due {
-            self.evaluate(budget, config)
+            self.evaluate(budget)
         } else {
             None
         }
@@ -189,7 +178,6 @@ impl SeriesController {
     pub(crate) fn evaluate(
         &self,
         budget: usize,
-        config: &AdaptiveConfig,
     ) -> Option<(TuningOutcome, f64)> {
         let dist = self.analyzer.build_distribution()?;
         let delta_t = self.analyzer.estimated_delta_t()?;
@@ -197,9 +185,9 @@ impl SeriesController {
             Arc::new(dist) as Arc<dyn DelayDistribution>,
             delta_t,
             budget,
-            config.zeta,
+            ZetaConfig::online(),
         );
-        let outcome = tune(&model, config.tuner_for(budget)).ok()?;
+        let outcome = tune(&model, TunerOptions::online(budget)).ok()?;
         Some((outcome, delta_t))
     }
 
@@ -297,7 +285,7 @@ impl AdaptiveEngine {
     /// Storage failures while switching policies.
     pub fn retune(&mut self) -> Result<()> {
         let budget = self.engine.policy().total_capacity();
-        self.apply(self.controller.evaluate(budget, &self.config))
+        self.apply(self.controller.evaluate(budget))
     }
 
     /// Lands a decision: switches the policy and records it.

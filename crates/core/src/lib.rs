@@ -46,7 +46,6 @@ pub mod adaptive;
 pub mod analyzer;
 pub mod arrival;
 pub mod fleet;
-pub mod read;
 pub mod tuner;
 pub mod wa;
 pub mod zeta;
@@ -55,7 +54,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveEngine, AdaptiveOpen, TuneRecord};
 pub use analyzer::{AnalyzerConfig, AnalyzerEvent, DelayAnalyzer};
 pub use arrival::ArrivalRatioModel;
 pub use fleet::FleetAdaptiveEngine;
-pub use read::{HistoricalQueryEstimate, ReadCostModel, RecentQueryEstimate};
 pub use tuner::{tune, TunerOptions, TuningOutcome};
 pub use wa::{SeparationEstimate, WaModel};
 pub use zeta::{GapModel, ZetaConfig, ZetaModel};

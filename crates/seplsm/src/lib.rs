@@ -31,8 +31,8 @@ pub use seplsm_workload as workload;
 
 pub use seplsm_core::{
     tune, AdaptiveConfig, AdaptiveEngine, AdaptiveOpen, AnalyzerConfig,
-    DelayAnalyzer, FleetAdaptiveEngine, ReadCostModel, TunerOptions,
-    TuningOutcome, WaModel, ZetaConfig, ZetaModel,
+    DelayAnalyzer, FleetAdaptiveEngine, TunerOptions, TuningOutcome, WaModel,
+    ZetaConfig, ZetaModel,
 };
 pub use seplsm_dist::{DelayDistribution, Empirical, LogNormal};
 pub use seplsm_lsm::{

@@ -280,6 +280,13 @@ for name in every_fixture_decodes_bit_exactly_through_every_entry_point \
     || { echo "old_tables lost its test '$name'"; exit 1; }
 done
 
+# The query figures recommend a policy with the online ζ preset, which at
+# n = 512 takes the default preset's decision on the paper datasets.
+BENCH_TESTS="$(cargo test -q -p seplsm-bench --lib --offline -- --list 2>/dev/null)"
+grep -qx "drive::tests::the_online_preset_recommends_what_the_default_preset_does: test" \
+    <<<"$BENCH_TESTS" \
+  || { echo "drive.rs lost its recommendation preset test"; exit 1; }
+
 # CLI lane: under the separation policy a flush takes one buffer and leaves
 # the other, and its checkpoint names only the range it took — the `wal`
 # line of a durable `seplsm stats` run must report that checkpoints re-logged
@@ -417,30 +424,30 @@ print(f"trace OK: {len(lines)} events, {len(kinds)} kinds")
 PYEOF
 # The query figures run the background engine with `sync_flush`, whose
 # appends return only once the worker is idle: its flush, and the horizon
-# and L0 merge that made due, done. No query races a merge, so a rerun of
-# fig12–fig14 prints the same bytes, text and JSON. At 10 000 points every
-# pair of three runs each of the build whose appends waited only for the
-# flush differed, in 1 to 5 text rows. A run takes about two minutes
-# whatever the number of points, so the two runs of a pair go side by side.
-echo "== fig12–fig14 (the sync_flush query figures repeat byte for byte) =="
-for fig in fig12 fig13 fig14; do
-  pids=()
-  for run in a b; do
-    "target/release/$fig" --points 10000 --json "$TRACE_DIR/$fig.$run.json" \
-      >"$TRACE_DIR/$fig.$run.out" &
-    pids+=($!)
-  done
-  for pid in "${pids[@]}"; do
-    wait "$pid" || { echo "$fig failed"; exit 1; }
-  done
-  for run in a b; do
-    grep -v '^wrote ' "$TRACE_DIR/$fig.$run.out" >"$TRACE_DIR/$fig.$run.txt"
-  done
-  for ext in txt json; do
-    cmp -s "$TRACE_DIR/$fig.a.$ext" "$TRACE_DIR/$fig.b.$ext" \
-      || { printf '%s does not repeat:\n' "$fig"; cat "$TRACE_DIR/$fig.a.$ext"
-           echo "-- second run --"; cat "$TRACE_DIR/$fig.b.$ext"; exit 1; }
-  done
+# and L0 merge that made due, done. No query races a merge, so fig12–fig15
+# and fig20 print the same bytes on every run, and at `run_all.sh`'s
+# arguments those are the committed `results/` files, text (minus the
+# `wrote` line) and JSON. Each figure recommends its policies with the
+# online ζ preset (`drive.rs::the_online_preset_recommends_what_the_default_preset_does`),
+# so a run takes 20–30 s.
+echo "== query figures (fig12–fig15, fig20 reproduce results/ byte for byte) =="
+for run in "fig12 60000" "fig13 60000" "fig14 60000" "fig15 40000" \
+    "fig20 120000"; do
+  read -r fig points <<<"$run"
+  json=()
+  [[ -f "results/$fig.json" ]] && json=(--json "$TRACE_DIR/$fig.json")
+  "target/release/$fig" --points "$points" "${json[@]}" \
+    >"$TRACE_DIR/$fig.out" 2>&1 || { echo "$fig failed"; exit 1; }
+  grep -v '^wrote ' "$TRACE_DIR/$fig.out" >"$TRACE_DIR/$fig.txt"
+  grep -v '^wrote ' "results/$fig.txt" >"$TRACE_DIR/$fig.committed.txt"
+  cmp -s "$TRACE_DIR/$fig.txt" "$TRACE_DIR/$fig.committed.txt" \
+    || { echo "$fig differs from results/$fig.txt:"
+         diff "$TRACE_DIR/$fig.committed.txt" "$TRACE_DIR/$fig.txt"; exit 1; }
+  if ((${#json[@]})); then
+    cmp -s "$TRACE_DIR/$fig.json" "results/$fig.json" \
+      || { echo "$fig differs from results/$fig.json:"
+           diff "results/$fig.json" "$TRACE_DIR/$fig.json"; exit 1; }
+  fi
 done
 
 # A trace that cannot be written fails the run that asked for it: the JSONL
